@@ -10,12 +10,13 @@
 //! choice among the ≤ 9 grid cells overlapping `w(r)` (the alias `A_r` in
 //! Algorithm 1). Building a heap-allocated alias per point would cost two
 //! `Vec`s per element of `R`; [`CumulativeRow9`] instead stores an inline
-//! fixed-size cumulative-weight row and samples by scanning at most nine
-//! entries — still `O(1)` per draw with far better constants and exactly
-//! `O(n)` total space (see DESIGN.md §2.2 for this documented deviation).
+//! fixed-size cumulative-count row and draws cell and in-cell rank from
+//! one random word ([`RowPick`]) by scanning nine entries — still `O(1)`
+//! per draw with far better constants and exactly `O(n)` total space (see
+//! DESIGN.md §2.2 for this documented deviation).
 
 mod row9;
 mod table;
 
-pub use row9::{CumulativeRow9, NUM_CELLS};
+pub use row9::{CumulativeRow9, RowPick, NUM_CELLS};
 pub use table::AliasTable;

@@ -3,9 +3,14 @@ use rand::Rng;
 /// Walker's alias table: `O(1)` weighted sampling over a fixed set of
 /// weights.
 ///
-/// Built in `O(k)` time from `k` non-negative weights; each draw makes one
-/// uniform index choice and one biased coin flip. Entries with zero weight
+/// Built in `O(k)` time from `k` non-negative weights; each draw spends
+/// **one** uniform `u64`: the high bits of a widening multiply choose the
+/// column, the low bits flip the biased coin. Entries with zero weight
 /// are never returned.
+///
+/// The table keeps one representation — the packed columns the draw
+/// walks. The `f64` keep-probabilities and the donor indices of the
+/// construction are scratch and are dropped before `new` returns.
 ///
 /// This is the `alias` structure of the paper's Algorithm 1 (`A`) and of
 /// both baselines (Section III), crediting \[59\] A. J. Walker, "New fast
@@ -24,14 +29,9 @@ use rand::Rng;
 /// ```
 #[derive(Clone, Debug)]
 pub struct AliasTable {
-    /// `prob[i]`: probability of keeping column `i` (scaled to `[0, 1]`).
-    prob: Vec<f64>,
-    /// `alias[i]`: the donor index used when the coin flip rejects `i`.
-    alias: Vec<u32>,
-    /// Packed columns for the branchless one-word walk
-    /// ([`AliasTable::sample_word`]); same decision table as
-    /// `prob`/`alias`, with the keep probability pre-scaled to a `u64`
-    /// fixed-point threshold.
+    /// One packed column per weight: the keep probability pre-scaled to
+    /// a `u64` fixed-point threshold, and the donor index used when the
+    /// coin flip rejects the column.
     cols: Vec<AliasCol>,
     /// Sum of the input weights.
     total: f64,
@@ -41,7 +41,7 @@ pub struct AliasTable {
 /// cache line holds five columns.
 #[derive(Clone, Copy, Debug)]
 struct AliasCol {
-    /// Keep threshold: `prob[i] · 2⁶⁴`, saturating — a full column
+    /// Keep threshold: `prob · 2⁶⁴`, saturating — a full column
     /// (`prob == 1.0`) saturates to `u64::MAX` and its alias is the
     /// identity (the construction only assigns an alias to columns it
     /// pops from the small stack), so the 2⁻⁶⁴ miss is harmless.
@@ -114,12 +114,7 @@ impl AliasTable {
             })
             .collect();
 
-        Some(AliasTable {
-            prob,
-            alias,
-            cols,
-            total,
-        })
+        Some(AliasTable { cols, total })
     }
 
     /// Branchless single-word draw: one uniform `u64` supplies both the
@@ -127,10 +122,8 @@ impl AliasTable {
     /// `< len`, so the indexing bound check vanishes) and the coin flip
     /// (low product bits against the fixed-point keep threshold).
     ///
-    /// Distribution-equivalent to [`AliasTable::sample`] up to a
-    /// `len/2⁶⁴` rounding bias — unobservable at any feasible draw
-    /// count — but consumes different RNG bits, so streams drawn
-    /// through the two entry points differ.
+    /// Exact up to a `len/2⁶⁴` rounding bias — unobservable at any
+    /// feasible draw count.
     #[inline]
     pub fn sample_word(&self, word: u64) -> usize {
         let wide = (word as u128) * (self.cols.len() as u128);
@@ -166,29 +159,24 @@ impl AliasTable {
         }
     }
 
-    /// Draws an index with probability proportional to its weight.
+    /// Draws an index with probability proportional to its weight:
+    /// [`AliasTable::sample_word`] on the generator's next word.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let k = self.prob.len();
-        let i = rng.gen_range(0..k);
-        if rng.gen::<f64>() < self.prob[i] {
-            i
-        } else {
-            self.alias[i] as usize
-        }
+        self.sample_word(rng.next_u64())
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.prob.len()
+        self.cols.len()
     }
 
     /// `true` iff the table has no entries (never true for a constructed
     /// table, provided for API completeness).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
+        self.cols.is_empty()
     }
 
     /// Sum of the input weights (`Σ_r µ(r)` in the paper's analysis).
@@ -200,9 +188,7 @@ impl AliasTable {
     /// Approximate heap footprint in bytes (for the Fig. 4 memory
     /// experiment).
     pub fn memory_bytes(&self) -> usize {
-        self.prob.capacity() * std::mem::size_of::<f64>()
-            + self.alias.capacity() * std::mem::size_of::<u32>()
-            + self.cols.capacity() * std::mem::size_of::<AliasCol>()
+        self.cols.capacity() * std::mem::size_of::<AliasCol>()
     }
 }
 

@@ -177,16 +177,9 @@ impl CellBbsts {
     }
 
     /// Draws one candidate point for the quadrant (sampling phase,
-    /// case 3). Returns the index **into the cell's `by_x` array**, or
-    /// `None` for a *dud* draw (a virtual slot beyond a short bucket's
-    /// true size — counts as a rejected iteration, exactly as the paper's
-    /// "s may not have w(r) ∩ s" case).
-    ///
-    /// Each point of a matched bucket is returned with probability
-    /// exactly `1 / µ(r, c)` where `µ(r, c) = count_quadrant(q, mode)`,
-    /// which is what Theorem 3's correctness argument requires. The
-    /// caller must still verify the window predicate on the returned
-    /// point.
+    /// case 3): counts the quadrant mass, draws a uniform rank below it
+    /// and descends with [`CellBbsts::sample_quadrant_at`]. `None` for
+    /// an empty quadrant or a *dud* draw.
     pub fn sample_quadrant<R: Rng + ?Sized>(
         &self,
         q: &QuadrantQuery,
@@ -197,7 +190,34 @@ impl CellBbsts {
         if total == 0 {
             return None;
         }
-        let mut rank = rng.gen_range(0..total);
+        self.sample_quadrant_at(q, mode, rng.gen_range(0..total))
+    }
+
+    /// The ranked descent on its own: the candidate at position `rank`
+    /// of the quadrant's `µ(r, c) = count_quadrant(q, mode)` slots, for
+    /// a caller that already holds both — the upper-bounding phase
+    /// stored `µ(r, c)` as the cell's row weight, and the row pick that
+    /// chose the cell drew the rank — so the draw walks the tree once,
+    /// not twice.
+    ///
+    /// Returns the index **into the cell's `by_x` array**, or `None`
+    /// for a *dud* draw (a virtual slot beyond a short bucket's true
+    /// size — counts as a rejected iteration, exactly as the paper's
+    /// "s may not have w(r) ∩ s" case).
+    ///
+    /// For a uniform `rank` each point of a matched bucket is returned
+    /// with probability exactly `1 / µ(r, c)`, which is what Theorem 3's
+    /// correctness argument requires. The caller must still verify the
+    /// window predicate on the returned point.
+    ///
+    /// # Panics
+    /// Panics if `rank >= count_quadrant(q, mode)`.
+    pub fn sample_quadrant_at(
+        &self,
+        q: &QuadrantQuery,
+        mode: MassMode,
+        mut rank: u64,
+    ) -> Option<u32> {
         let tree = self.tree_for(q);
         let y_pred = q.y_pred();
         let mut picked: Option<u32> = None;
@@ -252,7 +272,7 @@ impl CellBbsts {
         match picked {
             Some(u32::MAX) => None,
             Some(idx) => Some(idx),
-            None => unreachable!("rank exceeded total quadrant mass"),
+            None => panic!("rank exceeded total quadrant mass"),
         }
     }
 
@@ -458,6 +478,53 @@ mod tests {
             },
             MassMode::Virtual,
         );
+    }
+
+    /// The ranked descent enumerates the quadrant's slots: over
+    /// `rank ∈ [0, µ)` every member of a matched bucket comes up exactly
+    /// once, and the remaining ranks are the duds of short buckets.
+    #[test]
+    fn ranked_descent_enumerates_every_slot_once() {
+        let points = spread_points(157); // short last bucket
+        for cascading in [false, true] {
+            let (_, cb) = if cascading {
+                make_cell_cascading(&points, 8)
+            } else {
+                make_cell(&points, 8)
+            };
+            for q in all_quadrants(17.0, 9.0) {
+                for mode in [MassMode::Virtual, MassMode::Exact] {
+                    let mu = cb.count_quadrant(&q, mode);
+                    let mut seen: Vec<u32> = (0..mu)
+                        .filter_map(|rank| cb.sample_quadrant_at(&q, mode, rank))
+                        .collect();
+                    let duds = mu - seen.len() as u64;
+                    seen.sort_unstable();
+                    let expected: Vec<u32> = cb
+                        .buckets()
+                        .iter()
+                        .filter(|b| {
+                            let x_ok = if q.x_is_min {
+                                b.max_x >= q.x0
+                            } else {
+                                b.min_x <= q.x0
+                            };
+                            let y_ok = if q.y_is_min {
+                                b.max_y >= q.y0
+                            } else {
+                                b.min_y <= q.y0
+                            };
+                            x_ok && y_ok
+                        })
+                        .flat_map(|b| b.lo..b.hi)
+                        .collect();
+                    assert_eq!(seen, expected, "{q:?} {mode:?} cascading={cascading}");
+                    if mode == MassMode::Exact {
+                        assert_eq!(duds, 0, "exact mass has no dud slots");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

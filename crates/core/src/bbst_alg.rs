@@ -3,7 +3,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rand::{Rng, RngCore};
-use srj_alias::{AliasTable, CumulativeRow9};
+use srj_alias::{AliasTable, CumulativeRow9, RowPick};
 use srj_bbst::{bucket_capacity, CellBbsts, MassMode};
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{case_of, CellCase, Grid};
@@ -12,7 +12,7 @@ use crate::buffer::{BufferStats, DrawBuffers};
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
-use crate::decompose::{case12_count, case12_run, quadrant_query};
+use crate::decompose::{case12_count, case12_run, case12_stored_run, quadrant_query};
 use crate::parallel::par_map;
 use crate::traits::JoinSampler;
 
@@ -38,13 +38,35 @@ use crate::traits::JoinSampler;
 /// Both phases happen once, in [`BbstIndex::build`]; the result is
 /// `Send + Sync` and never mutated, so any number of threads can run
 /// **phase 3 — sampling** against it concurrently through their own
-/// [`BbstCursor`]s: draw `r ∼ A`, a cell `∼ A_r`, then a point by case
-/// (uniform pick / 1-sided run pick / BBST quadrant descent); accept iff
-/// `s ∈ w(r)`. Cases 1–2 never reject; case 3 rejects with the bounded
-/// probability of Lemma 5, so a sample costs `Õ(1)` expected time
-/// (Lemma 6) and every pair of `J` is emitted with probability exactly
-/// `1/Σµ` per iteration (Theorem 3) — i.e. accepted samples are uniform
-/// and independent.
+/// [`BbstCursor`]s. One iteration (Algorithm 1 lines 12–15) is two
+/// random words and two steps:
+///
+/// * **pick** — `r ∼ A` from the first word; from the second, a
+///   uniform position in `[0, µ(r))`, which is a cell `∼ A_r` *and* a
+///   rank inside that cell's `µ(r, c)` candidate slots; then one grid
+///   probe, for the chosen neighbour only.
+/// * **resolve** — the candidate at that rank, by case, and the test
+///   `s ∈ w(r)`. A row weight is a count of positions, and phase 2
+///   already stored it: for a case-1/2 cell it is the length of the
+///   exact run, which is a prefix or suffix of the cell's x- or
+///   y-sorted member array, so the rank indexes the array directly (no
+///   binary search, no coordinate read); for a corner cell it is the
+///   quadrant mass, so the rank goes straight into the BBST descent (no
+///   second counting walk).
+///
+/// Cases 1–2 never reject; case 3 rejects with the bounded probability
+/// of Lemma 5, so a sample costs `Õ(1)` expected time (Lemma 6) and
+/// every pair of `J` is emitted with probability exactly `1/Σµ` per
+/// iteration (Theorem 3) — i.e. accepted samples are uniform and
+/// independent.
+///
+/// [`SamplerIndex::try_draw`] is exactly pick + resolve, and so are the
+/// sharded, overlay and stream paths built on it. A batch
+/// ([`SamplerIndex::draw_many`], behind [`Cursor::sample_batch`]) runs
+/// the same two steps 64 iterations at a time, stage by stage;
+/// the override's documentation argues why block order leaves
+/// Theorem 3 untouched and why the pairs then depend on the seed *and*
+/// the batch sizes.
 pub struct BbstIndex {
     r_points: Vec<Point>,
     /// The `S`-side: grid + per-cell BBST pairs behind one `Arc`-shared,
@@ -278,11 +300,11 @@ impl BbstIndex {
         let (rows, par) = par_map(r, config.build_threads, |_, &rp| {
             let w = Rect::window(rp, config.half_extent);
             let slots = grid.neighborhood_slots(rp);
-            let mut cell_w = [0.0f64; 9];
+            let mut cell_w = [0u64; 9];
             for (i, slot) in slots.into_iter().enumerate() {
                 let Some(slot) = slot else { continue };
                 let cell = grid.cell(slot);
-                let mu = match case_of(i) {
+                cell_w[i] = match case_of(i) {
                     CellCase::Quadrant { x_is_min, y_is_min } => {
                         let q = quadrant_query(x_is_min, y_is_min, &w);
                         store.unit(slot).count_quadrant(&q, modes[slot as usize])
@@ -290,11 +312,10 @@ impl BbstIndex {
                     case => case12_count(cell, grid.points(), case, &w)
                         .expect("non-corner case must yield an exact count"),
                 };
-                cell_w[i] = mu as f64;
             }
             CumulativeRow9::new(cell_w)
         });
-        let weights: Vec<f64> = rows.iter().map(CumulativeRow9::total).collect();
+        let weights: Vec<f64> = rows.iter().map(|row| row.total() as f64).collect();
         let alias = AliasTable::new(&weights);
         let upper_bounding = t2.elapsed();
         let upper_bounding_cpu = par.cpu + upper_bounding.saturating_sub(par.wall);
@@ -362,7 +383,7 @@ impl BbstIndex {
 
     /// Upper bound `µ(r)` for one query point.
     pub fn mu_of(&self, ridx: usize) -> f64 {
-        self.rows[ridx].total()
+        self.rows[ridx].total() as f64
     }
 
     /// The bucket capacity `⌈log₂ m⌉` in use.
@@ -409,12 +430,131 @@ impl BbstIndex {
 /// Per-cursor scratch of the BBST draw: the per-cell rejection records
 /// this cursor accumulated (drained by the serving layer into shared
 /// per-cell counters — the signal behind targeted cell repairs), plus
-/// the buffered-draw fast path state (off by default).
+/// the sample buffers of hot fully-covered cells (off by default).
 #[derive(Default)]
 pub struct BbstScratch {
     rejected_cells: Vec<u32>,
     /// Buffered fully-covered-cell draw state.
     pub buffers: DrawBuffers,
+}
+
+/// Iterations the block kernel ([`SamplerIndex::draw_many`] on
+/// [`BbstIndex`]) keeps in flight: enough independent loads per stage
+/// to fill the core's miss queue several times over, few enough that
+/// the block's state (≈ 10 KiB of stack arrays) stays in L1.
+const BLOCK: usize = 64;
+
+/// What [`BbstIndex::pick`] hands to [`BbstIndex::resolve`]: the chosen
+/// `r`, the chosen neighbour cell, and the position inside that cell's
+/// `µ(r, c)` candidate slots.
+#[derive(Clone, Copy, Default)]
+struct Picked {
+    ridx: u32,
+    rp: Point,
+    /// Store slot of the chosen cell.
+    slot: u32,
+    /// Neighbour index, in-cell rank and `µ(r, c)` of the chosen cell.
+    row: RowPick,
+}
+
+impl BbstIndex {
+    /// First half of an iteration (Algorithm 1 line 13): the cell
+    /// `∼ A_r` with the rank inside it, both from `word`, and **one**
+    /// grid probe — for the chosen neighbour only. `rp` and `row` are
+    /// `r_points[ridx]` and `rows[ridx]`, passed in so the block kernel
+    /// can gather them for a whole block first.
+    #[inline]
+    fn pick(&self, ridx: usize, rp: Point, row: &CumulativeRow9, word: u64) -> Picked {
+        // Positive weight because the alias only returns r with µ(r) > 0.
+        let row = row
+            .pick_word(word)
+            .expect("alias returned r with zero µ(r)");
+        let slot = self
+            .store
+            .grid()
+            .neighbor_slot(rp, row.cell)
+            .expect("positive cell weight for an empty cell");
+        Picked {
+            ridx: ridx as u32,
+            rp,
+            slot,
+            row,
+        }
+    }
+
+    /// Second half of an iteration (lines 14–15): the candidate at the
+    /// picked rank, by case, and the window test. Everything the
+    /// upper-bounding phase computed for `(r, c)` is *read* here, not
+    /// recomputed: `row.weight` is `µ(r, c)`, which for a case-1/2 cell
+    /// is the length of the exact run — a prefix or suffix of a sorted
+    /// member array, so `rank` indexes it directly — and for a corner
+    /// cell is the quadrant mass the ranked BBST descent ranks into.
+    ///
+    /// Owns the per-iteration accounting (`iterations`, `samples`, the
+    /// rejected-cell record), so [`SamplerIndex::try_draw`] and the
+    /// block kernel cannot disagree on it.
+    #[inline]
+    fn resolve(
+        &self,
+        p: &Picked,
+        scratch: &mut BbstScratch,
+        stats: &mut PhaseReport,
+    ) -> Option<JoinPair> {
+        stats.iterations += 1;
+        let grid = self.store.grid();
+        let cell = grid.cell(p.slot);
+        let w = Rect::window(p.rp, self.config.half_extent);
+        // Line 14: s from the cell, by case.
+        let accepted: Option<PointId> = match case_of(p.row.cell) {
+            CellCase::Quadrant { x_is_min, y_is_min } => {
+                let q = quadrant_query(x_is_min, y_is_min, &w);
+                self.store
+                    .unit(p.slot)
+                    .sample_quadrant_at(&q, self.modes[p.slot as usize], p.row.rank)
+                    .map(|pos| cell.by_x[pos as usize])
+                    // Line 15: accept iff w(r) ∩ s.
+                    .filter(|&sid| w.contains(grid.point(sid)))
+            }
+            case => {
+                let run = case12_stored_run(cell, case, p.row.weight as usize)
+                    .expect("non-corner case must yield a run");
+                debug_assert_eq!(
+                    Some(run),
+                    case12_run(cell, grid.points(), case, &w),
+                    "stored row weight disagrees with the window's run"
+                );
+                let sid = if scratch.buffers.enabled() && w.contains_rect(&cell.rect) {
+                    // Fully covered exact cell (the center cell of the
+                    // 3×3 neighborhood, always, since the cell side
+                    // equals the window half-extent): every member
+                    // qualifies, so hot cells serve a pre-drawn member
+                    // from their buffer and the rest use the rank.
+                    let token = Arc::as_ptr(self.store.unit_arc(p.slot)) as usize;
+                    scratch
+                        .buffers
+                        .draw_covered(p.slot, token, &cell.by_x, || p.row.rank as usize)
+                } else {
+                    // Exact cases never reject.
+                    run[p.row.rank as usize]
+                };
+                debug_assert!(
+                    w.contains(grid.point(sid)),
+                    "case-1/2 sample escaped the window"
+                );
+                Some(sid)
+            }
+        };
+        if let Some(sid) = accepted {
+            stats.samples += 1;
+            return Some(JoinPair::new(p.ridx, sid));
+        }
+        // Rejections happen only in the corner (case-3) cells — a dud
+        // virtual slot or a candidate outside the window — so the
+        // rejected slot identifies exactly the cell whose bound was
+        // loose: the per-cell feedback driving targeted repairs.
+        scratch.rejected_cells.push(p.slot);
+        None
+    }
 }
 
 impl SamplerIndex for BbstIndex {
@@ -425,7 +565,8 @@ impl SamplerIndex for BbstIndex {
         "BBST"
     }
 
-    /// One iteration of Algorithm 1's sampling phase (lines 12–15).
+    /// One iteration of Algorithm 1's sampling phase (lines 12–15):
+    /// `pick` on two fresh words, then `resolve`.
     fn try_draw<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -433,67 +574,77 @@ impl SamplerIndex for BbstIndex {
         stats: &mut PhaseReport,
     ) -> Result<Option<JoinPair>, SampleError> {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
-        stats.iterations += 1;
-        let grid = self.store.grid();
         // Line 12: r ~ A.
-        let ridx = alias.sample(rng);
-        let rp = self.r_points[ridx];
-        let w = Rect::window(rp, self.config.half_extent);
-        // Line 13: cell ~ A_r (weight > 0 because µ(r) > 0).
-        let cell_idx = self.rows[ridx]
-            .sample(rng)
-            .expect("alias returned r with zero µ(r)");
-        let slot =
-            grid.neighborhood_slots(rp)[cell_idx].expect("positive cell weight for an empty cell");
-        let cell = grid.cell(slot);
-        // Line 14: s from the cell, by case.
-        let accepted: Option<PointId> = match case_of(cell_idx) {
-            CellCase::Quadrant { x_is_min, y_is_min } => {
-                let q = quadrant_query(x_is_min, y_is_min, &w);
-                self.store
-                    .unit(slot)
-                    .sample_quadrant(&q, self.modes[slot as usize], rng)
-                    .map(|pos| cell.by_x[pos as usize])
-                    // Line 15: accept iff w(r) ∩ s.
-                    .filter(|&sid| w.contains(grid.point(sid)))
+        let ridx = alias.sample_word(rng.next_u64());
+        let picked = self.pick(ridx, self.r_points[ridx], &self.rows[ridx], rng.next_u64());
+        Ok(self.resolve(&picked, scratch, stats))
+    }
+
+    /// The block kernel: the same iterations as [`Self::try_draw`], run
+    /// `BLOCK` (64) at a time and stage by stage — every `r`, then every
+    /// row gather, then every pick with its grid probe, then the
+    /// resolves in iteration order — so that the cache misses of one
+    /// stage (alias column, `r_points`/`rows` entry, grid bucket) are
+    /// those of up to 64 independent samples in flight together rather
+    /// than one sample's dependent chain after another's.
+    ///
+    /// Exactness (the [`SamplerIndex::draw_many`] condition): a block
+    /// holds `min(BLOCK, samples still owed)` iterations, so even if
+    /// every one accepts the block ends exactly on the `t`-th
+    /// acceptance and none runs after it; iterations are independent
+    /// (each spends its own two words) and their outcomes are consumed
+    /// in iteration order. `out` is therefore the first `t` acceptances
+    /// of an iid iteration stream — the accept-loop's output
+    /// distribution — and Theorem 3's `1/Σµ` per pair per iteration is
+    /// untouched. The consecutive-rejection count runs across block
+    /// boundaries and resets only on an acceptance.
+    ///
+    /// A block takes its `r` words first and its pick words second, so
+    /// which word an iteration sees depends on the block it sits in:
+    /// the pairs are a function of the seed **and** of the sequence of
+    /// `t`s a caller passes.
+    fn draw_many<R: Rng + ?Sized>(
+        &self,
+        t: usize,
+        rng: &mut R,
+        scratch: &mut BbstScratch,
+        stats: &mut PhaseReport,
+        out: &mut Vec<JoinPair>,
+    ) -> Result<(), SampleError> {
+        let mut ridx = [0usize; BLOCK];
+        let mut gathered = [(Point::default(), CumulativeRow9::default()); BLOCK];
+        let mut picked = [Picked::default(); BLOCK];
+        let mut owed = t;
+        let mut consecutive = 0u64;
+        while owed > 0 {
+            // Asked only while something is owed: `t = 0` is `Ok` even
+            // on an empty join, as with the accept loop.
+            let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
+            let b = owed.min(BLOCK);
+            alias.sample_many(rng, &mut ridx[..b]);
+            for (g, &i) in gathered[..b].iter_mut().zip(&ridx[..b]) {
+                *g = (self.r_points[i], self.rows[i]);
             }
-            case => {
-                if scratch.buffers.enabled() && w.contains_rect(&cell.rect) {
-                    // Fully covered exact cell (the center cell of the
-                    // 3×3 neighborhood, always, since the cell side
-                    // equals the window half-extent): its case-1/2
-                    // weight equals the member count, so a uniform
-                    // member draw — buffered for hot cells — replaces
-                    // the run materialisation.
-                    let token = Arc::as_ptr(self.store.unit_arc(slot)) as usize;
-                    let sid = scratch.buffers.draw_covered(slot, token, &cell.by_x, || {
-                        rng.gen_range(0..cell.by_x.len())
-                    });
-                    Some(sid)
-                } else {
-                    let run = case12_run(cell, grid.points(), case, &w)
-                        .expect("non-corner case must yield a run");
-                    // Exact cases never reject; the run is non-empty
-                    // because its UB-phase count was positive.
-                    let sid = run[rng.gen_range(0..run.len())];
-                    debug_assert!(
-                        w.contains(grid.point(sid)),
-                        "case-1/2 sample escaped the window"
-                    );
-                    Some(sid)
+            for ((p, &i), (rp, row)) in picked[..b].iter_mut().zip(&ridx[..b]).zip(&gathered[..b]) {
+                *p = self.pick(i, *rp, row, rng.next_u64());
+            }
+            for p in &picked[..b] {
+                match self.resolve(p, scratch, stats) {
+                    Some(pair) => {
+                        out.push(pair);
+                        owed -= 1;
+                        consecutive = 0;
+                    }
+                    None => {
+                        consecutive += 1;
+                        if consecutive >= self.rejection_limit() {
+                            return Err(SampleError::RejectionLimit);
+                        }
+                    }
                 }
             }
-        };
-        if let Some(sid) = accepted {
-            stats.samples += 1;
-            return Ok(Some(JoinPair::new(ridx as u32, sid)));
         }
-        // Rejections happen only in the corner (case-3) cells — a dud
-        // virtual slot or a candidate outside the window — so the
-        // rejected slot identifies exactly the cell whose bound was
-        // loose: the per-cell feedback driving targeted repairs.
-        scratch.rejected_cells.push(slot);
-        Ok(None)
+        Ok(())
     }
 
     fn rejection_limit(&self) -> u64 {
@@ -548,8 +699,8 @@ impl SamplerIndex for BbstIndex {
 }
 
 /// Cheap per-thread query state over a shared [`BbstIndex`] (see
-/// [`Cursor`]): just the sampling-phase statistics — the BBST draw
-/// needs no scratch memory.
+/// [`Cursor`]): the sampling-phase statistics, the per-cell rejection
+/// records and the sample buffers.
 pub type BbstCursor = Cursor<BbstIndex>;
 
 impl Cursor<BbstIndex> {
@@ -636,6 +787,7 @@ impl JoinSampler for BbstSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use srj_bbst::MassMode;
@@ -794,5 +946,64 @@ mod tests {
             .collect();
         assert_eq!(draws[0], draws[1]);
         assert_eq!(draws[1], draws[2]);
+    }
+
+    /// Half-unit lattice points: duplicate x and y coordinates are the
+    /// rule, and with `l` on the same lattice points sit exactly on
+    /// window edges and on cell boundaries.
+    fn lattice_points(max_n: usize) -> impl Strategy<Value = Vec<Point>> {
+        prop::collection::vec((0u32..48, 0u32..48), 1..max_n).prop_map(|v| {
+            v.into_iter()
+                .map(|(x, y)| Point::new(x as f64 * 0.5, y as f64 * 0.5))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// What `resolve` reads instead of recomputing: for every
+        /// case-1/2 neighbour of every `r`, the prefix/suffix of
+        /// length `row.weight(i)` **is** the window's run, and for
+        /// every corner the weight **is** the quadrant mass the ranked
+        /// descent ranks into — under both mass modes.
+        #[test]
+        fn stored_row_weights_locate_runs_and_quadrant_mass(
+            s in lattice_points(260),
+            r in lattice_points(40),
+            l_steps in 1u32..9,
+            exact in any::<bool>(),
+        ) {
+            let l = l_steps as f64 * 0.5;
+            let mode = if exact { MassMode::Exact } else { MassMode::Virtual };
+            let index = BbstIndex::build(&r, &s, &SampleConfig::new(l).with_mass_mode(mode));
+            let grid = index.store.grid();
+            for (ridx, &rp) in r.iter().enumerate() {
+                let w = Rect::window(rp, l);
+                let row = &index.rows[ridx];
+                for (i, slot) in grid.neighborhood_slots(rp).into_iter().enumerate() {
+                    let Some(slot) = slot else {
+                        prop_assert_eq!(row.weight(i), 0);
+                        continue;
+                    };
+                    let cell = grid.cell(slot);
+                    match case_of(i) {
+                        CellCase::Quadrant { x_is_min, y_is_min } => {
+                            let q = quadrant_query(x_is_min, y_is_min, &w);
+                            prop_assert_eq!(
+                                row.weight(i),
+                                index.store.unit(slot).count_quadrant(&q, mode),
+                                "r {:?} corner {}", rp, i
+                            );
+                        }
+                        case => {
+                            let stored = case12_stored_run(cell, case, row.weight(i) as usize);
+                            let searched = case12_run(cell, grid.points(), case, &w);
+                            prop_assert_eq!(stored, searched, "r {:?} neighbour {} {:?}", rp, i, case);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

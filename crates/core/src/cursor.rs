@@ -40,7 +40,8 @@ pub trait SamplerIndex: Send + Sync {
     /// holds however the iterations are driven.
     ///
     /// Exposing the single iteration — rather than only the
-    /// accept-loop in [`SamplerIndex::draw_with`] — is what makes
+    /// accept-loops in [`SamplerIndex::draw_with`] and
+    /// [`SamplerIndex::draw_many`] — is what makes
     /// composition correct: a sharded wrapper must re-pick the shard on
     /// **every** iteration (each iteration emits any pair of `J` with
     /// probability exactly `1/Σµ`), not merely loop inside one shard,
@@ -129,6 +130,34 @@ pub trait SamplerIndex: Send + Sync {
                 }
             }
         }
+    }
+
+    /// `t` uniform draws appended to `out`, in acceptance order — the
+    /// one loop behind [`Cursor::sample`] and [`Cursor::sample_batch`].
+    /// The provided body is `t` accept-loops. An index may override it
+    /// to run its iterations in blocks (see [`crate::BbstIndex`]), under
+    /// one condition: `out` must receive the first `t` acceptances of a
+    /// stream of independent [`SamplerIndex::try_draw`]-distributed
+    /// iterations, in iteration order, and no iteration may run after
+    /// the `t`-th acceptance — then every pair keeps per-iteration
+    /// probability `1 / total_weight` and the accounting contract of
+    /// `try_draw` (`iterations`, `samples`, per-cell rejection records,
+    /// the consecutive-rejection valve) holds unchanged. How the
+    /// generator's words are spent on those iterations is the
+    /// override's business, so the pairs a seed produces may depend on
+    /// how a caller splits its draws into `draw_many` calls.
+    fn draw_many<R: Rng + ?Sized>(
+        &self,
+        t: usize,
+        rng: &mut R,
+        scratch: &mut Self::Scratch,
+        stats: &mut PhaseReport,
+        out: &mut Vec<JoinPair>,
+    ) -> Result<(), SampleError> {
+        for _ in 0..t {
+            out.push(self.draw_with(rng, scratch, stats)?);
+        }
+        Ok(())
     }
 
     /// Build-phase timing recorded when the index was constructed.
@@ -266,11 +295,12 @@ impl<I: SamplerIndex> Cursor<I> {
         I::drain_buffer_stats(&mut self.scratch)
     }
 
-    /// Monomorphised batch draw: `t` accept-loops against a concrete
-    /// RNG under a single timing bracket, appending to `out`. This is
-    /// the engine's hot serving path — the compiler sees the whole
-    /// index/RNG pair, so there is no virtual call per random word and
-    /// no `Instant::now()` per pair.
+    /// Monomorphised batch draw: [`SamplerIndex::draw_many`] against a
+    /// concrete RNG under a single timing bracket, appending to `out`.
+    /// This is the engine's hot serving path — the compiler sees the
+    /// whole index/RNG pair, so there is no virtual call per random
+    /// word and no `Instant::now()` per pair. On an error `out` keeps
+    /// the pairs accepted before it.
     pub fn sample_batch<R: Rng + ?Sized>(
         &mut self,
         t: usize,
@@ -279,20 +309,11 @@ impl<I: SamplerIndex> Cursor<I> {
     ) -> Result<(), SampleError> {
         let start = Instant::now();
         out.reserve(t.min(MAX_PREALLOC_PAIRS));
-        for _ in 0..t {
-            match self
-                .index
-                .draw_with(rng, &mut self.scratch, &mut self.stats)
-            {
-                Ok(p) => out.push(p),
-                Err(e) => {
-                    self.stats.sampling += start.elapsed();
-                    return Err(e);
-                }
-            }
-        }
+        let res = self
+            .index
+            .draw_many(t, rng, &mut self.scratch, &mut self.stats, out);
         self.stats.sampling += start.elapsed();
-        Ok(())
+        res
     }
 }
 
@@ -315,21 +336,8 @@ impl<I: SamplerIndex> JoinSampler for Cursor<I> {
     }
 
     fn sample(&mut self, t: usize, rng: &mut dyn RngCore) -> Result<Vec<JoinPair>, SampleError> {
-        let start = Instant::now();
-        let mut out = Vec::with_capacity(t.min(MAX_PREALLOC_PAIRS));
-        for _ in 0..t {
-            match self
-                .index
-                .draw_with(rng, &mut self.scratch, &mut self.stats)
-            {
-                Ok(p) => out.push(p),
-                Err(e) => {
-                    self.stats.sampling += start.elapsed();
-                    return Err(e);
-                }
-            }
-        }
-        self.stats.sampling += start.elapsed();
+        let mut out = Vec::new();
+        self.sample_batch(t, rng, &mut out)?;
         Ok(out)
     }
 

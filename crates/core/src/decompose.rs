@@ -28,7 +28,9 @@ pub(crate) fn case12_count(
 }
 
 /// The contiguous run of qualifying ids for a case-1/2 cell (sampling
-/// phase (i)/(ii)); `None` for corner cells.
+/// phase (i)/(ii)), found by binary search against the window; `None`
+/// for corner cells. The draw itself uses [`case12_stored_run`]; this is
+/// the reference it is checked against.
 pub(crate) fn case12_run<'a>(
     cell: &'a Cell,
     points: &[srj_geom::Point],
@@ -41,6 +43,27 @@ pub(crate) fn case12_run<'a>(
         CellCase::XMaxSided => cell.run_x_at_most(points, w.max_x),
         CellCase::YMinSided => cell.run_y_at_least(points, w.min_y),
         CellCase::YMaxSided => cell.run_y_at_most(points, w.max_y),
+        CellCase::Quadrant { .. } => return None,
+    };
+    Some(run)
+}
+
+/// The same run as [`case12_run`], recovered from the `count` the
+/// upper-bounding phase stored as the cell's row weight
+/// ([`case12_count`]): a 1-sided run is a prefix or a suffix of one of
+/// the cell's sorted arrays, so its length alone locates it — no binary
+/// search, no read of the point coordinates. `None` for corner cells.
+///
+/// # Panics
+/// Panics if `count` exceeds the cell's population.
+#[inline]
+pub(crate) fn case12_stored_run(cell: &Cell, case: CellCase, count: usize) -> Option<&[PointId]> {
+    let n = cell.len();
+    let run = match case {
+        CellCase::Full | CellCase::XMaxSided => &cell.by_x[..count],
+        CellCase::XMinSided => &cell.by_x[n - count..],
+        CellCase::YMaxSided => &cell.by_y[..count],
+        CellCase::YMinSided => &cell.by_y[n - count..],
         CellCase::Quadrant { .. } => return None,
     };
     Some(run)

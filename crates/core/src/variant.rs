@@ -9,7 +9,7 @@ use srj_kdtree::{CanonicalScratch, KdTree};
 
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
-use crate::decompose::{case12_count, case12_run, quadrant_query, quadrant_rect};
+use crate::decompose::{case12_count, case12_stored_run, quadrant_query, quadrant_rect};
 use crate::parallel::par_map;
 use crate::traits::JoinSampler;
 
@@ -68,11 +68,11 @@ impl BbstKdVariantIndex {
         let (rows, par) = par_map(r, config.build_threads, |_, &rp| {
             let w = Rect::window(rp, config.half_extent);
             let slots = grid.neighborhood_slots(rp);
-            let mut cell_w = [0.0f64; 9];
+            let mut cell_w = [0u64; 9];
             for (i, slot) in slots.into_iter().enumerate() {
                 let Some(slot) = slot else { continue };
                 let cell = grid.cell(slot);
-                let mu = match case_of(i) {
+                cell_w[i] = match case_of(i) {
                     CellCase::Quadrant { x_is_min, y_is_min } => {
                         let q = quadrant_query(x_is_min, y_is_min, &w);
                         let rect = quadrant_rect(&q, &cell.rect);
@@ -81,11 +81,10 @@ impl BbstKdVariantIndex {
                     case => case12_count(cell, grid.points(), case, &w)
                         .expect("non-corner case must yield an exact count"),
                 };
-                cell_w[i] = mu as f64;
             }
             CumulativeRow9::new(cell_w)
         });
-        let weights: Vec<f64> = rows.iter().map(CumulativeRow9::total).collect();
+        let weights: Vec<f64> = rows.iter().map(|row| row.total() as f64).collect();
         let alias = AliasTable::new(&weights);
         let upper_bounding = t2.elapsed();
         let upper_bounding_cpu = par.cpu + upper_bounding.saturating_sub(par.wall);
@@ -144,13 +143,15 @@ impl BbstKdVariantIndex {
         let ridx = alias.sample(rng);
         let rp = self.r_points[ridx];
         let w = Rect::window(rp, self.config.half_extent);
-        let cell_idx = self.rows[ridx]
-            .sample(rng)
+        let picked = self.rows[ridx]
+            .pick_word(rng.next_u64())
             .expect("alias returned r with zero µ(r)");
-        let slot = self.grid.neighborhood_slots(rp)[cell_idx]
+        let slot = self
+            .grid
+            .neighbor_slot(rp, picked.cell)
             .expect("positive cell weight for an empty cell");
         let cell = self.grid.cell(slot);
-        let sid = match case_of(cell_idx) {
+        let sid = match case_of(picked.cell) {
             CellCase::Quadrant { x_is_min, y_is_min } => {
                 let q = quadrant_query(x_is_min, y_is_min, &w);
                 let rect = quadrant_rect(&q, &cell.rect);
@@ -159,11 +160,10 @@ impl BbstKdVariantIndex {
                     .expect("positive exact count for an empty quadrant");
                 cell.by_x[pos as usize]
             }
-            case => {
-                let run = case12_run(cell, self.grid.points(), case, &w)
-                    .expect("non-corner case must yield a run");
-                run[rng.gen_range(0..run.len())]
-            }
+            // The stored row weight is the exact run's length, and the
+            // pick already ranked into it.
+            case => case12_stored_run(cell, case, picked.weight as usize)
+                .expect("non-corner case must yield a run")[picked.rank as usize],
         };
         debug_assert!(
             w.contains(self.grid.point(sid)),

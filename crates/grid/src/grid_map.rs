@@ -350,8 +350,24 @@ impl Grid {
         &self.cells[slot as usize]
     }
 
+    /// Slot index of **one** cell of the 3×3 block around the cell
+    /// containing `p`: neighbour `i` in [`NEIGHBOR_OFFSETS`] order, i.e.
+    /// entry `i` of [`Grid::neighborhood_slots`] for one hash probe
+    /// instead of nine. A draw that has already chosen its neighbour
+    /// calls this.
+    ///
+    /// # Panics
+    /// Panics if `i >= 9`.
+    #[inline]
+    pub fn neighbor_slot(&self, p: Point, i: usize) -> Option<u32> {
+        let (cx, cy) = self.coord_of(p);
+        let (dx, dy) = NEIGHBOR_OFFSETS[i];
+        self.cell_slot_at((cx.saturating_add(dx), cy.saturating_add(dy)))
+    }
+
     /// Slot indices of the ≤ 9 cells of the 3×3 block around the cell
-    /// containing `p`, in [`NEIGHBOR_OFFSETS`] order.
+    /// containing `p`, in [`NEIGHBOR_OFFSETS`] order — for callers that
+    /// walk the whole block; see [`Grid::neighbor_slot`] for one cell.
     pub fn neighborhood_slots(&self, p: Point) -> [Option<u32>; 9] {
         let (cx, cy) = self.coord_of(p);
         let mut out = [None; 9];
@@ -646,6 +662,24 @@ mod tests {
                     (None, None) => {}
                     _ => panic!("neighborhood and slots disagree"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_slot_is_one_entry_of_neighborhood_slots() {
+        let pts = cluster(400, 31);
+        let g = Grid::build(&pts, 12.0);
+        // Probes inside, at the populated edge, and outside the data.
+        for probe in [
+            Point::new(50.0, 50.0),
+            Point::new(3.0, 97.0),
+            Point::new(-30.0, 140.0),
+            pts[7],
+        ] {
+            let all = g.neighborhood_slots(probe);
+            for (i, &slot) in all.iter().enumerate() {
+                assert_eq!(g.neighbor_slot(probe, i), slot, "{probe:?} neighbour {i}");
             }
         }
     }
