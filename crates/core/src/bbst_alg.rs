@@ -12,8 +12,9 @@ use crate::buffer::{BufferStats, DrawBuffers};
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
-use crate::decompose::{case12_count, case12_run, case12_stored_run, quadrant_query};
-use crate::parallel::par_map;
+use crate::decompose::{
+    case12_run, case12_stored_run, quadrant_query, upper_bounding, UpperBounds,
+};
 use crate::traits::JoinSampler;
 
 /// Immutable build product of the paper's proposed algorithm
@@ -33,7 +34,32 @@ use crate::traits::JoinSampler;
 /// corner cells (case 3) — then build the per-`r` cell distribution
 /// `A_r` and the global alias `A` over `µ(r)`. `O(n log m)` (Lemma 4),
 /// with `|S(w(r))| ≤ µ(r) ≤ max{O(log m)·|S(w(r))|, O(log m)}`
-/// (Lemma 5).
+/// (Lemma 5). The pass is **cell-major** — group → sweep → scatter:
+///
+/// * **group** — `R` is counting-sorted by the grid cell that contains
+///   each `r` ([`Grid::group_by_cell`]). Every member of a group sees
+///   the same 3×3 block, so the block's nine hash probes are paid once
+///   per group, not once per `r`.
+/// * **sweep** — the block is walked neighbour by neighbour, the whole
+///   group against one `S` cell at a time, so that cell's sorted arrays
+///   and BBST pair stay in cache. Case 1 is one number for the group.
+///   Case 2 takes the members in coordinate order: their window edges
+///   cut the cell's array at non-decreasing positions, so each binary
+///   search shrinks to a gallop from the previous cut. Case 3 is the
+///   same quadrant count per `r`, now back to back on one tree.
+/// * **scatter** — each member's nine weights go to `rows[ridx]`, its
+///   position in `R`; `A` is then built over the totals in that order.
+///
+/// The rows are **the same integers** the per-`r` form of Algorithm 1
+/// produces (nine probes, four binary searches, four tree walks for one
+/// `r` after another, in input order): counts do not depend on the
+/// order they are taken in. Hence `Σµ`, the alias and every fixed-seed
+/// sample stream are bit-identical to that form at every
+/// `build_threads`. The per-`r` form stays in the crate only as the
+/// reference the sweep is tested against — a proptest compares all nine
+/// weights of every row, and every debug build re-derives every 64th
+/// group with it — because it is the paper's text and plainly right,
+/// while the sweep is only faster and equal.
 ///
 /// Both phases happen once, in [`BbstIndex::build`]; the result is
 /// `Send + Sync` and never mutated, so any number of threads can run
@@ -258,109 +284,92 @@ impl BbstIndex {
             "shared per-cell BBSTs were built with the opposite cascading mode"
         );
         let modes = vec![config.mass_mode; store.num_cells()];
-        let (rows, alias, upper_bounding, upper_bounding_cpu) =
-            Self::build_rows(r, &store, &modes, config);
+        let ub = Self::build_rows(r, &store, &modes, config, None);
         BbstIndex {
             r_points: r.to_vec(),
             store,
             modes,
-            rows,
-            alias,
+            rows: ub.rows,
+            alias: ub.alias,
             config: *config,
             build_report: PhaseReport {
                 preprocessing,
                 grid_mapping,
-                upper_bounding,
-                upper_bounding_cpu,
+                upper_bounding: ub.wall,
+                upper_bounding_cpu: ub.cpu,
                 ..PhaseReport::default()
             },
         }
     }
 
-    /// Phase 2 proper: upper bounds, per-`r` rows, global alias, with
-    /// each corner cell bounded under **its own** mass mode. The per-r
-    /// loop (Lemma 4's `O(n log m)` — the dominant build phase) runs on
-    /// `config.build_threads` threads; each element reads only the
-    /// immutable store, so the parallel result is bit-identical to the
-    /// serial one.
-    #[allow(clippy::type_complexity)]
+    /// Phase 2 proper ([`upper_bounding`]): the cell-major pass over
+    /// `r`, with each corner cell bounded by its BBST pair under **its
+    /// own** mass mode, on `config.build_threads` threads. `prior` is
+    /// [`upper_bounding`]'s repair argument.
     fn build_rows(
         r: &[Point],
         store: &CellStore<CellBbsts>,
         modes: &[MassMode],
         config: &SampleConfig,
-    ) -> (
-        Vec<CumulativeRow9>,
-        Option<AliasTable>,
-        std::time::Duration,
-        std::time::Duration,
-    ) {
-        let grid = store.grid();
-        let t2 = Instant::now();
-        let (rows, par) = par_map(r, config.build_threads, |_, &rp| {
-            let w = Rect::window(rp, config.half_extent);
-            let slots = grid.neighborhood_slots(rp);
-            let mut cell_w = [0u64; 9];
-            for (i, slot) in slots.into_iter().enumerate() {
-                let Some(slot) = slot else { continue };
-                let cell = grid.cell(slot);
-                cell_w[i] = match case_of(i) {
-                    CellCase::Quadrant { x_is_min, y_is_min } => {
-                        let q = quadrant_query(x_is_min, y_is_min, &w);
-                        store.unit(slot).count_quadrant(&q, modes[slot as usize])
-                    }
-                    case => case12_count(cell, grid.points(), case, &w)
-                        .expect("non-corner case must yield an exact count"),
-                };
-            }
-            CumulativeRow9::new(cell_w)
-        });
-        let weights: Vec<f64> = rows.iter().map(|row| row.total() as f64).collect();
-        let alias = AliasTable::new(&weights);
-        let upper_bounding = t2.elapsed();
-        let upper_bounding_cpu = par.cpu + upper_bounding.saturating_sub(par.wall);
-        (rows, alias, upper_bounding, upper_bounding_cpu)
+        prior: Option<(&[CumulativeRow9], &[bool])>,
+    ) -> UpperBounds {
+        upper_bounding(
+            store.grid(),
+            r,
+            config.half_extent,
+            config.build_threads,
+            prior,
+            |slot, q| store.unit(slot).count_quadrant(q, modes[slot as usize]),
+        )
     }
 
     /// Re-tightens the given cells to [`MassMode::Exact`] bounds — the
     /// targeted repair for cells whose Virtual-mass bound turned out
-    /// loose (measured per-cell rejections) — and recomputes the UB
-    /// rows against the unchanged, fully shared `S`-side. `None` when
-    /// every named cell is already exact (nothing would change).
+    /// loose (measured per-cell rejections) — against the unchanged,
+    /// fully shared `S`-side. Only the `r` whose 3×3 block holds a
+    /// re-tightened cell get their row swept again; every other row is
+    /// copied, and the result is the full recompute's, row for row.
+    /// `None` when every named cell is already exact (nothing would
+    /// change).
     ///
     /// Uniformity is preserved: rows and draws both read the per-cell
     /// mode, so every pair keeps per-iteration probability `1/Σµ` with
     /// the new (smaller) `Σµ`.
     pub fn with_exact_cells(&self, slots: &[u32]) -> Option<BbstIndex> {
         let mut modes = self.modes.clone();
-        let mut changed = false;
+        let mut tightened = vec![false; modes.len()];
         for &slot in slots {
             if let Some(m) = modes.get_mut(slot as usize) {
                 if *m != MassMode::Exact {
                     *m = MassMode::Exact;
-                    changed = true;
+                    tightened[slot as usize] = true;
                 }
             }
         }
-        if !changed {
+        if !tightened.contains(&true) {
             return None;
         }
-        let (rows, alias, upper_bounding, upper_bounding_cpu) =
-            Self::build_rows(&self.r_points, &self.store, &modes, &self.config);
+        let ub = Self::build_rows(
+            &self.r_points,
+            &self.store,
+            &modes,
+            &self.config,
+            Some((&self.rows, &tightened)),
+        );
         Some(BbstIndex {
             r_points: self.r_points.clone(),
             store: Arc::clone(&self.store),
             modes,
-            rows,
-            alias,
+            rows: ub.rows,
+            alias: ub.alias,
             config: self.config,
             build_report: PhaseReport {
                 // The S-side is untouched; the repair pays only a UB
                 // pass, charged here.
                 preprocessing: std::time::Duration::ZERO,
                 grid_mapping: std::time::Duration::ZERO,
-                upper_bounding,
-                upper_bounding_cpu,
+                upper_bounding: ub.wall,
+                upper_bounding_cpu: ub.cpu,
                 ..PhaseReport::default()
             },
         })
@@ -787,10 +796,10 @@ impl JoinSampler for BbstSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::per_r_weights;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use srj_bbst::MassMode;
 
     fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -948,19 +957,159 @@ mod tests {
         assert_eq!(draws[1], draws[2]);
     }
 
-    /// Half-unit lattice points: duplicate x and y coordinates are the
-    /// rule, and with `l` on the same lattice points sit exactly on
-    /// window edges and on cell boundaries.
-    fn lattice_points(max_n: usize) -> impl Strategy<Value = Vec<Point>> {
-        prop::collection::vec((0u32..48, 0u32..48), 1..max_n).prop_map(|v| {
+    /// Half-unit lattice points, both coordinates in `span` half-units:
+    /// duplicate x and y coordinates are the rule, and with `l` on the
+    /// same lattice points sit exactly on window edges and on cell
+    /// boundaries.
+    fn lattice_points(
+        span: std::ops::Range<i32>,
+        len: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<Point>> {
+        prop::collection::vec((span.clone(), span), len).prop_map(|v| {
             v.into_iter()
                 .map(|(x, y)| Point::new(x as f64 * 0.5, y as f64 * 0.5))
                 .collect()
         })
     }
 
+    /// Every stored row of `index` against [`per_r_weights`] under the
+    /// index's own per-cell modes: all nine cell weights, not the total.
+    fn assert_rows_are_the_per_r_reference(index: &BbstIndex) {
+        let grid = index.store.grid();
+        let corner = |slot: u32, q: &srj_bbst::QuadrantQuery| {
+            index
+                .store
+                .unit(slot)
+                .count_quadrant(q, index.modes[slot as usize])
+        };
+        assert_eq!(index.rows.len(), index.r_points.len());
+        for (ridx, (&rp, row)) in index.r_points.iter().zip(&index.rows).enumerate() {
+            let reference = per_r_weights(grid, rp, index.config.half_extent, &corner);
+            let stored: [u64; 9] = std::array::from_fn(|i| row.weight(i));
+            assert_eq!(stored, reference, "r{ridx} = {rp:?}");
+        }
+        let sum: u64 = index.rows.iter().map(CumulativeRow9::total).sum();
+        assert_eq!(index.mu_total(), sum as f64);
+    }
+
+    /// 1000 points crammed into the cell containing `anchor` (so on a
+    /// handful of lattice positions, the cell's lower edges among them),
+    /// and one `r` on the lower corner of each cell of the block around
+    /// it: groups of one next to a cell of a thousand.
+    fn crowded_cell(anchor: Point, l_steps: u32) -> (Vec<Point>, Vec<Point>) {
+        let l = l_steps as f64 * 0.5;
+        let (cx, cy) = ((anchor.x / l).floor(), (anchor.y / l).floor());
+        let s = (0..1000u32)
+            .map(|k| {
+                let (ox, oy) = (
+                    k.wrapping_mul(7) % l_steps,
+                    (k / 3).wrapping_mul(5) % l_steps,
+                );
+                Point::new(cx * l + ox as f64 * 0.5, cy * l + oy as f64 * 0.5)
+            })
+            .collect();
+        let r = srj_grid::NEIGHBOR_OFFSETS
+            .iter()
+            .map(|&(dx, dy)| Point::new((cx + dx as f64) * l, (cy + dy as f64) * l))
+            .collect();
+        (s, r)
+    }
+
+    #[test]
+    fn cell_major_rows_on_degenerate_inputs() {
+        let some = [
+            Point::new(-1.5, 2.0),
+            Point::new(0.0, 0.0),
+            Point::new(0.0, 0.0),
+        ];
+        let (crowd, ring) = crowded_cell(Point::new(-3.0, 4.5), 3);
+        let twice = [&crowd[..], &crowd[..]].concat();
+        for mode in [MassMode::Virtual, MassMode::Exact] {
+            let cfg = SampleConfig::new(1.5).with_mass_mode(mode);
+            for (r, s) in [
+                (&[][..], &some[..]), // empty R
+                (&some[..], &[][..]), // empty S
+                (&[][..], &[][..]),
+                (&ring[..], &crowd[..]), // singletons around one crowded cell
+                (&twice[..], &crowd[..]), // one group of two thousand, swept in pieces
+                (&some[..], &crowd[..]), // every r outside the populated cell
+            ] {
+                for threads in [1, 3] {
+                    let index = BbstIndex::build(r, s, &cfg.with_build_threads(threads));
+                    assert_rows_are_the_per_r_reference(&index);
+                }
+            }
+        }
+    }
+
+    /// The repair sweeps only the groups around the re-tightened cells
+    /// and copies every other row; the result is what sweeping
+    /// everything under the new modes gives.
+    #[test]
+    fn exact_cell_repair_equals_the_full_recompute() {
+        let r = pseudo_points(900, 91, 60.0);
+        let s = pseudo_points(4000, 92, 60.0);
+        for threads in [1, 3] {
+            let cfg = SampleConfig::new(5.0).with_build_threads(threads);
+            let index = BbstIndex::build(&r, &s, &cfg);
+            assert!(index.with_exact_cells(&[]).is_none());
+            // A handful of cells, one of them named twice, one out of
+            // range.
+            let cells = index.store.num_cells() as u32;
+            let slots = [3, cells / 2, cells - 1, 3, cells + 7];
+            let repaired = index.with_exact_cells(&slots).expect("virtual cells named");
+            assert_eq!(repaired.virtual_cells(), index.virtual_cells() - 3);
+            assert_rows_are_the_per_r_reference(&repaired);
+            let full = BbstIndex::build_rows(&r, &index.store, &repaired.modes, &cfg, None);
+            for (ridx, (a, b)) in repaired.rows.iter().zip(&full.rows).enumerate() {
+                for i in 0..9 {
+                    assert_eq!(a.weight(i), b.weight(i), "r{ridx} cell {i}");
+                }
+            }
+            assert_eq!(
+                repaired.mu_total(),
+                full.alias.as_ref().map_or(0.0, AliasTable::total_weight)
+            );
+            // Exact is tighter, and the repair did change something.
+            assert!(repaired.mu_total() < index.mu_total());
+            // Repairing the same cells again is a no-op.
+            assert!(repaired.with_exact_cells(&slots).is_none());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The cell-major pass against the per-`r` reference, cell
+        /// weight by cell weight. Everything sits on the half-unit
+        /// lattice and so does `l`: coordinates repeat, points lie
+        /// exactly on window edges and on cell boundaries. `R` reaches
+        /// well beyond `S` (cells of `R` with no `s`, blocks with no
+        /// cell at all), both straddle the origin, either may be empty,
+        /// and half the cases add a thousand-point cell ringed by
+        /// single `r`s.
+        #[test]
+        fn cell_major_rows_equal_the_per_r_reference(
+            s in lattice_points(-24..24, 0..200),
+            r in lattice_points(-40..40, 0..160),
+            crowd in (any::<bool>(), -24i32..24, -24i32..24),
+            l_steps in 1u32..9,
+            exact in any::<bool>(),
+            threads in 1usize..4,
+        ) {
+            let (mut s, mut r) = (s, r);
+            if crowd.0 {
+                let anchor = Point::new(crowd.1 as f64 * 0.5, crowd.2 as f64 * 0.5);
+                let (crowd_s, ring_r) = crowded_cell(anchor, l_steps);
+                s.extend(crowd_s);
+                r.extend(ring_r);
+            }
+            let mode = if exact { MassMode::Exact } else { MassMode::Virtual };
+            let cfg = SampleConfig::new(l_steps as f64 * 0.5)
+                .with_mass_mode(mode)
+                .with_build_threads(threads);
+            assert_rows_are_the_per_r_reference(&BbstIndex::build(&r, &s, &cfg));
+        }
 
         /// What `resolve` reads instead of recomputing: for every
         /// case-1/2 neighbour of every `r`, the prefix/suffix of
@@ -969,8 +1118,8 @@ mod tests {
         /// descent ranks into — under both mass modes.
         #[test]
         fn stored_row_weights_locate_runs_and_quadrant_mass(
-            s in lattice_points(260),
-            r in lattice_points(40),
+            s in lattice_points(0..48, 1..260),
+            r in lattice_points(0..48, 1..40),
             l_steps in 1u32..9,
             exact in any::<bool>(),
         ) {

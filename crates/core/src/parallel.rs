@@ -6,7 +6,8 @@
 //! per-cell BBSTs). This module supplies the one splitting primitive
 //! they all use — a contiguous-chunk map over [`std::thread::scope`] —
 //! so the workspace needs no external thread-pool crate (the build
-//! environment is offline; see `vendor/`).
+//! environment is offline; see `vendor/`). [`par_map`] is its
+//! per-element form, `par_chunks` hands a worker its whole chunk.
 //!
 //! **Determinism:** the input is split into contiguous chunks and the
 //! per-chunk outputs are re-concatenated in order, so for any pure
@@ -85,11 +86,38 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    par_chunks(items, threads, |offset, chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(offset + i, t))
+            .collect()
+    })
+}
+
+/// The chunk-level form of [`par_map`]: `f(offset, chunk)` produces the
+/// whole output of one contiguous chunk `items[offset..][..chunk.len()]`
+/// (on up to `threads` scoped threads, `0` = all cores), and the
+/// per-chunk outputs are concatenated in chunk order. For builders whose
+/// work is cheaper per chunk than per element — the cell-major
+/// upper-bounding pass groups a chunk of `R` by cell before sweeping it.
+///
+/// The result is bit-identical at every thread count whenever the
+/// output of a chunk is the concatenation of the outputs of its parts,
+/// which holds for any `f` that emits one value per element depending
+/// on that element (and immutable shared state) alone. With one thread
+/// the single chunk's output is returned as is, uncopied.
+pub(crate) fn par_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> (Vec<U>, ParMapReport)
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &[T]) -> Vec<U> + Sync,
+{
     let n = items.len();
     let threads = effective_threads(threads).min(n).max(1);
     let start = Instant::now();
     if threads == 1 {
-        let out: Vec<U> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        let out = f(0, items);
         let wall = start.elapsed();
         return (
             out,
@@ -108,14 +136,9 @@ where
         let mut handles = Vec::with_capacity(bounds.len());
         for &(lo, hi) in &bounds {
             let chunk = &items[lo..hi];
-            let chunk_offset = lo;
             handles.push(scope.spawn(move || {
                 let t0 = Instant::now();
-                let out: Vec<U> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| f(chunk_offset + i, t))
-                    .collect();
+                let out = f(lo, chunk);
                 (out, t0.elapsed())
             }));
         }
@@ -128,7 +151,7 @@ where
     });
 
     let cpu = chunks.iter().map(|(_, d)| *d).sum();
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(chunks.iter().map(|(c, _)| c.len()).sum());
     for (chunk, _) in chunks {
         out.extend(chunk);
     }
@@ -160,6 +183,21 @@ mod tests {
             });
             assert_eq!(par, serial, "threads = {threads}");
             assert!(rep.threads >= 1 && rep.threads <= threads.max(1));
+        }
+    }
+
+    #[test]
+    fn chunk_outputs_concatenate_in_order() {
+        let items: Vec<u32> = (0..1000).collect();
+        for threads in [1, 2, 3, 4, 7] {
+            // A flat map: odd elements emit nothing, so chunk outputs
+            // differ in length.
+            let (out, rep) = par_chunks(&items, threads, |offset, chunk| {
+                assert_eq!(chunk[0] as usize, offset);
+                chunk.iter().copied().filter(|x| x % 2 == 0).collect()
+            });
+            assert_eq!(out, (0..1000).step_by(2).collect::<Vec<u32>>());
+            assert_eq!(rep.threads, threads);
         }
     }
 

@@ -5,7 +5,7 @@ use crate::buffer::{BufferStats, KdsScratch};
 use crate::cellstore::KdCellStore;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
-use crate::parallel::par_map;
+use crate::parallel::par_chunks;
 use crate::traits::JoinSampler;
 use rand::{Rng, RngCore};
 use srj_alias::AliasTable;
@@ -130,8 +130,17 @@ impl KdsRejectionIndex {
 
         let t2 = Instant::now();
         let grid = s_cells.grid();
-        let (mu, par) = par_map(r, config.build_threads, |_, &rp| {
-            grid.neighborhood_population(rp) as f64
+        // µ(r) is a property of r's cell: one block population per
+        // group of R, handed to every member.
+        let (mu, par) = par_chunks(r, config.build_threads, |_, chunk| {
+            let mut mu = vec![0.0; chunk.len()];
+            for members in grid.group_by_cell(chunk).iter() {
+                let population = grid.neighborhood_population(chunk[members[0] as usize]) as f64;
+                for &m in members {
+                    mu[m as usize] = population;
+                }
+            }
+            mu
         });
         let alias = AliasTable::new(&mu);
         let upper_bounding = t2.elapsed();
@@ -371,12 +380,17 @@ mod tests {
 
     #[test]
     fn mu_dominates_exact_count() {
-        let r = pseudo_points(50, 21, 40.0);
+        // 300 r over 100 cells: most groups of R have several members,
+        // and some cells of R hold no s.
+        let r = pseudo_points(300, 21, 40.0);
         let s = pseudo_points(80, 22, 40.0);
         let cfg = SampleConfig::new(4.0);
         let sampler = KdsRejectionSampler::build(&r, &s, &cfg);
         let index = sampler.index();
+        let grid = index.s_cells.grid();
         for (i, &rp) in r.iter().enumerate() {
+            // The per-group bound is the per-r bound.
+            assert_eq!(index.mu_of(i), grid.neighborhood_population(rp) as f64);
             let w = Rect::window(rp, 4.0);
             let exact = s.iter().filter(|p| w.contains(**p)).count() as f64;
             assert!(

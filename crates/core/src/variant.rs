@@ -9,8 +9,7 @@ use srj_kdtree::{CanonicalScratch, KdTree};
 
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
-use crate::decompose::{case12_count, case12_stored_run, quadrant_query, quadrant_rect};
-use crate::parallel::par_map;
+use crate::decompose::{case12_stored_run, quadrant_query, quadrant_rect, upper_bounding};
 use crate::traits::JoinSampler;
 
 /// Immutable build product of the Fig. 9 ablation: Algorithm 1's
@@ -64,43 +63,31 @@ impl BbstKdVariantIndex {
             .collect();
         let grid_mapping = t1.elapsed();
 
-        let t2 = Instant::now();
-        let (rows, par) = par_map(r, config.build_threads, |_, &rp| {
-            let w = Rect::window(rp, config.half_extent);
-            let slots = grid.neighborhood_slots(rp);
-            let mut cell_w = [0u64; 9];
-            for (i, slot) in slots.into_iter().enumerate() {
-                let Some(slot) = slot else { continue };
-                let cell = grid.cell(slot);
-                cell_w[i] = match case_of(i) {
-                    CellCase::Quadrant { x_is_min, y_is_min } => {
-                        let q = quadrant_query(x_is_min, y_is_min, &w);
-                        let rect = quadrant_rect(&q, &cell.rect);
-                        cell_trees[slot as usize].range_count(&rect) as u64
-                    }
-                    case => case12_count(cell, grid.points(), case, &w)
-                        .expect("non-corner case must yield an exact count"),
-                };
-            }
-            CumulativeRow9::new(cell_w)
-        });
-        let weights: Vec<f64> = rows.iter().map(|row| row.total() as f64).collect();
-        let alias = AliasTable::new(&weights);
-        let upper_bounding = t2.elapsed();
-        let upper_bounding_cpu = par.cpu + upper_bounding.saturating_sub(par.wall);
-
+        // Phase 2 is the BBST algorithm's cell-major pass, with the
+        // corner count answered exactly by the cell's kd-tree.
+        let ub = upper_bounding(
+            &grid,
+            r,
+            config.half_extent,
+            config.build_threads,
+            None,
+            |slot, q| {
+                let rect = quadrant_rect(q, &grid.cell(slot).rect);
+                cell_trees[slot as usize].range_count(&rect) as u64
+            },
+        );
         BbstKdVariantIndex {
             r_points: r.to_vec(),
             grid,
             cell_trees,
-            rows,
-            alias,
+            rows: ub.rows,
+            alias: ub.alias,
             config: *config,
             build_report: PhaseReport {
                 preprocessing,
                 grid_mapping,
-                upper_bounding,
-                upper_bounding_cpu,
+                upper_bounding: ub.wall,
+                upper_bounding_cpu: ub.cpu,
                 ..PhaseReport::default()
             },
         }
@@ -292,11 +279,18 @@ mod tests {
 
     #[test]
     fn mu_total_equals_join_size() {
-        let r = pseudo_points(50, 91, 40.0);
+        // 300 r over 100 cells, so the cell-major pass sees real groups.
+        let r = pseudo_points(300, 91, 40.0);
         let s = pseudo_points(90, 92, 40.0);
         let sampler = BbstKdVariantSampler::build(&r, &s, &SampleConfig::new(4.0));
         let brute = srj_join::nested_loop_join(&r, &s, 4.0).len() as f64;
         assert_eq!(sampler.mu_total(), brute);
+        // Exact per r too: every row sums to its window's population.
+        for (&rp, row) in r.iter().zip(&sampler.index().rows) {
+            let w = Rect::window(rp, 4.0);
+            let exact = s.iter().filter(|p| w.contains(**p)).count() as u64;
+            assert_eq!(row.total(), exact, "r {rp:?}");
+        }
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! ids sorted by x (`S(c)`) and by y (`S_y(c)`), which is precisely the
 //! state Algorithm 1 lines 2–4 build.
 //!
+//! The outer set `R` is not indexed, but every `r` of one cell sees the
+//! same 3×3 block: [`Grid::group_by_cell`] counting-sorts a point set by
+//! cell coordinate so a builder can resolve each block once.
+//!
 //! The hash map uses a from-scratch Fx-style hasher ([`fx`]) because cell
 //! coordinates are short integer keys for which SipHash is needlessly
 //! slow (Rust Performance Book, "Hashing").
@@ -24,8 +28,10 @@
 mod cell;
 pub mod fx;
 mod grid_map;
+mod groups;
 mod offsets;
 
 pub use cell::Cell;
 pub use grid_map::{Grid, GridPatch};
+pub use groups::CellGroups;
 pub use offsets::{case_of, CellCase, NeighborOffset, CENTER_IDX, NEIGHBOR_OFFSETS};

@@ -7,8 +7,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use srj::{
-    generate, split_rs, BbstSampler, DatasetKind, DatasetSpec, JoinSampler, KdsRejectionSampler,
-    KdsSampler, Point, SampleConfig,
+    generate, split_rs, BbstKdVariantSampler, BbstSampler, DatasetKind, DatasetSpec, JoinSampler,
+    KdsRejectionSampler, KdsSampler, Point, SampleConfig,
 };
 
 /// A `datagen` dataset, as the acceptance criterion requires.
@@ -17,7 +17,11 @@ fn dataset() -> (Vec<Point>, Vec<Point>) {
     split_rs(&points, 0.5, 0xD15C)
 }
 
-const THREAD_SWEEP: [usize; 4] = [2, 3, 4, 8];
+/// 1 is the serial path spelled out; 3 gives chunks of unequal length;
+/// 4 and 8 are more builder threads than the reference host has cores.
+/// The upper-bounding passes group each thread's chunk of `R` by grid
+/// cell, so every count here cuts the groups differently.
+const THREAD_SWEEP: [usize; 5] = [1, 2, 3, 4, 8];
 
 #[test]
 fn kds_parallel_build_is_bit_identical() {
@@ -48,7 +52,7 @@ fn rejection_parallel_build_is_bit_identical() {
         let cfg = SampleConfig::new(100.0).with_build_threads(threads);
         let mut par = KdsRejectionSampler::build(&r, &s, &cfg);
         assert_eq!(par.mu_total(), serial.mu_total(), "threads = {threads}");
-        for i in (0..r.len()).step_by(37) {
+        for i in 0..r.len() {
             assert_eq!(
                 par.index().mu_of(i),
                 serial.index().mu_of(i),
@@ -74,7 +78,7 @@ fn bbst_parallel_build_is_bit_identical() {
         let cfg = SampleConfig::new(100.0).with_build_threads(threads);
         let mut par = BbstSampler::build(&r, &s, &cfg);
         assert_eq!(par.mu_total(), serial.mu_total(), "threads = {threads}");
-        for i in (0..r.len()).step_by(37) {
+        for i in 0..r.len() {
             assert_eq!(par.mu_of(i), serial.mu_of(i), "threads = {threads}, r{i}");
         }
         let mut serial_cursor = srj::BbstCursor::new(std::sync::Arc::clone(serial.index()));
@@ -86,6 +90,41 @@ fn bbst_parallel_build_is_bit_identical() {
             "threads = {threads}"
         );
     }
+}
+
+#[test]
+fn kd_variant_parallel_build_is_bit_identical() {
+    let (r, s) = dataset();
+    let serial = BbstKdVariantSampler::build(&r, &s, &SampleConfig::new(100.0));
+    for threads in THREAD_SWEEP {
+        let cfg = SampleConfig::new(100.0).with_build_threads(threads);
+        let mut par = BbstKdVariantSampler::build(&r, &s, &cfg);
+        assert_eq!(par.mu_total(), serial.mu_total(), "threads = {threads}");
+        let mut serial_cursor =
+            srj::BbstKdVariantCursor::new(std::sync::Arc::clone(serial.index()));
+        let mut rng_a = SmallRng::seed_from_u64(45);
+        let mut rng_b = SmallRng::seed_from_u64(45);
+        assert_eq!(
+            par.sample(500, &mut rng_a).unwrap(),
+            serial_cursor.sample(500, &mut rng_b).unwrap(),
+            "threads = {threads}"
+        );
+    }
+}
+
+/// `Σµ` of the benchmark's `bulk_draw` index (TaxiHotspots at scale 1.0
+/// as `srj_bench::scaled_spec` splits it with the benchmark's data
+/// seed 1, `l` = 100), to the bit: the value PR 13 recorded on both of
+/// its commits. The rows are integers and the alias sums them in input
+/// order, so any change to how the upper bounds are computed — or to the
+/// order `R` is visited in — that is not an exact refactor moves it.
+#[test]
+fn bulk_draw_mu_total_is_pinned() {
+    let points = generate(&DatasetSpec::new(DatasetKind::TaxiHotspots, 1_000_000, 1));
+    let (r, s) = split_rs(&points, 0.5, 1 ^ 0xDEAD_BEEF);
+    let cfg = SampleConfig::new(100.0).with_build_threads(3);
+    let sampler = BbstSampler::build(&r, &s, &cfg);
+    assert_eq!(sampler.mu_total().to_bits(), 0x4216_190f_4124_0000);
 }
 
 #[test]
