@@ -11,7 +11,7 @@ use srj_grid::{case_of, CellCase, Grid};
 use crate::buffer::{BufferStats, DrawBuffers};
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-use crate::cursor::{Cursor, SamplerIndex};
+use crate::cursor::{Cursor, SamplerIndex, BLOCK};
 use crate::decompose::{
     case12_run, case12_stored_run, quadrant_query, upper_bounding, UpperBounds,
 };
@@ -87,12 +87,13 @@ use crate::traits::JoinSampler;
 /// independent.
 ///
 /// [`SamplerIndex::try_draw`] is exactly pick + resolve, and so are the
-/// sharded, overlay and stream paths built on it. A batch
-/// ([`SamplerIndex::draw_many`], behind [`Cursor::sample_batch`]) runs
-/// the same two steps 64 iterations at a time, stage by stage;
-/// the override's documentation argues why block order leaves
-/// Theorem 3 untouched and why the pairs then depend on the seed *and*
-/// the batch sizes.
+/// sharded and stream paths built on it. A batch
+/// ([`SamplerIndex::draw_many`], behind [`Cursor::sample_batch`]) — and
+/// the base share of an overlay's batch — runs the same two steps up to
+/// 64 iterations at a time, stage by stage, through the
+/// [`SamplerIndex::try_many`] override; `draw_many`'s documentation
+/// argues why block order leaves Theorem 3 untouched and why the pairs
+/// then depend on the seed *and* the batch sizes.
 pub struct BbstIndex {
     r_points: Vec<Point>,
     /// The `S`-side: grid + per-cell BBST pairs behind one `Arc`-shared,
@@ -447,12 +448,6 @@ pub struct BbstScratch {
     pub buffers: DrawBuffers,
 }
 
-/// Iterations the block kernel ([`SamplerIndex::draw_many`] on
-/// [`BbstIndex`]) keeps in flight: enough independent loads per stage
-/// to fill the core's miss queue several times over, few enough that
-/// the block's state (≈ 10 KiB of stack arrays) stays in L1.
-const BLOCK: usize = 64;
-
 /// What [`BbstIndex::pick`] hands to [`BbstIndex::resolve`]: the chosen
 /// `r`, the chosen neighbour cell, and the position inside that cell's
 /// `µ(r, c)` candidate slots.
@@ -590,46 +585,40 @@ impl SamplerIndex for BbstIndex {
     }
 
     /// The block kernel: the same iterations as [`Self::try_draw`], run
-    /// `BLOCK` (64) at a time and stage by stage — every `r`, then every
-    /// row gather, then every pick with its grid probe, then the
+    /// up to `BLOCK` (64) at a time and stage by stage — every `r`, then
+    /// every row gather, then every pick with its grid probe, then the
     /// resolves in iteration order — so that the cache misses of one
     /// stage (alias column, `r_points`/`rows` entry, grid bucket) are
     /// those of up to 64 independent samples in flight together rather
     /// than one sample's dependent chain after another's.
     ///
-    /// Exactness (the [`SamplerIndex::draw_many`] condition): a block
-    /// holds `min(BLOCK, samples still owed)` iterations, so even if
-    /// every one accepts the block ends exactly on the `t`-th
-    /// acceptance and none runs after it; iterations are independent
-    /// (each spends its own two words) and their outcomes are consumed
-    /// in iteration order. `out` is therefore the first `t` acceptances
-    /// of an iid iteration stream — the accept-loop's output
-    /// distribution — and Theorem 3's `1/Σµ` per pair per iteration is
-    /// untouched. The consecutive-rejection count runs across block
-    /// boundaries and resets only on an acceptance.
+    /// Each iteration spends its own two words and nothing else, so the
+    /// outcomes are those of independent [`Self::try_draw`]s (the
+    /// [`SamplerIndex::try_many`] condition), and
+    /// [`SamplerIndex::draw_many`]'s argument for Theorem 3's `1/Σµ` per
+    /// pair per iteration applies unchanged.
     ///
     /// A block takes its `r` words first and its pick words second, so
     /// which word an iteration sees depends on the block it sits in:
     /// the pairs are a function of the seed **and** of the sequence of
     /// `t`s a caller passes.
-    fn draw_many<R: Rng + ?Sized>(
+    fn try_many<R: Rng + ?Sized>(
         &self,
-        t: usize,
+        n: usize,
         rng: &mut R,
         scratch: &mut BbstScratch,
         stats: &mut PhaseReport,
-        out: &mut Vec<JoinPair>,
+        out: &mut Vec<Option<JoinPair>>,
     ) -> Result<(), SampleError> {
         let mut ridx = [0usize; BLOCK];
         let mut gathered = [(Point::default(), CumulativeRow9::default()); BLOCK];
         let mut picked = [Picked::default(); BLOCK];
-        let mut owed = t;
-        let mut consecutive = 0u64;
-        while owed > 0 {
-            // Asked only while something is owed: `t = 0` is `Ok` even
-            // on an empty join, as with the accept loop.
+        let mut left = n;
+        while left > 0 {
+            // Asked only while an iteration is wanted: `n = 0` is `Ok`
+            // even on an empty join.
             let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
-            let b = owed.min(BLOCK);
+            let b = left.min(BLOCK);
             alias.sample_many(rng, &mut ridx[..b]);
             for (g, &i) in gathered[..b].iter_mut().zip(&ridx[..b]) {
                 *g = (self.r_points[i], self.rows[i]);
@@ -637,21 +626,8 @@ impl SamplerIndex for BbstIndex {
             for ((p, &i), (rp, row)) in picked[..b].iter_mut().zip(&ridx[..b]).zip(&gathered[..b]) {
                 *p = self.pick(i, *rp, row, rng.next_u64());
             }
-            for p in &picked[..b] {
-                match self.resolve(p, scratch, stats) {
-                    Some(pair) => {
-                        out.push(pair);
-                        owed -= 1;
-                        consecutive = 0;
-                    }
-                    None => {
-                        consecutive += 1;
-                        if consecutive >= self.rejection_limit() {
-                            return Err(SampleError::RejectionLimit);
-                        }
-                    }
-                }
-            }
+            out.extend(picked[..b].iter().map(|p| self.resolve(p, scratch, stats)));
+            left -= b;
         }
         Ok(())
     }

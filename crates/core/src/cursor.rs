@@ -19,6 +19,13 @@ use crate::traits::JoinSampler;
 /// on demand past the cap.
 const MAX_PREALLOC_PAIRS: usize = 1 << 20;
 
+/// Iterations [`SamplerIndex::draw_many`] hands to
+/// [`SamplerIndex::try_many`] at once: enough independent loads per
+/// stage of a staged kernel to fill the core's miss queue several times
+/// over, few enough that a block's state (≈ 10 KiB of stack arrays in
+/// the BBST kernel) stays in L1.
+pub(crate) const BLOCK: usize = 64;
+
 /// Contract an immutable, shareable sampler index exposes to its
 /// cursors: a thread-safe draw against caller-owned mutable state.
 pub trait SamplerIndex: Send + Sync {
@@ -132,20 +139,56 @@ pub trait SamplerIndex: Send + Sync {
         }
     }
 
+    /// `n` iterations, outcomes appended to `out` in iteration order:
+    /// the per-block primitive under [`SamplerIndex::draw_many`]. The
+    /// provided body is `n` sequential [`SamplerIndex::try_draw`]s. An
+    /// index may override it to run the block stage by stage (see
+    /// [`crate::BbstIndex`]) or source by source (see
+    /// [`crate::OverlayIndex`]), under one condition: the `n` outcomes
+    /// must be those of `n` independent `try_draw`-distributed
+    /// iterations, with `try_draw`'s accounting (`iterations`, `samples`,
+    /// per-cell rejection records) for every one of them. How the
+    /// generator's words are spent on the block is the override's
+    /// business.
+    ///
+    /// `n = 0` is `Ok` and touches nothing, even on an empty join.
+    fn try_many<R: Rng + ?Sized>(
+        &self,
+        n: usize,
+        rng: &mut R,
+        scratch: &mut Self::Scratch,
+        stats: &mut PhaseReport,
+        out: &mut Vec<Option<JoinPair>>,
+    ) -> Result<(), SampleError> {
+        for _ in 0..n {
+            out.push(self.try_draw(rng, scratch, stats)?);
+        }
+        Ok(())
+    }
+
     /// `t` uniform draws appended to `out`, in acceptance order — the
-    /// one loop behind [`Cursor::sample`] and [`Cursor::sample_batch`].
-    /// The provided body is `t` accept-loops. An index may override it
-    /// to run its iterations in blocks (see [`crate::BbstIndex`]), under
-    /// one condition: `out` must receive the first `t` acceptances of a
-    /// stream of independent [`SamplerIndex::try_draw`]-distributed
-    /// iterations, in iteration order, and no iteration may run after
-    /// the `t`-th acceptance — then every pair keeps per-iteration
-    /// probability `1 / total_weight` and the accounting contract of
-    /// `try_draw` (`iterations`, `samples`, per-cell rejection records,
-    /// the consecutive-rejection valve) holds unchanged. How the
-    /// generator's words are spent on those iterations is the
-    /// override's business, so the pairs a seed produces may depend on
-    /// how a caller splits its draws into `draw_many` calls.
+    /// one accept loop behind [`Cursor::sample`] and
+    /// [`Cursor::sample_batch`], over blocks of
+    /// [`SamplerIndex::try_many`].
+    ///
+    /// Exactness: a block holds at most as many iterations as samples
+    /// are still owed, so even if every one accepts, the block ends
+    /// exactly on the `t`-th acceptance and no iteration runs after it;
+    /// iterations are independent and their outcomes are consumed in
+    /// iteration order. `out` is therefore the first `t` acceptances of
+    /// an iid iteration stream, and every pair keeps per-iteration
+    /// probability `1 / total_weight`. A block is also no longer than
+    /// the rejections the safety valve still tolerates, so the valve —
+    /// which counts consecutive rejections across block boundaries and
+    /// resets only on an acceptance — trips on exactly the configured
+    /// iteration and nothing runs after it.
+    ///
+    /// For an index that keeps the provided `try_many`, the generator's
+    /// words are spent exactly as by `t` accept loops, so the pairs are
+    /// a function of the seed alone. Where `try_many` is overridden the
+    /// block shape decides which word an iteration sees: the pairs are
+    /// then a function of the seed **and** of the sequence of `t`s a
+    /// caller passes.
     fn draw_many<R: Rng + ?Sized>(
         &self,
         t: usize,
@@ -154,8 +197,29 @@ pub trait SamplerIndex: Send + Sync {
         stats: &mut PhaseReport,
         out: &mut Vec<JoinPair>,
     ) -> Result<(), SampleError> {
-        for _ in 0..t {
-            out.push(self.draw_with(rng, scratch, stats)?);
+        let limit = self.rejection_limit();
+        let mut outcomes = Vec::with_capacity(t.min(BLOCK));
+        let mut owed = t;
+        let mut consecutive = 0u64;
+        while owed > 0 {
+            let tolerated = usize::try_from(limit - consecutive).unwrap_or(usize::MAX);
+            let block = owed.min(BLOCK).min(tolerated.max(1));
+            self.try_many(block, rng, scratch, stats, &mut outcomes)?;
+            for outcome in outcomes.drain(..) {
+                match outcome {
+                    Some(pair) => {
+                        out.push(pair);
+                        owed -= 1;
+                        consecutive = 0;
+                    }
+                    None => {
+                        consecutive += 1;
+                        if consecutive >= limit {
+                            return Err(SampleError::RejectionLimit);
+                        }
+                    }
+                }
+            }
         }
         Ok(())
     }

@@ -177,7 +177,7 @@ const SWEEP_PIECE: usize = 1024;
 /// every `r[i]` whose group `stale` selects and whose block is not
 /// empty (an empty block's row is the all-zero default `rows` came
 /// with).
-fn sweep_rows<C>(
+pub(crate) fn sweep_rows<C>(
     grid: &Grid,
     r: &[Point],
     l: f64,

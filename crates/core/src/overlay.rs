@@ -9,55 +9,111 @@
 //! tombstones) and an [`OverlayIndex`] composes the unchanged base
 //! index with the deltas, preserving per-iteration uniformity.
 //!
-//! ## The sampling argument
+//! ## Sources, and who owns a pair
 //!
 //! Let the current (logical) dataset be `R' = (R ∖ R⁻) ∪ R⁺` and
-//! `S' = (S ∖ S⁻) ∪ S⁺`. Its join `J'` splits into three **disjoint**
-//! pair sources:
+//! `S' = (S ∖ S⁻) ∪ S⁺`. Inserts arrive in **swaps**: every refresh of
+//! the overlay that finds new inserts appends, per side, one immutable
+//! *chunk* covering that side's new tail of the insert buffer. The
+//! sources of an overlay are the base index and its chunks, and every
+//! pair of the join `J'` belongs to **exactly one** of them:
 //!
-//! 1. **base** — `(r, s)` with both endpoints in the base sets. The
-//!    base index already emits every pair of `J(R, S)` with
-//!    per-iteration probability exactly `1/W_base`
-//!    ([`SamplerIndex::total_weight`]'s invariant); pairs touching a
-//!    tombstoned point are simply **rejected**, which filters the
-//!    emitted set down to source 1 without changing any survivor's
-//!    probability.
-//! 2. **inserted `R` × base `S`** — a Walker alias over `R⁺` weighted
-//!    by the §III-B 9-cell bound `µ(r)` (population of the 3×3 grid
-//!    block over base `S`), then one uniform candidate from the block,
-//!    accepted iff it lies in `w(r)` and is not tombstoned: each pair
-//!    `(r⁺, s)` is emitted per iteration with probability
-//!    `(µ(r)/W_R) · (1/µ(r)) = 1/W_R`.
-//! 3. **current `R` × inserted `S`** — the window is symmetric
-//!    (`s ∈ w(r) ⇔ r ∈ w(s)`), so an alias over `S⁺` weighted by
-//!    `ν(s) = pop₉(s over base R) + |R⁺|` draws `s`, then one uniform
-//!    candidate from the ≤ 9-cell block over base `R` **plus** the
-//!    whole `R⁺` buffer, accepted iff `r ∈ w(s)` and live. Again each
-//!    pair is emitted with probability exactly `1/W_S` per iteration.
+//! * `(r, s)` with both endpoints in the base sets belongs to the
+//!   **base** source.
+//! * Every other pair belongs to the chunk of its **later-inserted
+//!   endpoint**. The `R` tail of a swap sees the base `S` and every
+//!   inserted `S` up to *and including* that swap's; the `S` tail sees
+//!   the base `R` and the inserted `R` of *earlier* swaps only. For
+//!   `(r⁺, s⁺)` inserted in swaps `a` and `b`: if `b ≤ a` the pair is in
+//!   `r⁺`'s chunk and `s⁺`'s chunk never saw `r⁺`; if `b > a` it is the
+//!   other way round. For `(r⁺, s)` or `(r, s⁺)` with a base partner the
+//!   inserted endpoint is the only owner there can be.
 //!
-//! A top-level alias over `(W_base, W_R, W_S)` re-picks the source on
-//! **every** iteration (the same composition rule as the sharded
-//! engine: per iteration every pair of `J'` must have probability
-//! `1/(W_base + W_R + W_S)`), so accepted samples are uniform over the
-//! *current* join — chi-squared-tested in `tests/dynamic_updates.rs`.
+//! A chunk stores what it saw of the opposite side's inserts as a
+//! **watermark** — a length of that insert buffer — and, per member
+//! `p`, a ten-entry cumulative row: candidate counts over the nine
+//! cells of `p`'s 3×3 block in the **base** grid of the opposite side,
+//! then the number of opposite inserts below the watermark in the same
+//! block (the *cross* part). Cases 1 and 2 are the exact runs of
+//! Section IV-A, as for the base index; a corner cell is bounded by its
+//! population and a cross candidate by its cell, and both are tested
+//! against the window when drawn. There is no `|R⁺|·|S⁺|` term
+//! anywhere: an inserted point only ever ranks into its own block.
 //!
-//! The two support grids (over base `S` for source 2, over base `R`
-//! for source 3) are built once per epoch ([`OverlaySupport`]) and
-//! `Arc`-shared across every overlay snapshot of that epoch; a
-//! snapshot itself costs `O(|delta|)` to assemble.
+//! One iteration of a chunk is two random words — a member
+//! `∝ row total` from the chunk's alias, then a uniform position in the
+//! member's row ([`pick`](InsertRow::pick): cell or cross part, and the
+//! rank inside it, from one word) — one grid probe for the chosen cell,
+//! the candidate at that rank, and the test. A pair the chunk owns is
+//! one position of one row, so it comes out with probability
+//! `(total / W_chunk) · (1 / total) = 1 / W_chunk`. A top-level alias
+//! over `(W_base, W_chunk₁, …)` re-picks the source on **every**
+//! iteration (the sharded engine's composition rule), so per iteration
+//! every pair of `J'` has probability `1/W`, `W = W_base + Σ W_chunk`,
+//! and accepted samples are uniform over the *current* join.
+//!
+//! ## The prefix argument
+//!
+//! Cross candidates come from one **append-only** grid per side: cell
+//! coordinate → indices into that side's insert buffer, in insertion
+//! order. A cell's list only ever grows at its tail, by indices larger
+//! than all it holds, so what a chunk saw of a cell — the members below
+//! its watermark — is a *prefix* of that cell's list in every later
+//! version of the grid, the same members at the same ranks. One growing
+//! grid therefore serves every chunk of an epoch: a row built at
+//! watermark `w` resolves each cross rank to the same candidate forever
+//! after, no chunk keeps a grid version of its own, and old rows never
+//! need recomputing. (Property-tested below.)
+//!
+//! ## Tombstones
+//!
+//! A pair with a tombstoned endpoint — of **either** side, base or
+//! inserted, tombstoned before or after the chunk that owns the pair
+//! was built — is **rejected when drawn**. That filters the emitted set
+//! down to the live join without touching any survivor's probability,
+//! which stays `1/W` per iteration. Members already tombstoned when
+//! their chunk is built get an all-zero row, so they are never picked.
+//!
+//! ## Blocks
+//!
+//! [`OverlayIndex`] overrides [`SamplerIndex::try_many`]: the sources
+//! of a whole block come from the top-level alias first, the base's
+//! share of the block runs through **one** `base.try_many` call (for a
+//! BBST base that is its staged block kernel), its outcomes pass the
+//! tombstone filter, the chunk iterations run inline, and everything
+//! is woven back in iteration order. Iterations are independent — each
+//! spends words no other one sees — so the outcomes are those of
+//! sequential [`SamplerIndex::try_draw`]s and
+//! [`SamplerIndex::draw_many`]'s exactness argument (a block never
+//! holds more iterations than samples owed; outcomes are consumed in
+//! order; the rejection valve counts across blocks) carries over
+//! unchanged. As with BBST, the pairs a seed produces through an
+//! overlay depend on the batch sizes too.
+//!
+//! ## Cost of a snapshot
+//!
+//! Everything a swap computes is immutable and `Arc`-shared with the
+//! next snapshot: [`OverlaySupport::extended`] builds rows only for
+//! the new tail of each insert buffer, copies only the insert-grid
+//! cells the tail lands in, and an [`OverlayIndex`] is those `Arc`s
+//! plus a top-level alias — `O(batch + #sources)`, not `O(|delta|)`.
+//! The two base grids (over base `S` and base `R`) are built once per
+//! epoch.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::Rng;
-use srj_alias::AliasTable;
+use srj_alias::{AliasTable, CumulativeRow9};
 use srj_geom::{Point, PointId, Rect};
-use srj_grid::Grid;
+use srj_grid::fx::{FxHashMap, FxHashSet};
+use srj_grid::{case_of, CellCase, Grid, NEIGHBOR_OFFSETS};
 
 use crate::buffer::BufferStats;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-use crate::cursor::SamplerIndex;
+use crate::cursor::{SamplerIndex, BLOCK};
+use crate::decompose::{case12_stored_run, sweep_rows};
 
 /// Pending mutations against a base `(R, S)` snapshot: insert buffers
 /// plus delete tombstones.
@@ -76,10 +132,13 @@ pub struct DeltaSet {
     pub r_inserted: Vec<Point>,
     /// Inserted `S` points; id of `s_inserted[j]` is `base_s_len + j`.
     pub s_inserted: Vec<Point>,
-    /// Tombstoned `R` ids (base or inserted).
-    pub r_deleted: HashSet<PointId>,
+    /// Tombstoned `R` ids (base or inserted). Fx-hashed: every draw
+    /// through an overlay probes both tombstone sets, and the keys are
+    /// dense ids the store checked against the dataset's size — a
+    /// caller chooses which of them to tombstone, never their values.
+    pub r_deleted: FxHashSet<PointId>,
     /// Tombstoned `S` ids (base or inserted).
-    pub s_deleted: HashSet<PointId>,
+    pub s_deleted: FxHashSet<PointId>,
 }
 
 impl DeltaSet {
@@ -197,16 +256,358 @@ impl DeltaSet {
     }
 }
 
+/// One side's inserted points by grid cell, **append-only**: a cell's
+/// list holds indices into that side's insert buffer in ascending
+/// order and only ever grows at its tail. Growing copies the touched
+/// cells (`Arc::make_mut`) and shares the rest, so an older snapshot
+/// keeps reading the version it was built with.
+#[derive(Clone, Default)]
+struct InsertGrid {
+    cells: FxHashMap<(i32, i32), Arc<Vec<u32>>>,
+}
+
+impl InsertGrid {
+    /// Appends `points[from..]` (as indices `from..`), each to the cell
+    /// `coord_of` maps it to.
+    fn extend(&mut self, points: &[Point], from: usize, coord_of: impl Fn(Point) -> (i32, i32)) {
+        for (j, &p) in points.iter().enumerate().skip(from) {
+            Arc::make_mut(self.cells.entry(coord_of(p)).or_default()).push(j as u32);
+        }
+    }
+
+    /// The members of the cell at `coord` below `watermark`: a prefix
+    /// of the cell's list, the same one in every later version.
+    #[inline]
+    fn seen(&self, coord: (i32, i32), watermark: u32) -> &[u32] {
+        let Some(ids) = self.cells.get(&coord) else {
+            return &[];
+        };
+        // Mostly the whole list: only the cells that grew since the
+        // asking chunk was built hold anything at or above its mark.
+        let n = match ids.last() {
+            Some(&last) if last >= watermark => ids.partition_point(|&j| j < watermark),
+            _ => ids.len(),
+        };
+        &ids[..n]
+    }
+
+    /// How many members the 3×3 block around `center` holds below
+    /// `watermark`: the cross part of a row.
+    fn seen_in_block(&self, center: (i32, i32), watermark: u32) -> usize {
+        block_coords(center)
+            .map(|c| self.seen(c, watermark).len())
+            .sum()
+    }
+
+    /// The `rank`-th of those members, cell by cell in
+    /// [`block_coords`] order; `None` past the last.
+    #[inline]
+    fn kth_in_block(&self, center: (i32, i32), watermark: u32, mut rank: usize) -> Option<u32> {
+        block_coords(center).find_map(|c| {
+            let seen = self.seen(c, watermark);
+            let hit = seen.get(rank).copied();
+            rank = rank.saturating_sub(seen.len());
+            hit
+        })
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<((i32, i32), Arc<Vec<u32>>)>() + 1;
+        self.cells.capacity() * entry
+            + self
+                .cells
+                .values()
+                .map(|ids| std::mem::size_of::<Vec<u32>>() + ids.capacity() * 4)
+                .sum::<usize>()
+    }
+}
+
+/// The 3×3 block of cell coordinates around `center`, in
+/// [`NEIGHBOR_OFFSETS`] order (the order [`Grid::neighbor_slot`] uses).
+#[inline]
+fn block_coords(center: (i32, i32)) -> impl Iterator<Item = (i32, i32)> {
+    NEIGHBOR_OFFSETS
+        .iter()
+        .map(move |&(dx, dy)| (center.0.saturating_add(dx), center.1.saturating_add(dy)))
+}
+
+/// Index of the cross part in an [`InsertRow`].
+const CROSS: usize = 9;
+
+/// The candidate positions of one inserted point, cumulatively: entries
+/// `0..9` over the cells of its block in the opposite side's base grid
+/// ([`NEIGHBOR_OFFSETS`] order), entry [`CROSS`] adding the opposite
+/// side's inserts the point's chunk saw in the same block. A block's
+/// population fits `u32` (point ids do), which keeps a row at 40 bytes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct InsertRow {
+    cum: [u32; 10],
+}
+
+/// One uniform position of an [`InsertRow`]: which part it fell into,
+/// where inside it, and how many positions the part holds.
+struct RowPick {
+    part: usize,
+    rank: usize,
+    weight: usize,
+}
+
+impl InsertRow {
+    /// # Panics
+    /// Panics if the block holds more than `u32::MAX` candidates.
+    fn new(base: [u64; 9], cross: u64) -> Self {
+        let mut cum = [0u32; 10];
+        let mut acc = 0u64;
+        for (slot, w) in cum.iter_mut().zip(base.into_iter().chain([cross])) {
+            acc += w;
+            *slot = u32::try_from(acc).expect("block population overflows u32");
+        }
+        InsertRow { cum }
+    }
+
+    #[inline]
+    fn total(&self) -> u32 {
+        self.cum[CROSS]
+    }
+
+    /// `word` scaled to a uniform position in `[0, total)` by one
+    /// widening multiply, as [`CumulativeRow9::pick_word`] does; the
+    /// part is the number of cumulative entries at or below it.
+    #[inline]
+    fn pick(&self, word: u64) -> RowPick {
+        debug_assert!(self.total() > 0, "picked into an empty row");
+        let pos = ((word as u128 * self.total() as u128) >> 64) as u32;
+        let part = self
+            .cum
+            .iter()
+            .map(|&c| usize::from(c <= pos))
+            .sum::<usize>();
+        let below = if part == 0 { 0 } else { self.cum[part - 1] };
+        RowPick {
+            part,
+            rank: (pos - below) as usize,
+            weight: (self.cum[part] - below) as usize,
+        }
+    }
+}
+
+/// The inserts one swap added to one side, as a sampling source: see
+/// the module docs. Immutable; shared by every later snapshot of the
+/// epoch.
+struct Chunk {
+    /// Index (into the side's insert buffer) of the first member.
+    start: usize,
+    /// Opposite-side inserts below this index are the members' cross
+    /// candidates.
+    watermark: u32,
+    /// One per member, tombstoned or not; shared with the versions of
+    /// this chunk a later tombstone produces ([`Chunk::without_dead`]).
+    rows: Arc<Vec<InsertRow>>,
+    /// Over the row totals, zero for the members that were tombstoned
+    /// when it was built. A chunk is only kept while some weight is
+    /// positive.
+    alias: AliasTable,
+    /// How many members the alias gives no weight for being tombstoned.
+    dead: usize,
+}
+
+impl Chunk {
+    /// Rows and alias for `points[start..]` against the opposite side:
+    /// its base grid and its insert grid below `watermark`. `dead(j)`
+    /// says whether insert `j` of this side is tombstoned. `l` is the
+    /// half-extent the rows are bounded with — the window's, or
+    /// slightly more (see [`OverlaySupport::extended`]). `None` when no
+    /// live member has a candidate.
+    fn build(
+        points: &[Point],
+        start: usize,
+        dead: impl Fn(usize) -> bool,
+        opposite: &Grid,
+        opposite_inserts: &InsertGrid,
+        watermark: u32,
+        l: f64,
+    ) -> Option<Chunk> {
+        let tail = &points[start..];
+        // Cases 1 and 2 exactly, a corner cell by its population: the
+        // base index's cell-major sweep with a trivial corner bound.
+        let mut base = vec![CumulativeRow9::default(); tail.len()];
+        let population = |slot: u32, _: &_| opposite.cell(slot).len() as u64;
+        sweep_rows(opposite, tail, l, &population, |_| true, &mut base);
+        let rows: Vec<InsertRow> = tail
+            .iter()
+            .zip(&base)
+            .map(|(&p, base)| {
+                let cross = opposite_inserts.seen_in_block(opposite.coord_of(p), watermark);
+                InsertRow::new(std::array::from_fn(|c| base.weight(c)), cross as u64)
+            })
+            .collect();
+        // Debug builds (every `cargo test`) count every 64th member's
+        // candidates the slow way.
+        debug_assert!(
+            rows.iter().zip(tail).step_by(64).all(|(row, &p)| {
+                row.total() as usize
+                    == brute_force_candidates(p, opposite, opposite_inserts, watermark, l)
+            }),
+            "an insert row disagrees with the brute-force count over its block"
+        );
+        Chunk::weighted(start, watermark, Arc::new(rows), dead)
+    }
+
+    /// A chunk over `rows` whose alias gives the members `dead(j)`
+    /// names no weight: every pair such a member's row owns has a
+    /// tombstoned endpoint, so dropping the row leaves every live pair
+    /// its one position. `None` when no live member has a candidate.
+    fn weighted(
+        start: usize,
+        watermark: u32,
+        rows: Arc<Vec<InsertRow>>,
+        dead: impl Fn(usize) -> bool,
+    ) -> Option<Chunk> {
+        let mut tombstoned = 0;
+        let weights: Vec<f64> = (start..)
+            .zip(rows.iter())
+            .map(|(j, row)| {
+                if dead(j) {
+                    tombstoned += 1;
+                    0.0
+                } else {
+                    row.total() as f64
+                }
+            })
+            .collect();
+        Some(Chunk {
+            start,
+            watermark,
+            alias: AliasTable::new(&weights)?,
+            rows,
+            dead: tombstoned,
+        })
+    }
+
+    /// This chunk re-weighted for a larger tombstone set; the rows are
+    /// shared, not copied.
+    fn without_dead(&self, dead: impl Fn(usize) -> bool) -> Option<Chunk> {
+        Chunk::weighted(self.start, self.watermark, Arc::clone(&self.rows), dead)
+    }
+
+    fn weight(&self) -> f64 {
+        self.alias.total_weight()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<InsertRow>() + self.alias.memory_bytes()
+    }
+}
+
+/// What a row of `p` must total, member by member over the block: the
+/// in-window members of the centre and edge cells, every member of a
+/// corner cell, every opposite insert below the watermark.
+fn brute_force_candidates(
+    p: Point,
+    opposite: &Grid,
+    opposite_inserts: &InsertGrid,
+    watermark: u32,
+    l: f64,
+) -> usize {
+    let w = Rect::window(p, l);
+    let base: usize = opposite
+        .neighborhood(p)
+        .iter()
+        .enumerate()
+        .filter_map(|(i, cell)| cell.map(|cell| (case_of(i), cell)))
+        .map(|(case, cell)| match case {
+            CellCase::Quadrant { .. } => cell.len(),
+            _ => cell
+                .by_x
+                .iter()
+                .filter(|&&id| w.contains(opposite.point(id)))
+                .count(),
+        })
+        .sum();
+    let cross: usize = block_coords(opposite.coord_of(p))
+        .filter_map(|c| opposite_inserts.cells.get(&c))
+        .map(|ids| ids.iter().filter(|&&j| j < watermark).count())
+        .sum();
+    base + cross
+}
+
+/// One side's insert sources so far: how much of the insert buffer
+/// they cover, the append-only grid over that much, and the chunks in
+/// insert order.
+#[derive(Clone, Default)]
+struct InsertSide {
+    seen: usize,
+    grid: Arc<InsertGrid>,
+    chunks: Vec<Arc<Chunk>>,
+    /// Size of the side's tombstone set when the chunks' aliases were
+    /// last brought up to date with it.
+    tombstones: usize,
+}
+
+impl InsertSide {
+    /// Re-weights the chunks whose members `deleted` has tombstoned
+    /// since their alias was built (`first_id` is the id of insert 0).
+    /// A tombstone set only grows, so its size says whether there is
+    /// anything to do; if so, one pass over it counts the tombstoned
+    /// members per chunk and only the chunks whose count moved are
+    /// re-weighted.
+    fn drop_tombstoned(&mut self, deleted: &FxHashSet<PointId>, first_id: usize) {
+        if deleted.len() == self.tombstones {
+            return;
+        }
+        self.tombstones = deleted.len();
+        let mut dead = vec![0usize; self.chunks.len()];
+        for j in deleted
+            .iter()
+            .filter_map(|&id| (id as usize).checked_sub(first_id))
+        {
+            // The last chunk starting at or before `j`, if `j` is one
+            // of its members (a swap whose inserts had no candidates
+            // left no chunk).
+            let k = self.chunks.partition_point(|c| c.start <= j);
+            if k > 0 && j - self.chunks[k - 1].start < self.chunks[k - 1].rows.len() {
+                dead[k - 1] += 1;
+            }
+        }
+        let is_dead = |j: usize| deleted.contains(&((first_id + j) as PointId));
+        let chunks = std::mem::take(&mut self.chunks);
+        self.chunks = chunks
+            .into_iter()
+            .zip(dead)
+            .filter_map(|(chunk, dead)| {
+                if dead == chunk.dead {
+                    Some(chunk)
+                } else {
+                    chunk.without_dead(is_dead).map(Arc::new)
+                }
+            })
+            .collect();
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.grid.memory_bytes()
+            + self.chunks.capacity() * std::mem::size_of::<Arc<Chunk>>()
+            + self
+                .chunks
+                .iter()
+                .map(|c| std::mem::size_of::<Chunk>() + c.memory_bytes())
+                .sum::<usize>()
+    }
+}
+
 /// Per-epoch support structures for [`OverlayIndex`]: one hash grid
-/// over base `S` (candidate source for inserted-`R` draws) and one
-/// over base `R` (candidate source for inserted-`S` draws), both with
-/// cell side = `l` so a window's 3×3 block covers it. Built once per
-/// epoch, `Arc`-shared across every overlay snapshot of that epoch.
+/// over base `S` and one over base `R` (cell side = `l`, so a window's
+/// 3×3 block covers it), built once per epoch, plus the insert sources
+/// of the epoch's swaps so far. [`OverlaySupport::extended`] is the
+/// `O(batch)` step from one snapshot of the epoch's delta to the next;
+/// everything it returns is `Arc`-shared with what it was called on.
 pub struct OverlaySupport {
     s_grid: Arc<Grid>,
     r_grid: Arc<Grid>,
     build_time: Duration,
     half_extent: f64,
+    r_side: InsertSide,
+    s_side: InsertSide,
 }
 
 impl OverlaySupport {
@@ -218,9 +619,8 @@ impl OverlaySupport {
     /// Like [`OverlaySupport::build`], but the `S`-side grid indexes
     /// only the ids **not** in `s_dead` — the dead ids an incremental
     /// (cell-patch) compaction left in the base without renumbering.
-    /// Dead points then never enter a neighborhood population (so the
-    /// inserted-`R` weights `µ(r⁺)` count live candidates only) and are
-    /// never drawn as candidates, keeping the overlay sources exactly
+    /// Dead points then never enter a row of an inserted `R` point and
+    /// are never drawn as candidates, keeping the insert sources exactly
     /// uniform over the live join.
     pub fn build_filtered(
         base_r: &[Point],
@@ -236,6 +636,106 @@ impl OverlaySupport {
             r_grid,
             build_time: t0.elapsed(),
             half_extent,
+            r_side: InsertSide::default(),
+            s_side: InsertSide::default(),
+        }
+    }
+
+    /// This support brought up to `delta`: per side with inserts beyond
+    /// what it already covers, one more chunk and the insert grid grown
+    /// by that tail; and the chunks whose members `delta` has tombstoned
+    /// since, re-weighted without them. No row already built is
+    /// recomputed or copied (a grown grid copies the cells the tail
+    /// lands in), and a chunk nothing happened to is shared as it is.
+    ///
+    /// The `S` tail is chunked **before** the `R` tail is added to
+    /// anything, and the `R` tail after the `S` tail is in the grid:
+    /// that is the ownership rule of the module docs.
+    ///
+    /// # Panics
+    /// Panics if `delta` is not a later state of the delta this support
+    /// has seen (other base lengths, or shorter insert buffers).
+    pub fn extended(&self, delta: &DeltaSet) -> OverlaySupport {
+        assert_eq!(
+            self.s_grid.num_points(),
+            delta.base_s_len,
+            "overlay support S-grid does not cover the base S snapshot"
+        );
+        assert_eq!(
+            self.r_grid.num_points(),
+            delta.base_r_len,
+            "overlay support R-grid does not cover the base R snapshot"
+        );
+        assert!(
+            self.r_side.seen <= delta.r_inserted.len()
+                && self.s_side.seen <= delta.s_inserted.len(),
+            "overlay support has seen inserts this delta does not hold"
+        );
+        let l = self.half_extent;
+        let (mut r_side, mut s_side) = (self.r_side.clone(), self.s_side.clone());
+        r_side.drop_tombstoned(&delta.r_deleted, delta.base_r_len);
+        s_side.drop_tombstoned(&delta.s_deleted, delta.base_s_len);
+        if s_side.seen < delta.s_inserted.len() {
+            // A row of an inserted `s` ranks the `r` with `s ∈ w(r)`,
+            // but counts them as the `r ∈ w(s)`: the same set up to the
+            // rounding of `s.x − l` against `r.x + l`. Bounding with a
+            // half-extent a few ulps of the largest coordinate wider
+            // makes the counted set a superset whatever the rounding;
+            // the draw then tests `s ∈ w(r)` itself.
+            let reach = delta.s_inserted[s_side.seen..]
+                .iter()
+                .fold(l, |m, p| m.max(p.x.abs()).max(p.y.abs()));
+            let wide = l + 8.0 * f64::EPSILON * (reach + l);
+            let dead = |j: usize| {
+                delta
+                    .s_deleted
+                    .contains(&((delta.base_s_len + j) as PointId))
+            };
+            s_side.chunks.extend(
+                Chunk::build(
+                    &delta.s_inserted,
+                    s_side.seen,
+                    dead,
+                    &self.r_grid,
+                    &r_side.grid,
+                    r_side.seen as u32,
+                    wide,
+                )
+                .map(Arc::new),
+            );
+            Arc::make_mut(&mut s_side.grid)
+                .extend(&delta.s_inserted, s_side.seen, |p| self.s_grid.coord_of(p));
+            s_side.seen = delta.s_inserted.len();
+        }
+        if r_side.seen < delta.r_inserted.len() {
+            let dead = |i: usize| {
+                delta
+                    .r_deleted
+                    .contains(&((delta.base_r_len + i) as PointId))
+            };
+            r_side.chunks.extend(
+                Chunk::build(
+                    &delta.r_inserted,
+                    r_side.seen,
+                    dead,
+                    &self.s_grid,
+                    &s_side.grid,
+                    s_side.seen as u32,
+                    l,
+                )
+                .map(Arc::new),
+            );
+            Arc::make_mut(&mut r_side.grid)
+                .extend(&delta.r_inserted, r_side.seen, |p| self.r_grid.coord_of(p));
+            r_side.seen = delta.r_inserted.len();
+        }
+        OverlaySupport {
+            s_grid: Arc::clone(&self.s_grid),
+            r_grid: Arc::clone(&self.r_grid),
+            build_time: self.build_time,
+            half_extent: l,
+            r_side,
+            s_side,
         }
     }
 
@@ -249,137 +749,97 @@ impl OverlaySupport {
         self.half_extent
     }
 
-    /// Heap bytes of both grids.
-    pub fn memory_bytes(&self) -> usize {
-        self.s_grid.memory_bytes() + self.r_grid.memory_bytes()
+    /// How many sources an overlay over this support draws from: the
+    /// base index plus one per chunk.
+    pub fn source_count(&self) -> usize {
+        1 + self.r_side.chunks.len() + self.s_side.chunks.len()
     }
-}
 
-/// The `k`-th member (0-based) of the 3×3 neighborhood of `p`, in the
-/// deterministic slot order [`Grid::neighborhood_slots`] — the order
-/// `neighborhood_population` sums in, so a uniform `k` in
-/// `[0, pop₉(p))` is a uniform candidate.
-fn kth_neighborhood_member(grid: &Grid, p: Point, mut k: usize) -> PointId {
-    for slot in grid.neighborhood_slots(p).into_iter().flatten() {
-        let cell = grid.cell(slot);
-        if k < cell.len() {
-            return cell.by_x[k];
-        }
-        k -= cell.len();
+    /// Heap bytes of both base grids, both insert grids and every
+    /// chunk's rows and alias.
+    pub fn memory_bytes(&self) -> usize {
+        self.s_grid.memory_bytes()
+            + self.r_grid.memory_bytes()
+            + self.r_side.memory_bytes()
+            + self.s_side.memory_bytes()
     }
-    unreachable!("candidate rank outside the neighborhood population")
 }
 
 /// A base index composed with a [`DeltaSet`]: answers uniformly over
 /// the **current** (mutated) join without touching the base build. See
-/// the module docs for the three-source argument.
+/// the module docs for the ownership rule the sources follow.
 ///
 /// Immutable and `Send + Sync` like every index: a mutation produces a
-/// *new* overlay snapshot (`O(|delta|)`), which the engine layer swaps
-/// in atomically while in-flight cursors finish against the old one.
+/// *new* overlay snapshot, which the engine layer swaps in atomically
+/// while in-flight cursors finish against the old one.
 pub struct OverlayIndex<I: SamplerIndex> {
     base: Arc<I>,
+    /// This snapshot's own delta: the inserted points a chunk's members
+    /// and cross candidates index into, and the tombstones.
     delta: DeltaSet,
     s_grid: Arc<Grid>,
     r_grid: Arc<Grid>,
-    /// Alias over `(W_base, W_R, W_S)`; `None` when all are zero.
+    r_side: InsertSide,
+    s_side: InsertSide,
+    /// Alias over `(W_base, R chunks…, S chunks…)`; `None` when all are
+    /// zero.
     source_alias: Option<AliasTable>,
-    /// Alias over inserted `R` weighted by `µ(r)` (0 for tombstoned).
-    r_ins_alias: Option<AliasTable>,
-    /// `µ(r)` per inserted `R` point (the candidate count the draw
-    /// ranks into; must match the alias weights exactly).
-    r_ins_mu: Vec<u64>,
-    /// Alias over inserted `S` weighted by `ν(s)` (0 for tombstoned).
-    s_ins_alias: Option<AliasTable>,
     total_weight: f64,
     rejection_limit: u64,
     half_extent: f64,
     build_report: PhaseReport,
 }
 
+/// Per-cursor scratch of an overlay draw: the base index's own, and the
+/// buffer the base's share of a block comes back in.
+#[derive(Default)]
+pub struct OverlayScratch<S> {
+    base: S,
+    base_outcomes: Vec<Option<JoinPair>>,
+}
+
 impl<I: SamplerIndex> OverlayIndex<I> {
-    /// Assembles an overlay snapshot: `O(|delta|)` alias builds over
-    /// the `Arc`-shared per-epoch `support` grids.
+    /// Assembles an overlay snapshot over `support`'s sources: their
+    /// `Arc`s and a top-level alias. `support` is brought up to `delta`
+    /// first ([`OverlaySupport::extended`] — nothing to do when the
+    /// caller already did); the result is used here and dropped, so a
+    /// caller that takes one snapshot after another extends the support
+    /// itself and keeps it, and each batch of inserts is chunked once.
     ///
     /// # Panics
     /// Panics if `support` was built for a different base snapshot or
-    /// half-extent than `delta`/`config` describe — a mismatched grid
-    /// would silently bias the overlay sources.
+    /// half-extent than `delta`/`config` describe, or has seen inserts
+    /// `delta` does not hold — mismatched sources would silently bias
+    /// the overlay.
     pub fn new(
         base: Arc<I>,
         delta: DeltaSet,
         support: &OverlaySupport,
         config: &SampleConfig,
     ) -> Self {
-        assert_eq!(
-            support.s_grid.num_points(),
-            delta.base_s_len,
-            "overlay support S-grid does not cover the base S snapshot"
-        );
-        assert_eq!(
-            support.r_grid.num_points(),
-            delta.base_r_len,
-            "overlay support R-grid does not cover the base R snapshot"
-        );
         assert!(
             support.half_extent.to_bits() == config.half_extent.to_bits(),
             "overlay support grids were built for l = {}, config says {}",
             support.half_extent,
             config.half_extent
         );
+        let support = support.extended(&delta);
 
-        // Source 2 weights: 9-cell bound over base S, zeroed for
-        // tombstoned inserts (a zero-weight alias entry is never drawn).
-        let r_ins_mu: Vec<u64> = delta
-            .r_inserted
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                if delta
-                    .r_deleted
-                    .contains(&((delta.base_r_len + i) as PointId))
-                {
-                    0
-                } else {
-                    support.s_grid.neighborhood_population(p) as u64
-                }
-            })
-            .collect();
-        // Source 3 weights: 9-cell bound over base R plus the whole
-        // inserted-R buffer (every r⁺ is a candidate for every s⁺).
-        let s_ins_nu: Vec<u64> = delta
-            .s_inserted
-            .iter()
-            .enumerate()
-            .map(|(j, &p)| {
-                if delta
-                    .s_deleted
-                    .contains(&((delta.base_s_len + j) as PointId))
-                {
-                    0
-                } else {
-                    (support.r_grid.neighborhood_population(p) + delta.r_inserted.len()) as u64
-                }
-            })
-            .collect();
-
-        let mu_f: Vec<f64> = r_ins_mu.iter().map(|&w| w as f64).collect();
-        let nu_f: Vec<f64> = s_ins_nu.iter().map(|&w| w as f64).collect();
         let w_base = base.total_weight();
-        let w_r: f64 = mu_f.iter().sum();
-        let w_s: f64 = nu_f.iter().sum();
+        let chunks = support.r_side.chunks.iter().chain(&support.s_side.chunks);
+        let weights: Vec<f64> = std::iter::once(w_base)
+            .chain(chunks.map(|c| c.weight()))
+            .collect();
         let build_report = base.index_build_report();
-
         OverlayIndex {
-            source_alias: AliasTable::new(&[w_base, w_r, w_s]),
-            r_ins_alias: AliasTable::new(&mu_f),
-            s_ins_alias: AliasTable::new(&nu_f),
-            r_ins_mu,
-            total_weight: w_base + w_r + w_s,
+            source_alias: AliasTable::new(&weights),
+            total_weight: weights.iter().sum(),
             rejection_limit: config.max_consecutive_rejections,
             half_extent: config.half_extent,
-            s_grid: Arc::clone(&support.s_grid),
-            r_grid: Arc::clone(&support.r_grid),
+            s_grid: support.s_grid,
+            r_grid: support.r_grid,
+            r_side: support.r_side,
+            s_side: support.s_side,
             base,
             delta,
             build_report,
@@ -396,95 +856,128 @@ impl<I: SamplerIndex> OverlayIndex<I> {
         &self.delta
     }
 
-    /// One base-source iteration: base draw + tombstone filter. The
-    /// base's own accounting runs against a scratch report so a
-    /// tombstone rejection is not miscounted as an accepted sample.
-    fn try_draw_base<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        scratch: &mut I::Scratch,
-        stats: &mut PhaseReport,
-    ) -> Result<Option<JoinPair>, SampleError> {
-        let mut sub = PhaseReport::default();
-        let drawn = self.base.try_draw(rng, scratch, &mut sub)?;
-        stats.iterations += sub.iterations;
-        match drawn {
-            Some(p)
-                if !self.delta.r_deleted.contains(&p.r) && !self.delta.s_deleted.contains(&p.s) =>
-            {
-                stats.samples += 1;
-                Ok(Some(p))
-            }
-            _ => Ok(None),
-        }
+    /// The tombstone filter: `pair` if both its endpoints are live.
+    #[inline]
+    fn live(&self, pair: JoinPair) -> Option<JoinPair> {
+        (!self.delta.r_deleted.contains(&pair.r) && !self.delta.s_deleted.contains(&pair.s))
+            .then_some(pair)
     }
 
-    /// One inserted-`R` iteration: `r⁺ ∝ µ`, uniform candidate from the
-    /// base-S 3×3 block, accept iff in-window and live.
-    fn try_draw_r_ins<R: Rng + ?Sized>(
+    /// A base-source outcome through the tombstone filter. The base ran
+    /// against a report of its own, so a pair the filter drops is not
+    /// counted as a sample.
+    #[inline]
+    fn keep_live(&self, drawn: Option<JoinPair>, stats: &mut PhaseReport) -> Option<JoinPair> {
+        let kept = drawn.and_then(|pair| self.live(pair));
+        stats.samples += u64::from(kept.is_some());
+        kept
+    }
+
+    /// One iteration of chunk source `source` (`≥ 1`, in the top-level
+    /// alias's numbering) on two words: the member, then the position
+    /// in its row.
+    fn try_chunk(
         &self,
-        rng: &mut R,
+        source: usize,
+        member_word: u64,
+        row_word: u64,
         stats: &mut PhaseReport,
     ) -> Option<JoinPair> {
         stats.iterations += 1;
-        let alias = self.r_ins_alias.as_ref()?;
-        let i = alias.sample(rng);
-        let rp = self.delta.r_inserted[i];
-        let mu = self.r_ins_mu[i];
-        debug_assert!(mu > 0, "alias drew a zero-weight insert");
-        let k = rng.gen_range(0..mu) as usize;
-        let sid = kth_neighborhood_member(&self.s_grid, rp, k);
-        let sp = self.s_grid.point(sid);
-        if Rect::window(rp, self.half_extent).contains(sp) && !self.delta.s_deleted.contains(&sid) {
-            stats.samples += 1;
-            return Some(JoinPair::new((self.delta.base_r_len + i) as PointId, sid));
-        }
-        None
-    }
-
-    /// One inserted-`S` iteration: `s⁺ ∝ ν`, uniform candidate from the
-    /// base-R 3×3 block ⊎ the inserted-R buffer, accept iff in-window
-    /// and live.
-    fn try_draw_s_ins<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        stats: &mut PhaseReport,
-    ) -> Option<JoinPair> {
-        stats.iterations += 1;
-        let alias = self.s_ins_alias.as_ref()?;
-        let j = alias.sample(rng);
-        let sp = self.delta.s_inserted[j];
-        let pop = self.r_grid.neighborhood_population(sp);
-        let total = pop + self.delta.r_inserted.len();
-        debug_assert!(total > 0, "alias drew an insert with no candidates");
-        let k = rng.gen_range(0..total as u64) as usize;
-        let (rid, rp) = if k < pop {
-            let rid = kth_neighborhood_member(&self.r_grid, sp, k);
-            (rid, self.r_grid.point(rid))
-        } else {
-            let i = k - pop;
+        let d = &self.delta;
+        let from_r = source <= self.r_side.chunks.len();
+        // This side's inserts and id offset, then the opposite side's
+        // base grid, insert grid, inserts and id offset.
+        let (chunk, points, first_id, grid, inserts, opposite, opposite_first_id) = if from_r {
+            let chunk = &self.r_side.chunks[source - 1];
+            let (grid, inserts) = (&self.s_grid, &self.s_side.grid);
             (
-                (self.delta.base_r_len + i) as PointId,
-                self.delta.r_inserted[i],
+                chunk,
+                &d.r_inserted,
+                d.base_r_len,
+                grid,
+                inserts,
+                &d.s_inserted,
+                d.base_s_len,
+            )
+        } else {
+            let chunk = &self.s_side.chunks[source - 1 - self.r_side.chunks.len()];
+            let (grid, inserts) = (&self.r_grid, &self.r_side.grid);
+            (
+                chunk,
+                &d.s_inserted,
+                d.base_s_len,
+                grid,
+                inserts,
+                &d.r_inserted,
+                d.base_r_len,
             )
         };
-        if Rect::window(rp, self.half_extent).contains(sp) && !self.delta.r_deleted.contains(&rid) {
-            stats.samples += 1;
-            return Some(JoinPair::new(rid, (self.delta.base_s_len + j) as PointId));
-        }
-        None
+        let member = chunk.alias.sample_word(member_word);
+        let p = points[chunk.start + member];
+        let pick = chunk.rows[member].pick(row_word);
+
+        let this_id = (first_id + chunk.start + member) as PointId;
+        let pair = |candidate: usize| {
+            if from_r {
+                JoinPair::new(this_id, candidate as PointId)
+            } else {
+                JoinPair::new(candidate as PointId, this_id)
+            }
+        };
+        let in_window = |candidate: Point| {
+            let (rp, sp) = if from_r {
+                (p, candidate)
+            } else {
+                (candidate, p)
+            };
+            Rect::window(rp, self.half_extent).contains(sp)
+        };
+        // The candidate at the picked rank, and the test `s ∈ w(r)`
+        // where the row does not already guarantee it.
+        let accepted = if pick.part == CROSS {
+            let j = inserts
+                .kth_in_block(grid.coord_of(p), chunk.watermark, pick.rank)
+                .expect("cross rank outside what the chunk saw of its block")
+                as usize;
+            in_window(opposite[j]).then(|| pair(opposite_first_id + j))
+        } else {
+            let slot = grid
+                .neighbor_slot(p, pick.part)
+                .expect("positive row weight for an empty cell");
+            let cell = grid.cell(slot);
+            match case_of(pick.part) {
+                CellCase::Quadrant { .. } => {
+                    let id = cell.by_x[pick.rank];
+                    in_window(grid.point(id)).then(|| pair(id as usize))
+                }
+                case => {
+                    let run = case12_stored_run(cell, case, pick.weight)
+                        .expect("non-corner case must yield a run");
+                    let id = run[pick.rank];
+                    // The run is exactly the window's for an inserted
+                    // `r` (no coordinate is read); for an inserted `s`
+                    // it was bounded a few ulps wide, so test.
+                    debug_assert!(!from_r || in_window(grid.point(id)));
+                    (from_r || in_window(grid.point(id))).then(|| pair(id as usize))
+                }
+            }
+        };
+        let kept = accepted.and_then(|pair| self.live(pair));
+        stats.samples += u64::from(kept.is_some());
+        kept
     }
 }
 
 impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
-    type Scratch = I::Scratch;
+    type Scratch = OverlayScratch<I::Scratch>;
 
     fn algorithm_name(&self) -> &'static str {
         self.base.algorithm_name()
     }
 
-    /// One iteration: source `∝ (W_base, W_R, W_S)` — re-picked every
-    /// iteration, exactly like the sharded composition — then one
+    /// One iteration: the source from the top-level alias — re-picked
+    /// every iteration, exactly like the sharded composition — then one
     /// iteration of that source.
     fn try_draw<R: Rng + ?Sized>(
         &self,
@@ -493,11 +986,62 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
         stats: &mut PhaseReport,
     ) -> Result<Option<JoinPair>, SampleError> {
         let alias = self.source_alias.as_ref().ok_or(SampleError::EmptyJoin)?;
-        match alias.sample(rng) {
-            0 => self.try_draw_base(rng, scratch, stats),
-            1 => Ok(self.try_draw_r_ins(rng, stats)),
-            _ => Ok(self.try_draw_s_ins(rng, stats)),
+        Ok(match alias.sample(rng) {
+            0 => {
+                let mut sub = PhaseReport::default();
+                let drawn = self.base.try_draw(rng, &mut scratch.base, &mut sub)?;
+                stats.iterations += sub.iterations;
+                self.keep_live(drawn, stats)
+            }
+            source => self.try_chunk(source, rng.next_u64(), rng.next_u64(), stats),
+        })
+    }
+
+    /// A block of iterations, source by source (module docs, "Blocks"):
+    /// the block's sources, then the base's share of it in one
+    /// `base.try_many` call, then the chunk iterations inline, woven
+    /// back in iteration order.
+    fn try_many<R: Rng + ?Sized>(
+        &self,
+        n: usize,
+        rng: &mut R,
+        scratch: &mut Self::Scratch,
+        stats: &mut PhaseReport,
+        out: &mut Vec<Option<JoinPair>>,
+    ) -> Result<(), SampleError> {
+        let mut sources = [0usize; BLOCK];
+        let mut left = n;
+        while left > 0 {
+            // Asked only while an iteration is wanted: `n = 0` is `Ok`
+            // even on an empty join.
+            let alias = self.source_alias.as_ref().ok_or(SampleError::EmptyJoin)?;
+            let b = left.min(BLOCK);
+            let sources = &mut sources[..b];
+            alias.sample_many(rng, sources);
+            let base_share = sources.iter().filter(|&&source| source == 0).count();
+            let mut sub = PhaseReport::default();
+            scratch.base_outcomes.clear();
+            self.base.try_many(
+                base_share,
+                rng,
+                &mut scratch.base,
+                &mut sub,
+                &mut scratch.base_outcomes,
+            )?;
+            stats.iterations += sub.iterations;
+            let mut base_outcomes = scratch.base_outcomes.iter();
+            out.extend(sources.iter().map(|&source| match source {
+                0 => {
+                    let drawn = base_outcomes
+                        .next()
+                        .expect("one outcome per base iteration");
+                    self.keep_live(*drawn, stats)
+                }
+                source => self.try_chunk(source, rng.next_u64(), rng.next_u64(), stats),
+            }));
+            left -= b;
         }
+        Ok(())
     }
 
     fn rejection_limit(&self) -> u64 {
@@ -509,32 +1053,31 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
     }
 
     fn cell_count(&self) -> usize {
-        // The overlay's scratch IS the base's scratch, so base draws
-        // keep attributing rejections to their cells through the
-        // overlay; size the counters accordingly.
+        // Base draws keep attributing rejections to their cells through
+        // the overlay; size the counters accordingly.
         self.base.cell_count()
     }
 
     fn drain_cell_rejections(scratch: &mut Self::Scratch, out: &mut Vec<u32>) {
-        I::drain_cell_rejections(scratch, out);
+        I::drain_cell_rejections(&mut scratch.base, out);
     }
 
     fn set_buffers(scratch: &mut Self::Scratch, enabled: bool) {
-        // The overlay's scratch IS the base's scratch: base-source
-        // draws keep their buffered fast path through the overlay.
-        I::set_buffers(scratch, enabled);
+        // Base-source draws keep their buffered fast path through the
+        // overlay.
+        I::set_buffers(&mut scratch.base, enabled);
     }
 
     fn warm_buffers(scratch: &mut Self::Scratch, slots: &[u32]) {
-        I::warm_buffers(scratch, slots);
+        I::warm_buffers(&mut scratch.base, slots);
     }
 
     fn seed_buffers(scratch: &mut Self::Scratch, seed: u64) {
-        I::seed_buffers(scratch, seed);
+        I::seed_buffers(&mut scratch.base, seed);
     }
 
     fn drain_buffer_stats(scratch: &mut Self::Scratch) -> BufferStats {
-        I::drain_buffer_stats(scratch)
+        I::drain_buffer_stats(&mut scratch.base)
     }
 
     fn index_build_report(&self) -> PhaseReport {
@@ -546,7 +1089,12 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
             + self.s_grid.memory_bytes()
             + self.r_grid.memory_bytes()
             + self.delta.memory_bytes()
-            + self.r_ins_mu.capacity() * std::mem::size_of::<u64>()
+            + self.r_side.memory_bytes()
+            + self.s_side.memory_bytes()
+            + self
+                .source_alias
+                .as_ref()
+                .map_or(0, AliasTable::memory_bytes)
     }
 }
 
@@ -554,6 +1102,7 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
 mod tests {
     use super::*;
     use crate::{BbstIndex, Cursor, JoinSampler, KdsIndex, KdsRejectionIndex};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
@@ -746,6 +1295,179 @@ mod tests {
         for _ in 0..500 {
             let p = cursor.sample_one(&mut rng).unwrap();
             assert!(join_set.contains(&p));
+        }
+    }
+
+    /// The same mutations applied in five refreshes — inserts on both
+    /// sides, base tombstones in between — or all at once: the pairs
+    /// change owner (fresh, every `r⁺` sees every `s⁺` and no `s⁺` sees
+    /// an `r⁺`), the positions they take up do not, so the two overlays
+    /// weigh the same. Tombstoned *inserts* are left out on purpose: a
+    /// dead member drops its whole row, and whose row a dead pair sat
+    /// in is exactly what differs.
+    #[test]
+    fn fresh_support_weighs_what_the_extended_one_does() {
+        let l = 6.0;
+        let cfg = SampleConfig::new(l);
+        let base_r = pseudo_points(60, 41, 50.0);
+        let base_s = pseudo_points(80, 42, 50.0);
+        let base = Arc::new(BbstIndex::build(&base_r, &base_s, &cfg));
+        let more_r = pseudo_points(40, 43, 50.0);
+        let more_s = pseudo_points(50, 44, 50.0);
+
+        let mut delta = DeltaSet::for_base(base_r.len(), base_s.len());
+        let mut support = OverlaySupport::build(&base_r, &base_s, l);
+        for step in 0..5 {
+            delta.r_inserted.extend_from_slice(&more_r[step * 8..][..8]);
+            delta
+                .s_inserted
+                .extend_from_slice(&more_s[step * 10..][..10]);
+            delta.r_deleted.insert(step as PointId * 7);
+            delta.s_deleted.insert(step as PointId * 9);
+            support = support.extended(&delta);
+            assert_eq!(support.source_count(), 1 + 2 * (step + 1));
+        }
+        let stepwise = OverlayIndex::new(Arc::clone(&base), delta.clone(), &support, &cfg);
+        // `new` on a support that has seen nothing extends it itself.
+        let fresh = OverlaySupport::build(&base_r, &base_s, l);
+        assert_eq!(fresh.source_count(), 1);
+        let at_once = OverlayIndex::new(Arc::clone(&base), delta.clone(), &fresh, &cfg);
+        assert_eq!(at_once.r_side.chunks.len() + at_once.s_side.chunks.len(), 2);
+        assert_eq!(stepwise.total_weight(), at_once.total_weight());
+        assert!(stepwise.total_weight() > base.total_weight());
+        // Fresh, the inserted S see no inserted R at all.
+        assert!(at_once.s_side.chunks[0]
+            .rows
+            .iter()
+            .all(|row| row.cum[CROSS] == row.cum[CROSS - 1]));
+        // A support that is ahead of the delta it is handed is refused.
+        let mut shorter = delta.clone();
+        shorter.r_inserted.pop();
+        let ahead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            OverlayIndex::new(Arc::clone(&base), shorter, &support, &cfg)
+        }));
+        assert!(ahead.is_err(), "a support ahead of its delta must panic");
+    }
+
+    /// A later swap that tombstones members of an earlier chunk takes
+    /// their weight out of that chunk's alias — and only that chunk is
+    /// rebuilt, around the same rows.
+    #[test]
+    fn tombstoned_members_lose_their_weight_in_place() {
+        let l = 6.0;
+        let base_r = pseudo_points(60, 51, 50.0);
+        let base_s = pseudo_points(80, 52, 50.0);
+        let mut delta = DeltaSet::for_base(base_r.len(), base_s.len());
+        let mut support = OverlaySupport::build(&base_r, &base_s, l);
+        delta.s_inserted = pseudo_points(20, 53, 50.0);
+        support = support.extended(&delta);
+        delta.s_inserted.extend(pseudo_points(20, 54, 50.0));
+        support = support.extended(&delta);
+        let (first, second) = (
+            Arc::clone(&support.s_side.chunks[0]),
+            Arc::clone(&support.s_side.chunks[1]),
+        );
+        let doomed = (0..20).find(|&j| first.rows[j].total() > 0).unwrap();
+        delta.s_deleted.insert((base_s.len() + doomed) as PointId);
+        delta.s_deleted.insert(3); // a base id: no chunk's business
+        let support = support.extended(&delta);
+        let reweighted = &support.s_side.chunks[0];
+        assert!(Arc::ptr_eq(&reweighted.rows, &first.rows), "rows are kept");
+        assert_eq!(
+            reweighted.weight(),
+            first.weight() - first.rows[doomed].total() as f64
+        );
+        assert!(Arc::ptr_eq(&support.s_side.chunks[1], &second));
+        // Nothing new: the same chunks again.
+        let again = support.extended(&delta);
+        assert!(Arc::ptr_eq(
+            &again.s_side.chunks[0],
+            &support.s_side.chunks[0]
+        ));
+    }
+
+    /// `s ∈ w(r)` is the join; an inserted `s` counts its partners as
+    /// the `r ∈ w(s)`. Here `s.x` is exactly `w(r_a).max_x`, yet
+    /// `s.x − l` rounds to just right of `r_a.x`: bounded with `l`
+    /// itself the row would miss `r_a`. Bounded a few ulps wide it holds
+    /// `r_a` and its near neighbour `r_b`, which is no partner — and the
+    /// draw, testing `s ∈ w(r)` itself, only ever returns `r_a`.
+    #[test]
+    fn an_inserted_s_is_bounded_wide_and_tested_exactly() {
+        let l = 0.1;
+        let r_a = Point::new(0.021, 0.05);
+        let r_b = Point::new(0.020999999999999967, 0.05); // ten ulps left
+        let s = Point::new(r_a.x + l, 0.05);
+        assert!(s.x - l > r_a.x, "the example must round the wrong way");
+        assert!(Rect::window(r_a, l).contains(s));
+        assert!(!Rect::window(r_b, l).contains(s));
+
+        let cfg = SampleConfig::new(l);
+        let base_r = vec![r_a, r_b];
+        let base = Arc::new(BbstIndex::build(&base_r, &[], &cfg));
+        let mut delta = DeltaSet::for_base(2, 0);
+        delta.s_inserted.push(s);
+        let support = OverlaySupport::build(&base_r, &[], l);
+        let overlay = Arc::new(OverlayIndex::new(base, delta, &support, &cfg));
+        assert_eq!(
+            overlay.total_weight(),
+            2.0,
+            "both near-edge points are candidates"
+        );
+        let mut cursor = Cursor::new(overlay);
+        let mut rng = SmallRng::seed_from_u64(3);
+        for _ in 0..200 {
+            assert_eq!(cursor.sample_one(&mut rng), Ok(JoinPair::new(0, 0)));
+        }
+        let rep = cursor.report();
+        assert!(rep.iterations > rep.samples, "r_b must have been proposed");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The prefix argument: what a row built at watermark `w` counts
+        /// in its block, and the candidate every rank of it resolves to,
+        /// are the same against the grid as it stood at `w` and against
+        /// every later version of it — however the later inserts fall.
+        #[test]
+        fn a_cross_rank_resolves_the_same_in_every_later_grid(
+            cells in prop::collection::vec((0i32..4, 0i32..4), 1..120),
+            cuts in prop::collection::vec(0usize..120, 1..5),
+            probe in (0i32..4, 0i32..4),
+        ) {
+            // One point per drawn cell, cell side 1: the cell is the
+            // coordinate.
+            let points: Vec<Point> = cells
+                .iter()
+                .map(|&(x, y)| Point::new(x as f64 + 0.5, y as f64 + 0.5))
+                .collect();
+            let coord = |p: Point| (p.x.floor() as i32, p.y.floor() as i32);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(points.len())).collect();
+            cuts.push(points.len());
+            cuts.sort_unstable();
+            // Grow the grid cut by cut, keeping every version.
+            let mut versions = vec![(0usize, InsertGrid::default())];
+            for &cut in &cuts {
+                let (from, mut grid) = versions.last().cloned().unwrap();
+                grid.extend(&points[..cut], from, coord);
+                versions.push((cut, grid));
+            }
+            for (v, (watermark, built_against)) in versions.iter().enumerate() {
+                let w = *watermark as u32;
+                let count = built_against.seen_in_block(probe, w);
+                let candidates: Vec<u32> = (0..count)
+                    .map(|k| built_against.kth_in_block(probe, w, k).unwrap())
+                    .collect();
+                prop_assert!(candidates.iter().all(|&j| j < w));
+                for (_, later) in &versions[v..] {
+                    prop_assert_eq!(later.seen_in_block(probe, w), count);
+                    for (k, &j) in candidates.iter().enumerate() {
+                        prop_assert_eq!(later.kth_in_block(probe, w, k), Some(j));
+                    }
+                    prop_assert_eq!(later.kth_in_block(probe, w, count), None);
+                }
+            }
         }
     }
 

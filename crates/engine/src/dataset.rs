@@ -521,7 +521,8 @@ impl DatasetStore {
         let patch = SPatchDelta {
             prev_base_s,
             inserted: s_inserted,
-            deleted: s_deleted,
+            // The cell patch takes std's default-hashed set.
+            deleted: s_deleted.into_iter().collect(),
         };
         let result = (inner.snapshot(), patch);
         let epoch = inner.epoch;

@@ -293,11 +293,19 @@ impl Engine {
     /// keeps serving the pre-mutation epoch untouched. This is the
     /// minor-epoch half of `EpochEngine`'s swap mechanism.
     ///
+    /// `support` may be any earlier state of the epoch's support — the
+    /// bare grids of [`OverlaySupport::build`] included: what it has not
+    /// seen of `delta`'s inserts is chunked here. A caller that takes
+    /// one snapshot after another keeps
+    /// [`OverlaySupport::extended`]'s result and hands that in, so each
+    /// batch of inserts is chunked once.
+    ///
     /// # Panics
     /// Panics if `self` is itself an overlay engine: overlay snapshots
     /// always stack on the epoch's *full* build, never on each other
-    /// (stacking would re-filter tombstones at every level and the
-    /// delta bookkeeping would no longer be O(|delta|)).
+    /// (stacking would re-filter tombstones at every level). Panics if
+    /// `support` belongs to another base snapshot or half-extent, or
+    /// has seen inserts `delta` does not hold.
     pub fn with_overlay(
         &self,
         delta: DeltaSet,
@@ -782,8 +790,9 @@ impl CursorKind {
     }
 
     /// Arms / disarms the cursor's per-cell sample buffers. The
-    /// type-erased overlay cursor has no buffer hooks (its draws mix
-    /// three pair sources per iteration), so `Dyn` is a no-op.
+    /// type-erased overlay cursor has no buffer hooks (the object-safe
+    /// [`JoinSampler`] does not carry them), so `Dyn` is a no-op and
+    /// base draws through an overlay never pop a buffer.
     fn set_buffers(&mut self, on: bool) {
         match self {
             CursorKind::Kds(c) => c.set_buffers(on),
@@ -932,9 +941,12 @@ impl SamplerHandle {
     /// RNG consumption schedule differs, so the two paths produce
     /// different (equally uniform) streams from the same seed.
     ///
-    /// The type-erased overlay cursor keeps its object-safe draw; it
-    /// still gains batched RNG by wrapping this handle's generator in
-    /// a [`BufferedRng`] word stash for the duration of the batch.
+    /// The type-erased overlay cursor keeps its object-safe entry point
+    /// — one virtual call per batch, behind which the overlay runs its
+    /// own block path ([`srj_core::SamplerIndex::try_many`]: the base's
+    /// block kernel and the insert sources, block by block) — and gains
+    /// batched RNG by wrapping this handle's generator in a
+    /// [`BufferedRng`] word stash for the duration of the batch.
     pub fn sample_batch(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
         srj_obs::trace::event("engine_query", "sample_batch");
         self.arm_buffers();

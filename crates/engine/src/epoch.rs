@@ -11,8 +11,9 @@
 //!        ▼
 //!   EpochEngine ── swap cell ──► Engine (epoch e)
 //!        │
-//!        │ 1. minor swap      — O(|delta|) overlay snapshot; no
-//!        │                      structures touched
+//!        │ 1. minor swap      — O(batch) overlay snapshot: the new
+//!        │                      inserts become one more source, no
+//!        │                      structure is touched
 //!        │ 2. cell patch      — compact_incremental(): R-side rebuilt,
 //!        │                      S-side patched cell by cell (clean
 //!        │                      cells Arc-shared; deletes shrink Σµ)
@@ -212,8 +213,10 @@ struct EpochState {
     base_s: Arc<Vec<Point>>,
     /// What new handles get: `base`, or an overlay snapshot over it.
     current: Engine,
-    /// Per-epoch overlay support grids, built lazily on the first
-    /// mutation of the epoch and shared by all its snapshots.
+    /// Per-epoch overlay support: the base grids, built lazily on the
+    /// first mutation of the epoch, and the insert sources of every
+    /// minor swap since — each swap extends it by its own batch and
+    /// keeps the result, `Arc`-sharing the rest with the snapshots.
     support: Option<Arc<OverlaySupport>>,
     built_epoch: u64,
     built_version: u64,
@@ -362,16 +365,15 @@ impl EpochEngine {
         if !snap.delta.is_empty() {
             // The store already carried mutations: serve them through
             // an overlay from the start.
-            let support = Arc::new(OverlaySupport::build_filtered(
+            let support = OverlaySupport::build_filtered(
                 &snap.base_r,
                 &snap.base_s,
                 &snap.s_dead,
                 config.half_extent,
-            ));
-            state.current = state
-                .base
-                .with_overlay(snap.delta.clone(), &support, config);
-            state.support = Some(support);
+            )
+            .extended(&snap.delta);
+            state.current = state.base.with_overlay(snap.delta, &support, config);
+            state.support = Some(Arc::new(support));
         }
         EpochEngine {
             store,
@@ -1000,8 +1002,10 @@ impl EpochEngine {
         }
     }
 
-    /// Minor swap: a fresh `O(|delta|)` overlay snapshot over the
-    /// epoch's unchanged base build.
+    /// Minor swap: the epoch's overlay support extended by the inserts
+    /// it has not chunked yet (`O(batch)`), and a fresh overlay snapshot
+    /// over the epoch's unchanged base build and the extended support's
+    /// sources. The extended support is kept for the next swap.
     fn minor_swap(&self) {
         let t0 = Instant::now();
         let snap = self.store.snapshot();
@@ -1014,19 +1018,24 @@ impl EpochEngine {
             // (e.g. by a sibling engine sharing the store).
             return self.major_swap(self.cfg.algorithm, false);
         }
-        let support = support.unwrap_or_else(|| {
-            Arc::new(OverlaySupport::build_filtered(
-                &snap.base_r,
-                &snap.base_s,
-                &snap.s_dead,
-                self.config.half_extent,
-            ))
-        });
+        let support = support
+            .unwrap_or_else(|| {
+                Arc::new(OverlaySupport::build_filtered(
+                    &snap.base_r,
+                    &snap.base_s,
+                    &snap.s_dead,
+                    self.config.half_extent,
+                ))
+            })
+            .extended(&snap.delta);
+        let (epoch, version) = (snap.epoch, snap.version);
+        let pending_ops = snap.delta.pending_ops();
         let engine = if snap.delta.is_empty() {
             base.clone()
         } else {
-            base.with_overlay(snap.delta.clone(), &support, &self.config)
+            base.with_overlay(snap.delta, &support, &self.config)
         };
+        let sources = support.source_count();
         let mut st = self.state.write().expect("epoch state poisoned");
         // Carry the superseded snapshot's counters into the epoch
         // accumulators so the repair/re-plan signals keep their
@@ -1050,20 +1059,21 @@ impl EpochEngine {
             self.absorb_buffer_counters(&st.current)
         };
         st.current = engine;
-        st.support = Some(support);
-        st.built_version = snap.version;
+        st.support = Some(Arc::new(support));
+        st.built_version = version;
         self.minor_swaps.fetch_add(1, Ordering::Relaxed);
         drop(st);
         event(EventKind::MinorSwap)
             .dataset(self.store.obs_label())
-            .epoch(snap.epoch)
+            .epoch(epoch)
             .duration_ns(t0.elapsed().as_nanos() as u64)
             .mu(mu_before, mu_after)
+            .overlay(pending_ops as u64, sources as u64)
             .emit();
         if retired_buffers {
             event(EventKind::BufferInvalidate)
                 .dataset(self.store.obs_label())
-                .epoch(snap.epoch)
+                .epoch(epoch)
                 .emit();
         }
     }

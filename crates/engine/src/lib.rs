@@ -71,10 +71,11 @@
 //! The dataset is mutable even though every index is immutable: a
 //! [`DatasetStore`] buffers inserts/deletes as deltas with
 //! version/epoch counters, and an [`EpochEngine`] serves it through an
-//! atomic-swap cell — `O(|delta|)` overlay snapshots
-//! ([`srj_core::OverlayIndex`], uniformity-preserving) between
-//! rebuilds, epoch swaps (reusing the `Arc`-shared `S`-side when only
-//! `R` changed) once the pending delta crosses a threshold, and a
+//! atomic-swap cell — overlay snapshots ([`srj_core::OverlayIndex`],
+//! uniformity-preserving; each one extends the last by its own batch
+//! of inserts and shares the rest) between rebuilds, epoch swaps
+//! (reusing the `Arc`-shared `S`-side when only `R` changed) once the
+//! pending delta crosses a threshold, and a
 //! re-plan hot-swap when the *observed* rejection overhead diverges
 //! from the planner's estimate. In-flight handles pin their epoch.
 //!

@@ -72,6 +72,9 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `HashMap` keyed with the Fx hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
+/// `HashSet` keyed with the Fx hasher.
+pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +117,14 @@ mod tests {
         }
         assert_eq!(m.len(), 10_000);
         assert_eq!(m[&(-3, 17)], (-3i32 * 1000 + 17) as u32);
+    }
+
+    #[test]
+    fn set_of_sequential_ids() {
+        // Point ids are dense small integers.
+        let s: FxHashSet<u32> = (0..10_000).step_by(3).collect();
+        assert_eq!(s.len(), 3_334);
+        assert!(s.contains(&9_999) && !s.contains(&9_998));
     }
 
     #[test]

@@ -109,6 +109,12 @@ pub struct LifecycleEvent {
     pub mu_before: f64,
     /// `Σµ` after the action, when known.
     pub mu_after: f64,
+    /// Mutations pending behind the overlay a minor swap installed
+    /// (0 when not applicable).
+    pub pending_ops: u64,
+    /// Sources that overlay draws from — the base index plus one per
+    /// chunk of inserts (0 when not applicable).
+    pub sources: u64,
 }
 
 impl LifecycleEvent {
@@ -128,7 +134,8 @@ impl LifecycleEvent {
             concat!(
                 "{{\"seq\":{},\"ns\":{},\"kind\":\"{}\",\"dataset\":{},",
                 "\"label\":{},\"epoch\":{},\"dirty_cells\":{},",
-                "\"duration_ns\":{},\"mu_before\":{},\"mu_after\":{}}}"
+                "\"duration_ns\":{},\"mu_before\":{},\"mu_after\":{},",
+                "\"pending_ops\":{},\"sources\":{}}}"
             ),
             self.seq,
             self.ns,
@@ -140,6 +147,8 @@ impl LifecycleEvent {
             self.duration_ns,
             fmt_f64(self.mu_before),
             fmt_f64(self.mu_after),
+            self.pending_ops,
+            self.sources,
         )
     }
 }
@@ -167,6 +176,8 @@ pub struct EventBuilder {
     duration_ns: u64,
     mu_before: f64,
     mu_after: f64,
+    pending_ops: u64,
+    sources: u64,
 }
 
 impl EventBuilder {
@@ -208,6 +219,14 @@ impl EventBuilder {
         self
     }
 
+    /// What a minor swap installed: the mutations pending behind the
+    /// overlay and the sources it draws from.
+    pub fn overlay(mut self, pending_ops: u64, sources: u64) -> Self {
+        self.pending_ops = pending_ops;
+        self.sources = sources;
+        self
+    }
+
     /// Publishes into the global [`journal`].
     pub fn emit(self) {
         journal().publish(self);
@@ -226,6 +245,8 @@ pub fn event(kind: EventKind) -> EventBuilder {
         duration_ns: 0,
         mu_before: 0.0,
         mu_after: 0.0,
+        pending_ops: 0,
+        sources: 0,
     }
 }
 
@@ -270,6 +291,8 @@ impl Journal {
                 duration_ns: b.duration_ns,
                 mu_before: b.mu_before,
                 mu_after: b.mu_after,
+                pending_ops: b.pending_ops,
+                sources: b.sources,
             };
             inner.next_seq += 1;
             if inner.buf.len() == CAPACITY {
@@ -356,12 +379,15 @@ mod tests {
             duration_ns: 456,
             mu_before: 10.5,
             mu_after: 9.0,
+            pending_ops: 768,
+            sources: 4,
         };
         assert_eq!(
             e.to_json(),
             "{\"seq\":5,\"ns\":123,\"kind\":\"replan\",\"dataset\":7,\
              \"label\":null,\"epoch\":2,\"dirty_cells\":0,\
-             \"duration_ns\":456,\"mu_before\":10.5,\"mu_after\":9}"
+             \"duration_ns\":456,\"mu_before\":10.5,\"mu_after\":9,\
+             \"pending_ops\":768,\"sources\":4}"
         );
         let unlabelled = LifecycleEvent {
             dataset: None,
@@ -389,6 +415,8 @@ mod tests {
             duration_ns: 0,
             mu_before: 0.0,
             mu_after: 0.0,
+            pending_ops: 0,
+            sources: 0,
         };
         let json = e.to_json();
         assert!(

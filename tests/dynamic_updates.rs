@@ -231,7 +231,9 @@ fn rejection_divergence_replans_the_algorithm() {
         s,
         &SampleConfig::new(l),
         EpochConfig::default()
-            .with_rebuild_fraction(0.8) // keep the poison delta pending
+            // Keep the poison delta, tombstones included, pending.
+            .with_rebuild_fraction(0.8)
+            .with_tombstone_rebuild_fraction(0.9)
             .with_replan_min_samples(500),
     );
     assert_eq!(engine.algorithm(), Algorithm::KdsRejection);
@@ -244,16 +246,20 @@ fn rejection_divergence_replans_the_algorithm() {
     let mut pinned = engine.handle_seeded(3);
     pinned.sample(100).unwrap();
 
-    // Poison the workload: a far-away near-miss cluster. Every
-    // inserted S point sits diagonally 1.9l from its R partner —
-    // inside the 3×3 block, outside every window — so the overlay's
-    // delta bounds are maximally loose and the *observed* overhead
-    // blows past the planned estimate.
+    // Poison the workload through the base, not through the overlay
+    // (whose own sources are tight): tombstone three quarters of `S`.
+    // The base index still proposes them, so three of four otherwise
+    // accepted draws are now rejected and the *observed* overhead
+    // blows past the planned estimate. The far-away partnerless `R`
+    // inserts add no source (their rows are empty); they keep `n·√m`
+    // over the budget below which a re-plan would pick exact counting.
+    for id in (0..4_000u32).filter(|id| id % 4 != 0) {
+        assert!(engine.delete_s(id));
+    }
     for i in 0..3_000u64 {
         let x = 1_000.0 + (i % 50) as f64 * 3.0 * l;
         let y = 1_000.0 + (i / 50) as f64 * 3.0 * l;
         engine.insert_r(Point::new(x, y));
-        engine.insert_s(Point::new(x + 1.9 * l, y + 1.9 * l));
     }
 
     // Sampling through the overlay measures the divergence.

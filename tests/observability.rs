@@ -37,13 +37,16 @@ fn maintenance_ladder_journals_expected_event_sequence() {
     //
     // rebuild_fraction 0.01 over a 680-point base: one pending insert
     // (fraction ~0.0015) stays below the threshold and overlays; nine
-    // pending inserts (~0.013) cross it. All nine land in one corner,
-    // so the swap takes the cell-patch path (dirty cells << the 50%
-    // patch budget) — and the incremental compaction it rides on
-    // journals a Compaction first.
+    // pending inserts (~0.013) cross it. The first sits on an R point
+    // (so it has partners), the other eight in one corner, so the swap
+    // takes the cell-patch path (dirty cells << the 50% patch budget) —
+    // and the incremental compaction it rides on journals a Compaction
+    // first.
     let l = 5.0;
+    let r = pseudo_points(80, 900, 60.0);
+    let beside_r0 = r[0];
     let engine = EpochEngine::new(
-        pseudo_points(80, 900, 60.0),
+        r,
         pseudo_points(600, 901, 60.0),
         &SampleConfig::new(l),
         EpochConfig::default()
@@ -52,7 +55,7 @@ fn maintenance_ladder_journals_expected_event_sequence() {
     );
     engine.store().set_obs_label(9101);
 
-    engine.insert_s(Point::new(1.0, 1.0));
+    engine.insert_s(beside_r0);
     engine.refresh();
     assert_eq!(engine.minor_swaps(), 1, "one insert must overlay");
     // Buffers are on by default, so every swap that retires an armed
@@ -61,6 +64,10 @@ fn maintenance_ladder_journals_expected_event_sequence() {
         kinds_for(9101),
         vec![EventKind::MinorSwap, EventKind::BufferInvalidate]
     );
+    // A minor swap says what it installed: one pending insert, so the
+    // overlay draws from the base index and one chunk of inserted S.
+    let minor = srj::obs::journal::journal().for_dataset(9101)[0].clone();
+    assert_eq!((minor.pending_ops, minor.sources), (1, 2));
 
     for i in 0..8 {
         engine.insert_s(Point::new(1.0 + 0.1 * i as f64, 1.5));
@@ -124,10 +131,11 @@ fn maintenance_ladder_journals_expected_event_sequence() {
 
     // --- Rung 4: re-plan (the dynamic_updates.rs divergence) ---------
     //
-    // Dense uniform workload: the planner picks KDS-rejection. A
-    // far-away near-miss cluster (every inserted S point 1.9l diagonal
-    // from its R partner: inside the 3x3 block, outside every window)
-    // first overlays (0.75 pending < 0.8 threshold ⇒ MinorSwap), then
+    // Dense uniform workload: the planner picks KDS-rejection. Three
+    // quarters of S tombstoned (the base index still proposes them, so
+    // its draws mostly reject) plus far-away partnerless R inserts that
+    // keep n·√m over the exact-counting budget: the delta first
+    // overlays (0.75 pending < 0.8 threshold ⇒ MinorSwap), then
     // sampling observes the divergence and the next refresh re-plans —
     // a full rebuild over a full compaction.
     let l2 = 10.0;
@@ -137,15 +145,18 @@ fn maintenance_ladder_journals_expected_event_sequence() {
         &SampleConfig::new(l2),
         EpochConfig::default()
             .with_rebuild_fraction(0.8)
+            .with_tombstone_rebuild_fraction(0.9)
             .with_replan_min_samples(500),
     );
     replan_engine.store().set_obs_label(9103);
     assert_eq!(replan_engine.algorithm(), Algorithm::KdsRejection);
+    for id in (0..4_000u32).filter(|id| id % 4 != 0) {
+        assert!(replan_engine.delete_s(id));
+    }
     for i in 0..3_000u64 {
         let x = 1_000.0 + (i % 50) as f64 * 3.0 * l2;
         let y = 1_000.0 + (i / 50) as f64 * 3.0 * l2;
         replan_engine.insert_r(Point::new(x, y));
-        replan_engine.insert_s(Point::new(x + 1.9 * l2, y + 1.9 * l2));
     }
     replan_engine.handle_seeded(4).sample(2_000).unwrap();
     replan_engine.refresh();
