@@ -1,13 +1,12 @@
-//! Engine-path scaling (PR 2): build wall-time vs `build_threads`, and
+//! Engine-path scaling: build wall-time vs `build_threads`, and
 //! serving throughput (samples/sec) vs serving-thread count through
 //! `srj-engine` — the multi-thread companion to the single-threaded
-//! sampler benches, tracking the ROADMAP "engine-path benches" item.
-//!
-//! The same quantities are recorded machine-readably by
-//! `experiments -- bench-pr2` into `BENCH_PR2.json`.
+//! sampler benches.
+
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use srj_bench::{scaled_spec, serving_throughput};
+use srj_bench::scaled_spec;
 use srj_core::SampleConfig;
 use srj_datagen::DatasetKind;
 use srj_engine::{Algorithm, Engine};
@@ -15,6 +14,29 @@ use srj_engine::{Algorithm, Engine};
 const SCALE: f64 = 0.05;
 const L: f64 = 100.0;
 const T: usize = 20_000;
+
+/// Serving throughput: `total_samples` drawn with replacement, split
+/// evenly over `threads` scoped threads each holding its own
+/// [`srj_engine::SamplerHandle`]; returns samples/sec of the whole run.
+fn serving_throughput(engine: &Engine, threads: usize, total_samples: usize) -> f64 {
+    let per_thread = (total_samples / threads.max(1)).max(1);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|tid| {
+                let mut handle = engine.handle_seeded(0x5EED ^ tid as u64);
+                scope.spawn(move || {
+                    handle
+                        .sample(per_thread)
+                        .expect("bench datasets have non-empty joins")
+                        .len()
+                })
+            })
+            .collect();
+        let drawn: usize = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        drawn as f64 / start.elapsed().as_secs_f64()
+    })
+}
 
 /// Build wall-time at 1/2/4 build threads, per algorithm. The per-`r`
 /// upper-bounding loop dominates, so wall-time should fall with the

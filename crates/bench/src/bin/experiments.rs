@@ -1,29 +1,20 @@
-//! CLI regenerating every table and figure of the paper, plus the PR-2
-//! multi-core scaling suite.
+//! CLI regenerating every table and figure of the paper.
 //!
 //! ```sh
 //! cargo run -p srj-bench --release --bin experiments -- all --scale 0.5
 //! cargo run -p srj-bench --release --bin experiments -- table3 --threads 4
 //! cargo run -p srj-bench --release --bin experiments -- fig5 --t 100000
-//! cargo run -p srj-bench --release --bin experiments -- bench-pr2 --scale 0.2 --shards 4
 //! ```
-//!
-//! `bench-pr2` writes the machine-readable `BENCH_PR2.json` summary
-//! (build ms per phase at 1/2/4 build threads, samples/sec per
-//! algorithm, sharded-engine throughput at 1/2/4/8 serving threads) to
-//! the current directory and echoes it on stdout.
 
 use srj_bench::experiments::{
     ablation_cascading, ablation_mass, accuracy, default_runs, fig4, fig5, fig6, fig7, fig8, fig9,
     footnote4, table2, table3, table4, ExpConfig,
 };
-use srj_bench::scaling::bench_pr2;
 
 const USAGE: &str =
-    "usage: experiments <exp> [--scale F] [--t N] [--l F] [--seed N] [--threads N] [--shards N]
-  exp: table2 | table3 | table4 | accuracy | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | ablation | footnote4 | bench-pr2 | all
-  --threads N  index-build threads (0 = all cores; default 1, the paper's serial build)
-  --shards N   R-shard count for the sharded-engine measurements (default 1)";
+    "usage: experiments <exp> [--scale F] [--t N] [--l F] [--seed N] [--threads N]
+  exp: table2 | table3 | table4 | accuracy | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | ablation | footnote4 | all
+  --threads N  index-build threads (0 = all cores; default 1, the paper's serial build)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,12 +66,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--shards" => {
-                cfg.shards = flag_value(&mut i, "--shards").parse().unwrap_or_else(|_| {
-                    eprintln!("--shards takes an integer\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
             other => {
                 eprintln!("unknown flag {other}\n{USAGE}");
                 std::process::exit(2);
@@ -88,8 +73,8 @@ fn main() {
         }
     }
     eprintln!(
-        "# config: scale = {}, t = {}, l = {}, seed = {}, threads = {}, shards = {}",
-        cfg.scale, cfg.t, cfg.l, cfg.seed, cfg.threads, cfg.shards
+        "# config: scale = {}, t = {}, l = {}, seed = {}, threads = {}",
+        cfg.scale, cfg.t, cfg.l, cfg.seed, cfg.threads
     );
 
     let run_default_tables = || {
@@ -126,15 +111,6 @@ fn main() {
             s
         }
         "footnote4" => footnote4(&cfg),
-        "bench-pr2" => {
-            let json = bench_pr2(&cfg);
-            if let Err(e) = std::fs::write("BENCH_PR2.json", &json) {
-                eprintln!("warning: could not write BENCH_PR2.json: {e}");
-            } else {
-                eprintln!("# wrote BENCH_PR2.json");
-            }
-            json
-        }
         "all" => {
             let mut s = run_default_tables();
             for part in [

@@ -1,7 +1,6 @@
 //! One function per table/figure of the paper's evaluation (Section V).
 //!
-//! Every function returns the formatted rows it printed, so the
-//! experiments binary can tee them into EXPERIMENTS.md and tests can
+//! Every function returns the formatted rows it printed, so tests can
 //! assert on structure.
 
 use std::fmt::Write as _;
@@ -29,8 +28,6 @@ pub struct ExpConfig {
     /// Index-build threads (`SampleConfig::build_threads`; `0` = all
     /// cores, `1` = the paper's serial build).
     pub threads: usize,
-    /// `R`-shard count for the sharded-engine measurements.
-    pub shards: usize,
 }
 
 impl Default for ExpConfig {
@@ -41,7 +38,6 @@ impl Default for ExpConfig {
             l: 100.0,
             seed: 42,
             threads: 1,
-            shards: 1,
         }
     }
 }
@@ -534,7 +530,6 @@ mod tests {
             l: 100.0,
             seed: 7,
             threads: 1,
-            shards: 1,
         }
     }
 

@@ -3,8 +3,7 @@
 //!
 //! The binary `experiments` prints the same rows/series the paper
 //! reports; the Criterion benches in `benches/` track the same
-//! quantities as regressions. See EXPERIMENTS.md for the recorded
-//! paper-vs-measured comparison.
+//! quantities as regressions.
 //!
 //! Scaling: the paper's datasets range up to 324 M points and its default
 //! `t` is 10⁶. The harness keeps the paper's *relative* dataset sizes and
@@ -17,11 +16,9 @@
 pub mod datasets;
 pub mod experiments;
 pub mod runner;
-pub mod scaling;
 
 pub use datasets::{scaled_spec, ScaledDataset, DEFAULT_T};
 pub use runner::{
     build_bbst, build_bbst_with, build_kds, build_kds_with, build_rejection, build_rejection_with,
     build_variant, run_sampler, RunOutcome,
 };
-pub use scaling::{bench_pr2, build_sweep, host_cores, percentile_sorted, serving_throughput};

@@ -1,8 +1,8 @@
 //! `RLIMIT_NOFILE` helpers.
 //!
-//! The high-fanout load generator raises the soft limit toward the
-//! hard cap before opening thousands of sockets; the fd-exhaustion
-//! test lowers it to force `EMFILE` deterministically.
+//! The standing-crowd test raises the soft limit toward the hard cap
+//! before opening thousands of sockets; the fd-exhaustion test lowers
+//! it to force `EMFILE` deterministically.
 
 use std::io;
 

@@ -11,11 +11,13 @@
 //! poi, trajectory, taxi); file datasets load the plain-text point
 //! format of `srj-datagen` (`x<sep>y` per line) and are split into
 //! `R`/`S` halves unless two paths are given. The server runs until it
-//! receives a `SHUTDOWN` frame (e.g. `srj-loadgen --shutdown`) or the
+//! receives a `SHUTDOWN` frame (`Client::shutdown_server`) or the
 //! process is killed.
 
+use srj_bench::datasets::base_size;
 use srj_bench::scaled_spec;
 use srj_datagen::{read_points_file, split_rs, DatasetKind};
+use srj_geom::PointId;
 use srj_server::{DatasetRegistry, Server, ServerConfig};
 
 const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-frames N]
@@ -89,6 +91,11 @@ fn register_generated(registry: &mut DatasetRegistry, spec: &str) {
         .unwrap_or("0.05")
         .parse()
         .unwrap_or_else(|_| fail("dataset scale must be a float"));
+    // `parse` accepts "nan", "inf" and "0"; ids on the wire are `PointId`s.
+    let points = base_size(kind) as f64 * scale;
+    if !(scale > 0.0 && points <= f64::from(PointId::MAX)) {
+        fail("dataset scale must be positive and finite, and the dataset must fit u32 point ids");
+    }
     let seed: u64 = parts.next().map_or(42, |s| {
         s.parse()
             .unwrap_or_else(|_| fail("dataset seed must be a u64"))
@@ -335,10 +342,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Parsed by srj-loadgen scripts / the CI smoke step; keep stable.
+    // Parsed by tests/serve_binary.rs and by scripts; keep stable.
     println!("listening on {}", server.local_addr());
     if let Some(http) = server.http_addr() {
-        // Also parsed by the CI HTTP smoke step; keep stable.
         println!("http on {http}");
     }
     server.wait_shutdown();

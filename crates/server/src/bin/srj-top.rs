@@ -16,7 +16,7 @@
 //! five maintenance-rung counters; the `SLOWLOG` tail is shown
 //! underneath when the server retains slow requests. `--once` prints
 //! a single snapshot and exits; `--raw` dumps the exposition text
-//! verbatim (what the CI smoke step greps).
+//! verbatim (what `tests/serve_binary.rs` greps).
 //!
 //! **Quantile error bound.** The histogram buckets are log₂-spaced,
 //! so a quantile is only known to lie inside one bucket `(le/2, le]`.

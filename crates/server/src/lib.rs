@@ -36,16 +36,15 @@
 //!   with `BUSY { retry_after_ms }`, a client that retries with
 //!   jittered backoff and keeps mutations exactly-once via `EPOCH`
 //!   probes, and a seeded [`FaultPlan`] (inert by default) driving the
-//!   `srj-loadgen --chaos` soak — see the README's "Failure semantics".
+//!   chaos soak in `tests/fault_tolerance.rs` — see the README's
+//!   "Failure semantics".
 //!
-//! Binaries: `srj-serve` (register datasets, serve), `srj-loadgen`
-//! (concurrent load generator reporting samples/sec and latency
-//! quantiles into `BENCH_PR3.json`, a mixed read/update mode writing
-//! `BENCH_PR4.json`, and the `--chaos` fault-injection soak writing
-//! `BENCH_PR7.json`), and `srj-top` (live metrics dashboard with a
-//! server-health line). See the README's "Network serving" and
-//! "Dynamic updates & re-planning" sections for the quickstart and
-//! `examples/network_serving.rs` for the in-process version.
+//! Binaries: `srj-serve` (register datasets, serve) and `srj-top` (live
+//! metrics dashboard with a server-health line). Throughput and latency
+//! are measured by the repository's one benchmark (`benchmark/`). See
+//! the README's "Network serving" and "Dynamic updates & re-planning"
+//! sections for the quickstart and `examples/network_serving.rs` for
+//! the in-process version.
 
 pub mod client;
 mod event_loop;

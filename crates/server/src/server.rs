@@ -1413,7 +1413,7 @@ impl Server {
     }
 
     /// The Prometheus text exposition (same text a `METRICS` request
-    /// returns) — for embedded servers and the loadgen overhead bench.
+    /// returns) — for embedded servers, tests and the benchmark.
     pub fn metrics_text(&self) -> String {
         self.shared.metrics_text()
     }

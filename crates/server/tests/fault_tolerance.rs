@@ -1,14 +1,16 @@
 //! End-to-end fault-tolerance tests over real loopback connections:
 //! handshake rejection, idle-connection reaping, load shedding, rate
 //! limiting, keepalives, and client retry semantics under an active
-//! fault plan — each with its journal/metrics evidence.
+//! fault plan — each with its journal/metrics evidence — and the seeded
+//! chaos soak that runs all of them at once.
 
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use srj_geom::Point;
+use srj_geom::Rect;
 use srj_obs::journal::{journal, EventKind};
 use srj_server::protocol::{
     decode_response, encode_request, read_frame, ErrorCode, Request, Response, SampleRequest,
@@ -19,25 +21,15 @@ use srj_server::{
     ServerConfig, Side,
 };
 
+mod common;
+use common::{metric_value, pseudo_points};
+
 /// Journal assertions are process-global and every test binds a
 /// loopback server, so the tests in this binary do not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    (0..n)
-        .map(|_| Point::new(next() * extent, next() * extent))
-        .collect()
 }
 
 fn registry_with(dataset: u64, n: usize) -> DatasetRegistry {
@@ -388,6 +380,14 @@ fn client_retries_through_forced_busy() {
     server.shutdown();
 }
 
+/// Current live `|S'|` of a dataset, through the client's own retries.
+fn probe_live(client: &mut Client, dataset: u64) -> u64 {
+    match client.epoch(dataset) {
+        Ok((RequestStatus::Ok, info)) => info.live_s,
+        other => panic!("dataset {dataset}: EPOCH probe did not converge: {other:?}"),
+    }
+}
+
 #[test]
 fn mutations_survive_dropped_connections_exactly_once() {
     let _serial = serial();
@@ -408,11 +408,7 @@ fn mutations_survive_dropped_connections_exactly_once() {
         ..ClientConfig::default()
     };
     let mut client = Client::connect_with(server.local_addr(), cfg).unwrap();
-    let probe = |c: &mut Client| match c.epoch(7) {
-        Ok((RequestStatus::Ok, info)) => info.live_s,
-        other => panic!("EPOCH probe failed: {other:?}"),
-    };
-    let mut expected = probe(&mut client);
+    let mut expected = probe_live(&mut client, 7);
 
     let points = pseudo_points(BATCH, 99, 50.0);
     let mut ambiguous = 0u64;
@@ -427,7 +423,7 @@ fn mutations_survive_dropped_connections_exactly_once() {
             // never twice.
             Err(ClientError::AmbiguousMutation) => {
                 ambiguous += 1;
-                let live = probe(&mut client);
+                let live = probe_live(&mut client, 7);
                 assert!(
                     live == expected || live == expected + BATCH as u64,
                     "ambiguous insert must resolve to 0 or 1 applications: \
@@ -438,7 +434,7 @@ fn mutations_survive_dropped_connections_exactly_once() {
             Err(e) => panic!("insert failed: {e}"),
         }
     }
-    let live = probe(&mut client);
+    let live = probe_live(&mut client, 7);
     assert_eq!(live, expected, "lost or doubled mutation");
     assert!(
         client.retries() > 0,
@@ -446,4 +442,235 @@ fn mutations_survive_dropped_connections_exactly_once() {
          ({ambiguous} ambiguous)"
     );
     server.shutdown();
+}
+
+/// One chaos client: sole mutator of dataset `cid + 1`, alternating
+/// insert/delete batches with reads and keeping a ledger of the live
+/// `S` count the server *must* report. `AmbiguousMutation` (a retry
+/// the client could not prove safe) is resolved the way an application
+/// would: probe the authoritative count and accept only the states the
+/// ambiguous operation can explain. Panics on a lost or doubled
+/// mutation and on any operation that does not converge; returns the
+/// client's `(retries, busy_answers)`.
+fn chaos_client(cid: usize, addr: &str, cfg: ClientConfig, rounds: usize, t: u64) -> (u64, u64) {
+    const BATCH: u64 = 32;
+    let dataset = cid as u64 + 1;
+    let mut client = Client::connect_with(addr, cfg).expect("chaos client connect");
+    let mut expected = probe_live(&mut client, dataset);
+    let inserts = pseudo_points(rounds * BATCH as usize, 0x50A4_D00D + cid as u64, 10_000.0);
+    let mut inserts = inserts.chunks(BATCH as usize);
+    for r in 0..rounds {
+        if r % 3 == 2 && expected > 2 * BATCH {
+            // `applied` can fall short of the batch when a fold
+            // renumbered the id space: the ledger tracks applied, not
+            // attempted.
+            let live = probe_live(&mut client, dataset);
+            if live > BATCH {
+                let start = (r as u64 * 97) % (live - BATCH);
+                let ids: Vec<u32> = (start..start + BATCH).map(|id| id as u32).collect();
+                match client.delete(dataset, Side::S, &ids) {
+                    Ok(o) => {
+                        assert_eq!(o.status, RequestStatus::Ok, "client {cid} delete");
+                        expected -= u64::from(o.applied);
+                    }
+                    Err(ClientError::AmbiguousMutation) => {
+                        // A partially stale batch applied zero or one
+                        // times lands anywhere in this range.
+                        let live = probe_live(&mut client, dataset);
+                        assert!(
+                            live <= expected && live + BATCH >= expected,
+                            "client {cid}: ambiguous delete left live {live}, ledger {expected}"
+                        );
+                        expected = live;
+                    }
+                    Err(e) => panic!("client {cid} delete did not converge: {e}"),
+                }
+            }
+        } else {
+            let points = inserts.next().expect("one batch per round");
+            match client.insert(dataset, Side::S, points) {
+                Ok(o) => {
+                    assert_eq!(o.status, RequestStatus::Ok, "client {cid} insert");
+                    expected += u64::from(o.applied);
+                }
+                Err(ClientError::AmbiguousMutation) => {
+                    // Inserts apply atomically: once or not at all.
+                    let live = probe_live(&mut client, dataset);
+                    assert!(
+                        live == expected || live == expected + BATCH,
+                        "client {cid}: ambiguous insert left live {live}, ledger {expected}"
+                    );
+                    expected = live;
+                }
+                Err(e) => panic!("client {cid} insert did not converge: {e}"),
+            }
+        }
+        // A read between every mutation: `sample` is idempotent and
+        // retries freely, so faults cost latency, not correctness.
+        let outcome = client
+            .sample(SampleRequest {
+                req_id: 0,
+                dataset,
+                l: 100.0,
+                algorithm: None,
+                shards: 1,
+                t,
+                seed: 1 + (cid * rounds + r) as u64,
+            })
+            .unwrap_or_else(|e| panic!("client {cid} round {r} did not converge: {e}"));
+        assert_eq!(outcome.status, RequestStatus::Ok, "client {cid} round {r}");
+        assert_eq!(outcome.pairs.len() as u64, t, "client {cid} round {r}");
+    }
+    assert_eq!(
+        probe_live(&mut client, dataset),
+        expected,
+        "client {cid}: lost or doubled mutation"
+    );
+    (client.retries(), client.busy_answers())
+}
+
+/// The chaos soak: every fault the plan can inject at once (delayed
+/// reads, partial writes, truncated frames, dropped connections, forced
+/// `BUSY`) plus queue-depth shedding and a short idle deadline, against
+/// two sole-mutator clients and a read-only control dataset. Mutations
+/// must stay exactly-once, every operation must converge, the sample
+/// stream must stay uniform over the exact join, and the hardening
+/// paths must demonstrably have fired.
+#[test]
+fn chaos_soak_loses_no_mutation_and_stays_uniform() {
+    let _serial = serial();
+    const CLIENTS: usize = 2;
+    const ROUNDS: usize = 40;
+    const CTL_DATASET: u64 = 1_000;
+    const CTL_L: f64 = 25.0;
+    let idle = Duration::from_millis(300);
+
+    let mut registry = DatasetRegistry::new();
+    for cid in 0..CLIENTS {
+        let mut r = pseudo_points(8_000, 0xC4A0_5000 + cid as u64, 10_000.0);
+        let s = r.split_off(4_000);
+        registry.register(cid as u64 + 1, r, s);
+    }
+    // Small enough to brute-force the exact join, dense enough that
+    // every joinable pair expects well over five draws.
+    let mut ctl_r = pseudo_points(100, 0xC7_1000, 100.0);
+    let ctl_s = ctl_r.split_off(50);
+    registry.register(CTL_DATASET, ctl_r.clone(), ctl_s.clone());
+    let config = ServerConfig {
+        fault_plan: FaultPlan {
+            seed: 7,
+            delay_read_prob: 0.05,
+            delay_read_ms: 2,
+            partial_write_prob: 0.03,
+            truncate_frame_prob: 0.015,
+            drop_conn_prob: 0.015,
+            busy_prob: 0.05,
+            busy_retry_after_ms: 5,
+        },
+        idle_timeout: idle,
+        shed_high_water: 2,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
+    let addr = server.local_addr().to_string();
+    // The soak's job is to converge through faults, not to report them.
+    let cfg = ClientConfig {
+        retries: 20,
+        backoff_base: Duration::from_millis(2),
+        backoff_max: Duration::from_millis(50),
+        ..ClientConfig::default()
+    };
+
+    // A connection that speaks once and then goes quiet: the idle
+    // sweep must reap it.
+    let mut idle_client = Client::connect_with(addr.as_str(), cfg).expect("idle client connect");
+    idle_client.ping().expect("idle client ping");
+    let idle_since = Instant::now();
+
+    let (retries, busy) = std::thread::scope(|scope| {
+        let addr = addr.as_str();
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|cid| {
+                let cfg = ClientConfig {
+                    jitter_seed: cid as u64 + 1,
+                    ..cfg
+                };
+                scope.spawn(move || chaos_client(cid, addr, cfg, ROUNDS, 1_000))
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|h| h.join().expect("chaos client panicked"))
+            .fold((0, 0), |(r, b), (cr, cb)| (r + cr, b + cb))
+    });
+
+    // Chi-squared uniformity of the sample stream under faults:
+    // retries and reassembly must not bias which pairs come back.
+    let mut pair_index = HashMap::new();
+    for (ri, rp) in ctl_r.iter().enumerate() {
+        let w = Rect::window(*rp, CTL_L);
+        for (si, sp) in ctl_s.iter().enumerate() {
+            if w.contains(*sp) {
+                pair_index.insert((ri as u32, si as u32), pair_index.len());
+            }
+        }
+    }
+    let j = pair_index.len();
+    assert!(j > 20, "degenerate control join ({j} pairs)");
+    let target = (60 * j as u64).clamp(20_000, 200_000);
+    let mut counts = vec![0u64; j];
+    let mut drawn = 0u64;
+    let mut reader = Client::connect_with(addr.as_str(), cfg).expect("control client connect");
+    let mut seed = 0xC210;
+    while drawn < target {
+        let outcome = reader
+            .sample(SampleRequest {
+                req_id: 0,
+                dataset: CTL_DATASET,
+                l: CTL_L,
+                algorithm: None,
+                shards: 1,
+                t: (target - drawn).min(2_000),
+                seed,
+            })
+            .expect("control read did not converge");
+        assert_eq!(outcome.status, RequestStatus::Ok);
+        for p in &outcome.pairs {
+            let k = pair_index
+                .get(&(p.r, p.s))
+                .unwrap_or_else(|| panic!("{p:?} is outside the exact join"));
+            counts[*k] += 1;
+        }
+        drawn += outcome.pairs.len() as u64;
+        seed += 1;
+    }
+    let e = drawn as f64 / j as f64;
+    let stat: f64 = counts
+        .iter()
+        .map(|&c| (c as f64 - e) * (c as f64 - e) / e)
+        .sum();
+    let df = (j - 1) as f64;
+    // ~6 sigma above the chi-squared mean: essentially never trips on
+    // a uniform sampler, catches gross bias.
+    let threshold = df + 6.0 * (2.0 * df).sqrt();
+    assert!(
+        stat <= threshold,
+        "chi-squared under faults: {stat:.1} > {threshold:.1} ({j} pairs, {drawn} draws)"
+    );
+
+    // The acceptance bound for the reap is 2x the idle deadline.
+    let reap_by = idle * 2 + Duration::from_millis(200);
+    std::thread::sleep(reap_by.saturating_sub(idle_since.elapsed()));
+    let metrics = server.metrics_text();
+    drop(idle_client);
+    server.shutdown();
+
+    assert!(
+        retries + busy > 0,
+        "fault plan produced no retry and no BUSY answer"
+    );
+    assert!(
+        metric_value(&metrics, "srj_conn_reaped") >= 1.0,
+        "no idle connection was reaped under the idle deadline:\n{metrics}"
+    );
 }

@@ -14,16 +14,8 @@ use srj_net::rlimit;
 use srj_obs::journal::{journal, EventKind};
 use srj_server::{Client, ClientConfig, DatasetRegistry, Server, ServerConfig};
 
-/// The value of an unlabeled `name value` series in a Prometheus text
-/// exposition (0 when absent).
-fn metric_value(text: &str, name: &str) -> f64 {
-    text.lines()
-        .find_map(|line| {
-            let rest = line.strip_prefix(name)?;
-            rest.strip_prefix(' ')?.trim().parse::<f64>().ok()
-        })
-        .unwrap_or(0.0)
-}
+mod common;
+use common::metric_value;
 
 fn registry_with(dataset: u64, n: usize) -> DatasetRegistry {
     let mut state = 0x9E37_79B9u64;

@@ -6,7 +6,7 @@
 //! cargo run --release --example network_serving
 //! ```
 //!
-//! For separate processes, see `srj-serve` / `srj-loadgen` (README
+//! For separate processes, see `srj-serve` / `srj-top` (README
 //! "Network serving").
 
 use std::time::Instant;

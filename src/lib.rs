@@ -52,7 +52,7 @@
 //!
 //! For serving over the network, the [`server`] crate wraps the engine
 //! in a TCP front-end with request batching and per-connection
-//! backpressure (binaries `srj-serve` / `srj-loadgen`; see
+//! backpressure (binaries `srj-serve` / `srj-top`; see
 //! `examples/network_serving.rs`).
 //!
 //! ## Observability

@@ -285,7 +285,7 @@ fn shutdown_is_clean_with_clients_in_flight() {
 }
 
 /// A `SHUTDOWN` control frame from a client takes the whole server
-/// down (the remote-operations path `srj-loadgen --shutdown` uses).
+/// down (the remote-operations path `Client::shutdown_server` uses).
 #[test]
 fn remote_shutdown_frame_stops_the_server() {
     let pts = pseudo_points(50, 15, 30.0);

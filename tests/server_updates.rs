@@ -4,7 +4,8 @@
 //! frames for unknown datasets.
 
 use srj::{
-    Client, DatasetRegistry, Point, Rect, RequestStatus, SampleRequest, Server, ServerConfig, Side,
+    Algorithm, Client, DatasetRegistry, Point, Rect, RequestStatus, SampleRequest, Server,
+    ServerConfig, Side,
 };
 
 fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
@@ -155,6 +156,68 @@ fn rebuild_threshold_bumps_the_epoch_over_tcp() {
         assert!(Rect::window(rp, l).contains(sp), "bad post-swap pair {p:?}");
     }
 
+    server.shutdown();
+}
+
+/// Delete-only `S` batches under read load: once the tombstones pass
+/// their threshold the server must fold them in with cell-granular
+/// patch swaps, and the served `Σµ` must strictly shrink — tombstone
+/// rejection alone never shrinks it.
+#[test]
+fn delete_only_batches_patch_cells_and_shrink_mu_over_tcp() {
+    const BATCH: u32 = 64;
+    let mut registry = DatasetRegistry::new();
+    registry.register(
+        1,
+        pseudo_points(2_000, 21, 400.0),
+        pseudo_points(2_000, 22, 400.0),
+    );
+    let config = ServerConfig {
+        epoch: srj::EpochConfig::default().with_tombstone_rebuild_fraction(0.02),
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let bbst = |t, seed| SampleRequest {
+        algorithm: Some(Algorithm::Bbst),
+        ..request(1, 10.0, t, seed)
+    };
+
+    // The serving engine must exist, with its `Σµ` registered, before
+    // the first delete.
+    assert_eq!(client.sample(bbst(1, 1)).unwrap().status, RequestStatus::Ok);
+    let before = client.server_stats().unwrap();
+    let (_, epoch_before) = client.epoch(1).unwrap();
+
+    for round in 0..3 {
+        // `S` ids are stable across patch swaps, so consecutive ranges
+        // stay addressable.
+        let ids: Vec<u32> = (round * BATCH..(round + 1) * BATCH).collect();
+        let del = client.delete(1, Side::S, &ids).unwrap();
+        assert_eq!(del.status, RequestStatus::Ok);
+        assert_eq!(del.applied, BATCH);
+        let outcome = client.sample(bbst(2_000, 2 + u64::from(round))).unwrap();
+        assert_eq!(outcome.status, RequestStatus::Ok);
+        assert_eq!(outcome.pairs.len(), 2_000);
+    }
+
+    let after = client.server_stats().unwrap();
+    let (_, epoch_after) = client.epoch(1).unwrap();
+    assert!(
+        epoch_after.epoch > epoch_before.epoch,
+        "the tombstone threshold never fired a swap"
+    );
+    assert_eq!(epoch_after.live_s, 2_000 - 3 * u64::from(BATCH));
+    assert!(
+        after.patch_swaps > before.patch_swaps,
+        "deletes were folded in, but not by cell-patch swaps"
+    );
+    assert!(
+        after.mu_total < before.mu_total,
+        "delete-only swaps did not shrink Σµ: {} -> {}",
+        before.mu_total,
+        after.mu_total
+    );
     server.shutdown();
 }
 
