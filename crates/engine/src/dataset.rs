@@ -178,6 +178,26 @@ pub struct DatasetStore {
 /// Sentinel for "no observability label set".
 const NO_LABEL: u64 = u64::MAX;
 
+/// The store's drift counters and live sizes at one instant.
+#[derive(Clone, Copy)]
+pub(crate) struct StoreCounters {
+    pub(crate) epoch: u64,
+    pub(crate) version: u64,
+    pub(crate) live_r: usize,
+    pub(crate) live_s: usize,
+}
+
+impl StoreCounters {
+    fn of(inner: &StoreInner) -> StoreCounters {
+        StoreCounters {
+            epoch: inner.epoch,
+            version: inner.version,
+            live_r: inner.delta.live_r_len(),
+            live_s: inner.delta.live_s_len() - inner.s_dead.len(),
+        }
+    }
+}
+
 impl DatasetStore {
     /// A store whose first epoch's base snapshot is `(r, s)`.
     pub fn new(r: Vec<Point>, s: Vec<Point>) -> Self {
@@ -217,6 +237,18 @@ impl DatasetStore {
 
     fn write(&self) -> std::sync::RwLockWriteGuard<'_, StoreInner> {
         self.inner.write().expect("dataset store poisoned")
+    }
+
+    /// Everything an engine's maintenance check reads off the store,
+    /// under one lock acquisition.
+    pub(crate) fn counters(&self) -> StoreCounters {
+        StoreCounters::of(&self.read())
+    }
+
+    /// [`DatasetStore::counters`] without waiting: `None` while a
+    /// writer (a mutation batch, a compaction) holds the store.
+    pub(crate) fn try_counters(&self) -> Option<StoreCounters> {
+        Some(StoreCounters::of(&*self.inner.try_read().ok()?))
     }
 
     /// Current epoch (bumped by [`DatasetStore::compact`]).

@@ -670,6 +670,13 @@ impl Engine {
         self.shared.stats.sample_counters()
     }
 
+    /// Mean observed nanoseconds per delivered sample across every
+    /// handle (see [`EngineStats::ns_per_sample`]); `None` before the
+    /// first delivered sample.
+    pub fn ns_per_sample(&self) -> Option<u64> {
+        self.shared.stats.ns_per_sample()
+    }
+
     /// Build-phase timing of the underlying index. For sharded engines
     /// the phase decomposition is collapsed: `upper_bounding` is the
     /// wall-clock of the whole parallel shard-build and

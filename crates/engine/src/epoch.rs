@@ -67,7 +67,7 @@ use srj_core::{OverlaySupport, SampleConfig};
 use srj_geom::{Point, PointId};
 use srj_obs::journal::{event, EventKind};
 
-use crate::dataset::{DatasetSnapshot, DatasetStore};
+use crate::dataset::{DatasetSnapshot, DatasetStore, StoreCounters};
 use crate::planner::{self, repair_candidates, replan_for_observed};
 use crate::stats::StatsSnapshot;
 use crate::{Algorithm, Engine, SamplerHandle};
@@ -465,6 +465,42 @@ impl EpochEngine {
             .handle_seeded(seed)
     }
 
+    /// [`EpochEngine::handle`] for a caller that must never wait: `None`
+    /// when any maintenance is due (the store drifted, a repair or a
+    /// re-plan is pending), or when a swap holds the state lock or a
+    /// writer the store this instant — instead of running or waiting
+    /// for it. The server's event loop acquires through this and leaves
+    /// every `None` to a worker, so no swap ever runs on the thread
+    /// that owns the sockets.
+    pub fn try_handle(&self) -> Option<SamplerHandle> {
+        Some(self.settled()?.handle())
+    }
+
+    /// Like [`EpochEngine::try_handle`] with a fixed RNG seed: the same
+    /// handle [`EpochEngine::handle_seeded`] would have issued.
+    pub fn try_handle_seeded(&self, seed: u64) -> Option<SamplerHandle> {
+        Some(self.settled()?.handle_seeded(seed))
+    }
+
+    /// The serving engine, provided nothing is due. Waits for nothing:
+    /// a swap committing or a writer holding the store is reason enough
+    /// to decline, and the maintenance mutex is never touched.
+    fn settled(&self) -> Option<Engine> {
+        let st = self.state.try_read().ok()?;
+        self.pending_maintenance(&st, self.store.try_counters()?)
+            .is_none()
+            .then(|| st.current.clone())
+    }
+
+    /// Mean observed nanoseconds per delivered sample of the engine
+    /// currently serving (per overlay snapshot, like
+    /// [`EpochEngine::stats`]): two relaxed loads. `None` before its
+    /// first delivered sample — and, because this never waits either,
+    /// while a swap is being committed.
+    pub fn observed_ns_per_sample(&self) -> Option<u64> {
+        self.state.try_read().ok()?.current.ns_per_sample()
+    }
+
     /// The engine currently in the swap cell (O(1) `Arc` clone; does
     /// **not** refresh first — pair with [`EpochEngine::refresh`] when
     /// pending mutations must be visible).
@@ -664,14 +700,14 @@ impl EpochEngine {
 
     /// What maintenance the cell needs, if any. Ladder order: drift
     /// first (cheapest correct answer), then repair, then re-plan.
-    fn pending_maintenance(&self, st: &EpochState) -> Option<Maintenance> {
-        if st.built_epoch != self.store.epoch() || st.built_version != self.store.version() {
+    fn pending_maintenance(&self, st: &EpochState, store: StoreCounters) -> Option<Maintenance> {
+        if st.built_epoch != store.epoch || st.built_version != store.version {
             return Some(Maintenance::Drift);
         }
         if let Some(slots) = self.repair_target(st) {
             return Some(Maintenance::Repair(slots));
         }
-        self.replan_target(st).map(Maintenance::Replan)
+        self.replan_target(st, store).map(Maintenance::Replan)
     }
 
     /// The epoch-wide `(samples, iterations)` pair (two relaxed loads
@@ -710,7 +746,7 @@ impl EpochEngine {
     /// The algorithm a re-plan would switch to, when the observed
     /// rejection overhead has diverged far enough to justify one and
     /// the repair rung is spent.
-    fn replan_target(&self, st: &EpochState) -> Option<Algorithm> {
+    fn replan_target(&self, st: &EpochState, store: StoreCounters) -> Option<Algorithm> {
         if self.cfg.algorithm.is_some() {
             return None; // pinned
         }
@@ -724,8 +760,7 @@ impl EpochEngine {
         if observed <= st.planned_overhead * self.cfg.replan_factor {
             return None;
         }
-        let (algorithm, _) =
-            replan_for_observed(self.store.live_r_len(), self.store.live_s_len(), observed);
+        let (algorithm, _) = replan_for_observed(store.live_r, store.live_s, observed);
         (algorithm != st.current.algorithm()).then_some(algorithm)
     }
 
@@ -736,7 +771,10 @@ impl EpochEngine {
     pub fn refresh(&self) {
         {
             let st = self.state.read().expect("epoch state poisoned");
-            if self.pending_maintenance(&st).is_none() {
+            if self
+                .pending_maintenance(&st, self.store.counters())
+                .is_none()
+            {
                 return;
             }
         }
@@ -745,7 +783,7 @@ impl EpochEngine {
         // already performed the swap.
         let work = {
             let st = self.state.read().expect("epoch state poisoned");
-            match self.pending_maintenance(&st) {
+            match self.pending_maintenance(&st, self.store.counters()) {
                 None => return,
                 Some(w) => w,
             }
@@ -1123,6 +1161,39 @@ mod tests {
             saw_new |= p.r == rid && p.s == sid;
         }
         assert!(saw_new, "inserted pair never sampled");
+    }
+
+    #[test]
+    fn try_handle_never_runs_maintenance() {
+        let r = pseudo_points(60, 5, 50.0);
+        let s = pseudo_points(80, 6, 50.0);
+        let engine = EpochEngine::new(r, s, &SampleConfig::new(5.0), EpochConfig::default());
+        assert_eq!(engine.observed_ns_per_sample(), None, "nothing drawn yet");
+
+        // Settled: the very handle `handle_seeded` issues.
+        let want = engine.handle_seeded(9).sample_batch(50).unwrap();
+        let got = engine
+            .try_handle_seeded(9)
+            .expect("nothing is due")
+            .sample_batch(50)
+            .unwrap();
+        assert_eq!(got, want);
+        assert!(engine.try_handle().is_some());
+        assert!(engine.observed_ns_per_sample().is_some());
+
+        // Drifted: declined, and the swap is left for a blocking caller.
+        engine.insert_s(Point::new(10.0, 10.0));
+        assert!(engine.try_handle_seeded(9).is_none());
+        assert!(engine.try_handle().is_none());
+        assert_eq!(engine.minor_swaps(), 0, "a try must not swap");
+        let _ = engine.handle();
+        assert_eq!(engine.minor_swaps(), 1);
+        assert!(engine.try_handle_seeded(9).is_some());
+        assert_eq!(
+            engine.observed_ns_per_sample(),
+            None,
+            "the overlay snapshot is a fresh engine: no observation yet"
+        );
     }
 
     #[test]

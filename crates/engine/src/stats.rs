@@ -60,6 +60,14 @@ impl EngineStats {
         (self.samples.get(), self.iterations.get())
     }
 
+    /// Mean observed cost of one delivered sample, nanoseconds: the
+    /// latency histogram's sum over the sample counter, two relaxed
+    /// loads. `None` until a sample has been delivered — a caller
+    /// predicting a request's cost from this has nothing to go on yet.
+    pub fn ns_per_sample(&self) -> Option<u64> {
+        self.latency.sum().checked_div(self.samples.get())
+    }
+
     /// A shared handle to the latency histogram — for export layers
     /// (the server's `METRICS` frame) that want the raw buckets
     /// without re-binning.
@@ -225,6 +233,17 @@ mod tests {
         assert_eq!(snap.iterations, 50);
         assert_eq!(snap.errors, 1);
         assert!(snap.mean_latency > Duration::ZERO);
+    }
+
+    #[test]
+    fn ns_per_sample_needs_an_observation() {
+        let stats = EngineStats::new();
+        assert_eq!(stats.ns_per_sample(), None);
+        // An error delivers nothing: still no basis for a prediction.
+        stats.record_error(3, Duration::from_micros(1));
+        assert_eq!(stats.ns_per_sample(), None);
+        stats.record_query(10, 10, Duration::from_micros(9));
+        assert_eq!(stats.ns_per_sample(), Some(1_000));
     }
 
     #[test]

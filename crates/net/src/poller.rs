@@ -297,12 +297,15 @@ impl Waker {
         unsafe { sys::write(self.write_fd, &byte, 1) };
     }
 
-    /// Drain pending wake bytes so level-triggered polling settles.
+    /// Drain pending wake bytes so level-triggered polling settles. A
+    /// short read already emptied the pipe, so the usual drain is one
+    /// `read(2)`, not a second one to be told `EAGAIN`; a byte written
+    /// after it leaves the fd readable for the next wait.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
             let n = unsafe { sys::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-            if n <= 0 {
+            if n < buf.len() as isize {
                 break;
             }
         }

@@ -32,6 +32,7 @@
 //!   to retry: the server declined before applying anything.
 
 use std::cell::Cell;
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -40,10 +41,15 @@ use srj_geom::Point;
 
 use crate::fault::FaultRng;
 use crate::protocol::{
-    encode_request, read_frame, write_frame, EpochInfo, ErrorCode, ProtocolError, Request,
+    decode_response, encode_request, write_frame, EpochInfo, ErrorCode, ProtocolError, Request,
     RequestStats, RequestStatus, Response, SampleRequest, ServerStatsFrame, Side, TraceSpan,
-    FEAT_BUSY, FEAT_KEEPALIVE, FEAT_MUTATIONS, PROTOCOL_VERSION,
+    FEAT_BUSY, FEAT_KEEPALIVE, FEAT_MUTATIONS, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
+
+/// Initial size of a connection's read buffer: room for a short answer
+/// (`BATCH` + `DONE`) in one `read(2)`. It grows to the largest frame
+/// the connection has seen.
+const READ_BUF_BYTES: usize = 16 * 1024;
 
 /// Connection and retry knobs. The defaults suit an interactive client
 /// on a healthy network; a chaos harness raises `retries`.
@@ -203,6 +209,13 @@ pub struct UpdateOutcome {
 /// state (see the module docs for what is safe to resend).
 pub struct Client {
     stream: TcpStream,
+    /// Bytes read off `stream` and not yet decoded: `rbuf[rpos..rend]`.
+    /// One `read(2)` takes whatever the socket holds — usually a whole
+    /// answer — and frames are decoded in place. The bytes belong to
+    /// *this* connection: [`Client::reconnect`] discards them.
+    rbuf: Vec<u8>,
+    rpos: usize,
+    rend: usize,
     /// Resolved server addresses, kept for reconnects.
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
@@ -237,6 +250,9 @@ impl Client {
         let stream = dial(&addrs, &config)?;
         let mut client = Client {
             stream,
+            rbuf: vec![0u8; READ_BUF_BYTES],
+            rpos: 0,
+            rend: 0,
             addrs,
             config,
             next_req_id: 1,
@@ -656,6 +672,9 @@ impl Client {
     /// Re-dials and re-handshakes after a transport failure.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         self.stream = dial(&self.addrs, &self.config)?;
+        // Whatever the dead connection left half-read is not a prefix
+        // of anything the new one will send.
+        (self.rpos, self.rend) = (0, 0);
         self.handshake()
     }
 
@@ -678,9 +697,50 @@ impl Client {
         }
     }
 
+    /// The next response frame: decoded straight out of the read
+    /// buffer when it is already there, else after as many `read(2)`s
+    /// as the frame needs. End-of-stream at a frame boundary is
+    /// [`ClientError::Disconnected`]; inside a frame it is an I/O error
+    /// — both transport failures.
     fn read_response(&mut self) -> Result<Response, ClientError> {
-        let payload = read_frame(&mut self.stream)?.ok_or(ClientError::Disconnected)?;
-        Ok(crate::protocol::decode_response(&payload)?)
+        loop {
+            if self.rpos == self.rend {
+                (self.rpos, self.rend) = (0, 0);
+            }
+            let have = self.rend - self.rpos;
+            let mut need = 4;
+            if have >= 4 {
+                let prefix = &self.rbuf[self.rpos..self.rpos + 4];
+                let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+                if len > MAX_FRAME_LEN {
+                    return Err(ProtocolError::TooLarge(len).into());
+                }
+                need += len;
+                if have >= need {
+                    let payload = &self.rbuf[self.rpos + 4..self.rpos + need];
+                    let response = decode_response(payload);
+                    self.rpos += need;
+                    return Ok(response?);
+                }
+            }
+            // Make room for the rest of the frame at the tail: slide
+            // the partial frame to the front, grow if it is larger than
+            // the buffer.
+            if self.rpos + need > self.rbuf.len() {
+                self.rbuf.copy_within(self.rpos..self.rend, 0);
+                (self.rpos, self.rend) = (0, have);
+                if need > self.rbuf.len() {
+                    self.rbuf.resize(need, 0);
+                }
+            }
+            match self.stream.read(&mut self.rbuf[self.rend..]) {
+                Ok(0) if have == 0 => return Err(ClientError::Disconnected),
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+                Ok(n) => self.rend += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 }
 

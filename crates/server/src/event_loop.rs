@@ -24,17 +24,33 @@
 //! **Decode.** Bytes from a readable socket land in a
 //! [`FrameAccumulator`]; every complete frame dispatches through the
 //! same admission chain the old reader ran (handshake gate, token
-//! buckets, fault draws, load shedding, inline mutations, job
-//! enqueue). Partial frames simply stay buffered until the next
-//! readable event — no thread ever blocks mid-frame.
+//! buckets, fault draws, load shedding). What passes is answered where
+//! that is cheapest. Mutations are applied and control answers
+//! (`UPDATE`, `EPOCH`, `STATS`, `METRICS`, `TRACE`, `SLOWLOG`) built
+//! here; the loop also writes them itself unless the connection has
+//! work with the workers, in which case they queue behind it as a job.
+//! A `SAMPLE` is served here too — [`crate::exec::advance`], the same
+//! function a worker steps — when all five conditions listed in
+//! `crate::server`'s docs hold: engine cached, no maintenance due,
+//! predicted cost within [`INLINE_BUDGET_NS`], a quiet connection, and
+//! budget left in this pass. Anything else is a job for the pool.
+//! Partial frames simply stay buffered until the next readable event —
+//! no thread ever blocks mid-frame, and the loop never builds an
+//! index, runs a swap, or waits for a lock a swap holds.
 //!
-//! **Flush.** Worker responses land in the connection's bounded
-//! out-queue ([`ConnShared::try_send`]); the loop drains it to the
-//! socket through a write buffer that survives partial writes. A full
-//! out-queue parks the job on its connection (exactly the old
-//! backpressure handshake) *and* pauses frame decode for that
-//! connection, so control answers stay bounded and a flooding client
-//! is throttled by its own TCP window.
+//! **Flush.** Responses land in the connection's bounded out-queue —
+//! pushed by the loop for its own answers, by workers through
+//! [`ConnShared::try_send`] — and the loop drains it to the socket
+//! through a write buffer that survives partial writes. Everything
+//! queued leaves in one `write(2)`: small frames are copied together
+//! (an inline answer's `BATCH` + `DONE` is one syscall), a frame too
+//! large to be worth copying goes out as it is. Only a connection with
+//! a writer-side fault schedule is flushed frame by frame, so a chaos
+//! seed draws its truncations and split writes in the order it always
+//! did. A full out-queue parks the job on its connection (exactly the
+//! old backpressure handshake) *and* pauses frame decode for that
+//! connection, so the loop's own answers stay bounded and a flooding
+//! client is throttled by its own TCP window.
 //!
 //! **fd exhaustion.** An `accept(2)` failing with EMFILE/ENFILE
 //! pauses accepting (the listener is deregistered so readiness does
@@ -42,7 +58,7 @@
 //! exponential timer (10 ms doubling to 500 ms); a successful accept
 //! resets the backoff.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -52,18 +68,19 @@ use std::time::{Duration, Instant};
 
 use srj_net::{Event, Interest, Poller, TimerWheel, Waker};
 use srj_obs::journal::EventKind;
-use srj_obs::{trace, WorkerState};
+use srj_obs::{trace, StateTag, WorkerState};
 
+use crate::exec::{advance, Acquire, Progress, SampleRun, INLINE_BUDGET_NS};
 use crate::fault::FaultRng;
 use crate::protocol::{
     decode_request, encode_response, EpochInfo, ErrorCode, FrameAccumulator, Request, RequestStats,
     RequestStatus, Response, TraceSpan, UpdateStats, PROTOCOL_VERSION, SERVER_FEATURES,
 };
 use crate::server::{
-    apply_delete, apply_insert, enqueue, epoch_info, finish, should_shed, slow_entry_to_wire,
-    timeout_opt, ConnShared, Job, Shared, TokenBucket, FAULT_ROLE_READER, FAULT_ROLE_WRITER,
-    SHED_RETRY_MS, SLOWLOG_MAX_ENTRIES,
+    apply_delete, apply_insert, epoch_info, slow_entry_to_wire, timeout_opt, Shared, TokenBucket,
+    FAULT_ROLE_READER, FAULT_ROLE_WRITER, SHED_RETRY_MS, SLOWLOG_MAX_ENTRIES,
 };
+use crate::worker::{enqueue, should_shed, ConnShared, Job};
 
 /// Poller token of the cross-thread waker pipe.
 const TOKEN_WAKER: u64 = u64::MAX;
@@ -73,6 +90,8 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// Most bytes read from one socket per service pass, so one firehose
 /// connection cannot starve the rest of the loop.
 const READ_BURST_LIMIT: usize = 256 * 1024;
+/// Bytes asked of the socket per `read(2)`.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// First accept-backoff interval after fd exhaustion; doubles per
 /// consecutive failure up to [`ACCEPT_BACKOFF_MAX`].
@@ -83,8 +102,18 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
 
 /// How other threads reach the event loop: a dirty-connection list
 /// plus a [`Waker`] pipe that interrupts [`Poller::wait`]. Workers
-/// ring it when they queue a response, park a job, or finish one;
-/// shutdown rings it with no dirty mark at all.
+/// ring it once per step — after the frames they queued, after a park,
+/// when a job ends; shutdown rings it with no dirty mark at all.
+///
+/// The pipe is written only by the mark that finds the list empty:
+/// every later mark rides on that wake-up. The list's mutex orders
+/// this against the loop — a mark either lands before
+/// [`LoopNotify::drain`] takes the list (and is serviced by that pass)
+/// or finds the list empty afterwards (and writes the pipe) — provided
+/// the loop reads the pipe *before* it takes the list, which
+/// [`EventLoop::run`] does: a byte can then be left over for a mark
+/// already serviced (one idle pass), never missing for one that was
+/// not.
 pub(crate) struct LoopNotify {
     dirty: Mutex<Vec<u64>>,
     waker: Waker,
@@ -99,10 +128,20 @@ impl LoopNotify {
     }
 
     /// Marks connection `id` dirty (flush / unpark / teardown checks
-    /// pending) and wakes the loop.
+    /// pending) and makes sure the loop wakes. A mark equal to the last
+    /// one still pending changes nothing and is skipped.
     pub(crate) fn mark_dirty(&self, id: u64) {
-        self.dirty.lock().expect("dirty list poisoned").push(id);
-        self.waker.wake();
+        let first = {
+            let mut dirty = self.dirty.lock().expect("dirty list poisoned");
+            if dirty.last() == Some(&id) {
+                return;
+            }
+            dirty.push(id);
+            dirty.len() == 1
+        };
+        if first {
+            self.waker.wake();
+        }
     }
 
     /// Wakes the loop with nothing marked — shutdown's knock.
@@ -214,6 +253,15 @@ pub(crate) struct EventLoop {
     sweep_interval: Duration,
     accept_paused: bool,
     accept_backoff: Duration,
+    /// This thread's profiler tag: `Decode` while servicing, `Acquire`
+    /// / `Draw` while it serves a request inline.
+    tag: Arc<StateTag>,
+    /// Scratch for socket reads, shared by every connection's pass.
+    read_buf: Vec<u8>,
+    /// Nanoseconds this pass has spent serving `SAMPLE`s inline, over
+    /// all connections; reset each pass, capped by
+    /// [`INLINE_BUDGET_NS`].
+    inline_spent_ns: u64,
 }
 
 impl EventLoop {
@@ -233,6 +281,7 @@ impl EventLoop {
         };
         let mut wheel = TimerWheel::new(Duration::from_millis(1), 512);
         wheel.schedule(Instant::now() + sweep_interval, TimerKey::Sweep);
+        let tag = shared.profiler.register();
         Ok(EventLoop {
             shared,
             poller,
@@ -242,13 +291,15 @@ impl EventLoop {
             sweep_interval,
             accept_paused: false,
             accept_backoff: Duration::ZERO,
+            tag,
+            read_buf: vec![0u8; READ_CHUNK],
+            inline_spent_ns: 0,
         })
     }
 
     /// The loop body: fire due timers, wait for readiness, dispatch.
     /// Exits when shutdown flips, tearing every connection down.
     pub(crate) fn run(&mut self) {
-        let tag = self.shared.profiler.register();
         let mut events: Vec<Event> = Vec::with_capacity(256);
         let mut fired: Vec<TimerKey> = Vec::new();
         let mut dirty: Vec<u64> = Vec::new();
@@ -256,6 +307,7 @@ impl EventLoop {
             if self.shared.is_shutting_down() {
                 break;
             }
+            self.inline_spent_ns = 0;
             let now = Instant::now();
             self.wheel.advance(now, &mut fired);
             for key in fired.drain(..) {
@@ -265,12 +317,12 @@ impl EventLoop {
                 break;
             }
             let timeout = self.wheel.next_timeout(Instant::now());
-            tag.set(WorkerState::Idle);
+            self.tag.set(WorkerState::Idle);
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
             let t0 = Instant::now();
-            tag.set(WorkerState::Decode);
+            self.tag.set(WorkerState::Decode);
             self.shared.server_metrics.loop_wakeups.inc();
             for ev in events.iter().copied() {
                 if ev.token == TOKEN_WAKER {
@@ -283,7 +335,8 @@ impl EventLoop {
             }
             // Dirty marks from workers (responses queued, jobs parked
             // or finished) — drained every pass, whether or not the
-            // waker event itself was observed this pass.
+            // waker event itself was observed this pass, and always
+            // after the pipe was read above (see [`LoopNotify`]).
             self.shared.notify.drain(&mut dirty);
             dirty.sort_unstable();
             dirty.dedup();
@@ -475,10 +528,10 @@ impl EventLoop {
             if conn.eof || conn.resume_at.is_some() || !conn.shared.out_has_room() {
                 return;
             }
-            let mut buf = [0u8; 16 * 1024];
+            let buf = &mut self.read_buf[..];
             let mut total = 0usize;
             loop {
-                match (&conn.sock).read(&mut buf) {
+                match (&conn.sock).read(buf) {
                     Ok(0) => {
                         conn.eof = true;
                         break;
@@ -640,8 +693,10 @@ impl EventLoop {
     }
 
     /// The post-handshake dispatch: admission control (token buckets,
-    /// load shedding), fault busy answers, inline mutations, job
-    /// enqueue — a straight port of the old reader's frame loop.
+    /// fault busy answers, load shedding), then the request itself —
+    /// mutations applied and control answers built here, a `SAMPLE`
+    /// served here when [`Acquire::Cheap`] admits it and handed to the
+    /// workers otherwise.
     fn dispatch_decoded(&mut self, id: u64, payload: Vec<u8>) -> bool {
         let shared = Arc::clone(&self.shared);
         let plan = shared.config.fault_plan;
@@ -654,6 +709,18 @@ impl EventLoop {
                 req_id,
                 retry_after_ms,
             }));
+        };
+        // An answer the loop has already computed. The loop writes it
+        // itself when none of this connection's work is with the
+        // workers and its queue has room; behind in-flight work it
+        // rides a job instead, so it cannot overtake that work and the
+        // park/unpark handshake stays the workers' alone.
+        let answer = |frame: Vec<u8>| {
+            if cs.no_jobs() && cs.out_has_room() {
+                cs.push_direct(frame);
+            } else {
+                enqueue(&shared, Job::respond(frame, Arc::clone(&cs)));
+            }
         };
         // Declined by a token bucket? Bumps the metric so the check
         // reads as one expression at each admission point.
@@ -698,7 +765,7 @@ impl EventLoop {
                 }
                 // The sampling decision is made here, at frame decode,
                 // so the trace covers the request's whole server-side
-                // life; the id rides on the job and comes back to the
+                // life; the id rides on the run and comes back to the
                 // client in the DONE frame. With slow-log capture on,
                 // an unsampled request still gets a forced span id —
                 // never echoed, but snapshotted if it finishes slow.
@@ -711,38 +778,62 @@ impl EventLoop {
                     0
                 };
                 trace::event_for(span_id, "frame_decode", "sample_request");
-                enqueue(
-                    &shared,
-                    Job::sample(req, trace_id, span_id, Arc::clone(&cs)),
-                );
+                let mut run = SampleRun::new(req, trace_id, span_id);
+                // Admitted. Which thread runs it is decided from what
+                // the loop can see for free: a quiet connection (no job
+                // alive, nothing queued or half-written — nothing the
+                // pool holds is overtaken, and a peer that is not
+                // reading gets no loop time), budget left in this pass,
+                // and an acquisition that needs no build, no swap and
+                // no long draw.
+                let quiet = cs.no_jobs()
+                    && cs.out_len() == 0
+                    && !conn.write_pending()
+                    && conn.write_gate.is_none();
+                if quiet && self.inline_spent_ns < INLINE_BUDGET_NS {
+                    let _trace = run.trace_scope();
+                    let how = Acquire::Cheap {
+                        budget_ns: INLINE_BUDGET_NS - self.inline_spent_ns,
+                    };
+                    let mut frames = VecDeque::new();
+                    let served = loop {
+                        match advance(&shared, &mut run, how, &self.tag, &mut frames) {
+                            Progress::Declined => break false,
+                            Progress::Pending => {}
+                            Progress::Done => break true,
+                        }
+                    };
+                    self.tag.set(WorkerState::Decode);
+                    if served {
+                        for frame in frames {
+                            cs.push_direct(frame);
+                        }
+                        shared.server_metrics.requests_inline.inc();
+                        self.inline_spent_ns += run.age_ns();
+                        return true;
+                    }
+                }
+                enqueue(&shared, Job::sample(run, Arc::clone(&cs)));
             }
             Ok(Request::Stats) => {
                 if let Some(ms) = throttled(&mut conn.req_bucket) {
                     busy(0, ms);
                     return true;
                 }
-                let frame = encode_response(&Response::ServerStats(shared.stats_frame()));
-                enqueue(
-                    &shared,
-                    Job::respond(frame, RequestStatus::Ok, Arc::clone(&cs)),
-                );
+                answer(encode_response(&Response::ServerStats(
+                    shared.stats_frame(),
+                )));
             }
-            // Observability answers are rendered inline on the loop
-            // (pure snapshot work, no engine/handle involvement) and
-            // still delivered through a job so backpressure has
-            // exactly one path.
+            // Observability answers are pure snapshot work, no
+            // engine/handle involvement: rendered on the loop.
             Ok(Request::Metrics) => {
                 if let Some(ms) = throttled(&mut conn.req_bucket) {
                     busy(0, ms);
                     return true;
                 }
-                let frame = encode_response(&Response::Metrics {
+                answer(encode_response(&Response::Metrics {
                     text: shared.metrics_text(),
-                });
-                enqueue(
-                    &shared,
-                    Job::respond(frame, RequestStatus::Ok, Arc::clone(&cs)),
-                );
+                }));
             }
             Ok(Request::Trace { trace_id }) => {
                 if let Some(ms) = throttled(&mut conn.req_bucket) {
@@ -757,11 +848,7 @@ impl EventLoop {
                         event: r.event.to_string(),
                     })
                     .collect();
-                let frame = encode_response(&Response::Trace { trace_id, spans });
-                enqueue(
-                    &shared,
-                    Job::respond(frame, RequestStatus::Ok, Arc::clone(&cs)),
-                );
+                answer(encode_response(&Response::Trace { trace_id, spans }));
             }
             Ok(Request::SlowLog { max }) => {
                 if let Some(ms) = throttled(&mut conn.req_bucket) {
@@ -775,18 +862,15 @@ impl EventLoop {
                     .into_iter()
                     .map(slow_entry_to_wire)
                     .collect();
-                let frame = encode_response(&Response::SlowLog { entries });
-                enqueue(
-                    &shared,
-                    Job::respond(frame, RequestStatus::Ok, Arc::clone(&cs)),
-                );
+                answer(encode_response(&Response::SlowLog { entries }));
             }
             // Mutations are applied here, on the loop: they are
             // O(|frame|) buffer writes against the store (no index
-            // work — engines fold the delta in lazily), so they never
-            // occupy a sampling worker, and applying before the next
-            // frame is decoded gives each connection read-your-writes
-            // ordering.
+            // work — engines fold the delta in lazily, on a worker:
+            // the next SAMPLE finds maintenance due and is not served
+            // inline), so they never occupy a sampling worker, and
+            // applying before the next frame is decoded gives each
+            // connection read-your-writes ordering.
             Ok(Request::Insert {
                 req_id,
                 dataset,
@@ -811,12 +895,11 @@ impl EventLoop {
                     Ok(stats) => (RequestStatus::Ok, stats),
                     Err(status) => (status, UpdateStats::default()),
                 };
-                let frame = encode_response(&Response::Update {
+                answer(encode_response(&Response::Update {
                     req_id,
                     status,
                     stats,
-                });
-                enqueue(&shared, Job::respond(frame, status, Arc::clone(&cs)));
+                }));
             }
             Ok(Request::Delete {
                 req_id,
@@ -840,12 +923,11 @@ impl EventLoop {
                     Ok(stats) => (RequestStatus::Ok, stats),
                     Err(status) => (status, UpdateStats::default()),
                 };
-                let frame = encode_response(&Response::Update {
+                answer(encode_response(&Response::Update {
                     req_id,
                     status,
                     stats,
-                });
-                enqueue(&shared, Job::respond(frame, status, Arc::clone(&cs)));
+                }));
             }
             Ok(Request::Epoch { req_id, dataset }) => {
                 if let Some(ms) = throttled(&mut conn.req_bucket) {
@@ -856,12 +938,11 @@ impl EventLoop {
                     Ok(info) => (RequestStatus::Ok, info),
                     Err(status) => (status, EpochInfo::default()),
                 };
-                let frame = encode_response(&Response::Epoch {
+                answer(encode_response(&Response::Epoch {
                     req_id,
                     status,
                     info,
-                });
-                enqueue(&shared, Job::respond(frame, status, Arc::clone(&cs)));
+                }));
             }
             Ok(Request::Shutdown) => {
                 shared.begin_shutdown();
@@ -870,15 +951,11 @@ impl EventLoop {
             Err(_) => {
                 // Can't trust any field of a malformed frame, so the
                 // echoed id is 0; close after answering.
-                let frame = encode_response(&Response::Done {
+                answer(encode_response(&Response::Done {
                     req_id: 0,
                     status: RequestStatus::BadRequest,
                     stats: RequestStats::default(),
-                });
-                enqueue(
-                    &shared,
-                    Job::respond(frame, RequestStatus::BadRequest, Arc::clone(&cs)),
-                );
+                }));
                 conn.discard = true;
                 conn.eof = true;
                 return false;
@@ -908,59 +985,72 @@ impl EventLoop {
                 if !conn.write_pending() {
                     conn.wb.clear();
                     conn.wb_pos = 0;
-                    let Some(frame) = conn.shared.pop_out() else {
-                        break 'flush;
-                    };
-                    if let Some(rng) = conn.writer_rng.as_mut() {
-                        // Only frames with room to split meaningfully
-                        // are candidates; tiny control frames pass.
-                        if frame.len() > 8 {
-                            if rng.fires(plan.truncate_frame_prob) {
-                                // Deliberately leave the peer mid-frame
-                                // and kill the connection.
-                                let _ = (&conn.sock).write(&frame[..frame.len() / 2]);
-                                dead = true;
-                                break 'flush;
-                            }
-                            if rng.fires(plan.partial_write_prob) {
-                                // Two temporally separated writes: the
-                                // head half now, the tail after a 1 ms
-                                // gate — the nonblocking analogue of
-                                // the old write/sleep/write.
-                                let half = frame.len() / 2;
-                                conn.wb = frame;
-                                conn.wb_pos = 0;
-                                while conn.wb_pos < half {
-                                    match (&conn.sock).write(&conn.wb[conn.wb_pos..half]) {
-                                        Ok(0) => {
-                                            dead = true;
-                                            break;
-                                        }
-                                        Ok(n) => {
-                                            conn.wb_pos += n;
-                                            conn.write_stall_since = Instant::now();
-                                        }
-                                        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                            break
-                                        }
-                                        Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                                        Err(_) => {
-                                            dead = true;
-                                            break;
-                                        }
-                                    }
-                                }
-                                if !dead {
-                                    let at = Instant::now() + Duration::from_millis(1);
-                                    conn.write_gate = Some(at);
-                                    gate = Some(at);
-                                }
+                    match conn.writer_rng.as_mut() {
+                        // No fault schedule to honour: everything
+                        // queued goes to the socket together — an
+                        // answer's BATCH and DONE are one write.
+                        None => {
+                            if !conn.shared.pop_out_coalesced(&mut conn.wb) {
                                 break 'flush;
                             }
                         }
+                        // Chaos: frame by frame, so the writer-side
+                        // faults fire per frame in the seed's order.
+                        Some(rng) => {
+                            let Some(frame) = conn.shared.pop_out() else {
+                                break 'flush;
+                            };
+                            // Only frames with room to split
+                            // meaningfully are candidates; tiny control
+                            // frames pass.
+                            if frame.len() > 8 {
+                                if rng.fires(plan.truncate_frame_prob) {
+                                    // Deliberately leave the peer
+                                    // mid-frame and kill the connection.
+                                    let _ = (&conn.sock).write(&frame[..frame.len() / 2]);
+                                    dead = true;
+                                    break 'flush;
+                                }
+                                if rng.fires(plan.partial_write_prob) {
+                                    // Two temporally separated writes:
+                                    // the head half now, the tail after
+                                    // a 1 ms gate — the nonblocking
+                                    // analogue of the old
+                                    // write/sleep/write.
+                                    let half = frame.len() / 2;
+                                    conn.wb = frame;
+                                    while conn.wb_pos < half {
+                                        match (&conn.sock).write(&conn.wb[conn.wb_pos..half]) {
+                                            Ok(0) => {
+                                                dead = true;
+                                                break;
+                                            }
+                                            Ok(n) => {
+                                                conn.wb_pos += n;
+                                                conn.write_stall_since = Instant::now();
+                                            }
+                                            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
+                                                break
+                                            }
+                                            Err(ref e)
+                                                if e.kind() == io::ErrorKind::Interrupted => {}
+                                            Err(_) => {
+                                                dead = true;
+                                                break;
+                                            }
+                                        }
+                                    }
+                                    if !dead {
+                                        let at = Instant::now() + Duration::from_millis(1);
+                                        conn.write_gate = Some(at);
+                                        gate = Some(at);
+                                    }
+                                    break 'flush;
+                                }
+                            }
+                            conn.wb = frame;
+                        }
                     }
-                    conn.wb = frame;
-                    conn.wb_pos = 0;
                 }
                 match (&conn.sock).write(&conn.wb[conn.wb_pos..]) {
                     Ok(0) => {
@@ -1263,10 +1353,9 @@ impl EventLoop {
             .expect("parked list poisoned")
             .drain(..)
             .collect();
-        for job in &stranded {
-            finish(&self.shared, job, false);
+        for mut job in stranded {
+            job.abandon(&self.shared);
         }
-        drop(stranded);
         self.shared.active.fetch_sub(1, Ordering::Relaxed);
         self.shared
             .server_metrics
@@ -1284,5 +1373,68 @@ impl EventLoop {
         for id in ids {
             self.teardown(id);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The doorbell's contract under contention: every marked id is
+    /// handed to the loop, and no mark is left sitting in the list
+    /// with no wake-up on its way — the loop below only ever sleeps in
+    /// `wait`, so a lost wake shows as a wait that times out.
+    #[test]
+    fn concurrent_marks_lose_no_id_and_no_wake() {
+        const THREADS: u64 = 4;
+        const MARKS: u64 = 10_000;
+        let notify = LoopNotify::new().unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller
+            .register(notify.waker_fd(), TOKEN_WAKER, Interest::READ)
+            .unwrap();
+        let mut seen = vec![false; (THREADS * MARKS) as usize];
+        let mut missing = seen.len();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let notify = &notify;
+                scope.spawn(move || {
+                    for i in 0..MARKS {
+                        let id = t * MARKS + i;
+                        notify.mark_dirty(id);
+                        // A repeat of the pending mark is free, and must
+                        // not cost the id its delivery.
+                        notify.mark_dirty(id);
+                    }
+                });
+            }
+            // The loop's order: sleep, read the pipe, then take the list.
+            let mut events = Vec::new();
+            let mut dirty = Vec::new();
+            while missing > 0 {
+                let n = poller
+                    .wait(&mut events, Some(Duration::from_secs(20)))
+                    .unwrap();
+                assert!(n > 0, "{missing} marks pending and nothing woke the loop");
+                notify.drain_waker();
+                notify.drain(&mut dirty);
+                for id in dirty.drain(..) {
+                    let slot = &mut seen[id as usize];
+                    missing -= usize::from(!*slot);
+                    *slot = true;
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_mark_equal_to_the_last_pending_one_is_skipped() {
+        let notify = LoopNotify::new().unwrap();
+        for id in [5, 5, 6, 6, 5] {
+            notify.mark_dirty(id);
+        }
+        let mut dirty = Vec::new();
+        notify.drain(&mut dirty);
+        assert_eq!(dirty, [5, 6, 5]);
     }
 }

@@ -9,6 +9,13 @@
 //! * **request batching**: one engine/handle acquisition per request,
 //!   amortised over all `t` samples, streamed out in `BATCH` frames
 //!   ([`ServerConfig::batch_pairs`] pairs each);
+//! * **two schedulers, one execution path**: a `SAMPLE` the event loop
+//!   can see is cheap — engine cached, nothing due, `t ×` observed
+//!   ns/sample within a fixed 50 µs budget, quiet connection, budget
+//!   left in this loop pass — is drawn and answered on the loop thread
+//!   in one `write`; everything else goes to the worker pool. Both run
+//!   the same function, so the pairs, counters and spans are the same
+//!   on either thread (see the `server` module docs);
 //! * **backpressure**: a bounded per-connection response queue; a
 //!   client that stops reading parks *its own* request and frees the
 //!   worker — the pool never blocks on a slow socket;
@@ -48,10 +55,12 @@
 
 pub mod client;
 mod event_loop;
+mod exec;
 pub mod fault;
 mod http;
 pub mod protocol;
 mod server;
+mod worker;
 
 pub use client::{Client, ClientConfig, ClientError, SampleOutcome, UpdateOutcome};
 pub use fault::{FaultPlan, FaultRng};

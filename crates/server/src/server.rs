@@ -1,40 +1,73 @@
 //! The TCP serving subsystem: a readiness-driven event loop owning
 //! every connection, a fixed worker pool, bounded per-connection
-//! response queues.
+//! response queues — and one execution path for a `SAMPLE`, scheduled
+//! on whichever of the two is cheaper for that request.
 //!
 //! ```text
 //!             ┌──────────────────────────────────────────────────────┐
 //!             │                     Server                           │
-//!  TCP ─────► │ event loop (epoll) ── decode ──► JobQueue (global)   │
-//!             │   accept · read · write · timers     │               │
-//!             │        ▲        ▲              worker × W  (fixed)   │
-//!             │        │        │                    │ one batch per │
-//!             │        │   bounded OutQueue (frames) │ step, then    │
-//!             │        │        ▲                    ▼ requeue       │
-//!             │        └────────┴──── try_send ──────┘               │
+//!  TCP ─────► │ event loop (epoll) ── decode ─┬► exec::advance here  │
+//!             │   accept · read · write ·     │  (small, cached,     │
+//!             │   timers                      │   quiet connection)  │
+//!             │        ▲        ▲             └► JobQueue (global)   │
+//!             │        │        │                    │               │
+//!             │        │        │              worker × W  (fixed)   │
+//!             │        │   bounded OutQueue          │ exec::advance │
+//!             │        │        ▲   (frames)         ▼ one batch per │
+//!             │        └────────┴──── try_send ──────┘ step, requeue │
 //!             └──────────────────────────────────────────────────────┘
 //! ```
+//!
+//! This module holds what every thread shares — configuration, the
+//! dataset registry and its engine cache, metrics, the [`Server`]
+//! lifecycle. Jobs, the queue and the workers live in `crate::worker`;
+//! what a request *does* lives in `crate::exec`.
 //!
 //! **Threading.** One event-loop thread (see `crate::event_loop`)
 //! owns the listener and every connection socket — all nonblocking,
 //! driven by `epoll(7)` readiness (with a `poll(2)` fallback) and a
 //! timer wheel for every deadline; `workers` pool threads do the
-//! sampling. No per-connection threads exist: ten thousand idle
-//! keepalive connections cost ten thousand registered fds, not twenty
-//! thousand parked stacks.
+//! sampling the loop does not keep. No per-connection threads exist:
+//! ten thousand idle keepalive connections cost ten thousand
+//! registered fds, not twenty thousand parked stacks.
 //!
-//! **Batching.** A `SAMPLE` request becomes one job holding one
-//! [`SamplerHandle`] for its whole lifetime — the engine/handle
-//! acquisition is paid once per request, not per sample. Each worker
-//! step drains one batch ([`ServerConfig::batch_pairs`] samples)
-//! through [`SamplerHandle::stream`] into one `BATCH` frame, then
+//! **Two schedulers, one path.** `exec::advance` is the only code that
+//! acquires a handle, draws, accounts and encodes `BATCH`/`DONE`. The
+//! event loop runs it itself, start to finish, when it can see that
+//! doing so is cheaper than the ~20 µs worker hand-off and cannot hurt
+//! anyone else — all five must hold, each read off the request or the
+//! program's own counters:
+//!
+//! 1. the engine for `(dataset, l, shards, algorithm)` is already
+//!    cached (the loop never builds);
+//! 2. that engine has no maintenance due — drift, repair, re-plan —
+//!    so no swap can run on the loop (`EpochEngine::try_handle_seeded`);
+//! 3. `t ×` the engine's observed ns/sample fits
+//!    `exec::INLINE_BUDGET_NS` (no observation yet ⇒ not eligible),
+//!    and the answer fits the connection's response queue;
+//! 4. the connection has no job in flight, an empty out-queue and no
+//!    unwritten bytes — the loop never overtakes work the connection
+//!    has with the pool, and a peer that is not reading gets no loop
+//!    time;
+//! 5. the current `poller.wait` pass has not already spent the budget
+//!    inline — a pipelining client or a crowd of small requesters
+//!    overflows to the workers instead of starving the loop.
+//!
+//! Everything else becomes a job, exactly as before; the admission
+//! chain in front (token bucket → fault `busy` draw → load shedding →
+//! trace decision) runs first and identically either way.
+//!
+//! **Batching.** A `SAMPLE` holds one [`SamplerHandle`] for its whole
+//! lifetime — the engine/handle acquisition is paid once per request,
+//! not per sample. Each worker step drains one batch
+//! ([`ServerConfig::batch_pairs`] samples) into one `BATCH` frame, then
 //! requeues the job at the back of the global queue, so concurrent
 //! requests interleave fairly regardless of their `t`.
 //!
 //! **Backpressure.** Each connection owns a *bounded* frame queue
-//! ([`ServerConfig::queue_frames`], the [`ConnShared`] out-queue)
+//! ([`ServerConfig::queue_frames`], the `ConnShared` out-queue)
 //! drained by the event loop as the socket accepts bytes. Workers only
-//! ever [`ConnShared::try_send`]: when a client stops reading and its
+//! ever `ConnShared::try_send`: when a client stops reading and its
 //! queue fills, the job *parks itself on the connection* and the
 //! worker moves on — a slow reader stalls its own stream, never the
 //! pool. The hand-back is lock-step safe: after parking, the worker
@@ -42,7 +75,7 @@
 //! re-queues parked jobs whenever a write frees queue room, so a
 //! parked job is re-activated on the very next free slot and cannot
 //! be lost to the park/drain race. The loop also stops *reading* (and
-//! decoding) a connection whose out-queue is at capacity, so control
+//! decoding) a connection whose out-queue is at capacity, so its own
 //! answers stay bounded and a flooding client is throttled by its own
 //! TCP window.
 //!
@@ -51,29 +84,28 @@
 //! the job queue, and joins every thread the server ever spawned — no
 //! leaks, asserted by the loopback tests.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use srj_core::{JoinPair, SampleConfig, SampleError};
+use srj_core::SampleConfig;
 use srj_engine::{DatasetStore, EngineStats, EpochConfig, EpochEngine, SamplerHandle};
 use srj_geom::Point;
-use srj_obs::journal::EventKind;
 use srj_obs::profiler::ALL_STATES;
 use srj_obs::timeseries::{Recorder, SeriesStore};
-use srj_obs::{
-    trace, Counter, Gauge, Histogram, Profiler, Registry, SlowEntry, SlowLog, StateTag, WorkerState,
-};
+use srj_obs::{trace, Counter, Gauge, Histogram, Profiler, Registry, SlowEntry, SlowLog};
 
 use crate::event_loop::{EventLoop, LoopNotify};
+use crate::exec::Acquire;
 use crate::fault::FaultPlan;
 use crate::protocol::{
-    encode_response, EpochInfo, RequestStats, RequestStatus, Response, SampleRequest,
-    ServerStatsFrame, Side, SlowLogEntry, TraceSpan, UpdateStats, MAX_FRAME_LEN,
+    EpochInfo, RequestStatus, SampleRequest, ServerStatsFrame, Side, SlowLogEntry, TraceSpan,
+    UpdateStats, MAX_FRAME_LEN,
 };
+use crate::worker::{worker_loop, ConnShared, JobQueue};
 
 /// `retry_after_ms` suggested on load-shed `BUSY` answers: long enough
 /// for a worker step to drain queue headroom, short enough that a
@@ -271,25 +303,16 @@ impl ServedDataset {
         hits: &AtomicU64,
         misses: &AtomicU64,
     ) -> Arc<EpochEngine> {
-        {
-            let mut engines = self.engines.lock().expect("engine map poisoned");
-            if let Some(i) = engines.iter().position(|(k, _)| *k == key) {
-                hits.fetch_add(1, Ordering::Relaxed);
-                let entry = engines.remove(i);
-                let engine = Arc::clone(&entry.1);
-                engines.push(entry);
-                return engine;
-            }
+        if let Some(engine) = self.cached_engine(key) {
+            hits.fetch_add(1, Ordering::Relaxed);
+            return engine;
         }
         misses.fetch_add(1, Ordering::Relaxed);
         let engine = Arc::new(build());
         let mut engines = self.engines.lock().expect("engine map poisoned");
-        if let Some(i) = engines.iter().position(|(k, _)| *k == key) {
+        if let Some(shared) = Self::touch(&mut engines, key) {
             // Another thread built the same shape first; share its
             // engine (and swap cell) so epochs stay consistent.
-            let entry = engines.remove(i);
-            let shared = Arc::clone(&entry.1);
-            engines.push(entry);
             return shared;
         }
         if engines.len() >= capacity.max(1) {
@@ -297,6 +320,26 @@ impl ServedDataset {
         }
         engines.push((key, Arc::clone(&engine)));
         engine
+    }
+
+    /// The engine for `key` if one is cached — the peek that never
+    /// builds, which is all the event loop may do. A hit counts as a
+    /// use for eviction, like any other.
+    fn cached_engine(&self, key: EngineKey) -> Option<Arc<EpochEngine>> {
+        Self::touch(&mut self.engines.lock().expect("engine map poisoned"), key)
+    }
+
+    /// Moves `key`'s entry to the most-recently-used end and returns
+    /// its engine.
+    fn touch(
+        engines: &mut Vec<(EngineKey, Arc<EpochEngine>)>,
+        key: EngineKey,
+    ) -> Option<Arc<EpochEngine>> {
+        let i = engines.iter().position(|(k, _)| *k == key)?;
+        let entry = engines.remove(i);
+        let engine = Arc::clone(&entry.1);
+        engines.push(entry);
+        Some(engine)
     }
 
     /// Longest recent swap across this dataset's engines.
@@ -437,339 +480,6 @@ impl DatasetRegistry {
     }
 }
 
-// ---- jobs ----------------------------------------------------------------
-
-/// What a queued job is doing.
-pub(crate) enum JobState {
-    /// Engine/handle not yet acquired (first worker step does it).
-    Acquire,
-    /// Streaming batches through an acquired handle.
-    Stream(Box<SamplerHandle>),
-    /// Pre-encoded frames only (stats answers, error frames).
-    Respond,
-}
-
-/// One in-flight request. Lives in the global queue, on a worker, or
-/// parked on its connection when the response queue is full.
-pub(crate) struct Job {
-    req: SampleRequest,
-    conn: Arc<ConnShared>,
-    state: JobState,
-    /// Encoded frames not yet handed to the writer (front = next).
-    outbox: VecDeque<Vec<u8>>,
-    /// Set when the final `DONE` frame is in (or past) the outbox.
-    done: Option<RequestStatus>,
-    /// Samples delivered so far.
-    sent: u64,
-    /// Whether this job counts in the server's request statistics
-    /// (stats/error answers don't).
-    record: bool,
-    /// Nonzero when this request won the trace-sampling coin flip; the
-    /// id is echoed in the `DONE` frame so the client can fetch the
-    /// spans.
-    trace_id: u64,
-    /// The id spans are recorded under on whichever worker thread steps
-    /// the job: equal to `trace_id` for sampled requests, a forced id
-    /// when slow-log capture is on (every request must leave a span
-    /// trail the capture can snapshot), `0` otherwise. Never echoed —
-    /// `DONE` semantics ride on `trace_id` alone.
-    span_id: u64,
-    started: Instant,
-    /// Decode-to-first-worker-step delay, set on the first step — the
-    /// queue-wait component of a slow-log capture.
-    queue_wait: Option<Duration>,
-}
-
-impl Job {
-    pub(crate) fn sample(
-        req: SampleRequest,
-        trace_id: u64,
-        span_id: u64,
-        conn: Arc<ConnShared>,
-    ) -> Self {
-        conn.inflight.fetch_add(1, Ordering::AcqRel);
-        Job {
-            req,
-            conn,
-            state: JobState::Acquire,
-            outbox: VecDeque::new(),
-            done: None,
-            sent: 0,
-            record: true,
-            trace_id,
-            span_id,
-            started: Instant::now(),
-            queue_wait: None,
-        }
-    }
-
-    /// A job that only delivers pre-encoded frames (stats, errors).
-    pub(crate) fn respond(frame: Vec<u8>, status: RequestStatus, conn: Arc<ConnShared>) -> Self {
-        conn.inflight.fetch_add(1, Ordering::AcqRel);
-        let mut outbox = VecDeque::with_capacity(1);
-        outbox.push_back(frame);
-        Job {
-            req: SampleRequest {
-                req_id: 0,
-                dataset: 0,
-                l: 1.0,
-                algorithm: None,
-                shards: 1,
-                t: 0,
-                seed: 0,
-            },
-            conn,
-            state: JobState::Respond,
-            outbox,
-            done: Some(status),
-            sent: 0,
-            record: false,
-            trace_id: 0,
-            span_id: 0,
-            started: Instant::now(),
-            queue_wait: None,
-        }
-    }
-
-    fn iterations(&self) -> u64 {
-        match &self.state {
-            JobState::Stream(handle) => handle.report().iterations,
-            _ => 0,
-        }
-    }
-}
-
-impl Drop for Job {
-    /// A job is in flight from construction until it is dropped —
-    /// finished, abandoned, or drained at shutdown. The balanced
-    /// counter is what keeps the reaper away from connections with
-    /// pending work. The kick wakes the event loop so a half-closed
-    /// connection whose last job just finished is torn down promptly.
-    fn drop(&mut self) {
-        self.conn.inflight.fetch_sub(1, Ordering::AcqRel);
-        self.conn.kick();
-    }
-}
-
-// ---- per-connection state ------------------------------------------------
-
-/// The bounded response queue of one connection: workers `try_send`
-/// into it, the event loop drains it to the socket. Capacity is the
-/// backpressure window ([`ServerConfig::queue_frames`]); the loop's
-/// control answers may exceed it by a bounded margin because frame
-/// decoding pauses while the queue is at (or past) capacity.
-struct OutQueue {
-    frames: VecDeque<Vec<u8>>,
-    capacity: usize,
-    /// Set at teardown: the socket can never deliver another frame.
-    disconnected: bool,
-}
-
-/// Why [`ConnShared::try_send`] refused a frame — mirrors the
-/// `std::sync::mpsc::TrySendError` cases the old writer channel had.
-pub(crate) enum SendError {
-    /// Queue at capacity; the frame comes back for parking.
-    Full(Vec<u8>),
-    /// Connection torn down; the frame can never be delivered.
-    Disconnected,
-}
-
-/// State shared by the event loop, the workers, and a connection's
-/// jobs.
-pub(crate) struct ConnShared {
-    /// Accept-order id, unique per server — seeds the connection's
-    /// deterministic fault schedules and names it on the event loop.
-    pub(crate) id: u64,
-    /// Clone of the socket, used only to `shutdown(2)` it.
-    pub(crate) stream: TcpStream,
-    /// Peer address, resolved once at accept — journal labels.
-    pub(crate) peer: String,
-    /// When the connection was accepted; the reference point for
-    /// `last_activity_ns`.
-    t0: Instant,
-    /// Nanoseconds since `t0` of the last received frame (updated at
-    /// frame dispatch); the sweep timer reaps connections idle past
-    /// [`ServerConfig::idle_timeout`].
-    last_activity_ns: AtomicU64,
-    /// Requests alive on this connection (queued, on a worker, or
-    /// parked) — the reaper never touches a connection with work in
-    /// flight, and teardown waits for in-flight jobs to drain.
-    pub(crate) inflight: AtomicU64,
-    /// Jobs waiting for a free slot in the response queue (the
-    /// backpressure parking lot).
-    pub(crate) parked: Mutex<Vec<Job>>,
-    /// Set by teardown and by server shutdown; parked/new frames for
-    /// a closed connection are dropped.
-    pub(crate) closed: AtomicBool,
-    /// The bounded response queue (see [`OutQueue`]).
-    out: Mutex<OutQueue>,
-    /// The event loop's doorbell: dirty marks + waker writes.
-    notify: Arc<LoopNotify>,
-}
-
-impl ConnShared {
-    pub(crate) fn new(
-        id: u64,
-        stream: TcpStream,
-        peer: String,
-        capacity: usize,
-        notify: Arc<LoopNotify>,
-    ) -> ConnShared {
-        ConnShared {
-            id,
-            stream,
-            peer,
-            t0: Instant::now(),
-            last_activity_ns: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            parked: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
-            out: Mutex::new(OutQueue {
-                frames: VecDeque::new(),
-                capacity: capacity.max(1),
-                disconnected: false,
-            }),
-            notify,
-        }
-    }
-
-    /// Marks the connection active now.
-    pub(crate) fn touch(&self) {
-        let ns = self.t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.last_activity_ns.store(ns, Ordering::Release);
-    }
-
-    /// Nanoseconds the connection has been idle.
-    pub(crate) fn idle_ns(&self) -> u64 {
-        let now = self.t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        now.saturating_sub(self.last_activity_ns.load(Ordering::Acquire))
-    }
-
-    /// Worker-side bounded send: refuses at capacity (the caller
-    /// parks) and after teardown (the caller finishes the job). On
-    /// success the event loop is kicked to flush.
-    pub(crate) fn try_send(&self, frame: Vec<u8>) -> Result<(), SendError> {
-        {
-            let mut out = self.out.lock().expect("out queue poisoned");
-            if out.disconnected {
-                return Err(SendError::Disconnected);
-            }
-            if out.frames.len() >= out.capacity {
-                return Err(SendError::Full(frame));
-            }
-            out.frames.push_back(frame);
-        }
-        self.kick();
-        Ok(())
-    }
-
-    /// Loop-side send for control answers (`WELCOME`/`PONG`/`BUSY`/
-    /// `ERROR`): never refused at capacity — bounded anyway, because
-    /// the loop stops decoding frames while the queue is full, so at
-    /// most one control answer per decoded frame can overshoot.
-    pub(crate) fn push_direct(&self, frame: Vec<u8>) {
-        let mut out = self.out.lock().expect("out queue poisoned");
-        if !out.disconnected {
-            out.frames.push_back(frame);
-        }
-    }
-
-    /// Next frame for the socket (event loop only).
-    pub(crate) fn pop_out(&self) -> Option<Vec<u8>> {
-        self.out
-            .lock()
-            .expect("out queue poisoned")
-            .frames
-            .pop_front()
-    }
-
-    /// Queued frames not yet handed to the socket.
-    pub(crate) fn out_len(&self) -> usize {
-        self.out.lock().expect("out queue poisoned").frames.len()
-    }
-
-    /// Whether the queue has a free worker-side slot.
-    pub(crate) fn out_has_room(&self) -> bool {
-        let out = self.out.lock().expect("out queue poisoned");
-        !out.disconnected && out.frames.len() < out.capacity
-    }
-
-    /// Teardown half: refuse all future sends and drop what is queued.
-    pub(crate) fn out_disconnect(&self) {
-        let mut out = self.out.lock().expect("out queue poisoned");
-        out.disconnected = true;
-        out.frames.clear();
-    }
-
-    /// Rings the event loop's doorbell for this connection: marks it
-    /// dirty (flush writes, re-examine parked jobs, maybe tear down)
-    /// and wakes the poller.
-    pub(crate) fn kick(&self) {
-        self.notify.mark_dirty(self.id);
-    }
-}
-
-// ---- global job queue ----------------------------------------------------
-
-pub(crate) struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-    closed: AtomicBool,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            jobs: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// Enqueues a job; a closed queue (shutdown in progress) refuses
-    /// and hands the job back so the caller can answer it.
-    fn push(&self, job: Job) -> Option<Job> {
-        if self.closed.load(Ordering::Acquire) {
-            return Some(job);
-        }
-        self.jobs.lock().expect("job queue poisoned").push_back(job);
-        self.cv.notify_one();
-        None
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed.
-    fn pop(&self) -> Option<Job> {
-        let mut jobs = self.jobs.lock().expect("job queue poisoned");
-        loop {
-            if let Some(job) = jobs.pop_front() {
-                return Some(job);
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return None;
-            }
-            jobs = self.cv.wait(jobs).expect("job queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    fn drain(&self) -> Vec<Job> {
-        self.jobs
-            .lock()
-            .expect("job queue poisoned")
-            .drain(..)
-            .collect()
-    }
-
-    /// Queue depth right now — the load-shed signal.
-    fn len(&self) -> usize {
-        self.jobs.lock().expect("job queue poisoned").len()
-    }
-}
-
 // ---- per-connection rate limiting -----------------------------------------
 
 /// A token bucket: `rate` tokens/second, burst capacity of one
@@ -895,7 +605,7 @@ pub(crate) struct ServerMetrics {
     cache_misses: Counter,
     /// `srj_backpressure_parks_total` — jobs parked on a full
     /// connection queue (hot-path increment, rare event).
-    backpressure_parks: Counter,
+    pub(crate) backpressure_parks: Counter,
     /// `srj_requests_shed` — `SAMPLE`s answered `BUSY` because the job
     /// queue was past the high-water mark (hot-path increment).
     pub(crate) requests_shed: Counter,
@@ -908,9 +618,12 @@ pub(crate) struct ServerMetrics {
     /// `srj_handshake_rejects_total` — connections refused at the
     /// handshake (bad version, or a request before `HELLO`).
     pub(crate) handshake_rejects: Counter,
+    /// `srj_requests_inline_total` — `SAMPLE`s the event loop served
+    /// itself instead of handing them to a worker (hot-path increment).
+    pub(crate) requests_inline: Counter,
     /// `srj_slow_requests_total` — requests captured into the slow log
     /// (hot-path increment, rare by construction).
-    slow_captures: Counter,
+    pub(crate) slow_captures: Counter,
     /// `srj_conn_open` gauge — connections registered on the event
     /// loop right now, maintained live by the loop itself.
     pub(crate) conn_open: Gauge,
@@ -918,7 +631,8 @@ pub(crate) struct ServerMetrics {
     /// timer expiry), one per loop iteration.
     pub(crate) loop_wakeups: Counter,
     /// `srj_event_loop_dispatch_ns` — time spent servicing one wakeup
-    /// (accepts + reads + decode + writes), excluding the wait itself.
+    /// (accepts + reads + decode + the draws of requests served inline
+    /// + writes), excluding the wait itself.
     pub(crate) loop_dispatch: Histogram,
     /// `srj_accept_backoff_total` — accept(2) pauses after
     /// EMFILE/ENFILE fd exhaustion.
@@ -940,6 +654,7 @@ impl ServerMetrics {
             rate_limited: reg.counter("srj_rate_limited", &[]),
             conn_reaped: reg.counter("srj_conn_reaped", &[]),
             handshake_rejects: reg.counter("srj_handshake_rejects_total", &[]),
+            requests_inline: reg.counter("srj_requests_inline_total", &[]),
             slow_captures: reg.counter("srj_slow_requests_total", &[]),
             conn_open: reg.gauge("srj_conn_open", &[]),
             loop_wakeups: reg.counter("srj_event_loop_wakeups_total", &[]),
@@ -1130,11 +845,133 @@ impl Shared {
         }
     }
 
+    /// Engine acquisition via the per-dataset epoch-engine map: the
+    /// expensive index build happens at most once per
+    /// `(dataset, l, shards, algorithm)` shape across all requests and
+    /// connections; every request then gets its own O(1) serving handle.
+    /// The handle acquisition is also where pending mutations are folded
+    /// in — `EpochEngine::handle` refreshes the swap cell first, so a
+    /// mutated dataset is never served from a stale index, while requests
+    /// already streaming keep their pinned epoch.
+    ///
+    /// All of that is [`Acquire::Blocking`], a worker's acquisition.
+    /// Under [`Acquire::Cheap`] (the event loop's) nothing is built, run
+    /// or waited for: `Ok(None)` unless the engine is cached, has served
+    /// before, predicts `t` samples within the budget in an answer that
+    /// fits the connection's response queue, and has no maintenance due
+    /// — the handle is then the very one a worker would have got.
+    pub(crate) fn acquire_handle(
+        &self,
+        req: &SampleRequest,
+        how: Acquire,
+    ) -> Result<Option<SamplerHandle>, RequestStatus> {
+        let config = &self.config;
+        let served = self.registry.get(&req.dataset);
+        let shards = (req.shards.max(1) as usize).min(srj_core::parallel::MAX_THREADS);
+        let key = EngineKey {
+            l_bits: req.l.to_bits(),
+            shards,
+            algorithm: req.algorithm,
+        };
+        match how {
+            Acquire::Blocking => {
+                let served = served.ok_or(RequestStatus::UnknownDataset)?;
+                let build = || {
+                    let sample_cfg =
+                        SampleConfig::new(req.l).with_build_threads(config.build_threads);
+                    let epoch_cfg = EpochConfig {
+                        shards,
+                        algorithm: req.algorithm,
+                        ..config.epoch
+                    };
+                    let engine =
+                        EpochEngine::with_store(Arc::clone(&served.store), &sample_cfg, epoch_cfg);
+                    engine.set_buffers_enabled(config.buffers);
+                    engine
+                };
+                let engine = served.engine_for(
+                    key,
+                    config.cache_capacity,
+                    build,
+                    &self.engine_hits,
+                    &self.engine_misses,
+                );
+                Ok(Some(if req.seed != 0 {
+                    engine.handle_seeded(req.seed)
+                } else {
+                    engine.handle()
+                }))
+            }
+            Acquire::Cheap { budget_ns } => {
+                // Cheapest refusal first: no lock is taken for a request
+                // whose answer could not fit the response queue anyway.
+                let frames = req.t.div_ceil(config.batch_pairs as u64) + 1;
+                if frames > config.queue_frames as u64 {
+                    return Ok(None);
+                }
+                let Some(engine) = served.and_then(|served| served.cached_engine(key)) else {
+                    return Ok(None);
+                };
+                let affordable = engine
+                    .observed_ns_per_sample()
+                    .is_some_and(|ns| req.t.saturating_mul(ns) <= budget_ns);
+                if !affordable {
+                    return Ok(None);
+                }
+                let handle = if req.seed != 0 {
+                    engine.try_handle_seeded(req.seed)
+                } else {
+                    engine.try_handle()
+                };
+                // Counted where the lookup pays off, so hits + misses
+                // stays the number of acquisitions whichever thread
+                // made them.
+                if handle.is_some() {
+                    self.engine_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(handle)
+            }
+        }
+    }
+
+    /// Charges one finished `SAMPLE` — `ok`, or ended by an error
+    /// status or by its client's departure — to the server-wide serving
+    /// statistics and its dataset's exposition counters (cached typed
+    /// handles: a few relaxed `fetch_add`s).
+    pub(crate) fn record_request(
+        &self,
+        dataset: u64,
+        ok: bool,
+        samples: u64,
+        iterations: u64,
+        elapsed: Duration,
+    ) {
+        if ok {
+            self.request_stats
+                .record_query(samples, iterations, elapsed);
+        } else {
+            self.request_stats.record_error(iterations, elapsed);
+        }
+        if let Some(m) = self.dataset_metrics.get(&dataset) {
+            m.requests.inc();
+            m.samples.add(samples);
+            if !ok {
+                m.errors.inc();
+            }
+            m.latency.observe_duration(elapsed);
+        }
+    }
+
+    /// The store epoch of `dataset` (0 when unknown) — slow-log context.
+    pub(crate) fn dataset_epoch(&self, dataset: u64) -> u64 {
+        self.registry.get(&dataset).map_or(0, |d| d.store.epoch())
+    }
+
     /// The latency threshold slow-request capture compares against
     /// right now — the configured absolute value, or the live p99 once
     /// enough requests have been observed. `None` = capture nothing
     /// (auto mode still warming up).
-    fn slow_threshold_ns(&self) -> Option<u64> {
+    pub(crate) fn slow_threshold_ns(&self) -> Option<u64> {
         if self.config.slow_threshold_ns > 0 {
             return Some(self.config.slow_threshold_ns);
         }
@@ -1476,23 +1313,6 @@ impl Drop for Server {
     }
 }
 
-// ---- admission -----------------------------------------------------------
-
-/// Whether a new `SAMPLE` should be declined with `BUSY` instead of
-/// queued: the global queue is past the high-water mark, or this
-/// connection already has a request parked on a full response queue
-/// (more concurrent streams cannot help a client that isn't reading).
-pub(crate) fn should_shed(shared: &Arc<Shared>, conn: &Arc<ConnShared>) -> bool {
-    let hw = shared.config.shed_high_water;
-    if hw == 0 {
-        return false;
-    }
-    if !conn.parked.lock().expect("parked list poisoned").is_empty() {
-        return true;
-    }
-    shared.queue.len() >= hw
-}
-
 // ---- maintainer ------------------------------------------------------------
 
 /// Takes one profiler sample every 50 ms until shutdown flips. Idle
@@ -1515,224 +1335,6 @@ fn maintainer_loop(shared: &Arc<Shared>) {
         shared.profiler.sample();
         flag = shared.shutdown_flag.lock().expect("shutdown flag poisoned");
     }
-}
-
-/// Enqueues a job; when shutdown has already closed the queue, answers
-/// the request with a best-effort `DONE{ShuttingDown}` instead (the
-/// connection is being torn down, so a full queue just drops it).
-pub(crate) fn enqueue(shared: &Arc<Shared>, job: Job) {
-    let Some(mut job) = shared.queue.push(job) else {
-        return;
-    };
-    if job.done.is_none() {
-        let frame = encode_response(&Response::Done {
-            req_id: job.req.req_id,
-            status: RequestStatus::ShuttingDown,
-            stats: RequestStats {
-                samples: job.sent,
-                iterations: job.iterations(),
-                elapsed_ns: job.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                trace_id: job.trace_id,
-            },
-        });
-        let _ = job.conn.try_send(frame);
-        job.done = Some(RequestStatus::ShuttingDown);
-    }
-    finish(shared, &job, false);
-}
-
-// ---- workers -------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>) {
-    let tag = shared.profiler.register();
-    while let Some(job) = shared.queue.pop() {
-        step(shared, job, &tag);
-        tag.set(WorkerState::Idle);
-    }
-}
-
-/// Outcome of flushing a job's outbox.
-enum Flushed {
-    /// Everything sent; the job continues.
-    Clear(Job),
-    /// The job parked, finished, or was dropped — it left this worker.
-    Gone,
-}
-
-/// Sends queued frames until the outbox is empty or the connection's
-/// queue is full. Full ⇒ park on the connection (with a kick so the
-/// event loop always notices); disconnected ⇒ drop; empty + done ⇒
-/// finish.
-fn flush_outbox(shared: &Arc<Shared>, mut job: Job, tag: &StateTag) -> Flushed {
-    while let Some(frame) = job.outbox.pop_front() {
-        match job.conn.try_send(frame) {
-            Ok(()) => {}
-            Err(SendError::Full(frame)) => {
-                job.outbox.push_front(frame);
-                if job.conn.closed.load(Ordering::Acquire) {
-                    finish(shared, &job, false);
-                    return Flushed::Gone;
-                }
-                // The client stopped reading and its window filled:
-                // the request parks on its connection. A rare
-                // control-plane condition, so it goes to the journal
-                // (and the park counter) rather than the trace ring.
-                tag.set(WorkerState::Park);
-                let peer = job.conn.peer.clone();
-                shared.server_metrics.backpressure_parks.inc();
-                srj_obs::journal::event(EventKind::BackpressurePark)
-                    .dataset(job.record.then_some(job.req.dataset))
-                    .label(peer)
-                    .emit();
-                trace::event("batch_write", "park");
-                let conn = Arc::clone(&job.conn);
-                conn.parked.lock().expect("parked list poisoned").push(job);
-                // The park happens-before this kick; the event loop
-                // re-examines the parking lot on every dirty mark and
-                // after every socket write, so either the kick lands
-                // (loop will see the job) or the out-queue is still
-                // draining (loop will pop a frame and see the job).
-                conn.kick();
-                if conn.closed.load(Ordering::Acquire) {
-                    // The connection tore down (and drained the lot)
-                    // between our closed-check above and the park:
-                    // nobody will ever re-queue what we just parked —
-                    // reclaim it.
-                    let stranded: Vec<Job> = conn
-                        .parked
-                        .lock()
-                        .expect("parked list poisoned")
-                        .drain(..)
-                        .collect();
-                    for job in &stranded {
-                        finish(shared, job, false);
-                    }
-                }
-                return Flushed::Gone;
-            }
-            Err(SendError::Disconnected) => {
-                finish(shared, &job, false);
-                return Flushed::Gone;
-            }
-        }
-    }
-    if job.done.is_some() {
-        finish(shared, &job, true);
-        return Flushed::Gone;
-    }
-    Flushed::Clear(job)
-}
-
-/// Records an *abandoned* request (client gone before its `DONE` was
-/// produced) into the server stats. Normally finished requests are
-/// recorded in [`push_done`] instead — before their `DONE` frame can
-/// reach the client — so a `STATS` request issued right after a `DONE`
-/// always observes the request it followed.
-pub(crate) fn finish(shared: &Arc<Shared>, job: &Job, _delivered: bool) {
-    if !job.record {
-        return;
-    }
-    shared
-        .request_stats
-        .record_error(job.iterations(), job.started.elapsed());
-    if let Some(m) = shared.dataset_metrics.get(&job.req.dataset) {
-        m.requests.inc();
-        m.errors.inc();
-        m.latency.observe_duration(job.started.elapsed());
-    }
-}
-
-/// One worker step: flush, produce at most one batch, flush, requeue.
-fn step(shared: &Arc<Shared>, mut job: Job, tag: &StateTag) {
-    // Make the job's span id current for everything this step does —
-    // including the engine-internal draw-loop events, which only see
-    // the thread-local id.
-    let _trace = trace::set_current(job.span_id);
-    if job.queue_wait.is_none() {
-        job.queue_wait = Some(job.started.elapsed());
-    }
-    tag.set(WorkerState::Write);
-    let mut job = match flush_outbox(shared, job, tag) {
-        Flushed::Clear(job) => job,
-        Flushed::Gone => return,
-    };
-
-    match &mut job.state {
-        JobState::Acquire => {
-            tag.set(WorkerState::Acquire);
-            trace::event("acquire", "begin");
-            match acquire_handle(shared, &job.req) {
-                Ok(handle) => {
-                    trace::event("acquire", "handle_ready");
-                    job.state = JobState::Stream(Box::new(handle));
-                    tag.set(WorkerState::Draw);
-                    produce_batch(shared, &mut job);
-                }
-                Err(status) => {
-                    trace::event("acquire", "failed");
-                    push_done(shared, &mut job, status);
-                }
-            }
-        }
-        JobState::Stream(_) => {
-            tag.set(WorkerState::Draw);
-            produce_batch(shared, &mut job);
-        }
-        // Respond jobs carry only pre-encoded frames; with the outbox
-        // clear they are finished by flush_outbox, never reach here.
-        JobState::Respond => {}
-    }
-
-    tag.set(WorkerState::Write);
-    if let Flushed::Clear(job) = flush_outbox(shared, job, tag) {
-        enqueue(shared, job);
-    }
-}
-
-/// Engine acquisition via the per-dataset epoch-engine map: the
-/// expensive index build happens at most once per
-/// `(dataset, l, shards, algorithm)` shape across all requests and
-/// connections; every request then gets its own O(1) serving handle.
-/// The handle acquisition is also where pending mutations are folded
-/// in — `EpochEngine::handle` refreshes the swap cell first, so a
-/// mutated dataset is never served from a stale index, while requests
-/// already streaming keep their pinned epoch.
-fn acquire_handle(
-    shared: &Arc<Shared>,
-    req: &SampleRequest,
-) -> Result<SamplerHandle, RequestStatus> {
-    let served = shared
-        .registry
-        .get(&req.dataset)
-        .ok_or(RequestStatus::UnknownDataset)?;
-    let shards = (req.shards.max(1) as usize).min(srj_core::parallel::MAX_THREADS);
-    let config = SampleConfig::new(req.l).with_build_threads(shared.config.build_threads);
-    let key = EngineKey {
-        l_bits: req.l.to_bits(),
-        shards,
-        algorithm: req.algorithm,
-    };
-    let engine = served.engine_for(
-        key,
-        shared.config.cache_capacity,
-        || {
-            let epoch_cfg = EpochConfig {
-                shards,
-                algorithm: req.algorithm,
-                ..shared.config.epoch
-            };
-            let engine = EpochEngine::with_store(Arc::clone(&served.store), &config, epoch_cfg);
-            engine.set_buffers_enabled(shared.config.buffers);
-            engine
-        },
-        &shared.engine_hits,
-        &shared.engine_misses,
-    );
-    Ok(if req.seed != 0 {
-        engine.handle_seeded(req.seed)
-    } else {
-        engine.handle()
-    })
 }
 
 /// Applies an `INSERT` to the dataset's store — one atomic batch, so
@@ -1802,142 +1404,6 @@ pub(crate) fn epoch_info(shared: &Arc<Shared>, dataset: u64) -> Result<EpochInfo
         pending_ops: store.pending_ops() as u64,
         last_swap_ns: served.last_swap_ns(),
     })
-}
-
-/// Draws one batch through the job's handle into a `BATCH` frame, plus
-/// the `DONE` frame when the request completes or errors.
-fn produce_batch(shared: &Arc<Shared>, job: &mut Job) {
-    let JobState::Stream(handle) = &mut job.state else {
-        unreachable!("produce_batch on a non-streaming job");
-    };
-    let remaining = job.req.t.saturating_sub(job.sent);
-    let batch = remaining.min(shared.config.batch_pairs as u64) as usize;
-    trace::event("draw_loop", "batch_begin");
-    let (pairs, error) = if shared.config.buffers {
-        // Buffered fast path: the whole batch is drawn with the
-        // handle's concrete RNG (no per-draw virtual dispatch), hot
-        // cells serve from pre-drawn buffers, and the engine records
-        // one query per batch. An error forfeits the batch's partial
-        // draws — the DONE status carries the error either way.
-        match handle.sample_batch(batch) {
-            Ok(pairs) => (pairs, None),
-            Err(e) => (Vec::new(), Some(e)),
-        }
-    } else {
-        let mut stream = handle.stream();
-        let pairs: Vec<JoinPair> = stream.by_ref().take(batch).collect();
-        let error = stream.error();
-        drop(stream);
-        (pairs, error)
-    };
-    trace::event("draw_loop", "batch_end");
-    job.sent += pairs.len() as u64;
-    if !pairs.is_empty() {
-        job.outbox.push_back(encode_response(&Response::Batch {
-            req_id: job.req.req_id,
-            pairs,
-        }));
-        trace::event("batch_write", "batch_enqueued");
-    }
-    match error {
-        Some(SampleError::EmptyJoin) => push_done(shared, job, RequestStatus::EmptyJoin),
-        Some(SampleError::RejectionLimit) => push_done(shared, job, RequestStatus::RejectionLimit),
-        None if job.sent >= job.req.t => push_done(shared, job, RequestStatus::Ok),
-        None => {} // more batches to come
-    }
-}
-
-fn push_done(shared: &Arc<Shared>, job: &mut Job, status: RequestStatus) {
-    let iterations = job.iterations();
-    let elapsed = job.started.elapsed();
-    maybe_capture_slow(shared, job, iterations, elapsed);
-    if job.record {
-        // Record now, not at delivery: the DONE frame below reaches the
-        // client strictly after this, so a follow-up STATS request can
-        // never miss the request it chases.
-        if status == RequestStatus::Ok {
-            shared
-                .request_stats
-                .record_query(job.sent, iterations, elapsed);
-        } else {
-            shared.request_stats.record_error(iterations, elapsed);
-        }
-        // The per-dataset exposition counters (cached typed handles —
-        // a few relaxed fetch_adds).
-        if let Some(m) = shared.dataset_metrics.get(&job.req.dataset) {
-            m.requests.inc();
-            m.samples.add(job.sent);
-            if status != RequestStatus::Ok {
-                m.errors.inc();
-            }
-            m.latency.observe_duration(elapsed);
-        }
-        job.record = false;
-    }
-    job.outbox.push_back(encode_response(&Response::Done {
-        req_id: job.req.req_id,
-        status,
-        stats: RequestStats {
-            samples: job.sent,
-            iterations,
-            elapsed_ns: elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-            trace_id: job.trace_id,
-        },
-    }));
-    job.done = Some(status);
-    trace::event("batch_write", "done_enqueued");
-}
-
-/// Tail-based slow-request capture: when a finished request breached
-/// the latency threshold, snapshot its span tree (still in the rings —
-/// the capture races only ring wraparound, not a sampling decision)
-/// plus the request context into the bounded slow log.
-fn maybe_capture_slow(shared: &Arc<Shared>, job: &Job, iterations: u64, elapsed: Duration) {
-    if !shared.slow_log.enabled() || job.span_id == 0 {
-        return;
-    }
-    let elapsed_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let Some(threshold) = shared.slow_threshold_ns() else {
-        return;
-    };
-    if elapsed_ns < threshold {
-        return;
-    }
-    let mut spans = SlowEntry::capture_spans(job.span_id);
-    spans.truncate(SLOWLOG_MAX_SPANS);
-    let epoch = shared
-        .registry
-        .get(&job.req.dataset)
-        .map(|d| d.store.epoch())
-        .unwrap_or(0);
-    shared.server_metrics.slow_captures.inc();
-    shared.slow_log.record(SlowEntry {
-        trace_id: job.span_id,
-        finished_ns: srj_obs::clock::now_ns(),
-        dataset: job.req.dataset,
-        t: job.req.t,
-        algorithm: algorithm_name(job.req.algorithm).to_string(),
-        epoch,
-        iterations,
-        queue_wait_ns: job
-            .queue_wait
-            .unwrap_or_default()
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64,
-        elapsed_ns,
-        spans,
-    });
-}
-
-/// Stable lower-case algorithm name for slow-log context (`auto` =
-/// the planner chose).
-fn algorithm_name(a: Option<srj_engine::Algorithm>) -> &'static str {
-    match a {
-        None => "auto",
-        Some(srj_engine::Algorithm::Kds) => "kds",
-        Some(srj_engine::Algorithm::KdsRejection) => "kds_rejection",
-        Some(srj_engine::Algorithm::Bbst) => "bbst",
-    }
 }
 
 /// Converts a retained [`SlowEntry`] into its wire form.

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use srj_server::{Client, RequestStatus, SampleRequest};
+use srj_server::{Client, ClientConfig, RequestStatus, SampleRequest};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_srj-serve");
 const TOP: &str = env!("CARGO_BIN_EXE_srj-top");
@@ -42,7 +42,13 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("expected `listening on ADDR`, got {first_line:?}"));
 
-    let mut client = Client::connect(addr).expect("connect to srj-serve");
+    // No retries: a transport failure or a BUSY must surface as this
+    // test's error, not as a second, silent SAMPLE in the counts below.
+    let config = ClientConfig {
+        retries: 0,
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(addr, config).expect("connect to srj-serve");
     let outcome = client
         .sample(SampleRequest {
             req_id: 0,
@@ -59,7 +65,10 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
     let metrics = client.metrics().unwrap();
     assert!(
         metrics.contains("srj_requests_total{dataset=\"1\"} 1"),
-        "{metrics}"
+        "one SAMPLE sent (client retries {}, BUSY answers {}, DONE {:?}), yet:\n{metrics}",
+        client.retries(),
+        client.busy_answers(),
+        outcome.stats,
     );
 
     let top = Command::new(TOP)
