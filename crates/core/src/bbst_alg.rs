@@ -12,9 +12,7 @@ use crate::buffer::{BufferStats, DrawBuffers};
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex, BLOCK};
-use crate::decompose::{
-    case12_run, case12_stored_run, quadrant_query, upper_bounding, UpperBounds,
-};
+use crate::decompose::{case12_draw, quadrant_query, upper_bounding, UpperBounds};
 use crate::traits::JoinSampler;
 
 /// Immutable build product of the paper's proposed algorithm
@@ -519,34 +517,15 @@ impl BbstIndex {
                     // Line 15: accept iff w(r) ∩ s.
                     .filter(|&sid| w.contains(grid.point(sid)))
             }
-            case => {
-                let run = case12_stored_run(cell, case, p.row.weight as usize)
-                    .expect("non-corner case must yield a run");
-                debug_assert_eq!(
-                    Some(run),
-                    case12_run(cell, grid.points(), case, &w),
-                    "stored row weight disagrees with the window's run"
-                );
-                let sid = if scratch.buffers.enabled() && w.contains_rect(&cell.rect) {
-                    // Fully covered exact cell (the center cell of the
-                    // 3×3 neighborhood, always, since the cell side
-                    // equals the window half-extent): every member
-                    // qualifies, so hot cells serve a pre-drawn member
-                    // from their buffer and the rest use the rank.
-                    let token = Arc::as_ptr(self.store.unit_arc(p.slot)) as usize;
-                    scratch
-                        .buffers
-                        .draw_covered(p.slot, token, &cell.by_x, || p.row.rank as usize)
-                } else {
-                    // Exact cases never reject.
-                    run[p.row.rank as usize]
-                };
-                debug_assert!(
-                    w.contains(grid.point(sid)),
-                    "case-1/2 sample escaped the window"
-                );
-                Some(sid)
-            }
+            // Exact cases never reject.
+            case => Some(case12_draw(
+                &self.store,
+                p.slot,
+                case,
+                &p.row,
+                &w,
+                &mut scratch.buffers,
+            )),
         };
         if let Some(sid) = accepted {
             stats.samples += 1;
@@ -772,7 +751,7 @@ impl JoinSampler for BbstSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::per_r_weights;
+    use crate::decompose::{case12_run, case12_stored_run, per_r_weights};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -30,16 +30,13 @@
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use srj_geom::PointId;
-use srj_kdtree::CanonicalScratch;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-cursor scratch of the KDS family: the kd-tree descent buffer
-/// plus the buffered-draw fast path state (off by default, so
-/// `Default` cursors keep the legacy RNG stream byte-for-byte).
+/// Per-cursor scratch of the KDS family: the buffered-draw fast path
+/// state (off by default, so `Default` cursors keep the unbuffered RNG
+/// stream byte-for-byte). The kd draws themselves need no buffer.
 #[derive(Default)]
 pub struct KdsScratch {
-    /// Kd-tree descent scratch.
-    pub kd: CanonicalScratch,
     /// Buffered fully-covered-cell draw state.
     pub buffers: DrawBuffers,
 }

@@ -2,13 +2,13 @@
 //!
 //! Every index in this crate bottoms out in per-cell structures over
 //! `S`: the grid's member lists, the per-cell BBST pairs (§IV), or
-//! per-cell kd-trees (the KDS family after this refactor). A
-//! [`CellStore`] holds them as an immutable, `Arc`-shared collection —
-//! one [`Grid`] plus one unit per non-empty cell — and supports
-//! [`CellStore::patch`]: given the points inserted and deleted since
-//! the store was built, produce a **new** store that rebuilds only the
-//! cells those mutations touch and carries every clean cell (and its
-//! unit) over by `Arc` clone.
+//! per-cell kd-trees (the KDS family; a cell no larger than a kd leaf
+//! keeps no tree and is scanned). A [`CellStore`] holds them as an
+//! immutable, `Arc`-shared collection — one [`Grid`] plus one unit per
+//! non-empty cell — and supports [`CellStore::patch`]: given the points
+//! inserted and deleted since the store was built, produce a **new**
+//! store that rebuilds only the cells those mutations touch and carries
+//! every clean cell (and its unit) over by `Arc` clone.
 //!
 //! Patching never renumbers ids: inserted points are appended to the
 //! point array, deleted points stay resolvable but leave their cells
@@ -26,7 +26,7 @@ use rand::Rng;
 use srj_bbst::CellBbsts;
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{Cell, Grid};
-use srj_kdtree::{CanonicalScratch, KdTree};
+use srj_kdtree::{CanonicalScratch, KdTree, DEFAULT_LEAF_SIZE};
 
 use crate::buffer::DrawBuffers;
 use crate::parallel::par_map;
@@ -73,19 +73,31 @@ pub struct BbstCellCtx {
     pub cascading: bool,
 }
 
-impl CellUnit for KdTree {
+/// The KDS family's per-cell unit: a kd-tree over the cell's members, or
+/// nothing for a cell of at most [`DEFAULT_LEAF_SIZE`] members. Such a
+/// cell's tree would be one leaf — a scan behind four allocations — so
+/// [`KdCellStore`] scans `cell.by_x` against the grid's point array
+/// instead, and the unit is 8 bytes in its `Arc`. (Every cell keeps its
+/// own `Arc` either way: that pointer is the staleness token of the draw
+/// buffers, so a rebuilt cell must not share one with its predecessor.)
+pub type KdCellUnit = Option<Box<KdTree>>;
+
+impl CellUnit for KdCellUnit {
     type Ctx = ();
 
-    /// A kd-tree over the cell's members; its point ids are **local**
-    /// (positions in `cell.by_x`), so callers map a sampled local id
-    /// through `cell.by_x` back to the global id.
+    /// The tree's point ids are **local** (positions in `cell.by_x`), so
+    /// callers map a local id through `cell.by_x` back to the global id.
     fn build_unit(points: &[Point], cell: &Cell, _ctx: &()) -> Self {
-        let pts: Vec<Point> = cell.by_x.iter().map(|&id| points[id as usize]).collect();
-        KdTree::build(&pts)
+        (cell.len() > DEFAULT_LEAF_SIZE).then(|| {
+            let pts: Vec<Point> = cell.by_x.iter().map(|&id| points[id as usize]).collect();
+            Box::new(KdTree::build(&pts))
+        })
     }
 
     fn unit_memory_bytes(&self) -> usize {
-        self.memory_bytes()
+        self.as_ref().map_or(0, |tree| {
+            std::mem::size_of::<KdTree>() + tree.memory_bytes()
+        })
     }
 }
 
@@ -219,15 +231,19 @@ impl<U: CellUnit> CellStore<U> {
 }
 
 /// The KDS family's `S`-side: per-cell kd-trees behind a [`CellStore`],
-/// answering exact window counts and uniform in-window draws.
+/// answering exact counts and ranked draws per cell
+/// ([`KdCellStore::count_in_cell`], [`KdCellStore::nth_in_cell`]) and per
+/// window ([`KdCellStore::count_window`],
+/// [`KdCellStore::sample_in_window`]).
 ///
 /// A window of half-extent = the grid's cell side overlaps at most the
 /// 3×3 block around it, so a count visits ≤ 9 cells — fully covered
-/// cells in `O(1)`, boundary cells through their kd-tree in `O(√|c|)` —
-/// preserving the §III-A `O(√m)` query bound while making the
-/// structure patchable cell by cell.
+/// cells in `O(1)`, boundary cells through their kd-tree in `O(√|c|)`, or
+/// by a scan when the cell is no larger than a leaf — preserving the
+/// §III-A `O(√m)` query bound while making the structure patchable cell
+/// by cell.
 pub struct KdCellStore {
-    store: CellStore<KdTree>,
+    store: CellStore<KdCellUnit>,
 }
 
 impl KdCellStore {
@@ -247,7 +263,7 @@ impl KdCellStore {
     }
 
     /// The cell store underneath.
-    pub fn store(&self) -> &CellStore<KdTree> {
+    pub fn store(&self) -> &CellStore<KdCellUnit> {
         &self.store
     }
 
@@ -297,13 +313,56 @@ impl KdCellStore {
         }
     }
 
-    /// Exact count of one cell's members inside `w`.
+    /// The kd-tree of a cell above the leaf size.
+    fn tree(&self, slot: u32) -> &KdTree {
+        self.store
+            .unit(slot)
+            .as_deref()
+            .expect("a cell above the leaf size has a tree")
+    }
+
+    /// The members of a cell no larger than a leaf inside `w`, in `by_x`
+    /// order: the scan that stands in for its tree.
+    fn scan<'a>(&'a self, cell: &'a Cell, w: &'a Rect) -> impl Iterator<Item = PointId> + 'a {
+        let grid = self.store.grid();
+        let inside = move |id: &PointId| w.contains(grid.point(*id));
+        cell.by_x.iter().copied().filter(inside)
+    }
+
+    /// Exact count of the members of the cell at `slot` inside the
+    /// closed rectangle `w` (which may be open to `±∞`): the cell's
+    /// kd-tree, or a scan of a cell no larger than a leaf.
+    pub fn count_in_cell(&self, slot: u32, w: &Rect) -> usize {
+        let cell = self.store.grid().cell(slot);
+        if cell.len() <= DEFAULT_LEAF_SIZE {
+            self.scan(cell, w).count()
+        } else {
+            self.tree(slot).range_count(w)
+        }
+    }
+
+    /// The **global** id at position `rank` among the members of the cell
+    /// at `slot` inside `w`, in a fixed order (see
+    /// [`KdTree::nth_in_range`]); `None` iff `rank` is not below
+    /// [`KdCellStore::count_in_cell`]. A uniform rank gives a uniform
+    /// member.
+    pub fn nth_in_cell(&self, slot: u32, w: &Rect, rank: usize) -> Option<PointId> {
+        let cell = self.store.grid().cell(slot);
+        if cell.len() <= DEFAULT_LEAF_SIZE {
+            self.scan(cell, w).nth(rank)
+        } else {
+            let local = self.tree(slot).nth_in_range(w, rank)?;
+            Some(cell.by_x[local as usize])
+        }
+    }
+
+    /// [`KdCellStore::count_in_cell`] behind the fully-covered shortcut.
     fn count_cell(&self, slot: u32, w: &Rect) -> usize {
         let cell = self.store.grid().cell(slot);
         if w.contains_rect(&cell.rect) {
             cell.len()
         } else {
-            self.store.unit(slot).range_count(w)
+            self.count_in_cell(slot, w)
         }
     }
 
@@ -314,49 +373,49 @@ impl KdCellStore {
         total
     }
 
-    /// One uniform, independent draw from `S ∩ w` (the KDS sampling
-    /// primitive): the covering cell is ranked by exact count, then the
-    /// cell's kd-tree draws uniformly inside it. Returns the **global**
-    /// point id and the exact window count, or `None` when the window
-    /// is empty.
+    /// One uniform, independent draw from `S ∩ w` with the exact count
+    /// `|S ∩ w|` taken on the way — the per-draw count is what
+    /// KDS-rejection's acceptance test needs, and this is that family's
+    /// hottest loop. ([`crate::KdsIndex`] stored its counts at build time
+    /// and calls this only for an `r` on its stray list.) Returns the
+    /// **global** point id and the count, or `None` when the window is
+    /// empty.
     ///
-    /// The per-cell counts are gathered once into a stack buffer (≤ 9
-    /// cells for the window sizes the samplers use) and reused for the
-    /// rank selection — this is the serving system's hottest loop, so
-    /// the covering cells are never range-counted twice. Degenerate
-    /// wide windows (> 9 covering cells) fall back to a re-walk.
+    /// One word: a uniform rank below the count picks the covering cell
+    /// *and* the position inside it ([`KdCellStore::nth_in_cell`]). The
+    /// per-cell counts are gathered once into a stack buffer (≤ 9 cells
+    /// for the window sizes the samplers use), so no cell is counted
+    /// twice; degenerate wide windows (> 9 covering cells) fall back to a
+    /// re-walk.
     pub fn sample_in_window<R: Rng + ?Sized>(
         &self,
         w: &Rect,
         rng: &mut R,
-        scratch: &mut CanonicalScratch,
+        _scratch: &mut CanonicalScratch,
     ) -> Option<(PointId, usize)> {
-        self.sample_impl(w, rng, scratch, None)
+        self.sample_impl(w, rng, None)
     }
 
     /// [`KdCellStore::sample_in_window`] with the buffered fast path:
     /// when the ranked cell is **fully covered** by `w` (every member
     /// qualifies — with cell side = window half-extent that is the
-    /// common case), the draw skips the kd descent entirely and is
-    /// served from [`DrawBuffers`] — a pre-drawn buffer pop for hot
-    /// cells, the already-drawn in-cell rank for cold ones. Boundary
-    /// cells keep the descent. The distribution is identical; the RNG
-    /// stream is not, so the legacy entry point stays separate.
+    /// common case), hot cells serve a pre-drawn member from
+    /// [`DrawBuffers`] instead of the ranked one. The distribution is
+    /// identical; the RNG stream is not, so the entry points stay
+    /// separate.
     pub fn sample_in_window_buffered<R: Rng + ?Sized>(
         &self,
         w: &Rect,
         rng: &mut R,
-        scratch: &mut CanonicalScratch,
         buffers: &mut DrawBuffers,
     ) -> Option<(PointId, usize)> {
-        self.sample_impl(w, rng, scratch, Some(buffers))
+        self.sample_impl(w, rng, Some(buffers))
     }
 
     fn sample_impl<R: Rng + ?Sized>(
         &self,
         w: &Rect,
         rng: &mut R,
-        scratch: &mut CanonicalScratch,
         mut buffers: Option<&mut DrawBuffers>,
     ) -> Option<(PointId, usize)> {
         let mut counts: [(u32, usize); 9] = [(0, 0); 9];
@@ -380,35 +439,23 @@ impl KdCellStore {
             return None;
         }
         let mut rank = rng.gen_range(0..total as u64) as usize;
-        let draw = |slot: u32,
-                    count: usize,
-                    in_cell_rank: usize,
-                    rng: &mut R,
-                    scratch: &mut CanonicalScratch,
-                    buffers: &mut Option<&mut DrawBuffers>| {
+        // `in_cell_rank` is uniform below the cell's count.
+        let draw = |slot: u32, in_cell_rank: usize, buffers: &mut Option<&mut DrawBuffers>| {
             let cell = self.store.grid().cell(slot);
             if let Some(bufs) = buffers.as_deref_mut() {
                 if bufs.enabled() && w.contains_rect(&cell.rect) {
-                    // Fully covered: every member qualifies, and the
-                    // in-cell rank is already uniform over them.
-                    debug_assert_eq!(cell.len(), count);
+                    // Fully covered: every member qualifies.
                     let token = Arc::as_ptr(self.store.unit_arc(slot)) as usize;
-                    let id = bufs.draw_covered(slot, token, &cell.by_x, || in_cell_rank);
-                    return (id, total);
+                    return bufs.draw_covered(slot, token, &cell.by_x, || in_cell_rank);
                 }
             }
-            let (local, in_cell) = self
-                .store
-                .unit(slot)
-                .sample_in_range(w, rng, scratch)
-                .expect("covering cell with a positive count must yield a sample");
-            debug_assert_eq!(in_cell, count);
-            (cell.by_x[local as usize], total)
+            self.nth_in_cell(slot, w, in_cell_rank)
+                .expect("rank below the cell's count")
         };
         if !overflow {
             for &(slot, count) in &counts[..filled] {
                 if rank < count {
-                    return Some(draw(slot, count, rank, rng, scratch, &mut buffers));
+                    return Some((draw(slot, rank, &mut buffers), total));
                 }
                 rank -= count;
             }
@@ -416,19 +463,19 @@ impl KdCellStore {
         }
         // Wide-window fallback: re-walk the covering cells to locate
         // the ranked one.
-        let mut picked: Option<(PointId, usize)> = None;
+        let mut picked: Option<PointId> = None;
         self.for_each_covering_slot(w, |slot| {
             if picked.is_some() {
                 return;
             }
             let count = self.count_cell(slot, w);
             if rank < count {
-                picked = Some(draw(slot, count, rank, rng, scratch, &mut buffers));
+                picked = Some(draw(slot, rank, &mut buffers));
             } else {
                 rank -= count;
             }
         });
-        Some(picked.expect("rank exceeded the window count"))
+        Some((picked.expect("rank exceeded the window count"), total))
     }
 
     /// Approximate heap footprint (grid + per-cell trees).

@@ -1,18 +1,22 @@
 //! Shared window-over-grid decomposition helpers (Section IV-A/IV-D).
 //!
-//! Both the proposed BBST algorithm and its Fig. 9 kd-tree variant
-//! decompose `w(r)` over the 3×3 cell block and treat cases 1 and 2
-//! identically; only case 3 differs. The case-1/2 logic lives here, and
-//! so does the upper-bounding pass built on it ([`upper_bounding`]),
-//! which takes the case-3 count as a closure.
+//! The proposed BBST algorithm and KDS (which is also the paper's Fig. 9
+//! kd-tree variant) both decompose `w(r)` over the 3×3 cell block and
+//! treat cases 1 and 2 identically; only case 3 differs. The case-1/2
+//! logic — count, run and draw — lives here, and so does the
+//! upper-bounding pass built on it ([`upper_bounding`]), which takes the
+//! case-3 count as a closure.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use srj_alias::{AliasTable, CumulativeRow9};
+use srj_alias::{AliasTable, CumulativeRow9, RowPick};
 use srj_bbst::QuadrantQuery;
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{case_of, Cell, CellCase, Grid};
 
+use crate::buffer::DrawBuffers;
+use crate::cellstore::{CellStore, CellUnit};
 use crate::parallel::par_chunks;
 
 /// Exact case-1/2 count `µ(r, c)` for a non-corner cell (Section IV-D
@@ -82,21 +86,56 @@ pub(crate) fn quadrant_query(x_is_min: bool, y_is_min: bool, w: &Rect) -> Quadra
     }
 }
 
-/// The corner cell's quadrant region clipped to the cell extent, as a
-/// rectangle — used by the kd-tree variant, whose per-cell trees answer
-/// rectangle queries rather than quadrant queries.
-pub(crate) fn quadrant_rect(q: &QuadrantQuery, cell_rect: &Rect) -> Rect {
-    let (min_x, max_x) = if q.x_is_min {
-        (q.x0.min(cell_rect.max_x), cell_rect.max_x)
-    } else {
-        (cell_rect.min_x, q.x0.max(cell_rect.min_x))
-    };
-    let (min_y, max_y) = if q.y_is_min {
-        (q.y0.min(cell_rect.max_y), cell_rect.max_y)
-    } else {
-        (cell_rect.min_y, q.y0.max(cell_rect.min_y))
-    };
+/// The corner cell's quadrant as a rectangle, for per-cell structures
+/// that answer rectangle queries (the kd side): bounded by the window's
+/// two edges and **open to ±∞ on the far sides**. The structure queried
+/// holds one cell's members, so there is nothing to clip — and a clip
+/// toward the cell would widen the query whenever rounding leaves the
+/// window edge a hair short of the cell.
+pub(crate) fn open_quadrant(q: &QuadrantQuery) -> Rect {
+    const INF: f64 = f64::INFINITY;
+    let open = |is_min: bool, edge: f64| if is_min { (edge, INF) } else { (-INF, edge) };
+    let ((min_x, max_x), (min_y, max_y)) = (open(q.x_is_min, q.x0), open(q.y_is_min, q.y0));
     Rect::new(min_x, min_y, max_x, max_y)
+}
+
+/// The draw from a picked case-1/2 cell, shared by every index whose rows
+/// store exact run lengths there: the member at `pick.rank` of the run
+/// `pick.weight` locates ([`case12_stored_run`]) — or, with the cursor's
+/// buffers on and the cell fully covered by `w` (the centre cell, always),
+/// a [`DrawBuffers::draw_covered`] serve keyed by the unit's `Arc`. Never
+/// rejects.
+#[inline]
+pub(crate) fn case12_draw<U: CellUnit>(
+    store: &CellStore<U>,
+    slot: u32,
+    case: CellCase,
+    pick: &RowPick,
+    w: &Rect,
+    buffers: &mut DrawBuffers,
+) -> PointId {
+    let grid = store.grid();
+    let cell = grid.cell(slot);
+    let run = case12_stored_run(cell, case, pick.weight as usize)
+        .expect("non-corner case must yield a run");
+    debug_assert_eq!(
+        Some(run),
+        case12_run(cell, grid.points(), case, w),
+        "stored row weight disagrees with the window's run"
+    );
+    let sid = if buffers.enabled() && w.contains_rect(&cell.rect) {
+        // Every member qualifies, so hot cells serve a pre-drawn member
+        // from their buffer and the rest use the rank.
+        let token = Arc::as_ptr(store.unit_arc(slot)) as usize;
+        buffers.draw_covered(slot, token, &cell.by_x, || pick.rank as usize)
+    } else {
+        run[pick.rank as usize]
+    };
+    debug_assert!(
+        w.contains(grid.point(sid)),
+        "case-1/2 sample escaped the window"
+    );
+    sid
 }
 
 /// What `UPPER-BOUNDING` + `ALIAS-BUILDING` leave behind: the per-`r`
@@ -118,8 +157,8 @@ pub(crate) struct UpperBounds {
 /// members' positions; then the alias over the row totals.
 ///
 /// `corner(slot, q)` is the case-3 bound `µ(r, c)` of the cell at `slot`
-/// for the quadrant `q` — the only step the BBST algorithm and its
-/// kd-tree variant do not share.
+/// for the quadrant `q` — the only step the BBST algorithm (a BBST
+/// bound) and KDS (an exact kd count) do not share.
 ///
 /// `prior` turns the pass into a repair: `(rows, dirty)` are the rows of
 /// an earlier pass over the same `r` and grid, and a per-slot flag for
@@ -468,24 +507,5 @@ mod tests {
         assert_eq!((q.x0, q.y0), (30.0, 40.0));
         let q = quadrant_query(true, false, &w); // c↖
         assert_eq!((q.x0, q.y0), (10.0, 40.0));
-    }
-
-    #[test]
-    fn quadrant_rect_clips_to_cell() {
-        let cell = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let q = QuadrantQuery {
-            x_is_min: true,
-            y_is_min: true,
-            x0: 4.0,
-            y0: 6.0,
-        };
-        assert_eq!(quadrant_rect(&q, &cell), Rect::new(4.0, 6.0, 10.0, 10.0));
-        let q = QuadrantQuery {
-            x_is_min: false,
-            y_is_min: false,
-            x0: 4.0,
-            y0: 6.0,
-        };
-        assert_eq!(quadrant_rect(&q, &cell), Rect::new(0.0, 0.0, 4.0, 6.0));
     }
 }

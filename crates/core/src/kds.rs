@@ -2,45 +2,77 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rand::{Rng, RngCore};
-use srj_alias::AliasTable;
+use srj_alias::{AliasTable, CumulativeRow9};
 use srj_geom::{Point, Rect};
+use srj_grid::{case_of, CellCase};
+use srj_kdtree::CanonicalScratch;
 
 use crate::buffer::{BufferStats, KdsScratch};
 use crate::cellstore::KdCellStore;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
-use crate::parallel::par_map;
+use crate::decompose::{case12_draw, open_quadrant, quadrant_query, upper_bounding};
 use crate::traits::JoinSampler;
 
-/// Immutable build product of Baseline 1 — **KDS** (paper Section III-A).
+/// Immutable build product of Baseline 1 — **KDS** (paper Section III-A)
+/// — and of the Fig. 9 ablation, which is the same algorithm (see
+/// [`crate::BbstKdVariantIndex`]).
 ///
-/// 1. Build the `S`-side structure offline: per-cell kd-trees behind a
-///    cell-granular [`KdCellStore`] (cell side = `l`, so a window
-///    overlaps ≤ 9 cells — the `O(√m)` query bound of the monolithic
-///    kd-tree is preserved, and the structure becomes patchable cell by
-///    cell).
-/// 2. Run an exact range count `|S(w(r))|` for every `r ∈ R`
-///    (`O(n√m)` — this is the baseline's bottleneck).
-/// 3. Build a Walker alias over the counts; the alias picks `r` with
-///    probability `|S(w(r))| / |J|`.
+/// **Build.**
+/// 1. The `S`-side structure: per-cell kd-trees behind a cell-granular
+///    [`KdCellStore`] (cell side = `l`, so a window overlaps ≤ 9 cells —
+///    the `O(√m)` query bound of the monolithic kd-tree is preserved,
+///    and the structure becomes patchable cell by cell).
+/// 2. An exact range count `|S(w(r))|` for every `r ∈ R` (`O(n√m)` —
+///    the baseline's bottleneck), taken by the cell-major sweep the BBST
+///    algorithm uses ([`crate::BbstIndex`] describes group → sweep →
+///    scatter): the centre and side cells of `r`'s 3×3 block by position
+///    in the cell's sorted arrays, each corner cell by that cell's exact
+///    kd count of the window's 2-sided quadrant. The nine counts are
+///    **kept** as the row of `r`, not summed away.
+/// 3. A Walker alias over the row totals; it picks `r` with probability
+///    `|S(w(r))| / |J|`.
+///
+/// **Draw.** One iteration is two random words: `r` from the alias; from
+/// the row of `r`, a uniform position in `[0, |S(w(r))|)`, which is a
+/// cell of the block *and* a rank among that cell's members in the
+/// window. Then one grid probe, and the member at that rank: for a
+/// centre or side cell the count locates a prefix or suffix of a sorted
+/// member array and the rank indexes it (`O(1)`; ¾ of a uniform window's
+/// mass), for a corner cell one ranked kd query on that cell alone
+/// ([`KdCellStore::nth_in_cell`], `O(√|c|)`). Nothing is counted at draw
+/// time. The counts are exact, so every pair of `J` is emitted with
+/// probability exactly `1/|J|` and no iteration rejects
+/// (`iterations == samples`).
+///
+/// The 3×3 block is where `w(r)` lies up to rounding: `⌊x / l⌋` and
+/// `r.x ± l` can disagree within an ulp of a cell boundary, so that a
+/// window reaches a fourth column or row. The build checks every `r`
+/// whose window corners leave its block against
+/// [`KdCellStore::count_window`] (which walks cells by the window's own
+/// corners); one whose count differs goes on a sorted stray list, gets
+/// its exact count as alias weight, and draws through
+/// [`KdCellStore::sample_in_window`]. The list is empty unless
+/// coordinates sit on multiples of `l`.
 ///
 /// The index is `Send + Sync` and never mutated after
 /// [`KdsIndex::build`]; wrap it in an [`Arc`] and hand every serving
-/// thread its own [`KdsCursor`]. Per sample, a cursor draws `r` from the
-/// alias and one uniform point from `S ∩ w(r)` via spatial independent
-/// range sampling (`O(√m)`). Every pair of `J` is emitted with
-/// probability exactly `1/|J|`; no rejections ever occur
-/// (`iterations == samples`).
+/// thread its own [`KdsCursor`].
 ///
-/// Total: `O((n + t)√m)` time, `O(n + m)` space.
+/// Total: `O(n√m)` build, `O(1)` expected + `O(√|c|)` in a quarter of
+/// the draws, `O(n + m)` space.
 pub struct KdsIndex {
     r_points: Vec<Point>,
     /// `Arc`-held so a sharded engine can build the `S`-side once and
     /// share it across every shard (see [`KdsIndex::build_shared`]),
     /// and an epoch engine can patch it cell by cell.
     s_cells: Arc<KdCellStore>,
+    /// Per `r`, the exact count of `w(r)` in each cell of its block.
+    rows: Vec<CumulativeRow9>,
+    /// Sorted positions in `R` whose window leaves its block and holds
+    /// points there: their rows undercount, their draws bypass them.
+    stray: Vec<u32>,
     alias: Option<AliasTable>,
-    join_size: u64,
     config: SampleConfig,
     build_report: PhaseReport,
 }
@@ -51,12 +83,12 @@ const _: () = {
 };
 
 impl KdsIndex {
-    /// Runs the build phases: kd-tree (pre-processing) + exact counts
+    /// Runs the build phases: kd-trees (pre-processing) + exact counts
     /// and alias (upper-bounding phase, in the paper's table terminology
     /// — for KDS the "bounds" are exact).
     ///
-    /// The per-`r` counting loop — the baseline's `O(n√m)` bottleneck —
-    /// runs on [`SampleConfig::build_threads`] threads; results are
+    /// The counting pass — the baseline's `O(n√m)` bottleneck — runs on
+    /// [`SampleConfig::build_threads`] threads; results are
     /// bit-identical at any thread count (see [`crate::parallel`]).
     pub fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
         let (s_cells, preprocessing) = Self::build_s_structure(s, config);
@@ -95,35 +127,57 @@ impl KdsIndex {
         config: &SampleConfig,
         preprocessing: std::time::Duration,
     ) -> Self {
+        let l = config.half_extent;
+        let grid = s_cells.grid();
         assert!(
-            s_cells.grid().cell_side().to_bits() == config.half_extent.to_bits(),
-            "S-side cell side ({}) must equal the window half-extent ({})",
-            s_cells.grid().cell_side(),
-            config.half_extent
+            grid.cell_side().to_bits() == l.to_bits(),
+            "S-side cell side ({}) must equal the window half-extent ({l})",
+            grid.cell_side(),
         );
         let t1 = Instant::now();
-        let (weights, par) = par_map(r, config.build_threads, |_, &rp| {
-            s_cells.count_window(&Rect::window(rp, config.half_extent)) as f64
+        let mut ub = upper_bounding(grid, r, l, config.build_threads, None, |slot, q| {
+            s_cells.count_in_cell(slot, &open_quadrant(q)) as u64
         });
-        let join_size = weights.iter().sum::<f64>() as u64;
-        let alias = AliasTable::new(&weights);
+        // The rows assume `w(r)` lies in the block of `r`; an `r` whose
+        // window corners say otherwise is counted the window's way.
+        let outside =
+            |lo: i32, hi: i32, c: i32| lo < c.saturating_sub(1) || hi > c.saturating_add(1);
+        let exact = |i: u32| s_cells.count_window(&Rect::window(r[i as usize], l)) as u64;
+        let stray: Vec<u32> = (0u32..)
+            .zip(r.iter().zip(&ub.rows))
+            .filter(|&(i, (&rp, row))| {
+                let w = Rect::window(rp, l);
+                let (cx, cy) = grid.coord_of(rp);
+                let lo = grid.coord_of(Point::new(w.min_x, w.min_y));
+                let hi = grid.coord_of(Point::new(w.max_x, w.max_y));
+                (outside(lo.0, hi.0, cx) || outside(lo.1, hi.1, cy)) && exact(i) != row.total()
+            })
+            .map(|(i, _)| i)
+            .collect();
+        if !stray.is_empty() {
+            let mut weights: Vec<f64> = ub.rows.iter().map(|row| row.total() as f64).collect();
+            for &i in &stray {
+                weights[i as usize] = exact(i) as f64;
+            }
+            ub.alias = AliasTable::new(&weights);
+        }
         let upper_bounding = t1.elapsed();
-        // Alias construction is serial; charge it to CPU too so that
-        // cpu/wall stays the honest speedup ratio.
-        let upper_bounding_cpu = par.cpu + upper_bounding.saturating_sub(par.wall);
 
         KdsIndex {
             r_points: r.to_vec(),
-            s_cells,
-            alias,
-            join_size,
+            rows: ub.rows,
+            stray,
+            alias: ub.alias,
             config: *config,
             build_report: PhaseReport {
                 preprocessing,
                 upper_bounding,
-                upper_bounding_cpu,
+                // The stray check is serial; charge it to CPU too so
+                // that cpu/wall stays the honest speedup ratio.
+                upper_bounding_cpu: ub.cpu + upper_bounding.saturating_sub(ub.wall),
                 ..PhaseReport::default()
             },
+            s_cells,
         }
     }
 
@@ -139,7 +193,26 @@ impl KdsIndex {
     /// Exact join cardinality `|J| = Σ_r |S(w(r))|` (free by-product of
     /// the counting step — one of KDS's few advantages).
     pub fn join_size(&self) -> u64 {
-        self.join_size
+        self.mu_total() as u64
+    }
+
+    /// [`KdsIndex::join_size`] as the alias's total weight — what the
+    /// BBST family calls `Σµ`; here the bounds are exact.
+    pub fn mu_total(&self) -> f64 {
+        self.alias.as_ref().map_or(0.0, AliasTable::total_weight)
+    }
+
+    /// The per-`r` rows: entry `i` of row `j` is the exact count of
+    /// `w(r_j)` in neighbour `i` of `r_j`'s 3×3 block.
+    pub fn rows(&self) -> &[CumulativeRow9] {
+        &self.rows
+    }
+
+    /// Positions in `R` whose draws bypass their row (see the type
+    /// docs), ascending. Empty unless rounding pushed a window out of
+    /// its block onto points.
+    pub fn stray(&self) -> &[u32] {
+        &self.stray
     }
 
     /// The configuration the index was built with.
@@ -156,6 +229,8 @@ impl KdsIndex {
     pub fn memory_bytes(&self) -> usize {
         self.r_points.capacity() * std::mem::size_of::<Point>()
             + self.s_cells.memory_bytes()
+            + self.rows.capacity() * std::mem::size_of::<CumulativeRow9>()
+            + self.stray.capacity() * std::mem::size_of::<u32>()
             + self.alias.as_ref().map_or(0, AliasTable::memory_bytes)
     }
 }
@@ -167,8 +242,9 @@ impl SamplerIndex for KdsIndex {
         "KDS"
     }
 
-    /// KDS counts exactly, so every iteration accepts: `try_draw` never
-    /// returns `Ok(None)`.
+    /// One iteration: `r` from the alias word, cell and in-cell rank
+    /// from the row word, the member at that rank. KDS counts exactly,
+    /// so every iteration accepts: `try_draw` never returns `Ok(None)`.
     fn try_draw<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -177,17 +253,42 @@ impl SamplerIndex for KdsIndex {
     ) -> Result<Option<JoinPair>, SampleError> {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         stats.iterations += 1;
-        let ridx = alias.sample(rng);
-        let w = Rect::window(self.r_points[ridx], self.config.half_extent);
-        // The alias only returns r with a positive count, so the window
-        // is non-empty and the draw cannot fail.
-        let (sid, _count) = if scratch.buffers.enabled() {
+        let ridx = alias.sample_word(rng.next_u64());
+        let rp = self.r_points[ridx];
+        let w = Rect::window(rp, self.config.half_extent);
+        // The alias only returns r with a positive count, so neither
+        // arm can come up empty.
+        let sid = if self.stray.binary_search(&(ridx as u32)).is_ok() {
             self.s_cells
-                .sample_in_window_buffered(&w, rng, &mut scratch.kd, &mut scratch.buffers)
+                .sample_in_window(&w, rng, &mut CanonicalScratch)
+                .expect("alias returned a stray r with zero range count")
+                .0
         } else {
-            self.s_cells.sample_in_window(&w, rng, &mut scratch.kd)
-        }
-        .expect("alias returned an r with zero range count");
+            let pick = self.rows[ridx]
+                .pick_word(rng.next_u64())
+                .expect("alias returned an r with zero range count");
+            let slot = self
+                .s_cells
+                .grid()
+                .neighbor_slot(rp, pick.cell)
+                .expect("positive cell weight for an empty cell");
+            match case_of(pick.cell) {
+                CellCase::Quadrant { x_is_min, y_is_min } => {
+                    let q = open_quadrant(&quadrant_query(x_is_min, y_is_min, &w));
+                    self.s_cells
+                        .nth_in_cell(slot, &q, pick.rank as usize)
+                        .expect("rank below the stored corner count")
+                }
+                case => {
+                    let store = self.s_cells.store();
+                    case12_draw(store, slot, case, &pick, &w, &mut scratch.buffers)
+                }
+            }
+        };
+        debug_assert!(
+            w.contains(self.s_cells.grid().point(sid)),
+            "KDS sample escaped the window"
+        );
         stats.samples += 1;
         Ok(Some(JoinPair::new(ridx as u32, sid)))
     }
@@ -209,7 +310,7 @@ impl SamplerIndex for KdsIndex {
     }
 
     fn total_weight(&self) -> f64 {
-        self.alias.as_ref().map_or(0.0, AliasTable::total_weight)
+        self.mu_total()
     }
 
     fn cell_count(&self) -> usize {
@@ -233,9 +334,8 @@ impl SamplerIndex for KdsIndex {
     }
 }
 
-/// Cheap per-thread query state over a shared [`KdsIndex`]: a kd-tree
-/// descent scratch buffer plus sampling-phase statistics (see
-/// [`Cursor`]).
+/// Cheap per-thread query state over a shared [`KdsIndex`]: the sample
+/// buffers plus sampling-phase statistics (see [`Cursor`]).
 pub type KdsCursor = Cursor<KdsIndex>;
 
 /// Baseline 1 — **KDS** — as a self-contained single-threaded sampler:
@@ -257,6 +357,11 @@ impl KdsSampler {
     /// Exact join cardinality `|J|` (see [`KdsIndex::join_size`]).
     pub fn join_size(&self) -> u64 {
         self.cursor.index().join_size()
+    }
+
+    /// `|J|` as a total weight (see [`KdsIndex::mu_total`]).
+    pub fn mu_total(&self) -> f64 {
+        self.cursor.index().mu_total()
     }
 
     /// The shared index, for handing to additional cursors.

@@ -6,16 +6,17 @@
 //! random with replacement and independently — **without running the
 //! join**.
 //!
-//! Four samplers implement the common [`JoinSampler`] trait:
+//! Three samplers implement the common [`JoinSampler`] trait:
 //!
 //! | Sampler | Paper | Time | Space |
 //! |---|---|---|---|
 //! | [`KdsSampler`] | §III-A | `O((n + t)√m)` | `O(n + m)` |
 //! | [`KdsRejectionSampler`] | §III-B | `O(n + m + n·m^1.5·t/\|J\|)` exp. | `O(n + m)` |
 //! | [`BbstSampler`] | §IV | `Õ(n + m + t)` exp. | `O(n + m)` |
-//! | [`BbstKdVariantSampler`] | Fig. 9 | grid pipeline, kd-tree cells | `O(n + m)` |
 //!
-//! plus [`JoinThenSample`], the `Ω(|J|)` strawman (materialise, then
+//! ([`BbstKdVariantSampler`], the Fig. 9 ablation — grid pipeline,
+//! kd-tree corner cells — is [`KdsSampler`] under its paper name) plus
+//! [`JoinThenSample`], the `Ω(|J|)` strawman (materialise, then
 //! sample) that the introduction rules out and the experiments use as a
 //! sanity lower bound.
 //!
@@ -28,11 +29,10 @@
 //! The paper separates one-time preprocessing from per-sample work; this
 //! crate makes that split structural. Every sampler is divided into an
 //! immutable, `Send + Sync` **index** ([`KdsIndex`],
-//! [`KdsRejectionIndex`], [`BbstIndex`], [`BbstKdVariantIndex`]) that
-//! runs the build phases exactly once, and a cheap mutable **cursor**
-//! ([`KdsCursor`], [`KdsRejectionCursor`], [`BbstCursor`],
-//! [`BbstKdVariantCursor`]) holding only per-thread state (scratch
-//! buffers and sampling statistics). Wrap an index in an `Arc`, hand
+//! [`KdsRejectionIndex`], [`BbstIndex`]) that runs the build phases
+//! exactly once, and a cheap mutable **cursor** ([`KdsCursor`],
+//! [`KdsRejectionCursor`], [`BbstCursor`]) holding only per-thread state
+//! (scratch buffers and sampling statistics). Wrap an index in an `Arc`, hand
 //! each thread its own cursor, and all threads draw concurrently from
 //! the same structures. The classic `*Sampler` types remain as
 //! single-threaded shims (owned index + one cursor) with the original
@@ -76,7 +76,7 @@ mod variant;
 pub use bbst_alg::{BbstCursor, BbstIndex, BbstSStructures, BbstSampler};
 pub use buffer::{BufferStats, DrawBuffers, KdsScratch, BUFFER_CAP, MAX_BUFFERS, PROMOTE_HITS};
 pub use cellstore::{
-    BbstCellCtx, CellStore, CellUnit, KdCellStore, PatchReport as CellPatchReport,
+    BbstCellCtx, CellStore, CellUnit, KdCellStore, KdCellUnit, PatchReport as CellPatchReport,
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 pub use cursor::{AnySamplerIndex, Cursor, SamplerIndex};

@@ -11,6 +11,7 @@ use rand::{Rng, RngCore};
 use srj_alias::AliasTable;
 use srj_geom::{Point, Rect};
 use srj_grid::Grid;
+use srj_kdtree::CanonicalScratch;
 
 /// Immutable build product of Baseline 2 — **KDS-rejection** (paper
 /// Section III-B).
@@ -224,9 +225,10 @@ impl SamplerIndex for KdsRejectionIndex {
         // cells may hold points only outside w(r).
         let drawn = if scratch.buffers.enabled() {
             self.s_cells
-                .sample_in_window_buffered(&w, rng, &mut scratch.kd, &mut scratch.buffers)
+                .sample_in_window_buffered(&w, rng, &mut scratch.buffers)
         } else {
-            self.s_cells.sample_in_window(&w, rng, &mut scratch.kd)
+            self.s_cells
+                .sample_in_window(&w, rng, &mut CanonicalScratch)
         };
         if let Some((sid, count)) = drawn {
             // Accept with probability |S(w(r))| / µ(r).

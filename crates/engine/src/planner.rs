@@ -4,8 +4,11 @@
 //! The paper's three algorithms trade build cost against per-sample
 //! cost:
 //!
-//! * **KDS** — expensive exact counting (`O(n√m)`) but zero rejections;
-//!   unbeatable when `n·√m` is small.
+//! * **KDS** — expensive exact counting (`O(n√m)`, one kd count per
+//!   corner cell of every `r`) but zero rejections and an exact `|J|`;
+//!   its draw reads the stored counts — `O(1)` for three picks in four, a
+//!   ranked kd query on one corner cell for the fourth — so per sample it
+//!   costs what BBST does. Unbeatable when `n·√m` is small.
 //! * **KDS-rejection** — near-free bounds (`O(n + m)`), but every
 //!   sample pays the bound looseness `Σµ/|J|` in expected rejections;
 //!   best when the grid bounds are tight (high-selectivity workloads

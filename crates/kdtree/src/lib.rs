@@ -21,4 +21,4 @@ mod sample;
 mod tree;
 
 pub use sample::CanonicalScratch;
-pub use tree::KdTree;
+pub use tree::{KdTree, DEFAULT_LEAF_SIZE};

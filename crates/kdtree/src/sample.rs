@@ -1,26 +1,26 @@
 use rand::Rng;
 use srj_geom::{PointId, Rect};
 
-use crate::tree::NONE;
 use crate::KdTree;
 
-/// Reusable scratch buffer for canonical-range decomposition.
+/// Per-cursor parameter of the kd draws, **empty since the ranked walk**:
+/// [`KdTree::sample_in_range`] used to materialise the window's canonical
+/// decomposition into a reusable `ranges` vector for every draw; it now
+/// counts, draws a rank and walks to it ([`KdTree::nth_in_range`]), which
+/// needs no buffer. The type stays so that `sample_in_range` and
+/// `KdCellStore::sample_in_window` keep the signatures their callers
+/// outside this workspace (the `benchmark/` crate) compile against.
 ///
-/// `KDS` re-decomposes the window for every draw (`O(√m)` per sample, as
-/// in Section III-A of the paper). The decomposition needs a temporary
-/// list of `O(√m)` contiguous index ranges; reusing this buffer across
-/// draws keeps the hot loop allocation-free (see the Rust Performance
-/// Book's "workhorse collection" pattern).
+/// `KdsIndex` no longer decomposes a window per draw at all: its build
+/// stored the per-cell counts, so a draw ranks straight into one cell.
+/// Per-draw counting is KDS-rejection's, whose acceptance test needs it.
 #[derive(Default, Clone, Debug)]
-pub struct CanonicalScratch {
-    /// Contiguous internal-index ranges that are fully inside the window.
-    ranges: Vec<(u32, u32)>,
-}
+pub struct CanonicalScratch;
 
 impl CanonicalScratch {
-    /// Creates an empty scratch buffer.
+    /// Creates the (empty) scratch.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -29,115 +29,76 @@ impl KdTree {
     /// inside the closed window `w`, independently of any previous draw.
     ///
     /// Returns `(id, count)` where `count = |S ∩ w|`, or `None` when the
-    /// window is empty. The count comes for free from the canonical
-    /// decomposition and is exactly what `KDS-rejection` needs for its
-    /// acceptance probability `|S(w(r))| / µ(r)` (paper Section III-B).
+    /// window is empty. The count is exactly what `KDS-rejection` needs
+    /// for its acceptance probability `|S(w(r))| / µ(r)` (paper
+    /// Section III-B).
     ///
-    /// This is the KDS primitive \[Xie et al., SIGMOD 2021\]:
-    /// 1. decompose `w` into canonical subtrees (fully covered nodes) and
-    ///    individually-checked boundary points — `O(√m)` ranges;
-    /// 2. draw a uniform rank in `[0, count)`;
-    /// 3. map the rank to a range, then to a point. Because every subtree
-    ///    owns a contiguous slice, step 3 is a uniform index choice.
-    ///
-    /// Every point in `S ∩ w` is returned with probability exactly
-    /// `1 / count`.
+    /// This is the KDS primitive \[Xie et al., SIGMOD 2021\]: count the
+    /// window ([`KdTree::range_count`]), draw a uniform rank below the
+    /// count, return the point at that rank of the window's canonical
+    /// decomposition ([`KdTree::nth_in_range`]). Every point in `S ∩ w`
+    /// is returned with probability exactly `1 / count`.
     pub fn sample_in_range<R: Rng + ?Sized>(
         &self,
         w: &Rect,
         rng: &mut R,
-        scratch: &mut CanonicalScratch,
+        _scratch: &mut CanonicalScratch,
     ) -> Option<(PointId, usize)> {
-        let count = self.decompose(w, scratch);
+        let count = self.range_count(w);
         if count == 0 {
             return None;
         }
-        let mut rank = rng.gen_range(0..count);
-        for &(lo, hi) in &scratch.ranges {
-            let len = (hi - lo) as usize;
-            if rank < len {
-                let (id, _) = self.entry(lo + rank as u32);
-                return Some((id, count));
-            }
-            rank -= len;
-        }
-        unreachable!("rank {rank} exceeded decomposition of size {count}")
+        let id = self
+            .nth_in_range(w, rng.gen_range(0..count))
+            .expect("rank below the window's count");
+        Some((id, count))
     }
 
-    /// Canonical decomposition of `w`: fills `scratch.ranges` with
-    /// contiguous internal-index ranges covering exactly `S ∩ w`, and
-    /// returns the total count.
-    fn decompose(&self, w: &Rect, scratch: &mut CanonicalScratch) -> usize {
-        scratch.ranges.clear();
-        if self.is_empty() {
-            return 0;
+    /// The ranked walk on its own: the id at position `rank` of `S ∩ w`,
+    /// for a caller that already holds a uniform rank below
+    /// [`KdTree::range_count`] — `None` iff `rank` is not below it.
+    ///
+    /// Positions follow the canonical decomposition of `w` in depth-first
+    /// order, left subtree first: a fully covered node contributes its
+    /// contiguous slice (so a rank inside it is one index), a boundary
+    /// leaf its in-window points in slice order. The walk stops at the
+    /// node the rank falls into; `O(√m)` like the count. Every comparison
+    /// is closed, so `w` may be open to `±∞` on any side.
+    pub fn nth_in_range(&self, w: &Rect, rank: usize) -> Option<PointId> {
+        if self.nodes.is_empty() {
+            return None;
         }
-        let mut total = 0usize;
-        let mut stack = [0u32; 64];
-        let mut top = 0usize;
-        stack[top] = 0;
-        top += 1;
-        // Iterative traversal with a fixed-size stack: the tree depth is
-        // O(log m) ≤ 64 for any dataset that fits in memory.
-        let mut overflow: Vec<u32> = Vec::new();
-        loop {
-            let node = if top > 0 {
-                top -= 1;
-                stack[top]
-            } else if let Some(n) = overflow.pop() {
-                n
-            } else {
-                break;
-            };
-            let n = &self.nodes()[node as usize];
-            if !w.intersects(&n.bbox) {
-                continue;
+        let mut rank = rank;
+        self.nth_rec(0, w, &mut rank)
+    }
+
+    /// `rank` is decremented by every in-window point passed over.
+    fn nth_rec(&self, node: u32, w: &Rect, rank: &mut usize) -> Option<PointId> {
+        let n = &self.nodes[node as usize];
+        if !w.intersects(&n.bbox) {
+            return None;
+        }
+        if w.contains_rect(&n.bbox) {
+            let len = n.len() as usize;
+            if *rank < len {
+                return Some(self.ids[n.lo as usize + *rank]);
             }
-            if w.contains_rect(&n.bbox) {
-                total += n.len() as usize;
-                scratch.ranges.push((n.lo, n.hi));
-                continue;
-            }
-            if n.is_leaf() {
-                // Boundary leaf: push each matching point as a unit range.
-                let mut run_start = NONE;
-                for i in n.lo..n.hi {
-                    if w.contains(self.pts_slice()[i as usize]) {
-                        if run_start == NONE {
-                            run_start = i;
-                        }
-                    } else if run_start != NONE {
-                        total += (i - run_start) as usize;
-                        scratch.ranges.push((run_start, i));
-                        run_start = NONE;
+            *rank -= len;
+            return None;
+        }
+        if n.is_leaf() {
+            for i in n.lo as usize..n.hi as usize {
+                if w.contains(self.pts[i]) {
+                    if *rank == 0 {
+                        return Some(self.ids[i]);
                     }
-                }
-                if run_start != NONE {
-                    total += (n.hi - run_start) as usize;
-                    scratch.ranges.push((run_start, n.hi));
-                }
-                continue;
-            }
-            for child in [n.left, n.right] {
-                if top < stack.len() {
-                    stack[top] = child;
-                    top += 1;
-                } else {
-                    overflow.push(child);
+                    *rank -= 1;
                 }
             }
+            return None;
         }
-        total
-    }
-
-    #[inline]
-    fn nodes(&self) -> &[crate::tree::Node] {
-        &self.nodes
-    }
-
-    #[inline]
-    fn pts_slice(&self) -> &[srj_geom::Point] {
-        &self.pts
+        self.nth_rec(n.left, w, rank)
+            .or_else(|| self.nth_rec(n.right, w, rank))
     }
 }
 
@@ -244,6 +205,60 @@ mod tests {
         for (id, &c) in freq.iter().enumerate() {
             let rel = (c as f64 - expected).abs() / expected;
             assert!(rel < 0.08, "point {id}: expected {expected}, got {c}");
+        }
+    }
+
+    /// Ranks `0..count` enumerate `S ∩ w` exactly once each, and nothing
+    /// lies beyond `count` — for every leaf size, on rectangles that are
+    /// bounded, degenerate, empty, and open to ±∞ (the quadrants a grid
+    /// cell's corner query poses).
+    #[test]
+    fn nth_in_range_enumerates_the_range_once() {
+        // Duplicates and points on the query edges included.
+        let mut pts = grid_points(9, 7);
+        pts.extend(grid_points(3, 3));
+        const INF: f64 = f64::INFINITY;
+        let rects = [
+            Rect::new(2.0, 1.0, 6.0, 4.0),
+            Rect::new(2.5, 1.5, 2.5, 1.5),
+            Rect::degenerate(Point::new(1.0, 1.0)),
+            Rect::new(100.0, 100.0, 200.0, 200.0),
+            Rect::new(-INF, -INF, INF, INF),
+            Rect::new(3.0, 2.0, INF, INF),
+            Rect::new(-INF, 2.0, 3.0, INF),
+            Rect::new(3.0, -INF, INF, 2.0),
+            Rect::new(-INF, -INF, 3.0, 2.0),
+        ];
+        for leaf_size in [1, 4, 16] {
+            let t = KdTree::with_leaf_size(&pts, leaf_size);
+            for w in &rects {
+                let count = t.range_count(w);
+                let brute = pts.iter().filter(|p| w.contains(**p)).count();
+                assert_eq!(count, brute, "leaf {leaf_size} {w:?}");
+                let mut ids: Vec<PointId> = (0..count)
+                    .map(|rank| t.nth_in_range(w, rank).expect("rank below the count"))
+                    .collect();
+                assert!(ids.iter().all(|&id| w.contains(pts[id as usize])));
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(ids.len(), count, "leaf {leaf_size} {w:?}: an id repeated");
+                assert_eq!(t.nth_in_range(w, count), None, "leaf {leaf_size} {w:?}");
+            }
+        }
+        assert_eq!(KdTree::build(&[]).nth_in_range(&rects[4], 0), None);
+    }
+
+    /// One word per draw: the rank. The count and the walk take none.
+    #[test]
+    fn sample_in_range_spends_one_rank_per_draw() {
+        let pts = grid_points(12, 12);
+        let t = KdTree::with_leaf_size(&pts, 3);
+        let w = Rect::new(3.0, 3.0, 8.0, 8.0);
+        let mut scratch = CanonicalScratch::new();
+        let (mut a, mut b) = (SmallRng::seed_from_u64(11), SmallRng::seed_from_u64(11));
+        for _ in 0..200 {
+            let (id, count) = t.sample_in_range(&w, &mut a, &mut scratch).unwrap();
+            assert_eq!(Some(id), t.nth_in_range(&w, b.gen_range(0..count)));
         }
     }
 }

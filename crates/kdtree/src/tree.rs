@@ -41,8 +41,10 @@ impl Node {
 /// Built once from a slice of points; supports:
 /// * [`KdTree::range_count`] — exact `|S ∩ w|`,
 /// * [`KdTree::range_report`] — all ids in `w`,
-/// * [`KdTree::sample_in_range`] — one uniform, independent draw from
-///   `S ∩ w` (the KDS primitive), see the `sample` module.
+/// * [`KdTree::nth_in_range`] — the id at a given rank of `S ∩ w`, and
+///   [`KdTree::sample_in_range`] — one uniform, independent draw from
+///   `S ∩ w` (the KDS primitive: count, uniform rank, ranked walk), see
+///   the `sample` module.
 ///
 /// Space is `O(m)`: the reordered point array, the id permutation, and
 /// `O(m / leaf_size)` nodes.
@@ -190,12 +192,6 @@ impl KdTree {
         }
         self.report_rec(n.left, w, out);
         self.report_rec(n.right, w, out);
-    }
-
-    /// Original id and coordinates of the point at internal index `i`.
-    #[inline]
-    pub(crate) fn entry(&self, i: u32) -> (PointId, Point) {
-        (self.ids[i as usize], self.pts[i as usize])
     }
 
     /// Approximate heap footprint in bytes (for the Fig. 4 experiment).
