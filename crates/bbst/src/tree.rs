@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use crate::bucket::Bucket;
 
 /// Sentinel node index.
@@ -39,7 +41,7 @@ type Seg = (u32, u32);
 /// * `a_min` / `a_max` — **all** buckets of the subtree rooted here,
 ///   sorted by min-y / max-y (the `A^min_i` / `A^max_i` arrays; they
 ///   answer the y-dimension for canonical nodes).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Node {
     key: f64,
     left: u32,
@@ -115,50 +117,50 @@ impl Bbst {
                 .all(|w| key_of(&w[0], key_kind) <= key_of(&w[1], key_kind)),
             "bucket keys must be non-decreasing"
         );
+        // The keys alone fix the tree's shape, so every array is
+        // allocated once, at its final size.
+        let (nodes, entries) = shape(buckets, key_kind, 0..b);
         let mut t = Bbst {
             key_kind,
-            nodes: Vec::with_capacity(2 * b.max(1)),
-            arena: Vec::new(),
-            mass: Vec::new(),
-            ranks: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
+            arena: Vec::with_capacity(entries),
+            mass: Vec::with_capacity(entries),
+            ranks: Vec::with_capacity(if cascading { entries } else { 0 }),
             cascading,
             root: NONE,
         };
-        if b == 0 {
-            return t;
-        }
-        // B: bucket indices sorted by key (already, by construction).
-        let keys: Vec<u32> = (0..b as u32).collect();
-        // Bcp1 / Bcp2: copies sorted by min-y / max-y (Algorithm 2 line 3).
-        let mut by_min = keys.clone();
-        by_min.sort_by(|&i, &j| {
-            buckets[i as usize]
-                .min_y
-                .total_cmp(&buckets[j as usize].min_y)
-        });
-        let mut by_max = keys.clone();
-        by_max.sort_by(|&i, &j| {
-            buckets[i as usize]
-                .max_y
-                .total_cmp(&buckets[j as usize].max_y)
-        });
-        t.root = t.make_node(buckets, &keys, &by_min, &by_max);
+        // B is the bucket slice itself: sorted by key by construction.
+        // Bcp1 / Bcp2: its indices sorted by min-y / max-y (Algorithm 2
+        // line 3), ties in index order.
+        let mut by_min = indices_sorted_by(buckets, |b| b.min_y);
+        let mut by_max = indices_sorted_by(buckets, |b| b.max_y);
+        let mut spare = vec![0u32; b];
+        t.root = t.make_node(buckets, 0..b, &mut by_min, &mut by_max, &mut spare);
+        debug_assert_eq!((t.nodes.len(), t.arena.len()), (nodes, entries));
         t
     }
 
-    /// Recursive `MAKE-NODE` (Algorithm 2 lines 6–24).
+    /// Recursive `MAKE-NODE` (Algorithm 2 lines 6–24) over the buckets
+    /// `keys` (a range of the key-sorted bucket slice), whose indices
+    /// `by_min` / `by_max` hold in min-y / max-y order.
+    ///
+    /// Nothing is allocated per node: the two index arrays are
+    /// partitioned in place (below the median key | equal | above,
+    /// order-preserving, through `spare`) and the children recurse on
+    /// the outer parts. `spare` is as long as the whole tree's arrays.
     fn make_node(
         &mut self,
         buckets: &[Bucket],
-        keys: &[u32],
-        by_min: &[u32],
-        by_max: &[u32],
+        keys: Range<usize>,
+        by_min: &mut [u32],
+        by_max: &mut [u32],
+        spare: &mut [u32],
     ) -> u32 {
         if keys.is_empty() {
             return NONE;
         }
         let kk = self.key_kind;
-        let median = key_of(&buckets[keys[keys.len() / 2] as usize], kk);
+        let median = key_of(&buckets[keys.start + keys.len() / 2], kk);
 
         // A arrays: every bucket of this subtree, in both y orders —
         // with fractional-cascading rank triples when enabled (the rank
@@ -168,36 +170,14 @@ impl Bbst {
         let a_min = self.push_a_segment(buckets, by_min, median);
         let a_max = self.push_a_segment(buckets, by_max, median);
 
-        // B lists: equal-key buckets, in both y orders; remainders are
-        // partitioned for the children (order-preserving).
-        let mut b_min_ids = Vec::new();
-        let mut min_l = Vec::new();
-        let mut min_r = Vec::new();
-        for &i in by_min {
-            let k = key_of(&buckets[i as usize], kk);
-            if k == median {
-                b_min_ids.push(i);
-            } else if k < median {
-                min_l.push(i);
-            } else {
-                min_r.push(i);
-            }
-        }
-        let mut b_max_ids = Vec::new();
-        let mut max_l = Vec::new();
-        let mut max_r = Vec::new();
-        for &i in by_max {
-            let k = key_of(&buckets[i as usize], kk);
-            if k == median {
-                b_max_ids.push(i);
-            } else if k < median {
-                max_l.push(i);
-            } else {
-                max_r.push(i);
-            }
-        }
-        let b_min = self.push_segment(buckets, &b_min_ids);
-        let b_max = self.push_segment(buckets, &b_max_ids);
+        // B lists: equal-key buckets, in both y orders; the remainders
+        // are the children's arrays.
+        let (below, equal) = partition_by_key(buckets, kk, median, by_min, spare);
+        let same = partition_by_key(buckets, kk, median, by_max, spare);
+        debug_assert_eq!(same, (below, equal));
+        let above = below + equal;
+        let b_min = self.push_segment(buckets, &by_min[below..above]);
+        let b_max = self.push_segment(buckets, &by_max[below..above]);
 
         let me = self.nodes.len() as u32;
         self.nodes.push(Node {
@@ -210,17 +190,26 @@ impl Bbst {
             a_max,
         });
 
-        // Leaf cut-off (Algorithm 2 line 22).
-        if keys.len() > 1 {
-            // `keys` is sorted by key, so the children's key slices are
-            // the prefix strictly below and the suffix strictly above.
-            let lo = keys.partition_point(|&i| key_of(&buckets[i as usize], kk) < median);
-            let hi = keys.partition_point(|&i| key_of(&buckets[i as usize], kk) <= median);
-            let left = self.make_node(buckets, &keys[..lo], &min_l, &max_l);
-            let right = self.make_node(buckets, &keys[hi..], &min_r, &max_r);
-            self.nodes[me as usize].left = left;
-            self.nodes[me as usize].right = right;
-        }
+        // The bucket slice is sorted by key, so the children's key
+        // ranges are the prefix strictly below and the suffix strictly
+        // above; a single bucket leaves both empty (Algorithm 2
+        // line 22's leaf cut-off).
+        let left = self.make_node(
+            buckets,
+            keys.start..keys.start + below,
+            &mut by_min[..below],
+            &mut by_max[..below],
+            spare,
+        );
+        let right = self.make_node(
+            buckets,
+            keys.start + above..keys.end,
+            &mut by_min[above..],
+            &mut by_max[above..],
+            spare,
+        );
+        self.nodes[me as usize].left = left;
+        self.nodes[me as usize].right = right;
         me
     }
 
@@ -521,10 +510,77 @@ pub(crate) fn key_of(b: &Bucket, kk: KeyKind) -> f64 {
     }
 }
 
+/// The bucket indices in ascending order of `y`, ties in index order.
+fn indices_sorted_by(buckets: &[Bucket], y: impl Fn(&Bucket) -> f64) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..buckets.len() as u32).collect();
+    let y = |i: u32| y(&buckets[i as usize]);
+    ids.sort_unstable_by(|&i, &j| y(i).total_cmp(&y(j)).then(i.cmp(&j)));
+    ids
+}
+
+/// Node count and arena length of the tree over the buckets `keys`,
+/// from the keys alone: each node stores its subtree twice (the `A`
+/// arrays) and its equal-key buckets twice (the `B` lists).
+fn shape(buckets: &[Bucket], kk: KeyKind, keys: Range<usize>) -> (usize, usize) {
+    if keys.is_empty() {
+        return (0, 0);
+    }
+    let median = key_of(&buckets[keys.start + keys.len() / 2], kk);
+    let own = &buckets[keys.clone()];
+    let below = keys.start + own.partition_point(|b| key_of(b, kk) < median);
+    let above = keys.start + own.partition_point(|b| key_of(b, kk) <= median);
+    let left = shape(buckets, kk, keys.start..below);
+    let right = shape(buckets, kk, above..keys.end);
+    (
+        1 + left.0 + right.0,
+        2 * keys.len() + 2 * (above - below) + left.1 + right.1,
+    )
+}
+
+/// Stable three-way partition of `ids` in place by bucket key — below
+/// `median`, equal to it, above it — returning the lengths of the first
+/// two parts. `spare` must be at least as long as `ids`.
+fn partition_by_key(
+    buckets: &[Bucket],
+    kk: KeyKind,
+    median: f64,
+    ids: &mut [u32],
+    spare: &mut [u32],
+) -> (usize, usize) {
+    let n = ids.len();
+    // Below compacts towards the front of `ids` (never past the read
+    // position); equal fills `spare` from the front and above from the
+    // back, which cannot meet.
+    let (mut below, mut equal, mut above) = (0, 0, n);
+    for at in 0..n {
+        let i = ids[at];
+        let key = key_of(&buckets[i as usize], kk);
+        if key == median {
+            spare[equal] = i;
+            equal += 1;
+        } else if key < median {
+            ids[below] = i;
+            below += 1;
+        } else {
+            above -= 1;
+            spare[above] = i;
+        }
+    }
+    ids[below..below + equal].copy_from_slice(&spare[..equal]);
+    for (slot, &i) in ids[below + equal..]
+        .iter_mut()
+        .zip(spare[above..n].iter().rev())
+    {
+        *slot = i;
+    }
+    (below, equal)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bucket::partition_into_buckets;
+    use proptest::prelude::*;
     use srj_geom::{Point, PointId};
 
     fn make(points: &[Point], cap: u32) -> (Vec<PointId>, Vec<Bucket>) {
@@ -569,6 +625,148 @@ mod tests {
         (0..n)
             .map(|i| Point::new((i % 37) as f64, ((i * 13) % 29) as f64))
             .collect()
+    }
+
+    /// `MAKE-NODE` as Algorithm 2 writes it, a fresh list per partition
+    /// per node: the reference the in-place builder is tested against.
+    fn reference_build(buckets: &[Bucket], key_kind: KeyKind, cascading: bool) -> Bbst {
+        let mut t = Bbst {
+            key_kind,
+            nodes: Vec::new(),
+            arena: Vec::new(),
+            mass: Vec::new(),
+            ranks: Vec::new(),
+            cascading,
+            root: NONE,
+        };
+        let keys: Vec<u32> = (0..buckets.len() as u32).collect();
+        let mut by_min = keys.clone();
+        by_min.sort_by(|&i, &j| {
+            buckets[i as usize]
+                .min_y
+                .total_cmp(&buckets[j as usize].min_y)
+        });
+        let mut by_max = keys.clone();
+        by_max.sort_by(|&i, &j| {
+            buckets[i as usize]
+                .max_y
+                .total_cmp(&buckets[j as usize].max_y)
+        });
+        t.root = reference_make_node(&mut t, buckets, &keys, &by_min, &by_max);
+        t
+    }
+
+    fn reference_make_node(
+        t: &mut Bbst,
+        buckets: &[Bucket],
+        keys: &[u32],
+        by_min: &[u32],
+        by_max: &[u32],
+    ) -> u32 {
+        if keys.is_empty() {
+            return NONE;
+        }
+        let kk = t.key_kind;
+        let median = key_of(&buckets[keys[keys.len() / 2] as usize], kk);
+        let a_min = t.push_a_segment(buckets, by_min, median);
+        let a_max = t.push_a_segment(buckets, by_max, median);
+        let split = |ids: &[u32]| {
+            let (mut equal, mut left, mut right) = (Vec::new(), Vec::new(), Vec::new());
+            for &i in ids {
+                let k = key_of(&buckets[i as usize], kk);
+                if k == median {
+                    equal.push(i);
+                } else if k < median {
+                    left.push(i);
+                } else {
+                    right.push(i);
+                }
+            }
+            (equal, left, right)
+        };
+        let (b_min_ids, min_l, min_r) = split(by_min);
+        let (b_max_ids, max_l, max_r) = split(by_max);
+        let b_min = t.push_segment(buckets, &b_min_ids);
+        let b_max = t.push_segment(buckets, &b_max_ids);
+        let me = t.nodes.len() as u32;
+        t.nodes.push(Node {
+            key: median,
+            left: NONE,
+            right: NONE,
+            b_min,
+            b_max,
+            a_min,
+            a_max,
+        });
+        if keys.len() > 1 {
+            let lo = keys.partition_point(|&i| key_of(&buckets[i as usize], kk) < median);
+            let hi = keys.partition_point(|&i| key_of(&buckets[i as usize], kk) <= median);
+            let left = reference_make_node(t, buckets, &keys[..lo], &min_l, &max_l);
+            let right = reference_make_node(t, buckets, &keys[hi..], &min_r, &max_r);
+            t.nodes[me as usize].left = left;
+            t.nodes[me as usize].right = right;
+        }
+        me
+    }
+
+    fn assert_builds_the_reference(points: &[Point], cap: u32) {
+        let (_, buckets) = make(points, cap);
+        for kk in [KeyKind::MinX, KeyKind::MaxX] {
+            for cascading in [false, true] {
+                let got = Bbst::build_inner(&buckets, kk, cascading);
+                let want = reference_build(&buckets, kk, cascading);
+                let what = format!("{} buckets, {kk:?}, cascading {cascading}", buckets.len());
+                assert_eq!(got.root, want.root, "{what}");
+                assert_eq!(got.nodes, want.nodes, "{what}");
+                assert_eq!(got.arena, want.arena, "{what}");
+                assert_eq!(got.mass, want.mass, "{what}");
+                assert_eq!(got.ranks, want.ranks, "{what}");
+                // Reserved once, to the entry.
+                assert_eq!(got.nodes.capacity(), got.nodes.len(), "{what}");
+                assert_eq!(got.arena.capacity(), got.arena.len(), "{what}");
+                assert_eq!(got.mass.capacity(), got.mass.len(), "{what}");
+                assert_eq!(got.ranks.capacity(), got.ranks.len(), "{what}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Points on a coarse lattice: few columns give runs of buckets
+        /// with equal keys, few rows give ties in both y orders.
+        #[test]
+        fn in_place_builder_equals_the_reference(
+            lattice in prop::collection::vec((0u32..12, 0u32..9), 0..400),
+            columns in 1u32..12,
+            cap in 1u32..5,
+        ) {
+            let points: Vec<Point> = lattice
+                .iter()
+                .map(|&(x, y)| Point::new((x % columns) as f64, y as f64 * 0.5))
+                .collect();
+            assert_builds_the_reference(&points, cap);
+        }
+    }
+
+    #[test]
+    fn in_place_builder_equals_the_reference_at_small_and_large_bucket_counts() {
+        // 0, 1, 2, 3 buckets, then 64 and more; with distinct keys, with
+        // every key equal, and with runs of equal keys.
+        for buckets in [0usize, 1, 2, 3, 64, 65, 200] {
+            let distinct: Vec<Point> = (0..buckets * 2)
+                .map(|i| Point::new(i as f64, ((i * 13) % 29) as f64))
+                .collect();
+            assert_builds_the_reference(&distinct, 2);
+            let one_key: Vec<Point> = (0..buckets * 2)
+                .map(|i| Point::new(7.0, ((i * 5) % 11) as f64))
+                .collect();
+            assert_builds_the_reference(&one_key, 2);
+            let runs: Vec<Point> = (0..buckets * 2)
+                .map(|i| Point::new((i / 10) as f64, ((i * 7) % 13) as f64))
+                .collect();
+            assert_builds_the_reference(&runs, 2);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use rand::{Rng, RngCore};
 use srj_alias::{AliasTable, CumulativeRow9, RowPick};
 use srj_bbst::{bucket_capacity, CellBbsts, MassMode};
 use srj_geom::{Point, PointId, Rect};
-use srj_grid::{case_of, CellCase, Grid};
+use srj_grid::{case_of, CellCase, Grid, IntoPointSet};
 
 use crate::buffer::{BufferStats, DrawBuffers};
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
@@ -21,9 +21,9 @@ use crate::traits::JoinSampler;
 ///
 /// **Phase 1 — online data-structure building** (`GRID-MAPPING` +
 /// `BBST-BUILDING`): map `S` onto a grid of cell side `l`, keep each
-/// cell's ids in x order (inherited from the offline pre-sort) and in a
-/// y-sorted copy, and build the two per-cell BBSTs. `O(m log m)`
-/// (Lemma 3).
+/// cell's ids in x order and in y order — both inherited from the
+/// offline pre-sort, which a [`srj_grid::PointSet`] does once for every
+/// `l` — and build the two per-cell BBSTs. `O(m log m)` (Lemma 3).
 ///
 /// **Phase 2 — approximate range counting** (`UPPER-BOUNDING` +
 /// `ALIAS-BUILDING`): for every `r`, decompose `w(r)` over the 3×3 cell
@@ -127,7 +127,8 @@ const _: () = {
 /// [`BbstIndex::build_shared`].
 pub struct BbstSStructures {
     store: Arc<CellStore<CellBbsts>>,
-    /// Wall-clock of the offline x-sort.
+    /// Wall-clock of the offline sorts of `S`: zero unless this build
+    /// was the one that computed the point set's orders.
     pub preprocessing: std::time::Duration,
     /// Wall-clock of grid construction + per-cell BBST builds.
     pub grid_mapping: std::time::Duration,
@@ -167,8 +168,9 @@ impl BbstSStructures {
 }
 
 impl BbstIndex {
-    /// Runs phases 1 and 2 of Algorithm 1.
-    pub fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
+    /// Runs phases 1 and 2 of Algorithm 1 (`s` as in
+    /// [`BbstIndex::build_s_structures`]).
+    pub fn build(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Self {
         let s_side = Self::build_s_structures(s, config);
         Self::build_inner(
             r,
@@ -182,10 +184,11 @@ impl BbstIndex {
     /// Like [`BbstIndex::build`], but reuses a grid the caller already
     /// built over `S` with cell side `config.half_extent` (e.g. the
     /// planner's estimation grid — `srj-engine` uses this to avoid
-    /// paying the grid-mapping phase twice on the auto path). The
-    /// offline x-sort is skipped entirely (the grid's cells already
-    /// carry x-sorted ids); `grid_build_time` is charged to the GM
-    /// phase so the decomposition stays truthful.
+    /// paying the grid-mapping phase twice on the auto path). What the
+    /// caller spent is charged where [`BbstIndex::build`] would have
+    /// charged it, so the decomposition stays truthful: `sort_time`
+    /// (sorting `S` for the grid, if the caller had to) to
+    /// pre-processing, `grid_build_time` to the GM phase.
     ///
     /// # Panics
     /// Panics if the grid's cell side differs from `config.half_extent`
@@ -195,6 +198,7 @@ impl BbstIndex {
         r: &[Point],
         config: &SampleConfig,
         grid: Grid,
+        sort_time: std::time::Duration,
         grid_build_time: std::time::Duration,
     ) -> Self {
         assert!(
@@ -214,7 +218,7 @@ impl BbstIndex {
             config.build_threads,
         ));
         let grid_mapping = grid_build_time + t1.elapsed();
-        Self::build_inner(r, store, config, std::time::Duration::ZERO, grid_mapping)
+        Self::build_inner(r, store, config, sort_time, grid_mapping)
     }
 
     /// Builds only the `S`-side structures (grid + per-cell BBSTs,
@@ -224,18 +228,24 @@ impl BbstIndex {
     /// built — and held in memory — exactly once; an epoch engine
     /// patches it cell by cell instead of rebuilding.
     ///
+    /// `s` is a slice, copied, or an `Arc<PointSet>`, which the grid
+    /// shares. Only what depends on `l` is paid here: the sorts of `S`
+    /// belong to the point set ([`srj_grid::PointSet::ensure_orders`])
+    /// and are charged, as `preprocessing`, to the one build that finds
+    /// them missing — every build over a slice, the first over a shared
+    /// set. The grid then scatters the two orders into its cells without
+    /// sorting ([`Grid::build`]), and each cell's BBST pair is built with
+    /// one allocation per array.
+    ///
     /// The per-cell BBSTs build on `config.build_threads` threads; each
     /// cell depends only on its own x-sorted ids and the immutable
     /// point slice, so the parallel build is bit-identical to serial.
-    pub fn build_s_structures(s: &[Point], config: &SampleConfig) -> BbstSStructures {
-        let t0 = Instant::now();
-        let mut x_order: Vec<PointId> = (0..s.len() as u32).collect();
-        x_order.sort_unstable_by(|&a, &b| s[a as usize].x.total_cmp(&s[b as usize].x));
-        let preprocessing = t0.elapsed();
+    pub fn build_s_structures(s: impl IntoPointSet, config: &SampleConfig) -> BbstSStructures {
+        let s = s.into_point_set();
+        let preprocessing = s.ensure_orders();
 
         let t1 = Instant::now();
-        let grid = Grid::build_from_sorted(s, &x_order, config.half_extent);
-        drop(x_order);
+        let grid = Grid::build(s, config.half_extent);
         let ctx = BbstCellCtx {
             cap: bucket_capacity(grid.num_points()),
             cascading: config.use_cascading,

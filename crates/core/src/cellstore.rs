@@ -25,7 +25,7 @@ use std::sync::Arc;
 use rand::Rng;
 use srj_bbst::CellBbsts;
 use srj_geom::{Point, PointId, Rect};
-use srj_grid::{Cell, Grid};
+use srj_grid::{Cell, Grid, IntoPointSet};
 use srj_kdtree::{CanonicalScratch, KdTree, DEFAULT_LEAF_SIZE};
 
 use crate::buffer::DrawBuffers;
@@ -125,14 +125,15 @@ pub struct CellStore<U: CellUnit> {
 }
 
 impl<U: CellUnit> CellStore<U> {
-    /// Builds the grid and every cell unit (units on `threads`
+    /// Builds the grid ([`Grid::build`]: on a copy of a slice, or sharing
+    /// an `Arc<PointSet>`) and every cell unit (units on `threads`
     /// builder threads; bit-identical to serial).
-    pub fn build(points: &[Point], cell_side: f64, ctx: U::Ctx, threads: usize) -> Self {
+    pub fn build(points: impl IntoPointSet, cell_side: f64, ctx: U::Ctx, threads: usize) -> Self {
         Self::from_grid(Arc::new(Grid::build(points, cell_side)), ctx, threads)
     }
 
     /// Builds the units over an already-built grid (e.g. the planner's
-    /// donated estimation grid, or a grid built from a pre-sorted `S`).
+    /// donated estimation grid).
     pub fn from_grid(grid: Arc<Grid>, ctx: U::Ctx, threads: usize) -> Self {
         let (units, _par) = par_map(grid.cells(), threads, |_, c| {
             Arc::new(U::build_unit(grid.points(), c, &ctx))
@@ -249,7 +250,7 @@ pub struct KdCellStore {
 impl KdCellStore {
     /// Builds the grid (cell side = the window half-extent `l`) and the
     /// per-cell kd-trees.
-    pub fn build(s: &[Point], cell_side: f64, threads: usize) -> Self {
+    pub fn build(s: impl IntoPointSet, cell_side: f64, threads: usize) -> Self {
         KdCellStore {
             store: CellStore::build(s, cell_side, (), threads),
         }

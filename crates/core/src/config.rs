@@ -127,7 +127,9 @@ impl std::error::Error for SampleError {}
 /// reporting (Tables II–IV):
 ///
 /// * `preprocessing` — offline work (kd-tree build for the baselines,
-///   x-sort for BBST; Table II),
+///   the sorts of `S` for BBST; Table II). The sorts belong to the
+///   point set, not to a window size: a build over a set that already
+///   holds them reports none,
 /// * `grid_mapping` — "GM": grid construction, for BBST including the
 ///   per-cell structures (online data-structure building phase),
 /// * `upper_bounding` — "UB": per-`r` range counts / upper bounds plus

@@ -4,7 +4,7 @@ use std::time::Instant;
 use rand::{Rng, RngCore};
 use srj_alias::{AliasTable, CumulativeRow9};
 use srj_geom::{Point, Rect};
-use srj_grid::{case_of, CellCase};
+use srj_grid::{case_of, CellCase, IntoPointSet};
 use srj_kdtree::CanonicalScratch;
 
 use crate::buffer::{BufferStats, KdsScratch};
@@ -90,7 +90,7 @@ impl KdsIndex {
     /// The counting pass — the baseline's `O(n√m)` bottleneck — runs on
     /// [`SampleConfig::build_threads`] threads; results are
     /// bit-identical at any thread count (see [`crate::parallel`]).
-    pub fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
+    pub fn build(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Self {
         let (s_cells, preprocessing) = Self::build_s_structure(s, config);
         Self::build_inner(r, s_cells, config, preprocessing)
     }
@@ -99,8 +99,10 @@ impl KdsIndex {
     /// reports how long it took. A sharded engine calls this once and
     /// hands `Arc` clones to every per-shard [`KdsIndex::build_shared`],
     /// so the structure is built — and held in memory — exactly once.
+    /// `s` is a slice, copied, or an `Arc<PointSet>`, shared; the time
+    /// includes the sorts of `S` only when this build ran them.
     pub fn build_s_structure(
-        s: &[Point],
+        s: impl IntoPointSet,
         config: &SampleConfig,
     ) -> (Arc<KdCellStore>, std::time::Duration) {
         let t0 = Instant::now();

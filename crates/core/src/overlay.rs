@@ -1230,17 +1230,17 @@ mod tests {
 
     #[test]
     fn overlay_uniform_over_kds_base() {
-        overlay_uniformity_case(KdsIndex::build, 1);
+        overlay_uniformity_case(|r, s, cfg| KdsIndex::build(r, s, cfg), 1);
     }
 
     #[test]
     fn overlay_uniform_over_kds_rejection_base() {
-        overlay_uniformity_case(KdsRejectionIndex::build, 2);
+        overlay_uniformity_case(|r, s, cfg| KdsRejectionIndex::build(r, s, cfg), 2);
     }
 
     #[test]
     fn overlay_uniform_over_bbst_base() {
-        overlay_uniformity_case(BbstIndex::build, 3);
+        overlay_uniformity_case(|r, s, cfg| BbstIndex::build(r, s, cfg), 3);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::traits::JoinSampler;
 use rand::{Rng, RngCore};
 use srj_alias::AliasTable;
 use srj_geom::{Point, Rect};
-use srj_grid::Grid;
+use srj_grid::{Grid, IntoPointSet};
 use srj_kdtree::CanonicalScratch;
 
 /// Immutable build product of Baseline 2 — **KDS-rejection** (paper
@@ -54,26 +54,30 @@ const _: () = {
 impl KdsRejectionIndex {
     /// Runs the build phases: grid (GM), per-cell kd-trees
     /// (pre-processing), bounds + alias (UB).
-    pub fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
+    pub fn build(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Self {
         let (s_cells, preprocessing, grid_mapping) = Self::build_s_structures(s, config);
         Self::build_inner(r, s_cells, config, preprocessing, grid_mapping)
     }
 
     /// Builds only the `S`-side structures (grid + per-cell kd-trees)
-    /// and reports the time each phase took (tree builds, grid build).
-    /// A sharded engine calls this once and hands `Arc` clones to every
-    /// per-shard [`KdsRejectionIndex::build_shared`], so the `S`-side
-    /// is built — and held in memory — exactly once.
+    /// and reports the time each phase took (pre-processing: the sorts
+    /// of `S`, when this build ran them, and the tree builds; grid
+    /// build). A sharded engine calls this once and hands `Arc` clones
+    /// to every per-shard [`KdsRejectionIndex::build_shared`], so the
+    /// `S`-side is built — and held in memory — exactly once. `s` is a
+    /// slice, copied, or an `Arc<PointSet>`, shared.
     pub fn build_s_structures(
-        s: &[Point],
+        s: impl IntoPointSet,
         config: &SampleConfig,
     ) -> (Arc<KdCellStore>, std::time::Duration, std::time::Duration) {
+        let s = s.into_point_set();
+        let sorts = s.ensure_orders();
         let t1 = Instant::now();
         let grid = Arc::new(Grid::build(s, config.half_extent));
         let grid_mapping = t1.elapsed();
         let t0 = Instant::now();
         let s_cells = Arc::new(KdCellStore::from_grid(grid, config.build_threads));
-        (s_cells, t0.elapsed(), grid_mapping)
+        (s_cells, sorts + t0.elapsed(), grid_mapping)
     }
 
     /// Like [`KdsRejectionIndex::build`], but over an already-built
@@ -94,8 +98,11 @@ impl KdsRejectionIndex {
     /// already built over `s` with cell side `config.half_extent`
     /// (e.g. the planner's estimation grid — `srj-engine` uses this to
     /// avoid paying the grid-mapping phase twice on the auto path).
-    /// `grid_build_time` is charged to the report's GM phase so the
-    /// phase decomposition stays truthful.
+    /// What the caller spent is charged where
+    /// [`KdsRejectionIndex::build`] would have charged it, so the phase
+    /// decomposition stays truthful: `sort_time` (sorting `S` for the
+    /// grid, if the caller had to) to pre-processing, `grid_build_time`
+    /// to the GM phase.
     ///
     /// # Panics
     /// Panics if the grid's cell side differs from `config.half_extent`
@@ -106,12 +113,13 @@ impl KdsRejectionIndex {
         s: &[Point],
         config: &SampleConfig,
         grid: Grid,
+        sort_time: std::time::Duration,
         grid_build_time: std::time::Duration,
     ) -> Self {
         assert_eq!(grid.num_points(), s.len(), "grid must cover s");
         let t0 = Instant::now();
         let s_cells = Arc::new(KdCellStore::from_grid(Arc::new(grid), config.build_threads));
-        let preprocessing = t0.elapsed();
+        let preprocessing = sort_time + t0.elapsed();
         Self::build_inner(r, s_cells, config, preprocessing, grid_build_time)
     }
 

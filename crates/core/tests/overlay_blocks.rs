@@ -190,17 +190,17 @@ where
 
 #[test]
 fn uniform_after_seven_swaps_over_kds() {
-    uniform_after_seven_swaps(KdsIndex::build, 0xA1);
+    uniform_after_seven_swaps(|r, s, cfg| KdsIndex::build(r, s, cfg), 0xA1);
 }
 
 #[test]
 fn uniform_after_seven_swaps_over_kds_rejection() {
-    uniform_after_seven_swaps(KdsRejectionIndex::build, 0xA2);
+    uniform_after_seven_swaps(|r, s, cfg| KdsRejectionIndex::build(r, s, cfg), 0xA2);
 }
 
 #[test]
 fn uniform_after_seven_swaps_over_bbst() {
-    uniform_after_seven_swaps(BbstIndex::build, 0xA3);
+    uniform_after_seven_swaps(|r, s, cfg| BbstIndex::build(r, s, cfg), 0xA3);
 }
 
 /// Test (b), the accepting side. Every overlay iteration spends one

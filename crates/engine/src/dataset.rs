@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use srj_core::DeltaSet;
 use srj_geom::{Point, PointId};
+use srj_grid::PointSet;
 use srj_obs::journal::{event, EventKind};
 
 /// One epoch's consistent view of a [`DatasetStore`]: the base arrays
@@ -35,8 +36,11 @@ use srj_obs::journal::{event, EventKind};
 pub struct DatasetSnapshot {
     /// Base `R` points of the epoch (ids `0..base_r_len`).
     pub base_r: Arc<Vec<Point>>,
-    /// Base `S` points of the epoch.
-    pub base_s: Arc<Vec<Point>>,
+    /// Base `S` points of the epoch, as the [`PointSet`] every index of
+    /// the epoch — whatever its window size — is built on: they share
+    /// the array and its sorted orders, which the first build computes.
+    /// A compaction that changes `S` makes a new set.
+    pub base_s: Arc<PointSet>,
     /// **Dead** base `S` ids: tombstones folded by an incremental
     /// (cell-patch) compaction without renumbering. Dead points stay
     /// resolvable in `base_s` but are indexed by no structure and must
@@ -59,7 +63,7 @@ pub struct DatasetSnapshot {
 /// store may have compacted in between).
 pub struct SPatchDelta {
     /// The base `S` allocation the folded delta was relative to.
-    pub prev_base_s: Arc<Vec<Point>>,
+    pub prev_base_s: Arc<PointSet>,
     /// `S` points appended by the compaction (ids continue from
     /// `prev_base_s.len()`, matching the delta's insert numbering).
     pub inserted: Vec<Point>,
@@ -140,7 +144,7 @@ pub struct BatchApplied {
 
 struct StoreInner {
     base_r: Arc<Vec<Point>>,
-    base_s: Arc<Vec<Point>>,
+    base_s: Arc<PointSet>,
     /// Dead base `S` ids accumulated by incremental compactions (see
     /// [`DatasetSnapshot::s_dead`]); purged by a full compaction.
     s_dead: Arc<HashSet<PointId>>,
@@ -200,12 +204,16 @@ impl StoreCounters {
 
 impl DatasetStore {
     /// A store whose first epoch's base snapshot is `(r, s)`.
+    ///
+    /// # Panics
+    /// Panics if `s` is not a valid [`PointSet`] (a non-finite
+    /// coordinate, more than `u32::MAX` points).
     pub fn new(r: Vec<Point>, s: Vec<Point>) -> Self {
         let delta = DeltaSet::for_base(r.len(), s.len());
         DatasetStore {
             inner: RwLock::new(StoreInner {
                 base_r: Arc::new(r),
-                base_s: Arc::new(s),
+                base_s: Arc::new(PointSet::new(s)),
                 s_dead: Arc::new(HashSet::new()),
                 delta,
                 epoch: 0,
@@ -465,7 +473,7 @@ impl DatasetStore {
             || !inner.delta.s_deleted.is_empty()
             || !inner.s_dead.is_empty();
         let new_r = Self::fold_r(&inner);
-        let new_s: Arc<Vec<Point>> = if s_changed {
+        let new_s: Arc<PointSet> = if s_changed {
             let mut v = Vec::with_capacity(inner.delta.live_s_len() - inner.s_dead.len());
             for (j, &p) in inner.base_s.iter().enumerate() {
                 let id = j as PointId;
@@ -482,7 +490,7 @@ impl DatasetStore {
                     v.push(p);
                 }
             }
-            Arc::new(v)
+            Arc::new(PointSet::new(v))
         } else {
             // S untouched: the new epoch shares the very same allocation.
             Arc::clone(&inner.base_s)
@@ -532,13 +540,10 @@ impl DatasetStore {
         let new_r = Self::fold_r(&inner);
         let s_inserted = std::mem::take(&mut inner.delta.s_inserted);
         let s_deleted = std::mem::take(&mut inner.delta.s_deleted);
-        let new_s: Arc<Vec<Point>> = if s_inserted.is_empty() {
+        let new_s: Arc<PointSet> = if s_inserted.is_empty() {
             Arc::clone(&inner.base_s)
         } else {
-            let mut v = Vec::with_capacity(inner.base_s.len() + s_inserted.len());
-            v.extend_from_slice(&inner.base_s);
-            v.extend_from_slice(&s_inserted);
-            Arc::new(v)
+            Arc::new(inner.base_s.extended(&s_inserted))
         };
         if !s_deleted.is_empty() {
             let mut dead = (*inner.s_dead).clone();
@@ -725,8 +730,8 @@ mod tests {
         assert_eq!(snap.base_r.as_slice(), &[p(1.0, 1.0), p(2.0, 2.0)]);
         // …but S appended with stable ids: id 3 still resolves to the
         // inserted point, id 1 is dead but still resolvable.
-        assert_eq!(snap.base_s.as_slice()[3], p(13.0, 13.0));
-        assert_eq!(snap.base_s.as_slice()[1], p(11.0, 11.0));
+        assert_eq!(snap.base_s[3], p(13.0, 13.0));
+        assert_eq!(snap.base_s[1], p(11.0, 11.0));
         assert!(snap.s_dead.contains(&1));
         assert_eq!(store.live_s_len(), 3);
         assert_eq!(store.s_dead_len(), 1);
@@ -768,7 +773,7 @@ mod tests {
         // Delta is empty, but the dead id still forces a purge.
         let (snap, s_changed) = store.compact();
         assert!(s_changed);
-        assert_eq!(snap.base_s.as_slice(), &[p(1.0, 1.0)]);
+        assert_eq!(snap.base_s.points(), &[p(1.0, 1.0)]);
         assert_eq!(snap.epoch, 2);
     }
 

@@ -12,6 +12,7 @@ use srj_core::{
     OverlayIndex, OverlaySupport, PhaseReport, SampleConfig, SampleError, SamplerIndex as _,
 };
 use srj_geom::Point;
+use srj_grid::{IntoPointSet, PointSet};
 
 use crate::planner::{plan, PlanReport};
 use crate::shard::ShardedIndex;
@@ -133,8 +134,18 @@ const _: () = {
 
 impl Engine {
     /// Builds the index for `algorithm` once and wraps it for serving.
-    pub fn build(r: &[Point], s: &[Point], config: &SampleConfig, algorithm: Algorithm) -> Engine {
-        Engine::build_inner(r, s, config, algorithm, None)
+    ///
+    /// Here and in the other build entry points `s` is a slice, which
+    /// the index copies, or an `Arc<PointSet>`, which it shares — with
+    /// every other engine built on that set, whatever its window size:
+    /// one point array, sorted once.
+    pub fn build(
+        r: &[Point],
+        s: impl IntoPointSet,
+        config: &SampleConfig,
+        algorithm: Algorithm,
+    ) -> Engine {
+        Engine::build_inner(r, s.into_point_set(), config, algorithm, None)
     }
 
     /// Like [`Engine::build`], but partitions `R` into `shards`
@@ -145,17 +156,17 @@ impl Engine {
     /// plain unsharded build.
     pub fn build_sharded(
         r: &[Point],
-        s: &[Point],
+        s: impl IntoPointSet,
         config: &SampleConfig,
         algorithm: Algorithm,
         shards: usize,
     ) -> Engine {
-        Engine::build_sharded_inner(r, s, config, algorithm, shards, None)
+        Engine::build_sharded_inner(r, s.into_point_set(), config, algorithm, shards, None)
     }
 
     fn build_sharded_inner(
         r: &[Point],
-        s: &[Point],
+        s: Arc<PointSet>,
         config: &SampleConfig,
         algorithm: Algorithm,
         shards: usize,
@@ -236,17 +247,32 @@ impl Engine {
     ///
     /// The decision and its supporting estimates are kept in
     /// [`Engine::plan`].
-    pub fn auto(r: &[Point], s: &[Point], config: &SampleConfig) -> Engine {
-        let (report, estimation_grid) = plan(r, s, config, 1);
+    pub fn auto(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Engine {
+        Engine::auto_inner(r, s.into_point_set(), config)
+    }
+
+    fn auto_inner(r: &[Point], s: Arc<PointSet>, config: &SampleConfig) -> Engine {
+        let (report, estimation_grid) = plan(r, &s, config, 1);
         let index = match (report.algorithm, estimation_grid) {
-            (Algorithm::KdsRejection, Some((grid, grid_time))) => {
+            (Algorithm::KdsRejection, Some(donated)) => {
                 IndexKind::KdsRejection(Arc::new(KdsRejectionIndex::build_with_grid(
-                    r, s, config, grid, grid_time,
+                    r,
+                    &s,
+                    config,
+                    donated.grid,
+                    donated.sort_time,
+                    donated.build_time,
                 )))
             }
-            (Algorithm::Bbst, Some((grid, grid_time))) => IndexKind::Bbst(Arc::new(
-                BbstIndex::build_with_grid(r, config, grid, grid_time),
-            )),
+            (Algorithm::Bbst, Some(donated)) => {
+                IndexKind::Bbst(Arc::new(BbstIndex::build_with_grid(
+                    r,
+                    config,
+                    donated.grid,
+                    donated.sort_time,
+                    donated.build_time,
+                )))
+            }
             (algorithm, _) => return Engine::build_inner(r, s, config, algorithm, Some(report)),
         };
         Engine::from_index(index, Some(report), true)
@@ -258,18 +284,26 @@ impl Engine {
     /// donation only applies to the unsharded path; the sharded build
     /// still builds its `S`-side structures only once, `Arc`-shared
     /// across all shards.
-    pub fn auto_sharded(r: &[Point], s: &[Point], config: &SampleConfig, shards: usize) -> Engine {
+    pub fn auto_sharded(
+        r: &[Point],
+        s: impl IntoPointSet,
+        config: &SampleConfig,
+        shards: usize,
+    ) -> Engine {
+        let s = s.into_point_set();
         if shards <= 1 {
-            return Engine::auto(r, s, config);
+            return Engine::auto_inner(r, s, config);
         }
-        let (report, _grid) = plan(r, s, config, shards);
+        // The estimation grid is let go before the build: it is donated
+        // only on the unsharded path, and it holds `s`.
+        let (report, _) = plan(r, &s, config, shards);
         let shards = report.num_shards;
         Engine::build_sharded_inner(r, s, config, report.algorithm, shards, Some(report))
     }
 
     fn build_inner(
         r: &[Point],
-        s: &[Point],
+        s: Arc<PointSet>,
         config: &SampleConfig,
         algorithm: Algorithm,
         plan: Option<PlanReport>,
@@ -754,6 +788,26 @@ impl Engine {
                 Some(sx.shard(0).s_structures().store().cell_tokens())
             }
             IndexKind::ShardedBbst(sx) => Some(sx.shard(0).s_structures().store().cell_tokens()),
+            IndexKind::Dyn { .. } => None,
+        }
+    }
+
+    /// The point set the `S`-side stands on. Engines built over one
+    /// base — one per window size — return the same `Arc`: one array and
+    /// one pair of sorted orders, which [`Engine::memory_bytes`] of each
+    /// includes, so a sum over engines counts them once per set. `None`
+    /// for overlay engines.
+    pub fn s_point_set(&self) -> Option<Arc<PointSet>> {
+        let grid_set = |store: &srj_core::KdCellStore| Arc::clone(store.grid().point_set());
+        match &self.shared.index {
+            IndexKind::Kds(ix) => Some(grid_set(&ix.s_cells())),
+            IndexKind::KdsRejection(ix) => Some(grid_set(&ix.s_structures())),
+            IndexKind::Bbst(ix) => Some(Arc::clone(ix.s_structures().store().grid().point_set())),
+            IndexKind::ShardedKds(sx) => Some(grid_set(&sx.shard(0).s_cells())),
+            IndexKind::ShardedKdsRejection(sx) => Some(grid_set(&sx.shard(0).s_structures())),
+            IndexKind::ShardedBbst(sx) => Some(Arc::clone(
+                sx.shard(0).s_structures().store().grid().point_set(),
+            )),
             IndexKind::Dyn { .. } => None,
         }
     }

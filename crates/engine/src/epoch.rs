@@ -65,6 +65,7 @@ use std::time::{Duration, Instant};
 
 use srj_core::{OverlaySupport, SampleConfig};
 use srj_geom::{Point, PointId};
+use srj_grid::PointSet;
 use srj_obs::journal::{event, EventKind};
 
 use crate::dataset::{DatasetSnapshot, DatasetStore, StoreCounters};
@@ -210,7 +211,7 @@ struct EpochState {
     /// still serves this very allocation — a version/flag check is not
     /// enough, because a sibling engine sharing the store may have
     /// compacted an `S` mutation in between.
-    base_s: Arc<Vec<Point>>,
+    base_s: Arc<PointSet>,
     /// What new handles get: `base`, or an overlay snapshot over it.
     current: Engine,
     /// Per-epoch overlay support: the base grids, built lazily on the
@@ -893,7 +894,7 @@ impl EpochEngine {
     /// The incremental half of [`EpochEngine::major_swap`]: `true` when
     /// the patch (or R-only) rebuild committed, `false` when the caller
     /// must fall back to the full path.
-    fn try_patch_swap(&self, prev_base: &Engine, prev_base_s: &Arc<Vec<Point>>) -> bool {
+    fn try_patch_swap(&self, prev_base: &Engine, prev_base_s: &Arc<PointSet>) -> bool {
         let t0 = Instant::now();
         if prev_base.is_overlay() {
             return false;

@@ -22,8 +22,10 @@
 //! a sampled exact-count estimate of `|J|` (`O(√n · cell)`), giving the
 //! expected rejection overhead `Σµ/|J|` before committing to a build.
 
+use std::sync::Arc;
+
 use srj_geom::{Point, Rect};
-use srj_grid::Grid;
+use srj_grid::{Grid, PointSet};
 
 use crate::Algorithm;
 use srj_core::SampleConfig;
@@ -77,18 +79,28 @@ pub struct PlanReport {
     pub reason: &'static str,
 }
 
+/// The grid [`plan`] built for its estimate, with what it cost: the
+/// sorts of `S` (zero unless this was the first grid on the set) and
+/// the grid build proper.
+pub(crate) struct DonatedGrid {
+    pub(crate) grid: Grid,
+    pub(crate) sort_time: std::time::Duration,
+    pub(crate) build_time: std::time::Duration,
+}
+
 /// Runs the `O(n + m)` estimate and picks an algorithm.
 ///
-/// Also returns the grid built for the estimate (with its build time)
-/// so [`crate::Engine::auto`] can donate it to the chosen index build
+/// Also returns the grid built for the estimate so
+/// [`crate::Engine::auto`] can donate it to the chosen index build
 /// instead of paying the grid-mapping phase twice; `None` on the
-/// small-input fast path, which never builds a grid.
+/// small-input fast path, which never builds a grid. The grid shares
+/// `s` with the caller, so the set keeps its sorted orders.
 pub(crate) fn plan(
     r: &[Point],
-    s: &[Point],
+    s: &Arc<PointSet>,
     config: &SampleConfig,
     shards: usize,
-) -> (PlanReport, Option<(Grid, std::time::Duration)>) {
+) -> (PlanReport, Option<DonatedGrid>) {
     let n = r.len();
     let m = s.len();
     // One shard per R point is the most that can ever help.
@@ -114,9 +126,10 @@ pub(crate) fn plan(
     // The same grid KDS-rejection would build (O(m)), reused here for
     // both the full Σµ and the probe's exact window counts, then
     // donated to the chosen index build.
+    let sort_time = s.ensure_orders();
     let t_grid = std::time::Instant::now();
     let grid = Grid::build(s, config.half_extent);
-    let grid_build_time = t_grid.elapsed();
+    let build_time = t_grid.elapsed();
 
     // Full §III-B upper bound: Σ over all r of the 9-cell population.
     let mu_grid_total: f64 = r
@@ -173,7 +186,12 @@ pub(crate) fn plan(
         buffers: false,
         reason,
     };
-    (report, Some((grid, grid_build_time)))
+    let donated = DonatedGrid {
+        grid,
+        sort_time,
+        build_time,
+    };
+    (report, Some(donated))
 }
 
 /// Re-plans from a **serving-time** observation instead of a build-time
@@ -275,7 +293,7 @@ mod tests {
     #[test]
     fn tiny_input_picks_kds() {
         let r: Vec<Point> = (0..50).map(|i| Point::new(i as f64, i as f64)).collect();
-        let s = r.clone();
+        let s = Arc::new(PointSet::new(r.clone()));
         let (p, grid) = plan(&r, &s, &SampleConfig::new(2.0), 1);
         assert_eq!(p.algorithm, Algorithm::Kds);
         assert_eq!(p.num_shards, 1);
@@ -289,7 +307,7 @@ mod tests {
     #[test]
     fn shard_count_is_recorded_and_clamped() {
         let r: Vec<Point> = (0..50).map(|i| Point::new(i as f64, i as f64)).collect();
-        let s = r.clone();
+        let s = Arc::new(PointSet::new(r.clone()));
         let (p, _) = plan(&r, &s, &SampleConfig::new(2.0), 8);
         assert_eq!(p.num_shards, 8);
         // more shards than R points is pointless
@@ -307,7 +325,7 @@ mod tests {
         let r: Vec<Point> = (0..4_000)
             .map(|i| Point::new((i % 64) as f64, (i / 64) as f64))
             .collect();
-        let s = r.clone();
+        let s = Arc::new(PointSet::new(r.clone()));
         let cfg = SampleConfig::new(3.0);
         let (p, grid) = plan(&r, &s, &cfg, 1);
         assert!(grid.is_some(), "estimation grid must be donated");

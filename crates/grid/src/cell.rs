@@ -6,6 +6,13 @@ use srj_geom::{Point, PointId, Rect};
 /// pre-sorts `S` by x, so this order is "inherited") and sorted by y
 /// (`S_y(c)`, the copy built in Algorithm 1 lines 3–4). Both orders are
 /// needed for the exact 1-sided (case 2) counts and runs.
+///
+/// Members with equal coordinates come in ascending id order: `by_x` is
+/// sorted by `(x, id)` and `by_y` by `(y, id)`, coordinates compared by
+/// [`f64::total_cmp`]. Every way a cell is made — a full build's scatter
+/// of the [`crate::PointSet`] orders, a [`crate::Grid::patch`]'s sort of
+/// a dirty cell — gives that order, so a cell is a function of its
+/// member set: rebuilt or built from scratch, the arrays are equal.
 #[derive(Clone, Debug)]
 pub struct Cell {
     /// Discrete cell coordinate `(⌊x/side⌋, ⌊y/side⌋)`.
@@ -14,9 +21,9 @@ pub struct Cell {
     /// closed rect for intersection tests; membership is decided by the
     /// coordinate formula, not this rect).
     pub rect: Rect,
-    /// Member ids sorted by ascending x coordinate.
+    /// Member ids in ascending `(x, id)` order.
     pub by_x: Vec<PointId>,
-    /// Member ids sorted by ascending y coordinate.
+    /// Member ids in ascending `(y, id)` order.
     pub by_y: Vec<PointId>,
 }
 

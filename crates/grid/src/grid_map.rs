@@ -6,6 +6,7 @@ use srj_geom::{Point, PointId, Rect};
 use crate::cell::Cell;
 use crate::fx::FxHashMap;
 use crate::offsets::NEIGHBOR_OFFSETS;
+use crate::point_set::{IntoPointSet, PointSet};
 
 /// What a [`Grid::patch`] did: which cells of the patched grid were
 /// structurally shared with the pre-patch grid and which were rebuilt.
@@ -25,8 +26,10 @@ pub struct GridPatch {
 
 /// Non-empty hash grid over a point set (`GRID-MAPPING(S, l)`).
 ///
-/// The grid owns a copy of the point coordinates (the algorithms index by
-/// [`PointId`]), a hash map from discrete cell coordinates to cell slots,
+/// The grid is built **on** an `Arc<`[`PointSet`]`>` and keeps it (the
+/// algorithms index by [`PointId`]): any number of grids — one per
+/// window size — share one point array and its two sorted orders. Its
+/// own state is a hash map from discrete cell coordinates to cell slots
 /// and one [`Cell`] per non-empty cell with x- and y-sorted id arrays.
 ///
 /// Total space is `O(m)`: each point id appears in exactly one cell's
@@ -45,26 +48,39 @@ pub struct GridPatch {
 #[derive(Clone, Debug)]
 pub struct Grid {
     cell_side: f64,
-    points: Vec<Point>,
+    set: Arc<PointSet>,
     lookup: FxHashMap<(i32, i32), u32>,
     /// `Arc`-held so [`Grid::patch`] can carry clean cells into the
     /// patched grid by reference instead of copying them.
     cells: Vec<Arc<Cell>>,
 }
 
+/// `slot_of` entry of an id that [`Grid::build_subset`] skips. Never a
+/// slot: there are at most `u32::MAX` points, hence cells.
+const NO_SLOT: u32 = u32::MAX;
+
 impl Grid {
     /// Builds the grid with the given cell side (the paper uses cell side
-    /// = window half-extent `l`, i.e. half the window side).
+    /// = window half-extent `l`, i.e. half the window side) on `points`:
+    /// a slice, copied, or an `Arc<PointSet>`, shared ([`IntoPointSet`]).
     ///
-    /// `O(m log m)` time (dominated by the per-cell sorts), `O(m)` space.
+    /// `O(m)` time and space **given the set's two sorted orders**, which
+    /// do not depend on `cell_side` and are computed once per
+    /// [`PointSet`] (`O(m log m)`, on the spot for a slice): one hash
+    /// probe per point finds its cell slot and counts the cell, then one
+    /// pass over each order appends every id to its cell's `by_x` /
+    /// `by_y`. A pass over a sorted order leaves every cell sorted, so no
+    /// cell is sorted on its own. A set that nobody but the grid holds
+    /// when the build ends — a slice's — then gives its orders up; a
+    /// shared set keeps them for the next grid.
     ///
     /// # Panics
     ///
     /// Panics if `cell_side` is not strictly positive and finite, or if a
     /// coordinate divided by `cell_side` overflows `i32` (cannot happen
     /// for the paper's normalised `[0, 10000]²` domain with any sane `l`).
-    pub fn build(points: &[Point], cell_side: f64) -> Self {
-        Self::build_inner(points, None, None, cell_side)
+    pub fn build(points: impl IntoPointSet, cell_side: f64) -> Self {
+        Self::build_on(points.into_point_set(), None, cell_side)
     }
 
     /// Builds the grid over `points` but **indexes only** the ids not in
@@ -73,92 +89,80 @@ impl Grid {
     /// belong to no cell, so they are invisible to every count, run, and
     /// neighborhood query. This is how structures over an epoch base
     /// with tombstoned ("dead") ids are built without renumbering.
-    pub fn build_subset(points: &[Point], skip: &HashSet<PointId>, cell_side: f64) -> Self {
-        Self::build_inner(points, None, Some(skip), cell_side)
-    }
-
-    /// Builds the grid from a **pre-sorted** x-order of the points (the
-    /// paper's offline preprocessing: "points in S are pre-sorted based
-    /// on the x-dimension", Lemma 1 / footnote 2).
-    ///
-    /// `x_order` must be a permutation of `0..points.len()` sorted by
-    /// ascending x. Appending ids in this order makes every cell's
-    /// `by_x` sorted for free, so the grid-mapping phase only sorts the
-    /// y copies (`S_y(c)`) — exactly Algorithm 1 lines 1–4.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `x_order` is not x-sorted; panics if its
-    /// length differs from `points`.
-    pub fn build_from_sorted(points: &[Point], x_order: &[PointId], cell_side: f64) -> Self {
-        assert_eq!(x_order.len(), points.len(), "x_order must cover all points");
-        debug_assert!(
-            x_order
-                .windows(2)
-                .all(|w| points[w[0] as usize].x <= points[w[1] as usize].x),
-            "x_order must be sorted by x"
-        );
-        Self::build_inner(points, Some(x_order), None, cell_side)
-    }
-
-    fn build_inner(
-        points: &[Point],
-        x_order: Option<&[PointId]>,
-        skip: Option<&HashSet<PointId>>,
+    pub fn build_subset(
+        points: impl IntoPointSet,
+        skip: &HashSet<PointId>,
         cell_side: f64,
     ) -> Self {
+        Self::build_on(points.into_point_set(), Some(skip), cell_side)
+    }
+
+    fn build_on(mut set: Arc<PointSet>, skip: Option<&HashSet<PointId>>, cell_side: f64) -> Self {
         assert!(
             cell_side.is_finite() && cell_side > 0.0,
             "cell_side must be positive and finite, got {cell_side}"
         );
-        assert!(points.len() <= u32::MAX as usize, "too many points");
-        assert!(
-            points.iter().all(|p| p.x.is_finite() && p.y.is_finite()),
-            "points must have finite coordinates"
-        );
 
+        // Slots in order of first appearance by id.
         let mut lookup: FxHashMap<(i32, i32), u32> = FxHashMap::default();
-        let mut members: Vec<Vec<PointId>> = Vec::new();
-        let mut insert = |id: PointId| {
-            if skip.is_some_and(|s| s.contains(&id)) {
-                return;
-            }
-            let coord = coord_of_raw(points[id as usize], cell_side);
-            let slot = *lookup.entry(coord).or_insert_with(|| {
-                members.push(Vec::new());
-                (members.len() - 1) as u32
-            });
-            members[slot as usize].push(id);
-        };
-        match x_order {
-            Some(order) => order.iter().for_each(|&id| insert(id)),
-            None => (0..points.len() as u32).for_each(&mut insert),
-        }
-        let presorted = x_order.is_some();
-
-        // Recover each cell's coordinate from the lookup (avoids a second
-        // pass over the points).
-        let mut coords: Vec<(i32, i32)> = vec![(0, 0); members.len()];
-        for (&coord, &slot) in &lookup {
-            coords[slot as usize] = coord;
-        }
-
-        let cells: Vec<Arc<Cell>> = members
-            .into_iter()
-            .zip(coords)
-            .map(|(mut ids, coord)| {
-                if !presorted {
-                    ids.sort_unstable_by(|&a, &b| {
-                        points[a as usize].x.total_cmp(&points[b as usize].x)
-                    });
+        let mut coords: Vec<(i32, i32)> = Vec::new();
+        let mut sizes: Vec<u32> = Vec::new();
+        let slot_of: Vec<u32> = (0..)
+            .zip(set.points())
+            .map(|(id, &p)| {
+                if skip.is_some_and(|s| s.contains(&id)) {
+                    return NO_SLOT;
                 }
-                Arc::new(make_cell(points, coord, ids, cell_side))
+                let coord = coord_of_raw(p, cell_side);
+                let slot = *lookup.entry(coord).or_insert_with(|| {
+                    coords.push(coord);
+                    sizes.push(0);
+                    (coords.len() - 1) as u32
+                });
+                sizes[slot as usize] += 1;
+                slot
             })
             .collect();
 
+        // Stable scatter of a sorted order: each cell receives its
+        // members in that order.
+        let scatter = |order: &[PointId]| -> Vec<Vec<PointId>> {
+            let mut members: Vec<Vec<PointId>> = sizes
+                .iter()
+                .map(|&n| Vec::with_capacity(n as usize))
+                .collect();
+            for &id in order {
+                let slot = slot_of[id as usize];
+                if slot != NO_SLOT {
+                    members[slot as usize].push(id);
+                }
+            }
+            members
+        };
+        let by_x = scatter(set.x_order());
+        let by_y = scatter(set.y_order());
+
+        let cells: Vec<Arc<Cell>> = coords
+            .into_iter()
+            .zip(by_x.into_iter().zip(by_y))
+            .map(|(coord, (by_x, by_y))| {
+                Arc::new(Cell {
+                    coord,
+                    rect: cell_rect(coord, cell_side),
+                    by_x,
+                    by_y,
+                })
+            })
+            .collect();
+
+        // A set no one else holds was made for this grid (a slice came
+        // in): its orders have done their work and would only be carried.
+        if let Some(own) = Arc::get_mut(&mut set) {
+            own.forget_orders();
+        }
         Grid {
             cell_side,
-            points: points.to_vec(),
+            set,
             lookup,
             cells,
         }
@@ -174,20 +178,13 @@ impl Grid {
     /// exactly what lets clean cells be shared verbatim. A cell is
     /// dirty iff it gains or loses at least one member; everything else
     /// is carried over by `Arc` clone. Cost: one flat copy of the point
-    /// array plus `O(|c| log |c|)` per dirty cell.
+    /// array (into a [`PointSet`] of the patched grid's own) plus
+    /// `O(|c| log |c|)` per dirty cell, whose arrays come out in the
+    /// same `(coord, id)` order a full build gives them.
     pub fn patch(&self, inserted: &[Point], deleted: &HashSet<PointId>) -> (Grid, GridPatch) {
-        let base_len = self.points.len();
-        assert!(
-            base_len + inserted.len() <= u32::MAX as usize,
-            "too many points"
-        );
-        assert!(
-            inserted.iter().all(|p| p.x.is_finite() && p.y.is_finite()),
-            "points must have finite coordinates"
-        );
-        let mut points = Vec::with_capacity(base_len + inserted.len());
-        points.extend_from_slice(&self.points);
-        points.extend_from_slice(inserted);
+        let base_len = self.set.len();
+        let set = Arc::new(self.set.extended(inserted));
+        let points = set.points();
 
         // Live inserted ids grouped by destination cell coordinate
         // (an id inserted and deleted within the same patch never
@@ -207,7 +204,7 @@ impl Grid {
         let mut dirty: HashSet<(i32, i32)> = added.keys().copied().collect();
         for &id in deleted {
             if (id as usize) < base_len {
-                dirty.insert(coord_of_raw(self.points[id as usize], self.cell_side));
+                dirty.insert(coord_of_raw(points[id as usize], self.cell_side));
             }
         }
 
@@ -238,25 +235,23 @@ impl Grid {
             }
             lookup.insert(coord, cells.len() as u32);
             shared_from.push(None);
-            ids.sort_unstable_by(|&a, &b| points[a as usize].x.total_cmp(&points[b as usize].x));
-            cells.push(Arc::new(make_cell(&points, coord, ids, self.cell_side)));
+            cells.push(Arc::new(make_cell(points, coord, ids, self.cell_side)));
         }
         // Brand-new cells: inserts into previously empty coordinates
         // (sorted for a deterministic slot order).
         let mut fresh: Vec<((i32, i32), Vec<PointId>)> = added.into_iter().collect();
         fresh.sort_unstable_by_key(|&(c, _)| c);
-        for (coord, mut ids) in fresh {
+        for (coord, ids) in fresh {
             cells_rebuilt += 1;
             lookup.insert(coord, cells.len() as u32);
             shared_from.push(None);
-            ids.sort_unstable_by(|&a, &b| points[a as usize].x.total_cmp(&points[b as usize].x));
-            cells.push(Arc::new(make_cell(&points, coord, ids, self.cell_side)));
+            cells.push(Arc::new(make_cell(points, coord, ids, self.cell_side)));
         }
         let cells_shared = shared_from.iter().filter(|s| s.is_some()).count();
         (
             Grid {
                 cell_side: self.cell_side,
-                points,
+                set,
                 lookup,
                 cells,
             },
@@ -277,7 +272,7 @@ impl Grid {
     /// Number of indexed points (`m`).
     #[inline]
     pub fn num_points(&self) -> usize {
-        self.points.len()
+        self.set.len()
     }
 
     /// Number of non-empty cells.
@@ -289,13 +284,21 @@ impl Grid {
     /// All indexed points, indexable by [`PointId`].
     #[inline]
     pub fn points(&self) -> &[Point] {
-        &self.points
+        self.set.points()
+    }
+
+    /// The set the grid was built on — the one it was given, unless it
+    /// was given a slice or came out of [`Grid::patch`], which make
+    /// their own.
+    #[inline]
+    pub fn point_set(&self) -> &Arc<PointSet> {
+        &self.set
     }
 
     /// Coordinates of point `id`.
     #[inline]
     pub fn point(&self, id: PointId) -> Point {
-        self.points[id as usize]
+        self.set.points()[id as usize]
     }
 
     /// All non-empty cells (iteration order is unspecified but stable).
@@ -432,14 +435,17 @@ impl Grid {
         if w.contains_rect(&c.rect) {
             c.len()
         } else {
-            c.count_in_rect(&self.points, w)
+            c.count_in_rect(self.set.points(), w)
         }
     }
 
-    /// Approximate heap footprint in bytes (Fig. 4 experiment).
+    /// Approximate heap footprint in bytes (Fig. 4 experiment),
+    /// [`PointSet::memory_bytes`] of the set it stands on included. Grids
+    /// of several cell sides on one set each report that share; whoever
+    /// adds grids up counts it once per [`Grid::point_set`].
     pub fn memory_bytes(&self) -> usize {
         let map_entry = std::mem::size_of::<((i32, i32), u32)>() + 1;
-        self.points.capacity() * std::mem::size_of::<Point>()
+        self.set.memory_bytes()
             + self.lookup.capacity() * map_entry
             + self.cells.capacity() * std::mem::size_of::<Arc<Cell>>()
             + self
@@ -450,25 +456,28 @@ impl Grid {
     }
 }
 
-/// Assembles one cell from its member ids, **already sorted by x**.
-fn make_cell(points: &[Point], coord: (i32, i32), by_x: Vec<PointId>, cell_side: f64) -> Cell {
-    debug_assert!(by_x
-        .windows(2)
-        .all(|w| points[w[0] as usize].x <= points[w[1] as usize].x));
+/// Assembles one cell of a [`Grid::patch`] from its member ids in any
+/// order, sorting them into the `(coord, id)` order of [`Cell`].
+fn make_cell(points: &[Point], coord: (i32, i32), mut by_x: Vec<PointId>, cell_side: f64) -> Cell {
+    let at = |id: PointId| points[id as usize];
+    by_x.sort_unstable_by(|&a, &b| at(a).x.total_cmp(&at(b).x).then(a.cmp(&b)));
     let mut by_y = by_x.clone();
-    by_y.sort_unstable_by(|&a, &b| points[a as usize].y.total_cmp(&points[b as usize].y));
-    let rect = Rect::new(
+    by_y.sort_unstable_by(|&a, &b| at(a).y.total_cmp(&at(b).y).then(a.cmp(&b)));
+    Cell {
+        coord,
+        rect: cell_rect(coord, cell_side),
+        by_x,
+        by_y,
+    }
+}
+
+fn cell_rect(coord: (i32, i32), cell_side: f64) -> Rect {
+    Rect::new(
         coord.0 as f64 * cell_side,
         coord.1 as f64 * cell_side,
         (coord.0 as f64 + 1.0) * cell_side,
         (coord.1 as f64 + 1.0) * cell_side,
-    );
-    Cell {
-        coord,
-        rect,
-        by_x,
-        by_y,
-    }
+    )
 }
 
 #[inline]
@@ -625,31 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn build_from_sorted_matches_unsorted_build() {
-        let pts = cluster(600, 29);
-        let mut order: Vec<u32> = (0..pts.len() as u32).collect();
-        order.sort_by(|&a, &b| pts[a as usize].x.total_cmp(&pts[b as usize].x));
-        let a = Grid::build(&pts, 8.0);
-        let b = Grid::build_from_sorted(&pts, &order, 8.0);
-        assert_eq!(a.num_cells(), b.num_cells());
-        for cell in b.cells() {
-            // by_x sorted without an explicit per-cell sort
-            assert!(cell
-                .by_x
-                .windows(2)
-                .all(|w| pts[w[0] as usize].x <= pts[w[1] as usize].x));
-            let other = a.cell_at(cell.coord).unwrap();
-            let mut lhs = cell.by_x.clone();
-            let mut rhs = other.by_x.clone();
-            lhs.sort_unstable();
-            rhs.sort_unstable();
-            assert_eq!(lhs, rhs, "cell {:?} membership differs", cell.coord);
-        }
-        let w = Rect::new(10.0, 10.0, 60.0, 55.0);
-        assert_eq!(a.exact_window_count(&w), b.exact_window_count(&w));
-    }
-
-    #[test]
     fn neighborhood_slots_agree_with_neighborhood() {
         let pts = cluster(400, 31);
         let g = Grid::build(&pts, 12.0);
@@ -682,13 +666,6 @@ mod tests {
                 assert_eq!(g.neighbor_slot(probe, i), slot, "{probe:?} neighbour {i}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "x_order must cover all points")]
-    fn build_from_sorted_rejects_short_order() {
-        let pts = cluster(10, 1);
-        Grid::build_from_sorted(&pts, &[0, 1], 5.0);
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! ids sorted by x (`S(c)`) and by y (`S_y(c)`), which is precisely the
 //! state Algorithm 1 lines 2–4 build.
 //!
+//! The paper pre-sorts `S` offline, before `l` is known. [`PointSet`] is
+//! that step: the point array with its ids in x and in y order, computed
+//! once and shared by every grid built on it, whatever its cell side.
+//!
 //! The outer set `R` is not indexed, but every `r` of one cell sees the
 //! same 3×3 block: [`Grid::group_by_cell`] counting-sorts a point set by
 //! cell coordinate so a builder can resolve each block once.
@@ -30,8 +34,10 @@ pub mod fx;
 mod grid_map;
 mod groups;
 mod offsets;
+mod point_set;
 
 pub use cell::Cell;
 pub use grid_map::{Grid, GridPatch};
 pub use groups::CellGroups;
 pub use offsets::{case_of, CellCase, NeighborOffset, CENTER_IDX, NEIGHBOR_OFFSETS};
+pub use point_set::{IntoPointSet, PointSet};

@@ -308,18 +308,35 @@ impl ServedDataset {
             return engine;
         }
         misses.fetch_add(1, Ordering::Relaxed);
-        let engine = Arc::new(build());
+        let (engine, _unmapped) = self.admit(key, Arc::new(build()), capacity);
+        engine
+    }
+
+    /// Enters a freshly built `engine` under `key` as the most recently
+    /// used entry. Returns the engine to serve with and, second, the one
+    /// the map let go of: the least recently used entry when the map was
+    /// at `capacity`, or `engine` itself when another thread built the
+    /// same shape first — then its engine (and swap cell) is shared so
+    /// epochs stay consistent.
+    ///
+    /// The map lock is released before this returns, so whoever drops
+    /// the second engine does so outside it: an index is hundreds of
+    /// allocations to free (tens of ms on a large dataset), and the event
+    /// loop takes this lock on every request it considers serving itself
+    /// ([`ServedDataset::cached_engine`]).
+    fn admit(
+        &self,
+        key: EngineKey,
+        engine: Arc<EpochEngine>,
+        capacity: usize,
+    ) -> (Arc<EpochEngine>, Option<Arc<EpochEngine>>) {
         let mut engines = self.engines.lock().expect("engine map poisoned");
         if let Some(shared) = Self::touch(&mut engines, key) {
-            // Another thread built the same shape first; share its
-            // engine (and swap cell) so epochs stay consistent.
-            return shared;
+            return (shared, Some(engine));
         }
-        if engines.len() >= capacity.max(1) {
-            engines.remove(0);
-        }
+        let evicted = (engines.len() >= capacity.max(1)).then(|| engines.remove(0).1);
         engines.push((key, Arc::clone(&engine)));
-        engine
+        (engine, evicted)
     }
 
     /// The engine for `key` if one is cached — the peek that never
@@ -1427,5 +1444,63 @@ pub(crate) fn slow_entry_to_wire(e: SlowEntry) -> SlowLogEntry {
                 event: s.event,
             })
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(l: f64) -> EngineKey {
+        EngineKey {
+            l_bits: l.to_bits(),
+            shards: 1,
+            algorithm: None,
+        }
+    }
+
+    /// The engine the map lets go of — evicted at capacity, or beaten to
+    /// its key — is handed out alive, with the map lock already free:
+    /// freeing an index is never done inside the critical section the
+    /// event loop's `cached_engine` peek waits on.
+    #[test]
+    fn an_unmapped_engine_outlives_the_engine_map_lock() {
+        let points: Vec<Point> = (0..64)
+            .map(|i| Point::new((i % 8) as f64, (i / 8) as f64))
+            .collect();
+        let dataset = ServedDataset::new(Arc::new(DatasetStore::new(points.clone(), points)));
+        let build = |l: f64| {
+            Arc::new(EpochEngine::with_store(
+                Arc::clone(&dataset.store),
+                &SampleConfig::new(l),
+                EpochConfig::default(),
+            ))
+        };
+
+        let first = build(1.0);
+        let first_alive = Arc::downgrade(&first);
+        let (served, unmapped) = dataset.admit(key(1.0), first, 1);
+        assert!(unmapped.is_none(), "room for one");
+        drop(served);
+        assert_eq!(first_alive.strong_count(), 1, "held by the map alone");
+
+        // At capacity: the least recently used engine leaves the map.
+        let (served, unmapped) = dataset.admit(key(2.0), build(2.0), 1);
+        assert!(dataset.engines.try_lock().is_ok(), "map lock released");
+        assert_eq!(first_alive.strong_count(), 1, "evicted, not yet dropped");
+        assert!(Arc::ptr_eq(
+            &unmapped.unwrap(),
+            &first_alive.upgrade().unwrap()
+        ));
+        assert_eq!(first_alive.strong_count(), 0);
+        assert!(dataset.cached_engine(key(1.0)).is_none());
+
+        // Beaten to the key: the cached engine serves, the late one leaves.
+        let late = build(2.0);
+        let (shared, unmapped) = dataset.admit(key(2.0), Arc::clone(&late), 1);
+        assert!(dataset.engines.try_lock().is_ok(), "map lock released");
+        assert!(Arc::ptr_eq(&shared, &served));
+        assert!(Arc::ptr_eq(&unmapped.unwrap(), &late));
+        assert_eq!(dataset.engine_count(), 1);
     }
 }

@@ -6,8 +6,12 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
-use srj::{Algorithm, Engine, JoinPair, Point, Rect, SampleConfig};
+use srj::{
+    Algorithm, BbstIndex, DatasetStore, Engine, EpochConfig, EpochEngine, JoinPair, KdsIndex,
+    KdsRejectionIndex, Point, Rect, SampleConfig,
+};
 
 fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -366,4 +370,159 @@ fn cache_reuses_indexes_across_threads() {
     // warm cache: no further builds
     let again = cache.get_or_build(7, 4.0, || unreachable!("must be cached"));
     assert!(again.handle_seeded(9).sample_one().is_ok());
+}
+
+/// Duplicate coordinates, negative coordinates and points on cell
+/// boundaries: the data on which a tie order or a boundary rule shows.
+fn lattice_points(n: usize, seed: u64) -> Vec<Point> {
+    pseudo_points(n, seed, 41.0)
+        .into_iter()
+        .map(|p| Point::new(p.x.floor() * 0.5 - 10.0, p.y.floor() * 0.5 - 10.0))
+        .collect()
+}
+
+fn epoch_engine(store: &Arc<DatasetStore>, l: f64, algorithm: Algorithm) -> EpochEngine {
+    EpochEngine::with_store(
+        Arc::clone(store),
+        &SampleConfig::new(l),
+        EpochConfig::default().with_algorithm(algorithm),
+    )
+}
+
+/// Every sample of a clean epoch engine is a pair of the join over the
+/// store's snapshot.
+fn assert_membership(engine: &EpochEngine, l: f64) {
+    let snap = engine.store().snapshot();
+    for p in engine.handle_seeded(0xC0DE).sample(500).unwrap() {
+        let w = Rect::window(snap.r_point(p.r).unwrap(), l);
+        assert!(
+            w.contains(snap.s_point(p.s).unwrap()),
+            "non-join pair {p:?}"
+        );
+    }
+}
+
+/// The per-dataset sort cache, through the engine: engines of different
+/// window sizes over one store stand on one `PointSet` and sort it once;
+/// a compaction that changes `S` gives the next build a fresh set; and
+/// what is built on the shared set is what is built from a slice.
+#[test]
+fn window_sizes_over_one_store_share_one_sorted_point_set() {
+    let r = lattice_points(400, 11);
+    let s = lattice_points(2_000, 12);
+    let store = Arc::new(DatasetStore::new(r.clone(), s.clone()));
+    let base = store.snapshot().base_s;
+
+    let first = epoch_engine(&store, 1.5, Algorithm::Bbst);
+    let x_order = base.x_order().as_ptr();
+    assert!(first.engine().build_report().preprocessing > Duration::ZERO);
+    for (l, algorithm) in [
+        (0.5, Algorithm::Bbst),
+        (2.0, Algorithm::Kds),
+        (3.7, Algorithm::KdsRejection),
+    ] {
+        let next = epoch_engine(&store, l, algorithm);
+        let engine = next.engine();
+        assert!(
+            Arc::ptr_eq(&engine.s_point_set().unwrap(), &base),
+            "l = {l}"
+        );
+        if algorithm == Algorithm::Bbst {
+            // BBST's pre-processing phase is the sorts and nothing else.
+            assert_eq!(engine.build_report().preprocessing, Duration::ZERO);
+        }
+        // Counted with the engine that holds it, orders included.
+        assert!(engine.memory_bytes() > base.memory_bytes());
+        assert_eq!(base.memory_bytes(), s.len() * (16 + 2 * 4));
+        assert_membership(&next, l);
+    }
+    assert!(Arc::ptr_eq(&first.engine().s_point_set().unwrap(), &base));
+    assert_eq!(base.ensure_orders(), Duration::ZERO);
+    assert_eq!(base.x_order().as_ptr(), x_order, "sorted once");
+
+    // Shared set or slice, the index is the same index.
+    for l in [0.5, 1.5, 3.7] {
+        let cfg = SampleConfig::new(l);
+        let shared = BbstIndex::build(&r, &base, &cfg);
+        let sliced = BbstIndex::build(&r, &s, &cfg);
+        assert_eq!(shared.mu_total(), sliced.mu_total());
+        assert!((0..r.len()).all(|i| shared.mu_of(i) == sliced.mu_of(i)));
+        assert_eq!(
+            epoch_engine(&store, l, Algorithm::Bbst).total_weight(),
+            sliced.mu_total()
+        );
+        let shared = KdsRejectionIndex::build(&r, &base, &cfg);
+        let sliced = KdsRejectionIndex::build(&r, &s, &cfg);
+        assert_eq!(shared.mu_total(), sliced.mu_total());
+        assert!((0..r.len()).all(|i| shared.mu_of(i) == sliced.mu_of(i)));
+        let shared = KdsIndex::build(&r, &base, &cfg);
+        let sliced = KdsIndex::build(&r, &s, &cfg);
+        assert_eq!(shared.mu_total(), sliced.mu_total());
+        assert!(shared
+            .rows()
+            .iter()
+            .zip(sliced.rows())
+            .all(|(a, b)| a.total() == b.total()));
+    }
+
+    // An incremental compaction appends to `S`: a new set, sorted anew.
+    store.insert_s(Point::new(0.25, -0.75));
+    let (snap, _) = store.compact_incremental();
+    assert!(!Arc::ptr_eq(&snap.base_s, &base));
+    let after_incremental = epoch_engine(&store, 1.5, Algorithm::Bbst);
+    let engine = after_incremental.engine();
+    assert!(Arc::ptr_eq(&engine.s_point_set().unwrap(), &snap.base_s));
+    assert!(engine.build_report().preprocessing > Duration::ZERO);
+    assert_membership(&after_incremental, 1.5);
+
+    // A full compaction renumbers `S`: again a new set.
+    assert!(store.delete_s(7));
+    let (renumbered, s_changed) = store.compact();
+    assert!(s_changed && !Arc::ptr_eq(&renumbered.base_s, &snap.base_s));
+    let after_full = epoch_engine(&store, 0.5, Algorithm::Bbst);
+    let engine = after_full.engine();
+    assert!(Arc::ptr_eq(
+        &engine.s_point_set().unwrap(),
+        &renumbered.base_s
+    ));
+    assert!(engine.build_report().preprocessing > Duration::ZERO);
+    assert_eq!(
+        after_full.total_weight(),
+        BbstIndex::build(
+            &renumbered.base_r,
+            &renumbered.base_s[..],
+            &SampleConfig::new(0.5)
+        )
+        .mu_total()
+    );
+    assert_membership(&after_full, 0.5);
+    // The first epoch's engines still stand on the set they were built on.
+    assert!(Arc::ptr_eq(&first.engine().s_point_set().unwrap(), &base));
+}
+
+/// Two cache misses on two window sizes at the same moment: one of the
+/// two builds sorts the base, the other waits for it and sorts nothing.
+#[test]
+fn concurrent_misses_on_two_window_sizes_sort_the_base_once() {
+    let r = lattice_points(200, 21);
+    let store = Arc::new(DatasetStore::new(r, lattice_points(20_000, 22)));
+    let start = std::sync::Barrier::new(2);
+    let sort_times: Vec<Duration> = thread::scope(|scope| {
+        let builds: Vec<_> = [1.0, 2.5]
+            .into_iter()
+            .map(|l| {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let engine = epoch_engine(store, l, Algorithm::Bbst);
+                    assert_membership(&engine, l);
+                    engine.engine().build_report().preprocessing
+                })
+            })
+            .collect();
+        builds.into_iter().map(|b| b.join().unwrap()).collect()
+    });
+    let sorted = sort_times.iter().filter(|t| **t > Duration::ZERO).count();
+    assert_eq!(sorted, 1, "sort times {sort_times:?}");
+    assert_eq!(store.snapshot().base_s.ensure_orders(), Duration::ZERO);
 }
