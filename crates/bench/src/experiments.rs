@@ -5,13 +5,12 @@
 
 use std::fmt::Write as _;
 
-use srj_core::JoinSampler;
+use srj_core::{BbstSampler, JoinSampler, KdsRejectionSampler, KdsSampler};
 use srj_datagen::DatasetKind;
 
 use crate::datasets::{scaled_spec, ScaledDataset, DEFAULT_T};
 use crate::runner::{
-    build_bbst, build_bbst_with, build_kds, build_kds_with, build_rejection, build_rejection_with,
-    build_variant, run_sampler, RunOutcome,
+    build_bbst, build_kds, build_rejection, build_variant, run_sampler, RunOutcome,
 };
 
 /// Experiment-wide knobs (defaults mirror the paper's §V-A).
@@ -75,15 +74,15 @@ pub fn default_runs(cfg: &ExpConfig) -> Vec<DatasetRun> {
         .map(|&kind| {
             let d = scaled_spec(kind, cfg.scale, 0.5, cfg.seed);
             let mut outcomes = Vec::with_capacity(3);
-            let mut kds = build_kds_with(&d.r, &d.s, &sc);
-            let join_size = kds.join_size();
+            let mut kds = KdsSampler::build(&d.r, &d.s, &sc);
+            let join_size = kds.index().join_size();
             outcomes.push(run_sampler(&mut kds, cfg.t, cfg.seed));
             drop(kds);
-            let mut rej = build_rejection_with(&d.r, &d.s, &sc);
+            let mut rej = KdsRejectionSampler::build(&d.r, &d.s, &sc);
             outcomes.push(run_sampler(&mut rej, cfg.t, cfg.seed));
             drop(rej);
-            let mut bbst = build_bbst_with(&d.r, &d.s, &sc);
-            let mu_total = bbst.mu_total();
+            let mut bbst = BbstSampler::build(&d.r, &d.s, &sc);
+            let mu_total = bbst.index().mu_total();
             outcomes.push(run_sampler(&mut bbst, cfg.t, cfg.seed));
             DatasetRun {
                 kind,
@@ -409,7 +408,7 @@ pub fn fig9(cfg: &ExpConfig) -> String {
 /// Extension ablation — fractional cascading on/off: build (UB-heavy)
 /// and total times plus memory, on every dataset.
 pub fn ablation_cascading(cfg: &ExpConfig) -> String {
-    use srj_core::{BbstSampler, SampleConfig};
+    use srj_core::SampleConfig;
     let mut out = String::new();
     writeln!(out, "## Ablation: fractional cascading (t = {})", cfg.t).unwrap();
     writeln!(
@@ -448,7 +447,7 @@ pub fn ablation_cascading(cfg: &ExpConfig) -> String {
 /// Extension ablation — virtual (paper) vs exact (tighter) bucket mass:
 /// accuracy ratio and total time on every dataset.
 pub fn ablation_mass(cfg: &ExpConfig) -> String {
-    use srj_core::{BbstSampler, MassMode, SampleConfig};
+    use srj_core::{MassMode, SampleConfig};
     let mut out = String::new();
     writeln!(out, "## Ablation: case-3 mass mode (t = {})", cfg.t).unwrap();
     writeln!(
@@ -464,7 +463,7 @@ pub fn ablation_mass(cfg: &ExpConfig) -> String {
         for (i, mode) in [MassMode::Virtual, MassMode::Exact].into_iter().enumerate() {
             let sc = SampleConfig::new(cfg.l).with_mass_mode(mode);
             let mut sampler = BbstSampler::build(&d.r, &d.s, &sc);
-            row[i] = sampler.mu_total() / join;
+            row[i] = sampler.index().mu_total() / join;
             row[2 + i] = run_sampler(&mut sampler, cfg.t, cfg.seed).total_secs();
         }
         writeln!(

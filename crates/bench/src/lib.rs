@@ -18,7 +18,4 @@ pub mod experiments;
 pub mod runner;
 
 pub use datasets::{scaled_spec, ScaledDataset, DEFAULT_T};
-pub use runner::{
-    build_bbst, build_bbst_with, build_kds, build_kds_with, build_rejection, build_rejection_with,
-    build_variant, run_sampler, RunOutcome,
-};
+pub use runner::{build_bbst, build_kds, build_rejection, build_variant, run_sampler, RunOutcome};

@@ -9,38 +9,20 @@ use srj_core::{
 };
 use srj_geom::Point;
 
-/// Builds the KDS baseline (single-threaded build; use
-/// [`build_kds_with`] to pass a full config).
+/// Builds the KDS baseline (single-threaded build; `KdsSampler::build`
+/// takes a full config).
 pub fn build_kds(r: &[Point], s: &[Point], l: f64) -> KdsSampler {
-    build_kds_with(r, s, &SampleConfig::new(l))
+    KdsSampler::build(r, s, &SampleConfig::new(l))
 }
 
-/// Builds the KDS baseline with an explicit config (e.g. a
-/// `build_threads` override).
-pub fn build_kds_with(r: &[Point], s: &[Point], cfg: &SampleConfig) -> KdsSampler {
-    KdsSampler::build(r, s, cfg)
-}
-
-/// Builds the KDS-rejection baseline (single-threaded build; use
-/// [`build_rejection_with`] to pass a full config).
+/// Builds the KDS-rejection baseline (single-threaded build).
 pub fn build_rejection(r: &[Point], s: &[Point], l: f64) -> KdsRejectionSampler {
-    build_rejection_with(r, s, &SampleConfig::new(l))
+    KdsRejectionSampler::build(r, s, &SampleConfig::new(l))
 }
 
-/// Builds the KDS-rejection baseline with an explicit config.
-pub fn build_rejection_with(r: &[Point], s: &[Point], cfg: &SampleConfig) -> KdsRejectionSampler {
-    KdsRejectionSampler::build(r, s, cfg)
-}
-
-/// Builds the proposed BBST sampler (single-threaded build; use
-/// [`build_bbst_with`] to pass a full config).
+/// Builds the proposed BBST sampler (single-threaded build).
 pub fn build_bbst(r: &[Point], s: &[Point], l: f64) -> BbstSampler {
-    build_bbst_with(r, s, &SampleConfig::new(l))
-}
-
-/// Builds the proposed BBST sampler with an explicit config.
-pub fn build_bbst_with(r: &[Point], s: &[Point], cfg: &SampleConfig) -> BbstSampler {
-    BbstSampler::build(r, s, cfg)
+    BbstSampler::build(r, s, &SampleConfig::new(l))
 }
 
 /// Builds the Fig. 9 per-cell kd-tree variant.

@@ -2,7 +2,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::{Rng, RngCore};
+use rand::Rng;
 use srj_alias::{AliasTable, CumulativeRow9, RowPick};
 use srj_bbst::{bucket_capacity, CellBbsts, MassMode};
 use srj_geom::{Point, PointId, Rect};
@@ -13,7 +13,6 @@ use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex, BLOCK};
 use crate::decompose::{case12_draw, quadrant_query, upper_bounding, UpperBounds};
-use crate::traits::JoinSampler;
 
 /// Immutable build product of the paper's proposed algorithm
 /// (Section IV, Algorithm 1): `Õ(n + m + t)` expected time,
@@ -641,10 +640,6 @@ impl SamplerIndex for BbstIndex {
         scratch.buffers.set_enabled(enabled);
     }
 
-    fn warm_buffers(scratch: &mut BbstScratch, slots: &[u32]) {
-        scratch.buffers.warm(slots);
-    }
-
     fn seed_buffers(scratch: &mut BbstScratch, seed: u64) {
         scratch.buffers.seed_rng(seed);
     }
@@ -678,6 +673,11 @@ impl SamplerIndex for BbstIndex {
 pub type BbstCursor = Cursor<BbstIndex>;
 
 impl Cursor<BbstIndex> {
+    /// Builds the index and a cursor over it.
+    pub fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
+        Cursor::new(Arc::new(BbstIndex::build(r, s, config)))
+    }
+
     /// Unbiased estimate of the join cardinality `|J|` from this
     /// cursor's sampling statistics, or `None` before any sampling
     /// iteration ran.
@@ -695,73 +695,14 @@ impl Cursor<BbstIndex> {
 }
 
 /// The paper's proposed algorithm as a self-contained single-threaded
-/// sampler (owned [`BbstIndex`] + one [`BbstCursor`]), preserving the
-/// pre-split `build`/`sample` API. Concurrent callers should use
-/// [`BbstIndex`] + [`BbstCursor`] (or the `srj-engine` crate) directly.
-pub struct BbstSampler {
-    cursor: BbstCursor,
-}
-
-impl BbstSampler {
-    /// Runs phases 1 and 2 of Algorithm 1 and attaches a private cursor.
-    pub fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
-        BbstSampler {
-            cursor: BbstCursor::new(Arc::new(BbstIndex::build(r, s, config))),
-        }
-    }
-
-    /// Sum of the upper bounds `Σ_r µ(r)` (see [`BbstIndex::mu_total`]).
-    pub fn mu_total(&self) -> f64 {
-        self.cursor.index().mu_total()
-    }
-
-    /// Upper bound `µ(r)` for one query point.
-    pub fn mu_of(&self, ridx: usize) -> f64 {
-        self.cursor.index().mu_of(ridx)
-    }
-
-    /// Unbiased `|J|` estimate (see [`BbstCursor::estimate_join_size`]).
-    pub fn estimate_join_size(&self) -> Option<f64> {
-        self.cursor.estimate_join_size()
-    }
-
-    /// The bucket capacity `⌈log₂ m⌉` in use.
-    pub fn bucket_cap(&self) -> u32 {
-        self.cursor.index().bucket_cap()
-    }
-
-    /// The shared index, for handing to additional cursors.
-    pub fn index(&self) -> &Arc<BbstIndex> {
-        self.cursor.index()
-    }
-}
-
-impl JoinSampler for BbstSampler {
-    fn name(&self) -> &'static str {
-        self.cursor.name()
-    }
-
-    fn sample_one(&mut self, rng: &mut dyn RngCore) -> Result<JoinPair, SampleError> {
-        self.cursor.sample_one(rng)
-    }
-
-    fn sample(&mut self, t: usize, rng: &mut dyn RngCore) -> Result<Vec<JoinPair>, SampleError> {
-        self.cursor.sample(t, rng)
-    }
-
-    fn report(&self) -> PhaseReport {
-        self.cursor.report()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.cursor.memory_bytes()
-    }
-}
+/// sampler: a [`BbstCursor`] over an index nobody else holds.
+pub type BbstSampler = Cursor<BbstIndex>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decompose::{case12_run, case12_stored_run, per_r_weights};
+    use crate::JoinSampler;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -802,11 +743,11 @@ mod tests {
         let s = pseudo_points(400, 42, 50.0);
         let cfg = SampleConfig::new(6.0);
         let sampler = BbstSampler::build(&r, &s, &cfg);
-        let cap = sampler.bucket_cap() as f64;
+        let cap = sampler.index().bucket_cap() as f64;
         for (i, &rp) in r.iter().enumerate() {
             let w = Rect::window(rp, 6.0);
             let exact = s.iter().filter(|p| w.contains(**p)).count() as f64;
-            let mu = sampler.mu_of(i);
+            let mu = sampler.index().mu_of(i);
             assert!(mu >= exact, "r{i}: µ {mu} < exact {exact}");
             // Lemma 5: µ ≤ max{O(log m)·exact, O(log m)} — the constant
             // accounts for the 4 corner cells and their straddlers.
@@ -816,7 +757,7 @@ mod tests {
             );
         }
         let join = srj_join::nested_loop_join(&r, &s, 6.0).len() as f64;
-        assert!(sampler.mu_total() >= join);
+        assert!(sampler.index().mu_total() >= join);
     }
 
     #[test]
@@ -829,9 +770,9 @@ mod tests {
             &s,
             &SampleConfig::new(5.0).with_mass_mode(MassMode::Exact),
         );
-        assert!(tight.mu_total() <= virt.mu_total());
+        assert!(tight.index().mu_total() <= virt.index().mu_total());
         let join = srj_join::nested_loop_join(&r, &s, 5.0).len() as f64;
-        assert!(tight.mu_total() >= join);
+        assert!(tight.index().mu_total() >= join);
     }
 
     #[test]
@@ -852,7 +793,7 @@ mod tests {
         let cfg = SampleConfig::new(2.0).with_rejection_limit(2_000);
         let mut sampler = BbstSampler::build(&r, &s, &cfg);
         let mut rng = SmallRng::seed_from_u64(0);
-        if sampler.mu_total() > 0.0 {
+        if sampler.index().mu_total() > 0.0 {
             assert_eq!(
                 sampler.sample_one(&mut rng),
                 Err(SampleError::RejectionLimit)
@@ -880,7 +821,7 @@ mod tests {
         let cfg = SampleConfig::new(6.0);
         let mut sampler = BbstSampler::build(&r, &s, &cfg);
         let join = srj_join::nested_loop_join(&r, &s, 6.0).len() as f64;
-        let expected_ratio = sampler.mu_total() / join;
+        let expected_ratio = sampler.index().mu_total() / join;
         let mut rng = SmallRng::seed_from_u64(63);
         let t = 20_000;
         sampler.sample(t, &mut rng).unwrap();

@@ -124,7 +124,7 @@ impl DrawBuffers {
     /// Pins the buffer RNG to a caller-chosen stream. Seeded handles
     /// call this at arm time so a request's buffered draw sequence is
     /// a pure function of its seed — without it the stream comes from
-    /// the process-wide [`BUFFER_SEED_SEQ`] and two same-seed requests
+    /// the process-wide `BUFFER_SEED_SEQ` and two same-seed requests
     /// would serve different (still uniform) pairs.
     pub fn seed_rng(&mut self, seed: u64) {
         self.rng = Some(SmallRng::seed_from_u64(seed));

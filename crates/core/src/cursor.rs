@@ -101,10 +101,6 @@ pub trait SamplerIndex: Send + Sync {
     /// buffers either way, so their RNG streams stay byte-identical.
     fn set_buffers(_scratch: &mut Self::Scratch, _enabled: bool) {}
 
-    /// Pre-promotes the given cell slots to buffered status (warm
-    /// start, skipping the heat ladder). Default no-op.
-    fn warm_buffers(_scratch: &mut Self::Scratch, _slots: &[u32]) {}
-
     /// Pins the buffered path's RNG to a caller-chosen stream, making
     /// the buffered draw sequence a pure function of the caller's
     /// seed. Default no-op.
@@ -253,63 +249,6 @@ pub trait SamplerIndex: Send + Sync {
     }
 }
 
-/// Object-safe view of a [`SamplerIndex`]: erases the per-cursor
-/// scratch type so heterogeneous indexes — in particular
-/// [`crate::OverlayIndex`]-wrapped ones, whose concrete type depends on
-/// the base algorithm — can stand behind one `Arc<dyn
-/// AnySamplerIndex>` (e.g. in an engine's epoch-swap cell).
-///
-/// Blanket-implemented for every `SamplerIndex`; [`any_cursor`] hands
-/// out a boxed [`Cursor`] so the timing/accounting logic still exists
-/// exactly once.
-///
-/// [`any_cursor`]: AnySamplerIndex::any_cursor
-pub trait AnySamplerIndex: Send + Sync {
-    /// Algorithm name as used in the paper's tables.
-    fn any_name(&self) -> &'static str;
-
-    /// A fresh boxed cursor over this shared index (O(1)).
-    fn any_cursor(self: Arc<Self>) -> Box<dyn JoinSampler + Send>;
-
-    /// Build-phase timing recorded at construction.
-    fn any_build_report(&self) -> PhaseReport;
-
-    /// Approximate heap footprint of the retained structures.
-    fn any_memory_bytes(&self) -> usize;
-
-    /// Total sampling weight `Σµ` (see [`SamplerIndex::total_weight`]).
-    fn any_total_weight(&self) -> f64;
-
-    /// Number of `S`-side cells (see [`SamplerIndex::cell_count`]).
-    fn any_cell_count(&self) -> usize;
-}
-
-impl<I: SamplerIndex + 'static> AnySamplerIndex for I {
-    fn any_name(&self) -> &'static str {
-        self.algorithm_name()
-    }
-
-    fn any_cursor(self: Arc<Self>) -> Box<dyn JoinSampler + Send> {
-        Box::new(Cursor::new(self))
-    }
-
-    fn any_build_report(&self) -> PhaseReport {
-        self.index_build_report()
-    }
-
-    fn any_memory_bytes(&self) -> usize {
-        self.index_memory_bytes()
-    }
-
-    fn any_total_weight(&self) -> f64 {
-        self.total_weight()
-    }
-
-    fn any_cell_count(&self) -> usize {
-        self.cell_count()
-    }
-}
-
 /// Cheap per-thread query state over a shared index: scratch buffers
 /// plus this cursor's own sampling-phase statistics. Construction is
 /// O(1); clone the `Arc` and make one cursor per serving thread.
@@ -342,11 +281,6 @@ impl<I: SamplerIndex> Cursor<I> {
     /// Switches this cursor's buffered-draw fast path on or off.
     pub fn set_buffers(&mut self, enabled: bool) {
         I::set_buffers(&mut self.scratch, enabled);
-    }
-
-    /// Pre-promotes `slots` to buffered status (warm start).
-    pub fn warm_buffers(&mut self, slots: &[u32]) {
-        I::warm_buffers(&mut self.scratch, slots);
     }
 
     /// Pins this cursor's buffer RNG to a seed-derived stream.

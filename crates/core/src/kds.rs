@@ -1,7 +1,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::{Rng, RngCore};
+use rand::Rng;
 use srj_alias::{AliasTable, CumulativeRow9};
 use srj_geom::{Point, Rect};
 use srj_grid::{case_of, CellCase, IntoPointSet};
@@ -12,7 +12,6 @@ use crate::cellstore::KdCellStore;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
 use crate::decompose::{case12_draw, open_quadrant, quadrant_query, upper_bounding};
-use crate::traits::JoinSampler;
 
 /// Immutable build product of Baseline 1 — **KDS** (paper Section III-A)
 /// — and of the Fig. 9 ablation, which is the same algorithm (see
@@ -299,10 +298,6 @@ impl SamplerIndex for KdsIndex {
         scratch.buffers.set_enabled(enabled);
     }
 
-    fn warm_buffers(scratch: &mut KdsScratch, slots: &[u32]) {
-        scratch.buffers.warm(slots);
-    }
-
     fn seed_buffers(scratch: &mut KdsScratch, seed: u64) {
         scratch.buffers.seed_rng(seed);
     }
@@ -341,62 +336,21 @@ impl SamplerIndex for KdsIndex {
 pub type KdsCursor = Cursor<KdsIndex>;
 
 /// Baseline 1 — **KDS** — as a self-contained single-threaded sampler:
-/// an owned [`KdsIndex`] plus one [`KdsCursor`], preserving the
-/// pre-split `build`/`sample` API. New concurrent callers should use
-/// [`KdsIndex`] + [`KdsCursor`] (or the `srj-engine` crate) directly.
-pub struct KdsSampler {
-    cursor: KdsCursor,
-}
+/// a [`KdsCursor`] over an index nobody else holds
+/// ([`Cursor::index`] hands it to further cursors).
+pub type KdsSampler = Cursor<KdsIndex>;
 
-impl KdsSampler {
-    /// Builds the index and attaches a private cursor.
+impl Cursor<KdsIndex> {
+    /// Builds the index and a cursor over it.
     pub fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
-        KdsSampler {
-            cursor: KdsCursor::new(Arc::new(KdsIndex::build(r, s, config))),
-        }
-    }
-
-    /// Exact join cardinality `|J|` (see [`KdsIndex::join_size`]).
-    pub fn join_size(&self) -> u64 {
-        self.cursor.index().join_size()
-    }
-
-    /// `|J|` as a total weight (see [`KdsIndex::mu_total`]).
-    pub fn mu_total(&self) -> f64 {
-        self.cursor.index().mu_total()
-    }
-
-    /// The shared index, for handing to additional cursors.
-    pub fn index(&self) -> &Arc<KdsIndex> {
-        self.cursor.index()
-    }
-}
-
-impl JoinSampler for KdsSampler {
-    fn name(&self) -> &'static str {
-        self.cursor.name()
-    }
-
-    fn sample_one(&mut self, rng: &mut dyn RngCore) -> Result<JoinPair, SampleError> {
-        self.cursor.sample_one(rng)
-    }
-
-    fn sample(&mut self, t: usize, rng: &mut dyn RngCore) -> Result<Vec<JoinPair>, SampleError> {
-        self.cursor.sample(t, rng)
-    }
-
-    fn report(&self) -> PhaseReport {
-        self.cursor.report()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.cursor.memory_bytes()
+        Cursor::new(Arc::new(KdsIndex::build(r, s, config)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JoinSampler;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -437,7 +391,7 @@ mod tests {
         let cfg = SampleConfig::new(4.0);
         let sampler = KdsSampler::build(&r, &s, &cfg);
         let brute = srj_join::nested_loop_join(&r, &s, 4.0).len() as u64;
-        assert_eq!(sampler.join_size(), brute);
+        assert_eq!(sampler.index().join_size(), brute);
     }
 
     #[test]
@@ -448,7 +402,7 @@ mod tests {
         let mut sampler = KdsSampler::build(&r, &s, &cfg);
         let mut rng = SmallRng::seed_from_u64(0);
         assert_eq!(sampler.sample_one(&mut rng), Err(SampleError::EmptyJoin));
-        assert_eq!(sampler.join_size(), 0);
+        assert_eq!(sampler.index().join_size(), 0);
     }
 
     #[test]

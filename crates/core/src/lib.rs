@@ -34,11 +34,10 @@
 //! [`KdsRejectionCursor`], [`BbstCursor`]) holding only per-thread state
 //! (scratch buffers and sampling statistics). Wrap an index in an `Arc`, hand
 //! each thread its own cursor, and all threads draw concurrently from
-//! the same structures. The classic `*Sampler` types remain as
-//! single-threaded shims (owned index + one cursor) with the original
-//! API; the `srj-engine` crate builds a full concurrent serving engine
-//! — planner, index cache, `R`-sharding, latency statistics — on top
-//! of this split.
+//! the same structures. A `*Sampler` is a cursor over an index of its
+//! own (`::build`); the `srj-engine` crate builds a full concurrent
+//! serving engine — planner, index cache, `R`-sharding, latency
+//! statistics — on top of this split.
 //!
 //! ## Dynamic datasets
 //!
@@ -79,7 +78,7 @@ pub use cellstore::{
     BbstCellCtx, CellStore, CellUnit, KdCellStore, KdCellUnit, PatchReport as CellPatchReport,
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-pub use cursor::{AnySamplerIndex, Cursor, SamplerIndex};
+pub use cursor::{Cursor, SamplerIndex};
 pub use kds::{KdsCursor, KdsIndex, KdsSampler};
 pub use materialize::JoinThenSample;
 pub use overlay::{DeltaSet, OverlayIndex, OverlaySupport};

@@ -110,7 +110,6 @@ use srj_geom::{Point, PointId, Rect};
 use srj_grid::fx::{FxHashMap, FxHashSet};
 use srj_grid::{case_of, CellCase, Grid, NEIGHBOR_OFFSETS};
 
-use crate::buffer::BufferStats;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{SamplerIndex, BLOCK};
 use crate::decompose::{case12_stored_run, sweep_rows};
@@ -1060,24 +1059,6 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
 
     fn drain_cell_rejections(scratch: &mut Self::Scratch, out: &mut Vec<u32>) {
         I::drain_cell_rejections(&mut scratch.base, out);
-    }
-
-    fn set_buffers(scratch: &mut Self::Scratch, enabled: bool) {
-        // Base-source draws keep their buffered fast path through the
-        // overlay.
-        I::set_buffers(&mut scratch.base, enabled);
-    }
-
-    fn warm_buffers(scratch: &mut Self::Scratch, slots: &[u32]) {
-        I::warm_buffers(&mut scratch.base, slots);
-    }
-
-    fn seed_buffers(scratch: &mut Self::Scratch, seed: u64) {
-        I::seed_buffers(&mut scratch.base, seed);
-    }
-
-    fn drain_buffer_stats(scratch: &mut Self::Scratch) -> BufferStats {
-        I::drain_buffer_stats(&mut scratch.base)
     }
 
     fn index_build_report(&self) -> PhaseReport {

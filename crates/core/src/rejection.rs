@@ -6,8 +6,7 @@ use crate::cellstore::KdCellStore;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
 use crate::parallel::par_chunks;
-use crate::traits::JoinSampler;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use srj_alias::AliasTable;
 use srj_geom::{Point, Rect};
 use srj_grid::{Grid, IntoPointSet};
@@ -252,10 +251,6 @@ impl SamplerIndex for KdsRejectionIndex {
         scratch.buffers.set_enabled(enabled);
     }
 
-    fn warm_buffers(scratch: &mut KdsScratch, slots: &[u32]) {
-        scratch.buffers.warm(slots);
-    }
-
     fn seed_buffers(scratch: &mut KdsScratch, seed: u64) {
         scratch.buffers.seed_rng(seed);
     }
@@ -300,57 +295,20 @@ impl SamplerIndex for KdsRejectionIndex {
 pub type KdsRejectionCursor = Cursor<KdsRejectionIndex>;
 
 /// Baseline 2 — **KDS-rejection** — as a self-contained single-threaded
-/// sampler (owned index + one cursor), preserving the pre-split API.
-/// Concurrent callers should use [`KdsRejectionIndex`] +
-/// [`KdsRejectionCursor`] (or `srj-engine`) directly.
-pub struct KdsRejectionSampler {
-    cursor: KdsRejectionCursor,
-}
+/// sampler: a [`KdsRejectionCursor`] over an index nobody else holds.
+pub type KdsRejectionSampler = Cursor<KdsRejectionIndex>;
 
-impl KdsRejectionSampler {
-    /// Builds the index and attaches a private cursor.
+impl Cursor<KdsRejectionIndex> {
+    /// Builds the index and a cursor over it.
     pub fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
-        KdsRejectionSampler {
-            cursor: KdsRejectionCursor::new(Arc::new(KdsRejectionIndex::build(r, s, config))),
-        }
-    }
-
-    /// Sum of the upper bounds `Σ_r µ(r)`.
-    pub fn mu_total(&self) -> f64 {
-        self.cursor.index().mu_total()
-    }
-
-    /// The shared index, for handing to additional cursors.
-    pub fn index(&self) -> &Arc<KdsRejectionIndex> {
-        self.cursor.index()
-    }
-}
-
-impl JoinSampler for KdsRejectionSampler {
-    fn name(&self) -> &'static str {
-        self.cursor.name()
-    }
-
-    fn sample_one(&mut self, rng: &mut dyn RngCore) -> Result<JoinPair, SampleError> {
-        self.cursor.sample_one(rng)
-    }
-
-    fn sample(&mut self, t: usize, rng: &mut dyn RngCore) -> Result<Vec<JoinPair>, SampleError> {
-        self.cursor.sample(t, rng)
-    }
-
-    fn report(&self) -> PhaseReport {
-        self.cursor.report()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.cursor.memory_bytes()
+        Cursor::new(Arc::new(KdsRejectionIndex::build(r, s, config)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JoinSampler;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -410,7 +368,7 @@ mod tests {
             );
         }
         let brute = srj_join::nested_loop_join(&r, &s, 4.0).len() as f64;
-        assert!(sampler.mu_total() >= brute);
+        assert!(sampler.index().mu_total() >= brute);
     }
 
     #[test]
@@ -421,7 +379,7 @@ mod tests {
         let s = vec![Point::new(13.5, 13.5)]; // within the 3×3 block for l = 2
         let cfg = SampleConfig::new(2.0).with_rejection_limit(5_000);
         let mut sampler = KdsRejectionSampler::build(&r, &s, &cfg);
-        assert!(sampler.mu_total() > 0.0);
+        assert!(sampler.index().mu_total() > 0.0);
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(
             sampler.sample_one(&mut rng),

@@ -67,7 +67,7 @@ mod tests {
         let s = pseudo_points(90, 92, 40.0);
         let sampler = BbstKdVariantSampler::build(&r, &s, &SampleConfig::new(4.0));
         let brute = srj_join::nested_loop_join(&r, &s, 4.0).len() as f64;
-        assert_eq!(sampler.mu_total(), brute);
+        assert_eq!(sampler.index().mu_total(), brute);
         // Exact per r too: every row sums to its window's population.
         for (&rp, row) in r.iter().zip(sampler.index().rows()) {
             let w = Rect::window(rp, 4.0);

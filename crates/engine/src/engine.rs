@@ -4,18 +4,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::{BufferedRng, SmallRng};
+use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use srj_core::{
-    AnySamplerIndex, BbstCursor, BbstIndex, BufferStats, CellPatchReport, Cursor, DeltaSet,
-    JoinPair, JoinSampler, KdsCursor, KdsIndex, KdsRejectionCursor, KdsRejectionIndex,
-    OverlayIndex, OverlaySupport, PhaseReport, SampleConfig, SampleError, SamplerIndex as _,
+    BufferStats, CellPatchReport, DeltaSet, JoinPair, OverlaySupport, PhaseReport, SampleConfig,
+    SampleError,
 };
 use srj_geom::Point;
 use srj_grid::{IntoPointSet, PointSet};
 
+use crate::family::{self, EngineIndex, ServingCursor};
 use crate::planner::{plan, PlanReport};
-use crate::shard::ShardedIndex;
 use crate::stats::{CellRejectionStats, EngineStats, StatsSnapshot};
 
 /// Which of the paper's samplers an [`Engine`] serves with.
@@ -39,30 +38,11 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// The built index: one variant per algorithm, unsharded or
-/// `R`-sharded (see [`crate::shard`]).
-enum IndexKind {
-    Kds(Arc<KdsIndex>),
-    KdsRejection(Arc<KdsRejectionIndex>),
-    Bbst(Arc<BbstIndex>),
-    ShardedKds(Arc<ShardedIndex<KdsIndex>>),
-    ShardedKdsRejection(Arc<ShardedIndex<KdsRejectionIndex>>),
-    ShardedBbst(Arc<ShardedIndex<BbstIndex>>),
-    /// Type-erased index — a delta [`OverlayIndex`] over any of the
-    /// above (the overlay's concrete type depends on the base
-    /// algorithm, so the enum would otherwise double). The algorithm
-    /// and shard topology are recorded alongside because they can no
-    /// longer be pattern-matched out.
-    Dyn {
-        index: Arc<dyn AnySamplerIndex>,
-        algorithm: Algorithm,
-        shards: usize,
-    },
-}
-
 /// State shared by an engine and every handle it has issued.
 struct EngineShared {
-    index: IndexKind,
+    /// The built index, in the one shape every algorithm takes (see
+    /// [`crate::family`]).
+    index: Box<dyn EngineIndex>,
     stats: EngineStats,
     /// Per-`S`-cell rejection counters (present when the index is
     /// cell-granular). Handles drain their cursors' per-cell rejection
@@ -71,25 +51,12 @@ struct EngineShared {
     cell_rejections: Option<CellRejectionStats>,
     plan: Option<PlanReport>,
     /// Whether handles should serve batches through the buffered draw
-    /// fast path (pre-drawn per-cell sample buffers + monomorphised
-    /// RNG). Handles re-check the flag on every batch, so flipping it
-    /// takes effect without re-acquiring handles.
+    /// fast path (pre-drawn per-cell sample buffers). Handles re-check
+    /// the flag on every batch, so flipping it takes effect without
+    /// re-acquiring handles.
     buffers: AtomicBool,
     /// Sequence number for auto-seeded handles.
     handle_seq: AtomicU64,
-}
-
-/// `S`-cell count of an index (0 = not cell-granular).
-fn index_cell_count(index: &IndexKind) -> usize {
-    match index {
-        IndexKind::Kds(ix) => ix.cell_count(),
-        IndexKind::KdsRejection(ix) => ix.cell_count(),
-        IndexKind::Bbst(ix) => ix.cell_count(),
-        IndexKind::ShardedKds(ix) => ix.cell_count(),
-        IndexKind::ShardedKdsRejection(ix) => ix.cell_count(),
-        IndexKind::ShardedBbst(ix) => ix.cell_count(),
-        IndexKind::Dyn { index, .. } => index.any_cell_count(),
-    }
 }
 
 /// A build-once / serve-many join-sampling service over one `(R, S, l)`
@@ -145,15 +112,15 @@ impl Engine {
         config: &SampleConfig,
         algorithm: Algorithm,
     ) -> Engine {
-        Engine::build_inner(r, s.into_point_set(), config, algorithm, None)
+        Engine::build_sharded(r, s, config, algorithm, 1)
     }
 
     /// Like [`Engine::build`], but partitions `R` into `shards`
     /// contiguous shards, builds the per-shard indexes in parallel (on
-    /// [`SampleConfig::build_threads`] threads), and serves by sampling
-    /// a shard `∝ Σµ_i` then within it — statistically identical to the
-    /// unsharded engine (see [`crate::shard`]). `shards ≤ 1` is the
-    /// plain unsharded build.
+    /// [`SampleConfig::build_threads`] threads) over one shared
+    /// `S`-side, and serves by sampling a shard `∝ Σµ_i` then within it
+    /// — statistically identical to the unsharded engine (see
+    /// [`crate::shard`]). `shards ≤ 1` is the plain unsharded build.
     pub fn build_sharded(
         r: &[Point],
         s: impl IntoPointSet,
@@ -161,83 +128,8 @@ impl Engine {
         algorithm: Algorithm,
         shards: usize,
     ) -> Engine {
-        Engine::build_sharded_inner(r, s.into_point_set(), config, algorithm, shards, None)
-    }
-
-    fn build_sharded_inner(
-        r: &[Point],
-        s: Arc<PointSet>,
-        config: &SampleConfig,
-        algorithm: Algorithm,
-        shards: usize,
-        plan: Option<PlanReport>,
-    ) -> Engine {
-        if shards <= 1 {
-            return Engine::build_inner(r, s, config, algorithm, plan);
-        }
-        // The parallelism budget is spent across shards; nested
-        // parallel per-shard builds would oversubscribe the cores.
-        let shard_cfg = SampleConfig {
-            build_threads: 1,
-            ..*config
-        };
-        // The S-side structures (kd-tree / grid / per-cell BBSTs)
-        // depend only on `S`, never on the shard's slice of `R`, so
-        // they are built ONCE — with the full `build_threads` budget —
-        // and Arc-shared into every shard: k shards cost one S-side,
-        // not k (`ShardedIndex::index_memory_bytes` counts the shared
-        // allocation once). The S-side build time is folded into the
-        // sharded report via `build_with_base`.
-        let index = match algorithm {
-            Algorithm::Kds => {
-                let (s_cells, preprocessing) = KdsIndex::build_s_structure(s, config);
-                let base = PhaseReport {
-                    preprocessing,
-                    ..PhaseReport::default()
-                };
-                IndexKind::ShardedKds(Arc::new(ShardedIndex::build_with_base(
-                    r,
-                    config,
-                    shards,
-                    base,
-                    |chunk| KdsIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg),
-                )))
-            }
-            Algorithm::KdsRejection => {
-                let (s_cells, preprocessing, grid_mapping) =
-                    KdsRejectionIndex::build_s_structures(s, config);
-                let base = PhaseReport {
-                    preprocessing,
-                    grid_mapping,
-                    ..PhaseReport::default()
-                };
-                IndexKind::ShardedKdsRejection(Arc::new(ShardedIndex::build_with_base(
-                    r,
-                    config,
-                    shards,
-                    base,
-                    |chunk| {
-                        KdsRejectionIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg)
-                    },
-                )))
-            }
-            Algorithm::Bbst => {
-                let s_side = BbstIndex::build_s_structures(s, config);
-                let base = PhaseReport {
-                    preprocessing: s_side.preprocessing,
-                    grid_mapping: s_side.grid_mapping,
-                    ..PhaseReport::default()
-                };
-                IndexKind::ShardedBbst(Arc::new(ShardedIndex::build_with_base(
-                    r,
-                    config,
-                    shards,
-                    base,
-                    |chunk| BbstIndex::build_shared(chunk, &shard_cfg, &s_side),
-                )))
-            }
-        };
-        Engine::from_index(index, plan, true)
+        let index = family::build(algorithm, r, s.into_point_set(), config, shards, None);
+        Engine::from_index(index, None, true)
     }
 
     /// Lets the planner pick the algorithm from a cheap `O(n + m)`
@@ -248,34 +140,7 @@ impl Engine {
     /// The decision and its supporting estimates are kept in
     /// [`Engine::plan`].
     pub fn auto(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Engine {
-        Engine::auto_inner(r, s.into_point_set(), config)
-    }
-
-    fn auto_inner(r: &[Point], s: Arc<PointSet>, config: &SampleConfig) -> Engine {
-        let (report, estimation_grid) = plan(r, &s, config, 1);
-        let index = match (report.algorithm, estimation_grid) {
-            (Algorithm::KdsRejection, Some(donated)) => {
-                IndexKind::KdsRejection(Arc::new(KdsRejectionIndex::build_with_grid(
-                    r,
-                    &s,
-                    config,
-                    donated.grid,
-                    donated.sort_time,
-                    donated.build_time,
-                )))
-            }
-            (Algorithm::Bbst, Some(donated)) => {
-                IndexKind::Bbst(Arc::new(BbstIndex::build_with_grid(
-                    r,
-                    config,
-                    donated.grid,
-                    donated.sort_time,
-                    donated.build_time,
-                )))
-            }
-            (algorithm, _) => return Engine::build_inner(r, s, config, algorithm, Some(report)),
-        };
-        Engine::from_index(index, Some(report), true)
+        Engine::auto_sharded(r, s, config, 1)
     }
 
     /// Shard-aware [`Engine::auto`]: the planner picks the algorithm,
@@ -291,34 +156,15 @@ impl Engine {
         shards: usize,
     ) -> Engine {
         let s = s.into_point_set();
-        if shards <= 1 {
-            return Engine::auto_inner(r, s, config);
-        }
-        // The estimation grid is let go before the build: it is donated
-        // only on the unsharded path, and it holds `s`.
-        let (report, _) = plan(r, &s, config, shards);
+        let (report, estimation_grid) = plan(r, &s, config, shards);
+        // A sharded build lets the grid go first: it holds `s`.
+        let donated = estimation_grid.filter(|_| shards <= 1);
         let shards = report.num_shards;
-        Engine::build_sharded_inner(r, s, config, report.algorithm, shards, Some(report))
+        let index = family::build(report.algorithm, r, s, config, shards, donated);
+        Engine::from_index(index, Some(report), true)
     }
 
-    fn build_inner(
-        r: &[Point],
-        s: Arc<PointSet>,
-        config: &SampleConfig,
-        algorithm: Algorithm,
-        plan: Option<PlanReport>,
-    ) -> Engine {
-        let index = match algorithm {
-            Algorithm::Kds => IndexKind::Kds(Arc::new(KdsIndex::build(r, s, config))),
-            Algorithm::KdsRejection => {
-                IndexKind::KdsRejection(Arc::new(KdsRejectionIndex::build(r, s, config)))
-            }
-            Algorithm::Bbst => IndexKind::Bbst(Arc::new(BbstIndex::build(r, s, config))),
-        };
-        Engine::from_index(index, plan, true)
-    }
-
-    /// Wraps this engine's index in a delta [`OverlayIndex`], producing
+    /// Wraps this engine's index in a delta [`srj_core::OverlayIndex`], producing
     /// a new engine that answers uniformly over the **mutated** dataset
     /// (`base ∖ tombstones ∪ inserts`) while sharing the base build.
     ///
@@ -346,40 +192,8 @@ impl Engine {
         support: &OverlaySupport,
         config: &SampleConfig,
     ) -> Engine {
-        let algorithm = self.algorithm();
-        let shards = self.shards();
-        let index: Arc<dyn AnySamplerIndex> = match &self.shared.index {
-            IndexKind::Kds(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::KdsRejection(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::Bbst(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::ShardedKds(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::ShardedKdsRejection(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::ShardedBbst(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::Dyn { .. } => {
-                panic!("overlay engines must wrap the epoch's full build, not another overlay")
-            }
-        };
-        Engine::from_index(
-            IndexKind::Dyn {
-                index,
-                algorithm,
-                shards,
-            },
-            self.shared.plan,
-            self.buffers_enabled(),
-        )
+        let index = self.shared.index.with_overlay(delta, support, config);
+        Engine::from_index(index, self.shared.plan, self.buffers_enabled())
     }
 
     /// Rebuilds this engine over a new `R` while **reusing** its
@@ -393,53 +207,7 @@ impl Engine {
     /// `config` matches the original build (`build_shared` asserts the
     /// structural parts).
     pub fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Engine> {
-        let shard_cfg = SampleConfig {
-            build_threads: 1,
-            ..*config
-        };
-        let index = match &self.shared.index {
-            IndexKind::Kds(ix) => {
-                IndexKind::Kds(Arc::new(KdsIndex::build_shared(r, ix.s_cells(), config)))
-            }
-            IndexKind::KdsRejection(ix) => IndexKind::KdsRejection(Arc::new(
-                KdsRejectionIndex::build_shared(r, ix.s_structures(), config),
-            )),
-            IndexKind::Bbst(ix) => IndexKind::Bbst(Arc::new(BbstIndex::build_shared(
-                r,
-                config,
-                &ix.s_structures(),
-            ))),
-            IndexKind::ShardedKds(sx) => {
-                let s_cells = sx.shard(0).s_cells();
-                IndexKind::ShardedKds(Arc::new(ShardedIndex::build(
-                    r,
-                    config,
-                    sx.shard_count(),
-                    |chunk| KdsIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg),
-                )))
-            }
-            IndexKind::ShardedKdsRejection(sx) => {
-                let s_cells = sx.shard(0).s_structures();
-                IndexKind::ShardedKdsRejection(Arc::new(ShardedIndex::build(
-                    r,
-                    config,
-                    sx.shard_count(),
-                    |chunk| {
-                        KdsRejectionIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg)
-                    },
-                )))
-            }
-            IndexKind::ShardedBbst(sx) => {
-                let s_side = sx.shard(0).s_structures();
-                IndexKind::ShardedBbst(Arc::new(ShardedIndex::build(
-                    r,
-                    config,
-                    sx.shard_count(),
-                    |chunk| BbstIndex::build_shared(chunk, &shard_cfg, &s_side),
-                )))
-            }
-            IndexKind::Dyn { .. } => return None,
-        };
+        let index = self.shared.index.rebuild_r_only(r, config)?;
         // The old plan described the pre-mutation workload.
         Some(Engine::from_index(index, None, self.buffers_enabled()))
     }
@@ -463,82 +231,10 @@ impl Engine {
         inserted_s: &[Point],
         deleted_s: &std::collections::HashSet<srj_geom::PointId>,
     ) -> Option<(Engine, CellPatchReport)> {
-        let shard_cfg = SampleConfig {
-            build_threads: 1,
-            ..*config
-        };
-        let (index, report) = match &self.shared.index {
-            IndexKind::Kds(ix) => {
-                let (s_cells, rep) = ix.s_cells().patch(inserted_s, deleted_s);
-                (
-                    IndexKind::Kds(Arc::new(KdsIndex::build_shared(
-                        r,
-                        Arc::new(s_cells),
-                        config,
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::KdsRejection(ix) => {
-                let (s_cells, rep) = ix.s_structures().patch(inserted_s, deleted_s);
-                (
-                    IndexKind::KdsRejection(Arc::new(KdsRejectionIndex::build_shared(
-                        r,
-                        Arc::new(s_cells),
-                        config,
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::Bbst(ix) => {
-                let (s_side, rep) = ix.s_structures().patch(inserted_s, deleted_s);
-                (
-                    IndexKind::Bbst(Arc::new(BbstIndex::build_shared(r, config, &s_side))),
-                    rep,
-                )
-            }
-            IndexKind::ShardedKds(sx) => {
-                let (s_cells, rep) = sx.shard(0).s_cells().patch(inserted_s, deleted_s);
-                let s_cells = Arc::new(s_cells);
-                (
-                    IndexKind::ShardedKds(Arc::new(ShardedIndex::build(
-                        r,
-                        config,
-                        sx.shard_count(),
-                        |chunk| KdsIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg),
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::ShardedKdsRejection(sx) => {
-                let (s_cells, rep) = sx.shard(0).s_structures().patch(inserted_s, deleted_s);
-                let s_cells = Arc::new(s_cells);
-                (
-                    IndexKind::ShardedKdsRejection(Arc::new(ShardedIndex::build(
-                        r,
-                        config,
-                        sx.shard_count(),
-                        |chunk| {
-                            KdsRejectionIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg)
-                        },
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::ShardedBbst(sx) => {
-                let (s_side, rep) = sx.shard(0).s_structures().patch(inserted_s, deleted_s);
-                (
-                    IndexKind::ShardedBbst(Arc::new(ShardedIndex::build(
-                        r,
-                        config,
-                        sx.shard_count(),
-                        |chunk| BbstIndex::build_shared(chunk, &shard_cfg, &s_side),
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::Dyn { .. } => return None,
-        };
+        let (index, report) = self
+            .shared
+            .index
+            .rebuild_with_s_patch(r, config, inserted_s, deleted_s)?;
         Some((
             Engine::from_index(index, None, self.buffers_enabled()),
             report,
@@ -553,13 +249,7 @@ impl Engine {
     /// (and overlay engines) return `None`, as does a repair that
     /// would change nothing (every named cell already exact).
     pub fn repair_cells(&self, slots: &[u32]) -> Option<Engine> {
-        let index = match &self.shared.index {
-            IndexKind::Bbst(ix) => IndexKind::Bbst(Arc::new(ix.with_exact_cells(slots)?)),
-            IndexKind::ShardedBbst(sx) => IndexKind::ShardedBbst(Arc::new(
-                sx.try_map_shards(|shard| shard.with_exact_cells(slots))?,
-            )),
-            _ => return None,
-        };
+        let index = self.shared.index.repair_cells(slots)?;
         Some(Engine::from_index(
             index,
             self.shared.plan,
@@ -572,8 +262,8 @@ impl Engine {
     /// flag: `true` for fresh builds, inherited for derived engines
     /// (overlays, rebuilds, repairs) so an operator's toggle survives
     /// epoch swaps.
-    fn from_index(index: IndexKind, plan: Option<PlanReport>, buffers: bool) -> Engine {
-        let cells = index_cell_count(&index);
+    fn from_index(index: Box<dyn EngineIndex>, plan: Option<PlanReport>, buffers: bool) -> Engine {
+        let cells = index.cell_count();
         Engine {
             shared: Arc::new(EngineShared {
                 index,
@@ -603,7 +293,7 @@ impl Engine {
     /// Whether this engine serves through a delta overlay (pending
     /// mutations present) rather than a full build.
     pub fn is_overlay(&self) -> bool {
-        matches!(self.shared.index, IndexKind::Dyn { .. })
+        self.shared.index.is_overlay()
     }
 
     /// Whether `self` and `other` are clones of the same engine (share
@@ -615,25 +305,12 @@ impl Engine {
 
     /// The algorithm this engine serves with.
     pub fn algorithm(&self) -> Algorithm {
-        match &self.shared.index {
-            IndexKind::Kds(_) | IndexKind::ShardedKds(_) => Algorithm::Kds,
-            IndexKind::KdsRejection(_) | IndexKind::ShardedKdsRejection(_) => {
-                Algorithm::KdsRejection
-            }
-            IndexKind::Bbst(_) | IndexKind::ShardedBbst(_) => Algorithm::Bbst,
-            IndexKind::Dyn { algorithm, .. } => *algorithm,
-        }
+        self.shared.index.algorithm()
     }
 
     /// How many `R` shards this engine serves from (`1` when unsharded).
     pub fn shards(&self) -> usize {
-        match &self.shared.index {
-            IndexKind::Kds(_) | IndexKind::KdsRejection(_) | IndexKind::Bbst(_) => 1,
-            IndexKind::ShardedKds(ix) => ix.shard_count(),
-            IndexKind::ShardedKdsRejection(ix) => ix.shard_count(),
-            IndexKind::ShardedBbst(ix) => ix.shard_count(),
-            IndexKind::Dyn { shards, .. } => *shards,
-        }
+        self.shared.index.shards()
     }
 
     /// The planner's decision report, if this engine came from
@@ -663,21 +340,8 @@ impl Engine {
     /// A new serving handle seeded with `seed`: two handles with the
     /// same seed over the same engine draw identical sample streams.
     pub fn handle_seeded(&self, seed: u64) -> SamplerHandle {
-        let cursor = match &self.shared.index {
-            IndexKind::Kds(ix) => CursorKind::Kds(KdsCursor::new(Arc::clone(ix))),
-            IndexKind::KdsRejection(ix) => {
-                CursorKind::KdsRejection(KdsRejectionCursor::new(Arc::clone(ix)))
-            }
-            IndexKind::Bbst(ix) => CursorKind::Bbst(BbstCursor::new(Arc::clone(ix))),
-            IndexKind::ShardedKds(ix) => CursorKind::ShardedKds(Cursor::new(Arc::clone(ix))),
-            IndexKind::ShardedKdsRejection(ix) => {
-                CursorKind::ShardedKdsRejection(Cursor::new(Arc::clone(ix)))
-            }
-            IndexKind::ShardedBbst(ix) => CursorKind::ShardedBbst(Cursor::new(Arc::clone(ix))),
-            IndexKind::Dyn { index, .. } => CursorKind::Dyn(Arc::clone(index).any_cursor()),
-        };
         SamplerHandle {
-            cursor,
+            cursor: self.shared.index.cursor(),
             rng: SmallRng::seed_from_u64(seed),
             shared: Arc::clone(&self.shared),
             reject_buf: Vec::new(),
@@ -716,29 +380,12 @@ impl Engine {
     /// wall-clock of the whole parallel shard-build and
     /// `upper_bounding_cpu` the summed per-shard build time.
     pub fn build_report(&self) -> PhaseReport {
-        use srj_core::SamplerIndex as _;
-        match &self.shared.index {
-            IndexKind::Kds(ix) => ix.build_report(),
-            IndexKind::KdsRejection(ix) => ix.build_report(),
-            IndexKind::Bbst(ix) => ix.build_report(),
-            IndexKind::ShardedKds(ix) => ix.index_build_report(),
-            IndexKind::ShardedKdsRejection(ix) => ix.index_build_report(),
-            IndexKind::ShardedBbst(ix) => ix.index_build_report(),
-            IndexKind::Dyn { index, .. } => index.any_build_report(),
-        }
+        self.shared.index.build_report()
     }
 
     /// Approximate heap footprint of the shared index.
     pub fn memory_bytes(&self) -> usize {
-        match &self.shared.index {
-            IndexKind::Kds(ix) => ix.memory_bytes(),
-            IndexKind::KdsRejection(ix) => ix.memory_bytes(),
-            IndexKind::Bbst(ix) => ix.memory_bytes(),
-            IndexKind::ShardedKds(ix) => ix.index_memory_bytes(),
-            IndexKind::ShardedKdsRejection(ix) => ix.index_memory_bytes(),
-            IndexKind::ShardedBbst(ix) => ix.index_memory_bytes(),
-            IndexKind::Dyn { index, .. } => index.any_memory_bytes(),
-        }
+        self.shared.index.memory_bytes()
     }
 
     /// Total sampling weight `Σµ` the engine draws against (`= |J|` for
@@ -746,22 +393,14 @@ impl Engine {
     /// workload must see **shrink** across rebuilds — the serving stats
     /// export it for exactly that check.
     pub fn total_weight(&self) -> f64 {
-        match &self.shared.index {
-            IndexKind::Kds(ix) => ix.total_weight(),
-            IndexKind::KdsRejection(ix) => ix.total_weight(),
-            IndexKind::Bbst(ix) => ix.total_weight(),
-            IndexKind::ShardedKds(ix) => ix.total_weight(),
-            IndexKind::ShardedKdsRejection(ix) => ix.total_weight(),
-            IndexKind::ShardedBbst(ix) => ix.total_weight(),
-            IndexKind::Dyn { index, .. } => index.any_total_weight(),
-        }
+        self.shared.index.total_weight()
     }
 
-    /// Number of `S`-side cells the index draws from (0 when the index
-    /// is not cell-granular, e.g. a type-erased overlay's counters live
-    /// on its base engine).
+    /// Number of `S`-side cells the index draws from (an overlay
+    /// reports its base's: base draws keep attributing rejections to
+    /// their cells through it).
     pub fn cell_count(&self) -> usize {
-        index_cell_count(&self.shared.index)
+        self.shared.index.cell_count()
     }
 
     /// Snapshot of the per-cell rejection counters (slot → rejected
@@ -779,17 +418,7 @@ impl Engine {
     /// token of every clean cell (asserted in the cell-patching tests).
     /// `None` for overlay engines.
     pub fn s_cell_tokens(&self) -> Option<Vec<((i32, i32), usize)>> {
-        match &self.shared.index {
-            IndexKind::Kds(ix) => Some(ix.s_cells().store().cell_tokens()),
-            IndexKind::KdsRejection(ix) => Some(ix.s_structures().store().cell_tokens()),
-            IndexKind::Bbst(ix) => Some(ix.s_structures().store().cell_tokens()),
-            IndexKind::ShardedKds(sx) => Some(sx.shard(0).s_cells().store().cell_tokens()),
-            IndexKind::ShardedKdsRejection(sx) => {
-                Some(sx.shard(0).s_structures().store().cell_tokens())
-            }
-            IndexKind::ShardedBbst(sx) => Some(sx.shard(0).s_structures().store().cell_tokens()),
-            IndexKind::Dyn { .. } => None,
-        }
+        self.shared.index.s_cell_tokens()
     }
 
     /// The point set the `S`-side stands on. Engines built over one
@@ -798,100 +427,7 @@ impl Engine {
     /// includes, so a sum over engines counts them once per set. `None`
     /// for overlay engines.
     pub fn s_point_set(&self) -> Option<Arc<PointSet>> {
-        let grid_set = |store: &srj_core::KdCellStore| Arc::clone(store.grid().point_set());
-        match &self.shared.index {
-            IndexKind::Kds(ix) => Some(grid_set(&ix.s_cells())),
-            IndexKind::KdsRejection(ix) => Some(grid_set(&ix.s_structures())),
-            IndexKind::Bbst(ix) => Some(Arc::clone(ix.s_structures().store().grid().point_set())),
-            IndexKind::ShardedKds(sx) => Some(grid_set(&sx.shard(0).s_cells())),
-            IndexKind::ShardedKdsRejection(sx) => Some(grid_set(&sx.shard(0).s_structures())),
-            IndexKind::ShardedBbst(sx) => Some(Arc::clone(
-                sx.shard(0).s_structures().store().grid().point_set(),
-            )),
-            IndexKind::Dyn { .. } => None,
-        }
-    }
-}
-
-/// Per-algorithm cursor, wrapped so a handle is one concrete type.
-enum CursorKind {
-    Kds(KdsCursor),
-    KdsRejection(KdsRejectionCursor),
-    Bbst(BbstCursor),
-    ShardedKds(Cursor<ShardedIndex<KdsIndex>>),
-    ShardedKdsRejection(Cursor<ShardedIndex<KdsRejectionIndex>>),
-    ShardedBbst(Cursor<ShardedIndex<BbstIndex>>),
-    /// Boxed cursor over a type-erased ([`IndexKind::Dyn`]) index.
-    Dyn(Box<dyn JoinSampler + Send>),
-}
-
-impl CursorKind {
-    fn as_sampler(&mut self) -> &mut dyn JoinSampler {
-        match self {
-            CursorKind::Kds(c) => c,
-            CursorKind::KdsRejection(c) => c,
-            CursorKind::Bbst(c) => c,
-            CursorKind::ShardedKds(c) => c,
-            CursorKind::ShardedKdsRejection(c) => c,
-            CursorKind::ShardedBbst(c) => c,
-            CursorKind::Dyn(c) => &mut **c,
-        }
-    }
-
-    fn report(&self) -> PhaseReport {
-        match self {
-            CursorKind::Kds(c) => c.report(),
-            CursorKind::KdsRejection(c) => c.report(),
-            CursorKind::Bbst(c) => c.report(),
-            CursorKind::ShardedKds(c) => c.report(),
-            CursorKind::ShardedKdsRejection(c) => c.report(),
-            CursorKind::ShardedBbst(c) => c.report(),
-            CursorKind::Dyn(c) => c.report(),
-        }
-    }
-
-    /// Arms / disarms the cursor's per-cell sample buffers. The
-    /// type-erased overlay cursor has no buffer hooks (the object-safe
-    /// [`JoinSampler`] does not carry them), so `Dyn` is a no-op and
-    /// base draws through an overlay never pop a buffer.
-    fn set_buffers(&mut self, on: bool) {
-        match self {
-            CursorKind::Kds(c) => c.set_buffers(on),
-            CursorKind::KdsRejection(c) => c.set_buffers(on),
-            CursorKind::Bbst(c) => c.set_buffers(on),
-            CursorKind::ShardedKds(c) => c.set_buffers(on),
-            CursorKind::ShardedKdsRejection(c) => c.set_buffers(on),
-            CursorKind::ShardedBbst(c) => c.set_buffers(on),
-            CursorKind::Dyn(_) => {}
-        }
-    }
-
-    /// Pins the buffered path's RNG to a seed-derived stream so the
-    /// buffered draw sequence is reproducible per handle seed.
-    fn seed_buffers(&mut self, seed: u64) {
-        match self {
-            CursorKind::Kds(c) => c.seed_buffers(seed),
-            CursorKind::KdsRejection(c) => c.seed_buffers(seed),
-            CursorKind::Bbst(c) => c.seed_buffers(seed),
-            CursorKind::ShardedKds(c) => c.seed_buffers(seed),
-            CursorKind::ShardedKdsRejection(c) => c.seed_buffers(seed),
-            CursorKind::ShardedBbst(c) => c.seed_buffers(seed),
-            CursorKind::Dyn(_) => {}
-        }
-    }
-
-    /// Takes the cursor's buffer counters accumulated since the last
-    /// drain (zeroes for `Dyn`).
-    fn drain_buffer_stats(&mut self) -> BufferStats {
-        match self {
-            CursorKind::Kds(c) => c.drain_buffer_stats(),
-            CursorKind::KdsRejection(c) => c.drain_buffer_stats(),
-            CursorKind::Bbst(c) => c.drain_buffer_stats(),
-            CursorKind::ShardedKds(c) => c.drain_buffer_stats(),
-            CursorKind::ShardedKdsRejection(c) => c.drain_buffer_stats(),
-            CursorKind::ShardedBbst(c) => c.drain_buffer_stats(),
-            CursorKind::Dyn(_) => BufferStats::default(),
-        }
+        self.shared.index.s_point_set()
     }
 }
 
@@ -902,7 +438,7 @@ impl CursorKind {
 /// deliberately not `Sync` — a handle is exactly the state that must
 /// not be shared. Creation is O(1); create them freely.
 pub struct SamplerHandle {
-    cursor: CursorKind,
+    cursor: Box<dyn ServingCursor>,
     rng: SmallRng,
     shared: Arc<EngineShared>,
     /// Reused drain buffer for per-cell rejection records.
@@ -923,9 +459,7 @@ impl SamplerHandle {
     /// per draw).
     fn flush_cell_rejections(&mut self) {
         if let Some(cells) = &self.shared.cell_rejections {
-            self.cursor
-                .as_sampler()
-                .take_cell_rejections(&mut self.reject_buf);
+            self.cursor.take_cell_rejections(&mut self.reject_buf);
             cells.record_all(self.reject_buf.drain(..));
         }
     }
@@ -935,7 +469,7 @@ impl SamplerHandle {
         srj_obs::trace::event("engine_query", "sample_one");
         let before = self.cursor.report().iterations;
         let t = Instant::now();
-        let out = self.cursor.as_sampler().sample_one(&mut self.rng);
+        let out = self.cursor.sample_one(&mut self.rng);
         let iterations = self.cursor.report().iterations - before;
         match &out {
             Ok(_) => self.shared.stats.record_query(1, iterations, t.elapsed()),
@@ -950,17 +484,18 @@ impl SamplerHandle {
         srj_obs::trace::event("engine_query", "sample_batch");
         let before = self.cursor.report().iterations;
         let start = Instant::now();
-        let out = self.cursor.as_sampler().sample(t, &mut self.rng);
+        let mut out = Vec::new();
+        let res = self.cursor.sample_batch(t, &mut self.rng, &mut out);
         let iterations = self.cursor.report().iterations - before;
-        match &out {
-            Ok(v) => self
+        match &res {
+            Ok(()) => self
                 .shared
                 .stats
-                .record_query(v.len() as u64, iterations, start.elapsed()),
+                .record_query(out.len() as u64, iterations, start.elapsed()),
             Err(_) => self.shared.stats.record_error(iterations, start.elapsed()),
         }
         self.flush_cell_rejections();
-        out
+        res.map(|()| out)
     }
 
     /// Syncs the cursor's buffer state with the engine's flag; on
@@ -988,58 +523,30 @@ impl SamplerHandle {
         }
     }
 
-    /// Draws `t` uniform join samples with replacement through the
-    /// **buffered fast path**: the draw loop is monomorphised over the
-    /// handle's concrete [`SmallRng`] (no per-draw virtual dispatch),
+    /// [`SamplerHandle::sample`] through the **buffered fast path**:
     /// hot fully-covered `S`-cells serve from pre-drawn sample buffers
-    /// when [`Engine::set_buffers_enabled`] is on, and the whole batch
-    /// is timed and recorded as **one** engine query (a per-item
-    /// `Instant` pair would cost more than a buffered draw).
+    /// when [`Engine::set_buffers_enabled`] is on (a full build's cells;
+    /// draws through an overlay never pop a buffer).
+    ///
+    /// Either way the draw loop is monomorphised over the handle's
+    /// concrete [`SmallRng`] — one virtual call per batch, none per
+    /// random word, for every algorithm and for the overlay alike — and
+    /// the whole batch is timed and recorded as **one** engine query (a
+    /// per-item `Instant` pair would cost more than a draw).
     ///
     /// The distribution is identical to [`SamplerHandle::sample`] —
     /// buffers only short-circuit draws for cells whose selection
     /// probability already equals their exact member weight — but the
     /// RNG consumption schedule differs, so the two paths produce
     /// different (equally uniform) streams from the same seed.
-    ///
-    /// The type-erased overlay cursor keeps its object-safe entry point
-    /// — one virtual call per batch, behind which the overlay runs its
-    /// own block path ([`srj_core::SamplerIndex::try_many`]: the base's
-    /// block kernel and the insert sources, block by block) — and gains
-    /// batched RNG by wrapping this handle's generator in a
-    /// [`BufferedRng`] word stash for the duration of the batch.
     pub fn sample_batch(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
-        srj_obs::trace::event("engine_query", "sample_batch");
         self.arm_buffers();
-        let before = self.cursor.report().iterations;
-        let start = Instant::now();
-        let mut out = Vec::new();
-        let res = match &mut self.cursor {
-            CursorKind::Kds(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::KdsRejection(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::Bbst(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::ShardedKds(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::ShardedKdsRejection(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::ShardedBbst(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::Dyn(c) => {
-                let mut stash = BufferedRng::new(&mut self.rng);
-                c.sample(t, &mut stash).map(|v| out = v)
-            }
-        };
-        let iterations = self.cursor.report().iterations - before;
-        match &res {
-            Ok(()) => self
-                .shared
-                .stats
-                .record_query(out.len() as u64, iterations, start.elapsed()),
-            Err(_) => self.shared.stats.record_error(iterations, start.elapsed()),
-        }
+        let out = self.sample(t);
         let bufstats = self.cursor.drain_buffer_stats();
         if bufstats != BufferStats::default() {
             self.shared.stats.record_buffer_stats(bufstats);
         }
-        self.flush_cell_rejections();
-        res.map(|()| out)
+        out
     }
 
     /// Progressive sampling: an iterator of uniform join samples that
@@ -1052,7 +559,7 @@ impl SamplerHandle {
     /// accumulates the time spent **inside the draws** (consumer time
     /// between `next()` calls is excluded, so latency quantiles stay a
     /// serving-side signal) and flushes one aggregate query per
-    /// [`STREAM_STATS_BATCH`] samples, plus the remainder when the
+    /// `STREAM_STATS_BATCH` (256) samples, plus the remainder when the
     /// stream is dropped.
     pub fn stream(&mut self) -> HandleStream<'_> {
         HandleStream {
@@ -1073,8 +580,9 @@ impl SamplerHandle {
     /// Observed rejection overhead of this handle so far:
     /// `iterations / samples` (the serving-time measurement of the
     /// planner's `Σµ/|J|` estimate; `1.0` means no rejections). `None`
-    /// before the first accepted sample. A later PR feeds this back
-    /// into the planner to re-plan when the estimate was wrong.
+    /// before the first accepted sample. The epoch machinery re-plans
+    /// on the engine-wide form of this ratio when the estimate was
+    /// wrong ([`crate::planner::replan_for_observed`]).
     pub fn rejection_rate(&self) -> Option<f64> {
         let rep = self.cursor.report();
         (rep.samples > 0).then(|| rep.iterations as f64 / rep.samples as f64)
@@ -1082,14 +590,7 @@ impl SamplerHandle {
 
     /// The algorithm behind this handle.
     pub fn algorithm(&self) -> Algorithm {
-        match &self.shared.index {
-            IndexKind::Kds(_) | IndexKind::ShardedKds(_) => Algorithm::Kds,
-            IndexKind::KdsRejection(_) | IndexKind::ShardedKdsRejection(_) => {
-                Algorithm::KdsRejection
-            }
-            IndexKind::Bbst(_) | IndexKind::ShardedBbst(_) => Algorithm::Bbst,
-            IndexKind::Dyn { algorithm, .. } => *algorithm,
-        }
+        self.shared.index.algorithm()
     }
 }
 
@@ -1140,11 +641,7 @@ impl Iterator for HandleStream<'_> {
         }
         let before = self.handle.cursor.report().iterations;
         let t = Instant::now();
-        let drawn = self
-            .handle
-            .cursor
-            .as_sampler()
-            .sample_one(&mut self.handle.rng);
+        let drawn = self.handle.cursor.sample_one(&mut self.handle.rng);
         let draw_time = t.elapsed();
         let iterations = self.handle.cursor.report().iterations - before;
         match drawn {

@@ -5,14 +5,15 @@
 //! per-sample work ("all algorithms pick join samples progressively",
 //! §II; Tables II–IV time the phases separately). `srj-core` makes that
 //! seam structural (immutable `*Index` + cheap `*Cursor`); this crate
-//! turns it into a service:
+//! turns it into a service, holding every algorithm's index in one
+//! shape — one or more shards over one shared `S`-side, optionally
+//! under a delta overlay:
 //!
 //! ```text
 //!                 ┌────────────────────────────────────────────┐
 //!                 │                Engine (Arc)                │
-//!   R, S, l ───►  │  build ONCE:                               │
-//!                 │   IndexKind = KdsIndex | KdsRejectionIndex │
-//!                 │               | BbstIndex | ShardedIndex<·>│
+//!   R, S, l ───►  │  build ONCE: ShardedIndex<F>, k ≥ 1 shards │
+//!                 │   F = KDS | KDS-rejection | BBST           │
 //!                 │  EngineStats (relaxed atomics)             │
 //!                 │  PlanReport  (Engine::auto only)           │
 //!                 └───────┬──────────────┬─────────────┬───────┘
@@ -91,6 +92,7 @@ mod cache;
 mod dataset;
 mod engine;
 mod epoch;
+mod family;
 pub mod planner;
 pub mod shard;
 mod stats;

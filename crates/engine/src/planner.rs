@@ -201,7 +201,7 @@ pub(crate) fn plan(
 /// running engine (`SamplerHandle::rejection_rate` /
 /// `StatsSnapshot::rejection_rate`) — the ground truth the build-time
 /// `Σµ/|Ĵ|` estimate tried to predict. The decision rules are the same
-/// as [`plan`]'s, with the observation replacing the estimate:
+/// as `plan`'s, with the observation replacing the estimate:
 ///
 /// 1. `n·√m ≤` [`KDS_COST_BUDGET`] → **KDS**;
 /// 2. observed overhead within [`MAX_REJECTION_OVERHEAD`] →

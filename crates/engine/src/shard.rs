@@ -46,17 +46,22 @@ pub fn shard_bounds(n: usize, k: usize) -> Vec<(usize, usize)> {
     srj_core::parallel::chunk_bounds(n, k)
 }
 
-/// An `R`-sharded wrapper around any [`SamplerIndex`]: `k` per-shard
-/// indexes plus a top-level alias over per-shard total weights. See the
-/// module docs for the sampling argument.
+/// An `R`-sharded wrapper around any [`SamplerIndex`]: `k ≥ 1` per-shard
+/// indexes plus, for `k > 1`, a top-level alias over per-shard total
+/// weights. See the module docs for the sampling argument.
+///
+/// With one shard the wrapper is observationally that shard: no word is
+/// spent on a pick, blocks go to the shard's own
+/// [`SamplerIndex::try_many`], and the build report keeps the shard's
+/// phases — so the engine holds every index in this one shape.
 pub struct ShardedIndex<I: SamplerIndex> {
     shards: Vec<Arc<I>>,
     /// Global `R` offset of each shard (shard-local `r` ids are
     /// re-based by this on every accepted draw).
     offsets: Vec<u32>,
-    /// Top-level alias over `Σµ_i`; `None` when every shard is empty.
+    /// Top-level alias over `Σµ_i`; `None` for a lone shard and when
+    /// every shard is empty (shard 0 then answers `EmptyJoin`).
     alias: Option<AliasTable>,
-    rejection_limit: u64,
     build_report: PhaseReport,
 }
 
@@ -66,15 +71,16 @@ impl<I: SamplerIndex> ShardedIndex<I> {
     /// builds on [`SampleConfig::build_threads`] threads.
     ///
     /// `build_shard` receives one shard's slice of `R` and must build
-    /// an index over it against the full `S` with `build_threads = 1`
-    /// (the parallelism budget is spent across shards here; a nested
-    /// parallel build would oversubscribe the cores).
+    /// an index over it against the full `S`, with `build_threads = 1`
+    /// when there are several (the parallelism budget is spent across
+    /// shards here; a nested parallel build would oversubscribe the
+    /// cores).
     ///
-    /// The aggregated [`PhaseReport`] collapses the per-shard phase
-    /// decomposition: `upper_bounding` holds the **wall-clock** of the
-    /// whole parallel shard-build and `upper_bounding_cpu` the summed
-    /// per-shard build totals, so `cpu / wall` is the achieved build
-    /// speedup.
+    /// The aggregated [`PhaseReport`] of several shards collapses the
+    /// per-shard phase decomposition: `upper_bounding` holds the
+    /// **wall-clock** of the whole parallel shard-build and
+    /// `upper_bounding_cpu` the summed per-shard build totals, so
+    /// `cpu / wall` is the achieved build speedup.
     pub fn build<F>(r: &[Point], config: &SampleConfig, num_shards: usize, build_shard: F) -> Self
     where
         F: Fn(&[Point]) -> I + Sync,
@@ -85,9 +91,9 @@ impl<I: SamplerIndex> ShardedIndex<I> {
     /// Like [`ShardedIndex::build`], but folds `base` — the phase
     /// report of work the caller did up front, e.g. building the
     /// `Arc`-shared `S`-side structures every shard reuses — into the
-    /// aggregated report, so the sharded engine's build accounting
-    /// still covers the whole build even though the shared part
-    /// happened outside this call.
+    /// aggregated report, so the build accounting still covers the
+    /// whole build even though the shared part happened outside this
+    /// call.
     pub fn build_with_base<F>(
         r: &[Point],
         config: &SampleConfig,
@@ -105,31 +111,56 @@ impl<I: SamplerIndex> ShardedIndex<I> {
         });
         let wall = t0.elapsed();
 
-        let weights: Vec<f64> = shards.iter().map(|s| s.total_weight()).collect();
-        let alias = AliasTable::new(&weights);
-        let cpu: std::time::Duration = shards
-            .iter()
-            .map(|s| {
-                let rep = s.index_build_report();
-                rep.preprocessing + rep.grid_mapping + rep.upper_bounding_cpu
-            })
-            .sum();
-        // `par.cpu` only counts time inside the map; per-shard reports
-        // are finer-grained, so prefer them but never report less CPU
-        // than the map actually measured.
+        let own = match shards.as_slice() {
+            [only] => only.index_build_report(),
+            _ => {
+                let cpu: std::time::Duration = shards
+                    .iter()
+                    .map(|s| {
+                        let rep = s.index_build_report();
+                        rep.preprocessing + rep.grid_mapping + rep.upper_bounding_cpu
+                    })
+                    .sum();
+                // `par.cpu` only counts time inside the map; per-shard
+                // reports are finer-grained, so prefer them but never
+                // report less CPU than the map actually measured.
+                PhaseReport {
+                    upper_bounding: wall,
+                    upper_bounding_cpu: cpu.max(par.cpu),
+                    ..PhaseReport::default()
+                }
+            }
+        };
         let build_report = PhaseReport {
-            preprocessing: base.preprocessing,
-            grid_mapping: base.grid_mapping,
-            upper_bounding: base.upper_bounding + wall,
-            upper_bounding_cpu: base.upper_bounding_cpu + cpu.max(par.cpu),
+            preprocessing: base.preprocessing + own.preprocessing,
+            grid_mapping: base.grid_mapping + own.grid_mapping,
+            upper_bounding: base.upper_bounding + own.upper_bounding,
+            upper_bounding_cpu: base.upper_bounding_cpu + own.upper_bounding_cpu,
             ..PhaseReport::default()
         };
+        let offsets = bounds.iter().map(|&(lo, _)| lo as u32).collect();
+        Self::assemble(shards, offsets, build_report)
+    }
 
+    /// One shard holding all of `R`: `index` as it is, under its own
+    /// build report.
+    pub fn single(index: I) -> Self {
+        let build_report = index.index_build_report();
+        Self::assemble(vec![Arc::new(index)], vec![0], build_report)
+    }
+
+    fn assemble(shards: Vec<Arc<I>>, offsets: Vec<u32>, build_report: PhaseReport) -> Self {
+        let alias = match shards.as_slice() {
+            [_] => None,
+            _ => {
+                let weights: Vec<f64> = shards.iter().map(|s| s.total_weight()).collect();
+                AliasTable::new(&weights)
+            }
+        };
         ShardedIndex {
-            offsets: bounds.iter().map(|&(lo, _)| lo as u32).collect(),
             shards,
+            offsets,
             alias,
-            rejection_limit: config.max_consecutive_rejections,
             build_report,
         }
     }
@@ -152,7 +183,10 @@ impl<I: SamplerIndex> ShardedIndex<I> {
 
     /// Sum of the upper bounds `Σµ = Σ_i Σµ_i` across all shards.
     pub fn mu_total(&self) -> f64 {
-        self.alias.as_ref().map_or(0.0, AliasTable::total_weight)
+        // Without an alias shard 0 holds all the weight there is.
+        self.alias
+            .as_ref()
+            .map_or_else(|| self.shards[0].total_weight(), AliasTable::total_weight)
     }
 
     /// Rebuilds every shard through `f` — preserving the shard layout
@@ -164,14 +198,11 @@ impl<I: SamplerIndex> ShardedIndex<I> {
     pub fn try_map_shards(&self, f: impl Fn(&I) -> Option<I>) -> Option<Self> {
         let shards: Option<Vec<Arc<I>>> = self.shards.iter().map(|s| f(s).map(Arc::new)).collect();
         let shards = shards?;
-        let weights: Vec<f64> = shards.iter().map(|s| s.total_weight()).collect();
-        Some(ShardedIndex {
-            offsets: self.offsets.clone(),
-            alias: AliasTable::new(&weights),
-            rejection_limit: self.rejection_limit,
-            build_report: self.build_report,
-            shards,
-        })
+        let build_report = match shards.as_slice() {
+            [only] => only.index_build_report(),
+            _ => self.build_report,
+        };
+        Some(Self::assemble(shards, self.offsets.clone(), build_report))
     }
 }
 
@@ -192,16 +223,36 @@ impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
         scratch: &mut Self::Scratch,
         stats: &mut PhaseReport,
     ) -> Result<Option<JoinPair>, SampleError> {
-        let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
-        let si = alias.sample(rng);
-        // The shard's own try_draw does the iteration/sample accounting.
+        let si = self.alias.as_ref().map_or(0, |alias| alias.sample(rng));
+        // The shard's own try_draw does the iteration/sample accounting
+        // and reports an empty join.
         Ok(self.shards[si]
             .try_draw(rng, scratch, stats)?
             .map(|p| JoinPair::new(p.r + self.offsets[si], p.s)))
     }
 
+    /// A lone shard runs the block its own way (BBST's staged kernel);
+    /// several shards re-pick per iteration.
+    fn try_many<R: Rng + ?Sized>(
+        &self,
+        n: usize,
+        rng: &mut R,
+        scratch: &mut Self::Scratch,
+        stats: &mut PhaseReport,
+        out: &mut Vec<Option<JoinPair>>,
+    ) -> Result<(), SampleError> {
+        if let [only] = self.shards.as_slice() {
+            return only.try_many(n, rng, scratch, stats, out);
+        }
+        for _ in 0..n {
+            out.push(self.try_draw(rng, scratch, stats)?);
+        }
+        Ok(())
+    }
+
     fn rejection_limit(&self) -> u64 {
-        self.rejection_limit
+        // One build config for every shard.
+        self.shards[0].rejection_limit()
     }
 
     fn total_weight(&self) -> f64 {
@@ -223,10 +274,6 @@ impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
         // One shared scratch serves every shard, and all shards draw
         // from the one shared S-side, so the buffers are shard-blind.
         I::set_buffers(scratch, enabled);
-    }
-
-    fn warm_buffers(scratch: &mut Self::Scratch, slots: &[u32]) {
-        I::warm_buffers(scratch, slots);
     }
 
     fn seed_buffers(scratch: &mut Self::Scratch, seed: u64) {
@@ -261,17 +308,6 @@ impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
                 }
             })
             .sum()
-    }
-
-    fn shared_memory_bytes(&self) -> usize {
-        // A sharded index can itself be wrapped; its dedupable part is
-        // the first shard's shared S-side (all shards agree when built
-        // shared).
-        self.shards[0].shared_memory_bytes()
-    }
-
-    fn shared_memory_token(&self) -> usize {
-        self.shards[0].shared_memory_token()
     }
 }
 

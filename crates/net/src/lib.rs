@@ -8,8 +8,7 @@
 //! `mio`:
 //!
 //! * [`Poller`] — level-triggered readiness over a set of fds, backed
-//!   by `epoll(7)` on Linux with a portable `poll(2)` fallback
-//!   (forced via `SRJ_NET_FORCE_POLL=1` so the fallback stays tested);
+//!   by `epoll(7)`;
 //! * [`Waker`] — a nonblocking pipe for waking a [`Poller::wait`]
 //!   from another thread (workers kick the event loop through this);
 //! * [`TimerWheel`] — a hashed timer wheel; everything the server
@@ -27,5 +26,5 @@ pub mod rlimit;
 mod sys;
 mod timer;
 
-pub use poller::{BackendKind, Event, Interest, Poller, Waker};
+pub use poller::{Event, Interest, Poller, Waker};
 pub use timer::TimerWheel;

@@ -1,13 +1,6 @@
-//! Level-triggered fd readiness: `epoll(7)` with a `poll(2)` fallback.
-//!
-//! The two backends expose one API, chosen at construction:
-//! [`BackendKind::Epoll`] keeps registrations in the kernel and waits
-//! in O(ready); [`BackendKind::Poll`] keeps them in a map and rebuilds
-//! the `pollfd` array per wait — O(registered), fine as a portability
-//! net and as the test double that keeps the fallback honest. Setting
-//! `SRJ_NET_FORCE_POLL=1` makes [`Poller::new`] pick the fallback.
+//! Level-triggered fd readiness over `epoll(7)`: registrations live in
+//! the kernel and a wait costs O(ready).
 
-use std::collections::HashMap;
 use std::io;
 use std::time::Duration;
 
@@ -48,114 +41,33 @@ pub struct Event {
     pub writable: bool,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    Epoll,
-    Poll,
-}
-
 pub struct Poller {
-    backend: Backend,
-}
-
-enum Backend {
-    Epoll(Epoll),
-    Poll(PollFallback),
-}
-
-impl Poller {
-    /// Epoll unless `SRJ_NET_FORCE_POLL=1` (or a non-Linux target).
-    pub fn new() -> io::Result<Poller> {
-        let force_poll = std::env::var_os("SRJ_NET_FORCE_POLL").is_some_and(|v| v == "1");
-        let kind = if force_poll || !cfg!(target_os = "linux") {
-            BackendKind::Poll
-        } else {
-            BackendKind::Epoll
-        };
-        Poller::with_backend(kind)
-    }
-
-    pub fn with_backend(kind: BackendKind) -> io::Result<Poller> {
-        let backend = match kind {
-            BackendKind::Epoll => Backend::Epoll(Epoll::new()?),
-            BackendKind::Poll => Backend::Poll(PollFallback::default()),
-        };
-        Ok(Poller { backend })
-    }
-
-    pub fn backend_kind(&self) -> BackendKind {
-        match self.backend {
-            Backend::Epoll(_) => BackendKind::Epoll,
-            Backend::Poll(_) => BackendKind::Poll,
-        }
-    }
-
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll(e) => e.ctl(sys::EPOLL_CTL_ADD, fd, token, interest),
-            Backend::Poll(p) => {
-                p.fds.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
-    }
-
-    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll(e) => e.ctl(sys::EPOLL_CTL_MOD, fd, token, interest),
-            Backend::Poll(p) => {
-                p.fds.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
-    }
-
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll(e) => e.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::default()),
-            Backend::Poll(p) => {
-                p.fds.remove(&fd);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks until at least one registered fd is ready, the timeout
-    /// elapses, or a signal lands (reported as zero events). Appends
-    /// into `events` after clearing it.
-    pub fn wait(
-        &mut self,
-        events: &mut Vec<Event>,
-        timeout: Option<Duration>,
-    ) -> io::Result<usize> {
-        events.clear();
-        let timeout_ms = match timeout {
-            // Round up so a 100µs deadline does not busy-spin at 0ms.
-            Some(d) => i32::try_from(d.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
-            None => -1,
-        };
-        match &mut self.backend {
-            Backend::Epoll(e) => e.wait(events, timeout_ms),
-            Backend::Poll(p) => p.wait(events, timeout_ms),
-        }
-    }
-}
-
-struct Epoll {
     epfd: RawFd,
     buf: Vec<sys::epoll_event>,
 }
 
-impl Epoll {
-    fn new() -> io::Result<Epoll> {
+impl Poller {
+    pub fn new() -> io::Result<Poller> {
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(sys::last_error());
         }
-        Ok(Epoll {
+        Ok(Poller {
             epfd,
             buf: vec![sys::epoll_event { events: 0, data: 0 }; 1024],
         })
+    }
+
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+    }
+
+    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
+    }
+
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::default())
     }
 
     fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
@@ -177,7 +89,20 @@ impl Epoll {
         Ok(())
     }
 
-    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
+    /// Blocks until at least one registered fd is ready, the timeout
+    /// elapses, or a signal lands (reported as zero events). Appends
+    /// into `events` after clearing it.
+    pub fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
+        events.clear();
+        let timeout_ms = match timeout {
+            // Round up so a 100µs deadline does not busy-spin at 0ms.
+            Some(d) => i32::try_from(d.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
+            None => -1,
+        };
         let n = unsafe {
             sys::epoll_wait(
                 self.epfd,
@@ -208,58 +133,9 @@ impl Epoll {
     }
 }
 
-impl Drop for Epoll {
+impl Drop for Poller {
     fn drop(&mut self) {
         unsafe { sys::close(self.epfd) };
-    }
-}
-
-#[derive(Default)]
-struct PollFallback {
-    fds: HashMap<RawFd, (u64, Interest)>,
-    buf: Vec<sys::pollfd>,
-}
-
-impl PollFallback {
-    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-        self.buf.clear();
-        let mut tokens = Vec::with_capacity(self.fds.len());
-        for (&fd, &(token, interest)) in &self.fds {
-            let mut flags = 0i16;
-            if interest.read {
-                flags |= sys::POLLIN;
-            }
-            if interest.write {
-                flags |= sys::POLLOUT;
-            }
-            self.buf.push(sys::pollfd {
-                fd,
-                events: flags,
-                revents: 0,
-            });
-            tokens.push(token);
-        }
-        let n = unsafe { sys::poll(self.buf.as_mut_ptr(), self.buf.len() as u64, timeout_ms) };
-        if n < 0 {
-            let err = sys::last_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(0);
-            }
-            return Err(err);
-        }
-        for (pfd, &token) in self.buf.iter().zip(&tokens) {
-            let r = pfd.revents;
-            if r == 0 {
-                continue;
-            }
-            let hangup = r & (sys::POLLERR | sys::POLLHUP) != 0;
-            events.push(Event {
-                token,
-                readable: r & sys::POLLIN != 0 || hangup,
-                writable: r & sys::POLLOUT != 0 || r & sys::POLLERR != 0,
-            });
-        }
-        Ok(events.len())
     }
 }
 
@@ -331,44 +207,34 @@ mod tests {
     use std::io::{Read, Write};
     use std::time::Instant;
 
-    fn backends() -> Vec<BackendKind> {
-        if cfg!(target_os = "linux") {
-            vec![BackendKind::Epoll, BackendKind::Poll]
-        } else {
-            vec![BackendKind::Poll]
-        }
-    }
-
     #[test]
     fn waker_wakes_and_drains() {
-        for kind in backends() {
-            let mut poller = Poller::with_backend(kind).unwrap();
-            let waker = std::sync::Arc::new(Waker::new().unwrap());
-            poller.register(waker.fd(), 7, Interest::READ).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let waker = std::sync::Arc::new(Waker::new().unwrap());
+        poller.register(waker.fd(), 7, Interest::READ).unwrap();
 
-            let mut events = Vec::new();
-            // No wake: times out empty.
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}");
+        let mut events = Vec::new();
+        // No wake: times out empty.
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0);
 
-            let w = waker.clone();
-            let t = std::thread::spawn(move || w.wake());
-            let n = poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            t.join().unwrap();
-            assert_eq!(n, 1, "{kind:?}");
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
+        let w = waker.clone();
+        let t = std::thread::spawn(move || w.wake());
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        t.join().unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
 
-            waker.drain();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: drained waker must go quiet");
-        }
+        waker.drain();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "drained waker must go quiet");
     }
 
     #[test]
@@ -376,46 +242,44 @@ mod tests {
         use std::net::{TcpListener, TcpStream};
         use std::os::unix::io::AsRawFd;
 
-        for kind in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (sock, _) = listener.accept().unwrap();
-            sock.set_nonblocking(true).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (sock, _) = listener.accept().unwrap();
+        sock.set_nonblocking(true).unwrap();
 
-            let mut poller = Poller::with_backend(kind).unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller
+            .register(sock.as_raw_fd(), 3, Interest::BOTH)
+            .unwrap();
+
+        let mut events = Vec::new();
+        // Idle socket: writable (empty send buffer), not readable.
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 3 && e.writable));
+        assert!(!events.iter().any(|e| e.readable));
+
+        peer.write_all(b"ping").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
             poller
-                .register(sock.as_raw_fd(), 3, Interest::BOTH)
+                .wait(&mut events, Some(Duration::from_millis(100)))
                 .unwrap();
-
-            let mut events = Vec::new();
-            // Idle socket: writable (empty send buffer), not readable.
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 3 && e.writable));
-            assert!(!events.iter().any(|e| e.readable), "{kind:?}");
-
-            peer.write_all(b"ping").unwrap();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            loop {
-                poller
-                    .wait(&mut events, Some(Duration::from_millis(100)))
-                    .unwrap();
-                if events.iter().any(|e| e.token == 3 && e.readable) {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "{kind:?}: no readable event");
+            if events.iter().any(|e| e.token == 3 && e.readable) {
+                break;
             }
-            let mut buf = [0u8; 8];
-            let n = (&sock).read(&mut buf).unwrap();
-            assert_eq!(&buf[..n], b"ping");
-
-            poller.deregister(sock.as_raw_fd()).unwrap();
-            drop(peer);
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: deregistered fd must not report");
+            assert!(Instant::now() < deadline, "no readable event");
         }
+        let mut buf = [0u8; 8];
+        let n = (&sock).read(&mut buf).unwrap();
+        assert_eq!(&buf[..n], b"ping");
+
+        poller.deregister(sock.as_raw_fd()).unwrap();
+        drop(peer);
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
+        assert_eq!(n, 0, "deregistered fd must not report");
     }
 }

@@ -3,7 +3,7 @@
 //! `std` links libc on every unix target, so declaring the symbols
 //! here costs nothing and keeps the workspace dependency-free. The
 //! constants are the Linux ABI values (x86_64 and aarch64 agree on
-//! all of them); the `poll(2)` path uses only POSIX constants.
+//! all of them).
 
 #![allow(non_camel_case_types)]
 
@@ -23,11 +23,6 @@ pub const EPOLL_CLOEXEC: i32 = 0o2000000;
 pub const O_NONBLOCK: i32 = 0o4000;
 pub const O_CLOEXEC: i32 = 0o2000000;
 
-pub const POLLIN: i16 = 0x001;
-pub const POLLOUT: i16 = 0x004;
-pub const POLLERR: i16 = 0x008;
-pub const POLLHUP: i16 = 0x010;
-
 pub const RLIMIT_NOFILE: i32 = 7;
 
 /// `struct epoll_event`. The x86 kernel ABI packs it to 12 bytes;
@@ -41,14 +36,6 @@ pub struct epoll_event {
 }
 
 #[repr(C)]
-#[derive(Clone, Copy)]
-pub struct pollfd {
-    pub fd: i32,
-    pub events: i16,
-    pub revents: i16,
-}
-
-#[repr(C)]
 pub struct rlimit {
     pub rlim_cur: u64,
     pub rlim_max: u64,
@@ -58,7 +45,6 @@ extern "C" {
     pub fn epoll_create1(flags: i32) -> i32;
     pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut epoll_event) -> i32;
     pub fn epoll_wait(epfd: i32, events: *mut epoll_event, maxevents: i32, timeout: i32) -> i32;
-    pub fn poll(fds: *mut pollfd, nfds: u64, timeout: i32) -> i32;
     pub fn pipe2(fds: *mut i32, flags: i32) -> i32;
     pub fn close(fd: i32) -> i32;
     pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;

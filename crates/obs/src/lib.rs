@@ -15,7 +15,7 @@
 //!   `(trace_id, span, event, ns)` records into per-thread lock-free
 //!   ring buffers. When tracing is disabled (the default) the
 //!   per-event cost is one relaxed load and a branch.
-//! * [`journal`] — a bounded in-memory **lifecycle event log**. Epoch
+//! * [`mod@journal`] — a bounded in-memory **lifecycle event log**. Epoch
 //!   swaps, cell patches, repairs, re-plans, compactions, and
 //!   backpressure parks emit a structured [`LifecycleEvent`]
 //!   (dataset, epoch, rung, dirty cells, duration, Σµ before/after)

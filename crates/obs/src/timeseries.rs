@@ -2,7 +2,7 @@
 //! registry.
 //!
 //! A background [`Recorder`] snapshots every registered metric on a
-//! fixed cadence ([`Registry::snapshot`]) and appends one point per
+//! fixed cadence ([`crate::Registry::snapshot`]) and appends one point per
 //! series into a bounded per-series ring:
 //!
 //! * **counters** become **rates** (delta / elapsed seconds, clamped

@@ -44,8 +44,8 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
   --timeseries-cadence-ms: metric history snapshot cadence
                (0 disables the recorder; default 1000)
   --no-profiler: disable worker-state sampling
-  --buffers: serve batches through the buffered draw fast path
-      (default on; off = legacy per-item streaming draw)
+  --buffers: arm the engines' pre-drawn per-cell sample buffers
+      (default on)
   --health-window-ms: how long /healthz stays degraded after the last
                shed/reap/reject/replan signal (default 5000)
   --log-json: print every lifecycle event (swaps, patches, repairs,

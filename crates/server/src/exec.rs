@@ -96,7 +96,7 @@ pub(crate) struct SampleRun {
     queue_wait: Option<Duration>,
     /// The serving handle, held from acquisition to the end of the
     /// request: engine and handle are paid for once, not per batch.
-    handle: Option<Box<SamplerHandle>>,
+    handle: Option<SamplerHandle>,
     /// Samples encoded into `BATCH` frames so far.
     sent: u64,
     /// Whether the request has been charged to the statistics.
@@ -249,7 +249,7 @@ pub(crate) fn advance(
         match shared.acquire_handle(&run.req, how) {
             Ok(Some(handle)) => {
                 trace::event("acquire", "handle_ready");
-                run.handle = Some(Box::new(handle));
+                run.handle = Some(handle);
             }
             Ok(None) => {
                 trace::event("acquire", "handed_off");
@@ -267,22 +267,12 @@ pub(crate) fn advance(
     let remaining = run.req.t.saturating_sub(run.sent);
     let batch = remaining.min(shared.config.batch_pairs as u64) as usize;
     trace::event("draw_loop", "batch_begin");
-    let (pairs, error) = if shared.config.buffers {
-        // Buffered fast path: the whole batch is drawn with the
-        // handle's concrete RNG (no per-draw virtual dispatch), hot
-        // cells serve from pre-drawn buffers, and the engine records
-        // one query per batch. An error forfeits the batch's partial
-        // draws — the DONE status carries the error either way.
-        match handle.sample_batch(batch) {
-            Ok(pairs) => (pairs, None),
-            Err(e) => (Vec::new(), Some(e)),
-        }
-    } else {
-        let mut stream = handle.stream();
-        let pairs: Vec<_> = stream.by_ref().take(batch).collect();
-        let error = stream.error();
-        drop(stream);
-        (pairs, error)
+    // One query per batch, drawn with the handle's concrete RNG. An
+    // error forfeits the batch's partial draws — the DONE status
+    // carries the error either way.
+    let (pairs, error) = match handle.sample_batch(batch) {
+        Ok(pairs) => (pairs, None),
+        Err(e) => (Vec::new(), Some(e)),
     };
     trace::event("draw_loop", "batch_end");
     run.sent += pairs.len() as u64;

@@ -208,11 +208,10 @@ pub struct ServerConfig {
     /// re-plan) is younger than this window, milliseconds. Default
     /// 5000.
     pub health_degraded_window_ms: u64,
-    /// Whether `SAMPLE` batches are drawn through the engines'
-    /// buffered fast path ([`SamplerHandle::sample_batch`]:
-    /// monomorphised RNG, pre-drawn per-cell sample buffers, one stats
-    /// record per batch) instead of the per-item streaming draw.
-    /// Default true; turn off to A/B the legacy path.
+    /// Whether the engines arm their pre-drawn per-cell sample buffers
+    /// ([`srj_engine::Engine::set_buffers_enabled`]). Every `SAMPLE`
+    /// batch is one [`SamplerHandle::sample_batch`] either way. Default
+    /// true.
     pub buffers: bool,
 }
 

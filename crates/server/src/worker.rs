@@ -397,20 +397,14 @@ pub(crate) fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Outcome of flushing a job's outbox.
-enum Flushed {
-    /// Everything sent; the job continues.
-    Clear(Job),
-    /// The job parked, finished, or was dropped — it left this worker.
-    Gone,
-}
-
 /// Sends queued frames until the outbox is empty or the connection's
 /// queue is full, then rings the loop once. Full ⇒ park on the
 /// connection (with a kick so the event loop always notices);
 /// disconnected ⇒ drop; empty + done ⇒ finished, and the drop of the
-/// job is the ring.
-fn flush_outbox(shared: &Shared, mut job: Job, tag: &StateTag) -> Flushed {
+/// job is the ring. Returns the job when everything was sent and it
+/// continues; `None` when it parked, finished, or was dropped — it left
+/// this worker.
+fn flush_outbox(shared: &Shared, mut job: Job, tag: &StateTag) -> Option<Job> {
     let mut queued = false;
     while let Some(frame) = job.outbox.pop_front() {
         match job.conn.try_send(frame) {
@@ -419,7 +413,7 @@ fn flush_outbox(shared: &Shared, mut job: Job, tag: &StateTag) -> Flushed {
                 job.outbox.push_front(frame);
                 if job.conn.closed.load(Ordering::Acquire) {
                     job.abandon(shared);
-                    return Flushed::Gone;
+                    return None;
                 }
                 // The client stopped reading and its window filled:
                 // the request parks on its connection. A rare
@@ -456,21 +450,21 @@ fn flush_outbox(shared: &Shared, mut job: Job, tag: &StateTag) -> Flushed {
                         job.abandon(shared);
                     }
                 }
-                return Flushed::Gone;
+                return None;
             }
             Err(SendError::Disconnected) => {
                 job.abandon(shared);
-                return Flushed::Gone;
+                return None;
             }
         }
     }
     if job.done {
-        return Flushed::Gone;
+        return None;
     }
     if queued {
         job.conn.kick();
     }
-    Flushed::Clear(job)
+    Some(job)
 }
 
 /// One worker step: flush, produce at most one batch, flush, requeue.
@@ -479,9 +473,8 @@ fn step(shared: &Shared, job: Job, tag: &StateTag) {
     // the park event of a flush included.
     let _trace = job.run.as_ref().map(SampleRun::trace_scope);
     tag.set(WorkerState::Write);
-    let mut job = match flush_outbox(shared, job, tag) {
-        Flushed::Clear(job) => job,
-        Flushed::Gone => return,
+    let Some(mut job) = flush_outbox(shared, job, tag) else {
+        return;
     };
     // Respond jobs carry only a pre-encoded frame; with the outbox
     // clear they are finished by flush_outbox, never reach here.
@@ -491,7 +484,7 @@ fn step(shared: &Shared, job: Job, tag: &StateTag) {
         job.done = matches!(progress, Progress::Done);
     }
     tag.set(WorkerState::Write);
-    if let Flushed::Clear(job) = flush_outbox(shared, job, tag) {
+    if let Some(job) = flush_outbox(shared, job, tag) {
         enqueue(shared, job);
     }
 }

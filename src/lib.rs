@@ -85,7 +85,7 @@ pub use srj_rtree as rtree;
 pub use srj_server as server;
 
 pub use srj_core::{
-    AnySamplerIndex, BbstCellCtx, BbstCursor, BbstIndex, BbstKdVariantCursor, BbstKdVariantIndex,
+    BbstCellCtx, BbstCursor, BbstIndex, BbstKdVariantCursor, BbstKdVariantIndex,
     BbstKdVariantSampler, BbstSampler, CellPatchReport, CellStore, CellUnit, Cursor, DeltaSet,
     JoinPair, JoinSampler, JoinThenSample, KdCellStore, KdsCursor, KdsIndex, KdsRejectionCursor,
     KdsRejectionIndex, KdsRejectionSampler, KdsSampler, MassMode, OverlayIndex, OverlaySupport,

@@ -142,12 +142,12 @@ fn join_size_consensus() {
     let variant = BbstKdVariantSampler::build(&r, &s, &cfg);
     let jts = JoinThenSample::build(&r, &s, &cfg);
     let counted = srj::join::join_count(&r, &s, l);
-    assert_eq!(kds.join_size(), counted);
-    assert_eq!(variant.mu_total() as u64, counted);
+    assert_eq!(kds.index().join_size(), counted);
+    assert_eq!(variant.index().mu_total() as u64, counted);
     assert_eq!(jts.join_size(), counted);
     // and the BBST bound dominates it
     let bbst = BbstSampler::build(&r, &s, &cfg);
-    assert!(bbst.mu_total() >= counted as f64);
+    assert!(bbst.index().mu_total() >= counted as f64);
 }
 
 /// Join algorithms agree with each other on generated data.

@@ -526,3 +526,138 @@ fn concurrent_misses_on_two_window_sizes_sort_the_base_once() {
     assert_eq!(sorted, 1, "sort times {sort_times:?}");
     assert_eq!(store.snapshot().base_s.ensure_orders(), Duration::ZERO);
 }
+
+/// The engine holds every index in one shape — one or more shards of a
+/// family, optionally under an overlay — so every operation must behave
+/// the same way down the whole table `Algorithm × {1, 3 shards} ×
+/// {base, with_overlay}`.
+#[test]
+fn every_family_shard_count_and_overlay_is_one_index_shape() {
+    use srj::{DeltaSet, OverlaySupport, PointId};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let l = 5.0;
+    let cfg = SampleConfig::new(l);
+    let r = pseudo_points(240, 901, 60.0);
+    let s = pseudo_points(600, 902, 60.0);
+    let r2 = pseudo_points(200, 903, 60.0);
+
+    // Pending mutations for the overlay engines.
+    let support = OverlaySupport::build(&r, &s, l);
+    let mut delta = DeltaSet::for_base(r.len(), s.len());
+    delta.r_inserted.push(Point::new(30.0, 30.0));
+    delta.s_inserted.push(Point::new(31.0, 31.0));
+    delta.s_deleted.insert(7);
+
+    // An `S` patch: two inserts into one corner, two deletes elsewhere.
+    let inserted_s = [Point::new(1.0, 1.0), Point::new(1.5, 1.5)];
+    let deleted_s: HashSet<PointId> = [7, 450].into();
+    let mut patch = DeltaSet::for_base(r.len(), s.len());
+    patch.s_inserted.extend(inserted_s);
+    patch.s_deleted.extend(deleted_s.iter().copied());
+    let dirty = patch.dirty_s_cells(&s, l);
+
+    let in_window = |r: &[Point], pairs: &[JoinPair], what: &str| {
+        for p in pairs {
+            let w = Rect::window(r[p.r as usize], l);
+            assert!(w.contains(s[p.s as usize]), "{what}: {p:?} is no join pair");
+        }
+    };
+
+    for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
+        for shards in [1, 3] {
+            let base = Engine::build_sharded(&r, &s, &cfg, algo, shards);
+            let overlay = base.with_overlay(delta.clone(), &support, &cfg);
+            for (engine, is_overlay) in [(&base, false), (&overlay, true)] {
+                let what = format!("{algo} × {shards} shards × overlay {is_overlay}");
+                assert_eq!(engine.algorithm(), algo, "{what}");
+                assert_eq!(engine.handle().algorithm(), algo, "{what}");
+                assert_eq!(engine.shards(), shards, "{what}");
+                assert_eq!(engine.is_overlay(), is_overlay, "{what}");
+                assert_eq!(engine.cell_count(), base.cell_count(), "{what}");
+
+                // Same seed, same stream, through either entry point.
+                let batch = engine.handle_seeded(11).sample_batch(300).unwrap();
+                assert_eq!(batch.len(), 300, "{what}");
+                assert_eq!(
+                    batch,
+                    engine.handle_seeded(11).sample_batch(300).unwrap(),
+                    "{what}: sample_batch"
+                );
+                assert_eq!(
+                    engine.handle_seeded(11).sample(300).unwrap(),
+                    engine.handle_seeded(11).sample(300).unwrap(),
+                    "{what}: sample"
+                );
+
+                if is_overlay {
+                    // Structure belongs to the full build underneath.
+                    assert!(engine.rebuild_r_only(&r2, &cfg).is_none(), "{what}");
+                    assert!(
+                        engine
+                            .rebuild_with_s_patch(&r2, &cfg, &inserted_s, &deleted_s)
+                            .is_none(),
+                        "{what}"
+                    );
+                    assert!(engine.repair_cells(&[0]).is_none(), "{what}");
+                    assert!(engine.s_cell_tokens().is_none(), "{what}");
+                    assert!(engine.s_point_set().is_none(), "{what}");
+                    let stacked = catch_unwind(AssertUnwindSafe(|| {
+                        engine.with_overlay(delta.clone(), &support, &cfg)
+                    }));
+                    assert!(stacked.is_err(), "{what}: overlays must not stack");
+                    continue;
+                }
+                in_window(&r, &batch, &what);
+                let tokens = engine.s_cell_tokens().expect("a full build has cells");
+                let set = engine.s_point_set().expect("a full build has a point set");
+
+                // A new `R` over the same `S`-side: every cell and the
+                // point set cross by `Arc` identity.
+                let rebuilt = engine.rebuild_r_only(&r2, &cfg).expect("a full build");
+                assert_eq!(rebuilt.algorithm(), algo, "{what}");
+                assert_eq!(rebuilt.shards(), shards, "{what}");
+                assert_eq!(rebuilt.s_cell_tokens().unwrap(), tokens, "{what}");
+                assert!(Arc::ptr_eq(&rebuilt.s_point_set().unwrap(), &set), "{what}");
+                let pairs = rebuilt.handle_seeded(12).sample_batch(300).unwrap();
+                in_window(&r2, &pairs, &format!("{what}, R-only rebuild"));
+
+                // An `S` patch: clean cells keep their token, dirty ones
+                // do not.
+                let (patched, report) = engine
+                    .rebuild_with_s_patch(&r2, &cfg, &inserted_s, &deleted_s)
+                    .expect("a full build");
+                assert_eq!(patched.algorithm(), algo, "{what}");
+                assert_eq!(patched.shards(), shards, "{what}");
+                assert!(report.cells_rebuilt > 0, "{what}");
+                let before: HashMap<(i32, i32), usize> = tokens.iter().copied().collect();
+                for (coord, token) in patched.s_cell_tokens().unwrap() {
+                    match before.get(&coord) {
+                        Some(old) if dirty.contains(&coord) => {
+                            assert_ne!(token, *old, "{what}: dirty cell {coord:?} shared")
+                        }
+                        Some(old) => assert_eq!(token, *old, "{what}: clean cell {coord:?}"),
+                        None => assert!(dirty.contains(&coord), "{what}: fresh {coord:?}"),
+                    }
+                }
+                assert!(
+                    patched.handle_seeded(13).sample_batch(100).is_ok(),
+                    "{what}"
+                );
+
+                // Only BBST has loose cells to re-tighten.
+                let every_cell: Vec<u32> = (0..engine.cell_count() as u32).collect();
+                let repaired = engine.repair_cells(&every_cell);
+                assert_eq!(repaired.is_some(), algo == Algorithm::Bbst, "{what}");
+                if let Some(repaired) = repaired {
+                    assert_eq!(repaired.shards(), shards, "{what}");
+                    assert_eq!(repaired.s_cell_tokens().unwrap(), tokens, "{what}");
+                    assert!(repaired.total_weight() <= engine.total_weight(), "{what}");
+                    assert!(repaired.repair_cells(&every_cell).is_none(), "{what}");
+                    let pairs = repaired.handle_seeded(14).sample_batch(300).unwrap();
+                    in_window(&r, &pairs, &format!("{what}, repaired"));
+                }
+            }
+        }
+    }
+}

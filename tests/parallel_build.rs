@@ -31,7 +31,11 @@ fn kds_parallel_build_is_bit_identical() {
         let cfg = SampleConfig::new(100.0).with_build_threads(threads);
         let mut par = KdsSampler::build(&r, &s, &cfg);
         // exact counts ⇒ join size must match exactly
-        assert_eq!(par.join_size(), serial.join_size(), "threads = {threads}");
+        assert_eq!(
+            par.index().join_size(),
+            serial.index().join_size(),
+            "threads = {threads}"
+        );
         // identical alias ⇒ identical stream under one seed
         let mut serial_cursor = srj::KdsCursor::new(std::sync::Arc::clone(serial.index()));
         let mut rng_a = SmallRng::seed_from_u64(42);
@@ -51,7 +55,11 @@ fn rejection_parallel_build_is_bit_identical() {
     for threads in THREAD_SWEEP {
         let cfg = SampleConfig::new(100.0).with_build_threads(threads);
         let mut par = KdsRejectionSampler::build(&r, &s, &cfg);
-        assert_eq!(par.mu_total(), serial.mu_total(), "threads = {threads}");
+        assert_eq!(
+            par.index().mu_total(),
+            serial.index().mu_total(),
+            "threads = {threads}"
+        );
         for i in 0..r.len() {
             assert_eq!(
                 par.index().mu_of(i),
@@ -77,9 +85,17 @@ fn bbst_parallel_build_is_bit_identical() {
     for threads in THREAD_SWEEP {
         let cfg = SampleConfig::new(100.0).with_build_threads(threads);
         let mut par = BbstSampler::build(&r, &s, &cfg);
-        assert_eq!(par.mu_total(), serial.mu_total(), "threads = {threads}");
+        assert_eq!(
+            par.index().mu_total(),
+            serial.index().mu_total(),
+            "threads = {threads}"
+        );
         for i in 0..r.len() {
-            assert_eq!(par.mu_of(i), serial.mu_of(i), "threads = {threads}, r{i}");
+            assert_eq!(
+                par.index().mu_of(i),
+                serial.index().mu_of(i),
+                "threads = {threads}, r{i}"
+            );
         }
         let mut serial_cursor = srj::BbstCursor::new(std::sync::Arc::clone(serial.index()));
         let mut rng_a = SmallRng::seed_from_u64(44);
@@ -99,7 +115,11 @@ fn kd_variant_parallel_build_is_bit_identical() {
     for threads in THREAD_SWEEP {
         let cfg = SampleConfig::new(100.0).with_build_threads(threads);
         let mut par = BbstKdVariantSampler::build(&r, &s, &cfg);
-        assert_eq!(par.mu_total(), serial.mu_total(), "threads = {threads}");
+        assert_eq!(
+            par.index().mu_total(),
+            serial.index().mu_total(),
+            "threads = {threads}"
+        );
         let mut serial_cursor =
             srj::BbstKdVariantCursor::new(std::sync::Arc::clone(serial.index()));
         let mut rng_a = SmallRng::seed_from_u64(45);
@@ -124,7 +144,7 @@ fn bulk_draw_mu_total_is_pinned() {
     let (r, s) = split_rs(&points, 0.5, 1 ^ 0xDEAD_BEEF);
     let cfg = SampleConfig::new(100.0).with_build_threads(3);
     let sampler = BbstSampler::build(&r, &s, &cfg);
-    assert_eq!(sampler.mu_total().to_bits(), 0x4216_190f_4124_0000);
+    assert_eq!(sampler.index().mu_total().to_bits(), 0x4216_190f_4124_0000);
 }
 
 #[test]
@@ -132,7 +152,7 @@ fn all_cores_build_threads_zero_works() {
     let (r, s) = dataset();
     let serial = BbstSampler::build(&r, &s, &SampleConfig::new(100.0));
     let auto = BbstSampler::build(&r, &s, &SampleConfig::new(100.0).with_build_threads(0));
-    assert_eq!(auto.mu_total(), serial.mu_total());
+    assert_eq!(auto.index().mu_total(), serial.index().mu_total());
 }
 
 #[test]

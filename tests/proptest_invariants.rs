@@ -116,11 +116,11 @@ proptest! {
         l in 1.0..30.0f64,
     ) {
         let sampler = BbstSampler::build(&r, &s, &SampleConfig::new(l));
-        let cap = sampler.bucket_cap() as f64;
+        let cap = sampler.index().bucket_cap() as f64;
         for (i, &rp) in r.iter().enumerate() {
             let w = Rect::window(rp, l);
             let exact = s.iter().filter(|p| w.contains(**p)).count() as f64;
-            let mu = sampler.mu_of(i);
+            let mu = sampler.index().mu_of(i);
             prop_assert!(mu >= exact);
             // 4 corner cells, each contributing ≤ cap·exact_corner + 2·cap
             prop_assert!(mu <= cap.max(1.0) * exact + 8.0 * cap + 1.0);
@@ -137,7 +137,7 @@ proptest! {
     ) {
         let sampler = KdsRejectionSampler::build(&r, &s, &SampleConfig::new(l));
         let join = srj::join::join_count(&r, &s, l) as f64;
-        prop_assert!(sampler.mu_total() >= join);
+        prop_assert!(sampler.index().mu_total() >= join);
     }
 
     /// Join algorithms agree under arbitrary inputs (including heavy

@@ -107,7 +107,7 @@ fn kd_corner_query_stays_inside_the_window() {
     let mut variant = BbstKdVariantSampler::build(&pts, &pts, &cfg);
     assert_reaches_the_join(&mut variant, &pts, &pts, l);
     let mut kds = KdsSampler::build(&pts, &pts, &cfg);
-    assert_eq!(kds.join_size(), 805);
+    assert_eq!(kds.index().join_size(), 805);
     assert_reaches_the_join(&mut kds, &pts, &pts, l);
 }
 
@@ -115,7 +115,7 @@ fn kd_corner_query_stays_inside_the_window() {
 fn kds_reaches_a_window_that_leaves_its_block() {
     let (r, s, l) = two_point_probe();
     let mut kds = KdsSampler::build(&r, &s, &SampleConfig::new(l));
-    assert_eq!(kds.join_size(), 2);
+    assert_eq!(kds.index().join_size(), 2);
     assert_eq!(kds.index().stray(), [0]);
     assert_reaches_the_join(&mut kds, &r, &s, l);
 
@@ -123,7 +123,7 @@ fn kds_reaches_a_window_that_leaves_its_block() {
     for threads in [1, 3] {
         let cfg = SampleConfig::new(l).with_build_threads(threads);
         let mut kds = KdsSampler::build(&pts, &pts, &cfg);
-        assert_eq!(kds.join_size(), 1590);
+        assert_eq!(kds.index().join_size(), 1590);
         assert!(!kds.index().stray().is_empty());
         assert_reaches_the_join(&mut kds, &pts, &pts, l);
     }
