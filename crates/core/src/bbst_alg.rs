@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use rand::Rng;
 use srj_alias::{AliasTable, CumulativeRow9, RowPick};
-use srj_bbst::{bucket_capacity, CellBbsts, MassMode};
+use srj_bbst::{bucket_capacity, CellBbsts};
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{case_of, CellCase, Grid, IntoPointSet};
 
@@ -12,7 +12,7 @@ use crate::buffer::{BufferStats, DrawBuffers};
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex, BLOCK};
-use crate::decompose::{case12_draw, quadrant_query, upper_bounding, UpperBounds};
+use crate::decompose::{case12_draw, quadrant_query, upper_bounding};
 
 /// Immutable build product of the paper's proposed algorithm
 /// (Section IV, Algorithm 1): `Õ(n + m + t)` expected time,
@@ -98,13 +98,6 @@ pub struct BbstIndex {
     /// shares it across every shard ([`BbstIndex::build_shared`]); an
     /// epoch engine patches it cell by cell across rebuilds.
     store: Arc<CellStore<CellBbsts>>,
-    /// Per-cell mass mode, parallel to the store's cells. All cells
-    /// start at the build config's mode; the repair path
-    /// ([`BbstIndex::with_exact_cells`]) tightens individual loose
-    /// cells to [`MassMode::Exact`]. The UB rows and the draw use the
-    /// same per-cell mode, so Theorem 3's `1/µ(r,c)` accounting — and
-    /// with it exact uniformity — is preserved per cell.
-    modes: Vec<MassMode>,
     /// Per-`r` cell distributions (`A_r` in Algorithm 1).
     rows: Vec<CumulativeRow9>,
     /// Global alias over `µ(r)` (`A` in Algorithm 1).
@@ -291,12 +284,20 @@ impl BbstIndex {
             store.ctx().cascading == config.use_cascading,
             "shared per-cell BBSTs were built with the opposite cascading mode"
         );
-        let modes = vec![config.mass_mode; store.num_cells()];
-        let ub = Self::build_rows(r, &store, &modes, config, None);
+        // Phase 2 proper: the cell-major pass over `r`, each corner
+        // cell bounded by its BBST pair under the build's mass mode —
+        // the mode `resolve` draws under, which is what keeps Theorem 3's
+        // `1/µ(r, c)` accounting exact.
+        let ub = upper_bounding(
+            store.grid(),
+            r,
+            config.half_extent,
+            config.build_threads,
+            |slot, q| store.unit(slot).count_quadrant(q, config.mass_mode),
+        );
         BbstIndex {
             r_points: r.to_vec(),
             store,
-            modes,
             rows: ub.rows,
             alias: ub.alias,
             config: *config,
@@ -308,85 +309,6 @@ impl BbstIndex {
                 ..PhaseReport::default()
             },
         }
-    }
-
-    /// Phase 2 proper ([`upper_bounding`]): the cell-major pass over
-    /// `r`, with each corner cell bounded by its BBST pair under **its
-    /// own** mass mode, on `config.build_threads` threads. `prior` is
-    /// [`upper_bounding`]'s repair argument.
-    fn build_rows(
-        r: &[Point],
-        store: &CellStore<CellBbsts>,
-        modes: &[MassMode],
-        config: &SampleConfig,
-        prior: Option<(&[CumulativeRow9], &[bool])>,
-    ) -> UpperBounds {
-        upper_bounding(
-            store.grid(),
-            r,
-            config.half_extent,
-            config.build_threads,
-            prior,
-            |slot, q| store.unit(slot).count_quadrant(q, modes[slot as usize]),
-        )
-    }
-
-    /// Re-tightens the given cells to [`MassMode::Exact`] bounds — the
-    /// targeted repair for cells whose Virtual-mass bound turned out
-    /// loose (measured per-cell rejections) — against the unchanged,
-    /// fully shared `S`-side. Only the `r` whose 3×3 block holds a
-    /// re-tightened cell get their row swept again; every other row is
-    /// copied, and the result is the full recompute's, row for row.
-    /// `None` when every named cell is already exact (nothing would
-    /// change).
-    ///
-    /// Uniformity is preserved: rows and draws both read the per-cell
-    /// mode, so every pair keeps per-iteration probability `1/Σµ` with
-    /// the new (smaller) `Σµ`.
-    pub fn with_exact_cells(&self, slots: &[u32]) -> Option<BbstIndex> {
-        let mut modes = self.modes.clone();
-        let mut tightened = vec![false; modes.len()];
-        for &slot in slots {
-            if let Some(m) = modes.get_mut(slot as usize) {
-                if *m != MassMode::Exact {
-                    *m = MassMode::Exact;
-                    tightened[slot as usize] = true;
-                }
-            }
-        }
-        if !tightened.contains(&true) {
-            return None;
-        }
-        let ub = Self::build_rows(
-            &self.r_points,
-            &self.store,
-            &modes,
-            &self.config,
-            Some((&self.rows, &tightened)),
-        );
-        Some(BbstIndex {
-            r_points: self.r_points.clone(),
-            store: Arc::clone(&self.store),
-            modes,
-            rows: ub.rows,
-            alias: ub.alias,
-            config: self.config,
-            build_report: PhaseReport {
-                // The S-side is untouched; the repair pays only a UB
-                // pass, charged here.
-                preprocessing: std::time::Duration::ZERO,
-                grid_mapping: std::time::Duration::ZERO,
-                upper_bounding: ub.wall,
-                upper_bounding_cpu: ub.cpu,
-                ..PhaseReport::default()
-            },
-        })
-    }
-
-    /// How many cells are still bounded with the Virtual mass (repair
-    /// candidates).
-    pub fn virtual_cells(&self) -> usize {
-        self.modes.iter().filter(|m| **m != MassMode::Exact).count()
     }
 
     /// Sum of the upper bounds `Σ_r µ(r)`.
@@ -438,19 +360,15 @@ impl BbstIndex {
     pub fn memory_bytes(&self) -> usize {
         self.r_points.capacity() * std::mem::size_of::<Point>()
             + self.store.memory_bytes()
-            + self.modes.capacity() * std::mem::size_of::<MassMode>()
             + self.rows.capacity() * std::mem::size_of::<CumulativeRow9>()
             + self.alias.as_ref().map_or(0, AliasTable::memory_bytes)
     }
 }
 
-/// Per-cursor scratch of the BBST draw: the per-cell rejection records
-/// this cursor accumulated (drained by the serving layer into shared
-/// per-cell counters — the signal behind targeted cell repairs), plus
-/// the sample buffers of hot fully-covered cells (off by default).
+/// Per-cursor scratch of the BBST draw: the sample buffers of hot
+/// fully-covered cells (off by default).
 #[derive(Default)]
 pub struct BbstScratch {
-    rejected_cells: Vec<u32>,
     /// Buffered fully-covered-cell draw state.
     pub buffers: DrawBuffers,
 }
@@ -501,9 +419,9 @@ impl BbstIndex {
     /// member array, so `rank` indexes it directly — and for a corner
     /// cell is the quadrant mass the ranked BBST descent ranks into.
     ///
-    /// Owns the per-iteration accounting (`iterations`, `samples`, the
-    /// rejected-cell record), so [`SamplerIndex::try_draw`] and the
-    /// block kernel cannot disagree on it.
+    /// Owns the per-iteration accounting (`iterations`, `samples`), so
+    /// [`SamplerIndex::try_draw`] and the block kernel cannot disagree
+    /// on it.
     #[inline]
     fn resolve(
         &self,
@@ -521,7 +439,7 @@ impl BbstIndex {
                 let q = quadrant_query(x_is_min, y_is_min, &w);
                 self.store
                     .unit(p.slot)
-                    .sample_quadrant_at(&q, self.modes[p.slot as usize], p.row.rank)
+                    .sample_quadrant_at(&q, self.config.mass_mode, p.row.rank)
                     .map(|pos| cell.by_x[pos as usize])
                     // Line 15: accept iff w(r) ∩ s.
                     .filter(|&sid| w.contains(grid.point(sid)))
@@ -536,21 +454,16 @@ impl BbstIndex {
                 &mut scratch.buffers,
             )),
         };
-        if let Some(sid) = accepted {
-            stats.samples += 1;
-            return Some(JoinPair::new(p.ridx, sid));
-        }
-        // Rejections happen only in the corner (case-3) cells — a dud
-        // virtual slot or a candidate outside the window — so the
-        // rejected slot identifies exactly the cell whose bound was
-        // loose: the per-cell feedback driving targeted repairs.
-        scratch.rejected_cells.push(p.slot);
-        None
+        // Rejections happen only in the corner (case-3) cells: a dud
+        // virtual slot or a candidate outside the window.
+        let sid = accepted?;
+        stats.samples += 1;
+        Some(JoinPair::new(p.ridx, sid))
     }
 }
 
 impl SamplerIndex for BbstIndex {
-    /// Per-cell rejection records; the draw needs no other scratch.
+    /// The sample buffers; the draw needs no other scratch.
     type Scratch = BbstScratch;
 
     fn algorithm_name(&self) -> &'static str {
@@ -632,10 +545,6 @@ impl SamplerIndex for BbstIndex {
         self.store.num_cells()
     }
 
-    fn drain_cell_rejections(scratch: &mut BbstScratch, out: &mut Vec<u32>) {
-        out.append(&mut scratch.rejected_cells);
-    }
-
     fn set_buffers(scratch: &mut BbstScratch, enabled: bool) {
         scratch.buffers.set_enabled(enabled);
     }
@@ -668,8 +577,7 @@ impl SamplerIndex for BbstIndex {
 }
 
 /// Cheap per-thread query state over a shared [`BbstIndex`] (see
-/// [`Cursor`]): the sampling-phase statistics, the per-cell rejection
-/// records and the sample buffers.
+/// [`Cursor`]): the sampling-phase statistics and the sample buffers.
 pub type BbstCursor = Cursor<BbstIndex>;
 
 impl Cursor<BbstIndex> {
@@ -706,6 +614,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use srj_bbst::MassMode;
 
     fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -879,14 +788,14 @@ mod tests {
     }
 
     /// Every stored row of `index` against [`per_r_weights`] under the
-    /// index's own per-cell modes: all nine cell weights, not the total.
+    /// index's own mass mode: all nine cell weights, not the total.
     fn assert_rows_are_the_per_r_reference(index: &BbstIndex) {
         let grid = index.store.grid();
         let corner = |slot: u32, q: &srj_bbst::QuadrantQuery| {
             index
                 .store
                 .unit(slot)
-                .count_quadrant(q, index.modes[slot as usize])
+                .count_quadrant(q, index.config.mass_mode)
         };
         assert_eq!(index.rows.len(), index.r_points.len());
         for (ridx, (&rp, row)) in index.r_points.iter().zip(&index.rows).enumerate() {
@@ -945,41 +854,6 @@ mod tests {
                     assert_rows_are_the_per_r_reference(&index);
                 }
             }
-        }
-    }
-
-    /// The repair sweeps only the groups around the re-tightened cells
-    /// and copies every other row; the result is what sweeping
-    /// everything under the new modes gives.
-    #[test]
-    fn exact_cell_repair_equals_the_full_recompute() {
-        let r = pseudo_points(900, 91, 60.0);
-        let s = pseudo_points(4000, 92, 60.0);
-        for threads in [1, 3] {
-            let cfg = SampleConfig::new(5.0).with_build_threads(threads);
-            let index = BbstIndex::build(&r, &s, &cfg);
-            assert!(index.with_exact_cells(&[]).is_none());
-            // A handful of cells, one of them named twice, one out of
-            // range.
-            let cells = index.store.num_cells() as u32;
-            let slots = [3, cells / 2, cells - 1, 3, cells + 7];
-            let repaired = index.with_exact_cells(&slots).expect("virtual cells named");
-            assert_eq!(repaired.virtual_cells(), index.virtual_cells() - 3);
-            assert_rows_are_the_per_r_reference(&repaired);
-            let full = BbstIndex::build_rows(&r, &index.store, &repaired.modes, &cfg, None);
-            for (ridx, (a, b)) in repaired.rows.iter().zip(&full.rows).enumerate() {
-                for i in 0..9 {
-                    assert_eq!(a.weight(i), b.weight(i), "r{ridx} cell {i}");
-                }
-            }
-            assert_eq!(
-                repaired.mu_total(),
-                full.alias.as_ref().map_or(0.0, AliasTable::total_weight)
-            );
-            // Exact is tighter, and the repair did change something.
-            assert!(repaired.mu_total() < index.mu_total());
-            // Repairing the same cells again is a no-op.
-            assert!(repaired.with_exact_cells(&slots).is_none());
         }
     }
 

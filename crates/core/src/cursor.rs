@@ -43,7 +43,7 @@ pub trait SamplerIndex: Send + Sync {
     ///
     /// Implementations must increment `stats.iterations` once per call
     /// and `stats.samples` on acceptance, so that per-iteration
-    /// accounting (Table IV, the engine's rejection-rate feedback)
+    /// accounting (Table IV, the engine's observed rejection rate)
     /// holds however the iterations are driven.
     ///
     /// Exposing the single iteration — rather than only the
@@ -83,17 +83,11 @@ pub trait SamplerIndex: Send + Sync {
     fn total_weight(&self) -> f64;
 
     /// Number of `S`-side cells this index draws from, when its
-    /// structure is cell-granular (`0` otherwise). Sizes the engine's
-    /// per-cell rejection counters.
+    /// structure is cell-granular (`0` otherwise): the denominator of
+    /// the engine's cell-patch budget.
     fn cell_count(&self) -> usize {
         0
     }
-
-    /// Moves the per-cell rejection records accumulated in `scratch`
-    /// into `out` (one slot entry per rejected iteration). Indexes
-    /// whose draws attribute rejections to a cell record them in their
-    /// scratch; the default is a no-op for everything else.
-    fn drain_cell_rejections(_scratch: &mut Self::Scratch, _out: &mut Vec<u32>) {}
 
     /// Switches the buffered-draw fast path carried in `scratch` on or
     /// off (see [`crate::DrawBuffers`]). Default no-op for indexes
@@ -142,10 +136,9 @@ pub trait SamplerIndex: Send + Sync {
     /// [`crate::BbstIndex`]) or source by source (see
     /// [`crate::OverlayIndex`]), under one condition: the `n` outcomes
     /// must be those of `n` independent `try_draw`-distributed
-    /// iterations, with `try_draw`'s accounting (`iterations`, `samples`,
-    /// per-cell rejection records) for every one of them. How the
-    /// generator's words are spent on the block is the override's
-    /// business.
+    /// iterations, with `try_draw`'s accounting (`iterations`,
+    /// `samples`) for every one of them. How the generator's words are
+    /// spent on the block is the override's business.
     ///
     /// `n = 0` is `Ok` and touches nothing, even on an empty join.
     fn try_many<R: Rng + ?Sized>(
@@ -318,10 +311,6 @@ impl<I: SamplerIndex> Cursor<I> {
 impl<I: SamplerIndex> JoinSampler for Cursor<I> {
     fn name(&self) -> &'static str {
         self.index.algorithm_name()
-    }
-
-    fn take_cell_rejections(&mut self, out: &mut Vec<u32>) {
-        I::drain_cell_rejections(&mut self.scratch, out);
     }
 
     fn sample_one(&mut self, rng: &mut dyn RngCore) -> Result<JoinPair, SampleError> {

@@ -160,37 +160,24 @@ pub(crate) struct UpperBounds {
 /// for the quadrant `q` — the only step the BBST algorithm (a BBST
 /// bound) and KDS (an exact kd count) do not share.
 ///
-/// `prior` turns the pass into a repair: `(rows, dirty)` are the rows of
-/// an earlier pass over the same `r` and grid, and a per-slot flag for
-/// the cells whose `corner` answer may have changed since. Only groups
-/// with a dirty cell in their block are swept again; every other row is
-/// copied.
-///
 /// A row is a function of its `r` and the immutable `S`-side alone, so
-/// the result does not depend on `threads`, on how `R` is ordered or
-/// chunked, or on `prior` — and it equals [`per_r_weights`] row for row,
-/// integer for integer.
+/// the result does not depend on `threads` or on how `R` is ordered or
+/// chunked — and it equals [`per_r_weights`] row for row, integer for
+/// integer.
 pub(crate) fn upper_bounding<C>(
     grid: &Grid,
     r: &[Point],
     l: f64,
     threads: usize,
-    prior: Option<(&[CumulativeRow9], &[bool])>,
     corner: C,
 ) -> UpperBounds
 where
     C: Fn(u32, &QuadrantQuery) -> u64 + Sync,
 {
     let t0 = Instant::now();
-    let (rows, par) = par_chunks(r, threads, |offset, chunk| {
-        let mut rows = match prior {
-            Some((old, _)) => old[offset..offset + chunk.len()].to_vec(),
-            None => vec![CumulativeRow9::default(); chunk.len()],
-        };
-        let stale = |slots: &[Option<u32>; 9]| {
-            prior.is_none_or(|(_, dirty)| slots.iter().flatten().any(|&slot| dirty[slot as usize]))
-        };
-        sweep_rows(grid, chunk, l, &corner, stale, &mut rows);
+    let (rows, par) = par_chunks(r, threads, |_, chunk| {
+        let mut rows = vec![CumulativeRow9::default(); chunk.len()];
+        sweep_rows(grid, chunk, l, &corner, &mut rows);
         rows
     });
     // The groups and the sweep's buffers are gone by now: the alias
@@ -213,15 +200,13 @@ where
 const SWEEP_PIECE: usize = 1024;
 
 /// Group → sweep → scatter over one chunk of `R`: writes `rows[i]` for
-/// every `r[i]` whose group `stale` selects and whose block is not
-/// empty (an empty block's row is the all-zero default `rows` came
-/// with).
+/// every `r[i]` whose block is not empty (an empty block's row is the
+/// all-zero default `rows` came with).
 pub(crate) fn sweep_rows<C>(
     grid: &Grid,
     r: &[Point],
     l: f64,
     corner: &C,
-    stale: impl Fn(&[Option<u32>; 9]) -> bool,
     rows: &mut [CumulativeRow9],
 ) where
     C: Fn(u32, &QuadrantQuery) -> u64,
@@ -232,7 +217,7 @@ pub(crate) fn sweep_rows<C>(
     for (g, members) in pieces.enumerate() {
         // One block resolution serves the whole group.
         let slots = grid.neighborhood_slots(r[members[0] as usize]);
-        if slots.iter().all(Option::is_none) || !stale(&slots) {
+        if slots.iter().all(Option::is_none) {
             continue;
         }
         sweep_group(grid, r, members, &slots, l, corner, &mut scratch);

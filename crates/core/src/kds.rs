@@ -136,7 +136,7 @@ impl KdsIndex {
             grid.cell_side(),
         );
         let t1 = Instant::now();
-        let mut ub = upper_bounding(grid, r, l, config.build_threads, None, |slot, q| {
+        let mut ub = upper_bounding(grid, r, l, config.build_threads, |slot, q| {
             s_cells.count_in_cell(slot, &open_quadrant(q)) as u64
         });
         // The rows assume `w(r)` lies in the block of `r`; an `r` whose

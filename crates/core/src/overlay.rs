@@ -431,7 +431,7 @@ impl Chunk {
         // base index's cell-major sweep with a trivial corner bound.
         let mut base = vec![CumulativeRow9::default(); tail.len()];
         let population = |slot: u32, _: &_| opposite.cell(slot).len() as u64;
-        sweep_rows(opposite, tail, l, &population, |_| true, &mut base);
+        sweep_rows(opposite, tail, l, &population, &mut base);
         let rows: Vec<InsertRow> = tail
             .iter()
             .zip(&base)
@@ -1052,13 +1052,7 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
     }
 
     fn cell_count(&self) -> usize {
-        // Base draws keep attributing rejections to their cells through
-        // the overlay; size the counters accordingly.
         self.base.cell_count()
-    }
-
-    fn drain_cell_rejections(scratch: &mut Self::Scratch, out: &mut Vec<u32>) {
-        I::drain_cell_rejections(&mut scratch.base, out);
     }
 
     fn index_build_report(&self) -> PhaseReport {

@@ -87,13 +87,6 @@ pub trait JoinSampler {
     /// Phase timing / iteration report (Tables II–IV).
     fn report(&self) -> PhaseReport;
 
-    /// Moves any per-cell rejection records this sampler accumulated
-    /// since the last call into `out` (one `S`-cell slot per rejected
-    /// iteration). Default: no cell attribution (`out` untouched). The
-    /// serving engine drains these into shared per-cell counters — the
-    /// feedback behind targeted cell repairs.
-    fn take_cell_rejections(&mut self, _out: &mut Vec<u32>) {}
-
     /// Approximate heap footprint of all retained structures, in bytes
     /// (Fig. 4).
     fn memory_bytes(&self) -> usize;

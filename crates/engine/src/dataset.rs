@@ -170,7 +170,7 @@ impl StoreInner {
 /// compaction. Mutations are O(1) buffer appends / tombstones under a
 /// short write lock; readers take consistent [`DatasetSnapshot`]s.
 /// `EpochEngine` layers the serving side (overlay snapshots, rebuild
-/// threshold, planner feedback) on top.
+/// thresholds) on top.
 pub struct DatasetStore {
     inner: RwLock<StoreInner>,
     /// Observability label: the registered dataset id this store
@@ -182,13 +182,11 @@ pub struct DatasetStore {
 /// Sentinel for "no observability label set".
 const NO_LABEL: u64 = u64::MAX;
 
-/// The store's drift counters and live sizes at one instant.
+/// The store's drift counters at one instant.
 #[derive(Clone, Copy)]
 pub(crate) struct StoreCounters {
     pub(crate) epoch: u64,
     pub(crate) version: u64,
-    pub(crate) live_r: usize,
-    pub(crate) live_s: usize,
 }
 
 impl StoreCounters {
@@ -196,8 +194,6 @@ impl StoreCounters {
         StoreCounters {
             epoch: inner.epoch,
             version: inner.version,
-            live_r: inner.delta.live_r_len(),
-            live_s: inner.delta.live_s_len() - inner.s_dead.len(),
         }
     }
 }

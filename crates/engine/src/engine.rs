@@ -15,7 +15,7 @@ use srj_grid::{IntoPointSet, PointSet};
 
 use crate::family::{self, EngineIndex, ServingCursor};
 use crate::planner::{plan, PlanReport};
-use crate::stats::{CellRejectionStats, EngineStats, StatsSnapshot};
+use crate::stats::{EngineStats, StatsSnapshot};
 
 /// Which of the paper's samplers an [`Engine`] serves with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -44,11 +44,6 @@ struct EngineShared {
     /// [`crate::family`]).
     index: Box<dyn EngineIndex>,
     stats: EngineStats,
-    /// Per-`S`-cell rejection counters (present when the index is
-    /// cell-granular). Handles drain their cursors' per-cell rejection
-    /// records here; the epoch machinery reads them to pick cells for
-    /// targeted repair.
-    cell_rejections: Option<CellRejectionStats>,
     plan: Option<PlanReport>,
     /// Whether handles should serve batches through the buffered draw
     /// fast path (pre-drawn per-cell sample buffers). Handles re-check
@@ -241,34 +236,15 @@ impl Engine {
         ))
     }
 
-    /// Re-tightens the named `S`-cells to exact (per-bucket-mass)
-    /// bounds and recomputes the per-`r` rows over the unchanged,
-    /// fully shared `S`-side — the targeted repair for cells whose
-    /// measured rejection rate shows a loose Virtual-mass bound. Only
-    /// the BBST family has a per-cell knob to turn; other algorithms
-    /// (and overlay engines) return `None`, as does a repair that
-    /// would change nothing (every named cell already exact).
-    pub fn repair_cells(&self, slots: &[u32]) -> Option<Engine> {
-        let index = self.shared.index.repair_cells(slots)?;
-        Some(Engine::from_index(
-            index,
-            self.shared.plan,
-            self.buffers_enabled(),
-        ))
-    }
-
-    /// Wraps a built index with fresh stats / handle sequence /
-    /// per-cell rejection counters. `buffers` seeds the fast-path
-    /// flag: `true` for fresh builds, inherited for derived engines
-    /// (overlays, rebuilds, repairs) so an operator's toggle survives
-    /// epoch swaps.
+    /// Wraps a built index with fresh stats and a fresh handle
+    /// sequence. `buffers` seeds the fast-path flag: `true` for fresh
+    /// builds, inherited for derived engines (overlays, rebuilds) so an
+    /// operator's toggle survives epoch swaps.
     fn from_index(index: Box<dyn EngineIndex>, plan: Option<PlanReport>, buffers: bool) -> Engine {
-        let cells = index.cell_count();
         Engine {
             shared: Arc::new(EngineShared {
                 index,
                 stats: EngineStats::new(),
-                cell_rejections: (cells > 0).then(|| CellRejectionStats::new(cells)),
                 plan,
                 buffers: AtomicBool::new(buffers),
                 handle_seq: AtomicU64::new(0),
@@ -344,7 +320,6 @@ impl Engine {
             cursor: self.shared.index.cursor(),
             rng: SmallRng::seed_from_u64(seed),
             shared: Arc::clone(&self.shared),
-            reject_buf: Vec::new(),
             buffers_armed: false,
         }
     }
@@ -358,14 +333,6 @@ impl Engine {
     /// across every handle — three relaxed loads, no histogram walk.
     pub fn buffer_counters(&self) -> (u64, u64, u64) {
         self.shared.stats.buffer_counters()
-    }
-
-    /// Just `(samples, iterations)` — the rejection-rate pair as two
-    /// relaxed atomic loads, for callers (the epoch re-plan check runs
-    /// per handle acquisition) that must not pay for a full
-    /// histogram-walking [`Engine::stats`] snapshot.
-    pub fn sample_counters(&self) -> (u64, u64) {
-        self.shared.stats.sample_counters()
     }
 
     /// Mean observed nanoseconds per delivered sample across every
@@ -397,18 +364,10 @@ impl Engine {
     }
 
     /// Number of `S`-side cells the index draws from (an overlay
-    /// reports its base's: base draws keep attributing rejections to
-    /// their cells through it).
+    /// reports its base's) — the denominator of the epoch machinery's
+    /// cell-patch budget.
     pub fn cell_count(&self) -> usize {
         self.shared.index.cell_count()
-    }
-
-    /// Snapshot of the per-cell rejection counters (slot → rejected
-    /// iterations attributed to that cell), or `None` when the index
-    /// has no cell structure. The epoch machinery feeds this into
-    /// `planner::repair_candidates` to pick cells for targeted repair.
-    pub fn cell_rejections(&self) -> Option<Vec<u64>> {
-        self.shared.cell_rejections.as_ref().map(|c| c.snapshot())
     }
 
     /// Per-cell sharing tokens of the `S`-side — each cell's grid
@@ -441,8 +400,6 @@ pub struct SamplerHandle {
     cursor: Box<dyn ServingCursor>,
     rng: SmallRng,
     shared: Arc<EngineShared>,
-    /// Reused drain buffer for per-cell rejection records.
-    reject_buf: Vec<u32>,
     /// Whether this handle's cursor currently has its sample buffers
     /// armed (mirrors the engine's flag as of the last batch).
     buffers_armed: bool,
@@ -454,16 +411,6 @@ const _: () = {
 };
 
 impl SamplerHandle {
-    /// Drains the cursor's per-cell rejection records into the shared
-    /// counters (no-op when the index has none; typically 0–1 entries
-    /// per draw).
-    fn flush_cell_rejections(&mut self) {
-        if let Some(cells) = &self.shared.cell_rejections {
-            self.cursor.take_cell_rejections(&mut self.reject_buf);
-            cells.record_all(self.reject_buf.drain(..));
-        }
-    }
-
     /// Draws one uniform join sample.
     pub fn sample_one(&mut self) -> Result<JoinPair, SampleError> {
         srj_obs::trace::event("engine_query", "sample_one");
@@ -475,7 +422,6 @@ impl SamplerHandle {
             Ok(_) => self.shared.stats.record_query(1, iterations, t.elapsed()),
             Err(_) => self.shared.stats.record_error(iterations, t.elapsed()),
         }
-        self.flush_cell_rejections();
         out
     }
 
@@ -494,7 +440,6 @@ impl SamplerHandle {
                 .record_query(out.len() as u64, iterations, start.elapsed()),
             Err(_) => self.shared.stats.record_error(iterations, start.elapsed()),
         }
-        self.flush_cell_rejections();
         res.map(|()| out)
     }
 
@@ -505,11 +450,10 @@ impl SamplerHandle {
     /// contract: a seeded handle's whole draw stream — buffered pops
     /// included — is a pure function of its seed, so two same-seed
     /// requests against the same epoch return identical pairs. For the
-    /// same reason nothing here may consult cross-request state (e.g.
-    /// warm-starting from the shared rejection counters would let one
-    /// request's traffic change the next one's stream); promotion is
-    /// left to the per-handle heat ladder, which a hot cell climbs in
-    /// [`srj_core::PROMOTE_HITS`] draws.
+    /// same reason nothing here may consult cross-request state (one
+    /// request's traffic must never change the next one's stream);
+    /// promotion is left to the per-handle heat ladder, which a hot cell
+    /// climbs in [`srj_core::PROMOTE_HITS`] draws.
     fn arm_buffers(&mut self) {
         let want = self.shared.buffers.load(Ordering::Relaxed);
         if want == self.buffers_armed {
@@ -580,9 +524,8 @@ impl SamplerHandle {
     /// Observed rejection overhead of this handle so far:
     /// `iterations / samples` (the serving-time measurement of the
     /// planner's `Σµ/|J|` estimate; `1.0` means no rejections). `None`
-    /// before the first accepted sample. The epoch machinery re-plans
-    /// on the engine-wide form of this ratio when the estimate was
-    /// wrong ([`crate::planner::replan_for_observed`]).
+    /// before the first accepted sample;
+    /// [`StatsSnapshot::rejection_rate`] is the engine-wide form.
     pub fn rejection_rate(&self) -> Option<f64> {
         let rep = self.cursor.report();
         (rep.samples > 0).then(|| rep.iterations as f64 / rep.samples as f64)
@@ -628,7 +571,6 @@ impl HandleStream<'_> {
             self.batch_iterations = 0;
         }
         self.batch_draw_time = Duration::ZERO;
-        self.handle.flush_cell_rejections();
     }
 }
 

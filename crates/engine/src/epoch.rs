@@ -1,5 +1,5 @@
 //! Epoch-versioned serving over a mutable dataset, with cell-granular
-//! incremental rebuilds and rejection-rate-driven repair/re-planning.
+//! incremental rebuilds.
 //!
 //! An [`EpochEngine`] wraps the immutable-engine machinery in an
 //! atomic-swap cell over a [`DatasetStore`]. Maintenance escalates
@@ -20,15 +20,14 @@
 //!        │ 3. full rebuild    — compact(): purge dead ids, renumber,
 //!        │                      rebuild everything (dirty-cell
 //!        │                      fraction over the patch budget)
-//!        │ 4. cell repair     — per-cell rejection counters name the
-//!        │                      loose cells; re-tighten only those
-//!        │                      (BBST Exact mass) over the shared
-//!        │                      S-side
-//!        │ 5. re-plan         — observed overhead still diverged:
-//!        │                      planner::replan_for_observed picks a
-//!        │                      new algorithm, hot-swapped
 //!        └─ in-flight SamplerHandles pin their epoch via Arc
 //! ```
+//!
+//! Every rung is a function of the **data** — the store's pending
+//! delta — and never of who sampled before: serving traffic changes
+//! nothing in the cell, so same-seed requests against the same epoch
+//! return identical pairs, and an index keeps its build-time `Σµ` for
+//! the whole epoch.
 //!
 //! **Swap semantics.** Handles pin their engine through an `Arc`: a
 //! swap never interrupts an in-flight handle — it finishes (and keeps
@@ -44,20 +43,6 @@
 //! degrade the overlay's acceptance rate and keep `Σµ` inflated, so
 //! delete-heavy deltas rebuild sooner (the rebuild is cell-granular
 //! and therefore cheap), and `Σµ` actually shrinks between rebuilds.
-//!
-//! **Repair and re-planning.** The serving-time rejection overhead
-//! (`iterations / samples`, accumulated across the epoch's overlay
-//! snapshots) is compared against the build-time estimate
-//! `PlanReport::est_overhead`. Past
-//! [`EpochConfig::repair_factor`] × estimate, the per-cell rejection
-//! counters name the loose cells and [`crate::Engine::repair_cells`]
-//! re-tightens only those (sharing the whole S-side); only when no
-//! repair is possible (or it didn't help) does the engine escalate to
-//! [`crate::planner::replan_for_observed`] past
-//! [`EpochConfig::replan_factor`] × estimate and hot-swap the
-//! algorithm. Zero-sample engines never trigger either (the rate
-//! accessors return `None`, not NaN); pinned algorithms may still be
-//! repaired (repair never changes the algorithm) but never re-planned.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -69,11 +54,10 @@ use srj_grid::PointSet;
 use srj_obs::journal::{event, EventKind};
 
 use crate::dataset::{DatasetSnapshot, DatasetStore, StoreCounters};
-use crate::planner::{self, repair_candidates, replan_for_observed};
 use crate::stats::StatsSnapshot;
 use crate::{Algorithm, Engine, SamplerHandle};
 
-/// Knobs for the epoch/patch/repair/re-plan machinery.
+/// Knobs for the epoch/patch machinery.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochConfig {
     /// Major-rebuild threshold: compact and rebuild once pending
@@ -91,27 +75,11 @@ pub struct EpochConfig {
     /// fraction of the S-side cells, and falls back to a full rebuild
     /// (purging dead ids, renumbering) beyond it. Default 0.5.
     pub max_patch_fraction: f64,
-    /// Repair when the observed rejection overhead exceeds the planned
-    /// estimate by this factor (and per-cell counters name loose
-    /// cells). Must not exceed `replan_factor` — repair is the cheaper
-    /// rung. Default 1.5.
-    pub repair_factor: f64,
-    /// Minimum rejections attributed to one cell before it is
-    /// considered loose enough to repair. Default 64.
-    pub repair_min_cell_rejections: u64,
-    /// Re-plan when the observed rejection overhead exceeds the
-    /// planned estimate by this factor. Default 2.0.
-    pub replan_factor: f64,
-    /// Minimum accepted samples (per epoch) before the repair/re-plan
-    /// triggers are considered — avoids deciding on noise. Default
-    /// 1024.
-    pub replan_min_samples: u64,
     /// `R`-shard count for every build (see [`Engine::build_sharded`]).
     /// Default 1.
     pub shards: usize,
-    /// Pinned algorithm, or `None` for planner choice + adaptive
-    /// re-planning (a pinned algorithm is never re-planned away, but
-    /// may still be cell-repaired).
+    /// Pinned algorithm, or `None` for the planner's choice at every
+    /// full build (a patch swap keeps the epoch's algorithm).
     pub algorithm: Option<Algorithm>,
 }
 
@@ -121,10 +89,6 @@ impl Default for EpochConfig {
             rebuild_fraction: 0.25,
             tombstone_rebuild_fraction: 0.125,
             max_patch_fraction: 0.5,
-            repair_factor: 1.5,
-            repair_min_cell_rejections: 64,
-            replan_factor: 2.0,
-            replan_min_samples: 1024,
             shards: 1,
             algorithm: None,
         }
@@ -160,40 +124,13 @@ impl EpochConfig {
         self
     }
 
-    /// Overrides the repair divergence factor.
-    pub fn with_repair_factor(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "repair factor must be >= 1");
-        self.repair_factor = factor;
-        self
-    }
-
-    /// Overrides the per-cell rejection floor for repairs.
-    pub fn with_repair_min_cell_rejections(mut self, rejections: u64) -> Self {
-        self.repair_min_cell_rejections = rejections;
-        self
-    }
-
-    /// Overrides the re-plan divergence factor.
-    pub fn with_replan_factor(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "replan factor must be >= 1");
-        self.replan_factor = factor;
-        self
-    }
-
-    /// Overrides the re-plan warm-up sample count.
-    pub fn with_replan_min_samples(mut self, samples: u64) -> Self {
-        self.replan_min_samples = samples;
-        self
-    }
-
     /// Sets the shard topology.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
 
-    /// Pins the serving algorithm (disables re-planning; repairs stay
-    /// enabled).
+    /// Pins the serving algorithm.
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = Some(algorithm);
         self
@@ -221,24 +158,6 @@ struct EpochState {
     support: Option<Arc<OverlaySupport>>,
     built_epoch: u64,
     built_version: u64,
-    /// The planner's `Σµ/|Ĵ|` estimate for this epoch (`None` after a
-    /// forced/re-planned/patched build — the absolute
-    /// [`planner::MAX_REJECTION_OVERHEAD`] baseline applies then).
-    planned_overhead: f64,
-    has_plan: bool,
-    /// Stats carried over from this epoch's superseded overlay
-    /// snapshots (their engines got fresh counters), so the
-    /// repair/re-plan signals see the whole epoch.
-    acc_samples: u64,
-    acc_iterations: u64,
-    /// Per-cell rejection counters carried over from superseded
-    /// snapshots, parallel to the engine's cell slots.
-    acc_cell_rejections: Vec<u64>,
-    /// Set once a repair attempt could not improve anything (no
-    /// repairable cells left, or the algorithm has no per-cell knob);
-    /// gates the repair rung so the ladder escalates to re-planning
-    /// instead of retrying forever. Reset on every epoch commit.
-    repair_exhausted: bool,
 }
 
 /// A mutually consistent maintenance-state snapshot of an
@@ -259,10 +178,6 @@ pub struct MaintenanceSnapshot {
     pub patch_swaps: u64,
     /// Total `S`-cells rebuilt by patch-based swaps.
     pub cells_patched: u64,
-    /// Targeted cell repairs so far.
-    pub repairs: u64,
-    /// Re-plan hot-swaps so far.
-    pub replans: u64,
     /// Duration of the most recent swap, nanoseconds.
     pub last_swap_ns: u64,
     /// Buffered-draw hits across the cell's history (monotone).
@@ -274,20 +189,8 @@ pub struct MaintenanceSnapshot {
     pub buffer_invalidations: u64,
 }
 
-enum Maintenance {
-    /// Store drifted: refresh the snapshot (minor or major per the
-    /// rebuild thresholds).
-    Drift,
-    /// Loose cells measured: re-tighten exactly these slots.
-    Repair(Vec<u32>),
-    /// Observed rejection overhead diverged beyond repair: hot-swap to
-    /// this algorithm.
-    Replan(Algorithm),
-}
-
 /// Epoch-versioned engine over a [`DatasetStore`]: lazy overlay swaps,
-/// cell-granular patch rebuilds, targeted cell repairs, and
-/// rejection-rate-driven re-planning. See the module docs.
+/// cell-granular patch rebuilds and full rebuilds. See the module docs.
 ///
 /// `Send + Sync`; share one behind an `Arc`. Reads (issuing handles)
 /// take a short read lock; a needed swap is serialised on a
@@ -303,16 +206,12 @@ pub struct EpochEngine {
     major_swaps: AtomicU64,
     patch_swaps: AtomicU64,
     cells_patched: AtomicU64,
-    repairs: AtomicU64,
-    replans: AtomicU64,
     last_swap_ns: AtomicU64,
     /// Whether freshly committed engines serve with the buffered draw
     /// fast path (applied to every engine this cell installs).
     buffers: AtomicBool,
     /// Buffer counters of superseded engines, accumulated at swap time
-    /// so the exposition totals stay monotone across epochs (the
-    /// planner-window accumulators in [`EpochState`] reset on commit;
-    /// these never do).
+    /// so the exposition totals stay monotone across epochs.
     acc_buffer_hits: AtomicU64,
     acc_buffer_refills: AtomicU64,
     acc_buffer_invalidations: AtomicU64,
@@ -334,12 +233,6 @@ impl EpochEngine {
     /// window size `l` — may share one store; each maintains its own
     /// swap cell and refreshes independently.
     pub fn with_store(store: Arc<DatasetStore>, config: &SampleConfig, cfg: EpochConfig) -> Self {
-        assert!(
-            cfg.repair_factor <= cfg.replan_factor,
-            "repair must be the cheaper rung: repair_factor ({}) > replan_factor ({})",
-            cfg.repair_factor,
-            cfg.replan_factor
-        );
         // A full build must never run over a base with dead ids (a
         // sibling engine's incremental compaction may have left some):
         // purge first — the compaction is a no-op otherwise.
@@ -347,8 +240,7 @@ impl EpochEngine {
             let _ = store.compact();
         }
         let snap = store.snapshot();
-        let (base, planned) = Self::build_base(&snap, config, &cfg, cfg.algorithm);
-        let cells = base.cell_count();
+        let base = Self::build_base(&snap, config, &cfg);
         let mut state = EpochState {
             current: base.clone(),
             base,
@@ -356,12 +248,6 @@ impl EpochEngine {
             support: None,
             built_epoch: snap.epoch,
             built_version: snap.version,
-            planned_overhead: planned.unwrap_or(planner::MAX_REJECTION_OVERHEAD),
-            has_plan: planned.is_some(),
-            acc_samples: 0,
-            acc_iterations: 0,
-            acc_cell_rejections: vec![0; cells],
-            repair_exhausted: false,
         };
         if !snap.delta.is_empty() {
             // The store already carried mutations: serve them through
@@ -386,8 +272,6 @@ impl EpochEngine {
             major_swaps: AtomicU64::new(0),
             patch_swaps: AtomicU64::new(0),
             cells_patched: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
-            replans: AtomicU64::new(0),
             last_swap_ns: AtomicU64::new(0),
             buffers: AtomicBool::new(true),
             acc_buffer_hits: AtomicU64::new(0),
@@ -396,26 +280,16 @@ impl EpochEngine {
         }
     }
 
-    fn build_base(
-        snap: &DatasetSnapshot,
-        config: &SampleConfig,
-        cfg: &EpochConfig,
-        forced: Option<Algorithm>,
-    ) -> (Engine, Option<f64>) {
+    /// A full build over `snap`'s base: the pinned algorithm, or the
+    /// planner's choice for this data.
+    fn build_base(snap: &DatasetSnapshot, config: &SampleConfig, cfg: &EpochConfig) -> Engine {
         debug_assert!(
             snap.s_dead.is_empty(),
             "full builds must run over a purged base"
         );
-        match forced {
-            Some(a) => (
-                Engine::build_sharded(&snap.base_r, &snap.base_s, config, a, cfg.shards),
-                None,
-            ),
-            None => {
-                let e = Engine::auto_sharded(&snap.base_r, &snap.base_s, config, cfg.shards);
-                let planned = e.plan().and_then(|p| p.est_overhead);
-                (e, planned)
-            }
+        match cfg.algorithm {
+            Some(a) => Engine::build_sharded(&snap.base_r, &snap.base_s, config, a, cfg.shards),
+            None => Engine::auto_sharded(&snap.base_r, &snap.base_s, config, cfg.shards),
         }
     }
 
@@ -445,8 +319,8 @@ impl EpochEngine {
     }
 
     /// A serving handle over the **current** dataset state (refreshing
-    /// the swap cell first if mutations, a repair, or a re-plan are
-    /// due). The handle pins its epoch: later swaps never interrupt it.
+    /// the swap cell first if the store drifted). The handle pins its
+    /// epoch: later swaps never interrupt it.
     pub fn handle(&self) -> SamplerHandle {
         self.refresh();
         self.state
@@ -467,12 +341,11 @@ impl EpochEngine {
     }
 
     /// [`EpochEngine::handle`] for a caller that must never wait: `None`
-    /// when any maintenance is due (the store drifted, a repair or a
-    /// re-plan is pending), or when a swap holds the state lock or a
-    /// writer the store this instant — instead of running or waiting
-    /// for it. The server's event loop acquires through this and leaves
-    /// every `None` to a worker, so no swap ever runs on the thread
-    /// that owns the sockets.
+    /// when maintenance is due (the store drifted), or when a swap
+    /// holds the state lock or a writer the store this instant —
+    /// instead of running or waiting for it. The server's event loop
+    /// acquires through this and leaves every `None` to a worker, so no
+    /// swap ever runs on the thread that owns the sockets.
     pub fn try_handle(&self) -> Option<SamplerHandle> {
         Some(self.settled()?.handle())
     }
@@ -488,9 +361,7 @@ impl EpochEngine {
     /// to decline, and the maintenance mutex is never touched.
     fn settled(&self) -> Option<Engine> {
         let st = self.state.try_read().ok()?;
-        self.pending_maintenance(&st, self.store.try_counters()?)
-            .is_none()
-            .then(|| st.current.clone())
+        (!Self::pending_maintenance(&st, self.store.try_counters()?)).then(|| st.current.clone())
     }
 
     /// Mean observed nanoseconds per delivered sample of the engine
@@ -528,9 +399,8 @@ impl EpochEngine {
         self.state.read().expect("epoch state poisoned").built_epoch
     }
 
-    /// Statistics of the current engine (per overlay snapshot; see
-    /// [`EpochEngine::observed_rejection_rate`] for the epoch-wide
-    /// signal).
+    /// Statistics of the current engine (per overlay snapshot: every
+    /// swap installs an engine with fresh counters).
     pub fn stats(&self) -> StatsSnapshot {
         self.state
             .read()
@@ -585,43 +455,6 @@ impl EpochEngine {
         invalidated
     }
 
-    /// Epoch-wide observed rejection overhead `iterations / samples`,
-    /// accumulated across the epoch's overlay snapshots. `None` until
-    /// a sample is accepted — zero-sample engines must never feed NaN
-    /// into the repair/re-plan triggers.
-    pub fn observed_rejection_rate(&self) -> Option<f64> {
-        let st = self.state.read().expect("epoch state poisoned");
-        let (cur_samples, cur_iterations) = st.current.sample_counters();
-        let samples = st.acc_samples + cur_samples;
-        let iterations = st.acc_iterations + cur_iterations;
-        (samples > 0).then(|| iterations as f64 / samples as f64)
-    }
-
-    /// The planner's rejection-overhead estimate for this epoch, when
-    /// the epoch was planner-built.
-    pub fn planned_overhead(&self) -> Option<f64> {
-        let st = self.state.read().expect("epoch state poisoned");
-        st.has_plan.then_some(st.planned_overhead)
-    }
-
-    /// Epoch-wide per-cell rejection counters (accumulated across the
-    /// epoch's overlay snapshots), or `None` when the serving index has
-    /// no cell structure.
-    pub fn cell_rejections(&self) -> Option<Vec<u64>> {
-        let st = self.state.read().expect("epoch state poisoned");
-        Self::merged_cell_rejections(&st)
-    }
-
-    fn merged_cell_rejections(st: &EpochState) -> Option<Vec<u64>> {
-        let mut cur = st.current.cell_rejections()?;
-        if cur.len() == st.acc_cell_rejections.len() {
-            for (c, a) in cur.iter_mut().zip(&st.acc_cell_rejections) {
-                *c += a;
-            }
-        }
-        Some(cur)
-    }
-
     /// `Σµ` of the engine currently serving.
     pub fn total_weight(&self) -> f64 {
         self.state
@@ -651,8 +484,6 @@ impl EpochEngine {
             major_swaps: self.major_swaps.load(Ordering::Relaxed),
             patch_swaps: self.patch_swaps.load(Ordering::Relaxed),
             cells_patched: self.cells_patched.load(Ordering::Relaxed),
-            repairs: self.repairs.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
             last_swap_ns: self.last_swap_ns.load(Ordering::Relaxed),
             buffer_hits: self.acc_buffer_hits.load(Ordering::Relaxed) + buf_hits,
             buffer_refills: self.acc_buffer_refills.load(Ordering::Relaxed) + buf_refills,
@@ -666,8 +497,8 @@ impl EpochEngine {
         self.minor_swaps.load(Ordering::Relaxed)
     }
 
-    /// Major swaps so far (epoch rebuilt: threshold, external
-    /// compaction, or re-plan; includes patch-based swaps).
+    /// Major swaps so far (epoch rebuilt: threshold or external
+    /// compaction; includes patch-based swaps).
     pub fn major_swaps(&self) -> u64 {
         self.major_swaps.load(Ordering::Relaxed)
     }
@@ -684,127 +515,44 @@ impl EpochEngine {
         self.cells_patched.load(Ordering::Relaxed)
     }
 
-    /// Targeted cell repairs so far.
-    pub fn repairs(&self) -> u64 {
-        self.repairs.load(Ordering::Relaxed)
-    }
-
-    /// Re-plan hot-swaps so far.
-    pub fn replans(&self) -> u64 {
-        self.replans.load(Ordering::Relaxed)
-    }
-
     /// Duration of the most recent swap (minor, patch, or full).
     pub fn last_swap(&self) -> Duration {
         Duration::from_nanos(self.last_swap_ns.load(Ordering::Relaxed))
     }
 
-    /// What maintenance the cell needs, if any. Ladder order: drift
-    /// first (cheapest correct answer), then repair, then re-plan.
-    fn pending_maintenance(&self, st: &EpochState, store: StoreCounters) -> Option<Maintenance> {
-        if st.built_epoch != store.epoch || st.built_version != store.version {
-            return Some(Maintenance::Drift);
-        }
-        if let Some(slots) = self.repair_target(st) {
-            return Some(Maintenance::Repair(slots));
-        }
-        self.replan_target(st, store).map(Maintenance::Replan)
+    /// Whether the cell trails the store: the one maintenance trigger.
+    fn pending_maintenance(st: &EpochState, store: StoreCounters) -> bool {
+        st.built_epoch != store.epoch || st.built_version != store.version
     }
 
-    /// The epoch-wide `(samples, iterations)` pair (two relaxed loads
-    /// plus the accumulators; runs on every handle acquisition).
-    fn epoch_counters(st: &EpochState) -> (u64, u64) {
-        let (cur_samples, cur_iterations) = st.current.sample_counters();
-        (
-            st.acc_samples + cur_samples,
-            st.acc_iterations + cur_iterations,
-        )
-    }
-
-    /// The loose cells a repair would re-tighten, when the observed
-    /// overhead has diverged past the repair rung and the per-cell
-    /// counters name concrete culprits.
-    fn repair_target(&self, st: &EpochState) -> Option<Vec<u32>> {
-        if st.repair_exhausted || st.current.is_overlay() {
-            // Repairs apply to the epoch base; wait until pending
-            // deltas fold (an overlay's rejections partly come from
-            // tombstone filtering, not loose bounds).
-            return None;
-        }
-        let (samples, iterations) = Self::epoch_counters(st);
-        if samples == 0 || samples < self.cfg.replan_min_samples.max(1) {
-            return None;
-        }
-        let observed = iterations as f64 / samples as f64;
-        if observed <= st.planned_overhead * self.cfg.repair_factor {
-            return None;
-        }
-        let rejections = Self::merged_cell_rejections(st)?;
-        let slots = repair_candidates(&rejections, self.cfg.repair_min_cell_rejections);
-        (!slots.is_empty()).then_some(slots)
-    }
-
-    /// The algorithm a re-plan would switch to, when the observed
-    /// rejection overhead has diverged far enough to justify one and
-    /// the repair rung is spent.
-    fn replan_target(&self, st: &EpochState, store: StoreCounters) -> Option<Algorithm> {
-        if self.cfg.algorithm.is_some() {
-            return None; // pinned
-        }
-        let (samples, iterations) = Self::epoch_counters(st);
-        // Guard: a zero-sample epoch has no observation (the accessors
-        // return None, never NaN) and must not trigger anything.
-        if samples == 0 || samples < self.cfg.replan_min_samples.max(1) {
-            return None;
-        }
-        let observed = iterations as f64 / samples as f64;
-        if observed <= st.planned_overhead * self.cfg.replan_factor {
-            return None;
-        }
-        let (algorithm, _) = replan_for_observed(store.live_r, store.live_s, observed);
-        (algorithm != st.current.algorithm()).then_some(algorithm)
-    }
-
-    /// Brings the swap cell up to date with the store and the
-    /// repair/re-plan signals. Called automatically by
-    /// [`EpochEngine::handle`]; cheap (a few counter loads) when
-    /// nothing is pending.
+    /// Brings the swap cell up to date with the store. Called
+    /// automatically by [`EpochEngine::handle`]; cheap (two counter
+    /// comparisons) when nothing is pending.
     pub fn refresh(&self) {
         {
             let st = self.state.read().expect("epoch state poisoned");
-            if self
-                .pending_maintenance(&st, self.store.counters())
-                .is_none()
-            {
+            if !Self::pending_maintenance(&st, self.store.counters()) {
                 return;
             }
         }
         let _g = self.maintain.lock().expect("maintenance lock poisoned");
         // Re-check under the maintenance lock: another thread may have
         // already performed the swap.
-        let work = {
+        let built_epoch = {
             let st = self.state.read().expect("epoch state poisoned");
-            match self.pending_maintenance(&st, self.store.counters()) {
-                None => return,
-                Some(w) => w,
+            if !Self::pending_maintenance(&st, self.store.counters()) {
+                return;
             }
+            st.built_epoch
         };
         let t0 = Instant::now();
-        match work {
-            Maintenance::Replan(algorithm) => self.major_swap(Some(algorithm), true),
-            Maintenance::Repair(slots) => self.repair_swap(&slots),
-            Maintenance::Drift => {
-                let epoch_changed = self.store.epoch()
-                    != self.state.read().expect("epoch state poisoned").built_epoch;
-                let rebuild = epoch_changed
-                    || self.store.delta_fraction() >= self.cfg.rebuild_fraction
-                    || self.store.tombstone_fraction() >= self.cfg.tombstone_rebuild_fraction;
-                if rebuild {
-                    self.major_swap(self.cfg.algorithm, false);
-                } else {
-                    self.minor_swap();
-                }
-            }
+        let rebuild = self.store.epoch() != built_epoch
+            || self.store.delta_fraction() >= self.cfg.rebuild_fraction
+            || self.store.tombstone_fraction() >= self.cfg.tombstone_rebuild_fraction;
+        if rebuild {
+            self.major_swap();
+        } else {
+            self.minor_swap();
         }
         self.last_swap_ns.store(
             t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
@@ -812,19 +560,17 @@ impl EpochEngine {
         );
     }
 
-    /// Installs a freshly built epoch: base == current, accumulators
-    /// reset, repair rung re-armed. Returns the still-held write
-    /// guard so the caller can bump its swap counters before readers
-    /// (e.g. [`EpochEngine::maintenance_snapshot`]) can observe the
-    /// new state — a stats reader must never pair the new `Σµ` with
-    /// the old counters.
+    /// Installs a freshly built epoch: base == current, no overlay
+    /// support yet. Returns the still-held write guard so the caller
+    /// can bump its swap counters before readers (e.g.
+    /// [`EpochEngine::maintenance_snapshot`]) can observe the new
+    /// state — a stats reader must never pair the new `Σµ` with the old
+    /// counters.
     fn commit_epoch(
         &self,
         engine: Engine,
         snap: &DatasetSnapshot,
-        planned: Option<f64>,
     ) -> std::sync::RwLockWriteGuard<'_, EpochState> {
-        let cells = engine.cell_count();
         engine.set_buffers_enabled(self.buffers_enabled());
         let mut st = self.state.write().expect("epoch state poisoned");
         if !engine.shares_state(&st.current) {
@@ -836,53 +582,39 @@ impl EpochEngine {
         st.support = None;
         st.built_epoch = snap.epoch;
         st.built_version = snap.version;
-        st.planned_overhead = planned.unwrap_or(planner::MAX_REJECTION_OVERHEAD);
-        st.has_plan = planned.is_some();
-        st.acc_samples = 0;
-        st.acc_iterations = 0;
-        st.acc_cell_rejections = vec![0; cells];
-        st.repair_exhausted = false;
         st
     }
 
-    /// Major swap. When the algorithm is kept and the dirty-cell
-    /// fraction fits the patch budget, the store folds **without
-    /// renumbering `S`** ([`DatasetStore::compact_incremental`]) and
-    /// the previous base's `S`-side is patched cell by cell (or
-    /// `Arc`-reused outright when only `R` changed). Otherwise — or
-    /// when a sibling engine compacted the store in between — the store
-    /// fully compacts (purging dead ids) and everything rebuilds.
-    fn major_swap(&self, forced: Option<Algorithm>, is_replan: bool) {
+    /// Major swap. When the dirty-cell fraction fits the patch budget,
+    /// the store folds **without renumbering `S`**
+    /// ([`DatasetStore::compact_incremental`]) and the previous base's
+    /// `S`-side is patched cell by cell (or `Arc`-reused outright when
+    /// only `R` changed). Otherwise — or when a sibling engine compacted
+    /// the store in between — the store fully compacts (purging dead
+    /// ids) and everything rebuilds.
+    fn major_swap(&self) {
         let t0 = Instant::now();
-        let (prev_base, prev_algorithm, prev_base_s) = {
+        let (prev_base, prev_base_s) = {
             let st = self.state.read().expect("epoch state poisoned");
-            (st.base.clone(), st.base.algorithm(), Arc::clone(&st.base_s))
+            (st.base.clone(), Arc::clone(&st.base_s))
         };
-        let keep_algorithm = !is_replan && forced.is_none_or(|a| a == prev_algorithm);
-        if keep_algorithm && self.try_patch_swap(&prev_base, &prev_base_s) {
+        if self.try_patch_swap(&prev_base, &prev_base_s) {
             return;
         }
         // Full path: purge dead ids, renumber, rebuild from scratch.
         let mu_before = prev_base.total_weight();
         let (snap, _) = self.store.compact();
-        let (engine, planned) = Self::build_base(&snap, &self.config, &self.cfg, forced);
+        let engine = Self::build_base(&snap, &self.config, &self.cfg);
         let mu_after = engine.total_weight();
-        let st = self.commit_epoch(engine, &snap, planned);
+        let st = self.commit_epoch(engine, &snap);
         self.major_swaps.fetch_add(1, Ordering::Relaxed);
-        if is_replan {
-            self.replans.fetch_add(1, Ordering::Relaxed);
-        }
         drop(st);
-        event(if is_replan {
-            EventKind::Replan
-        } else {
-            EventKind::FullRebuild
-        })
-        .dataset(self.store.obs_label())
-        .epoch(snap.epoch)
-        .duration_ns(t0.elapsed().as_nanos() as u64)
-        .mu(mu_before, mu_after)
-        .emit();
+        event(EventKind::FullRebuild)
+            .dataset(self.store.obs_label())
+            .epoch(snap.epoch)
+            .duration_ns(t0.elapsed().as_nanos() as u64)
+            .mu(mu_before, mu_after)
+            .emit();
         if self.buffers_enabled() {
             event(EventKind::BufferInvalidate)
                 .dataset(self.store.obs_label())
@@ -958,7 +690,7 @@ impl EpochEngine {
         let mu_before = prev_base.total_weight();
         let mu_after = engine.total_weight();
         let cells_rebuilt = patch_report.as_ref().map_or(0, |rep| rep.cells_rebuilt);
-        let st = self.commit_epoch(engine, &snap, None);
+        let st = self.commit_epoch(engine, &snap);
         self.major_swaps.fetch_add(1, Ordering::Relaxed);
         if let Some(rep) = patch_report {
             self.patch_swaps.fetch_add(1, Ordering::Relaxed);
@@ -982,65 +714,6 @@ impl EpochEngine {
         true
     }
 
-    /// Repair swap: re-tighten exactly the named cells over the fully
-    /// shared `S`-side, swapping the re-bounded engine in place (same
-    /// epoch, fresh observation window). A fruitless attempt retires
-    /// the repair rung for this epoch so the ladder can escalate.
-    fn repair_swap(&self, slots: &[u32]) {
-        let t0 = Instant::now();
-        let current = self
-            .state
-            .read()
-            .expect("epoch state poisoned")
-            .current
-            .clone();
-        match current.repair_cells(slots) {
-            Some(engine) => {
-                let mu_before = current.total_weight();
-                let mu_after = engine.total_weight();
-                let cells = engine.cell_count();
-                engine.set_buffers_enabled(self.buffers_enabled());
-                let mut st = self.state.write().expect("epoch state poisoned");
-                if !engine.shares_state(&st.current) {
-                    self.absorb_buffer_counters(&st.current);
-                }
-                let built_epoch = st.built_epoch;
-                st.base = engine.clone();
-                st.current = engine;
-                st.support = None;
-                // Fresh observation window: the repair changed the
-                // rejection profile, so the old counters no longer
-                // describe the serving engine.
-                st.acc_samples = 0;
-                st.acc_iterations = 0;
-                st.acc_cell_rejections = vec![0; cells];
-                self.repairs.fetch_add(1, Ordering::Relaxed);
-                drop(st);
-                event(EventKind::Repair)
-                    .dataset(self.store.obs_label())
-                    .epoch(built_epoch)
-                    .dirty_cells(slots.len() as u64)
-                    .duration_ns(t0.elapsed().as_nanos() as u64)
-                    .mu(mu_before, mu_after)
-                    .emit();
-                if self.buffers_enabled() {
-                    event(EventKind::BufferInvalidate)
-                        .dataset(self.store.obs_label())
-                        .epoch(built_epoch)
-                        .emit();
-                }
-            }
-            None => {
-                // Nothing to tighten (wrong family, or all named cells
-                // already exact): retire the rung for this epoch.
-                self.state
-                    .write()
-                    .expect("epoch state poisoned")
-                    .repair_exhausted = true;
-            }
-        }
-    }
-
     /// Minor swap: the epoch's overlay support extended by the inserts
     /// it has not chunked yet (`O(batch)`), and a fresh overlay snapshot
     /// over the epoch's unchanged base build and the extended support's
@@ -1055,7 +728,7 @@ impl EpochEngine {
         if snap.epoch != built_epoch {
             // The store was compacted between decision and snapshot
             // (e.g. by a sibling engine sharing the store).
-            return self.major_swap(self.cfg.algorithm, false);
+            return self.major_swap();
         }
         let support = support
             .unwrap_or_else(|| {
@@ -1076,19 +749,6 @@ impl EpochEngine {
         };
         let sources = support.source_count();
         let mut st = self.state.write().expect("epoch state poisoned");
-        // Carry the superseded snapshot's counters into the epoch
-        // accumulators so the repair/re-plan signals keep their
-        // history.
-        let (old_samples, old_iterations) = st.current.sample_counters();
-        st.acc_samples += old_samples;
-        st.acc_iterations += old_iterations;
-        if let Some(old_cells) = st.current.cell_rejections() {
-            if old_cells.len() == st.acc_cell_rejections.len() {
-                for (a, c) in st.acc_cell_rejections.iter_mut().zip(&old_cells) {
-                    *a += c;
-                }
-            }
-        }
         let mu_before = st.current.total_weight();
         let mu_after = engine.total_weight();
         engine.set_buffers_enabled(self.buffers_enabled());
@@ -1371,35 +1031,5 @@ mod tests {
             engine.store().snapshot().base_s.len(),
             engine.store().live_s_len()
         );
-    }
-
-    #[test]
-    fn zero_sample_engines_never_replan() {
-        let r = pseudo_points(30, 41, 30.0);
-        let s = pseudo_points(30, 42, 30.0);
-        let engine = EpochEngine::new(
-            r,
-            s,
-            &SampleConfig::new(4.0),
-            EpochConfig::default().with_replan_min_samples(0),
-        );
-        assert_eq!(engine.observed_rejection_rate(), None);
-        engine.refresh();
-        assert_eq!(engine.replans(), 0);
-        assert_eq!(engine.repairs(), 0);
-    }
-
-    #[test]
-    fn pinned_algorithm_is_never_replanned() {
-        let r = pseudo_points(50, 51, 30.0);
-        let s = pseudo_points(50, 52, 30.0);
-        let cfg = EpochConfig::default()
-            .with_algorithm(Algorithm::KdsRejection)
-            .with_replan_min_samples(1);
-        let engine = EpochEngine::new(r, s, &SampleConfig::new(4.0), cfg);
-        engine.handle_seeded(1).sample(200).unwrap();
-        engine.refresh();
-        assert_eq!(engine.algorithm(), Algorithm::KdsRejection);
-        assert_eq!(engine.replans(), 0);
     }
 }

@@ -69,12 +69,6 @@ trait Family: SamplerIndex + Sized + 'static {
     ) -> Option<Self> {
         None
     }
-
-    /// The index with the named cells re-tightened to exact bounds, for
-    /// the family that has loose ones.
-    fn with_exact_cells(&self, _slots: &[u32]) -> Option<Self> {
-        None
-    }
 }
 
 impl Family for KdsIndex {
@@ -224,10 +218,6 @@ impl Family for BbstIndex {
             donated.build_time,
         ))
     }
-
-    fn with_exact_cells(&self, slots: &[u32]) -> Option<Self> {
-        BbstIndex::with_exact_cells(self, slots)
-    }
 }
 
 /// Builds the index for `algorithm` over `shards` shards of `r`
@@ -314,7 +304,6 @@ pub(crate) trait EngineIndex: Send + Sync {
         inserted_s: &[Point],
         deleted_s: &HashSet<PointId>,
     ) -> Option<(Box<dyn EngineIndex>, CellPatchReport)>;
-    fn repair_cells(&self, slots: &[u32]) -> Option<Box<dyn EngineIndex>>;
     fn s_cell_tokens(&self) -> Option<CellTokens>;
     fn s_point_set(&self) -> Option<Arc<PointSet>>;
 }
@@ -425,13 +414,6 @@ impl<F: Family> EngineIndex for Built<F> {
         let report = PhaseReport::default();
         let index = build_shards::<F>(r, &s_side, config, full.shard_count(), report);
         Some((Built::full(index), patched))
-    }
-
-    fn repair_cells(&self, slots: &[u32]) -> Option<Box<dyn EngineIndex>> {
-        let repaired = self
-            .structure()?
-            .try_map_shards(|shard| shard.with_exact_cells(slots))?;
-        Some(Built::full(repaired))
     }
 
     fn s_cell_tokens(&self) -> Option<CellTokens> {

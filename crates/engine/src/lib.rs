@@ -76,15 +76,13 @@
 //! uniformity-preserving; each one extends the last by its own batch
 //! of inserts and shares the rest) between rebuilds, epoch swaps
 //! (reusing the `Arc`-shared `S`-side when only `R` changed) once the
-//! pending delta crosses a threshold, and a
-//! re-plan hot-swap when the *observed* rejection overhead diverges
-//! from the planner's estimate. In-flight handles pin their epoch.
+//! pending delta crosses a threshold. In-flight handles pin their epoch.
 //!
 //! ## Statistics ([`Engine::stats`])
 //!
 //! Queries served, samples drawn, sampling iterations (rejections
 //! included — `StatsSnapshot::rejection_rate` is the serving-time
-//! `Σµ/|J|` feedback signal), errors, and mean/p50/p99 per-query
+//! measurement of `Σµ/|J|`), errors, and mean/p50/p99 per-query
 //! latency from a log₂-bucketed histogram — all relaxed atomics, no
 //! locks on the serving path.
 
@@ -103,7 +101,7 @@ pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
 pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot};
 pub use planner::PlanReport;
 pub use shard::ShardedIndex;
-pub use stats::{CellRejectionStats, EngineStats, StatsSnapshot};
+pub use stats::{EngineStats, StatsSnapshot};
 
 #[cfg(test)]
 mod tests {

@@ -194,101 +194,9 @@ pub(crate) fn plan(
     (report, Some(donated))
 }
 
-/// Re-plans from a **serving-time** observation instead of a build-time
-/// estimate: the feedback half of the adaptive planner.
-///
-/// `observed_overhead` is the measured `iterations / samples` of the
-/// running engine (`SamplerHandle::rejection_rate` /
-/// `StatsSnapshot::rejection_rate`) — the ground truth the build-time
-/// `Σµ/|Ĵ|` estimate tried to predict. The decision rules are the same
-/// as `plan`'s, with the observation replacing the estimate:
-///
-/// 1. `n·√m ≤` [`KDS_COST_BUDGET`] → **KDS**;
-/// 2. observed overhead within [`MAX_REJECTION_OVERHEAD`] →
-///    **KDS-rejection**;
-/// 3. otherwise → **BBST** (per-sample cost insensitive to the
-///    overhead).
-///
-/// `EpochEngine` calls this when the observation diverges from
-/// `PlanReport::est_overhead` and hot-swaps the algorithm through its
-/// epoch mechanism if the answer differs from the running one.
-pub fn replan_for_observed(
-    n: usize,
-    m: usize,
-    observed_overhead: f64,
-) -> (Algorithm, &'static str) {
-    if (n as f64) * (m as f64).sqrt() <= KDS_COST_BUDGET {
-        (
-            Algorithm::Kds,
-            "n·√m below the exact-counting budget: KDS's zero-rejection \
-             sampling wins regardless of the observed overhead",
-        )
-    } else if observed_overhead <= MAX_REJECTION_OVERHEAD {
-        (
-            Algorithm::KdsRejection,
-            "observed rejection overhead within budget: rejection \
-             sampling's cheap build wins",
-        )
-    } else {
-        (
-            Algorithm::Bbst,
-            "observed rejection overhead over budget: BBST's bounded \
-             per-sample cost beats rejection's measured retries",
-        )
-    }
-}
-
-/// How many loose cells one repair pass will re-tighten at most — a
-/// repair pays one UB pass regardless, so repairing a handful of the
-/// worst offenders per pass keeps each decision measurable.
-pub const MAX_REPAIR_CELLS: usize = 32;
-
-/// Picks the cells a targeted repair should re-tighten from the
-/// measured per-cell rejection counters: every slot with at least
-/// `min_rejections` attributed rejections, worst first, capped at
-/// [`MAX_REPAIR_CELLS`]. Empty when no cell clears the floor — the
-/// caller escalates to [`replan_for_observed`] then.
-pub fn repair_candidates(cell_rejections: &[u64], min_rejections: u64) -> Vec<u32> {
-    let mut slots: Vec<u32> = cell_rejections
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c >= min_rejections.max(1))
-        .map(|(i, _)| i as u32)
-        .collect();
-    slots.sort_unstable_by_key(|&i| std::cmp::Reverse(cell_rejections[i as usize]));
-    slots.truncate(MAX_REPAIR_CELLS);
-    slots
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn repair_candidates_are_floored_ranked_and_capped() {
-        let mut rejections = vec![0u64; 100];
-        rejections[7] = 500;
-        rejections[3] = 900;
-        rejections[42] = 10;
-        assert_eq!(repair_candidates(&rejections, 64), vec![3, 7]);
-        assert_eq!(repair_candidates(&rejections, 5), vec![3, 7, 42]);
-        assert!(repair_candidates(&rejections, 1_000).is_empty());
-        // a zero floor still requires at least one rejection
-        assert_eq!(repair_candidates(&rejections, 0).len(), 3);
-        // cap
-        let many = vec![100u64; 200];
-        assert_eq!(repair_candidates(&many, 1).len(), MAX_REPAIR_CELLS);
-    }
-
-    #[test]
-    fn replan_follows_the_observed_overhead() {
-        // big enough to clear the KDS budget
-        let (n, m) = (100_000, 100_000);
-        assert_eq!(replan_for_observed(n, m, 1.5).0, Algorithm::KdsRejection);
-        assert_eq!(replan_for_observed(n, m, 40.0).0, Algorithm::Bbst);
-        // tiny input: KDS regardless of the observation
-        assert_eq!(replan_for_observed(50, 50, 40.0).0, Algorithm::Kds);
-    }
 
     #[test]
     fn tiny_input_picks_kds() {

@@ -188,22 +188,6 @@ impl<I: SamplerIndex> ShardedIndex<I> {
             .as_ref()
             .map_or_else(|| self.shards[0].total_weight(), AliasTable::total_weight)
     }
-
-    /// Rebuilds every shard through `f` — preserving the shard layout
-    /// and re-deriving the top-level alias — or returns `None` if `f`
-    /// returns `None` for any shard. Used by the per-cell repair path:
-    /// each shard re-tightens the same cells against the one shared
-    /// `S`-side, so `f` is cheap (`O(n_i log m)` per shard) and the
-    /// offsets never change.
-    pub fn try_map_shards(&self, f: impl Fn(&I) -> Option<I>) -> Option<Self> {
-        let shards: Option<Vec<Arc<I>>> = self.shards.iter().map(|s| f(s).map(Arc::new)).collect();
-        let shards = shards?;
-        let build_report = match shards.as_slice() {
-            [only] => only.index_build_report(),
-            _ => self.build_report,
-        };
-        Some(Self::assemble(shards, self.offsets.clone(), build_report))
-    }
 }
 
 impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
@@ -260,14 +244,8 @@ impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
     }
 
     fn cell_count(&self) -> usize {
-        // All shards draw from the one shared S-side, so their cell
-        // slots coincide; rejections from any shard feed one counter
-        // set.
+        // All shards draw from the one shared S-side.
         self.shards[0].cell_count()
-    }
-
-    fn drain_cell_rejections(scratch: &mut Self::Scratch, out: &mut Vec<u32>) {
-        I::drain_cell_rejections(scratch, out);
     }
 
     fn set_buffers(scratch: &mut Self::Scratch, enabled: bool) {

@@ -10,7 +10,6 @@
 //! (bucket-resolution accurate, i.e. within a factor of 2, which is
 //! the standard trade-off for serving-side p99 tracking).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use srj_obs::{Counter, Histogram};
@@ -50,14 +49,6 @@ impl EngineStats {
     pub fn record_error(&self, iterations: u64, latency: Duration) {
         self.errors.inc();
         self.record_query(0, iterations, latency);
-    }
-
-    /// Just `(samples, iterations)` as two relaxed loads — the
-    /// rejection-rate feedback pair, cheap enough for a per-request
-    /// check (a full [`EngineStats::snapshot`] walks the latency
-    /// histogram and computes quantiles).
-    pub fn sample_counters(&self) -> (u64, u64) {
-        (self.samples.get(), self.iterations.get())
     }
 
     /// Mean observed cost of one delivered sample, nanoseconds: the
@@ -119,58 +110,6 @@ impl EngineStats {
     }
 }
 
-/// Shared, lock-free per-`S`-cell rejection counters — the
-/// per-region feedback signal behind targeted cell repairs. One slot
-/// per grid cell of the engine's `S`-side; handles drain their
-/// cursors' rejection records here with relaxed adds, so the hot path
-/// stays lock-free.
-#[derive(Debug)]
-pub struct CellRejectionStats {
-    counters: Vec<AtomicU64>,
-}
-
-impl CellRejectionStats {
-    /// Zeroed counters for `cells` cell slots.
-    pub fn new(cells: usize) -> Self {
-        CellRejectionStats {
-            counters: (0..cells).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Number of cell slots tracked.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Whether any slots are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// Records one rejected iteration attributed to `slot` (ignores
-    /// out-of-range slots defensively).
-    pub fn record(&self, slot: u32) {
-        if let Some(c) = self.counters.get(slot as usize) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a drained batch of per-rejection slot entries.
-    pub fn record_all(&self, slots: impl Iterator<Item = u32>) {
-        for slot in slots {
-            self.record(slot);
-        }
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.counters
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
 /// A point-in-time view of an engine's aggregate statistics.
 #[derive(Clone, Copy, Debug)]
 pub struct StatsSnapshot {
@@ -204,10 +143,8 @@ impl StatsSnapshot {
     /// `iterations / samples` — the serving-time measurement of the
     /// planner's `Σµ/|J|` estimate (`1.0` = no rejections). `0.0` on
     /// a freshly built engine (no division by a zero sample count —
-    /// never NaN). Re-plan triggers that must distinguish "no signal
-    /// yet" from a real rate use
-    /// [`crate::EpochEngine::observed_rejection_rate`], which stays
-    /// `Option`-valued.
+    /// never NaN); [`crate::SamplerHandle::rejection_rate`] is the
+    /// `Option`-valued per-handle form.
     pub fn rejection_rate(&self) -> f64 {
         if self.samples == 0 {
             0.0

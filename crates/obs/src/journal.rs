@@ -1,12 +1,11 @@
 //! A bounded in-memory lifecycle event log.
 //!
 //! Every maintenance action in the serving stack — epoch swaps, cell
-//! patches, targeted repairs, re-plans, dataset compactions, and
-//! backpressure parks — emits one structured [`LifecycleEvent`] into
-//! the process-global [`journal`]. Sequence numbers and timestamps
-//! are assigned under the journal lock, so within the journal both
-//! are strictly monotone: event order *is* causal order as observed
-//! at emission.
+//! patches, dataset compactions, and backpressure parks — emits one
+//! structured [`LifecycleEvent`] into the process-global [`journal`].
+//! Sequence numbers and timestamps are assigned under the journal
+//! lock, so within the journal both are strictly monotone: event order
+//! *is* causal order as observed at emission.
 //!
 //! The journal is bounded (oldest events drop first) and these are
 //! rare control-plane actions, so a `Mutex` is fine — nothing here
@@ -32,10 +31,6 @@ pub enum EventKind {
     CellPatch,
     /// Rung 3: major swap that rebuilt the whole index.
     FullRebuild,
-    /// Rung 4: targeted per-cell repair.
-    Repair,
-    /// Rung 5: algorithm re-plan from observed rejection feedback.
-    Replan,
     /// A dataset store folded its delta into a fresh base snapshot.
     Compaction,
     /// A connection's send queue filled and parked its in-flight
@@ -66,8 +61,6 @@ impl EventKind {
             EventKind::MinorSwap => "minor_swap",
             EventKind::CellPatch => "cell_patch",
             EventKind::FullRebuild => "full_rebuild",
-            EventKind::Repair => "repair",
-            EventKind::Replan => "replan",
             EventKind::Compaction => "compaction",
             EventKind::BackpressurePark => "backpressure_park",
             EventKind::LoadShed => "load_shed",
@@ -101,7 +94,7 @@ pub struct LifecycleEvent {
     pub label: Option<String>,
     /// Dataset/store epoch after the action.
     pub epoch: u64,
-    /// Cells rebuilt or repaired (0 when not applicable).
+    /// Cells rebuilt (0 when not applicable).
     pub dirty_cells: u64,
     /// Wall time the action took, nanoseconds.
     pub duration_ns: u64,
@@ -200,7 +193,7 @@ impl EventBuilder {
         self
     }
 
-    /// Cells rebuilt or repaired.
+    /// Cells rebuilt.
     pub fn dirty_cells(mut self, cells: u64) -> Self {
         self.dirty_cells = cells;
         self
@@ -355,7 +348,7 @@ mod tests {
             .epoch(2)
             .dirty_cells(3)
             .emit();
-        event(EventKind::Repair).dataset(Some(902)).emit();
+        event(EventKind::FullRebuild).dataset(Some(902)).emit();
         let events = journal().for_dataset(901);
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, EventKind::MinorSwap);
@@ -371,7 +364,7 @@ mod tests {
         let e = LifecycleEvent {
             seq: 5,
             ns: 123,
-            kind: EventKind::Replan,
+            kind: EventKind::FullRebuild,
             dataset: Some(7),
             label: None,
             epoch: 2,
@@ -384,7 +377,7 @@ mod tests {
         };
         assert_eq!(
             e.to_json(),
-            "{\"seq\":5,\"ns\":123,\"kind\":\"replan\",\"dataset\":7,\
+            "{\"seq\":5,\"ns\":123,\"kind\":\"full_rebuild\",\"dataset\":7,\
              \"label\":null,\"epoch\":2,\"dirty_cells\":0,\
              \"duration_ns\":456,\"mu_before\":10.5,\"mu_after\":9,\
              \"pending_ops\":768,\"sources\":4}"

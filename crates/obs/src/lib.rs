@@ -16,10 +16,10 @@
 //!   ring buffers. When tracing is disabled (the default) the
 //!   per-event cost is one relaxed load and a branch.
 //! * [`mod@journal`] — a bounded in-memory **lifecycle event log**. Epoch
-//!   swaps, cell patches, repairs, re-plans, compactions, and
-//!   backpressure parks emit a structured [`LifecycleEvent`]
-//!   (dataset, epoch, rung, dirty cells, duration, Σµ before/after)
-//!   with process-monotone sequence numbers and timestamps.
+//!   swaps, cell patches, compactions, and backpressure parks emit a
+//!   structured [`LifecycleEvent`] (dataset, epoch, rung, dirty cells,
+//!   duration, Σµ before/after) with process-monotone sequence numbers
+//!   and timestamps.
 //!
 //! On top of the live layer sit the history-and-analysis pieces:
 //!

@@ -566,8 +566,8 @@ mod tests {
         // resolve to the same series — otherwise two call sites would
         // silently double-register and split their counts.
         let reg = Registry::new();
-        let a = reg.counter("srj_m", &[("dataset", "7"), ("rung", "repair")]);
-        let b = reg.counter("srj_m", &[("rung", "repair"), ("dataset", "7")]);
+        let a = reg.counter("srj_m", &[("dataset", "7"), ("rung", "cell_patch")]);
+        let b = reg.counter("srj_m", &[("rung", "cell_patch"), ("dataset", "7")]);
         a.add(2);
         b.add(3);
         assert_eq!(a.get(), 5);
@@ -575,12 +575,12 @@ mod tests {
         // Exactly one rendered sample line carries the merged total.
         let text = reg.render();
         assert!(
-            text.contains("srj_m{dataset=\"7\",rung=\"repair\"} 5"),
+            text.contains("srj_m{dataset=\"7\",rung=\"cell_patch\"} 5"),
             "{text}"
         );
         assert_eq!(text.matches("srj_m{").count(), 1, "{text}");
         // Different label *values* stay distinct series.
-        let c = reg.counter("srj_m", &[("rung", "replan"), ("dataset", "7")]);
+        let c = reg.counter("srj_m", &[("rung", "full_rebuild"), ("dataset", "7")]);
         c.inc();
         assert_eq!(a.get(), 5);
         assert_eq!(c.get(), 1);

@@ -23,8 +23,7 @@ use srj_server::{DatasetRegistry, Server, ServerConfig};
 const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-frames N]
                  [--batch-pairs N] [--cache N]
                  [--rebuild-fraction F] [--tombstone-rebuild-fraction F]
-                 [--max-patch-fraction F] [--repair-factor F] [--replan-factor F]
-                 [--trace-sample-rate F] [--log-json]
+                 [--max-patch-fraction F] [--trace-sample-rate F] [--log-json]
                  [--handshake-timeout-ms N] [--read-timeout-ms N]
                  [--write-timeout-ms N] [--idle-timeout-ms N]
                  [--rate-limit-rps N] [--mutation-rate-limit-rps N]
@@ -47,10 +46,10 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
   --buffers: arm the engines' pre-drawn per-cell sample buffers
       (default on)
   --health-window-ms: how long /healthz stays degraded after the last
-               shed/reap/reject/replan signal (default 5000)
-  --log-json: print every lifecycle event (swaps, patches, repairs,
-              re-plans, compactions, backpressure parks, load sheds,
-              reaped connections) to stderr as one JSON object per line
+               shed/reap/reject signal (default 5000)
+  --log-json: print every lifecycle event (swaps, patches, compactions,
+              backpressure parks, load sheds, reaped connections) to
+              stderr as one JSON object per line
   --handshake/read/write/idle-timeout-ms: connection deadlines
               (0 disables; defaults 10000/30000/30000/300000)
   --rate-limit-rps / --mutation-rate-limit-rps: per-connection token
@@ -185,15 +184,6 @@ fn main() {
                 }
                 config.epoch = config.epoch.with_rebuild_fraction(f);
             }
-            "--replan-factor" => {
-                let f: f64 = value(&args, &mut i, "--replan-factor")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--replan-factor takes a float"));
-                if f.is_nan() || f < 1.0 {
-                    fail("--replan-factor must be >= 1");
-                }
-                config.epoch = config.epoch.with_replan_factor(f);
-            }
             "--tombstone-rebuild-fraction" => {
                 let f: f64 = value(&args, &mut i, "--tombstone-rebuild-fraction")
                     .parse()
@@ -211,15 +201,6 @@ fn main() {
                     fail("--max-patch-fraction must be in [0, 1]");
                 }
                 config.epoch = config.epoch.with_max_patch_fraction(f);
-            }
-            "--repair-factor" => {
-                let f: f64 = value(&args, &mut i, "--repair-factor")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--repair-factor takes a float"));
-                if f.is_nan() || f < 1.0 {
-                    fail("--repair-factor must be >= 1");
-                }
-                config.epoch = config.epoch.with_repair_factor(f);
             }
             "--trace-sample-rate" => {
                 let f: f64 = value(&args, &mut i, "--trace-sample-rate")
@@ -320,9 +301,6 @@ fn main() {
             "--help" | "-h" => fail("srj-serve"),
             other => fail(&format!("unknown flag {other}")),
         }
-    }
-    if config.epoch.repair_factor > config.epoch.replan_factor {
-        fail("--repair-factor must not exceed --replan-factor");
     }
     if registry.is_empty() {
         register_generated(&mut registry, "1=uniform:0.05");

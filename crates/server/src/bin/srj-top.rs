@@ -332,7 +332,7 @@ fn render(
         println!("{util}");
     }
     println!(
-        "{:>8} {:>9} {:>11} {:>7} {:>9} {:>9} {:>9} {:>7} {:>20} {:>16}",
+        "{:>8} {:>9} {:>11} {:>7} {:>9} {:>9} {:>9} {:>7} {:>14} {:>16}",
         "dataset",
         "req/s",
         "samples/s",
@@ -341,7 +341,7 @@ fn render(
         "~p50",
         "~p99",
         "rej",
-        "rungs m/c/f/r/p",
+        "rungs m/c/f",
         "buf h/r/i"
     );
     let dt_s = dt.as_secs_f64().max(1e-9);
@@ -358,7 +358,7 @@ fn render(
         let p99 = bucket_quantile(&row.latency_buckets, 0.99);
         let rung = |name: &str| row.rungs.get(name).copied().unwrap_or(0.0) as u64;
         println!(
-            "{:>8} {:>9.1} {:>11.0} {:>7.0} {:>9} {:>9} {:>9} {:>7.2} {:>20} {:>16}",
+            "{:>8} {:>9.1} {:>11.0} {:>7.0} {:>9} {:>9} {:>9} {:>7.2} {:>14} {:>16}",
             id,
             req_rate,
             sample_rate,
@@ -368,12 +368,10 @@ fn render(
             fmt_ns(p99),
             row.rejection_rate,
             format!(
-                "{}/{}/{}/{}/{}",
+                "{}/{}/{}",
                 rung("minor_swap"),
                 rung("cell_patch"),
-                rung("full_rebuild"),
-                rung("repair"),
-                rung("replan")
+                rung("full_rebuild")
             ),
             format!(
                 "{:.0}/{:.0}/{:.0}",

@@ -8,7 +8,7 @@
 //!   binary `METRICS` frame).
 //! * `/healthz` — readiness JSON; `200` when ready, `503` while the
 //!   server is inside a degraded incident window (recent shedding,
-//!   reaping, handshake rejects, or re-planning).
+//!   reaping or handshake rejects).
 //! * `/vars` — JSON snapshot: every metric, recent time-series
 //!   rollups, and the slow-log tail.
 //!

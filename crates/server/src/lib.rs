@@ -29,9 +29,9 @@
 //!   dataset's point store; every serving engine is an
 //!   [`srj_engine::EpochEngine`] that folds pending deltas in on its
 //!   next handle acquisition (overlay snapshots between rebuilds,
-//!   epoch swaps past the rebuild threshold, rejection-rate-driven
-//!   re-planning) — in-flight requests keep streaming their pinned
-//!   epoch; the `EPOCH` frame exposes the epoch/version counters;
+//!   epoch swaps past the rebuild threshold) — in-flight requests keep
+//!   streaming their pinned epoch; the `EPOCH` frame exposes the
+//!   epoch/version counters;
 //! * **graceful shutdown**: a control signal (API call or `SHUTDOWN`
 //!   frame) stops the acceptor, closes every connection, and joins
 //!   every spawned thread;
@@ -49,9 +49,9 @@
 //! Binaries: `srj-serve` (register datasets, serve) and `srj-top` (live
 //! metrics dashboard with a server-health line). Throughput and latency
 //! are measured by the repository's one benchmark (`benchmark/`). See
-//! the README's "Network serving" and "Dynamic updates & re-planning"
-//! sections for the quickstart and `examples/network_serving.rs` for
-//! the in-process version.
+//! the README's "Network serving" and "Dynamic updates" sections for
+//! the quickstart and `examples/network_serving.rs` for the in-process
+//! version.
 
 pub mod client;
 mod event_loop;
@@ -199,15 +199,15 @@ mod tests {
         ] {
             assert!(text.contains(required), "missing {required:?} in:\n{text}");
         }
-        for rung in [
-            "minor_swap",
-            "cell_patch",
-            "full_rebuild",
-            "repair",
-            "replan",
-        ] {
+        for rung in ["minor_swap", "cell_patch", "full_rebuild"] {
             let series = format!("srj_maintenance_total{{dataset=\"9\",rung=\"{rung}\"}}");
             assert!(text.contains(&series), "missing {series:?} in:\n{text}");
+        }
+        // The ladder has exactly those rungs: nothing serving traffic
+        // could trigger is exposed.
+        assert_eq!(text.matches("srj_maintenance_total{").count(), 3, "{text}");
+        for retired in ["repair", "replan"] {
+            assert!(!text.contains(retired), "{retired:?} in:\n{text}");
         }
 
         let spans = client.trace(outcome.stats.trace_id).unwrap();
@@ -372,6 +372,7 @@ mod tests {
         let health = http_get(http, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
         assert!(health.contains("\"status\":\"ready\""), "{health}");
+        assert!(!health.contains("replans"), "{health}");
 
         assert!(http_get(http, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n").starts_with("HTTP/1.1 404"));
         assert!(

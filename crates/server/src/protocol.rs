@@ -25,7 +25,9 @@
 //!                  STATS   { queries, samples, iterations, errors,
 //!                            mean_ns, p50_ns, p99_ns, engines_cached,
 //!                            cache_hits, cache_misses,
-//!                            connections_accepted, active_connections }
+//!                            connections_accepted, active_connections,
+//!                            patch_swaps, cells_patched, last_swap_ns,
+//!                            mu_total }
 //!                  UPDATE  { req_id, status, first_id, applied, epoch, version }
 //!                  EPOCH   { req_id, status, epoch, version, live_r, live_s,
 //!                            pending_ops, last_swap_ns }
@@ -78,8 +80,9 @@ pub const MAX_FRAME_LEN: usize = 1 << 22; // 4 MiB
 
 /// The protocol version this build speaks, carried in `HELLO` and
 /// `WELCOME`. A server rejects any other version with a clean `ERROR`
-/// frame — never a hang or a silently-garbled stream.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// frame — never a hang or a silently-garbled stream. Bumped whenever
+/// a frame's layout changes (2: `STATS` is sixteen words).
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Feature bit: the peer answers `PING` with `PONG`.
 pub const FEAT_KEEPALIVE: u32 = 1 << 0;
@@ -327,8 +330,6 @@ pub struct ServerStatsFrame {
     /// `Arc`-shared across the swap and cost nothing), summed over
     /// every serving engine.
     pub cells_patched: u64,
-    /// Targeted per-cell repairs, summed over every serving engine.
-    pub repairs: u64,
     /// Duration of the most recent epoch swap, nanoseconds (maximum
     /// across all serving engines) — the epoch-swap-cost signal.
     pub last_swap_ns: u64,
@@ -962,7 +963,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 s.active_connections,
                 s.patch_swaps,
                 s.cells_patched,
-                s.repairs,
                 s.last_swap_ns,
                 // Canonicalize: a non-finite Σµ (which a healthy
                 // server never produces) must not leak arbitrary NaN
@@ -1099,7 +1099,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             }
         }
         OP_SERVER_STATS => {
-            let mut vals = [0u64; 17];
+            let mut vals = [0u64; 16];
             for v in &mut vals {
                 *v = p.u64()?;
             }
@@ -1118,10 +1118,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
                 active_connections: vals[11],
                 patch_swaps: vals[12],
                 cells_patched: vals[13],
-                repairs: vals[14],
-                last_swap_ns: vals[15],
+                last_swap_ns: vals[14],
                 mu_total: {
-                    let mu = f64::from_bits(vals[16]);
+                    let mu = f64::from_bits(vals[15]);
                     if !mu.is_finite() {
                         return Err(ProtocolError::Malformed("non-finite mu_total"));
                     }
@@ -1705,8 +1704,7 @@ mod tests {
             active_connections: 12,
             patch_swaps: 13,
             cells_patched: 14,
-            repairs: 15,
-            last_swap_ns: 16,
+            last_swap_ns: 15,
             mu_total: 1234.5,
         }));
     }
@@ -1714,9 +1712,12 @@ mod tests {
     #[test]
     fn truncated_stats_frame_is_rejected() {
         let frame = encode_response(&Response::ServerStats(ServerStatsFrame::default()));
-        // Drop the trailing mu_total field: the old 12-counter layout
-        // must no longer parse.
+        // Drop the trailing mu_total field: a shorter layout must not
+        // parse — nor may version 1's seventeen words.
         assert!(decode_response(&frame[4..frame.len() - 8]).is_err());
+        let mut v1 = frame[4..].to_vec();
+        v1.extend_from_slice(&[0; 8]);
+        assert!(decode_response(&v1).is_err());
     }
 
     #[test]

@@ -40,8 +40,9 @@
 //!
 //! 1. the engine for `(dataset, l, shards, algorithm)` is already
 //!    cached (the loop never builds);
-//! 2. that engine has no maintenance due — drift, repair, re-plan —
-//!    so no swap can run on the loop (`EpochEngine::try_handle_seeded`);
+//! 2. that engine has no maintenance due — the store has not drifted
+//!    — so no swap can run on the loop
+//!    (`EpochEngine::try_handle_seeded`);
 //! 3. `t ×` the engine's observed ns/sample fits
 //!    `exec::INLINE_BUDGET_NS` (no observation yet ⇒ not eligible),
 //!    and the answer fits the connection's response queue;
@@ -136,9 +137,9 @@ pub struct ServerConfig {
     /// `SampleConfig::build_threads` for engine builds triggered by
     /// cache misses. Default 0 (all cores).
     pub build_threads: usize,
-    /// Epoch/re-plan knobs for every served dataset (rebuild
-    /// threshold, re-plan divergence factor; the per-request shard
-    /// count and forced algorithm override the corresponding fields).
+    /// Epoch knobs for every served dataset (the rebuild thresholds
+    /// and the patch budget; the per-request shard count and forced
+    /// algorithm override the corresponding fields).
     pub epoch: EpochConfig,
     /// Fraction of `SAMPLE` requests that get a trace id and record
     /// spans ([`srj_obs::trace`]). `0.0` (default) disables tracing —
@@ -204,9 +205,8 @@ pub struct ServerConfig {
     /// into `srj_worker_state_samples_total{state=...}`. Default true.
     pub profiler: bool,
     /// `/healthz` reports `degraded` while the most recent distress
-    /// signal (load shed, connection reap, handshake reject, engine
-    /// re-plan) is younger than this window, milliseconds. Default
-    /// 5000.
+    /// signal (load shed, connection reap, handshake reject) is
+    /// younger than this window, milliseconds. Default 5000.
     pub health_degraded_window_ms: u64,
     /// Whether the engines arm their pre-drawn per-cell sample buffers
     /// ([`srj_engine::Engine::set_buffers_enabled`]). Every `SAMPLE`
@@ -374,13 +374,11 @@ impl ServedDataset {
     }
 
     /// Cell-maintenance counters aggregated over this dataset's
-    /// engines: `(patch_swaps, cells_patched, repairs, max last_swap_ns,
-    /// Σµ)`.
-    fn cell_stats(&self) -> (u64, u64, u64, u64, f64) {
+    /// engines: `(patch_swaps, cells_patched, max last_swap_ns, Σµ)`.
+    fn cell_stats(&self) -> (u64, u64, u64, f64) {
         let engines = self.engines.lock().expect("engine map poisoned");
         let mut patch_swaps = 0u64;
         let mut cells_patched = 0u64;
-        let mut repairs = 0u64;
         let mut last_swap_ns = 0u64;
         let mut mu_total = 0.0f64;
         for (_, e) in engines.iter() {
@@ -390,11 +388,10 @@ impl ServedDataset {
             let s = e.maintenance_snapshot();
             patch_swaps += s.patch_swaps;
             cells_patched += s.cells_patched;
-            repairs += s.repairs;
             last_swap_ns = last_swap_ns.max(s.last_swap_ns);
             mu_total += s.mu_total;
         }
-        (patch_swaps, cells_patched, repairs, last_swap_ns, mu_total)
+        (patch_swaps, cells_patched, last_swap_ns, mu_total)
     }
 
     /// Everything the `METRICS` exposition needs from this dataset's
@@ -412,8 +409,6 @@ impl ServedDataset {
             out.major_swaps += s.major_swaps;
             out.patch_swaps += s.patch_swaps;
             out.cells_patched += s.cells_patched;
-            out.repairs += s.repairs;
-            out.replans += s.replans;
             out.mu_total += s.mu_total;
             out.epoch = out.epoch.max(s.epoch);
             out.buffer_hits += s.buffer_hits;
@@ -435,8 +430,6 @@ struct MaintenanceStats {
     major_swaps: u64,
     patch_swaps: u64,
     cells_patched: u64,
-    repairs: u64,
-    replans: u64,
     mu_total: f64,
     samples: u64,
     iterations: u64,
@@ -537,15 +530,9 @@ impl TokenBucket {
 
 // ---- metrics --------------------------------------------------------------
 
-/// The five maintenance rungs, in escalation order — the `rung` label
+/// The three maintenance rungs, in escalation order — the `rung` label
 /// values of `srj_maintenance_total`.
-const RUNGS: [&str; 5] = [
-    "minor_swap",
-    "cell_patch",
-    "full_rebuild",
-    "repair",
-    "replan",
-];
+const RUNGS: [&str; 3] = ["minor_swap", "cell_patch", "full_rebuild"];
 
 /// Typed handles into the server's [`Registry`] for one dataset,
 /// registered once at startup so recording is lock-free `fetch_add`s
@@ -569,7 +556,7 @@ struct DatasetMetrics {
     epoch: Gauge,
     /// `srj_maintenance_total{rung=...}` in [`RUNGS`] order, mirrored
     /// from the engines at scrape.
-    rungs: [Counter; 5],
+    rungs: [Counter; RUNGS.len()],
     /// `srj_cells_patched_total` — cells rebuilt by patch swaps.
     cells_patched: Counter,
     /// `srj_buffer_hits_total` — draws served from pre-drawn sample
@@ -765,14 +752,12 @@ impl Shared {
         let snap = self.request_stats.snapshot();
         let mut patch_swaps = 0u64;
         let mut cells_patched = 0u64;
-        let mut repairs = 0u64;
         let mut last_swap_ns = 0u64;
         let mut mu_total = 0.0f64;
         for d in self.registry.values() {
-            let (p, c, rep, swap, mu) = d.cell_stats();
+            let (p, c, swap, mu) = d.cell_stats();
             patch_swaps += p;
             cells_patched += c;
-            repairs += rep;
             last_swap_ns = last_swap_ns.max(swap);
             mu_total += mu;
         }
@@ -795,7 +780,6 @@ impl Shared {
             active_connections: self.active.load(Ordering::Relaxed),
             patch_swaps,
             cells_patched,
-            repairs,
             last_swap_ns,
             mu_total,
         }
@@ -809,7 +793,7 @@ impl Shared {
     }
 
     /// Mirrors the engine-internal counters (maintenance rungs,
-    /// rejection feedback, Σµ, epochs, connection counters, profiler
+    /// rejection rate, Σµ, epochs, connection counters, profiler
     /// state samples) into the registry so a render — or a time-series
     /// snapshot — observes current values. The hot-path metrics
     /// (requests, samples, errors, latency) are already current — they
@@ -837,8 +821,6 @@ impl Shared {
             m.rungs[1].store(agg.patch_swaps);
             // Major swaps split into patch swaps and full rebuilds.
             m.rungs[2].store(agg.major_swaps.saturating_sub(agg.patch_swaps));
-            m.rungs[3].store(agg.repairs);
-            m.rungs[4].store(agg.replans);
             m.cells_patched.store(agg.cells_patched);
             m.buffer_hits.store(agg.buffer_hits);
             m.buffer_refills.store(agg.buffer_refills);
@@ -996,27 +978,17 @@ impl Shared {
             .then(|| snap.p99_latency.as_nanos().min(u128::from(u64::MAX)) as u64)
     }
 
-    /// Sum over every dataset's engines of re-plan escalations — the
-    /// maintenance-ladder input to `/healthz`.
-    fn replans_total(&self) -> u64 {
-        self.registry
-            .values()
-            .map(|d| d.maintenance_stats().replans)
-            .sum()
-    }
-
     /// Evaluates `/healthz`: `(ready, body)`. The aggregate distress
-    /// signal is the sum of the load-shed, connection-reap,
-    /// handshake-reject, and engine-re-plan counters; any movement
-    /// restarts the incident clock, and the server reports `degraded`
-    /// until the clock outgrows the configured window.
+    /// signal is the sum of the load-shed, connection-reap and
+    /// handshake-reject counters; any movement restarts the incident
+    /// clock, and the server reports `degraded` until the clock outgrows
+    /// the configured window.
     pub(crate) fn healthz(&self) -> (bool, String) {
         let sm = &self.server_metrics;
         let shed = sm.requests_shed.get();
         let reaped = sm.conn_reaped.get();
         let rejects = sm.handshake_rejects.get();
-        let replans = self.replans_total();
-        let signal = shed + reaped + rejects + replans;
+        let signal = shed + reaped + rejects;
         let now = Instant::now();
         let incident_age_ms = {
             let mut health = self.health.lock().expect("health state poisoned");
@@ -1032,8 +1004,8 @@ impl Shared {
         let ready = incident_age_ms.is_none_or(|age| age >= window);
         let body = format!(
             "{{\"status\":{},\"shed\":{shed},\"reaped\":{reaped},\
-             \"handshake_rejects\":{rejects},\"replans\":{replans},\
-             \"window_ms\":{window},\"incident_age_ms\":{}}}",
+             \"handshake_rejects\":{rejects},\"window_ms\":{window},\
+             \"incident_age_ms\":{}}}",
             if ready { "\"ready\"" } else { "\"degraded\"" },
             match incident_age_ms {
                 Some(age) => age.to_string(),
@@ -1154,8 +1126,8 @@ impl Server {
         trace::set_sample_rate(config.trace_sample_rate);
         trace::set_always_record(config.slow_log_capacity > 0);
         // Label every store with its wire id so engine-internal
-        // lifecycle events (swaps, patches, repairs, re-plans,
-        // compactions) carry the dataset id clients know.
+        // lifecycle events (swaps, patches, compactions) carry the
+        // dataset id clients know.
         for (id, served) in registry.map.iter() {
             served.store.set_obs_label(*id);
         }

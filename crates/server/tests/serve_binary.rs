@@ -97,19 +97,82 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
 }
 
 /// A scale of zero, a non-number or a dataset beyond `u32` point ids is
-/// a usage error (exit code 2), not a panic or an allocation abort.
+/// a usage error (exit code 2), not a panic or an allocation abort — and
+/// so is a retired flag: refused, never silently ignored.
 #[test]
 fn unusable_dataset_scales_are_usage_errors() {
-    for scale in ["0", "-1", "nan", "inf", "1e9"] {
+    let scales =
+        ["0", "-1", "nan", "inf", "1e9"].map(|s| ["--dataset".into(), format!("1=uniform:{s}")]);
+    let retired = ["--repair-factor", "--replan-factor"].map(|f| [f.into(), "2".into()]);
+    for args in scales.iter().chain(&retired) {
         let out = Command::new(SERVE)
             .args(["--addr", "127.0.0.1:0"])
-            .args(["--dataset", &format!("1=uniform:{scale}")])
+            .args(args)
             .output()
             .expect("run srj-serve");
-        assert_eq!(out.status.code(), Some(2), "scale {scale}: {out:?}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         assert!(
             String::from_utf8_lossy(&out.stderr).contains("usage: srj-serve"),
-            "scale {scale}: {out:?}"
+            "{args:?}: {out:?}"
         );
     }
+}
+
+/// The `--flag` tokens of `text`.
+fn flags(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|t| t.len() > 2 && t.starts_with("--"))
+}
+
+/// Every flag README.md documents for `srj-serve` is one the binary's
+/// usage text names. The README documents a flag as an inline code span
+/// that opens with `--` (which may be `srj-top`'s instead) or with
+/// `srj-serve `, or as an argument of an `srj-serve` command in a fenced
+/// block.
+#[test]
+fn every_flag_the_readme_documents_is_in_the_usage_text() {
+    let usage = |bin: &str| {
+        let out = Command::new(bin)
+            .arg("--help")
+            .output()
+            .expect("run --help");
+        String::from_utf8(out.stderr).expect("usage is UTF-8")
+    };
+    let (serve, top) = (usage(SERVE), usage(TOP));
+    let serve: Vec<&str> = flags(&serve).collect();
+    let top: Vec<&str> = flags(&top).collect();
+    let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let readme = std::fs::read_to_string(readme).expect("README.md at the workspace root");
+
+    let mut checked = 0;
+    let mut check = |flag: &str, or_top: bool, at: &str| {
+        checked += 1;
+        assert!(
+            serve.contains(&flag) || (or_top && top.contains(&flag)),
+            "README.md documents {flag} ({at:?}); srj-serve's usage does not"
+        );
+    };
+    // Fenced blocks alternate with prose; inside prose, code spans
+    // alternate with text.
+    for (i, part) in readme.split("```").enumerate() {
+        if i % 2 == 1 {
+            for command in part.replace("\\\n", " ").lines() {
+                if let Some((_, args)) = command.split_once("srj-serve ") {
+                    flags(args).for_each(|f| check(f, false, command));
+                }
+            }
+            continue;
+        }
+        for span in part.split('`').skip(1).step_by(2) {
+            if span.starts_with("--") {
+                flags(span).take(1).for_each(|f| check(f, true, span));
+            } else if span.starts_with("srj-serve ") {
+                flags(span).for_each(|f| check(f, false, span));
+            }
+        }
+    }
+    assert!(
+        checked >= 20,
+        "only {checked} flags found: the README moved"
+    );
 }

@@ -61,8 +61,8 @@
 //! and a lifecycle event journal through every layer: the server
 //! exposes Prometheus text over the `METRICS` frame (live dashboard:
 //! `srj-top`), traced `SAMPLE` requests return their spans via the
-//! `TRACE` frame, and every epoch swap / cell patch / repair /
-//! re-plan / compaction / backpressure park lands in the journal
+//! `TRACE` frame, and every epoch swap / cell patch / compaction /
+//! backpressure park lands in the journal
 //! (`srj-serve --log-json`). See the README's "Observability" section.
 //!
 //! The workspace crates are re-exported under their own names

@@ -1,9 +1,8 @@
 //! Cell-granular S-side maintenance: patch-based epoch swaps rebuild
 //! only the dirty cells (clean cells are `Arc`-shared across epochs,
 //! proven by pointer identity), samples stay exactly uniform after a
-//! partial patch for all three algorithms, delete-only workloads
-//! shrink `Σµ`, and per-cell rejection feedback drives targeted
-//! repairs.
+//! partial patch for all three algorithms, and delete-only workloads
+//! shrink `Σµ`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -222,114 +221,4 @@ fn consecutive_patches_share_previously_patched_cells() {
         Some(true),
         "the cell patched first must be shared by the second patch"
     );
-}
-
-/// Targeted repair: a workload whose corner cells hold short buckets
-/// makes the Virtual mass maximally loose (cap-sized bounds over
-/// 1-point cells ⇒ dud-slot rejections). The per-cell counters must
-/// name those cells, and one repair pass must re-tighten them to exact
-/// mass — shrinking Σµ and the rejection rate — without an epoch swap
-/// or algorithm change.
-#[test]
-fn per_cell_feedback_drives_targeted_repair() {
-    let l = 5.0;
-    let n = 25usize;
-    // r_i at a cell center; its only partner s_i diagonally 0.8l away,
-    // in the corner cell — a 1-point cell whose Virtual bound is the
-    // full bucket capacity.
-    let mut r = Vec::new();
-    let mut s = Vec::new();
-    for i in 0..n {
-        let x = (5 * i) as f64 * l + 0.5 * l;
-        let y = 0.5 * l;
-        r.push(Point::new(x, y));
-        s.push(Point::new(x + 0.8 * l, y + 0.8 * l));
-    }
-    let engine = EpochEngine::new(
-        r.clone(),
-        s.clone(),
-        &SampleConfig::new(l),
-        EpochConfig::default()
-            .with_algorithm(Algorithm::Bbst)
-            .with_repair_factor(1.0)
-            .with_replan_min_samples(256)
-            .with_repair_min_cell_rejections(8),
-    );
-    let mu_before = engine.total_weight();
-    assert!(
-        mu_before > 2.0 * n as f64,
-        "construction failed: Σµ {mu_before} not loose over |J| = {n}"
-    );
-
-    // Sampling measures the looseness and attributes every rejection
-    // to its corner cell.
-    let mut h = engine.handle_seeded(11);
-    h.sample(4_000).unwrap();
-    let observed = engine.observed_rejection_rate().unwrap();
-    assert!(observed > 2.0, "dud slots must reject: observed {observed}");
-    let rejections = engine
-        .cell_rejections()
-        .expect("BBST engine must track per-cell rejections");
-    assert!(
-        rejections.iter().filter(|&&c| c >= 8).count() >= n / 2,
-        "rejections must concentrate on the corner cells"
-    );
-
-    let epoch_before = engine.epoch();
-    engine.refresh();
-    assert_eq!(engine.repairs(), 1, "feedback must trigger a repair");
-    assert_eq!(engine.replans(), 0, "repair must pre-empt re-planning");
-    assert_eq!(engine.epoch(), epoch_before, "repair is not an epoch swap");
-    assert_eq!(engine.algorithm(), Algorithm::Bbst);
-    let mu_after = engine.total_weight();
-    assert!(
-        mu_after < mu_before / 2.0,
-        "exact-mass repair must tighten Σµ: {mu_before} -> {mu_after}"
-    );
-
-    // The repaired engine still serves the exact join, with a far
-    // better acceptance rate.
-    let mut h2 = engine.handle_seeded(12);
-    let pairs = h2.sample(2_000).unwrap();
-    for p in pairs {
-        let w = Rect::window(r[p.r as usize], l);
-        assert!(w.contains(s[p.s as usize]));
-    }
-    let post = h2.rejection_rate().unwrap();
-    assert!(
-        post < observed / 2.0,
-        "repair must cut the rejection rate: {observed:.2} -> {post:.2}"
-    );
-}
-
-/// A fruitless repair (no per-cell knob to turn) retires the repair
-/// rung instead of looping, so the ladder can escalate to re-planning.
-#[test]
-fn repair_exhaustion_escalates_cleanly() {
-    let l = 5.0;
-    let n = 20usize;
-    let mut r = Vec::new();
-    let mut s = Vec::new();
-    for i in 0..n {
-        let x = (5 * i) as f64 * l + 0.5 * l;
-        r.push(Point::new(x, 0.5 * l));
-        s.push(Point::new(x + 0.8 * l, 1.3 * l));
-    }
-    // Pinned KDS-rejection: per-cell counters exist for the S-side, but
-    // the algorithm has no per-cell repair knob.
-    let engine = EpochEngine::new(
-        r,
-        s,
-        &SampleConfig::new(l),
-        EpochConfig::default()
-            .with_algorithm(Algorithm::KdsRejection)
-            .with_repair_factor(1.0)
-            .with_replan_min_samples(128),
-    );
-    engine.handle_seeded(5).sample(2_000).unwrap();
-    engine.refresh();
-    assert_eq!(engine.repairs(), 0, "nothing is repairable");
-    // Pinned: no re-plan either; the engine keeps serving.
-    assert_eq!(engine.replans(), 0);
-    assert!(engine.handle_seeded(6).sample(100).is_ok());
 }

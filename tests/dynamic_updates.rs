@@ -1,7 +1,6 @@
 //! Integration tests for epoch-versioned dynamic datasets: statistical
 //! uniformity with pending deltas (between rebuilds) and after epoch
-//! swaps, in-flight handles surviving swaps, and the
-//! rejection-rate-driven re-planning hot-swap.
+//! swaps, and in-flight handles surviving swaps.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -145,8 +144,8 @@ fn uniform_with_pending_deltas_and_after_epoch_swap() {
 }
 
 /// In-flight handles pinned to an old epoch must complete cleanly —
-/// and stay correct against *their* epoch's id space — while inserts,
-/// overlay swaps, and a full rebuild happen underneath them.
+/// and stay correct against *their* epoch's id space and algorithm —
+/// while inserts and a full rebuild happen underneath them.
 #[test]
 fn in_flight_handles_survive_epoch_swaps() {
     const THREADS: usize = 4;
@@ -172,6 +171,7 @@ fn in_flight_handles_survive_epoch_swaps() {
                 // Pin a handle + its epoch's snapshot before any mutation.
                 let snap = engine.store().snapshot();
                 let mut h = engine.handle_seeded(100 + t as u64);
+                let algorithm = h.algorithm();
                 start.wait();
                 let mut drawn = 0usize;
                 while drawn < PER_THREAD || !swapped.load(Ordering::Acquire) {
@@ -184,6 +184,7 @@ fn in_flight_handles_survive_epoch_swaps() {
                         panic!("swap flag never arrived");
                     }
                 }
+                assert_eq!(h.algorithm(), algorithm, "a swap reached a pinned handle");
                 drawn
             })
         })
@@ -214,100 +215,6 @@ fn in_flight_handles_survive_epoch_swaps() {
         let sp = snap.s_point(p.s).unwrap();
         assert!(Rect::window(rp, l).contains(sp));
     }
-}
-
-/// A forced rejection-rate divergence must hot-swap the algorithm
-/// (KDS-rejection → BBST) through the epoch mechanism, without
-/// interrupting a handle that was in flight when the swap happened.
-#[test]
-fn rejection_divergence_replans_the_algorithm() {
-    // Dense uniform workload with tight 9-cell bounds: the planner
-    // picks KDS-rejection (est. overhead ≈ 2.25).
-    let l = 10.0;
-    let r = pseudo_points(4_000, 61, 100.0);
-    let s = pseudo_points(4_000, 62, 100.0);
-    let engine = EpochEngine::new(
-        r,
-        s,
-        &SampleConfig::new(l),
-        EpochConfig::default()
-            // Keep the poison delta, tombstones included, pending.
-            .with_rebuild_fraction(0.8)
-            .with_tombstone_rebuild_fraction(0.9)
-            .with_replan_min_samples(500),
-    );
-    assert_eq!(engine.algorithm(), Algorithm::KdsRejection);
-    let planned = engine
-        .planned_overhead()
-        .expect("auto epoch must record the estimate");
-
-    // A handle in flight across everything that follows.
-    let pinned_snap = engine.store().snapshot();
-    let mut pinned = engine.handle_seeded(3);
-    pinned.sample(100).unwrap();
-
-    // Poison the workload through the base, not through the overlay
-    // (whose own sources are tight): tombstone three quarters of `S`.
-    // The base index still proposes them, so three of four otherwise
-    // accepted draws are now rejected and the *observed* overhead
-    // blows past the planned estimate. The far-away partnerless `R`
-    // inserts add no source (their rows are empty); they keep `n·√m`
-    // over the budget below which a re-plan would pick exact counting.
-    for id in (0..4_000u32).filter(|id| id % 4 != 0) {
-        assert!(engine.delete_s(id));
-    }
-    for i in 0..3_000u64 {
-        let x = 1_000.0 + (i % 50) as f64 * 3.0 * l;
-        let y = 1_000.0 + (i / 50) as f64 * 3.0 * l;
-        engine.insert_r(Point::new(x, y));
-    }
-
-    // Sampling through the overlay measures the divergence.
-    let mut h = engine.handle_seeded(4);
-    h.sample(2_000).unwrap();
-    assert!(engine.engine().is_overlay());
-    let observed = engine
-        .observed_rejection_rate()
-        .expect("samples were drawn");
-    assert!(
-        observed > planned * 2.0,
-        "poison failed: observed {observed:.2} vs planned {planned:.2}"
-    );
-
-    // The next refresh acts on the observation: re-plan + hot-swap.
-    let epoch_before = engine.epoch();
-    engine.refresh();
-    assert_eq!(engine.replans(), 1, "divergence must trigger a re-plan");
-    assert_eq!(
-        engine.algorithm(),
-        Algorithm::Bbst,
-        "observed overhead {observed:.1} must swap KDS-rejection -> BBST"
-    );
-    assert!(engine.epoch() > epoch_before, "re-plan rides an epoch swap");
-    assert_eq!(engine.engine().algorithm(), Algorithm::Bbst);
-
-    // The pinned handle was never interrupted: still the old
-    // algorithm, still serving its epoch's ids.
-    assert_eq!(pinned.algorithm(), Algorithm::KdsRejection);
-    for p in pinned.sample(500).unwrap() {
-        let rp = pinned_snap.r_point(p.r).unwrap();
-        let sp = pinned_snap.s_point(p.s).unwrap();
-        assert!(Rect::window(rp, l).contains(sp));
-    }
-
-    // And the re-planned engine serves the folded-in dataset.
-    let snap = engine.store().snapshot();
-    assert!(snap.delta.is_empty(), "re-plan compacts the delta");
-    let mut h2 = engine.handle_seeded(5);
-    for p in h2.sample(1_000).unwrap() {
-        let rp = snap.r_point(p.r).unwrap();
-        let sp = snap.s_point(p.s).unwrap();
-        assert!(Rect::window(rp, l).contains(sp));
-    }
-    // BBST's observed overhead is bounded again; no flip-flop.
-    engine.refresh();
-    assert_eq!(engine.replans(), 1);
-    assert_eq!(engine.algorithm(), Algorithm::Bbst);
 }
 
 /// Like [`draw_and_check`] but through the buffered batch path
@@ -441,8 +348,8 @@ fn plan_report_tracks_buffer_flag() {
     assert!(engine.engine().plan().unwrap().buffers);
 }
 
-/// Zero-sample and zero-iteration accessors return `None`, never NaN —
-/// and never feed the re-plan trigger.
+/// Zero-sample and zero-iteration accessors return `None` or `0.0`,
+/// never NaN.
 #[test]
 fn rejection_rate_accessors_guard_zero_samples() {
     let r = pseudo_points(50, 71, 30.0);
@@ -453,9 +360,4 @@ fn rejection_rate_accessors_guard_zero_samples() {
     let rate = engine.stats().rejection_rate();
     assert!(!rate.is_nan(), "zero-sample engine rate must not be NaN");
     assert_eq!(rate, 0.0, "zero-sample engine");
-
-    let epoch = EpochEngine::new(r, s, &SampleConfig::new(4.0), EpochConfig::default());
-    assert_eq!(epoch.observed_rejection_rate(), None);
-    epoch.refresh();
-    assert_eq!(epoch.replans(), 0);
 }

@@ -83,6 +83,18 @@ fn test_sets() -> (Vec<Point>, Vec<Point>, f64) {
     )
 }
 
+/// The loosest input the BBST bound has: every `r` sits at a cell
+/// centre and its only partner diagonally `0.8 l` away, alone in the
+/// corner cell — a one-point cell whose Virtual bound is the whole
+/// bucket capacity, so `Σµ > 2 |J|` and most iterations hit a dud slot.
+fn sparse_corner_sets() -> (Vec<Point>, Vec<Point>, f64) {
+    let l = 5.0;
+    let at = |i: usize, off: f64| Point::new((5 * i) as f64 * l + off * l, off * l);
+    let r = (0..25).map(|i| at(i, 0.5)).collect();
+    let s = (0..25).map(|i| at(i, 1.3)).collect();
+    (r, s, l)
+}
+
 #[test]
 fn kds_is_uniform() {
     let (r, s, l) = test_sets();
@@ -99,17 +111,32 @@ fn kds_rejection_is_uniform() {
 
 #[test]
 fn bbst_is_uniform_virtual_mass() {
-    let (r, s, l) = test_sets();
-    let mut sampler = BbstSampler::build(&r, &s, &SampleConfig::new(l));
-    assert_uniform_over_join(&mut sampler, &r, &s, l);
+    for (r, s, l) in [test_sets(), sparse_corner_sets()] {
+        let mut sampler = BbstSampler::build(&r, &s, &SampleConfig::new(l));
+        assert_uniform_over_join(&mut sampler, &r, &s, l);
+    }
+    let (r, s, l) = sparse_corner_sets();
+    let virt = BbstSampler::build(&r, &s, &SampleConfig::new(l));
+    let mu = virt.index().mu_total();
+    assert!(mu > 2.0 * r.len() as f64, "Σµ {mu}: the input is not loose");
 }
 
 #[test]
 fn bbst_is_uniform_exact_mass() {
-    let (r, s, l) = test_sets();
-    let cfg = SampleConfig::new(l).with_mass_mode(MassMode::Exact);
-    let mut sampler = BbstSampler::build(&r, &s, &cfg);
-    assert_uniform_over_join(&mut sampler, &r, &s, l);
+    for (r, s, l) in [test_sets(), sparse_corner_sets()] {
+        let cfg = SampleConfig::new(l).with_mass_mode(MassMode::Exact);
+        let mut sampler = BbstSampler::build(&r, &s, &cfg);
+        assert_uniform_over_join(&mut sampler, &r, &s, l);
+    }
+    // The build-wide remedy for loose corners: strictly tighter where
+    // buckets run short.
+    let (r, s, l) = sparse_corner_sets();
+    let mu = |mode| {
+        let cfg = SampleConfig::new(l).with_mass_mode(mode);
+        BbstSampler::build(&r, &s, &cfg).index().mu_total()
+    };
+    let (exact, virt) = (mu(MassMode::Exact), mu(MassMode::Virtual));
+    assert!(exact < virt, "Exact Σµ {exact} not below Virtual {virt}");
 }
 
 #[test]
