@@ -9,14 +9,15 @@
 //! The proposed algorithm additionally needs, for every `r`, a weighted
 //! choice among the ≤ 9 grid cells overlapping `w(r)` (the alias `A_r` in
 //! Algorithm 1). Building a heap-allocated alias per point would cost two
-//! `Vec`s per element of `R`; [`CumulativeRow9`] instead stores an inline
-//! fixed-size cumulative-count row and draws cell and in-cell rank from
-//! one random word ([`RowPick`]) by scanning nine entries — still `O(1)`
-//! per draw with far better constants and exactly `O(n)` total space (see
-//! DESIGN.md §2.2 for this documented deviation).
+//! `Vec`s per element of `R`; [`BlockRow`] instead stores an inline
+//! forty-byte cumulative-count row and draws cell and in-cell rank from
+//! one random word ([`RowPick`]) by scanning ten entries — still `O(1)`
+//! per draw with far better constants and exactly `O(n)` total space.
+//! The delta overlay's chunks keep the same row, with the tenth entry
+//! for their cross part.
 
 mod row9;
 mod table;
 
-pub use row9::{CumulativeRow9, RowPick, NUM_CELLS};
+pub use row9::{BlockRow, RowPick, NUM_CELLS};
 pub use table::AliasTable;

@@ -37,8 +37,9 @@ pub struct AliasTable {
     total: f64,
 }
 
-/// One packed column of the branchless walk: 12 bytes of payload, one
-/// cache line holds five columns.
+/// One packed column of the branchless walk: 12 bytes of payload padded
+/// to 16 by the threshold's alignment, so one cache line holds four
+/// columns.
 #[derive(Clone, Copy, Debug)]
 struct AliasCol {
     /// Keep threshold: `prob · 2⁶⁴`, saturating — a full column
@@ -48,6 +49,9 @@ struct AliasCol {
     thresh: u64,
     alias: u32,
 }
+
+// `memory_bytes()` counts columns at this size.
+const _: () = assert!(std::mem::size_of::<AliasCol>() == 16);
 
 impl AliasTable {
     /// Builds an alias table from `weights`.

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rand::Rng;
-use srj_alias::{AliasTable, CumulativeRow9, RowPick};
+use srj_alias::{AliasTable, BlockRow, RowPick, NUM_CELLS};
 use srj_bbst::{bucket_capacity, CellBbsts};
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{case_of, CellCase, Grid, IntoPointSet};
@@ -11,7 +11,7 @@ use srj_grid::{case_of, CellCase, Grid, IntoPointSet};
 use crate::buffer::{BufferStats, DrawBuffers};
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-use crate::cursor::{Cursor, SamplerIndex, BLOCK};
+use crate::cursor::{Cursor, IndexBytes, SamplerIndex, BLOCK};
 use crate::decompose::{case12_draw, quadrant_query, upper_bounding};
 
 /// Immutable build product of the paper's proposed algorithm
@@ -99,7 +99,7 @@ pub struct BbstIndex {
     /// epoch engine patches it cell by cell across rebuilds.
     store: Arc<CellStore<CellBbsts>>,
     /// Per-`r` cell distributions (`A_r` in Algorithm 1).
-    rows: Vec<CumulativeRow9>,
+    rows: Vec<BlockRow>,
     /// Global alias over `µ(r)` (`A` in Algorithm 1).
     alias: Option<AliasTable>,
     config: SampleConfig,
@@ -358,10 +358,7 @@ impl BbstIndex {
 
     /// Approximate heap footprint of the retained structures.
     pub fn memory_bytes(&self) -> usize {
-        self.r_points.capacity() * std::mem::size_of::<Point>()
-            + self.store.memory_bytes()
-            + self.rows.capacity() * std::mem::size_of::<CumulativeRow9>()
-            + self.alias.as_ref().map_or(0, AliasTable::memory_bytes)
+        self.index_bytes().total()
     }
 }
 
@@ -393,15 +390,16 @@ impl BbstIndex {
     /// `r_points[ridx]` and `rows[ridx]`, passed in so the block kernel
     /// can gather them for a whole block first.
     #[inline]
-    fn pick(&self, ridx: usize, rp: Point, row: &CumulativeRow9, word: u64) -> Picked {
+    fn pick(&self, ridx: usize, rp: Point, row: &BlockRow, word: u64) -> Picked {
         // Positive weight because the alias only returns r with µ(r) > 0.
         let row = row
             .pick_word(word)
             .expect("alias returned r with zero µ(r)");
+        debug_assert!(row.part < NUM_CELLS, "a base row has no extra part");
         let slot = self
             .store
             .grid()
-            .neighbor_slot(rp, row.cell)
+            .neighbor_slot(rp, row.part)
             .expect("positive cell weight for an empty cell");
         Picked {
             ridx: ridx as u32,
@@ -434,12 +432,12 @@ impl BbstIndex {
         let cell = grid.cell(p.slot);
         let w = Rect::window(p.rp, self.config.half_extent);
         // Line 14: s from the cell, by case.
-        let accepted: Option<PointId> = match case_of(p.row.cell) {
+        let accepted: Option<PointId> = match case_of(p.row.part) {
             CellCase::Quadrant { x_is_min, y_is_min } => {
                 let q = quadrant_query(x_is_min, y_is_min, &w);
                 self.store
                     .unit(p.slot)
-                    .sample_quadrant_at(&q, self.config.mass_mode, p.row.rank)
+                    .sample_quadrant_at(&q, self.config.mass_mode, u64::from(p.row.rank))
                     .map(|pos| cell.by_x[pos as usize])
                     // Line 15: accept iff w(r) ∩ s.
                     .filter(|&sid| w.contains(grid.point(sid)))
@@ -512,7 +510,7 @@ impl SamplerIndex for BbstIndex {
         out: &mut Vec<Option<JoinPair>>,
     ) -> Result<(), SampleError> {
         let mut ridx = [0usize; BLOCK];
-        let mut gathered = [(Point::default(), CumulativeRow9::default()); BLOCK];
+        let mut gathered = [(Point::default(), BlockRow::default()); BLOCK];
         let mut picked = [Picked::default(); BLOCK];
         let mut left = n;
         while left > 0 {
@@ -561,12 +559,13 @@ impl SamplerIndex for BbstIndex {
         self.build_report
     }
 
-    fn index_memory_bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-
-    fn shared_memory_bytes(&self) -> usize {
-        self.store.memory_bytes()
+    fn index_bytes(&self) -> IndexBytes {
+        IndexBytes {
+            r_points: self.r_points.capacity() * std::mem::size_of::<Point>(),
+            rows: self.rows.capacity() * std::mem::size_of::<BlockRow>(),
+            alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
+            ..self.store.index_bytes()
+        }
     }
 
     fn shared_memory_token(&self) -> usize {
@@ -800,10 +799,10 @@ mod tests {
         assert_eq!(index.rows.len(), index.r_points.len());
         for (ridx, (&rp, row)) in index.r_points.iter().zip(&index.rows).enumerate() {
             let reference = per_r_weights(grid, rp, index.config.half_extent, &corner);
-            let stored: [u64; 9] = std::array::from_fn(|i| row.weight(i));
+            let stored: [u64; 9] = std::array::from_fn(|i| u64::from(row.weight(i)));
             assert_eq!(stored, reference, "r{ridx} = {rp:?}");
         }
-        let sum: u64 = index.rows.iter().map(CumulativeRow9::total).sum();
+        let sum: u64 = index.rows.iter().map(|row| u64::from(row.total())).sum();
         assert_eq!(index.mu_total(), sum as f64);
     }
 
@@ -920,7 +919,7 @@ mod tests {
                         CellCase::Quadrant { x_is_min, y_is_min } => {
                             let q = quadrant_query(x_is_min, y_is_min, &w);
                             prop_assert_eq!(
-                                row.weight(i),
+                                u64::from(row.weight(i)),
                                 index.store.unit(slot).count_quadrant(&q, mode),
                                 "r {:?} corner {}", rp, i
                             );

@@ -28,6 +28,8 @@ use srj_geom::{Point, PointId, Rect};
 use srj_grid::{Cell, Grid, IntoPointSet};
 use srj_kdtree::{CanonicalScratch, KdTree, DEFAULT_LEAF_SIZE};
 
+use crate::cursor::IndexBytes;
+
 use crate::buffer::DrawBuffers;
 use crate::parallel::par_map;
 
@@ -222,12 +224,16 @@ impl<U: CellUnit> CellStore<U> {
     /// Approximate heap footprint: grid plus every unit (shared units
     /// are charged here; an aggregator dedups via the store's token).
     pub fn memory_bytes(&self) -> usize {
-        self.grid.memory_bytes()
-            + self
-                .units
-                .iter()
-                .map(|u| u.unit_memory_bytes())
-                .sum::<usize>()
+        self.index_bytes().total()
+    }
+
+    /// [`CellStore::memory_bytes`] by structure: the point set, the
+    /// grid over it, the units. The `R`-side entries are zero.
+    pub fn index_bytes(&self) -> IndexBytes {
+        IndexBytes {
+            units: self.units.iter().map(|u| u.unit_memory_bytes()).sum(),
+            ..IndexBytes::of_grid(&self.grid)
+        }
     }
 }
 

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rand::{Rng, RngCore};
+use srj_grid::Grid;
 
 use crate::buffer::BufferStats;
 use crate::config::{JoinPair, PhaseReport, SampleError};
@@ -22,7 +23,7 @@ const MAX_PREALLOC_PAIRS: usize = 1 << 20;
 /// Iterations [`SamplerIndex::draw_many`] hands to
 /// [`SamplerIndex::try_many`] at once: enough independent loads per
 /// stage of a staged kernel to fill the core's miss queue several times
-/// over, few enough that a block's state (≈ 10 KiB of stack arrays in
+/// over, few enough that a block's state (≈ 7 KiB of stack arrays in
 /// the BBST kernel) stays in L1.
 pub(crate) const BLOCK: usize = 64;
 
@@ -216,29 +217,113 @@ pub trait SamplerIndex: Send + Sync {
     /// Build-phase timing recorded when the index was constructed.
     fn index_build_report(&self) -> PhaseReport;
 
-    /// Approximate heap footprint of the retained structures.
-    fn index_memory_bytes(&self) -> usize;
+    /// Approximate heap footprint of the retained structures, by
+    /// structure. The `S`-side entries (`grid`, `units`, `point_set`)
+    /// are what the index holds through an `Arc` and may share with
+    /// sibling indexes; see [`SamplerIndex::shared_memory_token`].
+    fn index_bytes(&self) -> IndexBytes;
 
-    /// Heap bytes of the `S`-side structures this index holds through
-    /// an `Arc` and may therefore share with sibling indexes (a sharded
-    /// engine builds the kd-tree / grid / per-cell BBSTs once and
-    /// clones the `Arc` into every shard). Included in
-    /// [`SamplerIndex::index_memory_bytes`]; an aggregator subtracts it
-    /// for every index after the first that reports the same
-    /// [`SamplerIndex::shared_memory_token`]. `0` when nothing is
-    /// shareable.
-    fn shared_memory_bytes(&self) -> usize {
-        0
+    /// [`SamplerIndex::index_bytes`] summed: the whole footprint.
+    fn index_memory_bytes(&self) -> usize {
+        self.index_bytes().total()
     }
 
     /// Identity of the shared `S`-side allocation (the `Arc`'s pointer
     /// address): two indexes returning the same non-zero token hold the
-    /// *same* structures, so their [`shared_memory_bytes`] must be
-    /// counted once. `0` means "nothing shared".
-    ///
-    /// [`shared_memory_bytes`]: SamplerIndex::shared_memory_bytes
+    /// *same* structures (a sharded engine builds the kd-trees / grid /
+    /// per-cell BBSTs once and clones the `Arc` into every shard), so an
+    /// aggregator counts their `S`-side entries once
+    /// ([`IndexBytes::without_s_side`] for every index after the first).
+    /// `0` means "nothing shared".
     fn shared_memory_token(&self) -> usize {
         0
+    }
+}
+
+/// An index's heap bytes by structure — the per-structure `size()` of
+/// the `O(n + m)` space bound. [`IndexBytes::total`] **is** the index's
+/// `memory_bytes()`: every implementation sums this struct and nothing
+/// else.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IndexBytes {
+    /// The index's copy of `R`.
+    pub r_points: usize,
+    /// The per-`r` rows (`40 × |R|` for the families that keep
+    /// [`srj_alias::BlockRow`]s, the `f64` bounds of KDS-rejection), and
+    /// an overlay's chunk rows.
+    pub rows: usize,
+    /// Every alias table: over `µ(r)`, over shards, over an overlay's
+    /// sources and chunk members.
+    pub alias: usize,
+    /// Grid cells and their lookup, without the point set under them;
+    /// an overlay's two support grids and insert grids too.
+    pub grid: usize,
+    /// The per-cell structures (BBST pairs, kd-trees).
+    pub units: usize,
+    /// `S` itself with its two sorted orders (for an overlay also the
+    /// support grids' copies of the base sets).
+    pub point_set: usize,
+    /// An overlay's pending mutations: insert buffers, tombstone sets
+    /// and chunk bookkeeping. Zero for a clean index.
+    pub delta: usize,
+}
+
+impl IndexBytes {
+    /// `(structure, bytes)` for every field, in declaration order — the
+    /// `structure` label values of the server's `srj_index_bytes` gauge.
+    pub fn parts(&self) -> [(&'static str, usize); 7] {
+        [
+            ("r_points", self.r_points),
+            ("rows", self.rows),
+            ("alias", self.alias),
+            ("grid", self.grid),
+            ("units", self.units),
+            ("point_set", self.point_set),
+            ("delta", self.delta),
+        ]
+    }
+
+    /// A grid's bytes: the point set it stands on, and the cells and
+    /// their lookup over it.
+    pub(crate) fn of_grid(grid: &Grid) -> Self {
+        let point_set = grid.point_set().memory_bytes();
+        IndexBytes {
+            point_set,
+            grid: grid.memory_bytes() - point_set,
+            ..IndexBytes::default()
+        }
+    }
+
+    /// The whole footprint.
+    pub fn total(&self) -> usize {
+        self.parts().iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// This index's own share when a sibling already counted the
+    /// `S`-side they both stand on.
+    pub fn without_s_side(self) -> Self {
+        IndexBytes {
+            grid: 0,
+            units: 0,
+            point_set: 0,
+            ..self
+        }
+    }
+}
+
+impl std::ops::Add for IndexBytes {
+    type Output = IndexBytes;
+
+    fn add(self, other: IndexBytes) -> IndexBytes {
+        IndexBytes {
+            r_points: self.r_points + other.r_points,
+            rows: self.rows + other.rows,
+            alias: self.alias + other.alias,
+            grid: self.grid + other.grid,
+            units: self.units + other.units,
+            point_set: self.point_set + other.point_set,
+            delta: self.delta + other.delta,
+        }
     }
 }
 

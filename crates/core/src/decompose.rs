@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use srj_alias::{AliasTable, CumulativeRow9, RowPick};
+use srj_alias::{AliasTable, BlockRow, RowPick};
 use srj_bbst::QuadrantQuery;
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{case_of, Cell, CellCase, Grid};
@@ -142,7 +142,7 @@ pub(crate) fn case12_draw<U: CellUnit>(
 /// cell distributions `A_r`, the global alias `A` over `µ(r)` (`None`
 /// when `Σµ = 0`), and what the phase cost.
 pub(crate) struct UpperBounds {
-    pub rows: Vec<CumulativeRow9>,
+    pub rows: Vec<BlockRow>,
     pub alias: Option<AliasTable>,
     /// Wall-clock of the whole phase.
     pub wall: Duration,
@@ -176,7 +176,7 @@ where
 {
     let t0 = Instant::now();
     let (rows, par) = par_chunks(r, threads, |_, chunk| {
-        let mut rows = vec![CumulativeRow9::default(); chunk.len()];
+        let mut rows = vec![BlockRow::default(); chunk.len()];
         sweep_rows(grid, chunk, l, &corner, &mut rows);
         rows
     });
@@ -195,20 +195,16 @@ where
 
 /// Most members one [`sweep_group`] call takes. A larger group is swept
 /// in pieces — any part of a group is a group — so the per-thread
-/// buffers stay near 120 KiB: cache-resident, and no part of the
+/// buffers stay near 84 KiB: cache-resident, and no part of the
 /// build's memory peak however crowded a cell of `R` is.
 const SWEEP_PIECE: usize = 1024;
 
 /// Group → sweep → scatter over one chunk of `R`: writes `rows[i]` for
 /// every `r[i]` whose block is not empty (an empty block's row is the
-/// all-zero default `rows` came with).
-pub(crate) fn sweep_rows<C>(
-    grid: &Grid,
-    r: &[Point],
-    l: f64,
-    corner: &C,
-    rows: &mut [CumulativeRow9],
-) where
+/// all-zero default `rows` came with). The extra part of every row is
+/// left empty.
+pub(crate) fn sweep_rows<C>(grid: &Grid, r: &[Point], l: f64, corner: &C, rows: &mut [BlockRow])
+where
     C: Fn(u32, &QuadrantQuery) -> u64,
 {
     let groups = grid.group_by_cell(r);
@@ -225,14 +221,13 @@ pub(crate) fn sweep_rows<C>(
         // the per-r way.
         debug_assert!(
             g % 64 != 0
-                || members
-                    .iter()
-                    .zip(&scratch.weights)
-                    .all(|(&m, w)| *w == per_r_weights(grid, r[m as usize], l, corner)),
+                || members.iter().zip(&scratch.weights).all(
+                    |(&m, w)| w.map(u64::from) == per_r_weights(grid, r[m as usize], l, corner)
+                ),
             "cell-major sweep disagrees with the per-r reference in group {g}"
         );
         for (&m, &w) in members.iter().zip(&scratch.weights) {
-            rows[m as usize] = CumulativeRow9::new(w);
+            rows[m as usize] = BlockRow::new(w.map(u64::from), 0);
         }
     }
 }
@@ -246,8 +241,9 @@ struct SweepScratch {
     /// `y`: the key rides along so the sort reads nothing else.
     by_x: Vec<(f64, u32)>,
     by_y: Vec<(f64, u32)>,
-    /// `µ(r, c_0..c_8)` per member, in member order: the sweep's output.
-    weights: Vec<[u64; 9]>,
+    /// `µ(r, c_0..c_8)` per member, in member order: the sweep's output,
+    /// in the width a [`BlockRow`] keeps.
+    weights: Vec<[u32; 9]>,
 }
 
 /// The sweep kernel: `µ(r, c)` for every member `r` of one group and
@@ -295,7 +291,11 @@ fn sweep_group<C>(
     for (i, slot) in slots.iter().enumerate() {
         let Some(slot) = *slot else { continue };
         let cell = grid.cell(slot);
-        let mut set = |j: u32, count: u64| weights[j as usize][i] = count;
+        // A cell's candidate positions are bounded by ids; the BBST
+        // bound is the one count that is not a slice length.
+        let mut set = |j: u32, count: u64| {
+            weights[j as usize][i] = u32::try_from(count).expect("cell count overflows u32")
+        };
         match case_of(i) {
             CellCase::Full => (0..members.len() as u32).for_each(|j| set(j, cell.len() as u64)),
             CellCase::XMinSided => {

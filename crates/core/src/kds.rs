@@ -2,7 +2,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rand::Rng;
-use srj_alias::{AliasTable, CumulativeRow9};
+use srj_alias::{AliasTable, BlockRow, NUM_CELLS};
 use srj_geom::{Point, Rect};
 use srj_grid::{case_of, CellCase, IntoPointSet};
 use srj_kdtree::CanonicalScratch;
@@ -10,7 +10,7 @@ use srj_kdtree::CanonicalScratch;
 use crate::buffer::{BufferStats, KdsScratch};
 use crate::cellstore::KdCellStore;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-use crate::cursor::{Cursor, SamplerIndex};
+use crate::cursor::{Cursor, IndexBytes, SamplerIndex};
 use crate::decompose::{case12_draw, open_quadrant, quadrant_query, upper_bounding};
 
 /// Immutable build product of Baseline 1 — **KDS** (paper Section III-A)
@@ -67,7 +67,7 @@ pub struct KdsIndex {
     /// and an epoch engine can patch it cell by cell.
     s_cells: Arc<KdCellStore>,
     /// Per `r`, the exact count of `w(r)` in each cell of its block.
-    rows: Vec<CumulativeRow9>,
+    rows: Vec<BlockRow>,
     /// Sorted positions in `R` whose window leaves its block and holds
     /// points there: their rows undercount, their draws bypass them.
     stray: Vec<u32>,
@@ -151,7 +151,8 @@ impl KdsIndex {
                 let (cx, cy) = grid.coord_of(rp);
                 let lo = grid.coord_of(Point::new(w.min_x, w.min_y));
                 let hi = grid.coord_of(Point::new(w.max_x, w.max_y));
-                (outside(lo.0, hi.0, cx) || outside(lo.1, hi.1, cy)) && exact(i) != row.total()
+                (outside(lo.0, hi.0, cx) || outside(lo.1, hi.1, cy))
+                    && exact(i) != u64::from(row.total())
             })
             .map(|(i, _)| i)
             .collect();
@@ -205,7 +206,7 @@ impl KdsIndex {
 
     /// The per-`r` rows: entry `i` of row `j` is the exact count of
     /// `w(r_j)` in neighbour `i` of `r_j`'s 3×3 block.
-    pub fn rows(&self) -> &[CumulativeRow9] {
+    pub fn rows(&self) -> &[BlockRow] {
         &self.rows
     }
 
@@ -228,11 +229,7 @@ impl KdsIndex {
 
     /// Approximate heap footprint of the retained structures.
     pub fn memory_bytes(&self) -> usize {
-        self.r_points.capacity() * std::mem::size_of::<Point>()
-            + self.s_cells.memory_bytes()
-            + self.rows.capacity() * std::mem::size_of::<CumulativeRow9>()
-            + self.stray.capacity() * std::mem::size_of::<u32>()
-            + self.alias.as_ref().map_or(0, AliasTable::memory_bytes)
+        self.index_bytes().total()
     }
 }
 
@@ -268,12 +265,13 @@ impl SamplerIndex for KdsIndex {
             let pick = self.rows[ridx]
                 .pick_word(rng.next_u64())
                 .expect("alias returned an r with zero range count");
+            debug_assert!(pick.part < NUM_CELLS, "a base row has no extra part");
             let slot = self
                 .s_cells
                 .grid()
-                .neighbor_slot(rp, pick.cell)
+                .neighbor_slot(rp, pick.part)
                 .expect("positive cell weight for an empty cell");
-            match case_of(pick.cell) {
+            match case_of(pick.part) {
                 CellCase::Quadrant { x_is_min, y_is_min } => {
                     let q = open_quadrant(&quadrant_query(x_is_min, y_is_min, &w));
                     self.s_cells
@@ -318,12 +316,15 @@ impl SamplerIndex for KdsIndex {
         self.build_report
     }
 
-    fn index_memory_bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-
-    fn shared_memory_bytes(&self) -> usize {
-        self.s_cells.memory_bytes()
+    fn index_bytes(&self) -> IndexBytes {
+        IndexBytes {
+            r_points: self.r_points.capacity() * std::mem::size_of::<Point>(),
+            // The stray list stands in for rows it overrides.
+            rows: self.rows.capacity() * std::mem::size_of::<BlockRow>()
+                + self.stray.capacity() * std::mem::size_of::<u32>(),
+            alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
+            ..self.s_cells.store().index_bytes()
+        }
     }
 
     fn shared_memory_token(&self) -> usize {

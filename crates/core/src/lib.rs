@@ -78,7 +78,7 @@ pub use cellstore::{
     BbstCellCtx, CellStore, CellUnit, KdCellStore, KdCellUnit, PatchReport as CellPatchReport,
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-pub use cursor::{Cursor, SamplerIndex};
+pub use cursor::{Cursor, IndexBytes, SamplerIndex};
 pub use kds::{KdsCursor, KdsIndex, KdsSampler};
 pub use materialize::JoinThenSample;
 pub use overlay::{DeltaSet, OverlayIndex, OverlaySupport};

@@ -31,18 +31,19 @@
 //!
 //! A chunk stores what it saw of the opposite side's inserts as a
 //! **watermark** — a length of that insert buffer — and, per member
-//! `p`, a ten-entry cumulative row: candidate counts over the nine
-//! cells of `p`'s 3×3 block in the **base** grid of the opposite side,
-//! then the number of opposite inserts below the watermark in the same
-//! block (the *cross* part). Cases 1 and 2 are the exact runs of
-//! Section IV-A, as for the base index; a corner cell is bounded by its
-//! population and a cross candidate by its cell, and both are tested
-//! against the window when drawn. There is no `|R⁺|·|S⁺|` term
-//! anywhere: an inserted point only ever ranks into its own block.
+//! `p`, the row every base index keeps per `r` ([`BlockRow`]): candidate
+//! counts over the nine cells of `p`'s 3×3 block in the **base** grid of
+//! the opposite side, then, in the row's extra part, the number of
+//! opposite inserts below the watermark in the same block (the *cross*
+//! part). Cases 1 and 2 are the exact runs of Section IV-A, as for the
+//! base index; a corner cell is bounded by its population and a cross
+//! candidate by its cell, and both are tested against the window when
+//! drawn. There is no `|R⁺|·|S⁺|` term anywhere: an inserted point only
+//! ever ranks into its own block.
 //!
 //! One iteration of a chunk is two random words — a member
 //! `∝ row total` from the chunk's alias, then a uniform position in the
-//! member's row ([`pick`](InsertRow::pick): cell or cross part, and the
+//! member's row ([`BlockRow::pick_word`]: cell or cross part, and the
 //! rank inside it, from one word) — one grid probe for the chosen cell,
 //! the candidate at that rank, and the test. A pair the chunk owns is
 //! one position of one row, so it comes out with probability
@@ -105,13 +106,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::Rng;
-use srj_alias::{AliasTable, CumulativeRow9};
+use srj_alias::{AliasTable, BlockRow};
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::fx::{FxHashMap, FxHashSet};
 use srj_grid::{case_of, CellCase, Grid, NEIGHBOR_OFFSETS};
 
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-use crate::cursor::{SamplerIndex, BLOCK};
+use crate::cursor::{IndexBytes, SamplerIndex, BLOCK};
 use crate::decompose::{case12_stored_run, sweep_rows};
 
 /// Pending mutations against a base `(R, S)` snapshot: insert buffers
@@ -330,66 +331,6 @@ fn block_coords(center: (i32, i32)) -> impl Iterator<Item = (i32, i32)> {
         .map(move |&(dx, dy)| (center.0.saturating_add(dx), center.1.saturating_add(dy)))
 }
 
-/// Index of the cross part in an [`InsertRow`].
-const CROSS: usize = 9;
-
-/// The candidate positions of one inserted point, cumulatively: entries
-/// `0..9` over the cells of its block in the opposite side's base grid
-/// ([`NEIGHBOR_OFFSETS`] order), entry [`CROSS`] adding the opposite
-/// side's inserts the point's chunk saw in the same block. A block's
-/// population fits `u32` (point ids do), which keeps a row at 40 bytes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct InsertRow {
-    cum: [u32; 10],
-}
-
-/// One uniform position of an [`InsertRow`]: which part it fell into,
-/// where inside it, and how many positions the part holds.
-struct RowPick {
-    part: usize,
-    rank: usize,
-    weight: usize,
-}
-
-impl InsertRow {
-    /// # Panics
-    /// Panics if the block holds more than `u32::MAX` candidates.
-    fn new(base: [u64; 9], cross: u64) -> Self {
-        let mut cum = [0u32; 10];
-        let mut acc = 0u64;
-        for (slot, w) in cum.iter_mut().zip(base.into_iter().chain([cross])) {
-            acc += w;
-            *slot = u32::try_from(acc).expect("block population overflows u32");
-        }
-        InsertRow { cum }
-    }
-
-    #[inline]
-    fn total(&self) -> u32 {
-        self.cum[CROSS]
-    }
-
-    /// `word` scaled to a uniform position in `[0, total)` by one
-    /// widening multiply, as [`CumulativeRow9::pick_word`] does; the
-    /// part is the number of cumulative entries at or below it.
-    #[inline]
-    fn pick(&self, word: u64) -> RowPick {
-        debug_assert!(self.total() > 0, "picked into an empty row");
-        let pos = ((word as u128 * self.total() as u128) >> 64) as u32;
-        let part = self
-            .cum
-            .iter()
-            .map(|&c| usize::from(c <= pos))
-            .sum::<usize>();
-        let below = if part == 0 { 0 } else { self.cum[part - 1] };
-        RowPick {
-            part,
-            rank: (pos - below) as usize,
-            weight: (self.cum[part] - below) as usize,
-        }
-    }
-}
-
 /// The inserts one swap added to one side, as a sampling source: see
 /// the module docs. Immutable; shared by every later snapshot of the
 /// epoch.
@@ -399,9 +340,11 @@ struct Chunk {
     /// Opposite-side inserts below this index are the members' cross
     /// candidates.
     watermark: u32,
-    /// One per member, tombstoned or not; shared with the versions of
-    /// this chunk a later tombstone produces ([`Chunk::without_dead`]).
-    rows: Arc<Vec<InsertRow>>,
+    /// One per member, tombstoned or not: the nine cells of the member's
+    /// block in the opposite base grid, the cross candidates in the extra
+    /// part. Shared with the versions of this chunk a later tombstone
+    /// produces ([`Chunk::without_dead`]).
+    rows: Arc<Vec<BlockRow>>,
     /// Over the row totals, zero for the members that were tombstoned
     /// when it was built. A chunk is only kept while some weight is
     /// positive.
@@ -428,18 +371,15 @@ impl Chunk {
     ) -> Option<Chunk> {
         let tail = &points[start..];
         // Cases 1 and 2 exactly, a corner cell by its population: the
-        // base index's cell-major sweep with a trivial corner bound.
-        let mut base = vec![CumulativeRow9::default(); tail.len()];
+        // base index's cell-major sweep with a trivial corner bound,
+        // straight into the chunk's rows; then the cross part in place.
+        let mut rows = vec![BlockRow::default(); tail.len()];
         let population = |slot: u32, _: &_| opposite.cell(slot).len() as u64;
-        sweep_rows(opposite, tail, l, &population, &mut base);
-        let rows: Vec<InsertRow> = tail
-            .iter()
-            .zip(&base)
-            .map(|(&p, base)| {
-                let cross = opposite_inserts.seen_in_block(opposite.coord_of(p), watermark);
-                InsertRow::new(std::array::from_fn(|c| base.weight(c)), cross as u64)
-            })
-            .collect();
+        sweep_rows(opposite, tail, l, &population, &mut rows);
+        for (row, &p) in rows.iter_mut().zip(tail) {
+            let cross = opposite_inserts.seen_in_block(opposite.coord_of(p), watermark);
+            row.add_extra(cross as u64);
+        }
         // Debug builds (every `cargo test`) count every 64th member's
         // candidates the slow way.
         debug_assert!(
@@ -459,7 +399,7 @@ impl Chunk {
     fn weighted(
         start: usize,
         watermark: u32,
-        rows: Arc<Vec<InsertRow>>,
+        rows: Arc<Vec<BlockRow>>,
         dead: impl Fn(usize) -> bool,
     ) -> Option<Chunk> {
         let mut tombstoned = 0;
@@ -491,10 +431,6 @@ impl Chunk {
 
     fn weight(&self) -> f64 {
         self.alias.total_weight()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<InsertRow>() + self.alias.memory_bytes()
     }
 }
 
@@ -583,14 +519,21 @@ impl InsertSide {
             .collect();
     }
 
-    fn memory_bytes(&self) -> usize {
-        self.grid.memory_bytes()
-            + self.chunks.capacity() * std::mem::size_of::<Arc<Chunk>>()
-            + self
-                .chunks
-                .iter()
-                .map(|c| std::mem::size_of::<Chunk>() + c.memory_bytes())
-                .sum::<usize>()
+    /// Heap bytes by structure: the insert grid, every chunk's rows and
+    /// alias, and the chunk list itself (as `delta`).
+    fn index_bytes(&self) -> IndexBytes {
+        let chunks = self.chunks.iter();
+        IndexBytes {
+            grid: self.grid.memory_bytes(),
+            rows: chunks
+                .clone()
+                .map(|c| c.rows.capacity() * std::mem::size_of::<BlockRow>())
+                .sum(),
+            alias: chunks.map(|c| c.alias.memory_bytes()).sum(),
+            delta: self.chunks.capacity() * std::mem::size_of::<Arc<Chunk>>()
+                + self.chunks.len() * std::mem::size_of::<Chunk>(),
+            ..IndexBytes::default()
+        }
     }
 }
 
@@ -757,10 +700,23 @@ impl OverlaySupport {
     /// Heap bytes of both base grids, both insert grids and every
     /// chunk's rows and alias.
     pub fn memory_bytes(&self) -> usize {
-        self.s_grid.memory_bytes()
-            + self.r_grid.memory_bytes()
-            + self.r_side.memory_bytes()
-            + self.s_side.memory_bytes()
+        (IndexBytes::of_grid(&self.s_grid)
+            + IndexBytes::of_grid(&self.r_grid)
+            + self.r_side.index_bytes()
+            + self.s_side.index_bytes())
+        .total()
+    }
+
+    /// Every chunk of one side (`R`'s if `r_side`) in insert order, as
+    /// `(start, watermark, rows)`: the index into the side's insert
+    /// buffer of the chunk's first member, how much of the opposite
+    /// side's insert buffer its cross parts count, and one row per
+    /// member.
+    pub fn chunk_rows(&self, r_side: bool) -> impl Iterator<Item = (usize, usize, &[BlockRow])> {
+        let side = if r_side { &self.r_side } else { &self.s_side };
+        side.chunks
+            .iter()
+            .map(|c| (c.start, c.watermark as usize, &c.rows[..]))
     }
 }
 
@@ -914,7 +870,10 @@ impl<I: SamplerIndex> OverlayIndex<I> {
         };
         let member = chunk.alias.sample_word(member_word);
         let p = points[chunk.start + member];
-        let pick = chunk.rows[member].pick(row_word);
+        let pick = chunk.rows[member]
+            .pick_word(row_word)
+            .expect("alias returned a member with an empty row");
+        let (rank, weight) = (pick.rank as usize, pick.weight as usize);
 
         let this_id = (first_id + chunk.start + member) as PointId;
         let pair = |candidate: usize| {
@@ -934,9 +893,9 @@ impl<I: SamplerIndex> OverlayIndex<I> {
         };
         // The candidate at the picked rank, and the test `s ∈ w(r)`
         // where the row does not already guarantee it.
-        let accepted = if pick.part == CROSS {
+        let accepted = if pick.part == BlockRow::EXTRA {
             let j = inserts
-                .kth_in_block(grid.coord_of(p), chunk.watermark, pick.rank)
+                .kth_in_block(grid.coord_of(p), chunk.watermark, rank)
                 .expect("cross rank outside what the chunk saw of its block")
                 as usize;
             in_window(opposite[j]).then(|| pair(opposite_first_id + j))
@@ -947,13 +906,13 @@ impl<I: SamplerIndex> OverlayIndex<I> {
             let cell = grid.cell(slot);
             match case_of(pick.part) {
                 CellCase::Quadrant { .. } => {
-                    let id = cell.by_x[pick.rank];
+                    let id = cell.by_x[rank];
                     in_window(grid.point(id)).then(|| pair(id as usize))
                 }
                 case => {
-                    let run = case12_stored_run(cell, case, pick.weight)
+                    let run = case12_stored_run(cell, case, weight)
                         .expect("non-corner case must yield a run");
-                    let id = run[pick.rank];
+                    let id = run[rank];
                     // The run is exactly the window's for an inserted
                     // `r` (no coordinate is read); for an inserted `s`
                     // it was bounded a few ulps wide, so test.
@@ -1059,17 +1018,20 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
         self.build_report
     }
 
-    fn index_memory_bytes(&self) -> usize {
-        self.base.index_memory_bytes()
-            + self.s_grid.memory_bytes()
-            + self.r_grid.memory_bytes()
-            + self.delta.memory_bytes()
-            + self.r_side.memory_bytes()
-            + self.s_side.memory_bytes()
-            + self
-                .source_alias
-                .as_ref()
-                .map_or(0, AliasTable::memory_bytes)
+    fn index_bytes(&self) -> IndexBytes {
+        self.base.index_bytes()
+            + IndexBytes::of_grid(&self.s_grid)
+            + IndexBytes::of_grid(&self.r_grid)
+            + self.r_side.index_bytes()
+            + self.s_side.index_bytes()
+            + IndexBytes {
+                alias: self
+                    .source_alias
+                    .as_ref()
+                    .map_or(0, AliasTable::memory_bytes),
+                delta: self.delta.memory_bytes(),
+                ..IndexBytes::default()
+            }
     }
 }
 
@@ -1314,7 +1276,7 @@ mod tests {
         assert!(at_once.s_side.chunks[0]
             .rows
             .iter()
-            .all(|row| row.cum[CROSS] == row.cum[CROSS - 1]));
+            .all(|row| row.weight(BlockRow::EXTRA) == 0));
         // A support that is ahead of the delta it is handed is refused.
         let mut shorter = delta.clone();
         shorter.r_inserted.pop();

@@ -4,7 +4,7 @@ use std::time::Instant;
 use crate::buffer::{BufferStats, KdsScratch};
 use crate::cellstore::KdCellStore;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-use crate::cursor::{Cursor, SamplerIndex};
+use crate::cursor::{Cursor, IndexBytes, SamplerIndex};
 use crate::parallel::par_chunks;
 use rand::Rng;
 use srj_alias::AliasTable;
@@ -202,10 +202,7 @@ impl KdsRejectionIndex {
 
     /// Approximate heap footprint of the retained structures.
     pub fn memory_bytes(&self) -> usize {
-        self.r_points.capacity() * std::mem::size_of::<Point>()
-            + self.s_cells.memory_bytes()
-            + self.mu.capacity() * std::mem::size_of::<f64>()
-            + self.alias.as_ref().map_or(0, AliasTable::memory_bytes)
+        self.index_bytes().total()
     }
 }
 
@@ -275,12 +272,13 @@ impl SamplerIndex for KdsRejectionIndex {
         self.build_report
     }
 
-    fn index_memory_bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-
-    fn shared_memory_bytes(&self) -> usize {
-        self.s_cells.memory_bytes()
+    fn index_bytes(&self) -> IndexBytes {
+        IndexBytes {
+            r_points: self.r_points.capacity() * std::mem::size_of::<Point>(),
+            rows: self.mu.capacity() * std::mem::size_of::<f64>(),
+            alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
+            ..self.s_cells.store().index_bytes()
+        }
     }
 
     fn shared_memory_token(&self) -> usize {

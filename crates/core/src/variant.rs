@@ -72,7 +72,7 @@ mod tests {
         for (&rp, row) in r.iter().zip(sampler.index().rows()) {
             let w = Rect::window(rp, 4.0);
             let exact = s.iter().filter(|p| w.contains(**p)).count() as u64;
-            assert_eq!(row.total(), exact, "r {rp:?}");
+            assert_eq!(u64::from(row.total()), exact, "r {rp:?}");
         }
         assert!(sampler.index().stray().is_empty());
     }

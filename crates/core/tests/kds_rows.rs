@@ -89,7 +89,7 @@ fn assert_rows_are_brute_force(index: &KdsIndex, r: &[Point], l: f64) {
                     .count() as u64
             })
         });
-        let stored: [u64; 9] = std::array::from_fn(|i| row.weight(i));
+        let stored: [u64; 9] = std::array::from_fn(|i| u64::from(row.weight(i)));
         assert_eq!(stored, brute, "r{ridx} = {rp:?}");
     }
 }

@@ -12,11 +12,13 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
+use srj_alias::BlockRow;
 use srj_core::{
     BbstIndex, Cursor, DeltaSet, JoinPair, JoinSampler, KdsIndex, KdsRejectionIndex, OverlayIndex,
     OverlaySupport, SampleConfig, SampleError, SamplerIndex,
 };
 use srj_geom::{Point, PointId, Rect};
+use srj_grid::{case_of, CellCase, Grid};
 
 fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -201,6 +203,61 @@ fn uniform_after_seven_swaps_over_kds_rejection() {
 #[test]
 fn uniform_after_seven_swaps_over_bbst() {
     uniform_after_seven_swaps(|r, s, cfg| BbstIndex::build(r, s, cfg), 0xA3);
+}
+
+/// A chunk sweeps its members' nine cell counts straight into its rows
+/// and adds the cross count in place. Every row of every chunk of the
+/// seven-swap history must be the row built the two-step way: the nine
+/// counts taken one member at a time — in-window members of the centre
+/// and edge cells, the population of a corner cell — then
+/// `BlockRow::new(cells, cross)` with the opposite inserts below the
+/// chunk's watermark in the member's block. (An `S` chunk bounds its
+/// cells a few ulps wider than `L`; no point of this data sits in that
+/// sliver.)
+#[test]
+fn chunk_rows_are_the_rows_built_in_two_steps() {
+    let (base_r, base_s) = base_sets();
+    let (delta, support) = seven_swaps(&base_r, &base_s);
+    let sides = [
+        (true, &delta.r_inserted, &base_s, &delta.s_inserted),
+        (false, &delta.s_inserted, &base_r, &delta.r_inserted),
+    ];
+    let mut crossing = 0;
+    for (r_side, inserted, opposite_base, opposite_inserted) in sides {
+        let grid = Grid::build(opposite_base, L);
+        let mut chunks = 0;
+        for (start, watermark, rows) in support.chunk_rows(r_side) {
+            chunks += 1;
+            for (&p, row) in inserted[start..].iter().zip(rows) {
+                let w = Rect::window(p, L);
+                let mut cells = [0u64; 9];
+                for (i, cell) in grid.neighborhood(p).into_iter().enumerate() {
+                    let Some(cell) = cell else { continue };
+                    cells[i] = match case_of(i) {
+                        CellCase::Quadrant { .. } => cell.len(),
+                        _ => cell
+                            .by_x
+                            .iter()
+                            .filter(|&&id| w.contains(grid.point(id)))
+                            .count(),
+                    } as u64;
+                }
+                let (cx, cy) = grid.coord_of(p);
+                let cross = opposite_inserted[..watermark]
+                    .iter()
+                    .map(|&q| grid.coord_of(q))
+                    .filter(|&(x, y)| (x - cx).abs() <= 1 && (y - cy).abs() <= 1)
+                    .count() as u64;
+                crossing += cross;
+                assert_eq!(*row, BlockRow::new(cells, cross), "r side {r_side}, {p:?}");
+            }
+        }
+        assert!(chunks >= 3, "the history leaves several chunks a side");
+    }
+    assert!(
+        crossing > 0,
+        "no row had a cross part: the test checks nothing"
+    );
 }
 
 /// Test (b), the accepting side. Every overlay iteration spends one

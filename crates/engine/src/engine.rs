@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use srj_core::{
-    BufferStats, CellPatchReport, DeltaSet, JoinPair, OverlaySupport, PhaseReport, SampleConfig,
-    SampleError,
+    BufferStats, CellPatchReport, DeltaSet, IndexBytes, JoinPair, OverlaySupport, PhaseReport,
+    SampleConfig, SampleError,
 };
 use srj_geom::Point;
 use srj_grid::{IntoPointSet, PointSet};
@@ -352,7 +352,15 @@ impl Engine {
 
     /// Approximate heap footprint of the shared index.
     pub fn memory_bytes(&self) -> usize {
-        self.shared.index.memory_bytes()
+        self.memory_breakdown().total()
+    }
+
+    /// [`Engine::memory_bytes`] by structure: the per-`r` rows, the
+    /// alias tables, the grid, the per-cell units, the point set and,
+    /// for an overlay engine, its pending mutations. `S`-side structures
+    /// shared by several shards are counted once.
+    pub fn memory_breakdown(&self) -> IndexBytes {
+        self.shared.index.index_bytes()
     }
 
     /// Total sampling weight `Σµ` the engine draws against (`= |J|` for

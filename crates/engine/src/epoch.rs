@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use srj_core::{OverlaySupport, SampleConfig};
+use srj_core::{IndexBytes, OverlaySupport, SampleConfig};
 use srj_geom::{Point, PointId};
 use srj_grid::PointSet;
 use srj_obs::journal::{event, EventKind};
@@ -490,6 +490,21 @@ impl EpochEngine {
             buffer_invalidations: self.acc_buffer_invalidations.load(Ordering::Relaxed)
                 + buf_invalidations,
         }
+    }
+
+    /// The serving engine's heap bytes by structure
+    /// ([`Engine::memory_breakdown`]), and the base `S` point set they
+    /// include. Engines over one store — one per window size — stand on
+    /// the same set, so whoever adds engines up counts it once. Walks
+    /// the index outside the state lock (and only the first time: a
+    /// full build remembers its size).
+    pub fn memory_breakdown(&self) -> (IndexBytes, Arc<PointSet>) {
+        let (current, base) = {
+            let st = self.state.read().expect("epoch state poisoned");
+            (st.current.clone(), st.base.clone())
+        };
+        let set = base.s_point_set().expect("a full build has a point set");
+        (current.memory_breakdown(), set)
     }
 
     /// Minor swaps so far (overlay snapshot replaced).

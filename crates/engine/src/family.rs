@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use srj_core::{
-    BbstIndex, BbstSStructures, BufferStats, CellPatchReport, Cursor, DeltaSet, JoinPair,
-    JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex, OverlaySupport,
+    BbstIndex, BbstSStructures, BufferStats, CellPatchReport, Cursor, DeltaSet, IndexBytes,
+    JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex, OverlaySupport,
     PhaseReport, SampleConfig, SampleError, SamplerIndex,
 };
 use srj_geom::{Point, PointId};
@@ -287,7 +287,7 @@ pub(crate) trait EngineIndex: Send + Sync {
     /// A fresh cursor over the shared index (O(1)).
     fn cursor(&self) -> Box<dyn ServingCursor>;
     fn build_report(&self) -> PhaseReport;
-    fn memory_bytes(&self) -> usize;
+    fn index_bytes(&self) -> IndexBytes;
     fn total_weight(&self) -> f64;
     fn cell_count(&self) -> usize;
     fn with_overlay(
@@ -364,8 +364,8 @@ impl<F: Family> EngineIndex for Built<F> {
         serving!(self, index => index.index_build_report())
     }
 
-    fn memory_bytes(&self) -> usize {
-        serving!(self, index => index.index_memory_bytes())
+    fn index_bytes(&self) -> IndexBytes {
+        serving!(self, index => index.index_bytes())
     }
 
     fn total_weight(&self) -> f64 {

@@ -29,13 +29,15 @@
 //! synchronisation — `k` serving threads over `k` shards contend on
 //! nothing.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rand::Rng;
 use srj_alias::AliasTable;
 use srj_core::parallel::par_map;
-use srj_core::{BufferStats, JoinPair, PhaseReport, SampleConfig, SampleError, SamplerIndex};
+use srj_core::{
+    BufferStats, IndexBytes, JoinPair, PhaseReport, SampleConfig, SampleError, SamplerIndex,
+};
 use srj_geom::Point;
 
 /// Balanced contiguous partition of `R` into `k` shards — the same
@@ -63,6 +65,8 @@ pub struct ShardedIndex<I: SamplerIndex> {
     /// every shard is empty (shard 0 then answers `EmptyJoin`).
     alias: Option<AliasTable>,
     build_report: PhaseReport,
+    /// [`SamplerIndex::index_bytes`], computed on first use.
+    bytes: OnceLock<IndexBytes>,
 }
 
 impl<I: SamplerIndex> ShardedIndex<I> {
@@ -162,6 +166,7 @@ impl<I: SamplerIndex> ShardedIndex<I> {
             offsets,
             alias,
             build_report,
+            bytes: OnceLock::new(),
         }
     }
 
@@ -266,26 +271,27 @@ impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
         self.build_report
     }
 
-    fn index_memory_bytes(&self) -> usize {
-        // Shards built over Arc-shared S-side structures (one kd-tree /
-        // grid / BBST set for all of them) report the same non-zero
-        // shared-memory token; count that allocation once, not per
-        // shard.
-        let mut seen_tokens: Vec<usize> = Vec::new();
-        self.shards
-            .iter()
-            .map(|s| {
+    /// Walks every shard once and keeps the answer: the index never
+    /// changes, and the server asks at every metrics scrape.
+    fn index_bytes(&self) -> IndexBytes {
+        *self.bytes.get_or_init(|| {
+            // Shards built over Arc-shared S-side structures (one
+            // kd-tree / grid / BBST set for all of them) report the same
+            // non-zero shared-memory token; count that allocation once,
+            // not per shard.
+            let mut seen_tokens: Vec<usize> = Vec::new();
+            self.shards.iter().fold(IndexBytes::default(), |sum, s| {
                 let token = s.shared_memory_token();
                 if token != 0 && seen_tokens.contains(&token) {
-                    s.index_memory_bytes() - s.shared_memory_bytes()
+                    sum + s.index_bytes().without_s_side()
                 } else {
                     if token != 0 {
                         seen_tokens.push(token);
                     }
-                    s.index_memory_bytes()
+                    sum + s.index_bytes()
                 }
             })
-            .sum()
+        })
     }
 }
 

@@ -203,6 +203,18 @@ mod tests {
             let series = format!("srj_maintenance_total{{dataset=\"9\",rung=\"{rung}\"}}");
             assert!(text.contains(&series), "missing {series:?} in:\n{text}");
         }
+        // Memory by structure; every family keeps its own copy of `R`.
+        for structure in srj_core::IndexBytes::default()
+            .parts()
+            .map(|(name, _)| name)
+        {
+            let series = format!("srj_index_bytes{{dataset=\"9\",structure=\"{structure}\"}}");
+            assert!(text.contains(&series), "missing {series:?} in:\n{text}");
+        }
+        assert!(
+            text.contains("srj_index_bytes{dataset=\"9\",structure=\"r_points\"} 3200\n"),
+            "200 points of R are 3200 bytes:\n{text}"
+        );
         // The ladder has exactly those rungs: nothing serving traffic
         // could trigger is exposed.
         assert_eq!(text.matches("srj_maintenance_total{").count(), 3, "{text}");
@@ -230,6 +242,27 @@ mod tests {
 
         // An untraced id answers an empty span list, not an error.
         assert!(client.trace(u64::MAX - 1).unwrap().is_empty());
+
+        // A second window size is a second engine over the same base:
+        // its rows and copy of `R` add up, the point set they share —
+        // 300 points, 16 B each and two `u32` orders — counts once.
+        let second = SampleRequest {
+            req_id: 1,
+            dataset: 9,
+            l: 6.0,
+            algorithm: None,
+            shards: 1,
+            t: 10,
+            seed: 7,
+        };
+        assert_eq!(client.sample(second).unwrap().status, RequestStatus::Ok);
+        let text = client.metrics().unwrap();
+        for series in [
+            "structure=\"r_points\"} 6400\n",
+            "structure=\"point_set\"} 7200\n",
+        ] {
+            assert!(text.contains(series), "missing {series:?} in:\n{text}");
+        }
         server.shutdown();
     }
 

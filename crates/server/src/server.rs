@@ -92,7 +92,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use srj_core::SampleConfig;
+use srj_core::{IndexBytes, SampleConfig};
 use srj_engine::{DatasetStore, EngineStats, EpochConfig, EpochEngine, SamplerHandle};
 use srj_geom::Point;
 use srj_obs::profiler::ALL_STATES;
@@ -403,7 +403,16 @@ impl ServedDataset {
             engines: engines.len(),
             ..MaintenanceStats::default()
         };
+        let mut sets_seen = Vec::new();
         for (_, e) in engines.iter() {
+            let (bytes, set) = e.memory_breakdown();
+            out.index_bytes = out.index_bytes + bytes;
+            // Window sizes over one base stand on one point set.
+            if sets_seen.contains(&Arc::as_ptr(&set)) {
+                out.index_bytes.point_set -= set.memory_bytes();
+            } else {
+                sets_seen.push(Arc::as_ptr(&set));
+            }
             let s = e.maintenance_snapshot();
             out.minor_swaps += s.minor_swaps;
             out.major_swaps += s.major_swaps;
@@ -441,6 +450,9 @@ struct MaintenanceStats {
     /// How many engines were aggregated (0 ⇒ fall back to the store's
     /// epoch for the `srj_epoch` gauge).
     engines: usize,
+    /// Heap bytes of the serving indexes by structure, a point set
+    /// several engines share counted once.
+    index_bytes: IndexBytes,
 }
 
 /// The datasets a server answers for, keyed by the `u64` ids clients
@@ -552,6 +564,9 @@ struct DatasetMetrics {
     rejection_rate: Gauge,
     /// `srj_mu_total` — Σµ across serving engines at scrape.
     mu_total: Gauge,
+    /// `srj_index_bytes{structure=...}` in [`IndexBytes::parts`] order —
+    /// heap bytes of the serving indexes at scrape.
+    index_bytes: [Gauge; 7],
     /// `srj_epoch` — store epoch at scrape.
     epoch: Gauge,
     /// `srj_maintenance_total{rung=...}` in [`RUNGS`] order, mirrored
@@ -581,6 +596,12 @@ impl DatasetMetrics {
             rejection_iterations: reg.counter("srj_rejection_iterations_total", &labels),
             rejection_rate: reg.gauge("srj_rejection_rate", &labels),
             mu_total: reg.gauge("srj_mu_total", &labels),
+            index_bytes: IndexBytes::default().parts().map(|(structure, _)| {
+                reg.gauge(
+                    "srj_index_bytes",
+                    &[("dataset", &id), ("structure", structure)],
+                )
+            }),
             epoch: reg.gauge("srj_epoch", &labels),
             rungs: std::array::from_fn(|i| {
                 reg.counter(
@@ -832,6 +853,9 @@ impl Shared {
                 agg.iterations as f64 / agg.samples as f64
             });
             m.mu_total.set(agg.mu_total);
+            for (gauge, (_, bytes)) in m.index_bytes.iter().zip(agg.index_bytes.parts()) {
+                gauge.set(bytes as f64);
+            }
             // Prefer the engine-consistent epoch (taken under the same
             // snapshot as mu_total); a dataset no engine serves yet has
             // only the store's epoch to report.

@@ -619,6 +619,35 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
                 assert_eq!(engine.is_overlay(), is_overlay, "{what}");
                 assert_eq!(engine.cell_count(), base.cell_count(), "{what}");
 
+                // Memory by structure: the parts are the whole; a clean
+                // index keeps one forty-byte row per `r` (KDS-rejection
+                // one `f64`) and its copy of `R`; however many shards,
+                // one `S`-side; pending mutations add to the overlay's
+                // own entries and to nothing of the base's.
+                let bytes = engine.memory_breakdown();
+                assert_eq!(bytes.total(), engine.memory_bytes(), "{what}");
+                let per_r = if algo == Algorithm::KdsRejection {
+                    8
+                } else {
+                    40
+                };
+                let clean = base.memory_breakdown();
+                assert_eq!(clean.rows, per_r * r.len(), "{what}");
+                assert_eq!(clean.r_points, 16 * r.len(), "{what}");
+                assert_eq!(clean.delta, 0, "{what}");
+                let one_shard = Engine::build_sharded(&r, &s, &cfg, algo, 1).memory_breakdown();
+                assert_eq!(
+                    (clean.grid, clean.units, clean.point_set),
+                    (one_shard.grid, one_shard.units, one_shard.point_set),
+                    "{what}"
+                );
+                if is_overlay {
+                    assert!(bytes.delta > 0, "{what}");
+                    assert_eq!(bytes.rows, clean.rows + 2 * 40, "{what}: two chunk rows");
+                    assert_eq!((bytes.r_points, bytes.units), (clean.r_points, clean.units));
+                    assert!(bytes.grid > clean.grid && bytes.point_set > clean.point_set);
+                }
+
                 // Same seed, same stream, through either entry point.
                 let batch = engine.handle_seeded(11).sample_batch(300).unwrap();
                 assert_eq!(batch.len(), 300, "{what}");
