@@ -199,18 +199,27 @@ impl BbstIndex {
             grid.cell_side(),
             config.half_extent
         );
+        let s_side = Self::s_structures_on_grid(Arc::new(grid), config);
+        let grid_mapping = grid_build_time + s_side.grid_mapping;
+        Self::build_inner(r, s_side.store, config, sort_time, grid_mapping)
+    }
+
+    /// The per-cell BBSTs over a grid the caller already built with cell
+    /// side `config.half_extent` — and may go on sharing: the structures
+    /// hold the `Arc`, not a copy. `grid_mapping` is what the trees
+    /// cost; the grid's own build is the caller's to charge.
+    pub fn s_structures_on_grid(grid: Arc<Grid>, config: &SampleConfig) -> BbstSStructures {
         let t1 = Instant::now();
         let ctx = BbstCellCtx {
             cap: bucket_capacity(grid.num_points()),
             cascading: config.use_cascading,
         };
-        let store = Arc::new(CellStore::from_grid(
-            Arc::new(grid),
-            ctx,
-            config.build_threads,
-        ));
-        let grid_mapping = grid_build_time + t1.elapsed();
-        Self::build_inner(r, store, config, sort_time, grid_mapping)
+        let store = CellStore::from_grid(grid, ctx, config.build_threads);
+        BbstSStructures {
+            store: Arc::new(store),
+            preprocessing: std::time::Duration::ZERO,
+            grid_mapping: t1.elapsed(),
+        }
     }
 
     /// Builds only the `S`-side structures (grid + per-cell BBSTs,
@@ -237,16 +246,13 @@ impl BbstIndex {
         let preprocessing = s.ensure_orders();
 
         let t1 = Instant::now();
-        let grid = Grid::build(s, config.half_extent);
-        let ctx = BbstCellCtx {
-            cap: bucket_capacity(grid.num_points()),
-            cascading: config.use_cascading,
-        };
-        let store = CellStore::from_grid(Arc::new(grid), ctx, config.build_threads);
+        let grid = Arc::new(Grid::build(s, config.half_extent));
+        let grid_time = t1.elapsed();
+        let trees = Self::s_structures_on_grid(grid, config);
         BbstSStructures {
-            store: Arc::new(store),
             preprocessing,
-            grid_mapping: t1.elapsed(),
+            grid_mapping: grid_time + trees.grid_mapping,
+            ..trees
         }
     }
 

@@ -15,8 +15,10 @@
 //! | [`BbstSampler`] | §IV | `Õ(n + m + t)` exp. | `O(n + m)` |
 //!
 //! ([`BbstKdVariantSampler`], the Fig. 9 ablation — grid pipeline,
-//! kd-tree corner cells — is [`KdsSampler`] under its paper name) plus
-//! [`JoinThenSample`], the `Ω(|J|)` strawman (materialise, then
+//! kd-tree corner cells — is [`KdsSampler`] under its paper name;
+//! [`GroupIndex`] keeps one row per cell of `R` instead of one per `r`,
+//! the §III-B bound without a kd-tree, for data on which that bound is
+//! already tight) plus [`JoinThenSample`], the `Ω(|J|)` strawman (materialise, then
 //! sample) that the introduction rules out and the experiments use as a
 //! sanity lower bound.
 //!
@@ -63,6 +65,7 @@ pub mod cellstore;
 mod config;
 mod cursor;
 mod decompose;
+mod group;
 mod kds;
 mod materialize;
 mod overlay;
@@ -79,6 +82,7 @@ pub use cellstore::{
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 pub use cursor::{Cursor, IndexBytes, SamplerIndex};
+pub use group::{block_rows, GroupCursor, GroupIndex};
 pub use kds::{KdsCursor, KdsIndex, KdsSampler};
 pub use materialize::JoinThenSample;
 pub use overlay::{DeltaSet, OverlayIndex, OverlaySupport};

@@ -13,7 +13,7 @@ use srj_core::{
 use srj_geom::Point;
 use srj_grid::{IntoPointSet, PointSet};
 
-use crate::family::{self, EngineIndex, ServingCursor};
+use crate::family::{self, EngineIndex, RowGranularity, ServingCursor};
 use crate::planner::{plan, PlanReport};
 use crate::stats::{EngineStats, StatsSnapshot};
 
@@ -24,7 +24,9 @@ pub enum Algorithm {
     Kds,
     /// Grid upper bounds + rejection sampling (§III-B).
     KdsRejection,
-    /// The proposed BBST pipeline (§IV).
+    /// The proposed BBST pipeline (§IV), at the row granularity the
+    /// build found the data to call for ([`Engine::row_granularity`]):
+    /// at group granularity the index holds the grid and no BBST.
     Bbst,
 }
 
@@ -369,6 +371,23 @@ impl Engine {
     /// export it for exactly that check.
     pub fn total_weight(&self) -> f64 {
         self.shared.index.total_weight()
+    }
+
+    /// What one row of the index bounds. [`Algorithm::Bbst`] has two
+    /// granularities, decided once per full build from the data alone:
+    /// one row per cell of `R` where the §III-B grid bound is already
+    /// tight (a probe of the group rows needs ≤ 1.5 iterations a sample),
+    /// per-`r` rows — the paper's Algorithm 1 — elsewhere; rebuilds over
+    /// a new `R` or a patched `S`, and overlays, keep their full build's.
+    /// The KDS families are per-`r`.
+    pub fn row_granularity(&self) -> RowGranularity {
+        self.shared.index.row_granularity()
+    }
+
+    /// Rows the full build keeps: `|R|` at per-`r` granularity, the
+    /// cells of `R` whose block holds a point at group granularity.
+    pub fn row_count(&self) -> usize {
+        self.shared.index.row_count()
     }
 
     /// Number of `S`-side cells the index draws from (an overlay

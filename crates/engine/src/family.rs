@@ -1,25 +1,32 @@
 //! The engine's one index shape.
 //!
 //! The paper's three algorithms are one skeleton — an `S`-side built
-//! from `S` alone, a per-`r` weight pass over it, an alias pick, a draw
-//! — so the engine holds all of them the same way: a
-//! [`ShardedIndex`] of one or more shards of a [`Family`], optionally
-//! under a delta [`OverlayIndex`], behind one object-safe
-//! [`EngineIndex`] implemented once for every family. Adding or
-//! removing an algorithm is one `impl Family` and one arm of
-//! [`build`].
+//! from `S` alone, a weight pass over it, an alias pick, a draw — so
+//! the engine holds all of them the same way: a [`ShardedIndex`] of one
+//! or more shards of a [`Family`], optionally under a delta
+//! [`OverlayIndex`], behind one object-safe [`EngineIndex`] implemented
+//! once for every family. Adding or removing an algorithm is one
+//! `impl Family` and one arm of [`build`].
+//!
+//! [`Algorithm::Bbst`] has two row granularities, each an `impl Family`:
+//! per-`r` rows ([`BbstIndex`], the paper's Algorithm 1) and one row per
+//! cell of `R` ([`GroupIndex`], the §III-B bound and nothing else).
+//! [`build`] decides between them once per full build, from the data
+//! alone — see [`build_bbst`].
 
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use srj_core::{
-    BbstIndex, BbstSStructures, BufferStats, CellPatchReport, Cursor, DeltaSet, IndexBytes,
-    JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex, OverlaySupport,
-    PhaseReport, SampleConfig, SampleError, SamplerIndex,
+    BbstIndex, BbstSStructures, BufferStats, CellPatchReport, Cursor, DeltaSet, GroupIndex,
+    IndexBytes, JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex,
+    OverlaySupport, PhaseReport, SampleConfig, SampleError, SamplerIndex,
 };
 use srj_geom::{Point, PointId};
-use srj_grid::PointSet;
+use srj_grid::{Grid, PointSet};
 
 use crate::engine::Algorithm;
 use crate::planner::DonatedGrid;
@@ -28,6 +35,29 @@ use crate::shard::ShardedIndex;
 /// `(cell coordinate, unit pointer)` per `S`-cell; see
 /// [`crate::Engine::s_cell_tokens`].
 pub(crate) type CellTokens = Vec<((i32, i32), usize)>;
+
+/// What one row of an index bounds; see [`crate::Engine::row_granularity`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum RowGranularity {
+    /// One row per `r`: its own counts or bounds over its 3×3 block.
+    PerR,
+    /// One row per non-empty cell of `R`: the block's nine populations,
+    /// shared by every `r` of the cell ([`GroupIndex`]).
+    Group,
+}
+
+impl RowGranularity {
+    /// Every granularity, in declaration order: `ALL[g as usize] == g`.
+    pub const ALL: [RowGranularity; 2] = [RowGranularity::PerR, RowGranularity::Group];
+
+    /// The `granularity` label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            RowGranularity::Group => "group",
+            RowGranularity::PerR => "per_r",
+        }
+    }
+}
 
 /// What the engine needs of an algorithm beyond drawing
 /// ([`SamplerIndex`]): how its index is put together from an `S`-side
@@ -67,6 +97,12 @@ trait Family: SamplerIndex + Sized + 'static {
         _config: &SampleConfig,
         _donated: DonatedGrid,
     ) -> Option<Self> {
+        None
+    }
+
+    /// How many rows the index keeps if it keeps one per group of `R`;
+    /// `None` for a row per `r`.
+    fn group_rows(&self) -> Option<usize> {
         None
     }
 }
@@ -220,6 +256,60 @@ impl Family for BbstIndex {
     }
 }
 
+impl Family for GroupIndex {
+    const ALGORITHM: Algorithm = Algorithm::Bbst;
+    /// The bare grid: a group row reads nothing else of `S`.
+    type SSide = Arc<Grid>;
+
+    fn build_s(s: Arc<PointSet>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
+        let preprocessing = s.ensure_orders();
+        let t0 = Instant::now();
+        let grid = Arc::new(Grid::build(s, config.half_extent));
+        let report = PhaseReport {
+            preprocessing,
+            grid_mapping: t0.elapsed(),
+            ..PhaseReport::default()
+        };
+        (grid, report)
+    }
+
+    fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
+        GroupIndex::build_on_grid(r, Arc::clone(s_side), config)
+    }
+
+    fn s_side(&self) -> Self::SSide {
+        Arc::clone(self.grid())
+    }
+
+    fn patch(
+        s_side: &Self::SSide,
+        inserted: &[Point],
+        deleted: &HashSet<PointId>,
+    ) -> (Self::SSide, CellPatchReport) {
+        let (grid, patched) = s_side.patch(inserted, deleted);
+        let report = CellPatchReport {
+            cells_total: grid.num_cells(),
+            cells_rebuilt: patched.cells_rebuilt,
+            cells_shared: patched.cells_shared,
+        };
+        (Arc::new(grid), report)
+    }
+
+    /// A cell's structure is the cell: its `Arc` is the token.
+    fn cell_tokens(s_side: &Self::SSide) -> CellTokens {
+        let token = |cell: &Arc<srj_grid::Cell>| (cell.coord, Arc::as_ptr(cell) as usize);
+        s_side.cells().iter().map(token).collect()
+    }
+
+    fn point_set(s_side: &Self::SSide) -> Arc<PointSet> {
+        Arc::clone(s_side.point_set())
+    }
+
+    fn group_rows(&self) -> Option<usize> {
+        Some(self.group_count())
+    }
+}
+
 /// Builds the index for `algorithm` over `shards` shards of `r`
 /// (`≤ 1` = one shard). A `donated` grid — the planner's, unsharded
 /// builds only — is built on instead of a second one where the family
@@ -235,7 +325,86 @@ pub(crate) fn build(
     match algorithm {
         Algorithm::Kds => build_family::<KdsIndex>(r, s, config, shards, donated),
         Algorithm::KdsRejection => build_family::<KdsRejectionIndex>(r, s, config, shards, donated),
-        Algorithm::Bbst => build_family::<BbstIndex>(r, s, config, shards, donated),
+        // The planner donates a grid only after finding its bound loose.
+        Algorithm::Bbst if donated.is_some() => {
+            build_family::<BbstIndex>(r, s, config, shards, donated)
+        }
+        Algorithm::Bbst => build_bbst(r, s, config, shards),
+    }
+}
+
+/// Iterations of the probe that decides [`Algorithm::Bbst`]'s row
+/// granularity, and the generator seed it always starts from.
+const PROBE_ITERATIONS: usize = 4096;
+const PROBE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Group rows serve when the probe accepts at least this share of its
+/// iterations, i.e. needs ≤ 1.5 iterations a sample. A group iteration
+/// (no tree descent, no per-`r` row to fetch) measures 0.45–0.8 of a
+/// per-`r` one, so the loosest admitted index spends about 1.2 per-`r`
+/// iterations' worth of time per sample — what per-`r` rows spend
+/// themselves (1.0–1.2 iterations) — for a build without trees or a
+/// per-`r` pass and 40 bytes per `r` less.
+const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 1.5;
+
+/// [`Algorithm::Bbst`] at the row granularity the data calls for.
+///
+/// The grid is built once. Group rows over it cost one `O(n)` pass, so
+/// they are built first and probed: [`PROBE_ITERATIONS`] iterations of
+/// the index's own kernel from a fixed seed. If the §III-B bound is
+/// tight enough ([`MIN_PROBE_ACCEPTANCE`]; data clustered below the
+/// window size) the group rows *are* the index. Otherwise the per-cell
+/// BBSTs and per-`r` rows are built over the same grid — the index, `Σµ`
+/// and streams of a plain [`BbstIndex`] build, with the group pass and
+/// the probe charged to its upper-bounding phase.
+///
+/// The decision is a function of `(R, S, l, shards)` alone: no traffic,
+/// no clock, no configuration enters it, so every path to a full build
+/// takes it identically. Rebuilds over a new `R` or a patched `S` keep
+/// the granularity of the full build they derive from.
+fn build_bbst(
+    r: &[Point],
+    s: Arc<PointSet>,
+    config: &SampleConfig,
+    shards: usize,
+) -> Box<dyn EngineIndex> {
+    let (grid, s_report) = <GroupIndex as Family>::build_s(s, config);
+    let t0 = Instant::now();
+    let groups = build_shards::<GroupIndex>(r, &grid, config, shards, s_report);
+    if probe_acceptance(&groups) >= MIN_PROBE_ACCEPTANCE {
+        return Built::full(groups, r.len());
+    }
+    drop(groups);
+    let tried = t0.elapsed();
+    let s_side = BbstIndex::s_structures_on_grid(grid, config);
+    let report = PhaseReport {
+        grid_mapping: s_report.grid_mapping + s_side.grid_mapping,
+        upper_bounding: tried,
+        upper_bounding_cpu: tried,
+        ..s_report
+    };
+    Built::full(
+        build_shards::<BbstIndex>(r, &s_side, config, shards, report),
+        r.len(),
+    )
+}
+
+/// Share of [`PROBE_ITERATIONS`] fixed-seed iterations `index` accepts;
+/// zero for an empty join.
+fn probe_acceptance(index: &ShardedIndex<GroupIndex>) -> f64 {
+    let mut rng = SmallRng::seed_from_u64(PROBE_SEED);
+    let mut stats = PhaseReport::default();
+    let mut outcomes = Vec::with_capacity(PROBE_ITERATIONS);
+    let probed = index.try_many(
+        PROBE_ITERATIONS,
+        &mut rng,
+        &mut (),
+        &mut stats,
+        &mut outcomes,
+    );
+    match probed {
+        Ok(()) => stats.samples as f64 / PROBE_ITERATIONS as f64,
+        Err(_) => 0.0,
     }
 }
 
@@ -247,13 +416,16 @@ fn build_family<F: Family>(
     donated: Option<DonatedGrid>,
 ) -> Box<dyn EngineIndex> {
     if let Some(index) = donated.and_then(|grid| F::build_with_grid(r, &s, config, grid)) {
-        return Built::full(ShardedIndex::single(index));
+        return Built::full(ShardedIndex::single(index), r.len());
     }
     // The S-side depends only on `S`, never on a shard's slice of `R`:
     // built once, with the full `build_threads` budget, and shared into
     // every shard (`ShardedIndex::index_memory_bytes` counts it once).
     let (s_side, s_report) = F::build_s(s, config);
-    Built::full(build_shards::<F>(r, &s_side, config, shards, s_report))
+    Built::full(
+        build_shards::<F>(r, &s_side, config, shards, s_report),
+        r.len(),
+    )
 }
 
 /// `shards` shards of `r` over one `S`-side; `base` is what that side
@@ -290,6 +462,9 @@ pub(crate) trait EngineIndex: Send + Sync {
     fn index_bytes(&self) -> IndexBytes;
     fn total_weight(&self) -> f64;
     fn cell_count(&self) -> usize;
+    fn row_granularity(&self) -> RowGranularity;
+    /// Rows of the full build, whatever stands on it.
+    fn row_count(&self) -> usize;
     fn with_overlay(
         &self,
         delta: DeltaSet,
@@ -311,16 +486,25 @@ pub(crate) trait EngineIndex: Send + Sync {
 /// A full build of family `F`, or a delta overlay on one.
 struct Built<F: Family> {
     full: Arc<ShardedIndex<F>>,
+    /// `|R|` of the full build.
+    r_len: usize,
     /// Pending mutations over `full`, when this is an overlay snapshot.
     overlay: Option<Arc<OverlayIndex<ShardedIndex<F>>>>,
 }
 
 impl<F: Family> Built<F> {
-    fn full(index: ShardedIndex<F>) -> Box<dyn EngineIndex> {
+    fn full(index: ShardedIndex<F>, r_len: usize) -> Box<dyn EngineIndex> {
         Box::new(Built {
             full: Arc::new(index),
+            r_len,
             overlay: None,
         })
+    }
+
+    /// Every shard's [`Family::group_rows`], summed.
+    fn group_rows(&self) -> Option<usize> {
+        let shards = 0..self.full.shard_count();
+        shards.map(|i| self.full.shard(i).group_rows()).sum()
     }
 
     /// The full build, unless an overlay stands on it.
@@ -376,6 +560,17 @@ impl<F: Family> EngineIndex for Built<F> {
         serving!(self, index => index.cell_count())
     }
 
+    fn row_granularity(&self) -> RowGranularity {
+        match self.group_rows() {
+            Some(_) => RowGranularity::Group,
+            None => RowGranularity::PerR,
+        }
+    }
+
+    fn row_count(&self) -> usize {
+        self.group_rows().unwrap_or(self.r_len)
+    }
+
     fn with_overlay(
         &self,
         delta: DeltaSet,
@@ -390,6 +585,7 @@ impl<F: Family> EngineIndex for Built<F> {
         let overlay = OverlayIndex::new(Arc::clone(&full), delta, support, config);
         Box::new(Built {
             full,
+            r_len: self.r_len,
             overlay: Some(Arc::new(overlay)),
         })
     }
@@ -399,7 +595,7 @@ impl<F: Family> EngineIndex for Built<F> {
         let s_side = full.shard(0).s_side();
         let report = PhaseReport::default();
         let index = build_shards::<F>(r, &s_side, config, full.shard_count(), report);
-        Some(Built::full(index))
+        Some(Built::full(index, r.len()))
     }
 
     fn rebuild_with_s_patch(
@@ -413,7 +609,7 @@ impl<F: Family> EngineIndex for Built<F> {
         let (s_side, patched) = F::patch(&full.shard(0).s_side(), inserted_s, deleted_s);
         let report = PhaseReport::default();
         let index = build_shards::<F>(r, &s_side, config, full.shard_count(), report);
-        Some((Built::full(index), patched))
+        Some((Built::full(index, r.len()), patched))
     }
 
     fn s_cell_tokens(&self) -> Option<CellTokens> {

@@ -99,6 +99,7 @@ pub use cache::EngineCache;
 pub use dataset::{BatchApplied, DatasetSnapshot, DatasetStore, SPatchDelta};
 pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
 pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot};
+pub use family::RowGranularity;
 pub use planner::PlanReport;
 pub use shard::ShardedIndex;
 pub use stats::{EngineStats, StatsSnapshot};

@@ -18,9 +18,18 @@
 //!   for low-selectivity workloads where the 9-cell bound is loose.
 //!
 //! The planner measures exactly the quantity that separates the last
-//! two: the §III-B grid upper bound `Σµ` (computed in full, `O(n)`) and
-//! a sampled exact-count estimate of `|J|` (`O(√n · cell)`), giving the
-//! expected rejection overhead `Σµ/|J|` before committing to a build.
+//! two: the §III-B grid upper bound `Σµ` (computed in full, one block
+//! per group of `R`: [`srj_core::block_rows`]) and a sampled exact-count
+//! estimate of `|J|` (`O(√n · cell)`), giving the expected rejection
+//! overhead `Σµ/|J|` before committing to a build.
+//!
+//! Rule 2 is older than BBST's group rows ([`srj_core::GroupIndex`]),
+//! which draw against the same `Σµ` from the same grid with no kd-tree
+//! built and none queried, so wherever rule 2 picks KDS-rejection they
+//! would serve the same iterations cheaper. The planner does not pick
+//! them (under [`Algorithm::Bbst`] the build does, from a tighter test);
+//! whether KDS-rejection keeps its rule is the rejection experiment's
+//! decision (ROADMAP), not made here.
 
 use std::sync::Arc;
 
@@ -28,7 +37,7 @@ use srj_geom::{Point, Rect};
 use srj_grid::{Grid, PointSet};
 
 use crate::Algorithm;
-use srj_core::SampleConfig;
+use srj_core::{block_rows, SampleConfig};
 
 /// Below this `n·√m` product, KDS's exact counting is too cheap to
 /// bother estimating anything else.
@@ -131,10 +140,12 @@ pub(crate) fn plan(
     let grid = Grid::build(s, config.half_extent);
     let build_time = t_grid.elapsed();
 
-    // Full §III-B upper bound: Σ over all r of the 9-cell population.
-    let mu_grid_total: f64 = r
-        .iter()
-        .map(|&rp| grid.neighborhood_population(rp) as f64)
+    // Full §III-B upper bound, Σ over all r of the 9-cell population,
+    // taken a group of R at a time: Σ |R_g| · pop(block_g). Integers, so
+    // the same f64 as the per-r sum.
+    let groups = grid.group_by_cell(r);
+    let mu_grid_total: f64 = block_rows(&grid, r, &groups)
+        .map(|(members, row)| members.len() as f64 * f64::from(row.total()))
         .sum();
 
     // Sampled |J| estimate: exact-count an evenly-spaced subset of R
@@ -242,5 +253,22 @@ mod tests {
         let rel = (est - true_join).abs() / true_join;
         assert!(rel < 0.2, "estimate {est} vs true {true_join}");
         assert!(p.mu_grid_total.unwrap() >= true_join);
+    }
+
+    #[test]
+    fn group_wise_bound_is_the_per_r_sum() {
+        // Clumps and strays, some `r` beyond every cell of `S`.
+        let at = |i: usize| Point::new((i * i % 257) as f64 * 0.37, (i * 7 % 101) as f64 * 0.91);
+        let r: Vec<Point> = (0..3_000).map(|i| at(i + 11)).collect();
+        let s = Arc::new(PointSet::new((0..9_000).map(at).collect()));
+        for l in [0.5, 2.0, 7.5] {
+            let (p, grid) = plan(&r, &s, &SampleConfig::new(l), 1);
+            let grid = grid.expect("past the small-input rule").grid;
+            let per_r: f64 = r
+                .iter()
+                .map(|&rp| grid.neighborhood_population(rp) as f64)
+                .sum();
+            assert_eq!(p.mu_grid_total, Some(per_r), "l = {l}");
+        }
     }
 }

@@ -215,6 +215,11 @@ mod tests {
             text.contains("srj_index_bytes{dataset=\"9\",structure=\"r_points\"} 3200\n"),
             "200 points of R are 3200 bytes:\n{text}"
         );
+        // ... and, on this data, a row per `r`.
+        for rows in ["granularity=\"per_r\"} 200\n", "granularity=\"group\"} 0\n"] {
+            let series = format!("srj_index_rows{{dataset=\"9\",{rows}");
+            assert!(text.contains(&series), "missing {series:?} in:\n{text}");
+        }
         // The ladder has exactly those rungs: nothing serving traffic
         // could trigger is exposed.
         assert_eq!(text.matches("srj_maintenance_total{").count(), 3, "{text}");
@@ -260,6 +265,7 @@ mod tests {
         for series in [
             "structure=\"r_points\"} 6400\n",
             "structure=\"point_set\"} 7200\n",
+            "granularity=\"per_r\"} 400\n",
         ] {
             assert!(text.contains(series), "missing {series:?} in:\n{text}");
         }

@@ -93,7 +93,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use srj_core::{IndexBytes, SampleConfig};
-use srj_engine::{DatasetStore, EngineStats, EpochConfig, EpochEngine, SamplerHandle};
+use srj_engine::{
+    DatasetStore, EngineStats, EpochConfig, EpochEngine, RowGranularity, SamplerHandle,
+};
 use srj_geom::Point;
 use srj_obs::profiler::ALL_STATES;
 use srj_obs::timeseries::{Recorder, SeriesStore};
@@ -407,6 +409,8 @@ impl ServedDataset {
         for (_, e) in engines.iter() {
             let (bytes, set) = e.memory_breakdown();
             out.index_bytes = out.index_bytes + bytes;
+            let engine = e.engine();
+            out.index_rows[engine.row_granularity() as usize] += engine.row_count();
             // Window sizes over one base stand on one point set.
             if sets_seen.contains(&Arc::as_ptr(&set)) {
                 out.index_bytes.point_set -= set.memory_bytes();
@@ -453,6 +457,9 @@ struct MaintenanceStats {
     /// Heap bytes of the serving indexes by structure, a point set
     /// several engines share counted once.
     index_bytes: IndexBytes,
+    /// Rows of the serving indexes' full builds, in
+    /// [`RowGranularity::ALL`] order.
+    index_rows: [usize; RowGranularity::ALL.len()],
 }
 
 /// The datasets a server answers for, keyed by the `u64` ids clients
@@ -567,6 +574,9 @@ struct DatasetMetrics {
     /// `srj_index_bytes{structure=...}` in [`IndexBytes::parts`] order —
     /// heap bytes of the serving indexes at scrape.
     index_bytes: [Gauge; 7],
+    /// `srj_index_rows{granularity=...}` in [`RowGranularity::ALL`]
+    /// order — rows the serving indexes keep, at scrape.
+    index_rows: [Gauge; RowGranularity::ALL.len()],
     /// `srj_epoch` — store epoch at scrape.
     epoch: Gauge,
     /// `srj_maintenance_total{rung=...}` in [`RUNGS`] order, mirrored
@@ -600,6 +610,12 @@ impl DatasetMetrics {
                 reg.gauge(
                     "srj_index_bytes",
                     &[("dataset", &id), ("structure", structure)],
+                )
+            }),
+            index_rows: RowGranularity::ALL.map(|granularity| {
+                reg.gauge(
+                    "srj_index_rows",
+                    &[("dataset", &id), ("granularity", granularity.label())],
                 )
             }),
             epoch: reg.gauge("srj_epoch", &labels),
@@ -855,6 +871,9 @@ impl Shared {
             m.mu_total.set(agg.mu_total);
             for (gauge, (_, bytes)) in m.index_bytes.iter().zip(agg.index_bytes.parts()) {
                 gauge.set(bytes as f64);
+            }
+            for (gauge, rows) in m.index_rows.iter().zip(agg.index_rows) {
+                gauge.set(rows as f64);
             }
             // Prefer the engine-consistent epoch (taken under the same
             // snapshot as mu_total); a dataset no engine serves yet has

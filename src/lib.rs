@@ -87,15 +87,15 @@ pub use srj_server as server;
 pub use srj_core::{
     BbstCellCtx, BbstCursor, BbstIndex, BbstKdVariantCursor, BbstKdVariantIndex,
     BbstKdVariantSampler, BbstSampler, CellPatchReport, CellStore, CellUnit, Cursor, DeltaSet,
-    IndexBytes, JoinPair, JoinSampler, JoinThenSample, KdCellStore, KdsCursor, KdsIndex,
-    KdsRejectionCursor, KdsRejectionIndex, KdsRejectionSampler, KdsSampler, MassMode, OverlayIndex,
-    OverlaySupport, PhaseReport, RangeTreeSampler, SampleConfig, SampleError, SampleIter,
-    SamplerIndex,
+    GroupCursor, GroupIndex, IndexBytes, JoinPair, JoinSampler, JoinThenSample, KdCellStore,
+    KdsCursor, KdsIndex, KdsRejectionCursor, KdsRejectionIndex, KdsRejectionSampler, KdsSampler,
+    MassMode, OverlayIndex, OverlaySupport, PhaseReport, RangeTreeSampler, SampleConfig,
+    SampleError, SampleIter, SamplerIndex,
 };
 pub use srj_datagen::{generate, split_rs, DatasetKind, DatasetSpec};
 pub use srj_engine::{
     Algorithm, DatasetSnapshot, DatasetStore, Engine, EngineCache, EpochConfig, EpochEngine,
-    PlanReport, SPatchDelta, SamplerHandle, ShardedIndex, StatsSnapshot,
+    PlanReport, RowGranularity, SPatchDelta, SamplerHandle, ShardedIndex, StatsSnapshot,
 };
 pub use srj_geom::{Point, PointId, Rect};
 pub use srj_obs::{EventKind, LifecycleEvent, Registry};

@@ -9,8 +9,8 @@ use std::thread;
 use std::time::Duration;
 
 use srj::{
-    Algorithm, BbstIndex, DatasetStore, Engine, EpochConfig, EpochEngine, JoinPair, KdsIndex,
-    KdsRejectionIndex, Point, Rect, SampleConfig,
+    Algorithm, BbstIndex, DatasetStore, Engine, EpochConfig, EpochEngine, GroupIndex, JoinPair,
+    KdsIndex, KdsRejectionIndex, Point, Rect, RowGranularity, SampleConfig,
 };
 
 fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
@@ -447,9 +447,17 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
         let sliced = BbstIndex::build(&r, &s, &cfg);
         assert_eq!(shared.mu_total(), sliced.mu_total());
         assert!((0..r.len()).all(|i| shared.mu_of(i) == sliced.mu_of(i)));
+        // The engine serves one of the family's two row granularities.
+        let engine = epoch_engine(&store, l, Algorithm::Bbst);
+        let rows = GroupIndex::build(&r, &base, &cfg);
+        assert_eq!(rows.mu_total(), GroupIndex::build(&r, &s, &cfg).mu_total());
         assert_eq!(
-            epoch_engine(&store, l, Algorithm::Bbst).total_weight(),
-            sliced.mu_total()
+            engine.total_weight(),
+            match engine.engine().row_granularity() {
+                RowGranularity::PerR => sliced.mu_total(),
+                RowGranularity::Group => rows.mu_total(),
+            },
+            "l = {l}"
         );
         let shared = KdsRejectionIndex::build(&r, &base, &cfg);
         let sliced = KdsRejectionIndex::build(&r, &s, &cfg);
@@ -486,9 +494,12 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
         &renumbered.base_s
     ));
     assert!(engine.build_report().preprocessing > Duration::ZERO);
+    // Half-unit cells over the half-unit lattice: a window covers its
+    // whole block, the grid bound is exact and group rows serve.
+    assert_eq!(engine.row_granularity(), RowGranularity::Group);
     assert_eq!(
         after_full.total_weight(),
-        BbstIndex::build(
+        GroupIndex::build(
             &renumbered.base_r,
             &renumbered.base_s[..],
             &SampleConfig::new(0.5)
@@ -528,10 +539,12 @@ fn concurrent_misses_on_two_window_sizes_sort_the_base_once() {
 }
 
 /// Every rung of the maintenance ladder is a function of the data, never
-/// of who sampled before: draws on one handle — 40 000 of them over the
-/// loosest input BBST has, 256 isolated one-point corner cells at eight
-/// iterations a sample — leave the epoch, `Σµ`, every cell's structure
-/// and every fixed-seed stream exactly as they were.
+/// of who sampled before: draws on one handle — 40 000 of them over 256
+/// isolated one-point corner cells, the loosest input per-`r` BBST rows
+/// have (a full bucket per cell, eight iterations a sample) and one the
+/// build therefore serves from group rows, whose bound is exact here —
+/// leave the epoch, `Σµ`, the row granularity, every cell's structure and
+/// every fixed-seed stream exactly as they were.
 #[test]
 fn sampling_traffic_never_changes_an_epoch() {
     let l = 5.0;
@@ -546,18 +559,27 @@ fn sampling_traffic_never_changes_an_epoch() {
         };
         let engine = EpochEngine::new(r.clone(), s.clone(), &SampleConfig::new(l), cfg);
         let batch = || engine.handle_seeded(7).sample_batch(200).unwrap();
-        let summary = || (engine.epoch(), engine.total_weight(), engine.algorithm());
+        let summary = || {
+            let rows = engine.engine().row_granularity();
+            (
+                engine.epoch(),
+                engine.total_weight(),
+                engine.algorithm(),
+                rows,
+            )
+        };
         let (batch_before, summary_before) = (batch(), summary());
         let tokens_before = engine.engine().s_cell_tokens();
         if algorithm == Some(Algorithm::Bbst) {
-            let bound = 8.0 * 256.0; // a full bucket per one-point cell
-            assert_eq!(summary_before, (0, bound, Algorithm::Bbst));
+            let bound = 256.0; // every block holds the one point its window does
+            let rows = RowGranularity::Group;
+            assert_eq!(summary_before, (0, bound, Algorithm::Bbst, rows));
         }
 
         let mut other = engine.handle_seeded(99);
         other.sample_batch(40_000).unwrap();
         if algorithm == Some(Algorithm::Bbst) {
-            assert_eq!(other.rejection_rate().map(f64::round), Some(8.0));
+            assert_eq!(other.rejection_rate(), Some(1.0));
         }
         engine.refresh();
         assert_eq!(summary(), summary_before, "{algorithm:?}");
@@ -570,10 +592,95 @@ fn sampling_traffic_never_changes_an_epoch() {
     }
 }
 
+/// The row granularity of a BBST engine is decided by its full build,
+/// from `(R, S, l, shards)` alone: clustered data is served from group
+/// rows, locally uniform data — the fixture data of
+/// `tests/golden_streams.rs`, which this change must not move — from the
+/// per-`r` rows of a plain [`BbstIndex`], draw for draw; sampling traffic
+/// changes neither, and every way to a full build decides alike.
+#[test]
+fn row_granularity_is_a_function_of_the_data() {
+    use rand::{rngs::SmallRng, SeedableRng};
+    use srj::{BbstCursor, GroupCursor};
+
+    let cfg = SampleConfig::new(4.0);
+    let uniform = [71, 72].map(|seed| pseudo_points(600, seed, 60.0));
+    let clustered = [81, 82].map(|seed| clustered_points(600, seed, 60.0));
+    for ([r, s], rows) in [
+        (&uniform, RowGranularity::PerR),
+        (&clustered, RowGranularity::Group),
+    ] {
+        let r = &r[..400];
+        for shards in [1, 3] {
+            let build = || Engine::build_sharded(r, s, &cfg, Algorithm::Bbst, shards);
+            let engine = build();
+            let summary = |e: &Engine| (e.row_granularity(), e.row_count(), e.total_weight());
+            let stream = |e: &Engine| e.handle_seeded(7).sample(300).unwrap();
+            let (summary_before, stream_before) = (summary(&engine), stream(&engine));
+            assert_eq!(summary_before.0, rows, "{shards} shards");
+
+            // One shard draws what the bare index of its granularity does.
+            if shards == 1 {
+                let mut rng = SmallRng::seed_from_u64(7);
+                let mut bare = Vec::new();
+                let drawn = match rows {
+                    RowGranularity::PerR => {
+                        let index = BbstIndex::build(r, &s[..], &cfg);
+                        assert_eq!(summary_before.2, index.mu_total());
+                        BbstCursor::new(Arc::new(index)).sample_batch(300, &mut rng, &mut bare)
+                    }
+                    RowGranularity::Group => {
+                        let index = GroupIndex::build(r, &s[..], &cfg);
+                        assert_eq!(summary_before.1, index.group_count());
+                        assert_eq!(summary_before.2, index.mu_total());
+                        GroupCursor::new(Arc::new(index)).sample_batch(300, &mut rng, &mut bare)
+                    }
+                };
+                assert_eq!(drawn, Ok(()));
+                assert!(
+                    bare == stream_before,
+                    "{rows:?}: not the bare index's stream"
+                );
+            }
+
+            // Traffic moves nothing, on this engine or on the next build.
+            engine.handle_seeded(99).sample_batch(40_000).unwrap();
+            let store = Arc::new(DatasetStore::new(r.to_vec(), s.clone()));
+            let epoch_cfg = EpochConfig::default()
+                .with_algorithm(Algorithm::Bbst)
+                .with_shards(shards);
+            let served = EpochEngine::with_store(store, &cfg, epoch_cfg).engine();
+            for (what, e) in [
+                ("after 40 000 draws", &engine),
+                ("rebuilt", &build()),
+                ("epoch", &served),
+            ] {
+                assert_eq!(summary(e), summary_before, "{rows:?} × {shards}: {what}");
+                assert!(stream(e) == stream_before, "{rows:?} × {shards}: {what}");
+            }
+        }
+    }
+}
+
+/// Tight clusters, far narrower than any window the tests use: every
+/// window holds its whole cluster, so the grid's block bound is nearly
+/// exact.
+fn clustered_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
+    let centres = pseudo_points(12, 77, extent - 2.0);
+    pseudo_points(n, seed, 0.8)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let c = centres[i % centres.len()];
+            Point::new(c.x + p.x, c.y + p.y)
+        })
+        .collect()
+}
+
 /// The engine holds every index in one shape — one or more shards of a
 /// family, optionally under an overlay — so every operation must behave
-/// the same way down the whole table `Algorithm × {1, 3 shards} ×
-/// {base, with_overlay}`.
+/// the same way down the whole table `{KDS, KDS-rejection, BBST per-r
+/// rows, BBST group rows} × {1, 3 shards} × {base, with_overlay}`.
 #[test]
 fn every_family_shard_count_and_overlay_is_one_index_shape() {
     use srj::{DeltaSet, OverlaySupport, PointId};
@@ -581,61 +688,84 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
 
     let l = 5.0;
     let cfg = SampleConfig::new(l);
-    let r = pseudo_points(240, 901, 60.0);
-    let s = pseudo_points(600, 902, 60.0);
-    let r2 = pseudo_points(200, 903, 60.0);
+    let uniform = [901, 902, 903].map(|seed| pseudo_points(600, seed, 60.0));
+    let clustered = [911, 912, 913].map(|seed| clustered_points(600, seed, 60.0));
+    let cases = [
+        (Algorithm::Kds, &uniform, RowGranularity::PerR),
+        (Algorithm::KdsRejection, &uniform, RowGranularity::PerR),
+        (Algorithm::Bbst, &uniform, RowGranularity::PerR),
+        (Algorithm::Bbst, &clustered, RowGranularity::Group),
+    ];
 
-    // Pending mutations for the overlay engines.
-    let support = OverlaySupport::build(&r, &s, l);
-    let mut delta = DeltaSet::for_base(r.len(), s.len());
-    delta.r_inserted.push(Point::new(30.0, 30.0));
-    delta.s_inserted.push(Point::new(31.0, 31.0));
-    delta.s_deleted.insert(7);
+    for (algo, [r, s, r2], rows) in cases {
+        let (r, r2) = (&r[..240], &r2[..200]);
 
-    // An `S` patch: two inserts into one corner, two deletes elsewhere.
-    let inserted_s = [Point::new(1.0, 1.0), Point::new(1.5, 1.5)];
-    let deleted_s: HashSet<PointId> = [7, 450].into();
-    let mut patch = DeltaSet::for_base(r.len(), s.len());
-    patch.s_inserted.extend(inserted_s);
-    patch.s_deleted.extend(deleted_s.iter().copied());
-    let dirty = patch.dirty_s_cells(&s, l);
+        // Pending mutations for the overlay engines, each beside a point
+        // of the other side so that its chunk row is not empty.
+        let support = OverlaySupport::build(r, s, l);
+        let mut delta = DeltaSet::for_base(r.len(), s.len());
+        delta.r_inserted.push(Point::new(s[1].x + 0.1, s[1].y));
+        delta.s_inserted.push(Point::new(r[1].x, r[1].y + 0.1));
+        delta.s_deleted.insert(7);
 
-    let in_window = |r: &[Point], pairs: &[JoinPair], what: &str| {
-        for p in pairs {
-            let w = Rect::window(r[p.r as usize], l);
-            assert!(w.contains(s[p.s as usize]), "{what}: {p:?} is no join pair");
-        }
-    };
+        // An `S` patch: two inserts into one corner, two deletes elsewhere.
+        let inserted_s = [Point::new(1.0, 1.0), Point::new(1.5, 1.5)];
+        let deleted_s: HashSet<PointId> = [7, 450].into();
+        let mut patch = DeltaSet::for_base(r.len(), s.len());
+        patch.s_inserted.extend(inserted_s);
+        patch.s_deleted.extend(deleted_s.iter().copied());
+        let dirty = patch.dirty_s_cells(s, l);
 
-    for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
+        let in_window = |r: &[Point], pairs: &[JoinPair], what: &str| {
+            for p in pairs {
+                let w = Rect::window(r[p.r as usize], l);
+                assert!(w.contains(s[p.s as usize]), "{what}: {p:?} is no join pair");
+            }
+        };
+
         for shards in [1, 3] {
-            let base = Engine::build_sharded(&r, &s, &cfg, algo, shards);
+            let base = Engine::build_sharded(r, s, &cfg, algo, shards);
             let overlay = base.with_overlay(delta.clone(), &support, &cfg);
             for (engine, is_overlay) in [(&base, false), (&overlay, true)] {
-                let what = format!("{algo} × {shards} shards × overlay {is_overlay}");
+                let what = format!("{algo} {rows:?} × {shards} shards × overlay {is_overlay}");
                 assert_eq!(engine.algorithm(), algo, "{what}");
                 assert_eq!(engine.handle().algorithm(), algo, "{what}");
                 assert_eq!(engine.shards(), shards, "{what}");
                 assert_eq!(engine.is_overlay(), is_overlay, "{what}");
                 assert_eq!(engine.cell_count(), base.cell_count(), "{what}");
 
+                assert_eq!(engine.row_granularity(), rows, "{what}");
+                assert_eq!(engine.row_count(), base.row_count(), "{what}");
+
                 // Memory by structure: the parts are the whole; a clean
                 // index keeps one forty-byte row per `r` (KDS-rejection
-                // one `f64`) and its copy of `R`; however many shards,
-                // one `S`-side; pending mutations add to the overlay's
-                // own entries and to nothing of the base's.
+                // one `f64`) and its copy of `R` — or one row per group
+                // of `R`, `R` with its indices in group order, and no
+                // per-cell units; however many shards, one `S`-side;
+                // pending mutations add to the overlay's own entries and
+                // to nothing of the base's.
                 let bytes = engine.memory_breakdown();
                 assert_eq!(bytes.total(), engine.memory_bytes(), "{what}");
-                let per_r = if algo == Algorithm::KdsRejection {
-                    8
-                } else {
-                    40
-                };
                 let clean = base.memory_breakdown();
-                assert_eq!(clean.rows, per_r * r.len(), "{what}");
-                assert_eq!(clean.r_points, 16 * r.len(), "{what}");
+                let row_count = base.row_count();
+                if rows == RowGranularity::Group {
+                    assert!(row_count < r.len() / 4, "{what}: {row_count} rows");
+                    assert_eq!(clean.rows, 40 * row_count, "{what}");
+                    let group_bounds = 4 * (row_count + shards);
+                    assert_eq!(clean.r_points, 24 * r.len() + group_bounds, "{what}");
+                    assert_eq!(clean.units, 0, "{what}");
+                } else {
+                    let per_r = if algo == Algorithm::KdsRejection {
+                        8
+                    } else {
+                        40
+                    };
+                    assert_eq!(row_count, r.len(), "{what}");
+                    assert_eq!(clean.rows, per_r * r.len(), "{what}");
+                    assert_eq!(clean.r_points, 16 * r.len(), "{what}");
+                }
                 assert_eq!(clean.delta, 0, "{what}");
-                let one_shard = Engine::build_sharded(&r, &s, &cfg, algo, 1).memory_breakdown();
+                let one_shard = Engine::build_sharded(r, s, &cfg, algo, 1).memory_breakdown();
                 assert_eq!(
                     (clean.grid, clean.units, clean.point_set),
                     (one_shard.grid, one_shard.units, one_shard.point_set),
@@ -664,10 +794,10 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
 
                 if is_overlay {
                     // Structure belongs to the full build underneath.
-                    assert!(engine.rebuild_r_only(&r2, &cfg).is_none(), "{what}");
+                    assert!(engine.rebuild_r_only(r2, &cfg).is_none(), "{what}");
                     assert!(
                         engine
-                            .rebuild_with_s_patch(&r2, &cfg, &inserted_s, &deleted_s)
+                            .rebuild_with_s_patch(r2, &cfg, &inserted_s, &deleted_s)
                             .is_none(),
                         "{what}"
                     );
@@ -679,26 +809,28 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
                     assert!(stacked.is_err(), "{what}: overlays must not stack");
                     continue;
                 }
-                in_window(&r, &batch, &what);
+                in_window(r, &batch, &what);
                 let tokens = engine.s_cell_tokens().expect("a full build has cells");
                 let set = engine.s_point_set().expect("a full build has a point set");
 
                 // A new `R` over the same `S`-side: every cell and the
                 // point set cross by `Arc` identity.
-                let rebuilt = engine.rebuild_r_only(&r2, &cfg).expect("a full build");
+                let rebuilt = engine.rebuild_r_only(r2, &cfg).expect("a full build");
                 assert_eq!(rebuilt.algorithm(), algo, "{what}");
+                assert_eq!(rebuilt.row_granularity(), rows, "{what}");
                 assert_eq!(rebuilt.shards(), shards, "{what}");
                 assert_eq!(rebuilt.s_cell_tokens().unwrap(), tokens, "{what}");
                 assert!(Arc::ptr_eq(&rebuilt.s_point_set().unwrap(), &set), "{what}");
                 let pairs = rebuilt.handle_seeded(12).sample_batch(300).unwrap();
-                in_window(&r2, &pairs, &format!("{what}, R-only rebuild"));
+                in_window(r2, &pairs, &format!("{what}, R-only rebuild"));
 
                 // An `S` patch: clean cells keep their token, dirty ones
                 // do not.
                 let (patched, report) = engine
-                    .rebuild_with_s_patch(&r2, &cfg, &inserted_s, &deleted_s)
+                    .rebuild_with_s_patch(r2, &cfg, &inserted_s, &deleted_s)
                     .expect("a full build");
                 assert_eq!(patched.algorithm(), algo, "{what}");
+                assert_eq!(patched.row_granularity(), rows, "{what}");
                 assert_eq!(patched.shards(), shards, "{what}");
                 assert!(report.cells_rebuilt > 0, "{what}");
                 let before: HashMap<(i32, i32), usize> = tokens.iter().copied().collect();

@@ -225,6 +225,70 @@ fn buffers_off_serves_the_same_batch_path_with_buffers_disarmed() {
     );
 }
 
+/// A cache miss decides the BBST family's row granularity as an
+/// in-process build does: on clustered data the first request over TCP
+/// is served from group rows and returns, pair for pair, what a seeded
+/// handle of `Engine::build` draws; the scrape says which rows serve.
+#[test]
+fn a_cache_miss_on_clustered_data_serves_the_in_process_group_rows() {
+    use srj::{Engine, RowGranularity, SampleConfig};
+
+    // Twelve clumps one unit wide under windows of half-extent 3.
+    let centres = pseudo_points(12, 51, 58.0);
+    let clumped = |n: usize, seed: u64| -> Vec<Point> {
+        pseudo_points(n, seed, 1.0)
+            .into_iter()
+            .zip(centres.iter().cycle())
+            .map(|(p, c)| Point::new(c.x + p.x, c.y + p.y))
+            .collect()
+    };
+    let (r, s) = (clumped(300, 52), clumped(900, 53));
+    let (l, t, seed) = (3.0, 2_000, 9);
+
+    let engine = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::Bbst);
+    assert_eq!(engine.row_granularity(), RowGranularity::Group);
+    let expected = engine.handle_seeded(seed).sample_batch(t as usize).unwrap();
+
+    let mut registry = DatasetRegistry::new();
+    registry.register(1, r, s);
+    let mut server = Server::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let outcome = client
+        .sample(SampleRequest {
+            algorithm: Some(Algorithm::Bbst),
+            ..request(1, l, t, seed)
+        })
+        .unwrap();
+    assert_eq!(outcome.status, RequestStatus::Ok);
+    assert!(
+        outcome.pairs == expected,
+        "the served stream is not the in-process one"
+    );
+    assert_eq!(client.server_stats().unwrap().cache_misses, 1);
+
+    let metrics = client.metrics().unwrap();
+    let bytes = engine.memory_breakdown();
+    for series in [
+        format!(
+            "srj_index_rows{{dataset=\"1\",granularity=\"group\"}} {}\n",
+            engine.row_count()
+        ),
+        "srj_index_rows{dataset=\"1\",granularity=\"per_r\"} 0\n".to_string(),
+        format!(
+            "srj_index_bytes{{dataset=\"1\",structure=\"rows\"}} {}\n",
+            bytes.rows
+        ),
+        "srj_index_bytes{dataset=\"1\",structure=\"units\"} 0\n".to_string(),
+    ] {
+        assert!(
+            metrics.contains(&series),
+            "missing {series:?} in:\n{metrics}"
+        );
+    }
+    assert_eq!(bytes.rows, 40 * engine.row_count());
+    server.shutdown();
+}
+
 /// The backpressure contract: a client that stops reading stalls only
 /// its own stream. While a slow reader's request is parked, a fast
 /// client on the same (single-worker!) server completes many requests.
