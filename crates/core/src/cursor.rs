@@ -249,7 +249,8 @@ pub struct IndexBytes {
     /// The index's copy of `R`.
     pub r_points: usize,
     /// The per-`r` rows (`40 × |R|` for the families that keep
-    /// [`srj_alias::BlockRow`]s, the `f64` bounds of KDS-rejection), and
+    /// [`srj_alias::BlockRow`]s, the `f64` bounds of KDS-rejection), a
+    /// group index's rows with their nine cell slots (76 B a group), and
     /// an overlay's chunk rows.
     pub rows: usize,
     /// Every alias table: over `µ(r)`, over shards, over an overlay's

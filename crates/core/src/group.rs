@@ -1,3 +1,9 @@
+//! BBST rows at group granularity: one row per cell of `R`
+//! ([`GroupIndex`]). Every `r` of a cell sees the same 3×3 block, so the
+//! group pass ([`block_rows`]) resolves each block once — its nine cell
+//! populations and its nine cells' grid slots — and a draw reads both
+//! off the group's rows: the grid's hash is read only at build.
+
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -9,11 +15,17 @@ use srj_grid::{CellGroups, Grid, IntoPointSet};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, IndexBytes, SamplerIndex, BLOCK};
 
+/// A block cell that holds no point of `S`: the slot a group row stores
+/// for it.
+pub const NO_CELL: u32 = u32::MAX;
+
 /// The group pass: `R` is grouped by grid cell ([`Grid::group_by_cell`]),
 /// and every member of a group sees the same 3×3 block, so the §III-B
 /// bound — `µ(r)` = the population of `r`'s block — is taken once per
 /// group. Yields each group's members (indices into `r`) with the row of
-/// its block's nine cell populations, extra part empty.
+/// its block's nine cell populations, extra part empty, and the nine
+/// cells' grid slots ([`NO_CELL`] where a cell is empty): one
+/// [`Grid::neighborhood_slots`] per group resolves the block for good.
 ///
 /// `Σ |members| · row.total()` over the groups is `Σ_r µ(r)`; both are
 /// sums of integers, so below 2⁵³ they are the same `f64` in any order.
@@ -25,11 +37,15 @@ pub fn block_rows<'a>(
     grid: &'a Grid,
     r: &'a [Point],
     groups: &'a CellGroups,
-) -> impl Iterator<Item = (&'a [u32], BlockRow)> + 'a {
+) -> impl Iterator<Item = (&'a [u32], BlockRow, [u32; NUM_CELLS])> + 'a {
     groups.iter().map(move |members| {
-        let block = grid.neighborhood(r[members[0] as usize]);
-        let cells = block.map(|cell| cell.map_or(0, |c| c.len() as u64));
-        (members, BlockRow::new(cells, 0))
+        let slots = grid.neighborhood_slots(r[members[0] as usize]);
+        let cells = slots.map(|slot| slot.map_or(0, |slot| grid.cell(slot).len() as u64));
+        (
+            members,
+            BlockRow::new(cells, 0),
+            slots.map(|slot| slot.unwrap_or(NO_CELL)),
+        )
     })
 }
 
@@ -39,15 +55,17 @@ pub fn block_rows<'a>(
 ///
 /// The §III-B bound `µ(r)` — the population of the 3×3 block around
 /// `r`'s cell — is a property of the cell, so all of a cell's `r` share
-/// one [`BlockRow`] (the block's nine cell populations). The index is
-/// the shared [`srj_grid::PointSet`], a scatter-built [`Grid`] on it,
-/// `R` in group order, the rows, and one alias over
-/// `|R_g| · µ_g`: an `O(n + m)` build with a hash probe per point as
-/// its most expensive step.
+/// one [`BlockRow`] (the block's nine cell populations) and one slot row
+/// (the block's nine cells' grid slots). The index is the shared
+/// [`srj_grid::PointSet`], a scatter-built [`Grid`] on it, `R` in group
+/// order, the rows, and one alias over `|R_g| · µ_g`: an `O(n + m)`
+/// build with a hash probe per point as its most expensive step — the
+/// only hash probes the index ever makes.
 ///
 /// One iteration spends three words — alias → group, uniform member →
-/// `r`, uniform position in the row → cell and rank — then one grid
-/// probe, `s = cell.by_x[rank]`, and the test `s ∈ w(r)`. Every
+/// `r`, uniform position in the row → part and rank — then reads the
+/// part's slot off the group's slot row (no grid probe),
+/// `s = cell.by_x[rank]`, and tests `s ∈ w(r)`. Every
 /// `(r, position)` has probability
 /// `(|R_g| µ_g / W) · (1 / |R_g|) · (1 / µ_g) = 1 / W`, and each pair of
 /// `J` is exactly one such position, so accepted pairs are uniform and
@@ -60,13 +78,19 @@ pub fn block_rows<'a>(
 /// `Send + Sync`, never mutated after build.
 pub struct GroupIndex {
     grid: Arc<Grid>,
-    /// `R` in group order, each point with its index in the input:
-    /// group `g` is `members[starts[g]..starts[g + 1]]`. Groups whose
-    /// block is empty are not kept.
-    members: Vec<(Point, u32)>,
+    /// `R` in group order, and beside it each point's index in the
+    /// input (two arrays: 20 B per `r`, not a padded 24): group `g` is
+    /// `points[starts[g]..starts[g + 1]]`. Groups whose block is empty
+    /// are not kept.
+    points: Vec<Point>,
+    ids: Vec<u32>,
     starts: Vec<u32>,
     /// Per group: the nine cell populations of its block.
     rows: Vec<BlockRow>,
+    /// Per group: the grid slots of its block's nine cells, [`NO_CELL`]
+    /// where a cell is empty — shared by every member, since all of them
+    /// lie in one cell.
+    blocks: Vec<[u32; NUM_CELLS]>,
     /// Over `|R_g| · µ_g`.
     alias: Option<AliasTable>,
     config: SampleConfig,
@@ -109,30 +133,38 @@ impl GroupIndex {
         );
         let t0 = Instant::now();
         let groups = grid.group_by_cell(r);
-        let mut members = Vec::with_capacity(r.len());
+        let mut points = Vec::with_capacity(r.len());
+        let mut ids = Vec::with_capacity(r.len());
         let mut starts = vec![0u32];
         let mut rows = Vec::new();
+        let mut blocks = Vec::new();
         let mut weights = Vec::new();
-        for (ids, row) in block_rows(&grid, r, &groups) {
+        for (members, row, slots) in block_rows(&grid, r, &groups) {
             if row.total() == 0 {
                 continue;
             }
-            members.extend(ids.iter().map(|&i| (r[i as usize], i)));
-            starts.push(members.len() as u32);
-            weights.push(ids.len() as f64 * f64::from(row.total()));
+            points.extend(members.iter().map(|&i| r[i as usize]));
+            ids.extend_from_slice(members);
+            starts.push(points.len() as u32);
+            weights.push(members.len() as f64 * f64::from(row.total()));
             rows.push(row);
+            blocks.push(slots);
         }
         // Exact capacities: `index_bytes` counts what is allocated.
-        members.shrink_to_fit();
+        points.shrink_to_fit();
+        ids.shrink_to_fit();
         starts.shrink_to_fit();
         rows.shrink_to_fit();
+        blocks.shrink_to_fit();
         let alias = AliasTable::new(&weights);
         let upper_bounding = t0.elapsed();
         GroupIndex {
             grid,
-            members,
+            points,
+            ids,
             starts,
             rows,
+            blocks,
             alias,
             config: *config,
             build_report: PhaseReport {
@@ -158,9 +190,17 @@ impl GroupIndex {
         &self.rows
     }
 
-    /// Group `g`'s members: each `r` with its index in the input.
-    pub fn group_members(&self, g: usize) -> &[(Point, u32)] {
-        &self.members[self.starts[g] as usize..self.starts[g + 1] as usize]
+    /// The rows' cell slots, one `[slot; 9]` per group in the row's part
+    /// order ([`NO_CELL`] where the part is 0).
+    pub fn blocks(&self) -> &[[u32; NUM_CELLS]] {
+        &self.blocks
+    }
+
+    /// Group `g`'s members: their points, and beside each its index in
+    /// the input.
+    pub fn group_members(&self, g: usize) -> (&[Point], &[u32]) {
+        let range = self.starts[g] as usize..self.starts[g + 1] as usize;
+        (&self.points[range.clone()], &self.ids[range])
     }
 
     /// `W = Σ_g |R_g| · µ_g = Σ_r µ(r)` under the §III-B bound.
@@ -168,26 +208,33 @@ impl GroupIndex {
         self.alias.as_ref().map_or(0.0, AliasTable::total_weight)
     }
 
-    /// Position in `members` of a uniform member of group `g`.
+    /// Position in `points` of a uniform member of group `g`.
     #[inline]
     fn member_at(&self, g: usize, word: u64) -> usize {
         let (lo, hi) = (self.starts[g], self.starts[g + 1]);
         lo as usize + ((u128::from(word) * u128::from(hi - lo)) >> 64) as usize
     }
 
-    /// A uniform position of group `g`'s row as the store slot of its
-    /// cell and the rank inside it: **one** grid probe, for the chosen
-    /// neighbour of `rp`'s cell only.
+    /// The member at position `at`: its point and its index in the input.
     #[inline]
-    fn pick(&self, g: usize, rp: Point, word: u64) -> (u32, u32) {
+    fn member(&self, at: usize) -> (Point, u32) {
+        (self.points[at], self.ids[at])
+    }
+
+    /// A uniform position of group `g`'s row as the grid slot of its
+    /// cell and the rank inside it, both read off the group's rows: no
+    /// grid probe.
+    #[inline]
+    fn pick(&self, g: usize, word: u64) -> (u32, u32) {
         let pick = self.rows[g]
             .pick_word(word)
             .expect("alias returned a group with an empty block");
         debug_assert!(pick.part < NUM_CELLS, "a group row has no extra part");
-        let slot = self
-            .grid
-            .neighbor_slot(rp, pick.part)
-            .expect("positive cell population for an empty cell");
+        let slot = self.blocks[g][pick.part];
+        assert!(
+            slot != NO_CELL,
+            "positive cell population for an empty cell"
+        );
         (slot, pick.rank)
     }
 
@@ -227,16 +274,16 @@ impl SamplerIndex for GroupIndex {
     ) -> Result<Option<JoinPair>, SampleError> {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         let g = alias.sample_word(rng.next_u64());
-        let r = self.members[self.member_at(g, rng.next_u64())];
-        let picked = self.pick(g, r.0, rng.next_u64());
+        let r = self.member(self.member_at(g, rng.next_u64()));
+        let picked = self.pick(g, rng.next_u64());
         Ok(self.resolve(r, picked, stats))
     }
 
     /// The block kernel: the iterations of [`Self::try_draw`], up to
     /// `BLOCK` (64) at a time and stage by stage — every group, every
-    /// member position, every `r`, every pick with its grid probe, then
+    /// member position, every `r`, every pick off its group's rows, then
     /// every candidate with its test — so the cache misses of one stage
-    /// (alias column, `R` entry, grid bucket, cell array and `S` point)
+    /// (alias column, `R` entry, group rows, cell array and `S` point)
     /// are those of up to 64 independent iterations in flight together.
     ///
     /// Each iteration spends its own three words and nothing else, so
@@ -269,10 +316,10 @@ impl SamplerIndex for GroupIndex {
                 *at = self.member_at(g, rng.next_u64());
             }
             for (r, &at) in r[..b].iter_mut().zip(&at[..b]) {
-                *r = self.members[at];
+                *r = self.member(at);
             }
-            for ((p, &g), r) in picked[..b].iter_mut().zip(&group[..b]).zip(&r[..b]) {
-                *p = self.pick(g, r.0, rng.next_u64());
+            for (p, &g) in picked[..b].iter_mut().zip(&group[..b]) {
+                *p = self.pick(g, rng.next_u64());
             }
             out.extend(
                 r[..b]
@@ -303,9 +350,10 @@ impl SamplerIndex for GroupIndex {
 
     fn index_bytes(&self) -> IndexBytes {
         IndexBytes {
-            r_points: self.members.capacity() * std::mem::size_of::<(Point, u32)>()
-                + self.starts.capacity() * std::mem::size_of::<u32>(),
-            rows: self.rows.capacity() * std::mem::size_of::<BlockRow>(),
+            r_points: self.points.capacity() * std::mem::size_of::<Point>()
+                + (self.ids.capacity() + self.starts.capacity()) * std::mem::size_of::<u32>(),
+            rows: self.rows.capacity() * std::mem::size_of::<BlockRow>()
+                + self.blocks.capacity() * std::mem::size_of::<[u32; NUM_CELLS]>(),
             alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
             ..IndexBytes::of_grid(&self.grid)
         }

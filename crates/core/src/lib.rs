@@ -82,7 +82,7 @@ pub use cellstore::{
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 pub use cursor::{Cursor, IndexBytes, SamplerIndex};
-pub use group::{block_rows, GroupCursor, GroupIndex};
+pub use group::{block_rows, GroupCursor, GroupIndex, NO_CELL};
 pub use kds::{KdsCursor, KdsIndex, KdsSampler};
 pub use materialize::JoinThenSample;
 pub use overlay::{DeltaSet, OverlayIndex, OverlaySupport};

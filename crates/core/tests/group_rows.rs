@@ -1,6 +1,7 @@
 //! `GroupIndex` seen from outside: its rows are the nine cell
-//! populations of each group's block, every pair of the join is exactly
-//! one `(r, position)` of them, and the draw — through
+//! populations of each group's block and the nine cells' slots (every
+//! member's block, not only the probed one's), every pair of the join is
+//! exactly one `(r, position)` of them, and the draw — through
 //! `Cursor::sample_batch` and the staged block kernel — is uniform over
 //! the materialised join on clustered and on locally uniform data,
 //! spends three words an iteration, is the sequential draw on the same
@@ -18,6 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use srj_core::{
     GroupCursor, GroupIndex, JoinPair, PhaseReport, SampleConfig, SampleError, SamplerIndex,
+    NO_CELL,
 };
 use srj_geom::{Point, Rect};
 
@@ -292,11 +294,12 @@ proptest! {
         let mut seen = vec![false; r.len()];
         let mut reached = Vec::new();
         for (g, row) in index.rows().iter().enumerate() {
-            let members = index.group_members(g);
-            prop_assert!(!members.is_empty() && row.total() > 0);
+            let (points, ids) = index.group_members(g);
+            prop_assert_eq!(points.len(), ids.len());
+            prop_assert!(!points.is_empty() && row.total() > 0);
             prop_assert_eq!(row.weight(srj_alias::BlockRow::EXTRA), 0);
-            weight += members.len() as u64 * u64::from(row.total());
-            for &(rp, ridx) in members {
+            weight += points.len() as u64 * u64::from(row.total());
+            for (&rp, &ridx) in points.iter().zip(ids) {
                 prop_assert_eq!(rp, r[ridx as usize]);
                 prop_assert!(!std::mem::replace(&mut seen[ridx as usize], true));
                 let w = Rect::window(rp, l);
@@ -317,6 +320,31 @@ proptest! {
         join.sort_unstable_by_key(|p| (p.r, p.s));
         reached.sort_unstable_by_key(|p| (p.r, p.s));
         prop_assert_eq!(reached, join);
+    }
+
+    /// What the draw relies on instead of a grid probe: every member of a
+    /// group — not only the one the group pass probed — has the stored
+    /// slots as its block, and [`NO_CELL`] stands exactly where the row's
+    /// part is 0. Negative coordinates and points on cell boundaries
+    /// included (the half-unit lattice with half-unit steps of `l`).
+    #[test]
+    fn stored_slots_are_every_members_block(
+        s in lattice_points(-30..30, 0..200),
+        r in lattice_points(-40..40, 0..160),
+        l_steps in 1u32..9,
+    ) {
+        let index = GroupIndex::build(&r, &s, &SampleConfig::new(l_steps as f64 * 0.5));
+        let grid = index.grid();
+        prop_assert_eq!(index.blocks().len(), index.group_count());
+        for (g, (row, slots)) in index.rows().iter().zip(index.blocks()).enumerate() {
+            for (part, &slot) in slots.iter().enumerate() {
+                prop_assert_eq!(slot == NO_CELL, row.weight(part) == 0, "group {} part {}", g, part);
+            }
+            for &rp in index.group_members(g).0 {
+                let block = grid.neighborhood_slots(rp).map(|slot| slot.unwrap_or(NO_CELL));
+                prop_assert_eq!(&block, slots, "group {} member {:?}", g, rp);
+            }
+        }
     }
 
     /// The staged kernel is the sequential draw: iteration `i` of a

@@ -145,7 +145,7 @@ pub(crate) fn plan(
     // the same f64 as the per-r sum.
     let groups = grid.group_by_cell(r);
     let mu_grid_total: f64 = block_rows(&grid, r, &groups)
-        .map(|(members, row)| members.len() as f64 * f64::from(row.total()))
+        .map(|(members, row, _)| members.len() as f64 * f64::from(row.total()))
         .sum();
 
     // Sampled |J| estimate: exact-count an evenly-spaced subset of R

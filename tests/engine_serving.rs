@@ -739,9 +739,10 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
 
                 // Memory by structure: the parts are the whole; a clean
                 // index keeps one forty-byte row per `r` (KDS-rejection
-                // one `f64`) and its copy of `R` — or one row per group
-                // of `R`, `R` with its indices in group order, and no
-                // per-cell units; however many shards, one `S`-side;
+                // one `f64`) and its copy of `R` — or per group of `R`
+                // one forty-byte row and its nine four-byte cell slots,
+                // `R` and its indices in group order, and no per-cell
+                // units; however many shards, one `S`-side;
                 // pending mutations add to the overlay's own entries and
                 // to nothing of the base's.
                 let bytes = engine.memory_breakdown();
@@ -750,9 +751,9 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
                 let row_count = base.row_count();
                 if rows == RowGranularity::Group {
                     assert!(row_count < r.len() / 4, "{what}: {row_count} rows");
-                    assert_eq!(clean.rows, 40 * row_count, "{what}");
+                    assert_eq!(clean.rows, (40 + 36) * row_count, "{what}");
                     let group_bounds = 4 * (row_count + shards);
-                    assert_eq!(clean.r_points, 24 * r.len() + group_bounds, "{what}");
+                    assert_eq!(clean.r_points, 20 * r.len() + group_bounds, "{what}");
                     assert_eq!(clean.units, 0, "{what}");
                 } else {
                     let per_r = if algo == Algorithm::KdsRejection {

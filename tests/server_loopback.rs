@@ -285,7 +285,8 @@ fn a_cache_miss_on_clustered_data_serves_the_in_process_group_rows() {
             "missing {series:?} in:\n{metrics}"
         );
     }
-    assert_eq!(bytes.rows, 40 * engine.row_count());
+    // A forty-byte row and nine four-byte cell slots per group.
+    assert_eq!(bytes.rows, 76 * engine.row_count());
     server.shutdown();
 }
 
