@@ -574,6 +574,360 @@ proptest! {
     }
 }
 
+/// A frame of the fixed corpus, either direction.
+enum Frame {
+    Request(Request),
+    Response(Response),
+}
+
+impl Frame {
+    fn direction(&self) -> &'static str {
+        match self {
+            Frame::Request(_) => "request",
+            Frame::Response(_) => "response",
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        match self {
+            Frame::Request(req) => encode_request(req),
+            Frame::Response(resp) => encode_response(resp),
+        }
+    }
+}
+
+fn sample_with(algorithm: Option<Algorithm>) -> Frame {
+    Frame::Request(Request::Sample(SampleRequest {
+        req_id: 0x0102_0304,
+        dataset: 0x1122_3344_5566_7788,
+        l: 12.375,
+        algorithm,
+        shards: 3,
+        t: 1 << 40,
+        seed: 0xFEED_FACE,
+    }))
+}
+
+fn done_with(status: RequestStatus) -> Frame {
+    Frame::Response(Response::Done {
+        req_id: 77,
+        status,
+        stats: RequestStats {
+            samples: 4096,
+            iterations: 5000,
+            elapsed_ns: 123_456_789,
+            trace_id: 0xABCD,
+        },
+    })
+}
+
+fn span(ns: u64, span: &str, event: &str) -> TraceSpan {
+    TraceSpan {
+        ns,
+        span: span.to_string(),
+        event: event.to_string(),
+    }
+}
+
+/// Every frame type at least once, with empty vectors, a multi-span
+/// `SLOWLOG` entry and every byte of every byte-coded enum (side,
+/// algorithm, status, error code).
+fn wire_corpus() -> Vec<(&'static str, Frame)> {
+    vec![
+        (
+            "hello",
+            Frame::Request(Request::Hello {
+                version: PROTOCOL_VERSION,
+                features: SERVER_FEATURES,
+            }),
+        ),
+        (
+            "ping",
+            Frame::Request(Request::Ping {
+                token: 0x0123_4567_89AB_CDEF,
+            }),
+        ),
+        ("sample_auto", sample_with(None)),
+        ("sample_kds", sample_with(Some(Algorithm::Kds))),
+        (
+            "sample_kds_rejection",
+            sample_with(Some(Algorithm::KdsRejection)),
+        ),
+        ("sample_bbst", sample_with(Some(Algorithm::Bbst))),
+        ("stats", Frame::Request(Request::Stats)),
+        ("shutdown", Frame::Request(Request::Shutdown)),
+        (
+            "insert_r",
+            Frame::Request(Request::Insert {
+                req_id: 5,
+                dataset: 6,
+                side: Side::R,
+                points: vec![Point::new(1.5, -2.25), Point::new(-0.0, 1e300)],
+            }),
+        ),
+        (
+            "insert_s_empty",
+            Frame::Request(Request::Insert {
+                req_id: 7,
+                dataset: 8,
+                side: Side::S,
+                points: Vec::new(),
+            }),
+        ),
+        (
+            "delete_s",
+            Frame::Request(Request::Delete {
+                req_id: 9,
+                dataset: 10,
+                side: Side::S,
+                ids: vec![0, 42, u32::MAX],
+            }),
+        ),
+        (
+            "delete_r_empty",
+            Frame::Request(Request::Delete {
+                req_id: 11,
+                dataset: 12,
+                side: Side::R,
+                ids: Vec::new(),
+            }),
+        ),
+        (
+            "epoch",
+            Frame::Request(Request::Epoch {
+                req_id: 13,
+                dataset: 14,
+            }),
+        ),
+        ("metrics", Frame::Request(Request::Metrics)),
+        ("trace", Frame::Request(Request::Trace { trace_id: 0xF00D })),
+        ("slowlog", Frame::Request(Request::SlowLog { max: 32 })),
+        (
+            "welcome",
+            Frame::Response(Response::Welcome {
+                version: PROTOCOL_VERSION,
+                features: SERVER_FEATURES,
+            }),
+        ),
+        (
+            "pong",
+            Frame::Response(Response::Pong {
+                token: 0x0123_4567_89AB_CDEF,
+            }),
+        ),
+        (
+            "busy",
+            Frame::Response(Response::Busy {
+                req_id: 15,
+                retry_after_ms: 250,
+            }),
+        ),
+        (
+            "error_version_mismatch",
+            Frame::Response(Response::Error {
+                code: ErrorCode::VersionMismatch,
+                message: "speak v2 — or leave".to_string(),
+            }),
+        ),
+        (
+            "error_handshake_required",
+            Frame::Response(Response::Error {
+                code: ErrorCode::HandshakeRequired,
+                message: "hello first".to_string(),
+            }),
+        ),
+        (
+            "error_rejected_empty",
+            Frame::Response(Response::Error {
+                code: ErrorCode::Rejected,
+                message: String::new(),
+            }),
+        ),
+        (
+            "batch",
+            Frame::Response(Response::Batch {
+                req_id: 16,
+                pairs: vec![
+                    JoinPair::new(1, 2),
+                    JoinPair::new(u32::MAX, 0),
+                    JoinPair::new(3, 4),
+                ],
+            }),
+        ),
+        (
+            "batch_empty",
+            Frame::Response(Response::Batch {
+                req_id: 17,
+                pairs: Vec::new(),
+            }),
+        ),
+        ("done_ok", done_with(RequestStatus::Ok)),
+        (
+            "done_unknown_dataset",
+            done_with(RequestStatus::UnknownDataset),
+        ),
+        ("done_empty_join", done_with(RequestStatus::EmptyJoin)),
+        (
+            "done_rejection_limit",
+            done_with(RequestStatus::RejectionLimit),
+        ),
+        ("done_bad_request", done_with(RequestStatus::BadRequest)),
+        ("done_shutting_down", done_with(RequestStatus::ShuttingDown)),
+        (
+            "server_stats",
+            Frame::Response(Response::ServerStats(ServerStatsFrame {
+                queries: 1,
+                samples: 2,
+                iterations: 3,
+                errors: 4,
+                mean_ns: 5,
+                p50_ns: 6,
+                p99_ns: 7,
+                engines_cached: 8,
+                cache_hits: 9,
+                cache_misses: 10,
+                connections_accepted: 11,
+                active_connections: 12,
+                patch_swaps: 13,
+                cells_patched: 14,
+                last_swap_ns: 15,
+                mu_total: 1234.5,
+            })),
+        ),
+        (
+            "update",
+            Frame::Response(Response::Update {
+                req_id: 18,
+                status: RequestStatus::Ok,
+                stats: UpdateStats {
+                    first_id: 100,
+                    applied: 3,
+                    epoch: 2,
+                    version: 17,
+                },
+            }),
+        ),
+        (
+            "epoch_info",
+            Frame::Response(Response::Epoch {
+                req_id: 19,
+                status: RequestStatus::UnknownDataset,
+                info: EpochInfo {
+                    epoch: 3,
+                    version: 99,
+                    live_r: 1000,
+                    live_s: 2000,
+                    pending_ops: 12,
+                    last_swap_ns: 1_234_567,
+                },
+            }),
+        ),
+        (
+            "metrics_text",
+            Frame::Response(Response::Metrics {
+                text: "# TYPE srj_requests_total counter\nsrj_requests_total 5\n".to_string(),
+            }),
+        ),
+        (
+            "metrics_empty",
+            Frame::Response(Response::Metrics {
+                text: String::new(),
+            }),
+        ),
+        (
+            "trace_spans",
+            Frame::Response(Response::Trace {
+                trace_id: 20,
+                spans: vec![
+                    span(1_000, "frame_decode", "begin"),
+                    span(2_000, "draw_loop", "end"),
+                ],
+            }),
+        ),
+        (
+            "trace_empty",
+            Frame::Response(Response::Trace {
+                trace_id: 21,
+                spans: Vec::new(),
+            }),
+        ),
+        (
+            "slowlog_entries",
+            Frame::Response(Response::SlowLog {
+                entries: vec![
+                    SlowLogEntry {
+                        trace_id: 22,
+                        finished_ns: 1_000_000,
+                        dataset: 3,
+                        t: 50_000,
+                        algorithm: "auto".to_string(),
+                        epoch: 2,
+                        iterations: 123_456,
+                        queue_wait_ns: 7_890,
+                        elapsed_ns: 42_000_000,
+                        spans: vec![
+                            span(10, "frame_decode", "sample_request"),
+                            span(20, "draw_loop", "begin"),
+                            span(30, "", ""),
+                        ],
+                    },
+                    SlowLogEntry::default(),
+                ],
+            }),
+        ),
+        (
+            "slowlog_empty",
+            Frame::Response(Response::SlowLog {
+                entries: Vec::new(),
+            }),
+        ),
+    ]
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    (0..text.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The wire pinned byte for byte: `tests/fixtures/wire_frames.txt` holds
+/// one `direction label hex` line per corpus frame, recorded before the
+/// codec was generated from one layout table. Encoding must reproduce
+/// every line, and every recorded line must decode back to its frame.
+/// Only re-record for a change that is meant to move the wire, and bump
+/// `PROTOCOL_VERSION` with it.
+#[test]
+fn wire_frames_match_the_recorded_fixture() {
+    let recorded = include_str!("fixtures/wire_frames.txt");
+    let corpus = wire_corpus();
+    let encoded: String = corpus
+        .iter()
+        .map(|(label, frame)| format!("{} {label} {}\n", frame.direction(), hex(&frame.encode())))
+        .collect();
+    assert!(
+        encoded == recorded,
+        "the wire moved; encoded now:\n{encoded}\nrecorded:\n{recorded}"
+    );
+    let mut opcodes = std::collections::BTreeSet::new();
+    for ((label, frame), line) in corpus.iter().zip(recorded.lines()) {
+        let bytes = unhex(line.rsplit(' ').next().unwrap());
+        let payload = payload_of(&bytes);
+        opcodes.insert(payload[0]);
+        match frame {
+            Frame::Request(req) => assert_eq!(&decode_request(payload).unwrap(), req, "{label}"),
+            Frame::Response(resp) => {
+                assert_eq!(&decode_response(payload).unwrap(), resp, "{label}")
+            }
+        }
+    }
+    assert_eq!(opcodes.len(), 23, "every frame type is pinned");
+}
+
 #[test]
 fn error_message_is_capped_on_encode() {
     let resp = Response::Error {
