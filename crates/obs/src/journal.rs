@@ -40,8 +40,8 @@ pub enum EventKind {
     /// queue (or the connection itself) was saturated past the shed
     /// high-water mark.
     LoadShed,
-    /// The maintainer closed a connection that sat idle past its
-    /// deadline with no in-flight work.
+    /// The event loop's sweep timer closed a connection that sat idle
+    /// past its deadline with no in-flight work.
     ConnReaped,
     /// An epoch swap retired the serving engine's pre-drawn sample
     /// buffers: handles pinned to the old epoch drain out and new

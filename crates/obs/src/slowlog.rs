@@ -35,7 +35,7 @@ pub struct SlowSpan {
 
 /// One retained slow request: full request context plus the span tree
 /// snapshotted at completion.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SlowEntry {
     /// The request's (forced or sampled) trace id.
     pub trace_id: u64,

@@ -41,9 +41,9 @@ use srj_geom::Point;
 
 use crate::fault::FaultRng;
 use crate::protocol::{
-    decode_response, encode_request, write_frame, EpochInfo, ErrorCode, ProtocolError, Request,
-    RequestStats, RequestStatus, Response, SampleRequest, ServerStatsFrame, Side, TraceSpan,
-    FEAT_BUSY, FEAT_KEEPALIVE, FEAT_MUTATIONS, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    decode_response, encode_request, payload_len, write_frame, EpochInfo, ErrorCode, ProtocolError,
+    Request, RequestStats, RequestStatus, Response, SampleRequest, ServerStatsFrame, Side,
+    TraceSpan, FEAT_BUSY, FEAT_KEEPALIVE, FEAT_MUTATIONS, PROTOCOL_VERSION,
 };
 
 /// Initial size of a connection's read buffer: room for a short answer
@@ -710,12 +710,10 @@ impl Client {
             let have = self.rend - self.rpos;
             let mut need = 4;
             if have >= 4 {
-                let prefix = &self.rbuf[self.rpos..self.rpos + 4];
-                let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(ProtocolError::TooLarge(len).into());
-                }
-                need += len;
+                let prefix = self.rbuf[self.rpos..self.rpos + 4]
+                    .try_into()
+                    .expect("4 bytes");
+                need += payload_len(prefix)?;
                 if have >= need {
                     let payload = &self.rbuf[self.rpos + 4..self.rpos + need];
                     let response = decode_response(payload);

@@ -2,9 +2,9 @@
 //!
 //! This module replaces the thread-per-connection reader/writer pair
 //! with a single event-loop thread that owns the listener, every
-//! connection socket (all nonblocking), a [`Poller`] (epoll on Linux,
-//! `poll(2)` fallback), and a [`TimerWheel`] carrying every deadline
-//! the old layer expressed through blocking-socket timeouts:
+//! connection socket (all nonblocking), an epoll [`Poller`], and a
+//! [`TimerWheel`] carrying every deadline the old layer expressed
+//! through blocking-socket timeouts:
 //!
 //! * **Handshake deadline** — a fresh connection that produces no
 //!   `HELLO` inside `handshake_timeout` is dropped silently.
@@ -68,17 +68,17 @@ use std::time::{Duration, Instant};
 
 use srj_net::{Event, Interest, Poller, TimerWheel, Waker};
 use srj_obs::journal::EventKind;
-use srj_obs::{trace, StateTag, WorkerState};
+use srj_obs::{trace, SlowEntry, StateTag, WorkerState};
 
 use crate::exec::{advance, Acquire, Progress, SampleRun, INLINE_BUDGET_NS};
 use crate::fault::FaultRng;
 use crate::protocol::{
     decode_request, encode_response, EpochInfo, ErrorCode, FrameAccumulator, Request, RequestStats,
-    RequestStatus, Response, TraceSpan, UpdateStats, PROTOCOL_VERSION, SERVER_FEATURES,
+    RequestStatus, Response, UpdateStats, PROTOCOL_VERSION, SERVER_FEATURES,
 };
 use crate::server::{
-    apply_delete, apply_insert, epoch_info, slow_entry_to_wire, timeout_opt, Shared, TokenBucket,
-    FAULT_ROLE_READER, FAULT_ROLE_WRITER, SHED_RETRY_MS, SLOWLOG_MAX_ENTRIES,
+    apply_delete, apply_insert, epoch_info, timeout_opt, Shared, TokenBucket, FAULT_ROLE_READER,
+    FAULT_ROLE_WRITER, SHED_RETRY_MS, SLOWLOG_MAX_ENTRIES,
 };
 use crate::worker::{enqueue, should_shed, ConnShared, Job};
 
@@ -840,14 +840,7 @@ impl EventLoop {
                     busy(0, ms);
                     return true;
                 }
-                let spans = trace::spans_for(trace_id)
-                    .into_iter()
-                    .map(|r| TraceSpan {
-                        ns: r.ns,
-                        span: r.span.to_string(),
-                        event: r.event.to_string(),
-                    })
-                    .collect();
+                let spans = SlowEntry::capture_spans(trace_id);
                 answer(encode_response(&Response::Trace { trace_id, spans }));
             }
             Ok(Request::SlowLog { max }) => {
@@ -856,12 +849,7 @@ impl EventLoop {
                     return true;
                 }
                 let cap = (max as usize).min(SLOWLOG_MAX_ENTRIES);
-                let entries = shared
-                    .slow_log
-                    .recent(cap)
-                    .into_iter()
-                    .map(slow_entry_to_wire)
-                    .collect();
+                let entries = shared.slow_log.recent(cap);
                 answer(encode_response(&Response::SlowLog { entries }));
             }
             // Mutations are applied here, on the loop: they are

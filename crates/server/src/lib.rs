@@ -38,13 +38,13 @@
 //! * **fault tolerance**: a mandatory versioned `HELLO`/`WELCOME`
 //!   handshake (mismatched peers get a clean `ERROR`, never consume a
 //!   worker slot), `PING`/`PONG` keepalives, per-connection
-//!   read/write/idle deadlines with maintainer-thread reaping,
-//!   token-bucket rate limiting and queue-depth load shedding answered
-//!   with `BUSY { retry_after_ms }`, a client that retries with
-//!   jittered backoff and keeps mutations exactly-once via `EPOCH`
-//!   probes, and a seeded [`FaultPlan`] (inert by default) driving the
-//!   chaos soak in `tests/fault_tolerance.rs` — see the README's
-//!   "Failure semantics".
+//!   read/write/idle deadlines (idle connections reaped by the event
+//!   loop's sweep timer), token-bucket rate limiting and queue-depth
+//!   load shedding answered with `BUSY { retry_after_ms }`, a client
+//!   that retries with jittered backoff and keeps mutations
+//!   exactly-once via `EPOCH` probes, and a seeded [`FaultPlan`] (inert
+//!   by default) driving the chaos soak in `tests/fault_tolerance.rs` —
+//!   see the README's "Failure semantics".
 //!
 //! Binaries: `srj-serve` (register datasets, serve) and `srj-top` (live
 //! metrics dashboard with a server-health line). Throughput and latency

@@ -25,11 +25,11 @@
 //!
 //! **Threading.** One event-loop thread (see `crate::event_loop`)
 //! owns the listener and every connection socket — all nonblocking,
-//! driven by `epoll(7)` readiness (with a `poll(2)` fallback) and a
-//! timer wheel for every deadline; `workers` pool threads do the
-//! sampling the loop does not keep. No per-connection threads exist:
-//! ten thousand idle keepalive connections cost ten thousand
-//! registered fds, not twenty thousand parked stacks.
+//! driven by `epoll(7)` readiness and a timer wheel for every
+//! deadline; `workers` pool threads do the sampling the loop does not
+//! keep. No per-connection threads exist: ten thousand idle keepalive
+//! connections cost ten thousand registered fds, not twenty thousand
+//! parked stacks.
 //!
 //! **Two schedulers, one path.** `exec::advance` is the only code that
 //! acquires a handle, draws, accounts and encodes `BATCH`/`DONE`. The
@@ -99,14 +99,13 @@ use srj_engine::{
 use srj_geom::Point;
 use srj_obs::profiler::ALL_STATES;
 use srj_obs::timeseries::{Recorder, SeriesStore};
-use srj_obs::{trace, Counter, Gauge, Histogram, Profiler, Registry, SlowEntry, SlowLog};
+use srj_obs::{trace, Counter, Gauge, Histogram, Profiler, Registry, SlowLog};
 
 use crate::event_loop::{EventLoop, LoopNotify};
 use crate::exec::Acquire;
 use crate::fault::FaultPlan;
 use crate::protocol::{
-    EpochInfo, RequestStatus, SampleRequest, ServerStatsFrame, Side, SlowLogEntry, TraceSpan,
-    UpdateStats, MAX_FRAME_LEN,
+    EpochInfo, RequestStatus, SampleRequest, ServerStatsFrame, Side, UpdateStats, MAX_FRAME_LEN,
 };
 use crate::worker::{worker_loop, ConnShared, JobQueue};
 
@@ -1435,30 +1434,6 @@ pub(crate) fn epoch_info(shared: &Arc<Shared>, dataset: u64) -> Result<EpochInfo
         pending_ops: store.pending_ops() as u64,
         last_swap_ns: served.last_swap_ns(),
     })
-}
-
-/// Converts a retained [`SlowEntry`] into its wire form.
-pub(crate) fn slow_entry_to_wire(e: SlowEntry) -> SlowLogEntry {
-    SlowLogEntry {
-        trace_id: e.trace_id,
-        finished_ns: e.finished_ns,
-        dataset: e.dataset,
-        t: e.t,
-        algorithm: e.algorithm,
-        epoch: e.epoch,
-        iterations: e.iterations,
-        queue_wait_ns: e.queue_wait_ns,
-        elapsed_ns: e.elapsed_ns,
-        spans: e
-            .spans
-            .into_iter()
-            .map(|s| TraceSpan {
-                ns: s.ns,
-                span: s.span,
-                event: s.event,
-            })
-            .collect(),
-    }
 }
 
 #[cfg(test)]
