@@ -1,6 +1,6 @@
 //! A sampling worker-state profiler.
 //!
-//! Each participating thread (worker, connection reader) registers a
+//! Each participating thread (a worker, the event loop) registers a
 //! [`StateTag`] and publishes its current [`WorkerState`] with one
 //! relaxed store at each stage transition — the publishing side never
 //! blocks and never allocates. A sampler thread (the server's
@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, Weak};
 pub enum WorkerState {
     /// Blocked waiting for work (queue pop, socket read idle).
     Idle = 0,
-    /// Decoding a request frame (reader threads).
+    /// Reading and decoding request frames (the event loop).
     Decode = 1,
     /// Acquiring an engine/handle (cache lookup, possibly a build).
     Acquire = 2,

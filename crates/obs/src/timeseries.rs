@@ -1,9 +1,10 @@
 //! A dependency-free in-process time-series database over the metrics
 //! registry.
 //!
-//! A background [`Recorder`] snapshots every registered metric on a
-//! fixed cadence ([`crate::Registry::snapshot`]) and appends one point per
-//! series into a bounded per-series ring:
+//! Each [`SeriesStore::ingest`] takes one snapshot of every registered
+//! metric ([`crate::Registry::snapshot`]) — the embedder calls it on its
+//! own cadence; the server's maintainer thread does — and appends one
+//! point per series into a bounded per-series ring:
 //!
 //! * **counters** become **rates** (delta / elapsed seconds, clamped
 //!   at 0 across resets), because a monotone total is useless on a
@@ -26,12 +27,8 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Mutex;
 
-use crate::clock;
 use crate::metrics::{MetricSnapshot, ValueSnapshot};
 
 /// Default points retained per series.
@@ -46,7 +43,7 @@ pub const ROLLUP_5M_NS: u64 = 300_000_000_000;
 /// One recorded point.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Point {
-    /// [`clock::now_ns`] at snapshot time.
+    /// [`crate::clock::now_ns`] at snapshot time.
     pub ns: u64,
     /// Rate (counters, histogram counts) or level (gauges, means).
     pub value: f64,
@@ -120,8 +117,8 @@ impl Series {
     }
 }
 
-/// The bounded per-series storage; shared between the recorder thread
-/// and query surfaces (`/vars`, dashboards).
+/// The bounded per-series storage; shared between the thread that
+/// ingests and the query surfaces (`/vars`, dashboards).
 pub struct SeriesStore {
     capacity: usize,
     series: Mutex<BTreeMap<(String, String), Series>>,
@@ -274,74 +271,6 @@ fn rate_of(prev: u64, cur: u64, prev_ns: u64, ns: u64) -> f64 {
     (cur - prev) as f64 / dt
 }
 
-/// The background recorder: owns a snapshot closure (so it works
-/// against any registry the embedder holds) and a thread that calls
-/// [`SeriesStore::ingest`] every `cadence`. Stop with
-/// [`Recorder::stop`]; dropping stops it too.
-pub struct Recorder {
-    store: Arc<SeriesStore>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Recorder {
-    /// Starts recording `snapshot()` into a fresh store every
-    /// `cadence` (floored at 10 ms so a mis-configured cadence cannot
-    /// busy-spin).
-    pub fn start(
-        cadence: Duration,
-        capacity: usize,
-        snapshot: impl Fn() -> Vec<MetricSnapshot> + Send + 'static,
-    ) -> Recorder {
-        let store = Arc::new(SeriesStore::new(capacity));
-        let stop = Arc::new(AtomicBool::new(false));
-        let cadence = cadence.max(Duration::from_millis(10));
-        let handle = {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("srj-tsdb".into())
-                .spawn(move || {
-                    // Seed the deltas immediately so the first real
-                    // tick can already emit rates.
-                    store.ingest(clock::now_ns(), &snapshot());
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(cadence);
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        store.ingest(clock::now_ns(), &snapshot());
-                    }
-                })
-                .expect("spawn tsdb recorder")
-        };
-        Recorder {
-            store,
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// The shared store, for query surfaces.
-    pub fn store(&self) -> Arc<SeriesStore> {
-        Arc::clone(&self.store)
-    }
-
-    /// Stops and joins the recorder thread (idempotent).
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Recorder {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,32 +383,5 @@ mod tests {
         assert_eq!(buckets[0].count, 3);
         assert_eq!(buckets[1].count, 1);
         assert_eq!(buckets[1].start_ns, ROLLUP_1M_NS);
-    }
-
-    #[test]
-    fn recorder_thread_records_and_stops() {
-        let reg = Arc::new(Registry::new());
-        let c = reg.counter("ticks_total", &[]);
-        let snapshot = {
-            let reg = Arc::clone(&reg);
-            move || reg.snapshot()
-        };
-        let mut rec = Recorder::start(Duration::from_millis(10), 64, snapshot);
-        let store = rec.store();
-        for _ in 0..200 {
-            c.add(10);
-            if !store.window("ticks_total", "", 0).is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        rec.stop();
-        let pts = store.window("ticks_total", "", 0);
-        assert!(!pts.is_empty(), "recorder never ticked");
-        // Stopped: no further growth.
-        let n = store.window("ticks_total", "", 0).len();
-        c.add(1000);
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(store.window("ticks_total", "", 0).len(), n);
     }
 }

@@ -29,7 +29,7 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
                  [--rate-limit-rps N] [--mutation-rate-limit-rps N]
                  [--shed-high-water N]
                  [--http-port N] [--slow-log N] [--slow-threshold-ms N]
-                 [--timeseries-cadence-ms N] [--no-profiler]
+                 [--timeseries-cadence-ms N]
                  [--health-window-ms N] [--buffers on|off]
                  [--dataset ID=KIND:SCALE[:SEED]]... [--dataset-file ID=R_PATH[,S_PATH]]...
   KIND: uniform | road | poi | trajectory | taxi
@@ -42,7 +42,6 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
                after a warm-up of 32 requests; default 0)
   --timeseries-cadence-ms: metric history snapshot cadence
                (0 disables the recorder; default 1000)
-  --no-profiler: disable worker-state sampling
   --buffers: arm the engines' pre-drawn per-cell sample buffers
       (default on)
   --health-window-ms: how long /healthz stays degraded after the last
@@ -271,10 +270,6 @@ fn main() {
                 config.timeseries_cadence_ms = value(&args, &mut i, "--timeseries-cadence-ms")
                     .parse()
                     .unwrap_or_else(|_| fail("--timeseries-cadence-ms takes an integer"));
-            }
-            "--no-profiler" => {
-                config.profiler = false;
-                i += 1;
             }
             "--buffers" => match value(&args, &mut i, "--buffers").as_str() {
                 "on" => config.buffers = true,

@@ -266,7 +266,7 @@ fn snapshot_health(samples: &[Sample]) -> HealthRow {
 /// Renders the worker-utilization line from the per-state sample
 /// deltas since the previous poll: a 30-cell proportional bar (one
 /// glyph per state) plus the busiest non-idle percentages. Empty when
-/// the profiler is off or no sweep landed between polls.
+/// no sweep landed between polls.
 fn render_util(current: &HealthRow, prev: &HealthRow) -> String {
     let deltas: Vec<f64> = (0..6)
         .map(|i| (current.worker_states[i] - prev.worker_states[i]).max(0.0))

@@ -484,10 +484,6 @@ impl EventLoop {
                 .schedule(now + d, TimerKey::Conn(id, ConnTimer::Handshake));
         }
         self.conns.insert(id, conn);
-        self.shared
-            .server_metrics
-            .conn_open
-            .set(self.conns.len() as f64);
     }
 
     // ---- the per-connection service pass ---------------------------------
@@ -1345,10 +1341,6 @@ impl EventLoop {
             job.abandon(&self.shared);
         }
         self.shared.active.fetch_sub(1, Ordering::Relaxed);
-        self.shared
-            .server_metrics
-            .conn_open
-            .set(self.conns.len() as f64);
         self.shared
             .conns
             .lock()

@@ -16,12 +16,17 @@
 //! anything oversized, non-GET, or malformed gets a terse error
 //! status and the connection is closed (`Connection: close` always —
 //! no keep-alive state machine).
+//!
+//! The listener is served by the server's maintainer thread, one
+//! connection at a time: the routes are all cheap snapshots and this is
+//! a diagnostics port, not a data plane — one slow scraper delaying
+//! another is acceptable, a thread per probe is not. Each exchange has
+//! one [`EXCHANGE_DEADLINE`] from accept, so no peer holds that thread
+//! for longer.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 use crate::server::Shared;
 
@@ -29,96 +34,81 @@ use crate::server::Shared;
 /// anything larger is either an attack or a mistake.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// How long a connection may dribble its request in before we hang up.
-const READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long one connection may take, request and answer together,
+/// before we hang up.
+const EXCHANGE_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Binds `127.0.0.1:port` and spawns the accept loop. Returns the
-/// bound address (so `port` 0 works in tests) and the listener thread
-/// handle; `Server::shutdown` wakes the loop with a no-op connect and
-/// joins the handle.
-pub(crate) fn start(
-    shared: Arc<Shared>,
-    port: u16,
-) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
-    let listener = TcpListener::bind(("127.0.0.1", port))?;
-    let addr = listener.local_addr()?;
-    let handle = std::thread::Builder::new()
-        .name("srj-http".into())
-        .spawn(move || accept_loop(listener, shared))
-        .expect("spawn srj-http thread");
-    Ok((addr, handle))
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.is_shutting_down() {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.is_shutting_down() {
-            return;
+/// Accepts one pending connection on the nonblocking `listener` and
+/// answers it. Nothing pending is `Ok`; any other accept failure
+/// (`EMFILE` with a connection still queued, say) is returned, so the
+/// caller can stop polling the listener instead of spinning on it.
+pub(crate) fn accept_one(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
+    match listener.accept() {
+        Ok((stream, _)) => {
+            let _ = serve_one(stream, shared);
+            Ok(())
         }
-        // Serve inline: the routes are all cheap snapshots and the
-        // listener is a diagnostics port, not a data plane — one
-        // slow scraper delaying another is acceptable, a thread per
-        // probe is not.
-        let _ = serve_one(stream, &shared);
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
+        Err(e) => Err(e),
     }
 }
 
-fn serve_one(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
+/// Time left before `deadline`, as a socket timeout (which must be
+/// nonzero); `TimedOut` once it has passed.
+fn time_left(deadline: Instant) -> io::Result<Option<Duration>> {
+    match deadline.checked_duration_since(Instant::now()) {
+        Some(left) if !left.is_zero() => Ok(Some(left)),
+        _ => Err(io::ErrorKind::TimedOut.into()),
+    }
+}
+
+fn serve_one(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    let deadline = Instant::now() + EXCHANGE_DEADLINE;
+    stream.set_nonblocking(false)?;
 
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
-    let head_end = loop {
+    let (status, content_type, body) = loop {
+        stream.set_read_timeout(time_left(deadline)?)?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Ok(()); // peer hung up mid-request
         }
         buf.extend_from_slice(&chunk[..n]);
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
+        if let Some(head_end) = find_head_end(&buf) {
+            break route(&buf[..head_end], shared);
         }
         if buf.len() > MAX_REQUEST_BYTES {
-            return respond(&mut stream, 413, "text/plain", "request too large\n");
+            break (413, "text/plain", "request too large\n".to_string());
         }
     };
+    respond(&mut stream, deadline, status, content_type, &body)
+}
 
-    let head = String::from_utf8_lossy(&buf[..head_end]);
+/// The answer to one request head: status, content type and body.
+fn route(head: &[u8], shared: &Shared) -> (u16, &'static str, String) {
+    let head = String::from_utf8_lossy(head);
     let request_line = head.lines().next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m, t),
-        _ => return respond(&mut stream, 400, "text/plain", "bad request\n"),
+        _ => return (400, "text/plain", "bad request\n".to_string()),
     };
     if method != "GET" {
-        return respond(&mut stream, 405, "text/plain", "method not allowed\n");
+        return (405, "text/plain", "method not allowed\n".to_string());
     }
     // Ignore any query string: `/healthz?probe=ci` is still /healthz.
     let path = target.split('?').next().unwrap_or(target);
 
     match path {
-        "/metrics" => {
-            let body = shared.metrics_text();
-            respond(&mut stream, 200, "text/plain; version=0.0.4", &body)
-        }
+        "/metrics" => (200, "text/plain; version=0.0.4", shared.metrics_text()),
         "/healthz" => {
             let (ready, body) = shared.healthz();
             let status = if ready { 200 } else { 503 };
-            respond(&mut stream, status, "application/json", &body)
+            (status, "application/json", body)
         }
-        "/vars" => {
-            let body = shared.vars_json();
-            respond(&mut stream, 200, "application/json", &body)
-        }
-        _ => respond(&mut stream, 404, "text/plain", "not found\n"),
+        "/vars" => (200, "application/json", shared.vars_json()),
+        _ => (404, "text/plain", "not found\n".to_string()),
     }
 }
 
@@ -132,10 +122,11 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 
 fn respond(
     stream: &mut TcpStream,
+    deadline: Instant,
     status: u16,
     content_type: &str,
     body: &str,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -145,14 +136,23 @@ fn respond(
         503 => "Service Unavailable",
         _ => "Error",
     };
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    )
+    .into_bytes();
+    out.extend_from_slice(body.as_bytes());
+    // `write_all` would give every partial write a fresh timeout.
+    let mut rest = &out[..];
+    while !rest.is_empty() {
+        stream.set_write_timeout(time_left(deadline)?)?;
+        match stream.write(rest)? {
+            0 => return Err(io::ErrorKind::WriteZero.into()),
+            n => rest = &rest[n..],
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

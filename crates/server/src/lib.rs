@@ -366,7 +366,7 @@ mod tests {
         out
     }
 
-    /// The HTTP sidecar serves the three endpoints, enforces GET, and
+    /// The HTTP listener serves the three endpoints, enforces GET, and
     /// `/healthz` flips ready → degraded on a health signal (here a
     /// handshake reject) and recovers once the incident window ages
     /// out.

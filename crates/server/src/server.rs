@@ -23,11 +23,19 @@
 //! lifecycle. Jobs, the queue and the workers live in `crate::worker`;
 //! what a request *does* lives in `crate::exec`.
 //!
-//! **Threading.** One event-loop thread (see `crate::event_loop`)
-//! owns the listener and every connection socket — all nonblocking,
-//! driven by `epoll(7)` readiness and a timer wheel for every
-//! deadline; `workers` pool threads do the sampling the loop does not
-//! keep. No per-connection threads exist: ten thousand idle keepalive
+//! **Threading.** A server runs `workers + 2` threads, in every
+//! configuration:
+//!
+//! * `srj-event-loop` (see `crate::event_loop`) owns the listener and
+//!   every connection socket — all nonblocking, driven by `epoll(7)`
+//!   readiness and a timer wheel for every deadline;
+//! * `srj-worker-{i}` × `workers` do the sampling the loop does not
+//!   keep;
+//! * `srj-maintainer` does the housekeeping: the profiler sweep, the
+//!   time-series tick and the HTTP observability listener, on a poller
+//!   of its own (`maintainer_loop`).
+//!
+//! No per-connection threads exist: ten thousand idle keepalive
 //! connections cost ten thousand registered fds, not twenty thousand
 //! parked stacks.
 //!
@@ -81,14 +89,15 @@
 //! TCP window.
 //!
 //! **Shutdown.** [`Server::shutdown`] (or a client `SHUTDOWN` frame)
-//! wakes the event loop (which tears down every connection), closes
-//! the job queue, and joins every thread the server ever spawned — no
-//! leaks, asserted by the loopback tests.
+//! wakes the event loop (which tears down every connection) and the
+//! maintainer, closes the job queue, and joins every thread the server
+//! ever spawned — no leaks, asserted by the loopback tests.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -97,8 +106,9 @@ use srj_engine::{
     DatasetStore, EngineStats, EpochConfig, EpochEngine, RowGranularity, SamplerHandle,
 };
 use srj_geom::Point;
+use srj_net::{Interest, Poller, Waker};
 use srj_obs::profiler::ALL_STATES;
-use srj_obs::timeseries::{Recorder, SeriesStore};
+use srj_obs::timeseries::SeriesStore;
 use srj_obs::{trace, Counter, Gauge, Histogram, Profiler, Registry, SlowLog};
 
 use crate::event_loop::{EventLoop, LoopNotify};
@@ -199,12 +209,10 @@ pub struct ServerConfig {
     /// observed (nothing is captured before that).
     pub slow_threshold_ns: u64,
     /// Cadence of the in-process time-series recorder
-    /// ([`srj_obs::timeseries`]), milliseconds. `0` disables the
-    /// recorder (and `/vars` serves no series). Default 1000.
+    /// ([`srj_obs::timeseries`]), milliseconds, floored at 10. `0`
+    /// disables the recorder (and `/vars` serves no series). Default
+    /// 1000.
     pub timeseries_cadence_ms: u64,
-    /// Whether the maintainer samples worker/reader/writer state tags
-    /// into `srj_worker_state_samples_total{state=...}`. Default true.
-    pub profiler: bool,
     /// `/healthz` reports `degraded` while the most recent distress
     /// signal (load shed, connection reap, handshake reject) is
     /// younger than this window, milliseconds. Default 5000.
@@ -238,7 +246,6 @@ impl Default for ServerConfig {
             slow_log_capacity: 64,
             slow_threshold_ns: 0,
             timeseries_cadence_ms: 1000,
-            profiler: true,
             health_degraded_window_ms: 5000,
             buffers: true,
         }
@@ -359,46 +366,14 @@ impl ServedDataset {
         Some(engine)
     }
 
-    /// Longest recent swap across this dataset's engines.
-    fn last_swap_ns(&self) -> u64 {
-        self.engines
-            .lock()
-            .expect("engine map poisoned")
-            .iter()
-            .map(|(_, e)| e.last_swap().as_nanos().min(u128::from(u64::MAX)) as u64)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn engine_count(&self) -> usize {
-        self.engines.lock().expect("engine map poisoned").len()
-    }
-
-    /// Cell-maintenance counters aggregated over this dataset's
-    /// engines: `(patch_swaps, cells_patched, max last_swap_ns, Σµ)`.
-    fn cell_stats(&self) -> (u64, u64, u64, f64) {
-        let engines = self.engines.lock().expect("engine map poisoned");
-        let mut patch_swaps = 0u64;
-        let mut cells_patched = 0u64;
-        let mut last_swap_ns = 0u64;
-        let mut mu_total = 0.0f64;
-        for (_, e) in engines.iter() {
-            // One consistent snapshot per engine: a request racing a
-            // compaction must never pair the post-swap Σµ with the
-            // pre-swap counters (or vice versa).
-            let s = e.maintenance_snapshot();
-            patch_swaps += s.patch_swaps;
-            cells_patched += s.cells_patched;
-            last_swap_ns = last_swap_ns.max(s.last_swap_ns);
-            mu_total += s.mu_total;
-        }
-        (patch_swaps, cells_patched, last_swap_ns, mu_total)
-    }
-
-    /// Everything the `METRICS` exposition needs from this dataset's
-    /// engines in one pass under the map lock, each engine read as one
-    /// consistent [`srj_engine::MaintenanceSnapshot`].
-    fn maintenance_stats(&self) -> MaintenanceStats {
+    /// Everything `STATS`, `EPOCH` and the `METRICS` exposition read
+    /// from this dataset's engines, in one pass under the map lock. Each
+    /// engine is read as one consistent
+    /// [`srj_engine::MaintenanceSnapshot`]: a request racing a compaction
+    /// never pairs the post-swap Σµ with the pre-swap counters.
+    /// `with_memory` adds the index-memory walk, which only the
+    /// exposition shows.
+    fn maintenance_stats(&self, with_memory: bool) -> MaintenanceStats {
         let engines = self.engines.lock().expect("engine map poisoned");
         let mut out = MaintenanceStats {
             engines: engines.len(),
@@ -406,21 +381,24 @@ impl ServedDataset {
         };
         let mut sets_seen = Vec::new();
         for (_, e) in engines.iter() {
-            let (bytes, set) = e.memory_breakdown();
-            out.index_bytes = out.index_bytes + bytes;
-            let engine = e.engine();
-            out.index_rows[engine.row_granularity() as usize] += engine.row_count();
-            // Window sizes over one base stand on one point set.
-            if sets_seen.contains(&Arc::as_ptr(&set)) {
-                out.index_bytes.point_set -= set.memory_bytes();
-            } else {
-                sets_seen.push(Arc::as_ptr(&set));
+            if with_memory {
+                let (bytes, set) = e.memory_breakdown();
+                out.index_bytes = out.index_bytes + bytes;
+                let engine = e.engine();
+                out.index_rows[engine.row_granularity() as usize] += engine.row_count();
+                // Window sizes over one base stand on one point set.
+                if sets_seen.contains(&Arc::as_ptr(&set)) {
+                    out.index_bytes.point_set -= set.memory_bytes();
+                } else {
+                    sets_seen.push(Arc::as_ptr(&set));
+                }
             }
             let s = e.maintenance_snapshot();
             out.minor_swaps += s.minor_swaps;
             out.major_swaps += s.major_swaps;
             out.patch_swaps += s.patch_swaps;
             out.cells_patched += s.cells_patched;
+            out.last_swap_ns = out.last_swap_ns.max(s.last_swap_ns);
             out.mu_total += s.mu_total;
             out.epoch = out.epoch.max(s.epoch);
             out.buffer_hits += s.buffer_hits;
@@ -442,6 +420,8 @@ struct MaintenanceStats {
     major_swaps: u64,
     patch_swaps: u64,
     cells_patched: u64,
+    /// Longest most-recent swap across the engines.
+    last_swap_ns: u64,
     mu_total: f64,
     samples: u64,
     iterations: u64,
@@ -454,10 +434,10 @@ struct MaintenanceStats {
     /// epoch for the `srj_epoch` gauge).
     engines: usize,
     /// Heap bytes of the serving indexes by structure, a point set
-    /// several engines share counted once.
+    /// several engines share counted once (memory walk only).
     index_bytes: IndexBytes,
     /// Rows of the serving indexes' full builds, in
-    /// [`RowGranularity::ALL`] order.
+    /// [`RowGranularity::ALL`] order (memory walk only).
     index_rows: [usize; RowGranularity::ALL.len()],
 }
 
@@ -636,8 +616,9 @@ impl DatasetMetrics {
 pub(crate) struct ServerMetrics {
     /// `srj_connections_accepted_total` — mirror at scrape.
     connections_accepted: Counter,
-    /// `srj_active_connections` gauge — mirror at scrape.
-    active_connections: Gauge,
+    /// `srj_conn_open` gauge — connections registered on the event
+    /// loop (`Shared::active`), mirror at scrape.
+    conn_open: Gauge,
     /// `srj_engine_cache_hits_total` / `srj_engine_cache_misses_total`
     /// — mirrors at scrape.
     cache_hits: Counter,
@@ -663,9 +644,6 @@ pub(crate) struct ServerMetrics {
     /// `srj_slow_requests_total` — requests captured into the slow log
     /// (hot-path increment, rare by construction).
     pub(crate) slow_captures: Counter,
-    /// `srj_conn_open` gauge — connections registered on the event
-    /// loop right now, maintained live by the loop itself.
-    pub(crate) conn_open: Gauge,
     /// `srj_event_loop_wakeups_total` — poller returns (events or
     /// timer expiry), one per loop iteration.
     pub(crate) loop_wakeups: Counter,
@@ -685,7 +663,7 @@ impl ServerMetrics {
     fn register(reg: &Registry) -> Self {
         ServerMetrics {
             connections_accepted: reg.counter("srj_connections_accepted_total", &[]),
-            active_connections: reg.gauge("srj_active_connections", &[]),
+            conn_open: reg.gauge("srj_conn_open", &[]),
             cache_hits: reg.counter("srj_engine_cache_hits_total", &[]),
             cache_misses: reg.counter("srj_engine_cache_misses_total", &[]),
             backpressure_parks: reg.counter("srj_backpressure_parks_total", &[]),
@@ -695,7 +673,6 @@ impl ServerMetrics {
             handshake_rejects: reg.counter("srj_handshake_rejects_total", &[]),
             requests_inline: reg.counter("srj_requests_inline_total", &[]),
             slow_captures: reg.counter("srj_slow_requests_total", &[]),
-            conn_open: reg.gauge("srj_conn_open", &[]),
             loop_wakeups: reg.counter("srj_event_loop_wakeups_total", &[]),
             loop_dispatch: reg.histogram("srj_event_loop_dispatch_ns", &[]),
             accept_backoffs: reg.counter("srj_accept_backoff_total", &[]),
@@ -749,10 +726,11 @@ pub(crate) struct Shared {
     /// The event loop's doorbell — worker kicks and shutdown wakeups
     /// land here.
     pub(crate) notify: Arc<LoopNotify>,
-    /// The time-series store, set once when the recorder starts (the
-    /// recorder itself lives on [`Server`] — storing it here would arc-
-    /// cycle through its snapshot closure).
-    tsdb: OnceLock<Arc<SeriesStore>>,
+    /// The maintainer's doorbell; only shutdown rings it.
+    maintainer_waker: Waker,
+    /// The time-series store the maintainer ticks into (`None` when
+    /// `timeseries_cadence_ms` is 0).
+    tsdb: Option<SeriesStore>,
     /// `/healthz` change detector.
     health: Mutex<HealthState>,
 }
@@ -779,25 +757,15 @@ impl Shared {
             conn.closed.store(true, Ordering::Release);
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
-        // Wake the event loop out of its poller wait so it tears the
-        // connections down and exits.
+        // Wake the event loop and the maintainer out of their poller
+        // waits so they observe the flag and exit.
         self.notify.wake();
+        self.maintainer_waker.wake();
     }
 
     pub(crate) fn stats_frame(&self) -> ServerStatsFrame {
         let snap = self.request_stats.snapshot();
-        let mut patch_swaps = 0u64;
-        let mut cells_patched = 0u64;
-        let mut last_swap_ns = 0u64;
-        let mut mu_total = 0.0f64;
-        for d in self.registry.values() {
-            let (p, c, swap, mu) = d.cell_stats();
-            patch_swaps += p;
-            cells_patched += c;
-            last_swap_ns = last_swap_ns.max(swap);
-            mu_total += mu;
-        }
-        ServerStatsFrame {
+        let mut frame = ServerStatsFrame {
             queries: snap.queries,
             samples: snap.samples,
             iterations: snap.iterations,
@@ -805,20 +773,25 @@ impl Shared {
             mean_ns: snap.mean_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
             p50_ns: snap.p50_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
             p99_ns: snap.p99_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
-            engines_cached: self
-                .registry
-                .values()
-                .map(|d| d.engine_count() as u64)
-                .sum(),
+            engines_cached: 0,
             cache_hits: self.engine_hits.load(Ordering::Relaxed),
             cache_misses: self.engine_misses.load(Ordering::Relaxed),
             connections_accepted: self.accepted.load(Ordering::Relaxed),
             active_connections: self.active.load(Ordering::Relaxed),
-            patch_swaps,
-            cells_patched,
-            last_swap_ns,
-            mu_total,
+            patch_swaps: 0,
+            cells_patched: 0,
+            last_swap_ns: 0,
+            mu_total: 0.0,
+        };
+        for d in self.registry.values() {
+            let agg = d.maintenance_stats(false);
+            frame.engines_cached += agg.engines as u64;
+            frame.patch_swaps += agg.patch_swaps;
+            frame.cells_patched += agg.cells_patched;
+            frame.last_swap_ns = frame.last_swap_ns.max(agg.last_swap_ns);
+            frame.mu_total += agg.mu_total;
         }
+        frame
     }
 
     /// The Prometheus text exposition behind the `METRICS` frame and
@@ -842,8 +815,7 @@ impl Shared {
         }
         sm.connections_accepted
             .store(self.accepted.load(Ordering::Relaxed));
-        sm.active_connections
-            .set(self.active.load(Ordering::Relaxed) as f64);
+        sm.conn_open.set(self.active.load(Ordering::Relaxed) as f64);
         sm.cache_hits
             .store(self.engine_hits.load(Ordering::Relaxed));
         sm.cache_misses
@@ -852,7 +824,7 @@ impl Shared {
             let Some(m) = self.dataset_metrics.get(id) else {
                 continue;
             };
-            let agg = served.maintenance_stats();
+            let agg = served.maintenance_stats(true);
             m.rungs[0].store(agg.minor_swaps);
             m.rungs[1].store(agg.patch_swaps);
             // Major swaps split into patch swaps and full rebuilds.
@@ -1089,7 +1061,7 @@ impl Shared {
             }
         }
         out.push_str("],\"series\":[");
-        if let Some(store) = self.tsdb.get() {
+        if let Some(store) = &self.tsdb {
             let since = srj_obs::clock::now_ns().saturating_sub(srj_obs::timeseries::ROLLUP_5M_NS);
             for (i, (name, labels, kind)) in store.series_names().iter().enumerate() {
                 if i > 0 {
@@ -1136,11 +1108,8 @@ pub struct Server {
     event_loop: Option<JoinHandle<()>>,
     maintainer: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// The time-series recorder thread (owned here, not on [`Shared`]:
-    /// its snapshot closure holds an `Arc<Shared>`).
-    recorder: Option<Recorder>,
-    /// The HTTP observability listener: resolved address + thread.
-    http: Option<(SocketAddr, JoinHandle<()>)>,
+    /// The HTTP observability listener's resolved address.
+    http_addr: Option<SocketAddr>,
 }
 
 impl Server {
@@ -1181,6 +1150,21 @@ impl Server {
             .map(|&id| (id, DatasetMetrics::register(&metrics, id)))
             .collect();
         let notify = Arc::new(LoopNotify::new()?);
+        // The maintainer's poller holds its waker and, when configured,
+        // the HTTP listener; set up here so bind/epoll errors surface
+        // from start() before any thread exists.
+        let maintainer_waker = Waker::new()?;
+        let mut poller = Poller::new()?;
+        poller.register(maintainer_waker.fd(), TOKEN_WAKER, Interest::READ)?;
+        let http = match config.http_port {
+            Some(port) => Some(TcpListener::bind(("127.0.0.1", port))?),
+            None => None,
+        };
+        if let Some(listener) = &http {
+            listener.set_nonblocking(true)?;
+            poller.register(listener.as_raw_fd(), TOKEN_HTTP, Interest::READ)?;
+        }
+        let http_addr = http.as_ref().map(TcpListener::local_addr).transpose()?;
         let shared = Arc::new(Shared {
             config,
             registry: registry.map,
@@ -1200,27 +1184,11 @@ impl Server {
             slow_log: SlowLog::new(config.slow_log_capacity),
             profiler: Profiler::new(),
             notify,
-            tsdb: OnceLock::new(),
+            maintainer_waker,
+            tsdb: (config.timeseries_cadence_ms > 0)
+                .then(|| SeriesStore::new(srj_obs::timeseries::DEFAULT_CAPACITY)),
             health: Mutex::new(HealthState::default()),
         });
-
-        let recorder = (config.timeseries_cadence_ms > 0).then(|| {
-            let snap_shared = Arc::clone(&shared);
-            let recorder = Recorder::start(
-                Duration::from_millis(config.timeseries_cadence_ms),
-                srj_obs::timeseries::DEFAULT_CAPACITY,
-                move || {
-                    snap_shared.mirror_metrics();
-                    snap_shared.metrics.snapshot()
-                },
-            );
-            let _ = shared.tsdb.set(recorder.store());
-            recorder
-        });
-        let http = match config.http_port {
-            Some(port) => Some(crate::http::start(Arc::clone(&shared), port)?),
-            None => None,
-        };
 
         let workers = (0..config.workers)
             .map(|i| {
@@ -1242,30 +1210,27 @@ impl Server {
                 .spawn(move || el.run())
                 .expect("spawn event loop")
         };
-        // The maintainer only samples the profiler now — idle reaping
-        // moved onto the event loop's sweep timer.
-        let maintainer = config.profiler.then(|| {
+        let maintainer = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("srj-maintainer".into())
-                .spawn(move || maintainer_loop(&shared))
+                .spawn(move || maintainer_loop(&shared, poller, http))
                 .expect("spawn maintainer")
-        });
+        };
 
         Ok(Server {
             shared,
             event_loop: Some(event_loop),
-            maintainer,
+            maintainer: Some(maintainer),
             workers,
-            recorder,
-            http,
+            http_addr,
         })
     }
 
     /// The HTTP observability listener's resolved address (with an
     /// OS-assigned port filled in), when one is configured.
     pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.http.as_ref().map(|(addr, _)| *addr)
+        self.http_addr
     }
 
     /// The bound address (with the OS-assigned port resolved).
@@ -1307,18 +1272,10 @@ impl Server {
     /// drop.
     pub fn shutdown(&mut self) {
         self.shared.begin_shutdown();
-        if let Some(mut recorder) = self.recorder.take() {
-            recorder.stop();
-        }
-        if let Some((addr, handle)) = self.http.take() {
-            // Wake the HTTP listener out of its blocking accept() so it
-            // observes the shutdown flag.
-            let _ = TcpStream::connect(addr);
-            let _ = handle.join();
-        }
-        // The event loop observes the shutdown flag on its next wakeup
-        // (begin_shutdown rang its waker), tears every connection down,
-        // and exits; after the join the connection list is final.
+        // The event loop and the maintainer observe the shutdown flag
+        // on their next wakeup (begin_shutdown rang both wakers); the
+        // loop tears every connection down first, so after its join the
+        // connection list is final.
         if let Some(event_loop) = self.event_loop.take() {
             let _ = event_loop.join();
         }
@@ -1345,25 +1302,68 @@ impl Drop for Server {
 
 // ---- maintainer ------------------------------------------------------------
 
-/// Takes one profiler sample every 50 ms until shutdown flips. Idle
-/// reaping — the maintainer's other historic duty — now lives on the
-/// event loop's sweep timer, so this thread only exists when the
-/// profiler is on.
-fn maintainer_loop(shared: &Arc<Shared>) {
-    let sweep = Duration::from_millis(50);
-    let mut flag = shared.shutdown_flag.lock().expect("shutdown flag poisoned");
-    while !*flag {
-        let (guard, _) = shared
-            .shutdown_cv
-            .wait_timeout(flag, sweep)
-            .expect("shutdown flag poisoned");
-        flag = guard;
-        if *flag {
+/// Maintainer poller tokens: its waker and the HTTP listener.
+const TOKEN_WAKER: u64 = 0;
+const TOKEN_HTTP: u64 = 1;
+
+/// Profiler sweep interval; a paused HTTP listener is re-armed on it.
+const SWEEP: Duration = Duration::from_millis(50);
+
+/// The server's one housekeeping thread, kept off the event loop so the
+/// profiler can observe the loop's own tag and a scrape's engine walk
+/// never delays a request. It waits on its own poller with the next due
+/// tick as timeout and
+///
+/// * every [`SWEEP`] takes one profiler sample;
+/// * every `timeseries_cadence_ms` (floored at 10 ms) mirrors the
+///   registry into one time-series snapshot;
+/// * answers each HTTP probe as it arrives ([`crate::http::accept_one`]).
+///   An accept failure other than `WouldBlock` — `EMFILE` with a probe
+///   still queued — takes the listener out of the poller until the next
+///   sweep, so it cannot spin.
+///
+/// Returns once shutdown flips; `begin_shutdown` rings the waker.
+fn maintainer_loop(shared: &Shared, mut poller: Poller, http: Option<TcpListener>) {
+    let cadence =
+        Duration::from_millis(shared.config.timeseries_cadence_ms).max(Duration::from_millis(10));
+    let start = Instant::now();
+    let mut next_sweep = start + SWEEP;
+    // The first snapshot only seeds the deltas, so take it at once.
+    let mut next_tick = shared.tsdb.as_ref().map(|_| start);
+    let mut http_paused = false;
+    let mut events = Vec::new();
+    while !shared.is_shutting_down() {
+        let now = Instant::now();
+        if now >= next_sweep {
+            shared.profiler.sample();
+            next_sweep = now + SWEEP;
+            if let (true, Some(listener)) = (http_paused, &http) {
+                http_paused = poller
+                    .register(listener.as_raw_fd(), TOKEN_HTTP, Interest::READ)
+                    .is_err();
+            }
+        }
+        if let (Some(store), Some(due)) = (&shared.tsdb, next_tick) {
+            if now >= due {
+                shared.mirror_metrics();
+                store.ingest(srj_obs::clock::now_ns(), &shared.metrics.snapshot());
+                next_tick = Some(now + cadence);
+            }
+        }
+        let due = next_tick.map_or(next_sweep, |tick| tick.min(next_sweep));
+        let timeout = due.saturating_duration_since(Instant::now());
+        if poller.wait(&mut events, Some(timeout)).is_err() {
             return;
         }
-        drop(flag);
-        shared.profiler.sample();
-        flag = shared.shutdown_flag.lock().expect("shutdown flag poisoned");
+        for ev in &events {
+            if ev.token == TOKEN_WAKER {
+                shared.maintainer_waker.drain();
+            } else if let Some(listener) = &http {
+                if crate::http::accept_one(listener, shared).is_err() {
+                    http_paused = poller.deregister(listener.as_raw_fd()).is_ok();
+                }
+            }
+        }
     }
 }
 
@@ -1432,7 +1432,7 @@ pub(crate) fn epoch_info(shared: &Arc<Shared>, dataset: u64) -> Result<EpochInfo
         live_r: store.live_r_len() as u64,
         live_s: store.live_s_len() as u64,
         pending_ops: store.pending_ops() as u64,
-        last_swap_ns: served.last_swap_ns(),
+        last_swap_ns: served.maintenance_stats(false).last_swap_ns,
     })
 }
 
@@ -1490,6 +1490,6 @@ mod tests {
         assert!(dataset.engines.try_lock().is_ok(), "map lock released");
         assert!(Arc::ptr_eq(&shared, &served));
         assert!(Arc::ptr_eq(&unmapped.unwrap(), &late));
-        assert_eq!(dataset.engine_count(), 1);
+        assert_eq!(dataset.engines.lock().unwrap().len(), 1);
     }
 }

@@ -3,7 +3,8 @@
 //! clean exit on a `SHUTDOWN` frame — the path nothing in-process
 //! covers.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -27,20 +28,26 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
     let mut serve = KillOnDrop(
         Command::new(SERVE)
             .args(["--addr", "127.0.0.1:0", "--workers", "1"])
-            .args(["--dataset", "1=uniform:0.02"])
+            .args(["--dataset", "1=uniform:0.02", "--http-port", "0"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
             .expect("spawn srj-serve"),
     );
-    let mut first_line = String::new();
-    BufReader::new(serve.0.stdout.take().expect("piped stdout"))
-        .read_line(&mut first_line)
-        .expect("read srj-serve's stdout");
-    let addr = first_line
-        .trim_end()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("expected `listening on ADDR`, got {first_line:?}"));
+    let mut stdout = BufReader::new(serve.0.stdout.take().expect("piped stdout"));
+    let mut line = |prefix: &str| {
+        let mut line = String::new();
+        stdout
+            .read_line(&mut line)
+            .expect("read srj-serve's stdout");
+        line.trim_end()
+            .strip_prefix(prefix)
+            .unwrap_or_else(|| panic!("expected `{prefix}ADDR`, got {line:?}"))
+            .to_string()
+    };
+    let addr = line("listening on ");
+    let addr = addr.as_str();
+    let http_addr = line("http on ");
 
     // No retries: a transport failure or a BUSY must surface as this
     // test's error, not as a second, silent SAMPLE in the counts below.
@@ -80,6 +87,17 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
         String::from_utf8_lossy(&top.stdout).contains("srj_requests_total"),
         "srj-top --raw printed no exposition: {top:?}"
     );
+
+    let mut probe = TcpStream::connect(&http_addr).expect("connect to the HTTP listener");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("probe read timeout");
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send GET /healthz");
+    let mut health = String::new();
+    probe.read_to_string(&mut health).expect("read /healthz");
+    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
 
     client.shutdown_server().expect("send SHUTDOWN");
     let deadline = Instant::now() + Duration::from_secs(20);

@@ -218,6 +218,26 @@ fn delete_only_batches_patch_cells_and_shrink_mu_over_tcp() {
         before.mu_total,
         after.mu_total
     );
+
+    // `STATS`, `EPOCH` and `METRICS` read one pass over the engines, so
+    // with no traffic in between they agree exactly.
+    let metrics = client.metrics().unwrap();
+    let series = |name: &str| -> f64 {
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in METRICS:\n{metrics}"))
+    };
+    assert_eq!(
+        after.patch_swaps as f64,
+        series("srj_maintenance_total{dataset=\"1\",rung=\"cell_patch\"}")
+    );
+    assert_eq!(
+        after.cells_patched as f64,
+        series("srj_cells_patched_total{dataset=\"1\"}")
+    );
+    assert_eq!(after.mu_total, series("srj_mu_total{dataset=\"1\"}"));
+    assert_eq!(after.last_swap_ns, epoch_after.last_swap_ns);
     server.shutdown();
 }
 
