@@ -115,7 +115,8 @@ const _: () = {
 /// and the per-cell BBSTs behind one [`CellStore`], `Arc`-held so many
 /// indexes — e.g. the shards of a sharded engine — can be built over
 /// one copy, and patchable cell by cell across epochs. Produced by
-/// [`BbstIndex::build_s_structures`], consumed by
+/// [`BbstIndex::build_s_structures`] or, over a grid the caller built,
+/// [`BbstIndex::s_structures_on_grid`]; consumed by
 /// [`BbstIndex::build_shared`].
 pub struct BbstSStructures {
     store: Arc<CellStore<CellBbsts>>,
@@ -171,37 +172,6 @@ impl BbstIndex {
             s_side.preprocessing,
             s_side.grid_mapping,
         )
-    }
-
-    /// Like [`BbstIndex::build`], but reuses a grid the caller already
-    /// built over `S` with cell side `config.half_extent` (e.g. the
-    /// planner's estimation grid — `srj-engine` uses this to avoid
-    /// paying the grid-mapping phase twice on the auto path). What the
-    /// caller spent is charged where [`BbstIndex::build`] would have
-    /// charged it, so the decomposition stays truthful: `sort_time`
-    /// (sorting `S` for the grid, if the caller had to) to
-    /// pre-processing, `grid_build_time` to the GM phase.
-    ///
-    /// # Panics
-    /// Panics if the grid's cell side differs from `config.half_extent`
-    /// — the window decomposition assumes cell side = `l`, so a
-    /// mismatched grid would make parts of `J` unreachable.
-    pub fn build_with_grid(
-        r: &[Point],
-        config: &SampleConfig,
-        grid: Grid,
-        sort_time: std::time::Duration,
-        grid_build_time: std::time::Duration,
-    ) -> Self {
-        assert!(
-            grid.cell_side().to_bits() == config.half_extent.to_bits(),
-            "grid cell side ({}) must equal the window half-extent ({})",
-            grid.cell_side(),
-            config.half_extent
-        );
-        let s_side = Self::s_structures_on_grid(Arc::new(grid), config);
-        let grid_mapping = grid_build_time + s_side.grid_mapping;
-        Self::build_inner(r, s_side.store, config, sort_time, grid_mapping)
     }
 
     /// The per-cell BBSTs over a grid the caller already built with cell

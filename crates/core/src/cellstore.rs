@@ -127,15 +127,9 @@ pub struct CellStore<U: CellUnit> {
 }
 
 impl<U: CellUnit> CellStore<U> {
-    /// Builds the grid ([`Grid::build`]: on a copy of a slice, or sharing
-    /// an `Arc<PointSet>`) and every cell unit (units on `threads`
-    /// builder threads; bit-identical to serial).
-    pub fn build(points: impl IntoPointSet, cell_side: f64, ctx: U::Ctx, threads: usize) -> Self {
-        Self::from_grid(Arc::new(Grid::build(points, cell_side)), ctx, threads)
-    }
-
-    /// Builds the units over an already-built grid (e.g. the planner's
-    /// donated estimation grid).
+    /// Builds every cell unit over `grid`, which the store holds, not
+    /// copies: an engine's one grid of `S` (units on `threads` builder
+    /// threads; bit-identical to serial).
     pub fn from_grid(grid: Arc<Grid>, ctx: U::Ctx, threads: usize) -> Self {
         let (units, _par) = par_map(grid.cells(), threads, |_, c| {
             Arc::new(U::build_unit(grid.points(), c, &ctx))
@@ -254,15 +248,15 @@ pub struct KdCellStore {
 }
 
 impl KdCellStore {
-    /// Builds the grid (cell side = the window half-extent `l`) and the
-    /// per-cell kd-trees.
+    /// Builds the grid (cell side = the window half-extent `l`; on a
+    /// copy of a slice, or sharing an `Arc<PointSet>`) and the per-cell
+    /// kd-trees.
     pub fn build(s: impl IntoPointSet, cell_side: f64, threads: usize) -> Self {
-        KdCellStore {
-            store: CellStore::build(s, cell_side, (), threads),
-        }
+        Self::from_grid(Arc::new(Grid::build(s, cell_side)), threads)
     }
 
-    /// Builds the per-cell kd-trees over an already-built grid.
+    /// Builds the per-cell kd-trees over an already-built grid, which
+    /// the store holds, not copies.
     pub fn from_grid(grid: Arc<Grid>, threads: usize) -> Self {
         KdCellStore {
             store: CellStore::from_grid(grid, (), threads),

@@ -51,24 +51,11 @@ const _: () = {
 };
 
 impl KdsRejectionIndex {
-    /// Runs the build phases: grid (GM), per-cell kd-trees
-    /// (pre-processing), bounds + alias (UB).
+    /// Runs the build phases: the sorts of `S` when this build ran them
+    /// and the per-cell kd-trees (pre-processing), the grid (GM), the
+    /// bounds and the alias (UB). `s` is a slice, copied, or an
+    /// `Arc<PointSet>`, shared.
     pub fn build(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Self {
-        let (s_cells, preprocessing, grid_mapping) = Self::build_s_structures(s, config);
-        Self::build_inner(r, s_cells, config, preprocessing, grid_mapping)
-    }
-
-    /// Builds only the `S`-side structures (grid + per-cell kd-trees)
-    /// and reports the time each phase took (pre-processing: the sorts
-    /// of `S`, when this build ran them, and the tree builds; grid
-    /// build). A sharded engine calls this once and hands `Arc` clones
-    /// to every per-shard [`KdsRejectionIndex::build_shared`], so the
-    /// `S`-side is built — and held in memory — exactly once. `s` is a
-    /// slice, copied, or an `Arc<PointSet>`, shared.
-    pub fn build_s_structures(
-        s: impl IntoPointSet,
-        config: &SampleConfig,
-    ) -> (Arc<KdCellStore>, std::time::Duration, std::time::Duration) {
         let s = s.into_point_set();
         let sorts = s.ensure_orders();
         let t1 = Instant::now();
@@ -76,12 +63,14 @@ impl KdsRejectionIndex {
         let grid_mapping = t1.elapsed();
         let t0 = Instant::now();
         let s_cells = Arc::new(KdCellStore::from_grid(grid, config.build_threads));
-        (s_cells, sorts + t0.elapsed(), grid_mapping)
+        let preprocessing = sorts + t0.elapsed();
+        Self::build_inner(r, s_cells, config, preprocessing, grid_mapping)
     }
 
     /// Like [`KdsRejectionIndex::build`], but over an already-built
-    /// `S`-side (from [`KdsRejectionIndex::build_s_structures`], or a
-    /// [`KdCellStore::patch`] of one). Its build time is charged to
+    /// `S`-side (e.g. [`KdCellStore::from_grid`], or a
+    /// [`KdCellStore::patch`] of one) — which a sharded engine builds
+    /// once and hands to every shard. Its build time is charged to
     /// whoever built it, so this index's report records zero
     /// preprocessing / grid-mapping.
     ///
@@ -91,35 +80,6 @@ impl KdsRejectionIndex {
     pub fn build_shared(r: &[Point], s_cells: Arc<KdCellStore>, config: &SampleConfig) -> Self {
         let zero = std::time::Duration::ZERO;
         Self::build_inner(r, s_cells, config, zero, zero)
-    }
-
-    /// Like [`KdsRejectionIndex::build`], but reuses a grid the caller
-    /// already built over `s` with cell side `config.half_extent`
-    /// (e.g. the planner's estimation grid — `srj-engine` uses this to
-    /// avoid paying the grid-mapping phase twice on the auto path).
-    /// What the caller spent is charged where
-    /// [`KdsRejectionIndex::build`] would have charged it, so the phase
-    /// decomposition stays truthful: `sort_time` (sorting `S` for the
-    /// grid, if the caller had to) to pre-processing, `grid_build_time`
-    /// to the GM phase.
-    ///
-    /// # Panics
-    /// Panics if the grid's cell side differs from `config.half_extent`
-    /// or the grid does not cover `s` — a mismatched grid would make
-    /// `µ(r)` undercount windows and silently bias the samples.
-    pub fn build_with_grid(
-        r: &[Point],
-        s: &[Point],
-        config: &SampleConfig,
-        grid: Grid,
-        sort_time: std::time::Duration,
-        grid_build_time: std::time::Duration,
-    ) -> Self {
-        assert_eq!(grid.num_points(), s.len(), "grid must cover s");
-        let t0 = Instant::now();
-        let s_cells = Arc::new(KdCellStore::from_grid(Arc::new(grid), config.build_threads));
-        let preprocessing = sort_time + t0.elapsed();
-        Self::build_inner(r, s_cells, config, preprocessing, grid_build_time)
     }
 
     fn build_inner(

@@ -14,7 +14,7 @@ use srj_geom::Point;
 use srj_grid::{IntoPointSet, PointSet};
 
 use crate::family::{self, EngineIndex, RowGranularity, ServingCursor};
-use crate::planner::{plan, PlanReport};
+use crate::planner::PlanReport;
 use crate::stats::{EngineStats, StatsSnapshot};
 
 /// Which of the paper's samplers an [`Engine`] serves with.
@@ -125,14 +125,15 @@ impl Engine {
         algorithm: Algorithm,
         shards: usize,
     ) -> Engine {
-        let index = family::build(algorithm, r, s.into_point_set(), config, shards, None);
+        let (index, _) = family::build(r, s.into_point_set(), config, shards, Some(algorithm));
         Engine::from_index(index, None, true)
     }
 
     /// Lets the planner pick the algorithm from a cheap `O(n + m)`
-    /// workload estimate (see [`crate::planner`]), then builds —
-    /// donating the planner's estimation grid to the index build, so
-    /// the grid-mapping phase is never paid twice.
+    /// workload estimate (see [`crate::planner`]), then builds it — the
+    /// very index [`Engine::build`] builds for that algorithm. The
+    /// planner reads the grid of `S` the index then stands on, so the
+    /// grid-mapping phase is paid once.
     ///
     /// The decision and its supporting estimates are kept in
     /// [`Engine::plan`].
@@ -142,23 +143,17 @@ impl Engine {
 
     /// Shard-aware [`Engine::auto`]: the planner picks the algorithm,
     /// then the build is `R`-sharded into `shards` shards ([`PlanReport`]
-    /// records the shard count it planned for). The planner's grid
-    /// donation only applies to the unsharded path; the sharded build
-    /// still builds its `S`-side structures only once, `Arc`-shared
-    /// across all shards.
+    /// records the shard count it planned for) — the index
+    /// [`Engine::build_sharded`] builds for that algorithm, over one grid
+    /// and one `S`-side `Arc`-shared across all shards.
     pub fn auto_sharded(
         r: &[Point],
         s: impl IntoPointSet,
         config: &SampleConfig,
         shards: usize,
     ) -> Engine {
-        let s = s.into_point_set();
-        let (report, estimation_grid) = plan(r, &s, config, shards);
-        // A sharded build lets the grid go first: it holds `s`.
-        let donated = estimation_grid.filter(|_| shards <= 1);
-        let shards = report.num_shards;
-        let index = family::build(report.algorithm, r, s, config, shards, donated);
-        Engine::from_index(index, Some(report), true)
+        let (index, plan) = family::build(r, s.into_point_set(), config, shards, None);
+        Engine::from_index(index, plan, true)
     }
 
     /// Wraps this engine's index in a delta [`srj_core::OverlayIndex`], producing

@@ -900,14 +900,29 @@ mod tests {
         for p in pseudo_points(20, 23, 30.0) {
             engine.insert_r(p);
         }
+        for id in 0..10 {
+            assert!(engine.delete_r(id));
+        }
         engine.refresh();
         assert_eq!(engine.epoch(), 1, "threshold crossed: epoch must bump");
         assert_eq!(engine.major_swaps(), 1);
         assert!(!engine.engine().is_overlay(), "delta was folded in");
         assert_eq!(engine.store().pending_ops(), 0);
-        assert_eq!(engine.store().live_r_len(), 60);
-        // and it still serves
-        assert!(engine.handle_seeded(1).sample(100).is_ok());
+        let live_r = engine.store().live_r_len();
+        assert_eq!(live_r, 50);
+        // The compaction renumbered R: the swapped-in engine draws from
+        // the compacted id space only, never an id renumbered away.
+        let snap = engine.store().snapshot();
+        let mut h = engine.handle_seeded(1);
+        for _ in 0..2_000 {
+            let p = h.sample_one().unwrap();
+            assert!((p.r as usize) < live_r, "renumbered-away id {}", p.r);
+            let w = Rect::window(snap.r_point(p.r).unwrap(), 4.0);
+            assert!(
+                w.contains(snap.s_point(p.s).unwrap()),
+                "non-join pair {p:?}"
+            );
+        }
     }
 
     /// The one-lock snapshot pairs `Σµ` with the counters of the same

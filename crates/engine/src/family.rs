@@ -13,6 +13,10 @@
 //! cell of `R` ([`GroupIndex`], the §III-B bound and nothing else).
 //! [`build`] decides between them once per full build, from the data
 //! alone — see [`build_bbst`].
+//!
+//! Every full build stands on one grid of `S`: [`build`] maps it, the
+//! planner reads it when no algorithm is forced, and the family's
+//! `S`-side is built over that same `Arc` ([`Family::build_s`]).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -29,7 +33,7 @@ use srj_geom::{Point, PointId};
 use srj_grid::{Grid, PointSet};
 
 use crate::engine::Algorithm;
-use crate::planner::DonatedGrid;
+use crate::planner::{self, PlanReport};
 use crate::shard::ShardedIndex;
 
 /// `(cell coordinate, unit pointer)` per `S`-cell; see
@@ -69,8 +73,9 @@ trait Family: SamplerIndex + Sized + 'static {
     /// and every rebuild over a new `R`, is built on one copy.
     type SSide: Sync;
 
-    /// Builds the `S`-side and reports what it cost.
-    fn build_s(s: Arc<PointSet>, config: &SampleConfig) -> (Self::SSide, PhaseReport);
+    /// Builds the `S`-side over the engine's grid of `S` and reports
+    /// what it cost beyond the grid.
+    fn build_s(grid: Arc<Grid>, config: &SampleConfig) -> (Self::SSide, PhaseReport);
 
     /// The per-`r` pass over a ready `S`-side.
     fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self;
@@ -89,17 +94,6 @@ trait Family: SamplerIndex + Sized + 'static {
 
     fn point_set(s_side: &Self::SSide) -> Arc<PointSet>;
 
-    /// The whole index over the grid the planner built for its
-    /// estimate, for the families that stand on a bare grid.
-    fn build_with_grid(
-        _r: &[Point],
-        _s: &PointSet,
-        _config: &SampleConfig,
-        _donated: DonatedGrid,
-    ) -> Option<Self> {
-        None
-    }
-
     /// How many rows the index keeps if it keeps one per group of `R`;
     /// `None` for a row per `r`.
     fn group_rows(&self) -> Option<usize> {
@@ -111,10 +105,12 @@ impl Family for KdsIndex {
     const ALGORITHM: Algorithm = Algorithm::Kds;
     type SSide = Arc<KdCellStore>;
 
-    fn build_s(s: Arc<PointSet>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
-        let (s_cells, preprocessing) = KdsIndex::build_s_structure(s, config);
+    /// The per-cell kd-trees, charged to pre-processing.
+    fn build_s(grid: Arc<Grid>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
+        let t0 = Instant::now();
+        let s_cells = Arc::new(KdCellStore::from_grid(grid, config.build_threads));
         let report = PhaseReport {
-            preprocessing,
+            preprocessing: t0.elapsed(),
             ..PhaseReport::default()
         };
         (s_cells, report)
@@ -150,15 +146,8 @@ impl Family for KdsRejectionIndex {
     const ALGORITHM: Algorithm = Algorithm::KdsRejection;
     type SSide = Arc<KdCellStore>;
 
-    fn build_s(s: Arc<PointSet>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
-        let (s_cells, preprocessing, grid_mapping) =
-            KdsRejectionIndex::build_s_structures(s, config);
-        let report = PhaseReport {
-            preprocessing,
-            grid_mapping,
-            ..PhaseReport::default()
-        };
-        (s_cells, report)
+    fn build_s(grid: Arc<Grid>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
+        <KdsIndex as Family>::build_s(grid, config)
     }
 
     fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
@@ -184,32 +173,17 @@ impl Family for KdsRejectionIndex {
     fn point_set(s_side: &Self::SSide) -> Arc<PointSet> {
         Arc::clone(s_side.grid().point_set())
     }
-
-    fn build_with_grid(
-        r: &[Point],
-        s: &PointSet,
-        config: &SampleConfig,
-        donated: DonatedGrid,
-    ) -> Option<Self> {
-        Some(KdsRejectionIndex::build_with_grid(
-            r,
-            s,
-            config,
-            donated.grid,
-            donated.sort_time,
-            donated.build_time,
-        ))
-    }
 }
 
 impl Family for BbstIndex {
     const ALGORITHM: Algorithm = Algorithm::Bbst;
     type SSide = BbstSStructures;
 
-    fn build_s(s: Arc<PointSet>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
-        let s_side = BbstIndex::build_s_structures(s, config);
+    /// The per-cell BBSTs, charged to grid mapping (Algorithm 1's
+    /// online data-structure phase).
+    fn build_s(grid: Arc<Grid>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
+        let s_side = BbstIndex::s_structures_on_grid(grid, config);
         let report = PhaseReport {
-            preprocessing: s_side.preprocessing,
             grid_mapping: s_side.grid_mapping,
             ..PhaseReport::default()
         };
@@ -239,21 +213,6 @@ impl Family for BbstIndex {
     fn point_set(s_side: &Self::SSide) -> Arc<PointSet> {
         Arc::clone(s_side.store().grid().point_set())
     }
-
-    fn build_with_grid(
-        r: &[Point],
-        _s: &PointSet,
-        config: &SampleConfig,
-        donated: DonatedGrid,
-    ) -> Option<Self> {
-        Some(BbstIndex::build_with_grid(
-            r,
-            config,
-            donated.grid,
-            donated.sort_time,
-            donated.build_time,
-        ))
-    }
 }
 
 impl Family for GroupIndex {
@@ -261,16 +220,9 @@ impl Family for GroupIndex {
     /// The bare grid: a group row reads nothing else of `S`.
     type SSide = Arc<Grid>;
 
-    fn build_s(s: Arc<PointSet>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
-        let preprocessing = s.ensure_orders();
-        let t0 = Instant::now();
-        let grid = Arc::new(Grid::build(s, config.half_extent));
-        let report = PhaseReport {
-            preprocessing,
-            grid_mapping: t0.elapsed(),
-            ..PhaseReport::default()
-        };
-        (grid, report)
+    /// The grid itself, at no further cost.
+    fn build_s(grid: Arc<Grid>, _config: &SampleConfig) -> (Self::SSide, PhaseReport) {
+        (grid, PhaseReport::default())
     }
 
     fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
@@ -310,27 +262,45 @@ impl Family for GroupIndex {
     }
 }
 
-/// Builds the index for `algorithm` over `shards` shards of `r`
-/// (`≤ 1` = one shard). A `donated` grid — the planner's, unsharded
-/// builds only — is built on instead of a second one where the family
-/// can.
+/// Builds an engine's index over `shards` shards of `r` (`≤ 1` = one
+/// shard), and is the one place its grid of `S` is built: the sorts of
+/// `S` (none if the set already holds them) are charged to
+/// pre-processing, the grid to grid mapping. With no `algorithm` the
+/// planner picks one from that grid, and its report comes back too.
 pub(crate) fn build(
-    algorithm: Algorithm,
     r: &[Point],
     s: Arc<PointSet>,
     config: &SampleConfig,
     shards: usize,
-    donated: Option<DonatedGrid>,
-) -> Box<dyn EngineIndex> {
-    match algorithm {
-        Algorithm::Kds => build_family::<KdsIndex>(r, s, config, shards, donated),
-        Algorithm::KdsRejection => build_family::<KdsRejectionIndex>(r, s, config, shards, donated),
-        // The planner donates a grid only after finding its bound loose.
-        Algorithm::Bbst if donated.is_some() => {
-            build_family::<BbstIndex>(r, s, config, shards, donated)
+    algorithm: Option<Algorithm>,
+) -> (Box<dyn EngineIndex>, Option<PlanReport>) {
+    let preprocessing = s.ensure_orders();
+    let t0 = Instant::now();
+    let grid = Arc::new(Grid::build(s, config.half_extent));
+    let base = PhaseReport {
+        preprocessing,
+        grid_mapping: t0.elapsed(),
+        ..PhaseReport::default()
+    };
+    let (algorithm, plan) = match algorithm {
+        Some(algorithm) => (algorithm, None),
+        None => {
+            let plan = planner::plan(r, &grid, config, shards);
+            (plan.algorithm, Some(plan))
         }
-        Algorithm::Bbst => build_bbst(r, s, config, shards),
-    }
+    };
+    let index = match algorithm {
+        Algorithm::Kds => {
+            let index = build_family::<KdsIndex>(r, grid, config, shards, base);
+            Built::full(index, r.len())
+        }
+        Algorithm::KdsRejection => {
+            let index = build_family::<KdsRejectionIndex>(r, grid, config, shards, base);
+            Built::full(index, r.len())
+        }
+        Algorithm::Bbst => build_bbst(r, grid, config, shards, base),
+    };
+    (index, plan)
 }
 
 /// Iterations of the probe that decides [`Algorithm::Bbst`]'s row
@@ -349,44 +319,40 @@ const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 1.5;
 
 /// [`Algorithm::Bbst`] at the row granularity the data calls for.
 ///
-/// The grid is built once. Group rows over it cost one `O(n)` pass, so
-/// they are built first and probed: [`PROBE_ITERATIONS`] iterations of
-/// the index's own kernel from a fixed seed. If the §III-B bound is
-/// tight enough ([`MIN_PROBE_ACCEPTANCE`]; data clustered below the
-/// window size) the group rows *are* the index. Otherwise the per-cell
-/// BBSTs and per-`r` rows are built over the same grid — the index, `Σµ`
-/// and streams of a plain [`BbstIndex`] build, with the group pass and
-/// the probe charged to its upper-bounding phase.
+/// Group rows over the grid cost one `O(n)` pass, so they are built
+/// first and probed: [`PROBE_ITERATIONS`] iterations of the index's own
+/// kernel from a fixed seed. If the §III-B bound is tight enough
+/// ([`MIN_PROBE_ACCEPTANCE`]; data clustered below the window size) the
+/// group rows *are* the index. Otherwise the per-cell BBSTs and per-`r`
+/// rows are built over the same grid — the index, `Σµ` and streams of a
+/// plain [`BbstIndex`] build, with the group pass and the probe charged
+/// to its upper-bounding phase.
 ///
 /// The decision is a function of `(R, S, l, shards)` alone: no traffic,
-/// no clock, no configuration enters it, so every path to a full build
-/// takes it identically. Rebuilds over a new `R` or a patched `S` keep
-/// the granularity of the full build they derive from.
+/// no clock, no configuration enters it, so a forced and a planned
+/// build take it identically. Rebuilds over a new `R` or a patched `S`
+/// keep the granularity of the full build they derive from.
 fn build_bbst(
     r: &[Point],
-    s: Arc<PointSet>,
+    grid: Arc<Grid>,
     config: &SampleConfig,
     shards: usize,
+    base: PhaseReport,
 ) -> Box<dyn EngineIndex> {
-    let (grid, s_report) = <GroupIndex as Family>::build_s(s, config);
     let t0 = Instant::now();
-    let groups = build_shards::<GroupIndex>(r, &grid, config, shards, s_report);
+    let groups = build_family::<GroupIndex>(r, Arc::clone(&grid), config, shards, base);
     if probe_acceptance(&groups) >= MIN_PROBE_ACCEPTANCE {
         return Built::full(groups, r.len());
     }
     drop(groups);
     let tried = t0.elapsed();
-    let s_side = BbstIndex::s_structures_on_grid(grid, config);
     let report = PhaseReport {
-        grid_mapping: s_report.grid_mapping + s_side.grid_mapping,
         upper_bounding: tried,
         upper_bounding_cpu: tried,
-        ..s_report
+        ..base
     };
-    Built::full(
-        build_shards::<BbstIndex>(r, &s_side, config, shards, report),
-        r.len(),
-    )
+    let index = build_family::<BbstIndex>(r, grid, config, shards, report);
+    Built::full(index, r.len())
 }
 
 /// Share of [`PROBE_ITERATIONS`] fixed-seed iterations `index` accepts;
@@ -408,24 +374,25 @@ fn probe_acceptance(index: &ShardedIndex<GroupIndex>) -> f64 {
     }
 }
 
+/// `shards` shards of family `F` over `grid`; `base` is what this build
+/// spent before the family's `S`-side.
 fn build_family<F: Family>(
     r: &[Point],
-    s: Arc<PointSet>,
+    grid: Arc<Grid>,
     config: &SampleConfig,
     shards: usize,
-    donated: Option<DonatedGrid>,
-) -> Box<dyn EngineIndex> {
-    if let Some(index) = donated.and_then(|grid| F::build_with_grid(r, &s, config, grid)) {
-        return Built::full(ShardedIndex::single(index), r.len());
-    }
+    base: PhaseReport,
+) -> ShardedIndex<F> {
     // The S-side depends only on `S`, never on a shard's slice of `R`:
     // built once, with the full `build_threads` budget, and shared into
     // every shard (`ShardedIndex::index_memory_bytes` counts it once).
-    let (s_side, s_report) = F::build_s(s, config);
-    Built::full(
-        build_shards::<F>(r, &s_side, config, shards, s_report),
-        r.len(),
-    )
+    let (s_side, s_report) = F::build_s(grid, config);
+    let report = PhaseReport {
+        preprocessing: base.preprocessing + s_report.preprocessing,
+        grid_mapping: base.grid_mapping + s_report.grid_mapping,
+        ..base
+    };
+    build_shards::<F>(r, &s_side, config, shards, report)
 }
 
 /// `shards` shards of `r` over one `S`-side; `base` is what that side

@@ -50,6 +50,10 @@
 //! subset of `R` against the grid. The decision and the estimates that
 //! drove it are retained in [`PlanReport`].
 //!
+//! Every full build — planned or forced — maps `S` onto its grid once;
+//! the planner reads that grid and the chosen family stands on it, so
+//! an auto build is exactly the forced build of its plan.
+//!
 //! ## Sharding ([`Engine::build_sharded`], [`crate::shard`])
 //!
 //! `R` partitioned into `k` contiguous shards, each with its own full
@@ -58,14 +62,6 @@
 //! The shard is re-picked on **every** sampling iteration, so accepted
 //! samples stay exactly uniform over `J`; `k` serving threads over `k`
 //! shards contend on nothing.
-//!
-//! ## Cache ([`EngineCache`])
-//!
-//! An LRU map `(dataset id, l bits, shards) → Engine`, so workloads
-//! that revisit a window size reuse the built index instead of paying
-//! the build again. Hits are O(1) `Arc` clones; evicted engines keep
-//! serving for whoever still holds them; the mutex is never held while
-//! building.
 //!
 //! ## Dynamic datasets ([`EpochEngine`], [`DatasetStore`])
 //!
@@ -86,7 +82,6 @@
 //! latency from a log₂-bucketed histogram — all relaxed atomics, no
 //! locks on the serving path.
 
-mod cache;
 mod dataset;
 mod engine;
 mod epoch;
@@ -95,7 +90,6 @@ pub mod planner;
 pub mod shard;
 mod stats;
 
-pub use cache::EngineCache;
 pub use dataset::{BatchApplied, DatasetSnapshot, DatasetStore, SPatchDelta};
 pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
 pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot};
@@ -225,11 +219,38 @@ mod tests {
         assert_eq!(stream.error(), Some(SampleError::EmptyJoin));
     }
 
+    /// [`Engine::auto`], checked to be the forced build of its plan —
+    /// unsharded and at three shards: the same index, the same seeded
+    /// draws.
+    fn auto_as_forced(r: &[Point], s: &[Point], cfg: &SampleConfig) -> Engine {
+        let engine = Engine::auto(r, s, cfg);
+        let plan = engine.plan().expect("auto must record its plan");
+        let auto_sharded = Engine::auto_sharded(r, s, cfg, 3);
+        assert_eq!(auto_sharded.plan().unwrap().algorithm, plan.algorithm);
+        let pairs = [
+            (engine.clone(), Engine::build(r, s, cfg, plan.algorithm)),
+            (
+                auto_sharded,
+                Engine::build_sharded(r, s, cfg, plan.algorithm, 3),
+            ),
+        ];
+        for (auto, forced) in pairs {
+            assert_eq!(auto.algorithm(), plan.algorithm);
+            assert_eq!(auto.shards(), forced.shards());
+            assert_eq!(auto.total_weight(), forced.total_weight());
+            assert_eq!(auto.row_granularity(), forced.row_granularity());
+            assert_eq!(auto.row_count(), forced.row_count());
+            let draws = |e: &Engine| e.handle_seeded(7).sample_batch(200).unwrap();
+            assert_eq!(draws(&auto), draws(&forced), "{}", plan.algorithm);
+        }
+        engine
+    }
+
     #[test]
     fn auto_records_a_plan() {
         let r = pseudo_points(100, 51, 40.0);
         let s = pseudo_points(100, 52, 40.0);
-        let engine = Engine::auto(&r, &s, &SampleConfig::new(5.0));
+        let engine = auto_as_forced(&r, &s, &SampleConfig::new(5.0));
         let plan = engine.plan().expect("auto must record its plan");
         assert_eq!(plan.algorithm, engine.algorithm());
         assert!(!plan.reason.is_empty());
@@ -248,7 +269,7 @@ mod tests {
         // should win.
         let r = pseudo_points(4_000, 61, 100.0);
         let s = pseudo_points(4_000, 62, 100.0);
-        let engine = Engine::auto(&r, &s, &SampleConfig::new(10.0));
+        let engine = auto_as_forced(&r, &s, &SampleConfig::new(10.0));
         let plan = engine.plan().unwrap();
         assert_eq!(
             plan.algorithm,
@@ -279,7 +300,7 @@ mod tests {
                 s.push(Point::new(x + 0.5 * l, y + 0.5 * l)); // true match
             }
         }
-        let engine = Engine::auto(&r, &s, &SampleConfig::new(l));
+        let engine = auto_as_forced(&r, &s, &SampleConfig::new(l));
         let plan = engine.plan().unwrap();
         assert_eq!(
             plan.algorithm,
@@ -414,8 +435,12 @@ mod tests {
     fn build_report_and_memory_are_exposed() {
         let r = pseudo_points(60, 71, 40.0);
         let s = pseudo_points(90, 72, 40.0);
-        let engine = Engine::build(&r, &s, &SampleConfig::new(5.0), Algorithm::Bbst);
-        assert!(engine.build_report().grid_mapping > std::time::Duration::ZERO);
-        assert!(engine.memory_bytes() > 0);
+        // Every family stands on a grid of S, and the grid is GM's.
+        for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
+            let engine = Engine::build(&r, &s, &SampleConfig::new(5.0), algo);
+            let report = engine.build_report();
+            assert!(report.grid_mapping > std::time::Duration::ZERO, "{algo}");
+            assert!(engine.memory_bytes() > 0, "{algo}");
+        }
     }
 }

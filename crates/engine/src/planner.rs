@@ -21,7 +21,9 @@
 //! two: the §III-B grid upper bound `Σµ` (computed in full, one block
 //! per group of `R`: [`srj_core::block_rows`]) and a sampled exact-count
 //! estimate of `|J|` (`O(√n · cell)`), giving the expected rejection
-//! overhead `Σµ/|J|` before committing to a build.
+//! overhead `Σµ/|J|` before committing to a build. Both are read off the
+//! engine's one grid of `S`, which the build maps first and every family
+//! then stands on: planning builds no grid of its own.
 //!
 //! Rule 2 is older than BBST's group rows ([`srj_core::GroupIndex`]),
 //! which draw against the same `Σµ` from the same grid with no kd-tree
@@ -31,10 +33,8 @@
 //! whether KDS-rejection keeps its rule is the rejection experiment's
 //! decision (ROADMAP), not made here.
 
-use std::sync::Arc;
-
 use srj_geom::{Point, Rect};
-use srj_grid::{Grid, PointSet};
+use srj_grid::Grid;
 
 use crate::Algorithm;
 use srj_core::{block_rows, SampleConfig};
@@ -55,8 +55,8 @@ const PROBE_POINTS: usize = 512;
 /// the decision.
 ///
 /// The estimate fields are `None` when the small-input fast path
-/// (rule 1) fired: the planner never built the grid, so no `Σµ` or
-/// `|Ĵ|` exists — `0.0` sentinels would read as "empty join".
+/// (rule 1) fired: the planner estimated nothing, so no `Σµ` or `|Ĵ|`
+/// exists — `0.0` sentinels would read as "empty join".
 #[derive(Clone, Copy, Debug)]
 pub struct PlanReport {
     /// `|R|`.
@@ -77,7 +77,7 @@ pub struct PlanReport {
     /// unsharded). Sharding never changes the algorithm choice — the
     /// per-iteration distribution is shard-oblivious — but it is
     /// recorded here because the shard count is part of the build's
-    /// identity (the [`crate::EngineCache`] keys on it).
+    /// identity.
     pub num_shards: usize,
     /// Whether the engine serving this plan has the buffered draw fast
     /// path active. The planner itself always stamps `false` — buffer
@@ -88,36 +88,18 @@ pub struct PlanReport {
     pub reason: &'static str,
 }
 
-/// The grid [`plan`] built for its estimate, with what it cost: the
-/// sorts of `S` (zero unless this was the first grid on the set) and
-/// the grid build proper.
-pub(crate) struct DonatedGrid {
-    pub(crate) grid: Grid,
-    pub(crate) sort_time: std::time::Duration,
-    pub(crate) build_time: std::time::Duration,
-}
-
-/// Runs the `O(n + m)` estimate and picks an algorithm.
-///
-/// Also returns the grid built for the estimate so
-/// [`crate::Engine::auto`] can donate it to the chosen index build
-/// instead of paying the grid-mapping phase twice; `None` on the
-/// small-input fast path, which never builds a grid. The grid shares
-/// `s` with the caller, so the set keeps its sorted orders.
-pub(crate) fn plan(
-    r: &[Point],
-    s: &Arc<PointSet>,
-    config: &SampleConfig,
-    shards: usize,
-) -> (PlanReport, Option<DonatedGrid>) {
+/// Runs the `O(n + m)` estimate over `grid` — the engine's grid of
+/// `S`, which the chosen family then stands on — and picks an
+/// algorithm.
+pub(crate) fn plan(r: &[Point], grid: &Grid, config: &SampleConfig, shards: usize) -> PlanReport {
     let n = r.len();
-    let m = s.len();
+    let m = grid.num_points();
     // One shard per R point is the most that can ever help.
     let num_shards = shards.clamp(1, n.max(1));
 
     // Rule 1: tiny problems — exact counting is cheaper than estimating.
     if (n as f64) * (m as f64).sqrt() <= KDS_COST_BUDGET {
-        let report = PlanReport {
+        return PlanReport {
             n,
             m,
             mu_grid_total: None,
@@ -129,22 +111,13 @@ pub(crate) fn plan(
             reason: "n·√m below the exact-counting budget: KDS's zero-rejection \
                      sampling wins and its O(n√m) build is negligible",
         };
-        return (report, None);
     }
-
-    // The same grid KDS-rejection would build (O(m)), reused here for
-    // both the full Σµ and the probe's exact window counts, then
-    // donated to the chosen index build.
-    let sort_time = s.ensure_orders();
-    let t_grid = std::time::Instant::now();
-    let grid = Grid::build(s, config.half_extent);
-    let build_time = t_grid.elapsed();
 
     // Full §III-B upper bound, Σ over all r of the 9-cell population,
     // taken a group of R at a time: Σ |R_g| · pop(block_g). Integers, so
     // the same f64 as the per-r sum.
     let groups = grid.group_by_cell(r);
-    let mu_grid_total: f64 = block_rows(&grid, r, &groups)
+    let mu_grid_total: f64 = block_rows(grid, r, &groups)
         .map(|(members, row, _)| members.len() as f64 * f64::from(row.total()))
         .sum();
 
@@ -186,7 +159,7 @@ pub(crate) fn plan(
         )
     };
 
-    let report = PlanReport {
+    PlanReport {
         n,
         m,
         mu_grid_total: Some(mu_grid_total),
@@ -196,13 +169,7 @@ pub(crate) fn plan(
         num_shards,
         buffers: false,
         reason,
-    };
-    let donated = DonatedGrid {
-        grid,
-        sort_time,
-        build_time,
-    };
-    (report, Some(donated))
+    }
 }
 
 #[cfg(test)]
@@ -212,28 +179,27 @@ mod tests {
     #[test]
     fn tiny_input_picks_kds() {
         let r: Vec<Point> = (0..50).map(|i| Point::new(i as f64, i as f64)).collect();
-        let s = Arc::new(PointSet::new(r.clone()));
-        let (p, grid) = plan(&r, &s, &SampleConfig::new(2.0), 1);
+        let grid = Grid::build(&r, 2.0);
+        let p = plan(&r, &grid, &SampleConfig::new(2.0), 1);
         assert_eq!(p.algorithm, Algorithm::Kds);
         assert_eq!(p.num_shards, 1);
         assert!(
             p.est_overhead.is_none(),
             "fast path must not fake estimates"
         );
-        assert!(grid.is_none());
     }
 
     #[test]
     fn shard_count_is_recorded_and_clamped() {
         let r: Vec<Point> = (0..50).map(|i| Point::new(i as f64, i as f64)).collect();
-        let s = Arc::new(PointSet::new(r.clone()));
-        let (p, _) = plan(&r, &s, &SampleConfig::new(2.0), 8);
+        let grid = Grid::build(&r, 2.0);
+        let p = plan(&r, &grid, &SampleConfig::new(2.0), 8);
         assert_eq!(p.num_shards, 8);
         // more shards than R points is pointless
-        let (p, _) = plan(&r, &s, &SampleConfig::new(2.0), 1_000);
+        let p = plan(&r, &grid, &SampleConfig::new(2.0), 1_000);
         assert_eq!(p.num_shards, 50);
         // zero normalises to unsharded
-        let (p, _) = plan(&r, &s, &SampleConfig::new(2.0), 0);
+        let p = plan(&r, &grid, &SampleConfig::new(2.0), 0);
         assert_eq!(p.num_shards, 1);
     }
 
@@ -244,12 +210,10 @@ mod tests {
         let r: Vec<Point> = (0..4_000)
             .map(|i| Point::new((i % 64) as f64, (i / 64) as f64))
             .collect();
-        let s = Arc::new(PointSet::new(r.clone()));
         let cfg = SampleConfig::new(3.0);
-        let (p, grid) = plan(&r, &s, &cfg, 1);
-        assert!(grid.is_some(), "estimation grid must be donated");
+        let p = plan(&r, &Grid::build(&r, 3.0), &cfg, 1);
         let est = p.est_join_size.unwrap();
-        let true_join = srj_join::grid_join(&r, &s, 3.0).len() as f64;
+        let true_join = srj_join::grid_join(&r, &r, 3.0).len() as f64;
         let rel = (est - true_join).abs() / true_join;
         assert!(rel < 0.2, "estimate {est} vs true {true_join}");
         assert!(p.mu_grid_total.unwrap() >= true_join);
@@ -260,10 +224,10 @@ mod tests {
         // Clumps and strays, some `r` beyond every cell of `S`.
         let at = |i: usize| Point::new((i * i % 257) as f64 * 0.37, (i * 7 % 101) as f64 * 0.91);
         let r: Vec<Point> = (0..3_000).map(|i| at(i + 11)).collect();
-        let s = Arc::new(PointSet::new((0..9_000).map(at).collect()));
+        let s: Vec<Point> = (0..9_000).map(at).collect();
         for l in [0.5, 2.0, 7.5] {
-            let (p, grid) = plan(&r, &s, &SampleConfig::new(l), 1);
-            let grid = grid.expect("past the small-input rule").grid;
+            let grid = Grid::build(&s, l);
+            let p = plan(&r, &grid, &SampleConfig::new(l), 1);
             let per_r: f64 = r
                 .iter()
                 .map(|&rp| grid.neighborhood_population(rp) as f64)

@@ -142,18 +142,6 @@ impl<I: SamplerIndex> ShardedIndex<I> {
             upper_bounding_cpu: base.upper_bounding_cpu + own.upper_bounding_cpu,
             ..PhaseReport::default()
         };
-        let offsets = bounds.iter().map(|&(lo, _)| lo as u32).collect();
-        Self::assemble(shards, offsets, build_report)
-    }
-
-    /// One shard holding all of `R`: `index` as it is, under its own
-    /// build report.
-    pub fn single(index: I) -> Self {
-        let build_report = index.index_build_report();
-        Self::assemble(vec![Arc::new(index)], vec![0], build_report)
-    }
-
-    fn assemble(shards: Vec<Arc<I>>, offsets: Vec<u32>, build_report: PhaseReport) -> Self {
         let alias = match shards.as_slice() {
             [_] => None,
             _ => {
@@ -163,7 +151,7 @@ impl<I: SamplerIndex> ShardedIndex<I> {
         };
         ShardedIndex {
             shards,
-            offsets,
+            offsets: bounds.iter().map(|&(lo, _)| lo as u32).collect(),
             alias,
             build_report,
             bytes: OnceLock::new(),

@@ -296,8 +296,8 @@ impl ServedDataset {
     }
 
     /// The engine for `key`, building it on a miss (outside the map
-    /// lock, as with the engine cache: concurrent misses on different
-    /// shapes must not serialise on one mutex for a whole build). The
+    /// lock: concurrent misses on different shapes must not serialise
+    /// on one mutex for a whole build). The
     /// vector is kept in recency order — a hit moves its entry to the
     /// back — so eviction at capacity drops the least-recently-used
     /// shape, never a hot one; in-flight handles of an evicted engine

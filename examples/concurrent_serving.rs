@@ -11,14 +11,14 @@
 //! 3. serves batched sample queries from 8 threads against the one
 //!    shared index,
 //! 4. prints the engine's aggregate statistics (throughput, p50/p99),
-//! 5. shows the `(dataset id, l)` engine cache absorbing a repeated
-//!    window size.
+//! 5. streams samples progressively until 1000 distinct `r` ids have
+//!    been drawn.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use srj::{generate, split_rs, DatasetKind, DatasetSpec, Engine, EngineCache, Rect, SampleConfig};
+use srj::{generate, split_rs, DatasetKind, DatasetSpec, Engine, Rect, SampleConfig};
 
 const THREADS: u64 = 8;
 const QUERIES_PER_THREAD: usize = 50;
@@ -108,21 +108,4 @@ fn main() {
          ({} stats queries recorded)",
         engine.stats().queries - queries_before
     );
-
-    // 6. Repeated window sizes hit the engine cache instead of
-    //    rebuilding the index.
-    let cache = EngineCache::new(8);
-    const DATASET_ID: u64 = 1;
-    for pass in 0..3 {
-        let t = Instant::now();
-        let e = cache.get_or_build(DATASET_ID, l, || Engine::auto(&r, &s, &config));
-        let mut h = e.handle_seeded(pass);
-        h.sample(1_000).unwrap();
-        println!(
-            "cache pass {pass} : {:?} ({} hit / {} miss)",
-            t.elapsed(),
-            cache.hits(),
-            cache.misses()
-        );
-    }
 }

@@ -94,8 +94,8 @@ pub use srj_core::{
 };
 pub use srj_datagen::{generate, split_rs, DatasetKind, DatasetSpec};
 pub use srj_engine::{
-    Algorithm, DatasetSnapshot, DatasetStore, Engine, EngineCache, EpochConfig, EpochEngine,
-    PlanReport, RowGranularity, SPatchDelta, SamplerHandle, ShardedIndex, StatsSnapshot,
+    Algorithm, DatasetSnapshot, DatasetStore, Engine, EpochConfig, EpochEngine, PlanReport,
+    RowGranularity, SPatchDelta, SamplerHandle, ShardedIndex, StatsSnapshot,
 };
 pub use srj_geom::{Point, PointId, Rect};
 pub use srj_obs::{EventKind, LifecycleEvent, Registry};

@@ -332,46 +332,6 @@ fn concurrent_threads_share_one_sharded_engine() {
     assert!(snap.iterations >= snap.samples);
 }
 
-/// The engine cache: one build per `(dataset, l)`, hits share the
-/// index, and concurrent lookers all get a working engine.
-#[test]
-fn cache_reuses_indexes_across_threads() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let r = pseudo_points(80, 301, 40.0);
-    let s = pseudo_points(120, 302, 40.0);
-    let cache = Arc::new(srj::EngineCache::new(4));
-    let builds = AtomicUsize::new(0);
-
-    thread::scope(|scope| {
-        for tid in 0..6u64 {
-            let cache = Arc::clone(&cache);
-            let (r, s, builds) = (&r, &s, &builds);
-            scope.spawn(move || {
-                // threads alternate between two window sizes
-                let l = if tid % 2 == 0 { 4.0 } else { 5.0 };
-                let engine = cache.get_or_build(7, l, || {
-                    builds.fetch_add(1, Ordering::Relaxed);
-                    Engine::build(r, s, &SampleConfig::new(l), Algorithm::Bbst)
-                });
-                let pairs = engine.handle_seeded(tid).sample(100).unwrap();
-                for p in pairs {
-                    let w = Rect::window(r[p.r as usize], l);
-                    assert!(w.contains(s[p.s as usize]));
-                }
-            });
-        }
-    });
-
-    // at most one build per key can win the race; with benign timing
-    // this is exactly 2, and never more than the 6 lookups
-    assert!(cache.len() == 2, "expected both window sizes cached");
-    assert!(builds.load(Ordering::Relaxed) >= 2);
-    // warm cache: no further builds
-    let again = cache.get_or_build(7, 4.0, || unreachable!("must be cached"));
-    assert!(again.handle_seeded(9).sample_one().is_ok());
-}
-
 /// Duplicate coordinates, negative coordinates and points on cell
 /// boundaries: the data on which a tie order or a boundary rule shows.
 fn lattice_points(n: usize, seed: u64) -> Vec<Point> {
