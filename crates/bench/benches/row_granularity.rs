@@ -6,11 +6,16 @@
 //! a serving cache miss pays.
 //!
 //! Criterion times the build and a 16 384-pair batch; iterations per
-//! sample and index bytes per point are counts, printed once per index
-//! on a `#` line. The datasets are the benchmark's own sizes (up to
-//! 500 k × 500 k points), so a run takes about a minute.
+//! sample, ns per iteration (one more batch, timed alone) and index
+//! bytes per point are printed once per index on a `#` line, and the
+//! group / per-`r` ratio of ns per iteration once per dataset. That
+//! ratio is what `srj-engine`'s row-granularity threshold
+//! (`family::MIN_PROBE_ACCEPTANCE`) rests on. The datasets are the
+//! benchmark's own sizes (up to 500 k × 500 k points), so a run takes
+//! about a minute.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -33,13 +38,15 @@ const DATASETS: [(&str, DatasetKind, f64, f64); 6] = [
     ("cold_windows_280", DatasetKind::PoiClusters, 0.2, 280.0),
 ];
 
+/// Benches a 16 384-pair batch of `index`, prints its `#` line and
+/// returns its ns per iteration.
 fn draw_rungs<I: SamplerIndex>(
     g: &mut criterion::BenchmarkGroup<'_>,
     rows: &str,
     name: &str,
     points: usize,
     index: I,
-) {
+) -> f64 {
     let mut cursor = Cursor::new(Arc::new(index));
     let mut rng = SmallRng::seed_from_u64(7);
     let mut out = Vec::with_capacity(BATCH);
@@ -49,12 +56,20 @@ fn draw_rungs<I: SamplerIndex>(
             cursor.sample_batch(BATCH, &mut rng, &mut out).unwrap();
         });
     });
+    // One more batch, timed on its own, prices an iteration.
+    let before = cursor.sampling_stats().iterations;
+    out.clear();
+    let t0 = Instant::now();
+    cursor.sample_batch(BATCH, &mut rng, &mut out).unwrap();
+    let elapsed = t0.elapsed();
     let stats = cursor.sampling_stats();
+    let ns_per_iteration = elapsed.as_nanos() as f64 / (stats.iterations - before) as f64;
     println!(
-        "# {name} {rows}: {:.4} iterations/sample, {:.2} index bytes/point",
+        "# {name} {rows}: {:.4} iterations/sample, {ns_per_iteration:.1} ns/iteration, {:.2} index bytes/point",
         stats.iterations as f64 / stats.samples as f64,
         cursor.index().index_memory_bytes() as f64 / points as f64,
     );
+    ns_per_iteration
 }
 
 fn bench(c: &mut Criterion) {
@@ -72,19 +87,23 @@ fn bench(c: &mut Criterion) {
             b.iter(|| GroupIndex::build(&d.r, &s, &cfg));
         });
         let points = d.r.len() + d.s.len();
-        draw_rungs(
+        let per_r = draw_rungs(
             &mut g,
             "per_r",
             name,
             points,
             BbstIndex::build(&d.r, &s, &cfg),
         );
-        draw_rungs(
+        let group = draw_rungs(
             &mut g,
             "group",
             name,
             points,
             GroupIndex::build(&d.r, &s, &cfg),
+        );
+        println!(
+            "# {name}: a group iteration costs {:.2} of a per_r one",
+            group / per_r
         );
     }
     g.finish();

@@ -371,7 +371,7 @@ impl Engine {
     /// What one row of the index bounds. [`Algorithm::Bbst`] has two
     /// granularities, decided once per full build from the data alone:
     /// one row per cell of `R` where the §III-B grid bound is already
-    /// tight (a probe of the group rows needs ≤ 1.5 iterations a sample),
+    /// tight (a probe of the group rows needs ≤ 2 iterations a sample),
     /// per-`r` rows — the paper's Algorithm 1 — elsewhere; rebuilds over
     /// a new `R` or a patched `S`, and overlays, keep their full build's.
     /// The KDS families are per-`r`.

@@ -309,24 +309,33 @@ const PROBE_ITERATIONS: usize = 4096;
 const PROBE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Group rows serve when the probe accepts at least this share of its
-/// iterations, i.e. needs ≤ 1.5 iterations a sample. A group iteration
-/// (no tree descent, no per-`r` row to fetch) measures 0.45–0.8 of a
-/// per-`r` one, so the loosest admitted index spends about 1.2 per-`r`
-/// iterations' worth of time per sample — what per-`r` rows spend
-/// themselves (1.0–1.2 iterations) — for a build without trees or a
-/// per-`r` pass and 40 bytes per `r` less.
-const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 1.5;
+/// iterations, i.e. needs ≤ 2 iterations a sample. The threshold is the
+/// ratio of what an iteration costs at the two granularities:
+///
+/// * A group iteration (three words, no tree descent, no hash probe)
+///   costs at most 0.48 of a per-`r` one. That worst case is
+///   `bulk_draw`'s data, where both draws are cache-bound; the other
+///   benchmark datasets measure 0.29–0.34.
+/// * Per-`r` rows need at least one iteration a sample.
+///
+/// So admitted group rows never draw slower than per-`r` rows could,
+/// and they build 6–8× faster and keep under half the bytes. `cargo
+/// bench -p srj-bench --bench row_granularity` prints each dataset's
+/// ns per iteration at both granularities and their ratio; re-price
+/// this constant from one run of it.
+const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
 
 /// [`Algorithm::Bbst`] at the row granularity the data calls for.
 ///
 /// Group rows over the grid cost one `O(n)` pass, so they are built
 /// first and probed: [`PROBE_ITERATIONS`] iterations of the index's own
-/// kernel from a fixed seed. If the §III-B bound is tight enough
-/// ([`MIN_PROBE_ACCEPTANCE`]; data clustered below the window size) the
-/// group rows *are* the index. Otherwise the per-cell BBSTs and per-`r`
-/// rows are built over the same grid — the index, `Σµ` and streams of a
-/// plain [`BbstIndex`] build, with the group pass and the probe charged
-/// to its upper-bounding phase.
+/// kernel from a fixed seed. If the §III-B bound is tight enough — at
+/// most two iterations a sample ([`MIN_PROBE_ACCEPTANCE`]); data
+/// clustered below the window size — the group rows *are* the index.
+/// Otherwise the per-cell BBSTs and per-`r` rows are built over the
+/// same grid — the index, `Σµ` and streams of a plain [`BbstIndex`]
+/// build, with the group pass and the probe charged to its
+/// upper-bounding phase.
 ///
 /// The decision is a function of `(R, S, l, shards)` alone: no traffic,
 /// no clock, no configuration enters it, so a forced and a planned

@@ -8,7 +8,8 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use srj::{
-    Algorithm, DatasetSnapshot, EpochConfig, EpochEngine, JoinPair, Point, Rect, SampleConfig,
+    Algorithm, DatasetSnapshot, EpochConfig, EpochEngine, JoinPair, Point, Rect, RowGranularity,
+    SampleConfig,
 };
 
 fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
@@ -259,41 +260,48 @@ fn draw_batches_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
 /// draw again — at every stage each sample must belong to that stage's
 /// live join (no stale buffered ids) and stay chi-squared uniform.
 /// Runs every algorithm family; the buffer counters must show real
-/// buffered traffic and the swap must charge an invalidation.
+/// buffered traffic and the swap must charge an invalidation. BBST runs
+/// on the locally uniform data of `tests/golden_streams.rs`, where its
+/// group-row probe needs more than two iterations a sample, so it serves
+/// per-`r` rows — the granularity that arms buffers.
 #[test]
 fn buffered_batches_stay_uniform_across_mutations_and_swap() {
-    let l = 6.0;
-    let cfg = SampleConfig::new(l);
-    for (i, algo) in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst]
-        .into_iter()
-        .enumerate()
+    for (i, (algo, (n_r, n_s), extent, l)) in [
+        (Algorithm::Kds, (60, 80), 50.0, 6.0),
+        (Algorithm::KdsRejection, (60, 80), 50.0, 6.0),
+        (Algorithm::Bbst, (400, 600), 60.0, 4.0),
+    ]
+    .into_iter()
+    .enumerate()
     {
         let seed = 4000 + i as u64 * 10;
-        let r = pseudo_points(60, seed, 50.0);
-        let s = pseudo_points(80, seed + 1, 50.0);
+        let r = pseudo_points(n_r, seed, extent);
+        let s = pseudo_points(n_s, seed + 1, extent);
         let engine = EpochEngine::new(
             r,
             s,
-            &cfg,
+            &SampleConfig::new(l),
             EpochConfig::default()
                 .with_algorithm(algo)
                 .with_rebuild_fraction(0.9)
                 .with_tombstone_rebuild_fraction(0.9),
         );
         assert!(engine.buffers_enabled(), "{algo}: buffers default on");
+        let per_r = || engine.engine().row_granularity() == RowGranularity::PerR;
+        assert!(per_r(), "{algo}: buffers arm on per-r rows only");
 
         // Warm: batch draws on the fresh engine promote hot cells.
         draw_batches_and_check(&engine, l, seed + 7, &format!("{algo} buffered warm"));
         let (warm_hits, warm_refills, _) = engine.buffer_counters();
 
         // Mutate both sides past the warm buffers' world.
-        for (j, p) in pseudo_points(20, seed + 2, 50.0).into_iter().enumerate() {
+        for (j, p) in pseudo_points(20, seed + 2, extent).into_iter().enumerate() {
             let rid = engine.insert_r(p);
             if j % 5 == 0 {
                 assert!(engine.delete_r(rid));
             }
         }
-        for p in pseudo_points(25, seed + 3, 50.0) {
+        for p in pseudo_points(25, seed + 3, extent) {
             engine.insert_s(p);
         }
         for id in (0..60u32).step_by(9) {
@@ -314,6 +322,7 @@ fn buffered_batches_stay_uniform_across_mutations_and_swap() {
         engine.store().compact();
         engine.refresh();
         assert_eq!(engine.epoch(), 1, "{algo}: swap must bump the epoch");
+        assert!(per_r(), "{algo}: the swap changed the row granularity");
         draw_batches_and_check(&engine, l, seed + 9, &format!("{algo} buffered post-swap"));
 
         let (hits, refills, invalidations) = engine.buffer_counters();

@@ -622,6 +622,35 @@ fn row_granularity_is_a_function_of_the_data() {
     }
 }
 
+/// Every BBST build the benchmark makes serves group rows: the datasets
+/// of `benchmark/src/workload.rs` (kind, scale × base size, data seed 1,
+/// as `tests/rounding_probes.rs` generates them), `cold_windows`' 24
+/// window sizes and `mixed_updates`' one. Its loosest window
+/// (`cold_windows`, `l` = 50) probes at about 1.64 iterations a sample.
+#[test]
+fn every_benchmark_bbst_window_serves_group_rows() {
+    use srj::grid::PointSet;
+    use srj::{generate, split_rs, DatasetKind, DatasetSpec};
+
+    let ls = |from: u32, to: u32| (from..=to).step_by(10).map(f64::from).collect::<Vec<_>>();
+    for (name, n, ls) in [
+        ("mixed_updates", 40_000, ls(100, 100)),
+        ("cold_windows", 80_000, ls(50, 280)),
+    ] {
+        let points = generate(&DatasetSpec::new(DatasetKind::PoiClusters, n, 1));
+        let (r, s) = split_rs(&points, 0.5, 1 ^ 0xDEAD_BEEF);
+        let s = Arc::new(PointSet::new(s));
+        for l in ls {
+            let engine = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::Bbst);
+            assert_eq!(
+                engine.row_granularity(),
+                RowGranularity::Group,
+                "{name}, l = {l}"
+            );
+        }
+    }
+}
+
 /// Tight clusters, far narrower than any window the tests use: every
 /// window holds its whole cluster, so the grid's block bound is nearly
 /// exact.
