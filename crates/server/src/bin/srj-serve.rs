@@ -14,6 +14,11 @@
 //! receives a `SHUTDOWN` frame (`Client::shutdown_server`) or the
 //! process is killed.
 
+use std::fmt::Display;
+use std::ops::{Bound, RangeBounds};
+use std::str::FromStr;
+use std::time::Duration;
+
 use srj_bench::datasets::base_size;
 use srj_bench::scaled_spec;
 use srj_datagen::{read_points_file, split_rs, DatasetKind};
@@ -63,6 +68,32 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// `text`, the value of `what`, as a number within `range`; anything
+/// else is a usage error.
+fn number<T>(what: &str, text: &str, range: impl RangeBounds<T>) -> T
+where
+    T: FromStr + PartialOrd + Display,
+{
+    match text.parse() {
+        Ok(v) if range.contains(&v) => v,
+        _ => {
+            let low = match range.start_bound() {
+                Bound::Included(v) => format!("[{v}"),
+                Bound::Excluded(v) => format!("({v}"),
+                Bound::Unbounded => "(-inf".to_string(),
+            };
+            let high = match range.end_bound() {
+                Bound::Included(v) => format!("{v}]"),
+                Bound::Excluded(v) => format!("{v})"),
+                Bound::Unbounded => "inf)".to_string(),
+            };
+            fail(&format!(
+                "{what}: expected a number in {low}, {high}, got {text:?}"
+            ))
+        }
+    }
+}
+
 fn parse_kind(s: &str) -> DatasetKind {
     match s {
         "uniform" => DatasetKind::Uniform,
@@ -79,25 +110,16 @@ fn register_generated(registry: &mut DatasetRegistry, spec: &str) {
     let Some((id, rest)) = spec.split_once('=') else {
         fail("--dataset takes ID=KIND:SCALE[:SEED]");
     };
-    let id: u64 = id
-        .parse()
-        .unwrap_or_else(|_| fail("dataset id must be a u64"));
+    let id: u64 = number("dataset id", id, 0..);
     let mut parts = rest.split(':');
     let kind = parse_kind(parts.next().unwrap_or(""));
-    let scale: f64 = parts
-        .next()
-        .unwrap_or("0.05")
-        .parse()
-        .unwrap_or_else(|_| fail("dataset scale must be a float"));
-    // `parse` accepts "nan", "inf" and "0"; ids on the wire are `PointId`s.
-    let points = base_size(kind) as f64 * scale;
-    if !(scale > 0.0 && points <= f64::from(PointId::MAX)) {
-        fail("dataset scale must be positive and finite, and the dataset must fit u32 point ids");
+    let positive = (Bound::Excluded(0.0), Bound::Unbounded);
+    let scale: f64 = number("dataset scale", parts.next().unwrap_or("0.05"), positive);
+    // `parse` accepts "inf"; ids on the wire are `PointId`s.
+    if base_size(kind) as f64 * scale > f64::from(PointId::MAX) {
+        fail("dataset scale must be finite, and the dataset must fit u32 point ids");
     }
-    let seed: u64 = parts.next().map_or(42, |s| {
-        s.parse()
-            .unwrap_or_else(|_| fail("dataset seed must be a u64"))
-    });
+    let seed: u64 = parts.next().map_or(42, |s| number("dataset seed", s, 0..));
     let d = scaled_spec(kind, scale, 0.5, seed);
     eprintln!(
         "# dataset {id}: {} scale {scale} -> |R| = {}, |S| = {}",
@@ -114,9 +136,7 @@ fn register_file(registry: &mut DatasetRegistry, spec: &str) {
     let Some((id, paths)) = spec.split_once('=') else {
         fail("--dataset-file takes ID=R_PATH[,S_PATH]");
     };
-    let id: u64 = id
-        .parse()
-        .unwrap_or_else(|_| fail("dataset id must be a u64"));
+    let id: u64 = number("dataset id", id, 0..);
     let (r, s) = match paths.split_once(',') {
         Some((rp, sp)) => {
             let r = read_points_file(rp).unwrap_or_else(|e| fail(&format!("{rp}: {e}")));
@@ -137,162 +157,67 @@ fn register_file(registry: &mut DatasetRegistry, spec: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7878".to_string();
     let mut config = ServerConfig::default();
     let mut registry = DatasetRegistry::new();
     let mut log_json = false;
 
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> String {
-        let Some(v) = args.get(*i + 1) else {
-            fail(&format!("{flag} requires a value"));
+    let positive = (Bound::Excluded(0.0), Bound::Unbounded);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{flag} requires a value")))
         };
-        *i += 2;
-        v.clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => addr = value(&args, &mut i, "--addr"),
-            "--workers" => {
-                config.workers = value(&args, &mut i, "--workers")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--workers takes an integer"));
-            }
-            "--queue-frames" => {
-                config.queue_frames = value(&args, &mut i, "--queue-frames")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--queue-frames takes an integer"));
-            }
-            "--batch-pairs" => {
-                config.batch_pairs = value(&args, &mut i, "--batch-pairs")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--batch-pairs takes an integer"));
-            }
-            "--cache" => {
-                config.cache_capacity = value(&args, &mut i, "--cache")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--cache takes an integer"));
-            }
+        let ms = |text: String| Duration::from_millis(number(&flag, &text, 0..));
+        match flag.as_str() {
+            "--addr" => addr = value(),
+            "--workers" => config.workers = number(&flag, &value(), 0..),
+            "--queue-frames" => config.queue_frames = number(&flag, &value(), 1..),
+            "--batch-pairs" => config.batch_pairs = number(&flag, &value(), 0..),
+            "--cache" => config.cache_capacity = number(&flag, &value(), 1..),
             "--rebuild-fraction" => {
-                let f: f64 = value(&args, &mut i, "--rebuild-fraction")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--rebuild-fraction takes a float"));
-                if f.is_nan() || f <= 0.0 {
-                    fail("--rebuild-fraction must be a positive fraction");
-                }
+                let f = number(&flag, &value(), positive);
                 config.epoch = config.epoch.with_rebuild_fraction(f);
             }
             "--tombstone-rebuild-fraction" => {
-                let f: f64 = value(&args, &mut i, "--tombstone-rebuild-fraction")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--tombstone-rebuild-fraction takes a float"));
-                if f.is_nan() || f <= 0.0 {
-                    fail("--tombstone-rebuild-fraction must be a positive fraction");
-                }
+                let f = number(&flag, &value(), positive);
                 config.epoch = config.epoch.with_tombstone_rebuild_fraction(f);
             }
             "--max-patch-fraction" => {
-                let f: f64 = value(&args, &mut i, "--max-patch-fraction")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--max-patch-fraction takes a float"));
-                if f.is_nan() || !(0.0..=1.0).contains(&f) {
-                    fail("--max-patch-fraction must be in [0, 1]");
-                }
+                let f = number(&flag, &value(), 0.0..=1.0);
                 config.epoch = config.epoch.with_max_patch_fraction(f);
             }
-            "--trace-sample-rate" => {
-                let f: f64 = value(&args, &mut i, "--trace-sample-rate")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--trace-sample-rate takes a float"));
-                if f.is_nan() || !(0.0..=1.0).contains(&f) {
-                    fail("--trace-sample-rate must be in [0, 1]");
-                }
-                config.trace_sample_rate = f;
-            }
-            "--handshake-timeout-ms" => {
-                let ms: u64 = value(&args, &mut i, "--handshake-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--handshake-timeout-ms takes an integer"));
-                config.handshake_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = value(&args, &mut i, "--read-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--read-timeout-ms takes an integer"));
-                config.read_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--write-timeout-ms" => {
-                let ms: u64 = value(&args, &mut i, "--write-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--write-timeout-ms takes an integer"));
-                config.write_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--idle-timeout-ms" => {
-                let ms: u64 = value(&args, &mut i, "--idle-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--idle-timeout-ms takes an integer"));
-                config.idle_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--rate-limit-rps" => {
-                config.rate_limit_rps = value(&args, &mut i, "--rate-limit-rps")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--rate-limit-rps takes an integer"));
-            }
+            "--trace-sample-rate" => config.trace_sample_rate = number(&flag, &value(), 0.0..=1.0),
+            "--handshake-timeout-ms" => config.handshake_timeout = ms(value()),
+            "--read-timeout-ms" => config.read_timeout = ms(value()),
+            "--write-timeout-ms" => config.write_timeout = ms(value()),
+            "--idle-timeout-ms" => config.idle_timeout = ms(value()),
+            "--rate-limit-rps" => config.rate_limit_rps = number(&flag, &value(), 0..),
             "--mutation-rate-limit-rps" => {
-                config.mutation_rate_limit_rps = value(&args, &mut i, "--mutation-rate-limit-rps")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--mutation-rate-limit-rps takes an integer"));
+                config.mutation_rate_limit_rps = number(&flag, &value(), 0..);
             }
-            "--shed-high-water" => {
-                config.shed_high_water = value(&args, &mut i, "--shed-high-water")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--shed-high-water takes an integer"));
-            }
-            "--http-port" => {
-                let port: u16 = value(&args, &mut i, "--http-port")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--http-port takes a port number"));
-                config.http_port = Some(port);
-            }
-            "--slow-log" => {
-                config.slow_log_capacity = value(&args, &mut i, "--slow-log")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--slow-log takes an integer"));
-            }
+            "--shed-high-water" => config.shed_high_water = number(&flag, &value(), 0..),
+            "--http-port" => config.http_port = Some(number(&flag, &value(), 0..)),
+            "--slow-log" => config.slow_log_capacity = number(&flag, &value(), 0..),
             "--slow-threshold-ms" => {
-                let ms: u64 = value(&args, &mut i, "--slow-threshold-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--slow-threshold-ms takes an integer"));
+                let ms: u64 = number(&flag, &value(), 0..);
                 config.slow_threshold_ns = ms.saturating_mul(1_000_000);
             }
             "--timeseries-cadence-ms" => {
-                config.timeseries_cadence_ms = value(&args, &mut i, "--timeseries-cadence-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--timeseries-cadence-ms takes an integer"));
+                config.timeseries_cadence_ms = number(&flag, &value(), 0..);
             }
-            "--buffers" => match value(&args, &mut i, "--buffers").as_str() {
+            "--buffers" => match value().as_str() {
                 "on" => config.buffers = true,
                 "off" => config.buffers = false,
                 _ => fail("--buffers takes on|off"),
             },
             "--health-window-ms" => {
-                config.health_degraded_window_ms = value(&args, &mut i, "--health-window-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--health-window-ms takes an integer"));
+                config.health_degraded_window_ms = number(&flag, &value(), 0..);
             }
-            "--log-json" => {
-                log_json = true;
-                i += 1;
-            }
-            "--dataset" => {
-                let spec = value(&args, &mut i, "--dataset");
-                register_generated(&mut registry, &spec);
-            }
-            "--dataset-file" => {
-                let spec = value(&args, &mut i, "--dataset-file");
-                register_file(&mut registry, &spec);
-            }
+            "--log-json" => log_json = true,
+            "--dataset" => register_generated(&mut registry, &value()),
+            "--dataset-file" => register_file(&mut registry, &value()),
             "--help" | "-h" => fail("srj-serve"),
             other => fail(&format!("unknown flag {other}")),
         }

@@ -9,10 +9,13 @@
 //! stops reading the socket — the natural way to exercise the server's
 //! backpressure.
 //!
-//! **Retry semantics.** Every request honours
-//! [`ClientConfig::retries`] with jittered exponential backoff, and a
-//! `BUSY{retry_after_ms}` answer never waits less than the server's
-//! hint. What is safe to resend differs by request:
+//! **Retry semantics.** Every request runs the same retry loop: a
+//! `BUSY{retry_after_ms}` answer is counted, backed off (jittered
+//! exponential backoff, never less than the server's hint) and resent;
+//! a transport failure is backed off, reconnected and resent when the
+//! request allows it; every resend counts against
+//! [`ClientConfig::retries`]. What a transport failure may resend
+//! differs by request:
 //!
 //! * reads (`SAMPLE`, `STATS`, `METRICS`, `EPOCH`, `TRACE`, `SLOWLOG`,
 //!   `PING`)
@@ -45,6 +48,7 @@ use crate::protocol::{
     Request, RequestStats, RequestStatus, Response, SampleRequest, ServerStatsFrame, Side,
     TraceSpan, FEAT_BUSY, FEAT_KEEPALIVE, FEAT_MUTATIONS, PROTOCOL_VERSION,
 };
+use crate::server::timeout_opt;
 
 /// Initial size of a connection's read buffer: room for a short answer
 /// (`BATCH` + `DONE`) in one `read(2)`. It grows to the largest frame
@@ -175,6 +179,19 @@ fn is_transport(e: &ClientError) -> bool {
     )
 }
 
+/// Whether a request whose attempt failed in transport may be resent.
+enum Resend {
+    /// It is idempotent.
+    Always,
+    /// It is not: a stream already handed out pairs, or a mutation has
+    /// no baseline to prove non-application against.
+    Never,
+    /// A mutation, once the dataset's `(epoch, version)` — probed after
+    /// the reconnect — still equals the pre-send baseline: the
+    /// interrupted attempt provably did not apply.
+    IfUnmoved(u64, (u64, u64)),
+}
+
 /// A completed `SAMPLE` answer.
 #[derive(Debug)]
 pub struct SampleOutcome {
@@ -296,33 +313,14 @@ impl Client {
     /// attempt restarts with a fresh buffer, so a mid-stream transport
     /// failure costs time, never correctness.
     pub fn sample(&mut self, req: SampleRequest) -> Result<SampleOutcome, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            let mut pairs = Vec::new();
-            match self.try_sample(req, |batch| pairs.extend_from_slice(batch)) {
-                Ok(mut outcome) => {
-                    outcome.pairs = pairs;
-                    return Ok(outcome);
-                }
-                Err(ClientError::Busy { retry_after_ms }) => {
-                    self.busy_answers += 1;
-                    if attempt >= self.config.retries {
-                        return Err(ClientError::Busy { retry_after_ms });
-                    }
-                    self.backoff(attempt, retry_after_ms);
-                }
-                Err(e) if is_transport(&e) => {
-                    if attempt >= self.config.retries {
-                        return Err(e);
-                    }
-                    self.backoff(attempt, 0);
-                    self.reconnect()?;
-                }
-                Err(e) => return Err(e),
-            }
-            self.retries_total += 1;
-            attempt += 1;
-        }
+        self.retrying(
+            |client| {
+                let mut pairs = Vec::new();
+                let outcome = client.try_sample(req, |batch| pairs.extend_from_slice(batch))?;
+                Ok(SampleOutcome { pairs, ..outcome })
+            },
+            || Resend::Always,
+        )
     }
 
     /// Draws `req.t` samples, handing each batch to `on_batch` as it
@@ -336,34 +334,22 @@ impl Client {
         req: SampleRequest,
         mut on_batch: impl FnMut(&[JoinPair]),
     ) -> Result<SampleOutcome, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            let delivered = Cell::new(false);
-            let result = self.try_sample(req, |batch| {
-                delivered.set(true);
-                on_batch(batch);
-            });
-            match result {
-                Ok(outcome) => return Ok(outcome),
-                Err(ClientError::Busy { retry_after_ms }) => {
-                    self.busy_answers += 1;
-                    if attempt >= self.config.retries {
-                        return Err(ClientError::Busy { retry_after_ms });
-                    }
-                    self.backoff(attempt, retry_after_ms);
+        let delivered = Cell::new(false);
+        self.retrying(
+            |client| {
+                client.try_sample(req, |batch| {
+                    delivered.set(true);
+                    on_batch(batch);
+                })
+            },
+            || {
+                if delivered.get() {
+                    Resend::Never
+                } else {
+                    Resend::Always
                 }
-                Err(e) if is_transport(&e) && !delivered.get() => {
-                    if attempt >= self.config.retries {
-                        return Err(e);
-                    }
-                    self.backoff(attempt, 0);
-                    self.reconnect()?;
-                }
-                Err(e) => return Err(e),
-            }
-            self.retries_total += 1;
-            attempt += 1;
-        }
+            },
+        )
     }
 
     /// One `SAMPLE` attempt on the current connection.
@@ -454,73 +440,47 @@ impl Client {
         } else {
             None
         };
-        let mut attempt = 0u32;
-        loop {
-            let req_id = self.next_id();
-            match &mut req {
-                Request::Insert { req_id: id, .. } | Request::Delete { req_id: id, .. } => {
-                    *id = req_id;
+        self.retrying(
+            |client| {
+                let req_id = client.next_id();
+                match &mut req {
+                    Request::Insert { req_id: id, .. } | Request::Delete { req_id: id, .. } => {
+                        *id = req_id;
+                    }
+                    _ => unreachable!("mutate() only takes mutation requests"),
                 }
-                _ => unreachable!("mutate() only takes mutation requests"),
-            }
-            let result = (|| {
-                write_frame(&mut self.stream, &encode_request(&req))?;
-                self.read_response()
-            })();
-            match result {
-                Ok(Response::Update {
-                    req_id: rid,
-                    status,
-                    stats,
-                }) if rid == req_id => {
-                    return Ok(UpdateOutcome {
+                write_frame(&mut client.stream, &encode_request(&req))?;
+                match client.read_response()? {
+                    Response::Update {
+                        req_id: rid,
+                        status,
+                        stats,
+                    } if rid == req_id => Ok(UpdateOutcome {
                         status,
                         first_id: stats.first_id,
                         applied: stats.applied,
                         epoch: stats.epoch,
                         version: stats.version,
-                    });
-                }
-                Ok(Response::Busy {
-                    req_id: rid,
-                    retry_after_ms,
-                }) if rid == req_id => {
+                    }),
                     // BUSY is an admission-control answer: the server
                     // declined before touching the store, so resending
                     // is always safe.
-                    self.busy_answers += 1;
-                    if attempt >= self.config.retries {
-                        return Err(ClientError::Busy { retry_after_ms });
+                    Response::Busy {
+                        req_id: rid,
+                        retry_after_ms,
+                    } if rid == req_id => Err(ClientError::Busy { retry_after_ms }),
+                    Response::Error { code, message } => {
+                        Err(ClientError::Rejected { code, message })
                     }
-                    self.backoff(attempt, retry_after_ms);
+                    _ => Err(ClientError::Unexpected("expected an update frame")),
                 }
-                Ok(Response::Error { code, message }) => {
-                    return Err(ClientError::Rejected { code, message });
-                }
-                Ok(_) => return Err(ClientError::Unexpected("expected an update frame")),
-                Err(e) if is_transport(&e) => {
-                    let Some((epoch, version)) = baseline else {
-                        return Err(e);
-                    };
-                    if attempt >= self.config.retries {
-                        return Err(e);
-                    }
-                    self.backoff(attempt, 0);
-                    self.reconnect()?;
-                    // Resend only on proof of non-application: both
-                    // counters unchanged since the pre-send probe. A
-                    // moved counter means *some* mutation (with a sole
-                    // mutator: ours) or a compaction landed — resending
-                    // could double-apply, so surface the ambiguity.
-                    if self.probe_counters(dataset)? != (epoch, version) {
-                        return Err(ClientError::AmbiguousMutation);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-            self.retries_total += 1;
-            attempt += 1;
-        }
+            },
+            || {
+                baseline.map_or(Resend::Never, |counters| {
+                    Resend::IfUnmoved(dataset, counters)
+                })
+            },
+        )
     }
 
     /// Queries a dataset's epoch/version state.
@@ -614,40 +574,66 @@ impl Client {
     }
 
     /// One idempotent request/answer exchange with the full retry
-    /// treatment: `BUSY` backs off and resends, transport failures
-    /// reconnect and resend. Only used for requests that are safe to
-    /// replay.
+    /// treatment. Only used for requests that are safe to replay.
     fn exchange(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            let result = (|| {
-                write_frame(&mut self.stream, &encode_request(req))?;
-                self.read_response()
-            })();
-            match result {
-                Ok(Response::Busy { retry_after_ms, .. }) => {
+        self.retrying(
+            |client| {
+                write_frame(&mut client.stream, &encode_request(req))?;
+                match client.read_response()? {
+                    Response::Busy { retry_after_ms, .. } => {
+                        Err(ClientError::Busy { retry_after_ms })
+                    }
+                    Response::Error { code, message } => {
+                        Err(ClientError::Rejected { code, message })
+                    }
+                    resp => Ok(resp),
+                }
+            },
+            || Resend::Always,
+        )
+    }
+
+    /// The one retry loop every request runs. `attempt` tries once on
+    /// the current connection. A `BUSY` is counted and backed off with
+    /// the server's hint, then resent; a transport failure is resent
+    /// after a backoff and a reconnect when `resend` allows it. Each
+    /// resend counts as a retry, and `ClientConfig::retries` of them
+    /// end the loop with the last failure.
+    fn retrying<T>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self) -> Result<T, ClientError>,
+        resend: impl Fn() -> Resend,
+    ) -> Result<T, ClientError> {
+        for n in 0.. {
+            match attempt(self) {
+                Err(ClientError::Busy { retry_after_ms }) => {
                     self.busy_answers += 1;
-                    if attempt >= self.config.retries {
+                    if n >= self.config.retries {
                         return Err(ClientError::Busy { retry_after_ms });
                     }
-                    self.backoff(attempt, retry_after_ms);
+                    self.backoff(n, retry_after_ms);
                 }
-                Ok(Response::Error { code, message }) => {
-                    return Err(ClientError::Rejected { code, message });
-                }
-                Ok(resp) => return Ok(resp),
                 Err(e) if is_transport(&e) => {
-                    if attempt >= self.config.retries {
+                    let resend = resend();
+                    if matches!(resend, Resend::Never) || n >= self.config.retries {
                         return Err(e);
                     }
-                    self.backoff(attempt, 0);
+                    self.backoff(n, 0);
                     self.reconnect()?;
+                    // A moved counter means *some* mutation (with a sole
+                    // mutator: ours) or a compaction landed — resending
+                    // could double-apply, so surface the ambiguity.
+                    if let Resend::IfUnmoved(dataset, counters) = resend {
+                        if self.probe_counters(dataset)? != counters {
+                            return Err(ClientError::AmbiguousMutation);
+                        }
+                    }
                 }
-                Err(e) => return Err(e),
+                result => return result,
             }
             self.retries_total += 1;
-            attempt += 1;
         }
+        unreachable!("the retry budget is a u32")
     }
 
     /// Sleeps the jittered exponential backoff for `attempt`, never
@@ -757,8 +743,8 @@ fn dial(addrs: &[SocketAddr], config: &ClientConfig) -> Result<TcpStream, Client
                 if config.nodelay {
                     let _ = stream.set_nodelay(true);
                 }
-                let _ = stream.set_read_timeout(opt(config.read_timeout));
-                let _ = stream.set_write_timeout(opt(config.write_timeout));
+                let _ = stream.set_read_timeout(timeout_opt(config.read_timeout));
+                let _ = stream.set_write_timeout(timeout_opt(config.write_timeout));
                 return Ok(stream);
             }
             Err(e) => last = Some(e),
@@ -767,9 +753,4 @@ fn dial(addrs: &[SocketAddr], config: &ClientConfig) -> Result<TcpStream, Client
     Err(last
         .unwrap_or_else(|| std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no address"))
         .into())
-}
-
-/// Zero means "no deadline" (the std setters reject `Some(ZERO)`).
-fn opt(d: Duration) -> Option<Duration> {
-    (!d.is_zero()).then_some(d)
 }

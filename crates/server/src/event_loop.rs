@@ -22,13 +22,16 @@
 //!   same deterministic per-connection fault schedules.
 //!
 //! **Decode.** Bytes from a readable socket land in a
-//! [`FrameAccumulator`]; every complete frame dispatches through the
-//! same admission chain the old reader ran (handshake gate, token
-//! buckets, fault draws, load shedding). What passes is answered where
-//! that is cheapest. Mutations are applied and control answers
-//! (`UPDATE`, `EPOCH`, `STATS`, `METRICS`, `TRACE`, `SLOWLOG`) built
-//! here; the loop also writes them itself unless the connection has
-//! work with the workers, in which case they queue behind it as a job.
+//! [`FrameAccumulator`]; every complete frame passes the handshake gate
+//! and the chaos plan's frame faults, then one admission step
+//! ([`Conn::admit`] over the table in [`admission`]: request bucket →
+//! mutation bucket → forced `BUSY` → load shedding), which answers
+//! `BUSY` for whatever it declines. What passes is answered where that
+//! is cheapest: one `match` builds the answer to every kind but
+//! `SAMPLE` — mutations applied, control answers (`UPDATE`, `EPOCH`,
+//! `STATS`, `METRICS`, `TRACE`, `SLOWLOG`) built — and one [`answer`]
+//! delivers it, written by the loop itself unless the connection has
+//! work with the workers, in which case it queues behind it as a job.
 //! A `SAMPLE` is served here too — [`crate::exec::advance`], the same
 //! function a worker steps — when all five conditions listed in
 //! `crate::server`'s docs hold: engine cached, no maintenance due,
@@ -47,10 +50,13 @@
 //! large to be worth copying goes out as it is. Only a connection with
 //! a writer-side fault schedule is flushed frame by frame, so a chaos
 //! seed draws its truncations and split writes in the order it always
-//! did. A full out-queue parks the job on its connection (exactly the
-//! old backpressure handshake) *and* pauses frame decode for that
-//! connection, so the loop's own answers stay bounded and a flooding
-//! client is throttled by its own TCP window.
+//! did; both are a cut in the same write loop — half the frame goes
+//! out, then the connection dies or the write gates for 1 ms. Bytes
+//! that stop moving either way meet one stall deadline
+//! ([`EventLoop::check_stall`]). A full out-queue parks the job on its
+//! connection (exactly the old backpressure handshake) *and* pauses
+//! frame decode for that connection, so the loop's own answers stay
+//! bounded and a flooding client is throttled by its own TCP window.
 //!
 //! **fd exhaustion.** An `accept(2)` failing with EMFILE/ENFILE
 //! pauses accepting (the listener is deregistered so readiness does
@@ -73,14 +79,13 @@ use srj_obs::{trace, SlowEntry, StateTag, WorkerState};
 use crate::exec::{advance, Acquire, Progress, SampleRun, INLINE_BUDGET_NS};
 use crate::fault::FaultRng;
 use crate::protocol::{
-    decode_request, encode_response, EpochInfo, ErrorCode, FrameAccumulator, Request, RequestStats,
-    RequestStatus, Response, UpdateStats, PROTOCOL_VERSION, SERVER_FEATURES,
+    decode_request, encode_response, ErrorCode, FrameAccumulator, ProtocolError, Request,
+    RequestStats, RequestStatus, Response, SampleRequest, PROTOCOL_VERSION, SERVER_FEATURES,
 };
 use crate::server::{
-    apply_delete, apply_insert, epoch_info, timeout_opt, Shared, TokenBucket, FAULT_ROLE_READER,
-    FAULT_ROLE_WRITER, SHED_RETRY_MS, SLOWLOG_MAX_ENTRIES,
+    timeout_opt, ServedDataset, Shared, FAULT_ROLE_READER, FAULT_ROLE_WRITER, SLOWLOG_MAX_ENTRIES,
 };
-use crate::worker::{enqueue, should_shed, ConnShared, Job};
+use crate::worker::{enqueue, ConnShared, Job};
 
 /// Poller token of the cross-thread waker pipe.
 const TOKEN_WAKER: u64 = u64::MAX;
@@ -172,10 +177,9 @@ impl LoopNotify {
 enum ConnTimer {
     /// `handshake_timeout` — no HELLO yet.
     Handshake,
-    /// `read_timeout` — mid-frame read stall.
-    Read,
-    /// `write_timeout` — write stall with bytes pending.
-    Write,
+    /// `read_timeout` / `write_timeout` — a mid-frame read stall, or a
+    /// write stall with bytes pending.
+    Stall(Dir),
     /// Chaos `delay_read_ms` elapsed; dispatch the held frame.
     ResumeRead,
     /// Chaos split-write gap elapsed; resume flushing.
@@ -189,6 +193,22 @@ enum TimerKey {
     Sweep,
     /// Retry `accept(2)` after fd-exhaustion backoff.
     AcceptResume,
+}
+
+/// A direction of a connection's byte stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Dir {
+    Read,
+    Write,
+}
+
+/// One direction's stall clock (see [`EventLoop::check_stall`]).
+#[derive(Clone, Copy)]
+struct Stall {
+    /// When bytes last moved.
+    since: Instant,
+    /// A deadline is pending on the wheel.
+    armed: bool,
 }
 
 // ---- per-connection loop state ---------------------------------------------
@@ -227,10 +247,8 @@ struct Conn {
     resume_at: Option<Instant>,
     /// While set, flushing pauses (injected split write).
     write_gate: Option<Instant>,
-    read_stall_since: Instant,
-    read_timer_armed: bool,
-    write_stall_since: Instant,
-    write_timer_armed: bool,
+    /// Stall clocks, indexed by [`Dir`].
+    stalls: [Stall; 2],
     /// Interest currently registered with the poller.
     interest: Interest,
 }
@@ -239,6 +257,160 @@ impl Conn {
     /// Bytes queued for the socket but not yet written.
     fn write_pending(&self) -> bool {
         self.wb_pos < self.wb.len()
+    }
+
+    /// Whether the connection waits on its peer in `dir`: mid-frame on
+    /// a live read side, or with bytes left to write.
+    fn stalled(&self, dir: Dir) -> bool {
+        match dir {
+            Dir::Read => self.acc.has_partial() && !self.eof,
+            Dir::Write => self.write_pending(),
+        }
+    }
+
+    /// Bytes moved in `dir`: its stall clock restarts.
+    fn moved(&mut self, dir: Dir) {
+        self.stalls[dir as usize].since = Instant::now();
+    }
+
+    /// The one admission step: `req`'s row of the [`admission`] table,
+    /// checked against this connection's buckets and fault schedule and
+    /// the server's load. `Some((req_id, retry_after_ms))` is the `BUSY`
+    /// that declines it.
+    fn admit(&mut self, shared: &Shared, req: &Request) -> Option<(u32, u32)> {
+        let (req_id, mutation, fault, shed) = admission(req)?;
+        let plan = &shared.config.fault_plan;
+        let throttled = |bucket: &mut Option<TokenBucket>| {
+            let ms = bucket.as_mut()?.admit()?;
+            shared.server_metrics.rate_limited.inc();
+            Some(ms)
+        };
+        let retry_after_ms = throttled(&mut self.req_bucket)
+            .or_else(|| mutation.then(|| throttled(&mut self.mut_bucket))?)
+            .or_else(|| {
+                let rng = self.reader_rng.as_mut().filter(|_| fault)?;
+                rng.fires(plan.busy_prob)
+                    .then_some(plan.busy_retry_after_ms)
+            })
+            .or_else(|| {
+                let dataset = shed.filter(|_| should_shed(shared, &self.shared))?;
+                shared.server_metrics.requests_shed.inc();
+                srj_obs::journal::event(EventKind::LoadShed)
+                    .dataset(Some(dataset))
+                    .label(self.shared.peer.clone())
+                    .emit();
+                Some(SHED_RETRY_MS)
+            })?;
+        Some((req_id, retry_after_ms))
+    }
+}
+
+// ---- admission -------------------------------------------------------------
+
+/// A token bucket: `rate` tokens/second, burst capacity of one
+/// second's budget, starting full.
+struct TokenBucket {
+    rate: f64,
+    burst: f64,
+    tokens: f64,
+    last: Instant,
+}
+
+impl TokenBucket {
+    /// `None` when `rps` is zero (unlimited).
+    fn new(rps: u32) -> Option<TokenBucket> {
+        (rps > 0).then(|| TokenBucket {
+            rate: f64::from(rps),
+            burst: f64::from(rps),
+            tokens: f64::from(rps),
+            last: Instant::now(),
+        })
+    }
+
+    /// `None` = admitted (one token consumed); `Some(ms)` = declined,
+    /// with the time until a token accrues — the `retry_after_ms` for
+    /// the `BUSY` answer.
+    fn admit(&mut self) -> Option<u32> {
+        let now = Instant::now();
+        let dt = now.duration_since(self.last).as_secs_f64();
+        self.tokens = (self.tokens + dt * self.rate).min(self.burst);
+        self.last = now;
+        if self.tokens >= 1.0 {
+            self.tokens -= 1.0;
+            return None;
+        }
+        let ms = ((1.0 - self.tokens) / self.rate * 1000.0).ceil().max(1.0);
+        Some(ms.min(f64::from(u32::MAX)) as u32)
+    }
+}
+
+/// `retry_after_ms` suggested on load-shed `BUSY` answers: long enough
+/// for a worker step to drain queue headroom, short enough that a
+/// shed client re-offers while the burst is still being absorbed.
+const SHED_RETRY_MS: u32 = 50;
+
+/// The admission table, keyed by request kind. A row is the id a
+/// `BUSY` echoes (the request's own, 0 for a kind that carries none)
+/// and what the kind pays besides the request bucket: the mutation
+/// bucket, the fault plan's forced-`BUSY` draw on the reader stream,
+/// and shedding under load (journaled under the dataset). The checks
+/// run in that order, after the request bucket. `HELLO`, `PING` and
+/// `SHUTDOWN` are exempt: a handshake, a keepalive and the off switch
+/// must answer even (especially) under load.
+fn admission(req: &Request) -> Option<(u32, bool, bool, Option<u64>)> {
+    Some(match *req {
+        Request::Hello { .. } | Request::Ping { .. } | Request::Shutdown => return None,
+        Request::Stats | Request::Metrics | Request::Trace { .. } | Request::SlowLog { .. } => {
+            (0, false, false, None)
+        }
+        Request::Epoch { req_id, .. } => (req_id, false, false, None),
+        Request::Insert { req_id, .. } | Request::Delete { req_id, .. } => {
+            (req_id, true, true, None)
+        }
+        Request::Sample(s) => (s.req_id, false, true, Some(s.dataset)),
+    })
+}
+
+/// Whether a new `SAMPLE` should be declined with `BUSY` instead of
+/// served: the global queue is past the high-water mark, or this
+/// connection already has a request parked on a full response queue
+/// (more concurrent streams cannot help a client that isn't reading).
+fn should_shed(shared: &Shared, conn: &ConnShared) -> bool {
+    let hw = shared.config.shed_high_water;
+    hw != 0
+        && (!conn.parked.lock().expect("parked list poisoned").is_empty()
+            || shared.queue.len() >= hw)
+}
+
+/// Delivers an answer the loop built. A handshake answer, a keepalive
+/// and a `BUSY` go straight to the out-queue: their job is to answer
+/// even (especially) under load. Anything else the loop writes itself
+/// when none of the connection's work is with the workers and its queue
+/// has room; behind in-flight work it rides a job instead, so it cannot
+/// overtake that work and the park/unpark handshake stays the workers'
+/// alone.
+fn answer(shared: &Shared, cs: &Arc<ConnShared>, response: Response) {
+    let direct = matches!(
+        response,
+        Response::Welcome { .. }
+            | Response::Error { .. }
+            | Response::Pong { .. }
+            | Response::Busy { .. }
+    );
+    let frame = encode_response(&response);
+    if direct || (cs.no_jobs() && cs.out_has_room()) {
+        cs.push_direct(frame);
+    } else {
+        enqueue(shared, Job::respond(frame, Arc::clone(cs)));
+    }
+}
+
+/// An answer's status and body: `Ok` with the value, or the refusal with
+/// an empty body.
+fn settle<T: Default>(result: Result<T, RequestStatus>) -> (RequestStatus, T) {
+    match result {
+        Ok(value) => (RequestStatus::Ok, value),
+        Err(status) => (status, T::default()),
     }
 }
 
@@ -473,10 +645,10 @@ impl EventLoop {
             pending: None,
             resume_at: None,
             write_gate: None,
-            read_stall_since: now,
-            read_timer_armed: false,
-            write_stall_since: now,
-            write_timer_armed: false,
+            stalls: [Stall {
+                since: now,
+                armed: false,
+            }; 2],
             interest: Interest::READ,
         };
         if let Some(d) = timeout_opt(config.handshake_timeout) {
@@ -506,7 +678,8 @@ impl EventLoop {
         self.process_frames(id);
         self.unpark_if_room(id);
         self.flush_conn(id);
-        self.arm_io_timers(id);
+        self.check_stall(id, Dir::Read, false);
+        self.check_stall(id, Dir::Write, false);
         self.update_interest(id);
         self.maybe_teardown(id);
     }
@@ -534,7 +707,7 @@ impl EventLoop {
                     }
                     Ok(n) => {
                         conn.acc.extend(&buf[..n]);
-                        conn.read_stall_since = Instant::now();
+                        conn.moved(Dir::Read);
                         total += n;
                         if n < buf.len() || total >= READ_BURST_LIMIT {
                             break;
@@ -591,361 +764,227 @@ impl EventLoop {
     /// Frame-level fault draws + handshake gate, then request
     /// dispatch. Returns whether the connection should keep decoding.
     fn dispatch(&mut self, id: u64, payload: Vec<u8>) -> bool {
-        enum Gate {
-            Drop,
-            Delay(Instant),
-            Pass,
-        }
         let plan = self.shared.config.fault_plan;
-        let mut payload = Some(payload);
-        let gate = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return false;
-            };
-            if !conn.established {
-                return self.handshake(id, &payload.take().expect("payload taken"));
-            }
-            conn.shared.touch();
-            match conn.reader_rng.as_mut() {
-                Some(rng) => {
-                    // Both frame-level decisions are drawn up front, in
-                    // the order the blocking reader drew them (delay,
-                    // then drop), so a chaos seed replays identically.
-                    let delay = rng.fires(plan.delay_read_prob);
-                    let drop_now = rng.fires(plan.drop_conn_prob);
-                    if delay {
-                        let at = Instant::now() + Duration::from_millis(plan.delay_read_ms);
-                        conn.resume_at = Some(at);
-                        conn.pending = Some((payload.take().expect("payload taken"), drop_now));
-                        Gate::Delay(at)
-                    } else if drop_now {
-                        Gate::Drop
-                    } else {
-                        Gate::Pass
-                    }
-                }
-                None => Gate::Pass,
-            }
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return false;
         };
-        match gate {
-            Gate::Delay(at) => {
+        if !conn.established {
+            return self.handshake(id, decode_request(&payload));
+        }
+        conn.shared.touch();
+        if let Some(rng) = conn.reader_rng.as_mut() {
+            // Both frame-level decisions are drawn up front, in the order
+            // the blocking reader drew them (delay, then drop), so a
+            // chaos seed replays identically.
+            let delay = rng.fires(plan.delay_read_prob);
+            let drop_now = rng.fires(plan.drop_conn_prob);
+            if delay {
+                let at = Instant::now() + Duration::from_millis(plan.delay_read_ms);
+                conn.resume_at = Some(at);
+                conn.pending = Some((payload, drop_now));
                 self.wheel
                     .schedule(at, TimerKey::Conn(id, ConnTimer::ResumeRead));
-                false
+                return false;
             }
-            Gate::Drop => {
+            if drop_now {
                 self.teardown(id);
-                false
+                return false;
             }
-            Gate::Pass => self.dispatch_decoded(id, payload.take().expect("payload taken")),
         }
+        self.dispatch_decoded(id, decode_request(&payload))
     }
 
     /// The mandatory `HELLO`/`WELCOME` exchange. A v0 peer — one that
     /// opens with a request frame, or a `HELLO` carrying a version
     /// this server does not speak — gets a well-formed `ERROR` frame
     /// and a close; it never reaches the job queue.
-    fn handshake(&mut self, id: u64, payload: &[u8]) -> bool {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return false;
-        };
-        let reject = |conn: &mut Conn, shared: &Shared, code: ErrorCode, message: String| {
-            shared.server_metrics.handshake_rejects.inc();
-            conn.shared
-                .push_direct(encode_response(&Response::Error { code, message }));
-            conn.discard = true;
-            conn.eof = true;
-            false
-        };
-        match decode_request(payload) {
-            Ok(Request::Hello { version, .. }) if version == PROTOCOL_VERSION => {
+    fn handshake(&mut self, id: u64, decoded: Result<Request, ProtocolError>) -> bool {
+        let (code, message) = match decoded {
+            Ok(Request::Hello { version, features }) if version == PROTOCOL_VERSION => {
+                let Some(conn) = self.conns.get_mut(&id) else {
+                    return false;
+                };
                 conn.shared.touch();
                 conn.established = true;
-                conn.shared.push_direct(encode_response(&Response::Welcome {
-                    version: PROTOCOL_VERSION,
-                    features: SERVER_FEATURES,
-                }));
-                true
+                return self.dispatch_decoded(id, Ok(Request::Hello { version, features }));
             }
-            Ok(Request::Hello { version, .. }) => reject(
-                conn,
-                &self.shared,
+            Ok(Request::Hello { version, .. }) => (
                 ErrorCode::VersionMismatch,
                 format!("peer speaks protocol version {version}, server speaks {PROTOCOL_VERSION}"),
             ),
-            Ok(_) => reject(
-                conn,
-                &self.shared,
+            Ok(_) => (
                 ErrorCode::HandshakeRequired,
                 "first frame on a connection must be HELLO".to_string(),
             ),
-            Err(e) => reject(
-                conn,
-                &self.shared,
-                ErrorCode::HandshakeRequired,
-                format!("bad handshake: {e}"),
-            ),
-        }
+            Err(e) => (ErrorCode::HandshakeRequired, format!("bad handshake: {e}")),
+        };
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return false;
+        };
+        self.shared.server_metrics.handshake_rejects.inc();
+        answer(
+            &self.shared,
+            &conn.shared,
+            Response::Error { code, message },
+        );
+        conn.discard = true;
+        conn.eof = true;
+        false
     }
 
-    /// The post-handshake dispatch: admission control (token buckets,
-    /// fault busy answers, load shedding), then the request itself —
-    /// mutations applied and control answers built here, a `SAMPLE`
-    /// served here when [`Acquire::Cheap`] admits it and handed to the
-    /// workers otherwise.
-    fn dispatch_decoded(&mut self, id: u64, payload: Vec<u8>) -> bool {
+    /// The post-handshake dispatch: the one admission step, then the
+    /// request itself — one `match` builds every answer but a `SAMPLE`'s
+    /// (mutations applied, control answers built here) and one [`answer`]
+    /// delivers it; a `SAMPLE` goes to [`EventLoop::sample`].
+    fn dispatch_decoded(&mut self, id: u64, decoded: Result<Request, ProtocolError>) -> bool {
         let shared = Arc::clone(&self.shared);
-        let plan = shared.config.fault_plan;
         let Some(conn) = self.conns.get_mut(&id) else {
             return false;
         };
         let cs = Arc::clone(&conn.shared);
-        let busy = |req_id: u32, retry_after_ms: u32| {
-            cs.push_direct(encode_response(&Response::Busy {
+        let Ok(req) = decoded else {
+            // Can't trust any field of a malformed frame, so the echoed
+            // id is 0; close after answering.
+            conn.discard = true;
+            conn.eof = true;
+            let status = RequestStatus::BadRequest;
+            let stats = RequestStats::default();
+            answer(
+                &shared,
+                &cs,
+                Response::Done {
+                    req_id: 0,
+                    status,
+                    stats,
+                },
+            );
+            return false;
+        };
+        let response = match conn.admit(&shared, &req) {
+            Some((req_id, retry_after_ms)) => Response::Busy {
                 req_id,
                 retry_after_ms,
-            }));
-        };
-        // An answer the loop has already computed. The loop writes it
-        // itself when none of this connection's work is with the
-        // workers and its queue has room; behind in-flight work it
-        // rides a job instead, so it cannot overtake that work and the
-        // park/unpark handshake stays the workers' alone.
-        let answer = |frame: Vec<u8>| {
-            if cs.no_jobs() && cs.out_has_room() {
-                cs.push_direct(frame);
-            } else {
-                enqueue(&shared, Job::respond(frame, Arc::clone(&cs)));
-            }
-        };
-        // Declined by a token bucket? Bumps the metric so the check
-        // reads as one expression at each admission point.
-        let throttled = |bucket: &mut Option<TokenBucket>| -> Option<u32> {
-            let ms = bucket.as_mut()?.admit()?;
-            shared.server_metrics.rate_limited.inc();
-            Some(ms)
-        };
-        match decode_request(&payload) {
-            Ok(Request::Hello { .. }) => {
-                // A repeated HELLO is harmless; re-answer it so a
-                // client that re-syncs after a partial read converges.
-                cs.push_direct(encode_response(&Response::Welcome {
+            },
+            None => match req {
+                // A repeated HELLO is harmless; re-answering it lets a
+                // client that re-syncs after a partial read converge.
+                Request::Hello { .. } => Response::Welcome {
                     version: PROTOCOL_VERSION,
                     features: SERVER_FEATURES,
-                }));
-            }
-            Ok(Request::Ping { token }) => {
-                // Keepalives are never shed, limited, or queued: their
-                // job is to answer even (especially) under load.
-                cs.push_direct(encode_response(&Response::Pong { token }));
-            }
-            Ok(Request::Sample(req)) => {
-                if let Some(ms) = throttled(&mut conn.req_bucket) {
-                    busy(req.req_id, ms);
+                },
+                Request::Ping { token } => Response::Pong { token },
+                Request::Sample(sample) => {
+                    let flushed = !conn.write_pending() && conn.write_gate.is_none();
+                    self.sample(cs, sample, flushed);
                     return true;
                 }
-                if let Some(rng) = conn.reader_rng.as_mut() {
-                    if rng.fires(plan.busy_prob) {
-                        busy(req.req_id, plan.busy_retry_after_ms);
-                        return true;
-                    }
+                Request::Shutdown => {
+                    shared.begin_shutdown();
+                    return false;
                 }
-                if should_shed(&shared, &cs) {
-                    shared.server_metrics.requests_shed.inc();
-                    srj_obs::journal::event(EventKind::LoadShed)
-                        .dataset(Some(req.dataset))
-                        .label(cs.peer.clone())
-                        .emit();
-                    busy(req.req_id, SHED_RETRY_MS);
-                    return true;
-                }
-                // The sampling decision is made here, at frame decode,
-                // so the trace covers the request's whole server-side
-                // life; the id rides on the run and comes back to the
-                // client in the DONE frame. With slow-log capture on,
-                // an unsampled request still gets a forced span id —
-                // never echoed, but snapshotted if it finishes slow.
-                let trace_id = trace::try_start_trace();
-                let span_id = if trace_id != 0 {
-                    trace_id
-                } else if shared.slow_log.enabled() {
-                    trace::start_trace_forced()
-                } else {
-                    0
-                };
-                trace::event_for(span_id, "frame_decode", "sample_request");
-                let mut run = SampleRun::new(req, trace_id, span_id);
-                // Admitted. Which thread runs it is decided from what
-                // the loop can see for free: a quiet connection (no job
-                // alive, nothing queued or half-written — nothing the
-                // pool holds is overtaken, and a peer that is not
-                // reading gets no loop time), budget left in this pass,
-                // and an acquisition that needs no build, no swap and
-                // no long draw.
-                let quiet = cs.no_jobs()
-                    && cs.out_len() == 0
-                    && !conn.write_pending()
-                    && conn.write_gate.is_none();
-                if quiet && self.inline_spent_ns < INLINE_BUDGET_NS {
-                    let _trace = run.trace_scope();
-                    let how = Acquire::Cheap {
-                        budget_ns: INLINE_BUDGET_NS - self.inline_spent_ns,
-                    };
-                    let mut frames = VecDeque::new();
-                    let served = loop {
-                        match advance(&shared, &mut run, how, &self.tag, &mut frames) {
-                            Progress::Declined => break false,
-                            Progress::Pending => {}
-                            Progress::Done => break true,
-                        }
-                    };
-                    self.tag.set(WorkerState::Decode);
-                    if served {
-                        for frame in frames {
-                            cs.push_direct(frame);
-                        }
-                        shared.server_metrics.requests_inline.inc();
-                        self.inline_spent_ns += run.age_ns();
-                        return true;
-                    }
-                }
-                enqueue(&shared, Job::sample(run, Arc::clone(&cs)));
-            }
-            Ok(Request::Stats) => {
-                if let Some(ms) = throttled(&mut conn.req_bucket) {
-                    busy(0, ms);
-                    return true;
-                }
-                answer(encode_response(&Response::ServerStats(
-                    shared.stats_frame(),
-                )));
-            }
-            // Observability answers are pure snapshot work, no
-            // engine/handle involvement: rendered on the loop.
-            Ok(Request::Metrics) => {
-                if let Some(ms) = throttled(&mut conn.req_bucket) {
-                    busy(0, ms);
-                    return true;
-                }
-                answer(encode_response(&Response::Metrics {
+                // Observability answers are pure snapshot work, no
+                // engine/handle involvement: rendered on the loop.
+                Request::Stats => Response::ServerStats(shared.stats_frame()),
+                Request::Metrics => Response::Metrics {
                     text: shared.metrics_text(),
-                }));
-            }
-            Ok(Request::Trace { trace_id }) => {
-                if let Some(ms) = throttled(&mut conn.req_bucket) {
-                    busy(0, ms);
-                    return true;
-                }
-                let spans = SlowEntry::capture_spans(trace_id);
-                answer(encode_response(&Response::Trace { trace_id, spans }));
-            }
-            Ok(Request::SlowLog { max }) => {
-                if let Some(ms) = throttled(&mut conn.req_bucket) {
-                    busy(0, ms);
-                    return true;
-                }
-                let cap = (max as usize).min(SLOWLOG_MAX_ENTRIES);
-                let entries = shared.slow_log.recent(cap);
-                answer(encode_response(&Response::SlowLog { entries }));
-            }
-            // Mutations are applied here, on the loop: they are
-            // O(|frame|) buffer writes against the store (no index
-            // work — engines fold the delta in lazily, on a worker:
-            // the next SAMPLE finds maintenance due and is not served
-            // inline), so they never occupy a sampling worker, and
-            // applying before the next frame is decoded gives each
-            // connection read-your-writes ordering.
-            Ok(Request::Insert {
-                req_id,
-                dataset,
-                side,
-                points,
-            }) => {
-                // Mutations pay both budgets: the shared request bucket
-                // and the (usually tighter) mutation bucket.
-                if let Some(ms) =
-                    throttled(&mut conn.req_bucket).or_else(|| throttled(&mut conn.mut_bucket))
-                {
-                    busy(req_id, ms);
-                    return true;
-                }
-                if let Some(rng) = conn.reader_rng.as_mut() {
-                    if rng.fires(plan.busy_prob) {
-                        busy(req_id, plan.busy_retry_after_ms);
-                        return true;
+                },
+                Request::Trace { trace_id } => Response::Trace {
+                    trace_id,
+                    spans: SlowEntry::capture_spans(trace_id),
+                },
+                Request::SlowLog { max } => Response::SlowLog {
+                    entries: shared
+                        .slow_log
+                        .recent((max as usize).min(SLOWLOG_MAX_ENTRIES)),
+                },
+                Request::Epoch { req_id, dataset } => {
+                    let (status, info) =
+                        settle(shared.dataset(dataset).map(ServedDataset::epoch_info));
+                    Response::Epoch {
+                        req_id,
+                        status,
+                        info,
                     }
                 }
-                let (status, stats) = match apply_insert(&shared, dataset, side, &points) {
-                    Ok(stats) => (RequestStatus::Ok, stats),
-                    Err(status) => (status, UpdateStats::default()),
-                };
-                answer(encode_response(&Response::Update {
-                    req_id,
-                    status,
-                    stats,
-                }));
-            }
-            Ok(Request::Delete {
-                req_id,
-                dataset,
-                side,
-                ids,
-            }) => {
-                if let Some(ms) =
-                    throttled(&mut conn.req_bucket).or_else(|| throttled(&mut conn.mut_bucket))
-                {
-                    busy(req_id, ms);
-                    return true;
+                // Mutations are applied here, on the loop: they are
+                // O(|frame|) buffer writes against the store (no index
+                // work — engines fold the delta in lazily, on a worker:
+                // the next SAMPLE finds maintenance due and is not served
+                // inline), so they never occupy a sampling worker, and
+                // applying before the next frame is decoded gives each
+                // connection read-your-writes ordering.
+                Request::Insert {
+                    req_id, dataset, ..
                 }
-                if let Some(rng) = conn.reader_rng.as_mut() {
-                    if rng.fires(plan.busy_prob) {
-                        busy(req_id, plan.busy_retry_after_ms);
-                        return true;
+                | Request::Delete {
+                    req_id, dataset, ..
+                } => {
+                    let (status, stats) = settle(shared.dataset(dataset).map(|d| d.apply(&req)));
+                    Response::Update {
+                        req_id,
+                        status,
+                        stats,
                     }
                 }
-                let (status, stats) = match apply_delete(&shared, dataset, side, &ids) {
-                    Ok(stats) => (RequestStatus::Ok, stats),
-                    Err(status) => (status, UpdateStats::default()),
-                };
-                answer(encode_response(&Response::Update {
-                    req_id,
-                    status,
-                    stats,
-                }));
-            }
-            Ok(Request::Epoch { req_id, dataset }) => {
-                if let Some(ms) = throttled(&mut conn.req_bucket) {
-                    busy(req_id, ms);
-                    return true;
+            },
+        };
+        answer(&shared, &cs, response);
+        true
+    }
+
+    /// An admitted `SAMPLE`: served here, start to finish, when the
+    /// loop can see that is cheap; otherwise a job for the workers.
+    /// `flushed`: the connection has no half-written frame and no
+    /// chaos write gate.
+    fn sample(&mut self, cs: Arc<ConnShared>, req: SampleRequest, flushed: bool) {
+        let shared = &self.shared;
+        // The sampling decision is made here, at frame decode, so the
+        // trace covers the request's whole server-side life; the id
+        // rides on the run and comes back to the client in the DONE
+        // frame. With slow-log capture on, an unsampled request still
+        // gets a forced span id — never echoed, but snapshotted if it
+        // finishes slow.
+        let trace_id = trace::try_start_trace();
+        let span_id = if trace_id != 0 {
+            trace_id
+        } else if shared.slow_log.enabled() {
+            trace::start_trace_forced()
+        } else {
+            0
+        };
+        trace::event_for(span_id, "frame_decode", "sample_request");
+        let mut run = SampleRun::new(req, trace_id, span_id);
+        // Which thread runs it is decided from what the loop can see for
+        // free: a quiet connection (no job alive, nothing queued or
+        // half-written — nothing the pool holds is overtaken, and a peer
+        // that is not reading gets no loop time), budget left in this
+        // pass, and an acquisition that needs no build, no swap and no
+        // long draw.
+        let quiet = cs.no_jobs() && cs.out_len() == 0 && flushed;
+        if quiet && self.inline_spent_ns < INLINE_BUDGET_NS {
+            let _trace = run.trace_scope();
+            let how = Acquire::Cheap {
+                budget_ns: INLINE_BUDGET_NS - self.inline_spent_ns,
+            };
+            let mut frames = VecDeque::new();
+            let served = loop {
+                match advance(shared, &mut run, how, &self.tag, &mut frames) {
+                    Progress::Declined => break false,
+                    Progress::Pending => {}
+                    Progress::Done => break true,
                 }
-                let (status, info) = match epoch_info(&shared, dataset) {
-                    Ok(info) => (RequestStatus::Ok, info),
-                    Err(status) => (status, EpochInfo::default()),
-                };
-                answer(encode_response(&Response::Epoch {
-                    req_id,
-                    status,
-                    info,
-                }));
-            }
-            Ok(Request::Shutdown) => {
-                shared.begin_shutdown();
-                return false;
-            }
-            Err(_) => {
-                // Can't trust any field of a malformed frame, so the
-                // echoed id is 0; close after answering.
-                answer(encode_response(&Response::Done {
-                    req_id: 0,
-                    status: RequestStatus::BadRequest,
-                    stats: RequestStats::default(),
-                }));
-                conn.discard = true;
-                conn.eof = true;
-                return false;
+            };
+            self.tag.set(WorkerState::Decode);
+            if served {
+                for frame in frames {
+                    cs.push_direct(frame);
+                }
+                shared.server_metrics.requests_inline.inc();
+                self.inline_spent_ns += run.age_ns();
+                return;
             }
         }
-        true
+        enqueue(shared, Job::sample(run, cs));
     }
 
     // ---- flush -----------------------------------------------------------
@@ -953,10 +992,16 @@ impl EventLoop {
     /// Drains the write buffer and the out-queue to the socket until
     /// everything is sent or the socket would block. Writer-side
     /// chaos faults fire here, per popped frame, on the same rng
-    /// stream (and draw order) the old writer thread used.
+    /// stream (and draw order) the old writer thread used: a truncation
+    /// or a split write cuts the frame at half, and once the write loop
+    /// reaches the cut (or the socket blocks first) the connection dies
+    /// or the write gates for 1 ms — the nonblocking analogue of the
+    /// old write/sleep/write.
     fn flush_conn(&mut self, id: u64) {
+        let plan = self.shared.config.fault_plan;
         let mut dead = false;
-        let mut gate: Option<Instant> = None;
+        // `(at, kill)`: write up to `at`, then die (`kill`) or gate.
+        let mut cut: Option<(usize, bool)> = None;
         {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
@@ -964,8 +1009,7 @@ impl EventLoop {
             if conn.write_gate.is_some() {
                 return;
             }
-            let plan = self.shared.config.fault_plan;
-            'flush: loop {
+            loop {
                 if !conn.write_pending() {
                     conn.wb.clear();
                     conn.wb_pos = 0;
@@ -975,88 +1019,60 @@ impl EventLoop {
                         // answer's BATCH and DONE are one write.
                         None => {
                             if !conn.shared.pop_out_coalesced(&mut conn.wb) {
-                                break 'flush;
+                                break;
                             }
                         }
                         // Chaos: frame by frame, so the writer-side
                         // faults fire per frame in the seed's order.
+                        // Only frames with room to split meaningfully
+                        // are candidates; tiny control frames pass.
                         Some(rng) => {
                             let Some(frame) = conn.shared.pop_out() else {
-                                break 'flush;
+                                break;
                             };
-                            // Only frames with room to split
-                            // meaningfully are candidates; tiny control
-                            // frames pass.
                             if frame.len() > 8 {
                                 if rng.fires(plan.truncate_frame_prob) {
-                                    // Deliberately leave the peer
-                                    // mid-frame and kill the connection.
-                                    let _ = (&conn.sock).write(&frame[..frame.len() / 2]);
-                                    dead = true;
-                                    break 'flush;
-                                }
-                                if rng.fires(plan.partial_write_prob) {
-                                    // Two temporally separated writes:
-                                    // the head half now, the tail after
-                                    // a 1 ms gate — the nonblocking
-                                    // analogue of the old
-                                    // write/sleep/write.
-                                    let half = frame.len() / 2;
-                                    conn.wb = frame;
-                                    while conn.wb_pos < half {
-                                        match (&conn.sock).write(&conn.wb[conn.wb_pos..half]) {
-                                            Ok(0) => {
-                                                dead = true;
-                                                break;
-                                            }
-                                            Ok(n) => {
-                                                conn.wb_pos += n;
-                                                conn.write_stall_since = Instant::now();
-                                            }
-                                            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                                break
-                                            }
-                                            Err(ref e)
-                                                if e.kind() == io::ErrorKind::Interrupted => {}
-                                            Err(_) => {
-                                                dead = true;
-                                                break;
-                                            }
-                                        }
-                                    }
-                                    if !dead {
-                                        let at = Instant::now() + Duration::from_millis(1);
-                                        conn.write_gate = Some(at);
-                                        gate = Some(at);
-                                    }
-                                    break 'flush;
+                                    cut = Some((frame.len() / 2, true));
+                                } else if rng.fires(plan.partial_write_prob) {
+                                    cut = Some((frame.len() / 2, false));
                                 }
                             }
                             conn.wb = frame;
                         }
                     }
                 }
-                match (&conn.sock).write(&conn.wb[conn.wb_pos..]) {
+                let end = cut.map_or(conn.wb.len(), |(at, _)| at);
+                if conn.wb_pos >= end {
+                    break;
+                }
+                match (&conn.sock).write(&conn.wb[conn.wb_pos..end]) {
                     Ok(0) => {
                         dead = true;
-                        break 'flush;
+                        break;
                     }
                     Ok(n) => {
                         conn.wb_pos += n;
-                        conn.write_stall_since = Instant::now();
+                        conn.moved(Dir::Write);
                     }
-                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break 'flush,
+                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
                         dead = true;
-                        break 'flush;
+                        break;
                     }
                 }
             }
-        }
-        if let Some(at) = gate {
-            self.wheel
-                .schedule(at, TimerKey::Conn(id, ConnTimer::WriteGate));
+            match cut {
+                // Deliberately leave the peer mid-frame.
+                Some((_, true)) => dead = true,
+                Some((_, false)) if !dead => {
+                    let at = Instant::now() + Duration::from_millis(1);
+                    conn.write_gate = Some(at);
+                    self.wheel
+                        .schedule(at, TimerKey::Conn(id, ConnTimer::WriteGate));
+                }
+                _ => {}
+            }
         }
         if dead {
             self.teardown(id);
@@ -1088,37 +1104,38 @@ impl EventLoop {
 
     // ---- timers ----------------------------------------------------------
 
-    /// Arms the mid-frame read stall and write stall timers when the
-    /// respective condition holds and no timer is already pending.
-    fn arm_io_timers(&mut self, id: u64) {
+    /// The one stall deadline, for either direction: while the
+    /// connection waits on its peer in `dir`, a wheel entry falls due
+    /// `read_timeout` / `write_timeout` after bytes last moved that way.
+    /// Arming (`fired` false) schedules it unless one is pending; when it
+    /// fires, a passed deadline tears the connection down, and progress
+    /// since it was armed re-arms it from the last move.
+    fn check_stall(&mut self, id: u64, dir: Dir, fired: bool) {
         let config = &self.shared.config;
-        let (read_at, write_at) = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let mut read_at = None;
-            if conn.acc.has_partial() && !conn.read_timer_armed && !conn.eof {
-                if let Some(rt) = timeout_opt(config.read_timeout) {
-                    conn.read_timer_armed = true;
-                    read_at = Some(conn.read_stall_since + rt);
-                }
-            }
-            let mut write_at = None;
-            if conn.write_pending() && !conn.write_timer_armed {
-                if let Some(wt) = timeout_opt(config.write_timeout) {
-                    conn.write_timer_armed = true;
-                    write_at = Some(conn.write_stall_since + wt);
-                }
-            }
-            (read_at, write_at)
+        let timeout = match dir {
+            Dir::Read => config.read_timeout,
+            Dir::Write => config.write_timeout,
         };
-        if let Some(at) = read_at {
-            self.wheel.schedule(at, TimerKey::Conn(id, ConnTimer::Read));
+        let Some(timeout) = timeout_opt(timeout) else {
+            return;
+        };
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let stalled = conn.stalled(dir);
+        let stall = &mut conn.stalls[dir as usize];
+        stall.armed &= !fired;
+        if stall.armed || !stalled {
+            return;
         }
-        if let Some(at) = write_at {
-            self.wheel
-                .schedule(at, TimerKey::Conn(id, ConnTimer::Write));
+        let deadline = stall.since + timeout;
+        if fired && Instant::now() >= deadline {
+            self.teardown(id);
+            return;
         }
+        stall.armed = true;
+        self.wheel
+            .schedule(deadline, TimerKey::Conn(id, ConnTimer::Stall(dir)));
     }
 
     fn fire_timer(&mut self, key: TimerKey) {
@@ -1133,58 +1150,7 @@ impl EventLoop {
                     self.teardown(id);
                 }
             }
-            TimerKey::Conn(id, ConnTimer::Read) => {
-                let rearm = {
-                    let Some(conn) = self.conns.get_mut(&id) else {
-                        return;
-                    };
-                    conn.read_timer_armed = false;
-                    if !conn.acc.has_partial() || conn.eof {
-                        None
-                    } else {
-                        let rt = self.shared.config.read_timeout;
-                        let deadline = conn.read_stall_since + rt;
-                        if Instant::now() >= deadline {
-                            Some(None) // expired
-                        } else {
-                            conn.read_timer_armed = true;
-                            Some(Some(deadline)) // progressed; re-arm
-                        }
-                    }
-                };
-                match rearm {
-                    Some(None) => self.teardown(id),
-                    Some(Some(at)) => self.wheel.schedule(at, TimerKey::Conn(id, ConnTimer::Read)),
-                    None => {}
-                }
-            }
-            TimerKey::Conn(id, ConnTimer::Write) => {
-                let rearm = {
-                    let Some(conn) = self.conns.get_mut(&id) else {
-                        return;
-                    };
-                    conn.write_timer_armed = false;
-                    if !conn.write_pending() {
-                        None
-                    } else {
-                        let wt = self.shared.config.write_timeout;
-                        let deadline = conn.write_stall_since + wt;
-                        if Instant::now() >= deadline {
-                            Some(None)
-                        } else {
-                            conn.write_timer_armed = true;
-                            Some(Some(deadline))
-                        }
-                    }
-                };
-                match rearm {
-                    Some(None) => self.teardown(id),
-                    Some(Some(at)) => self
-                        .wheel
-                        .schedule(at, TimerKey::Conn(id, ConnTimer::Write)),
-                    None => {}
-                }
-            }
+            TimerKey::Conn(id, ConnTimer::Stall(dir)) => self.check_stall(id, dir, true),
             TimerKey::Conn(id, ConnTimer::ResumeRead) => {
                 enum Next {
                     Rearm(Instant),
@@ -1215,7 +1181,7 @@ impl EventLoop {
                         .schedule(at, TimerKey::Conn(id, ConnTimer::ResumeRead)),
                     Next::Drop => self.teardown(id),
                     Next::Dispatch(payload) => {
-                        let _ = self.dispatch_decoded(id, payload);
+                        let _ = self.dispatch_decoded(id, decode_request(&payload));
                         self.service_conn(id);
                     }
                     Next::Nothing => {}

@@ -62,9 +62,11 @@
 //!    inline — a pipelining client or a crowd of small requesters
 //!    overflows to the workers instead of starving the loop.
 //!
-//! Everything else becomes a job, exactly as before; the admission
-//! chain in front (token bucket → fault `busy` draw → load shedding →
-//! trace decision) runs first and identically either way.
+//! Everything else becomes a job, exactly as before. In front of both,
+//! the loop runs one admission step over one table keyed by request
+//! kind (`crate::event_loop`: request bucket → mutation bucket →
+//! forced `BUSY` → load shedding) and then the trace decision,
+//! identically either way.
 //!
 //! **Batching.** A `SAMPLE` holds one [`SamplerHandle`] for its whole
 //! lifetime — the engine/handle acquisition is paid once per request,
@@ -103,7 +105,8 @@ use std::time::{Duration, Instant};
 
 use srj_core::{IndexBytes, SampleConfig};
 use srj_engine::{
-    DatasetStore, EngineStats, EpochConfig, EpochEngine, RowGranularity, SamplerHandle,
+    DatasetStore, EngineStats, EpochConfig, EpochEngine, MaintenanceSnapshot, RowGranularity,
+    SamplerHandle,
 };
 use srj_geom::Point;
 use srj_net::{Interest, Poller, Waker};
@@ -115,14 +118,10 @@ use crate::event_loop::{EventLoop, LoopNotify};
 use crate::exec::Acquire;
 use crate::fault::FaultPlan;
 use crate::protocol::{
-    EpochInfo, RequestStatus, SampleRequest, ServerStatsFrame, Side, UpdateStats, MAX_FRAME_LEN,
+    EpochInfo, Request, RequestStatus, SampleRequest, ServerStatsFrame, Side, UpdateStats,
+    MAX_FRAME_LEN,
 };
 use crate::worker::{worker_loop, ConnShared, JobQueue};
-
-/// `retry_after_ms` suggested on load-shed `BUSY` answers: long enough
-/// for a worker step to drain queue headroom, short enough that a
-/// shed client re-offers while the burst is still being absorbed.
-pub(crate) const SHED_RETRY_MS: u32 = 50;
 
 /// Fault-schedule roles: the decode (reader) and flush (writer) sides
 /// of one connection draw from independent deterministic streams —
@@ -263,8 +262,9 @@ pub const SLOW_AUTO_MIN_REQUESTS: u64 = 32;
 pub(crate) const SLOWLOG_MAX_ENTRIES: usize = 32;
 pub(crate) const SLOWLOG_MAX_SPANS: usize = 512;
 
-/// Zero means "no deadline" throughout the config; the event loop
-/// arms a timer-wheel entry only for `Some` deadlines.
+/// Zero means "no deadline" throughout the server and client configs;
+/// the event loop arms a timer-wheel entry only for `Some` deadlines,
+/// and the std socket setters reject `Some(ZERO)`.
 pub(crate) fn timeout_opt(d: Duration) -> Option<Duration> {
     (!d.is_zero()).then_some(d)
 }
@@ -282,9 +282,12 @@ struct EngineKey {
 /// shape. Updates mutate the store; every engine of the dataset
 /// refreshes lazily on its next handle acquisition — a mutated dataset
 /// is never answered from a stale index.
-struct ServedDataset {
+pub(crate) struct ServedDataset {
     store: Arc<DatasetStore>,
     engines: Mutex<Vec<(EngineKey, Arc<EpochEngine>)>>,
+    /// The swap and buffer counts of the engines the map evicted, so the
+    /// dataset's totals never lose an engine's share.
+    retired: Mutex<SwapTotals>,
 }
 
 impl ServedDataset {
@@ -292,6 +295,50 @@ impl ServedDataset {
         ServedDataset {
             store,
             engines: Mutex::new(Vec::new()),
+            retired: Mutex::new(SwapTotals::default()),
+        }
+    }
+
+    /// Applies an `INSERT` or `DELETE` to the store as one atomic batch,
+    /// so the answered `first_id..first_id+applied` range and epoch are
+    /// consistent even while other connections mutate (or a refresh
+    /// compacts) concurrently. O(|batch|); the serving engines fold the
+    /// delta in on their next handle acquisition. A delete skips unknown
+    /// or already-tombstoned ids (not counted in `applied`), so deletes
+    /// are idempotent over the wire.
+    pub(crate) fn apply(&self, mutation: &Request) -> UpdateStats {
+        let store = &self.store;
+        let applied = match mutation {
+            Request::Insert {
+                side: Side::R,
+                points,
+                ..
+            } => store.insert_r_batch(points),
+            Request::Insert { points, .. } => store.insert_s_batch(points),
+            Request::Delete {
+                side: Side::R, ids, ..
+            } => store.delete_r_batch(ids),
+            Request::Delete { ids, .. } => store.delete_s_batch(ids),
+            _ => unreachable!("only INSERT and DELETE mutate a store"),
+        };
+        UpdateStats {
+            first_id: applied.first_id,
+            applied: applied.applied,
+            epoch: applied.epoch,
+            version: applied.version,
+        }
+    }
+
+    /// The `EPOCH` answer: the store's counters and the latest swap.
+    pub(crate) fn epoch_info(&self) -> EpochInfo {
+        let store = &self.store;
+        EpochInfo {
+            epoch: store.epoch(),
+            version: store.version(),
+            live_r: store.live_r_len() as u64,
+            live_s: store.live_s_len() as u64,
+            pending_ops: store.pending_ops() as u64,
+            last_swap_ns: self.maintenance_stats(false).last_swap_ns,
         }
     }
 
@@ -330,7 +377,12 @@ impl ServedDataset {
     /// the second engine does so outside it: an index is hundreds of
     /// allocations to free (tens of ms on a large dataset), and the event
     /// loop takes this lock on every request it considers serving itself
-    /// ([`ServedDataset::cached_engine`]).
+    /// ([`ServedDataset::cached_engine`]). An evicted engine's counters
+    /// join the retired totals outside it too, but under the retired
+    /// lock taken before the map lock is let go — a scrape takes the two
+    /// in the same order, so it sees the engine in the map or in the
+    /// totals, never in neither. (A twin built beside the cached engine
+    /// never served: it has nothing to retire.)
     fn admit(
         &self,
         key: EngineKey,
@@ -343,6 +395,11 @@ impl ServedDataset {
         }
         let evicted = (engines.len() >= capacity.max(1)).then(|| engines.remove(0).1);
         engines.push((key, Arc::clone(&engine)));
+        if let Some(evicted) = &evicted {
+            let mut retired = self.retired.lock().expect("retired totals poisoned");
+            drop(engines);
+            retired.add(&evicted.maintenance_snapshot());
+        }
         (engine, evicted)
     }
 
@@ -377,6 +434,7 @@ impl ServedDataset {
         let engines = self.engines.lock().expect("engine map poisoned");
         let mut out = MaintenanceStats {
             engines: engines.len(),
+            totals: *self.retired.lock().expect("retired totals poisoned"),
             ..MaintenanceStats::default()
         };
         let mut sets_seen = Vec::new();
@@ -394,40 +452,49 @@ impl ServedDataset {
                 }
             }
             let s = e.maintenance_snapshot();
-            out.minor_swaps += s.minor_swaps;
-            out.major_swaps += s.major_swaps;
-            out.patch_swaps += s.patch_swaps;
-            out.cells_patched += s.cells_patched;
+            out.totals.add(&s);
             out.last_swap_ns = out.last_swap_ns.max(s.last_swap_ns);
             out.mu_total += s.mu_total;
             out.epoch = out.epoch.max(s.epoch);
-            out.buffer_hits += s.buffer_hits;
-            out.buffer_refills += s.buffer_refills;
-            out.buffer_invalidations += s.buffer_invalidations;
-            let snap = e.stats();
-            out.samples += snap.samples;
-            out.iterations += snap.iterations;
         }
         out
     }
 }
 
-/// Aggregated per-dataset maintenance/rejection counters, summed over
-/// the dataset's serving engines at scrape time.
-#[derive(Default)]
-struct MaintenanceStats {
+/// The monotone part of a dataset's maintenance history — swap and
+/// buffer counts — summed over engines.
+#[derive(Clone, Copy, Default)]
+struct SwapTotals {
     minor_swaps: u64,
     major_swaps: u64,
     patch_swaps: u64,
     cells_patched: u64,
-    /// Longest most-recent swap across the engines.
-    last_swap_ns: u64,
-    mu_total: f64,
-    samples: u64,
-    iterations: u64,
     buffer_hits: u64,
     buffer_refills: u64,
     buffer_invalidations: u64,
+}
+
+impl SwapTotals {
+    fn add(&mut self, s: &MaintenanceSnapshot) {
+        self.minor_swaps += s.minor_swaps;
+        self.major_swaps += s.major_swaps;
+        self.patch_swaps += s.patch_swaps;
+        self.cells_patched += s.cells_patched;
+        self.buffer_hits += s.buffer_hits;
+        self.buffer_refills += s.buffer_refills;
+        self.buffer_invalidations += s.buffer_invalidations;
+    }
+}
+
+/// Aggregated per-dataset maintenance counters at scrape time: the
+/// cached engines' and the evicted engines' totals, and the cached
+/// engines' current state.
+#[derive(Default)]
+struct MaintenanceStats {
+    totals: SwapTotals,
+    /// Longest most-recent swap across the engines.
+    last_swap_ns: u64,
+    mu_total: f64,
     /// Serving epoch (max across engines), consistent with `mu_total`.
     epoch: u64,
     /// How many engines were aggregated (0 ⇒ fall back to the store's
@@ -448,7 +515,7 @@ struct MaintenanceStats {
 /// machinery keeps every serving engine consistent with the store.
 #[derive(Default)]
 pub struct DatasetRegistry {
-    map: HashMap<u64, Arc<ServedDataset>>,
+    map: HashMap<u64, ServedDataset>,
 }
 
 impl DatasetRegistry {
@@ -467,7 +534,7 @@ impl DatasetRegistry {
     /// in-process [`EpochEngine`]s, so local and remote mutations see
     /// one epoch history.
     pub fn register_store(&mut self, id: u64, store: Arc<DatasetStore>) -> &mut Self {
-        self.map.insert(id, Arc::new(ServedDataset::new(store)));
+        self.map.insert(id, ServedDataset::new(store));
         self
     }
 
@@ -484,45 +551,6 @@ impl DatasetRegistry {
     /// Whether nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-}
-
-// ---- per-connection rate limiting -----------------------------------------
-
-/// A token bucket: `rate` tokens/second, burst capacity of one
-/// second's budget, starting full.
-pub(crate) struct TokenBucket {
-    rate: f64,
-    burst: f64,
-    tokens: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    /// `None` when `rps` is zero (unlimited).
-    pub(crate) fn new(rps: u32) -> Option<TokenBucket> {
-        (rps > 0).then(|| TokenBucket {
-            rate: f64::from(rps),
-            burst: f64::from(rps),
-            tokens: f64::from(rps),
-            last: Instant::now(),
-        })
-    }
-
-    /// `None` = admitted (one token consumed); `Some(ms)` = declined,
-    /// with the time until a token accrues — the `retry_after_ms` for
-    /// the `BUSY` answer.
-    pub(crate) fn admit(&mut self) -> Option<u32> {
-        let now = Instant::now();
-        let dt = now.duration_since(self.last).as_secs_f64();
-        self.tokens = (self.tokens + dt * self.rate).min(self.burst);
-        self.last = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            return None;
-        }
-        let ms = ((1.0 - self.tokens) / self.rate * 1000.0).ceil().max(1.0);
-        Some(ms.min(f64::from(u32::MAX)) as u32)
     }
 }
 
@@ -544,9 +572,11 @@ struct DatasetMetrics {
     errors: Counter,
     /// `srj_request_latency_ns` — per-request wall time (hot path).
     latency: Histogram,
-    /// `srj_rejection_iterations_total` — engine mirror at scrape.
+    /// `srj_rejection_iterations_total` — rejection-loop iterations of
+    /// finished requests (hot path).
     rejection_iterations: Counter,
-    /// `srj_rejection_rate` — iterations/samples at scrape.
+    /// `srj_rejection_rate` — the two counters' iterations/samples at
+    /// scrape.
     rejection_rate: Gauge,
     /// `srj_mu_total` — Σµ across serving engines at scrape.
     mu_total: Gauge,
@@ -699,7 +729,7 @@ struct HealthState {
 
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
-    registry: HashMap<u64, Arc<ServedDataset>>,
+    registry: HashMap<u64, ServedDataset>,
     /// Serving-engine lookup hits/misses (a miss pays an index build).
     engine_hits: AtomicU64,
     engine_misses: AtomicU64,
@@ -786,8 +816,8 @@ impl Shared {
         for d in self.registry.values() {
             let agg = d.maintenance_stats(false);
             frame.engines_cached += agg.engines as u64;
-            frame.patch_swaps += agg.patch_swaps;
-            frame.cells_patched += agg.cells_patched;
+            frame.patch_swaps += agg.totals.patch_swaps;
+            frame.cells_patched += agg.totals.cells_patched;
             frame.last_swap_ns = frame.last_swap_ns.max(agg.last_swap_ns);
             frame.mu_total += agg.mu_total;
         }
@@ -801,12 +831,13 @@ impl Shared {
         self.metrics.render()
     }
 
-    /// Mirrors the engine-internal counters (maintenance rungs,
-    /// rejection rate, Σµ, epochs, connection counters, profiler
-    /// state samples) into the registry so a render — or a time-series
-    /// snapshot — observes current values. The hot-path metrics
-    /// (requests, samples, errors, latency) are already current — they
-    /// are recorded directly at request completion.
+    /// Mirrors the engine-internal counters (maintenance rungs, Σµ,
+    /// epochs, connection counters, profiler state samples) into the
+    /// registry and derives the rejection rate, so a render — or a
+    /// time-series snapshot — observes current values. The hot-path
+    /// metrics (requests, samples, iterations, errors, latency) are
+    /// already current — they are recorded directly at request
+    /// completion.
     fn mirror_metrics(&self) {
         let sm = &self.server_metrics;
         let counts = self.profiler.counts();
@@ -825,19 +856,20 @@ impl Shared {
                 continue;
             };
             let agg = served.maintenance_stats(true);
-            m.rungs[0].store(agg.minor_swaps);
-            m.rungs[1].store(agg.patch_swaps);
+            let totals = agg.totals;
+            m.rungs[0].store(totals.minor_swaps);
+            m.rungs[1].store(totals.patch_swaps);
             // Major swaps split into patch swaps and full rebuilds.
-            m.rungs[2].store(agg.major_swaps.saturating_sub(agg.patch_swaps));
-            m.cells_patched.store(agg.cells_patched);
-            m.buffer_hits.store(agg.buffer_hits);
-            m.buffer_refills.store(agg.buffer_refills);
-            m.buffer_invalidations.store(agg.buffer_invalidations);
-            m.rejection_iterations.store(agg.iterations);
-            m.rejection_rate.set(if agg.samples == 0 {
+            m.rungs[2].store(totals.major_swaps.saturating_sub(totals.patch_swaps));
+            m.cells_patched.store(totals.cells_patched);
+            m.buffer_hits.store(totals.buffer_hits);
+            m.buffer_refills.store(totals.buffer_refills);
+            m.buffer_invalidations.store(totals.buffer_invalidations);
+            let (iterations, samples) = (m.rejection_iterations.get(), m.samples.get());
+            m.rejection_rate.set(if samples == 0 {
                 0.0
             } else {
-                agg.iterations as f64 / agg.samples as f64
+                iterations as f64 / samples as f64
             });
             m.mu_total.set(agg.mu_total);
             for (gauge, (_, bytes)) in m.index_bytes.iter().zip(agg.index_bytes.parts()) {
@@ -878,7 +910,7 @@ impl Shared {
         how: Acquire,
     ) -> Result<Option<SamplerHandle>, RequestStatus> {
         let config = &self.config;
-        let served = self.registry.get(&req.dataset);
+        let served = self.dataset(req.dataset);
         let shards = (req.shards.max(1) as usize).min(srj_core::parallel::MAX_THREADS);
         let key = EngineKey {
             l_bits: req.l.to_bits(),
@@ -887,7 +919,7 @@ impl Shared {
         };
         match how {
             Acquire::Blocking => {
-                let served = served.ok_or(RequestStatus::UnknownDataset)?;
+                let served = served?;
                 let build = || {
                     let sample_cfg =
                         SampleConfig::new(req.l).with_build_threads(config.build_threads);
@@ -921,7 +953,7 @@ impl Shared {
                 if frames > config.queue_frames as u64 {
                     return Ok(None);
                 }
-                let Some(engine) = served.and_then(|served| served.cached_engine(key)) else {
+                let Some(engine) = served.ok().and_then(|served| served.cached_engine(key)) else {
                     return Ok(None);
                 };
                 let affordable = engine
@@ -967,6 +999,7 @@ impl Shared {
         if let Some(m) = self.dataset_metrics.get(&dataset) {
             m.requests.inc();
             m.samples.add(samples);
+            m.rejection_iterations.add(iterations);
             if !ok {
                 m.errors.inc();
             }
@@ -974,9 +1007,15 @@ impl Shared {
         }
     }
 
+    /// The registered dataset `id`, or the status refusing a request
+    /// for an unknown one.
+    pub(crate) fn dataset(&self, id: u64) -> Result<&ServedDataset, RequestStatus> {
+        self.registry.get(&id).ok_or(RequestStatus::UnknownDataset)
+    }
+
     /// The store epoch of `dataset` (0 when unknown) — slow-log context.
     pub(crate) fn dataset_epoch(&self, dataset: u64) -> u64 {
-        self.registry.get(&dataset).map_or(0, |d| d.store.epoch())
+        self.dataset(dataset).map_or(0, |d| d.store.epoch())
     }
 
     /// The latency threshold slow-request capture compares against
@@ -1365,75 +1404,6 @@ fn maintainer_loop(shared: &Shared, mut poller: Poller, http: Option<TcpListener
             }
         }
     }
-}
-
-/// Applies an `INSERT` to the dataset's store — one atomic batch, so
-/// the answered `first_id..first_id+applied` range and epoch are
-/// consistent even while other connections mutate (or a refresh
-/// compacts) concurrently. O(|points|); the serving engines fold the
-/// new delta in on their next handle acquisition.
-pub(crate) fn apply_insert(
-    shared: &Arc<Shared>,
-    dataset: u64,
-    side: Side,
-    points: &[Point],
-) -> Result<UpdateStats, RequestStatus> {
-    let served = shared
-        .registry
-        .get(&dataset)
-        .ok_or(RequestStatus::UnknownDataset)?;
-    let applied = match side {
-        Side::R => served.store.insert_r_batch(points),
-        Side::S => served.store.insert_s_batch(points),
-    };
-    Ok(UpdateStats {
-        first_id: applied.first_id,
-        applied: applied.applied,
-        epoch: applied.epoch,
-        version: applied.version,
-    })
-}
-
-/// Applies a `DELETE` as one atomic batch; unknown or
-/// already-tombstoned ids are skipped (not counted in `applied`), so
-/// deletes are idempotent over the wire.
-pub(crate) fn apply_delete(
-    shared: &Arc<Shared>,
-    dataset: u64,
-    side: Side,
-    ids: &[u32],
-) -> Result<UpdateStats, RequestStatus> {
-    let served = shared
-        .registry
-        .get(&dataset)
-        .ok_or(RequestStatus::UnknownDataset)?;
-    let applied = match side {
-        Side::R => served.store.delete_r_batch(ids),
-        Side::S => served.store.delete_s_batch(ids),
-    };
-    Ok(UpdateStats {
-        first_id: 0,
-        applied: applied.applied,
-        epoch: applied.epoch,
-        version: applied.version,
-    })
-}
-
-/// Answers an `EPOCH` query from the store's counters.
-pub(crate) fn epoch_info(shared: &Arc<Shared>, dataset: u64) -> Result<EpochInfo, RequestStatus> {
-    let served = shared
-        .registry
-        .get(&dataset)
-        .ok_or(RequestStatus::UnknownDataset)?;
-    let store = &served.store;
-    Ok(EpochInfo {
-        epoch: store.epoch(),
-        version: store.version(),
-        live_r: store.live_r_len() as u64,
-        live_s: store.live_s_len() as u64,
-        pending_ops: store.pending_ops() as u64,
-        last_swap_ns: served.maintenance_stats(false).last_swap_ns,
-    })
 }
 
 #[cfg(test)]

@@ -349,26 +349,9 @@ impl JobQueue {
     }
 
     /// Queue depth right now — the load-shed signal.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.jobs.lock().expect("job queue poisoned").len()
     }
-}
-
-// ---- admission -----------------------------------------------------------
-
-/// Whether a new `SAMPLE` should be declined with `BUSY` instead of
-/// served: the global queue is past the high-water mark, or this
-/// connection already has a request parked on a full response queue
-/// (more concurrent streams cannot help a client that isn't reading).
-pub(crate) fn should_shed(shared: &Shared, conn: &ConnShared) -> bool {
-    let hw = shared.config.shed_high_water;
-    if hw == 0 {
-        return false;
-    }
-    if !conn.parked.lock().expect("parked list poisoned").is_empty() {
-        return true;
-    }
-    shared.queue.len() >= hw
 }
 
 /// Enqueues a job; when shutdown has already closed the queue, answers

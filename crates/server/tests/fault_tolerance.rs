@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use srj_geom::Rect;
 use srj_obs::journal::{journal, EventKind};
 use srj_server::protocol::{
-    decode_response, encode_request, read_frame, ErrorCode, Request, Response, SampleRequest,
-    PROTOCOL_VERSION,
+    decode_response, encode_request, read_frame, ErrorCode, ProtocolError, Request, Response,
+    SampleRequest, PROTOCOL_VERSION,
 };
 use srj_server::{
     Client, ClientConfig, ClientError, DatasetRegistry, FaultPlan, RequestStatus, Server,
@@ -323,6 +323,258 @@ fn token_bucket_rate_limits_with_retry_hint() {
         "srj_rate_limited not incremented:\n{metrics}"
     );
     server.shutdown();
+}
+
+/// A raw connection past its handshake, with a read deadline so a
+/// missing answer fails the test instead of hanging it.
+fn raw_connect(server: &Server) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+        features: 0,
+    };
+    match raw_exchange(&mut stream, &hello) {
+        Response::Welcome { .. } => stream,
+        other => panic!("expected WELCOME, got {other:?}"),
+    }
+}
+
+/// Writes `reqs` in one `write`, so the server admits them back to back
+/// (far inside a token's refill time), and reads one answer per request.
+fn raw_burst(stream: &mut TcpStream, reqs: &[Request]) -> Vec<Response> {
+    let burst: Vec<u8> = reqs.iter().flat_map(encode_request).collect();
+    stream.write_all(&burst).unwrap();
+    reqs.iter()
+        .map(|_| {
+            let payload = read_frame(stream).unwrap().expect("peer closed early");
+            decode_response(&payload).unwrap()
+        })
+        .collect()
+}
+
+/// The admission table, pinned per request kind on a raw connection:
+/// which kinds a spent request bucket, a spent mutation bucket and a
+/// forced-`BUSY` fault decline, which id each `BUSY` echoes, and which
+/// kinds are exempt.
+#[test]
+fn admission_answers_each_request_kind_by_its_table_row() {
+    let _serial = serial();
+    const DATASET: u64 = 8;
+    let sample = |req_id| {
+        Request::Sample(SampleRequest {
+            req_id,
+            dataset: DATASET,
+            l: 5.0,
+            algorithm: None,
+            shards: 1,
+            t: 10,
+            seed: 1,
+        })
+    };
+    let insert = |req_id| Request::Insert {
+        req_id,
+        dataset: DATASET,
+        side: Side::S,
+        points: pseudo_points(4, 21, 50.0),
+    };
+    let delete = |req_id| Request::Delete {
+        req_id,
+        dataset: DATASET,
+        side: Side::S,
+        ids: vec![0, 1],
+    };
+    let epoch = |req_id| Request::Epoch {
+        req_id,
+        dataset: DATASET,
+    };
+    let start = |config| Server::start("127.0.0.1:0", registry_with(DATASET, 100), config).unwrap();
+
+    // A spent request bucket: HELLO and PING pass, every other request
+    // is declined, with its own id or 0 for the four id-less reads. The
+    // burst's eleven answers fit a 16-frame out-queue, so decoding never
+    // pauses inside it.
+    let mut server = start(ServerConfig {
+        rate_limit_rps: 1,
+        queue_frames: 16,
+        ..ServerConfig::default()
+    });
+    let mut stream = raw_connect(&server);
+    let answers = raw_burst(
+        &mut stream,
+        &[
+            Request::Stats, // spends the one token
+            Request::Ping { token: 9 },
+            Request::Hello {
+                version: PROTOCOL_VERSION,
+                features: 0,
+            },
+            Request::Stats,
+            Request::Metrics,
+            Request::Trace { trace_id: 1 },
+            Request::SlowLog { max: 4 },
+            epoch(11),
+            insert(12),
+            delete(13),
+            sample(14),
+        ],
+    );
+    assert!(
+        matches!(answers[0], Response::ServerStats(_)),
+        "{answers:?}"
+    );
+    assert_eq!(answers[1], Response::Pong { token: 9 });
+    assert!(
+        matches!(answers[2], Response::Welcome { .. }),
+        "{answers:?}"
+    );
+    let busy_ids: Vec<u32> = answers[3..]
+        .iter()
+        .map(|a| match a {
+            Response::Busy {
+                req_id,
+                retry_after_ms,
+            } if *retry_after_ms > 0 => *req_id,
+            other => panic!("expected BUSY, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(busy_ids, [0, 0, 0, 0, 11, 12, 13, 14]);
+    assert_eq!(
+        metric_value(&server.metrics_text(), "srj_rate_limited"),
+        8.0
+    );
+    server.shutdown();
+
+    // A spent mutation bucket declines the second mutation only.
+    let mut server = start(ServerConfig {
+        mutation_rate_limit_rps: 1,
+        ..ServerConfig::default()
+    });
+    let mut stream = raw_connect(&server);
+    let answers = raw_burst(
+        &mut stream,
+        &[insert(1), delete(2), Request::Stats, epoch(3)],
+    );
+    assert!(
+        matches!(
+            answers[0],
+            Response::Update {
+                req_id: 1,
+                status: RequestStatus::Ok,
+                ..
+            }
+        ),
+        "{answers:?}"
+    );
+    assert!(
+        matches!(answers[1], Response::Busy { req_id: 2, retry_after_ms } if retry_after_ms > 0),
+        "{answers:?}"
+    );
+    assert!(
+        matches!(answers[2], Response::ServerStats(_)),
+        "{answers:?}"
+    );
+    assert!(
+        matches!(
+            answers[3],
+            Response::Epoch {
+                req_id: 3,
+                status: RequestStatus::Ok,
+                ..
+            }
+        ),
+        "{answers:?}"
+    );
+    stream.write_all(&encode_request(&sample(4))).unwrap();
+    loop {
+        let payload = read_frame(&mut stream).unwrap().expect("peer closed early");
+        match decode_response(&payload).unwrap() {
+            Response::Batch { req_id: 4, .. } => {}
+            Response::Done {
+                req_id: 4, status, ..
+            } => {
+                assert_eq!(status, RequestStatus::Ok);
+                break;
+            }
+            other => panic!("expected the SAMPLE's answer, got {other:?}"),
+        }
+    }
+    server.shutdown();
+
+    // A certain forced BUSY declines SAMPLE, INSERT and DELETE with the
+    // plan's hint; the reads it does not draw for pass.
+    let mut server = start(ServerConfig {
+        fault_plan: FaultPlan {
+            seed: 1,
+            busy_prob: 1.0,
+            busy_retry_after_ms: 7,
+            ..FaultPlan::inert()
+        },
+        ..ServerConfig::default()
+    });
+    let mut stream = raw_connect(&server);
+    let answers = raw_burst(
+        &mut stream,
+        &[
+            sample(21),
+            insert(22),
+            delete(23),
+            Request::Stats,
+            epoch(24),
+        ],
+    );
+    for (answer, req_id) in answers.iter().zip([21, 22, 23]) {
+        assert_eq!(
+            *answer,
+            Response::Busy {
+                req_id,
+                retry_after_ms: 7
+            }
+        );
+    }
+    assert!(
+        matches!(answers[3], Response::ServerStats(_)),
+        "{answers:?}"
+    );
+    assert!(
+        matches!(
+            answers[4],
+            Response::Epoch {
+                req_id: 24,
+                status: RequestStatus::Ok,
+                ..
+            }
+        ),
+        "{answers:?}"
+    );
+    server.shutdown();
+
+    // SHUTDOWN is exempt: an empty bucket still stops the server, which
+    // closes the connection.
+    let server = start(ServerConfig {
+        rate_limit_rps: 1,
+        ..ServerConfig::default()
+    });
+    let mut stream = raw_connect(&server);
+    assert!(matches!(
+        raw_exchange(&mut stream, &Request::Stats),
+        Response::ServerStats(_)
+    ));
+    stream
+        .write_all(&encode_request(&Request::Shutdown))
+        .unwrap();
+    match read_frame(&mut stream) {
+        Ok(None) => {}
+        Err(ProtocolError::Io(e))
+            if !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("expected the server to close the connection, got {other:?}"),
+    }
+    server.wait_shutdown();
 }
 
 #[test]

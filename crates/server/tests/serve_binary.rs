@@ -116,13 +116,15 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
 
 /// A scale of zero, a non-number or a dataset beyond `u32` point ids is
 /// a usage error (exit code 2), not a panic or an allocation abort — and
-/// so is a retired flag: refused, never silently ignored.
+/// so is a retired flag, refused and never silently ignored, and a value
+/// below a flag's minimum (an engine cache or a response queue of 0).
 #[test]
 fn unusable_dataset_scales_are_usage_errors() {
     let scales =
         ["0", "-1", "nan", "inf", "1e9"].map(|s| ["--dataset".into(), format!("1=uniform:{s}")]);
     let retired = ["--repair-factor", "--replan-factor"].map(|f| [f.into(), "2".into()]);
-    for args in scales.iter().chain(&retired) {
+    let below_minimum = ["--cache", "--queue-frames"].map(|f| [f.into(), "0".into()]);
+    for args in scales.iter().chain(&retired).chain(&below_minimum) {
         let out = Command::new(SERVE)
             .args(["--addr", "127.0.0.1:0"])
             .args(args)

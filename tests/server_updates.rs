@@ -241,6 +241,94 @@ fn delete_only_batches_patch_cells_and_shrink_mu_over_tcp() {
     server.shutdown();
 }
 
+/// Every exported `_total` series of a dataset only grows, across
+/// engine evictions and swaps: with room for one engine, two window
+/// sizes evict each other every round, and each round's second `SAMPLE`
+/// folds an insert in with a swap. At the end the exported iteration
+/// and sample counters are the ones `STATS` reports.
+#[test]
+fn dataset_totals_never_decrease_across_evictions_and_swaps() {
+    let mut registry = DatasetRegistry::new();
+    registry.register(
+        1,
+        pseudo_points(400, 31, 100.0),
+        pseudo_points(400, 32, 100.0),
+    );
+    let config = ServerConfig {
+        cache_capacity: 1,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // The dataset's counter series (`srj_mu_total` is a gauge).
+    let totals = |client: &mut Client| -> Vec<(String, f64)> {
+        let text = client.metrics().unwrap();
+        let counters: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE ")?.strip_suffix(" counter"))
+            .collect();
+        text.lines()
+            .filter(|line| {
+                line.split_once("{dataset=\"1\"")
+                    .is_some_and(|(name, _)| name.ends_with("_total") && counters.contains(&name))
+            })
+            .map(|line| {
+                let (series, value) = line.rsplit_once(' ').expect("a value");
+                (series.to_string(), value.parse().expect("a number"))
+            })
+            .collect()
+    };
+
+    let mut last = totals(&mut client);
+    let inserts = pseudo_points(64, 33, 100.0);
+    for (round, points) in inserts.chunks(16).enumerate() {
+        let l = [5.0, 8.0][round % 2];
+        for (step, points) in points.chunks(8).enumerate() {
+            let ins = client.insert(1, Side::S, points).unwrap();
+            assert_eq!(ins.status, RequestStatus::Ok);
+            let seed = (2 * round + step) as u64 + 1;
+            let outcome = client.sample(request(1, l, 500, seed)).unwrap();
+            assert_eq!(outcome.status, RequestStatus::Ok);
+            let now = totals(&mut client);
+            for (series, value) in &now {
+                let before = last
+                    .iter()
+                    .find(|(s, _)| s == series)
+                    .map_or(0.0, |(_, v)| *v);
+                assert!(
+                    *value >= before,
+                    "{series} went {before} -> {value} (round {round}, step {step})"
+                );
+            }
+            last = now;
+        }
+    }
+
+    let stats = client.server_stats().unwrap();
+    let series = |name: &str| -> f64 {
+        last.iter()
+            .find(|(s, _)| s == name)
+            .unwrap_or_else(|| panic!("no {name} in {last:?}"))
+            .1
+    };
+    assert!(stats.cache_misses >= 4, "every round evicts: {stats:?}");
+    assert!(
+        series("srj_maintenance_total{dataset=\"1\",rung=\"minor_swap\"}")
+            + series("srj_maintenance_total{dataset=\"1\",rung=\"full_rebuild\"}")
+            > 0.0,
+        "no insert was folded in by a swap: {last:?}"
+    );
+    assert_eq!(
+        series("srj_rejection_iterations_total{dataset=\"1\"}"),
+        stats.iterations as f64
+    );
+    assert_eq!(
+        series("srj_samples_total{dataset=\"1\"}"),
+        stats.samples as f64
+    );
+    server.shutdown();
+}
+
 /// Unknown datasets answer clean error frames for every update opcode;
 /// the connection stays usable.
 #[test]
