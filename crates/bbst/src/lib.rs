@@ -33,7 +33,7 @@
 //! ([`MassMode::Virtual`]). A matched bucket with fewer than `log m`
 //! points would break per-point uniformity when sampling, so the sampler
 //! draws a *virtual slot* and treats out-of-range slots as rejections —
-//! per-point probability stays exactly `1/µ` (DESIGN.md §2.2). As an
+//! per-point probability stays exactly `1/µ` (the paper's §IV). As an
 //! extension this crate also offers [`MassMode::Exact`], which stores
 //! per-node prefix sums of true bucket sizes for a strictly tighter upper
 //! bound at identical asymptotic cost (benchmarked as an ablation).

@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for two design choices of the paper's BBST (§IV;
+//! README "The samplers"):
 //!
 //! 1. case-3 mass mode — the paper's virtual bucket mass vs the tighter
 //!    exact-mass extension (sampling throughput),

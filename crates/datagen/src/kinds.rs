@@ -3,7 +3,7 @@ use rand::{Rng, SeedableRng};
 use srj_geom::{normalize_to_domain, Point, DEFAULT_DOMAIN};
 
 /// Which synthetic dataset family to generate (stand-ins for the paper's
-/// four real datasets; see the crate docs and DESIGN.md §4).
+/// four real datasets of the paper's §V-A; see the crate docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum DatasetKind {
     /// Uniform noise over the domain (not in the paper; useful baseline

@@ -5,7 +5,7 @@
 //! documented stand-in that preserves the spatial character the
 //! algorithms are sensitive to — grid-cell occupancy skew, cluster
 //! structure, and local density — on the same normalised
-//! `[0, 10000]²` domain (§V-A). See DESIGN.md §4 for the substitution
+//! `[0, 10000]²` domain (§V-A). The table gives the substitution
 //! rationale per dataset.
 //!
 //! | Paper dataset | Stand-in | Character preserved |

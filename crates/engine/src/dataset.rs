@@ -64,6 +64,10 @@ pub struct DatasetSnapshot {
 pub struct SPatchDelta {
     /// The base `S` allocation the folded delta was relative to.
     pub prev_base_s: Arc<PointSet>,
+    /// That base's dead ids before the fold. A sibling's delete-only
+    /// patch keeps the allocation and grows this set, so the two
+    /// together are the identity a patch must start from.
+    pub prev_s_dead: Arc<HashSet<PointId>>,
     /// `S` points appended by the compaction (ids continue from
     /// `prev_base_s.len()`, matching the delta's insert numbering).
     pub inserted: Vec<Point>,
@@ -525,9 +529,11 @@ impl DatasetStore {
         let t0 = Instant::now();
         let mut inner = self.write();
         let prev_base_s = Arc::clone(&inner.base_s);
+        let prev_s_dead = Arc::clone(&inner.s_dead);
         if inner.delta.is_empty() {
             let patch = SPatchDelta {
                 prev_base_s,
+                prev_s_dead,
                 inserted: Vec::new(),
                 deleted: HashSet::new(),
             };
@@ -553,6 +559,7 @@ impl DatasetStore {
         inner.version += 1;
         let patch = SPatchDelta {
             prev_base_s,
+            prev_s_dead,
             inserted: s_inserted,
             // The cell patch takes std's default-hashed set.
             deleted: s_deleted.into_iter().collect(),

@@ -15,7 +15,7 @@ use srj_grid::{IntoPointSet, PointSet};
 
 use crate::family::{self, EngineIndex, RowGranularity, ServingCursor};
 use crate::planner::PlanReport;
-use crate::stats::{EngineStats, StatsSnapshot};
+use crate::stats::{EngineStats, MaintenanceCounters, StatsSnapshot};
 
 /// Which of the paper's samplers an [`Engine`] serves with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -46,6 +46,10 @@ struct EngineShared {
     /// [`crate::family`]).
     index: Box<dyn EngineIndex>,
     stats: EngineStats,
+    /// The counters of the epoch cell that committed this engine (fresh
+    /// for a standalone build), shared with every engine derived from
+    /// it: handles add their buffer counts here.
+    counters: MaintenanceCounters,
     plan: Option<PlanReport>,
     /// Whether handles should serve batches through the buffered draw
     /// fast path (pre-drawn per-cell sample buffers). Handles re-check
@@ -125,8 +129,8 @@ impl Engine {
         algorithm: Algorithm,
         shards: usize,
     ) -> Engine {
-        let (index, _) = family::build(r, s.into_point_set(), config, shards, Some(algorithm));
-        Engine::from_index(index, None, true)
+        let (index, plan) = family::build(r, s.into_point_set(), config, shards, Some(algorithm));
+        Engine::from_index(index, plan, true, MaintenanceCounters::default())
     }
 
     /// Lets the planner pick the algorithm from a cheap `O(n + m)`
@@ -153,7 +157,7 @@ impl Engine {
         shards: usize,
     ) -> Engine {
         let (index, plan) = family::build(r, s.into_point_set(), config, shards, None);
-        Engine::from_index(index, plan, true)
+        Engine::from_index(index, plan, true, MaintenanceCounters::default())
     }
 
     /// Wraps this engine's index in a delta [`srj_core::OverlayIndex`], producing
@@ -185,7 +189,7 @@ impl Engine {
         config: &SampleConfig,
     ) -> Engine {
         let index = self.shared.index.with_overlay(delta, support, config);
-        Engine::from_index(index, self.shared.plan, self.buffers_enabled())
+        self.derive(index, self.shared.plan)
     }
 
     /// Rebuilds this engine over a new `R` while **reusing** its
@@ -201,7 +205,7 @@ impl Engine {
     pub fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Engine> {
         let index = self.shared.index.rebuild_r_only(r, config)?;
         // The old plan described the pre-mutation workload.
-        Some(Engine::from_index(index, None, self.buffers_enabled()))
+        Some(self.derive(index, None))
     }
 
     /// Rebuilds this engine over a new `R` while **patching** its
@@ -227,26 +231,38 @@ impl Engine {
             .shared
             .index
             .rebuild_with_s_patch(r, config, inserted_s, deleted_s)?;
-        Some((
-            Engine::from_index(index, None, self.buffers_enabled()),
-            report,
-        ))
+        Some((self.derive(index, None), report))
     }
 
     /// Wraps a built index with fresh stats and a fresh handle
-    /// sequence. `buffers` seeds the fast-path flag: `true` for fresh
-    /// builds, inherited for derived engines (overlays, rebuilds) so an
-    /// operator's toggle survives epoch swaps.
-    fn from_index(index: Box<dyn EngineIndex>, plan: Option<PlanReport>, buffers: bool) -> Engine {
+    /// sequence. `buffers` seeds the fast-path flag and `counters` are
+    /// where the handles' buffer counts go: fresh for a standalone
+    /// build, the cell's for an epoch's, and inherited by derived
+    /// engines (overlays, rebuilds) so an operator's toggle survives
+    /// epoch swaps and the counts add up across them.
+    pub(crate) fn from_index(
+        index: Box<dyn EngineIndex>,
+        plan: Option<PlanReport>,
+        buffers: bool,
+        counters: MaintenanceCounters,
+    ) -> Engine {
         Engine {
             shared: Arc::new(EngineShared {
                 index,
                 stats: EngineStats::new(),
+                counters,
                 plan,
                 buffers: AtomicBool::new(buffers),
                 handle_seq: AtomicU64::new(0),
             }),
         }
+    }
+
+    /// An engine over `index`, derived from this one: its buffer flag
+    /// and counters.
+    fn derive(&self, index: Box<dyn EngineIndex>, plan: Option<PlanReport>) -> Engine {
+        let counters = self.shared.counters.clone();
+        Engine::from_index(index, plan, self.buffers_enabled(), counters)
     }
 
     /// Whether handles serve batches through the buffered draw fast
@@ -327,9 +343,11 @@ impl Engine {
     }
 
     /// `(hits, refills, invalidations)` of the buffered draw fast path
-    /// across every handle — three relaxed loads, no histogram walk.
+    /// across every handle — three relaxed loads, no histogram walk. An
+    /// engine an [`crate::EpochEngine`] committed reports its cell's
+    /// whole history.
     pub fn buffer_counters(&self) -> (u64, u64, u64) {
-        self.shared.stats.buffer_counters()
+        self.shared.counters.buffer_counters()
     }
 
     /// Mean observed nanoseconds per delivered sample across every
@@ -510,7 +528,7 @@ impl SamplerHandle {
         let out = self.sample(t);
         let bufstats = self.cursor.drain_buffer_stats();
         if bufstats != BufferStats::default() {
-            self.shared.stats.record_buffer_stats(bufstats);
+            self.shared.counters.record_buffer_stats(bufstats);
         }
         out
     }

@@ -43,7 +43,15 @@
 //! degrade the overlay's acceptance rate and keep `Σµ` inflated, so
 //! delete-heavy deltas rebuild sooner (the rebuild is cell-granular
 //! and therefore cheap), and `Σµ` actually shrinks between rebuilds.
+//!
+//! **Counts.** A swap counts its rung into the cell's
+//! [`MaintenanceCounters`] where it commits, under the state write lock
+//! (an `R`-only rebuild counts as a full rebuild), and every engine the
+//! cell commits counts its handles' buffer draws there too. A server
+//! hands in its dataset's series ([`EpochEngine::with_counters`]), so
+//! what a retired engine or an evicted cell counted stays counted.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -54,7 +62,8 @@ use srj_grid::PointSet;
 use srj_obs::journal::{event, EventKind};
 
 use crate::dataset::{DatasetSnapshot, DatasetStore, StoreCounters};
-use crate::stats::StatsSnapshot;
+use crate::family;
+use crate::stats::{MaintenanceCounters, StatsSnapshot};
 use crate::{Algorithm, Engine, SamplerHandle};
 
 /// Knobs for the epoch/patch machinery.
@@ -143,12 +152,14 @@ struct EpochState {
     /// on this, and patch/R-only rebuilds harvest its `S`-side
     /// structures.
     base: Engine,
-    /// The exact `S` allocation `base` was built over. A rebuild may
-    /// only reuse or patch `base`'s `S`-side structures when the store
-    /// still serves this very allocation — a version/flag check is not
-    /// enough, because a sibling engine sharing the store may have
-    /// compacted an `S` mutation in between.
+    /// The exact `S` allocation `base` was built over, and the dead ids
+    /// it left out. A rebuild may only reuse or patch `base`'s `S`-side
+    /// structures when the store still serves these very two — a
+    /// version/flag check is not enough, because a sibling engine
+    /// sharing the store may have compacted an `S` mutation in between
+    /// (a delete-only patch keeps the allocation and grows the dead set).
     base_s: Arc<PointSet>,
+    base_s_dead: Arc<HashSet<PointId>>,
     /// What new handles get: `base`, or an overlay snapshot over it.
     current: Engine,
     /// Per-epoch overlay support: the base grids, built lazily on the
@@ -170,23 +181,10 @@ pub struct MaintenanceSnapshot {
     pub epoch: u64,
     /// `Σµ` of the engine currently serving.
     pub mu_total: f64,
-    /// Minor swaps so far.
-    pub minor_swaps: u64,
-    /// Major swaps so far (patch-based included).
+    /// [`EpochEngine::major_swaps`].
     pub major_swaps: u64,
-    /// Major swaps that went through the cell-granular patch path.
-    pub patch_swaps: u64,
-    /// Total `S`-cells rebuilt by patch-based swaps.
-    pub cells_patched: u64,
     /// Duration of the most recent swap, nanoseconds.
     pub last_swap_ns: u64,
-    /// Buffered-draw hits across the cell's history (monotone).
-    pub buffer_hits: u64,
-    /// Bulk buffer refills across the cell's history (monotone).
-    pub buffer_refills: u64,
-    /// Buffer invalidations — cursor token mismatches plus one per
-    /// swap that retired an armed engine (monotone).
-    pub buffer_invalidations: u64,
 }
 
 /// Epoch-versioned engine over a [`DatasetStore`]: lazy overlay swaps,
@@ -202,19 +200,13 @@ pub struct EpochEngine {
     cfg: EpochConfig,
     state: RwLock<EpochState>,
     maintain: Mutex<()>,
-    minor_swaps: AtomicU64,
-    major_swaps: AtomicU64,
-    patch_swaps: AtomicU64,
-    cells_patched: AtomicU64,
+    /// Where the swaps are counted, and the handles of every engine this
+    /// cell commits count their buffer draws.
+    counters: MaintenanceCounters,
     last_swap_ns: AtomicU64,
     /// Whether freshly committed engines serve with the buffered draw
     /// fast path (applied to every engine this cell installs).
     buffers: AtomicBool,
-    /// Buffer counters of superseded engines, accumulated at swap time
-    /// so the exposition totals stay monotone across epochs.
-    acc_buffer_hits: AtomicU64,
-    acc_buffer_refills: AtomicU64,
-    acc_buffer_invalidations: AtomicU64,
 }
 
 const _: () = {
@@ -229,10 +221,24 @@ impl EpochEngine {
     }
 
     /// Builds the first epoch over an existing (possibly shared and
-    /// already mutated) store. Multiple epoch engines — e.g. one per
-    /// window size `l` — may share one store; each maintains its own
-    /// swap cell and refreshes independently.
+    /// already mutated) store, counting into fresh counters. Multiple
+    /// epoch engines — e.g. one per window size `l` — may share one
+    /// store; each maintains its own swap cell and refreshes
+    /// independently.
     pub fn with_store(store: Arc<DatasetStore>, config: &SampleConfig, cfg: EpochConfig) -> Self {
+        Self::with_counters(store, config, cfg, MaintenanceCounters::default())
+    }
+
+    /// [`EpochEngine::with_store`], counting into `counters`: its swaps,
+    /// and the buffer draws of every engine it commits. Engines handed
+    /// clones of one set add up in it, and what an engine counted stays
+    /// counted after the engine is dropped.
+    pub fn with_counters(
+        store: Arc<DatasetStore>,
+        config: &SampleConfig,
+        cfg: EpochConfig,
+        counters: MaintenanceCounters,
+    ) -> Self {
         // A full build must never run over a base with dead ids (a
         // sibling engine's incremental compaction may have left some):
         // purge first — the compaction is a no-op otherwise.
@@ -240,11 +246,12 @@ impl EpochEngine {
             let _ = store.compact();
         }
         let snap = store.snapshot();
-        let base = Self::build_base(&snap, config, &cfg);
+        let base = Self::build_base(&snap, config, &cfg, &counters);
         let mut state = EpochState {
             current: base.clone(),
             base,
             base_s: Arc::clone(&snap.base_s),
+            base_s_dead: Arc::clone(&snap.s_dead),
             support: None,
             built_epoch: snap.epoch,
             built_version: snap.version,
@@ -268,29 +275,27 @@ impl EpochEngine {
             cfg,
             state: RwLock::new(state),
             maintain: Mutex::new(()),
-            minor_swaps: AtomicU64::new(0),
-            major_swaps: AtomicU64::new(0),
-            patch_swaps: AtomicU64::new(0),
-            cells_patched: AtomicU64::new(0),
+            counters,
             last_swap_ns: AtomicU64::new(0),
             buffers: AtomicBool::new(true),
-            acc_buffer_hits: AtomicU64::new(0),
-            acc_buffer_refills: AtomicU64::new(0),
-            acc_buffer_invalidations: AtomicU64::new(0),
         }
     }
 
     /// A full build over `snap`'s base: the pinned algorithm, or the
     /// planner's choice for this data.
-    fn build_base(snap: &DatasetSnapshot, config: &SampleConfig, cfg: &EpochConfig) -> Engine {
+    fn build_base(
+        snap: &DatasetSnapshot,
+        config: &SampleConfig,
+        cfg: &EpochConfig,
+        counters: &MaintenanceCounters,
+    ) -> Engine {
         debug_assert!(
             snap.s_dead.is_empty(),
             "full builds must run over a purged base"
         );
-        match cfg.algorithm {
-            Some(a) => Engine::build_sharded(&snap.base_r, &snap.base_s, config, a, cfg.shards),
-            None => Engine::auto_sharded(&snap.base_r, &snap.base_s, config, cfg.shards),
-        }
+        let s = Arc::clone(&snap.base_s);
+        let (index, plan) = family::build(&snap.base_r, s, config, cfg.shards, cfg.algorithm);
+        Engine::from_index(index, plan, true, counters.clone())
     }
 
     /// The shared mutable dataset.
@@ -426,32 +431,22 @@ impl EpochEngine {
     }
 
     /// Monotone `(hits, refills, invalidations)` of the buffered draw
-    /// fast path across the cell's whole history: superseded engines'
-    /// counters (absorbed at swap time) plus the serving engine's live
-    /// ones.
+    /// fast path across the cell's whole history: every engine it
+    /// committed counts into the cell's counters, retired or not.
     pub fn buffer_counters(&self) -> (u64, u64, u64) {
-        let st = self.state.read().expect("epoch state poisoned");
-        let (h, r, i) = st.current.buffer_counters();
-        (
-            self.acc_buffer_hits.load(Ordering::Relaxed) + h,
-            self.acc_buffer_refills.load(Ordering::Relaxed) + r,
-            self.acc_buffer_invalidations.load(Ordering::Relaxed) + i,
-        )
+        self.counters.buffer_counters()
     }
 
-    /// Folds a superseded engine's buffer counters into the monotone
-    /// accumulators and charges the swap itself as one invalidation
-    /// when the retiring engine had buffers armed (its handles' pinned
+    /// Charges the swap from `retiring` to `next` one buffer
+    /// invalidation when it retires an armed engine (its handles' pinned
     /// buffers die with their epoch). Callers journal the matching
     /// [`EventKind::BufferInvalidate`] outside the state lock; this
     /// returns whether one should be emitted.
-    fn absorb_buffer_counters(&self, retired: &Engine) -> bool {
-        let (h, r, i) = retired.buffer_counters();
-        self.acc_buffer_hits.fetch_add(h, Ordering::Relaxed);
-        self.acc_buffer_refills.fetch_add(r, Ordering::Relaxed);
-        let invalidated = retired.buffers_enabled();
-        self.acc_buffer_invalidations
-            .fetch_add(i + u64::from(invalidated), Ordering::Relaxed);
+    fn retire(&self, retiring: &Engine, next: &Engine) -> bool {
+        let invalidated = !next.shares_state(retiring) && retiring.buffers_enabled();
+        if invalidated {
+            self.counters.buffer_invalidations.inc();
+        }
         invalidated
     }
 
@@ -476,19 +471,11 @@ impl EpochEngine {
     /// the read lock describes the same committed engine.
     pub fn maintenance_snapshot(&self) -> MaintenanceSnapshot {
         let st = self.state.read().expect("epoch state poisoned");
-        let (buf_hits, buf_refills, buf_invalidations) = st.current.buffer_counters();
         MaintenanceSnapshot {
             epoch: st.built_epoch,
             mu_total: st.current.total_weight(),
-            minor_swaps: self.minor_swaps.load(Ordering::Relaxed),
-            major_swaps: self.major_swaps.load(Ordering::Relaxed),
-            patch_swaps: self.patch_swaps.load(Ordering::Relaxed),
-            cells_patched: self.cells_patched.load(Ordering::Relaxed),
+            major_swaps: self.major_swaps(),
             last_swap_ns: self.last_swap_ns.load(Ordering::Relaxed),
-            buffer_hits: self.acc_buffer_hits.load(Ordering::Relaxed) + buf_hits,
-            buffer_refills: self.acc_buffer_refills.load(Ordering::Relaxed) + buf_refills,
-            buffer_invalidations: self.acc_buffer_invalidations.load(Ordering::Relaxed)
-                + buf_invalidations,
         }
     }
 
@@ -507,27 +494,29 @@ impl EpochEngine {
         (current.memory_breakdown(), set)
     }
 
-    /// Minor swaps so far (overlay snapshot replaced).
+    /// Minor swaps so far (overlay snapshot replaced). This and the
+    /// next three read the cell's [`MaintenanceCounters`]: per engine
+    /// unless [`EpochEngine::with_counters`] handed it a shared set.
     pub fn minor_swaps(&self) -> u64 {
-        self.minor_swaps.load(Ordering::Relaxed)
+        self.counters.minor_swap.get()
     }
 
     /// Major swaps so far (epoch rebuilt: threshold or external
     /// compaction; includes patch-based swaps).
     pub fn major_swaps(&self) -> u64 {
-        self.major_swaps.load(Ordering::Relaxed)
+        self.counters.cell_patch.get() + self.counters.full_rebuild.get()
     }
 
     /// Major swaps that went through the cell-granular patch path (a
     /// strict subset of [`EpochEngine::major_swaps`]).
     pub fn patch_swaps(&self) -> u64 {
-        self.patch_swaps.load(Ordering::Relaxed)
+        self.counters.cell_patch.get()
     }
 
     /// Total `S`-cells rebuilt by patch-based swaps (clean cells were
     /// `Arc`-shared and cost nothing).
     pub fn cells_patched(&self) -> u64 {
-        self.cells_patched.load(Ordering::Relaxed)
+        self.counters.cells_patched.get()
     }
 
     /// Duration of the most recent swap (minor, patch, or full).
@@ -588,11 +577,10 @@ impl EpochEngine {
     ) -> std::sync::RwLockWriteGuard<'_, EpochState> {
         engine.set_buffers_enabled(self.buffers_enabled());
         let mut st = self.state.write().expect("epoch state poisoned");
-        if !engine.shares_state(&st.current) {
-            self.absorb_buffer_counters(&st.current);
-        }
+        self.retire(&st.current, &engine);
         st.base = engine.clone();
         st.base_s = Arc::clone(&snap.base_s);
+        st.base_s_dead = Arc::clone(&snap.s_dead);
         st.current = engine;
         st.support = None;
         st.built_epoch = snap.epoch;
@@ -609,20 +597,21 @@ impl EpochEngine {
     /// ids) and everything rebuilds.
     fn major_swap(&self) {
         let t0 = Instant::now();
-        let (prev_base, prev_base_s) = {
+        let (prev_base, prev_s, prev_dead) = {
             let st = self.state.read().expect("epoch state poisoned");
-            (st.base.clone(), Arc::clone(&st.base_s))
+            let (s, dead) = (Arc::clone(&st.base_s), Arc::clone(&st.base_s_dead));
+            (st.base.clone(), s, dead)
         };
-        if self.try_patch_swap(&prev_base, &prev_base_s) {
+        if self.try_patch_swap(&prev_base, &prev_s, &prev_dead) {
             return;
         }
         // Full path: purge dead ids, renumber, rebuild from scratch.
         let mu_before = prev_base.total_weight();
         let (snap, _) = self.store.compact();
-        let engine = Self::build_base(&snap, &self.config, &self.cfg);
+        let engine = Self::build_base(&snap, &self.config, &self.cfg, &self.counters);
         let mu_after = engine.total_weight();
         let st = self.commit_epoch(engine, &snap);
-        self.major_swaps.fetch_add(1, Ordering::Relaxed);
+        self.counters.full_rebuild.inc();
         drop(st);
         event(EventKind::FullRebuild)
             .dataset(self.store.obs_label())
@@ -641,15 +630,23 @@ impl EpochEngine {
     /// The incremental half of [`EpochEngine::major_swap`]: `true` when
     /// the patch (or R-only) rebuild committed, `false` when the caller
     /// must fall back to the full path.
-    fn try_patch_swap(&self, prev_base: &Engine, prev_base_s: &Arc<PointSet>) -> bool {
+    fn try_patch_swap(
+        &self,
+        prev_base: &Engine,
+        prev_s: &Arc<PointSet>,
+        prev_dead: &Arc<HashSet<PointId>>,
+    ) -> bool {
         let t0 = Instant::now();
         if prev_base.is_overlay() {
             return false;
         }
+        let ours = |s: &Arc<PointSet>, dead: &Arc<HashSet<PointId>>| {
+            Arc::ptr_eq(s, prev_s) && Arc::ptr_eq(dead, prev_dead)
+        };
         // Budget pre-check against the *current* pending delta.
         {
             let snap = self.store.snapshot();
-            if !Arc::ptr_eq(&snap.base_s, prev_base_s) {
+            if !ours(&snap.base_s, &snap.s_dead) {
                 return false; // sibling engine compacted underneath us
             }
             // Dead-id budget: every patch leaves its tombstones behind
@@ -679,7 +676,7 @@ impl EpochEngine {
             }
         }
         let (snap, spatch) = self.store.compact_incremental();
-        if !Arc::ptr_eq(&spatch.prev_base_s, prev_base_s) {
+        if !ours(&spatch.prev_base_s, &spatch.prev_s_dead) {
             // Lost a race to a sibling's compaction between the check
             // and the fold; our S-side is not the patch's valid start.
             return false;
@@ -706,11 +703,12 @@ impl EpochEngine {
         let mu_after = engine.total_weight();
         let cells_rebuilt = patch_report.as_ref().map_or(0, |rep| rep.cells_rebuilt);
         let st = self.commit_epoch(engine, &snap);
-        self.major_swaps.fetch_add(1, Ordering::Relaxed);
-        if let Some(rep) = patch_report {
-            self.patch_swaps.fetch_add(1, Ordering::Relaxed);
-            self.cells_patched
-                .fetch_add(rep.cells_rebuilt as u64, Ordering::Relaxed);
+        // An R-only rebuild patches no cell: it counts as a full rebuild.
+        if patch_report.is_some() {
+            self.counters.cell_patch.inc();
+            self.counters.cells_patched.add(cells_rebuilt as u64);
+        } else {
+            self.counters.full_rebuild.inc();
         }
         drop(st);
         event(EventKind::CellPatch)
@@ -767,15 +765,11 @@ impl EpochEngine {
         let mu_before = st.current.total_weight();
         let mu_after = engine.total_weight();
         engine.set_buffers_enabled(self.buffers_enabled());
-        let retired_buffers = if engine.shares_state(&st.current) {
-            false
-        } else {
-            self.absorb_buffer_counters(&st.current)
-        };
+        let retired_buffers = self.retire(&st.current, &engine);
         st.current = engine;
         st.support = Some(Arc::new(support));
         st.built_version = version;
-        self.minor_swaps.fetch_add(1, Ordering::Relaxed);
+        self.counters.minor_swap.inc();
         drop(st);
         event(EventKind::MinorSwap)
             .dataset(self.store.obs_label())
@@ -796,6 +790,7 @@ impl EpochEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RowGranularity;
     use srj_geom::Rect;
 
     fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
@@ -970,6 +965,143 @@ mod tests {
         assert!(snap.major_swaps >= 1);
         assert_eq!(snap.epoch, engine.epoch());
         assert!((snap.mu_total - engine.total_weight()).abs() < 1e-9);
+    }
+
+    /// A cell at `l = 4` and a sibling at `l = 5` over one fresh store of
+    /// locally uniform points (per-`r` rows, which arm buffers); the
+    /// sibling rebuilds on any pending change.
+    fn siblings(a: MaintenanceCounters, b: MaintenanceCounters) -> (EpochEngine, EpochEngine) {
+        let store = Arc::new(DatasetStore::new(
+            pseudo_points(400, 61, 60.0),
+            pseudo_points(600, 62, 60.0),
+        ));
+        let cfg = EpochConfig::default().with_algorithm(Algorithm::Bbst);
+        let cell = |l, cfg, counters| {
+            EpochEngine::with_counters(Arc::clone(&store), &SampleConfig::new(l), cfg, counters)
+        };
+        let first = cell(4.0, cfg, a);
+        (first, cell(5.0, cfg.with_rebuild_fraction(1e-4), b))
+    }
+
+    /// One `S` insert, and each cell swaps: the first takes a minor swap,
+    /// the sibling folds the insert with a cell patch, and the first
+    /// then follows the compacted store with a full rebuild.
+    fn climb(a: &EpochEngine, b: &EpochEngine) {
+        a.insert_s(Point::new(30.0, 30.0));
+        a.refresh();
+        assert!(a.engine().is_overlay(), "a small delta is a minor swap");
+        b.refresh();
+        assert_eq!(b.epoch(), 1, "the sibling folds the insert");
+        a.refresh();
+        assert_eq!(a.epoch(), 1, "the first cell follows the store");
+        assert!(!a.engine().is_overlay());
+    }
+
+    fn rungs(c: &MaintenanceCounters) -> [u64; 4] {
+        [
+            c.minor_swap.get(),
+            c.cell_patch.get(),
+            c.full_rebuild.get(),
+            c.cells_patched.get(),
+        ]
+    }
+
+    /// Cells handed one [`MaintenanceCounters`] add up in it: each rung
+    /// counts both cells' swaps, dropping a cell takes nothing back, and
+    /// a handle that outlives its engine's retirement still counts its
+    /// buffer hits.
+    #[test]
+    fn sibling_cells_add_up_in_one_set_of_counters() {
+        // Apart, each set counts one cell's swaps.
+        let (own_a, own_b) = (
+            MaintenanceCounters::default(),
+            MaintenanceCounters::default(),
+        );
+        let (a, b) = siblings(own_a.clone(), own_b.clone());
+        climb(&a, &b);
+        assert_eq!(rungs(&own_a)[..3], [1, 0, 1]);
+        assert_eq!(rungs(&own_b)[..3], [0, 1, 0]);
+        assert!(own_b.cells_patched.get() > 0);
+        drop((a, b));
+
+        let shared = MaintenanceCounters::default();
+        let (a, b) = siblings(shared.clone(), shared.clone());
+        assert_eq!(a.engine().row_granularity(), RowGranularity::PerR);
+        let mut early = a.handle_seeded(3);
+        for _ in 0..64 {
+            if shared.buffer_hits.get() > 0 {
+                break;
+            }
+            early.sample_batch(517).unwrap();
+        }
+        assert!(
+            shared.buffer_hits.get() > 0,
+            "the warm-up never hit a buffer"
+        );
+
+        climb(&a, &b);
+        let apart: Vec<u64> = (0..4)
+            .map(|i| rungs(&own_a)[i] + rungs(&own_b)[i])
+            .collect();
+        assert_eq!(rungs(&shared).to_vec(), apart);
+        assert_eq!(a.major_swaps(), 2, "the accessors read the shared set");
+        assert_eq!(b.minor_swaps(), 1);
+        assert!(
+            shared.buffer_invalidations.get() >= 3,
+            "each swap retired an armed engine"
+        );
+
+        // Dropping a cell changes no counter.
+        let all = |c: &MaintenanceCounters| {
+            let (hits, refills, invalidations) = c.buffer_counters();
+            (rungs(c), hits, refills, invalidations)
+        };
+        let before = all(&shared);
+        drop(b);
+        assert_eq!(all(&shared), before);
+
+        // `early` pins a's first engine, retired twice over: it still
+        // counts.
+        let hits = shared.buffer_hits.get();
+        for _ in 0..8 {
+            early.sample_batch(517).unwrap();
+        }
+        assert!(
+            shared.buffer_hits.get() > hits,
+            "a retired engine's hits were lost"
+        );
+    }
+
+    /// A delete-only cell patch keeps the `S` allocation and only grows
+    /// the dead set. A sibling cell over the same store must not take
+    /// that for "only `R` changed" and keep serving its stale `S`-side:
+    /// it rebuilds, and never draws a deleted point.
+    #[test]
+    fn a_sibling_never_serves_s_points_another_cell_patched_away() {
+        let s = pseudo_points(100, 72, 30.0);
+        let deleted = s[..30].to_vec();
+        let store = Arc::new(DatasetStore::new(pseudo_points(100, 71, 30.0), s));
+        let cfg = EpochConfig::default()
+            .with_algorithm(Algorithm::Bbst)
+            .with_rebuild_fraction(1e-4);
+        let cell = |l| EpochEngine::with_store(Arc::clone(&store), &SampleConfig::new(l), cfg);
+        let (a, b) = (cell(4.0), cell(5.0));
+        for id in 0..30 {
+            assert!(store.delete_s(id));
+        }
+        a.refresh();
+        assert_eq!(a.patch_swaps(), 1, "the deletes are folded by a patch");
+        let mut h = b.handle_seeded(1);
+        let snap = store.snapshot();
+        for p in h.sample(5_000).unwrap() {
+            let sp = snap.s_point(p.s).unwrap();
+            assert!(!deleted.contains(&sp), "a deleted S point was drawn: {p:?}");
+        }
+        assert_eq!(
+            b.patch_swaps(),
+            0,
+            "the sibling cannot patch from a stale start"
+        );
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot};
 pub use family::RowGranularity;
 pub use planner::PlanReport;
 pub use shard::ShardedIndex;
-pub use stats::{EngineStats, StatsSnapshot};
+pub use stats::{EngineStats, MaintenanceCounters, StatsSnapshot};
 
 #[cfg(test)]
 mod tests {

@@ -8,11 +8,54 @@
 //! a handful of `fetch_add`s and the serving hot path never takes a
 //! lock — and quantiles are answered from the histogram
 //! (bucket-resolution accurate, i.e. within a factor of 2, which is
-//! the standard trade-off for serving-side p99 tracking).
+//! the standard trade-off for serving-side p99 tracking). What must
+//! outlive an engine is counted in [`MaintenanceCounters`] instead.
 
 use std::time::Duration;
 
 use srj_obs::{Counter, Histogram};
+
+/// The counts of an epoch cell's history, recorded where each event
+/// happens: a swap counts its rung, each handle its buffer draws.
+/// `Clone` shares the cells, so a server hands in its registry's
+/// series; cells sharing a set add up.
+#[derive(Clone, Debug, Default)]
+pub struct MaintenanceCounters {
+    /// Minor swaps: an overlay snapshot replaced.
+    pub minor_swap: Counter,
+    /// Major swaps through the cell-granular patch path.
+    pub cell_patch: Counter,
+    /// The other major swaps: full rebuilds and `R`-only rebuilds.
+    pub full_rebuild: Counter,
+    /// `S`-cells rebuilt by patch swaps.
+    pub cells_patched: Counter,
+    /// Draws served straight from a pre-drawn sample buffer.
+    pub buffer_hits: Counter,
+    /// Bulk buffer refills of [`srj_core::BUFFER_CAP`] ids.
+    pub buffer_refills: Counter,
+    /// Buffers dropped: a cursor's token mismatch, or one per swap that
+    /// retired an armed engine.
+    pub buffer_invalidations: Counter,
+}
+
+impl MaintenanceCounters {
+    /// Adds a drained per-cursor [`srj_core::BufferStats`] delta: three
+    /// relaxed adds, once per batch.
+    pub fn record_buffer_stats(&self, delta: srj_core::BufferStats) {
+        self.buffer_hits.add(delta.hits);
+        self.buffer_refills.add(delta.refills);
+        self.buffer_invalidations.add(delta.invalidations);
+    }
+
+    /// `(hits, refills, invalidations)` of the buffered draw path.
+    pub fn buffer_counters(&self) -> (u64, u64, u64) {
+        (
+            self.buffer_hits.get(),
+            self.buffer_refills.get(),
+            self.buffer_invalidations.get(),
+        )
+    }
+}
 
 /// Shared, lock-free statistics aggregated across every handle of an
 /// engine.
@@ -23,9 +66,6 @@ pub struct EngineStats {
     iterations: Counter,
     errors: Counter,
     latency: Histogram,
-    buffer_hits: Counter,
-    buffer_refills: Counter,
-    buffer_invalidations: Counter,
 }
 
 impl EngineStats {
@@ -66,33 +106,6 @@ impl EngineStats {
         self.latency.clone()
     }
 
-    /// Folds a drained per-cursor [`srj_core::BufferStats`] delta into
-    /// the shared buffer counters. Handles call this once per batch,
-    /// so the hot path pays three relaxed adds at most.
-    pub fn record_buffer_stats(&self, delta: srj_core::BufferStats) {
-        self.buffer_hits.add(delta.hits);
-        self.buffer_refills.add(delta.refills);
-        self.buffer_invalidations.add(delta.invalidations);
-    }
-
-    /// Records `n` buffer invalidations attributed to an epoch event
-    /// (a swap or cell patch retiring pinned buffers) rather than a
-    /// cursor-observed token mismatch.
-    pub fn record_buffer_invalidations(&self, n: u64) {
-        self.buffer_invalidations.add(n);
-    }
-
-    /// `(hits, refills, invalidations)` of the buffered draw fast path
-    /// as three relaxed loads — for export layers mirroring the
-    /// counters into scrape-time metrics.
-    pub fn buffer_counters(&self) -> (u64, u64, u64) {
-        (
-            self.buffer_hits.get(),
-            self.buffer_refills.get(),
-            self.buffer_invalidations.get(),
-        )
-    }
-
     /// A point-in-time copy of every counter and derived quantile.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -103,9 +116,6 @@ impl EngineStats {
             mean_latency: Duration::from_nanos(self.latency.mean()),
             p50_latency: Duration::from_nanos(self.latency.quantile(0.50)),
             p99_latency: Duration::from_nanos(self.latency.quantile(0.99)),
-            buffer_hits: self.buffer_hits.get(),
-            buffer_refills: self.buffer_refills.get(),
-            buffer_invalidations: self.buffer_invalidations.get(),
         }
     }
 }
@@ -128,14 +138,6 @@ pub struct StatsSnapshot {
     pub p50_latency: Duration,
     /// 99th-percentile per-query latency (bucket resolution).
     pub p99_latency: Duration,
-    /// Draws served straight from a pre-drawn sample buffer.
-    pub buffer_hits: u64,
-    /// Bulk buffer refills (each pre-draws [`srj_core::BUFFER_CAP`]
-    /// ids).
-    pub buffer_refills: u64,
-    /// Buffers dropped because their cell's backing unit changed
-    /// (token mismatch in a cursor, or an epoch swap retiring them).
-    pub buffer_invalidations: u64,
 }
 
 impl StatsSnapshot {

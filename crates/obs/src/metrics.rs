@@ -55,9 +55,11 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrites the value — for mirroring an externally maintained
-    /// monotone counter (e.g. an engine-internal atomic) into the
-    /// registry at scrape time. Not for hot-path use.
+    /// Overwrites the value — for copying a monotone count kept outside
+    /// the registry into it at scrape time. Its one caller is the
+    /// server's copy of the profiler's per-state counts; every other
+    /// counter is incremented where its event happens. Not for hot-path
+    /// use.
     pub fn store(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
     }

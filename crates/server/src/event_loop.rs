@@ -421,6 +421,8 @@ pub(crate) struct EventLoop {
     poller: Poller,
     listener: TcpListener,
     conns: HashMap<u64, Conn>,
+    /// The next accepted connection's id (its poller token).
+    next_conn_id: u64,
     wheel: TimerWheel<TimerKey>,
     sweep_interval: Duration,
     accept_paused: bool,
@@ -459,6 +461,7 @@ impl EventLoop {
             poller,
             listener,
             conns: HashMap::new(),
+            next_conn_id: 0,
             wheel,
             sweep_interval,
             accept_paused: false,
@@ -600,7 +603,9 @@ impl EventLoop {
             return; // clone failure: drop the connection
         };
         let config = &self.shared.config;
-        let id = self.shared.accepted.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_conn_id;
+        self.next_conn_id += 1;
+        self.shared.server_metrics.connections_accepted.inc();
         let cs = Arc::new(ConnShared::new(
             id,
             shutdown_clone,
@@ -665,6 +670,12 @@ impl EventLoop {
     /// complete frames, re-activate parked jobs, flush the answers,
     /// then reconcile timers, poller interest, and liveness.
     ///
+    /// Decoding stops at a full out-queue. When the last flush then frees
+    /// room with frames still buffered, the connection marks itself
+    /// dirty: they were read already, so no socket event would bring the
+    /// loop back for them. It is serviced again after the connections
+    /// already waiting, so one pass decodes at most a queue's worth.
+    ///
     /// Order matters for shed determinism: frames decode *before*
     /// parked jobs re-enqueue, so a `SAMPLE` arriving on a
     /// backpressured connection observes the parked job and sheds —
@@ -675,9 +686,12 @@ impl EventLoop {
         }
         self.flush_conn(id);
         self.read_conn(id);
-        self.process_frames(id);
+        let more = self.process_frames(id);
         self.unpark_if_room(id);
         self.flush_conn(id);
+        if more && self.conns.get(&id).is_some_and(|c| c.shared.out_has_room()) {
+            self.shared.notify.mark_dirty(id);
+        }
         self.check_stall(id, Dir::Read, false);
         self.check_stall(id, Dir::Write, false);
         self.update_interest(id);
@@ -729,34 +743,38 @@ impl EventLoop {
 
     /// Decodes and dispatches every complete buffered frame, stopping
     /// at a partial frame, an injected delay, a full out-queue, or a
-    /// dispatch that ends the connection's request stream.
-    fn process_frames(&mut self, id: u64) {
+    /// dispatch that ends the connection's request stream. Returns
+    /// whether it stopped at a full out-queue with bytes still buffered.
+    fn process_frames(&mut self, id: u64) -> bool {
         loop {
             if self.shared.is_shutting_down() {
-                return;
+                return false;
             }
             let frame = {
                 let Some(conn) = self.conns.get_mut(&id) else {
-                    return;
+                    return false;
                 };
-                if conn.discard || conn.resume_at.is_some() || !conn.shared.out_has_room() {
-                    return;
+                if conn.discard || conn.resume_at.is_some() {
+                    return false;
+                }
+                if !conn.shared.out_has_room() {
+                    return conn.acc.has_partial();
                 }
                 match conn.acc.next_frame() {
                     Ok(Some(payload)) => payload,
-                    Ok(None) => return,
+                    Ok(None) => return false,
                     Err(_) => {
                         // A garbage length prefix: same silent close
                         // the blocking reader gave it, before or after
                         // the handshake. Buffered answers still flush.
                         conn.discard = true;
                         conn.eof = true;
-                        return;
+                        return false;
                     }
                 }
             };
             if !self.dispatch(id, frame) {
-                return;
+                return false;
             }
         }
     }

@@ -223,8 +223,8 @@ mod tests {
         // The ladder has exactly those rungs: nothing serving traffic
         // could trigger is exposed.
         assert_eq!(text.matches("srj_maintenance_total{").count(), 3, "{text}");
-        for retired in ["repair", "replan"] {
-            assert!(!text.contains(retired), "{retired:?} in:\n{text}");
+        for gone in ["repair", "replan"] {
+            assert!(!text.contains(gone), "{gone:?} in:\n{text}");
         }
 
         let spans = client.trace(outcome.stats.trace_id).unwrap();

@@ -88,7 +88,15 @@
 //! be lost to the park/drain race. The loop also stops *reading* (and
 //! decoding) a connection whose out-queue is at capacity, so its own
 //! answers stay bounded and a flooding client is throttled by its own
-//! TCP window.
+//! TCP window; a flush that frees room with frames still buffered
+//! brings the loop back to decode them.
+//!
+//! **Metrics.** Every `_total` series is a registry counter incremented
+//! where its event happens. A dataset's maintenance and buffer series
+//! are handed to each engine built for it
+//! ([`EpochEngine::with_counters`]), which counts into them itself, so
+//! an evicted engine's share stays counted. A scrape only copies the
+//! profiler's state counts and sets the gauges.
 //!
 //! **Shutdown.** [`Server::shutdown`] (or a client `SHUTDOWN` frame)
 //! wakes the event loop (which tears down every connection) and the
@@ -105,7 +113,7 @@ use std::time::{Duration, Instant};
 
 use srj_core::{IndexBytes, SampleConfig};
 use srj_engine::{
-    DatasetStore, EngineStats, EpochConfig, EpochEngine, MaintenanceSnapshot, RowGranularity,
+    DatasetStore, EngineStats, EpochConfig, EpochEngine, MaintenanceCounters, RowGranularity,
     SamplerHandle,
 };
 use srj_geom::Point;
@@ -285,17 +293,15 @@ struct EngineKey {
 pub(crate) struct ServedDataset {
     store: Arc<DatasetStore>,
     engines: Mutex<Vec<(EngineKey, Arc<EpochEngine>)>>,
-    /// The swap and buffer counts of the engines the map evicted, so the
-    /// dataset's totals never lose an engine's share.
-    retired: Mutex<SwapTotals>,
+    metrics: DatasetMetrics,
 }
 
 impl ServedDataset {
-    fn new(store: Arc<DatasetStore>) -> Self {
+    fn new(store: Arc<DatasetStore>, metrics: DatasetMetrics) -> Self {
         ServedDataset {
             store,
             engines: Mutex::new(Vec::new()),
-            retired: Mutex::new(SwapTotals::default()),
+            metrics,
         }
     }
 
@@ -354,14 +360,12 @@ impl ServedDataset {
         key: EngineKey,
         capacity: usize,
         build: impl FnOnce() -> EpochEngine,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
     ) -> Arc<EpochEngine> {
         if let Some(engine) = self.cached_engine(key) {
-            hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.cache_hits.inc();
             return engine;
         }
-        misses.fetch_add(1, Ordering::Relaxed);
+        self.metrics.cache_misses.inc();
         let (engine, _unmapped) = self.admit(key, Arc::new(build()), capacity);
         engine
     }
@@ -377,12 +381,8 @@ impl ServedDataset {
     /// the second engine does so outside it: an index is hundreds of
     /// allocations to free (tens of ms on a large dataset), and the event
     /// loop takes this lock on every request it considers serving itself
-    /// ([`ServedDataset::cached_engine`]). An evicted engine's counters
-    /// join the retired totals outside it too, but under the retired
-    /// lock taken before the map lock is let go — a scrape takes the two
-    /// in the same order, so it sees the engine in the map or in the
-    /// totals, never in neither. (A twin built beside the cached engine
-    /// never served: it has nothing to retire.)
+    /// ([`ServedDataset::cached_engine`]). What an engine counted is in
+    /// the dataset's series already, so letting it go takes nothing back.
     fn admit(
         &self,
         key: EngineKey,
@@ -395,11 +395,6 @@ impl ServedDataset {
         }
         let evicted = (engines.len() >= capacity.max(1)).then(|| engines.remove(0).1);
         engines.push((key, Arc::clone(&engine)));
-        if let Some(evicted) = &evicted {
-            let mut retired = self.retired.lock().expect("retired totals poisoned");
-            drop(engines);
-            retired.add(&evicted.maintenance_snapshot());
-        }
         (engine, evicted)
     }
 
@@ -423,18 +418,17 @@ impl ServedDataset {
         Some(engine)
     }
 
-    /// Everything `STATS`, `EPOCH` and the `METRICS` exposition read
-    /// from this dataset's engines, in one pass under the map lock. Each
+    /// What `STATS`, `EPOCH` and the `METRICS` gauges read off this
+    /// dataset's cached engines, in one pass under the map lock. Each
     /// engine is read as one consistent
     /// [`srj_engine::MaintenanceSnapshot`]: a request racing a compaction
-    /// never pairs the post-swap Σµ with the pre-swap counters.
+    /// never pairs the post-swap Σµ with the pre-swap epoch.
     /// `with_memory` adds the index-memory walk, which only the
     /// exposition shows.
     fn maintenance_stats(&self, with_memory: bool) -> MaintenanceStats {
         let engines = self.engines.lock().expect("engine map poisoned");
         let mut out = MaintenanceStats {
             engines: engines.len(),
-            totals: *self.retired.lock().expect("retired totals poisoned"),
             ..MaintenanceStats::default()
         };
         let mut sets_seen = Vec::new();
@@ -452,7 +446,6 @@ impl ServedDataset {
                 }
             }
             let s = e.maintenance_snapshot();
-            out.totals.add(&s);
             out.last_swap_ns = out.last_swap_ns.max(s.last_swap_ns);
             out.mu_total += s.mu_total;
             out.epoch = out.epoch.max(s.epoch);
@@ -461,37 +454,9 @@ impl ServedDataset {
     }
 }
 
-/// The monotone part of a dataset's maintenance history — swap and
-/// buffer counts — summed over engines.
-#[derive(Clone, Copy, Default)]
-struct SwapTotals {
-    minor_swaps: u64,
-    major_swaps: u64,
-    patch_swaps: u64,
-    cells_patched: u64,
-    buffer_hits: u64,
-    buffer_refills: u64,
-    buffer_invalidations: u64,
-}
-
-impl SwapTotals {
-    fn add(&mut self, s: &MaintenanceSnapshot) {
-        self.minor_swaps += s.minor_swaps;
-        self.major_swaps += s.major_swaps;
-        self.patch_swaps += s.patch_swaps;
-        self.cells_patched += s.cells_patched;
-        self.buffer_hits += s.buffer_hits;
-        self.buffer_refills += s.buffer_refills;
-        self.buffer_invalidations += s.buffer_invalidations;
-    }
-}
-
-/// Aggregated per-dataset maintenance counters at scrape time: the
-/// cached engines' and the evicted engines' totals, and the cached
-/// engines' current state.
+/// The cached engines' current state, aggregated per dataset.
 #[derive(Default)]
 struct MaintenanceStats {
-    totals: SwapTotals,
     /// Longest most-recent swap across the engines.
     last_swap_ns: u64,
     mu_total: f64,
@@ -515,7 +480,7 @@ struct MaintenanceStats {
 /// machinery keeps every serving engine consistent with the store.
 #[derive(Default)]
 pub struct DatasetRegistry {
-    map: HashMap<u64, ServedDataset>,
+    map: HashMap<u64, Arc<DatasetStore>>,
 }
 
 impl DatasetRegistry {
@@ -534,7 +499,7 @@ impl DatasetRegistry {
     /// in-process [`EpochEngine`]s, so local and remote mutations see
     /// one epoch history.
     pub fn register_store(&mut self, id: u64, store: Arc<DatasetStore>) -> &mut Self {
-        self.map.insert(id, ServedDataset::new(store));
+        self.map.insert(id, store);
         self
     }
 
@@ -562,7 +527,7 @@ const RUNGS: [&str; 3] = ["minor_swap", "cell_patch", "full_rebuild"];
 
 /// Typed handles into the server's [`Registry`] for one dataset,
 /// registered once at startup so recording is lock-free `fetch_add`s
-/// (hot-path handles) or relaxed stores at scrape time (mirrors).
+/// where each event happens; only the gauges are set at scrape.
 struct DatasetMetrics {
     /// `srj_requests_total` — finished `SAMPLE` requests (hot path).
     requests: Counter,
@@ -588,19 +553,16 @@ struct DatasetMetrics {
     index_rows: [Gauge; RowGranularity::ALL.len()],
     /// `srj_epoch` — store epoch at scrape.
     epoch: Gauge,
-    /// `srj_maintenance_total{rung=...}` in [`RUNGS`] order, mirrored
-    /// from the engines at scrape.
-    rungs: [Counter; RUNGS.len()],
-    /// `srj_cells_patched_total` — cells rebuilt by patch swaps.
-    cells_patched: Counter,
-    /// `srj_buffer_hits_total` — draws served from pre-drawn sample
-    /// buffers, engine mirror at scrape.
-    buffer_hits: Counter,
-    /// `srj_buffer_refills_total` — bulk buffer refills at scrape.
-    buffer_refills: Counter,
-    /// `srj_buffer_invalidations_total` — buffers dropped by token
-    /// mismatches or retired by epoch swaps, at scrape.
-    buffer_invalidations: Counter,
+    /// `srj_maintenance_total{rung=...}` (one series per [`RUNGS`]
+    /// entry), `srj_cells_patched_total` and the three `srj_buffer_*`
+    /// totals, handed to every engine of the dataset
+    /// ([`EpochEngine::with_counters`]), which counts into them itself.
+    maintenance: MaintenanceCounters,
+    /// `srj_engine_cache_hits_total` / `srj_engine_cache_misses_total`
+    /// — the server-wide series (no `dataset` label: every dataset's
+    /// handle shares one cell), counted by the engine map.
+    cache_hits: Counter,
+    cache_misses: Counter,
 }
 
 impl DatasetMetrics {
@@ -628,29 +590,36 @@ impl DatasetMetrics {
                 )
             }),
             epoch: reg.gauge("srj_epoch", &labels),
-            rungs: std::array::from_fn(|i| {
-                reg.counter(
-                    "srj_maintenance_total",
-                    &[("dataset", &id), ("rung", RUNGS[i])],
-                )
-            }),
-            cells_patched: reg.counter("srj_cells_patched_total", &labels),
-            buffer_hits: reg.counter("srj_buffer_hits_total", &labels),
-            buffer_refills: reg.counter("srj_buffer_refills_total", &labels),
-            buffer_invalidations: reg.counter("srj_buffer_invalidations_total", &labels),
+            maintenance: {
+                let [minor_swap, cell_patch, full_rebuild] = RUNGS.map(|rung| {
+                    reg.counter("srj_maintenance_total", &[("dataset", &id), ("rung", rung)])
+                });
+                MaintenanceCounters {
+                    minor_swap,
+                    cell_patch,
+                    full_rebuild,
+                    cells_patched: reg.counter("srj_cells_patched_total", &labels),
+                    buffer_hits: reg.counter("srj_buffer_hits_total", &labels),
+                    buffer_refills: reg.counter("srj_buffer_refills_total", &labels),
+                    buffer_invalidations: reg.counter("srj_buffer_invalidations_total", &labels),
+                }
+            },
+            cache_hits: reg.counter("srj_engine_cache_hits_total", &[]),
+            cache_misses: reg.counter("srj_engine_cache_misses_total", &[]),
         }
     }
 }
 
 /// Server-wide metric handles (no `dataset` label).
 pub(crate) struct ServerMetrics {
-    /// `srj_connections_accepted_total` — mirror at scrape.
-    connections_accepted: Counter,
+    /// `srj_connections_accepted_total` — connections the event loop
+    /// accepted (counted at accept).
+    pub(crate) connections_accepted: Counter,
     /// `srj_conn_open` gauge — connections registered on the event
-    /// loop (`Shared::active`), mirror at scrape.
+    /// loop (`Shared::active`), set at scrape.
     conn_open: Gauge,
     /// `srj_engine_cache_hits_total` / `srj_engine_cache_misses_total`
-    /// — mirrors at scrape.
+    /// — counted by each dataset's engine map (see [`DatasetMetrics`]).
     cache_hits: Counter,
     cache_misses: Counter,
     /// `srj_backpressure_parks_total` — jobs parked on a full
@@ -685,7 +654,7 @@ pub(crate) struct ServerMetrics {
     /// EMFILE/ENFILE fd exhaustion.
     pub(crate) accept_backoffs: Counter,
     /// `srj_worker_state_samples_total{state=...}` in
-    /// [`ALL_STATES`] order — profiler mirror at scrape.
+    /// [`ALL_STATES`] order — the profiler's counts, copied at scrape.
     worker_states: [Counter; 6],
 }
 
@@ -730,9 +699,6 @@ struct HealthState {
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     registry: HashMap<u64, ServedDataset>,
-    /// Serving-engine lookup hits/misses (a miss pays an index build).
-    engine_hits: AtomicU64,
-    engine_misses: AtomicU64,
     pub(crate) queue: JobQueue,
     /// Per-request serving statistics (latency histogram reused from
     /// the engine crate — one `record_query` per finished request).
@@ -742,8 +708,6 @@ pub(crate) struct Shared {
     /// cached typed handles.
     metrics: Registry,
     pub(crate) server_metrics: ServerMetrics,
-    dataset_metrics: HashMap<u64, DatasetMetrics>,
-    pub(crate) accepted: AtomicU64,
     pub(crate) active: AtomicU64,
     pub(crate) conns: Mutex<Vec<Arc<ConnShared>>>,
     shutdown_flag: Mutex<bool>,
@@ -795,6 +759,7 @@ impl Shared {
 
     pub(crate) fn stats_frame(&self) -> ServerStatsFrame {
         let snap = self.request_stats.snapshot();
+        let sm = &self.server_metrics;
         let mut frame = ServerStatsFrame {
             queries: snap.queries,
             samples: snap.samples,
@@ -804,9 +769,9 @@ impl Shared {
             p50_ns: snap.p50_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
             p99_ns: snap.p99_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
             engines_cached: 0,
-            cache_hits: self.engine_hits.load(Ordering::Relaxed),
-            cache_misses: self.engine_misses.load(Ordering::Relaxed),
-            connections_accepted: self.accepted.load(Ordering::Relaxed),
+            cache_hits: sm.cache_hits.get(),
+            cache_misses: sm.cache_misses.get(),
+            connections_accepted: sm.connections_accepted.get(),
             active_connections: self.active.load(Ordering::Relaxed),
             patch_swaps: 0,
             cells_patched: 0,
@@ -816,8 +781,8 @@ impl Shared {
         for d in self.registry.values() {
             let agg = d.maintenance_stats(false);
             frame.engines_cached += agg.engines as u64;
-            frame.patch_swaps += agg.totals.patch_swaps;
-            frame.cells_patched += agg.totals.cells_patched;
+            frame.patch_swaps += d.metrics.maintenance.cell_patch.get();
+            frame.cells_patched += d.metrics.maintenance.cells_patched.get();
             frame.last_swap_ns = frame.last_swap_ns.max(agg.last_swap_ns);
             frame.mu_total += agg.mu_total;
         }
@@ -825,46 +790,28 @@ impl Shared {
     }
 
     /// The Prometheus text exposition behind the `METRICS` frame and
-    /// `/metrics`: one mirror pass, then a render.
+    /// `/metrics`: the scrape-time gauges, then a render.
     pub(crate) fn metrics_text(&self) -> String {
-        self.mirror_metrics();
+        self.refresh_gauges();
         self.metrics.render()
     }
 
-    /// Mirrors the engine-internal counters (maintenance rungs, Σµ,
-    /// epochs, connection counters, profiler state samples) into the
-    /// registry and derives the rejection rate, so a render — or a
-    /// time-series snapshot — observes current values. The hot-path
-    /// metrics (requests, samples, iterations, errors, latency) are
-    /// already current — they are recorded directly at request
-    /// completion.
-    fn mirror_metrics(&self) {
+    /// Copies the profiler's state counts and sets the gauges that
+    /// describe the cached engines (Σµ, epoch, index bytes and rows, the
+    /// rejection rate) and the open connections, so a render — or a
+    /// time-series snapshot — observes current values. Every `_total`
+    /// counter but the profiler's is already current: each is counted
+    /// where its event happens.
+    fn refresh_gauges(&self) {
         let sm = &self.server_metrics;
         let counts = self.profiler.counts();
         for (i, c) in sm.worker_states.iter().enumerate() {
             c.store(counts[i]);
         }
-        sm.connections_accepted
-            .store(self.accepted.load(Ordering::Relaxed));
         sm.conn_open.set(self.active.load(Ordering::Relaxed) as f64);
-        sm.cache_hits
-            .store(self.engine_hits.load(Ordering::Relaxed));
-        sm.cache_misses
-            .store(self.engine_misses.load(Ordering::Relaxed));
-        for (id, served) in self.registry.iter() {
-            let Some(m) = self.dataset_metrics.get(id) else {
-                continue;
-            };
+        for served in self.registry.values() {
+            let m = &served.metrics;
             let agg = served.maintenance_stats(true);
-            let totals = agg.totals;
-            m.rungs[0].store(totals.minor_swaps);
-            m.rungs[1].store(totals.patch_swaps);
-            // Major swaps split into patch swaps and full rebuilds.
-            m.rungs[2].store(totals.major_swaps.saturating_sub(totals.patch_swaps));
-            m.cells_patched.store(totals.cells_patched);
-            m.buffer_hits.store(totals.buffer_hits);
-            m.buffer_refills.store(totals.buffer_refills);
-            m.buffer_invalidations.store(totals.buffer_invalidations);
             let (iterations, samples) = (m.rejection_iterations.get(), m.samples.get());
             m.rejection_rate.set(if samples == 0 {
                 0.0
@@ -928,18 +875,16 @@ impl Shared {
                         algorithm: req.algorithm,
                         ..config.epoch
                     };
-                    let engine =
-                        EpochEngine::with_store(Arc::clone(&served.store), &sample_cfg, epoch_cfg);
+                    let engine = EpochEngine::with_counters(
+                        Arc::clone(&served.store),
+                        &sample_cfg,
+                        epoch_cfg,
+                        served.metrics.maintenance.clone(),
+                    );
                     engine.set_buffers_enabled(config.buffers);
                     engine
                 };
-                let engine = served.engine_for(
-                    key,
-                    config.cache_capacity,
-                    build,
-                    &self.engine_hits,
-                    &self.engine_misses,
-                );
+                let engine = served.engine_for(key, config.cache_capacity, build);
                 Ok(Some(if req.seed != 0 {
                     engine.handle_seeded(req.seed)
                 } else {
@@ -953,7 +898,10 @@ impl Shared {
                 if frames > config.queue_frames as u64 {
                     return Ok(None);
                 }
-                let Some(engine) = served.ok().and_then(|served| served.cached_engine(key)) else {
+                let Ok(served) = served else {
+                    return Ok(None);
+                };
+                let Some(engine) = served.cached_engine(key) else {
                     return Ok(None);
                 };
                 let affordable = engine
@@ -971,7 +919,7 @@ impl Shared {
                 // stays the number of acquisitions whichever thread
                 // made them.
                 if handle.is_some() {
-                    self.engine_hits.fetch_add(1, Ordering::Relaxed);
+                    served.metrics.cache_hits.inc();
                 }
                 Ok(handle)
             }
@@ -996,7 +944,8 @@ impl Shared {
         } else {
             self.request_stats.record_error(iterations, elapsed);
         }
-        if let Some(m) = self.dataset_metrics.get(&dataset) {
+        if let Ok(served) = self.dataset(dataset) {
+            let m = &served.metrics;
             m.requests.inc();
             m.samples.add(samples);
             m.rejection_iterations.add(iterations);
@@ -1074,7 +1023,7 @@ impl Shared {
     pub(crate) fn vars_json(&self) -> String {
         use srj_obs::json::escape;
         use srj_obs::ValueSnapshot;
-        self.mirror_metrics();
+        self.refresh_gauges();
         let mut out = String::with_capacity(4096);
         out.push_str("{\"metrics\":[");
         for (i, m) in self.metrics.snapshot().iter().enumerate() {
@@ -1175,18 +1124,19 @@ impl Server {
         // records, so it flips the always-record half of the switch.
         trace::set_sample_rate(config.trace_sample_rate);
         trace::set_always_record(config.slow_log_capacity > 0);
-        // Label every store with its wire id so engine-internal
-        // lifecycle events (swaps, patches, compactions) carry the
-        // dataset id clients know.
-        for (id, served) in registry.map.iter() {
-            served.store.set_obs_label(*id);
-        }
         let metrics = Registry::new();
         let server_metrics = ServerMetrics::register(&metrics);
-        let dataset_metrics = registry
+        let served = registry
             .map
-            .keys()
-            .map(|&id| (id, DatasetMetrics::register(&metrics, id)))
+            .into_iter()
+            .map(|(id, store)| {
+                // Label every store with its wire id so engine-internal
+                // lifecycle events (swaps, patches, compactions) carry
+                // the dataset id clients know.
+                store.set_obs_label(id);
+                let served = ServedDataset::new(store, DatasetMetrics::register(&metrics, id));
+                (id, served)
+            })
             .collect();
         let notify = Arc::new(LoopNotify::new()?);
         // The maintainer's poller holds its waker and, when configured,
@@ -1206,15 +1156,11 @@ impl Server {
         let http_addr = http.as_ref().map(TcpListener::local_addr).transpose()?;
         let shared = Arc::new(Shared {
             config,
-            registry: registry.map,
-            engine_hits: AtomicU64::new(0),
-            engine_misses: AtomicU64::new(0),
+            registry: served,
             queue: JobQueue::new(),
             request_stats: EngineStats::new(),
             metrics,
             server_metrics,
-            dataset_metrics,
-            accepted: AtomicU64::new(0),
             active: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
             shutdown_flag: Mutex::new(false),
@@ -1384,7 +1330,7 @@ fn maintainer_loop(shared: &Shared, mut poller: Poller, http: Option<TcpListener
         }
         if let (Some(store), Some(due)) = (&shared.tsdb, next_tick) {
             if now >= due {
-                shared.mirror_metrics();
+                shared.refresh_gauges();
                 store.ingest(srj_obs::clock::now_ns(), &shared.metrics.snapshot());
                 next_tick = Some(now + cadence);
             }
@@ -1427,7 +1373,10 @@ mod tests {
         let points: Vec<Point> = (0..64)
             .map(|i| Point::new((i % 8) as f64, (i / 8) as f64))
             .collect();
-        let dataset = ServedDataset::new(Arc::new(DatasetStore::new(points.clone(), points)));
+        let dataset = ServedDataset::new(
+            Arc::new(DatasetStore::new(points.clone(), points)),
+            DatasetMetrics::register(&Registry::new(), 1),
+        );
         let build = |l: f64| {
             Arc::new(EpochEngine::with_store(
                 Arc::clone(&dataset.store),

@@ -355,6 +355,47 @@ fn raw_burst(stream: &mut TcpStream, reqs: &[Request]) -> Vec<Response> {
         .collect()
 }
 
+/// One write holding more loop-answered frames than the out-queue holds
+/// — HELLO, then 12 PING+STATS pairs, against the default 8 frames — is
+/// answered in full and at once: when a flush frees room, decoding
+/// resumes over the frames already read, which no socket event would
+/// bring the loop back for.
+#[test]
+fn a_pipelined_burst_longer_than_the_out_queue_is_answered_in_full() {
+    let _serial = serial();
+    let config = ServerConfig::default();
+    let mut server = Server::start("127.0.0.1:0", registry_with(1, 50), config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut burst = vec![Request::Hello {
+        version: PROTOCOL_VERSION,
+        features: 0,
+    }];
+    for token in 0..12 {
+        burst.extend([Request::Ping { token }, Request::Stats]);
+    }
+    assert!(burst.len() > config.queue_frames);
+    let t0 = Instant::now();
+    let answers = raw_burst(&mut stream, &burst);
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    assert!(
+        matches!(answers[0], Response::Welcome { .. }),
+        "{answers:?}"
+    );
+    for (token, pair) in answers[1..].chunks(2).enumerate() {
+        assert_eq!(
+            pair[0],
+            Response::Pong {
+                token: token as u64
+            }
+        );
+        assert!(matches!(pair[1], Response::ServerStats(_)), "{pair:?}");
+    }
+    server.shutdown();
+}
+
 /// The admission table, pinned per request kind on a raw connection:
 /// which kinds a spent request bucket, a spent mutation bucket and a
 /// forced-`BUSY` fault decline, which id each `BUSY` echoes, and which
@@ -393,12 +434,9 @@ fn admission_answers_each_request_kind_by_its_table_row() {
     let start = |config| Server::start("127.0.0.1:0", registry_with(DATASET, 100), config).unwrap();
 
     // A spent request bucket: HELLO and PING pass, every other request
-    // is declined, with its own id or 0 for the four id-less reads. The
-    // burst's eleven answers fit a 16-frame out-queue, so decoding never
-    // pauses inside it.
+    // is declined, with its own id or 0 for the four id-less reads.
     let mut server = start(ServerConfig {
         rate_limit_rps: 1,
-        queue_frames: 16,
         ..ServerConfig::default()
     });
     let mut stream = raw_connect(&server);

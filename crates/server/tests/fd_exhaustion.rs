@@ -86,20 +86,17 @@ fn emfile_backs_off_accept_and_recovers() {
     let mut c0 = Client::connect_with(addr.as_str(), cfg).expect("connect before exhaustion");
     c0.ping().expect("ping before exhaustion");
 
-    // Fill the fd table, then hand back exactly two slots: the raw
-    // connects below spend them on client sockets, so the server's
-    // accept(2) calls are the ones that run out.
+    // Fill the fd table, then hand back one slot at a time, each spent
+    // on a client socket at once, so the server's accept(2) calls are
+    // the ones that run out. Two slots handed back together would race:
+    // an accept landing between the two connects takes the second.
     let mut hoard = Vec::new();
     while let Ok(f) = File::open("/dev/null") {
         hoard.push(f);
     }
     assert!(hoard.len() >= 2, "fd table was already exhausted");
-    hoard.truncate(hoard.len() - 2);
+    hoard.pop();
     let trigger = TcpStream::connect(addr.as_str()).expect("trigger connect");
-    let mut probe = TcpStream::connect(http_addr).expect("HTTP probe connect");
-    probe
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
-        .expect("send the HTTP probe");
 
     // The failed accept must surface as a counted, journaled backoff —
     // observed through the still-healthy established connection.
@@ -126,6 +123,11 @@ fn emfile_backs_off_accept_and_recovers() {
             .any(|e| e.kind == EventKind::AcceptBackoff),
         "no AcceptBackoff journal event"
     );
+    hoard.pop();
+    let mut probe = TcpStream::connect(http_addr).expect("HTTP probe connect");
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send the HTTP probe");
 
     // Neither listener spins while a connection it cannot accept is
     // queued on it.
