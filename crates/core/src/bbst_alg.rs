@@ -515,10 +515,6 @@ impl SamplerIndex for BbstIndex {
         self.mu_total()
     }
 
-    fn cell_count(&self) -> usize {
-        self.store.num_cells()
-    }
-
     fn set_buffers(scratch: &mut BbstScratch, enabled: bool) {
         scratch.buffers.set_enabled(enabled);
     }

@@ -83,13 +83,6 @@ pub trait SamplerIndex: Send + Sync {
     /// top-level alias relies on.
     fn total_weight(&self) -> f64;
 
-    /// Number of `S`-side cells this index draws from, when its
-    /// structure is cell-granular (`0` otherwise): the denominator of
-    /// the engine's cell-patch budget.
-    fn cell_count(&self) -> usize {
-        0
-    }
-
     /// Switches the buffered-draw fast path carried in `scratch` on or
     /// off (see [`crate::DrawBuffers`]). Default no-op for indexes
     /// without a buffered path; the legacy entry points never consult

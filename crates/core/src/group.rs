@@ -340,10 +340,6 @@ impl SamplerIndex for GroupIndex {
         self.mu_total()
     }
 
-    fn cell_count(&self) -> usize {
-        self.grid.num_cells()
-    }
-
     fn index_build_report(&self) -> PhaseReport {
         self.build_report
     }

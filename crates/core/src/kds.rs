@@ -308,10 +308,6 @@ impl SamplerIndex for KdsIndex {
         self.mu_total()
     }
 
-    fn cell_count(&self) -> usize {
-        self.s_cells.store().num_cells()
-    }
-
     fn index_build_report(&self) -> PhaseReport {
         self.build_report
     }

@@ -98,10 +98,10 @@
 //! the new tail of each insert buffer, copies only the insert-grid
 //! cells the tail lands in, and an [`OverlayIndex`] is those `Arc`s
 //! plus a top-level alias — `O(batch + #sources)`, not `O(|delta|)`.
-//! The two base grids (over base `S` and base `R`) are built once per
-//! epoch.
+//! The base grid of `S` is the epoch's own — the one its full build or
+//! cell patch made ([`OverlaySupport::on_grid`]), dead ids already out
+//! of every cell — and the grid of base `R` is built once per epoch.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -218,41 +218,6 @@ impl DeltaSet {
     /// rebuild threshold than the total pending fraction.
     pub fn tombstone_ops(&self) -> usize {
         self.r_deleted.len() + self.s_deleted.len()
-    }
-
-    /// The dirty-cell map of the pending `S`-side mutations: the
-    /// coordinates (cell side = `cell_side`) of every inserted or
-    /// tombstoned `S` point, resolved against `base_s`. This is exactly
-    /// the set of cells a [`crate::CellStore::patch`] would rebuild —
-    /// the engine compares its size against the total cell count to
-    /// decide between a cell patch and a full rebuild.
-    pub fn dirty_s_cells(&self, base_s: &[Point], cell_side: f64) -> HashSet<(i32, i32)> {
-        let coord = |p: Point| {
-            (
-                (p.x / cell_side).floor() as i32,
-                (p.y / cell_side).floor() as i32,
-            )
-        };
-        let mut dirty: HashSet<(i32, i32)> = HashSet::new();
-        for (j, &p) in self.s_inserted.iter().enumerate() {
-            if !self.s_deleted.contains(&((self.base_s_len + j) as PointId)) {
-                dirty.insert(coord(p));
-            }
-        }
-        for &id in &self.s_deleted {
-            // Only deletes of *base* points dirty a cell; an
-            // inserted-then-deleted point never materialises, so a
-            // patch never touches its would-be cell (mirrors
-            // `Grid::patch`'s dirty computation exactly — overcounting
-            // here would make the engine's patch budget refuse patches
-            // it could afford).
-            if (id as usize) < self.base_s_len {
-                if let Some(p) = self.s_point(base_s, id) {
-                    dirty.insert(coord(p));
-                }
-            }
-        }
-        dirty
     }
 }
 
@@ -537,47 +502,50 @@ impl InsertSide {
     }
 }
 
-/// Per-epoch support structures for [`OverlayIndex`]: one hash grid
-/// over base `S` and one over base `R` (cell side = `l`, so a window's
-/// 3×3 block covers it), built once per epoch, plus the insert sources
-/// of the epoch's swaps so far. [`OverlaySupport::extended`] is the
-/// `O(batch)` step from one snapshot of the epoch's delta to the next;
-/// everything it returns is `Arc`-shared with what it was called on.
+/// Per-epoch support structures for [`OverlayIndex`]: a hash grid over
+/// base `S` and one over base `R` (cell side = `l`, so a window's 3×3
+/// block covers it), plus the insert sources of the epoch's swaps so
+/// far. The grid of `S` is normally the epoch's own
+/// ([`OverlaySupport::on_grid`]); only the grid of `R` is built here.
+/// [`OverlaySupport::extended`] is the `O(batch)` step from one snapshot
+/// of the epoch's delta to the next; everything it returns is
+/// `Arc`-shared with what it was called on.
 pub struct OverlaySupport {
     s_grid: Arc<Grid>,
     r_grid: Arc<Grid>,
+    /// Whether `s_grid` was built for this support rather than handed
+    /// in: only then is it this support's to count.
+    owns_s_grid: bool,
     build_time: Duration,
-    half_extent: f64,
     r_side: InsertSide,
     s_side: InsertSide,
 }
 
 impl OverlaySupport {
-    /// Builds both grids over the epoch's base snapshot; `O(n + m)`.
+    /// Builds both grids over a base snapshot; `O(n + m)`.
+    /// [`OverlaySupport::build_time`] covers both.
     pub fn build(base_r: &[Point], base_s: &[Point], half_extent: f64) -> Self {
-        Self::build_filtered(base_r, base_s, &HashSet::new(), half_extent)
+        let t0 = Instant::now();
+        let support = Self::on_grid(base_r, Arc::new(Grid::build(base_s, half_extent)));
+        OverlaySupport {
+            owns_s_grid: true,
+            build_time: t0.elapsed(),
+            ..support
+        }
     }
 
-    /// Like [`OverlaySupport::build`], but the `S`-side grid indexes
-    /// only the ids **not** in `s_dead` — the dead ids an incremental
-    /// (cell-patch) compaction left in the base without renumbering.
-    /// Dead points then never enter a row of an inserted `R` point and
-    /// are never drawn as candidates, keeping the insert sources exactly
-    /// uniform over the live join.
-    pub fn build_filtered(
-        base_r: &[Point],
-        base_s: &[Point],
-        s_dead: &HashSet<PointId>,
-        half_extent: f64,
-    ) -> Self {
+    /// A support over `s_grid` — the base build's own grid of `S`, held,
+    /// not copied — and a grid of `base_r` of the same cell side, which
+    /// is the window half-extent. Ids the grid's cells leave out (the
+    /// dead ids a cell patch left behind) are never a candidate.
+    pub fn on_grid(base_r: &[Point], s_grid: Arc<Grid>) -> Self {
         let t0 = Instant::now();
-        let s_grid = Arc::new(Grid::build_subset(base_s, s_dead, half_extent));
-        let r_grid = Arc::new(Grid::build(base_r, half_extent));
+        let r_grid = Arc::new(Grid::build(base_r, s_grid.cell_side()));
         OverlaySupport {
             s_grid,
             r_grid,
+            owns_s_grid: false,
             build_time: t0.elapsed(),
-            half_extent,
             r_side: InsertSide::default(),
             s_side: InsertSide::default(),
         }
@@ -613,7 +581,7 @@ impl OverlaySupport {
                 && self.s_side.seen <= delta.s_inserted.len(),
             "overlay support has seen inserts this delta does not hold"
         );
-        let l = self.half_extent;
+        let l = self.s_grid.cell_side();
         let (mut r_side, mut s_side) = (self.r_side.clone(), self.s_side.clone());
         r_side.drop_tombstoned(&delta.r_deleted, delta.base_r_len);
         s_side.drop_tombstoned(&delta.s_deleted, delta.base_s_len);
@@ -674,8 +642,8 @@ impl OverlaySupport {
         OverlaySupport {
             s_grid: Arc::clone(&self.s_grid),
             r_grid: Arc::clone(&self.r_grid),
+            owns_s_grid: self.owns_s_grid,
             build_time: self.build_time,
-            half_extent: l,
             r_side,
             s_side,
         }
@@ -686,25 +654,30 @@ impl OverlaySupport {
         self.build_time
     }
 
-    /// The window half-extent both grids were built with.
-    pub fn half_extent(&self) -> f64 {
-        self.half_extent
-    }
-
     /// How many sources an overlay over this support draws from: the
     /// base index plus one per chunk.
     pub fn source_count(&self) -> usize {
         1 + self.r_side.chunks.len() + self.s_side.chunks.len()
     }
 
-    /// Heap bytes of both base grids, both insert grids and every
-    /// chunk's rows and alias.
+    /// Heap bytes of the base grids this support built, both insert
+    /// grids and every chunk's rows and alias.
     pub fn memory_bytes(&self) -> usize {
-        (IndexBytes::of_grid(&self.s_grid)
+        self.index_bytes().total()
+    }
+
+    /// [`OverlaySupport::memory_bytes`] by structure. A grid of `S`
+    /// handed in is its base build's to count.
+    fn index_bytes(&self) -> IndexBytes {
+        let s_grid = if self.owns_s_grid {
+            IndexBytes::of_grid(&self.s_grid)
+        } else {
+            IndexBytes::default()
+        };
+        s_grid
             + IndexBytes::of_grid(&self.r_grid)
             + self.r_side.index_bytes()
-            + self.s_side.index_bytes())
-        .total()
+            + self.s_side.index_bytes()
     }
 
     /// Every chunk of one side (`R`'s if `r_side`) in insert order, as
@@ -732,16 +705,13 @@ pub struct OverlayIndex<I: SamplerIndex> {
     /// This snapshot's own delta: the inserted points a chunk's members
     /// and cross candidates index into, and the tombstones.
     delta: DeltaSet,
-    s_grid: Arc<Grid>,
-    r_grid: Arc<Grid>,
-    r_side: InsertSide,
-    s_side: InsertSide,
+    /// The base grids and the insert sources, brought up to `delta`.
+    support: OverlaySupport,
     /// Alias over `(W_base, R chunks…, S chunks…)`; `None` when all are
     /// zero.
     source_alias: Option<AliasTable>,
     total_weight: f64,
     rejection_limit: u64,
-    half_extent: f64,
     build_report: PhaseReport,
 }
 
@@ -772,10 +742,10 @@ impl<I: SamplerIndex> OverlayIndex<I> {
         support: &OverlaySupport,
         config: &SampleConfig,
     ) -> Self {
+        let l = support.s_grid.cell_side();
         assert!(
-            support.half_extent.to_bits() == config.half_extent.to_bits(),
-            "overlay support grids were built for l = {}, config says {}",
-            support.half_extent,
+            l.to_bits() == config.half_extent.to_bits(),
+            "overlay support grids were built for l = {l}, config says {}",
             config.half_extent
         );
         let support = support.extended(&delta);
@@ -790,11 +760,7 @@ impl<I: SamplerIndex> OverlayIndex<I> {
             source_alias: AliasTable::new(&weights),
             total_weight: weights.iter().sum(),
             rejection_limit: config.max_consecutive_rejections,
-            half_extent: config.half_extent,
-            s_grid: support.s_grid,
-            r_grid: support.r_grid,
-            r_side: support.r_side,
-            s_side: support.s_side,
+            support,
             base,
             delta,
             build_report,
@@ -839,13 +805,13 @@ impl<I: SamplerIndex> OverlayIndex<I> {
         stats: &mut PhaseReport,
     ) -> Option<JoinPair> {
         stats.iterations += 1;
-        let d = &self.delta;
-        let from_r = source <= self.r_side.chunks.len();
+        let (d, sup) = (&self.delta, &self.support);
+        let from_r = source <= sup.r_side.chunks.len();
         // This side's inserts and id offset, then the opposite side's
         // base grid, insert grid, inserts and id offset.
         let (chunk, points, first_id, grid, inserts, opposite, opposite_first_id) = if from_r {
-            let chunk = &self.r_side.chunks[source - 1];
-            let (grid, inserts) = (&self.s_grid, &self.s_side.grid);
+            let chunk = &sup.r_side.chunks[source - 1];
+            let (grid, inserts) = (&sup.s_grid, &sup.s_side.grid);
             (
                 chunk,
                 &d.r_inserted,
@@ -856,8 +822,8 @@ impl<I: SamplerIndex> OverlayIndex<I> {
                 d.base_s_len,
             )
         } else {
-            let chunk = &self.s_side.chunks[source - 1 - self.r_side.chunks.len()];
-            let (grid, inserts) = (&self.r_grid, &self.r_side.grid);
+            let chunk = &sup.s_side.chunks[source - 1 - sup.r_side.chunks.len()];
+            let (grid, inserts) = (&sup.r_grid, &sup.r_side.grid);
             (
                 chunk,
                 &d.s_inserted,
@@ -889,7 +855,7 @@ impl<I: SamplerIndex> OverlayIndex<I> {
             } else {
                 (candidate, p)
             };
-            Rect::window(rp, self.half_extent).contains(sp)
+            Rect::window(rp, grid.cell_side()).contains(sp)
         };
         // The candidate at the picked rank, and the test `s ∈ w(r)`
         // where the row does not already guarantee it.
@@ -1010,20 +976,13 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
         self.total_weight
     }
 
-    fn cell_count(&self) -> usize {
-        self.base.cell_count()
-    }
-
     fn index_build_report(&self) -> PhaseReport {
         self.build_report
     }
 
     fn index_bytes(&self) -> IndexBytes {
         self.base.index_bytes()
-            + IndexBytes::of_grid(&self.s_grid)
-            + IndexBytes::of_grid(&self.r_grid)
-            + self.r_side.index_bytes()
-            + self.s_side.index_bytes()
+            + self.support.index_bytes()
             + IndexBytes {
                 alias: self
                     .source_alias
@@ -1180,6 +1139,45 @@ mod tests {
         overlay_uniformity_case(|r, s, cfg| BbstIndex::build(r, s, cfg), 3);
     }
 
+    /// A support standing on the base's own grid of `S` serves exactly
+    /// what one that built its own does — the same weight, the same
+    /// stream — and leaves that grid to the base to count.
+    #[test]
+    fn a_support_on_the_base_grid_serves_alike_and_counts_no_s() {
+        let l = 6.0;
+        let cfg = SampleConfig::new(l);
+        let base_r = pseudo_points(60, 61, 50.0);
+        let base_s = pseudo_points(80, 62, 50.0);
+        let delta = mutated_delta(&base_r, &base_s, 63);
+        let base = Arc::new(BbstIndex::build(&base_r, &base_s, &cfg));
+        let s_grid = Arc::clone(base.s_structures().store().grid_arc());
+        let own = OverlaySupport::build(&base_r, &base_s, l);
+        let shared = OverlaySupport::on_grid(&base_r, Arc::clone(&s_grid));
+        assert_eq!(
+            own.memory_bytes() - shared.memory_bytes(),
+            s_grid.memory_bytes()
+        );
+        let overlay = |support| {
+            Arc::new(OverlayIndex::new(
+                Arc::clone(&base),
+                delta.clone(),
+                support,
+                &cfg,
+            ))
+        };
+        let (a, b) = (overlay(&own), overlay(&shared));
+        assert_eq!(a.total_weight(), b.total_weight());
+        assert_eq!(
+            a.index_bytes().total() - b.index_bytes().total(),
+            s_grid.memory_bytes()
+        );
+        let stream = |o: &Arc<OverlayIndex<BbstIndex>>| {
+            let mut rng = SmallRng::seed_from_u64(64);
+            Cursor::new(Arc::clone(o)).sample(2_000, &mut rng).unwrap()
+        };
+        assert_eq!(stream(&a), stream(&b));
+    }
+
     #[test]
     fn empty_delta_matches_base_weight() {
         let cfg = SampleConfig::new(5.0);
@@ -1269,11 +1267,11 @@ mod tests {
         let fresh = OverlaySupport::build(&base_r, &base_s, l);
         assert_eq!(fresh.source_count(), 1);
         let at_once = OverlayIndex::new(Arc::clone(&base), delta.clone(), &fresh, &cfg);
-        assert_eq!(at_once.r_side.chunks.len() + at_once.s_side.chunks.len(), 2);
+        assert_eq!(at_once.support.source_count(), 3);
         assert_eq!(stepwise.total_weight(), at_once.total_weight());
         assert!(stepwise.total_weight() > base.total_weight());
         // Fresh, the inserted S see no inserted R at all.
-        assert!(at_once.s_side.chunks[0]
+        assert!(at_once.support.s_side.chunks[0]
             .rows
             .iter()
             .all(|row| row.weight(BlockRow::EXTRA) == 0));
@@ -1406,27 +1404,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dirty_s_cells_match_what_a_patch_would_touch() {
-        let base_s = vec![Point::new(5.0, 5.0), Point::new(25.0, 25.0)];
-        let mut delta = DeltaSet::for_base(0, base_s.len());
-        // Insert into an empty coordinate, delete a base point, and
-        // insert-then-delete into a third coordinate (which a patch
-        // never materialises and must NOT count as dirty).
-        delta.s_inserted.push(Point::new(45.0, 45.0)); // id 2
-        delta.s_inserted.push(Point::new(95.0, 95.0)); // id 3
-        delta.s_deleted.insert(0); // base delete: dirties (0,0)
-        delta.s_deleted.insert(3); // insert-then-delete: no cell touched
-        let dirty = delta.dirty_s_cells(&base_s, 10.0);
-        assert!(dirty.contains(&(4, 4)), "live insert's cell is dirty");
-        assert!(dirty.contains(&(0, 0)), "base delete's cell is dirty");
-        assert!(
-            !dirty.contains(&(9, 9)),
-            "insert-then-delete must not dirty its would-be cell"
-        );
-        assert_eq!(dirty.len(), 2);
     }
 
     #[test]

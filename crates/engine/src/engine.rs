@@ -11,7 +11,7 @@ use srj_core::{
     SampleConfig, SampleError,
 };
 use srj_geom::Point;
-use srj_grid::{IntoPointSet, PointSet};
+use srj_grid::{Grid, IntoPointSet};
 
 use crate::family::{self, EngineIndex, RowGranularity, ServingCursor};
 use crate::planner::PlanReport;
@@ -403,9 +403,8 @@ impl Engine {
         self.shared.index.row_count()
     }
 
-    /// Number of `S`-side cells the index draws from (an overlay
-    /// reports its base's) — the denominator of the epoch machinery's
-    /// cell-patch budget.
+    /// Number of cells of the full build's grid of `S` (an overlay
+    /// reports its base's).
     pub fn cell_count(&self) -> usize {
         self.shared.index.cell_count()
     }
@@ -420,13 +419,13 @@ impl Engine {
         self.shared.index.s_cell_tokens()
     }
 
-    /// The point set the `S`-side stands on. Engines built over one
-    /// base — one per window size — return the same `Arc`: one array and
-    /// one pair of sorted orders, which [`Engine::memory_bytes`] of each
-    /// includes, so a sum over engines counts them once per set. `None`
-    /// for overlay engines.
-    pub fn s_point_set(&self) -> Option<Arc<PointSet>> {
-        self.shared.index.s_point_set()
+    /// The grid of `S` the `S`-side stands on. Engines built over one
+    /// base — one per window size — stand on the same point set
+    /// ([`Grid::point_set`]): one array and one pair of sorted orders,
+    /// which [`Engine::memory_bytes`] of each includes, so a sum over
+    /// engines counts them once per set. `None` for overlay engines.
+    pub fn s_grid(&self) -> Option<Arc<Grid>> {
+        self.shared.index.s_grid()
     }
 }
 

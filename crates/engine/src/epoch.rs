@@ -44,6 +44,13 @@
 //! delete-heavy deltas rebuild sooner (the rebuild is cell-granular
 //! and therefore cheap), and `Σµ` actually shrinks between rebuilds.
 //!
+//! **One grid of `S`.** The epoch's full build — or the cell patch that
+//! made it — holds the epoch's one grid of `S`, and the epoch asks it
+//! everything it needs of `S`: the overlay's rows of inserted `R` rank
+//! into it ([`OverlaySupport::on_grid`]; dead ids are in no cell), and
+//! the patch budget counts its cells and the ones a patch would dirty
+//! ([`srj_grid::Grid::dirty_cells`]).
+//!
 //! **Counts.** A swap counts its rung into the cell's
 //! [`MaintenanceCounters`] where it commits, under the state write lock
 //! (an `R`-only rebuild counts as a full rebuild), and every engine the
@@ -162,10 +169,11 @@ struct EpochState {
     base_s_dead: Arc<HashSet<PointId>>,
     /// What new handles get: `base`, or an overlay snapshot over it.
     current: Engine,
-    /// Per-epoch overlay support: the base grids, built lazily on the
-    /// first mutation of the epoch, and the insert sources of every
-    /// minor swap since — each swap extends it by its own batch and
-    /// keeps the result, `Arc`-sharing the rest with the snapshots.
+    /// Per-epoch overlay support: `base`'s grid of `S` and a grid of
+    /// base `R`, built lazily on the first mutation of the epoch, and
+    /// the insert sources of every minor swap since — each swap extends
+    /// it by its own batch and keeps the result, `Arc`-sharing the rest
+    /// with the snapshots.
     support: Option<Arc<OverlaySupport>>,
     built_epoch: u64,
     built_version: u64,
@@ -259,13 +267,7 @@ impl EpochEngine {
         if !snap.delta.is_empty() {
             // The store already carried mutations: serve them through
             // an overlay from the start.
-            let support = OverlaySupport::build_filtered(
-                &snap.base_r,
-                &snap.base_s,
-                &snap.s_dead,
-                config.half_extent,
-            )
-            .extended(&snap.delta);
+            let support = Self::support_on(&state.base, &snap).extended(&snap.delta);
             state.current = state.base.with_overlay(snap.delta, &support, config);
             state.support = Some(Arc::new(support));
         }
@@ -296,6 +298,14 @@ impl EpochEngine {
         let s = Arc::clone(&snap.base_s);
         let (index, plan) = family::build(&snap.base_r, s, config, cfg.shards, cfg.algorithm);
         Engine::from_index(index, plan, true, counters.clone())
+    }
+
+    /// The overlay support of an epoch: the grid of `S` its full build
+    /// `base` stands on — dead ids already out of every cell — and a
+    /// grid of `snap`'s base `R`.
+    fn support_on(base: &Engine, snap: &DatasetSnapshot) -> OverlaySupport {
+        let s_grid = base.s_grid().expect("an epoch's base is a full build");
+        OverlaySupport::on_grid(&snap.base_r, s_grid)
     }
 
     /// The shared mutable dataset.
@@ -490,8 +500,8 @@ impl EpochEngine {
             let st = self.state.read().expect("epoch state poisoned");
             (st.current.clone(), st.base.clone())
         };
-        let set = base.s_point_set().expect("a full build has a point set");
-        (current.memory_breakdown(), set)
+        let grid = base.s_grid().expect("a full build has a grid of S");
+        (current.memory_breakdown(), Arc::clone(grid.point_set()))
     }
 
     /// Minor swaps so far (overlay snapshot replaced). This and the
@@ -660,16 +670,14 @@ impl EpochEngine {
             {
                 return false;
             }
-            let s_ops = !snap.delta.s_inserted.is_empty() || !snap.delta.s_deleted.is_empty();
-            if s_ops {
-                let total = prev_base.cell_count();
+            let (inserted, deleted) = (&snap.delta.s_inserted, &snap.delta.s_deleted);
+            if !inserted.is_empty() || !deleted.is_empty() {
+                let grid = prev_base.s_grid().expect("not an overlay: checked above");
+                let total = grid.num_cells();
                 if total == 0 {
                     return false;
                 }
-                let dirty = snap
-                    .delta
-                    .dirty_s_cells(&snap.base_s, self.config.half_extent)
-                    .len();
+                let dirty = grid.dirty_cells(inserted, deleted).len();
                 if dirty as f64 > self.cfg.max_patch_fraction * total as f64 {
                     return false; // too dirty: a full rebuild is cheaper
                 }
@@ -744,14 +752,7 @@ impl EpochEngine {
             return self.major_swap();
         }
         let support = support
-            .unwrap_or_else(|| {
-                Arc::new(OverlaySupport::build_filtered(
-                    &snap.base_r,
-                    &snap.base_s,
-                    &snap.s_dead,
-                    self.config.half_extent,
-                ))
-            })
+            .unwrap_or_else(|| Arc::new(Self::support_on(&base, &snap)))
             .extended(&snap.delta);
         let (epoch, version) = (snap.epoch, snap.version);
         let pending_ops = snap.delta.pending_ops();

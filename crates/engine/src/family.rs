@@ -16,7 +16,10 @@
 //!
 //! Every full build stands on one grid of `S`: [`build`] maps it, the
 //! planner reads it when no algorithm is forced, and the family's
-//! `S`-side is built over that same `Arc` ([`Family::build_s`]).
+//! `S`-side is built over that same `Arc` ([`Family::build_s`]). The
+//! epoch asks that grid ([`Family::grid`]) the rest of what it needs of
+//! `S`: the cell count, the cells a patch would dirty, and what an
+//! overlay's rows of inserted `R` rank into.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -92,7 +95,8 @@ trait Family: SamplerIndex + Sized + 'static {
 
     fn cell_tokens(s_side: &Self::SSide) -> CellTokens;
 
-    fn point_set(s_side: &Self::SSide) -> Arc<PointSet>;
+    /// The grid of `S` the `S`-side stands on.
+    fn grid(s_side: &Self::SSide) -> Arc<Grid>;
 
     /// How many rows the index keeps if it keeps one per group of `R`;
     /// `None` for a row per `r`.
@@ -137,8 +141,8 @@ impl Family for KdsIndex {
         s_side.store().cell_tokens()
     }
 
-    fn point_set(s_side: &Self::SSide) -> Arc<PointSet> {
-        Arc::clone(s_side.grid().point_set())
+    fn grid(s_side: &Self::SSide) -> Arc<Grid> {
+        Arc::clone(s_side.store().grid_arc())
     }
 }
 
@@ -170,8 +174,8 @@ impl Family for KdsRejectionIndex {
         s_side.store().cell_tokens()
     }
 
-    fn point_set(s_side: &Self::SSide) -> Arc<PointSet> {
-        Arc::clone(s_side.grid().point_set())
+    fn grid(s_side: &Self::SSide) -> Arc<Grid> {
+        Arc::clone(s_side.store().grid_arc())
     }
 }
 
@@ -210,8 +214,8 @@ impl Family for BbstIndex {
         s_side.store().cell_tokens()
     }
 
-    fn point_set(s_side: &Self::SSide) -> Arc<PointSet> {
-        Arc::clone(s_side.store().grid().point_set())
+    fn grid(s_side: &Self::SSide) -> Arc<Grid> {
+        Arc::clone(s_side.store().grid_arc())
     }
 }
 
@@ -253,8 +257,8 @@ impl Family for GroupIndex {
         s_side.cells().iter().map(token).collect()
     }
 
-    fn point_set(s_side: &Self::SSide) -> Arc<PointSet> {
-        Arc::clone(s_side.point_set())
+    fn grid(s_side: &Self::SSide) -> Arc<Grid> {
+        Arc::clone(s_side)
     }
 
     fn group_rows(&self) -> Option<usize> {
@@ -437,6 +441,7 @@ pub(crate) trait EngineIndex: Send + Sync {
     fn build_report(&self) -> PhaseReport;
     fn index_bytes(&self) -> IndexBytes;
     fn total_weight(&self) -> f64;
+    /// Cells of the full build's grid of `S`, whatever stands on it.
     fn cell_count(&self) -> usize;
     fn row_granularity(&self) -> RowGranularity;
     /// Rows of the full build, whatever stands on it.
@@ -456,7 +461,7 @@ pub(crate) trait EngineIndex: Send + Sync {
         deleted_s: &HashSet<PointId>,
     ) -> Option<(Box<dyn EngineIndex>, CellPatchReport)>;
     fn s_cell_tokens(&self) -> Option<CellTokens>;
-    fn s_point_set(&self) -> Option<Arc<PointSet>>;
+    fn s_grid(&self) -> Option<Arc<Grid>>;
 }
 
 /// A full build of family `F`, or a delta overlay on one.
@@ -533,7 +538,7 @@ impl<F: Family> EngineIndex for Built<F> {
     }
 
     fn cell_count(&self) -> usize {
-        serving!(self, index => index.cell_count())
+        F::grid(&self.full.shard(0).s_side()).num_cells()
     }
 
     fn row_granularity(&self) -> RowGranularity {
@@ -592,8 +597,8 @@ impl<F: Family> EngineIndex for Built<F> {
         Some(F::cell_tokens(&self.structure()?.shard(0).s_side()))
     }
 
-    fn s_point_set(&self) -> Option<Arc<PointSet>> {
-        Some(F::point_set(&self.structure()?.shard(0).s_side()))
+    fn s_grid(&self) -> Option<Arc<Grid>> {
+        Some(F::grid(&self.structure()?.shard(0).s_side()))
     }
 }
 

@@ -236,11 +236,6 @@ impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
         self.mu_total()
     }
 
-    fn cell_count(&self) -> usize {
-        // All shards draw from the one shared S-side.
-        self.shards[0].cell_count()
-    }
-
     fn set_buffers(scratch: &mut Self::Scratch, enabled: bool) {
         // One shared scratch serves every shard, and all shards draw
         // from the one shared S-side, so the buffers are shard-blind.

@@ -99,13 +99,6 @@ impl EngineStats {
         self.latency.sum().checked_div(self.samples.get())
     }
 
-    /// A shared handle to the latency histogram — for export layers
-    /// (the server's `METRICS` frame) that want the raw buckets
-    /// without re-binning.
-    pub fn latency_histogram(&self) -> Histogram {
-        self.latency.clone()
-    }
-
     /// A point-in-time copy of every counter and derived quantile.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {

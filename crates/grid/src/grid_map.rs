@@ -55,10 +55,6 @@ pub struct Grid {
     cells: Vec<Arc<Cell>>,
 }
 
-/// `slot_of` entry of an id that [`Grid::build_subset`] skips. Never a
-/// slot: there are at most `u32::MAX` points, hence cells.
-const NO_SLOT: u32 = u32::MAX;
-
 impl Grid {
     /// Builds the grid with the given cell side (the paper uses cell side
     /// = window half-extent `l`, i.e. half the window side) on `points`:
@@ -80,24 +76,10 @@ impl Grid {
     /// coordinate divided by `cell_side` overflows `i32` (cannot happen
     /// for the paper's normalised `[0, 10000]²` domain with any sane `l`).
     pub fn build(points: impl IntoPointSet, cell_side: f64) -> Self {
-        Self::build_on(points.into_point_set(), None, cell_side)
+        Self::build_on(points.into_point_set(), cell_side)
     }
 
-    /// Builds the grid over `points` but **indexes only** the ids not in
-    /// `skip`. The skipped points stay in the grid's point array (ids
-    /// keep their meaning — `Grid::point(id)` still resolves them) but
-    /// belong to no cell, so they are invisible to every count, run, and
-    /// neighborhood query. This is how structures over an epoch base
-    /// with tombstoned ("dead") ids are built without renumbering.
-    pub fn build_subset(
-        points: impl IntoPointSet,
-        skip: &HashSet<PointId>,
-        cell_side: f64,
-    ) -> Self {
-        Self::build_on(points.into_point_set(), Some(skip), cell_side)
-    }
-
-    fn build_on(mut set: Arc<PointSet>, skip: Option<&HashSet<PointId>>, cell_side: f64) -> Self {
+    fn build_on(mut set: Arc<PointSet>, cell_side: f64) -> Self {
         assert!(
             cell_side.is_finite() && cell_side > 0.0,
             "cell_side must be positive and finite, got {cell_side}"
@@ -107,12 +89,10 @@ impl Grid {
         let mut lookup: FxHashMap<(i32, i32), u32> = FxHashMap::default();
         let mut coords: Vec<(i32, i32)> = Vec::new();
         let mut sizes: Vec<u32> = Vec::new();
-        let slot_of: Vec<u32> = (0..)
-            .zip(set.points())
-            .map(|(id, &p)| {
-                if skip.is_some_and(|s| s.contains(&id)) {
-                    return NO_SLOT;
-                }
+        let slot_of: Vec<u32> = set
+            .points()
+            .iter()
+            .map(|&p| {
                 let coord = coord_of_raw(p, cell_side);
                 let slot = *lookup.entry(coord).or_insert_with(|| {
                     coords.push(coord);
@@ -132,10 +112,7 @@ impl Grid {
                 .map(|&n| Vec::with_capacity(n as usize))
                 .collect();
             for &id in order {
-                let slot = slot_of[id as usize];
-                if slot != NO_SLOT {
-                    members[slot as usize].push(id);
-                }
+                members[slot_of[id as usize] as usize].push(id);
             }
             members
         };
@@ -168,43 +145,60 @@ impl Grid {
         }
     }
 
-    /// Rebuilds **only the dirty cells** for a set of point mutations,
-    /// structurally sharing every clean cell's `Arc` with this grid.
+    /// The coordinates of the cells a [`Grid::patch`] with these
+    /// mutations rebuilds. `inserted` get ids `self.num_points()..`, as
+    /// in a patch, and `deleted` holds ids of either kind. A cell is
+    /// dirty iff it gains a live insert or loses a member; an id
+    /// inserted and deleted in the same batch never materialises, so it
+    /// touches no cell.
+    pub fn dirty_cells<'a>(
+        &self,
+        inserted: &[Point],
+        deleted: impl IntoIterator<Item = &'a PointId>,
+    ) -> HashSet<(i32, i32)> {
+        let base_len = self.set.len();
+        let mut dirty = HashSet::new();
+        let mut live = vec![true; inserted.len()];
+        for &id in deleted {
+            match (id as usize).checked_sub(base_len) {
+                None => {
+                    dirty.insert(self.coord_of(self.point(id)));
+                }
+                Some(i) => {
+                    if let Some(flag) = live.get_mut(i) {
+                        *flag = false;
+                    }
+                }
+            }
+        }
+        let live_inserts = inserted.iter().zip(live).filter(|&(_, live)| live);
+        dirty.extend(live_inserts.map(|(&p, _)| self.coord_of(p)));
+        dirty
+    }
+
+    /// Rebuilds **only the dirty cells** ([`Grid::dirty_cells`]) for a
+    /// set of point mutations, structurally sharing every clean cell's
+    /// `Arc` with this grid.
     ///
     /// `inserted` points are appended to the point array and get ids
     /// `self.points().len()..`; `deleted` ids (base or just-inserted)
     /// are removed from their cells but stay resolvable through
     /// [`Grid::point`] — ids are **stable** across a patch, which is
-    /// exactly what lets clean cells be shared verbatim. A cell is
-    /// dirty iff it gains or loses at least one member; everything else
-    /// is carried over by `Arc` clone. Cost: one flat copy of the point
-    /// array (into a [`PointSet`] of the patched grid's own) plus
-    /// `O(|c| log |c|)` per dirty cell, whose arrays come out in the
-    /// same `(coord, id)` order a full build gives them.
+    /// exactly what lets clean cells be shared verbatim. Cost: one flat
+    /// copy of the point array (into a [`PointSet`] of the patched
+    /// grid's own) plus `O(|c| log |c|)` per dirty cell, whose arrays
+    /// come out in the same `(coord, id)` order a full build gives them.
     pub fn patch(&self, inserted: &[Point], deleted: &HashSet<PointId>) -> (Grid, GridPatch) {
+        let dirty = self.dirty_cells(inserted, deleted);
         let base_len = self.set.len();
         let set = Arc::new(self.set.extended(inserted));
         let points = set.points();
 
-        // Live inserted ids grouped by destination cell coordinate
-        // (an id inserted and deleted within the same patch never
-        // materialises).
+        // Live inserted ids grouped by destination cell coordinate.
         let mut added: FxHashMap<(i32, i32), Vec<PointId>> = FxHashMap::default();
-        for (i, &p) in inserted.iter().enumerate() {
-            let id = (base_len + i) as PointId;
-            if deleted.contains(&id) {
-                continue;
-            }
-            added
-                .entry(coord_of_raw(p, self.cell_side))
-                .or_default()
-                .push(id);
-        }
-        // Dirty coordinates: every cell that gains or loses a member.
-        let mut dirty: HashSet<(i32, i32)> = added.keys().copied().collect();
-        for &id in deleted {
-            if (id as usize) < base_len {
-                dirty.insert(coord_of_raw(points[id as usize], self.cell_side));
+        for (id, &p) in (base_len as PointId..).zip(inserted) {
+            if !deleted.contains(&id) {
+                added.entry(self.coord_of(p)).or_default().push(id);
             }
         }
 
@@ -311,9 +305,8 @@ impl Grid {
     }
 
     /// Number of points currently indexed by some cell. Equal to
-    /// [`Grid::num_points`] for a plain build; smaller when the grid
-    /// was built with [`Grid::build_subset`] or [`Grid::patch`] left
-    /// dead ids behind.
+    /// [`Grid::num_points`] for a plain build; smaller when a
+    /// [`Grid::patch`] left dead ids behind.
     pub fn live_points(&self) -> usize {
         self.cells.iter().map(|c| c.len()).sum()
     }
@@ -669,29 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn build_subset_hides_skipped_ids_without_renumbering() {
-        let pts = cluster(200, 37);
-        let skip: HashSet<PointId> = (0..200).step_by(5).collect();
-        let g = Grid::build_subset(&pts, &skip, 10.0);
-        assert_eq!(g.num_points(), 200, "point array keeps every id");
-        assert_eq!(g.live_points(), 200 - skip.len());
-        for c in g.cells() {
-            for &id in &c.by_x {
-                assert!(!skip.contains(&id), "skipped id {id} indexed");
-            }
-        }
-        // Skipped points still resolve by id.
-        assert_eq!(g.point(0), pts[0]);
-        let w = Rect::new(0.0, 0.0, 100.0, 100.0);
-        let live = pts
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| !skip.contains(&(*i as u32)) && w.contains(**p))
-            .count();
-        assert_eq!(g.exact_window_count(&w), live);
-    }
-
-    #[test]
     fn patch_rebuilds_only_dirty_cells_and_shares_the_rest() {
         let pts = cluster(600, 41);
         let g = Grid::build(&pts, 10.0);
@@ -744,6 +714,29 @@ mod tests {
             .filter(|&id| w.contains(p.point(id)))
             .count();
         assert_eq!(p.exact_window_count(&w), live);
+    }
+
+    #[test]
+    fn dirty_cells_match_what_a_patch_would_touch() {
+        let g = Grid::build(&[Point::new(5.0, 5.0), Point::new(25.0, 25.0)], 10.0);
+        // Insert into an empty coordinate, delete a base point, and
+        // insert-then-delete into a third coordinate (which a patch
+        // never materialises and must NOT count as dirty).
+        let inserted = [Point::new(45.0, 45.0), Point::new(95.0, 95.0)]; // ids 2, 3
+        let deleted: HashSet<PointId> = [0, 3].into();
+        let dirty = g.dirty_cells(&inserted, &deleted);
+        assert!(dirty.contains(&(4, 4)), "live insert's cell is dirty");
+        assert!(dirty.contains(&(0, 0)), "base delete's cell is dirty");
+        assert!(
+            !dirty.contains(&(9, 9)),
+            "insert-then-delete must not dirty its would-be cell"
+        );
+        assert_eq!(dirty.len(), 2);
+        // Any set of ids will do.
+        let fx: crate::fx::FxHashSet<PointId> = deleted.iter().copied().collect();
+        assert_eq!(g.dirty_cells(&inserted, &fx), dirty);
+        let (_, rep) = g.patch(&inserted, &deleted);
+        assert_eq!(rep.cells_rebuilt, dirty.len());
     }
 
     #[test]

@@ -86,17 +86,6 @@ proptest! {
     }
 
     #[test]
-    fn subset_build_indexes_exactly_the_unskipped_ids(
-        tagged in prop::collection::vec((lattice_point(), any::<bool>()), 0..300),
-        l in cell_side(),
-    ) {
-        let points: Vec<Point> = tagged.iter().map(|t| t.0).collect();
-        let skip: HashSet<PointId> =
-            (0..).zip(&tagged).filter(|(_, t)| t.1).map(|(id, _)| id).collect();
-        assert_is(&Grid::build_subset(&points, &skip, l), &points, &skip);
-    }
-
-    #[test]
     fn grids_of_two_cell_sides_share_one_set_and_its_orders(
         points in prop::collection::vec(lattice_point(), 1..300),
         l1 in cell_side(),
@@ -115,7 +104,8 @@ proptest! {
     }
 
     /// A cell `patch` rebuilt and the same cell built from scratch are
-    /// equal arrays, ties included.
+    /// equal arrays, ties included, and the cells it rebuilt are the
+    /// ones `dirty_cells` names.
     #[test]
     fn a_patched_grid_is_the_grid_of_the_patched_points(
         base in prop::collection::vec(lattice_point(), 0..200),
@@ -132,8 +122,10 @@ proptest! {
             .chain((base.len()..).zip(&tagged).filter(|(_, t)| t.1).map(|(id, _)| id))
             .map(|id| id as PointId)
             .collect();
-        let (patched, _) = Grid::build(&base, l).patch(&inserted, &deleted);
+        let grid = Grid::build(&base, l);
+        let (patched, report) = grid.patch(&inserted, &deleted);
         assert_is(&patched, &all, &deleted);
+        prop_assert_eq!(report.cells_rebuilt, grid.dirty_cells(&inserted, &deleted).len());
     }
 }
 

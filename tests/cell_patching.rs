@@ -4,68 +4,20 @@
 //! partial patch for all three algorithms, and delete-only workloads
 //! shrink `Σµ`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use srj::{
-    Algorithm, DatasetSnapshot, EpochConfig, EpochEngine, JoinPair, Point, Rect, SampleConfig,
-};
+use srj::{Algorithm, EpochConfig, EpochEngine, Point, SampleConfig};
 
-fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    (0..n)
-        .map(|_| Point::new(next() * extent, next() * extent))
-        .collect()
-}
+mod common;
+use common::{draw_and_check, draw_batches_and_check, pseudo_points};
 
-/// Brute-force live join of a snapshot, by (epoch-relative) ids — dead
-/// ids excluded by `live_r`/`live_s`.
-fn live_join(snap: &DatasetSnapshot, l: f64) -> Vec<JoinPair> {
-    let mut out = Vec::new();
-    for (rid, rp) in snap.live_r() {
-        let w = Rect::window(rp, l);
-        for (sid, sp) in snap.live_s() {
-            if w.contains(sp) {
-                out.push(JoinPair::new(rid, sid));
-            }
-        }
-    }
-    out
-}
-
-/// Chi-squared uniformity over the exact pair space (the same
-/// Wilson–Hilferty p ≈ 0.001 cutoff as tests/uniformity.rs).
-fn assert_uniform(counts: &HashMap<JoinPair, u64>, join: &[JoinPair], draws: u64, what: &str) {
-    let k = join.len() as f64;
-    let expected = draws as f64 / k;
-    assert!(expected >= 5.0, "{what}: test underpowered ({expected})");
-    let chi2: f64 = join
-        .iter()
-        .map(|p| {
-            let o = *counts.get(p).unwrap_or(&0) as f64;
-            (o - expected) * (o - expected) / expected
-        })
-        .sum();
-    let dof = k - 1.0;
-    let z = 3.09;
-    let cut = dof * (1.0 - 2.0 / (9.0 * dof) + z * (2.0 / (9.0 * dof)).sqrt()).powi(3);
-    assert!(
-        chi2 < cut,
-        "{what}: chi2 {chi2:.1} over cutoff {cut:.1} (dof {dof})"
-    );
-}
-
-/// The PR's acceptance criterion, per algorithm: an epoch swap whose
-/// dirty-cell set is ≤ 10% of the S-side cells must rebuild **only**
-/// those cells — every clean cell's structure crosses the epoch by
-/// `Arc` identity — and the cells-patched counter must record exactly
-/// the dirty work. Samples drawn after the patch are chi-squared
-/// uniform over the live join.
+/// Per algorithm: an epoch swap whose dirty-cell set is ≤ 10% of the
+/// S-side cells must rebuild **only** those cells — every clean cell's
+/// structure crosses the epoch by `Arc` identity — and the cells-patched
+/// counter must record exactly the dirty work. Samples drawn after the
+/// patch are chi-squared uniform over the live join, and so are those
+/// of a pending overlay over the patched base, which stands on the
+/// base's grid of `S` instead of building one of its own.
 #[test]
 fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
     let l = 5.0;
@@ -83,9 +35,11 @@ fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
             &cfg,
             EpochConfig::default()
                 .with_algorithm(algo)
-                // One mutation crosses the threshold: the swap below is
-                // deliberate, not incidental.
-                .with_rebuild_fraction(1e-4),
+                // Two deletes cross the threshold: the swap below is
+                // deliberate, not incidental. The one delete of the
+                // overlay step after it does not.
+                .with_rebuild_fraction(0.9)
+                .with_tombstone_rebuild_fraction(0.002),
         );
         let tokens_before: HashMap<(i32, i32), usize> = engine
             .engine()
@@ -107,7 +61,11 @@ fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
         engine.insert_r(Point::new(30.0, 30.0));
 
         let pre = engine.store().snapshot();
-        let dirty = pre.delta.dirty_s_cells(&pre.base_s, l);
+        let base_grid = engine
+            .engine()
+            .s_grid()
+            .expect("a full build has a grid of S");
+        let dirty = base_grid.dirty_cells(&pre.delta.s_inserted, &pre.delta.s_deleted);
         assert!(
             dirty.len() * 10 <= total_cells,
             "{algo}: scenario must stay within the 10% dirty budget \
@@ -162,21 +120,36 @@ fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
         // (stable S ids, renumbered R ids, dead ids invisible).
         let snap = engine.store().snapshot();
         assert!(snap.s_dead.contains(&del_a) && snap.s_dead.contains(&del_b));
-        let join = live_join(&snap, l);
-        assert!(join.len() > 30, "{algo}: workload too sparse");
-        let join_set: HashSet<JoinPair> = join.iter().copied().collect();
-        let draws = (join.len() as u64 * 60).max(20_000);
-        let mut h = engine.handle_seeded(9 + seed);
-        let mut counts: HashMap<JoinPair, u64> = HashMap::new();
-        for _ in 0..draws {
-            let p = h.sample_one().unwrap();
-            assert!(
-                join_set.contains(&p),
-                "{algo}: emitted dead or non-join pair {p:?}"
-            );
-            *counts.entry(p).or_insert(0) += 1;
-        }
-        assert_uniform(&counts, &join, draws, &format!("{algo} post-patch"));
+        draw_and_check(&engine, l, 9 + seed, &format!("{algo} post-patch"));
+
+        // A pending overlay over the patched base: two inserts per side,
+        // each beside a point of the other, and one more live S point
+        // deleted. Its rows of inserted R rank into the base's grid of
+        // S, where the dead ids are in no cell.
+        let base_point_set = engine.memory_breakdown().0.point_set;
+        engine.insert_r(Point::new(s[10].x + 0.1, s[10].y));
+        engine.insert_r(Point::new(s[20].x, s[20].y + 0.1));
+        engine.insert_s(Point::new(snap.base_r[1].x + 0.1, snap.base_r[1].y));
+        engine.insert_s(Point::new(snap.base_r[2].x, snap.base_r[2].y - 0.1));
+        assert!(engine.delete_s(100));
+        engine.refresh();
+        assert_eq!(
+            engine.minor_swaps(),
+            1,
+            "{algo}: the overlay step is a minor swap"
+        );
+        assert!(engine.engine().is_overlay(), "{algo}");
+        assert_eq!(engine.epoch(), 1, "{algo}");
+        let what = format!("{algo} overlay after a patch");
+        draw_and_check(&engine, l, 10 + seed, &what);
+        draw_batches_and_check(&engine, l, 11 + seed, &what);
+        // The support adds its grid of base R and nothing of S.
+        let overlay_point_set = engine.memory_breakdown().0.point_set;
+        assert_eq!(
+            overlay_point_set - base_point_set,
+            16 * snap.base_r.len(),
+            "{what}: the overlay counts a grid of S of its own"
+        );
     }
 }
 

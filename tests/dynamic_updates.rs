@@ -2,87 +2,14 @@
 //! uniformity with pending deltas (between rebuilds) and after epoch
 //! swaps, and in-flight handles surviving swaps.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use srj::{
-    Algorithm, DatasetSnapshot, EpochConfig, EpochEngine, JoinPair, Point, Rect, RowGranularity,
-    SampleConfig,
-};
+use srj::{Algorithm, EpochConfig, EpochEngine, Point, Rect, RowGranularity, SampleConfig};
 
-fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    (0..n)
-        .map(|_| Point::new(next() * extent, next() * extent))
-        .collect()
-}
-
-/// Brute-force live join of a snapshot, by (epoch-relative) ids.
-fn live_join(snap: &DatasetSnapshot, l: f64) -> Vec<JoinPair> {
-    let mut out = Vec::new();
-    for (rid, rp) in snap.live_r() {
-        let w = Rect::window(rp, l);
-        for (sid, sp) in snap.live_s() {
-            if w.contains(sp) {
-                out.push(JoinPair::new(rid, sid));
-            }
-        }
-    }
-    out
-}
-
-/// Chi-squared uniformity over the exact pair space (the same
-/// Wilson–Hilferty p ≈ 0.001 cutoff as tests/uniformity.rs).
-fn assert_uniform(counts: &HashMap<JoinPair, u64>, join: &[JoinPair], draws: u64, what: &str) {
-    let k = join.len() as f64;
-    let expected = draws as f64 / k;
-    assert!(expected >= 5.0, "{what}: test underpowered ({expected})");
-    let chi2: f64 = join
-        .iter()
-        .map(|p| {
-            let o = *counts.get(p).unwrap_or(&0) as f64;
-            (o - expected) * (o - expected) / expected
-        })
-        .sum();
-    let dof = k - 1.0;
-    let z = 3.09;
-    let cut = dof * (1.0 - 2.0 / (9.0 * dof) + z * (2.0 / (9.0 * dof)).sqrt()).powi(3);
-    assert!(
-        chi2 < cut,
-        "{what}: chi2 {chi2:.1} over cutoff {cut:.1} (dof {dof})"
-    );
-}
-
-fn draw_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
-    let snap = engine.store().snapshot();
-    let join = live_join(&snap, l);
-    assert!(
-        join.len() > 30,
-        "{what}: workload too sparse ({})",
-        join.len()
-    );
-    let join_set: std::collections::HashSet<JoinPair> = join.iter().copied().collect();
-    let draws = (join.len() as u64 * 60).max(20_000);
-    let mut h = engine.handle_seeded(seed);
-    let mut counts: HashMap<JoinPair, u64> = HashMap::new();
-    for _ in 0..draws {
-        let p = h.sample_one().unwrap();
-        assert!(
-            join_set.contains(&p),
-            "{what}: emitted dead or non-join pair {p:?}"
-        );
-        *counts.entry(p).or_insert(0) += 1;
-    }
-    assert_uniform(&counts, &join, draws, what);
-}
+mod common;
+use common::{draw_and_check, draw_batches_and_check, pseudo_points};
 
 /// Uniformity must hold with pending deltas (served through the
 /// overlay, *between* rebuilds) and again after the epoch swap folds
@@ -216,43 +143,6 @@ fn in_flight_handles_survive_epoch_swaps() {
         let sp = snap.s_point(p.s).unwrap();
         assert!(Rect::window(rp, l).contains(sp));
     }
-}
-
-/// Like [`draw_and_check`] but through the buffered batch path
-/// ([`srj::SamplerHandle::sample_batch`]): draws in uneven batches so
-/// buffer refill boundaries and partial batches are both crossed, and
-/// every emitted pair is validated against the **current** live join —
-/// a stale buffered id would fail the membership check before it could
-/// skew the chi-squared.
-fn draw_batches_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
-    let snap = engine.store().snapshot();
-    let join = live_join(&snap, l);
-    assert!(
-        join.len() > 30,
-        "{what}: workload too sparse ({})",
-        join.len()
-    );
-    let join_set: std::collections::HashSet<JoinPair> = join.iter().copied().collect();
-    let draws = (join.len() as u64 * 60).max(20_000);
-    let mut h = engine.handle_seeded(seed);
-    let mut counts: HashMap<JoinPair, u64> = HashMap::new();
-    let mut remaining = draws as usize;
-    // 517 is deliberately coprime to the 256-id buffer capacity, so
-    // batch ends and refill boundaries drift against each other.
-    while remaining > 0 {
-        let n = remaining.min(517);
-        let pairs = h.sample_batch(n).unwrap();
-        assert_eq!(pairs.len(), n, "{what}: short batch");
-        for p in pairs {
-            assert!(
-                join_set.contains(&p),
-                "{what}: emitted stale or non-join pair {p:?}"
-            );
-            *counts.entry(p).or_insert(0) += 1;
-        }
-        remaining -= n;
-    }
-    assert_uniform(&counts, &join, draws, what);
 }
 
 /// The buffered-draw suite: warm buffers with batch draws, mutate both

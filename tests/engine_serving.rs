@@ -384,7 +384,7 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
         let next = epoch_engine(&store, l, algorithm);
         let engine = next.engine();
         assert!(
-            Arc::ptr_eq(&engine.s_point_set().unwrap(), &base),
+            Arc::ptr_eq(engine.s_grid().unwrap().point_set(), &base),
             "l = {l}"
         );
         if algorithm == Algorithm::Bbst {
@@ -396,7 +396,10 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
         assert_eq!(base.memory_bytes(), s.len() * (16 + 2 * 4));
         assert_membership(&next, l);
     }
-    assert!(Arc::ptr_eq(&first.engine().s_point_set().unwrap(), &base));
+    assert!(Arc::ptr_eq(
+        first.engine().s_grid().unwrap().point_set(),
+        &base
+    ));
     assert_eq!(base.ensure_orders(), Duration::ZERO);
     assert_eq!(base.x_order().as_ptr(), x_order, "sorted once");
 
@@ -439,7 +442,10 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
     assert!(!Arc::ptr_eq(&snap.base_s, &base));
     let after_incremental = epoch_engine(&store, 1.5, Algorithm::Bbst);
     let engine = after_incremental.engine();
-    assert!(Arc::ptr_eq(&engine.s_point_set().unwrap(), &snap.base_s));
+    assert!(Arc::ptr_eq(
+        engine.s_grid().unwrap().point_set(),
+        &snap.base_s
+    ));
     assert!(engine.build_report().preprocessing > Duration::ZERO);
     assert_membership(&after_incremental, 1.5);
 
@@ -450,7 +456,7 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
     let after_full = epoch_engine(&store, 0.5, Algorithm::Bbst);
     let engine = after_full.engine();
     assert!(Arc::ptr_eq(
-        &engine.s_point_set().unwrap(),
+        engine.s_grid().unwrap().point_set(),
         &renumbered.base_s
     ));
     assert!(engine.build_report().preprocessing > Duration::ZERO);
@@ -468,7 +474,10 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
     );
     assert_membership(&after_full, 0.5);
     // The first epoch's engines still stand on the set they were built on.
-    assert!(Arc::ptr_eq(&first.engine().s_point_set().unwrap(), &base));
+    assert!(Arc::ptr_eq(
+        first.engine().s_grid().unwrap().point_set(),
+        &base
+    ));
 }
 
 /// Two cache misses on two window sizes at the same moment: one of the
@@ -700,10 +709,6 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
         // An `S` patch: two inserts into one corner, two deletes elsewhere.
         let inserted_s = [Point::new(1.0, 1.0), Point::new(1.5, 1.5)];
         let deleted_s: HashSet<PointId> = [7, 450].into();
-        let mut patch = DeltaSet::for_base(r.len(), s.len());
-        patch.s_inserted.extend(inserted_s);
-        patch.s_deleted.extend(deleted_s.iter().copied());
-        let dirty = patch.dirty_s_cells(s, l);
 
         let in_window = |r: &[Point], pairs: &[JoinPair], what: &str| {
             for p in pairs {
@@ -792,7 +797,7 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
                         "{what}"
                     );
                     assert!(engine.s_cell_tokens().is_none(), "{what}");
-                    assert!(engine.s_point_set().is_none(), "{what}");
+                    assert!(engine.s_grid().is_none(), "{what}");
                     let stacked = catch_unwind(AssertUnwindSafe(|| {
                         engine.with_overlay(delta.clone(), &support, &cfg)
                     }));
@@ -801,16 +806,17 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
                 }
                 in_window(r, &batch, &what);
                 let tokens = engine.s_cell_tokens().expect("a full build has cells");
-                let set = engine.s_point_set().expect("a full build has a point set");
+                let grid = engine.s_grid().expect("a full build has a grid of S");
+                assert_eq!(grid.num_cells(), engine.cell_count(), "{what}");
 
                 // A new `R` over the same `S`-side: every cell and the
-                // point set cross by `Arc` identity.
+                // grid cross by `Arc` identity.
                 let rebuilt = engine.rebuild_r_only(r2, &cfg).expect("a full build");
                 assert_eq!(rebuilt.algorithm(), algo, "{what}");
                 assert_eq!(rebuilt.row_granularity(), rows, "{what}");
                 assert_eq!(rebuilt.shards(), shards, "{what}");
                 assert_eq!(rebuilt.s_cell_tokens().unwrap(), tokens, "{what}");
-                assert!(Arc::ptr_eq(&rebuilt.s_point_set().unwrap(), &set), "{what}");
+                assert!(Arc::ptr_eq(&rebuilt.s_grid().unwrap(), &grid), "{what}");
                 let pairs = rebuilt.handle_seeded(12).sample_batch(300).unwrap();
                 in_window(r2, &pairs, &format!("{what}, R-only rebuild"));
 
@@ -822,7 +828,8 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
                 assert_eq!(patched.algorithm(), algo, "{what}");
                 assert_eq!(patched.row_granularity(), rows, "{what}");
                 assert_eq!(patched.shards(), shards, "{what}");
-                assert!(report.cells_rebuilt > 0, "{what}");
+                let dirty = grid.dirty_cells(&inserted_s, &deleted_s);
+                assert_eq!(report.cells_rebuilt, dirty.len(), "{what}");
                 let before: HashMap<(i32, i32), usize> = tokens.iter().copied().collect();
                 for (coord, token) in patched.s_cell_tokens().unwrap() {
                     match before.get(&coord) {
