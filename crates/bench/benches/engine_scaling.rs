@@ -61,34 +61,22 @@ fn bench_build_threads(c: &mut Criterion) {
     g.finish();
 }
 
-/// Serving throughput vs thread count (1/2/4/8) through the sharded
-/// engine: each serving thread owns a `SamplerHandle` over the shared
-/// immutable index, so throughput should scale with cores.
+/// Serving throughput vs thread count (1/2/4/8) through one engine:
+/// each serving thread owns a `SamplerHandle` over the shared immutable
+/// index, so throughput should scale with cores.
 fn bench_serving_threads(c: &mut Criterion) {
     let d = scaled_spec(DatasetKind::Uniform, SCALE, 0.5, 17);
     let mut g = c.benchmark_group("serving_vs_threads");
     g.sample_size(10);
-    for (name, engine) in [
-        (
-            "bbst_unsharded",
-            Engine::build(&d.r, &d.s, &SampleConfig::new(L), Algorithm::Bbst),
-        ),
-        (
-            "bbst_sharded4",
-            Engine::build_sharded(
-                &d.r,
-                &d.s,
-                &SampleConfig::new(L).with_build_threads(0),
-                Algorithm::Bbst,
-                4,
-            ),
-        ),
-    ] {
-        for threads in [1usize, 2, 4, 8] {
-            g.bench_with_input(BenchmarkId::new(name, threads), &threads, |b, &threads| {
+    let engine = Engine::build(&d.r, &d.s, &SampleConfig::new(L), Algorithm::Bbst);
+    for threads in [1usize, 2, 4, 8] {
+        g.bench_with_input(
+            BenchmarkId::new("bbst", threads),
+            &threads,
+            |b, &threads| {
                 b.iter(|| serving_throughput(&engine, threads, T));
-            });
-        }
+            },
+        );
     }
     g.finish();
 }

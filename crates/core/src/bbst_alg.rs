@@ -83,8 +83,8 @@ use crate::decompose::{case12_draw, quadrant_query, upper_bounding};
 /// iteration (Theorem 3) — i.e. accepted samples are uniform and
 /// independent.
 ///
-/// [`SamplerIndex::try_draw`] is exactly pick + resolve, and so are the
-/// sharded and stream paths built on it. A batch
+/// [`SamplerIndex::try_draw`] is exactly pick + resolve, and so is the
+/// stream path built on it. A batch
 /// ([`SamplerIndex::draw_many`], behind [`Cursor::sample_batch`]) — and
 /// the base share of an overlay's batch — runs the same two steps up to
 /// 64 iterations at a time, stage by stage, through the
@@ -94,9 +94,9 @@ use crate::decompose::{case12_draw, quadrant_query, upper_bounding};
 pub struct BbstIndex {
     r_points: Vec<Point>,
     /// The `S`-side: grid + per-cell BBST pairs behind one `Arc`-shared,
-    /// cell-granular [`CellStore`]. A sharded engine builds it once and
-    /// shares it across every shard ([`BbstIndex::build_shared`]); an
-    /// epoch engine patches it cell by cell across rebuilds.
+    /// cell-granular [`CellStore`]. Rebuilds over a new `R` stand on the
+    /// same copy ([`BbstIndex::build_shared`]); an epoch engine patches
+    /// it cell by cell across rebuilds.
     store: Arc<CellStore<CellBbsts>>,
     /// Per-`r` cell distributions (`A_r` in Algorithm 1).
     rows: Vec<BlockRow>,
@@ -113,8 +113,8 @@ const _: () = {
 
 /// The `S`-side of a [`BbstIndex`] (phase 1 of Algorithm 1): the grid
 /// and the per-cell BBSTs behind one [`CellStore`], `Arc`-held so many
-/// indexes — e.g. the shards of a sharded engine — can be built over
-/// one copy, and patchable cell by cell across epochs. Produced by
+/// indexes — e.g. an engine's rebuilds over a new `R` — can be built
+/// over one copy, and patchable cell by cell across epochs. Produced by
 /// [`BbstIndex::build_s_structures`] or, over a grid the caller built,
 /// [`BbstIndex::s_structures_on_grid`]; consumed by
 /// [`BbstIndex::build_shared`].
@@ -194,10 +194,9 @@ impl BbstIndex {
 
     /// Builds only the `S`-side structures (grid + per-cell BBSTs,
     /// behind one patchable [`CellStore`]) and records what phase 1
-    /// cost. A sharded engine calls this once and hands the result to
-    /// every per-shard [`BbstIndex::build_shared`], so the `S`-side is
-    /// built — and held in memory — exactly once; an epoch engine
-    /// patches it cell by cell instead of rebuilding.
+    /// cost. Hand the result to [`BbstIndex::build_shared`] to build
+    /// indexes over several `R`s that hold one copy of the `S`-side; an
+    /// epoch engine patches it cell by cell instead of rebuilding.
     ///
     /// `s` is a slice, copied, or an `Arc<PointSet>`, which the grid
     /// shares. Only what depends on `l` is paid here: the sorts of `S`
@@ -538,12 +537,6 @@ impl SamplerIndex for BbstIndex {
             alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
             ..self.store.index_bytes()
         }
-    }
-
-    fn shared_memory_token(&self) -> usize {
-        // The grid and the per-cell BBSTs live behind one store Arc, so
-        // one token covers both.
-        Arc::as_ptr(&self.store) as usize
     }
 }
 

@@ -49,11 +49,12 @@ pub trait SamplerIndex: Send + Sync {
     ///
     /// Exposing the single iteration — rather than only the
     /// accept-loops in [`SamplerIndex::draw_with`] and
-    /// [`SamplerIndex::draw_many`] — is what makes
-    /// composition correct: a sharded wrapper must re-pick the shard on
-    /// **every** iteration (each iteration emits any pair of `J` with
-    /// probability exactly `1/Σµ`), not merely loop inside one shard,
-    /// which would bias samples toward shards with looser bounds.
+    /// [`SamplerIndex::draw_many`] — is what makes composition correct:
+    /// a wrapper over several sources ([`crate::OverlayIndex`]) must
+    /// re-pick the source on **every** iteration (each iteration emits
+    /// any pair of `J` with probability exactly `1/Σµ`), not merely loop
+    /// inside one source, which would bias samples toward sources with
+    /// looser bounds.
     ///
     /// Generic over the RNG so the serving engine can monomorphise the
     /// whole draw path over its concrete `SmallRng` (no virtual call
@@ -79,7 +80,7 @@ pub trait SamplerIndex: Send + Sync {
     /// Total sampling weight `Σ_r µ(r)` this index draws against
     /// (`= |J|` for exact-counting indexes, `0.0` for an empty join).
     /// Per iteration, each pair of `J` is emitted with probability
-    /// exactly `1 / total_weight` — the invariant a sharded wrapper's
+    /// exactly `1 / total_weight` — the invariant an overlay's
     /// top-level alias relies on.
     fn total_weight(&self) -> f64;
 
@@ -213,23 +214,12 @@ pub trait SamplerIndex: Send + Sync {
     /// Approximate heap footprint of the retained structures, by
     /// structure. The `S`-side entries (`grid`, `units`, `point_set`)
     /// are what the index holds through an `Arc` and may share with
-    /// sibling indexes; see [`SamplerIndex::shared_memory_token`].
+    /// sibling indexes.
     fn index_bytes(&self) -> IndexBytes;
 
     /// [`SamplerIndex::index_bytes`] summed: the whole footprint.
     fn index_memory_bytes(&self) -> usize {
         self.index_bytes().total()
-    }
-
-    /// Identity of the shared `S`-side allocation (the `Arc`'s pointer
-    /// address): two indexes returning the same non-zero token hold the
-    /// *same* structures (a sharded engine builds the kd-trees / grid /
-    /// per-cell BBSTs once and clones the `Arc` into every shard), so an
-    /// aggregator counts their `S`-side entries once
-    /// ([`IndexBytes::without_s_side`] for every index after the first).
-    /// `0` means "nothing shared".
-    fn shared_memory_token(&self) -> usize {
-        0
     }
 }
 
@@ -246,8 +236,8 @@ pub struct IndexBytes {
     /// group index's rows with their nine cell slots (76 B a group), and
     /// an overlay's chunk rows.
     pub rows: usize,
-    /// Every alias table: over `µ(r)`, over shards, over an overlay's
-    /// sources and chunk members.
+    /// Every alias table: over `µ(r)` (or a group index's rows), over
+    /// an overlay's sources and chunk members.
     pub alias: usize,
     /// Grid cells and their lookup, without the point set under them;
     /// an overlay's two support grids and insert grids too.
@@ -291,17 +281,6 @@ impl IndexBytes {
     /// The whole footprint.
     pub fn total(&self) -> usize {
         self.parts().iter().map(|&(_, bytes)| bytes).sum()
-    }
-
-    /// This index's own share when a sibling already counted the
-    /// `S`-side they both stand on.
-    pub fn without_s_side(self) -> Self {
-        IndexBytes {
-            grid: 0,
-            units: 0,
-            point_set: 0,
-            ..self
-        }
     }
 }
 

@@ -354,10 +354,6 @@ impl SamplerIndex for GroupIndex {
             ..IndexBytes::of_grid(&self.grid)
         }
     }
-
-    fn shared_memory_token(&self) -> usize {
-        Arc::as_ptr(&self.grid) as usize
-    }
 }
 
 /// Cheap per-thread query state over a shared [`GroupIndex`] (see

@@ -62,9 +62,9 @@ use crate::decompose::{case12_draw, open_quadrant, quadrant_query, upper_boundin
 /// the draws, `O(n + m)` space.
 pub struct KdsIndex {
     r_points: Vec<Point>,
-    /// `Arc`-held so a sharded engine can build the `S`-side once and
-    /// share it across every shard (see [`KdsIndex::build_shared`]),
-    /// and an epoch engine can patch it cell by cell.
+    /// `Arc`-held so that rebuilds over a new `R` stand on one copy of
+    /// the `S`-side (see [`KdsIndex::build_shared`]), and an epoch
+    /// engine can patch it cell by cell.
     s_cells: Arc<KdCellStore>,
     /// Per `r`, the exact count of `w(r)` in each cell of its block.
     rows: Vec<BlockRow>,
@@ -95,9 +95,9 @@ impl KdsIndex {
     }
 
     /// Builds only the `S`-side structure (the per-cell kd-trees) and
-    /// reports how long it took. A sharded engine calls this once and
-    /// hands `Arc` clones to every per-shard [`KdsIndex::build_shared`],
-    /// so the structure is built — and held in memory — exactly once.
+    /// reports how long it took. Hand `Arc` clones of it to
+    /// [`KdsIndex::build_shared`] to build indexes over several `R`s
+    /// that hold one copy of the structure.
     /// `s` is a slice, copied, or an `Arc<PointSet>`, shared; the time
     /// includes the sorts of `S` only when this build ran them.
     pub fn build_s_structure(
@@ -321,10 +321,6 @@ impl SamplerIndex for KdsIndex {
             alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
             ..self.s_cells.store().index_bytes()
         }
-    }
-
-    fn shared_memory_token(&self) -> usize {
-        Arc::as_ptr(&self.s_cells) as usize
     }
 }
 

@@ -38,7 +38,7 @@
 //! each thread its own cursor, and all threads draw concurrently from
 //! the same structures. A `*Sampler` is a cursor over an index of its
 //! own (`::build`); the `srj-engine` crate builds a full concurrent
-//! serving engine — planner, index cache, `R`-sharding, latency
+//! serving engine — planner, epoch swaps, latency
 //! statistics — on top of this split.
 //!
 //! ## Dynamic datasets

@@ -49,9 +49,10 @@
 //! one position of one row, so it comes out with probability
 //! `(total / W_chunk) · (1 / total) = 1 / W_chunk`. A top-level alias
 //! over `(W_base, W_chunk₁, …)` re-picks the source on **every**
-//! iteration (the sharded engine's composition rule), so per iteration
-//! every pair of `J'` has probability `1/W`, `W = W_base + Σ W_chunk`,
-//! and accepted samples are uniform over the *current* join.
+//! iteration ([`SamplerIndex::try_draw`]'s composition rule), so per
+//! iteration every pair of `J'` has probability `1/W`,
+//! `W = W_base + Σ W_chunk`, and accepted samples are uniform over the
+//! *current* join.
 //!
 //! ## The prefix argument
 //!
@@ -901,7 +902,7 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
     }
 
     /// One iteration: the source from the top-level alias — re-picked
-    /// every iteration, exactly like the sharded composition — then one
+    /// every iteration, see [`SamplerIndex::try_draw`] — then one
     /// iteration of that source.
     fn try_draw<R: Rng + ?Sized>(
         &self,

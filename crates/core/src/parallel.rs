@@ -40,9 +40,8 @@ pub fn effective_threads(requested: usize) -> usize {
 /// one longer. `k` is clamped to `[1, max(n, 1)]`, so no part is empty
 /// unless `n == 0` (which yields the single part `(0, 0)`).
 ///
-/// This is the one chunking rule shared by [`par_map`] and the
-/// engine's `R`-sharding, so the partition contract (balance,
-/// exhaustiveness, order) lives in exactly one place.
+/// This is [`par_map`]'s chunking rule, so the partition contract
+/// (balance, exhaustiveness, order) lives in exactly one place.
 pub fn chunk_bounds(n: usize, k: usize) -> Vec<(usize, usize)> {
     let k = k.clamp(1, n.max(1));
     let base = n / k;

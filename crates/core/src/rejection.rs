@@ -33,10 +33,9 @@ pub struct KdsRejectionIndex {
     r_points: Vec<Point>,
     /// The `S`-side — the grid (for the 9-cell bounds) plus per-cell
     /// kd-trees (for the in-window draws) behind one cell-granular
-    /// [`KdCellStore`] — `Arc`-held so a sharded engine can build it
-    /// once and share it across every shard (see
-    /// [`KdsRejectionIndex::build_shared`]), and an epoch engine can
-    /// patch it cell by cell.
+    /// [`KdCellStore`] — `Arc`-held so that rebuilds over a new `R`
+    /// stand on one copy (see [`KdsRejectionIndex::build_shared`]), and
+    /// an epoch engine can patch it cell by cell.
     s_cells: Arc<KdCellStore>,
     /// Per-`r` upper bounds `µ(r)` (the alias weights).
     mu: Vec<f64>,
@@ -69,10 +68,9 @@ impl KdsRejectionIndex {
 
     /// Like [`KdsRejectionIndex::build`], but over an already-built
     /// `S`-side (e.g. [`KdCellStore::from_grid`], or a
-    /// [`KdCellStore::patch`] of one) — which a sharded engine builds
-    /// once and hands to every shard. Its build time is charged to
-    /// whoever built it, so this index's report records zero
-    /// preprocessing / grid-mapping.
+    /// [`KdCellStore::patch`] of one) that several indexes may share.
+    /// Its build time is charged to whoever built it, so this index's
+    /// report records zero preprocessing / grid-mapping.
     ///
     /// # Panics
     /// Panics if the store's cell side differs from
@@ -235,12 +233,6 @@ impl SamplerIndex for KdsRejectionIndex {
             alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
             ..self.s_cells.store().index_bytes()
         }
-    }
-
-    fn shared_memory_token(&self) -> usize {
-        // The grid and the per-cell trees live behind one store Arc,
-        // so one token covers both.
-        Arc::as_ptr(&self.s_cells) as usize
     }
 }
 

@@ -113,23 +113,7 @@ impl Engine {
         config: &SampleConfig,
         algorithm: Algorithm,
     ) -> Engine {
-        Engine::build_sharded(r, s, config, algorithm, 1)
-    }
-
-    /// Like [`Engine::build`], but partitions `R` into `shards`
-    /// contiguous shards, builds the per-shard indexes in parallel (on
-    /// [`SampleConfig::build_threads`] threads) over one shared
-    /// `S`-side, and serves by sampling a shard `∝ Σµ_i` then within it
-    /// — statistically identical to the unsharded engine (see
-    /// [`crate::shard`]). `shards ≤ 1` is the plain unsharded build.
-    pub fn build_sharded(
-        r: &[Point],
-        s: impl IntoPointSet,
-        config: &SampleConfig,
-        algorithm: Algorithm,
-        shards: usize,
-    ) -> Engine {
-        let (index, plan) = family::build(r, s.into_point_set(), config, shards, Some(algorithm));
+        let (index, plan) = family::build(r, s.into_point_set(), config, Some(algorithm));
         Engine::from_index(index, plan, true, MaintenanceCounters::default())
     }
 
@@ -142,21 +126,7 @@ impl Engine {
     /// The decision and its supporting estimates are kept in
     /// [`Engine::plan`].
     pub fn auto(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Engine {
-        Engine::auto_sharded(r, s, config, 1)
-    }
-
-    /// Shard-aware [`Engine::auto`]: the planner picks the algorithm,
-    /// then the build is `R`-sharded into `shards` shards ([`PlanReport`]
-    /// records the shard count it planned for) — the index
-    /// [`Engine::build_sharded`] builds for that algorithm, over one grid
-    /// and one `S`-side `Arc`-shared across all shards.
-    pub fn auto_sharded(
-        r: &[Point],
-        s: impl IntoPointSet,
-        config: &SampleConfig,
-        shards: usize,
-    ) -> Engine {
-        let (index, plan) = family::build(r, s.into_point_set(), config, shards, None);
+        let (index, plan) = family::build(r, s.into_point_set(), config, None);
         Engine::from_index(index, plan, true, MaintenanceCounters::default())
     }
 
@@ -195,7 +165,7 @@ impl Engine {
     /// Rebuilds this engine over a new `R` while **reusing** its
     /// `Arc`-shared `S`-side structures (kd-tree / grid / per-cell
     /// BBSTs) — the cheap major-epoch swap when only `R` mutated.
-    /// Algorithm and shard topology are preserved; the `S`-side is
+    /// The algorithm and row granularity are preserved; the `S`-side is
     /// neither rebuilt nor copied.
     ///
     /// Returns `None` for overlay engines (rebuild from the epoch base
@@ -214,8 +184,8 @@ impl Engine {
     /// clean cell's structure is `Arc`-shared with this engine's
     /// (asserted by [`Engine::s_cell_tokens`] in the tests). Inserted
     /// points get appended ids, deleted ids become dead — id-stable,
-    /// which is what makes the sharing sound. Algorithm and shard
-    /// topology are preserved.
+    /// which is what makes the sharing sound. The algorithm and row
+    /// granularity are preserved.
     ///
     /// Returns `None` for overlay engines (patch from the epoch base
     /// instead). This is the cell-granular major-epoch swap: `O(dirty
@@ -297,11 +267,6 @@ impl Engine {
         self.shared.index.algorithm()
     }
 
-    /// How many `R` shards this engine serves from (`1` when unsharded).
-    pub fn shards(&self) -> usize {
-        self.shared.index.shards()
-    }
-
     /// The planner's decision report, if this engine came from
     /// [`Engine::auto`], with [`PlanReport::buffers`] stamped from the
     /// engine's **live** fast-path flag (buffer state is a serving-time
@@ -357,10 +322,11 @@ impl Engine {
         self.shared.stats.ns_per_sample()
     }
 
-    /// Build-phase timing of the underlying index. For sharded engines
-    /// the phase decomposition is collapsed: `upper_bounding` is the
-    /// wall-clock of the whole parallel shard-build and
-    /// `upper_bounding_cpu` the summed per-shard build time.
+    /// Build-phase timing of the full build this engine serves, the
+    /// work done before the per-`r` pass included: the sorts of `S`
+    /// charged to pre-processing, the grid and the family's `S`-side to
+    /// grid mapping. An overlay engine reports its base's; a rebuild
+    /// over a kept or patched `S`-side reports only its own pass.
     pub fn build_report(&self) -> PhaseReport {
         self.shared.index.build_report()
     }
@@ -372,8 +338,7 @@ impl Engine {
 
     /// [`Engine::memory_bytes`] by structure: the per-`r` rows, the
     /// alias tables, the grid, the per-cell units, the point set and,
-    /// for an overlay engine, its pending mutations. `S`-side structures
-    /// shared by several shards are counted once.
+    /// for an overlay engine, its pending mutations.
     pub fn memory_breakdown(&self) -> IndexBytes {
         self.shared.index.index_bytes()
     }
@@ -554,10 +519,14 @@ impl SamplerHandle {
         }
     }
 
-    /// This handle's phase report: the shared index's build phases plus
-    /// this handle's own sampling statistics.
+    /// This handle's phase report: the engine's build phases
+    /// ([`Engine::build_report`]) plus this handle's own sampling
+    /// statistics.
     pub fn report(&self) -> PhaseReport {
-        self.cursor.report()
+        self.shared
+            .index
+            .build_report()
+            .with_sampling_from(&self.cursor.report())
     }
 
     /// Observed rejection overhead of this handle so far:

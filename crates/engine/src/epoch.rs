@@ -91,8 +91,10 @@ pub struct EpochConfig {
     /// fraction of the S-side cells, and falls back to a full rebuild
     /// (purging dead ids, renumbering) beyond it. Default 0.5.
     pub max_patch_fraction: f64,
-    /// `R`-shard count for every build (see [`Engine::build_sharded`]).
-    /// Default 1.
+    /// Reserved; must be `≤ 1`. The engine holds one index over all of
+    /// `R` and reads nothing here; the field is kept only so that
+    /// existing struct literals still compile, and goes in a later
+    /// change.
     pub shards: usize,
     /// Pinned algorithm, or `None` for the planner's choice at every
     /// full build (a patch swap keeps the epoch's algorithm).
@@ -137,12 +139,6 @@ impl EpochConfig {
             "patch fraction must be in [0, 1]"
         );
         self.max_patch_fraction = fraction;
-        self
-    }
-
-    /// Sets the shard topology.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -241,12 +237,19 @@ impl EpochEngine {
     /// and the buffer draws of every engine it commits. Engines handed
     /// clones of one set add up in it, and what an engine counted stays
     /// counted after the engine is dropped.
+    ///
+    /// # Panics
+    /// Panics if `cfg.shards > 1` (see [`EpochConfig::shards`]).
     pub fn with_counters(
         store: Arc<DatasetStore>,
         config: &SampleConfig,
         cfg: EpochConfig,
         counters: MaintenanceCounters,
     ) -> Self {
+        assert!(
+            cfg.shards <= 1,
+            "EpochConfig::shards is reserved: R is not sharded"
+        );
         // A full build must never run over a base with dead ids (a
         // sibling engine's incremental compaction may have left some):
         // purge first — the compaction is a no-op otherwise.
@@ -296,7 +299,7 @@ impl EpochEngine {
             "full builds must run over a purged base"
         );
         let s = Arc::clone(&snap.base_s);
-        let (index, plan) = family::build(&snap.base_r, s, config, cfg.shards, cfg.algorithm);
+        let (index, plan) = family::build(&snap.base_r, s, config, cfg.algorithm);
         Engine::from_index(index, plan, true, counters.clone())
     }
 

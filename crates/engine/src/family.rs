@@ -2,11 +2,10 @@
 //!
 //! The paper's three algorithms are one skeleton — an `S`-side built
 //! from `S` alone, a weight pass over it, an alias pick, a draw — so
-//! the engine holds all of them the same way: a [`ShardedIndex`] of one
-//! or more shards of a [`Family`], optionally under a delta
-//! [`OverlayIndex`], behind one object-safe [`EngineIndex`] implemented
-//! once for every family. Adding or removing an algorithm is one
-//! `impl Family` and one arm of [`build`].
+//! the engine holds all of them the same way: the index of a [`Family`],
+//! optionally under a delta [`OverlayIndex`], behind one object-safe
+//! [`EngineIndex`] implemented once for every family. Adding or removing
+//! an algorithm is one `impl Family` and one arm of [`build`].
 //!
 //! [`Algorithm::Bbst`] has two row granularities, each an `impl Family`:
 //! per-`r` rows ([`BbstIndex`], the paper's Algorithm 1) and one row per
@@ -37,7 +36,6 @@ use srj_grid::{Grid, PointSet};
 
 use crate::engine::Algorithm;
 use crate::planner::{self, PlanReport};
-use crate::shard::ShardedIndex;
 
 /// `(cell coordinate, unit pointer)` per `S`-cell; see
 /// [`crate::Engine::s_cell_tokens`].
@@ -72,8 +70,8 @@ impl RowGranularity {
 trait Family: SamplerIndex + Sized + 'static {
     const ALGORITHM: Algorithm;
 
-    /// Everything built from `S` alone, `Arc`-held inside: every shard,
-    /// and every rebuild over a new `R`, is built on one copy.
+    /// Everything built from `S` alone, `Arc`-held inside: every rebuild
+    /// over a new `R` is built on one copy.
     type SSide: Sync;
 
     /// Builds the `S`-side over the engine's grid of `S` and reports
@@ -266,16 +264,15 @@ impl Family for GroupIndex {
     }
 }
 
-/// Builds an engine's index over `shards` shards of `r` (`≤ 1` = one
-/// shard), and is the one place its grid of `S` is built: the sorts of
-/// `S` (none if the set already holds them) are charged to
-/// pre-processing, the grid to grid mapping. With no `algorithm` the
-/// planner picks one from that grid, and its report comes back too.
+/// Builds an engine's index over `r`, and is the one place its grid of
+/// `S` is built: the sorts of `S` (none if the set already holds them)
+/// are charged to pre-processing, the grid to grid mapping. With no
+/// `algorithm` the planner picks one from that grid, and its report
+/// comes back too.
 pub(crate) fn build(
     r: &[Point],
     s: Arc<PointSet>,
     config: &SampleConfig,
-    shards: usize,
     algorithm: Option<Algorithm>,
 ) -> (Box<dyn EngineIndex>, Option<PlanReport>) {
     let preprocessing = s.ensure_orders();
@@ -289,20 +286,14 @@ pub(crate) fn build(
     let (algorithm, plan) = match algorithm {
         Some(algorithm) => (algorithm, None),
         None => {
-            let plan = planner::plan(r, &grid, config, shards);
+            let plan = planner::plan(r, &grid, config);
             (plan.algorithm, Some(plan))
         }
     };
     let index = match algorithm {
-        Algorithm::Kds => {
-            let index = build_family::<KdsIndex>(r, grid, config, shards, base);
-            Built::full(index, r.len())
-        }
-        Algorithm::KdsRejection => {
-            let index = build_family::<KdsRejectionIndex>(r, grid, config, shards, base);
-            Built::full(index, r.len())
-        }
-        Algorithm::Bbst => build_bbst(r, grid, config, shards, base),
+        Algorithm::Kds => build_family::<KdsIndex>(r, grid, config, base).boxed(),
+        Algorithm::KdsRejection => build_family::<KdsRejectionIndex>(r, grid, config, base).boxed(),
+        Algorithm::Bbst => build_bbst(r, grid, config, base),
     };
     (index, plan)
 }
@@ -341,7 +332,7 @@ const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
 /// build, with the group pass and the probe charged to its
 /// upper-bounding phase.
 ///
-/// The decision is a function of `(R, S, l, shards)` alone: no traffic,
+/// The decision is a function of `(R, S, l)` alone: no traffic,
 /// no clock, no configuration enters it, so a forced and a planned
 /// build take it identically. Rebuilds over a new `R` or a patched `S`
 /// keep the granularity of the full build they derive from.
@@ -349,13 +340,12 @@ fn build_bbst(
     r: &[Point],
     grid: Arc<Grid>,
     config: &SampleConfig,
-    shards: usize,
     base: PhaseReport,
 ) -> Box<dyn EngineIndex> {
     let t0 = Instant::now();
-    let groups = build_family::<GroupIndex>(r, Arc::clone(&grid), config, shards, base);
-    if probe_acceptance(&groups) >= MIN_PROBE_ACCEPTANCE {
-        return Built::full(groups, r.len());
+    let groups = build_family::<GroupIndex>(r, Arc::clone(&grid), config, base);
+    if probe_acceptance(&groups.full) >= MIN_PROBE_ACCEPTANCE {
+        return groups.boxed();
     }
     drop(groups);
     let tried = t0.elapsed();
@@ -364,13 +354,12 @@ fn build_bbst(
         upper_bounding_cpu: tried,
         ..base
     };
-    let index = build_family::<BbstIndex>(r, grid, config, shards, report);
-    Built::full(index, r.len())
+    build_family::<BbstIndex>(r, grid, config, report).boxed()
 }
 
 /// Share of [`PROBE_ITERATIONS`] fixed-seed iterations `index` accepts;
 /// zero for an empty join.
-fn probe_acceptance(index: &ShardedIndex<GroupIndex>) -> f64 {
+fn probe_acceptance(index: &GroupIndex) -> f64 {
     let mut rng = SmallRng::seed_from_u64(PROBE_SEED);
     let mut stats = PhaseReport::default();
     let mut outcomes = Vec::with_capacity(PROBE_ITERATIONS);
@@ -387,46 +376,21 @@ fn probe_acceptance(index: &ShardedIndex<GroupIndex>) -> f64 {
     }
 }
 
-/// `shards` shards of family `F` over `grid`; `base` is what this build
-/// spent before the family's `S`-side.
+/// Family `F` over `grid`; `base` is what this build spent before the
+/// family's `S`-side.
 fn build_family<F: Family>(
     r: &[Point],
     grid: Arc<Grid>,
     config: &SampleConfig,
-    shards: usize,
     base: PhaseReport,
-) -> ShardedIndex<F> {
-    // The S-side depends only on `S`, never on a shard's slice of `R`:
-    // built once, with the full `build_threads` budget, and shared into
-    // every shard (`ShardedIndex::index_memory_bytes` counts it once).
+) -> Built<F> {
     let (s_side, s_report) = F::build_s(grid, config);
     let report = PhaseReport {
         preprocessing: base.preprocessing + s_report.preprocessing,
         grid_mapping: base.grid_mapping + s_report.grid_mapping,
         ..base
     };
-    build_shards::<F>(r, &s_side, config, shards, report)
-}
-
-/// `shards` shards of `r` over one `S`-side; `base` is what that side
-/// cost, if this build paid for it.
-fn build_shards<F: Family>(
-    r: &[Point],
-    s_side: &F::SSide,
-    config: &SampleConfig,
-    shards: usize,
-    base: PhaseReport,
-) -> ShardedIndex<F> {
-    // Several shards spend the parallelism budget across themselves
-    // (nested parallel builds would oversubscribe the cores); a lone
-    // one keeps it.
-    let shard_cfg = SampleConfig {
-        build_threads: if shards > 1 { 1 } else { config.build_threads },
-        ..*config
-    };
-    ShardedIndex::build_with_base(r, config, shards, base, |chunk| {
-        F::build_on(chunk, s_side, &shard_cfg)
-    })
+    Built::full(F::build_on(r, &s_side, config), report, r.len())
 }
 
 /// The object-safe face of a built index: what [`crate::Engine`] asks
@@ -434,7 +398,6 @@ fn build_shards<F: Family>(
 /// under an overlay — rebuild from the epoch's full build instead.
 pub(crate) trait EngineIndex: Send + Sync {
     fn algorithm(&self) -> Algorithm;
-    fn shards(&self) -> usize;
     fn is_overlay(&self) -> bool;
     /// A fresh cursor over the shared index (O(1)).
     fn cursor(&self) -> Box<dyn ServingCursor>;
@@ -466,30 +429,50 @@ pub(crate) trait EngineIndex: Send + Sync {
 
 /// A full build of family `F`, or a delta overlay on one.
 struct Built<F: Family> {
-    full: Arc<ShardedIndex<F>>,
+    full: Arc<F>,
+    /// The full build's phases, with what the caller spent on it before
+    /// the per-`r` pass folded in: the sorts of `S`, the grid and the
+    /// family's `S`-side. An overlay reports its base's.
+    report: PhaseReport,
     /// `|R|` of the full build.
     r_len: usize,
     /// Pending mutations over `full`, when this is an overlay snapshot.
-    overlay: Option<Arc<OverlayIndex<ShardedIndex<F>>>>,
+    overlay: Option<Arc<OverlayIndex<F>>>,
 }
 
 impl<F: Family> Built<F> {
-    fn full(index: ShardedIndex<F>, r_len: usize) -> Box<dyn EngineIndex> {
-        Box::new(Built {
+    /// `index` as a full build; `base` is what was spent on it outside
+    /// [`Family::build_on`].
+    fn full(index: F, base: PhaseReport, r_len: usize) -> Self {
+        let own = index.index_build_report();
+        let report = PhaseReport {
+            preprocessing: base.preprocessing + own.preprocessing,
+            grid_mapping: base.grid_mapping + own.grid_mapping,
+            upper_bounding: base.upper_bounding + own.upper_bounding,
+            upper_bounding_cpu: base.upper_bounding_cpu + own.upper_bounding_cpu,
+            ..PhaseReport::default()
+        };
+        Built {
             full: Arc::new(index),
+            report,
             r_len,
             overlay: None,
-        })
+        }
     }
 
-    /// Every shard's [`Family::group_rows`], summed.
-    fn group_rows(&self) -> Option<usize> {
-        let shards = 0..self.full.shard_count();
-        shards.map(|i| self.full.shard(i).group_rows()).sum()
+    /// A rebuild of this family over `r` on `s_side`, which this build
+    /// did not pay for.
+    fn rebuilt(r: &[Point], s_side: &F::SSide, config: &SampleConfig) -> Box<dyn EngineIndex> {
+        let index = F::build_on(r, s_side, config);
+        Built::full(index, PhaseReport::default(), r.len()).boxed()
+    }
+
+    fn boxed(self) -> Box<dyn EngineIndex> {
+        Box::new(self)
     }
 
     /// The full build, unless an overlay stands on it.
-    fn structure(&self) -> Option<&ShardedIndex<F>> {
+    fn structure(&self) -> Option<&F> {
         self.overlay.is_none().then_some(&*self.full)
     }
 }
@@ -513,10 +496,6 @@ impl<F: Family> EngineIndex for Built<F> {
         F::ALGORITHM
     }
 
-    fn shards(&self) -> usize {
-        self.full.shard_count()
-    }
-
     fn is_overlay(&self) -> bool {
         self.overlay.is_some()
     }
@@ -526,7 +505,7 @@ impl<F: Family> EngineIndex for Built<F> {
     }
 
     fn build_report(&self) -> PhaseReport {
-        serving!(self, index => index.index_build_report())
+        self.report
     }
 
     fn index_bytes(&self) -> IndexBytes {
@@ -538,18 +517,18 @@ impl<F: Family> EngineIndex for Built<F> {
     }
 
     fn cell_count(&self) -> usize {
-        F::grid(&self.full.shard(0).s_side()).num_cells()
+        F::grid(&self.full.s_side()).num_cells()
     }
 
     fn row_granularity(&self) -> RowGranularity {
-        match self.group_rows() {
+        match self.full.group_rows() {
             Some(_) => RowGranularity::Group,
             None => RowGranularity::PerR,
         }
     }
 
     fn row_count(&self) -> usize {
-        self.group_rows().unwrap_or(self.r_len)
+        self.full.group_rows().unwrap_or(self.r_len)
     }
 
     fn with_overlay(
@@ -566,17 +545,15 @@ impl<F: Family> EngineIndex for Built<F> {
         let overlay = OverlayIndex::new(Arc::clone(&full), delta, support, config);
         Box::new(Built {
             full,
+            report: self.report,
             r_len: self.r_len,
             overlay: Some(Arc::new(overlay)),
         })
     }
 
     fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Box<dyn EngineIndex>> {
-        let full = self.structure()?;
-        let s_side = full.shard(0).s_side();
-        let report = PhaseReport::default();
-        let index = build_shards::<F>(r, &s_side, config, full.shard_count(), report);
-        Some(Built::full(index, r.len()))
+        let s_side = self.structure()?.s_side();
+        Some(Self::rebuilt(r, &s_side, config))
     }
 
     fn rebuild_with_s_patch(
@@ -587,18 +564,16 @@ impl<F: Family> EngineIndex for Built<F> {
         deleted_s: &HashSet<PointId>,
     ) -> Option<(Box<dyn EngineIndex>, CellPatchReport)> {
         let full = self.structure()?;
-        let (s_side, patched) = F::patch(&full.shard(0).s_side(), inserted_s, deleted_s);
-        let report = PhaseReport::default();
-        let index = build_shards::<F>(r, &s_side, config, full.shard_count(), report);
-        Some((Built::full(index, r.len()), patched))
+        let (s_side, patched) = F::patch(&full.s_side(), inserted_s, deleted_s);
+        Some((Self::rebuilt(r, &s_side, config), patched))
     }
 
     fn s_cell_tokens(&self) -> Option<CellTokens> {
-        Some(F::cell_tokens(&self.structure()?.shard(0).s_side()))
+        Some(F::cell_tokens(&self.structure()?.s_side()))
     }
 
     fn s_grid(&self) -> Option<Arc<Grid>> {
-        Some(F::grid(&self.structure()?.shard(0).s_side()))
+        Some(F::grid(&self.structure()?.s_side()))
     }
 }
 

@@ -6,13 +6,13 @@
 //! §II; Tables II–IV time the phases separately). `srj-core` makes that
 //! seam structural (immutable `*Index` + cheap `*Cursor`); this crate
 //! turns it into a service, holding every algorithm's index in one
-//! shape — one or more shards over one shared `S`-side, optionally
-//! under a delta overlay:
+//! shape — one index over all of `R` on its family's `S`-side,
+//! optionally under a delta overlay:
 //!
 //! ```text
 //!                 ┌────────────────────────────────────────────┐
 //!                 │                Engine (Arc)                │
-//!   R, S, l ───►  │  build ONCE: ShardedIndex<F>, k ≥ 1 shards │
+//!   R, S, l ───►  │  build ONCE: one index of family F         │
 //!                 │   F = KDS | KDS-rejection | BBST           │
 //!                 │  EngineStats (relaxed atomics)             │
 //!                 │  PlanReport  (Engine::auto only)           │
@@ -54,15 +54,6 @@
 //! the planner reads that grid and the chosen family stands on it, so
 //! an auto build is exactly the forced build of its plan.
 //!
-//! ## Sharding ([`Engine::build_sharded`], [`crate::shard`])
-//!
-//! `R` partitioned into `k` contiguous shards, each with its own full
-//! index (built concurrently on `SampleConfig::build_threads`
-//! threads), served through a top-level alias over per-shard `Σµ_i`.
-//! The shard is re-picked on **every** sampling iteration, so accepted
-//! samples stay exactly uniform over `J`; `k` serving threads over `k`
-//! shards contend on nothing.
-//!
 //! ## Dynamic datasets ([`EpochEngine`], [`DatasetStore`])
 //!
 //! The dataset is mutable even though every index is immutable: a
@@ -87,7 +78,6 @@ mod engine;
 mod epoch;
 mod family;
 pub mod planner;
-pub mod shard;
 mod stats;
 
 pub use dataset::{BatchApplied, DatasetSnapshot, DatasetStore, SPatchDelta};
@@ -95,7 +85,6 @@ pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
 pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot};
 pub use family::RowGranularity;
 pub use planner::PlanReport;
-pub use shard::ShardedIndex;
 pub use stats::{EngineStats, MaintenanceCounters, StatsSnapshot};
 
 #[cfg(test)]
@@ -219,30 +208,18 @@ mod tests {
         assert_eq!(stream.error(), Some(SampleError::EmptyJoin));
     }
 
-    /// [`Engine::auto`], checked to be the forced build of its plan —
-    /// unsharded and at three shards: the same index, the same seeded
-    /// draws.
+    /// [`Engine::auto`], checked to be the forced build of its plan:
+    /// the same index, the same seeded draws.
     fn auto_as_forced(r: &[Point], s: &[Point], cfg: &SampleConfig) -> Engine {
         let engine = Engine::auto(r, s, cfg);
         let plan = engine.plan().expect("auto must record its plan");
-        let auto_sharded = Engine::auto_sharded(r, s, cfg, 3);
-        assert_eq!(auto_sharded.plan().unwrap().algorithm, plan.algorithm);
-        let pairs = [
-            (engine.clone(), Engine::build(r, s, cfg, plan.algorithm)),
-            (
-                auto_sharded,
-                Engine::build_sharded(r, s, cfg, plan.algorithm, 3),
-            ),
-        ];
-        for (auto, forced) in pairs {
-            assert_eq!(auto.algorithm(), plan.algorithm);
-            assert_eq!(auto.shards(), forced.shards());
-            assert_eq!(auto.total_weight(), forced.total_weight());
-            assert_eq!(auto.row_granularity(), forced.row_granularity());
-            assert_eq!(auto.row_count(), forced.row_count());
-            let draws = |e: &Engine| e.handle_seeded(7).sample_batch(200).unwrap();
-            assert_eq!(draws(&auto), draws(&forced), "{}", plan.algorithm);
-        }
+        let forced = Engine::build(r, s, cfg, plan.algorithm);
+        assert_eq!(engine.algorithm(), plan.algorithm);
+        assert_eq!(engine.total_weight(), forced.total_weight());
+        assert_eq!(engine.row_granularity(), forced.row_granularity());
+        assert_eq!(engine.row_count(), forced.row_count());
+        let draws = |e: &Engine| e.handle_seeded(7).sample_batch(200).unwrap();
+        assert_eq!(draws(&engine), draws(&forced), "{}", plan.algorithm);
         engine
     }
 
@@ -312,78 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_serves_valid_globally_indexed_pairs() {
-        let r = pseudo_points(200, 81, 60.0);
-        let s = pseudo_points(300, 82, 60.0);
-        let cfg = SampleConfig::new(6.0);
-        for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
-            let engine = Engine::build_sharded(&r, &s, &cfg, algo, 4);
-            assert_eq!(engine.algorithm(), algo);
-            assert_eq!(engine.shards(), 4);
-            let mut h = engine.handle_seeded(9);
-            let pairs = h.sample(400).unwrap();
-            assert_eq!(pairs.len(), 400);
-            for p in pairs {
-                let w = Rect::window(r[p.r as usize], 6.0);
-                assert!(w.contains(s[p.s as usize]), "{algo}: bad remap {p:?}");
-            }
-            assert!(engine.memory_bytes() > 0);
-        }
-    }
-
-    #[test]
-    fn sharded_engines_share_one_s_side() {
-        // m ≫ n makes the S-side dominate the footprint: before the
-        // Arc-sharing, a k-shard engine paid ~k× the unsharded memory;
-        // now it pays one S-side plus k small R-sides.
-        let r = pseudo_points(200, 95, 60.0);
-        let s = pseudo_points(4_000, 96, 60.0);
-        let cfg = SampleConfig::new(5.0);
-        for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
-            let unsharded = Engine::build(&r, &s, &cfg, algo);
-            let sharded = Engine::build_sharded(&r, &s, &cfg, algo, 4);
-            assert!(
-                sharded.memory_bytes() < 2 * unsharded.memory_bytes(),
-                "{algo}: sharded {} vs unsharded {}",
-                sharded.memory_bytes(),
-                unsharded.memory_bytes()
-            );
-            // and the build report still covers the S-side phases
-            let rep = sharded.build_report();
-            assert!(rep.upper_bounding > std::time::Duration::ZERO);
-        }
-    }
-
-    #[test]
-    fn sharded_and_unsharded_report_one_vs_k_shards() {
-        let r = pseudo_points(100, 91, 40.0);
-        let s = pseudo_points(100, 92, 40.0);
-        let cfg = SampleConfig::new(5.0);
-        assert_eq!(Engine::build(&r, &s, &cfg, Algorithm::Bbst).shards(), 1);
-        // shards = 1 falls back to the plain unsharded build
-        assert_eq!(
-            Engine::build_sharded(&r, &s, &cfg, Algorithm::Bbst, 1).shards(),
-            1
-        );
-        assert_eq!(
-            Engine::build_sharded(&r, &s, &cfg, Algorithm::Bbst, 3).shards(),
-            3
-        );
-    }
-
-    #[test]
-    fn auto_sharded_records_plan_and_shard_count() {
-        let r = pseudo_points(100, 93, 40.0);
-        let s = pseudo_points(100, 94, 40.0);
-        let engine = Engine::auto_sharded(&r, &s, &SampleConfig::new(5.0), 4);
-        let plan = engine.plan().expect("auto_sharded must record its plan");
-        assert_eq!(plan.num_shards, 4);
-        assert_eq!(engine.shards(), 4);
-        assert_eq!(plan.algorithm, engine.algorithm());
-        assert!(engine.handle_seeded(1).sample(50).is_ok());
-    }
-
-    #[test]
     fn rejection_rate_flows_from_handles_to_engine_stats() {
         // Near-miss workload (see auto_picks_bbst...): rejections are
         // guaranteed, so iterations must exceed samples.
@@ -435,12 +340,52 @@ mod tests {
     fn build_report_and_memory_are_exposed() {
         let r = pseudo_points(60, 71, 40.0);
         let s = pseudo_points(90, 72, 40.0);
+        let cfg = SampleConfig::new(5.0);
+        let phases = |rep: srj_core::PhaseReport| {
+            let srj_core::PhaseReport {
+                preprocessing,
+                grid_mapping,
+                upper_bounding,
+                upper_bounding_cpu,
+                ..
+            } = rep;
+            (
+                preprocessing,
+                grid_mapping,
+                upper_bounding,
+                upper_bounding_cpu,
+            )
+        };
         // Every family stands on a grid of S, and the grid is GM's.
         for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
-            let engine = Engine::build(&r, &s, &SampleConfig::new(5.0), algo);
+            let engine = Engine::build(&r, &s, &cfg, algo);
             let report = engine.build_report();
             assert!(report.grid_mapping > std::time::Duration::ZERO, "{algo}");
             assert!(engine.memory_bytes() > 0, "{algo}");
+
+            // The phases spent before the per-r pass stay folded in: an
+            // overlay reports its base's, and so does a handle.
+            let support = srj_core::OverlaySupport::build(&r, &s, cfg.half_extent);
+            let mut delta = srj_core::DeltaSet::for_base(r.len(), s.len());
+            delta.r_inserted.push(s[0]);
+            let overlay = engine.with_overlay(delta, &support, &cfg);
+            assert_eq!(phases(overlay.build_report()), phases(report), "{algo}");
+            let mut h = engine.handle_seeded(1);
+            h.sample(10).unwrap();
+            assert_eq!(phases(h.report()), phases(report), "{algo}");
+            assert_eq!(h.report().samples, 10, "{algo}");
+        }
+    }
+
+    #[test]
+    fn empty_r_yields_empty_join() {
+        let s = pseudo_points(50, 31, 30.0);
+        let cfg = SampleConfig::new(4.0);
+        for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
+            let engine = Engine::build(&[], &s, &cfg, algo);
+            let mut h = engine.handle_seeded(0);
+            assert_eq!(h.sample_one(), Err(SampleError::EmptyJoin), "{algo}");
+            assert_eq!(h.sample_batch(5), Err(SampleError::EmptyJoin), "{algo}");
         }
     }
 }

@@ -73,12 +73,6 @@ pub struct PlanReport {
     pub est_overhead: Option<f64>,
     /// The chosen algorithm.
     pub algorithm: Algorithm,
-    /// How many `R` shards the build was planned for (`1` =
-    /// unsharded). Sharding never changes the algorithm choice — the
-    /// per-iteration distribution is shard-oblivious — but it is
-    /// recorded here because the shard count is part of the build's
-    /// identity.
-    pub num_shards: usize,
     /// Whether the engine serving this plan has the buffered draw fast
     /// path active. The planner itself always stamps `false` — buffer
     /// state is a serving-time property, not a build-time decision —
@@ -91,11 +85,9 @@ pub struct PlanReport {
 /// Runs the `O(n + m)` estimate over `grid` — the engine's grid of
 /// `S`, which the chosen family then stands on — and picks an
 /// algorithm.
-pub(crate) fn plan(r: &[Point], grid: &Grid, config: &SampleConfig, shards: usize) -> PlanReport {
+pub(crate) fn plan(r: &[Point], grid: &Grid, config: &SampleConfig) -> PlanReport {
     let n = r.len();
     let m = grid.num_points();
-    // One shard per R point is the most that can ever help.
-    let num_shards = shards.clamp(1, n.max(1));
 
     // Rule 1: tiny problems — exact counting is cheaper than estimating.
     if (n as f64) * (m as f64).sqrt() <= KDS_COST_BUDGET {
@@ -106,7 +98,6 @@ pub(crate) fn plan(r: &[Point], grid: &Grid, config: &SampleConfig, shards: usiz
             est_join_size: None,
             est_overhead: None,
             algorithm: Algorithm::Kds,
-            num_shards,
             buffers: false,
             reason: "n·√m below the exact-counting budget: KDS's zero-rejection \
                      sampling wins and its O(n√m) build is negligible",
@@ -166,7 +157,6 @@ pub(crate) fn plan(r: &[Point], grid: &Grid, config: &SampleConfig, shards: usiz
         est_join_size: Some(est_join_size),
         est_overhead: Some(est_overhead),
         algorithm,
-        num_shards,
         buffers: false,
         reason,
     }
@@ -180,27 +170,12 @@ mod tests {
     fn tiny_input_picks_kds() {
         let r: Vec<Point> = (0..50).map(|i| Point::new(i as f64, i as f64)).collect();
         let grid = Grid::build(&r, 2.0);
-        let p = plan(&r, &grid, &SampleConfig::new(2.0), 1);
+        let p = plan(&r, &grid, &SampleConfig::new(2.0));
         assert_eq!(p.algorithm, Algorithm::Kds);
-        assert_eq!(p.num_shards, 1);
         assert!(
             p.est_overhead.is_none(),
             "fast path must not fake estimates"
         );
-    }
-
-    #[test]
-    fn shard_count_is_recorded_and_clamped() {
-        let r: Vec<Point> = (0..50).map(|i| Point::new(i as f64, i as f64)).collect();
-        let grid = Grid::build(&r, 2.0);
-        let p = plan(&r, &grid, &SampleConfig::new(2.0), 8);
-        assert_eq!(p.num_shards, 8);
-        // more shards than R points is pointless
-        let p = plan(&r, &grid, &SampleConfig::new(2.0), 1_000);
-        assert_eq!(p.num_shards, 50);
-        // zero normalises to unsharded
-        let p = plan(&r, &grid, &SampleConfig::new(2.0), 0);
-        assert_eq!(p.num_shards, 1);
     }
 
     #[test]
@@ -211,7 +186,7 @@ mod tests {
             .map(|i| Point::new((i % 64) as f64, (i / 64) as f64))
             .collect();
         let cfg = SampleConfig::new(3.0);
-        let p = plan(&r, &Grid::build(&r, 3.0), &cfg, 1);
+        let p = plan(&r, &Grid::build(&r, 3.0), &cfg);
         let est = p.est_join_size.unwrap();
         let true_join = srj_join::grid_join(&r, &r, 3.0).len() as f64;
         let rel = (est - true_join).abs() / true_join;
@@ -227,7 +202,7 @@ mod tests {
         let s: Vec<Point> = (0..9_000).map(at).collect();
         for l in [0.5, 2.0, 7.5] {
             let grid = Grid::build(&s, l);
-            let p = plan(&r, &grid, &SampleConfig::new(l), 1);
+            let p = plan(&r, &grid, &SampleConfig::new(l));
             let per_r: f64 = r
                 .iter()
                 .map(|&rp| grid.neighborhood_population(rp) as f64)

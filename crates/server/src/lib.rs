@@ -23,8 +23,8 @@
 //!   job step, round-robin across every in-flight request of every
 //!   connection;
 //! * **cache admission**: serving engines are built at most once per
-//!   `(dataset, l, shards, algorithm)` shape, shared across requests
-//!   and connections;
+//!   `(dataset, l, algorithm)` shape, shared across requests and
+//!   connections (SAMPLE's `shards` field is reserved and ignored);
 //! * **dynamic datasets**: `INSERT`/`DELETE` frames mutate a served
 //!   dataset's point store; every serving engine is an
 //!   [`srj_engine::EpochEngine`] that folds pending deltas in on its

@@ -143,8 +143,8 @@ impl std::fmt::Display for RequestStatus {
 }
 
 /// A `SAMPLE` request: draw `t` uniform join samples from the engine
-/// for `(dataset, l, shards)` built with `algorithm` (`None` = let the
-/// planner pick).
+/// for `(dataset, l)` built with `algorithm` (`None` = let the planner
+/// pick).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SampleRequest {
     /// Client-chosen id echoed on every response frame of the answer.
@@ -155,7 +155,8 @@ pub struct SampleRequest {
     pub l: f64,
     /// Forced algorithm, or `None` for the planner's choice.
     pub algorithm: Option<Algorithm>,
-    /// `R`-shard count for the engine build (`0`/`1` = unsharded).
+    /// Reserved: carried on the wire, ignored by the server. Every value
+    /// decodes and names the same engine; clients send `1`.
     pub shards: u32,
     /// Number of samples to draw.
     pub t: u64,
@@ -199,7 +200,7 @@ pub struct ServerStatsFrame {
     /// 99th-percentile per-request serving latency, nanoseconds.
     pub p99_ns: u64,
     /// Serving engines currently retained, summed over every dataset's
-    /// per-`(l, shards, algorithm)` engine map.
+    /// per-`(l, algorithm)` engine map.
     pub engines_cached: u64,
     /// Serving-engine lookup hits.
     pub cache_hits: u64,

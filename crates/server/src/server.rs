@@ -46,7 +46,7 @@
 //! anyone else — all five must hold, each read off the request or the
 //! program's own counters:
 //!
-//! 1. the engine for `(dataset, l, shards, algorithm)` is already
+//! 1. the engine for `(dataset, l, algorithm)` is already
 //!    cached (the loop never builds);
 //! 2. that engine has no maintenance due — the store has not drifted
 //!    — so no swap can run on the loop
@@ -150,14 +150,14 @@ pub struct ServerConfig {
     /// Samples per `BATCH` frame. Default 8192 (64 KiB frames).
     pub batch_pairs: usize,
     /// Retained serving engines per dataset (one per requested
-    /// `(l, shards, algorithm)` shape). Default 16.
+    /// `(l, algorithm)` shape). Default 16.
     pub cache_capacity: usize,
     /// `SampleConfig::build_threads` for engine builds triggered by
     /// cache misses. Default 0 (all cores).
     pub build_threads: usize,
     /// Epoch knobs for every served dataset (the rebuild thresholds
-    /// and the patch budget; the per-request shard count and forced
-    /// algorithm override the corresponding fields).
+    /// and the patch budget; a request's forced algorithm overrides
+    /// the `algorithm` field).
     pub epoch: EpochConfig,
     /// Fraction of `SAMPLE` requests that get a trace id and record
     /// spans ([`srj_obs::trace`]). `0.0` (default) disables tracing —
@@ -281,15 +281,14 @@ pub(crate) fn timeout_opt(d: Duration) -> Option<Duration> {
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct EngineKey {
     l_bits: u64,
-    shards: usize,
     algorithm: Option<srj_engine::Algorithm>,
 }
 
 /// One registered workload: the mutable point store plus its serving
-/// engines, one [`EpochEngine`] per requested `(l, shards, algorithm)`
-/// shape. Updates mutate the store; every engine of the dataset
-/// refreshes lazily on its next handle acquisition — a mutated dataset
-/// is never answered from a stale index.
+/// engines, one [`EpochEngine`] per requested `(l, algorithm)` shape.
+/// Updates mutate the store; every engine of the dataset refreshes
+/// lazily on its next handle acquisition — a mutated dataset is never
+/// answered from a stale index.
 pub(crate) struct ServedDataset {
     store: Arc<DatasetStore>,
     engines: Mutex<Vec<(EngineKey, Arc<EpochEngine>)>>,
@@ -838,7 +837,7 @@ impl Shared {
 
     /// Engine acquisition via the per-dataset epoch-engine map: the
     /// expensive index build happens at most once per
-    /// `(dataset, l, shards, algorithm)` shape across all requests and
+    /// `(dataset, l, algorithm)` shape across all requests and
     /// connections; every request then gets its own O(1) serving handle.
     /// The handle acquisition is also where pending mutations are folded
     /// in — `EpochEngine::handle` refreshes the swap cell first, so a
@@ -858,10 +857,8 @@ impl Shared {
     ) -> Result<Option<SamplerHandle>, RequestStatus> {
         let config = &self.config;
         let served = self.dataset(req.dataset);
-        let shards = (req.shards.max(1) as usize).min(srj_core::parallel::MAX_THREADS);
         let key = EngineKey {
             l_bits: req.l.to_bits(),
-            shards,
             algorithm: req.algorithm,
         };
         match how {
@@ -871,7 +868,6 @@ impl Shared {
                     let sample_cfg =
                         SampleConfig::new(req.l).with_build_threads(config.build_threads);
                     let epoch_cfg = EpochConfig {
-                        shards,
                         algorithm: req.algorithm,
                         ..config.epoch
                     };
@@ -1359,7 +1355,6 @@ mod tests {
     fn key(l: f64) -> EngineKey {
         EngineKey {
             l_bits: l.to_bits(),
-            shards: 1,
             algorithm: None,
         }
     }

@@ -95,7 +95,7 @@ pub use srj_core::{
 pub use srj_datagen::{generate, split_rs, DatasetKind, DatasetSpec};
 pub use srj_engine::{
     Algorithm, DatasetSnapshot, DatasetStore, Engine, EpochConfig, EpochEngine, PlanReport,
-    RowGranularity, SPatchDelta, SamplerHandle, ShardedIndex, StatsSnapshot,
+    RowGranularity, SPatchDelta, SamplerHandle, StatsSnapshot,
 };
 pub use srj_geom::{Point, PointId, Rect};
 pub use srj_obs::{EventKind, LifecycleEvent, Registry};

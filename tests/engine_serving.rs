@@ -201,137 +201,6 @@ fn engine_path_is_uniform_across_threads() {
     assert!(chi2 < threshold, "χ² = {chi2:.1} exceeds {threshold:.1}");
 }
 
-/// Chi-square uniformity through the **R-sharded** engine path: the
-/// sharded sampler (top-level alias over per-shard Σµ, shard re-picked
-/// every iteration) must produce the same uniform distribution over `J`
-/// as the unsharded engine — same support, χ² within threshold, and a
-/// per-pair frequency profile statistically indistinguishable from the
-/// unsharded run.
-#[test]
-fn sharded_engine_matches_unsharded_uniformity() {
-    let r = pseudo_points(60, 101, 60.0);
-    let s = pseudo_points(90, 102, 60.0);
-    let l = 6.0;
-
-    let join = srj::join::nested_loop_join(&r, &s, l);
-    assert!(join.len() > 10, "test join too small to be meaningful");
-    let expected_support: HashSet<JoinPair> =
-        join.iter().map(|&(a, b)| JoinPair::new(a, b)).collect();
-
-    let per_pair = 60usize;
-    let draws = per_pair * join.len();
-
-    for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
-        let sharded = Engine::build_sharded(&r, &s, &SampleConfig::new(l), algo, 4);
-        assert_eq!(sharded.shards(), 4);
-        let samples = sharded.handle_seeded(0xC0FFEE).sample(draws).unwrap();
-
-        let mut freq: HashMap<JoinPair, usize> = HashMap::new();
-        for p in samples {
-            assert!(
-                expected_support.contains(&p),
-                "{algo} sharded: emitted a non-join pair {p:?} (bad shard remap?)"
-            );
-            *freq.entry(p).or_default() += 1;
-        }
-        assert_eq!(
-            freq.len(),
-            join.len(),
-            "{algo} sharded: some join pairs are unreachable"
-        );
-
-        // χ² against the uniform distribution over J — the same test
-        // (same threshold) the unsharded engine path passes.
-        let expected = per_pair as f64;
-        let chi2: f64 = expected_support
-            .iter()
-            .map(|p| {
-                let obs = *freq.get(p).unwrap_or(&0) as f64;
-                (obs - expected) * (obs - expected) / expected
-            })
-            .sum();
-        let df = (join.len() - 1) as f64;
-        let threshold = df + 6.0 * (2.0 * df).sqrt();
-        assert!(
-            chi2 < threshold,
-            "{algo} sharded: χ² = {chi2:.1} exceeds {threshold:.1} (df = {df})"
-        );
-
-        // two-sample χ² sharded-vs-unsharded: both draw from uniform,
-        // so the homogeneity statistic must stay within threshold too.
-        let unsharded = Engine::build(&r, &s, &SampleConfig::new(l), algo);
-        let base_samples = unsharded.handle_seeded(0xBEEF).sample(draws).unwrap();
-        let mut base_freq: HashMap<JoinPair, usize> = HashMap::new();
-        for p in base_samples {
-            *base_freq.entry(p).or_default() += 1;
-        }
-        let chi2_homog: f64 = expected_support
-            .iter()
-            .map(|p| {
-                let a = *freq.get(p).unwrap_or(&0) as f64;
-                let b = *base_freq.get(p).unwrap_or(&0) as f64;
-                // equal sample sizes: χ² = Σ (a-b)² / (a+b)
-                if a + b > 0.0 {
-                    (a - b) * (a - b) / (a + b)
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        let df_h = (join.len() - 1) as f64;
-        let threshold_h = df_h + 6.0 * (2.0 * df_h).sqrt();
-        assert!(
-            chi2_homog < threshold_h,
-            "{algo}: sharded vs unsharded distributions differ: χ² = {chi2_homog:.1} \
-             exceeds {threshold_h:.1}"
-        );
-    }
-}
-
-/// Sharded engines under real serving threads: reproducible per-seed
-/// streams and valid pairs, mirroring `concurrent_threads_share_one_engine`.
-#[test]
-fn concurrent_threads_share_one_sharded_engine() {
-    const THREADS: u64 = 4;
-    const PER_THREAD: usize = 1_000;
-
-    let r = pseudo_points(300, 1, 80.0);
-    let s = pseudo_points(500, 2, 80.0);
-    let l = 6.0;
-    let cfg = SampleConfig::new(l);
-
-    let engine = Arc::new(Engine::build_sharded(&r, &s, &cfg, Algorithm::Bbst, 4));
-    let run_all = |engine: &Arc<Engine>| -> Vec<Vec<JoinPair>> {
-        let mut joins = Vec::new();
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|tid| {
-                    let engine = Arc::clone(engine);
-                    scope.spawn(move || {
-                        let mut h = engine.handle_seeded(0xFEED ^ tid);
-                        h.sample(PER_THREAD).expect("non-empty join must sample")
-                    })
-                })
-                .collect();
-            joins = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        });
-        joins
-    };
-
-    let first = run_all(&engine);
-    for pairs in &first {
-        for p in pairs {
-            let w = Rect::window(r[p.r as usize], l);
-            assert!(w.contains(s[p.s as usize]), "non-join pair {p:?}");
-        }
-    }
-    let second = run_all(&engine);
-    assert_eq!(first, second, "sharded streams not reproducible");
-    let snap = engine.stats();
-    assert_eq!(snap.samples, 2 * THREADS * PER_THREAD as u64);
-    assert!(snap.iterations >= snap.samples);
-}
-
 /// Duplicate coordinates, negative coordinates and points on cell
 /// boundaries: the data on which a tie order or a boundary rule shows.
 fn lattice_points(n: usize, seed: u64) -> Vec<Point> {
@@ -562,7 +431,7 @@ fn sampling_traffic_never_changes_an_epoch() {
 }
 
 /// The row granularity of a BBST engine is decided by its full build,
-/// from `(R, S, l, shards)` alone: clustered data is served from group
+/// from `(R, S, l)` alone: clustered data is served from group
 /// rows, locally uniform data — the fixture data of
 /// `tests/golden_streams.rs`, which this change must not move — from the
 /// per-`r` rows of a plain [`BbstIndex`], draw for draw; sampling traffic
@@ -580,53 +449,47 @@ fn row_granularity_is_a_function_of_the_data() {
         (&clustered, RowGranularity::Group),
     ] {
         let r = &r[..400];
-        for shards in [1, 3] {
-            let build = || Engine::build_sharded(r, s, &cfg, Algorithm::Bbst, shards);
-            let engine = build();
-            let summary = |e: &Engine| (e.row_granularity(), e.row_count(), e.total_weight());
-            let stream = |e: &Engine| e.handle_seeded(7).sample(300).unwrap();
-            let (summary_before, stream_before) = (summary(&engine), stream(&engine));
-            assert_eq!(summary_before.0, rows, "{shards} shards");
+        let build = || Engine::build(r, s, &cfg, Algorithm::Bbst);
+        let engine = build();
+        let summary = |e: &Engine| (e.row_granularity(), e.row_count(), e.total_weight());
+        let stream = |e: &Engine| e.handle_seeded(7).sample(300).unwrap();
+        let (summary_before, stream_before) = (summary(&engine), stream(&engine));
+        assert_eq!(summary_before.0, rows);
 
-            // One shard draws what the bare index of its granularity does.
-            if shards == 1 {
-                let mut rng = SmallRng::seed_from_u64(7);
-                let mut bare = Vec::new();
-                let drawn = match rows {
-                    RowGranularity::PerR => {
-                        let index = BbstIndex::build(r, &s[..], &cfg);
-                        assert_eq!(summary_before.2, index.mu_total());
-                        BbstCursor::new(Arc::new(index)).sample_batch(300, &mut rng, &mut bare)
-                    }
-                    RowGranularity::Group => {
-                        let index = GroupIndex::build(r, &s[..], &cfg);
-                        assert_eq!(summary_before.1, index.group_count());
-                        assert_eq!(summary_before.2, index.mu_total());
-                        GroupCursor::new(Arc::new(index)).sample_batch(300, &mut rng, &mut bare)
-                    }
-                };
-                assert_eq!(drawn, Ok(()));
-                assert!(
-                    bare == stream_before,
-                    "{rows:?}: not the bare index's stream"
-                );
+        // The engine draws what the bare index of its granularity does.
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut bare = Vec::new();
+        let drawn = match rows {
+            RowGranularity::PerR => {
+                let index = BbstIndex::build(r, &s[..], &cfg);
+                assert_eq!(summary_before.2, index.mu_total());
+                BbstCursor::new(Arc::new(index)).sample_batch(300, &mut rng, &mut bare)
             }
+            RowGranularity::Group => {
+                let index = GroupIndex::build(r, &s[..], &cfg);
+                assert_eq!(summary_before.1, index.group_count());
+                assert_eq!(summary_before.2, index.mu_total());
+                GroupCursor::new(Arc::new(index)).sample_batch(300, &mut rng, &mut bare)
+            }
+        };
+        assert_eq!(drawn, Ok(()));
+        assert!(
+            bare == stream_before,
+            "{rows:?}: not the bare index's stream"
+        );
 
-            // Traffic moves nothing, on this engine or on the next build.
-            engine.handle_seeded(99).sample_batch(40_000).unwrap();
-            let store = Arc::new(DatasetStore::new(r.to_vec(), s.clone()));
-            let epoch_cfg = EpochConfig::default()
-                .with_algorithm(Algorithm::Bbst)
-                .with_shards(shards);
-            let served = EpochEngine::with_store(store, &cfg, epoch_cfg).engine();
-            for (what, e) in [
-                ("after 40 000 draws", &engine),
-                ("rebuilt", &build()),
-                ("epoch", &served),
-            ] {
-                assert_eq!(summary(e), summary_before, "{rows:?} × {shards}: {what}");
-                assert!(stream(e) == stream_before, "{rows:?} × {shards}: {what}");
-            }
+        // Traffic moves nothing, on this engine or on the next build.
+        engine.handle_seeded(99).sample_batch(40_000).unwrap();
+        let store = Arc::new(DatasetStore::new(r.to_vec(), s.clone()));
+        let epoch_cfg = EpochConfig::default().with_algorithm(Algorithm::Bbst);
+        let served = EpochEngine::with_store(store, &cfg, epoch_cfg).engine();
+        for (what, e) in [
+            ("after 40 000 draws", &engine),
+            ("rebuilt", &build()),
+            ("epoch", &served),
+        ] {
+            assert_eq!(summary(e), summary_before, "{rows:?}: {what}");
+            assert!(stream(e) == stream_before, "{rows:?}: {what}");
         }
     }
 }
@@ -675,12 +538,12 @@ fn clustered_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
         .collect()
 }
 
-/// The engine holds every index in one shape — one or more shards of a
-/// family, optionally under an overlay — so every operation must behave
-/// the same way down the whole table `{KDS, KDS-rejection, BBST per-r
-/// rows, BBST group rows} × {1, 3 shards} × {base, with_overlay}`.
+/// The engine holds every index in one shape — the index of a family,
+/// optionally under an overlay — so every operation must behave the
+/// same way down the whole table `{KDS, KDS-rejection, BBST per-r rows,
+/// BBST group rows} × {base, with_overlay}`.
 #[test]
-fn every_family_shard_count_and_overlay_is_one_index_shape() {
+fn every_family_and_overlay_is_one_index_shape() {
     use srj::{DeltaSet, OverlaySupport, PointId};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -717,134 +580,122 @@ fn every_family_shard_count_and_overlay_is_one_index_shape() {
             }
         };
 
-        for shards in [1, 3] {
-            let base = Engine::build_sharded(r, s, &cfg, algo, shards);
-            let overlay = base.with_overlay(delta.clone(), &support, &cfg);
-            for (engine, is_overlay) in [(&base, false), (&overlay, true)] {
-                let what = format!("{algo} {rows:?} × {shards} shards × overlay {is_overlay}");
-                assert_eq!(engine.algorithm(), algo, "{what}");
-                assert_eq!(engine.handle().algorithm(), algo, "{what}");
-                assert_eq!(engine.shards(), shards, "{what}");
-                assert_eq!(engine.is_overlay(), is_overlay, "{what}");
-                assert_eq!(engine.cell_count(), base.cell_count(), "{what}");
+        let base = Engine::build(r, s, &cfg, algo);
+        let overlay = base.with_overlay(delta.clone(), &support, &cfg);
+        for (engine, is_overlay) in [(&base, false), (&overlay, true)] {
+            let what = format!("{algo} {rows:?} × overlay {is_overlay}");
+            assert_eq!(engine.algorithm(), algo, "{what}");
+            assert_eq!(engine.handle().algorithm(), algo, "{what}");
+            assert_eq!(engine.is_overlay(), is_overlay, "{what}");
+            assert_eq!(engine.cell_count(), base.cell_count(), "{what}");
 
-                assert_eq!(engine.row_granularity(), rows, "{what}");
-                assert_eq!(engine.row_count(), base.row_count(), "{what}");
+            assert_eq!(engine.row_granularity(), rows, "{what}");
+            assert_eq!(engine.row_count(), base.row_count(), "{what}");
 
-                // Memory by structure: the parts are the whole; a clean
-                // index keeps one forty-byte row per `r` (KDS-rejection
-                // one `f64`) and its copy of `R` — or per group of `R`
-                // one forty-byte row and its nine four-byte cell slots,
-                // `R` and its indices in group order, and no per-cell
-                // units; however many shards, one `S`-side;
-                // pending mutations add to the overlay's own entries and
-                // to nothing of the base's.
-                let bytes = engine.memory_breakdown();
-                assert_eq!(bytes.total(), engine.memory_bytes(), "{what}");
-                let clean = base.memory_breakdown();
-                let row_count = base.row_count();
-                if rows == RowGranularity::Group {
-                    assert!(row_count < r.len() / 4, "{what}: {row_count} rows");
-                    assert_eq!(clean.rows, (40 + 36) * row_count, "{what}");
-                    let group_bounds = 4 * (row_count + shards);
-                    assert_eq!(clean.r_points, 20 * r.len() + group_bounds, "{what}");
-                    assert_eq!(clean.units, 0, "{what}");
+            // Memory by structure: the parts are the whole; a clean
+            // index keeps one forty-byte row per `r` (KDS-rejection
+            // one `f64`) and its copy of `R` — or per group of `R`
+            // one forty-byte row and its nine four-byte cell slots,
+            // `R` and its indices in group order, and no per-cell
+            // units; pending mutations add to the overlay's own entries and
+            // to nothing of the base's.
+            let bytes = engine.memory_breakdown();
+            assert_eq!(bytes.total(), engine.memory_bytes(), "{what}");
+            let clean = base.memory_breakdown();
+            let row_count = base.row_count();
+            if rows == RowGranularity::Group {
+                assert!(row_count < r.len() / 4, "{what}: {row_count} rows");
+                assert_eq!(clean.rows, (40 + 36) * row_count, "{what}");
+                let group_bounds = 4 * (row_count + 1);
+                assert_eq!(clean.r_points, 20 * r.len() + group_bounds, "{what}");
+                assert_eq!(clean.units, 0, "{what}");
+            } else {
+                let per_r = if algo == Algorithm::KdsRejection {
+                    8
                 } else {
-                    let per_r = if algo == Algorithm::KdsRejection {
-                        8
-                    } else {
-                        40
-                    };
-                    assert_eq!(row_count, r.len(), "{what}");
-                    assert_eq!(clean.rows, per_r * r.len(), "{what}");
-                    assert_eq!(clean.r_points, 16 * r.len(), "{what}");
-                }
-                assert_eq!(clean.delta, 0, "{what}");
-                let one_shard = Engine::build_sharded(r, s, &cfg, algo, 1).memory_breakdown();
-                assert_eq!(
-                    (clean.grid, clean.units, clean.point_set),
-                    (one_shard.grid, one_shard.units, one_shard.point_set),
-                    "{what}"
-                );
-                if is_overlay {
-                    assert!(bytes.delta > 0, "{what}");
-                    assert_eq!(bytes.rows, clean.rows + 2 * 40, "{what}: two chunk rows");
-                    assert_eq!((bytes.r_points, bytes.units), (clean.r_points, clean.units));
-                    assert!(bytes.grid > clean.grid && bytes.point_set > clean.point_set);
-                }
-
-                // Same seed, same stream, through either entry point.
-                let batch = engine.handle_seeded(11).sample_batch(300).unwrap();
-                assert_eq!(batch.len(), 300, "{what}");
-                assert_eq!(
-                    batch,
-                    engine.handle_seeded(11).sample_batch(300).unwrap(),
-                    "{what}: sample_batch"
-                );
-                assert_eq!(
-                    engine.handle_seeded(11).sample(300).unwrap(),
-                    engine.handle_seeded(11).sample(300).unwrap(),
-                    "{what}: sample"
-                );
-
-                if is_overlay {
-                    // Structure belongs to the full build underneath.
-                    assert!(engine.rebuild_r_only(r2, &cfg).is_none(), "{what}");
-                    assert!(
-                        engine
-                            .rebuild_with_s_patch(r2, &cfg, &inserted_s, &deleted_s)
-                            .is_none(),
-                        "{what}"
-                    );
-                    assert!(engine.s_cell_tokens().is_none(), "{what}");
-                    assert!(engine.s_grid().is_none(), "{what}");
-                    let stacked = catch_unwind(AssertUnwindSafe(|| {
-                        engine.with_overlay(delta.clone(), &support, &cfg)
-                    }));
-                    assert!(stacked.is_err(), "{what}: overlays must not stack");
-                    continue;
-                }
-                in_window(r, &batch, &what);
-                let tokens = engine.s_cell_tokens().expect("a full build has cells");
-                let grid = engine.s_grid().expect("a full build has a grid of S");
-                assert_eq!(grid.num_cells(), engine.cell_count(), "{what}");
-
-                // A new `R` over the same `S`-side: every cell and the
-                // grid cross by `Arc` identity.
-                let rebuilt = engine.rebuild_r_only(r2, &cfg).expect("a full build");
-                assert_eq!(rebuilt.algorithm(), algo, "{what}");
-                assert_eq!(rebuilt.row_granularity(), rows, "{what}");
-                assert_eq!(rebuilt.shards(), shards, "{what}");
-                assert_eq!(rebuilt.s_cell_tokens().unwrap(), tokens, "{what}");
-                assert!(Arc::ptr_eq(&rebuilt.s_grid().unwrap(), &grid), "{what}");
-                let pairs = rebuilt.handle_seeded(12).sample_batch(300).unwrap();
-                in_window(r2, &pairs, &format!("{what}, R-only rebuild"));
-
-                // An `S` patch: clean cells keep their token, dirty ones
-                // do not.
-                let (patched, report) = engine
-                    .rebuild_with_s_patch(r2, &cfg, &inserted_s, &deleted_s)
-                    .expect("a full build");
-                assert_eq!(patched.algorithm(), algo, "{what}");
-                assert_eq!(patched.row_granularity(), rows, "{what}");
-                assert_eq!(patched.shards(), shards, "{what}");
-                let dirty = grid.dirty_cells(&inserted_s, &deleted_s);
-                assert_eq!(report.cells_rebuilt, dirty.len(), "{what}");
-                let before: HashMap<(i32, i32), usize> = tokens.iter().copied().collect();
-                for (coord, token) in patched.s_cell_tokens().unwrap() {
-                    match before.get(&coord) {
-                        Some(old) if dirty.contains(&coord) => {
-                            assert_ne!(token, *old, "{what}: dirty cell {coord:?} shared")
-                        }
-                        Some(old) => assert_eq!(token, *old, "{what}: clean cell {coord:?}"),
-                        None => assert!(dirty.contains(&coord), "{what}: fresh {coord:?}"),
-                    }
-                }
-                assert!(
-                    patched.handle_seeded(13).sample_batch(100).is_ok(),
-                    "{what}"
-                );
+                    40
+                };
+                assert_eq!(row_count, r.len(), "{what}");
+                assert_eq!(clean.rows, per_r * r.len(), "{what}");
+                assert_eq!(clean.r_points, 16 * r.len(), "{what}");
             }
+            assert_eq!(clean.delta, 0, "{what}");
+            if is_overlay {
+                assert!(bytes.delta > 0, "{what}");
+                assert_eq!(bytes.rows, clean.rows + 2 * 40, "{what}: two chunk rows");
+                assert_eq!((bytes.r_points, bytes.units), (clean.r_points, clean.units));
+                assert!(bytes.grid > clean.grid && bytes.point_set > clean.point_set);
+            }
+
+            // Same seed, same stream, through either entry point.
+            let batch = engine.handle_seeded(11).sample_batch(300).unwrap();
+            assert_eq!(batch.len(), 300, "{what}");
+            assert_eq!(
+                batch,
+                engine.handle_seeded(11).sample_batch(300).unwrap(),
+                "{what}: sample_batch"
+            );
+            assert_eq!(
+                engine.handle_seeded(11).sample(300).unwrap(),
+                engine.handle_seeded(11).sample(300).unwrap(),
+                "{what}: sample"
+            );
+
+            if is_overlay {
+                // Structure belongs to the full build underneath.
+                assert!(engine.rebuild_r_only(r2, &cfg).is_none(), "{what}");
+                assert!(
+                    engine
+                        .rebuild_with_s_patch(r2, &cfg, &inserted_s, &deleted_s)
+                        .is_none(),
+                    "{what}"
+                );
+                assert!(engine.s_cell_tokens().is_none(), "{what}");
+                assert!(engine.s_grid().is_none(), "{what}");
+                let stacked = catch_unwind(AssertUnwindSafe(|| {
+                    engine.with_overlay(delta.clone(), &support, &cfg)
+                }));
+                assert!(stacked.is_err(), "{what}: overlays must not stack");
+                continue;
+            }
+            in_window(r, &batch, &what);
+            let tokens = engine.s_cell_tokens().expect("a full build has cells");
+            let grid = engine.s_grid().expect("a full build has a grid of S");
+            assert_eq!(grid.num_cells(), engine.cell_count(), "{what}");
+
+            // A new `R` over the same `S`-side: every cell and the
+            // grid cross by `Arc` identity.
+            let rebuilt = engine.rebuild_r_only(r2, &cfg).expect("a full build");
+            assert_eq!(rebuilt.algorithm(), algo, "{what}");
+            assert_eq!(rebuilt.row_granularity(), rows, "{what}");
+            assert_eq!(rebuilt.s_cell_tokens().unwrap(), tokens, "{what}");
+            assert!(Arc::ptr_eq(&rebuilt.s_grid().unwrap(), &grid), "{what}");
+            let pairs = rebuilt.handle_seeded(12).sample_batch(300).unwrap();
+            in_window(r2, &pairs, &format!("{what}, R-only rebuild"));
+
+            // An `S` patch: clean cells keep their token, dirty ones
+            // do not.
+            let (patched, report) = engine
+                .rebuild_with_s_patch(r2, &cfg, &inserted_s, &deleted_s)
+                .expect("a full build");
+            assert_eq!(patched.algorithm(), algo, "{what}");
+            assert_eq!(patched.row_granularity(), rows, "{what}");
+            let dirty = grid.dirty_cells(&inserted_s, &deleted_s);
+            assert_eq!(report.cells_rebuilt, dirty.len(), "{what}");
+            let before: HashMap<(i32, i32), usize> = tokens.iter().copied().collect();
+            for (coord, token) in patched.s_cell_tokens().unwrap() {
+                match before.get(&coord) {
+                    Some(old) if dirty.contains(&coord) => {
+                        assert_ne!(token, *old, "{what}: dirty cell {coord:?} shared")
+                    }
+                    Some(old) => assert_eq!(token, *old, "{what}: clean cell {coord:?}"),
+                    None => assert!(dirty.contains(&coord), "{what}: fresh {coord:?}"),
+                }
+            }
+            assert!(
+                patched.handle_seeded(13).sample_batch(100).is_ok(),
+                "{what}"
+            );
         }
     }
 }

@@ -1,10 +1,13 @@
 //! Fixed-seed streams, pinned byte for byte.
 //!
 //! The base lines of `tests/fixtures/golden_streams.txt` were recorded at
-//! the commit before the engine's index became one shape (`ShardedIndex`
-//! of one or more shards): a one-shard index must draw what the plain
-//! index drew, and a three-shard one what the sharded index drew, through
-//! both `sample_batch` (the serving path, buffers armed) and `sample`.
+//! the commit before the engine's index became one shape: the engine must
+//! draw what the plain index drew, through both `sample_batch` (the
+//! serving path, buffers armed) and `sample`.
+//!
+//! Every line carries a `1` after its prefix: the shard count of the
+//! engine that recorded it, of which only one-shard lines remain. The
+//! `1` stays so that the recorded lines stay byte-identical.
 //!
 //! The `overlay` lines were recorded at the commit before base rows and
 //! overlay rows became one type: an epoch engine with pending `R` and `S`
@@ -49,9 +52,9 @@ fn clustered_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
         .collect()
 }
 
-fn line(prefix: &str, shards: usize, entry: &str, pairs: &[JoinPair]) -> String {
+fn line(prefix: &str, entry: &str, pairs: &[JoinPair]) -> String {
     let pairs: Vec<String> = pairs.iter().map(|p| format!("{}:{}", p.r, p.s)).collect();
-    format!("{prefix} {shards} {entry} {}\n", pairs.join(" "))
+    format!("{prefix} 1 {entry} {}\n", pairs.join(" "))
 }
 
 /// The fixture's sections after the base one, by the first word of
@@ -78,12 +81,10 @@ fn overlay_engine(
     (r, s): (&[Point], &[Point]),
     (more_r, more_s): (&[Point], &[Point]),
     algorithm: Algorithm,
-    shards: usize,
 ) -> EpochEngine {
     let epoch_cfg = EpochConfig::default()
         .with_rebuild_fraction(1.0)
-        .with_algorithm(algorithm)
-        .with_shards(shards);
+        .with_algorithm(algorithm);
     let engine = EpochEngine::new(r.to_vec(), s.to_vec(), &SampleConfig::new(4.0), epoch_cfg);
     for (r_tail, s_tail) in [(0..50, 0..0), (50..50, 0..120), (50..150, 120..200)] {
         for &p in &more_r[r_tail] {
@@ -102,12 +103,7 @@ fn overlay_engine(
 
 /// The first 96 pairs of a seeded `sample_batch` and `sample` of an
 /// overlay engine as fixture lines; each must hold a cross-part pair.
-fn overlay_lines(
-    engine: &EpochEngine,
-    (n, m): (usize, usize),
-    prefix: &str,
-    shards: usize,
-) -> String {
+fn overlay_lines(engine: &EpochEngine, (n, m): (usize, usize), prefix: &str) -> String {
     let batch = engine.handle_seeded(7).sample_batch(200).unwrap();
     let plain = engine.handle_seeded(7).sample(200).unwrap();
     for pairs in [&batch, &plain] {
@@ -118,8 +114,7 @@ fn overlay_lines(
             "no cross-part pair among the pinned ones"
         );
     }
-    line(prefix, shards, "sample_batch", &batch[..96])
-        + &line(prefix, shards, "sample", &plain[..96])
+    line(prefix, "sample_batch", &batch[..96]) + &line(prefix, "sample", &plain[..96])
 }
 
 #[test]
@@ -129,13 +124,11 @@ fn base_engine_streams_match_the_recorded_fixture() {
     let cfg = SampleConfig::new(4.0);
     let mut actual = String::new();
     for algorithm in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
-        for shards in [1, 3] {
-            let engine = Engine::build_sharded(&r, &s, &cfg, algorithm, shards);
-            let batch = engine.handle_seeded(7).sample_batch(200).unwrap();
-            actual += &line(&algorithm.to_string(), shards, "sample_batch", &batch[..32]);
-            let plain = engine.handle_seeded(7).sample(200).unwrap();
-            actual += &line(&algorithm.to_string(), shards, "sample", &plain[..32]);
-        }
+        let engine = Engine::build(&r, &s, &cfg, algorithm);
+        let batch = engine.handle_seeded(7).sample_batch(200).unwrap();
+        actual += &line(&algorithm.to_string(), "sample_batch", &batch[..32]);
+        let plain = engine.handle_seeded(7).sample(200).unwrap();
+        actual += &line(&algorithm.to_string(), "sample", &plain[..32]);
     }
     let golden = golden(None);
     assert!(
@@ -150,11 +143,9 @@ fn overlay_engine_streams_match_the_recorded_fixture() {
     let (more_r, more_s) = (pseudo_points(150, 73, 60.0), pseudo_points(200, 74, 60.0));
     let mut actual = String::new();
     for algorithm in [Algorithm::Kds, Algorithm::Bbst] {
-        for shards in [1, 3] {
-            let engine = overlay_engine((&r, &s), (&more_r, &more_s), algorithm, shards);
-            let prefix = format!("overlay {algorithm}");
-            actual += &overlay_lines(&engine, (r.len(), s.len()), &prefix, shards);
-        }
+        let engine = overlay_engine((&r, &s), (&more_r, &more_s), algorithm);
+        let prefix = format!("overlay {algorithm}");
+        actual += &overlay_lines(&engine, (r.len(), s.len()), &prefix);
     }
     let golden = golden(Some("overlay "));
     assert!(
@@ -171,20 +162,17 @@ fn group_row_streams_match_the_recorded_fixture() {
         .map(|(n, seed)| clustered_points(n, seed, 60.0));
     let cfg = SampleConfig::new(4.0);
     let mut actual = String::new();
-    for shards in [1, 3] {
-        let engine = Engine::build_sharded(&r, &s, &cfg, Algorithm::Bbst, shards);
-        assert_eq!(engine.row_granularity(), RowGranularity::Group);
-        let batch = engine.handle_seeded(7).sample_batch(200).unwrap();
-        actual += &line("clustered BBST", shards, "sample_batch", &batch[..32]);
-        let plain = engine.handle_seeded(7).sample(200).unwrap();
-        actual += &line("clustered BBST", shards, "sample", &plain[..32]);
-    }
-    for shards in [1, 3] {
-        let engine = overlay_engine((&r, &s), (&more_r, &more_s), Algorithm::Bbst, shards);
-        assert_eq!(engine.engine().row_granularity(), RowGranularity::Group);
-        let prefix = "clustered overlay BBST";
-        actual += &overlay_lines(&engine, (r.len(), s.len()), prefix, shards);
-    }
+    let engine = Engine::build(&r, &s, &cfg, Algorithm::Bbst);
+    assert_eq!(engine.row_granularity(), RowGranularity::Group);
+    let batch = engine.handle_seeded(7).sample_batch(200).unwrap();
+    actual += &line("clustered BBST", "sample_batch", &batch[..32]);
+    let plain = engine.handle_seeded(7).sample(200).unwrap();
+    actual += &line("clustered BBST", "sample", &plain[..32]);
+
+    let engine = overlay_engine((&r, &s), (&more_r, &more_s), Algorithm::Bbst);
+    assert_eq!(engine.engine().row_granularity(), RowGranularity::Group);
+    let prefix = "clustered overlay BBST";
+    actual += &overlay_lines(&engine, (r.len(), s.len()), prefix);
     let golden = golden(Some("clustered "));
     assert!(
         actual == golden,

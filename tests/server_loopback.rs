@@ -142,7 +142,8 @@ fn unknown_dataset_gets_an_error_frame() {
 }
 
 /// Forced algorithms round-trip: each algorithm byte reaches the
-/// engine and the cache keys them apart.
+/// engine and the cache keys them apart. SAMPLE's reserved `shards`
+/// field keys nothing: another value is the same engine and stream.
 #[test]
 fn forced_algorithms_are_honoured_and_cached_separately() {
     let pts = pseudo_points(80, 5, 40.0);
@@ -150,23 +151,33 @@ fn forced_algorithms_are_honoured_and_cached_separately() {
     registry.register(1, pts.clone(), pts.clone());
     let mut server = Server::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
+    let bbst = SampleRequest {
+        algorithm: Some(Algorithm::Bbst),
+        ..request(1, 5.0, 200, 9)
+    };
+    let mut bbst_pairs = Vec::new();
     for algorithm in [
         Some(Algorithm::Kds),
         Some(Algorithm::KdsRejection),
         Some(Algorithm::Bbst),
         None,
     ] {
-        let outcome = client
-            .sample(SampleRequest {
-                algorithm,
-                ..request(1, 5.0, 200, 9)
-            })
-            .unwrap();
+        let outcome = client.sample(SampleRequest { algorithm, ..bbst }).unwrap();
         assert_eq!(outcome.status, RequestStatus::Ok, "{algorithm:?}");
         assert_eq!(outcome.pairs.len(), 200);
+        if algorithm == Some(Algorithm::Bbst) {
+            bbst_pairs = outcome.pairs;
+        }
     }
     let stats = client.server_stats().unwrap();
     assert_eq!(stats.cache_misses, 4, "each algorithm key builds once");
+    assert_eq!(stats.engines_cached, 4);
+
+    let outcome = client.sample(SampleRequest { shards: 4, ..bbst }).unwrap();
+    assert_eq!(outcome.status, RequestStatus::Ok);
+    assert_eq!(outcome.pairs, bbst_pairs, "shards must not move the stream");
+    let stats = client.server_stats().unwrap();
+    assert_eq!(stats.cache_misses, 4, "shards must not key an engine");
     assert_eq!(stats.engines_cached, 4);
     server.shutdown();
 }
