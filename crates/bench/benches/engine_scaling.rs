@@ -27,7 +27,7 @@ fn serving_throughput(engine: &Engine, threads: usize, total_samples: usize) -> 
                 let mut handle = engine.handle_seeded(0x5EED ^ tid as u64);
                 scope.spawn(move || {
                     handle
-                        .sample(per_thread)
+                        .sample_batch(per_thread)
                         .expect("bench datasets have non-empty joins")
                         .len()
                 })

@@ -8,7 +8,6 @@ use srj_bbst::{bucket_capacity, CellBbsts};
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{case_of, CellCase, Grid, IntoPointSet};
 
-use crate::buffer::{BufferStats, DrawBuffers};
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, IndexBytes, SamplerIndex, BLOCK};
@@ -337,14 +336,6 @@ impl BbstIndex {
     }
 }
 
-/// Per-cursor scratch of the BBST draw: the sample buffers of hot
-/// fully-covered cells (off by default).
-#[derive(Default)]
-pub struct BbstScratch {
-    /// Buffered fully-covered-cell draw state.
-    pub buffers: DrawBuffers,
-}
-
 /// What [`BbstIndex::pick`] hands to [`BbstIndex::resolve`]: the chosen
 /// `r`, the chosen neighbour cell, and the position inside that cell's
 /// `µ(r, c)` candidate slots.
@@ -396,12 +387,7 @@ impl BbstIndex {
     /// [`SamplerIndex::try_draw`] and the block kernel cannot disagree
     /// on it.
     #[inline]
-    fn resolve(
-        &self,
-        p: &Picked,
-        scratch: &mut BbstScratch,
-        stats: &mut PhaseReport,
-    ) -> Option<JoinPair> {
+    fn resolve(&self, p: &Picked, stats: &mut PhaseReport) -> Option<JoinPair> {
         stats.iterations += 1;
         let grid = self.store.grid();
         let cell = grid.cell(p.slot);
@@ -418,14 +404,7 @@ impl BbstIndex {
                     .filter(|&sid| w.contains(grid.point(sid)))
             }
             // Exact cases never reject.
-            case => Some(case12_draw(
-                &self.store,
-                p.slot,
-                case,
-                &p.row,
-                &w,
-                &mut scratch.buffers,
-            )),
+            case => Some(case12_draw(&self.store, p.slot, case, &p.row, &w)),
         };
         // Rejections happen only in the corner (case-3) cells: a dud
         // virtual slot or a candidate outside the window.
@@ -436,8 +415,7 @@ impl BbstIndex {
 }
 
 impl SamplerIndex for BbstIndex {
-    /// The sample buffers; the draw needs no other scratch.
-    type Scratch = BbstScratch;
+    type Scratch = ();
 
     fn algorithm_name(&self) -> &'static str {
         "BBST"
@@ -448,14 +426,14 @@ impl SamplerIndex for BbstIndex {
     fn try_draw<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        scratch: &mut BbstScratch,
+        _scratch: &mut (),
         stats: &mut PhaseReport,
     ) -> Result<Option<JoinPair>, SampleError> {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         // Line 12: r ~ A.
         let ridx = alias.sample_word(rng.next_u64());
         let picked = self.pick(ridx, self.r_points[ridx], &self.rows[ridx], rng.next_u64());
-        Ok(self.resolve(&picked, scratch, stats))
+        Ok(self.resolve(&picked, stats))
     }
 
     /// The block kernel: the same iterations as [`Self::try_draw`], run
@@ -480,7 +458,7 @@ impl SamplerIndex for BbstIndex {
         &self,
         n: usize,
         rng: &mut R,
-        scratch: &mut BbstScratch,
+        _scratch: &mut (),
         stats: &mut PhaseReport,
         out: &mut Vec<Option<JoinPair>>,
     ) -> Result<(), SampleError> {
@@ -500,7 +478,7 @@ impl SamplerIndex for BbstIndex {
             for ((p, &i), (rp, row)) in picked[..b].iter_mut().zip(&ridx[..b]).zip(&gathered[..b]) {
                 *p = self.pick(i, *rp, row, rng.next_u64());
             }
-            out.extend(picked[..b].iter().map(|p| self.resolve(p, scratch, stats)));
+            out.extend(picked[..b].iter().map(|p| self.resolve(p, stats)));
             left -= b;
         }
         Ok(())
@@ -512,18 +490,6 @@ impl SamplerIndex for BbstIndex {
 
     fn total_weight(&self) -> f64 {
         self.mu_total()
-    }
-
-    fn set_buffers(scratch: &mut BbstScratch, enabled: bool) {
-        scratch.buffers.set_enabled(enabled);
-    }
-
-    fn seed_buffers(scratch: &mut BbstScratch, seed: u64) {
-        scratch.buffers.seed_rng(seed);
-    }
-
-    fn drain_buffer_stats(scratch: &mut BbstScratch) -> BufferStats {
-        scratch.buffers.drain_stats()
     }
 
     fn index_build_report(&self) -> PhaseReport {
@@ -541,7 +507,7 @@ impl SamplerIndex for BbstIndex {
 }
 
 /// Cheap per-thread query state over a shared [`BbstIndex`] (see
-/// [`Cursor`]): the sampling-phase statistics and the sample buffers.
+/// [`Cursor`]): the sampling-phase statistics.
 pub type BbstCursor = Cursor<BbstIndex>;
 
 impl Cursor<BbstIndex> {

@@ -29,8 +29,6 @@ use srj_grid::{Cell, Grid, IntoPointSet};
 use srj_kdtree::{CanonicalScratch, KdTree, DEFAULT_LEAF_SIZE};
 
 use crate::cursor::IndexBytes;
-
-use crate::buffer::DrawBuffers;
 use crate::parallel::par_map;
 
 /// A per-cell payload a [`CellStore`] can carry: built from one cell's
@@ -80,8 +78,8 @@ pub struct BbstCellCtx {
 /// cell's tree would be one leaf — a scan behind four allocations — so
 /// [`KdCellStore`] scans `cell.by_x` against the grid's point array
 /// instead, and the unit is 8 bytes in its `Arc`. (Every cell keeps its
-/// own `Arc` either way: that pointer is the staleness token of the draw
-/// buffers, so a rebuilt cell must not share one with its predecessor.)
+/// own `Arc` either way: that pointer is the cell's sharing token, so a
+/// rebuilt cell must not share one with its predecessor.)
 pub type KdCellUnit = Option<Box<KdTree>>;
 
 impl CellUnit for KdCellUnit {
@@ -394,31 +392,6 @@ impl KdCellStore {
         rng: &mut R,
         _scratch: &mut CanonicalScratch,
     ) -> Option<(PointId, usize)> {
-        self.sample_impl(w, rng, None)
-    }
-
-    /// [`KdCellStore::sample_in_window`] with the buffered fast path:
-    /// when the ranked cell is **fully covered** by `w` (every member
-    /// qualifies — with cell side = window half-extent that is the
-    /// common case), hot cells serve a pre-drawn member from
-    /// [`DrawBuffers`] instead of the ranked one. The distribution is
-    /// identical; the RNG stream is not, so the entry points stay
-    /// separate.
-    pub fn sample_in_window_buffered<R: Rng + ?Sized>(
-        &self,
-        w: &Rect,
-        rng: &mut R,
-        buffers: &mut DrawBuffers,
-    ) -> Option<(PointId, usize)> {
-        self.sample_impl(w, rng, Some(buffers))
-    }
-
-    fn sample_impl<R: Rng + ?Sized>(
-        &self,
-        w: &Rect,
-        rng: &mut R,
-        mut buffers: Option<&mut DrawBuffers>,
-    ) -> Option<(PointId, usize)> {
         let mut counts: [(u32, usize); 9] = [(0, 0); 9];
         let mut filled = 0usize;
         let mut overflow = false;
@@ -441,22 +414,14 @@ impl KdCellStore {
         }
         let mut rank = rng.gen_range(0..total as u64) as usize;
         // `in_cell_rank` is uniform below the cell's count.
-        let draw = |slot: u32, in_cell_rank: usize, buffers: &mut Option<&mut DrawBuffers>| {
-            let cell = self.store.grid().cell(slot);
-            if let Some(bufs) = buffers.as_deref_mut() {
-                if bufs.enabled() && w.contains_rect(&cell.rect) {
-                    // Fully covered: every member qualifies.
-                    let token = Arc::as_ptr(self.store.unit_arc(slot)) as usize;
-                    return bufs.draw_covered(slot, token, &cell.by_x, || in_cell_rank);
-                }
-            }
+        let draw = |slot: u32, in_cell_rank: usize| {
             self.nth_in_cell(slot, w, in_cell_rank)
                 .expect("rank below the cell's count")
         };
         if !overflow {
             for &(slot, count) in &counts[..filled] {
                 if rank < count {
-                    return Some((draw(slot, rank, &mut buffers), total));
+                    return Some((draw(slot, rank), total));
                 }
                 rank -= count;
             }
@@ -471,7 +436,7 @@ impl KdCellStore {
             }
             let count = self.count_cell(slot, w);
             if rank < count {
-                picked = Some(draw(slot, rank, &mut buffers));
+                picked = Some(draw(slot, rank));
             } else {
                 rank -= count;
             }

@@ -11,7 +11,6 @@ use std::time::Instant;
 use rand::{Rng, RngCore};
 use srj_grid::Grid;
 
-use crate::buffer::BufferStats;
 use crate::config::{JoinPair, PhaseReport, SampleError};
 use crate::traits::JoinSampler;
 
@@ -30,8 +29,8 @@ pub(crate) const BLOCK: usize = 64;
 /// Contract an immutable, shareable sampler index exposes to its
 /// cursors: a thread-safe draw against caller-owned mutable state.
 pub trait SamplerIndex: Send + Sync {
-    /// Per-cursor scratch state the draw needs (e.g. a kd-tree descent
-    /// buffer); `()` when the draw is allocation-free.
+    /// Per-cursor scratch state the draw needs (an overlay's buffer of
+    /// its base's block outcomes); `()` when the draw needs none.
     type Scratch: Default + Send;
 
     /// Algorithm name as used in the paper's tables.
@@ -83,23 +82,6 @@ pub trait SamplerIndex: Send + Sync {
     /// exactly `1 / total_weight` — the invariant an overlay's
     /// top-level alias relies on.
     fn total_weight(&self) -> f64;
-
-    /// Switches the buffered-draw fast path carried in `scratch` on or
-    /// off (see [`crate::DrawBuffers`]). Default no-op for indexes
-    /// without a buffered path; the legacy entry points never consult
-    /// buffers either way, so their RNG streams stay byte-identical.
-    fn set_buffers(_scratch: &mut Self::Scratch, _enabled: bool) {}
-
-    /// Pins the buffered path's RNG to a caller-chosen stream, making
-    /// the buffered draw sequence a pure function of the caller's
-    /// seed. Default no-op.
-    fn seed_buffers(_scratch: &mut Self::Scratch, _seed: u64) {}
-
-    /// Drains the buffer hit/refill/invalidation counters accumulated
-    /// in `scratch`. Default: all-zero.
-    fn drain_buffer_stats(_scratch: &mut Self::Scratch) -> BufferStats {
-        BufferStats::default()
-    }
 
     /// One uniform draw: loops [`SamplerIndex::try_draw`] until a
     /// candidate is accepted or [`SamplerIndex::rejection_limit`]
@@ -300,7 +282,15 @@ impl std::ops::Add for IndexBytes {
     }
 }
 
-/// Cheap per-thread query state over a shared index: scratch buffers
+/// What [`Cursor::drain_buffer_stats`] returns: `hits` is always 0.
+/// Reserved for `benchmark/src/layers.rs`; ROADMAP 3(d) deletes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BufferStats {
+    /// Always 0.
+    pub hits: u64,
+}
+
+/// Cheap per-thread query state over a shared index: its scratch
 /// plus this cursor's own sampling-phase statistics. Construction is
 /// O(1); clone the `Arc` and make one cursor per serving thread.
 pub struct Cursor<I: SamplerIndex> {
@@ -329,19 +319,18 @@ impl<I: SamplerIndex> Cursor<I> {
         &self.stats
     }
 
-    /// Switches this cursor's buffered-draw fast path on or off.
-    pub fn set_buffers(&mut self, enabled: bool) {
-        I::set_buffers(&mut self.scratch, enabled);
-    }
+    /// Does nothing: there is no buffered draw. Reserved for
+    /// `benchmark/src/layers.rs`; ROADMAP 3(d) deletes it.
+    pub fn set_buffers(&mut self, _enabled: bool) {}
 
-    /// Pins this cursor's buffer RNG to a seed-derived stream.
-    pub fn seed_buffers(&mut self, seed: u64) {
-        I::seed_buffers(&mut self.scratch, seed);
-    }
+    /// Does nothing: there is no buffered draw. Reserved for
+    /// `benchmark/src/layers.rs`; ROADMAP 3(d) deletes it.
+    pub fn seed_buffers(&mut self, _seed: u64) {}
 
-    /// Drains the buffer hit/refill/invalidation counters.
+    /// Always [`BufferStats`] with no hits: there is no buffered draw.
+    /// Reserved for `benchmark/src/layers.rs`; ROADMAP 3(d) deletes it.
     pub fn drain_buffer_stats(&mut self) -> BufferStats {
-        I::drain_buffer_stats(&mut self.scratch)
+        BufferStats::default()
     }
 
     /// Monomorphised batch draw: [`SamplerIndex::draw_many`] against a

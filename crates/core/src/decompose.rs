@@ -7,7 +7,6 @@
 //! upper-bounding pass built on it ([`upper_bounding`]), which takes the
 //! case-3 count as a closure.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use srj_alias::{AliasTable, BlockRow, RowPick};
@@ -15,7 +14,6 @@ use srj_bbst::QuadrantQuery;
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{case_of, Cell, CellCase, Grid};
 
-use crate::buffer::DrawBuffers;
 use crate::cellstore::{CellStore, CellUnit};
 use crate::parallel::par_chunks;
 
@@ -101,10 +99,7 @@ pub(crate) fn open_quadrant(q: &QuadrantQuery) -> Rect {
 
 /// The draw from a picked case-1/2 cell, shared by every index whose rows
 /// store exact run lengths there: the member at `pick.rank` of the run
-/// `pick.weight` locates ([`case12_stored_run`]) — or, with the cursor's
-/// buffers on and the cell fully covered by `w` (the centre cell, always),
-/// a [`DrawBuffers::draw_covered`] serve keyed by the unit's `Arc`. Never
-/// rejects.
+/// `pick.weight` locates ([`case12_stored_run`]). Never rejects.
 #[inline]
 pub(crate) fn case12_draw<U: CellUnit>(
     store: &CellStore<U>,
@@ -112,7 +107,6 @@ pub(crate) fn case12_draw<U: CellUnit>(
     case: CellCase,
     pick: &RowPick,
     w: &Rect,
-    buffers: &mut DrawBuffers,
 ) -> PointId {
     let grid = store.grid();
     let cell = grid.cell(slot);
@@ -123,14 +117,7 @@ pub(crate) fn case12_draw<U: CellUnit>(
         case12_run(cell, grid.points(), case, w),
         "stored row weight disagrees with the window's run"
     );
-    let sid = if buffers.enabled() && w.contains_rect(&cell.rect) {
-        // Every member qualifies, so hot cells serve a pre-drawn member
-        // from their buffer and the rest use the rank.
-        let token = Arc::as_ptr(store.unit_arc(slot)) as usize;
-        buffers.draw_covered(slot, token, &cell.by_x, || pick.rank as usize)
-    } else {
-        run[pick.rank as usize]
-    };
+    let sid = run[pick.rank as usize];
     debug_assert!(
         w.contains(grid.point(sid)),
         "case-1/2 sample escaped the window"

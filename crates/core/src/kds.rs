@@ -7,7 +7,6 @@ use srj_geom::{Point, Rect};
 use srj_grid::{case_of, CellCase, IntoPointSet};
 use srj_kdtree::CanonicalScratch;
 
-use crate::buffer::{BufferStats, KdsScratch};
 use crate::cellstore::KdCellStore;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, IndexBytes, SamplerIndex};
@@ -234,7 +233,7 @@ impl KdsIndex {
 }
 
 impl SamplerIndex for KdsIndex {
-    type Scratch = KdsScratch;
+    type Scratch = ();
 
     fn algorithm_name(&self) -> &'static str {
         "KDS"
@@ -246,7 +245,7 @@ impl SamplerIndex for KdsIndex {
     fn try_draw<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        scratch: &mut KdsScratch,
+        _scratch: &mut (),
         stats: &mut PhaseReport,
     ) -> Result<Option<JoinPair>, SampleError> {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
@@ -278,10 +277,7 @@ impl SamplerIndex for KdsIndex {
                         .nth_in_cell(slot, &q, pick.rank as usize)
                         .expect("rank below the stored corner count")
                 }
-                case => {
-                    let store = self.s_cells.store();
-                    case12_draw(store, slot, case, &pick, &w, &mut scratch.buffers)
-                }
+                case => case12_draw(self.s_cells.store(), slot, case, &pick, &w),
             }
         };
         debug_assert!(
@@ -290,18 +286,6 @@ impl SamplerIndex for KdsIndex {
         );
         stats.samples += 1;
         Ok(Some(JoinPair::new(ridx as u32, sid)))
-    }
-
-    fn set_buffers(scratch: &mut KdsScratch, enabled: bool) {
-        scratch.buffers.set_enabled(enabled);
-    }
-
-    fn seed_buffers(scratch: &mut KdsScratch, seed: u64) {
-        scratch.buffers.seed_rng(seed);
-    }
-
-    fn drain_buffer_stats(scratch: &mut KdsScratch) -> BufferStats {
-        scratch.buffers.drain_stats()
     }
 
     fn total_weight(&self) -> f64 {
@@ -324,8 +308,8 @@ impl SamplerIndex for KdsIndex {
     }
 }
 
-/// Cheap per-thread query state over a shared [`KdsIndex`]: the sample
-/// buffers plus sampling-phase statistics (see [`Cursor`]).
+/// Cheap per-thread query state over a shared [`KdsIndex`]: its
+/// sampling-phase statistics (see [`Cursor`]).
 pub type KdsCursor = Cursor<KdsIndex>;
 
 /// Baseline 1 — **KDS** — as a self-contained single-threaded sampler:

@@ -34,12 +34,12 @@
 //! [`KdsRejectionIndex`], [`BbstIndex`]) that runs the build phases
 //! exactly once, and a cheap mutable **cursor** ([`KdsCursor`],
 //! [`KdsRejectionCursor`], [`BbstCursor`]) holding only per-thread state
-//! (scratch buffers and sampling statistics). Wrap an index in an `Arc`, hand
-//! each thread its own cursor, and all threads draw concurrently from
-//! the same structures. A `*Sampler` is a cursor over an index of its
-//! own (`::build`); the `srj-engine` crate builds a full concurrent
-//! serving engine — planner, epoch swaps, latency
-//! statistics — on top of this split.
+//! (sampling statistics, and an overlay's scratch). Wrap an index in an
+//! `Arc`, hand each thread its own cursor, and all threads draw
+//! concurrently from the same structures. A `*Sampler` is a cursor over
+//! an index of its own (`::build`); the `srj-engine` crate builds a full
+//! concurrent serving engine — planner, epoch swaps, latency statistics
+//! — on top of this split.
 //!
 //! ## Dynamic datasets
 //!
@@ -60,7 +60,6 @@
 //! achieved speedup is always visible.
 
 mod bbst_alg;
-pub mod buffer;
 pub mod cellstore;
 mod config;
 mod cursor;
@@ -76,12 +75,11 @@ mod traits;
 mod variant;
 
 pub use bbst_alg::{BbstCursor, BbstIndex, BbstSStructures, BbstSampler};
-pub use buffer::{BufferStats, DrawBuffers, KdsScratch, BUFFER_CAP, MAX_BUFFERS, PROMOTE_HITS};
 pub use cellstore::{
     BbstCellCtx, CellStore, CellUnit, KdCellStore, KdCellUnit, PatchReport as CellPatchReport,
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-pub use cursor::{Cursor, IndexBytes, SamplerIndex};
+pub use cursor::{BufferStats, Cursor, IndexBytes, SamplerIndex};
 pub use group::{block_rows, GroupCursor, GroupIndex, NO_CELL};
 pub use kds::{KdsCursor, KdsIndex, KdsSampler};
 pub use materialize::JoinThenSample;

@@ -1,7 +1,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::buffer::{BufferStats, KdsScratch};
 use crate::cellstore::KdCellStore;
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, IndexBytes, SamplerIndex};
@@ -165,7 +164,7 @@ impl KdsRejectionIndex {
 }
 
 impl SamplerIndex for KdsRejectionIndex {
-    type Scratch = KdsScratch;
+    type Scratch = ();
 
     fn algorithm_name(&self) -> &'static str {
         "KDS-rejection"
@@ -176,7 +175,7 @@ impl SamplerIndex for KdsRejectionIndex {
     fn try_draw<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        scratch: &mut KdsScratch,
+        _scratch: &mut (),
         stats: &mut PhaseReport,
     ) -> Result<Option<JoinPair>, SampleError> {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
@@ -185,13 +184,9 @@ impl SamplerIndex for KdsRejectionIndex {
         let w = Rect::window(self.r_points[ridx], self.config.half_extent);
         // µ(r) > 0 does not imply the window is non-empty: the nine
         // cells may hold points only outside w(r).
-        let drawn = if scratch.buffers.enabled() {
-            self.s_cells
-                .sample_in_window_buffered(&w, rng, &mut scratch.buffers)
-        } else {
-            self.s_cells
-                .sample_in_window(&w, rng, &mut CanonicalScratch)
-        };
+        let drawn = self
+            .s_cells
+            .sample_in_window(&w, rng, &mut CanonicalScratch);
         if let Some((sid, count)) = drawn {
             // Accept with probability |S(w(r))| / µ(r).
             if rng.gen::<f64>() * self.mu[ridx] < count as f64 {
@@ -200,18 +195,6 @@ impl SamplerIndex for KdsRejectionIndex {
             }
         }
         Ok(None)
-    }
-
-    fn set_buffers(scratch: &mut KdsScratch, enabled: bool) {
-        scratch.buffers.set_enabled(enabled);
-    }
-
-    fn seed_buffers(scratch: &mut KdsScratch, seed: u64) {
-        scratch.buffers.seed_rng(seed);
-    }
-
-    fn drain_buffer_stats(scratch: &mut KdsScratch) -> BufferStats {
-        scratch.buffers.drain_stats()
     }
 
     fn rejection_limit(&self) -> u64 {

@@ -63,7 +63,7 @@ impl RngCore for CountingRng {
 /// Test (b): batches of `t` pairs, repeated past 200 000 samples, are
 /// uniform over the materialised join and contain nothing else — for
 /// batch sizes below, at, just above and far above the block size, in
-/// both mass modes, with the sample buffers off and on.
+/// both mass modes.
 #[test]
 fn sample_batch_is_uniform_over_the_materialised_join_at_every_block_shape() {
     let (r, s, l) = test_sets();
@@ -79,39 +79,32 @@ fn sample_batch_is_uniform_over_the_materialised_join_at_every_block_shape() {
     for mode in [MassMode::Virtual, MassMode::Exact] {
         let cfg = SampleConfig::new(l).with_mass_mode(mode);
         let index = Arc::new(BbstIndex::build(&r, &s, &cfg));
-        for buffers in [false, true] {
-            for t in [1usize, 63, 64, 65, 517] {
-                let mut cursor = BbstCursor::new(Arc::clone(&index));
-                cursor.set_buffers(buffers);
-                cursor.seed_buffers(0xB0FF);
-                let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ t as u64);
-                let mut out = Vec::new();
-                while out.len() < 200_000 {
-                    let before = out.len();
-                    cursor.sample_batch(t, &mut rng, &mut out).unwrap();
-                    assert_eq!(out.len(), before + t, "a batch is exactly t pairs");
-                }
-                let mut freq: HashMap<JoinPair, u64> = HashMap::new();
-                for p in &out {
-                    assert!(
-                        support.contains(p),
-                        "{mode:?} buffers={buffers} t={t}: non-join pair {p:?}"
-                    );
-                    *freq.entry(*p).or_default() += 1;
-                }
-                let expected = out.len() as f64 / join.len() as f64;
-                let chi2: f64 = join
-                    .iter()
-                    .map(|p| {
-                        let obs = *freq.get(p).unwrap_or(&0) as f64;
-                        (obs - expected) * (obs - expected) / expected
-                    })
-                    .sum();
-                assert!(
-                    chi2 < threshold,
-                    "{mode:?} buffers={buffers} t={t}: χ² = {chi2:.1} exceeds {threshold:.1}"
-                );
+        for t in [1usize, 63, 64, 65, 517] {
+            let mut cursor = BbstCursor::new(Arc::clone(&index));
+            let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ t as u64);
+            let mut out = Vec::new();
+            while out.len() < 200_000 {
+                let before = out.len();
+                cursor.sample_batch(t, &mut rng, &mut out).unwrap();
+                assert_eq!(out.len(), before + t, "a batch is exactly t pairs");
             }
+            let mut freq: HashMap<JoinPair, u64> = HashMap::new();
+            for p in &out {
+                assert!(support.contains(p), "{mode:?} t={t}: non-join pair {p:?}");
+                *freq.entry(*p).or_default() += 1;
+            }
+            let expected = out.len() as f64 / join.len() as f64;
+            let chi2: f64 = join
+                .iter()
+                .map(|p| {
+                    let obs = *freq.get(p).unwrap_or(&0) as f64;
+                    (obs - expected) * (obs - expected) / expected
+                })
+                .sum();
+            assert!(
+                chi2 < threshold,
+                "{mode:?} t={t}: χ² = {chi2:.1} exceeds {threshold:.1}"
+            );
         }
     }
 }
@@ -199,8 +192,7 @@ fn empty_join_is_reported_before_any_iteration() {
 }
 
 /// Test (e): the pairs are a function of the seed and the batch-size
-/// sequence — the same two give the same bytes, with buffers off and
-/// on — and of nothing less: a block takes its `r` words before its
+/// sequence — the same two give the same bytes — and of nothing less: a block takes its `r` words before its
 /// pick words, so the same seed cut into different batches is another
 /// (equally uniform) stream.
 #[test]
@@ -208,22 +200,18 @@ fn same_seed_and_batch_sizes_give_identical_pairs() {
     let (r, s, l) = test_sets();
     let index = Arc::new(BbstIndex::build(&r, &s, &SampleConfig::new(l)));
     let sizes = [517usize, 1, 64, 63, 65, 2048, 7];
-    for buffers in [false, true] {
-        let run = |sizes: &[usize]| {
-            let mut cursor = BbstCursor::new(Arc::clone(&index));
-            cursor.set_buffers(buffers);
-            cursor.seed_buffers(99);
-            let mut rng = SmallRng::seed_from_u64(1234);
-            let mut out = Vec::new();
-            for &t in sizes {
-                cursor.sample_batch(t, &mut rng, &mut out).unwrap();
-            }
-            out
-        };
-        let total = sizes.iter().sum::<usize>();
-        let (a, b) = (run(&sizes), run(&sizes));
-        assert_eq!(a.len(), total);
-        assert_eq!(a, b, "buffers={buffers}");
-        assert_ne!(a, run(&[total]), "buffers={buffers}");
-    }
+    let run = |sizes: &[usize]| {
+        let mut cursor = BbstCursor::new(Arc::clone(&index));
+        let mut rng = SmallRng::seed_from_u64(1234);
+        let mut out = Vec::new();
+        for &t in sizes {
+            cursor.sample_batch(t, &mut rng, &mut out).unwrap();
+        }
+        out
+    };
+    let total = sizes.iter().sum::<usize>();
+    let (a, b) = (run(&sizes), run(&sizes));
+    assert_eq!(a.len(), total);
+    assert_eq!(a, b);
+    assert_ne!(a, run(&[total]));
 }

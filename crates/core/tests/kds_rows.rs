@@ -20,11 +20,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-use srj_core::{
-    Cursor, DrawBuffers, JoinPair, KdCellStore, KdsCursor, KdsIndex, SampleConfig, SampleError,
-};
+use srj_core::{Cursor, JoinPair, KdCellStore, KdsCursor, KdsIndex, SampleConfig, SampleError};
 use srj_geom::{Point, PointId, Rect};
-use srj_kdtree::DEFAULT_LEAF_SIZE;
+use srj_kdtree::{CanonicalScratch, DEFAULT_LEAF_SIZE};
 
 fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -219,46 +217,41 @@ fn rows_on_degenerate_inputs() {
 }
 
 /// Test (b): an iteration is two words — the alias word and the row word
-/// — whether the pick lands in a corner cell or not, with the buffers
-/// off or on; nothing rejects; an empty join is reported before any word
+/// — whether the pick lands in a corner cell or not; nothing rejects; an empty join is reported before any word
 /// is drawn; `t = 0` is `Ok` and draws nothing.
 #[test]
 fn an_iteration_spends_two_words_corner_or_not() {
     let (r, s, l) = test_sets();
     let index = Arc::new(KdsIndex::build(&r, &s, &SampleConfig::new(l)));
     let cell_of = |p: Point| ((p.x / l).floor() as i64, (p.y / l).floor() as i64);
-    for buffers in [false, true] {
-        let mut cursor = KdsCursor::new(Arc::clone(&index));
-        cursor.set_buffers(buffers);
-        cursor.seed_buffers(0xB0FF);
-        let mut rng = CountingRng {
-            inner: SmallRng::seed_from_u64(5),
-            words: 0,
-        };
-        let mut out = Vec::new();
-        cursor.sample_batch(0, &mut rng, &mut out).unwrap();
-        assert_eq!((rng.words, out.len()), (0, 0));
-        let (mut corner, mut other) = (0u32, 0u32);
-        for i in 1..=4000u64 {
-            cursor.sample_batch(1, &mut rng, &mut out).unwrap();
-            assert_eq!(rng.words, 2 * i, "buffers = {buffers}, draw {i}");
-            let pair = out[i as usize - 1];
-            let (rc, sc) = (cell_of(r[pair.r as usize]), cell_of(s[pair.s as usize]));
-            if rc.0 != sc.0 && rc.1 != sc.1 {
-                corner += 1;
-            } else {
-                other += 1;
-            }
+    let mut cursor = KdsCursor::new(Arc::clone(&index));
+    let mut rng = CountingRng {
+        inner: SmallRng::seed_from_u64(5),
+        words: 0,
+    };
+    let mut out = Vec::new();
+    cursor.sample_batch(0, &mut rng, &mut out).unwrap();
+    assert_eq!((rng.words, out.len()), (0, 0));
+    let (mut corner, mut other) = (0u32, 0u32);
+    for i in 1..=4000u64 {
+        cursor.sample_batch(1, &mut rng, &mut out).unwrap();
+        assert_eq!(rng.words, 2 * i, "draw {i}");
+        let pair = out[i as usize - 1];
+        let (rc, sc) = (cell_of(r[pair.r as usize]), cell_of(s[pair.s as usize]));
+        if rc.0 != sc.0 && rc.1 != sc.1 {
+            corner += 1;
+        } else {
+            other += 1;
         }
-        assert!(
-            corner > 400 && other > 400,
-            "{corner} corner, {other} other"
-        );
-        cursor.sample_batch(517, &mut rng, &mut out).unwrap();
-        assert_eq!(rng.words, 2 * 4517);
-        let stats = cursor.sampling_stats();
-        assert_eq!((stats.iterations, stats.samples), (4517, 4517));
     }
+    assert!(
+        corner > 400 && other > 400,
+        "{corner} corner, {other} other"
+    );
+    cursor.sample_batch(517, &mut rng, &mut out).unwrap();
+    assert_eq!(rng.words, 2 * 4517);
+    let stats = cursor.sampling_stats();
+    assert_eq!((stats.iterations, stats.samples), (4517, 4517));
 
     let far = [Point::new(1000.0, 1000.0)];
     let empty = Arc::new(KdsIndex::build(&r, &far, &SampleConfig::new(l)));
@@ -279,9 +272,8 @@ fn an_iteration_spends_two_words_corner_or_not() {
 
 /// Test (c): batches of `t` pairs, repeated past 200 000 samples, are
 /// uniform over the materialised join and contain nothing else — for the
-/// benchmark's t = 16 and batch sizes around the block size, with the
-/// sample buffers off and on, on a dataset whose cells lie on both sides
-/// of the leaf size.
+/// benchmark's t = 16 and batch sizes around the block size, on a
+/// dataset whose cells lie on both sides of the leaf size.
 #[test]
 fn sample_batch_is_uniform_over_the_materialised_join() {
     let (r, s, l) = test_sets();
@@ -304,45 +296,32 @@ fn sample_batch_is_uniform_over_the_materialised_join() {
         "no scanned cell"
     );
 
-    for buffers in [false, true] {
-        for t in [1usize, 16, 63, 64, 65] {
-            let mut cursor = KdsCursor::new(Arc::clone(&index));
-            cursor.set_buffers(buffers);
-            cursor.seed_buffers(0xB0FF);
-            let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ t as u64);
-            let mut out = Vec::new();
-            while out.len() < 200_000 {
-                let before = out.len();
-                cursor.sample_batch(t, &mut rng, &mut out).unwrap();
-                assert_eq!(out.len(), before + t, "a batch is exactly t pairs");
-            }
-            let mut freq: HashMap<JoinPair, u64> = HashMap::new();
-            for p in &out {
-                assert!(
-                    support.contains(p),
-                    "buffers={buffers} t={t}: non-join pair {p:?}"
-                );
-                *freq.entry(*p).or_default() += 1;
-            }
-            let expected = out.len() as f64 / join.len() as f64;
-            let chi2: f64 = join
-                .iter()
-                .map(|p| {
-                    let obs = *freq.get(p).unwrap_or(&0) as f64;
-                    (obs - expected) * (obs - expected) / expected
-                })
-                .sum();
-            assert!(
-                chi2 < threshold,
-                "buffers={buffers} t={t}: χ² = {chi2:.1} exceeds {threshold:.1}"
-            );
-            if buffers {
-                assert!(
-                    cursor.drain_buffer_stats().hits > 0,
-                    "t={t}: no buffer was used"
-                );
-            }
+    for t in [1usize, 16, 63, 64, 65] {
+        let mut cursor = KdsCursor::new(Arc::clone(&index));
+        let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ t as u64);
+        let mut out = Vec::new();
+        while out.len() < 200_000 {
+            let before = out.len();
+            cursor.sample_batch(t, &mut rng, &mut out).unwrap();
+            assert_eq!(out.len(), before + t, "a batch is exactly t pairs");
         }
+        let mut freq: HashMap<JoinPair, u64> = HashMap::new();
+        for p in &out {
+            assert!(support.contains(p), "t={t}: non-join pair {p:?}");
+            *freq.entry(*p).or_default() += 1;
+        }
+        let expected = out.len() as f64 / join.len() as f64;
+        let chi2: f64 = join
+            .iter()
+            .map(|p| {
+                let obs = *freq.get(p).unwrap_or(&0) as f64;
+                (obs - expected) * (obs - expected) / expected
+            })
+            .sum();
+        assert!(
+            chi2 < threshold,
+            "t={t}: χ² = {chi2:.1} exceeds {threshold:.1}"
+        );
     }
 }
 
@@ -402,8 +381,8 @@ fn nth_in_cell_enumerates_the_cell_once() {
 /// Test (e): one patch takes a cell from 16 to 17 members by insert (it
 /// gains a tree) and another from 17 to 16 by delete (it loses one).
 /// Counts, the rows of an index over the patched store and its draws
-/// stay exact; clean cells keep their unit; and a buffer filled from the
-/// pre-patch 17 never serves the deleted id.
+/// stay exact; clean cells keep their unit, dirty cells get a new one;
+/// and the patched store's window draws never serve the deleted id.
 #[test]
 fn a_patch_across_the_leaf_size_stays_exact() {
     let mut s = clump(16, 21, 0.0, 0.0); // ids 0..16, cell (0, 0)
@@ -440,7 +419,7 @@ fn a_patch_across_the_leaf_size_stays_exact() {
                 store.store().unit_arc(slot_of(&store, coord)),
                 patched.store().unit_arc(slot_of(&patched, coord)),
             ),
-            "dirty cell {coord:?} kept its unit, and with it its buffer token"
+            "dirty cell {coord:?} kept its unit"
         );
     }
 
@@ -482,31 +461,20 @@ fn a_patch_across_the_leaf_size_stays_exact() {
     cursor.sample_batch(2_000, &mut rng, &mut out).unwrap();
     assert!(out.iter().all(|p| join.contains(&(p.r, p.s))));
 
-    // One buffer set carried from the pre-patch store to the patched one:
-    // the slot's token is the unit `Arc`, the rebuilt cell has a new one.
-    let slot = slot_of(&store, (1, 0));
-    assert_eq!(slot, slot_of(&patched, (1, 0)));
+    // A window covering the cell the victim left: the pre-patch store
+    // still draws it, the patched one never does.
     let covering = Rect::window(Point::new(1.5, 0.5), l);
-    let mut buffers = DrawBuffers::default();
-    buffers.set_enabled(true);
-    buffers.seed_rng(28);
-    buffers.warm(&[slot]);
-    let mut from_cell = 0;
-    while from_cell < 3 {
-        let (id, _) = store
-            .sample_in_window_buffered(&covering, &mut rng, &mut buffers)
-            .unwrap();
-        from_cell += usize::from((16..33).contains(&id));
-    }
-    // 253 pre-drawn ids of the old 17 are still buffered.
-    assert_eq!(buffers.drain_stats().refills, 1);
+    let mut scratch = CanonicalScratch::new();
+    let mut draw = |store: &KdCellStore| {
+        store
+            .sample_in_window(&covering, &mut rng, &mut scratch)
+            .unwrap()
+            .0
+    };
+    assert!((0..4_000).any(|_| draw(&store) == victim));
     for _ in 0..4_000 {
-        let (id, _) = patched
-            .sample_in_window_buffered(&covering, &mut rng, &mut buffers)
-            .unwrap();
-        assert_ne!(id, victim, "a pre-patch buffered id was served");
+        assert_ne!(draw(&patched), victim, "a deleted id was served");
     }
-    assert_eq!(buffers.drain_stats().invalidations, 1);
 }
 
 /// Test (f): the pairs are a function of the seed and the batch sizes —
@@ -515,10 +483,8 @@ fn a_patch_across_the_leaf_size_stays_exact() {
 fn same_seed_and_batches_give_the_same_pairs() {
     let (r, s, l) = test_sets();
     let batches = [1usize, 16, 64, 65, 300];
-    let draw = |index: &Arc<KdsIndex>, buffers: bool| {
+    let draw = |index: &Arc<KdsIndex>| {
         let mut cursor = KdsCursor::new(Arc::clone(index));
-        cursor.set_buffers(buffers);
-        cursor.seed_buffers(9);
         let mut rng = SmallRng::seed_from_u64(1234);
         let mut out = Vec::new();
         for t in batches {
@@ -527,15 +493,13 @@ fn same_seed_and_batches_give_the_same_pairs() {
         out
     };
     let serial = Arc::new(KdsIndex::build(&r, &s, &SampleConfig::new(l)));
-    for buffers in [false, true] {
-        let reference = draw(&serial, buffers);
-        assert_eq!(reference.len(), batches.iter().sum::<usize>());
-        assert_eq!(draw(&serial, buffers), reference, "a second cursor");
-        for threads in 1..=8 {
-            let cfg = SampleConfig::new(l).with_build_threads(threads);
-            let index = Arc::new(KdsIndex::build(&r, &s, &cfg));
-            assert_eq!(index.join_size(), serial.join_size());
-            assert_eq!(draw(&index, buffers), reference, "threads = {threads}");
-        }
+    let reference = draw(&serial);
+    assert_eq!(reference.len(), batches.iter().sum::<usize>());
+    assert_eq!(draw(&serial), reference, "a second cursor");
+    for threads in 1..=8 {
+        let cfg = SampleConfig::new(l).with_build_threads(threads);
+        let index = Arc::new(KdsIndex::build(&r, &s, &cfg));
+        assert_eq!(index.join_size(), serial.join_size());
+        assert_eq!(draw(&index), reference, "threads = {threads}");
     }
 }

@@ -1,21 +1,21 @@
 //! The engine proper: one immutable index, many lightweight handles.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use srj_core::{
-    BufferStats, CellPatchReport, DeltaSet, IndexBytes, JoinPair, OverlaySupport, PhaseReport,
-    SampleConfig, SampleError,
+    CellPatchReport, DeltaSet, IndexBytes, JoinPair, OverlaySupport, PhaseReport, SampleConfig,
+    SampleError,
 };
 use srj_geom::Point;
 use srj_grid::{Grid, IntoPointSet};
 
 use crate::family::{self, EngineIndex, RowGranularity, ServingCursor};
 use crate::planner::PlanReport;
-use crate::stats::{EngineStats, MaintenanceCounters, StatsSnapshot};
+use crate::stats::{EngineStats, StatsSnapshot};
 
 /// Which of the paper's samplers an [`Engine`] serves with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -46,16 +46,7 @@ struct EngineShared {
     /// [`crate::family`]).
     index: Box<dyn EngineIndex>,
     stats: EngineStats,
-    /// The counters of the epoch cell that committed this engine (fresh
-    /// for a standalone build), shared with every engine derived from
-    /// it: handles add their buffer counts here.
-    counters: MaintenanceCounters,
     plan: Option<PlanReport>,
-    /// Whether handles should serve batches through the buffered draw
-    /// fast path (pre-drawn per-cell sample buffers). Handles re-check
-    /// the flag on every batch, so flipping it takes effect without
-    /// re-acquiring handles.
-    buffers: AtomicBool,
     /// Sequence number for auto-seeded handles.
     handle_seq: AtomicU64,
 }
@@ -85,7 +76,7 @@ struct EngineShared {
 ///
 /// let handles: Vec<_> = (0..4).map(|t| engine.handle_seeded(t)).collect();
 /// for mut h in handles {
-///     let pairs = h.sample(100).unwrap();
+///     let pairs = h.sample_batch(100).unwrap();
 ///     assert_eq!(pairs.len(), 100);
 /// }
 /// assert_eq!(engine.stats().samples, 400);
@@ -114,7 +105,7 @@ impl Engine {
         algorithm: Algorithm,
     ) -> Engine {
         let (index, plan) = family::build(r, s.into_point_set(), config, Some(algorithm));
-        Engine::from_index(index, plan, true, MaintenanceCounters::default())
+        Engine::from_index(index, plan)
     }
 
     /// Lets the planner pick the algorithm from a cheap `O(n + m)`
@@ -127,7 +118,7 @@ impl Engine {
     /// [`Engine::plan`].
     pub fn auto(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Engine {
         let (index, plan) = family::build(r, s.into_point_set(), config, None);
-        Engine::from_index(index, plan, true, MaintenanceCounters::default())
+        Engine::from_index(index, plan)
     }
 
     /// Wraps this engine's index in a delta [`srj_core::OverlayIndex`], producing
@@ -159,7 +150,7 @@ impl Engine {
         config: &SampleConfig,
     ) -> Engine {
         let index = self.shared.index.with_overlay(delta, support, config);
-        self.derive(index, self.shared.plan)
+        Engine::from_index(index, self.shared.plan)
     }
 
     /// Rebuilds this engine over a new `R` while **reusing** its
@@ -175,7 +166,7 @@ impl Engine {
     pub fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Engine> {
         let index = self.shared.index.rebuild_r_only(r, config)?;
         // The old plan described the pre-mutation workload.
-        Some(self.derive(index, None))
+        Some(Engine::from_index(index, None))
     }
 
     /// Rebuilds this engine over a new `R` while **patching** its
@@ -201,52 +192,20 @@ impl Engine {
             .shared
             .index
             .rebuild_with_s_patch(r, config, inserted_s, deleted_s)?;
-        Some((self.derive(index, None), report))
+        Some((Engine::from_index(index, None), report))
     }
 
     /// Wraps a built index with fresh stats and a fresh handle
-    /// sequence. `buffers` seeds the fast-path flag and `counters` are
-    /// where the handles' buffer counts go: fresh for a standalone
-    /// build, the cell's for an epoch's, and inherited by derived
-    /// engines (overlays, rebuilds) so an operator's toggle survives
-    /// epoch swaps and the counts add up across them.
-    pub(crate) fn from_index(
-        index: Box<dyn EngineIndex>,
-        plan: Option<PlanReport>,
-        buffers: bool,
-        counters: MaintenanceCounters,
-    ) -> Engine {
+    /// sequence.
+    pub(crate) fn from_index(index: Box<dyn EngineIndex>, plan: Option<PlanReport>) -> Engine {
         Engine {
             shared: Arc::new(EngineShared {
                 index,
                 stats: EngineStats::new(),
-                counters,
                 plan,
-                buffers: AtomicBool::new(buffers),
                 handle_seq: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// An engine over `index`, derived from this one: its buffer flag
-    /// and counters.
-    fn derive(&self, index: Box<dyn EngineIndex>, plan: Option<PlanReport>) -> Engine {
-        let counters = self.shared.counters.clone();
-        Engine::from_index(index, plan, self.buffers_enabled(), counters)
-    }
-
-    /// Whether handles serve batches through the buffered draw fast
-    /// path (see [`SamplerHandle::sample_batch`]).
-    pub fn buffers_enabled(&self) -> bool {
-        self.shared.buffers.load(Ordering::Relaxed)
-    }
-
-    /// Flips the buffered draw fast path for every handle of this
-    /// engine. Handles re-check the flag at each batch, so the change
-    /// applies without re-acquiring them; disabling also drops each
-    /// handle's pinned buffers at its next batch.
-    pub fn set_buffers_enabled(&self, on: bool) {
-        self.shared.buffers.store(on, Ordering::Relaxed);
     }
 
     /// Whether this engine serves through a delta overlay (pending
@@ -255,27 +214,15 @@ impl Engine {
         self.shared.index.is_overlay()
     }
 
-    /// Whether `self` and `other` are clones of the same engine (share
-    /// one stats/index cell) — lets the epoch machinery tell a real
-    /// swap from a same-engine reinstall before retiring counters.
-    pub(crate) fn shares_state(&self, other: &Engine) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
-    }
-
     /// The algorithm this engine serves with.
     pub fn algorithm(&self) -> Algorithm {
         self.shared.index.algorithm()
     }
 
     /// The planner's decision report, if this engine came from
-    /// [`Engine::auto`], with [`PlanReport::buffers`] stamped from the
-    /// engine's **live** fast-path flag (buffer state is a serving-time
-    /// property the build-time planner cannot know).
+    /// [`Engine::auto`].
     pub fn plan(&self) -> Option<PlanReport> {
-        self.shared.plan.map(|mut p| {
-            p.buffers = self.buffers_enabled();
-            p
-        })
+        self.shared.plan
     }
 
     /// A new serving handle with an automatically derived, per-handle
@@ -298,21 +245,12 @@ impl Engine {
             cursor: self.shared.index.cursor(),
             rng: SmallRng::seed_from_u64(seed),
             shared: Arc::clone(&self.shared),
-            buffers_armed: false,
         }
     }
 
     /// Aggregate statistics across every handle this engine has issued.
     pub fn stats(&self) -> StatsSnapshot {
         self.shared.stats.snapshot()
-    }
-
-    /// `(hits, refills, invalidations)` of the buffered draw fast path
-    /// across every handle — three relaxed loads, no histogram walk. An
-    /// engine an [`crate::EpochEngine`] committed reports its cell's
-    /// whole history.
-    pub fn buffer_counters(&self) -> (u64, u64, u64) {
-        self.shared.counters.buffer_counters()
     }
 
     /// Mean observed nanoseconds per delivered sample across every
@@ -404,9 +342,6 @@ pub struct SamplerHandle {
     cursor: Box<dyn ServingCursor>,
     rng: SmallRng,
     shared: Arc<EngineShared>,
-    /// Whether this handle's cursor currently has its sample buffers
-    /// armed (mirrors the engine's flag as of the last batch).
-    buffers_armed: bool,
 }
 
 const _: () = {
@@ -429,8 +364,14 @@ impl SamplerHandle {
         out
     }
 
-    /// Draws `t` uniform join samples with replacement.
-    pub fn sample(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
+    /// Draws `t` uniform join samples with replacement: one
+    /// [`Cursor::sample_batch`](srj_core::Cursor::sample_batch),
+    /// monomorphised over the handle's concrete [`SmallRng`] — one
+    /// virtual call per batch, none per random word, for every algorithm
+    /// and for the overlay alike — and timed and recorded as **one**
+    /// engine query (a per-item `Instant` pair would cost more than a
+    /// draw).
+    pub fn sample_batch(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
         srj_obs::trace::event("engine_query", "sample_batch");
         let before = self.cursor.report().iterations;
         let start = Instant::now();
@@ -445,56 +386,6 @@ impl SamplerHandle {
             Err(_) => self.shared.stats.record_error(iterations, start.elapsed()),
         }
         res.map(|()| out)
-    }
-
-    /// Syncs the cursor's buffer state with the engine's flag; on
-    /// arming, pins the buffer RNG to a stream derived from this
-    /// handle's own generator. Deriving (rather than taking a slot off
-    /// the process-wide seed sequence) keeps the repeatability
-    /// contract: a seeded handle's whole draw stream — buffered pops
-    /// included — is a pure function of its seed, so two same-seed
-    /// requests against the same epoch return identical pairs. For the
-    /// same reason nothing here may consult cross-request state (one
-    /// request's traffic must never change the next one's stream);
-    /// promotion is left to the per-handle heat ladder, which a hot cell
-    /// climbs in [`srj_core::PROMOTE_HITS`] draws.
-    fn arm_buffers(&mut self) {
-        let want = self.shared.buffers.load(Ordering::Relaxed);
-        if want == self.buffers_armed {
-            return;
-        }
-        self.buffers_armed = want;
-        self.cursor.set_buffers(want);
-        if want {
-            let seed = self.rng.next_u64();
-            self.cursor.seed_buffers(seed);
-        }
-    }
-
-    /// [`SamplerHandle::sample`] through the **buffered fast path**:
-    /// hot fully-covered `S`-cells serve from pre-drawn sample buffers
-    /// when [`Engine::set_buffers_enabled`] is on (a full build's cells;
-    /// draws through an overlay never pop a buffer).
-    ///
-    /// Either way the draw loop is monomorphised over the handle's
-    /// concrete [`SmallRng`] — one virtual call per batch, none per
-    /// random word, for every algorithm and for the overlay alike — and
-    /// the whole batch is timed and recorded as **one** engine query (a
-    /// per-item `Instant` pair would cost more than a draw).
-    ///
-    /// The distribution is identical to [`SamplerHandle::sample`] —
-    /// buffers only short-circuit draws for cells whose selection
-    /// probability already equals their exact member weight — but the
-    /// RNG consumption schedule differs, so the two paths produce
-    /// different (equally uniform) streams from the same seed.
-    pub fn sample_batch(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
-        self.arm_buffers();
-        let out = self.sample(t);
-        let bufstats = self.cursor.drain_buffer_stats();
-        if bufstats != BufferStats::default() {
-            self.shared.counters.record_buffer_stats(bufstats);
-        }
-        out
     }
 
     /// Progressive sampling: an iterator of uniform join samples that

@@ -52,14 +52,14 @@
 //! ([`srj_grid::Grid::dirty_cells`]).
 //!
 //! **Counts.** A swap counts its rung into the cell's
-//! [`MaintenanceCounters`] where it commits, under the state write lock
-//! (an `R`-only rebuild counts as a full rebuild), and every engine the
-//! cell commits counts its handles' buffer draws there too. A server
-//! hands in its dataset's series ([`EpochEngine::with_counters`]), so
-//! what a retired engine or an evicted cell counted stays counted.
+//! [`MaintenanceCounters`] where it commits, under the state write lock,
+//! and journals the same rung (an `R`-only rebuild counts, and journals,
+//! as a full rebuild). A server hands in its dataset's series
+//! ([`EpochEngine::with_counters`]), so what an evicted cell counted
+//! stays counted.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -204,13 +204,9 @@ pub struct EpochEngine {
     cfg: EpochConfig,
     state: RwLock<EpochState>,
     maintain: Mutex<()>,
-    /// Where the swaps are counted, and the handles of every engine this
-    /// cell commits count their buffer draws.
+    /// Where the swaps are counted.
     counters: MaintenanceCounters,
     last_swap_ns: AtomicU64,
-    /// Whether freshly committed engines serve with the buffered draw
-    /// fast path (applied to every engine this cell installs).
-    buffers: AtomicBool,
 }
 
 const _: () = {
@@ -233,10 +229,9 @@ impl EpochEngine {
         Self::with_counters(store, config, cfg, MaintenanceCounters::default())
     }
 
-    /// [`EpochEngine::with_store`], counting into `counters`: its swaps,
-    /// and the buffer draws of every engine it commits. Engines handed
-    /// clones of one set add up in it, and what an engine counted stays
-    /// counted after the engine is dropped.
+    /// [`EpochEngine::with_store`], counting its swaps into `counters`.
+    /// Cells handed clones of one set add up in it, and what a cell
+    /// counted stays counted after the cell is dropped.
     ///
     /// # Panics
     /// Panics if `cfg.shards > 1` (see [`EpochConfig::shards`]).
@@ -257,7 +252,7 @@ impl EpochEngine {
             let _ = store.compact();
         }
         let snap = store.snapshot();
-        let base = Self::build_base(&snap, config, &cfg, &counters);
+        let base = Self::build_base(&snap, config, &cfg);
         let mut state = EpochState {
             current: base.clone(),
             base,
@@ -282,25 +277,19 @@ impl EpochEngine {
             maintain: Mutex::new(()),
             counters,
             last_swap_ns: AtomicU64::new(0),
-            buffers: AtomicBool::new(true),
         }
     }
 
     /// A full build over `snap`'s base: the pinned algorithm, or the
     /// planner's choice for this data.
-    fn build_base(
-        snap: &DatasetSnapshot,
-        config: &SampleConfig,
-        cfg: &EpochConfig,
-        counters: &MaintenanceCounters,
-    ) -> Engine {
+    fn build_base(snap: &DatasetSnapshot, config: &SampleConfig, cfg: &EpochConfig) -> Engine {
         debug_assert!(
             snap.s_dead.is_empty(),
             "full builds must run over a purged base"
         );
         let s = Arc::clone(&snap.base_s);
         let (index, plan) = family::build(&snap.base_r, s, config, cfg.algorithm);
-        Engine::from_index(index, plan, true, counters.clone())
+        Engine::from_index(index, plan)
     }
 
     /// The overlay support of an epoch: the grid of `S` its full build
@@ -427,41 +416,9 @@ impl EpochEngine {
             .stats()
     }
 
-    /// Whether engines committed by this cell serve batches through
-    /// the buffered draw fast path.
-    pub fn buffers_enabled(&self) -> bool {
-        self.buffers.load(Ordering::Relaxed)
-    }
-
-    /// Flips the buffered draw fast path for the serving engine and for
-    /// every engine a later swap installs (the toggle survives epoch
-    /// swaps).
-    pub fn set_buffers_enabled(&self, on: bool) {
-        self.buffers.store(on, Ordering::Relaxed);
-        let st = self.state.read().expect("epoch state poisoned");
-        st.current.set_buffers_enabled(on);
-        st.base.set_buffers_enabled(on);
-    }
-
-    /// Monotone `(hits, refills, invalidations)` of the buffered draw
-    /// fast path across the cell's whole history: every engine it
-    /// committed counts into the cell's counters, retired or not.
-    pub fn buffer_counters(&self) -> (u64, u64, u64) {
-        self.counters.buffer_counters()
-    }
-
-    /// Charges the swap from `retiring` to `next` one buffer
-    /// invalidation when it retires an armed engine (its handles' pinned
-    /// buffers die with their epoch). Callers journal the matching
-    /// [`EventKind::BufferInvalidate`] outside the state lock; this
-    /// returns whether one should be emitted.
-    fn retire(&self, retiring: &Engine, next: &Engine) -> bool {
-        let invalidated = !next.shares_state(retiring) && retiring.buffers_enabled();
-        if invalidated {
-            self.counters.buffer_invalidations.inc();
-        }
-        invalidated
-    }
+    /// Does nothing: there is no buffered draw to switch. Reserved for
+    /// `benchmark/src/layers.rs`; ROADMAP 3(d) deletes it.
+    pub fn set_buffers_enabled(&self, _on: bool) {}
 
     /// `Σµ` of the engine currently serving.
     pub fn total_weight(&self) -> f64 {
@@ -588,9 +545,7 @@ impl EpochEngine {
         engine: Engine,
         snap: &DatasetSnapshot,
     ) -> std::sync::RwLockWriteGuard<'_, EpochState> {
-        engine.set_buffers_enabled(self.buffers_enabled());
         let mut st = self.state.write().expect("epoch state poisoned");
-        self.retire(&st.current, &engine);
         st.base = engine.clone();
         st.base_s = Arc::clone(&snap.base_s);
         st.base_s_dead = Arc::clone(&snap.s_dead);
@@ -621,7 +576,7 @@ impl EpochEngine {
         // Full path: purge dead ids, renumber, rebuild from scratch.
         let mu_before = prev_base.total_weight();
         let (snap, _) = self.store.compact();
-        let engine = Self::build_base(&snap, &self.config, &self.cfg, &self.counters);
+        let engine = Self::build_base(&snap, &self.config, &self.cfg);
         let mu_after = engine.total_weight();
         let st = self.commit_epoch(engine, &snap);
         self.counters.full_rebuild.inc();
@@ -632,12 +587,6 @@ impl EpochEngine {
             .duration_ns(t0.elapsed().as_nanos() as u64)
             .mu(mu_before, mu_after)
             .emit();
-        if self.buffers_enabled() {
-            event(EventKind::BufferInvalidate)
-                .dataset(self.store.obs_label())
-                .epoch(snap.epoch)
-                .emit();
-        }
     }
 
     /// The incremental half of [`EpochEngine::major_swap`]: `true` when
@@ -712,29 +661,27 @@ impl EpochEngine {
         };
         let mu_before = prev_base.total_weight();
         let mu_after = engine.total_weight();
-        let cells_rebuilt = patch_report.as_ref().map_or(0, |rep| rep.cells_rebuilt);
         let st = self.commit_epoch(engine, &snap);
-        // An R-only rebuild patches no cell: it counts as a full rebuild.
-        if patch_report.is_some() {
-            self.counters.cell_patch.inc();
-            self.counters.cells_patched.add(cells_rebuilt as u64);
-        } else {
-            self.counters.full_rebuild.inc();
-        }
+        // An R-only rebuild patches no cell: it counts, and journals, as
+        // a full rebuild.
+        let journaled = match patch_report {
+            Some(rep) => {
+                self.counters.cell_patch.inc();
+                self.counters.cells_patched.add(rep.cells_rebuilt as u64);
+                event(EventKind::CellPatch).dirty_cells(rep.cells_rebuilt as u64)
+            }
+            None => {
+                self.counters.full_rebuild.inc();
+                event(EventKind::FullRebuild)
+            }
+        };
         drop(st);
-        event(EventKind::CellPatch)
+        journaled
             .dataset(self.store.obs_label())
             .epoch(snap.epoch)
-            .dirty_cells(cells_rebuilt as u64)
             .duration_ns(t0.elapsed().as_nanos() as u64)
             .mu(mu_before, mu_after)
             .emit();
-        if self.buffers_enabled() {
-            event(EventKind::BufferInvalidate)
-                .dataset(self.store.obs_label())
-                .epoch(snap.epoch)
-                .emit();
-        }
         true
     }
 
@@ -768,8 +715,6 @@ impl EpochEngine {
         let mut st = self.state.write().expect("epoch state poisoned");
         let mu_before = st.current.total_weight();
         let mu_after = engine.total_weight();
-        engine.set_buffers_enabled(self.buffers_enabled());
-        let retired_buffers = self.retire(&st.current, &engine);
         st.current = engine;
         st.support = Some(Arc::new(support));
         st.built_version = version;
@@ -782,19 +727,12 @@ impl EpochEngine {
             .mu(mu_before, mu_after)
             .overlay(pending_ops as u64, sources as u64)
             .emit();
-        if retired_buffers {
-            event(EventKind::BufferInvalidate)
-                .dataset(self.store.obs_label())
-                .epoch(epoch)
-                .emit();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RowGranularity;
     use srj_geom::Rect;
 
     fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
@@ -972,8 +910,8 @@ mod tests {
     }
 
     /// A cell at `l = 4` and a sibling at `l = 5` over one fresh store of
-    /// locally uniform points (per-`r` rows, which arm buffers); the
-    /// sibling rebuilds on any pending change.
+    /// locally uniform points; the sibling rebuilds on any pending
+    /// change.
     fn siblings(a: MaintenanceCounters, b: MaintenanceCounters) -> (EpochEngine, EpochEngine) {
         let store = Arc::new(DatasetStore::new(
             pseudo_points(400, 61, 60.0),
@@ -1011,9 +949,7 @@ mod tests {
     }
 
     /// Cells handed one [`MaintenanceCounters`] add up in it: each rung
-    /// counts both cells' swaps, dropping a cell takes nothing back, and
-    /// a handle that outlives its engine's retirement still counts its
-    /// buffer hits.
+    /// counts both cells' swaps, and dropping a cell takes nothing back.
     #[test]
     fn sibling_cells_add_up_in_one_set_of_counters() {
         // Apart, each set counts one cell's swaps.
@@ -1030,19 +966,6 @@ mod tests {
 
         let shared = MaintenanceCounters::default();
         let (a, b) = siblings(shared.clone(), shared.clone());
-        assert_eq!(a.engine().row_granularity(), RowGranularity::PerR);
-        let mut early = a.handle_seeded(3);
-        for _ in 0..64 {
-            if shared.buffer_hits.get() > 0 {
-                break;
-            }
-            early.sample_batch(517).unwrap();
-        }
-        assert!(
-            shared.buffer_hits.get() > 0,
-            "the warm-up never hit a buffer"
-        );
-
         climb(&a, &b);
         let apart: Vec<u64> = (0..4)
             .map(|i| rungs(&own_a)[i] + rungs(&own_b)[i])
@@ -1050,30 +973,11 @@ mod tests {
         assert_eq!(rungs(&shared).to_vec(), apart);
         assert_eq!(a.major_swaps(), 2, "the accessors read the shared set");
         assert_eq!(b.minor_swaps(), 1);
-        assert!(
-            shared.buffer_invalidations.get() >= 3,
-            "each swap retired an armed engine"
-        );
 
         // Dropping a cell changes no counter.
-        let all = |c: &MaintenanceCounters| {
-            let (hits, refills, invalidations) = c.buffer_counters();
-            (rungs(c), hits, refills, invalidations)
-        };
-        let before = all(&shared);
+        let before = rungs(&shared);
         drop(b);
-        assert_eq!(all(&shared), before);
-
-        // `early` pins a's first engine, retired twice over: it still
-        // counts.
-        let hits = shared.buffer_hits.get();
-        for _ in 0..8 {
-            early.sample_batch(517).unwrap();
-        }
-        assert!(
-            shared.buffer_hits.get() > hits,
-            "a retired engine's hits were lost"
-        );
+        assert_eq!(rungs(&shared), before);
     }
 
     /// A delete-only cell patch keeps the `S` allocation and only grows
@@ -1097,7 +1001,7 @@ mod tests {
         assert_eq!(a.patch_swaps(), 1, "the deletes are folded by a patch");
         let mut h = b.handle_seeded(1);
         let snap = store.snapshot();
-        for p in h.sample(5_000).unwrap() {
+        for p in h.sample_batch(5_000).unwrap() {
             let sp = snap.s_point(p.s).unwrap();
             assert!(!deleted.contains(&sp), "a deleted S point was drawn: {p:?}");
         }
@@ -1123,7 +1027,7 @@ mod tests {
         let after = engine.store().snapshot();
         // S untouched ⇒ the very same allocation crossed the epoch.
         assert!(Arc::ptr_eq(&before.base_s, &after.base_s));
-        assert!(engine.handle_seeded(2).sample(50).is_ok());
+        assert!(engine.handle_seeded(2).sample_batch(50).is_ok());
     }
 
     #[test]

@@ -27,9 +27,9 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use srj_core::{
-    BbstIndex, BbstSStructures, BufferStats, CellPatchReport, Cursor, DeltaSet, GroupIndex,
-    IndexBytes, JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex,
-    OverlaySupport, PhaseReport, SampleConfig, SampleError, SamplerIndex,
+    BbstIndex, BbstSStructures, CellPatchReport, Cursor, DeltaSet, GroupIndex, IndexBytes,
+    JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex, OverlaySupport,
+    PhaseReport, SampleConfig, SampleError, SamplerIndex,
 };
 use srj_geom::{Point, PointId};
 use srj_grid::{Grid, PointSet};
@@ -580,7 +580,7 @@ impl<F: Family> EngineIndex for Built<F> {
 /// What a [`crate::SamplerHandle`] asks of its cursor beyond
 /// [`JoinSampler`]: the batch entry over the handle's concrete
 /// generator — one virtual call per batch, none per random word, for
-/// every family and for the overlay alike — and the buffer switches.
+/// every family and for the overlay alike.
 pub(crate) trait ServingCursor: JoinSampler + Send {
     /// [`Cursor::sample_batch`].
     fn sample_batch(
@@ -589,9 +589,6 @@ pub(crate) trait ServingCursor: JoinSampler + Send {
         rng: &mut SmallRng,
         out: &mut Vec<JoinPair>,
     ) -> Result<(), SampleError>;
-    fn set_buffers(&mut self, on: bool);
-    fn seed_buffers(&mut self, seed: u64);
-    fn drain_buffer_stats(&mut self) -> BufferStats;
 }
 
 impl<I: SamplerIndex> ServingCursor for Cursor<I> {
@@ -602,17 +599,5 @@ impl<I: SamplerIndex> ServingCursor for Cursor<I> {
         out: &mut Vec<JoinPair>,
     ) -> Result<(), SampleError> {
         Cursor::sample_batch(self, t, rng, out)
-    }
-
-    fn set_buffers(&mut self, on: bool) {
-        Cursor::set_buffers(self, on);
-    }
-
-    fn seed_buffers(&mut self, seed: u64) {
-        Cursor::seed_buffers(self, seed);
-    }
-
-    fn drain_buffer_stats(&mut self) -> BufferStats {
-        Cursor::drain_buffer_stats(self)
     }
 }

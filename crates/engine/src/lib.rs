@@ -115,7 +115,7 @@ mod tests {
             let engine = Engine::build(&r, &s, &cfg, algo);
             assert_eq!(engine.algorithm(), algo);
             let mut h = engine.handle_seeded(3);
-            let pairs = h.sample(300).unwrap();
+            let pairs = h.sample_batch(300).unwrap();
             assert_eq!(pairs.len(), 300);
             for p in pairs {
                 let w = Rect::window(r[p.r as usize], 6.0);
@@ -129,9 +129,9 @@ mod tests {
         let r = pseudo_points(60, 11, 40.0);
         let s = pseudo_points(90, 12, 40.0);
         let engine = Engine::build(&r, &s, &SampleConfig::new(5.0), Algorithm::Bbst);
-        let a = engine.handle_seeded(42).sample(200).unwrap();
-        let b = engine.handle_seeded(42).sample(200).unwrap();
-        let c = engine.handle_seeded(43).sample(200).unwrap();
+        let a = engine.handle_seeded(42).sample_batch(200).unwrap();
+        let b = engine.handle_seeded(42).sample_batch(200).unwrap();
+        let c = engine.handle_seeded(43).sample_batch(200).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -144,11 +144,11 @@ mod tests {
         let e1 = Engine::build(&r, &s, &cfg, Algorithm::Kds);
         let e2 = Engine::build(&r, &s, &cfg, Algorithm::Kds);
         // k-th auto handle draws the same stream on equal engines...
-        let s1 = e1.handle().sample(50).unwrap();
-        let s2 = e2.handle().sample(50).unwrap();
+        let s1 = e1.handle().sample_batch(50).unwrap();
+        let s2 = e2.handle().sample_batch(50).unwrap();
         assert_eq!(s1, s2);
         // ...but successive handles of one engine differ.
-        let s3 = e1.handle().sample(50).unwrap();
+        let s3 = e1.handle().sample_batch(50).unwrap();
         assert_ne!(s1, s3);
     }
 
@@ -159,8 +159,8 @@ mod tests {
         let engine = Engine::build(&r, &s, &SampleConfig::new(5.0), Algorithm::KdsRejection);
         let mut h1 = engine.handle_seeded(1);
         let mut h2 = engine.handle_seeded(2);
-        h1.sample(100).unwrap();
-        h2.sample(50).unwrap();
+        h1.sample_batch(100).unwrap();
+        h2.sample_batch(50).unwrap();
         h2.sample_one().unwrap();
         let snap = engine.stats();
         assert_eq!(snap.queries, 3);
@@ -255,7 +255,7 @@ mod tests {
         );
         assert!(plan.est_overhead.unwrap() <= planner::MAX_REJECTION_OVERHEAD);
         // and the engine actually serves
-        assert!(engine.handle_seeded(1).sample(100).is_ok());
+        assert!(engine.handle_seeded(1).sample_batch(100).is_ok());
     }
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
             "loose bounds should pick BBST: {plan:?}"
         );
         assert!(plan.est_overhead.unwrap() > planner::MAX_REJECTION_OVERHEAD);
-        assert!(engine.handle_seeded(1).sample(50).is_ok());
+        assert!(engine.handle_seeded(1).sample_batch(50).is_ok());
     }
 
     #[test]
@@ -306,7 +306,7 @@ mod tests {
         }
         let engine = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::KdsRejection);
         let mut h = engine.handle_seeded(3);
-        h.sample(300).unwrap();
+        h.sample_batch(300).unwrap();
 
         // per-handle rate: iterations / samples, straight off the report
         let rep = h.report();
@@ -323,7 +323,7 @@ mod tests {
 
         // a second handle's iterations add on top
         let mut h2 = engine.handle_seeded(4);
-        h2.sample(100).unwrap();
+        h2.sample_batch(100).unwrap();
         let snap = engine.stats();
         assert_eq!(snap.samples, 400);
         assert_eq!(snap.iterations, rep.iterations + h2.report().iterations);
@@ -331,7 +331,7 @@ mod tests {
         // KDS never rejects: rate is exactly 1
         let kds = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::Kds);
         let mut hk = kds.handle_seeded(5);
-        hk.sample(200).unwrap();
+        hk.sample_batch(200).unwrap();
         assert_eq!(hk.rejection_rate(), Some(1.0));
         assert_eq!(kds.stats().rejection_rate(), 1.0);
     }
@@ -371,7 +371,7 @@ mod tests {
             let overlay = engine.with_overlay(delta, &support, &cfg);
             assert_eq!(phases(overlay.build_report()), phases(report), "{algo}");
             let mut h = engine.handle_seeded(1);
-            h.sample(10).unwrap();
+            h.sample_batch(10).unwrap();
             assert_eq!(phases(h.report()), phases(report), "{algo}");
             assert_eq!(h.report().samples, 10, "{algo}");
         }

@@ -73,11 +73,6 @@ pub struct PlanReport {
     pub est_overhead: Option<f64>,
     /// The chosen algorithm.
     pub algorithm: Algorithm,
-    /// Whether the engine serving this plan has the buffered draw fast
-    /// path active. The planner itself always stamps `false` — buffer
-    /// state is a serving-time property, not a build-time decision —
-    /// and [`crate::Engine::plan`] overwrites it with the live flag.
-    pub buffers: bool,
     /// Human-readable decision rationale.
     pub reason: &'static str,
 }
@@ -98,7 +93,6 @@ pub(crate) fn plan(r: &[Point], grid: &Grid, config: &SampleConfig) -> PlanRepor
             est_join_size: None,
             est_overhead: None,
             algorithm: Algorithm::Kds,
-            buffers: false,
             reason: "n·√m below the exact-counting budget: KDS's zero-rejection \
                      sampling wins and its O(n√m) build is negligible",
         };
@@ -157,7 +151,6 @@ pub(crate) fn plan(r: &[Point], grid: &Grid, config: &SampleConfig) -> PlanRepor
         est_join_size: Some(est_join_size),
         est_overhead: Some(est_overhead),
         algorithm,
-        buffers: false,
         reason,
     }
 }

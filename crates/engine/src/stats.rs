@@ -1,7 +1,7 @@
 //! Lock-free aggregate query statistics for an [`crate::Engine`].
 //!
 //! Every handle records each query (one `sample_one` or one batched
-//! `sample(t)` call) into the engine's shared [`EngineStats`]:
+//! `sample_batch(t)` call) into the engine's shared [`EngineStats`]:
 //! a query counter, a sample counter, an error counter, and a
 //! log₂-bucketed latency histogram. The primitives are the
 //! [`srj_obs`] metrics cells — plain relaxed atomics, so recording is
@@ -16,7 +16,7 @@ use std::time::Duration;
 use srj_obs::{Counter, Histogram};
 
 /// The counts of an epoch cell's history, recorded where each event
-/// happens: a swap counts its rung, each handle its buffer draws.
+/// happens: a swap counts its rung where it commits.
 /// `Clone` shares the cells, so a server hands in its registry's
 /// series; cells sharing a set add up.
 #[derive(Clone, Debug, Default)]
@@ -29,32 +29,6 @@ pub struct MaintenanceCounters {
     pub full_rebuild: Counter,
     /// `S`-cells rebuilt by patch swaps.
     pub cells_patched: Counter,
-    /// Draws served straight from a pre-drawn sample buffer.
-    pub buffer_hits: Counter,
-    /// Bulk buffer refills of [`srj_core::BUFFER_CAP`] ids.
-    pub buffer_refills: Counter,
-    /// Buffers dropped: a cursor's token mismatch, or one per swap that
-    /// retired an armed engine.
-    pub buffer_invalidations: Counter,
-}
-
-impl MaintenanceCounters {
-    /// Adds a drained per-cursor [`srj_core::BufferStats`] delta: three
-    /// relaxed adds, once per batch.
-    pub fn record_buffer_stats(&self, delta: srj_core::BufferStats) {
-        self.buffer_hits.add(delta.hits);
-        self.buffer_refills.add(delta.refills);
-        self.buffer_invalidations.add(delta.invalidations);
-    }
-
-    /// `(hits, refills, invalidations)` of the buffered draw path.
-    pub fn buffer_counters(&self) -> (u64, u64, u64) {
-        (
-            self.buffer_hits.get(),
-            self.buffer_refills.get(),
-            self.buffer_invalidations.get(),
-        )
-    }
 }
 
 /// Shared, lock-free statistics aggregated across every handle of an

@@ -43,11 +43,6 @@ pub enum EventKind {
     /// The event loop's sweep timer closed a connection that sat idle
     /// past its deadline with no in-flight work.
     ConnReaped,
-    /// An epoch swap retired the serving engine's pre-drawn sample
-    /// buffers: handles pinned to the old epoch drain out and new
-    /// handles start with cold buffers (a stale buffer surviving a
-    /// swap would be a uniformity bug, so retirement is journalled).
-    BufferInvalidate,
     /// `accept(2)` hit fd exhaustion (`EMFILE`/`ENFILE`); the server
     /// paused accepting and backed off instead of spinning. `label`
     /// carries the errno text, `duration_ns` the backoff applied.
@@ -65,7 +60,6 @@ impl EventKind {
             EventKind::BackpressurePark => "backpressure_park",
             EventKind::LoadShed => "load_shed",
             EventKind::ConnReaped => "conn_reaped",
-            EventKind::BufferInvalidate => "buffer_invalidate",
             EventKind::AcceptBackoff => "accept_backoff",
         }
     }

@@ -35,7 +35,7 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
                  [--shed-high-water N]
                  [--http-port N] [--slow-log N] [--slow-threshold-ms N]
                  [--timeseries-cadence-ms N]
-                 [--health-window-ms N] [--buffers on|off]
+                 [--health-window-ms N]
                  [--dataset ID=KIND:SCALE[:SEED]]... [--dataset-file ID=R_PATH[,S_PATH]]...
   KIND: uniform | road | poi | trajectory | taxi
   --trace-sample-rate: fraction of SAMPLE requests recording trace
@@ -47,8 +47,6 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
                after a warm-up of 32 requests; default 0)
   --timeseries-cadence-ms: metric history snapshot cadence
                (0 disables the recorder; default 1000)
-  --buffers: arm the engines' pre-drawn per-cell sample buffers
-      (default on)
   --health-window-ms: how long /healthz stays degraded after the last
                shed/reap/reject signal (default 5000)
   --log-json: print every lifecycle event (swaps, patches, compactions,
@@ -207,11 +205,6 @@ fn main() {
             "--timeseries-cadence-ms" => {
                 config.timeseries_cadence_ms = number(&flag, &value(), 0..);
             }
-            "--buffers" => match value().as_str() {
-                "on" => config.buffers = true,
-                "off" => config.buffers = false,
-                _ => fail("--buffers takes on|off"),
-            },
             "--health-window-ms" => {
                 config.health_degraded_window_ms = number(&flag, &value(), 0..);
             }

@@ -165,9 +165,6 @@ struct DatasetRow {
     mu_total: f64,
     epoch: f64,
     rungs: BTreeMap<String, f64>,
-    buffer_hits: f64,
-    buffer_refills: f64,
-    buffer_invalidations: f64,
     latency_buckets: Vec<(f64, f64)>,
     latency_sum: f64,
     latency_count: f64,
@@ -187,9 +184,6 @@ fn snapshot_rows(samples: &[Sample]) -> BTreeMap<u64, DatasetRow> {
             "srj_rejection_rate" => row.rejection_rate = s.value,
             "srj_mu_total" => row.mu_total = s.value,
             "srj_epoch" => row.epoch = s.value,
-            "srj_buffer_hits_total" => row.buffer_hits = s.value,
-            "srj_buffer_refills_total" => row.buffer_refills = s.value,
-            "srj_buffer_invalidations_total" => row.buffer_invalidations = s.value,
             "srj_maintenance_total" => {
                 if let Some(rung) = s.label("rung") {
                     row.rungs.insert(rung.to_string(), s.value);
@@ -332,17 +326,8 @@ fn render(
         println!("{util}");
     }
     println!(
-        "{:>8} {:>9} {:>11} {:>7} {:>9} {:>9} {:>9} {:>7} {:>14} {:>16}",
-        "dataset",
-        "req/s",
-        "samples/s",
-        "errors",
-        "mean",
-        "~p50",
-        "~p99",
-        "rej",
-        "rungs m/c/f",
-        "buf h/r/i"
+        "{:>8} {:>9} {:>11} {:>7} {:>9} {:>9} {:>9} {:>7} {:>14}",
+        "dataset", "req/s", "samples/s", "errors", "mean", "~p50", "~p99", "rej", "rungs m/c/f"
     );
     let dt_s = dt.as_secs_f64().max(1e-9);
     for (id, row) in rows {
@@ -358,7 +343,7 @@ fn render(
         let p99 = bucket_quantile(&row.latency_buckets, 0.99);
         let rung = |name: &str| row.rungs.get(name).copied().unwrap_or(0.0) as u64;
         println!(
-            "{:>8} {:>9.1} {:>11.0} {:>7.0} {:>9} {:>9} {:>9} {:>7.2} {:>14} {:>16}",
+            "{:>8} {:>9.1} {:>11.0} {:>7.0} {:>9} {:>9} {:>9} {:>7.2} {:>14}",
             id,
             req_rate,
             sample_rate,
@@ -372,10 +357,6 @@ fn render(
                 rung("minor_swap"),
                 rung("cell_patch"),
                 rung("full_rebuild")
-            ),
-            format!(
-                "{:.0}/{:.0}/{:.0}",
-                row.buffer_hits, row.buffer_refills, row.buffer_invalidations
             ),
         );
     }

@@ -92,11 +92,10 @@
 //! brings the loop back to decode them.
 //!
 //! **Metrics.** Every `_total` series is a registry counter incremented
-//! where its event happens. A dataset's maintenance and buffer series
-//! are handed to each engine built for it
-//! ([`EpochEngine::with_counters`]), which counts into them itself, so
-//! an evicted engine's share stays counted. A scrape only copies the
-//! profiler's state counts and sets the gauges.
+//! where its event happens. A dataset's maintenance series are handed
+//! to each engine built for it ([`EpochEngine::with_counters`]), which
+//! counts into them itself, so an evicted engine's share stays counted.
+//! A scrape only copies the profiler's state counts and sets the gauges.
 //!
 //! **Shutdown.** [`Server::shutdown`] (or a client `SHUTDOWN` frame)
 //! wakes the event loop (which tears down every connection) and the
@@ -224,10 +223,10 @@ pub struct ServerConfig {
     /// signal (load shed, connection reap, handshake reject) is
     /// younger than this window, milliseconds. Default 5000.
     pub health_degraded_window_ms: u64,
-    /// Whether the engines arm their pre-drawn per-cell sample buffers
-    /// ([`srj_engine::Engine::set_buffers_enabled`]). Every `SAMPLE`
-    /// batch is one [`SamplerHandle::sample_batch`] either way. Default
-    /// true.
+    /// Ignored: every `SAMPLE` batch is one
+    /// [`SamplerHandle::sample_batch`], and there is no buffered draw to
+    /// arm. Reserved for `benchmark/src/layers.rs`; ROADMAP 3(d) deletes
+    /// it.
     pub buffers: bool,
 }
 
@@ -553,8 +552,8 @@ struct DatasetMetrics {
     /// `srj_epoch` — store epoch at scrape.
     epoch: Gauge,
     /// `srj_maintenance_total{rung=...}` (one series per [`RUNGS`]
-    /// entry), `srj_cells_patched_total` and the three `srj_buffer_*`
-    /// totals, handed to every engine of the dataset
+    /// entry) and `srj_cells_patched_total`, handed to every engine of
+    /// the dataset
     /// ([`EpochEngine::with_counters`]), which counts into them itself.
     maintenance: MaintenanceCounters,
     /// `srj_engine_cache_hits_total` / `srj_engine_cache_misses_total`
@@ -598,9 +597,6 @@ impl DatasetMetrics {
                     cell_patch,
                     full_rebuild,
                     cells_patched: reg.counter("srj_cells_patched_total", &labels),
-                    buffer_hits: reg.counter("srj_buffer_hits_total", &labels),
-                    buffer_refills: reg.counter("srj_buffer_refills_total", &labels),
-                    buffer_invalidations: reg.counter("srj_buffer_invalidations_total", &labels),
                 }
             },
             cache_hits: reg.counter("srj_engine_cache_hits_total", &[]),
@@ -871,14 +867,12 @@ impl Shared {
                         algorithm: req.algorithm,
                         ..config.epoch
                     };
-                    let engine = EpochEngine::with_counters(
+                    EpochEngine::with_counters(
                         Arc::clone(&served.store),
                         &sample_cfg,
                         epoch_cfg,
                         served.metrics.maintenance.clone(),
-                    );
-                    engine.set_buffers_enabled(config.buffers);
-                    engine
+                    )
                 };
                 let engine = served.engine_for(key, config.cache_capacity, build);
                 Ok(Some(if req.seed != 0 {

@@ -122,7 +122,12 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
 fn unusable_dataset_scales_are_usage_errors() {
     let scales =
         ["0", "-1", "nan", "inf", "1e9"].map(|s| ["--dataset".into(), format!("1=uniform:{s}")]);
-    let retired = ["--repair-factor", "--replan-factor"].map(|f| [f.into(), "2".into()]);
+    let retired = [
+        ("--repair-factor", "2"),
+        ("--replan-factor", "2"),
+        ("--buffers", "on"),
+    ]
+    .map(|(f, v)| [f.into(), v.into()]);
     let below_minimum = ["--cache", "--queue-frames"].map(|f| [f.into(), "0".into()]);
     for args in scales.iter().chain(&retired).chain(&below_minimum) {
         let out = Command::new(SERVE)

@@ -62,7 +62,9 @@ fn main() {
             scope.spawn(move || {
                 let mut handle = engine.handle_seeded(0x5EED ^ tid);
                 for _ in 0..QUERIES_PER_THREAD {
-                    let pairs = handle.sample(SAMPLES_PER_QUERY).expect("non-empty join");
+                    let pairs = handle
+                        .sample_batch(SAMPLES_PER_QUERY)
+                        .expect("non-empty join");
                     // spot-check: every draw is a genuine join result
                     let p = pairs[0];
                     assert!(Rect::window(r[p.r as usize], l).contains(s[p.s as usize]));

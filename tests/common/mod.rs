@@ -88,20 +88,20 @@ pub fn draw_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
     assert_uniform(&counts, &join, draws, what);
 }
 
-/// Like [`draw_and_check`] but through the buffered batch path
+/// Like [`draw_and_check`] but through the served batch path
 /// ([`srj::SamplerHandle::sample_batch`]): draws in uneven batches so
-/// buffer refill boundaries and partial batches are both crossed, and
-/// every emitted pair is validated against the **current** live join —
-/// a stale buffered id would fail the membership check before it could
-/// skew the chi-squared.
+/// block boundaries and partial batches are both crossed, and every
+/// emitted pair is validated against the **current** live join — a
+/// stale id would fail the membership check before it could skew the
+/// chi-squared.
 pub fn draw_batches_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
     let (join, draws) = live_join_and_draws(engine, l, what);
     let join_set: HashSet<JoinPair> = join.iter().copied().collect();
     let mut h = engine.handle_seeded(seed);
     let mut counts: HashMap<JoinPair, u64> = HashMap::new();
     let mut remaining = draws as usize;
-    // 517 is deliberately coprime to the 256-id buffer capacity, so
-    // batch ends and refill boundaries drift against each other.
+    // 517 is deliberately coprime to the 64-iteration block, so batch
+    // ends and block boundaries drift against each other.
     while remaining > 0 {
         let n = remaining.min(517);
         let pairs = h.sample_batch(n).unwrap();

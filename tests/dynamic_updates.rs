@@ -145,17 +145,16 @@ fn in_flight_handles_survive_epoch_swaps() {
     }
 }
 
-/// The buffered-draw suite: warm buffers with batch draws, mutate both
+/// The batch-draw suite: batch draws on the fresh engine, mutate both
 /// sides, draw through the pending overlay, force the epoch swap, and
 /// draw again — at every stage each sample must belong to that stage's
-/// live join (no stale buffered ids) and stay chi-squared uniform.
-/// Runs every algorithm family; the buffer counters must show real
-/// buffered traffic and the swap must charge an invalidation. BBST runs
-/// on the locally uniform data of `tests/golden_streams.rs`, where its
-/// group-row probe needs more than two iterations a sample, so it serves
-/// per-`r` rows — the granularity that arms buffers.
+/// live join and stay chi-squared uniform. Runs every algorithm family.
+/// BBST runs on the locally uniform data of `tests/golden_streams.rs`,
+/// where its group-row probe needs more than two iterations a sample, so
+/// it serves per-`r` rows, the paper's Algorithm 1, on both sides of the
+/// swap.
 #[test]
-fn buffered_batches_stay_uniform_across_mutations_and_swap() {
+fn batches_stay_uniform_across_mutations_and_swap() {
     for (i, (algo, (n_r, n_s), extent, l)) in [
         (Algorithm::Kds, (60, 80), 50.0, 6.0),
         (Algorithm::KdsRejection, (60, 80), 50.0, 6.0),
@@ -176,15 +175,12 @@ fn buffered_batches_stay_uniform_across_mutations_and_swap() {
                 .with_rebuild_fraction(0.9)
                 .with_tombstone_rebuild_fraction(0.9),
         );
-        assert!(engine.buffers_enabled(), "{algo}: buffers default on");
         let per_r = || engine.engine().row_granularity() == RowGranularity::PerR;
-        assert!(per_r(), "{algo}: buffers arm on per-r rows only");
+        assert!(per_r(), "{algo}: the fresh engine serves per-r rows");
 
-        // Warm: batch draws on the fresh engine promote hot cells.
-        draw_batches_and_check(&engine, l, seed + 7, &format!("{algo} buffered warm"));
-        let (warm_hits, warm_refills, _) = engine.buffer_counters();
+        draw_batches_and_check(&engine, l, seed + 7, &format!("{algo} batch fresh"));
 
-        // Mutate both sides past the warm buffers' world.
+        // Mutate both sides.
         for (j, p) in pseudo_points(20, seed + 2, extent).into_iter().enumerate() {
             let rid = engine.insert_r(p);
             if j % 5 == 0 {
@@ -204,47 +200,16 @@ fn buffered_batches_stay_uniform_across_mutations_and_swap() {
         assert_eq!(engine.epoch(), 0, "{algo}: deltas must stay pending");
         assert!(engine.engine().is_overlay());
         // Pending deltas serve through the overlay — batch draws must
-        // reflect them immediately (a stale buffer would keep serving
-        // the pre-mutation members).
-        draw_batches_and_check(&engine, l, seed + 8, &format!("{algo} buffered overlay"));
+        // reflect them immediately.
+        draw_batches_and_check(&engine, l, seed + 8, &format!("{algo} batch overlay"));
 
         // Fold the deltas in: compact + rebuild = major epoch swap.
         engine.store().compact();
         engine.refresh();
         assert_eq!(engine.epoch(), 1, "{algo}: swap must bump the epoch");
         assert!(per_r(), "{algo}: the swap changed the row granularity");
-        draw_batches_and_check(&engine, l, seed + 9, &format!("{algo} buffered post-swap"));
-
-        let (hits, refills, invalidations) = engine.buffer_counters();
-        assert!(
-            warm_hits > 0 && warm_refills > 0,
-            "{algo}: warm phase never hit a buffer ({warm_hits}/{warm_refills})"
-        );
-        assert!(
-            hits > warm_hits,
-            "{algo}: post-swap draws never hit a buffer"
-        );
-        assert!(refills >= warm_refills);
-        assert!(
-            invalidations >= 1,
-            "{algo}: retiring the armed engine must charge an invalidation"
-        );
+        draw_batches_and_check(&engine, l, seed + 9, &format!("{algo} batch post-swap"));
     }
-}
-
-/// `PlanReport::buffers` mirrors the live engine flag, not the state
-/// at plan time.
-#[test]
-fn plan_report_tracks_buffer_flag() {
-    let r = pseudo_points(500, 81, 60.0);
-    let s = pseudo_points(500, 82, 60.0);
-    let engine = EpochEngine::new(r, s, &SampleConfig::new(6.0), EpochConfig::default());
-    let plan = engine.engine().plan().expect("auto engine records a plan");
-    assert!(plan.buffers, "buffers default on");
-    engine.set_buffers_enabled(false);
-    assert!(!engine.engine().plan().unwrap().buffers);
-    engine.set_buffers_enabled(true);
-    assert!(engine.engine().plan().unwrap().buffers);
 }
 
 /// Zero-sample and zero-iteration accessors return `None` or `0.0`,

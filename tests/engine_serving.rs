@@ -50,7 +50,8 @@ fn concurrent_threads_share_one_engine() {
                         let engine = Arc::clone(engine);
                         scope.spawn(move || {
                             let mut h = engine.handle_seeded(0xFEED ^ tid);
-                            h.sample(PER_THREAD).expect("non-empty join must sample")
+                            h.sample_batch(PER_THREAD)
+                                .expect("non-empty join must sample")
                         })
                     })
                     .collect();
@@ -106,7 +107,7 @@ fn engine_path_is_uniform_over_join() {
     for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
         let engine = Engine::build(&r, &s, &SampleConfig::new(l), algo);
         let mut handle = engine.handle_seeded(0xC0FFEE);
-        let samples = handle.sample(draws).unwrap();
+        let samples = handle.sample_batch(draws).unwrap();
 
         let mut freq: HashMap<JoinPair, usize> = HashMap::new();
         for p in samples {
@@ -170,7 +171,7 @@ fn engine_path_is_uniform_across_threads() {
                 scope.spawn(move || {
                     engine
                         .handle_seeded(0xBEEF ^ tid)
-                        .sample(per_thread)
+                        .sample_batch(per_thread)
                         .unwrap()
                 })
             })
@@ -222,7 +223,7 @@ fn epoch_engine(store: &Arc<DatasetStore>, l: f64, algorithm: Algorithm) -> Epoc
 /// store's snapshot.
 fn assert_membership(engine: &EpochEngine, l: f64) {
     let snap = engine.store().snapshot();
-    for p in engine.handle_seeded(0xC0DE).sample(500).unwrap() {
+    for p in engine.handle_seeded(0xC0DE).sample_batch(500).unwrap() {
         let w = Rect::window(snap.r_point(p.r).unwrap(), l);
         assert!(
             w.contains(snap.s_point(p.s).unwrap()),
@@ -452,7 +453,7 @@ fn row_granularity_is_a_function_of_the_data() {
         let build = || Engine::build(r, s, &cfg, Algorithm::Bbst);
         let engine = build();
         let summary = |e: &Engine| (e.row_granularity(), e.row_count(), e.total_weight());
-        let stream = |e: &Engine| e.handle_seeded(7).sample(300).unwrap();
+        let stream = |e: &Engine| e.handle_seeded(7).sample_batch(300).unwrap();
         let (summary_before, stream_before) = (summary(&engine), stream(&engine));
         assert_eq!(summary_before.0, rows);
 
@@ -636,8 +637,8 @@ fn every_family_and_overlay_is_one_index_shape() {
                 "{what}: sample_batch"
             );
             assert_eq!(
-                engine.handle_seeded(11).sample(300).unwrap(),
-                engine.handle_seeded(11).sample(300).unwrap(),
+                engine.handle_seeded(11).sample_batch(300).unwrap(),
+                engine.handle_seeded(11).sample_batch(300).unwrap(),
                 "{what}: sample"
             );
 

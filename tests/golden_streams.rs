@@ -2,8 +2,10 @@
 //!
 //! The base lines of `tests/fixtures/golden_streams.txt` were recorded at
 //! the commit before the engine's index became one shape: the engine must
-//! draw what the plain index drew, through both `sample_batch` (the
-//! serving path, buffers armed) and `sample`.
+//! draw what the plain index drew. Each line is the stream of a seeded
+//! handle's `sample_batch`, the one draw the server serves; its entry
+//! still reads `sample`, the name of the handle's unbuffered draw when it
+//! was recorded, so that the lines stay byte-identical.
 //!
 //! Every line carries a `1` after its prefix: the shard count of the
 //! engine that recorded it, of which only one-shard lines remain. The
@@ -101,20 +103,17 @@ fn overlay_engine(
     engine
 }
 
-/// The first 96 pairs of a seeded `sample_batch` and `sample` of an
-/// overlay engine as fixture lines; each must hold a cross-part pair.
-fn overlay_lines(engine: &EpochEngine, (n, m): (usize, usize), prefix: &str) -> String {
-    let batch = engine.handle_seeded(7).sample_batch(200).unwrap();
-    let plain = engine.handle_seeded(7).sample(200).unwrap();
-    for pairs in [&batch, &plain] {
-        assert!(
-            pairs[..96]
-                .iter()
-                .any(|p| p.r as usize >= n && p.s as usize >= m),
-            "no cross-part pair among the pinned ones"
-        );
-    }
-    line(prefix, "sample_batch", &batch[..96]) + &line(prefix, "sample", &plain[..96])
+/// The first 96 pairs of a seeded `sample_batch` of an overlay engine
+/// as a fixture line; they must hold a cross-part pair.
+fn overlay_line(engine: &EpochEngine, (n, m): (usize, usize), prefix: &str) -> String {
+    let pairs = engine.handle_seeded(7).sample_batch(200).unwrap();
+    assert!(
+        pairs[..96]
+            .iter()
+            .any(|p| p.r as usize >= n && p.s as usize >= m),
+        "no cross-part pair among the pinned ones"
+    );
+    line(prefix, "sample", &pairs[..96])
 }
 
 #[test]
@@ -125,10 +124,8 @@ fn base_engine_streams_match_the_recorded_fixture() {
     let mut actual = String::new();
     for algorithm in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
         let engine = Engine::build(&r, &s, &cfg, algorithm);
-        let batch = engine.handle_seeded(7).sample_batch(200).unwrap();
-        actual += &line(&algorithm.to_string(), "sample_batch", &batch[..32]);
-        let plain = engine.handle_seeded(7).sample(200).unwrap();
-        actual += &line(&algorithm.to_string(), "sample", &plain[..32]);
+        let pairs = engine.handle_seeded(7).sample_batch(200).unwrap();
+        actual += &line(&algorithm.to_string(), "sample", &pairs[..32]);
     }
     let golden = golden(None);
     assert!(
@@ -145,7 +142,7 @@ fn overlay_engine_streams_match_the_recorded_fixture() {
     for algorithm in [Algorithm::Kds, Algorithm::Bbst] {
         let engine = overlay_engine((&r, &s), (&more_r, &more_s), algorithm);
         let prefix = format!("overlay {algorithm}");
-        actual += &overlay_lines(&engine, (r.len(), s.len()), &prefix);
+        actual += &overlay_line(&engine, (r.len(), s.len()), &prefix);
     }
     let golden = golden(Some("overlay "));
     assert!(
@@ -164,15 +161,13 @@ fn group_row_streams_match_the_recorded_fixture() {
     let mut actual = String::new();
     let engine = Engine::build(&r, &s, &cfg, Algorithm::Bbst);
     assert_eq!(engine.row_granularity(), RowGranularity::Group);
-    let batch = engine.handle_seeded(7).sample_batch(200).unwrap();
-    actual += &line("clustered BBST", "sample_batch", &batch[..32]);
-    let plain = engine.handle_seeded(7).sample(200).unwrap();
-    actual += &line("clustered BBST", "sample", &plain[..32]);
+    let pairs = engine.handle_seeded(7).sample_batch(200).unwrap();
+    actual += &line("clustered BBST", "sample", &pairs[..32]);
 
     let engine = overlay_engine((&r, &s), (&more_r, &more_s), Algorithm::Bbst);
     assert_eq!(engine.engine().row_granularity(), RowGranularity::Group);
     let prefix = "clustered overlay BBST";
-    actual += &overlay_lines(&engine, (r.len(), s.len()), prefix);
+    actual += &overlay_line(&engine, (r.len(), s.len()), prefix);
     let golden = golden(Some("clustered "));
     assert!(
         actual == golden,

@@ -1,5 +1,6 @@
 //! Lifecycle journal coverage: driving an engine up each maintenance
-//! rung — minor swap, cell patch, full rebuild — must land exactly the
+//! rung — minor swap, cell patch, `R`-only rebuild, full rebuild — must
+//! land exactly the
 //! expected event kinds, in order, in the process-global journal,
 //! labelled with the store's dataset id and timestamped monotonically.
 //!
@@ -57,12 +58,7 @@ fn maintenance_ladder_journals_expected_event_sequence() {
     engine.insert_s(beside_r0);
     engine.refresh();
     assert_eq!(engine.minor_swaps(), 1, "one insert must overlay");
-    // Buffers are on by default, so every swap that retires an armed
-    // engine journals a BufferInvalidate right after its swap event.
-    assert_eq!(
-        kinds_for(9101),
-        vec![EventKind::MinorSwap, EventKind::BufferInvalidate]
-    );
+    assert_eq!(kinds_for(9101), vec![EventKind::MinorSwap]);
     // A minor swap says what it installed: one pending insert, so the
     // overlay draws from the base index and one chunk of inserted S.
     let minor = srj::obs::journal::journal().for_dataset(9101)[0].clone();
@@ -77,13 +73,34 @@ fn maintenance_ladder_journals_expected_event_sequence() {
         kinds_for(9101),
         vec![
             EventKind::MinorSwap,
-            EventKind::BufferInvalidate,
             EventKind::Compaction,
-            EventKind::CellPatch,
-            EventKind::BufferInvalidate
+            EventKind::CellPatch
         ],
         "a patch swap rides an incremental compaction"
     );
+
+    // --- Rung 2, R only: a major swap that keeps the S-side ----------
+    //
+    // Nine R inserts cross the same threshold but dirty no cell of S:
+    // the incremental compaction keeps the S-side whole and only R is
+    // rebuilt. That counts as a full rebuild, and journals as one.
+    let (majors, patches) = (engine.major_swaps(), engine.patch_swaps());
+    for i in 0..9 {
+        engine.insert_r(Point::new(2.0 + 0.1 * i as f64, 2.5));
+    }
+    engine.refresh();
+    assert_eq!(
+        (engine.major_swaps(), engine.patch_swaps()),
+        (majors + 1, patches),
+        "an R-only rebuild is a major swap and no patch"
+    );
+    assert_eq!(
+        kinds_for(9101)[3..],
+        [EventKind::Compaction, EventKind::FullRebuild],
+        "an R-only rebuild journals the full rebuild it counts"
+    );
+    let r_only = srj::obs::journal::journal().for_dataset(9101)[4].clone();
+    assert_eq!((r_only.epoch, r_only.dirty_cells), (engine.epoch(), 0));
 
     // --- Rung 3: full rebuild ----------------------------------------
     //
@@ -114,14 +131,12 @@ fn maintenance_ladder_journals_expected_event_sequence() {
         kinds_for(9102),
         vec![
             EventKind::MinorSwap,
-            EventKind::BufferInvalidate,
             EventKind::Compaction,
-            EventKind::FullRebuild,
-            EventKind::BufferInvalidate
+            EventKind::FullRebuild
         ],
         "a full rebuild rides a full compaction"
     );
-    let rebuild = srj::obs::journal::journal().for_dataset(9102)[3].clone();
+    let rebuild = srj::obs::journal::journal().for_dataset(9102)[2].clone();
     assert_eq!(rebuild.epoch, full_engine.epoch());
     assert!(rebuild.mu_after > rebuild.mu_before, "nine inserts grow Σµ");
 
@@ -141,15 +156,13 @@ fn maintenance_ladder_journals_expected_event_sequence() {
         ladder,
         vec![
             (Some(9101), EventKind::MinorSwap),
-            (Some(9101), EventKind::BufferInvalidate),
             (Some(9101), EventKind::Compaction),
             (Some(9101), EventKind::CellPatch),
-            (Some(9101), EventKind::BufferInvalidate),
+            (Some(9101), EventKind::Compaction),
+            (Some(9101), EventKind::FullRebuild),
             (Some(9102), EventKind::MinorSwap),
-            (Some(9102), EventKind::BufferInvalidate),
             (Some(9102), EventKind::Compaction),
             (Some(9102), EventKind::FullRebuild),
-            (Some(9102), EventKind::BufferInvalidate),
         ]
     );
     assert!(

@@ -182,58 +182,34 @@ fn forced_algorithms_are_honoured_and_cached_separately() {
     server.shutdown();
 }
 
-/// `buffers: false` only disarms the engines' sample buffers: a `SAMPLE`
-/// is still one `sample_batch` per batch, so a seeded request returns
-/// what a seeded handle of an in-process engine with buffers off draws,
-/// and no draw ever pops a buffer.
+/// A `SAMPLE` is one `sample_batch` per batch, under the default config:
+/// a seeded request over TCP returns, pair for pair, what a seeded
+/// handle of an in-process engine of the same family draws.
 #[test]
-fn buffers_off_serves_the_same_batch_path_with_buffers_disarmed() {
+fn a_tcp_sample_draws_what_a_seeded_in_process_handle_draws() {
     use srj::{Engine, SampleConfig};
 
-    // Dense enough that armed buffers would be hit (checked below).
     let r = pseudo_points(200, 41, 20.0);
     let s = pseudo_points(4_000, 42, 20.0);
     let (l, t, seed) = (2.0, 2_000, 9);
-    let hits = |text: &str| -> f64 {
-        text.lines()
-            .filter(|line| line.starts_with("srj_buffer_hits_total"))
-            .map(|line| line.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
-            .sum()
-    };
 
     let mut registry = DatasetRegistry::new();
     registry.register(1, r.clone(), s.clone());
-    let config = ServerConfig {
-        buffers: false,
-        ..ServerConfig::default()
-    };
-    let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
+    let mut server = Server::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let outcome = client
-        .sample(SampleRequest {
-            algorithm: Some(Algorithm::Bbst),
-            ..request(1, l, t, seed)
-        })
-        .unwrap();
-    assert_eq!(outcome.status, RequestStatus::Ok);
-
-    let engine = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::Bbst);
-    engine.set_buffers_enabled(false);
-    let expected = engine.handle_seeded(seed).sample_batch(t as usize).unwrap();
-    assert_eq!(outcome.pairs, expected);
-    assert_eq!(engine.buffer_counters().0, 0);
-    let metrics = client.metrics().unwrap();
-    assert!(metrics.contains("srj_buffer_hits_total"), "series missing");
-    assert_eq!(hits(&metrics), 0.0);
+    for algorithm in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
+        let outcome = client
+            .sample(SampleRequest {
+                algorithm: Some(algorithm),
+                ..request(1, l, t, seed)
+            })
+            .unwrap();
+        assert_eq!(outcome.status, RequestStatus::Ok, "{algorithm}");
+        let engine = Engine::build(&r, &s, &SampleConfig::new(l), algorithm);
+        let expected = engine.handle_seeded(seed).sample_batch(t as usize).unwrap();
+        assert_eq!(outcome.pairs, expected, "{algorithm}");
+    }
     server.shutdown();
-
-    // The zero is the flag's doing: armed, the same request pops buffers.
-    engine.set_buffers_enabled(true);
-    engine.handle_seeded(seed).sample_batch(t as usize).unwrap();
-    assert!(
-        engine.buffer_counters().0 > 0,
-        "workload never hits a buffer"
-    );
 }
 
 /// A cache miss decides the BBST family's row granularity as an
