@@ -33,7 +33,7 @@ pub const NO_CELL: u32 = u32::MAX;
 /// # Panics
 /// Panics if a block holds more than `u32::MAX` points
 /// ([`BlockRow::new`]).
-pub fn block_rows<'a>(
+pub(crate) fn block_rows<'a>(
     grid: &'a Grid,
     r: &'a [Point],
     groups: &'a CellGroups,

@@ -38,7 +38,7 @@
 //! `Arc`, hand each thread its own cursor, and all threads draw
 //! concurrently from the same structures. A `*Sampler` is a cursor over
 //! an index of its own (`::build`); the `srj-engine` crate builds a full
-//! concurrent serving engine — planner, epoch swaps, latency statistics
+//! concurrent serving engine — epoch swaps, latency statistics
 //! — on top of this split.
 //!
 //! ## Dynamic datasets
@@ -80,7 +80,7 @@ pub use cellstore::{
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 pub use cursor::{BufferStats, Cursor, IndexBytes, SamplerIndex};
-pub use group::{block_rows, GroupCursor, GroupIndex, NO_CELL};
+pub use group::{GroupCursor, GroupIndex, NO_CELL};
 pub use kds::{KdsCursor, KdsIndex, KdsSampler};
 pub use materialize::JoinThenSample;
 pub use overlay::{DeltaSet, OverlayIndex, OverlaySupport};

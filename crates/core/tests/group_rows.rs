@@ -250,6 +250,26 @@ fn an_all_empty_block_set_is_an_empty_join() {
     }
 }
 
+/// The group pass takes the §III-B bound once per group of `R`, as
+/// `Σ |R_g| · pop(block_g)`: integers, so exactly the `f64` of the per-`r`
+/// sum `Σ_r µ(r)` over a grid of `S` built on its own. Clumps and strays,
+/// some `r` beyond every cell of `S`.
+#[test]
+fn group_wise_bound_is_the_per_r_sum() {
+    let at = |i: usize| Point::new((i * i % 257) as f64 * 0.37, (i * 7 % 101) as f64 * 0.91);
+    let r: Vec<Point> = (0..3_000).map(|i| at(i + 11)).collect();
+    let s: Vec<Point> = (0..9_000).map(at).collect();
+    for l in [0.5, 2.0, 7.5] {
+        let index = GroupIndex::build(&r, &s, &SampleConfig::new(l));
+        let grid = srj_grid::Grid::build(&s, l);
+        let per_r: f64 = r
+            .iter()
+            .map(|&rp| grid.neighborhood_population(rp) as f64)
+            .sum();
+        assert_eq!(index.mu_total(), per_r, "l = {l}");
+    }
+}
+
 /// The pairs are a function of the seed and the batch-size sequence, and
 /// of nothing less: a block takes its alias words first.
 #[test]

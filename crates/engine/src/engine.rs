@@ -14,7 +14,6 @@ use srj_geom::Point;
 use srj_grid::{Grid, IntoPointSet};
 
 use crate::family::{self, EngineIndex, RowGranularity, ServingCursor};
-use crate::planner::PlanReport;
 use crate::stats::{EngineStats, StatsSnapshot};
 
 /// Which of the paper's samplers an [`Engine`] serves with.
@@ -46,7 +45,6 @@ struct EngineShared {
     /// [`crate::family`]).
     index: Box<dyn EngineIndex>,
     stats: EngineStats,
-    plan: Option<PlanReport>,
     /// Sequence number for auto-seeded handles.
     handle_seq: AtomicU64,
 }
@@ -104,21 +102,19 @@ impl Engine {
         config: &SampleConfig,
         algorithm: Algorithm,
     ) -> Engine {
-        let (index, plan) = family::build(r, s.into_point_set(), config, Some(algorithm));
-        Engine::from_index(index, plan)
+        let index = family::build(r, s.into_point_set(), config, Some(algorithm));
+        Engine::from_index(index)
     }
 
-    /// Lets the planner pick the algorithm from a cheap `O(n + m)`
-    /// workload estimate (see [`crate::planner`]), then builds it — the
-    /// very index [`Engine::build`] builds for that algorithm. The
-    /// planner reads the grid of `S` the index then stands on, so the
-    /// grid-mapping phase is paid once.
-    ///
-    /// The decision and its supporting estimates are kept in
-    /// [`Engine::plan`].
+    /// Builds the algorithm the data calls for — the very index
+    /// [`Engine::build`] builds for it: [`Algorithm::Kds`] when
+    /// `|R|·√|S| ≤ 2·10⁵`, where exact counting is cheap, and
+    /// [`Algorithm::Bbst`] otherwise, at the row granularity its own
+    /// probe of the §III-B bound picks ([`Engine::row_granularity`]).
+    /// Never [`Algorithm::KdsRejection`], the paper's baseline; force it
+    /// with [`Engine::build`].
     pub fn auto(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Engine {
-        let (index, plan) = family::build(r, s.into_point_set(), config, None);
-        Engine::from_index(index, plan)
+        Engine::from_index(family::build(r, s.into_point_set(), config, None))
     }
 
     /// Wraps this engine's index in a delta [`srj_core::OverlayIndex`], producing
@@ -149,8 +145,7 @@ impl Engine {
         support: &OverlaySupport,
         config: &SampleConfig,
     ) -> Engine {
-        let index = self.shared.index.with_overlay(delta, support, config);
-        Engine::from_index(index, self.shared.plan)
+        Engine::from_index(self.shared.index.with_overlay(delta, support, config))
     }
 
     /// Rebuilds this engine over a new `R` while **reusing** its
@@ -165,8 +160,7 @@ impl Engine {
     /// structural parts).
     pub fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Engine> {
         let index = self.shared.index.rebuild_r_only(r, config)?;
-        // The old plan described the pre-mutation workload.
-        Some(Engine::from_index(index, None))
+        Some(Engine::from_index(index))
     }
 
     /// Rebuilds this engine over a new `R` while **patching** its
@@ -192,17 +186,16 @@ impl Engine {
             .shared
             .index
             .rebuild_with_s_patch(r, config, inserted_s, deleted_s)?;
-        Some((Engine::from_index(index, None), report))
+        Some((Engine::from_index(index), report))
     }
 
     /// Wraps a built index with fresh stats and a fresh handle
     /// sequence.
-    pub(crate) fn from_index(index: Box<dyn EngineIndex>, plan: Option<PlanReport>) -> Engine {
+    pub(crate) fn from_index(index: Box<dyn EngineIndex>) -> Engine {
         Engine {
             shared: Arc::new(EngineShared {
                 index,
                 stats: EngineStats::new(),
-                plan,
                 handle_seq: AtomicU64::new(0),
             }),
         }
@@ -217,12 +210,6 @@ impl Engine {
     /// The algorithm this engine serves with.
     pub fn algorithm(&self) -> Algorithm {
         self.shared.index.algorithm()
-    }
-
-    /// The planner's decision report, if this engine came from
-    /// [`Engine::auto`].
-    pub fn plan(&self) -> Option<PlanReport> {
-        self.shared.plan
     }
 
     /// A new serving handle with an automatically derived, per-handle
@@ -421,9 +408,9 @@ impl SamplerHandle {
     }
 
     /// Observed rejection overhead of this handle so far:
-    /// `iterations / samples` (the serving-time measurement of the
-    /// planner's `Σµ/|J|` estimate; `1.0` means no rejections). `None`
-    /// before the first accepted sample;
+    /// `iterations / samples` (the serving-time measurement of
+    /// [`Engine::total_weight`]` / |J|`; `1.0` means no rejections).
+    /// `None` before the first accepted sample;
     /// [`StatsSnapshot::rejection_rate`] is the engine-wide form.
     pub fn rejection_rate(&self) -> Option<f64> {
         let rep = self.cursor.report();

@@ -96,8 +96,9 @@ pub struct EpochConfig {
     /// existing struct literals still compile, and goes in a later
     /// change.
     pub shards: usize,
-    /// Pinned algorithm, or `None` for the planner's choice at every
-    /// full build (a patch swap keeps the epoch's algorithm).
+    /// Pinned algorithm, or `None` for the engine's choice, re-decided
+    /// at every full build as [`Engine::auto`] decides it (a patch swap
+    /// keeps the epoch's algorithm).
     pub algorithm: Option<Algorithm>,
 }
 
@@ -281,15 +282,14 @@ impl EpochEngine {
     }
 
     /// A full build over `snap`'s base: the pinned algorithm, or the
-    /// planner's choice for this data.
+    /// engine's choice for this data.
     fn build_base(snap: &DatasetSnapshot, config: &SampleConfig, cfg: &EpochConfig) -> Engine {
         debug_assert!(
             snap.s_dead.is_empty(),
             "full builds must run over a purged base"
         );
         let s = Arc::clone(&snap.base_s);
-        let (index, plan) = family::build(&snap.base_r, s, config, cfg.algorithm);
-        Engine::from_index(index, plan)
+        Engine::from_index(family::build(&snap.base_r, s, config, cfg.algorithm))
     }
 
     /// The overlay support of an epoch: the grid of `S` its full build
@@ -1101,5 +1101,71 @@ mod tests {
             engine.store().snapshot().base_s.len(),
             engine.store().live_s_len()
         );
+    }
+
+    /// With no algorithm pinned, every full build re-decides from the
+    /// data, and no epoch ever serves KDS-rejection: inserts carry
+    /// `|R|·√|S|` across the exact-counting budget, the cell patch that
+    /// folds them keeps the epoch's KDS, and the next full rebuild —
+    /// a minor swap in between — serves BBST.
+    #[test]
+    fn unpinned_epochs_switch_from_kds_to_bbst_at_a_full_rebuild() {
+        use Algorithm::{Bbst, Kds};
+        let l = 5.0;
+        let engine = EpochEngine::new(
+            pseudo_points(500, 91, 100.0),
+            pseudo_points(2_500, 92, 100.0),
+            &SampleConfig::new(l),
+            EpochConfig::default(),
+        );
+        let cost = || {
+            let snap = engine.store().snapshot();
+            snap.base_r.len() as f64 * (snap.base_s.len() as f64).sqrt()
+        };
+        let rungs = || {
+            (
+                engine.minor_swaps(),
+                engine.patch_swaps(),
+                engine.major_swaps(),
+            )
+        };
+        assert!(cost() <= family::KDS_COST_BUDGET);
+        let mut served = vec![engine.algorithm()];
+
+        // Many `R` inserts and a clump of `S` in one cell: past the
+        // rebuild threshold, within the patch budget.
+        for p in pseudo_points(4_000, 93, 100.0) {
+            engine.insert_r(p);
+        }
+        for p in pseudo_points(16, 94, 1.0) {
+            engine.insert_s(Point::new(50.0 + p.x, 50.0 + p.y));
+        }
+        engine.refresh();
+        assert_eq!(rungs(), (0, 1, 1));
+        assert!(cost() > family::KDS_COST_BUDGET);
+        served.push(engine.algorithm());
+
+        // A few spread `S` inserts: a minor swap over the patched base.
+        for p in pseudo_points(50, 95, 100.0) {
+            engine.insert_s(p);
+        }
+        engine.refresh();
+        assert_eq!(rungs(), (1, 1, 1));
+        served.push(engine.algorithm());
+
+        // Spread `S` inserts dirty every cell: a full rebuild.
+        for p in pseudo_points(2_000, 96, 100.0) {
+            engine.insert_s(p);
+        }
+        engine.refresh();
+        assert_eq!(rungs(), (1, 1, 2));
+        served.push(engine.algorithm());
+
+        assert_eq!(served, [Kds, Kds, Kds, Bbst]);
+        let snap = engine.store().snapshot();
+        for p in engine.handle_seeded(3).sample_batch(500).unwrap() {
+            let w = Rect::window(snap.r_point(p.r).unwrap(), l);
+            assert!(w.contains(snap.s_point(p.s).unwrap()), "{p:?}");
+        }
     }
 }

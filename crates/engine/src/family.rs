@@ -13,12 +13,11 @@
 //! [`build`] decides between them once per full build, from the data
 //! alone — see [`build_bbst`].
 //!
-//! Every full build stands on one grid of `S`: [`build`] maps it, the
-//! planner reads it when no algorithm is forced, and the family's
-//! `S`-side is built over that same `Arc` ([`Family::build_s`]). The
-//! epoch asks that grid ([`Family::grid`]) the rest of what it needs of
-//! `S`: the cell count, the cells a patch would dirty, and what an
-//! overlay's rows of inserted `R` rank into.
+//! Every full build stands on one grid of `S`: [`build`] maps it and
+//! the family's `S`-side is built over that same `Arc`
+//! ([`Family::build_s`]). The epoch asks that grid ([`Family::grid`])
+//! the rest of what it needs of `S`: the cell count, the cells a patch
+//! would dirty, and what an overlay's rows of inserted `R` rank into.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -35,7 +34,6 @@ use srj_geom::{Point, PointId};
 use srj_grid::{Grid, PointSet};
 
 use crate::engine::Algorithm;
-use crate::planner::{self, PlanReport};
 
 /// `(cell coordinate, unit pointer)` per `S`-cell; see
 /// [`crate::Engine::s_cell_tokens`].
@@ -267,14 +265,13 @@ impl Family for GroupIndex {
 /// Builds an engine's index over `r`, and is the one place its grid of
 /// `S` is built: the sorts of `S` (none if the set already holds them)
 /// are charged to pre-processing, the grid to grid mapping. With no
-/// `algorithm` the planner picks one from that grid, and its report
-/// comes back too.
+/// `algorithm` the data picks one ([`unforced`]).
 pub(crate) fn build(
     r: &[Point],
     s: Arc<PointSet>,
     config: &SampleConfig,
     algorithm: Option<Algorithm>,
-) -> (Box<dyn EngineIndex>, Option<PlanReport>) {
+) -> Box<dyn EngineIndex> {
     let preprocessing = s.ensure_orders();
     let t0 = Instant::now();
     let grid = Arc::new(Grid::build(s, config.half_extent));
@@ -283,19 +280,30 @@ pub(crate) fn build(
         grid_mapping: t0.elapsed(),
         ..PhaseReport::default()
     };
-    let (algorithm, plan) = match algorithm {
-        Some(algorithm) => (algorithm, None),
-        None => {
-            let plan = planner::plan(r, &grid, config);
-            (plan.algorithm, Some(plan))
-        }
-    };
-    let index = match algorithm {
+    match algorithm.unwrap_or_else(|| unforced(r.len(), grid.num_points())) {
         Algorithm::Kds => build_family::<KdsIndex>(r, grid, config, base).boxed(),
         Algorithm::KdsRejection => build_family::<KdsRejectionIndex>(r, grid, config, base).boxed(),
         Algorithm::Bbst => build_bbst(r, grid, config, base),
-    };
-    (index, plan)
+    }
+}
+
+/// Below this `n·√m` product, KDS's exact counting (`O(n√m)`, one kd
+/// count per corner cell of every `r`) is cheap enough to buy zero
+/// rejections and an exact `|J|`.
+pub(crate) const KDS_COST_BUDGET: f64 = 2.0e5;
+
+/// The algorithm a build with none forced serves, from `|R|` and `|S|`
+/// alone: [`Algorithm::Kds`] within [`KDS_COST_BUDGET`],
+/// [`Algorithm::Bbst`] otherwise — whose build probes the §III-B bound
+/// itself and serves group rows where it is tight ([`build_bbst`]).
+/// Never [`Algorithm::KdsRejection`], the paper's baseline: group rows
+/// draw against the same `Σµ` with no kd-tree built or queried.
+fn unforced(n: usize, m: usize) -> Algorithm {
+    if (n as f64) * (m as f64).sqrt() <= KDS_COST_BUDGET {
+        Algorithm::Kds
+    } else {
+        Algorithm::Bbst
+    }
 }
 
 /// Iterations of the probe that decides [`Algorithm::Bbst`]'s row
@@ -333,7 +341,7 @@ const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
 /// upper-bounding phase.
 ///
 /// The decision is a function of `(R, S, l)` alone: no traffic,
-/// no clock, no configuration enters it, so a forced and a planned
+/// no clock, no configuration enters it, so a forced and an unforced
 /// build take it identically. Rebuilds over a new `R` or a patched `S`
 /// keep the granularity of the full build they derive from.
 fn build_bbst(
@@ -599,5 +607,18 @@ impl<I: SamplerIndex> ServingCursor for Cursor<I> {
         out: &mut Vec<JoinPair>,
     ) -> Result<(), SampleError> {
         Cursor::sample_batch(self, t, rng, out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tiny_input_picks_kds() {
+        assert_eq!(unforced(50, 50), Algorithm::Kds);
+        // n·√m = 2·10⁵ exactly is still within the budget.
+        assert_eq!(unforced(20_000, 100), Algorithm::Kds);
+        assert_eq!(unforced(20_001, 100), Algorithm::Bbst);
     }
 }

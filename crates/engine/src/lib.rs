@@ -15,7 +15,6 @@
 //!   R, S, l ───►  │  build ONCE: one index of family F         │
 //!                 │   F = KDS | KDS-rejection | BBST           │
 //!                 │  EngineStats (relaxed atomics)             │
-//!                 │  PlanReport  (Engine::auto only)           │
 //!                 └───────┬──────────────┬─────────────┬───────┘
 //!                         │              │             │
 //!                  handle()        handle()      handle()   … O(1) each
@@ -28,31 +27,21 @@
 //!                 └───────┬──────┘ └─────┬────────┘ └──┬───────────┘
 //!                 thread 1 │       thread 2 │    thread N │
 //!                          ▼                ▼             ▼
-//!                  sample(t) / sample_one() / stream()  — concurrent,
+//!             sample_batch(t) / sample_one() / stream() — concurrent,
 //!                  lock-free against the shared immutable index
 //! ```
 //!
-//! ## Planner ([`Engine::auto`])
+//! ## Unforced builds ([`Engine::auto`])
 //!
-//! Picks the serving algorithm from an `O(n + m)` estimate before
-//! paying for a build:
-//!
-//! 1. `n·√m ≤` [`planner::KDS_COST_BUDGET`] → **KDS** (exact counting
-//!    is trivially affordable; zero rejections at serve time);
-//! 2. estimated `Σµ/|J| ≤` [`planner::MAX_REJECTION_OVERHEAD`] →
-//!    **KDS-rejection** (the §III-B grid bounds are tight, so its
-//!    cheapest-of-all build wins and rejections stay rare);
-//! 3. otherwise → **BBST** (the paper's algorithm: per-sample cost is
-//!    `Õ(1)` regardless of bound looseness, Lemma 6).
-//!
-//! `Σµ` is the same 9-cell grid bound KDS-rejection would use, computed
-//! in full; `|J|` is estimated by exact-counting an evenly-spaced probe
-//! subset of `R` against the grid. The decision and the estimates that
-//! drove it are retained in [`PlanReport`].
-//!
-//! Every full build — planned or forced — maps `S` onto its grid once;
-//! the planner reads that grid and the chosen family stands on it, so
-//! an auto build is exactly the forced build of its plan.
+//! With no algorithm forced, `|R|` and `|S|` pick it: **KDS** when
+//! `n·√m ≤ 2·10⁵` (exact counting is trivially affordable; zero
+//! rejections at serve time), **BBST** otherwise (the paper's
+//! algorithm: per-sample cost is `Õ(1)` regardless of bound looseness,
+//! Lemma 6). BBST's build probes the §III-B grid bound itself and
+//! serves one row per cell of `R` where that bound is tight
+//! ([`Engine::row_granularity`]), so KDS-rejection — the paper's
+//! baseline — serves only when forced. An unforced build is exactly
+//! the forced build of the algorithm it picks.
 //!
 //! ## Dynamic datasets ([`EpochEngine`], [`DatasetStore`])
 //!
@@ -69,22 +58,20 @@
 //!
 //! Queries served, samples drawn, sampling iterations (rejections
 //! included — `StatsSnapshot::rejection_rate` is the serving-time
-//! measurement of `Σµ/|J|`), errors, and mean/p50/p99 per-query
-//! latency from a log₂-bucketed histogram — all relaxed atomics, no
-//! locks on the serving path.
+//! measurement of `W/|J|`, `W` the index's total weight), errors, and
+//! mean/p50/p99 per-query latency from a log₂-bucketed histogram — all
+//! relaxed atomics, no locks on the serving path.
 
 mod dataset;
 mod engine;
 mod epoch;
 mod family;
-pub mod planner;
 mod stats;
 
 pub use dataset::{BatchApplied, DatasetSnapshot, DatasetStore, SPatchDelta};
 pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
 pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot};
 pub use family::RowGranularity;
-pub use planner::PlanReport;
 pub use stats::{EngineStats, MaintenanceCounters, StatsSnapshot};
 
 #[cfg(test)]
@@ -208,54 +195,35 @@ mod tests {
         assert_eq!(stream.error(), Some(SampleError::EmptyJoin));
     }
 
-    /// [`Engine::auto`], checked to be the forced build of its plan:
+    /// [`Engine::auto`], checked to be the forced build of `algorithm`:
     /// the same index, the same seeded draws.
-    fn auto_as_forced(r: &[Point], s: &[Point], cfg: &SampleConfig) -> Engine {
+    fn auto_as_forced(r: &[Point], s: &[Point], cfg: &SampleConfig, algorithm: Algorithm) {
         let engine = Engine::auto(r, s, cfg);
-        let plan = engine.plan().expect("auto must record its plan");
-        let forced = Engine::build(r, s, cfg, plan.algorithm);
-        assert_eq!(engine.algorithm(), plan.algorithm);
+        let forced = Engine::build(r, s, cfg, algorithm);
+        assert_eq!(engine.algorithm(), algorithm);
         assert_eq!(engine.total_weight(), forced.total_weight());
         assert_eq!(engine.row_granularity(), forced.row_granularity());
         assert_eq!(engine.row_count(), forced.row_count());
         let draws = |e: &Engine| e.handle_seeded(7).sample_batch(200).unwrap();
-        assert_eq!(draws(&engine), draws(&forced), "{}", plan.algorithm);
-        engine
+        assert_eq!(draws(&engine), draws(&forced), "{algorithm}");
     }
 
     #[test]
-    fn auto_records_a_plan() {
+    fn auto_picks_kds_for_tiny_inputs() {
         let r = pseudo_points(100, 51, 40.0);
         let s = pseudo_points(100, 52, 40.0);
-        let engine = auto_as_forced(&r, &s, &SampleConfig::new(5.0));
-        let plan = engine.plan().expect("auto must record its plan");
-        assert_eq!(plan.algorithm, engine.algorithm());
-        assert!(!plan.reason.is_empty());
-        // tiny input ⇒ the budget rule fires
-        assert_eq!(plan.algorithm, Algorithm::Kds);
-        // forced builds carry no plan
-        let forced = Engine::build(&r, &s, &SampleConfig::new(5.0), Algorithm::Bbst);
-        assert!(forced.plan().is_none());
+        auto_as_forced(&r, &s, &SampleConfig::new(5.0), Algorithm::Kds);
     }
 
     #[test]
-    fn auto_picks_rejection_for_high_selectivity_workloads() {
+    fn auto_picks_bbst_for_high_selectivity_workloads() {
         // Dense uniform data with windows that cover a large fraction
-        // of their 3×3 cell block: the 9-cell bound is tight (overhead
-        // ≈ (3l/2l)² = 2.25 < 4), so rejection sampling's cheap build
-        // should win.
+        // of their 3×3 cell block: the 9-cell bound is tight (≈ (3l/2l)²
+        // = 2.25 iterations a sample), yet the baseline that draws
+        // against it, KDS-rejection, is never an unforced choice.
         let r = pseudo_points(4_000, 61, 100.0);
         let s = pseudo_points(4_000, 62, 100.0);
-        let engine = auto_as_forced(&r, &s, &SampleConfig::new(10.0));
-        let plan = engine.plan().unwrap();
-        assert_eq!(
-            plan.algorithm,
-            Algorithm::KdsRejection,
-            "tight bounds should pick rejection: {plan:?}"
-        );
-        assert!(plan.est_overhead.unwrap() <= planner::MAX_REJECTION_OVERHEAD);
-        // and the engine actually serves
-        assert!(engine.handle_seeded(1).sample_batch(100).is_ok());
+        auto_as_forced(&r, &s, &SampleConfig::new(10.0), Algorithm::Bbst);
     }
 
     #[test]
@@ -263,7 +231,7 @@ mod tests {
         // Near-miss workload: every S point sits in a neighbouring grid
         // cell of some R point (so the 9-cell bound counts it) but
         // outside almost every window. A sparse set of true matches
-        // keeps |J| > 0. Overhead Σµ/|J| ≫ 4 ⇒ BBST.
+        // keeps |J| > 0.
         let l = 5.0;
         let mut r = Vec::new();
         let mut s = Vec::new();
@@ -277,15 +245,7 @@ mod tests {
                 s.push(Point::new(x + 0.5 * l, y + 0.5 * l)); // true match
             }
         }
-        let engine = auto_as_forced(&r, &s, &SampleConfig::new(l));
-        let plan = engine.plan().unwrap();
-        assert_eq!(
-            plan.algorithm,
-            Algorithm::Bbst,
-            "loose bounds should pick BBST: {plan:?}"
-        );
-        assert!(plan.est_overhead.unwrap() > planner::MAX_REJECTION_OVERHEAD);
-        assert!(engine.handle_seeded(1).sample_batch(50).is_ok());
+        auto_as_forced(&r, &s, &SampleConfig::new(l), Algorithm::Bbst);
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl EngineStats {
 /// A point-in-time view of an engine's aggregate statistics.
 #[derive(Clone, Copy, Debug)]
 pub struct StatsSnapshot {
-    /// Queries served (each `sample_one` / batched `sample` call).
+    /// Queries served (each `sample_one` / `sample_batch` call).
     pub queries: u64,
     /// Join samples drawn across all queries.
     pub samples: u64,
@@ -109,11 +109,11 @@ pub struct StatsSnapshot {
 
 impl StatsSnapshot {
     /// Observed rejection overhead across every handle:
-    /// `iterations / samples` — the serving-time measurement of the
-    /// planner's `Σµ/|J|` estimate (`1.0` = no rejections). `0.0` on
-    /// a freshly built engine (no division by a zero sample count —
-    /// never NaN); [`crate::SamplerHandle::rejection_rate`] is the
-    /// `Option`-valued per-handle form.
+    /// `iterations / samples` — the serving-time measurement of
+    /// [`crate::Engine::total_weight`]` / |J|` (`1.0` = no rejections).
+    /// `0.0` on a freshly built engine (no division by a zero sample
+    /// count — never NaN); [`crate::SamplerHandle::rejection_rate`] is
+    /// the `Option`-valued per-handle form.
     pub fn rejection_rate(&self) -> f64 {
         if self.samples == 0 {
             0.0

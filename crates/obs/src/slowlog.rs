@@ -45,7 +45,7 @@ pub struct SlowEntry {
     pub dataset: u64,
     /// Requested sample count.
     pub t: u64,
-    /// Serving algorithm name (`auto` when the planner chose).
+    /// Serving algorithm name (`auto` when none was forced).
     pub algorithm: String,
     /// Dataset epoch the request was served against.
     pub epoch: u64,

@@ -219,7 +219,7 @@ impl SampleRun {
 }
 
 /// Stable lower-case algorithm name for slow-log context (`auto` =
-/// the planner chose).
+/// none forced: the engine chose).
 fn algorithm_name(a: Option<srj_engine::Algorithm>) -> &'static str {
     match a {
         None => "auto",

@@ -143,8 +143,9 @@ impl std::fmt::Display for RequestStatus {
 }
 
 /// A `SAMPLE` request: draw `t` uniform join samples from the engine
-/// for `(dataset, l)` built with `algorithm` (`None` = let the planner
-/// pick).
+/// for `(dataset, l)` built with `algorithm` (`None` = the engine's
+/// choice, as `srj_engine::Engine::auto` makes it: KDS on a tiny input,
+/// BBST otherwise).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SampleRequest {
     /// Client-chosen id echoed on every response frame of the answer.
@@ -153,7 +154,8 @@ pub struct SampleRequest {
     pub dataset: u64,
     /// Window half-extent `l`.
     pub l: f64,
-    /// Forced algorithm, or `None` for the planner's choice.
+    /// Forced algorithm, or `None` for the engine's choice (never
+    /// KDS-rejection, which serves only when forced).
     pub algorithm: Option<Algorithm>,
     /// Reserved: carried on the wire, ignored by the server. Every value
     /// decodes and names the same engine; clients send `1`.
@@ -744,7 +746,7 @@ impl ByteCoded for ErrorCode {
     const UNKNOWN: &'static str = "unknown error code byte";
 }
 
-/// `0` lets the planner pick.
+/// `0` lets the engine pick (KDS or BBST, never KDS-rejection).
 impl ByteCoded for Option<Algorithm> {
     const BYTES: &'static [(Option<Algorithm>, u8)] = &[
         (None, 0),

@@ -7,7 +7,8 @@
 //!
 //! The demo
 //! 1. generates a clustered POI-style workload,
-//! 2. lets the planner pick the sampler (`Engine::auto`) and prints why,
+//! 2. lets the data pick the sampler (`Engine::auto`) and prints which
+//!    algorithm, at which row granularity, it serves with,
 //! 3. serves batched sample queries from 8 threads against the one
 //!    shared index,
 //! 4. prints the engine's aggregate statistics (throughput, p50/p99),
@@ -31,21 +32,14 @@ fn main() {
     let l = 100.0; // the paper's default half-extent
     let config = SampleConfig::new(l);
 
-    // 2. Build once; the planner picks the algorithm from an O(n + m)
-    //    estimate of the workload's selectivity.
+    // 2. Build once; with no algorithm forced, a six-figure input gets
+    //    BBST, whose build probes the grid bound and picks the row
+    //    granularity.
     let t0 = Instant::now();
     let engine = Arc::new(Engine::auto(&r, &s, &config));
     let build_time = t0.elapsed();
-    let plan = engine.plan().expect("auto always records a plan");
-    println!("planner chose  : {}", plan.algorithm);
-    println!("  reason       : {}", plan.reason);
-    match (plan.est_join_size, plan.est_overhead) {
-        (Some(j), Some(o)) => {
-            println!("  est. |J|     : {j:.0}");
-            println!("  est. Σµ/|J|  : {o:.2}");
-        }
-        _ => println!("  estimates    : skipped (small-input fast path)"),
-    }
+    println!("algorithm      : {}", engine.algorithm());
+    println!("  rows         : {}", engine.row_granularity().label());
     println!(
         "built in       : {build_time:?} ({} bytes retained)",
         engine.memory_bytes()

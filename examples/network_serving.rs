@@ -33,8 +33,9 @@ fn main() {
     println!("serving on {addr}");
 
     // 3. Concurrent clients: each opens one connection and draws a
-    //    sample stream. The first request pays the index build (planner
-    //    picks the algorithm); the rest hit the engine cache.
+    //    sample stream. The first request pays the index build (no
+    //    algorithm forced: the engine picks); the rest hit the engine
+    //    cache.
     let start = Instant::now();
     let total: u64 = std::thread::scope(|scope| {
         (0..4u64)
@@ -46,7 +47,7 @@ fn main() {
                             req_id: 0,
                             dataset: 1,
                             l: 100.0,
-                            algorithm: None, // let the planner pick
+                            algorithm: None, // let the engine pick
                             shards: 1,
                             t: 100_000,
                             seed: 1 + cid,
@@ -54,7 +55,7 @@ fn main() {
                         .expect("sample");
                     assert_eq!(outcome.status, RequestStatus::Ok);
                     println!(
-                        "client {cid}: {} samples, server-side {:.1} ms, {:.2} rejections/sample",
+                        "client {cid}: {} samples, server-side {:.1} ms, {:.2} iterations/sample",
                         outcome.pairs.len(),
                         outcome.stats.elapsed_ns as f64 / 1e6,
                         outcome.stats.iterations as f64 / outcome.stats.samples.max(1) as f64

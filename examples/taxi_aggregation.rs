@@ -48,7 +48,7 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(17);
     let t = 40_000;
     let samples = sampler.sample(t, &mut rng).expect("non-empty join");
-    let est_join_size = sampler.estimate_join_size().expect("sampled at least once");
+    let estimated_join_size = sampler.estimate_join_size().expect("sampled at least once");
 
     let mut est = [0f64; ZONES * ZONES];
     for p in &samples {
@@ -56,12 +56,12 @@ fn main() {
         est[zone_of(rp.x, rp.y)] += 1.0;
     }
 
-    println!("|J| exact = {join_size:.0}, estimated = {est_join_size:.0}");
+    println!("|J| exact = {join_size:.0}, estimated = {estimated_join_size:.0}");
     println!("zone  exact-count  est-count  rel-err");
     let mut max_rel = 0f64;
     for z in 0..ZONES * ZONES {
         let exact_cnt = exact[z];
-        let est_cnt = est[z] / t as f64 * est_join_size;
+        let est_cnt = est[z] / t as f64 * estimated_join_size;
         let rel = if exact_cnt > 0.0 {
             (est_cnt - exact_cnt).abs() / exact_cnt
         } else {
@@ -81,7 +81,7 @@ fn main() {
         max_rel * 100.0
     );
     assert!(
-        (est_join_size - join_size).abs() / join_size < 0.05,
+        (estimated_join_size - join_size).abs() / join_size < 0.05,
         "join size estimate off by more than 5%"
     );
     assert!(

@@ -46,7 +46,7 @@
 //! For concurrent serving, every sampler is split into an immutable
 //! `Send + Sync` index plus cheap per-thread cursors, and the
 //! [`engine`] crate wraps the split into a query service: build once
-//! with [`Engine::build`] (or let the planner pick the algorithm with
+//! with [`Engine::build`] (or let the data pick the algorithm with
 //! [`Engine::auto`]), then hand each thread a [`SamplerHandle`] with
 //! its own RNG and statistics. See `examples/concurrent_serving.rs`.
 //!
@@ -94,8 +94,8 @@ pub use srj_core::{
 };
 pub use srj_datagen::{generate, split_rs, DatasetKind, DatasetSpec};
 pub use srj_engine::{
-    Algorithm, DatasetSnapshot, DatasetStore, Engine, EpochConfig, EpochEngine, PlanReport,
-    RowGranularity, SPatchDelta, SamplerHandle, StatsSnapshot,
+    Algorithm, DatasetSnapshot, DatasetStore, Engine, EpochConfig, EpochEngine, RowGranularity,
+    SPatchDelta, SamplerHandle, StatsSnapshot,
 };
 pub use srj_geom::{Point, PointId, Rect};
 pub use srj_obs::{EventKind, LifecycleEvent, Registry};
