@@ -6,7 +6,7 @@ use rand::Rng;
 use srj_alias::{AliasTable, BlockRow, RowPick, NUM_CELLS};
 use srj_bbst::{bucket_capacity, CellBbsts};
 use srj_geom::{Point, PointId, Rect};
-use srj_grid::{case_of, CellCase, Grid, IntoPointSet};
+use srj_grid::{case_of, CellCase, Grid, IntoPointSet, PointSet};
 
 use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
@@ -91,7 +91,8 @@ use crate::decompose::{case12_draw, quadrant_query, upper_bounding};
 /// argues why block order leaves Theorem 3 untouched and why the pairs
 /// then depend on the seed *and* the batch sizes.
 pub struct BbstIndex {
-    r_points: Vec<Point>,
+    /// `R`, shared with every other index built on the same set.
+    r: Arc<PointSet>,
     /// The `S`-side: grid + per-cell BBST pairs behind one `Arc`-shared,
     /// cell-granular [`CellStore`]. Rebuilds over a new `R` stand on the
     /// same copy ([`BbstIndex::build_shared`]); an epoch engine patches
@@ -161,11 +162,12 @@ impl BbstSStructures {
 
 impl BbstIndex {
     /// Runs phases 1 and 2 of Algorithm 1 (`s` as in
-    /// [`BbstIndex::build_s_structures`]).
-    pub fn build(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Self {
+    /// [`BbstIndex::build_s_structures`]; `r` likewise, a slice or a
+    /// shared set).
+    pub fn build(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Self {
         let s_side = Self::build_s_structures(s, config);
         Self::build_inner(
-            r,
+            r.into_point_set(),
             Arc::clone(&s_side.store),
             config,
             s_side.preprocessing,
@@ -235,14 +237,19 @@ impl BbstIndex {
     /// `config.half_extent` would silently undercount windows (the 3×3
     /// decomposition assumes cell side = `l`), and a cascading
     /// mismatch would bound with the wrong mass mode.
-    pub fn build_shared(r: &[Point], config: &SampleConfig, s_side: &BbstSStructures) -> Self {
+    pub fn build_shared(
+        r: impl IntoPointSet,
+        config: &SampleConfig,
+        s_side: &BbstSStructures,
+    ) -> Self {
         let zero = std::time::Duration::ZERO;
-        Self::build_inner(r, Arc::clone(&s_side.store), config, zero, zero)
+        let store = Arc::clone(&s_side.store);
+        Self::build_inner(r.into_point_set(), store, config, zero, zero)
     }
 
     /// Phase 2 over a ready `S`-side store.
     fn build_inner(
-        r: &[Point],
+        r: Arc<PointSet>,
         store: Arc<CellStore<CellBbsts>>,
         config: &SampleConfig,
         preprocessing: std::time::Duration,
@@ -264,13 +271,13 @@ impl BbstIndex {
         // `1/µ(r, c)` accounting exact.
         let ub = upper_bounding(
             store.grid(),
-            r,
+            &r,
             config.half_extent,
             config.build_threads,
             |slot, q| store.unit(slot).count_quadrant(q, config.mass_mode),
         );
         BbstIndex {
-            r_points: r.to_vec(),
+            r,
             store,
             rows: ub.rows,
             alias: ub.alias,
@@ -292,6 +299,11 @@ impl BbstIndex {
     /// case of Lemma 5.
     pub fn mu_total(&self) -> f64 {
         self.alias.as_ref().map_or(0.0, AliasTable::total_weight)
+    }
+
+    /// The `R` the index draws from: the set it was built on, shared.
+    pub fn r_set(&self) -> &Arc<PointSet> {
+        &self.r
     }
 
     /// Upper bound `µ(r)` for one query point.
@@ -353,7 +365,7 @@ impl BbstIndex {
     /// First half of an iteration (Algorithm 1 line 13): the cell
     /// `∼ A_r` with the rank inside it, both from `word`, and **one**
     /// grid probe — for the chosen neighbour only. `rp` and `row` are
-    /// `r_points[ridx]` and `rows[ridx]`, passed in so the block kernel
+    /// `r[ridx]` and `rows[ridx]`, passed in so the block kernel
     /// can gather them for a whole block first.
     #[inline]
     fn pick(&self, ridx: usize, rp: Point, row: &BlockRow, word: u64) -> Picked {
@@ -432,7 +444,7 @@ impl SamplerIndex for BbstIndex {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         // Line 12: r ~ A.
         let ridx = alias.sample_word(rng.next_u64());
-        let picked = self.pick(ridx, self.r_points[ridx], &self.rows[ridx], rng.next_u64());
+        let picked = self.pick(ridx, self.r[ridx], &self.rows[ridx], rng.next_u64());
         Ok(self.resolve(&picked, stats))
     }
 
@@ -440,7 +452,7 @@ impl SamplerIndex for BbstIndex {
     /// up to `BLOCK` (64) at a time and stage by stage — every `r`, then
     /// every row gather, then every pick with its grid probe, then the
     /// resolves in iteration order — so that the cache misses of one
-    /// stage (alias column, `r_points`/`rows` entry, grid bucket) are
+    /// stage (alias column, `R`/`rows` entry, grid bucket) are
     /// those of up to 64 independent samples in flight together rather
     /// than one sample's dependent chain after another's.
     ///
@@ -473,7 +485,7 @@ impl SamplerIndex for BbstIndex {
             let b = left.min(BLOCK);
             alias.sample_many(rng, &mut ridx[..b]);
             for (g, &i) in gathered[..b].iter_mut().zip(&ridx[..b]) {
-                *g = (self.r_points[i], self.rows[i]);
+                *g = (self.r[i], self.rows[i]);
             }
             for ((p, &i), (rp, row)) in picked[..b].iter_mut().zip(&ridx[..b]).zip(&gathered[..b]) {
                 *p = self.pick(i, *rp, row, rng.next_u64());
@@ -498,7 +510,7 @@ impl SamplerIndex for BbstIndex {
 
     fn index_bytes(&self) -> IndexBytes {
         IndexBytes {
-            r_points: self.r_points.capacity() * std::mem::size_of::<Point>(),
+            r_points: self.r.memory_bytes(),
             rows: self.rows.capacity() * std::mem::size_of::<BlockRow>(),
             alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
             ..self.store.index_bytes()
@@ -727,8 +739,8 @@ mod tests {
                 .unit(slot)
                 .count_quadrant(q, index.config.mass_mode)
         };
-        assert_eq!(index.rows.len(), index.r_points.len());
-        for (ridx, (&rp, row)) in index.r_points.iter().zip(&index.rows).enumerate() {
+        assert_eq!(index.rows.len(), index.r.len());
+        for (ridx, (&rp, row)) in index.r.iter().zip(&index.rows).enumerate() {
             let reference = per_r_weights(grid, rp, index.config.half_extent, &corner);
             let stored: [u64; 9] = std::array::from_fn(|i| u64::from(row.weight(i)));
             assert_eq!(stored, reference, "r{ridx} = {rp:?}");

@@ -211,7 +211,10 @@ pub trait SamplerIndex: Send + Sync {
 /// else.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexBytes {
-    /// The index's copy of `R`.
+    /// The `R` set the index stands on — shared by every index built on
+    /// it, so whoever sums indexes over one set counts it once — with
+    /// its two orders once a grid of it was built, plus a group index's
+    /// members in group order (4 B per `r`) and their group bounds.
     pub r_points: usize,
     /// The per-`r` rows (`40 × |R|` for the families that keep
     /// [`srj_alias::BlockRow`]s, the `f64` bounds of KDS-rejection), a

@@ -10,7 +10,7 @@ use std::time::Instant;
 use rand::Rng;
 use srj_alias::{AliasTable, BlockRow, NUM_CELLS};
 use srj_geom::{Point, PointId, Rect};
-use srj_grid::{CellGroups, Grid, IntoPointSet};
+use srj_grid::{CellGroups, Grid, IntoPointSet, PointSet};
 
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, IndexBytes, SamplerIndex, BLOCK};
@@ -57,10 +57,11 @@ pub(crate) fn block_rows<'a>(
 /// `r`'s cell — is a property of the cell, so all of a cell's `r` share
 /// one [`BlockRow`] (the block's nine cell populations) and one slot row
 /// (the block's nine cells' grid slots). The index is the shared
-/// [`srj_grid::PointSet`], a scatter-built [`Grid`] on it, `R` in group
-/// order, the rows, and one alias over `|R_g| · µ_g`: an `O(n + m)`
-/// build with a hash probe per point as its most expensive step — the
-/// only hash probes the index ever makes.
+/// [`PointSet`]s of `S` and of `R`, a scatter-built [`Grid`] on the
+/// first, the members of each group as indices into the second (4 B per
+/// `r`: `R` itself is not copied), the rows, and one alias over
+/// `|R_g| · µ_g`: an `O(n + m)` build with a hash probe per point as its
+/// most expensive step — the only hash probes the index ever makes.
 ///
 /// One iteration spends three words — alias → group, uniform member →
 /// `r`, uniform position in the row → part and rank — then reads the
@@ -78,11 +79,11 @@ pub(crate) fn block_rows<'a>(
 /// `Send + Sync`, never mutated after build.
 pub struct GroupIndex {
     grid: Arc<Grid>,
-    /// `R` in group order, and beside it each point's index in the
-    /// input (two arrays: 20 B per `r`, not a padded 24): group `g` is
-    /// `points[starts[g]..starts[g + 1]]`. Groups whose block is empty
-    /// are not kept.
-    points: Vec<Point>,
+    /// `R`, shared with every other index built on the same set.
+    r: Arc<PointSet>,
+    /// The members of every group as indices into `r`, group after
+    /// group: group `g` is `ids[starts[g]..starts[g + 1]]`. Groups whose
+    /// block is empty are not kept.
     ids: Vec<u32>,
     starts: Vec<u32>,
     /// Per group: the nine cell populations of its block.
@@ -104,8 +105,8 @@ const _: () = {
 
 impl GroupIndex {
     /// Builds the grid over `s` (a slice, copied, or an `Arc<PointSet>`,
-    /// shared) and the group rows over it.
-    pub fn build(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Self {
+    /// shared) and the group rows of `r` (the same) over it.
+    pub fn build(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Self {
         let s = s.into_point_set();
         let preprocessing = s.ensure_orders();
         let t0 = Instant::now();
@@ -124,7 +125,8 @@ impl GroupIndex {
     /// Panics if the grid's cell side differs from `config.half_extent`
     /// (a window would leave its 3×3 block), or if `r` has more than
     /// `u32::MAX` points.
-    pub fn build_on_grid(r: &[Point], grid: Arc<Grid>, config: &SampleConfig) -> Self {
+    pub fn build_on_grid(r: impl IntoPointSet, grid: Arc<Grid>, config: &SampleConfig) -> Self {
+        let r = r.into_point_set();
         assert!(
             grid.cell_side().to_bits() == config.half_extent.to_bits(),
             "grid cell side ({}) must equal the window half-extent ({})",
@@ -132,26 +134,23 @@ impl GroupIndex {
             config.half_extent
         );
         let t0 = Instant::now();
-        let groups = grid.group_by_cell(r);
-        let mut points = Vec::with_capacity(r.len());
+        let groups = grid.group_by_cell(&r);
         let mut ids = Vec::with_capacity(r.len());
         let mut starts = vec![0u32];
         let mut rows = Vec::new();
         let mut blocks = Vec::new();
         let mut weights = Vec::new();
-        for (members, row, slots) in block_rows(&grid, r, &groups) {
+        for (members, row, slots) in block_rows(&grid, &r, &groups) {
             if row.total() == 0 {
                 continue;
             }
-            points.extend(members.iter().map(|&i| r[i as usize]));
             ids.extend_from_slice(members);
-            starts.push(points.len() as u32);
+            starts.push(ids.len() as u32);
             weights.push(members.len() as f64 * f64::from(row.total()));
             rows.push(row);
             blocks.push(slots);
         }
         // Exact capacities: `index_bytes` counts what is allocated.
-        points.shrink_to_fit();
         ids.shrink_to_fit();
         starts.shrink_to_fit();
         rows.shrink_to_fit();
@@ -160,7 +159,7 @@ impl GroupIndex {
         let upper_bounding = t0.elapsed();
         GroupIndex {
             grid,
-            points,
+            r,
             ids,
             starts,
             rows,
@@ -180,6 +179,11 @@ impl GroupIndex {
         &self.grid
     }
 
+    /// The `R` the index draws from: the set it was built on, shared.
+    pub fn r_set(&self) -> &Arc<PointSet> {
+        &self.r
+    }
+
     /// Number of rows: the cells of `R` whose block holds a point.
     pub fn group_count(&self) -> usize {
         self.rows.len()
@@ -196,11 +200,9 @@ impl GroupIndex {
         &self.blocks
     }
 
-    /// Group `g`'s members: their points, and beside each its index in
-    /// the input.
-    pub fn group_members(&self, g: usize) -> (&[Point], &[u32]) {
-        let range = self.starts[g] as usize..self.starts[g + 1] as usize;
-        (&self.points[range.clone()], &self.ids[range])
+    /// Group `g`'s members, as indices into [`GroupIndex::r_set`].
+    pub fn group_members(&self, g: usize) -> &[u32] {
+        &self.ids[self.starts[g] as usize..self.starts[g + 1] as usize]
     }
 
     /// `W = Σ_g |R_g| · µ_g = Σ_r µ(r)` under the §III-B bound.
@@ -208,17 +210,11 @@ impl GroupIndex {
         self.alias.as_ref().map_or(0.0, AliasTable::total_weight)
     }
 
-    /// Position in `points` of a uniform member of group `g`.
+    /// Position in `ids` of a uniform member of group `g`.
     #[inline]
     fn member_at(&self, g: usize, word: u64) -> usize {
         let (lo, hi) = (self.starts[g], self.starts[g + 1]);
         lo as usize + ((u128::from(word) * u128::from(hi - lo)) >> 64) as usize
-    }
-
-    /// The member at position `at`: its point and its index in the input.
-    #[inline]
-    fn member(&self, at: usize) -> (Point, u32) {
-        (self.points[at], self.ids[at])
     }
 
     /// A uniform position of group `g`'s row as the grid slot of its
@@ -238,20 +234,20 @@ impl GroupIndex {
         (slot, pick.rank)
     }
 
-    /// The candidate at `rank` of the picked cell and the window test.
-    /// Owns the per-iteration accounting, so [`SamplerIndex::try_draw`]
-    /// and the block kernel cannot disagree on it.
+    /// The window test of an iteration: `r` (its index and point)
+    /// against the candidate `s`. Owns the per-iteration accounting, so
+    /// [`SamplerIndex::try_draw`] and the block kernel cannot disagree
+    /// on it.
     #[inline]
-    fn resolve(
+    fn accept(
         &self,
-        (rp, ridx): (Point, u32),
-        (slot, rank): (u32, u32),
+        (ridx, rp): (u32, Point),
+        (sid, sp): (PointId, Point),
         stats: &mut PhaseReport,
     ) -> Option<JoinPair> {
         stats.iterations += 1;
-        let sid: PointId = self.grid.cell(slot).by_x[rank as usize];
         let w = Rect::window(rp, self.config.half_extent);
-        w.contains(self.grid.point(sid)).then(|| {
+        w.contains(sp).then(|| {
             stats.samples += 1;
             JoinPair::new(ridx, sid)
         })
@@ -274,17 +270,21 @@ impl SamplerIndex for GroupIndex {
     ) -> Result<Option<JoinPair>, SampleError> {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         let g = alias.sample_word(rng.next_u64());
-        let r = self.member(self.member_at(g, rng.next_u64()));
-        let picked = self.pick(g, rng.next_u64());
-        Ok(self.resolve(r, picked, stats))
+        let ridx = self.ids[self.member_at(g, rng.next_u64())];
+        let (slot, rank) = self.pick(g, rng.next_u64());
+        let sid = self.grid.cell(slot).by_x[rank as usize];
+        let r = (ridx, self.r[ridx as usize]);
+        Ok(self.accept(r, (sid, self.grid.point(sid)), stats))
     }
 
     /// The block kernel: the iterations of [`Self::try_draw`], up to
-    /// `BLOCK` (64) at a time and stage by stage — every group, every
-    /// member position, every `r`, every pick off its group's rows, then
-    /// every candidate with its test — so the cache misses of one stage
-    /// (alias column, `R` entry, group rows, cell array and `S` point)
-    /// are those of up to 64 independent iterations in flight together.
+    /// `BLOCK` (64) at a time and one dependent load per stage — every
+    /// group; every member position; its index into `R`, then its point;
+    /// every pick off its group's rows; the picked cell's `by_x`, then
+    /// the candidate's id, then its point; then every window test — so
+    /// the cache misses of one stage (alias column, `ids` entry, `R`
+    /// point, group rows, cell, cell array, `S` point) are those of up
+    /// to 64 independent iterations in flight together.
     ///
     /// Each iteration spends its own three words and nothing else, so
     /// the outcomes are those of independent `try_draw`s (the
@@ -302,9 +302,12 @@ impl SamplerIndex for GroupIndex {
         out: &mut Vec<Option<JoinPair>>,
     ) -> Result<(), SampleError> {
         let mut group = [0usize; BLOCK];
-        let mut at = [0usize; BLOCK];
-        let mut r = [(Point::default(), 0u32); BLOCK];
+        let mut ridx = [0u32; BLOCK];
+        let mut rp = [Point::default(); BLOCK];
         let mut picked = [(0u32, 0u32); BLOCK];
+        let mut by_x: [&[PointId]; BLOCK] = [&[]; BLOCK];
+        let mut sid = [0 as PointId; BLOCK];
+        let mut sp = [Point::default(); BLOCK];
         let mut left = n;
         while left > 0 {
             // Asked only while an iteration is wanted: `n = 0` is `Ok`
@@ -312,21 +315,28 @@ impl SamplerIndex for GroupIndex {
             let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
             let b = left.min(BLOCK);
             alias.sample_many(rng, &mut group[..b]);
-            for (at, &g) in at[..b].iter_mut().zip(&group[..b]) {
-                *at = self.member_at(g, rng.next_u64());
+            for (i, &g) in ridx[..b].iter_mut().zip(&group[..b]) {
+                *i = self.member_at(g, rng.next_u64()) as u32;
             }
-            for (r, &at) in r[..b].iter_mut().zip(&at[..b]) {
-                *r = self.member(at);
+            for i in &mut ridx[..b] {
+                *i = self.ids[*i as usize];
+            }
+            for (p, &i) in rp[..b].iter_mut().zip(&ridx[..b]) {
+                *p = self.r[i as usize];
             }
             for (p, &g) in picked[..b].iter_mut().zip(&group[..b]) {
                 *p = self.pick(g, rng.next_u64());
             }
-            out.extend(
-                r[..b]
-                    .iter()
-                    .zip(&picked[..b])
-                    .map(|(&r, &p)| self.resolve(r, p, stats)),
-            );
+            for (ids, &(slot, _)) in by_x[..b].iter_mut().zip(&picked[..b]) {
+                *ids = &self.grid.cell(slot).by_x;
+            }
+            for ((s, ids), &(_, rank)) in sid[..b].iter_mut().zip(&by_x[..b]).zip(&picked[..b]) {
+                *s = ids[rank as usize];
+            }
+            for (p, &s) in sp[..b].iter_mut().zip(&sid[..b]) {
+                *p = self.grid.point(s);
+            }
+            out.extend((0..b).map(|k| self.accept((ridx[k], rp[k]), (sid[k], sp[k]), stats)));
             left -= b;
         }
         Ok(())
@@ -346,7 +356,7 @@ impl SamplerIndex for GroupIndex {
 
     fn index_bytes(&self) -> IndexBytes {
         IndexBytes {
-            r_points: self.points.capacity() * std::mem::size_of::<Point>()
+            r_points: self.r.memory_bytes()
                 + (self.ids.capacity() + self.starts.capacity()) * std::mem::size_of::<u32>(),
             rows: self.rows.capacity() * std::mem::size_of::<BlockRow>()
                 + self.blocks.capacity() * std::mem::size_of::<[u32; NUM_CELLS]>(),

@@ -4,7 +4,7 @@ use std::time::Instant;
 use rand::Rng;
 use srj_alias::{AliasTable, BlockRow, NUM_CELLS};
 use srj_geom::{Point, Rect};
-use srj_grid::{case_of, CellCase, IntoPointSet};
+use srj_grid::{case_of, CellCase, IntoPointSet, PointSet};
 use srj_kdtree::CanonicalScratch;
 
 use crate::cellstore::KdCellStore;
@@ -60,7 +60,8 @@ use crate::decompose::{case12_draw, open_quadrant, quadrant_query, upper_boundin
 /// Total: `O(n√m)` build, `O(1)` expected + `O(√|c|)` in a quarter of
 /// the draws, `O(n + m)` space.
 pub struct KdsIndex {
-    r_points: Vec<Point>,
+    /// `R`, shared with every other index built on the same set.
+    r: Arc<PointSet>,
     /// `Arc`-held so that rebuilds over a new `R` stand on one copy of
     /// the `S`-side (see [`KdsIndex::build_shared`]), and an epoch
     /// engine can patch it cell by cell.
@@ -88,9 +89,9 @@ impl KdsIndex {
     /// The counting pass — the baseline's `O(n√m)` bottleneck — runs on
     /// [`SampleConfig::build_threads`] threads; results are
     /// bit-identical at any thread count (see [`crate::parallel`]).
-    pub fn build(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Self {
+    pub fn build(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Self {
         let (s_cells, preprocessing) = Self::build_s_structure(s, config);
-        Self::build_inner(r, s_cells, config, preprocessing)
+        Self::build_inner(r.into_point_set(), s_cells, config, preprocessing)
     }
 
     /// Builds only the `S`-side structure (the per-cell kd-trees) and
@@ -116,13 +117,23 @@ impl KdsIndex {
     /// (from [`KdsIndex::build_s_structure`], or a
     /// [`KdCellStore::patch`] of one). Its build time is charged to
     /// whoever built it, so this index's report records zero
-    /// preprocessing.
-    pub fn build_shared(r: &[Point], s_cells: Arc<KdCellStore>, config: &SampleConfig) -> Self {
-        Self::build_inner(r, s_cells, config, std::time::Duration::ZERO)
+    /// preprocessing. `r`, like `s` in [`KdsIndex::build`], is a slice,
+    /// copied, or an `Arc<PointSet>`, which the index shares.
+    pub fn build_shared(
+        r: impl IntoPointSet,
+        s_cells: Arc<KdCellStore>,
+        config: &SampleConfig,
+    ) -> Self {
+        Self::build_inner(
+            r.into_point_set(),
+            s_cells,
+            config,
+            std::time::Duration::ZERO,
+        )
     }
 
     fn build_inner(
-        r: &[Point],
+        r: Arc<PointSet>,
         s_cells: Arc<KdCellStore>,
         config: &SampleConfig,
         preprocessing: std::time::Duration,
@@ -135,7 +146,7 @@ impl KdsIndex {
             grid.cell_side(),
         );
         let t1 = Instant::now();
-        let mut ub = upper_bounding(grid, r, l, config.build_threads, |slot, q| {
+        let mut ub = upper_bounding(grid, &r, l, config.build_threads, |slot, q| {
             s_cells.count_in_cell(slot, &open_quadrant(q)) as u64
         });
         // The rows assume `w(r)` lies in the block of `r`; an `r` whose
@@ -165,7 +176,7 @@ impl KdsIndex {
         let upper_bounding = t1.elapsed();
 
         KdsIndex {
-            r_points: r.to_vec(),
+            r,
             rows: ub.rows,
             stray,
             alias: ub.alias,
@@ -189,6 +200,11 @@ impl KdsIndex {
     /// [`KdsIndex::build_shared`]).
     pub fn s_cells(&self) -> Arc<KdCellStore> {
         Arc::clone(&self.s_cells)
+    }
+
+    /// The `R` the index draws from: the set it was built on, shared.
+    pub fn r_set(&self) -> &Arc<PointSet> {
+        &self.r
     }
 
     /// Exact join cardinality `|J| = Σ_r |S(w(r))|` (free by-product of
@@ -251,7 +267,7 @@ impl SamplerIndex for KdsIndex {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         stats.iterations += 1;
         let ridx = alias.sample_word(rng.next_u64());
-        let rp = self.r_points[ridx];
+        let rp = self.r[ridx];
         let w = Rect::window(rp, self.config.half_extent);
         // The alias only returns r with a positive count, so neither
         // arm can come up empty.
@@ -298,7 +314,7 @@ impl SamplerIndex for KdsIndex {
 
     fn index_bytes(&self) -> IndexBytes {
         IndexBytes {
-            r_points: self.r_points.capacity() * std::mem::size_of::<Point>(),
+            r_points: self.r.memory_bytes(),
             // The stray list stands in for rows it overrides.
             rows: self.rows.capacity() * std::mem::size_of::<BlockRow>()
                 + self.stray.capacity() * std::mem::size_of::<u32>(),

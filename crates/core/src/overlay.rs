@@ -110,7 +110,7 @@ use rand::Rng;
 use srj_alias::{AliasTable, BlockRow};
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::fx::{FxHashMap, FxHashSet};
-use srj_grid::{case_of, CellCase, Grid, NEIGHBOR_OFFSETS};
+use srj_grid::{case_of, CellCase, Grid, PointSet, NEIGHBOR_OFFSETS};
 
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{IndexBytes, SamplerIndex, BLOCK};
@@ -506,46 +506,53 @@ impl InsertSide {
 /// Per-epoch support structures for [`OverlayIndex`]: a hash grid over
 /// base `S` and one over base `R` (cell side = `l`, so a window's 3×3
 /// block covers it), plus the insert sources of the epoch's swaps so
-/// far. The grid of `S` is normally the epoch's own
-/// ([`OverlaySupport::on_grid`]); only the grid of `R` is built here.
+/// far. The grid of `S` is normally the epoch's own, and the grid of `R`
+/// stands on the epoch's `R` set ([`OverlaySupport::on_grid`]): only the
+/// cells of the grid of `R` are built here.
 /// [`OverlaySupport::extended`] is the `O(batch)` step from one snapshot
 /// of the epoch's delta to the next; everything it returns is
 /// `Arc`-shared with what it was called on.
 pub struct OverlaySupport {
     s_grid: Arc<Grid>,
     r_grid: Arc<Grid>,
-    /// Whether `s_grid` was built for this support rather than handed
-    /// in: only then is it this support's to count.
-    owns_s_grid: bool,
+    /// Whether the base sets were copied for this support rather than
+    /// handed in — `s_grid` with its set, and `r_grid`'s set: only then
+    /// are they this support's to count.
+    owns_base_sets: bool,
     build_time: Duration,
     r_side: InsertSide,
     s_side: InsertSide,
 }
 
 impl OverlaySupport {
-    /// Builds both grids over a base snapshot; `O(n + m)`.
+    /// Builds both grids over copies of a base snapshot; `O(n + m)`.
     /// [`OverlaySupport::build_time`] covers both.
     pub fn build(base_r: &[Point], base_s: &[Point], half_extent: f64) -> Self {
         let t0 = Instant::now();
-        let support = Self::on_grid(base_r, Arc::new(Grid::build(base_s, half_extent)));
         OverlaySupport {
-            owns_s_grid: true,
+            s_grid: Arc::new(Grid::build(base_s, half_extent)),
+            r_grid: Arc::new(Grid::build(base_r, half_extent)),
+            owns_base_sets: true,
             build_time: t0.elapsed(),
-            ..support
+            r_side: InsertSide::default(),
+            s_side: InsertSide::default(),
         }
     }
 
     /// A support over `s_grid` — the base build's own grid of `S`, held,
-    /// not copied — and a grid of `base_r` of the same cell side, which
-    /// is the window half-extent. Ids the grid's cells leave out (the
-    /// dead ids a cell patch left behind) are never a candidate.
-    pub fn on_grid(base_r: &[Point], s_grid: Arc<Grid>) -> Self {
+    /// not copied — and a grid of the same cell side, which is the
+    /// window half-extent, on `base_r`: the base build's own `R` set,
+    /// whose two orders it computes once and keeps for every later grid
+    /// of it. Neither set is this support's to count. Ids the grid's
+    /// cells leave out (the dead ids a cell patch left behind) are
+    /// never a candidate.
+    pub fn on_grid(base_r: &Arc<PointSet>, s_grid: Arc<Grid>) -> Self {
         let t0 = Instant::now();
         let r_grid = Arc::new(Grid::build(base_r, s_grid.cell_side()));
         OverlaySupport {
             s_grid,
             r_grid,
-            owns_s_grid: false,
+            owns_base_sets: false,
             build_time: t0.elapsed(),
             r_side: InsertSide::default(),
             s_side: InsertSide::default(),
@@ -643,7 +650,7 @@ impl OverlaySupport {
         OverlaySupport {
             s_grid: Arc::clone(&self.s_grid),
             r_grid: Arc::clone(&self.r_grid),
-            owns_s_grid: self.owns_s_grid,
+            owns_base_sets: self.owns_base_sets,
             build_time: self.build_time,
             r_side,
             s_side,
@@ -667,18 +674,18 @@ impl OverlaySupport {
         self.index_bytes().total()
     }
 
-    /// [`OverlaySupport::memory_bytes`] by structure. A grid of `S`
-    /// handed in is its base build's to count.
+    /// [`OverlaySupport::memory_bytes`] by structure. A grid of `S` and
+    /// an `R` set handed in are their base build's to count.
     fn index_bytes(&self) -> IndexBytes {
-        let s_grid = if self.owns_s_grid {
-            IndexBytes::of_grid(&self.s_grid)
+        let base = if self.owns_base_sets {
+            IndexBytes::of_grid(&self.s_grid) + IndexBytes::of_grid(&self.r_grid)
         } else {
-            IndexBytes::default()
+            IndexBytes {
+                point_set: 0,
+                ..IndexBytes::of_grid(&self.r_grid)
+            }
         };
-        s_grid
-            + IndexBytes::of_grid(&self.r_grid)
-            + self.r_side.index_bytes()
-            + self.s_side.index_bytes()
+        base + self.r_side.index_bytes() + self.s_side.index_bytes()
     }
 
     /// Every chunk of one side (`R`'s if `r_side`) in insert order, as
@@ -1140,9 +1147,9 @@ mod tests {
         overlay_uniformity_case(|r, s, cfg| BbstIndex::build(r, s, cfg), 3);
     }
 
-    /// A support standing on the base's own grid of `S` serves exactly
-    /// what one that built its own does — the same weight, the same
-    /// stream — and leaves that grid to the base to count.
+    /// A support standing on the base's own grid of `S` and `R` set
+    /// serves exactly what one that built its own does — the same
+    /// weight, the same stream — and leaves both to the base to count.
     #[test]
     fn a_support_on_the_base_grid_serves_alike_and_counts_no_s() {
         let l = 6.0;
@@ -1153,11 +1160,11 @@ mod tests {
         let base = Arc::new(BbstIndex::build(&base_r, &base_s, &cfg));
         let s_grid = Arc::clone(base.s_structures().store().grid_arc());
         let own = OverlaySupport::build(&base_r, &base_s, l);
-        let shared = OverlaySupport::on_grid(&base_r, Arc::clone(&s_grid));
-        assert_eq!(
-            own.memory_bytes() - shared.memory_bytes(),
-            s_grid.memory_bytes()
-        );
+        let shared = OverlaySupport::on_grid(base.r_set(), Arc::clone(&s_grid));
+        // The one a support builds itself holds both base sets; a copy
+        // of `R` made for one grid keeps no orders.
+        let own_sets = s_grid.memory_bytes() + 16 * base_r.len();
+        assert_eq!(own.memory_bytes() - shared.memory_bytes(), own_sets);
         let overlay = |support| {
             Arc::new(OverlayIndex::new(
                 Arc::clone(&base),
@@ -1168,10 +1175,7 @@ mod tests {
         };
         let (a, b) = (overlay(&own), overlay(&shared));
         assert_eq!(a.total_weight(), b.total_weight());
-        assert_eq!(
-            a.index_bytes().total() - b.index_bytes().total(),
-            s_grid.memory_bytes()
-        );
+        assert_eq!(a.index_bytes().total() - b.index_bytes().total(), own_sets);
         let stream = |o: &Arc<OverlayIndex<BbstIndex>>| {
             let mut rng = SmallRng::seed_from_u64(64);
             Cursor::new(Arc::clone(o)).sample(2_000, &mut rng).unwrap()

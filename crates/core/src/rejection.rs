@@ -8,7 +8,7 @@ use crate::parallel::par_chunks;
 use rand::Rng;
 use srj_alias::AliasTable;
 use srj_geom::{Point, Rect};
-use srj_grid::{Grid, IntoPointSet};
+use srj_grid::{Grid, IntoPointSet, PointSet};
 use srj_kdtree::CanonicalScratch;
 
 /// Immutable build product of Baseline 2 — **KDS-rejection** (paper
@@ -29,7 +29,8 @@ use srj_kdtree::CanonicalScratch;
 ///
 /// Expected `O(n + m + n·m^1.5·t/|J|)` time, `O(n + m)` space.
 pub struct KdsRejectionIndex {
-    r_points: Vec<Point>,
+    /// `R`, shared with every other index built on the same set.
+    r: Arc<PointSet>,
     /// The `S`-side — the grid (for the 9-cell bounds) plus per-cell
     /// kd-trees (for the in-window draws) behind one cell-granular
     /// [`KdCellStore`] — `Arc`-held so that rebuilds over a new `R`
@@ -52,8 +53,8 @@ impl KdsRejectionIndex {
     /// Runs the build phases: the sorts of `S` when this build ran them
     /// and the per-cell kd-trees (pre-processing), the grid (GM), the
     /// bounds and the alias (UB). `s` is a slice, copied, or an
-    /// `Arc<PointSet>`, shared.
-    pub fn build(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Self {
+    /// `Arc<PointSet>`, shared; so is `r`.
+    pub fn build(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Self {
         let s = s.into_point_set();
         let sorts = s.ensure_orders();
         let t1 = Instant::now();
@@ -62,7 +63,13 @@ impl KdsRejectionIndex {
         let t0 = Instant::now();
         let s_cells = Arc::new(KdCellStore::from_grid(grid, config.build_threads));
         let preprocessing = sorts + t0.elapsed();
-        Self::build_inner(r, s_cells, config, preprocessing, grid_mapping)
+        Self::build_inner(
+            r.into_point_set(),
+            s_cells,
+            config,
+            preprocessing,
+            grid_mapping,
+        )
     }
 
     /// Like [`KdsRejectionIndex::build`], but over an already-built
@@ -74,13 +81,17 @@ impl KdsRejectionIndex {
     /// # Panics
     /// Panics if the store's cell side differs from
     /// `config.half_extent`.
-    pub fn build_shared(r: &[Point], s_cells: Arc<KdCellStore>, config: &SampleConfig) -> Self {
+    pub fn build_shared(
+        r: impl IntoPointSet,
+        s_cells: Arc<KdCellStore>,
+        config: &SampleConfig,
+    ) -> Self {
         let zero = std::time::Duration::ZERO;
-        Self::build_inner(r, s_cells, config, zero, zero)
+        Self::build_inner(r.into_point_set(), s_cells, config, zero, zero)
     }
 
     fn build_inner(
-        r: &[Point],
+        r: Arc<PointSet>,
         s_cells: Arc<KdCellStore>,
         config: &SampleConfig,
         preprocessing: std::time::Duration,
@@ -97,7 +108,7 @@ impl KdsRejectionIndex {
         let grid = s_cells.grid();
         // µ(r) is a property of r's cell: one block population per
         // group of R, handed to every member.
-        let (mu, par) = par_chunks(r, config.build_threads, |_, chunk| {
+        let (mu, par) = par_chunks(&r, config.build_threads, |_, chunk| {
             let mut mu = vec![0.0; chunk.len()];
             for members in grid.group_by_cell(chunk).iter() {
                 let population = grid.neighborhood_population(chunk[members[0] as usize]) as f64;
@@ -112,7 +123,7 @@ impl KdsRejectionIndex {
         let upper_bounding_cpu = par.cpu + upper_bounding.saturating_sub(par.wall);
 
         KdsRejectionIndex {
-            r_points: r.to_vec(),
+            r,
             s_cells,
             mu,
             alias,
@@ -125,6 +136,11 @@ impl KdsRejectionIndex {
                 ..PhaseReport::default()
             },
         }
+    }
+
+    /// The `R` the index draws from: the set it was built on, shared.
+    pub fn r_set(&self) -> &Arc<PointSet> {
+        &self.r
     }
 
     /// The `Arc`-shared `S`-side (grid + per-cell kd-trees), for
@@ -181,7 +197,7 @@ impl SamplerIndex for KdsRejectionIndex {
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         stats.iterations += 1;
         let ridx = alias.sample(rng);
-        let w = Rect::window(self.r_points[ridx], self.config.half_extent);
+        let w = Rect::window(self.r[ridx], self.config.half_extent);
         // µ(r) > 0 does not imply the window is non-empty: the nine
         // cells may hold points only outside w(r).
         let drawn = self
@@ -211,7 +227,7 @@ impl SamplerIndex for KdsRejectionIndex {
 
     fn index_bytes(&self) -> IndexBytes {
         IndexBytes {
-            r_points: self.r_points.capacity() * std::mem::size_of::<Point>(),
+            r_points: self.r.memory_bytes(),
             rows: self.mu.capacity() * std::mem::size_of::<f64>(),
             alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
             ..self.s_cells.store().index_bytes()

@@ -310,17 +310,20 @@ proptest! {
         let l = l_steps as f64 * 0.5;
         let index = GroupIndex::build(&r, &s, &SampleConfig::new(l));
         let grid = index.grid();
+        // The members are read through the set the index stands on: `R`
+        // in input order, not a copy in group order.
+        let set = index.r_set();
+        prop_assert_eq!(set.points(), &r[..]);
         let mut weight = 0u64;
         let mut seen = vec![false; r.len()];
         let mut reached = Vec::new();
         for (g, row) in index.rows().iter().enumerate() {
-            let (points, ids) = index.group_members(g);
-            prop_assert_eq!(points.len(), ids.len());
-            prop_assert!(!points.is_empty() && row.total() > 0);
+            let ids = index.group_members(g);
+            prop_assert!(!ids.is_empty() && row.total() > 0);
             prop_assert_eq!(row.weight(srj_alias::BlockRow::EXTRA), 0);
-            weight += points.len() as u64 * u64::from(row.total());
-            for (&rp, &ridx) in points.iter().zip(ids) {
-                prop_assert_eq!(rp, r[ridx as usize]);
+            weight += ids.len() as u64 * u64::from(row.total());
+            for &ridx in ids {
+                let rp = set[ridx as usize];
                 prop_assert!(!std::mem::replace(&mut seen[ridx as usize], true));
                 let w = Rect::window(rp, l);
                 for (i, slot) in grid.neighborhood_slots(rp).into_iter().enumerate() {
@@ -360,7 +363,8 @@ proptest! {
             for (part, &slot) in slots.iter().enumerate() {
                 prop_assert_eq!(slot == NO_CELL, row.weight(part) == 0, "group {} part {}", g, part);
             }
-            for &rp in index.group_members(g).0 {
+            for &ridx in index.group_members(g) {
+                let rp = index.r_set()[ridx as usize];
                 let block = grid.neighborhood_slots(rp).map(|slot| slot.unwrap_or(NO_CELL));
                 prop_assert_eq!(&block, slots, "group {} member {:?}", g, rp);
             }

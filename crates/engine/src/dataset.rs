@@ -34,8 +34,11 @@ use srj_obs::journal::{event, EventKind};
 /// (`Arc`-shared, never copied) plus a clone of the pending delta.
 #[derive(Clone)]
 pub struct DatasetSnapshot {
-    /// Base `R` points of the epoch (ids `0..base_r_len`).
-    pub base_r: Arc<Vec<Point>>,
+    /// Base `R` points of the epoch (ids `0..base_r_len`), as the
+    /// [`PointSet`] every index of the epoch — whatever its window size —
+    /// stands on, and the overlay's grid of `R` with it: none copies it.
+    /// A compaction that changes `R` makes a new set.
+    pub base_r: Arc<PointSet>,
     /// Base `S` points of the epoch, as the [`PointSet`] every index of
     /// the epoch — whatever its window size — is built on: they share
     /// the array and its sorted orders, which the first build computes.
@@ -147,7 +150,7 @@ pub struct BatchApplied {
 }
 
 struct StoreInner {
-    base_r: Arc<Vec<Point>>,
+    base_r: Arc<PointSet>,
     base_s: Arc<PointSet>,
     /// Dead base `S` ids accumulated by incremental compactions (see
     /// [`DatasetSnapshot::s_dead`]); purged by a full compaction.
@@ -206,13 +209,13 @@ impl DatasetStore {
     /// A store whose first epoch's base snapshot is `(r, s)`.
     ///
     /// # Panics
-    /// Panics if `s` is not a valid [`PointSet`] (a non-finite
+    /// Panics if `r` or `s` is not a valid [`PointSet`] (a non-finite
     /// coordinate, more than `u32::MAX` points).
     pub fn new(r: Vec<Point>, s: Vec<Point>) -> Self {
         let delta = DeltaSet::for_base(r.len(), s.len());
         DatasetStore {
             inner: RwLock::new(StoreInner {
-                base_r: Arc::new(r),
+                base_r: Arc::new(PointSet::new(r)),
                 base_s: Arc::new(PointSet::new(s)),
                 s_dead: Arc::new(HashSet::new()),
                 delta,
@@ -495,7 +498,7 @@ impl DatasetStore {
             // S untouched: the new epoch shares the very same allocation.
             Arc::clone(&inner.base_s)
         };
-        inner.base_r = Arc::new(new_r);
+        inner.base_r = new_r;
         inner.base_s = new_s;
         inner.s_dead = Arc::new(HashSet::new());
         inner.delta = DeltaSet::for_base(inner.base_r.len(), inner.base_s.len());
@@ -552,7 +555,7 @@ impl DatasetStore {
             dead.extend(s_deleted.iter().copied());
             inner.s_dead = Arc::new(dead);
         }
-        inner.base_r = Arc::new(new_r);
+        inner.base_r = new_r;
         inner.base_s = new_s;
         inner.delta = DeltaSet::for_base(inner.base_r.len(), inner.base_s.len());
         inner.epoch += 1;
@@ -575,8 +578,12 @@ impl DatasetStore {
         result
     }
 
-    /// Live `R` fold: base survivors in id order, then live inserts.
-    fn fold_r(inner: &StoreInner) -> Vec<Point> {
+    /// Live `R` fold: base survivors in id order, then live inserts —
+    /// the very same set when nothing of `R` is pending.
+    fn fold_r(inner: &StoreInner) -> Arc<PointSet> {
+        if inner.delta.r_inserted.is_empty() && inner.delta.r_deleted.is_empty() {
+            return Arc::clone(&inner.base_r);
+        }
         let mut v = Vec::with_capacity(inner.delta.live_r_len());
         for (i, &p) in inner.base_r.iter().enumerate() {
             if !inner.delta.r_deleted.contains(&(i as PointId)) {
@@ -592,7 +599,7 @@ impl DatasetStore {
                 v.push(p);
             }
         }
-        v
+        Arc::new(PointSet::new(v))
     }
 }
 
@@ -633,7 +640,7 @@ mod tests {
         assert_eq!(snap.epoch, 1);
         assert_eq!(store.epoch(), 1);
         assert_eq!(
-            snap.base_r.as_slice(),
+            snap.base_r.points(),
             &[p(0.0, 0.0), p(2.0, 2.0), p(3.0, 3.0)]
         );
         assert!(snap.delta.is_empty());
@@ -659,6 +666,25 @@ mod tests {
         assert!(!s_changed);
         assert!(Arc::ptr_eq(&before.base_s, &after.base_s));
         assert!(!Arc::ptr_eq(&before.base_r, &after.base_r));
+    }
+
+    #[test]
+    fn unchanged_r_shares_the_set_across_epochs() {
+        let store = DatasetStore::new(vec![p(0.0, 0.0)], vec![p(1.0, 1.0)]);
+        let before = store.snapshot();
+        store.insert_s(p(2.0, 2.0));
+        let (after, s_changed) = store.compact();
+        assert!(s_changed);
+        assert!(Arc::ptr_eq(&before.base_r, &after.base_r));
+        store.delete_s(0);
+        let (after, _) = store.compact_incremental();
+        assert!(Arc::ptr_eq(&before.base_r, &after.base_r));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite coordinates")]
+    fn a_non_finite_r_is_refused() {
+        DatasetStore::new(vec![p(f64::NAN, 0.0)], vec![]);
     }
 
     #[test]
@@ -730,7 +756,7 @@ mod tests {
         assert!(patch.deleted.contains(&1));
 
         // R renumbered (live base then live inserts)…
-        assert_eq!(snap.base_r.as_slice(), &[p(1.0, 1.0), p(2.0, 2.0)]);
+        assert_eq!(snap.base_r.points(), &[p(1.0, 1.0), p(2.0, 2.0)]);
         // …but S appended with stable ids: id 3 still resolves to the
         // inserted point, id 1 is dead but still resolvable.
         assert_eq!(snap.base_s[3], p(13.0, 13.0));

@@ -11,7 +11,7 @@ use srj_core::{
     SampleError,
 };
 use srj_geom::Point;
-use srj_grid::{Grid, IntoPointSet};
+use srj_grid::{Grid, IntoPointSet, PointSet};
 
 use crate::family::{self, EngineIndex, RowGranularity, ServingCursor};
 use crate::stats::{EngineStats, StatsSnapshot};
@@ -92,17 +92,18 @@ const _: () = {
 impl Engine {
     /// Builds the index for `algorithm` once and wraps it for serving.
     ///
-    /// Here and in the other build entry points `s` is a slice, which
-    /// the index copies, or an `Arc<PointSet>`, which it shares — with
-    /// every other engine built on that set, whatever its window size:
-    /// one point array, sorted once.
+    /// Here and in the other build entry points `r` and `s` are each a
+    /// slice, which the index copies once, or an `Arc<PointSet>`, which
+    /// it shares — with every other engine built on that set, whatever
+    /// its window size: one point array, sorted once.
     pub fn build(
-        r: &[Point],
+        r: impl IntoPointSet,
         s: impl IntoPointSet,
         config: &SampleConfig,
         algorithm: Algorithm,
     ) -> Engine {
-        let index = family::build(r, s.into_point_set(), config, Some(algorithm));
+        let r = r.into_point_set();
+        let index = family::build(&r, s.into_point_set(), config, Some(algorithm));
         Engine::from_index(index)
     }
 
@@ -113,8 +114,9 @@ impl Engine {
     /// probe of the §III-B bound picks ([`Engine::row_granularity`]).
     /// Never [`Algorithm::KdsRejection`], the paper's baseline; force it
     /// with [`Engine::build`].
-    pub fn auto(r: &[Point], s: impl IntoPointSet, config: &SampleConfig) -> Engine {
-        Engine::from_index(family::build(r, s.into_point_set(), config, None))
+    pub fn auto(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Engine {
+        let r = r.into_point_set();
+        Engine::from_index(family::build(&r, s.into_point_set(), config, None))
     }
 
     /// Wraps this engine's index in a delta [`srj_core::OverlayIndex`], producing
@@ -157,9 +159,13 @@ impl Engine {
     /// Returns `None` for overlay engines (rebuild from the epoch base
     /// instead). The caller must guarantee `S` is unchanged and
     /// `config` matches the original build (`build_shared` asserts the
-    /// structural parts).
-    pub fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Engine> {
-        let index = self.shared.index.rebuild_r_only(r, config)?;
+    /// structural parts). `r` is a slice or a shared set, as in
+    /// [`Engine::build`].
+    pub fn rebuild_r_only(&self, r: impl IntoPointSet, config: &SampleConfig) -> Option<Engine> {
+        let index = self
+            .shared
+            .index
+            .rebuild_r_only(&r.into_point_set(), config)?;
         Some(Engine::from_index(index))
     }
 
@@ -177,15 +183,16 @@ impl Engine {
     /// cells)` S-side work instead of `O(|S|)`.
     pub fn rebuild_with_s_patch(
         &self,
-        r: &[Point],
+        r: impl IntoPointSet,
         config: &SampleConfig,
         inserted_s: &[Point],
         deleted_s: &std::collections::HashSet<srj_geom::PointId>,
     ) -> Option<(Engine, CellPatchReport)> {
+        let r = r.into_point_set();
         let (index, report) = self
             .shared
             .index
-            .rebuild_with_s_patch(r, config, inserted_s, deleted_s)?;
+            .rebuild_with_s_patch(&r, config, inserted_s, deleted_s)?;
         Some((Engine::from_index(index), report))
     }
 
@@ -261,9 +268,10 @@ impl Engine {
         self.memory_breakdown().total()
     }
 
-    /// [`Engine::memory_bytes`] by structure: the per-`r` rows, the
-    /// alias tables, the grid, the per-cell units, the point set and,
-    /// for an overlay engine, its pending mutations.
+    /// [`Engine::memory_bytes`] by structure: the `R` set the index
+    /// stands on (with a group index's permutation of it), the per-`r`
+    /// rows, the alias tables, the grid, the per-cell units, the point
+    /// set of `S` and, for an overlay engine, its pending mutations.
     pub fn memory_breakdown(&self) -> IndexBytes {
         self.shared.index.index_bytes()
     }
@@ -316,6 +324,15 @@ impl Engine {
     /// engines counts them once per set. `None` for overlay engines.
     pub fn s_grid(&self) -> Option<Arc<Grid>> {
         self.shared.index.s_grid()
+    }
+
+    /// The `R` set the full build stands on (an overlay's base's): the
+    /// set it was built or rebuilt on, held, not copied. Engines over
+    /// one epoch of a store share it, and [`Engine::memory_bytes`] of
+    /// each includes it, so a sum over engines counts it once per set.
+    #[doc(hidden)]
+    pub fn r_set(&self) -> Arc<PointSet> {
+        self.shared.index.r_set()
     }
 }
 

@@ -266,7 +266,7 @@ impl EpochEngine {
         if !snap.delta.is_empty() {
             // The store already carried mutations: serve them through
             // an overlay from the start.
-            let support = Self::support_on(&state.base, &snap).extended(&snap.delta);
+            let support = Self::support_on(&state.base).extended(&snap.delta);
             state.current = state.base.with_overlay(snap.delta, &support, config);
             state.support = Some(Arc::new(support));
         }
@@ -294,10 +294,10 @@ impl EpochEngine {
 
     /// The overlay support of an epoch: the grid of `S` its full build
     /// `base` stands on — dead ids already out of every cell — and a
-    /// grid of `snap`'s base `R`.
-    fn support_on(base: &Engine, snap: &DatasetSnapshot) -> OverlaySupport {
+    /// grid on the `R` set it stands on, the epoch's.
+    fn support_on(base: &Engine) -> OverlaySupport {
         let s_grid = base.s_grid().expect("an epoch's base is a full build");
-        OverlaySupport::on_grid(&snap.base_r, s_grid)
+        OverlaySupport::on_grid(&base.r_set(), s_grid)
     }
 
     /// The shared mutable dataset.
@@ -450,18 +450,19 @@ impl EpochEngine {
     }
 
     /// The serving engine's heap bytes by structure
-    /// ([`Engine::memory_breakdown`]), and the base `S` point set they
-    /// include. Engines over one store — one per window size — stand on
-    /// the same set, so whoever adds engines up counts it once. Walks
-    /// the index outside the state lock (and only the first time: a
-    /// full build remembers its size).
-    pub fn memory_breakdown(&self) -> (IndexBytes, Arc<PointSet>) {
+    /// ([`Engine::memory_breakdown`]), and the base `R` and `S` point
+    /// sets they include, in that order. Engines over one store — one
+    /// per window size — stand on the same two sets, so whoever adds
+    /// engines up counts each once. Walks the index outside the state
+    /// lock.
+    pub fn memory_breakdown(&self) -> (IndexBytes, [Arc<PointSet>; 2]) {
         let (current, base) = {
             let st = self.state.read().expect("epoch state poisoned");
             (st.current.clone(), st.base.clone())
         };
         let grid = base.s_grid().expect("a full build has a grid of S");
-        (current.memory_breakdown(), Arc::clone(grid.point_set()))
+        let sets = [base.r_set(), Arc::clone(grid.point_set())];
+        (current.memory_breakdown(), sets)
     }
 
     /// Minor swaps so far (overlay snapshot replaced). This and the
@@ -702,7 +703,7 @@ impl EpochEngine {
             return self.major_swap();
         }
         let support = support
-            .unwrap_or_else(|| Arc::new(Self::support_on(&base, &snap)))
+            .unwrap_or_else(|| Arc::new(Self::support_on(&base)))
             .extended(&snap.delta);
         let (epoch, version) = (snap.epoch, snap.version);
         let pending_ops = snap.delta.pending_ops();

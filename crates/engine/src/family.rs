@@ -18,6 +18,11 @@
 //! ([`Family::build_s`]). The epoch asks that grid ([`Family::grid`])
 //! the rest of what it needs of `S`: the cell count, the cells a patch
 //! would dirty, and what an overlay's rows of inserted `R` rank into.
+//!
+//! `R` is a [`PointSet`] too, held once: every index — one per window
+//! size, and every rebuild — stands on the set it is handed
+//! ([`Family::r_set`]), so the engines over one epoch of a store share
+//! the store's.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -76,8 +81,11 @@ trait Family: SamplerIndex + Sized + 'static {
     /// what it cost beyond the grid.
     fn build_s(grid: Arc<Grid>, config: &SampleConfig) -> (Self::SSide, PhaseReport);
 
-    /// The per-`r` pass over a ready `S`-side.
-    fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self;
+    /// The per-`r` pass over a ready `S`-side; the index keeps `r`.
+    fn build_on(r: &Arc<PointSet>, s_side: &Self::SSide, config: &SampleConfig) -> Self;
+
+    /// The `R` set this index stands on.
+    fn r_set(&self) -> &Arc<PointSet>;
 
     /// The `S`-side this index stands on.
     fn s_side(&self) -> Self::SSide;
@@ -116,8 +124,12 @@ impl Family for KdsIndex {
         (s_cells, report)
     }
 
-    fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
+    fn build_on(r: &Arc<PointSet>, s_side: &Self::SSide, config: &SampleConfig) -> Self {
         KdsIndex::build_shared(r, Arc::clone(s_side), config)
+    }
+
+    fn r_set(&self) -> &Arc<PointSet> {
+        KdsIndex::r_set(self)
     }
 
     fn s_side(&self) -> Self::SSide {
@@ -150,8 +162,12 @@ impl Family for KdsRejectionIndex {
         <KdsIndex as Family>::build_s(grid, config)
     }
 
-    fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
+    fn build_on(r: &Arc<PointSet>, s_side: &Self::SSide, config: &SampleConfig) -> Self {
         KdsRejectionIndex::build_shared(r, Arc::clone(s_side), config)
+    }
+
+    fn r_set(&self) -> &Arc<PointSet> {
+        KdsRejectionIndex::r_set(self)
     }
 
     fn s_side(&self) -> Self::SSide {
@@ -190,8 +206,12 @@ impl Family for BbstIndex {
         (s_side, report)
     }
 
-    fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
+    fn build_on(r: &Arc<PointSet>, s_side: &Self::SSide, config: &SampleConfig) -> Self {
         BbstIndex::build_shared(r, config, s_side)
+    }
+
+    fn r_set(&self) -> &Arc<PointSet> {
+        BbstIndex::r_set(self)
     }
 
     fn s_side(&self) -> Self::SSide {
@@ -225,8 +245,12 @@ impl Family for GroupIndex {
         (grid, PhaseReport::default())
     }
 
-    fn build_on(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
+    fn build_on(r: &Arc<PointSet>, s_side: &Self::SSide, config: &SampleConfig) -> Self {
         GroupIndex::build_on_grid(r, Arc::clone(s_side), config)
+    }
+
+    fn r_set(&self) -> &Arc<PointSet> {
+        GroupIndex::r_set(self)
     }
 
     fn s_side(&self) -> Self::SSide {
@@ -262,12 +286,12 @@ impl Family for GroupIndex {
     }
 }
 
-/// Builds an engine's index over `r`, and is the one place its grid of
-/// `S` is built: the sorts of `S` (none if the set already holds them)
-/// are charged to pre-processing, the grid to grid mapping. With no
-/// `algorithm` the data picks one ([`unforced`]).
+/// Builds an engine's index over `r`, which it keeps, and is the one
+/// place its grid of `S` is built: the sorts of `S` (none if the set
+/// already holds them) are charged to pre-processing, the grid to grid
+/// mapping. With no `algorithm` the data picks one ([`unforced`]).
 pub(crate) fn build(
-    r: &[Point],
+    r: &Arc<PointSet>,
     s: Arc<PointSet>,
     config: &SampleConfig,
     algorithm: Option<Algorithm>,
@@ -345,7 +369,7 @@ const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
 /// build take it identically. Rebuilds over a new `R` or a patched `S`
 /// keep the granularity of the full build they derive from.
 fn build_bbst(
-    r: &[Point],
+    r: &Arc<PointSet>,
     grid: Arc<Grid>,
     config: &SampleConfig,
     base: PhaseReport,
@@ -387,7 +411,7 @@ fn probe_acceptance(index: &GroupIndex) -> f64 {
 /// Family `F` over `grid`; `base` is what this build spent before the
 /// family's `S`-side.
 fn build_family<F: Family>(
-    r: &[Point],
+    r: &Arc<PointSet>,
     grid: Arc<Grid>,
     config: &SampleConfig,
     base: PhaseReport,
@@ -398,7 +422,7 @@ fn build_family<F: Family>(
         grid_mapping: base.grid_mapping + s_report.grid_mapping,
         ..base
     };
-    Built::full(F::build_on(r, &s_side, config), report, r.len())
+    Built::full(F::build_on(r, &s_side, config), report)
 }
 
 /// The object-safe face of a built index: what [`crate::Engine`] asks
@@ -423,10 +447,16 @@ pub(crate) trait EngineIndex: Send + Sync {
         support: &OverlaySupport,
         config: &SampleConfig,
     ) -> Box<dyn EngineIndex>;
-    fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Box<dyn EngineIndex>>;
+    /// The `R` set the full build stands on.
+    fn r_set(&self) -> Arc<PointSet>;
+    fn rebuild_r_only(
+        &self,
+        r: &Arc<PointSet>,
+        config: &SampleConfig,
+    ) -> Option<Box<dyn EngineIndex>>;
     fn rebuild_with_s_patch(
         &self,
-        r: &[Point],
+        r: &Arc<PointSet>,
         config: &SampleConfig,
         inserted_s: &[Point],
         deleted_s: &HashSet<PointId>,
@@ -442,8 +472,6 @@ struct Built<F: Family> {
     /// the per-`r` pass folded in: the sorts of `S`, the grid and the
     /// family's `S`-side. An overlay reports its base's.
     report: PhaseReport,
-    /// `|R|` of the full build.
-    r_len: usize,
     /// Pending mutations over `full`, when this is an overlay snapshot.
     overlay: Option<Arc<OverlayIndex<F>>>,
 }
@@ -451,7 +479,7 @@ struct Built<F: Family> {
 impl<F: Family> Built<F> {
     /// `index` as a full build; `base` is what was spent on it outside
     /// [`Family::build_on`].
-    fn full(index: F, base: PhaseReport, r_len: usize) -> Self {
+    fn full(index: F, base: PhaseReport) -> Self {
         let own = index.index_build_report();
         let report = PhaseReport {
             preprocessing: base.preprocessing + own.preprocessing,
@@ -463,16 +491,19 @@ impl<F: Family> Built<F> {
         Built {
             full: Arc::new(index),
             report,
-            r_len,
             overlay: None,
         }
     }
 
     /// A rebuild of this family over `r` on `s_side`, which this build
     /// did not pay for.
-    fn rebuilt(r: &[Point], s_side: &F::SSide, config: &SampleConfig) -> Box<dyn EngineIndex> {
+    fn rebuilt(
+        r: &Arc<PointSet>,
+        s_side: &F::SSide,
+        config: &SampleConfig,
+    ) -> Box<dyn EngineIndex> {
         let index = F::build_on(r, s_side, config);
-        Built::full(index, PhaseReport::default(), r.len()).boxed()
+        Built::full(index, PhaseReport::default()).boxed()
     }
 
     fn boxed(self) -> Box<dyn EngineIndex> {
@@ -536,7 +567,7 @@ impl<F: Family> EngineIndex for Built<F> {
     }
 
     fn row_count(&self) -> usize {
-        self.full.group_rows().unwrap_or(self.r_len)
+        self.full.group_rows().unwrap_or(self.full.r_set().len())
     }
 
     fn with_overlay(
@@ -554,19 +585,26 @@ impl<F: Family> EngineIndex for Built<F> {
         Box::new(Built {
             full,
             report: self.report,
-            r_len: self.r_len,
             overlay: Some(Arc::new(overlay)),
         })
     }
 
-    fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Box<dyn EngineIndex>> {
+    fn r_set(&self) -> Arc<PointSet> {
+        Arc::clone(self.full.r_set())
+    }
+
+    fn rebuild_r_only(
+        &self,
+        r: &Arc<PointSet>,
+        config: &SampleConfig,
+    ) -> Option<Box<dyn EngineIndex>> {
         let s_side = self.structure()?.s_side();
         Some(Self::rebuilt(r, &s_side, config))
     }
 
     fn rebuild_with_s_patch(
         &self,
-        r: &[Point],
+        r: &Arc<PointSet>,
         config: &SampleConfig,
         inserted_s: &[Point],
         deleted_s: &HashSet<PointId>,

@@ -475,17 +475,23 @@ fn cell_rect(coord: (i32, i32), cell_side: f64) -> Rect {
 
 #[inline]
 fn coord_of_raw(p: Point, cell_side: f64) -> (i32, i32) {
-    let cx = (p.x / cell_side).floor();
-    let cy = (p.y / cell_side).floor();
-    debug_assert!(
-        cx >= i32::MIN as f64 && cx <= i32::MAX as f64,
-        "cell x coordinate overflow"
-    );
-    debug_assert!(
-        cy >= i32::MIN as f64 && cy <= i32::MAX as f64,
-        "cell y coordinate overflow"
-    );
-    (cx as i32, cy as i32)
+    let (qx, qy) = (p.x / cell_side, p.y / cell_side);
+    // `floor(q)` lies in `i32` iff `q` does in `[i32::MIN, i32::MAX + 1)`.
+    let fits = |q: f64| q >= i32::MIN as f64 && q < i32::MAX as f64 + 1.0;
+    debug_assert!(fits(qx), "cell x coordinate overflow");
+    debug_assert!(fits(qy), "cell y coordinate overflow");
+    (floor_i32(qx), floor_i32(qy))
+}
+
+/// `q.floor() as i32`, without the `floor` call (a libm call on
+/// baseline x86-64): the saturating truncation, less one where it
+/// rounded up — below zero, truncation is a ceiling. Equal to
+/// `q.floor() as i32` for every `f64`: NaN gives 0, and values beyond
+/// `i32` saturate.
+#[inline]
+fn floor_i32(q: f64) -> i32 {
+    let t = q as i32;
+    t.saturating_sub(((t as f64) > q) as i32)
 }
 
 #[cfg(test)]
@@ -504,6 +510,74 @@ mod tests {
         (0..n)
             .map(|_| Point::new(next() * 100.0, next() * 100.0))
             .collect()
+    }
+
+    /// `floor_i32` is `floor() as i32` on every `f64`: the edge values,
+    /// `±2³¹ ± ½`, random bit patterns, and the decimal lattices of the
+    /// rounding probes (`tests/rounding_probes.rs`), computed and parsed,
+    /// over the window sizes that put them on cell boundaries.
+    #[test]
+    fn integer_floor_is_floor_as_i32() {
+        let check = |q: f64| {
+            assert_eq!(floor_i32(q), q.floor() as i32, "{q:e} = {:#x}", q.to_bits());
+        };
+        let two31 = 2f64.powi(31);
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        for q in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            below_one,
+            -below_one,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            two31,
+            -two31,
+            two31 - 1.0,
+            -two31 - 1.0,
+            two31 + 0.5,
+            two31 - 0.5,
+            -two31 + 0.5,
+            -two31 - 0.5,
+            two31 - 1.5,
+            -two31 + 1.5,
+            2f64.powi(52) + 1.0,
+            -(2f64.powi(52) + 1.0),
+        ] {
+            check(q);
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..1_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            check(f64::from_bits(state));
+        }
+        let parsed = |k: i32| -> f64 {
+            let sign = if k < 0 { "-" } else { "" };
+            let k = k.unsigned_abs();
+            format!("{sign}{}.{}", k / 10, k % 10).parse().unwrap()
+        };
+        for l in [0.1, 0.3, 7.0, 1e-3, 50.0] {
+            for k in -600..600 {
+                for x in [k as f64 * 0.1, parsed(k)] {
+                    for q in [x / l, (x - l) / l, (x + l) / l] {
+                        check(q);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

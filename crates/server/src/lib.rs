@@ -203,7 +203,7 @@ mod tests {
             let series = format!("srj_maintenance_total{{dataset=\"9\",rung=\"{rung}\"}}");
             assert!(text.contains(&series), "missing {series:?} in:\n{text}");
         }
-        // Memory by structure; every family keeps its own copy of `R`.
+        // Memory by structure; `R` is the dataset's one set, 16 B a point.
         for structure in srj_core::IndexBytes::default()
             .parts()
             .map(|(name, _)| name)
@@ -249,8 +249,9 @@ mod tests {
         assert!(client.trace(u64::MAX - 1).unwrap().is_empty());
 
         // A second window size is a second engine over the same base:
-        // its rows and copy of `R` add up, the point set they share —
-        // 300 points, 16 B each and two `u32` orders — counts once.
+        // its rows add up, the sets they share count once — `R`, 200
+        // points of 16 B (KDS keeps no permutation of it), and `S`,
+        // 300 points, 16 B each and two `u32` orders.
         let second = SampleRequest {
             req_id: 1,
             dataset: 9,
@@ -263,7 +264,7 @@ mod tests {
         assert_eq!(client.sample(second).unwrap().status, RequestStatus::Ok);
         let text = client.metrics().unwrap();
         for series in [
-            "structure=\"r_points\"} 6400\n",
+            "structure=\"r_points\"} 3200\n",
             "structure=\"point_set\"} 7200\n",
             "granularity=\"per_r\"} 400\n",
         ] {

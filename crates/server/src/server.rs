@@ -432,16 +432,23 @@ impl ServedDataset {
         let mut sets_seen = Vec::new();
         for (_, e) in engines.iter() {
             if with_memory {
-                let (bytes, set) = e.memory_breakdown();
+                let (bytes, sets) = e.memory_breakdown();
                 out.index_bytes = out.index_bytes + bytes;
                 let engine = e.engine();
                 out.index_rows[engine.row_granularity() as usize] += engine.row_count();
-                // Window sizes over one base stand on one point set.
-                if sets_seen.contains(&Arc::as_ptr(&set)) {
-                    out.index_bytes.point_set -= set.memory_bytes();
-                } else {
-                    sets_seen.push(Arc::as_ptr(&set));
-                }
+                // Window sizes over one base stand on one `R` set and one
+                // `S` set: a set an earlier engine counted comes off.
+                let [r_again, s_again] = sets.map(|set| {
+                    let ptr = Arc::as_ptr(&set);
+                    if sets_seen.contains(&ptr) {
+                        set.memory_bytes()
+                    } else {
+                        sets_seen.push(ptr);
+                        0
+                    }
+                });
+                out.index_bytes.r_points -= r_again;
+                out.index_bytes.point_set -= s_again;
             }
             let s = e.maintenance_snapshot();
             out.last_swap_ns = out.last_swap_ns.max(s.last_swap_ns);
@@ -464,7 +471,8 @@ struct MaintenanceStats {
     /// epoch for the `srj_epoch` gauge).
     engines: usize,
     /// Heap bytes of the serving indexes by structure, a point set
-    /// several engines share counted once (memory walk only).
+    /// several engines share — of `R` or of `S` — counted once (memory
+    /// walk only).
     index_bytes: IndexBytes,
     /// Rows of the serving indexes' full builds, in
     /// [`RowGranularity::ALL`] order (memory walk only).

@@ -126,7 +126,7 @@ fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
         // each beside a point of the other, and one more live S point
         // deleted. Its rows of inserted R rank into the base's grid of
         // S, where the dead ids are in no cell.
-        let base_point_set = engine.memory_breakdown().0.point_set;
+        let base_bytes = engine.memory_breakdown().0;
         engine.insert_r(Point::new(s[10].x + 0.1, s[10].y));
         engine.insert_r(Point::new(s[20].x, s[20].y + 0.1));
         engine.insert_s(Point::new(snap.base_r[1].x + 0.1, snap.base_r[1].y));
@@ -143,12 +143,19 @@ fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
         let what = format!("{algo} overlay after a patch");
         draw_and_check(&engine, l, 10 + seed, &what);
         draw_batches_and_check(&engine, l, 11 + seed, &what);
-        // The support adds its grid of base R and nothing of S.
-        let overlay_point_set = engine.memory_breakdown().0.point_set;
+        // The support adds the cells of a grid of base R and nothing of
+        // S. That grid stands on the epoch's R set, not a copy: the set's
+        // two orders, computed for it and kept in the set, are all it
+        // adds to what the base counts as `R`.
+        let overlay_bytes = engine.memory_breakdown().0;
         assert_eq!(
-            overlay_point_set - base_point_set,
-            16 * snap.base_r.len(),
-            "{what}: the overlay counts a grid of S of its own"
+            overlay_bytes.point_set, base_bytes.point_set,
+            "{what}: the overlay counts a point set of its own"
+        );
+        assert_eq!(
+            overlay_bytes.r_points - base_bytes.r_points,
+            8 * snap.base_r.len(),
+            "{what}: the overlay counts R other than by its orders"
         );
     }
 }

@@ -350,6 +350,72 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
     ));
 }
 
+/// `R` is held once per epoch: engines of two window sizes over one
+/// store stand on the store's `R` set itself, and an `R`-only rebuild,
+/// a patch swap and a full rebuild each stand on the set of the epoch
+/// they commit — in every family.
+#[test]
+fn window_sizes_over_one_store_share_one_r_set() {
+    for algorithm in [Algorithm::Bbst, Algorithm::Kds, Algorithm::KdsRejection] {
+        let store = Arc::new(DatasetStore::new(
+            pseudo_points(300, 21, 50.0),
+            pseudo_points(400, 22, 50.0),
+        ));
+        let cfg = EpochConfig::default()
+            .with_algorithm(algorithm)
+            .with_rebuild_fraction(1e-4);
+        let narrow = EpochEngine::with_store(Arc::clone(&store), &SampleConfig::new(2.0), cfg);
+        let wide = EpochEngine::with_store(Arc::clone(&store), &SampleConfig::new(3.5), cfg);
+        let first = store.snapshot().base_r;
+        let stands_on_the_store_set = |engine: &EpochEngine, what: &str| {
+            let set = engine.engine().r_set();
+            assert!(
+                Arc::ptr_eq(&set, &store.snapshot().base_r),
+                "{algorithm} {what}: not the epoch's R set"
+            );
+            set
+        };
+        let set = stands_on_the_store_set(&narrow, "first build");
+        assert!(Arc::ptr_eq(&set, &first));
+        assert!(Arc::ptr_eq(&wide.engine().r_set(), &set), "{algorithm}");
+
+        // An `R`-only rebuild keeps the grid of `S` and takes the new
+        // epoch's `R`.
+        let grid = narrow.engine().s_grid().unwrap();
+        narrow.insert_r(Point::new(10.0, 10.0));
+        narrow.refresh();
+        assert!(Arc::ptr_eq(&narrow.engine().s_grid().unwrap(), &grid));
+        let r_only = stands_on_the_store_set(&narrow, "R-only rebuild");
+        assert!(!Arc::ptr_eq(&r_only, &first) && r_only.len() == first.len() + 1);
+        assert_membership(&narrow, 2.0);
+
+        // A patch swap folds only `S`: the epoch keeps the `R` set.
+        narrow.insert_s(Point::new(11.0, 10.5));
+        narrow.refresh();
+        assert_eq!(narrow.patch_swaps(), 1, "{algorithm}");
+        let patched = stands_on_the_store_set(&narrow, "patch swap");
+        assert!(
+            Arc::ptr_eq(&patched, &r_only),
+            "{algorithm}: a patch swap copied the R it left alone"
+        );
+        assert_membership(&narrow, 2.0);
+
+        // A compaction from outside forces the full path.
+        narrow.insert_r(Point::new(20.0, 20.0));
+        store.compact();
+        narrow.refresh();
+        assert!(!Arc::ptr_eq(&narrow.engine().s_grid().unwrap(), &grid));
+        let full = stands_on_the_store_set(&narrow, "full rebuild");
+        assert!(!Arc::ptr_eq(&full, &patched) && full.len() == patched.len() + 1);
+        assert_membership(&narrow, 2.0);
+
+        // The other window size catches up onto the same set.
+        wide.refresh();
+        stands_on_the_store_set(&wide, "sibling rebuild");
+        assert_membership(&wide, 3.5);
+    }
+}
+
 /// Two cache misses on two window sizes at the same moment: one of the
 /// two builds sorts the base, the other waits for it and sorts nothing.
 #[test]
@@ -595,11 +661,12 @@ fn every_family_and_overlay_is_one_index_shape() {
 
             // Memory by structure: the parts are the whole; a clean
             // index keeps one forty-byte row per `r` (KDS-rejection
-            // one `f64`) and its copy of `R` — or per group of `R`
-            // one forty-byte row and its nine four-byte cell slots,
-            // `R` and its indices in group order, and no per-cell
-            // units; pending mutations add to the overlay's own entries and
-            // to nothing of the base's.
+            // one `f64`) and stands on the `R` set, 16 B a point (a
+            // slice came in: a set of its own, no orders) — or per group
+            // of `R` one forty-byte row and its nine four-byte cell
+            // slots, beside the set `R`'s indices in group order, and no
+            // per-cell units; pending mutations add to the overlay's own
+            // entries and to nothing of the base's.
             let bytes = engine.memory_breakdown();
             assert_eq!(bytes.total(), engine.memory_bytes(), "{what}");
             let clean = base.memory_breakdown();
@@ -608,7 +675,7 @@ fn every_family_and_overlay_is_one_index_shape() {
                 assert!(row_count < r.len() / 4, "{what}: {row_count} rows");
                 assert_eq!(clean.rows, (40 + 36) * row_count, "{what}");
                 let group_bounds = 4 * (row_count + 1);
-                assert_eq!(clean.r_points, 20 * r.len() + group_bounds, "{what}");
+                assert_eq!(clean.r_points, (16 + 4) * r.len() + group_bounds, "{what}");
                 assert_eq!(clean.units, 0, "{what}");
             } else {
                 let per_r = if algo == Algorithm::KdsRejection {
