@@ -285,6 +285,23 @@ impl std::ops::Add for IndexBytes {
     }
 }
 
+impl std::ops::Sub for IndexBytes {
+    type Output = IndexBytes;
+
+    /// Field by field; `other` must be a part of `self`.
+    fn sub(self, other: IndexBytes) -> IndexBytes {
+        IndexBytes {
+            r_points: self.r_points - other.r_points,
+            rows: self.rows - other.rows,
+            alias: self.alias - other.alias,
+            grid: self.grid - other.grid,
+            units: self.units - other.units,
+            point_set: self.point_set - other.point_set,
+            delta: self.delta - other.delta,
+        }
+    }
+}
+
 /// What [`Cursor::drain_buffer_stats`] returns: `hits` is always 0.
 /// Reserved for `benchmark/src/layers.rs`; ROADMAP 3(d) deletes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -2,7 +2,9 @@
 //! ([`GroupIndex`]). Every `r` of a cell sees the same 3×3 block, so the
 //! group pass ([`block_rows`]) resolves each block once — its nine cell
 //! populations and its nine cells' grid slots — and a draw reads both
-//! off the group's rows: the grid's hash is read only at build.
+//! off the group's rows: the grid's hash is read only at build. The
+//! rows ([`GroupCore`]) do not depend on the window, only on the cell
+//! side, so any window up to that side can stand on them.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,12 +58,16 @@ pub(crate) fn block_rows<'a>(
 /// The §III-B bound `µ(r)` — the population of the 3×3 block around
 /// `r`'s cell — is a property of the cell, so all of a cell's `r` share
 /// one [`BlockRow`] (the block's nine cell populations) and one slot row
-/// (the block's nine cells' grid slots). The index is the shared
-/// [`PointSet`]s of `S` and of `R`, a scatter-built [`Grid`] on the
-/// first, the members of each group as indices into the second (4 B per
-/// `r`: `R` itself is not copied), the rows, and one alias over
-/// `|R_g| · µ_g`: an `O(n + m)` build with a hash probe per point as its
-/// most expensive step — the only hash probes the index ever makes.
+/// (the block's nine cells' grid slots). The rows are a [`GroupCore`]:
+/// the shared [`PointSet`]s of `S` and of `R`, a scatter-built [`Grid`]
+/// on the first, the members of each group as indices into the second
+/// (4 B per `r`: `R` itself is not copied), the rows, and one alias over
+/// `|R_g| · µ_g` — an `O(n + m)` build with a hash probe per point as its
+/// most expensive step, the only hash probes the index ever makes. The
+/// window half-extent `l` enters at the window test of a draw and
+/// nowhere else, so a core whose cell side is `≥ l` serves the window
+/// exactly: its blocks cover `w(r, l)`. One core serves every window up
+/// to its side ([`GroupIndex::on_core`]).
 ///
 /// One iteration spends three words — alias → group, uniform member →
 /// `r`, uniform position in the row → part and rank — then reads the
@@ -72,12 +78,27 @@ pub(crate) fn block_rows<'a>(
 /// `J` is exactly one such position, so accepted pairs are uniform and
 /// independent (the §III-B argument) at `W / |J|` expected iterations a
 /// sample. That ratio has no guarantee: it is ≈ 9/4 on locally uniform
-/// data and close to 1 where `S` is clustered below the window size —
-/// which is when this index beats per-`r` rows ([`crate::BbstIndex`])
-/// outright; `srj-engine` measures it at build time and picks.
+/// data at a cell side of `l` and close to 1 where `S` is clustered
+/// below the window size — which is when this index beats per-`r` rows
+/// ([`crate::BbstIndex`]) outright; `srj-engine` measures it at build
+/// time and picks. A wider cell loosens the bound by the blocks' extra
+/// area.
 ///
 /// `Send + Sync`, never mutated after build.
 pub struct GroupIndex {
+    /// The rows; shared with every index on the same core.
+    core: Arc<GroupCore>,
+    config: SampleConfig,
+    build_report: PhaseReport,
+}
+
+/// What group rows are made of apart from the window: the grid of `S`,
+/// the group pass over `R` and the alias. A function of the two point
+/// sets and the cell side alone, so every [`GroupIndex`] whose window
+/// half-extent is at most the side can stand on one.
+///
+/// `Send + Sync`, never mutated after build.
+pub struct GroupCore {
     grid: Arc<Grid>,
     /// `R`, shared with every other index built on the same set.
     r: Arc<PointSet>,
@@ -94,45 +115,25 @@ pub struct GroupIndex {
     blocks: Vec<[u32; NUM_CELLS]>,
     /// Over `|R_g| · µ_g`.
     alias: Option<AliasTable>,
-    config: SampleConfig,
+    /// The group pass, as upper bounding.
     build_report: PhaseReport,
 }
 
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<GroupIndex>();
+    assert_send_sync::<GroupCore>();
 };
 
-impl GroupIndex {
-    /// Builds the grid over `s` (a slice, copied, or an `Arc<PointSet>`,
-    /// shared) and the group rows of `r` (the same) over it.
-    pub fn build(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Self {
-        let s = s.into_point_set();
-        let preprocessing = s.ensure_orders();
-        let t0 = Instant::now();
-        let grid = Arc::new(Grid::build(s, config.half_extent));
-        let grid_mapping = t0.elapsed();
-        let mut index = Self::build_on_grid(r, grid, config);
-        index.build_report.preprocessing = preprocessing;
-        index.build_report.grid_mapping = grid_mapping;
-        index
-    }
-
-    /// The group pass over a ready grid, whose build is charged to
-    /// whoever built it.
+impl GroupCore {
+    /// The group pass of `r` (a slice, copied, or an `Arc<PointSet>`,
+    /// shared) over a ready grid, whose build is charged to whoever
+    /// built it.
     ///
     /// # Panics
-    /// Panics if the grid's cell side differs from `config.half_extent`
-    /// (a window would leave its 3×3 block), or if `r` has more than
-    /// `u32::MAX` points.
-    pub fn build_on_grid(r: impl IntoPointSet, grid: Arc<Grid>, config: &SampleConfig) -> Self {
+    /// Panics if `r` has more than `u32::MAX` points.
+    pub fn build(r: impl IntoPointSet, grid: Arc<Grid>) -> Self {
         let r = r.into_point_set();
-        assert!(
-            grid.cell_side().to_bits() == config.half_extent.to_bits(),
-            "grid cell side ({}) must equal the window half-extent ({})",
-            grid.cell_side(),
-            config.half_extent
-        );
         let t0 = Instant::now();
         let groups = grid.group_by_cell(&r);
         let mut ids = Vec::with_capacity(r.len());
@@ -150,14 +151,14 @@ impl GroupIndex {
             rows.push(row);
             blocks.push(slots);
         }
-        // Exact capacities: `index_bytes` counts what is allocated.
+        // Exact capacities: `own_bytes` counts what is allocated.
         ids.shrink_to_fit();
         starts.shrink_to_fit();
         rows.shrink_to_fit();
         blocks.shrink_to_fit();
         let alias = AliasTable::new(&weights);
         let upper_bounding = t0.elapsed();
-        GroupIndex {
+        GroupCore {
             grid,
             r,
             ids,
@@ -165,7 +166,6 @@ impl GroupIndex {
             rows,
             blocks,
             alias,
-            config: *config,
             build_report: PhaseReport {
                 upper_bounding,
                 upper_bounding_cpu: upper_bounding,
@@ -174,12 +174,12 @@ impl GroupIndex {
         }
     }
 
-    /// The grid the index stands on: its whole `S`-side.
+    /// The grid the rows stand on: the whole `S`-side.
     pub fn grid(&self) -> &Arc<Grid> {
         &self.grid
     }
 
-    /// The `R` the index draws from: the set it was built on, shared.
+    /// The `R` the rows draw from: the set they were built on, shared.
     pub fn r_set(&self) -> &Arc<PointSet> {
         &self.r
     }
@@ -189,25 +189,25 @@ impl GroupIndex {
         self.rows.len()
     }
 
-    /// The rows, one per group.
-    pub fn rows(&self) -> &[BlockRow] {
-        &self.rows
+    /// What the group pass cost, as upper bounding.
+    pub fn build_report(&self) -> PhaseReport {
+        self.build_report
     }
 
-    /// The rows' cell slots, one `[slot; 9]` per group in the row's part
-    /// order ([`NO_CELL`] where the part is 0).
-    pub fn blocks(&self) -> &[[u32; NUM_CELLS]] {
-        &self.blocks
-    }
-
-    /// Group `g`'s members, as indices into [`GroupIndex::r_set`].
-    pub fn group_members(&self, g: usize) -> &[u32] {
-        &self.ids[self.starts[g] as usize..self.starts[g + 1] as usize]
-    }
-
-    /// `W = Σ_g |R_g| · µ_g = Σ_r µ(r)` under the §III-B bound.
-    pub fn mu_total(&self) -> f64 {
-        self.alias.as_ref().map_or(0.0, AliasTable::total_weight)
+    /// Heap bytes of the core beyond the two point sets it stands on —
+    /// the grid's cells and map, the permutation of `R` (as
+    /// `r_points`), the rows and the alias: what a second index on the
+    /// same core adds nothing to.
+    pub fn own_bytes(&self) -> IndexBytes {
+        let grid = IndexBytes::of_grid(&self.grid);
+        IndexBytes {
+            r_points: (self.ids.capacity() + self.starts.capacity()) * std::mem::size_of::<u32>(),
+            rows: self.rows.capacity() * std::mem::size_of::<BlockRow>()
+                + self.blocks.capacity() * std::mem::size_of::<[u32; NUM_CELLS]>(),
+            alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
+            point_set: 0,
+            ..grid
+        }
     }
 
     /// Position in `ids` of a uniform member of group `g`.
@@ -232,6 +232,108 @@ impl GroupIndex {
             "positive cell population for an empty cell"
         );
         (slot, pick.rank)
+    }
+}
+
+impl GroupIndex {
+    /// Builds the grid over `s` (a slice, copied, or an `Arc<PointSet>`,
+    /// shared) at cell side `config.half_extent` and the group rows of
+    /// `r` (the same) over it.
+    pub fn build(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Self {
+        let s = s.into_point_set();
+        let preprocessing = s.ensure_orders();
+        let t0 = Instant::now();
+        let grid = Arc::new(Grid::build(s, config.half_extent));
+        let grid_mapping = t0.elapsed();
+        let mut index = Self::build_on_grid(r, grid, config);
+        index.build_report.preprocessing = preprocessing;
+        index.build_report.grid_mapping = grid_mapping;
+        index
+    }
+
+    /// The group pass over a ready grid ([`GroupCore::build`]), whose
+    /// build is charged to whoever built it.
+    ///
+    /// # Panics
+    /// Panics if the grid's cell side is below `config.half_extent` (a
+    /// window would leave its 3×3 block), or if `r` has more than
+    /// `u32::MAX` points.
+    pub fn build_on_grid(r: impl IntoPointSet, grid: Arc<Grid>, config: &SampleConfig) -> Self {
+        Self::assert_fits(&grid, config);
+        let core = GroupCore::build(r, grid);
+        let build_report = core.build_report();
+        GroupIndex {
+            build_report,
+            ..Self::on_core(Arc::new(core), config)
+        }
+    }
+
+    /// The window `config.half_extent` over ready rows, which cost this
+    /// index nothing: its build report is empty.
+    ///
+    /// # Panics
+    /// Panics if the core's cell side is below `config.half_extent`.
+    pub fn on_core(core: Arc<GroupCore>, config: &SampleConfig) -> Self {
+        Self::assert_fits(&core.grid, config);
+        GroupIndex {
+            core,
+            config: *config,
+            build_report: PhaseReport::default(),
+        }
+    }
+
+    fn assert_fits(grid: &Grid, config: &SampleConfig) {
+        assert!(
+            grid.cell_side() >= config.half_extent,
+            "grid cell side ({}) must be at least the window half-extent ({})",
+            grid.cell_side(),
+            config.half_extent
+        );
+    }
+
+    /// The rows this index draws from, shared.
+    pub fn core(&self) -> &Arc<GroupCore> {
+        &self.core
+    }
+
+    /// The grid the index stands on: its whole `S`-side.
+    pub fn grid(&self) -> &Arc<Grid> {
+        &self.core.grid
+    }
+
+    /// The `R` the index draws from: the set it was built on, shared.
+    pub fn r_set(&self) -> &Arc<PointSet> {
+        &self.core.r
+    }
+
+    /// Number of rows: the cells of `R` whose block holds a point.
+    pub fn group_count(&self) -> usize {
+        self.core.group_count()
+    }
+
+    /// The rows, one per group.
+    pub fn rows(&self) -> &[BlockRow] {
+        &self.core.rows
+    }
+
+    /// The rows' cell slots, one `[slot; 9]` per group in the row's part
+    /// order ([`NO_CELL`] where the part is 0).
+    pub fn blocks(&self) -> &[[u32; NUM_CELLS]] {
+        &self.core.blocks
+    }
+
+    /// Group `g`'s members, as indices into [`GroupIndex::r_set`].
+    pub fn group_members(&self, g: usize) -> &[u32] {
+        let core = &self.core;
+        &core.ids[core.starts[g] as usize..core.starts[g + 1] as usize]
+    }
+
+    /// `W = Σ_g |R_g| · µ_g = Σ_r µ(r)` under the §III-B bound.
+    pub fn mu_total(&self) -> f64 {
+        self.core
+            .alias
+            .as_ref()
+            .map_or(0.0, AliasTable::total_weight)
     }
 
     /// The window test of an iteration: `r` (its index and point)
@@ -268,13 +370,14 @@ impl SamplerIndex for GroupIndex {
         _scratch: &mut (),
         stats: &mut PhaseReport,
     ) -> Result<Option<JoinPair>, SampleError> {
-        let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
+        let core = &*self.core;
+        let alias = core.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         let g = alias.sample_word(rng.next_u64());
-        let ridx = self.ids[self.member_at(g, rng.next_u64())];
-        let (slot, rank) = self.pick(g, rng.next_u64());
-        let sid = self.grid.cell(slot).by_x[rank as usize];
-        let r = (ridx, self.r[ridx as usize]);
-        Ok(self.accept(r, (sid, self.grid.point(sid)), stats))
+        let ridx = core.ids[core.member_at(g, rng.next_u64())];
+        let (slot, rank) = core.pick(g, rng.next_u64());
+        let sid = core.grid.cell(slot).by_x[rank as usize];
+        let r = (ridx, core.r[ridx as usize]);
+        Ok(self.accept(r, (sid, core.grid.point(sid)), stats))
     }
 
     /// The block kernel: the iterations of [`Self::try_draw`], up to
@@ -308,33 +411,38 @@ impl SamplerIndex for GroupIndex {
         let mut by_x: [&[PointId]; BLOCK] = [&[]; BLOCK];
         let mut sid = [0 as PointId; BLOCK];
         let mut sp = [Point::default(); BLOCK];
+        // The core's arrays as locals: they stay in registers across
+        // the stages instead of being read back off the shared core.
+        let core = &*self.core;
+        let (ids, r, grid) = (&core.ids[..], core.r.points(), &*core.grid);
         let mut left = n;
         while left > 0 {
             // Asked only while an iteration is wanted: `n = 0` is `Ok`
             // even on an empty join.
-            let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
+            let alias = core.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
             let b = left.min(BLOCK);
             alias.sample_many(rng, &mut group[..b]);
             for (i, &g) in ridx[..b].iter_mut().zip(&group[..b]) {
-                *i = self.member_at(g, rng.next_u64()) as u32;
+                *i = core.member_at(g, rng.next_u64()) as u32;
             }
             for i in &mut ridx[..b] {
-                *i = self.ids[*i as usize];
+                *i = ids[*i as usize];
             }
             for (p, &i) in rp[..b].iter_mut().zip(&ridx[..b]) {
-                *p = self.r[i as usize];
+                *p = r[i as usize];
             }
             for (p, &g) in picked[..b].iter_mut().zip(&group[..b]) {
-                *p = self.pick(g, rng.next_u64());
+                *p = core.pick(g, rng.next_u64());
             }
-            for (ids, &(slot, _)) in by_x[..b].iter_mut().zip(&picked[..b]) {
-                *ids = &self.grid.cell(slot).by_x;
+            for (members, &(slot, _)) in by_x[..b].iter_mut().zip(&picked[..b]) {
+                *members = &grid.cell(slot).by_x;
             }
-            for ((s, ids), &(_, rank)) in sid[..b].iter_mut().zip(&by_x[..b]).zip(&picked[..b]) {
-                *s = ids[rank as usize];
+            for ((s, members), &(_, rank)) in sid[..b].iter_mut().zip(&by_x[..b]).zip(&picked[..b])
+            {
+                *s = members[rank as usize];
             }
             for (p, &s) in sp[..b].iter_mut().zip(&sid[..b]) {
-                *p = self.grid.point(s);
+                *p = grid.point(s);
             }
             out.extend((0..b).map(|k| self.accept((ridx[k], rp[k]), (sid[k], sp[k]), stats)));
             left -= b;
@@ -354,14 +462,13 @@ impl SamplerIndex for GroupIndex {
         self.build_report
     }
 
+    /// The core's own bytes and the two point sets it stands on.
     fn index_bytes(&self) -> IndexBytes {
+        let own = self.core.own_bytes();
         IndexBytes {
-            r_points: self.r.memory_bytes()
-                + (self.ids.capacity() + self.starts.capacity()) * std::mem::size_of::<u32>(),
-            rows: self.rows.capacity() * std::mem::size_of::<BlockRow>()
-                + self.blocks.capacity() * std::mem::size_of::<[u32; NUM_CELLS]>(),
-            alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
-            ..IndexBytes::of_grid(&self.grid)
+            r_points: own.r_points + self.core.r.memory_bytes(),
+            point_set: self.core.grid.point_set().memory_bytes(),
+            ..own
         }
     }
 }

@@ -80,7 +80,7 @@ pub use cellstore::{
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 pub use cursor::{BufferStats, Cursor, IndexBytes, SamplerIndex};
-pub use group::{GroupCursor, GroupIndex, NO_CELL};
+pub use group::{GroupCore, GroupCursor, GroupIndex, NO_CELL};
 pub use kds::{KdsCursor, KdsIndex, KdsSampler};
 pub use materialize::JoinThenSample;
 pub use overlay::{DeltaSet, OverlayIndex, OverlaySupport};

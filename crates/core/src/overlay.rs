@@ -39,7 +39,10 @@
 //! base index; a corner cell is bounded by its population and a cross
 //! candidate by its cell, and both are tested against the window when
 //! drawn. There is no `|R⁺|·|S⁺|` term anywhere: an inserted point only
-//! ever ranks into its own block.
+//! ever ranks into its own block. Where the base grid's cell side
+//! exceeds `l` (an epoch whose group rows stand on `l`'s ladder step),
+//! no case is exact: a row's base part is the nine cell populations, as
+//! a group row's is, and every candidate is tested against the window.
 //!
 //! One iteration of a chunk is two random words — a member
 //! `∝ row total` from the chunk's alias, then a uniform position in the
@@ -297,6 +300,21 @@ fn block_coords(center: (i32, i32)) -> impl Iterator<Item = (i32, i32)> {
         .map(move |&(dx, dy)| (center.0.saturating_add(dx), center.1.saturating_add(dy)))
 }
 
+/// How the base part of a chunk row counts its member's block.
+#[derive(Clone, Copy)]
+enum RowBound {
+    /// The grid's cell side is the window half-extent: cases 1 and 2
+    /// are the exact runs of half-extent `.0` (the window's, or a few
+    /// ulps more; see [`OverlaySupport::extended`]), a corner cell its
+    /// population.
+    Exact(f64),
+    /// The cell side exceeds the window's: a window need not cover its
+    /// centre cell nor span its edge cells, so the row is the nine cell
+    /// populations of the block, as a group row is, and every candidate
+    /// is tested against the window.
+    Populations,
+}
+
 /// The inserts one swap added to one side, as a sampling source: see
 /// the module docs. Immutable; shared by every later snapshot of the
 /// epoch.
@@ -322,10 +340,9 @@ struct Chunk {
 impl Chunk {
     /// Rows and alias for `points[start..]` against the opposite side:
     /// its base grid and its insert grid below `watermark`. `dead(j)`
-    /// says whether insert `j` of this side is tombstoned. `l` is the
-    /// half-extent the rows are bounded with — the window's, or
-    /// slightly more (see [`OverlaySupport::extended`]). `None` when no
-    /// live member has a candidate.
+    /// says whether insert `j` of this side is tombstoned. `bound` is
+    /// how the base part of a row is counted ([`RowBound`]). `None`
+    /// when no live member has a candidate.
     fn build(
         points: &[Point],
         start: usize,
@@ -333,15 +350,35 @@ impl Chunk {
         opposite: &Grid,
         opposite_inserts: &InsertGrid,
         watermark: u32,
-        l: f64,
+        bound: RowBound,
     ) -> Option<Chunk> {
         let tail = &points[start..];
-        // Cases 1 and 2 exactly, a corner cell by its population: the
-        // base index's cell-major sweep with a trivial corner bound,
-        // straight into the chunk's rows; then the cross part in place.
-        let mut rows = vec![BlockRow::default(); tail.len()];
-        let population = |slot: u32, _: &_| opposite.cell(slot).len() as u64;
-        sweep_rows(opposite, tail, l, &population, &mut rows);
+        let population = |slot: u32| opposite.cell(slot).len() as u64;
+        let mut rows = match bound {
+            // Cases 1 and 2 exactly, a corner cell by its population:
+            // the base index's cell-major sweep with a trivial corner
+            // bound, straight into the chunk's rows.
+            RowBound::Exact(l) => {
+                let mut rows = vec![BlockRow::default(); tail.len()];
+                sweep_rows(
+                    opposite,
+                    tail,
+                    l,
+                    &|slot, _: &_| population(slot),
+                    &mut rows,
+                );
+                rows
+            }
+            // The nine cell populations, as a group row has them.
+            RowBound::Populations => tail
+                .iter()
+                .map(|&p| {
+                    let slots = opposite.neighborhood_slots(p);
+                    BlockRow::new(slots.map(|slot| slot.map_or(0, population)), 0)
+                })
+                .collect(),
+        };
+        // Then the cross part in place.
         for (row, &p) in rows.iter_mut().zip(tail) {
             let cross = opposite_inserts.seen_in_block(opposite.coord_of(p), watermark);
             row.add_extra(cross as u64);
@@ -351,7 +388,7 @@ impl Chunk {
         debug_assert!(
             rows.iter().zip(tail).step_by(64).all(|(row, &p)| {
                 row.total() as usize
-                    == brute_force_candidates(p, opposite, opposite_inserts, watermark, l)
+                    == brute_force_candidates(p, opposite, opposite_inserts, watermark, bound)
             }),
             "an insert row disagrees with the brute-force count over its block"
         );
@@ -401,28 +438,28 @@ impl Chunk {
 }
 
 /// What a row of `p` must total, member by member over the block: the
-/// in-window members of the centre and edge cells, every member of a
-/// corner cell, every opposite insert below the watermark.
+/// in-window members of the centre and edge cells under an exact bound,
+/// every member of every other cell, every opposite insert below the
+/// watermark.
 fn brute_force_candidates(
     p: Point,
     opposite: &Grid,
     opposite_inserts: &InsertGrid,
     watermark: u32,
-    l: f64,
+    bound: RowBound,
 ) -> usize {
-    let w = Rect::window(p, l);
     let base: usize = opposite
         .neighborhood(p)
         .iter()
         .enumerate()
         .filter_map(|(i, cell)| cell.map(|cell| (case_of(i), cell)))
-        .map(|(case, cell)| match case {
-            CellCase::Quadrant { .. } => cell.len(),
-            _ => cell
+        .map(|(case, cell)| match bound {
+            RowBound::Exact(l) if !matches!(case, CellCase::Quadrant { .. }) => cell
                 .by_x
                 .iter()
-                .filter(|&&id| w.contains(opposite.point(id)))
+                .filter(|&&id| Rect::window(p, l).contains(opposite.point(id)))
                 .count(),
+            _ => cell.len(),
         })
         .sum();
     let cross: usize = block_coords(opposite.coord_of(p))
@@ -504,15 +541,20 @@ impl InsertSide {
 }
 
 /// Per-epoch support structures for [`OverlayIndex`]: a hash grid over
-/// base `S` and one over base `R` (cell side = `l`, so a window's 3×3
+/// base `S` and one over base `R` (cell side `≥ l`, so a window's 3×3
 /// block covers it), plus the insert sources of the epoch's swaps so
 /// far. The grid of `S` is normally the epoch's own, and the grid of `R`
 /// stands on the epoch's `R` set ([`OverlaySupport::on_grid`]): only the
-/// cells of the grid of `R` are built here.
+/// cells of the grid of `R` are built here. Where the cell side is `l`
+/// itself, a chunk row counts cases 1 and 2 exactly; where it is wider
+/// (the epoch's base stands on a ladder step above `l`), a chunk row is
+/// its block's nine cell populations.
 /// [`OverlaySupport::extended`] is the `O(batch)` step from one snapshot
 /// of the epoch's delta to the next; everything it returns is
 /// `Arc`-shared with what it was called on.
 pub struct OverlaySupport {
+    /// The window half-extent the rows are for.
+    half_extent: f64,
     s_grid: Arc<Grid>,
     r_grid: Arc<Grid>,
     /// Whether the base sets were copied for this support rather than
@@ -530,6 +572,7 @@ impl OverlaySupport {
     pub fn build(base_r: &[Point], base_s: &[Point], half_extent: f64) -> Self {
         let t0 = Instant::now();
         OverlaySupport {
+            half_extent,
             s_grid: Arc::new(Grid::build(base_s, half_extent)),
             r_grid: Arc::new(Grid::build(base_r, half_extent)),
             owns_base_sets: true,
@@ -539,17 +582,26 @@ impl OverlaySupport {
         }
     }
 
-    /// A support over `s_grid` — the base build's own grid of `S`, held,
-    /// not copied — and a grid of the same cell side, which is the
-    /// window half-extent, on `base_r`: the base build's own `R` set,
-    /// whose two orders it computes once and keeps for every later grid
-    /// of it. Neither set is this support's to count. Ids the grid's
-    /// cells leave out (the dead ids a cell patch left behind) are
-    /// never a candidate.
-    pub fn on_grid(base_r: &Arc<PointSet>, s_grid: Arc<Grid>) -> Self {
+    /// A support for windows of `half_extent` over `s_grid` — the base
+    /// build's own grid of `S`, held, not copied, whose cell side is at
+    /// least `half_extent` — and a grid of the same cell side on
+    /// `base_r`: the base build's own `R` set, whose two orders it
+    /// computes once and keeps for every later grid of it. Neither set
+    /// is this support's to count. Ids the grid's cells leave out (the
+    /// dead ids a cell patch left behind) are never a candidate.
+    ///
+    /// # Panics
+    /// Panics if the grid's cell side is below `half_extent`.
+    pub fn on_grid(base_r: &Arc<PointSet>, s_grid: Arc<Grid>, half_extent: f64) -> Self {
+        assert!(
+            s_grid.cell_side() >= half_extent,
+            "overlay grid cell side ({}) is below the window half-extent ({half_extent})",
+            s_grid.cell_side()
+        );
         let t0 = Instant::now();
         let r_grid = Arc::new(Grid::build(base_r, s_grid.cell_side()));
         OverlaySupport {
+            half_extent,
             s_grid,
             r_grid,
             owns_base_sets: false,
@@ -589,7 +641,15 @@ impl OverlaySupport {
                 && self.s_side.seen <= delta.s_inserted.len(),
             "overlay support has seen inserts this delta does not hold"
         );
-        let l = self.s_grid.cell_side();
+        let l = self.half_extent;
+        let exact = self.exact_rows();
+        let bound = |l| {
+            if exact {
+                RowBound::Exact(l)
+            } else {
+                RowBound::Populations
+            }
+        };
         let (mut r_side, mut s_side) = (self.r_side.clone(), self.s_side.clone());
         r_side.drop_tombstoned(&delta.r_deleted, delta.base_r_len);
         s_side.drop_tombstoned(&delta.s_deleted, delta.base_s_len);
@@ -617,7 +677,7 @@ impl OverlaySupport {
                     &self.r_grid,
                     &r_side.grid,
                     r_side.seen as u32,
-                    wide,
+                    bound(wide),
                 )
                 .map(Arc::new),
             );
@@ -639,7 +699,7 @@ impl OverlaySupport {
                     &self.s_grid,
                     &s_side.grid,
                     s_side.seen as u32,
-                    l,
+                    bound(l),
                 )
                 .map(Arc::new),
             );
@@ -648,6 +708,7 @@ impl OverlaySupport {
             r_side.seen = delta.r_inserted.len();
         }
         OverlaySupport {
+            half_extent: self.half_extent,
             s_grid: Arc::clone(&self.s_grid),
             r_grid: Arc::clone(&self.r_grid),
             owns_base_sets: self.owns_base_sets,
@@ -655,6 +716,12 @@ impl OverlaySupport {
             r_side,
             s_side,
         }
+    }
+
+    /// Whether the grids' cell side is the window half-extent, so chunk
+    /// rows count cases 1 and 2 exactly ([`RowBound::Exact`]).
+    fn exact_rows(&self) -> bool {
+        self.s_grid.cell_side().to_bits() == self.half_extent.to_bits()
     }
 
     /// Wall-clock the grid builds took.
@@ -750,10 +817,10 @@ impl<I: SamplerIndex> OverlayIndex<I> {
         support: &OverlaySupport,
         config: &SampleConfig,
     ) -> Self {
-        let l = support.s_grid.cell_side();
+        let l = support.half_extent;
         assert!(
             l.to_bits() == config.half_extent.to_bits(),
-            "overlay support grids were built for l = {l}, config says {}",
+            "overlay support was built for l = {l}, config says {}",
             config.half_extent
         );
         let support = support.extended(&delta);
@@ -863,7 +930,7 @@ impl<I: SamplerIndex> OverlayIndex<I> {
             } else {
                 (candidate, p)
             };
-            Rect::window(rp, grid.cell_side()).contains(sp)
+            Rect::window(rp, sup.half_extent).contains(sp)
         };
         // The candidate at the picked rank, and the test `s ∈ w(r)`
         // where the row does not already guarantee it.
@@ -879,7 +946,9 @@ impl<I: SamplerIndex> OverlayIndex<I> {
                 .expect("positive row weight for an empty cell");
             let cell = grid.cell(slot);
             match case_of(pick.part) {
-                CellCase::Quadrant { .. } => {
+                // A part counted as its whole cell: a corner, or any part
+                // of a block wider than the window.
+                case if matches!(case, CellCase::Quadrant { .. }) || !sup.exact_rows() => {
                     let id = cell.by_x[rank];
                     in_window(grid.point(id)).then(|| pair(id as usize))
                 }
@@ -1160,7 +1229,7 @@ mod tests {
         let base = Arc::new(BbstIndex::build(&base_r, &base_s, &cfg));
         let s_grid = Arc::clone(base.s_structures().store().grid_arc());
         let own = OverlaySupport::build(&base_r, &base_s, l);
-        let shared = OverlaySupport::on_grid(base.r_set(), Arc::clone(&s_grid));
+        let shared = OverlaySupport::on_grid(base.r_set(), Arc::clone(&s_grid), l);
         // The one a support builds itself holds both base sets; a copy
         // of `R` made for one grid keeps no orders.
         let own_sets = s_grid.memory_bytes() + 16 * base_r.len();

@@ -1,7 +1,8 @@
 //! `GroupIndex` seen from outside: its rows are the nine cell
 //! populations of each group's block and the nine cells' slots (every
 //! member's block, not only the probed one's), every pair of the join is
-//! exactly one `(r, position)` of them, and the draw — through
+//! exactly one `(r, position)` of them — on a grid of side `l` and on
+//! any wider one — and the draw — through
 //! `Cursor::sample_batch` and the staged block kernel — is uniform over
 //! the materialised join on clustered and on locally uniform data,
 //! spends three words an iteration, is the sequential draw on the same
@@ -18,10 +19,11 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use srj_core::{
-    GroupCursor, GroupIndex, JoinPair, PhaseReport, SampleConfig, SampleError, SamplerIndex,
-    NO_CELL,
+    GroupCore, GroupCursor, GroupIndex, JoinPair, PhaseReport, SampleConfig, SampleError,
+    SamplerIndex, NO_CELL,
 };
 use srj_geom::{Point, Rect};
+use srj_grid::Grid;
 
 fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -343,6 +345,42 @@ proptest! {
         join.sort_unstable_by_key(|p| (p.r, p.s));
         reached.sort_unstable_by_key(|p| (p.r, p.s));
         prop_assert_eq!(reached, join);
+    }
+
+    /// Rows do not depend on the window: one core whose cell side is at
+    /// least `l` serves `l` exactly — for every window up to the side,
+    /// the positions that pass the window test are the join, each pair
+    /// once — and a window wider than the side is refused.
+    #[test]
+    fn one_core_serves_every_window_up_to_its_side(
+        s in lattice_points(-24..24, 0..200),
+        r in lattice_points(-40..40, 0..160),
+        side_steps in 1u32..9,
+    ) {
+        let side = side_steps as f64 * 0.5;
+        let core = Arc::new(GroupCore::build(&r, Arc::new(Grid::build(&s, side))));
+        for l in (1..=side_steps).map(|steps| steps as f64 * 0.5) {
+            let index = GroupIndex::on_core(Arc::clone(&core), &SampleConfig::new(l));
+            let grid = index.grid();
+            let mut reached = Vec::new();
+            for g in 0..index.group_count() {
+                for &ridx in index.group_members(g) {
+                    let w = Rect::window(r[ridx as usize], l);
+                    let block = grid.neighborhood_slots(r[ridx as usize]);
+                    for cell in block.into_iter().flatten().map(|slot| grid.cell(slot)) {
+                        let inside = cell.by_x.iter().filter(|&&sid| w.contains(grid.point(sid)));
+                        reached.extend(inside.map(|&sid| JoinPair::new(ridx, sid)));
+                    }
+                }
+            }
+            let mut join = join_of(&r, &s, l);
+            join.sort_unstable_by_key(|p| (p.r, p.s));
+            reached.sort_unstable_by_key(|p| (p.r, p.s));
+            prop_assert_eq!(reached, join, "l = {} on side {}", l, side);
+        }
+        let wider = SampleConfig::new(side + 0.5);
+        let refused = std::panic::catch_unwind(|| GroupIndex::on_core(Arc::clone(&core), &wider));
+        prop_assert!(refused.is_err(), "a window wider than the cell side");
     }
 
     /// What the draw relies on instead of a grid probe: every member of a

@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use srj_core::{
-    CellPatchReport, DeltaSet, IndexBytes, JoinPair, OverlaySupport, PhaseReport, SampleConfig,
-    SampleError,
+    CellPatchReport, DeltaSet, GroupCore, IndexBytes, JoinPair, OverlaySupport, PhaseReport,
+    SampleConfig, SampleError,
 };
 use srj_geom::Point;
 use srj_grid::{Grid, IntoPointSet, PointSet};
@@ -103,7 +103,7 @@ impl Engine {
         algorithm: Algorithm,
     ) -> Engine {
         let r = r.into_point_set();
-        let index = family::build(&r, s.into_point_set(), config, Some(algorithm));
+        let index = family::build(&r, s.into_point_set(), config, Some(algorithm), None);
         Engine::from_index(index)
     }
 
@@ -116,7 +116,7 @@ impl Engine {
     /// with [`Engine::build`].
     pub fn auto(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Engine {
         let r = r.into_point_set();
-        Engine::from_index(family::build(&r, s.into_point_set(), config, None))
+        Engine::from_index(family::build(&r, s.into_point_set(), config, None, None))
     }
 
     /// Wraps this engine's index in a delta [`srj_core::OverlayIndex`], producing
@@ -317,7 +317,8 @@ impl Engine {
         self.shared.index.s_cell_tokens()
     }
 
-    /// The grid of `S` the `S`-side stands on. Engines built over one
+    /// The grid of `S` the `S`-side stands on: of cell side `l`, or
+    /// under group rows of `l`'s ladder step. Engines built over one
     /// base — one per window size — stand on the same point set
     /// ([`Grid::point_set`]): one array and one pair of sorted orders,
     /// which [`Engine::memory_bytes`] of each includes, so a sum over
@@ -333,6 +334,18 @@ impl Engine {
     #[doc(hidden)]
     pub fn r_set(&self) -> Arc<PointSet> {
         self.shared.index.r_set()
+    }
+
+    /// The group rows the full build stands on (an overlay's base's),
+    /// `None` unless [`Engine::row_granularity`] is
+    /// [`RowGranularity::Group`]. Their cell side is the window's ladder
+    /// step ([`srj_grid::ladder_side`]), and engines of one store whose
+    /// windows map to one step share them while any of them lives;
+    /// [`Engine::memory_bytes`] of each includes them, so a sum over
+    /// engines counts them once per core ([`GroupCore::own_bytes`]).
+    #[doc(hidden)]
+    pub fn group_core(&self) -> Option<Arc<GroupCore>> {
+        self.shared.index.group_core()
     }
 }
 

@@ -49,7 +49,10 @@
 //! everything it needs of `S`: the overlay's rows of inserted `R` rank
 //! into it ([`OverlaySupport::on_grid`]; dead ids are in no cell), and
 //! the patch budget counts its cells and the ones a patch would dirty
-//! ([`srj_grid::Grid::dirty_cells`]).
+//! ([`srj_grid::Grid::dirty_cells`]). Under group rows its cell side is
+//! the window's ladder step ([`srj_grid::ladder_side`]), and a full
+//! build shares it — with the rows on it — with every engine of the
+//! store whose window maps to the same step.
 //!
 //! **Counts.** A swap counts its rung into the cell's
 //! [`MaintenanceCounters`] where it commits, under the state write lock,
@@ -63,7 +66,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use srj_core::{IndexBytes, OverlaySupport, SampleConfig};
+use srj_core::{GroupCore, IndexBytes, OverlaySupport, SampleConfig};
 use srj_geom::{Point, PointId};
 use srj_grid::PointSet;
 use srj_obs::journal::{event, EventKind};
@@ -176,6 +179,42 @@ struct EpochState {
     built_version: u64,
 }
 
+/// What an engine's [`IndexBytes`] include that sibling engines over
+/// one store may stand on too ([`EpochEngine::memory_breakdown`]): the
+/// base `R` and `S` sets, and a group engine's rows — shared by the
+/// windows on one ladder step.
+pub struct SharedParts {
+    sets: [Arc<PointSet>; 2],
+    core: Option<Arc<GroupCore>>,
+}
+
+impl SharedParts {
+    /// Every part as an identity — equal for two engines that stand on
+    /// the same part — and the bytes of the engine's breakdown it
+    /// accounts for. Whoever adds engines up subtracts a part's bytes
+    /// from every engine after the first that shows its identity, while
+    /// it holds this value (which keeps the parts, and so their
+    /// addresses, alive).
+    pub fn parts(&self) -> impl Iterator<Item = (*const (), IndexBytes)> + '_ {
+        let [r, s] = &self.sets;
+        let sets = [
+            IndexBytes {
+                r_points: r.memory_bytes(),
+                ..IndexBytes::default()
+            },
+            IndexBytes {
+                point_set: s.memory_bytes(),
+                ..IndexBytes::default()
+            },
+        ];
+        let sets = [Arc::as_ptr(r).cast(), Arc::as_ptr(s).cast()]
+            .into_iter()
+            .zip(sets);
+        let core = self.core.as_ref();
+        sets.chain(core.map(|core| (Arc::as_ptr(core).cast(), core.own_bytes())))
+    }
+}
+
 /// A mutually consistent maintenance-state snapshot of an
 /// [`EpochEngine`], as returned by
 /// [`EpochEngine::maintenance_snapshot`]: every field describes the
@@ -253,7 +292,7 @@ impl EpochEngine {
             let _ = store.compact();
         }
         let snap = store.snapshot();
-        let base = Self::build_base(&snap, config, &cfg);
+        let base = Self::build_base(&store, &snap, config, &cfg);
         let mut state = EpochState {
             current: base.clone(),
             base,
@@ -266,7 +305,7 @@ impl EpochEngine {
         if !snap.delta.is_empty() {
             // The store already carried mutations: serve them through
             // an overlay from the start.
-            let support = Self::support_on(&state.base).extended(&snap.delta);
+            let support = Self::support_on(&state.base, config).extended(&snap.delta);
             state.current = state.base.with_overlay(snap.delta, &support, config);
             state.support = Some(Arc::new(support));
         }
@@ -282,22 +321,31 @@ impl EpochEngine {
     }
 
     /// A full build over `snap`'s base: the pinned algorithm, or the
-    /// engine's choice for this data.
-    fn build_base(snap: &DatasetSnapshot, config: &SampleConfig, cfg: &EpochConfig) -> Engine {
+    /// engine's choice for this data. Group rows of a window's ladder
+    /// step that a sibling engine of `store` holds are shared, not
+    /// rebuilt.
+    fn build_base(
+        store: &DatasetStore,
+        snap: &DatasetSnapshot,
+        config: &SampleConfig,
+        cfg: &EpochConfig,
+    ) -> Engine {
         debug_assert!(
             snap.s_dead.is_empty(),
             "full builds must run over a purged base"
         );
         let s = Arc::clone(&snap.base_s);
-        Engine::from_index(family::build(&snap.base_r, s, config, cfg.algorithm))
+        let cores = Some(store.group_cores());
+        Engine::from_index(family::build(&snap.base_r, s, config, cfg.algorithm, cores))
     }
 
     /// The overlay support of an epoch: the grid of `S` its full build
-    /// `base` stands on — dead ids already out of every cell — and a
-    /// grid on the `R` set it stands on, the epoch's.
-    fn support_on(base: &Engine) -> OverlaySupport {
+    /// `base` stands on — dead ids already out of every cell; its cell
+    /// side may exceed the window's — and a grid on the `R` set it
+    /// stands on, the epoch's.
+    fn support_on(base: &Engine, config: &SampleConfig) -> OverlaySupport {
         let s_grid = base.s_grid().expect("an epoch's base is a full build");
-        OverlaySupport::on_grid(&base.r_set(), s_grid)
+        OverlaySupport::on_grid(&base.r_set(), s_grid, config.half_extent)
     }
 
     /// The shared mutable dataset.
@@ -450,19 +498,23 @@ impl EpochEngine {
     }
 
     /// The serving engine's heap bytes by structure
-    /// ([`Engine::memory_breakdown`]), and the base `R` and `S` point
-    /// sets they include, in that order. Engines over one store — one
-    /// per window size — stand on the same two sets, so whoever adds
-    /// engines up counts each once. Walks the index outside the state
-    /// lock.
-    pub fn memory_breakdown(&self) -> (IndexBytes, [Arc<PointSet>; 2]) {
+    /// ([`Engine::memory_breakdown`]), and the parts of them other
+    /// engines may share. Engines over one store — one per window size —
+    /// stand on the same base `R` and `S` sets, and group engines whose
+    /// windows map to one ladder step on the same rows, so whoever adds
+    /// engines up counts each part once ([`SharedParts::parts`]). Walks
+    /// the index outside the state lock.
+    pub fn memory_breakdown(&self) -> (IndexBytes, SharedParts) {
         let (current, base) = {
             let st = self.state.read().expect("epoch state poisoned");
             (st.current.clone(), st.base.clone())
         };
         let grid = base.s_grid().expect("a full build has a grid of S");
-        let sets = [base.r_set(), Arc::clone(grid.point_set())];
-        (current.memory_breakdown(), sets)
+        let shared = SharedParts {
+            sets: [base.r_set(), Arc::clone(grid.point_set())],
+            core: base.group_core(),
+        };
+        (current.memory_breakdown(), shared)
     }
 
     /// Minor swaps so far (overlay snapshot replaced). This and the
@@ -577,7 +629,7 @@ impl EpochEngine {
         // Full path: purge dead ids, renumber, rebuild from scratch.
         let mu_before = prev_base.total_weight();
         let (snap, _) = self.store.compact();
-        let engine = Self::build_base(&snap, &self.config, &self.cfg);
+        let engine = Self::build_base(&self.store, &snap, &self.config, &self.cfg);
         let mu_after = engine.total_weight();
         let st = self.commit_epoch(engine, &snap);
         self.counters.full_rebuild.inc();
@@ -703,7 +755,7 @@ impl EpochEngine {
             return self.major_swap();
         }
         let support = support
-            .unwrap_or_else(|| Arc::new(Self::support_on(&base)))
+            .unwrap_or_else(|| Arc::new(Self::support_on(&base, &self.config)))
             .extended(&snap.delta);
         let (epoch, version) = (snap.epoch, snap.version);
         let pending_ops = snap.delta.pending_ops();

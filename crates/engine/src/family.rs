@@ -18,6 +18,11 @@
 //! ([`Family::build_s`]). The epoch asks that grid ([`Family::grid`])
 //! the rest of what it needs of `S`: the cell count, the cells a patch
 //! would dirty, and what an overlay's rows of inserted `R` rank into.
+//! The grid's cell side is the window half-extent `l`, except under
+//! group rows: those stand on the grid of `l`'s ladder step
+//! ([`srj_grid::ladder_side`]), and the rows built on it
+//! ([`GroupCore`]) are shared by every window of one store on that step
+//! ([`GroupCores`]).
 //!
 //! `R` is a [`PointSet`] too, held once: every index — one per window
 //! size, and every rebuild — stands on the set it is handed
@@ -25,18 +30,18 @@
 //! the store's.
 
 use std::collections::HashSet;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex, Weak};
+use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use srj_core::{
-    BbstIndex, BbstSStructures, CellPatchReport, Cursor, DeltaSet, GroupIndex, IndexBytes,
-    JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex, OverlaySupport,
-    PhaseReport, SampleConfig, SampleError, SamplerIndex,
+    BbstIndex, BbstSStructures, CellPatchReport, Cursor, DeltaSet, GroupCore, GroupIndex,
+    IndexBytes, JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex,
+    OverlaySupport, PhaseReport, SampleConfig, SampleError, SamplerIndex,
 };
 use srj_geom::{Point, PointId};
-use srj_grid::{Grid, PointSet};
+use srj_grid::{ladder_side, Grid, PointSet};
 
 use crate::engine::Algorithm;
 
@@ -102,9 +107,8 @@ trait Family: SamplerIndex + Sized + 'static {
     /// The grid of `S` the `S`-side stands on.
     fn grid(s_side: &Self::SSide) -> Arc<Grid>;
 
-    /// How many rows the index keeps if it keeps one per group of `R`;
-    /// `None` for a row per `r`.
-    fn group_rows(&self) -> Option<usize> {
+    /// The group rows the index stands on; `None` for a row per `r`.
+    fn group_core(&self) -> Option<&Arc<GroupCore>> {
         None
     }
 }
@@ -281,8 +285,8 @@ impl Family for GroupIndex {
         Arc::clone(s_side)
     }
 
-    fn group_rows(&self) -> Option<usize> {
-        Some(self.group_count())
+    fn group_core(&self) -> Option<&Arc<GroupCore>> {
+        Some(self.core())
     }
 }
 
@@ -290,25 +294,44 @@ impl Family for GroupIndex {
 /// place its grid of `S` is built: the sorts of `S` (none if the set
 /// already holds them) are charged to pre-processing, the grid to grid
 /// mapping. With no `algorithm` the data picks one ([`unforced`]).
+/// The grid's cell side is `l`, or — where group rows serve — `l`'s
+/// ladder step, which is `≥ l`. Group rows come from a store's `cores`
+/// when a sibling window holds its step's ([`build_bbst`]); a
+/// standalone build has none to share.
 pub(crate) fn build(
     r: &Arc<PointSet>,
     s: Arc<PointSet>,
     config: &SampleConfig,
     algorithm: Option<Algorithm>,
+    cores: Option<&GroupCores>,
 ) -> Box<dyn EngineIndex> {
     let preprocessing = s.ensure_orders();
+    let l = config.half_extent;
+    match algorithm.unwrap_or_else(|| unforced(r.len(), s.len())) {
+        Algorithm::Kds => {
+            let (grid, base) = map_s(s, l, preprocessing);
+            build_family::<KdsIndex>(r, grid, config, base).boxed()
+        }
+        Algorithm::KdsRejection => {
+            let (grid, base) = map_s(s, l, preprocessing);
+            build_family::<KdsRejectionIndex>(r, grid, config, base).boxed()
+        }
+        Algorithm::Bbst => build_bbst(r, s, config, preprocessing, cores),
+    }
+}
+
+/// The grid of `s` at cell side `side`, and what a build has spent once
+/// it is mapped: `preprocessing`, then the grid. A set nobody else holds
+/// gives its orders up to the grid ([`Grid::build`]).
+fn map_s(s: Arc<PointSet>, side: f64, preprocessing: Duration) -> (Arc<Grid>, PhaseReport) {
     let t0 = Instant::now();
-    let grid = Arc::new(Grid::build(s, config.half_extent));
-    let base = PhaseReport {
+    let grid = Arc::new(Grid::build(s, side));
+    let report = PhaseReport {
         preprocessing,
         grid_mapping: t0.elapsed(),
         ..PhaseReport::default()
     };
-    match algorithm.unwrap_or_else(|| unforced(r.len(), grid.num_points())) {
-        Algorithm::Kds => build_family::<KdsIndex>(r, grid, config, base).boxed(),
-        Algorithm::KdsRejection => build_family::<KdsRejectionIndex>(r, grid, config, base).boxed(),
-        Algorithm::Bbst => build_bbst(r, grid, config, base),
-    }
+    (grid, report)
 }
 
 /// Below this `n·√m` product, KDS's exact counting (`O(n√m)`, one kd
@@ -354,21 +377,74 @@ const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
 
 /// [`Algorithm::Bbst`] at the row granularity the data calls for.
 ///
-/// Group rows over the grid cost one `O(n)` pass, so they are built
-/// first and probed: [`PROBE_ITERATIONS`] iterations of the index's own
-/// kernel from a fixed seed. If the §III-B bound is tight enough — at
-/// most two iterations a sample ([`MIN_PROBE_ACCEPTANCE`]); data
-/// clustered below the window size — the group rows *are* the index.
-/// Otherwise the per-cell BBSTs and per-`r` rows are built over the
-/// same grid — the index, `Σµ` and streams of a plain [`BbstIndex`]
-/// build, with the group pass and the probe charged to its
-/// upper-bounding phase.
+/// Group rows cost one `O(n)` pass over a grid, so they come first and
+/// are probed: [`PROBE_ITERATIONS`] iterations of the index's own kernel,
+/// window `l`, from a fixed seed. They stand on the grid of `l`'s ladder
+/// step ([`ladder_side`]), whose rows serve every window up to the step
+/// exactly — the ones `cores` holds if a sibling window on the step is
+/// alive, fresh ones otherwise, entered into `cores`. If the §III-B
+/// bound is tight enough — at most two iterations a sample
+/// ([`MIN_PROBE_ACCEPTANCE`]); data clustered below the window size —
+/// the group rows *are* the index.
 ///
-/// The decision is a function of `(R, S, l)` alone: no traffic,
-/// no clock, no configuration enters it, so a forced and an unforced
-/// build take it identically. Rebuilds over a new `R` or a patched `S`
-/// keep the granularity of the full build they derive from.
+/// Otherwise the build runs at `l` itself as a ladder window's does
+/// ([`build_bbst_on`]): group rows over a grid of side `l`, probed, and
+/// failing that the per-cell BBSTs and per-`r` rows over the same grid —
+/// the index, `Σµ` and streams of a plain [`BbstIndex`] build, with the
+/// group passes and the probes charged to its upper-bounding phase and
+/// both grids to grid mapping. At a ladder value the step's rows already
+/// were the ones at `l`, so the per-`r` rows stand on their grid.
+///
+/// The decision is a function of `(R, S, l)` alone: no traffic, no
+/// clock, no configuration, and no sibling enters it — a step's rows are
+/// a function of `(R, S)` and the step — so a forced and an unforced
+/// build, or a build beside a live sibling and one without, take it
+/// identically. Rebuilds over a new `R` or a patched `S` keep the
+/// granularity, and the grid, of the full build they derive from.
 fn build_bbst(
+    r: &Arc<PointSet>,
+    s: Arc<PointSet>,
+    config: &SampleConfig,
+    preprocessing: Duration,
+    cores: Option<&GroupCores>,
+) -> Box<dyn EngineIndex> {
+    let l = config.half_extent;
+    let step = ladder_side(l);
+    let (core, spent) = match cores {
+        Some(cores) => cores.core(r, &s, step, preprocessing),
+        None => {
+            let (core, spent) = group_core(r, s, step, preprocessing);
+            (Arc::new(core), spent)
+        }
+    };
+    let t0 = Instant::now();
+    let groups = GroupIndex::on_core(core, config);
+    if probe_acceptance(&groups) >= MIN_PROBE_ACCEPTANCE {
+        return Built::full(groups, spent).boxed();
+    }
+    let (step_grid, probed) = (Arc::clone(groups.grid()), t0.elapsed());
+    drop(groups);
+    let tried = PhaseReport {
+        upper_bounding: spent.upper_bounding + probed,
+        upper_bounding_cpu: spent.upper_bounding_cpu + probed,
+        ..spent
+    };
+    if step.to_bits() == l.to_bits() {
+        return build_family::<BbstIndex>(r, step_grid, config, tried).boxed();
+    }
+    let s = Arc::clone(step_grid.point_set());
+    drop(step_grid);
+    let (grid, at_l) = map_s(s, l, Duration::ZERO);
+    let base = PhaseReport {
+        grid_mapping: tried.grid_mapping + at_l.grid_mapping,
+        ..tried
+    };
+    build_bbst_on(r, grid, config, base)
+}
+
+/// [`build_bbst`] over a grid at `l` itself: group rows, probed, and
+/// per-`r` rows on the same grid where they fail.
+fn build_bbst_on(
     r: &Arc<PointSet>,
     grid: Arc<Grid>,
     config: &SampleConfig,
@@ -382,11 +458,106 @@ fn build_bbst(
     drop(groups);
     let tried = t0.elapsed();
     let report = PhaseReport {
-        upper_bounding: tried,
-        upper_bounding_cpu: tried,
+        upper_bounding: base.upper_bounding + tried,
+        upper_bounding_cpu: base.upper_bounding_cpu + tried,
         ..base
     };
     build_family::<BbstIndex>(r, grid, config, report).boxed()
+}
+
+/// Group rows of `(r, s)` at cell side `step`, built here, and what they
+/// cost beyond `preprocessing`: the grid and the group pass.
+fn group_core(
+    r: &Arc<PointSet>,
+    s: Arc<PointSet>,
+    step: f64,
+    preprocessing: Duration,
+) -> (GroupCore, PhaseReport) {
+    let (grid, base) = map_s(s, step, preprocessing);
+    let core = GroupCore::build(r, grid);
+    let own = core.build_report();
+    let spent = PhaseReport {
+        upper_bounding: own.upper_bounding,
+        upper_bounding_cpu: own.upper_bounding_cpu,
+        ..base
+    };
+    (core, spent)
+}
+
+/// The group rows of one store's base, by ladder step, held **weakly**:
+/// a step's [`GroupCore`] lives while some engine stands on it, and a
+/// window that maps to the step while it lives stands on it too instead
+/// of building its own. A base other than the one the map was kept for
+/// — a compaction replaced `R` or `S` — starts the map anew.
+#[derive(Default)]
+pub(crate) struct GroupCores {
+    held: Mutex<HeldCores>,
+}
+
+#[derive(Default)]
+struct HeldCores {
+    /// The `(R, S)` sets the cores stand on.
+    base: Option<(Weak<PointSet>, Weak<PointSet>)>,
+    /// `(step bits, core)`, live or not.
+    by_step: Vec<(u64, Weak<GroupCore>)>,
+}
+
+impl HeldCores {
+    /// The map for the base `(r, s)`, emptied if it was kept for another.
+    fn of(&mut self, r: &Arc<PointSet>, s: &Arc<PointSet>) -> &mut Vec<(u64, Weak<GroupCore>)> {
+        let ours = |held: &Weak<PointSet>, set: &Arc<PointSet>| {
+            std::ptr::eq(held.as_ptr(), Arc::as_ptr(set))
+        };
+        if !matches!(&self.base, Some((hr, hs)) if ours(hr, r) && ours(hs, s)) {
+            self.base = Some((Arc::downgrade(r), Arc::downgrade(s)));
+            self.by_step.clear();
+        }
+        &mut self.by_step
+    }
+}
+
+impl GroupCores {
+    /// The group rows of `(r, s)` at cell side `step`, and what this
+    /// call spent on them beyond `preprocessing`: nothing when a live
+    /// core is held, the grid and the group pass when one is built here.
+    /// A build runs outside the lock; if a concurrent build of the same
+    /// step entered its core first, that one is returned and this one
+    /// dropped, so siblings still share.
+    fn core(
+        &self,
+        r: &Arc<PointSet>,
+        s: &Arc<PointSet>,
+        step: f64,
+        preprocessing: Duration,
+    ) -> (Arc<GroupCore>, PhaseReport) {
+        let key = step.to_bits();
+        let live = |held: &[(u64, Weak<GroupCore>)]| {
+            held.iter()
+                .find(|(k, _)| *k == key)
+                .and_then(|(_, core)| core.upgrade())
+        };
+        if let Some(core) = live(self.lock().of(r, s)) {
+            let spent = PhaseReport {
+                preprocessing,
+                ..PhaseReport::default()
+            };
+            return (core, spent);
+        }
+        let (core, spent) = group_core(r, Arc::clone(s), step, preprocessing);
+        let mut held = self.lock();
+        let held = held.of(r, s);
+        if let Some(first) = live(held) {
+            return (first, spent);
+        }
+        let core = Arc::new(core);
+        held.retain(|(k, core)| *k != key && core.strong_count() > 0);
+        held.push((key, Arc::downgrade(&core)));
+        (core, spent)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HeldCores> {
+        self.held.lock().expect("group core map poisoned")
+    }
 }
 
 /// Share of [`PROBE_ITERATIONS`] fixed-seed iterations `index` accepts;
@@ -463,6 +634,8 @@ pub(crate) trait EngineIndex: Send + Sync {
     ) -> Option<(Box<dyn EngineIndex>, CellPatchReport)>;
     fn s_cell_tokens(&self) -> Option<CellTokens>;
     fn s_grid(&self) -> Option<Arc<Grid>>;
+    /// The group rows the full build stands on, if it has group rows.
+    fn group_core(&self) -> Option<Arc<GroupCore>>;
 }
 
 /// A full build of family `F`, or a delta overlay on one.
@@ -560,14 +733,17 @@ impl<F: Family> EngineIndex for Built<F> {
     }
 
     fn row_granularity(&self) -> RowGranularity {
-        match self.full.group_rows() {
+        match self.full.group_core() {
             Some(_) => RowGranularity::Group,
             None => RowGranularity::PerR,
         }
     }
 
     fn row_count(&self) -> usize {
-        self.full.group_rows().unwrap_or(self.full.r_set().len())
+        let per_r = || self.full.r_set().len();
+        self.full
+            .group_core()
+            .map_or_else(per_r, |core| core.group_count())
     }
 
     fn with_overlay(
@@ -620,6 +796,10 @@ impl<F: Family> EngineIndex for Built<F> {
 
     fn s_grid(&self) -> Option<Arc<Grid>> {
         Some(F::grid(&self.structure()?.s_side()))
+    }
+
+    fn group_core(&self) -> Option<Arc<GroupCore>> {
+        self.full.group_core().cloned()
     }
 }
 

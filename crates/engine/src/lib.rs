@@ -70,7 +70,7 @@ mod stats;
 
 pub use dataset::{BatchApplied, DatasetSnapshot, DatasetStore, SPatchDelta};
 pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
-pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot};
+pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot, SharedParts};
 pub use family::RowGranularity;
 pub use stats::{EngineStats, MaintenanceCounters, StatsSnapshot};
 

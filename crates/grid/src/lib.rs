@@ -25,6 +25,10 @@
 //! same 3×3 block: [`Grid::group_by_cell`] counting-sorts a point set by
 //! cell coordinate so a builder can resolve each block once.
 //!
+//! A window fits its 3×3 block for any cell side `≥ l`, so windows of
+//! nearby sizes can stand on one grid: [`ladder_side`] maps `l` to the
+//! least step `≥ l` of the R10 series, the side such a shared grid has.
+//!
 //! The hash map uses a from-scratch Fx-style hasher ([`fx`]) because cell
 //! coordinates are short integer keys for which SipHash is needlessly
 //! slow (Rust Performance Book, "Hashing").
@@ -33,11 +37,13 @@ mod cell;
 pub mod fx;
 mod grid_map;
 mod groups;
+mod ladder;
 mod offsets;
 mod point_set;
 
 pub use cell::Cell;
 pub use grid_map::{Grid, GridPatch};
 pub use groups::CellGroups;
+pub use ladder::ladder_side;
 pub use offsets::{case_of, CellCase, NeighborOffset, CENTER_IDX, NEIGHBOR_OFFSETS};
 pub use point_set::{IntoPointSet, PointSet};

@@ -273,6 +273,80 @@ mod tests {
         server.shutdown();
     }
 
+    /// Windows whose half-extents round up to one ladder step stand on
+    /// one set of group rows — its grid, its permutation of `R`, its rows
+    /// and its alias — and the exposition counts them once; windows on
+    /// two steps stand on two, counted twice.
+    #[test]
+    fn group_rows_of_one_ladder_step_are_counted_once() {
+        let _serial = serial();
+        // Tight clusters, narrower than any window here: group rows serve.
+        let centres = pseudo_points(12, 77, 58.0);
+        let clustered = |n, seed| -> Vec<Point> {
+            let cluster = |(i, p): (usize, Point)| {
+                let c = centres[i % centres.len()];
+                Point::new(c.x + p.x, c.y + p.y)
+            };
+            pseudo_points(n, seed, 0.8)
+                .into_iter()
+                .enumerate()
+                .map(cluster)
+                .collect()
+        };
+        let (r, s) = (clustered(200, 5), clustered(300, 6));
+        let mut registry = DatasetRegistry::new();
+        registry.register(4, r.clone(), s.clone());
+        let mut server = Server::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+
+        // What one engine counts alone, window by window.
+        let alone = |l| {
+            let config = srj_core::SampleConfig::new(l);
+            let engine = srj_engine::Engine::build(&r, &s, &config, Algorithm::Bbst);
+            assert_eq!(engine.row_granularity(), srj_engine::RowGranularity::Group);
+            engine.memory_breakdown()
+        };
+        let mut served = |l| {
+            let request = SampleRequest {
+                req_id: 0,
+                dataset: 4,
+                l,
+                algorithm: Some(Algorithm::Bbst),
+                shards: 1,
+                t: 10,
+                seed: 7,
+            };
+            assert_eq!(client.sample(request).unwrap().status, RequestStatus::Ok);
+            let text = client.metrics().unwrap();
+            ["grid", "rows", "alias", "r_points"].map(|structure| {
+                let series = format!("srj_index_bytes{{dataset=\"4\",structure=\"{structure}\"}} ");
+                let value = text
+                    .lines()
+                    .find_map(|line| line.strip_prefix(series.as_str()));
+                value
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .unwrap_or_else(|| panic!("no {series:?} in:\n{text}"))
+            })
+        };
+        let parts = |b: srj_core::IndexBytes| [b.grid, b.rows, b.alias, b.r_points];
+        let (step_one, step_two) = (parts(alone(0.9)), parts(alone(1.1)));
+        assert_eq!(parts(alone(1.0)), step_one, "0.9 and 1.0 are one step");
+
+        assert_eq!(served(0.9), step_one);
+        assert_eq!(
+            served(1.0),
+            step_one,
+            "a second window on the step adds nothing"
+        );
+        // A second step adds its own rows and permutation; `R` is one set.
+        let r_set = 16 * r.len();
+        let two_steps: Vec<usize> = (0..4)
+            .map(|i| step_one[i] + step_two[i] - if i == 3 { r_set } else { 0 })
+            .collect();
+        assert_eq!(served(1.1).to_vec(), two_steps);
+        server.shutdown();
+    }
+
     /// The PR8 forensics loop: with sampling *off* but the slow log
     /// armed with an absolute threshold, a slow request is retained
     /// with its complete span tree and request context, fast requests

@@ -429,26 +429,25 @@ impl ServedDataset {
             engines: engines.len(),
             ..MaintenanceStats::default()
         };
-        let mut sets_seen = Vec::new();
+        // Every part counted so far, and what holds it for the walk.
+        let (mut seen, mut held) = (Vec::new(), Vec::new());
         for (_, e) in engines.iter() {
             if with_memory {
-                let (bytes, sets) = e.memory_breakdown();
+                let (bytes, shared) = e.memory_breakdown();
                 out.index_bytes = out.index_bytes + bytes;
                 let engine = e.engine();
                 out.index_rows[engine.row_granularity() as usize] += engine.row_count();
                 // Window sizes over one base stand on one `R` set and one
-                // `S` set: a set an earlier engine counted comes off.
-                let [r_again, s_again] = sets.map(|set| {
-                    let ptr = Arc::as_ptr(&set);
-                    if sets_seen.contains(&ptr) {
-                        set.memory_bytes()
+                // `S` set, and group engines on one ladder step on one
+                // core: a part an earlier engine counted comes off.
+                for (part, bytes) in shared.parts() {
+                    if seen.contains(&part) {
+                        out.index_bytes = out.index_bytes - bytes;
                     } else {
-                        sets_seen.push(ptr);
-                        0
+                        seen.push(part);
                     }
-                });
-                out.index_bytes.r_points -= r_again;
-                out.index_bytes.point_set -= s_again;
+                }
+                held.push(shared);
             }
             let s = e.maintenance_snapshot();
             out.last_swap_ns = out.last_swap_ns.max(s.last_swap_ns);
@@ -471,8 +470,8 @@ struct MaintenanceStats {
     /// epoch for the `srj_epoch` gauge).
     engines: usize,
     /// Heap bytes of the serving indexes by structure, a point set
-    /// several engines share — of `R` or of `S` — counted once (memory
-    /// walk only).
+    /// several engines share — of `R` or of `S` — and group rows several
+    /// windows on one ladder step share counted once (memory walk only).
     index_bytes: IndexBytes,
     /// Rows of the serving indexes' full builds, in
     /// [`RowGranularity::ALL`] order (memory walk only).

@@ -87,10 +87,10 @@ pub use srj_server as server;
 pub use srj_core::{
     BbstCellCtx, BbstCursor, BbstIndex, BbstKdVariantCursor, BbstKdVariantIndex,
     BbstKdVariantSampler, BbstSampler, CellPatchReport, CellStore, CellUnit, Cursor, DeltaSet,
-    GroupCursor, GroupIndex, IndexBytes, JoinPair, JoinSampler, JoinThenSample, KdCellStore,
-    KdsCursor, KdsIndex, KdsRejectionCursor, KdsRejectionIndex, KdsRejectionSampler, KdsSampler,
-    MassMode, OverlayIndex, OverlaySupport, PhaseReport, RangeTreeSampler, SampleConfig,
-    SampleError, SampleIter, SamplerIndex,
+    GroupCore, GroupCursor, GroupIndex, IndexBytes, JoinPair, JoinSampler, JoinThenSample,
+    KdCellStore, KdsCursor, KdsIndex, KdsRejectionCursor, KdsRejectionIndex, KdsRejectionSampler,
+    KdsSampler, MassMode, OverlayIndex, OverlaySupport, PhaseReport, RangeTreeSampler,
+    SampleConfig, SampleError, SampleIter, SamplerIndex,
 };
 pub use srj_datagen::{generate, split_rs, DatasetKind, DatasetSpec};
 pub use srj_engine::{

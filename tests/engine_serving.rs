@@ -8,23 +8,14 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use srj::grid::{ladder_side, Grid};
 use srj::{
     Algorithm, BbstIndex, DatasetStore, Engine, EpochConfig, EpochEngine, GroupIndex, JoinPair,
     KdsIndex, KdsRejectionIndex, Point, Rect, RowGranularity, SampleConfig,
 };
 
-fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    (0..n)
-        .map(|_| Point::new(next() * extent, next() * extent))
-        .collect()
-}
+mod common;
+use common::{draw_and_check, draw_batches_and_check, pseudo_points};
 
 /// ≥ 4 threads share one engine built once; every draw must be a
 /// genuine join pair and every per-thread stream must be reproducible
@@ -280,10 +271,17 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
         let sliced = BbstIndex::build(&r, &s, &cfg);
         assert_eq!(shared.mu_total(), sliced.mu_total());
         assert!((0..r.len()).all(|i| shared.mu_of(i) == sliced.mu_of(i)));
-        // The engine serves one of the family's two row granularities.
+        // The engine serves one of the family's two row granularities:
+        // group rows on the grid of the window's ladder step, or — where
+        // those need more than two iterations a sample — on a grid of
+        // side `l`, as per-`r` rows stand.
         let engine = epoch_engine(&store, l, Algorithm::Bbst);
-        let rows = GroupIndex::build(&r, &base, &cfg);
-        assert_eq!(rows.mu_total(), GroupIndex::build(&r, &s, &cfg).mu_total());
+        let side = engine.engine().s_grid().unwrap().cell_side();
+        assert!(side == ladder_side(l) || side == l, "l = {l}: side {side}");
+        let on_side = |grid| GroupIndex::build_on_grid(&r, Arc::new(grid), &cfg);
+        let rows = on_side(Grid::build(&base, side));
+        let sliced_rows = on_side(Grid::build(&s, side));
+        assert_eq!(rows.mu_total(), sliced_rows.mu_total());
         assert_eq!(
             engine.total_weight(),
             match engine.engine().row_granularity() {
@@ -765,5 +763,99 @@ fn every_family_and_overlay_is_one_index_shape() {
                 "{what}"
             );
         }
+    }
+}
+
+/// A store of clustered points (`clustered_points`): every window from
+/// 0.7 up holds its whole cluster, so group rows serve at every ladder
+/// step the tests below use.
+fn clustered_store() -> Arc<DatasetStore> {
+    Arc::new(DatasetStore::new(
+        clustered_points(120, 31, 60.0),
+        clustered_points(180, 32, 60.0),
+    ))
+}
+
+/// Windows whose half-extent rounds up to one ladder step stand on one
+/// grid and one set of group rows; the next step's window on its own.
+#[test]
+fn windows_on_one_ladder_step_share_one_grid() {
+    let store = clustered_store();
+    let engines = [0.9, 1.0, 1.1].map(|l| epoch_engine(&store, l, Algorithm::Bbst));
+    let grids = engines.each_ref().map(|e| e.engine().s_grid().unwrap());
+    let cores = engines.each_ref().map(|e| e.engine().group_core().unwrap());
+    assert_eq!(grids.each_ref().map(|g| g.cell_side()), [1.0, 1.0, 1.25]);
+    assert!(Arc::ptr_eq(&grids[0], &grids[1]));
+    assert!(Arc::ptr_eq(&cores[0], &cores[1]));
+    assert!(!Arc::ptr_eq(&grids[1], &grids[2]));
+    assert!(!Arc::ptr_eq(&cores[1], &cores[2]));
+    for (engine, l) in engines.iter().zip([0.9, 1.0, 1.1]) {
+        assert_eq!(engine.engine().row_granularity(), RowGranularity::Group);
+        draw_and_check(engine, l, 3, &format!("l = {l}"));
+    }
+}
+
+/// The stream rule holds across sharing: a window's seeded stream is a
+/// function of `(R, S, l)`, whether its step's rows were alive in a
+/// sibling when it was built, built afresh after the last sibling went,
+/// or built by a standalone engine. And rows nobody stands on are freed:
+/// the map holds them weakly.
+#[test]
+fn a_shared_step_draws_what_a_fresh_one_does_and_dies_with_its_engines() {
+    let store = clustered_store();
+    let stream = |e: &EpochEngine| e.handle_seeded(7).sample_batch(400).unwrap();
+
+    let sibling = epoch_engine(&store, 1.0, Algorithm::Bbst);
+    let beside = epoch_engine(&store, 0.9, Algorithm::Bbst);
+    let core = beside.engine().group_core().unwrap();
+    assert!(Arc::ptr_eq(&core, &sibling.engine().group_core().unwrap()));
+    let shared = stream(&beside);
+    let weak = Arc::downgrade(&core);
+    drop((core, sibling, beside));
+    assert!(
+        weak.upgrade().is_none(),
+        "the step's rows outlived their engines"
+    );
+
+    let alone = epoch_engine(&store, 0.9, Algorithm::Bbst);
+    let fresh = alone.engine().group_core().unwrap();
+    assert!(!std::ptr::eq(weak.as_ptr(), Arc::as_ptr(&fresh)));
+    assert!(stream(&alone) == shared, "a fresh step drew another stream");
+    let snap = store.snapshot();
+    let standalone = Engine::build(
+        &snap.base_r,
+        &snap.base_s,
+        &SampleConfig::new(0.9),
+        Algorithm::Bbst,
+    );
+    assert!(standalone.handle_seeded(7).sample_batch(400).unwrap() == shared);
+
+    // A compaction is a new base: a build over it stands on new rows,
+    // even while the old ones are alive.
+    store.insert_s(Point::new(30.0, 30.0));
+    store.compact();
+    let next = epoch_engine(&store, 1.0, Algorithm::Bbst);
+    let after = next.engine().group_core().unwrap();
+    assert!(!Arc::ptr_eq(&after, &fresh));
+    assert!(Arc::ptr_eq(after.r_set(), &store.snapshot().base_r));
+    drop(alone);
+    assert_eq!(
+        Arc::strong_count(&fresh),
+        1,
+        "only this test holds the old rows"
+    );
+}
+
+/// Windows off the ladder serve group rows at the step above them,
+/// exactly: every draw a join pair of window `l`, and uniform.
+#[test]
+fn off_ladder_group_engines_draw_uniformly() {
+    let store = clustered_store();
+    for (l, step) in [(0.7, 0.8), (0.9, 1.0), (1.1, 1.25), (1.3, 1.6), (3.0, 3.15)] {
+        let engine = epoch_engine(&store, l, Algorithm::Bbst);
+        let served = engine.engine();
+        assert_eq!(served.row_granularity(), RowGranularity::Group, "l = {l}");
+        assert_eq!(served.s_grid().unwrap().cell_side(), step, "l = {l}");
+        draw_batches_and_check(&engine, l, 5, &format!("l = {l} on step {step}"));
     }
 }
