@@ -465,7 +465,7 @@ impl EpochEngine {
     }
 
     /// Does nothing: there is no buffered draw to switch. Reserved for
-    /// `benchmark/src/layers.rs`; ROADMAP 3(d) deletes it.
+    /// `benchmark/src/layers.rs`; ROADMAP 2(d) deletes it.
     pub fn set_buffers_enabled(&self, _on: bool) {}
 
     /// `Σµ` of the engine currently serving.

@@ -21,12 +21,8 @@
 //!   duration, Σµ before/after) with process-monotone sequence numbers
 //!   and timestamps.
 //!
-//! On top of the live layer sit the history-and-analysis pieces:
+//! On top of the live layer sit the analysis pieces:
 //!
-//! * [`timeseries`] — an in-process TSDB: a [`SeriesStore`] ingests a
-//!   snapshot of every registered metric on the embedder's cadence into
-//!   bounded per-series rings (counters become rates), with windowed
-//!   raw and min/max/avg/last rollup queries for sparklines.
 //! * [`slowlog`] — tail-based slow-request capture: always-on span
 //!   rings (see [`trace::set_always_record`]) plus a bounded
 //!   [`SlowLog`] that retains full span trees and request context
@@ -49,12 +45,10 @@ pub mod json;
 pub mod metrics;
 pub mod profiler;
 pub mod slowlog;
-pub mod timeseries;
 pub mod trace;
 
 pub use journal::{journal, EventBuilder, EventKind, Journal, LifecycleEvent};
 pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, Registry, ValueSnapshot};
 pub use profiler::{Profiler, StateTag, WorkerState};
 pub use slowlog::{SlowEntry, SlowLog, SlowSpan};
-pub use timeseries::{Rollup, SeriesStore};
 pub use trace::{SpanRecord, TraceGuard};

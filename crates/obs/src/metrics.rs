@@ -321,7 +321,7 @@ impl Registry {
 
     /// A point-in-time snapshot of every registered metric, in render
     /// order (family name, then label key). This is the enumeration
-    /// surface the time-series recorder feeds on.
+    /// surface `/vars` renders from.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
         let families = self.families.lock().unwrap();
         let mut out = Vec::new();

@@ -4,7 +4,7 @@
 //! [`StateTag`] and publishes its current [`WorkerState`] with one
 //! relaxed store at each stage transition — the publishing side never
 //! blocks and never allocates. A sampler thread (the server's
-//! maintainer) calls [`Profiler::sample`] on its sweep cadence: every
+//! maintainer) calls [`Profiler::sample`] on every sweep: each
 //! live tag contributes one observation to the per-state counters,
 //! yielding a statistical "where does worker time go" breakdown
 //! without per-stage timers on the hot path.

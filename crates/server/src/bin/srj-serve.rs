@@ -34,7 +34,6 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
                  [--rate-limit-rps N] [--mutation-rate-limit-rps N]
                  [--shed-high-water N]
                  [--http-port N] [--slow-log N] [--slow-threshold-ms N]
-                 [--timeseries-cadence-ms N]
                  [--health-window-ms N]
                  [--dataset ID=KIND:SCALE[:SEED]]... [--dataset-file ID=R_PATH[,S_PATH]]...
   KIND: uniform | road | poi | trajectory | taxi
@@ -45,8 +44,6 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
   --slow-log: slow-request log capacity (0 disables capture; default 64)
   --slow-threshold-ms: absolute slow threshold; 0 = auto (live p99,
                after a warm-up of 32 requests; default 0)
-  --timeseries-cadence-ms: metric history snapshot cadence
-               (0 disables the recorder; default 1000)
   --health-window-ms: how long /healthz stays degraded after the last
                shed/reap/reject signal (default 5000)
   --log-json: print every lifecycle event (swaps, patches, compactions,
@@ -201,9 +198,6 @@ fn main() {
             "--slow-threshold-ms" => {
                 let ms: u64 = number(&flag, &value(), 0..);
                 config.slow_threshold_ns = ms.saturating_mul(1_000_000);
-            }
-            "--timeseries-cadence-ms" => {
-                config.timeseries_cadence_ms = number(&flag, &value(), 0..);
             }
             "--health-window-ms" => {
                 config.health_degraded_window_ms = number(&flag, &value(), 0..);

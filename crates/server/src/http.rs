@@ -9,8 +9,7 @@
 //! * `/healthz` — readiness JSON; `200` when ready, `503` while the
 //!   server is inside a degraded incident window (recent shedding,
 //!   reaping or handshake rejects).
-//! * `/vars` — JSON snapshot: every metric, recent time-series
-//!   rollups, and the slow-log tail.
+//! * `/vars` — JSON snapshot: every metric and the slow-log tail.
 //!
 //! Requests are read with a hard size bound ([`MAX_REQUEST_BYTES`]);
 //! anything oversized, non-GET, or malformed gets a terse error

@@ -441,6 +441,34 @@ mod tests {
         out
     }
 
+    /// The keys of a JSON object's outermost level, in order.
+    fn top_level_keys(json: &str) -> Vec<&str> {
+        let (mut keys, mut depth, mut string, mut escaped) = (Vec::new(), 0, None, false);
+        for (i, c) in json.char_indices() {
+            if let Some(start) = string {
+                match c {
+                    _ if escaped => escaped = false,
+                    '\\' => escaped = true,
+                    '"' => {
+                        string = None;
+                        if depth == 1 && json[i + 1..].trim_start().starts_with(':') {
+                            keys.push(&json[start..i]);
+                        }
+                    }
+                    _ => {}
+                }
+                continue;
+            }
+            match c {
+                '"' => string = Some(i + 1),
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                _ => {}
+            }
+        }
+        keys
+    }
+
     /// The HTTP listener serves the three endpoints, enforces GET, and
     /// `/healthz` flips ready → degraded on a health signal (here a
     /// handshake reject) and recovers once the incident window ages
@@ -479,9 +507,8 @@ mod tests {
 
         let vars = http_get(http, "GET /vars?probe=ci HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(vars.starts_with("HTTP/1.1 200 OK"), "{vars}");
-        assert!(vars.contains("\"metrics\":["), "{vars}");
-        assert!(vars.contains("\"series\":["), "{vars}");
-        assert!(vars.contains("\"slow_log\":["), "{vars}");
+        let (_, body) = vars.split_once("\r\n\r\n").expect("an HTTP head");
+        assert_eq!(top_level_keys(body), ["metrics", "slow_log"], "{vars}");
 
         let health = http_get(http, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");

@@ -31,9 +31,9 @@
 //!   readiness and a timer wheel for every deadline;
 //! * `srj-worker-{i}` × `workers` do the sampling the loop does not
 //!   keep;
-//! * `srj-maintainer` does the housekeeping: the profiler sweep, the
-//!   time-series tick and the HTTP observability listener, on a poller
-//!   of its own (`maintainer_loop`).
+//! * `srj-maintainer` does the housekeeping: the profiler sweep and the
+//!   HTTP observability listener, on a poller of its own
+//!   (`maintainer_loop`).
 //!
 //! No per-connection threads exist: ten thousand idle keepalive
 //! connections cost ten thousand registered fds, not twenty thousand
@@ -118,7 +118,6 @@ use srj_engine::{
 use srj_geom::Point;
 use srj_net::{Interest, Poller, Waker};
 use srj_obs::profiler::ALL_STATES;
-use srj_obs::timeseries::SeriesStore;
 use srj_obs::{trace, Counter, Gauge, Histogram, Profiler, Registry, SlowLog};
 
 use crate::event_loop::{EventLoop, LoopNotify};
@@ -214,18 +213,13 @@ pub struct ServerConfig {
     /// p99 once at least [`SLOW_AUTO_MIN_REQUESTS`] requests have been
     /// observed (nothing is captured before that).
     pub slow_threshold_ns: u64,
-    /// Cadence of the in-process time-series recorder
-    /// ([`srj_obs::timeseries`]), milliseconds, floored at 10. `0`
-    /// disables the recorder (and `/vars` serves no series). Default
-    /// 1000.
-    pub timeseries_cadence_ms: u64,
     /// `/healthz` reports `degraded` while the most recent distress
     /// signal (load shed, connection reap, handshake reject) is
     /// younger than this window, milliseconds. Default 5000.
     pub health_degraded_window_ms: u64,
     /// Ignored: every `SAMPLE` batch is one
     /// [`SamplerHandle::sample_batch`], and there is no buffered draw to
-    /// arm. Reserved for `benchmark/src/layers.rs`; ROADMAP 3(d) deletes
+    /// arm. Reserved for `benchmark/src/layers.rs`; ROADMAP 2(d) deletes
     /// it.
     pub buffers: bool,
 }
@@ -251,7 +245,6 @@ impl Default for ServerConfig {
             http_port: None,
             slow_log_capacity: 64,
             slow_threshold_ns: 0,
-            timeseries_cadence_ms: 1000,
             health_degraded_window_ms: 5000,
             buffers: true,
         }
@@ -724,9 +717,6 @@ pub(crate) struct Shared {
     pub(crate) notify: Arc<LoopNotify>,
     /// The maintainer's doorbell; only shutdown rings it.
     maintainer_waker: Waker,
-    /// The time-series store the maintainer ticks into (`None` when
-    /// `timeseries_cadence_ms` is 0).
-    tsdb: Option<SeriesStore>,
     /// `/healthz` change detector.
     health: Mutex<HealthState>,
 }
@@ -800,10 +790,9 @@ impl Shared {
 
     /// Copies the profiler's state counts and sets the gauges that
     /// describe the cached engines (Σµ, epoch, index bytes and rows, the
-    /// rejection rate) and the open connections, so a render — or a
-    /// time-series snapshot — observes current values. Every `_total`
-    /// counter but the profiler's is already current: each is counted
-    /// where its event happens.
+    /// rejection rate) and the open connections, so a render observes
+    /// current values. Every `_total` counter but the profiler's is
+    /// already current: each is counted where its event happens.
     fn refresh_gauges(&self) {
         let sm = &self.server_metrics;
         let counts = self.profiler.counts();
@@ -1014,9 +1003,8 @@ impl Shared {
         (ready, body)
     }
 
-    /// The `/vars` body: a JSON snapshot of every registered metric,
-    /// the recent 1-minute time-series rollups (when the recorder is
-    /// on), and the slow-log tail.
+    /// The `/vars` body: a JSON snapshot of every registered metric and
+    /// the slow-log tail.
     pub(crate) fn vars_json(&self) -> String {
         use srj_obs::json::escape;
         use srj_obs::ValueSnapshot;
@@ -1043,33 +1031,6 @@ impl Shared {
                 ValueSnapshot::Histogram { count, sum } => {
                     out.push_str(&format!("\"count\":{count},\"sum\":{sum}}}"));
                 }
-            }
-        }
-        out.push_str("],\"series\":[");
-        if let Some(store) = &self.tsdb {
-            let since = srj_obs::clock::now_ns().saturating_sub(srj_obs::timeseries::ROLLUP_5M_NS);
-            for (i, (name, labels, kind)) in store.series_names().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"name\":{},\"labels\":{},\"kind\":\"{}\",\"rollup_1m\":[",
-                    escape(name),
-                    escape(labels),
-                    kind.as_str()
-                ));
-                let rollups = store.rollup(name, labels, srj_obs::timeseries::ROLLUP_1M_NS, since);
-                for (j, r) in rollups.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"start_ns\":{},\"min\":{},\"max\":{},\"avg\":{},\
-                         \"last\":{},\"count\":{}}}",
-                        r.start_ns, r.min, r.max, r.avg, r.last, r.count
-                    ));
-                }
-                out.push_str("]}");
             }
         }
         out.push_str("],\"slow_log\":[");
@@ -1167,8 +1128,6 @@ impl Server {
             profiler: Profiler::new(),
             notify,
             maintainer_waker,
-            tsdb: (config.timeseries_cadence_ms > 0)
-                .then(|| SeriesStore::new(srj_obs::timeseries::DEFAULT_CAPACITY)),
             health: Mutex::new(HealthState::default()),
         });
 
@@ -1293,12 +1252,10 @@ const SWEEP: Duration = Duration::from_millis(50);
 
 /// The server's one housekeeping thread, kept off the event loop so the
 /// profiler can observe the loop's own tag and a scrape's engine walk
-/// never delays a request. It waits on its own poller with the next due
-/// tick as timeout and
+/// never delays a request. It waits on its own poller with the next
+/// sweep as timeout and
 ///
 /// * every [`SWEEP`] takes one profiler sample;
-/// * every `timeseries_cadence_ms` (floored at 10 ms) mirrors the
-///   registry into one time-series snapshot;
 /// * answers each HTTP probe as it arrives ([`crate::http::accept_one`]).
 ///   An accept failure other than `WouldBlock` — `EMFILE` with a probe
 ///   still queued — takes the listener out of the poller until the next
@@ -1306,12 +1263,7 @@ const SWEEP: Duration = Duration::from_millis(50);
 ///
 /// Returns once shutdown flips; `begin_shutdown` rings the waker.
 fn maintainer_loop(shared: &Shared, mut poller: Poller, http: Option<TcpListener>) {
-    let cadence =
-        Duration::from_millis(shared.config.timeseries_cadence_ms).max(Duration::from_millis(10));
-    let start = Instant::now();
-    let mut next_sweep = start + SWEEP;
-    // The first snapshot only seeds the deltas, so take it at once.
-    let mut next_tick = shared.tsdb.as_ref().map(|_| start);
+    let mut next_sweep = Instant::now() + SWEEP;
     let mut http_paused = false;
     let mut events = Vec::new();
     while !shared.is_shutting_down() {
@@ -1325,15 +1277,7 @@ fn maintainer_loop(shared: &Shared, mut poller: Poller, http: Option<TcpListener
                     .is_err();
             }
         }
-        if let (Some(store), Some(due)) = (&shared.tsdb, next_tick) {
-            if now >= due {
-                shared.refresh_gauges();
-                store.ingest(srj_obs::clock::now_ns(), &shared.metrics.snapshot());
-                next_tick = Some(now + cadence);
-            }
-        }
-        let due = next_tick.map_or(next_sweep, |tick| tick.min(next_sweep));
-        let timeout = due.saturating_duration_since(Instant::now());
+        let timeout = next_sweep.saturating_duration_since(Instant::now());
         if poller.wait(&mut events, Some(timeout)).is_err() {
             return;
         }

@@ -23,6 +23,25 @@ impl Drop for KillOnDrop {
     }
 }
 
+impl KillOnDrop {
+    /// The process's exit status, waiting 20 s at most: a server still
+    /// running by then fails the test, naming `what` it should have
+    /// exited on, instead of hanging it.
+    fn exit_status(&mut self, what: &str) -> std::process::ExitStatus {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            if let Some(status) = self.0.try_wait().expect("wait for srj-serve") {
+                return status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "srj-serve still running 20 s after {what}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+}
+
 #[test]
 fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
     let mut serve = KillOnDrop(
@@ -100,24 +119,16 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
     assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
 
     client.shutdown_server().expect("send SHUTDOWN");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = serve.0.try_wait().expect("wait for srj-serve") {
-            break status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "srj-serve still running 20 s after SHUTDOWN"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let status = serve.exit_status("SHUTDOWN");
     assert!(status.success(), "srj-serve exited with {status}");
 }
 
 /// A scale of zero, a non-number or a dataset beyond `u32` point ids is
 /// a usage error (exit code 2), not a panic or an allocation abort — and
 /// so is a retired flag, refused and never silently ignored, and a value
-/// below a flag's minimum (an engine cache or a response queue of 0).
+/// below a flag's minimum (an engine cache or a response queue of 0). A
+/// command line the binary accepts fails the test rather than serving
+/// on.
 #[test]
 fn unusable_dataset_scales_are_usage_errors() {
     let scales =
@@ -126,20 +137,26 @@ fn unusable_dataset_scales_are_usage_errors() {
         ("--repair-factor", "2"),
         ("--replan-factor", "2"),
         ("--buffers", "on"),
+        ("--timeseries-cadence-ms", "1000"),
     ]
     .map(|(f, v)| [f.into(), v.into()]);
     let below_minimum = ["--cache", "--queue-frames"].map(|f| [f.into(), "0".into()]);
     for args in scales.iter().chain(&retired).chain(&below_minimum) {
-        let out = Command::new(SERVE)
-            .args(["--addr", "127.0.0.1:0"])
-            .args(args)
-            .output()
-            .expect("run srj-serve");
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: srj-serve"),
-            "{args:?}: {out:?}"
+        let mut serve = KillOnDrop(
+            Command::new(SERVE)
+                .args(["--addr", "127.0.0.1:0"])
+                .args(args)
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn srj-serve"),
         );
+        let status = serve.exit_status(&format!("{args:?}"));
+        let mut stderr = String::new();
+        let mut pipe = serve.0.stderr.take().expect("piped stderr");
+        pipe.read_to_string(&mut stderr).expect("read stderr");
+        assert_eq!(status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: srj-serve"), "{args:?}: {stderr}");
     }
 }
 
