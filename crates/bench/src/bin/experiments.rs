@@ -4,73 +4,74 @@
 //! cargo run -p srj-bench --release --bin experiments -- all --scale 0.5
 //! cargo run -p srj-bench --release --bin experiments -- table3 --threads 4
 //! cargo run -p srj-bench --release --bin experiments -- fig5 --t 100000
+//! cargo run -p srj-bench --release --bin experiments -- row-granularity
 //! ```
 
+use std::str::FromStr;
+
+use srj_bench::datasets::base_size;
 use srj_bench::experiments::{
     ablation_cascading, ablation_mass, accuracy, default_runs, fig4, fig5, fig6, fig7, fig8, fig9,
-    footnote4, table2, table3, table4, ExpConfig,
+    footnote4, row_granularity, table2, table3, table4, ExpConfig,
 };
+use srj_datagen::DatasetKind;
+use srj_geom::PointId;
 
 const USAGE: &str =
     "usage: experiments <exp> [--scale F] [--t N] [--l F] [--seed N] [--threads N]
   exp: table2 | table3 | table4 | accuracy | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | ablation | footnote4 | all
+       | row-granularity (per-r vs group rows on the benchmark's datasets × --scale)
+  --scale F    dataset scale, > 0 (the largest dataset must fit u32 point ids)
+  --l F        window half-extent, > 0
   --threads N  index-build threads (0 = all cores; default 1, the paper's serial build)";
+
+/// Prints `msg` and the usage text and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// `value` parsed as `flag`'s type, or a usage error.
+fn parse<T: FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: cannot parse {value:?}")))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(exp) = args.first() else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        usage_error("no experiment given");
     };
     let mut cfg = ExpConfig::default();
-    let mut i = 1;
-    // Each flag takes one value; a missing or unparsable value is a
-    // clean usage error, not a panic.
-    let flag_value = |i: &mut usize, flag: &str| -> String {
-        let Some(v) = args.get(*i + 1) else {
-            eprintln!("{flag} requires a value\n{USAGE}");
-            std::process::exit(2);
+    // Each flag takes one value; a missing, unparsable or out-of-range
+    // value is a clean usage error, not a panic.
+    let mut rest = args[1..].iter();
+    while let Some(flag) = rest.next() {
+        let Some(value) = rest.next() else {
+            usage_error(&format!("{flag} requires a value"));
         };
-        *i += 2;
-        v.clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                cfg.scale = flag_value(&mut i, "--scale").parse().unwrap_or_else(|_| {
-                    eprintln!("--scale takes a float\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--t" => {
-                cfg.t = flag_value(&mut i, "--t").parse().unwrap_or_else(|_| {
-                    eprintln!("--t takes an integer\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--l" => {
-                cfg.l = flag_value(&mut i, "--l").parse().unwrap_or_else(|_| {
-                    eprintln!("--l takes a float\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                cfg.seed = flag_value(&mut i, "--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed takes an integer\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                cfg.threads = flag_value(&mut i, "--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads takes an integer\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
+        match flag.as_str() {
+            "--scale" => cfg.scale = parse(flag, value),
+            "--t" => cfg.t = parse(flag, value),
+            "--l" => cfg.l = parse(flag, value),
+            "--seed" => cfg.seed = parse(flag, value),
+            "--threads" => cfg.threads = parse(flag, value),
+            other => usage_error(&format!("unknown flag {other}")),
         }
+    }
+    // `parse` accepts "inf" and "NaN"; point ids are `PointId`s.
+    let largest = [DatasetKind::Uniform]
+        .into_iter()
+        .chain(DatasetKind::PAPER_ORDER)
+        .map(base_size)
+        .max()
+        .unwrap_or(0) as f64;
+    if !(cfg.scale > 0.0 && largest * cfg.scale <= f64::from(PointId::MAX)) {
+        usage_error("--scale must be positive, and the largest dataset must fit u32 point ids");
+    }
+    if !(cfg.l > 0.0 && cfg.l.is_finite()) {
+        usage_error("--l must be positive and finite");
     }
     eprintln!(
         "# config: scale = {}, t = {}, l = {}, seed = {}, threads = {}",
@@ -111,6 +112,7 @@ fn main() {
             s
         }
         "footnote4" => footnote4(&cfg),
+        "row-granularity" => row_granularity(&cfg),
         "all" => {
             let mut s = run_default_tables();
             for part in [
@@ -129,10 +131,7 @@ fn main() {
             }
             s
         }
-        other => {
-            eprintln!("unknown experiment {other}\n{USAGE}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown experiment {other}")),
     };
     println!("{out}");
 }

@@ -1,12 +1,23 @@
-//! One function per table/figure of the paper's evaluation (Section V).
+//! One function per table/figure of the paper's evaluation (Section V),
+//! plus [`row_granularity`], the comparison the engine's choice of row
+//! granularity rests on.
 //!
 //! Every function returns the formatted rows it printed, so tests can
 //! assert on structure.
 
 use std::fmt::Write as _;
 
-use srj_core::{BbstSampler, JoinSampler, KdsRejectionSampler, KdsSampler};
+use std::sync::Arc;
+use std::time::Instant;
+
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use srj_core::{
+    BbstIndex, BbstSampler, Cursor, GroupIndex, JoinSampler, KdsIndex, KdsRejectionIndex,
+    SampleConfig, SamplerIndex,
+};
 use srj_datagen::DatasetKind;
+use srj_engine::DatasetStore;
 
 use crate::datasets::{scaled_spec, ScaledDataset, DEFAULT_T};
 use crate::runner::{
@@ -43,8 +54,8 @@ impl Default for ExpConfig {
 
 impl ExpConfig {
     /// The sampler config these knobs describe.
-    pub fn sample_config(&self) -> srj_core::SampleConfig {
-        srj_core::SampleConfig::new(self.l).with_build_threads(self.threads)
+    pub fn sample_config(&self) -> SampleConfig {
+        SampleConfig::new(self.l).with_build_threads(self.threads)
     }
 }
 
@@ -52,42 +63,60 @@ fn secs(d: std::time::Duration) -> f64 {
     d.as_secs_f64()
 }
 
-/// The three-algorithm run on one dataset that Tables II–IV and the
+/// Position of each algorithm in [`DatasetRun::outcomes`].
+pub const KDS: usize = 0;
+/// See [`KDS`].
+pub const KDS_REJECTION: usize = 1;
+/// See [`KDS`].
+pub const BBST: usize = 2;
+/// The served structure — BBST's group rows ([`GroupIndex`]) at side
+/// `l` — measured beside the paper's three. See [`KDS`].
+pub const GROUP_ROWS: usize = 3;
+
+/// The four-algorithm run on one dataset that Tables II–IV and the
 /// accuracy metric all read from.
 pub struct DatasetRun {
     /// Which dataset.
     pub kind: DatasetKind,
-    /// Outcomes in order KDS, KDS-rejection, BBST.
+    /// Outcomes, indexed by [`KDS`], [`KDS_REJECTION`], [`BBST`] and
+    /// [`GROUP_ROWS`].
     pub outcomes: Vec<RunOutcome>,
-    /// `Σ_r µ(r)` of the BBST run.
-    pub mu_total: f64,
+    /// `Σ_r µ(r)` of each outcome's index, in the same order.
+    pub mu_totals: Vec<f64>,
     /// Exact `|J|`.
     pub join_size: u64,
 }
 
-/// Runs KDS, KDS-rejection and BBST with the default setting on every
-/// paper dataset.
+/// Draws `t` samples through a fresh cursor over `index`; returns the
+/// outcome and the index's `Σµ`.
+fn run_index<I: SamplerIndex>(index: I, t: usize, seed: u64) -> (RunOutcome, f64) {
+    let mut cursor = Cursor::new(Arc::new(index));
+    let mu_total = cursor.index().total_weight();
+    (run_sampler(&mut cursor, t, seed), mu_total)
+}
+
+/// Runs KDS, KDS-rejection, BBST and BBST's group rows with the default
+/// setting on every paper dataset.
 pub fn default_runs(cfg: &ExpConfig) -> Vec<DatasetRun> {
     let sc = cfg.sample_config();
     DatasetKind::PAPER_ORDER
         .iter()
         .map(|&kind| {
             let d = scaled_spec(kind, cfg.scale, 0.5, cfg.seed);
-            let mut outcomes = Vec::with_capacity(3);
-            let mut kds = KdsSampler::build(&d.r, &d.s, &sc);
-            let join_size = kds.index().join_size();
-            outcomes.push(run_sampler(&mut kds, cfg.t, cfg.seed));
-            drop(kds);
-            let mut rej = KdsRejectionSampler::build(&d.r, &d.s, &sc);
-            outcomes.push(run_sampler(&mut rej, cfg.t, cfg.seed));
-            drop(rej);
-            let mut bbst = BbstSampler::build(&d.r, &d.s, &sc);
-            let mu_total = bbst.index().mu_total();
-            outcomes.push(run_sampler(&mut bbst, cfg.t, cfg.seed));
+            let kds = KdsIndex::build(&d.r, &d.s, &sc);
+            let join_size = kds.join_size();
+            let (outcomes, mu_totals) = [
+                run_index(kds, cfg.t, cfg.seed),
+                run_index(KdsRejectionIndex::build(&d.r, &d.s, &sc), cfg.t, cfg.seed),
+                run_index(BbstIndex::build(&d.r, &d.s, &sc), cfg.t, cfg.seed),
+                run_index(GroupIndex::build(&d.r, &d.s, &sc), cfg.t, cfg.seed),
+            ]
+            .into_iter()
+            .unzip();
             DatasetRun {
                 kind,
                 outcomes,
-                mu_total,
+                mu_totals,
                 join_size,
             }
         })
@@ -105,7 +134,7 @@ pub fn table2(runs: &[DatasetRun]) -> String {
         write!(out, "{:>26}", run.kind.label()).unwrap();
     }
     writeln!(out).unwrap();
-    for (row, name) in [(0usize, "KDS"), (2usize, "BBST")] {
+    for (row, name) in [(KDS, "KDS"), (BBST, "BBST")] {
         write!(out, "{name:<14}").unwrap();
         for run in runs {
             write!(
@@ -135,14 +164,14 @@ pub fn table3(runs: &[DatasetRun]) -> String {
         .unwrap();
         writeln!(
             out,
-            "  {:<16}{:>10}{:>10}{:>10}",
+            "  {:<18}{:>10}{:>10}{:>10}",
             "Algorithm", "Total", "GM", "UB"
         )
         .unwrap();
         for o in &run.outcomes {
             writeln!(
                 out,
-                "  {:<16}{:>10.3}{:>10.3}{:>10.3}",
+                "  {:<18}{:>10.3}{:>10.3}{:>10.3}",
                 o.name,
                 o.total_secs(),
                 secs(o.report.grid_mapping),
@@ -166,14 +195,14 @@ pub fn table4(runs: &[DatasetRun], t: usize) -> String {
         writeln!(out, "dataset: {}", run.kind.label()).unwrap();
         writeln!(
             out,
-            "  {:<16}{:>12}{:>14}",
+            "  {:<18}{:>12}{:>14}",
             "Algorithm", "Sampling", "#iterations"
         )
         .unwrap();
         for o in &run.outcomes {
             writeln!(
                 out,
-                "  {:<16}{:>12.3}{:>14}",
+                "  {:<18}{:>12.3}{:>14}",
                 o.name,
                 secs(o.report.sampling),
                 o.report.iterations,
@@ -184,21 +213,25 @@ pub fn table4(runs: &[DatasetRun], t: usize) -> String {
     out
 }
 
-/// §V-B accuracy of approximate range counting: `Σµ / |J|`.
+/// §V-B accuracy of approximate range counting: `Σµ / |J|` of every
+/// algorithm (KDS counts exactly, so its column reads 1).
 ///
-/// Paper reports 1.19 / 1.04 / 1.07 / 1.17 on CaStreet / Foursquare /
-/// IMIS / NYC.
+/// Paper reports 1.19 / 1.04 / 1.07 / 1.17 for BBST on CaStreet /
+/// Foursquare / IMIS / NYC.
 pub fn accuracy(runs: &[DatasetRun]) -> String {
     let mut out = String::new();
     writeln!(out, "## Accuracy of approximate range counting (Σµ / |J|)").unwrap();
+    write!(out, "  {:<26}", "dataset").unwrap();
+    for o in runs.first().map_or(&[][..], |run| &run.outcomes) {
+        write!(out, "{:>20}", o.name).unwrap();
+    }
+    writeln!(out).unwrap();
     for run in runs {
-        writeln!(
-            out,
-            "  {:<26}{:.4}",
-            run.kind.label(),
-            run.mu_total / run.join_size as f64
-        )
-        .unwrap();
+        write!(out, "  {:<26}", run.kind.label()).unwrap();
+        for mu in &run.mu_totals {
+            write!(out, "{:>20.4}", mu / run.join_size as f64).unwrap();
+        }
+        writeln!(out).unwrap();
     }
     out
 }
@@ -408,7 +441,6 @@ pub fn fig9(cfg: &ExpConfig) -> String {
 /// Extension ablation — fractional cascading on/off: build (UB-heavy)
 /// and total times plus memory, on every dataset.
 pub fn ablation_cascading(cfg: &ExpConfig) -> String {
-    use srj_core::SampleConfig;
     let mut out = String::new();
     writeln!(out, "## Ablation: fractional cascading (t = {})", cfg.t).unwrap();
     writeln!(
@@ -447,7 +479,7 @@ pub fn ablation_cascading(cfg: &ExpConfig) -> String {
 /// Extension ablation — virtual (paper) vs exact (tighter) bucket mass:
 /// accuracy ratio and total time on every dataset.
 pub fn ablation_mass(cfg: &ExpConfig) -> String {
-    use srj_core::{MassMode, SampleConfig};
+    use srj_core::MassMode;
     let mut out = String::new();
     writeln!(out, "## Ablation: case-3 mass mode (t = {})", cfg.t).unwrap();
     writeln!(
@@ -486,7 +518,7 @@ pub fn ablation_mass(cfg: &ExpConfig) -> String {
 /// points; at laptop scale we measure the same trend: memory per point
 /// grows with `log m` while every other structure stays flat.
 pub fn footnote4(cfg: &ExpConfig) -> String {
-    use srj_core::{RangeTreeSampler, SampleConfig};
+    use srj_core::RangeTreeSampler;
     let mut out = String::new();
     writeln!(out, "## Footnote 4: range-tree comparator (t = {})", cfg.t).unwrap();
     writeln!(
@@ -518,6 +550,118 @@ pub fn footnote4(cfg: &ExpConfig) -> String {
     out
 }
 
+/// Pairs in each draw batch of [`row_granularity`].
+const ROW_BATCH: usize = 16_384;
+
+/// Warm-base builds per index whose median [`row_granularity`] prints.
+const ROW_BUILDS: usize = 5;
+
+/// The benchmark's datasets (`benchmark/src/workload.rs`) as
+/// `(workload, kind, scale, l)`, all at data seed 1; `cold_windows` at
+/// the two ends and the middle of its 24 window sizes.
+const ROW_DATASETS: [(&str, DatasetKind, f64, f64); 6] = [
+    ("bulk_draw", DatasetKind::TaxiHotspots, 1.0, 100.0),
+    ("small_requests", DatasetKind::Uniform, 0.2, 100.0),
+    ("mixed_updates", DatasetKind::PoiClusters, 0.1, 100.0),
+    ("cold_windows_50", DatasetKind::PoiClusters, 0.2, 50.0),
+    ("cold_windows_160", DatasetKind::PoiClusters, 0.2, 160.0),
+    ("cold_windows_280", DatasetKind::PoiClusters, 0.2, 280.0),
+];
+
+/// The BBST family's two row granularities on the benchmark's datasets
+/// (their sizes × `cfg.scale`): per-`r` rows (`BbstIndex`, Algorithm 1)
+/// against one row per cell of `R` (`GroupIndex`, the §III-B bound
+/// alone), both over the point sets of a `DatasetStore` whose sorts are
+/// already paid — a warm-base cold build, what a serving cache miss
+/// pays.
+///
+/// One `#` line per index (median build ms, iterations per sample, ns
+/// per iteration, index bytes per point) and per dataset the group /
+/// per-`r` ratio of ns per iteration, which `srj-engine`'s
+/// row-granularity threshold (`family::MIN_PROBE_ACCEPTANCE`) rests on.
+/// At scale 1 (up to 500 k × 500 k points) a run takes a few seconds.
+pub fn row_granularity(cfg: &ExpConfig) -> String {
+    let mut out = String::new();
+    writeln!(
+        out,
+        "## Row granularity: per-r rows vs group rows (scale {}, {ROW_BATCH}-pair batches)",
+        cfg.scale
+    )
+    .unwrap();
+    for (name, kind, scale, l) in ROW_DATASETS {
+        let d = scaled_spec(kind, scale * cfg.scale, 0.5, 1);
+        let points = d.total();
+        let base = DatasetStore::new(d.r, d.s).snapshot();
+        base.base_s.ensure_orders();
+        let sc = SampleConfig::new(l);
+        let (r, s) = (&base.base_r, &base.base_s);
+        let per_r = granularity_line(&mut out, name, "per_r", points, || {
+            BbstIndex::build(r, s, &sc)
+        });
+        let group = granularity_line(&mut out, name, "group", points, || {
+            GroupIndex::build(r, s, &sc)
+        });
+        if let (Some(per_r), Some(group)) = (per_r, group) {
+            writeln!(
+                out,
+                "# {name}: a group iteration costs {:.2} of a per_r one",
+                group / per_r
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+/// Builds an index [`ROW_BUILDS`] times, draws one warm-up batch and one
+/// timed batch from the last build, writes its `#` line and returns its
+/// ns per iteration (`None` on an empty join).
+fn granularity_line<I: SamplerIndex>(
+    out: &mut String,
+    name: &str,
+    rows: &str,
+    points: usize,
+    build: impl Fn() -> I,
+) -> Option<f64> {
+    let mut build_ms = Vec::with_capacity(ROW_BUILDS);
+    let mut index = None;
+    for _ in 0..ROW_BUILDS {
+        let t0 = Instant::now();
+        let built = build();
+        build_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        index = Some(built);
+    }
+    build_ms.sort_by(f64::total_cmp);
+    let mut cursor = Cursor::new(Arc::new(index.expect("ROW_BUILDS > 0")));
+    let mut rng = SmallRng::seed_from_u64(7);
+    let mut pairs = Vec::with_capacity(ROW_BATCH);
+    if cursor
+        .sample_batch(ROW_BATCH, &mut rng, &mut pairs)
+        .is_err()
+    {
+        writeln!(out, "# {name} {rows}: empty join at this scale").unwrap();
+        return None;
+    }
+    let before = cursor.sampling_stats().iterations;
+    pairs.clear();
+    let t0 = Instant::now();
+    cursor
+        .sample_batch(ROW_BATCH, &mut rng, &mut pairs)
+        .expect("the warm-up batch drew from the same index");
+    let elapsed = t0.elapsed();
+    let stats = cursor.sampling_stats();
+    let ns_per_iteration = elapsed.as_nanos() as f64 / (stats.iterations - before) as f64;
+    writeln!(
+        out,
+        "# {name} {rows}: {:.2} ms build, {:.4} iterations/sample, {ns_per_iteration:.1} ns/iteration, {:.2} index bytes/point",
+        build_ms[ROW_BUILDS / 2],
+        stats.iterations as f64 / stats.samples as f64,
+        cursor.index().index_memory_bytes() as f64 / points as f64,
+    )
+    .unwrap();
+    Some(ns_per_iteration)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,7 +688,7 @@ mod tests {
         let b = default_runs(&threaded);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.join_size, y.join_size, "{:?}", x.kind);
-            assert_eq!(x.mu_total, y.mu_total, "{:?}", x.kind);
+            assert_eq!(x.mu_totals, y.mu_totals, "{:?}", x.kind);
         }
     }
 
@@ -561,9 +705,59 @@ mod tests {
         assert!(t4.contains("#iterations"));
         let acc = accuracy(&runs);
         assert!(acc.contains("CaStreet"));
-        // accuracy ratios are ≥ 1 by Lemma 5
-        for run in &runs {
-            assert!(run.mu_total >= run.join_size as f64, "{:?}", run.kind);
+        assert!(t4.contains("BBST (group rows)"));
+    }
+
+    /// The paper's claims that are counts, on every paper dataset. Clock
+    /// claims are printed, never asserted.
+    #[test]
+    fn paper_count_claims_hold_on_every_dataset() {
+        let cfg = tiny();
+        let t = cfg.t as f64;
+        for run in default_runs(&cfg) {
+            let kind = run.kind;
+            let d = scaled_spec(kind, cfg.scale, 0.5, cfg.seed);
+            let join = srj_join::join_count(&d.r, &d.s, cfg.l);
+            let mu = &run.mu_totals;
+            // KDS counts exactly, so it never rejects.
+            assert_eq!(run.join_size, join, "{kind:?}");
+            assert_eq!(mu[KDS], join as f64, "{kind:?}");
+            assert_eq!(run.outcomes[KDS].report.iterations, cfg.t as u64);
+            // Lemma 5: BBST's bound holds, and is no looser than the 3×3
+            // block that KDS-rejection and group rows charge each `r`.
+            assert!(
+                join as f64 <= mu[BBST] && mu[BBST] <= mu[KDS_REJECTION],
+                "{kind:?}: |J| = {join}, Σµ = {mu:?}"
+            );
+            assert_eq!(mu[GROUP_ROWS], mu[KDS_REJECTION], "{kind:?}");
+            // An iteration accepts with probability p = |J| / Σµ, so the
+            // iterations for `t` samples are negative-binomial: mean t/p,
+            // variance t(1 − p)/p².
+            for algo in [KDS_REJECTION, BBST, GROUP_ROWS] {
+                let p = join as f64 / mu[algo];
+                let mean = t / p;
+                let sigma = (t * (1.0 - p)).sqrt() / p;
+                let iterations = run.outcomes[algo].report.iterations as f64;
+                assert!(
+                    (iterations - mean).abs() <= 6.0 * sigma,
+                    "{kind:?} {}: {iterations} iterations, mean {mean:.1}, σ {sigma:.1}",
+                    run.outcomes[algo].name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_granularity_prints_both_granularities_on_every_dataset() {
+        let s = row_granularity(&tiny());
+        for (name, ..) in ROW_DATASETS {
+            for rows in ["per_r", "group"] {
+                assert!(s.contains(&format!("# {name} {rows}: ")), "{s}");
+            }
+            assert!(
+                s.contains(&format!("# {name}: a group iteration costs")),
+                "{s}"
+            );
         }
     }
 

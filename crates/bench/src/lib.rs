@@ -2,8 +2,9 @@
 //! evaluation (Section V) at laptop scale.
 //!
 //! The binary `experiments` prints the same rows/series the paper
-//! reports; the Criterion benches in `benches/` track the same
-//! quantities as regressions.
+//! reports, and is the one way to reproduce them; the paper's claims
+//! that are counts are asserted by this crate's tests, its clock claims
+//! only printed.
 //!
 //! Scaling: the paper's datasets range up to 324 M points and its default
 //! `t` is 10⁶. The harness keeps the paper's *relative* dataset sizes and

@@ -1,5 +1,5 @@
-//! Build-and-run helpers shared by the experiments binary and the
-//! Criterion benches.
+//! Build-and-run helpers shared by the experiments of
+//! [`crate::experiments`].
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

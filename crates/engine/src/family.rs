@@ -369,10 +369,10 @@ const PROBE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// * Per-`r` rows need at least one iteration a sample.
 ///
 /// So admitted group rows never draw slower than per-`r` rows could,
-/// and they build 6–8× faster and keep under half the bytes. `cargo
-/// bench -p srj-bench --bench row_granularity` prints each dataset's
-/// ns per iteration at both granularities and their ratio; re-price
-/// this constant from one run of it.
+/// and they build 6–8× faster and keep under half the bytes.
+/// `experiments row-granularity` (`srj-bench`) prints each dataset's ns
+/// per iteration at both granularities and their ratio; re-price this
+/// constant from one run of it.
 const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
 
 /// [`Algorithm::Bbst`] at the row granularity the data calls for.

@@ -11,7 +11,7 @@ use srj::{
     KdsRejectionSampler, KdsSampler, Point, SampleConfig,
 };
 
-/// A `datagen` dataset, as the acceptance criterion requires.
+/// A generated (`srj-datagen`) clustered dataset, not a hand-made one.
 fn dataset() -> (Vec<Point>, Vec<Point>) {
     let points = generate(&DatasetSpec::new(DatasetKind::PoiClusters, 4_000, 99));
     split_rs(&points, 0.5, 0xD15C)
