@@ -63,6 +63,26 @@ fn secs(d: std::time::Duration) -> f64 {
     d.as_secs_f64()
 }
 
+/// A table cell of seconds, or "empty join" where the run had no pair to
+/// draw ([`run_sampler`] gave `None`). Takes the cell's width and
+/// precision either way, right-aligned.
+struct Secs(Option<f64>);
+
+impl Secs {
+    fn of(outcome: Option<RunOutcome>) -> Secs {
+        Secs(outcome.map(|o| o.total_secs()))
+    }
+}
+
+impl std::fmt::Display for Secs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Some(secs) => std::fmt::Display::fmt(&secs, f),
+            None => write!(f, "{:>1$}", "empty join", f.width().unwrap_or(0)),
+        }
+    }
+}
+
 /// Position of each algorithm in [`DatasetRun::outcomes`].
 pub const KDS: usize = 0;
 /// See [`KDS`].
@@ -79,7 +99,7 @@ pub struct DatasetRun {
     /// Which dataset.
     pub kind: DatasetKind,
     /// Outcomes, indexed by [`KDS`], [`KDS_REJECTION`], [`BBST`] and
-    /// [`GROUP_ROWS`].
+    /// [`GROUP_ROWS`]; none when the join is empty.
     pub outcomes: Vec<RunOutcome>,
     /// `Σ_r µ(r)` of each outcome's index, in the same order.
     pub mu_totals: Vec<f64>,
@@ -92,11 +112,13 @@ pub struct DatasetRun {
 fn run_index<I: SamplerIndex>(index: I, t: usize, seed: u64) -> (RunOutcome, f64) {
     let mut cursor = Cursor::new(Arc::new(index));
     let mu_total = cursor.index().total_weight();
-    (run_sampler(&mut cursor, t, seed), mu_total)
+    let outcome = run_sampler(&mut cursor, t, seed).expect("a non-empty join");
+    (outcome, mu_total)
 }
 
 /// Runs KDS, KDS-rejection, BBST and BBST's group rows with the default
-/// setting on every paper dataset.
+/// setting on every paper dataset; none on a dataset whose join is
+/// empty, where the rejecting samplers would only spin.
 pub fn default_runs(cfg: &ExpConfig) -> Vec<DatasetRun> {
     let sc = cfg.sample_config();
     DatasetKind::PAPER_ORDER
@@ -105,6 +127,15 @@ pub fn default_runs(cfg: &ExpConfig) -> Vec<DatasetRun> {
             let d = scaled_spec(kind, cfg.scale, 0.5, cfg.seed);
             let kds = KdsIndex::build(&d.r, &d.s, &sc);
             let join_size = kds.join_size();
+            if join_size == 0 {
+                let (outcomes, mu_totals) = (Vec::new(), Vec::new());
+                return DatasetRun {
+                    kind,
+                    outcomes,
+                    mu_totals,
+                    join_size,
+                };
+            }
             let (outcomes, mu_totals) = [
                 run_index(kds, cfg.t, cfg.seed),
                 run_index(KdsRejectionIndex::build(&d.r, &d.s, &sc), cfg.t, cfg.seed),
@@ -137,12 +168,9 @@ pub fn table2(runs: &[DatasetRun]) -> String {
     for (row, name) in [(KDS, "KDS"), (BBST, "BBST")] {
         write!(out, "{name:<14}").unwrap();
         for run in runs {
-            write!(
-                out,
-                "{:>26.4}",
-                secs(run.outcomes[row].report.preprocessing)
-            )
-            .unwrap();
+            let outcome = run.outcomes.get(row);
+            let cell = Secs(outcome.map(|o| secs(o.report.preprocessing)));
+            write!(out, "{cell:>26.4}").unwrap();
         }
         writeln!(out).unwrap();
     }
@@ -162,6 +190,10 @@ pub fn table3(runs: &[DatasetRun]) -> String {
             run.join_size
         )
         .unwrap();
+        if run.outcomes.is_empty() {
+            writeln!(out, "  empty join").unwrap();
+            continue;
+        }
         writeln!(
             out,
             "  {:<18}{:>10}{:>10}{:>10}",
@@ -193,6 +225,10 @@ pub fn table4(runs: &[DatasetRun], t: usize) -> String {
     .unwrap();
     for run in runs {
         writeln!(out, "dataset: {}", run.kind.label()).unwrap();
+        if run.outcomes.is_empty() {
+            writeln!(out, "  empty join").unwrap();
+            continue;
+        }
         writeln!(
             out,
             "  {:<18}{:>12}{:>14}",
@@ -222,12 +258,16 @@ pub fn accuracy(runs: &[DatasetRun]) -> String {
     let mut out = String::new();
     writeln!(out, "## Accuracy of approximate range counting (Σµ / |J|)").unwrap();
     write!(out, "  {:<26}", "dataset").unwrap();
-    for o in runs.first().map_or(&[][..], |run| &run.outcomes) {
+    let ran = runs.iter().find(|run| !run.outcomes.is_empty());
+    for o in ran.map_or(&[][..], |run| &run.outcomes) {
         write!(out, "{:>20}", o.name).unwrap();
     }
     writeln!(out).unwrap();
     for run in runs {
         write!(out, "  {:<26}", run.kind.label()).unwrap();
+        if run.mu_totals.is_empty() {
+            write!(out, "{:>20}", "empty join").unwrap();
+        }
         for mu in &run.mu_totals {
             write!(out, "{:>20.4}", mu / run.join_size as f64).unwrap();
         }
@@ -299,18 +339,21 @@ pub fn fig5(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Runs the three algorithms on one dataset and returns total seconds.
-/// Skips a run (reported as NaN) only if the join is empty.
-fn run_trio(d: &ScaledDataset, l: f64, t: usize, seed: u64) -> [f64; 3] {
+/// Runs the three algorithms on one dataset and returns total seconds,
+/// every cell "empty join" when KDS — which counts exactly — finds the
+/// join empty: the rejecting samplers would only spin.
+fn run_trio(d: &ScaledDataset, l: f64, t: usize, seed: u64) -> [Secs; 3] {
     let mut kds = build_kds(&d.r, &d.s, l);
-    let a = run_sampler(&mut kds, t, seed).total_secs();
+    let Some(a) = run_sampler(&mut kds, t, seed) else {
+        return [Secs(None), Secs(None), Secs(None)];
+    };
     drop(kds);
     let mut rej = build_rejection(&d.r, &d.s, l);
-    let b = run_sampler(&mut rej, t, seed).total_secs();
+    let b = run_sampler(&mut rej, t, seed);
     drop(rej);
     let mut bbst = build_bbst(&d.r, &d.s, l);
-    let c = run_sampler(&mut bbst, t, seed).total_secs();
-    [a, b, c]
+    let c = run_sampler(&mut bbst, t, seed);
+    [Secs(Some(a.total_secs())), Secs::of(b), Secs::of(c)]
 }
 
 /// Fig. 6 — running time vs number of samples `t`.
@@ -337,16 +380,16 @@ pub fn fig6(cfg: &ExpConfig) -> String {
             let t = t.max(1);
             let (a, b) = if t <= cfg.t {
                 let mut kds = build_kds(&d.r, &d.s, cfg.l);
-                let a = run_sampler(&mut kds, t, cfg.seed).total_secs();
+                let a = Secs::of(run_sampler(&mut kds, t, cfg.seed));
                 drop(kds);
                 let mut rej = build_rejection(&d.r, &d.s, cfg.l);
-                let b = run_sampler(&mut rej, t, cfg.seed).total_secs();
+                let b = Secs::of(run_sampler(&mut rej, t, cfg.seed));
                 (format!("{a:>12.3}"), format!("{b:>16.3}"))
             } else {
                 (format!("{:>12}", "-"), format!("{:>16}", "-"))
             };
             let mut bbst = build_bbst(&d.r, &d.s, cfg.l);
-            let c = run_sampler(&mut bbst, t, cfg.seed).total_secs();
+            let c = Secs::of(run_sampler(&mut bbst, t, cfg.seed));
             writeln!(out, "  {t:<10}{a}{b}{c:>12.3}").unwrap();
         }
     }
@@ -403,7 +446,7 @@ pub fn fig8(cfg: &ExpConfig) -> String {
         for &kind in &DatasetKind::PAPER_ORDER {
             let d = scaled_spec(kind, cfg.scale, ratio, cfg.seed);
             let mut bbst = build_bbst(&d.r, &d.s, cfg.l);
-            let t = run_sampler(&mut bbst, cfg.t, cfg.seed).total_secs();
+            let t = Secs::of(run_sampler(&mut bbst, cfg.t, cfg.seed));
             write!(out, "{t:>26.3}").unwrap();
         }
         writeln!(out).unwrap();
@@ -429,11 +472,12 @@ pub fn fig9(cfg: &ExpConfig) -> String {
     for &kind in &DatasetKind::PAPER_ORDER {
         let d = scaled_spec(kind, cfg.scale, 0.5, cfg.seed);
         let mut bbst = build_bbst(&d.r, &d.s, cfg.l);
-        let a = run_sampler(&mut bbst, cfg.t, cfg.seed).total_secs();
+        let a = Secs::of(run_sampler(&mut bbst, cfg.t, cfg.seed));
         drop(bbst);
         let mut var = build_variant(&d.r, &d.s, cfg.l);
-        let b = run_sampler(&mut var, cfg.t, cfg.seed).total_secs();
-        writeln!(out, "{:<26}{a:>10.3}{b:>10.3}{:>9.2}x", kind.label(), b / a).unwrap();
+        let b = Secs::of(run_sampler(&mut var, cfg.t, cfg.seed));
+        let speedup = Secs(a.0.zip(b.0).map(|(a, b)| b / a));
+        writeln!(out, "{:<26}{a:>10.3}{b:>10.3}{speedup:>9.2}x", kind.label()).unwrap();
     }
     out
 }
@@ -458,9 +502,16 @@ pub fn ablation_cascading(cfg: &ExpConfig) -> String {
                 sc = sc.with_cascading();
             }
             let mut sampler = BbstSampler::build(&d.r, &d.s, &sc);
-            let outcome = run_sampler(&mut sampler, cfg.t, cfg.seed);
+            let Some(outcome) = run_sampler(&mut sampler, cfg.t, cfg.seed) else {
+                row = [f64::NAN; 4];
+                break;
+            };
             row[i] = outcome.total_secs();
             row[2 + i] = outcome.memory_bytes as f64 / (1 << 20) as f64;
+        }
+        if row[0].is_nan() {
+            writeln!(out, "{:<26}{:>12}", kind.label(), "empty join").unwrap();
+            continue;
         }
         writeln!(
             out,
@@ -496,7 +547,15 @@ pub fn ablation_mass(cfg: &ExpConfig) -> String {
             let sc = SampleConfig::new(cfg.l).with_mass_mode(mode);
             let mut sampler = BbstSampler::build(&d.r, &d.s, &sc);
             row[i] = sampler.index().mu_total() / join;
-            row[2 + i] = run_sampler(&mut sampler, cfg.t, cfg.seed).total_secs();
+            let Some(outcome) = run_sampler(&mut sampler, cfg.t, cfg.seed) else {
+                row = [f64::NAN; 4];
+                break;
+            };
+            row[2 + i] = outcome.total_secs();
+        }
+        if row[2].is_nan() {
+            writeln!(out, "{:<26}{:>14}", kind.label(), "empty join").unwrap();
+            continue;
         }
         writeln!(
             out,
@@ -533,14 +592,14 @@ pub fn footnote4(cfg: &ExpConfig) -> String {
         let mib = |b: usize| b as f64 / (1 << 20) as f64;
         let mut rt = RangeTreeSampler::build(&d.r, &d.s, &SampleConfig::new(cfg.l));
         let rt_mem = mib(rt.memory_bytes());
-        let rt_time = run_sampler(&mut rt, cfg.t, cfg.seed).total_secs();
+        let rt_time = Secs::of(run_sampler(&mut rt, cfg.t, cfg.seed));
         drop(rt);
         let kds = build_kds(&d.r, &d.s, cfg.l);
         let kds_mem = mib(kds.memory_bytes());
         drop(kds);
         let mut bbst = build_bbst(&d.r, &d.s, cfg.l);
         let bbst_mem = mib(bbst.memory_bytes());
-        let bbst_time = run_sampler(&mut bbst, cfg.t, cfg.seed).total_secs();
+        let bbst_time = Secs::of(run_sampler(&mut bbst, cfg.t, cfg.seed));
         writeln!(
             out,
             "{frac:<10}{rt_mem:>14.2}{kds_mem:>14.2}{bbst_mem:>14.2}{rt_time:>12.3}{bbst_time:>12.3}"

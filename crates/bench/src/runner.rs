@@ -5,7 +5,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use srj_core::{
     BbstKdVariantSampler, BbstSampler, JoinSampler, KdsRejectionSampler, KdsSampler, PhaseReport,
-    SampleConfig,
+    SampleConfig, SampleError,
 };
 use srj_geom::Point;
 
@@ -49,18 +49,20 @@ impl RunOutcome {
 }
 
 /// Draws `t` samples with a deterministic RNG and returns the combined
-/// outcome. Panics on sampling errors (experiment datasets always have
-/// non-empty joins).
-pub fn run_sampler(sampler: &mut dyn JoinSampler, t: usize, seed: u64) -> RunOutcome {
+/// outcome, or `None` when the join is empty — as it may be at a small
+/// `--scale`. Panics on any other sampling error.
+pub fn run_sampler(sampler: &mut dyn JoinSampler, t: usize, seed: u64) -> Option<RunOutcome> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    sampler
-        .sample(t, &mut rng)
-        .unwrap_or_else(|e| panic!("{} failed: {e}", sampler.name()));
-    RunOutcome {
+    match sampler.sample(t, &mut rng) {
+        Ok(_) => {}
+        Err(SampleError::EmptyJoin) => return None,
+        Err(e) => panic!("{} failed: {e}", sampler.name()),
+    }
+    Some(RunOutcome {
         name: sampler.name(),
         report: sampler.report(),
         memory_bytes: sampler.memory_bytes(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -83,7 +85,7 @@ mod tests {
         outcomes.push(run_sampler(&mut bbst, t, 1));
         let mut var = build_variant(&d.r, &d.s, l);
         outcomes.push(run_sampler(&mut var, t, 1));
-        for o in outcomes {
+        for o in outcomes.into_iter().map(|o| o.expect("a non-empty join")) {
             assert_eq!(o.report.samples, t as u64, "{}", o.name);
             assert!(o.memory_bytes > 0);
             assert!(o.total_secs() > 0.0);

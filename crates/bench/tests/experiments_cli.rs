@@ -1,5 +1,7 @@
 //! Bad `experiments` flags exit 2 with the usage text instead of
-//! panicking deep inside a dataset generator or a sampler config.
+//! panicking deep inside a dataset generator or a sampler config, and a
+//! scale too small for a window to hold a pair prints a row that says
+//! so.
 
 use std::process::Command;
 
@@ -35,4 +37,23 @@ fn missing_unparsable_and_unknown_arguments_exit_2() {
     assert_usage_error(&["table4", "--t", "many"]);
     assert_usage_error(&["table4", "--bogus", "1"]);
     assert_usage_error(&["table5"]);
+}
+
+#[test]
+fn an_empty_join_prints_a_row_and_exits_0() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig5", "--scale", "0.0001", "--t", "100"])
+        .output()
+        .expect("the experiments binary runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let empty = stdout
+        .lines()
+        .find(|line| line.contains("empty join"))
+        .unwrap_or_else(|| panic!("no empty-join row in:\n{stdout}"));
+    assert!(empty.trim_start().starts_with("1 "), "{empty}");
+    assert_eq!(empty.matches("empty join").count(), 3, "{empty}");
 }

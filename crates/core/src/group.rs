@@ -282,6 +282,20 @@ impl GroupIndex {
         }
     }
 
+    /// This index for the windows of half-extent `l` on the same rows,
+    /// in `O(1)`: [`GroupIndex::on_core`] at `l`, the rest of the
+    /// configuration kept.
+    ///
+    /// # Panics
+    /// Panics if the core's cell side is below `l`.
+    pub fn at(&self, l: f64) -> Self {
+        let config = SampleConfig {
+            half_extent: l,
+            ..self.config
+        };
+        Self::on_core(Arc::clone(&self.core), &config)
+    }
+
     fn assert_fits(grid: &Grid, config: &SampleConfig) {
         assert!(
             grid.cell_side() >= config.half_extent,

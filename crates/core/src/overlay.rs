@@ -777,14 +777,19 @@ impl OverlaySupport {
 /// while in-flight cursors finish against the old one.
 pub struct OverlayIndex<I: SamplerIndex> {
     base: Arc<I>,
+    /// The half-extent of the window a draw tests: the support's, or a
+    /// narrower one ([`OverlayIndex::at`]).
+    window: f64,
     /// This snapshot's own delta: the inserted points a chunk's members
-    /// and cross candidates index into, and the tombstones.
-    delta: DeltaSet,
+    /// and cross candidates index into, and the tombstones. It, the
+    /// support and the alias are shared with the snapshot's views at
+    /// narrower windows ([`OverlayIndex::at`]).
+    delta: Arc<DeltaSet>,
     /// The base grids and the insert sources, brought up to `delta`.
-    support: OverlaySupport,
+    support: Arc<OverlaySupport>,
     /// Alias over `(W_base, R chunks…, S chunks…)`; `None` when all are
     /// zero.
-    source_alias: Option<AliasTable>,
+    source_alias: Option<Arc<AliasTable>>,
     total_weight: f64,
     rejection_limit: u64,
     build_report: PhaseReport,
@@ -832,14 +837,55 @@ impl<I: SamplerIndex> OverlayIndex<I> {
             .collect();
         let build_report = base.index_build_report();
         OverlayIndex {
-            source_alias: AliasTable::new(&weights),
+            source_alias: AliasTable::new(&weights).map(Arc::new),
             total_weight: weights.iter().sum(),
             rejection_limit: config.max_consecutive_rejections,
-            support,
+            window: l,
+            support: Arc::new(support),
             base,
-            delta,
+            delta: Arc::new(delta),
             build_report,
         }
+    }
+
+    /// This snapshot for the windows of half-extent `l` over `base`, a
+    /// view of this snapshot's base at `l`: the same sources and the
+    /// same rows (`Arc`-shared, nothing copied), every candidate tested
+    /// against the narrower window.
+    /// A row bounds the candidates of the support's window, which
+    /// contains the narrower one, so each pair of the narrower join is
+    /// still one position of one row, and the draws stay uniform.
+    ///
+    /// # Panics
+    /// Panics if `l` exceeds the support's half-extent, or if `base`
+    /// weighs other than this snapshot's base (it must be the same rows
+    /// at another window).
+    pub fn at(&self, base: Arc<I>, l: f64) -> Self {
+        assert!(
+            l <= self.support.half_extent,
+            "window {l} exceeds the overlay's half-extent {}",
+            self.support.half_extent
+        );
+        assert_eq!(
+            base.total_weight().to_bits(),
+            self.base.total_weight().to_bits(),
+            "a window's base must stand on the snapshot's rows"
+        );
+        OverlayIndex {
+            base,
+            window: l,
+            delta: Arc::clone(&self.delta),
+            support: Arc::clone(&self.support),
+            source_alias: self.source_alias.clone(),
+            ..*self
+        }
+    }
+
+    /// Whether an inserted `r`'s exact run is its window's own, so its
+    /// candidates need no test: the rows are exact and were counted for
+    /// this very window.
+    fn runs_are_the_window(&self) -> bool {
+        self.support.exact_rows() && self.window.to_bits() == self.support.half_extent.to_bits()
     }
 
     /// The unchanged base index underneath.
@@ -930,7 +976,7 @@ impl<I: SamplerIndex> OverlayIndex<I> {
             } else {
                 (candidate, p)
             };
-            Rect::window(rp, sup.half_extent).contains(sp)
+            Rect::window(rp, self.window).contains(sp)
         };
         // The candidate at the picked rank, and the test `s ∈ w(r)`
         // where the row does not already guarantee it.
@@ -958,9 +1004,11 @@ impl<I: SamplerIndex> OverlayIndex<I> {
                     let id = run[rank];
                     // The run is exactly the window's for an inserted
                     // `r` (no coordinate is read); for an inserted `s`
-                    // it was bounded a few ulps wide, so test.
-                    debug_assert!(!from_r || in_window(grid.point(id)));
-                    (from_r || in_window(grid.point(id))).then(|| pair(id as usize))
+                    // it was bounded a few ulps wide, and for a window
+                    // narrower than the rows' it holds more, so test.
+                    let exact = from_r && self.runs_are_the_window();
+                    debug_assert!(!exact || in_window(grid.point(id)));
+                    (exact || in_window(grid.point(id))).then(|| pair(id as usize))
                 }
             }
         };
@@ -1064,7 +1112,7 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
                 alias: self
                     .source_alias
                     .as_ref()
-                    .map_or(0, AliasTable::memory_bytes),
+                    .map_or(0, |alias| alias.memory_bytes()),
                 delta: self.delta.memory_bytes(),
                 ..IndexBytes::default()
             }

@@ -7,18 +7,25 @@ use srj_geom::Point;
 /// assigned each point to R or S. By default, |R| ≈ |S|" (§V-A), and the
 /// Fig. 8 sweep over `n / (n + m)`.
 ///
-/// Deterministic for a given seed.
+/// Deterministic for a given seed. Each side is allocated at exactly its
+/// length — a served base set keeps the `Vec` it is given — by tossing
+/// the seeded coins once to count and once more to deal.
 pub fn split_rs(points: &[Point], r_fraction: f64, seed: u64) -> (Vec<Point>, Vec<Point>) {
     assert!(
         (0.0..=1.0).contains(&r_fraction),
         "r_fraction must be within [0, 1], got {r_fraction}"
     );
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let expected_r = (points.len() as f64 * r_fraction) as usize;
-    let mut r = Vec::with_capacity(expected_r + 1);
-    let mut s = Vec::with_capacity(points.len().saturating_sub(expected_r) + 1);
-    for &p in points {
-        if rng.gen::<f64>() < r_fraction {
+    let coins = || {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        points
+            .iter()
+            .map(move |&p| (rng.gen::<f64>() < r_fraction, p))
+    };
+    let r_len = coins().filter(|&(to_r, _)| to_r).count();
+    let mut r = Vec::with_capacity(r_len);
+    let mut s = Vec::with_capacity(points.len() - r_len);
+    for (to_r, p) in coins() {
+        if to_r {
             r.push(p);
         } else {
             s.push(p);
@@ -63,6 +70,31 @@ mod tests {
             let (r, _) = split_rs(&points, frac, 4);
             let got = r.len() as f64 / points.len() as f64;
             assert!((got - frac).abs() < 0.02, "frac {frac}: got {got}");
+        }
+    }
+
+    /// Both sides are allocated at their length, for fractions that put
+    /// one point more or fewer on a side than expected, and the deal is
+    /// the one a single pass of the same coins makes.
+    #[test]
+    fn sides_are_allocated_exactly() {
+        let points = pts(5_001);
+        for seed in [1, 2, 3, 0xDEAD_BEEF] {
+            for frac in [0.0, 0.1, 0.37, 0.5, 0.9, 1.0] {
+                let (r, s) = split_rs(&points, frac, seed);
+                assert_eq!(r.capacity(), r.len(), "seed {seed}, frac {frac}");
+                assert_eq!(s.capacity(), s.len(), "seed {seed}, frac {frac}");
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let to_r: Vec<bool> = points.iter().map(|_| rng.gen::<f64>() < frac).collect();
+                let dealt = |side: bool| -> Vec<Point> {
+                    points
+                        .iter()
+                        .zip(&to_r)
+                        .filter_map(|(&p, &r)| (r == side).then_some(p))
+                        .collect()
+                };
+                assert_eq!((r, s), (dealt(true), dealt(false)));
+            }
         }
     }
 

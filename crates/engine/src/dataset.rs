@@ -30,8 +30,6 @@ use srj_geom::{Point, PointId};
 use srj_grid::PointSet;
 use srj_obs::journal::{event, EventKind};
 
-use crate::family::GroupCores;
-
 /// One epoch's consistent view of a [`DatasetStore`]: the base arrays
 /// (`Arc`-shared, never copied) plus a clone of the pending delta.
 #[derive(Clone)]
@@ -186,9 +184,6 @@ pub struct DatasetStore {
     /// serves, carried on every lifecycle event it (and the engines
     /// over it) emits. `u64::MAX` = unlabelled.
     obs_label: AtomicU64,
-    /// The group rows engines over the current base stand on, by ladder
-    /// step, held weakly: window sizes on one step share one core.
-    cores: GroupCores,
 }
 
 /// Sentinel for "no observability label set".
@@ -228,7 +223,6 @@ impl DatasetStore {
                 version: 0,
             }),
             obs_label: AtomicU64::new(NO_LABEL),
-            cores: GroupCores::default(),
         }
     }
 
@@ -254,11 +248,6 @@ impl DatasetStore {
 
     fn write(&self) -> std::sync::RwLockWriteGuard<'_, StoreInner> {
         self.inner.write().expect("dataset store poisoned")
-    }
-
-    /// The group rows engines over this store share, by ladder step.
-    pub(crate) fn group_cores(&self) -> &GroupCores {
-        &self.cores
     }
 
     /// Everything an engine's maintenance check reads off the store,

@@ -103,7 +103,7 @@ impl Engine {
         algorithm: Algorithm,
     ) -> Engine {
         let r = r.into_point_set();
-        let index = family::build(&r, s.into_point_set(), config, Some(algorithm), None);
+        let index = family::build(&r, s.into_point_set(), config, Some(algorithm), true);
         Engine::from_index(index)
     }
 
@@ -116,7 +116,7 @@ impl Engine {
     /// with [`Engine::build`].
     pub fn auto(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Engine {
         let r = r.into_point_set();
-        Engine::from_index(family::build(&r, s.into_point_set(), config, None, None))
+        Engine::from_index(family::build(&r, s.into_point_set(), config, None, true))
     }
 
     /// Wraps this engine's index in a delta [`srj_core::OverlayIndex`], producing
@@ -208,6 +208,29 @@ impl Engine {
         }
     }
 
+    /// This engine for the windows of half-extent `l`, standing on the
+    /// same rows and the same overlay sources ([`EngineIndex::at`]), with
+    /// statistics and a handle sequence of its own; `None` unless it
+    /// serves group rows.
+    pub(crate) fn at(&self, l: f64) -> Option<Engine> {
+        Some(Engine::from_index(self.shared.index.at(l)?))
+    }
+
+    /// A handle drawing the window of half-extent `l` from this engine's
+    /// rows ([`Engine::at`]), seeded with `seed` or from this engine's
+    /// handle sequence, and counted in this engine's statistics: the
+    /// windows one engine serves share one sequence and one record of
+    /// what a sample costs. `None` unless it serves group rows.
+    pub(crate) fn handle_at(&self, l: f64, seed: Option<u64>) -> Option<SamplerHandle> {
+        let cursor = self.shared.index.at(l)?.cursor();
+        let seed = seed.unwrap_or_else(|| self.next_seed());
+        Some(SamplerHandle {
+            cursor,
+            rng: SmallRng::seed_from_u64(seed),
+            shared: Arc::clone(&self.shared),
+        })
+    }
+
     /// Whether this engine serves through a delta overlay (pending
     /// mutations present) rather than a full build.
     pub fn is_overlay(&self) -> bool {
@@ -223,13 +246,18 @@ impl Engine {
     /// unique seed. Deterministic: the k-th handle of an engine always
     /// gets the same seed.
     pub fn handle(&self) -> SamplerHandle {
+        self.handle_seeded(self.next_seed())
+    }
+
+    /// The seed of this engine's next auto-seeded handle.
+    fn next_seed(&self) -> u64 {
         let seq = self.shared.handle_seq.fetch_add(1, Ordering::Relaxed);
         // SplitMix64 step keeps consecutive sequence numbers from
         // yielding correlated xoshiro seeds.
         let mut z = seq.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.handle_seeded(z ^ (z >> 31))
+        z ^ (z >> 31)
     }
 
     /// A new serving handle seeded with `seed`: two handles with the
@@ -339,10 +367,10 @@ impl Engine {
     /// The group rows the full build stands on (an overlay's base's),
     /// `None` unless [`Engine::row_granularity`] is
     /// [`RowGranularity::Group`]. Their cell side is the window's ladder
-    /// step ([`srj_grid::ladder_side`]), and engines of one store whose
-    /// windows map to one step share them while any of them lives;
-    /// [`Engine::memory_bytes`] of each includes them, so a sum over
-    /// engines counts them once per core ([`GroupCore::own_bytes`]).
+    /// step ([`srj_grid::ladder_side`]); the step's epoch engine serves
+    /// every window on the step that they pass from them
+    /// ([`crate::EpochEngine::handle_at`]), and they live as long as the
+    /// last handle on any of those windows.
     #[doc(hidden)]
     pub fn group_core(&self) -> Option<Arc<GroupCore>> {
         self.shared.index.group_core()

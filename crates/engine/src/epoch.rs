@@ -50,9 +50,23 @@
 //! into it ([`OverlaySupport::on_grid`]; dead ids are in no cell), and
 //! the patch budget counts its cells and the ones a patch would dirty
 //! ([`srj_grid::Grid::dirty_cells`]). Under group rows its cell side is
-//! the window's ladder step ([`srj_grid::ladder_side`]), and a full
-//! build shares it — with the rows on it — with every engine of the
-//! store whose window maps to the same step.
+//! the window's ladder step ([`srj_grid::ladder_side`]).
+//!
+//! **Windows.** An engine serves its own window `l` and, from group
+//! rows of `l`'s ladder step, every narrower window on the step that
+//! the rows pass the probe for ([`EpochEngine::handle_at`]); built at a
+//! step ([`EpochEngine::for_step`]), it serves the whole step. A
+//! narrower window's handle draws from a view of the serving engine at
+//! the window's half-extent — the same rows, the same overlay, its own
+//! window test — derived per handle in `O(1)`, so one swap cell serves
+//! the step: a mutation batch is folded, and a patch counted, once per
+//! step, not once per window. The verdicts are the full build's: the
+//! probe is monotone in the window, so the engine keeps the widest
+//! window that failed and the narrowest that passed, and probes only
+//! between them — two numbers, however many windows ask. A window the
+//! rows fail is not this engine's to serve ([`EpochEngine::handle_at`]
+//! says `None`); it is served by an engine of its own, built at its
+//! half-extent ([`EpochEngine::off_step`]).
 //!
 //! **Counts.** A swap counts its rung into the cell's
 //! [`MaintenanceCounters`] where it commits, under the state write lock,
@@ -66,9 +80,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use srj_core::{GroupCore, IndexBytes, OverlaySupport, SampleConfig};
+use srj_core::{IndexBytes, OverlaySupport, SampleConfig};
 use srj_geom::{Point, PointId};
-use srj_grid::PointSet;
+use srj_grid::{ladder_side, PointSet};
 use srj_obs::journal::{event, EventKind};
 
 use crate::dataset::{DatasetSnapshot, DatasetStore, StoreCounters};
@@ -177,15 +191,52 @@ struct EpochState {
     support: Option<Arc<OverlaySupport>>,
     built_epoch: u64,
     built_version: u64,
+    /// Full builds so far: the verdicts below are the last one's.
+    full_builds: u64,
+    /// The full build's rows fail every window up to this half-extent…
+    fails_up_to: f64,
+    /// …and serve every window from this one up to the engine's own.
+    serves_from: f64,
+    /// Probes run, for the tests.
+    #[cfg(test)]
+    probes: usize,
+}
+
+impl EpochState {
+    /// The verdicts of a full build `base` for an engine of window
+    /// `home`: its rows serve `home` (and nothing narrower is known) if
+    /// they are group rows of `home`'s ladder step — they were probed
+    /// for it and passed — and fail every narrower window otherwise.
+    fn verdicts(base: &Engine, home: f64) -> (f64, f64) {
+        let on_step = base
+            .group_core()
+            .is_some_and(|core| core.grid().cell_side().to_bits() == ladder_side(home).to_bits());
+        if on_step {
+            (f64::NEG_INFINITY, home)
+        } else {
+            (home, f64::INFINITY)
+        }
+    }
+
+    /// What is known of the window `l`: `Some(true)` where the rows
+    /// serve it, `Some(false)` where they fail it, `None` before a
+    /// probe.
+    fn verdict(&self, l: f64) -> Option<bool> {
+        if l <= self.fails_up_to {
+            Some(false)
+        } else if l >= self.serves_from {
+            Some(true)
+        } else {
+            None
+        }
+    }
 }
 
 /// What an engine's [`IndexBytes`] include that sibling engines over
 /// one store may stand on too ([`EpochEngine::memory_breakdown`]): the
-/// base `R` and `S` sets, and a group engine's rows — shared by the
-/// windows on one ladder step.
+/// base `R` and `S` sets.
 pub struct SharedParts {
     sets: [Arc<PointSet>; 2],
-    core: Option<Arc<GroupCore>>,
 }
 
 impl SharedParts {
@@ -207,11 +258,9 @@ impl SharedParts {
                 ..IndexBytes::default()
             },
         ];
-        let sets = [Arc::as_ptr(r).cast(), Arc::as_ptr(s).cast()]
+        [Arc::as_ptr(r).cast(), Arc::as_ptr(s).cast()]
             .into_iter()
-            .zip(sets);
-        let core = self.core.as_ref();
-        sets.chain(core.map(|core| (Arc::as_ptr(core).cast(), core.own_bytes())))
+            .zip(sets)
     }
 }
 
@@ -242,6 +291,9 @@ pub struct EpochEngine {
     store: Arc<DatasetStore>,
     config: SampleConfig,
     cfg: EpochConfig,
+    /// Whether a BBST full build tries the window's ladder step first:
+    /// `false` only for [`EpochEngine::off_step`].
+    on_step: bool,
     state: RwLock<EpochState>,
     maintain: Mutex<()>,
     /// Where the swaps are counted.
@@ -281,6 +333,65 @@ impl EpochEngine {
         cfg: EpochConfig,
         counters: MaintenanceCounters,
     ) -> Self {
+        let build = |snap: &DatasetSnapshot| Some(Self::build_base(snap, config, &cfg, true));
+        Self::build(store, config, cfg, counters, true, build).expect("a full build")
+    }
+
+    /// [`EpochEngine::with_counters`] for the ladder step
+    /// `config.half_extent` ([`ladder_side`]), for serving the windows
+    /// below it: the step's group rows where they serve the step's own
+    /// window, `None` where they fail it — and so, the probe being
+    /// monotone, every window on the step. Nothing beyond the rows and
+    /// their probe is built; later full builds are
+    /// [`EpochEngine::with_counters`]'s.
+    ///
+    /// # Panics
+    /// Panics unless `cfg` forces [`Algorithm::Bbst`], or as
+    /// [`EpochEngine::with_counters`].
+    pub fn for_step(
+        store: Arc<DatasetStore>,
+        config: &SampleConfig,
+        cfg: EpochConfig,
+        counters: MaintenanceCounters,
+    ) -> Option<Self> {
+        assert_eq!(
+            cfg.algorithm,
+            Some(Algorithm::Bbst),
+            "a step's rows are BBST's"
+        );
+        let build = |snap: &DatasetSnapshot| {
+            let index = family::build_step(&snap.base_r, Arc::clone(&snap.base_s), config)?;
+            Some(Engine::from_index(index))
+        };
+        Self::build(store, config, cfg, counters, true, build)
+    }
+
+    /// [`EpochEngine::with_counters`] for a window whose ladder step's
+    /// rows fail it ([`EpochEngine::handle_at`] said `None`): rows at
+    /// the window's own side — group rows on a grid of side `l`, probed,
+    /// else per-`r` rows — never the step's, in this and every later
+    /// full build.
+    pub fn off_step(
+        store: Arc<DatasetStore>,
+        config: &SampleConfig,
+        cfg: EpochConfig,
+        counters: MaintenanceCounters,
+    ) -> Self {
+        let build = |snap: &DatasetSnapshot| Some(Self::build_base(snap, config, &cfg, false));
+        Self::build(store, config, cfg, counters, false, build).expect("a full build")
+    }
+
+    /// The constructors' common part: the first full build is `first`'s,
+    /// over a purged snapshot of `store`; `on_step` as [`family::build`]
+    /// takes it, for the later ones.
+    fn build(
+        store: Arc<DatasetStore>,
+        config: &SampleConfig,
+        cfg: EpochConfig,
+        counters: MaintenanceCounters,
+        on_step: bool,
+        first: impl FnOnce(&DatasetSnapshot) -> Option<Engine>,
+    ) -> Option<Self> {
         assert!(
             cfg.shards <= 1,
             "EpochConfig::shards is reserved: R is not sharded"
@@ -292,7 +403,8 @@ impl EpochEngine {
             let _ = store.compact();
         }
         let snap = store.snapshot();
-        let base = Self::build_base(&store, &snap, config, &cfg);
+        let base = first(&snap)?;
+        let (fails_up_to, serves_from) = EpochState::verdicts(&base, config.half_extent);
         let mut state = EpochState {
             current: base.clone(),
             base,
@@ -301,6 +413,11 @@ impl EpochEngine {
             support: None,
             built_epoch: snap.epoch,
             built_version: snap.version,
+            full_builds: 0,
+            fails_up_to,
+            serves_from,
+            #[cfg(test)]
+            probes: 0,
         };
         if !snap.delta.is_empty() {
             // The store already carried mutations: serve them through
@@ -309,34 +426,33 @@ impl EpochEngine {
             state.current = state.base.with_overlay(snap.delta, &support, config);
             state.support = Some(Arc::new(support));
         }
-        EpochEngine {
+        Some(EpochEngine {
             store,
             config: *config,
             cfg,
+            on_step,
             state: RwLock::new(state),
             maintain: Mutex::new(()),
             counters,
             last_swap_ns: AtomicU64::new(0),
-        }
+        })
     }
 
     /// A full build over `snap`'s base: the pinned algorithm, or the
-    /// engine's choice for this data. Group rows of a window's ladder
-    /// step that a sibling engine of `store` holds are shared, not
-    /// rebuilt.
+    /// engine's choice for this data.
     fn build_base(
-        store: &DatasetStore,
         snap: &DatasetSnapshot,
         config: &SampleConfig,
         cfg: &EpochConfig,
+        on_step: bool,
     ) -> Engine {
         debug_assert!(
             snap.s_dead.is_empty(),
             "full builds must run over a purged base"
         );
         let s = Arc::clone(&snap.base_s);
-        let cores = Some(store.group_cores());
-        Engine::from_index(family::build(&snap.base_r, s, config, cfg.algorithm, cores))
+        let index = family::build(&snap.base_r, s, config, cfg.algorithm, on_step);
+        Engine::from_index(index)
     }
 
     /// The overlay support of an epoch: the grid of `S` its full build
@@ -378,21 +494,34 @@ impl EpochEngine {
     /// epoch: later swaps never interrupt it.
     pub fn handle(&self) -> SamplerHandle {
         self.refresh();
-        self.state
-            .read()
-            .expect("epoch state poisoned")
-            .current
-            .handle()
+        self.engine().handle()
     }
 
     /// Like [`EpochEngine::handle`] with a fixed RNG seed.
     pub fn handle_seeded(&self, seed: u64) -> SamplerHandle {
         self.refresh();
-        self.state
-            .read()
-            .expect("epoch state poisoned")
-            .current
-            .handle_seeded(seed)
+        self.engine().handle_seeded(seed)
+    }
+
+    /// A serving handle for the window of half-extent `l` — this
+    /// engine's own, or a narrower one on its ladder step — seeded with
+    /// `seed`, or from the serving engine's handle sequence. Refreshes
+    /// the swap cell first, like [`EpochEngine::handle`]. A narrower
+    /// window draws from the serving engine's rows where they serve it
+    /// (probed here the first time the full build is asked for it) and
+    /// its seeded stream is the one an engine built for `l` alone
+    /// draws; where the rows fail it, `None`: the window is served by
+    /// an engine of its own ([`EpochEngine::off_step`]).
+    ///
+    /// # Panics
+    /// Panics if `l` exceeds this engine's window or maps to another
+    /// ladder step.
+    pub fn handle_at(&self, l: f64, seed: Option<u64>) -> Option<SamplerHandle> {
+        self.refresh();
+        if self.is_home(l) {
+            return Some(handle_of(&self.engine(), seed));
+        }
+        self.serves(l).then(|| self.engine().handle_at(l, seed))?
     }
 
     /// [`EpochEngine::handle`] for a caller that must never wait: `None`
@@ -411,6 +540,76 @@ impl EpochEngine {
         Some(self.settled()?.handle_seeded(seed))
     }
 
+    /// [`EpochEngine::handle_at`] for a caller that must never wait, as
+    /// [`EpochEngine::try_handle`]; also `None` for a window whose
+    /// verdict is not known yet ([`EpochEngine::verdict_at`]): nothing
+    /// is probed here.
+    pub fn try_handle_at(&self, l: f64, seed: Option<u64>) -> Option<SamplerHandle> {
+        let current = self.settled()?;
+        if self.is_home(l) {
+            return Some(handle_of(&current, seed));
+        }
+        self.verdict_at(l)?.then(|| current.handle_at(l, seed))?
+    }
+
+    /// What this engine knows of the window `l` — its own or a narrower
+    /// one on its ladder step, as [`EpochEngine::handle_at`] takes —
+    /// without probing or waiting: `Some(true)` for its own window and
+    /// one its rows serve, `Some(false)` for one they fail, `None` before
+    /// the window's probe, or while a swap holds the state lock.
+    pub fn verdict_at(&self, l: f64) -> Option<bool> {
+        if self.is_home(l) {
+            return Some(true);
+        }
+        self.state.try_read().ok()?.verdict(l)
+    }
+
+    /// Whether the full build's rows serve the window `l`, probing them
+    /// if no verdict covers it yet. The probe runs outside every lock;
+    /// a full build that lands meanwhile makes its verdict moot, so it
+    /// is recorded only against the build it probed.
+    fn serves(&self, l: f64) -> bool {
+        let home = self.config.half_extent;
+        assert!(
+            l < home && ladder_side(l).to_bits() == ladder_side(home).to_bits(),
+            "window {l} is not on the step of the engine's window {home}"
+        );
+        let (core, full_builds) = {
+            let st = self.state.read().expect("epoch state poisoned");
+            if let Some(known) = st.verdict(l) {
+                return known;
+            }
+            let core = st
+                .base
+                .group_core()
+                .expect("between the verdicts: group rows");
+            (core, st.full_builds)
+        };
+        let config = SampleConfig {
+            half_extent: l,
+            ..self.config
+        };
+        let serves = family::rows_serve(&core, &config);
+        let mut st = self.state.write().expect("epoch state poisoned");
+        if st.full_builds == full_builds {
+            if serves {
+                st.serves_from = st.serves_from.min(l);
+            } else {
+                st.fails_up_to = st.fails_up_to.max(l);
+            }
+            #[cfg(test)]
+            {
+                st.probes += 1;
+            }
+        }
+        serves
+    }
+
+    /// Whether `l` is this engine's own window.
+    fn is_home(&self, l: f64) -> bool {
+        l.to_bits() == self.config.half_extent.to_bits()
+    }
+
     /// The serving engine, provided nothing is due. Waits for nothing:
     /// a swap committing or a writer holding the store is reason enough
     /// to decline, and the maintenance mutex is never touched.
@@ -421,9 +620,10 @@ impl EpochEngine {
 
     /// Mean observed nanoseconds per delivered sample of the engine
     /// currently serving (per overlay snapshot, like
-    /// [`EpochEngine::stats`]): two relaxed loads. `None` before its
-    /// first delivered sample — and, because this never waits either,
-    /// while a swap is being committed.
+    /// [`EpochEngine::stats`]), over the handles of every window it
+    /// serves: two relaxed loads. `None` before its first delivered
+    /// sample — and, because this never waits either, while a swap is
+    /// being committed.
     pub fn observed_ns_per_sample(&self) -> Option<u64> {
         self.state.try_read().ok()?.current.ns_per_sample()
     }
@@ -437,6 +637,20 @@ impl EpochEngine {
             .expect("epoch state poisoned")
             .current
             .clone()
+    }
+
+    /// The engine a handle of [`EpochEngine::handle_at`] draws from:
+    /// for this engine's own window [`EpochEngine::engine`], for a
+    /// narrower one a view of it at `l` (with statistics of its own),
+    /// `None` where the rows fail `l`. Does **not** refresh first.
+    ///
+    /// # Panics
+    /// As [`EpochEngine::handle_at`].
+    pub fn engine_at(&self, l: f64) -> Option<Engine> {
+        if self.is_home(l) {
+            return Some(self.engine());
+        }
+        self.serves(l).then(|| self.engine().at(l))?
     }
 
     /// The algorithm currently serving.
@@ -499,10 +713,11 @@ impl EpochEngine {
 
     /// The serving engine's heap bytes by structure
     /// ([`Engine::memory_breakdown`]), and the parts of them other
-    /// engines may share. Engines over one store — one per window size —
-    /// stand on the same base `R` and `S` sets, and group engines whose
-    /// windows map to one ladder step on the same rows, so whoever adds
-    /// engines up counts each part once ([`SharedParts::parts`]). Walks
+    /// engines may share. Engines over one store — one per window size
+    /// or ladder step — stand on the same base `R` and `S` sets, so
+    /// whoever adds engines up counts each part once
+    /// ([`SharedParts::parts`]). The views a narrower window's handles
+    /// draw from hold nothing of their own beyond a few `Arc`s. Walks
     /// the index outside the state lock.
     pub fn memory_breakdown(&self) -> (IndexBytes, SharedParts) {
         let (current, base) = {
@@ -512,7 +727,6 @@ impl EpochEngine {
         let grid = base.s_grid().expect("a full build has a grid of S");
         let shared = SharedParts {
             sets: [base.r_set(), Arc::clone(grid.point_set())],
-            core: base.group_core(),
         };
         (current.memory_breakdown(), shared)
     }
@@ -629,9 +843,12 @@ impl EpochEngine {
         // Full path: purge dead ids, renumber, rebuild from scratch.
         let mu_before = prev_base.total_weight();
         let (snap, _) = self.store.compact();
-        let engine = Self::build_base(&self.store, &snap, &self.config, &self.cfg);
+        let engine = Self::build_base(&snap, &self.config, &self.cfg, self.on_step);
         let mu_after = engine.total_weight();
-        let st = self.commit_epoch(engine, &snap);
+        let mut st = self.commit_epoch(engine, &snap);
+        // The verdicts were the last full build's.
+        st.full_builds += 1;
+        (st.fails_up_to, st.serves_from) = EpochState::verdicts(&st.base, self.config.half_extent);
         self.counters.full_rebuild.inc();
         drop(st);
         event(EventKind::FullRebuild)
@@ -780,6 +997,14 @@ impl EpochEngine {
             .mu(mu_before, mu_after)
             .overlay(pending_ops as u64, sources as u64)
             .emit();
+    }
+}
+
+/// A handle of `engine`, seeded with `seed` or from its sequence.
+fn handle_of(engine: &Engine, seed: Option<u64>) -> SamplerHandle {
+    match seed {
+        Some(seed) => engine.handle_seeded(seed),
+        None => engine.handle(),
     }
 }
 
@@ -1220,5 +1445,120 @@ mod tests {
             let w = Rect::window(snap.r_point(p.r).unwrap(), l);
             assert!(w.contains(snap.s_point(p.s).unwrap()), "{p:?}");
         }
+    }
+
+    /// Duplicate coordinates on a half-unit lattice: at `l` = 3.7 the
+    /// rows of the step 4 need more than two iterations a sample.
+    fn lattice_points(n: usize, seed: u64) -> Vec<Point> {
+        pseudo_points(n, seed, 41.0)
+            .into_iter()
+            .map(|p| Point::new(p.x.floor() * 0.5 - 10.0, p.y.floor() * 0.5 - 10.0))
+            .collect()
+    }
+
+    fn bbst() -> EpochConfig {
+        EpochConfig::default().with_algorithm(Algorithm::Bbst)
+    }
+
+    /// Two windows on the step 4 whose rows serve the step itself but
+    /// fail both windows: the step is built once and probed once — the
+    /// narrower window inherits the wider one's verdict, and asking
+    /// again probes nothing — and declines both. Each window is then
+    /// served from rows at its own half-extent by an engine of its own,
+    /// whose stream is the one an engine built for the window alone
+    /// draws.
+    #[test]
+    fn a_failed_step_is_probed_once_and_its_windows_get_rows_at_l() {
+        let (r, s) = (lattice_points(400, 11), lattice_points(2_000, 12));
+        let store = Arc::new(DatasetStore::new(r.clone(), s.clone()));
+        let counters = MaintenanceCounters::default();
+        let step = EpochEngine::for_step(
+            Arc::clone(&store),
+            &SampleConfig::new(4.0),
+            bbst(),
+            counters.clone(),
+        )
+        .expect("the rows serve the step itself");
+        let core = step.engine().group_core().unwrap();
+        for l in [3.7, 3.5, 3.7, 3.5] {
+            assert!(step.handle_at(l, Some(5)).is_none(), "l = {l}");
+            assert_eq!(step.verdict_at(l), Some(false), "l = {l}");
+            let own = EpochEngine::off_step(
+                Arc::clone(&store),
+                &SampleConfig::new(l),
+                bbst(),
+                counters.clone(),
+            );
+            let served = own.engine();
+            assert_eq!(served.s_grid().unwrap().cell_side(), l, "rows at l = {l}");
+            let alone = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::Bbst);
+            assert_eq!(served.row_granularity(), alone.row_granularity());
+            let want = alone.handle_seeded(5).sample_batch(300).unwrap();
+            let got = own
+                .handle_at(l, Some(5))
+                .unwrap()
+                .sample_batch(300)
+                .unwrap();
+            assert!(got == want, "l = {l}: not the window's own stream");
+        }
+        assert_eq!(
+            step.state.read().unwrap().probes,
+            1,
+            "3.5 inherits 3.7's verdict"
+        );
+        let now = step.engine().group_core().unwrap();
+        assert!(Arc::ptr_eq(&now, &core), "the step was built once");
+    }
+
+    /// Where a step's rows fail the step's own window they fail every
+    /// window on it: a step engine is not built at all.
+    #[test]
+    fn a_step_whose_rows_fail_it_builds_nothing() {
+        let store = Arc::new(DatasetStore::new(
+            pseudo_points(400, 21, 41.0),
+            pseudo_points(2_000, 22, 41.0),
+        ));
+        let config = SampleConfig::new(4.0);
+        let counters = MaintenanceCounters::default();
+        assert!(EpochEngine::for_step(store, &config, bbst(), counters).is_none());
+    }
+
+    /// Ten thousand windows on one step, each served from the step's
+    /// rows: one probe settles them all, and the engine keeps nothing
+    /// per window — its bytes are what they were before the first.
+    #[test]
+    fn ten_thousand_windows_on_one_step_keep_nothing_per_window() {
+        let centres = pseudo_points(12, 77, 58.0);
+        let clustered = |n, seed| -> Vec<Point> {
+            pseudo_points(n, seed, 0.8)
+                .into_iter()
+                .zip(centres.iter().cycle())
+                .map(|(p, c)| Point::new(c.x + p.x, c.y + p.y))
+                .collect()
+        };
+        let store = Arc::new(DatasetStore::new(clustered(120, 31), clustered(180, 32)));
+        let counters = MaintenanceCounters::default();
+        let step = EpochEngine::for_step(store, &SampleConfig::new(4.0), bbst(), counters)
+            .expect("clustered rows serve the step");
+        let before = step.memory_breakdown().0;
+        for i in 0..10_000 {
+            let l = 3.2 + 0.8 * f64::from(i) / 10_000.0;
+            let mut h = step.handle_at(l, Some(1)).expect("the rows serve l");
+            assert_eq!(h.sample_batch(4).unwrap().len(), 4);
+        }
+        assert_eq!(
+            step.state.read().unwrap().probes,
+            1,
+            "the narrowest passed first"
+        );
+        assert!(
+            step.memory_breakdown().0 == before,
+            "a window left bytes behind"
+        );
+        assert_eq!(
+            step.stats().samples,
+            40_000,
+            "every window counts in the step's stats"
+        );
     }
 }

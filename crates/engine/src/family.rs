@@ -21,8 +21,14 @@
 //! The grid's cell side is the window half-extent `l`, except under
 //! group rows: those stand on the grid of `l`'s ladder step
 //! ([`srj_grid::ladder_side`]), and the rows built on it
-//! ([`GroupCore`]) are shared by every window of one store on that step
-//! ([`GroupCores`]).
+//! ([`GroupCore`]) serve every window up to the step. A full build's
+//! rows serve such a window through [`EngineIndex::at`] — the same
+//! rows, the same overlay, the window's own test — once
+//! [`rows_serve`] has admitted them for it; the epoch engine of the
+//! step keeps the verdicts and derives a window's view on each handle.
+//! Built for a window below the step, that engine is the step's rows
+//! or nothing ([`build_step`]); a window the rows fail is built at its
+//! own side (`on_step: false`).
 //!
 //! `R` is a [`PointSet`] too, held once: every index — one per window
 //! size, and every rebuild — stands on the set it is handed
@@ -30,7 +36,7 @@
 //! the store's.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -109,6 +115,12 @@ trait Family: SamplerIndex + Sized + 'static {
 
     /// The group rows the index stands on; `None` for a row per `r`.
     fn group_core(&self) -> Option<&Arc<GroupCore>> {
+        None
+    }
+
+    /// This index for the windows of half-extent `l`, on the same rows;
+    /// `None` where the rows are the window's own (a row per `r`).
+    fn at(&self, _l: f64) -> Option<Self> {
         None
     }
 }
@@ -288,6 +300,10 @@ impl Family for GroupIndex {
     fn group_core(&self) -> Option<&Arc<GroupCore>> {
         Some(self.core())
     }
+
+    fn at(&self, l: f64) -> Option<Self> {
+        Some(GroupIndex::at(self, l))
+    }
 }
 
 /// Builds an engine's index over `r`, which it keeps, and is the one
@@ -295,15 +311,15 @@ impl Family for GroupIndex {
 /// already holds them) are charged to pre-processing, the grid to grid
 /// mapping. With no `algorithm` the data picks one ([`unforced`]).
 /// The grid's cell side is `l`, or — where group rows serve — `l`'s
-/// ladder step, which is `≥ l`. Group rows come from a store's `cores`
-/// when a sibling window holds its step's ([`build_bbst`]); a
-/// standalone build has none to share.
+/// ladder step, which is `≥ l`. `on_step: false` skips the step: the
+/// build of a window whose step's rows are known to fail it
+/// ([`build_bbst`]).
 pub(crate) fn build(
     r: &Arc<PointSet>,
     s: Arc<PointSet>,
     config: &SampleConfig,
     algorithm: Option<Algorithm>,
-    cores: Option<&GroupCores>,
+    on_step: bool,
 ) -> Box<dyn EngineIndex> {
     let preprocessing = s.ensure_orders();
     let l = config.half_extent;
@@ -316,7 +332,11 @@ pub(crate) fn build(
             let (grid, base) = map_s(s, l, preprocessing);
             build_family::<KdsRejectionIndex>(r, grid, config, base).boxed()
         }
-        Algorithm::Bbst => build_bbst(r, s, config, preprocessing, cores),
+        Algorithm::Bbst if on_step => build_bbst(r, s, config, preprocessing),
+        Algorithm::Bbst => {
+            let (grid, base) = map_s(s, l, preprocessing);
+            build_bbst_on(r, grid, config, base)
+        }
     }
 }
 
@@ -378,14 +398,11 @@ const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
 /// [`Algorithm::Bbst`] at the row granularity the data calls for.
 ///
 /// Group rows cost one `O(n)` pass over a grid, so they come first and
-/// are probed: [`PROBE_ITERATIONS`] iterations of the index's own kernel,
-/// window `l`, from a fixed seed. They stand on the grid of `l`'s ladder
+/// are probed ([`rows_serve`]). They stand on the grid of `l`'s ladder
 /// step ([`ladder_side`]), whose rows serve every window up to the step
-/// exactly — the ones `cores` holds if a sibling window on the step is
-/// alive, fresh ones otherwise, entered into `cores`. If the §III-B
-/// bound is tight enough — at most two iterations a sample
-/// ([`MIN_PROBE_ACCEPTANCE`]); data clustered below the window size —
-/// the group rows *are* the index.
+/// exactly. If the §III-B bound is tight enough — at most two
+/// iterations a sample ([`MIN_PROBE_ACCEPTANCE`]); data clustered below
+/// the window size — the group rows *are* the index.
 ///
 /// Otherwise the build runs at `l` itself as a ladder window's does
 /// ([`build_bbst_on`]): group rows over a grid of side `l`, probed, and
@@ -396,9 +413,8 @@ const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
 /// were the ones at `l`, so the per-`r` rows stand on their grid.
 ///
 /// The decision is a function of `(R, S, l)` alone: no traffic, no
-/// clock, no configuration, and no sibling enters it — a step's rows are
-/// a function of `(R, S)` and the step — so a forced and an unforced
-/// build, or a build beside a live sibling and one without, take it
+/// clock, no configuration — a step's rows are a function of `(R, S)`
+/// and the step — so a forced and an unforced build take it
 /// identically. Rebuilds over a new `R` or a patched `S` keep the
 /// granularity, and the grid, of the full build they derive from.
 fn build_bbst(
@@ -406,24 +422,17 @@ fn build_bbst(
     s: Arc<PointSet>,
     config: &SampleConfig,
     preprocessing: Duration,
-    cores: Option<&GroupCores>,
 ) -> Box<dyn EngineIndex> {
     let l = config.half_extent;
     let step = ladder_side(l);
-    let (core, spent) = match cores {
-        Some(cores) => cores.core(r, &s, step, preprocessing),
-        None => {
-            let (core, spent) = group_core(r, s, step, preprocessing);
-            (Arc::new(core), spent)
-        }
-    };
+    let (core, spent) = group_core(r, s, step, preprocessing);
     let t0 = Instant::now();
-    let groups = GroupIndex::on_core(core, config);
-    if probe_acceptance(&groups) >= MIN_PROBE_ACCEPTANCE {
-        return Built::full(groups, spent).boxed();
+    let core = Arc::new(core);
+    if rows_serve(&core, config) {
+        return Built::full(GroupIndex::on_core(core, config), spent).boxed();
     }
-    let (step_grid, probed) = (Arc::clone(groups.grid()), t0.elapsed());
-    drop(groups);
+    let (step_grid, probed) = (Arc::clone(core.grid()), t0.elapsed());
+    drop(core);
     let tried = PhaseReport {
         upper_bounding: spent.upper_bounding + probed,
         upper_bounding_cpu: spent.upper_bounding_cpu + probed,
@@ -440,6 +449,25 @@ fn build_bbst(
         ..tried
     };
     build_bbst_on(r, grid, config, base)
+}
+
+/// The group rows of the ladder step `config.half_extent`, built for
+/// the windows below it, where they serve the step's own window;
+/// `None` where they fail it, and so every window on the step
+/// ([`rows_serve`]): the build stops at the verdict, and no per-`r`
+/// rows are built for a window nobody asked for.
+pub(crate) fn build_step(
+    r: &Arc<PointSet>,
+    s: Arc<PointSet>,
+    config: &SampleConfig,
+) -> Option<Box<dyn EngineIndex>> {
+    let step = config.half_extent;
+    debug_assert_eq!(ladder_side(step).to_bits(), step.to_bits(), "not a step");
+    let preprocessing = s.ensure_orders();
+    let (core, spent) = group_core(r, s, step, preprocessing);
+    let core = Arc::new(core);
+    let served = rows_serve(&core, config);
+    served.then(|| Built::full(GroupIndex::on_core(core, config), spent).boxed())
 }
 
 /// [`build_bbst`] over a grid at `l` itself: group rows, probed, and
@@ -484,80 +512,18 @@ fn group_core(
     (core, spent)
 }
 
-/// The group rows of one store's base, by ladder step, held **weakly**:
-/// a step's [`GroupCore`] lives while some engine stands on it, and a
-/// window that maps to the step while it lives stands on it too instead
-/// of building its own. A base other than the one the map was kept for
-/// — a compaction replaced `R` or `S` — starts the map anew.
-#[derive(Default)]
-pub(crate) struct GroupCores {
-    held: Mutex<HeldCores>,
-}
-
-#[derive(Default)]
-struct HeldCores {
-    /// The `(R, S)` sets the cores stand on.
-    base: Option<(Weak<PointSet>, Weak<PointSet>)>,
-    /// `(step bits, core)`, live or not.
-    by_step: Vec<(u64, Weak<GroupCore>)>,
-}
-
-impl HeldCores {
-    /// The map for the base `(r, s)`, emptied if it was kept for another.
-    fn of(&mut self, r: &Arc<PointSet>, s: &Arc<PointSet>) -> &mut Vec<(u64, Weak<GroupCore>)> {
-        let ours = |held: &Weak<PointSet>, set: &Arc<PointSet>| {
-            std::ptr::eq(held.as_ptr(), Arc::as_ptr(set))
-        };
-        if !matches!(&self.base, Some((hr, hs)) if ours(hr, r) && ours(hs, s)) {
-            self.base = Some((Arc::downgrade(r), Arc::downgrade(s)));
-            self.by_step.clear();
-        }
-        &mut self.by_step
-    }
-}
-
-impl GroupCores {
-    /// The group rows of `(r, s)` at cell side `step`, and what this
-    /// call spent on them beyond `preprocessing`: nothing when a live
-    /// core is held, the grid and the group pass when one is built here.
-    /// A build runs outside the lock; if a concurrent build of the same
-    /// step entered its core first, that one is returned and this one
-    /// dropped, so siblings still share.
-    fn core(
-        &self,
-        r: &Arc<PointSet>,
-        s: &Arc<PointSet>,
-        step: f64,
-        preprocessing: Duration,
-    ) -> (Arc<GroupCore>, PhaseReport) {
-        let key = step.to_bits();
-        let live = |held: &[(u64, Weak<GroupCore>)]| {
-            held.iter()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, core)| core.upgrade())
-        };
-        if let Some(core) = live(self.lock().of(r, s)) {
-            let spent = PhaseReport {
-                preprocessing,
-                ..PhaseReport::default()
-            };
-            return (core, spent);
-        }
-        let (core, spent) = group_core(r, Arc::clone(s), step, preprocessing);
-        let mut held = self.lock();
-        let held = held.of(r, s);
-        if let Some(first) = live(held) {
-            return (first, spent);
-        }
-        let core = Arc::new(core);
-        held.retain(|(k, core)| *k != key && core.strong_count() > 0);
-        held.push((key, Arc::downgrade(&core)));
-        (core, spent)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HeldCores> {
-        self.held.lock().expect("group core map poisoned")
-    }
+/// Whether the group rows `core` serve the window of `config`: a probe
+/// of [`PROBE_ITERATIONS`] iterations of their own kernel, from a fixed
+/// seed, accepts at least [`MIN_PROBE_ACCEPTANCE`] of them.
+///
+/// The probe's random words pick a group, a member and a position
+/// whatever the window is; only the window test reads `l`, and a
+/// narrower window accepts a subset of what a wider one does. So on one
+/// core the verdict is monotone in `l`: rows that fail a window fail
+/// every narrower one, rows that serve a window serve every wider one
+/// up to their side.
+pub(crate) fn rows_serve(core: &Arc<GroupCore>, config: &SampleConfig) -> bool {
+    probe_acceptance(&GroupIndex::on_core(Arc::clone(core), config)) >= MIN_PROBE_ACCEPTANCE
 }
 
 /// Share of [`PROBE_ITERATIONS`] fixed-seed iterations `index` accepts;
@@ -636,6 +602,11 @@ pub(crate) trait EngineIndex: Send + Sync {
     fn s_grid(&self) -> Option<Arc<Grid>>;
     /// The group rows the full build stands on, if it has group rows.
     fn group_core(&self) -> Option<Arc<GroupCore>>;
+    /// This index — the full build, or the overlay on it — for the
+    /// windows of half-extent `l`, standing on the same rows and the
+    /// same overlay sources; `None` unless it has group rows. Their
+    /// cell side must be `≥ l`.
+    fn at(&self, l: f64) -> Option<Box<dyn EngineIndex>>;
 }
 
 /// A full build of family `F`, or a delta overlay on one.
@@ -800,6 +771,19 @@ impl<F: Family> EngineIndex for Built<F> {
 
     fn group_core(&self) -> Option<Arc<GroupCore>> {
         self.full.group_core().cloned()
+    }
+
+    fn at(&self, l: f64) -> Option<Box<dyn EngineIndex>> {
+        let full = Arc::new(self.full.at(l)?);
+        let overlay = self
+            .overlay
+            .as_ref()
+            .map(|overlay| Arc::new(overlay.at(Arc::clone(&full), l)));
+        Some(Box::new(Built {
+            full,
+            report: self.report,
+            overlay,
+        }))
     }
 }
 

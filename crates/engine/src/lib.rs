@@ -72,6 +72,8 @@ pub use dataset::{BatchApplied, DatasetSnapshot, DatasetStore, SPatchDelta};
 pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
 pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot, SharedParts};
 pub use family::RowGranularity;
+/// The ladder step a window stands on: what keys a step's engine.
+pub use srj_grid::ladder_side;
 pub use stats::{EngineStats, MaintenanceCounters, StatsSnapshot};
 
 #[cfg(test)]

@@ -23,8 +23,11 @@
 //!   job step, round-robin across every in-flight request of every
 //!   connection;
 //! * **cache admission**: serving engines are built at most once per
-//!   `(dataset, l, algorithm)` shape, shared across requests and
-//!   connections (SAMPLE's `shards` field is reserved and ignored);
+//!   dataset and ladder step for forced BBST (the step's engine serves
+//!   every window on it that its rows pass; a window they fail gets an
+//!   engine of its own) and once per `(dataset, l, algorithm)` shape
+//!   otherwise, shared across requests and connections (SAMPLE's
+//!   `shards` field is reserved and ignored);
 //! * **dynamic datasets**: `INSERT`/`DELETE` frames mutate a served
 //!   dataset's point store; every serving engine is an
 //!   [`srj_engine::EpochEngine`] that folds pending deltas in on its
@@ -273,10 +276,11 @@ mod tests {
         server.shutdown();
     }
 
-    /// Windows whose half-extents round up to one ladder step stand on
-    /// one set of group rows — its grid, its permutation of `R`, its rows
-    /// and its alias — and the exposition counts them once; windows on
-    /// two steps stand on two, counted twice.
+    /// Windows whose half-extents round up to one ladder step are served
+    /// by the step's engine from one set of group rows — its grid, its
+    /// permutation of `R`, its rows and its alias — which the exposition
+    /// counts once; windows on two steps stand on two engines, counted
+    /// twice.
     #[test]
     fn group_rows_of_one_ladder_step_are_counted_once() {
         let _serial = serial();

@@ -202,7 +202,7 @@ pub struct ServerStatsFrame {
     /// 99th-percentile per-request serving latency, nanoseconds.
     pub p99_ns: u64,
     /// Serving engines currently retained, summed over every dataset's
-    /// per-`(l, algorithm)` engine map.
+    /// engine map.
     pub engines_cached: u64,
     /// Serving-engine lookup hits.
     pub cache_hits: u64,

@@ -46,8 +46,9 @@
 //! anyone else — all five must hold, each read off the request or the
 //! program's own counters:
 //!
-//! 1. the engine for `(dataset, l, algorithm)` is already
-//!    cached (the loop never builds);
+//! 1. the engine that serves the request's window is already cached,
+//!    and for a window below its ladder step the step's verdict on it
+//!    is known (the loop never builds or probes);
 //! 2. that engine has no maintenance due — the store has not drifted
 //!    — so no swap can run on the loop
 //!    (`EpochEngine::try_handle_seeded`);
@@ -112,8 +113,8 @@ use std::time::{Duration, Instant};
 
 use srj_core::{IndexBytes, SampleConfig};
 use srj_engine::{
-    DatasetStore, EngineStats, EpochConfig, EpochEngine, MaintenanceCounters, RowGranularity,
-    SamplerHandle,
+    ladder_side, Algorithm, DatasetStore, EngineStats, EpochConfig, EpochEngine,
+    MaintenanceCounters, RowGranularity, SamplerHandle,
 };
 use srj_geom::Point;
 use srj_net::{Interest, Poller, Waker};
@@ -147,8 +148,11 @@ pub struct ServerConfig {
     pub queue_frames: usize,
     /// Samples per `BATCH` frame. Default 8192 (64 KiB frames).
     pub batch_pairs: usize,
-    /// Retained serving engines per dataset (one per requested
-    /// `(l, algorithm)` shape). Default 16.
+    /// Retained serving engines per dataset: one per ladder step
+    /// ([`ladder_side`]) that forced-BBST requests ask for, one per
+    /// window those steps' rows fail, and one per `(l, algorithm)`
+    /// shape of every other request — every full build the dataset
+    /// keeps. Default 16.
     pub cache_capacity: usize,
     /// `SampleConfig::build_threads` for engine builds triggered by
     /// cache misses. Default 0 (all cores).
@@ -269,21 +273,66 @@ pub(crate) fn timeout_opt(d: Duration) -> Option<Duration> {
     (!d.is_zero()).then_some(d)
 }
 
-/// Identity of one serving engine of a dataset: the request shape.
+/// Identity of one serving engine of a dataset: the engine's window,
+/// the request's algorithm, and whether it is a window's own engine
+/// beside its step's ([`EngineKey::off_step`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct EngineKey {
     l_bits: u64,
-    algorithm: Option<srj_engine::Algorithm>,
+    algorithm: Option<Algorithm>,
+    off_step: bool,
 }
 
+impl EngineKey {
+    /// The engine that serves `req` first. A forced-BBST request is
+    /// served by the engine of its window's ladder step, which serves
+    /// every window on the step its rows pass (`EpochEngine::handle_at`).
+    /// Every other request keeps an engine of its own window: an
+    /// unforced build may pick KDS, whose grid must have the window's
+    /// side.
+    fn of(req: &SampleRequest) -> EngineKey {
+        let l = match req.algorithm {
+            Some(Algorithm::Bbst) => ladder_side(req.l),
+            _ => req.l,
+        };
+        EngineKey {
+            l_bits: l.to_bits(),
+            algorithm: req.algorithm,
+            off_step: false,
+        }
+    }
+
+    /// The forced-BBST engine of the window `l` alone, for a window its
+    /// step's rows fail (`EpochEngine::off_step`).
+    fn off_step(l: f64) -> EngineKey {
+        EngineKey {
+            l_bits: l.to_bits(),
+            algorithm: Some(Algorithm::Bbst),
+            off_step: true,
+        }
+    }
+
+    fn l(self) -> f64 {
+        f64::from_bits(self.l_bits)
+    }
+}
+
+/// What the engine map holds under a key: the engine, or — under a
+/// ladder step's key — `None` where the step's rows fail its own
+/// window, and so every window on it (`EpochEngine::for_step`): the
+/// verdict is kept, no index. It stands until evicted; the windows'
+/// own engines rebuild and re-probe on their own.
+type Entry = Option<Arc<EpochEngine>>;
+
 /// One registered workload: the mutable point store plus its serving
-/// engines, one [`EpochEngine`] per requested `(l, algorithm)` shape.
+/// engines, one [`EpochEngine`] per [`EngineKey`] (or a failed step's
+/// verdict, [`Entry`]).
 /// Updates mutate the store; every engine of the dataset refreshes
 /// lazily on its next handle acquisition — a mutated dataset is never
 /// answered from a stale index.
 pub(crate) struct ServedDataset {
     store: Arc<DatasetStore>,
-    engines: Mutex<Vec<(EngineKey, Arc<EpochEngine>)>>,
+    engines: Mutex<Vec<(EngineKey, Entry)>>,
     metrics: DatasetMetrics,
 }
 
@@ -339,26 +388,82 @@ impl ServedDataset {
         }
     }
 
-    /// The engine for `key`, building it on a miss (outside the map
+    /// The entry for `key`, building it on a miss (outside the map
     /// lock: concurrent misses on different shapes must not serialise
-    /// on one mutex for a whole build). The
-    /// vector is kept in recency order — a hit moves its entry to the
-    /// back — so eviction at capacity drops the least-recently-used
-    /// shape, never a hot one; in-flight handles of an evicted engine
-    /// keep serving through their `Arc`s.
-    fn engine_for(
+    /// on one mutex for a whole build, and a memory walk or a lookup
+    /// never waits on one), and whether this call built. The vector is
+    /// kept in recency order — a hit moves its entry to the back — so
+    /// eviction at capacity drops the least-recently-used shape, never
+    /// a hot one; in-flight handles of an evicted engine keep serving
+    /// through their `Arc`s.
+    fn entry(
         &self,
         key: EngineKey,
         capacity: usize,
-        build: impl FnOnce() -> EpochEngine,
-    ) -> Arc<EpochEngine> {
-        if let Some(engine) = self.cached_engine(key) {
-            self.metrics.cache_hits.inc();
-            return engine;
+        build: impl FnOnce() -> Option<EpochEngine>,
+    ) -> (Entry, bool) {
+        if let Some(entry) = self.cached_engine(key) {
+            return (entry, false);
         }
-        self.metrics.cache_misses.inc();
-        let (engine, _unmapped) = self.admit(key, Arc::new(build()), capacity);
-        engine
+        let (entry, _unmapped) = self.admit(key, build().map(Arc::new), capacity);
+        (entry, true)
+    }
+
+    /// A worker's acquisition of `req`'s handle, building what is
+    /// missing: the engine of [`EngineKey::of`], and where that is a
+    /// ladder step's whose rows fail the window, the window's own
+    /// ([`EngineKey::off_step`]). Counts one cache hit, or one miss if
+    /// anything was built.
+    fn acquire(&self, req: &SampleRequest, config: &ServerConfig) -> SamplerHandle {
+        let seed = (req.seed != 0).then_some(req.seed);
+        let capacity = config.cache_capacity;
+        let epoch_cfg = EpochConfig {
+            algorithm: req.algorithm,
+            ..config.epoch
+        };
+        // What every constructor takes for a window of half-extent `l`.
+        let parts = |l: f64| {
+            let sample_cfg = SampleConfig::new(l).with_build_threads(config.build_threads);
+            let counters = self.metrics.maintenance.clone();
+            (Arc::clone(&self.store), sample_cfg, epoch_cfg, counters)
+        };
+        let key = EngineKey::of(req);
+        let (engine, mut built) = self.entry(key, capacity, || {
+            let (store, at, cfg, counters) = parts(key.l());
+            if req.l == key.l() {
+                Some(EpochEngine::with_counters(store, &at, cfg, counters))
+            } else {
+                EpochEngine::for_step(store, &at, cfg, counters)
+            }
+        });
+        let handle = engine.and_then(|e| e.handle_at(req.l, seed));
+        let handle = handle.unwrap_or_else(|| {
+            // The step's rows fail the window: its own engine serves it.
+            let (own, built_own) = self.entry(EngineKey::off_step(req.l), capacity, || {
+                let (store, at, cfg, counters) = parts(req.l);
+                Some(EpochEngine::off_step(store, &at, cfg, counters))
+            });
+            built |= built_own;
+            let own = own.expect("a window's own engine is never a verdict");
+            own.handle_at(req.l, seed).expect("its own window")
+        });
+        if built {
+            self.metrics.cache_misses.inc();
+        } else {
+            self.metrics.cache_hits.inc();
+        }
+        handle
+    }
+
+    /// The cached engine that serves `req`'s window, found without
+    /// building, probing or waiting: its step's engine where the step's
+    /// verdict admits the window, the window's own engine where the
+    /// step fails it; `None` where neither is known yet.
+    fn cached_for(&self, req: &SampleRequest) -> Option<Arc<EpochEngine>> {
+        match self.cached_engine(EngineKey::of(req))? {
+            Some(engine) if engine.verdict_at(req.l)? => Some(engine),
+            _ => self.cached_engine(EngineKey::off_step(req.l))?,
+        }
     }
 
     /// Enters a freshly built `engine` under `key` as the most recently
@@ -374,37 +479,29 @@ impl ServedDataset {
     /// loop takes this lock on every request it considers serving itself
     /// ([`ServedDataset::cached_engine`]). What an engine counted is in
     /// the dataset's series already, so letting it go takes nothing back.
-    fn admit(
-        &self,
-        key: EngineKey,
-        engine: Arc<EpochEngine>,
-        capacity: usize,
-    ) -> (Arc<EpochEngine>, Option<Arc<EpochEngine>>) {
+    fn admit(&self, key: EngineKey, engine: Entry, capacity: usize) -> (Entry, Option<Entry>) {
         let mut engines = self.engines.lock().expect("engine map poisoned");
         if let Some(shared) = Self::touch(&mut engines, key) {
             return (shared, Some(engine));
         }
         let evicted = (engines.len() >= capacity.max(1)).then(|| engines.remove(0).1);
-        engines.push((key, Arc::clone(&engine)));
+        engines.push((key, engine.clone()));
         (engine, evicted)
     }
 
-    /// The engine for `key` if one is cached — the peek that never
+    /// The entry for `key` if one is cached — the peek that never
     /// builds, which is all the event loop may do. A hit counts as a
     /// use for eviction, like any other.
-    fn cached_engine(&self, key: EngineKey) -> Option<Arc<EpochEngine>> {
+    fn cached_engine(&self, key: EngineKey) -> Option<Entry> {
         Self::touch(&mut self.engines.lock().expect("engine map poisoned"), key)
     }
 
     /// Moves `key`'s entry to the most-recently-used end and returns
-    /// its engine.
-    fn touch(
-        engines: &mut Vec<(EngineKey, Arc<EpochEngine>)>,
-        key: EngineKey,
-    ) -> Option<Arc<EpochEngine>> {
+    /// it.
+    fn touch(engines: &mut Vec<(EngineKey, Entry)>, key: EngineKey) -> Option<Entry> {
         let i = engines.iter().position(|(k, _)| *k == key)?;
         let entry = engines.remove(i);
-        let engine = Arc::clone(&entry.1);
+        let engine = entry.1.clone();
         engines.push(entry);
         Some(engine)
     }
@@ -418,21 +515,21 @@ impl ServedDataset {
     /// exposition shows.
     fn maintenance_stats(&self, with_memory: bool) -> MaintenanceStats {
         let engines = self.engines.lock().expect("engine map poisoned");
+        let engines = || engines.iter().filter_map(|(_, e)| e.as_ref());
         let mut out = MaintenanceStats {
-            engines: engines.len(),
+            engines: engines().count(),
             ..MaintenanceStats::default()
         };
         // Every part counted so far, and what holds it for the walk.
         let (mut seen, mut held) = (Vec::new(), Vec::new());
-        for (_, e) in engines.iter() {
+        for e in engines() {
             if with_memory {
                 let (bytes, shared) = e.memory_breakdown();
                 out.index_bytes = out.index_bytes + bytes;
                 let engine = e.engine();
                 out.index_rows[engine.row_granularity() as usize] += engine.row_count();
                 // Window sizes over one base stand on one `R` set and one
-                // `S` set, and group engines on one ladder step on one
-                // core: a part an earlier engine counted comes off.
+                // `S` set: a part an earlier engine counted comes off.
                 for (part, bytes) in shared.parts() {
                     if seen.contains(&part) {
                         out.index_bytes = out.index_bytes - bytes;
@@ -463,8 +560,8 @@ struct MaintenanceStats {
     /// epoch for the `srj_epoch` gauge).
     engines: usize,
     /// Heap bytes of the serving indexes by structure, a point set
-    /// several engines share — of `R` or of `S` — and group rows several
-    /// windows on one ladder step share counted once (memory walk only).
+    /// several engines share — of `R` or of `S` — counted once (memory
+    /// walk only).
     index_bytes: IndexBytes,
     /// Rows of the serving indexes' full builds, in
     /// [`RowGranularity::ALL`] order (memory walk only).
@@ -828,9 +925,12 @@ impl Shared {
     }
 
     /// Engine acquisition via the per-dataset epoch-engine map: the
-    /// expensive index build happens at most once per
-    /// `(dataset, l, algorithm)` shape across all requests and
-    /// connections; every request then gets its own O(1) serving handle.
+    /// expensive index build happens at most once per engine
+    /// ([`EngineKey::of`]: a ladder step for forced BBST, an
+    /// `(l, algorithm)` shape otherwise; a window a step's rows fail has
+    /// its own) across all requests and connections; every request then
+    /// gets its own serving handle at its window
+    /// ([`ServedDataset::acquire`]).
     /// The handle acquisition is also where pending mutations are folded
     /// in — `EpochEngine::handle` refreshes the swap cell first, so a
     /// mutated dataset is never served from a stale index, while requests
@@ -849,34 +949,8 @@ impl Shared {
     ) -> Result<Option<SamplerHandle>, RequestStatus> {
         let config = &self.config;
         let served = self.dataset(req.dataset);
-        let key = EngineKey {
-            l_bits: req.l.to_bits(),
-            algorithm: req.algorithm,
-        };
         match how {
-            Acquire::Blocking => {
-                let served = served?;
-                let build = || {
-                    let sample_cfg =
-                        SampleConfig::new(req.l).with_build_threads(config.build_threads);
-                    let epoch_cfg = EpochConfig {
-                        algorithm: req.algorithm,
-                        ..config.epoch
-                    };
-                    EpochEngine::with_counters(
-                        Arc::clone(&served.store),
-                        &sample_cfg,
-                        epoch_cfg,
-                        served.metrics.maintenance.clone(),
-                    )
-                };
-                let engine = served.engine_for(key, config.cache_capacity, build);
-                Ok(Some(if req.seed != 0 {
-                    engine.handle_seeded(req.seed)
-                } else {
-                    engine.handle()
-                }))
-            }
+            Acquire::Blocking => Ok(Some(served?.acquire(req, config))),
             Acquire::Cheap { budget_ns } => {
                 // Cheapest refusal first: no lock is taken for a request
                 // whose answer could not fit the response queue anyway.
@@ -887,7 +961,7 @@ impl Shared {
                 let Ok(served) = served else {
                     return Ok(None);
                 };
-                let Some(engine) = served.cached_engine(key) else {
+                let Some(engine) = served.cached_for(req) else {
                     return Ok(None);
                 };
                 let affordable = engine
@@ -896,11 +970,7 @@ impl Shared {
                 if !affordable {
                     return Ok(None);
                 }
-                let handle = if req.seed != 0 {
-                    engine.try_handle_seeded(req.seed)
-                } else {
-                    engine.try_handle()
-                };
+                let handle = engine.try_handle_at(req.l, (req.seed != 0).then_some(req.seed));
                 // Counted where the lookup pays off, so hits + misses
                 // stays the number of acquisitions whichever thread
                 // made them.
@@ -1301,6 +1371,7 @@ mod tests {
         EngineKey {
             l_bits: l.to_bits(),
             algorithm: None,
+            off_step: false,
         }
     }
 
@@ -1327,17 +1398,17 @@ mod tests {
 
         let first = build(1.0);
         let first_alive = Arc::downgrade(&first);
-        let (served, unmapped) = dataset.admit(key(1.0), first, 1);
+        let (served, unmapped) = dataset.admit(key(1.0), Some(first), 1);
         assert!(unmapped.is_none(), "room for one");
         drop(served);
         assert_eq!(first_alive.strong_count(), 1, "held by the map alone");
 
         // At capacity: the least recently used engine leaves the map.
-        let (served, unmapped) = dataset.admit(key(2.0), build(2.0), 1);
+        let (served, unmapped) = dataset.admit(key(2.0), Some(build(2.0)), 1);
         assert!(dataset.engines.try_lock().is_ok(), "map lock released");
         assert_eq!(first_alive.strong_count(), 1, "evicted, not yet dropped");
         assert!(Arc::ptr_eq(
-            &unmapped.unwrap(),
+            &unmapped.flatten().unwrap(),
             &first_alive.upgrade().unwrap()
         ));
         assert_eq!(first_alive.strong_count(), 0);
@@ -1345,10 +1416,36 @@ mod tests {
 
         // Beaten to the key: the cached engine serves, the late one leaves.
         let late = build(2.0);
-        let (shared, unmapped) = dataset.admit(key(2.0), Arc::clone(&late), 1);
+        let (shared, unmapped) = dataset.admit(key(2.0), Some(Arc::clone(&late)), 1);
         assert!(dataset.engines.try_lock().is_ok(), "map lock released");
-        assert!(Arc::ptr_eq(&shared, &served));
-        assert!(Arc::ptr_eq(&unmapped.unwrap(), &late));
+        assert!(Arc::ptr_eq(&shared.unwrap(), &served.unwrap()));
+        assert!(Arc::ptr_eq(&unmapped.flatten().unwrap(), &late));
         assert_eq!(dataset.engines.lock().unwrap().len(), 1);
+    }
+
+    /// A build runs with the engine map free: a lookup, and the memory
+    /// walk a scrape makes, go on beside it and never wait for it.
+    #[test]
+    fn a_build_holds_no_lock_a_scrape_or_a_lookup_takes() {
+        let points: Vec<Point> = (0..64)
+            .map(|i| Point::new((i % 8) as f64, (i / 8) as f64))
+            .collect();
+        let dataset = ServedDataset::new(
+            Arc::new(DatasetStore::new(points.clone(), points)),
+            DatasetMetrics::register(&Registry::new(), 1),
+        );
+        let (entry, built) = dataset.entry(key(1.0), 4, || {
+            assert!(dataset.engines.try_lock().is_ok(), "map lock held");
+            assert!(dataset.cached_engine(key(2.0)).is_none());
+            assert_eq!(dataset.maintenance_stats(true).engines, 0);
+            let (store, config) = (Arc::clone(&dataset.store), SampleConfig::new(1.0));
+            Some(EpochEngine::with_store(
+                store,
+                &config,
+                EpochConfig::default(),
+            ))
+        });
+        assert!(built && entry.is_some());
+        assert_eq!(dataset.maintenance_stats(true).engines, 1);
     }
 }

@@ -70,12 +70,15 @@ fn live_join_and_draws(engine: &EpochEngine, l: f64, what: &str) -> (Vec<JoinPai
     (join, draws)
 }
 
-/// One draw at a time through [`srj::SamplerHandle::sample_one`]: every
+/// One draw at a time through [`srj::SamplerHandle::sample_one`] of the
+/// window `l` (`engine`'s own or a narrower one on its step): every
 /// pair is in the current live join, and the draws are uniform over it.
 pub fn draw_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
     let (join, draws) = live_join_and_draws(engine, l, what);
     let join_set: HashSet<JoinPair> = join.iter().copied().collect();
-    let mut h = engine.handle_seeded(seed);
+    let mut h = engine
+        .handle_at(l, Some(seed))
+        .expect("the engine serves l");
     let mut counts: HashMap<JoinPair, u64> = HashMap::new();
     for _ in 0..draws {
         let p = h.sample_one().unwrap();
@@ -97,7 +100,9 @@ pub fn draw_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
 pub fn draw_batches_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
     let (join, draws) = live_join_and_draws(engine, l, what);
     let join_set: HashSet<JoinPair> = join.iter().copied().collect();
-    let mut h = engine.handle_seeded(seed);
+    let mut h = engine
+        .handle_at(l, Some(seed))
+        .expect("the engine serves l");
     let mut counts: HashMap<JoinPair, u64> = HashMap::new();
     let mut remaining = draws as usize;
     // 517 is deliberately coprime to the 64-iteration block, so batch

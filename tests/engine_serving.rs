@@ -776,51 +776,66 @@ fn clustered_store() -> Arc<DatasetStore> {
     ))
 }
 
-/// Windows whose half-extent rounds up to one ladder step stand on one
-/// grid and one set of group rows; the next step's window on its own.
+/// One engine per ladder step: it serves its own window and every
+/// narrower one on the step from one grid and one set of group rows;
+/// the next step's window stands on the next step's engine.
 #[test]
 fn windows_on_one_ladder_step_share_one_grid() {
     let store = clustered_store();
-    let engines = [0.9, 1.0, 1.1].map(|l| epoch_engine(&store, l, Algorithm::Bbst));
-    let grids = engines.each_ref().map(|e| e.engine().s_grid().unwrap());
-    let cores = engines.each_ref().map(|e| e.engine().group_core().unwrap());
+    let (step, next) = (
+        epoch_engine(&store, 1.0, Algorithm::Bbst),
+        epoch_engine(&store, 1.25, Algorithm::Bbst),
+    );
+    let windows = [(&step, 0.9), (&step, 1.0), (&next, 1.1)];
+    let served = windows.map(|(engine, l)| engine.engine_at(l).unwrap());
+    let grids = served.each_ref().map(|e| e.s_grid().unwrap());
+    let cores = served.each_ref().map(|e| e.group_core().unwrap());
     assert_eq!(grids.each_ref().map(|g| g.cell_side()), [1.0, 1.0, 1.25]);
     assert!(Arc::ptr_eq(&grids[0], &grids[1]));
     assert!(Arc::ptr_eq(&cores[0], &cores[1]));
     assert!(!Arc::ptr_eq(&grids[1], &grids[2]));
     assert!(!Arc::ptr_eq(&cores[1], &cores[2]));
-    for (engine, l) in engines.iter().zip([0.9, 1.0, 1.1]) {
-        assert_eq!(engine.engine().row_granularity(), RowGranularity::Group);
+    for ((engine, l), served) in windows.into_iter().zip(&served) {
+        assert_eq!(served.row_granularity(), RowGranularity::Group);
         draw_and_check(engine, l, 3, &format!("l = {l}"));
     }
 }
 
 /// The stream rule holds across sharing: a window's seeded stream is a
-/// function of `(R, S, l)`, whether its step's rows were alive in a
-/// sibling when it was built, built afresh after the last sibling went,
-/// or built by a standalone engine. And rows nobody stands on are freed:
-/// the map holds them weakly.
+/// function of `(R, S, l)`, whether the step's engine serves it beside
+/// the step's own window, a fresh step engine serves it, an engine is
+/// built for the window alone, or a standalone engine. The step's rows
+/// live as long as the last handle on them, and no longer.
 #[test]
 fn a_shared_step_draws_what_a_fresh_one_does_and_dies_with_its_engines() {
     let store = clustered_store();
-    let stream = |e: &EpochEngine| e.handle_seeded(7).sample_batch(400).unwrap();
+    let stream = |mut h: srj::SamplerHandle| h.sample_batch(400).unwrap();
 
-    let sibling = epoch_engine(&store, 1.0, Algorithm::Bbst);
-    let beside = epoch_engine(&store, 0.9, Algorithm::Bbst);
-    let core = beside.engine().group_core().unwrap();
-    assert!(Arc::ptr_eq(&core, &sibling.engine().group_core().unwrap()));
-    let shared = stream(&beside);
+    let step = epoch_engine(&store, 1.0, Algorithm::Bbst);
+    step.handle_seeded(7).sample_batch(100).unwrap();
+    let mut held = step.handle_at(0.9, Some(7)).unwrap();
+    let core = step.engine_at(0.9).unwrap().group_core().unwrap();
+    assert!(Arc::ptr_eq(&core, &step.engine().group_core().unwrap()));
+    let shared = held.sample_batch(400).unwrap();
     let weak = Arc::downgrade(&core);
-    drop((core, sibling, beside));
+    drop((core, step));
+    assert!(weak.upgrade().is_some(), "a live handle keeps its rows");
+    assert_eq!(held.sample_batch(10).unwrap().len(), 10);
+    drop(held);
     assert!(
         weak.upgrade().is_none(),
-        "the step's rows outlived their engines"
+        "the step's rows outlived their last handle"
     );
 
-    let alone = epoch_engine(&store, 0.9, Algorithm::Bbst);
+    let alone = epoch_engine(&store, 1.0, Algorithm::Bbst);
     let fresh = alone.engine().group_core().unwrap();
     assert!(!std::ptr::eq(weak.as_ptr(), Arc::as_ptr(&fresh)));
-    assert!(stream(&alone) == shared, "a fresh step drew another stream");
+    assert!(
+        stream(alone.handle_at(0.9, Some(7)).unwrap()) == shared,
+        "a fresh step drew another stream"
+    );
+    let own = epoch_engine(&store, 0.9, Algorithm::Bbst);
+    assert!(stream(own.handle_seeded(7)) == shared);
     let snap = store.snapshot();
     let standalone = Engine::build(
         &snap.base_r,
@@ -828,7 +843,7 @@ fn a_shared_step_draws_what_a_fresh_one_does_and_dies_with_its_engines() {
         &SampleConfig::new(0.9),
         Algorithm::Bbst,
     );
-    assert!(standalone.handle_seeded(7).sample_batch(400).unwrap() == shared);
+    assert!(stream(standalone.handle_seeded(7)) == shared);
 
     // A compaction is a new base: a build over it stands on new rows,
     // even while the old ones are alive.
@@ -847,15 +862,19 @@ fn a_shared_step_draws_what_a_fresh_one_does_and_dies_with_its_engines() {
 }
 
 /// Windows off the ladder serve group rows at the step above them,
-/// exactly: every draw a join pair of window `l`, and uniform.
+/// exactly — built for the window itself, or served by the step's
+/// engine: every draw a join pair of window `l`, and uniform.
 #[test]
 fn off_ladder_group_engines_draw_uniformly() {
     let store = clustered_store();
     for (l, step) in [(0.7, 0.8), (0.9, 1.0), (1.1, 1.25), (1.3, 1.6), (3.0, 3.15)] {
-        let engine = epoch_engine(&store, l, Algorithm::Bbst);
-        let served = engine.engine();
-        assert_eq!(served.row_granularity(), RowGranularity::Group, "l = {l}");
-        assert_eq!(served.s_grid().unwrap().cell_side(), step, "l = {l}");
-        draw_batches_and_check(&engine, l, 5, &format!("l = {l} on step {step}"));
+        for home in [l, step] {
+            let engine = epoch_engine(&store, home, Algorithm::Bbst);
+            let served = engine.engine_at(l).unwrap();
+            assert_eq!(served.row_granularity(), RowGranularity::Group, "l = {l}");
+            assert_eq!(served.s_grid().unwrap().cell_side(), step, "l = {l}");
+            let what = format!("l = {l} on step {step}, engine at {home}");
+            draw_batches_and_check(&engine, l, 5, &what);
+        }
     }
 }

@@ -33,12 +33,22 @@ fn clustered_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
 /// (cross parts live both ways), a base and an insert tombstone, then a
 /// patch swap of a local batch of `S`, then an `R`-only rebuild: each
 /// stage draws uniformly over the live join, one draw at a time and in
-/// batches.
+/// batches — from an engine built for the window, whose chunk rows are
+/// their blocks' populations, and from the step's engine, whose chunk
+/// rows are exact for the step's window and whose draws test the
+/// narrower one.
 #[test]
 fn an_off_ladder_group_epoch_draws_uniformly_through_every_rung() {
     let l = 1.3;
     let step = ladder_side(l);
     assert!(step > l);
+    for home in [l, step] {
+        through_every_rung(l, home);
+    }
+}
+
+fn through_every_rung(l: f64, home: f64) {
+    let step = ladder_side(l);
     let (r, s) = (
         clustered_points(120, 41, 60.0),
         clustered_points(180, 42, 60.0),
@@ -56,10 +66,11 @@ fn an_off_ladder_group_epoch_draws_uniformly_through_every_rung() {
     let cfg = EpochConfig::default()
         .with_algorithm(Algorithm::Bbst)
         .with_rebuild_fraction(0.3);
-    let engine = EpochEngine::new(r.clone(), s, &SampleConfig::new(l), cfg);
+    let engine = EpochEngine::new(r.clone(), s, &SampleConfig::new(home), cfg);
     let on_the_step = |what: &str| {
+        let what = &format!("{what}, engine at {home}");
         // An overlay answers for the full build under it.
-        let served = engine.engine();
+        let served = engine.engine_at(l).expect("the rows serve l");
         assert_eq!(served.row_granularity(), RowGranularity::Group, "{what}");
         let core = served.group_core().expect("group rows");
         assert_eq!(core.grid().cell_side(), step, "{what}");

@@ -277,6 +277,99 @@ fn a_cache_miss_on_clustered_data_serves_the_in_process_group_rows() {
     server.shutdown();
 }
 
+/// The value of the unlabelled series `name` in a `METRICS` text.
+fn metric(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {name} in:\n{text}"))
+        .parse()
+        .expect("a number")
+}
+
+/// The benchmark's `cold_windows` shape in small: 24 forced-BBST windows,
+/// 50 to 280, cycled against an engine cache of 16. They stand on nine
+/// ladder steps, one engine each, so only the first cycle misses.
+#[test]
+fn cycled_windows_miss_once_per_ladder_step() {
+    use srj::{generate, split_rs, DatasetKind, DatasetSpec};
+
+    let points = generate(&DatasetSpec::new(DatasetKind::PoiClusters, 4_000, 1));
+    let (r, s) = split_rs(&points, 0.5, 1 ^ 0xDEAD_BEEF);
+    let mut registry = DatasetRegistry::new();
+    registry.register(1, r, s);
+    let config = ServerConfig {
+        cache_capacity: 16,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut misses = Vec::new();
+    for cycle in 0..2 {
+        for (i, l) in (50..=280).step_by(10).enumerate() {
+            let outcome = client
+                .sample(SampleRequest {
+                    algorithm: Some(Algorithm::Bbst),
+                    ..request(1, f64::from(l), 64, (24 * cycle + i + 1) as u64)
+                })
+                .unwrap();
+            assert_eq!(outcome.status, RequestStatus::Ok, "l = {l}");
+        }
+        let text = client.metrics().unwrap();
+        misses.push(metric(&text, "srj_engine_cache_misses_total"));
+    }
+    assert_eq!(misses, [9.0, 9.0], "the second cycle must not miss");
+    assert_eq!(client.server_stats().unwrap().engines_cached, 9);
+    server.shutdown();
+}
+
+/// Where a ladder step's rows fail the step's own window — uniform
+/// data — a forced-BBST request below the step builds the window's own
+/// index and nothing at the step: the step keeps its verdict, no rows,
+/// and a second window on it is not probed against the step again.
+/// Each window draws what an engine built for it alone draws.
+#[test]
+fn a_failed_step_builds_only_the_windows_own_index() {
+    use srj::{Engine, SampleConfig};
+
+    let r = pseudo_points(200, 41, 20.0);
+    let s = pseudo_points(4_000, 42, 20.0);
+    let mut registry = DatasetRegistry::new();
+    registry.register(1, r.clone(), s.clone());
+    let mut server = Server::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // 1.9 and 1.8 both stand on the step 2.
+    for l in [1.9, 1.8, 1.9] {
+        let outcome = client
+            .sample(SampleRequest {
+                algorithm: Some(Algorithm::Bbst),
+                ..request(1, l, 500, 9)
+            })
+            .unwrap();
+        assert_eq!(outcome.status, RequestStatus::Ok, "l = {l}");
+        let alone = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::Bbst);
+        let expected = alone.handle_seeded(9).sample_batch(500).unwrap();
+        assert!(
+            outcome.pairs == expected,
+            "l = {l}: not the window's own stream"
+        );
+    }
+    let stats = client.server_stats().unwrap();
+    assert_eq!(
+        (stats.cache_misses, stats.cache_hits, stats.engines_cached),
+        (2, 1, 2),
+        "one build per window, none at the step"
+    );
+    let text = client.metrics().unwrap();
+    let rows = |granularity: &str| {
+        metric(
+            &text,
+            &format!("srj_index_rows{{dataset=\"1\",granularity=\"{granularity}\"}}"),
+        )
+    };
+    assert_eq!([rows("per_r"), rows("group")], [400.0, 0.0]);
+    server.shutdown();
+}
+
 /// The backpressure contract: a client that stops reading stalls only
 /// its own stream. While a slow reader's request is parked, a fast
 /// client on the same (single-worker!) server completes many requests.

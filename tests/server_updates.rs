@@ -329,6 +329,72 @@ fn dataset_totals_never_decrease_across_evictions_and_swaps() {
     server.shutdown();
 }
 
+/// Two windows on one ladder step are served by one engine, so a
+/// mutation batch is folded once: one cell patch, not a patch for the
+/// first window and a rebuild for the second.
+#[test]
+fn two_windows_on_one_step_patch_once_per_mutation_batch() {
+    use srj::EpochConfig;
+
+    // Twelve clumps one unit wide: group rows serve both windows.
+    let centres = pseudo_points(12, 51, 58.0);
+    let clumped = |n: usize, seed: u64| -> Vec<Point> {
+        pseudo_points(n, seed, 1.0)
+            .into_iter()
+            .zip(centres.iter().cycle())
+            .map(|(p, c)| Point::new(c.x + p.x, c.y + p.y))
+            .collect()
+    };
+    let mut registry = DatasetRegistry::new();
+    registry.register(1, clumped(300, 52), clumped(900, 53));
+    let config = ServerConfig {
+        epoch: EpochConfig::default().with_rebuild_fraction(1e-4),
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // 2.6 and 3.0 both stand on the step 3.15.
+    let sample_both = |client: &mut Client, seed: u64| {
+        for l in [2.6, 3.0] {
+            let outcome = client
+                .sample(SampleRequest {
+                    algorithm: Some(Algorithm::Bbst),
+                    ..request(1, l, 500, seed)
+                })
+                .unwrap();
+            assert_eq!(outcome.status, RequestStatus::Ok, "l = {l}");
+        }
+    };
+    let rungs = |client: &mut Client| -> [f64; 2] {
+        let text = client.metrics().unwrap();
+        ["cell_patch", "full_rebuild"].map(|rung| {
+            let series = format!("srj_maintenance_total{{dataset=\"1\",rung=\"{rung}\"}} ");
+            text.lines()
+                .find_map(|line| line.strip_prefix(&series))
+                .unwrap_or_else(|| panic!("no {series} in:\n{text}"))
+                .parse()
+                .expect("a number")
+        })
+    };
+    sample_both(&mut client, 1);
+    let before = rungs(&mut client);
+    let near = centres[3];
+    let ins = client
+        .insert(1, Side::S, &[Point::new(near.x + 0.5, near.y + 0.5)])
+        .unwrap();
+    assert_eq!(ins.status, RequestStatus::Ok);
+    sample_both(&mut client, 2);
+    let after = rungs(&mut client);
+    assert_eq!(
+        [after[0] - before[0], after[1] - before[1]],
+        [1.0, 0.0],
+        "one cell patch for the step, nothing for the second window"
+    );
+    let stats = client.server_stats().unwrap();
+    assert_eq!((stats.cache_misses, stats.engines_cached), (1, 1));
+    server.shutdown();
+}
+
 /// Unknown datasets answer clean error frames for every update opcode;
 /// the connection stays usable.
 #[test]
