@@ -25,6 +25,7 @@ use std::sync::Arc;
 use rand::Rng;
 use srj_bbst::CellBbsts;
 use srj_geom::{Point, PointId, Rect};
+use srj_grid::fx::arc_bytes;
 use srj_grid::{Cell, Grid, IntoPointSet};
 use srj_kdtree::{CanonicalScratch, KdTree, DEFAULT_LEAF_SIZE};
 
@@ -220,10 +221,15 @@ impl<U: CellUnit> CellStore<U> {
     }
 
     /// [`CellStore::memory_bytes`] by structure: the point set, the
-    /// grid over it, the units. The `R`-side entries are zero.
+    /// grid over it, the units — each in its `Arc` — and their list. The
+    /// `R`-side entries are zero.
     pub fn index_bytes(&self) -> IndexBytes {
+        let units = self
+            .units
+            .iter()
+            .map(|u| arc_bytes::<U>() + u.unit_memory_bytes());
         IndexBytes {
-            units: self.units.iter().map(|u| u.unit_memory_bytes()).sum(),
+            units: self.units.capacity() * std::mem::size_of::<Arc<U>>() + units.sum::<usize>(),
             ..IndexBytes::of_grid(&self.grid)
         }
     }

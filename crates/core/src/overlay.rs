@@ -112,7 +112,7 @@ use std::time::{Duration, Instant};
 use rand::Rng;
 use srj_alias::{AliasTable, BlockRow};
 use srj_geom::{Point, PointId, Rect};
-use srj_grid::fx::{FxHashMap, FxHashSet};
+use srj_grid::fx::{self, FxHashMap, FxHashSet};
 use srj_grid::{case_of, CellCase, Grid, PointSet, NEIGHBOR_OFFSETS};
 
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
@@ -211,9 +211,12 @@ impl DeltaSet {
 
     /// Approximate heap footprint of the buffers.
     pub fn memory_bytes(&self) -> usize {
-        let set_entry = std::mem::size_of::<PointId>() + 1;
+        let set = |ids: &FxHashSet<PointId>| {
+            fx::table_bytes(ids.capacity(), std::mem::size_of::<PointId>())
+        };
         (self.r_inserted.capacity() + self.s_inserted.capacity()) * std::mem::size_of::<Point>()
-            + (self.r_deleted.capacity() + self.s_deleted.capacity()) * set_entry
+            + set(&self.r_deleted)
+            + set(&self.s_deleted)
     }
 
     /// Pending tombstones (deletes only, both sides). Tombstone-heavy
@@ -281,12 +284,12 @@ impl InsertGrid {
     }
 
     fn memory_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<((i32, i32), Arc<Vec<u32>>)>() + 1;
-        self.cells.capacity() * entry
+        let entry = std::mem::size_of::<((i32, i32), Arc<Vec<u32>>)>();
+        fx::table_bytes(self.cells.capacity(), entry)
             + self
                 .cells
                 .values()
-                .map(|ids| std::mem::size_of::<Vec<u32>>() + ids.capacity() * 4)
+                .map(|ids| fx::arc_bytes::<Vec<u32>>() + ids.capacity() * 4)
                 .sum::<usize>()
     }
 }
@@ -557,10 +560,10 @@ pub struct OverlaySupport {
     half_extent: f64,
     s_grid: Arc<Grid>,
     r_grid: Arc<Grid>,
-    /// Whether the base sets were copied for this support rather than
-    /// handed in — `s_grid` with its set, and `r_grid`'s set: only then
-    /// are they this support's to count.
-    owns_base_sets: bool,
+    /// What of the two base grids this support counts as its own,
+    /// taken once where they are built: both with their sets where the
+    /// sets were copied for it, else the cells of `r_grid` alone.
+    base_bytes: IndexBytes,
     build_time: Duration,
     r_side: InsertSide,
     s_side: InsertSide,
@@ -571,11 +574,13 @@ impl OverlaySupport {
     /// [`OverlaySupport::build_time`] covers both.
     pub fn build(base_r: &[Point], base_s: &[Point], half_extent: f64) -> Self {
         let t0 = Instant::now();
+        let s_grid = Arc::new(Grid::build(base_s, half_extent));
+        let r_grid = Arc::new(Grid::build(base_r, half_extent));
         OverlaySupport {
             half_extent,
-            s_grid: Arc::new(Grid::build(base_s, half_extent)),
-            r_grid: Arc::new(Grid::build(base_r, half_extent)),
-            owns_base_sets: true,
+            base_bytes: IndexBytes::of_grid(&s_grid) + IndexBytes::of_grid(&r_grid),
+            s_grid,
+            r_grid,
             build_time: t0.elapsed(),
             r_side: InsertSide::default(),
             s_side: InsertSide::default(),
@@ -602,9 +607,12 @@ impl OverlaySupport {
         let r_grid = Arc::new(Grid::build(base_r, s_grid.cell_side()));
         OverlaySupport {
             half_extent,
+            base_bytes: IndexBytes {
+                point_set: 0,
+                ..IndexBytes::of_grid(&r_grid)
+            },
             s_grid,
             r_grid,
-            owns_base_sets: false,
             build_time: t0.elapsed(),
             r_side: InsertSide::default(),
             s_side: InsertSide::default(),
@@ -711,7 +719,7 @@ impl OverlaySupport {
             half_extent: self.half_extent,
             s_grid: Arc::clone(&self.s_grid),
             r_grid: Arc::clone(&self.r_grid),
-            owns_base_sets: self.owns_base_sets,
+            base_bytes: self.base_bytes,
             build_time: self.build_time,
             r_side,
             s_side,
@@ -742,17 +750,10 @@ impl OverlaySupport {
     }
 
     /// [`OverlaySupport::memory_bytes`] by structure. A grid of `S` and
-    /// an `R` set handed in are their base build's to count.
+    /// an `R` set handed in are their base build's to count. The base
+    /// grids are not walked again: `O(inserts)`, not `O(cells)`.
     fn index_bytes(&self) -> IndexBytes {
-        let base = if self.owns_base_sets {
-            IndexBytes::of_grid(&self.s_grid) + IndexBytes::of_grid(&self.r_grid)
-        } else {
-            IndexBytes {
-                point_set: 0,
-                ..IndexBytes::of_grid(&self.r_grid)
-            }
-        };
-        base + self.r_side.index_bytes() + self.s_side.index_bytes()
+        self.base_bytes + self.r_side.index_bytes() + self.s_side.index_bytes()
     }
 
     /// Every chunk of one side (`R`'s if `r_side`) in insert order, as
@@ -896,6 +897,21 @@ impl<I: SamplerIndex> OverlayIndex<I> {
     /// The pending mutations this snapshot serves.
     pub fn delta(&self) -> &DeltaSet {
         &self.delta
+    }
+
+    /// Heap bytes of what this snapshot adds to its base: the support,
+    /// the alias over the sources and the pending mutations. The base
+    /// is not walked.
+    pub fn own_bytes(&self) -> IndexBytes {
+        self.support.index_bytes()
+            + IndexBytes {
+                alias: self
+                    .source_alias
+                    .as_ref()
+                    .map_or(0, |alias| alias.memory_bytes()),
+                delta: self.delta.memory_bytes(),
+                ..IndexBytes::default()
+            }
     }
 
     /// The tombstone filter: `pair` if both its endpoints are live.
@@ -1106,16 +1122,7 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
     }
 
     fn index_bytes(&self) -> IndexBytes {
-        self.base.index_bytes()
-            + self.support.index_bytes()
-            + IndexBytes {
-                alias: self
-                    .source_alias
-                    .as_ref()
-                    .map_or(0, |alias| alias.memory_bytes()),
-                delta: self.delta.memory_bytes(),
-                ..IndexBytes::default()
-            }
+        self.base.index_bytes() + self.own_bytes()
     }
 }
 

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use srj_core::DeltaSet;
+use srj_core::{DeltaSet, IndexBytes};
 use srj_geom::{Point, PointId};
 use srj_grid::PointSet;
 use srj_obs::journal::{event, EventKind};
@@ -315,6 +315,17 @@ impl DatasetStore {
         let inner = self.read();
         let base = (inner.delta.base_r_len + inner.delta.base_s_len).max(1);
         inner.delta.tombstone_ops() as f64 / base as f64
+    }
+
+    /// Heap bytes of the two base sets, `R`'s as `r_points` and `S`'s as
+    /// `point_set`, which no engine over the store counts as its own.
+    pub fn set_bytes(&self) -> IndexBytes {
+        let inner = self.read();
+        IndexBytes {
+            r_points: inner.base_r.memory_bytes(),
+            point_set: inner.base_s.memory_bytes(),
+            ..IndexBytes::default()
+        }
     }
 
     /// A consistent view of the current epoch (base arrays `Arc`-shared,

@@ -304,6 +304,11 @@ impl Engine {
         self.shared.index.index_bytes()
     }
 
+    /// What an overlay adds to its full build's bytes, not walking it.
+    pub(crate) fn overlay_bytes(&self) -> IndexBytes {
+        self.shared.index.overlay_bytes()
+    }
+
     /// Total sampling weight `Σµ` the engine draws against (`= |J|` for
     /// exact-counting indexes). This is the quantity a delete-heavy
     /// workload must see **shrink** across rebuilds — the serving stats

@@ -73,12 +73,13 @@
 //! and journals the same rung (an `R`-only rebuild counts, and journals,
 //! as a full rebuild). A server hands in its dataset's series
 //! ([`EpochEngine::with_counters`]), so what an evicted cell counted
-//! stays counted.
+//! stays counted. Under the same lock the cell publishes the change of
+//! what it holds into the set's index gauges, and its `Drop` withdraws
+//! the rest.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::time::Instant;
 
 use srj_core::{IndexBytes, OverlaySupport, SampleConfig};
 use srj_geom::{Point, PointId};
@@ -88,7 +89,7 @@ use srj_obs::journal::{event, EventKind};
 use crate::dataset::{DatasetSnapshot, DatasetStore, StoreCounters};
 use crate::family;
 use crate::stats::{MaintenanceCounters, StatsSnapshot};
-use crate::{Algorithm, Engine, SamplerHandle};
+use crate::{Algorithm, Engine, RowGranularity, SamplerHandle};
 
 /// Knobs for the epoch/patch machinery.
 #[derive(Clone, Copy, Debug)]
@@ -183,6 +184,10 @@ struct EpochState {
     base_s_dead: Arc<HashSet<PointId>>,
     /// What new handles get: `base`, or an overlay snapshot over it.
     current: Engine,
+    /// [`own_bytes`] of `base`, walked once per full build.
+    base_bytes: IndexBytes,
+    /// What this cell last published into its index gauges.
+    published: Share,
     /// Per-epoch overlay support: `base`'s grid of `S` and a grid of
     /// base `R`, built lazily on the first mutation of the epoch, and
     /// the insert sources of every minor swap since — each swap extends
@@ -218,6 +223,19 @@ impl EpochState {
         }
     }
 
+    /// Publishes the change from what this state published last to its
+    /// `share` ([`share`]) into `c`'s index gauges. Whole numbers add
+    /// exactly, so the gauges go back to exactly zero.
+    fn publish(&mut self, share: Share, c: &MaintenanceCounters) {
+        let gauges = c.index_bytes.iter().chain(&c.index_rows);
+        for ((gauge, from), to) in gauges.chain([&c.mu_total]).zip(self.published).zip(share) {
+            if from != to {
+                gauge.add(to as f64 - from as f64);
+            }
+        }
+        self.published = share;
+    }
+
     /// What is known of the window `l`: `Some(true)` where the rows
     /// serve it, `Some(false)` where they fail it, `None` before a
     /// probe.
@@ -232,52 +250,46 @@ impl EpochState {
     }
 }
 
-/// What an engine's [`IndexBytes`] include that sibling engines over
-/// one store may stand on too ([`EpochEngine::memory_breakdown`]): the
-/// base `R` and `S` sets.
-pub struct SharedParts {
-    sets: [Arc<PointSet>; 2],
-}
-
-impl SharedParts {
-    /// Every part as an identity — equal for two engines that stand on
-    /// the same part — and the bytes of the engine's breakdown it
-    /// accounts for. Whoever adds engines up subtracts a part's bytes
-    /// from every engine after the first that shows its identity, while
-    /// it holds this value (which keeps the parts, and so their
-    /// addresses, alive).
-    pub fn parts(&self) -> impl Iterator<Item = (*const (), IndexBytes)> + '_ {
-        let [r, s] = &self.sets;
-        let sets = [
-            IndexBytes {
-                r_points: r.memory_bytes(),
-                ..IndexBytes::default()
-            },
-            IndexBytes {
-                point_set: s.memory_bytes(),
-                ..IndexBytes::default()
-            },
-        ];
-        [Arc::as_ptr(r).cast(), Arc::as_ptr(s).cast()]
-            .into_iter()
-            .zip(sets)
+/// The bytes of `engine` — `base`, or an overlay on it — without the
+/// store's two sets `base` stands on: its `R` set, and its grid's set
+/// of `S` where that is the store's `base_s` (a cell patch grids a copy
+/// of its own). A set's orders may appear during the walk (a grid built
+/// on it elsewhere), so the sets are read on both sides of it.
+fn own_bytes(engine: &Engine, base: &Engine, base_s: &Arc<PointSet>) -> IndexBytes {
+    let grid = base.s_grid().expect("a full build has a grid of S");
+    let (r, s) = (base.r_set(), grid.point_set());
+    let theirs = Arc::ptr_eq(s, base_s);
+    let sets = || IndexBytes {
+        r_points: r.memory_bytes(),
+        point_set: if theirs { s.memory_bytes() } else { 0 },
+        ..IndexBytes::default()
+    };
+    loop {
+        let before = sets();
+        let bytes = engine.memory_breakdown();
+        if sets() == before {
+            return bytes - before;
+        }
     }
 }
 
-/// A mutually consistent maintenance-state snapshot of an
-/// [`EpochEngine`], as returned by
-/// [`EpochEngine::maintenance_snapshot`]: every field describes the
-/// same committed engine state.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MaintenanceSnapshot {
-    /// The epoch the swap cell serves.
-    pub epoch: u64,
-    /// `Σµ` of the engine currently serving.
-    pub mu_total: f64,
-    /// [`EpochEngine::major_swaps`].
-    pub major_swaps: u64,
-    /// Duration of the most recent swap, nanoseconds.
-    pub last_swap_ns: u64,
+/// A cell's share of its index gauges, in their order: bytes, rows from
+/// [`ROWS`], `Σµ` — a count — at [`MU`].
+type Share = [u64; MU + 1];
+const ROWS: usize = 7;
+const MU: usize = ROWS + RowGranularity::ALL.len();
+
+/// The [`Share`] of a cell serving `current` over the full build `base`,
+/// `base_bytes` being [`own_bytes`] of `base`: an overlay adds what it
+/// holds beside the base, not walking the base.
+fn share(base: &Engine, base_bytes: IndexBytes, current: &Engine) -> Share {
+    let bytes = (base_bytes + current.overlay_bytes()).parts();
+    let mut share: Share = std::array::from_fn(|i| bytes.get(i).map_or(0, |&(_, b)| b as u64));
+    share[ROWS + base.row_granularity() as usize] = base.row_count() as u64;
+    let mu = current.total_weight();
+    debug_assert_eq!(mu.fract(), 0.0, "Σµ is a count");
+    share[MU] = mu as u64;
+    share
 }
 
 /// Epoch-versioned engine over a [`DatasetStore`]: lazy overlay swaps,
@@ -296,9 +308,8 @@ pub struct EpochEngine {
     on_step: bool,
     state: RwLock<EpochState>,
     maintain: Mutex<()>,
-    /// Where the swaps are counted.
+    /// Where the swaps are counted and the cell's share is published.
     counters: MaintenanceCounters,
-    last_swap_ns: AtomicU64,
 }
 
 const _: () = {
@@ -407,6 +418,8 @@ impl EpochEngine {
         let (fails_up_to, serves_from) = EpochState::verdicts(&base, config.half_extent);
         let mut state = EpochState {
             current: base.clone(),
+            base_bytes: own_bytes(&base, &base, &snap.base_s),
+            published: [0; MU + 1],
             base,
             base_s: Arc::clone(&snap.base_s),
             base_s_dead: Arc::clone(&snap.s_dead),
@@ -426,6 +439,8 @@ impl EpochEngine {
             state.current = state.base.with_overlay(snap.delta, &support, config);
             state.support = Some(Arc::new(support));
         }
+        let share = share(&state.base, state.base_bytes, &state.current);
+        state.publish(share, &counters);
         Some(EpochEngine {
             store,
             config: *config,
@@ -434,7 +449,6 @@ impl EpochEngine {
             state: RwLock::new(state),
             maintain: Mutex::new(()),
             counters,
-            last_swap_ns: AtomicU64::new(0),
         })
     }
 
@@ -524,26 +538,15 @@ impl EpochEngine {
         self.serves(l).then(|| self.engine().handle_at(l, seed))?
     }
 
-    /// [`EpochEngine::handle`] for a caller that must never wait: `None`
-    /// when maintenance is due (the store drifted), or when a swap
-    /// holds the state lock or a writer the store this instant —
-    /// instead of running or waiting for it. The server's event loop
-    /// acquires through this and leaves every `None` to a worker, so no
-    /// swap ever runs on the thread that owns the sockets.
-    pub fn try_handle(&self) -> Option<SamplerHandle> {
-        Some(self.settled()?.handle())
-    }
-
-    /// Like [`EpochEngine::try_handle`] with a fixed RNG seed: the same
-    /// handle [`EpochEngine::handle_seeded`] would have issued.
-    pub fn try_handle_seeded(&self, seed: u64) -> Option<SamplerHandle> {
-        Some(self.settled()?.handle_seeded(seed))
-    }
-
-    /// [`EpochEngine::handle_at`] for a caller that must never wait, as
-    /// [`EpochEngine::try_handle`]; also `None` for a window whose
-    /// verdict is not known yet ([`EpochEngine::verdict_at`]): nothing
-    /// is probed here.
+    /// [`EpochEngine::handle_at`] for a caller that must never wait:
+    /// `None` when maintenance is due (the store drifted), or when a swap
+    /// holds the state lock or a writer the store this instant — instead
+    /// of running or waiting for it — and for a window whose verdict is
+    /// not known yet ([`EpochEngine::verdict_at`]): nothing is probed
+    /// here. Otherwise the very handle [`EpochEngine::handle_at`] would
+    /// have issued. The server's event loop acquires through this and
+    /// leaves every `None` to a worker, so no swap ever runs on the
+    /// thread that owns the sockets.
     pub fn try_handle_at(&self, l: f64, seed: Option<u64>) -> Option<SamplerHandle> {
         let current = self.settled()?;
         if self.is_home(l) {
@@ -691,44 +694,21 @@ impl EpochEngine {
             .total_weight()
     }
 
-    /// One mutually consistent maintenance snapshot, taken under a
-    /// single state read lock.
-    ///
-    /// The per-field accessors ([`EpochEngine::total_weight`],
-    /// [`EpochEngine::epoch`], [`EpochEngine::patch_swaps`], …) each
-    /// take their own lock or atomic load, so a stats reader racing a
-    /// swap could pair the *new* `Σµ` with the *old* swap counters
-    /// (or vice versa). Swap commits bump their counters while still
-    /// holding the state **write** lock, so everything read here under
-    /// the read lock describes the same committed engine.
-    pub fn maintenance_snapshot(&self) -> MaintenanceSnapshot {
-        let st = self.state.read().expect("epoch state poisoned");
-        MaintenanceSnapshot {
-            epoch: st.built_epoch,
-            mu_total: st.current.total_weight(),
-            major_swaps: self.major_swaps(),
-            last_swap_ns: self.last_swap_ns.load(Ordering::Relaxed),
-        }
-    }
-
     /// The serving engine's heap bytes by structure
-    /// ([`Engine::memory_breakdown`]), and the parts of them other
-    /// engines may share. Engines over one store — one per window size
-    /// or ladder step — stand on the same base `R` and `S` sets, so
-    /// whoever adds engines up counts each part once
-    /// ([`SharedParts::parts`]). The views a narrower window's handles
-    /// draw from hold nothing of their own beyond a few `Arc`s. Walks
-    /// the index outside the state lock.
-    pub fn memory_breakdown(&self) -> (IndexBytes, SharedParts) {
-        let (current, base) = {
+    /// ([`Engine::memory_breakdown`]) without the store's two base sets
+    /// its epoch stands on, walked afresh: what this cell published into
+    /// its index gauges ([`MaintenanceCounters::index_bytes`]). Engines
+    /// over one store — one per window size or ladder step — share those
+    /// sets, and the store's own ([`DatasetStore::set_bytes`]) complete
+    /// the sum. The views a narrower window's handles draw from hold
+    /// nothing of their own beyond a few `Arc`s. Walks the index outside
+    /// the state lock.
+    pub fn memory_breakdown(&self) -> IndexBytes {
+        let (current, base, base_s) = {
             let st = self.state.read().expect("epoch state poisoned");
-            (st.current.clone(), st.base.clone())
+            (st.current.clone(), st.base.clone(), Arc::clone(&st.base_s))
         };
-        let grid = base.s_grid().expect("a full build has a grid of S");
-        let shared = SharedParts {
-            sets: [base.r_set(), Arc::clone(grid.point_set())],
-        };
-        (current.memory_breakdown(), shared)
+        own_bytes(&current, &base, &base_s)
     }
 
     /// Minor swaps so far (overlay snapshot replaced). This and the
@@ -754,11 +734,6 @@ impl EpochEngine {
     /// `Arc`-shared and cost nothing).
     pub fn cells_patched(&self) -> u64 {
         self.counters.cells_patched.get()
-    }
-
-    /// Duration of the most recent swap (minor, patch, or full).
-    pub fn last_swap(&self) -> Duration {
-        Duration::from_nanos(self.last_swap_ns.load(Ordering::Relaxed))
     }
 
     /// Whether the cell trails the store: the one maintenance trigger.
@@ -795,31 +770,31 @@ impl EpochEngine {
         } else {
             self.minor_swap();
         }
-        self.last_swap_ns.store(
-            t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
+        let took = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.counters.last_swap_ns.set(took as f64);
     }
 
     /// Installs a freshly built epoch: base == current, no overlay
-    /// support yet. Returns the still-held write guard so the caller
-    /// can bump its swap counters before readers (e.g.
-    /// [`EpochEngine::maintenance_snapshot`]) can observe the new
-    /// state — a stats reader must never pair the new `Σµ` with the old
-    /// counters.
+    /// support yet, and publishes its share (its bytes walked here,
+    /// before the lock). Returns the still-held write guard, so a full
+    /// build's verdicts replace the last one's with its base.
     fn commit_epoch(
         &self,
         engine: Engine,
         snap: &DatasetSnapshot,
     ) -> std::sync::RwLockWriteGuard<'_, EpochState> {
+        let base_bytes = own_bytes(&engine, &engine, &snap.base_s);
+        let share = share(&engine, base_bytes, &engine);
         let mut st = self.state.write().expect("epoch state poisoned");
         st.base = engine.clone();
+        st.base_bytes = base_bytes;
         st.base_s = Arc::clone(&snap.base_s);
         st.base_s_dead = Arc::clone(&snap.s_dead);
         st.current = engine;
         st.support = None;
         st.built_epoch = snap.epoch;
         st.built_version = snap.version;
+        st.publish(share, &self.counters);
         st
     }
 
@@ -962,9 +937,14 @@ impl EpochEngine {
     fn minor_swap(&self) {
         let t0 = Instant::now();
         let snap = self.store.snapshot();
-        let (base, support, built_epoch) = {
+        let (base, base_bytes, support, built_epoch) = {
             let st = self.state.read().expect("epoch state poisoned");
-            (st.base.clone(), st.support.clone(), st.built_epoch)
+            (
+                st.base.clone(),
+                st.base_bytes,
+                st.support.clone(),
+                st.built_epoch,
+            )
         };
         if snap.epoch != built_epoch {
             // The store was compacted between decision and snapshot
@@ -982,12 +962,14 @@ impl EpochEngine {
             base.with_overlay(snap.delta, &support, &self.config)
         };
         let sources = support.source_count();
+        let share = share(&base, base_bytes, &engine);
         let mut st = self.state.write().expect("epoch state poisoned");
         let mu_before = st.current.total_weight();
         let mu_after = engine.total_weight();
         st.current = engine;
         st.support = Some(Arc::new(support));
         st.built_version = version;
+        st.publish(share, &self.counters);
         self.counters.minor_swap.inc();
         drop(st);
         event(EventKind::MinorSwap)
@@ -997,6 +979,14 @@ impl EpochEngine {
             .mu(mu_before, mu_after)
             .overlay(pending_ops as u64, sources as u64)
             .emit();
+    }
+}
+
+impl Drop for EpochEngine {
+    /// Withdraws this cell's share of its index gauges.
+    fn drop(&mut self) {
+        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        st.publish([0; MU + 1], &self.counters);
     }
 }
 
@@ -1058,28 +1048,28 @@ mod tests {
     fn try_handle_never_runs_maintenance() {
         let r = pseudo_points(60, 5, 50.0);
         let s = pseudo_points(80, 6, 50.0);
-        let engine = EpochEngine::new(r, s, &SampleConfig::new(5.0), EpochConfig::default());
+        let home = 5.0;
+        let engine = EpochEngine::new(r, s, &SampleConfig::new(home), EpochConfig::default());
         assert_eq!(engine.observed_ns_per_sample(), None, "nothing drawn yet");
 
-        // Settled: the very handle `handle_seeded` issues.
-        let want = engine.handle_seeded(9).sample_batch(50).unwrap();
-        let got = engine
-            .try_handle_seeded(9)
-            .expect("nothing is due")
-            .sample_batch(50)
-            .unwrap();
-        assert_eq!(got, want);
-        assert!(engine.try_handle().is_some());
+        // Settled: the very handle `handle_at` issues.
+        let mut want = engine.handle_at(home, Some(9)).unwrap();
+        let mut got = engine.try_handle_at(home, Some(9)).expect("nothing is due");
+        assert_eq!(
+            got.sample_batch(50).unwrap(),
+            want.sample_batch(50).unwrap()
+        );
+        assert!(engine.try_handle_at(home, None).is_some());
         assert!(engine.observed_ns_per_sample().is_some());
 
         // Drifted: declined, and the swap is left for a blocking caller.
         engine.insert_s(Point::new(10.0, 10.0));
-        assert!(engine.try_handle_seeded(9).is_none());
-        assert!(engine.try_handle().is_none());
+        assert!(engine.try_handle_at(home, Some(9)).is_none());
+        assert!(engine.try_handle_at(home, None).is_none());
         assert_eq!(engine.minor_swaps(), 0, "a try must not swap");
         let _ = engine.handle();
         assert_eq!(engine.minor_swaps(), 1);
-        assert!(engine.try_handle_seeded(9).is_some());
+        assert!(engine.try_handle_at(home, Some(9)).is_some());
         assert_eq!(
             engine.observed_ns_per_sample(),
             None,
@@ -1138,53 +1128,6 @@ mod tests {
                 "non-join pair {p:?}"
             );
         }
-    }
-
-    /// The one-lock snapshot pairs `Σµ` with the counters of the same
-    /// committed state — racing swaps from another thread must never
-    /// let a snapshot show a rebuilt epoch with pre-rebuild counters.
-    #[test]
-    fn maintenance_snapshot_is_mutually_consistent() {
-        let r = pseudo_points(80, 51, 40.0);
-        let s = pseudo_points(120, 52, 40.0);
-        let cfg = EpochConfig::default()
-            .with_rebuild_fraction(1e-4)
-            .with_algorithm(Algorithm::Bbst);
-        let engine = Arc::new(EpochEngine::new(r, s, &SampleConfig::new(5.0), cfg));
-        assert_eq!(engine.maintenance_snapshot().major_swaps, 0);
-
-        let mutator = {
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || {
-                for i in 0..40 {
-                    engine.insert_s(Point::new(i as f64 * 0.7, 3.0));
-                    engine.refresh(); // every insert crosses the rebuild threshold
-                }
-            })
-        };
-        // Every observed snapshot whose epoch advanced must carry
-        // advanced swap counters with it — the swap commit bumps them
-        // under the same write lock that installs the new state.
-        let mut last = engine.maintenance_snapshot();
-        while !mutator.is_finished() {
-            let snap = engine.maintenance_snapshot();
-            assert!(snap.epoch >= last.epoch);
-            assert!(snap.major_swaps >= last.major_swaps);
-            if snap.epoch > last.epoch {
-                assert!(
-                    snap.major_swaps > last.major_swaps,
-                    "epoch advanced {} -> {} without a counted swap",
-                    last.epoch,
-                    snap.epoch
-                );
-            }
-            last = snap;
-        }
-        mutator.join().unwrap();
-        let snap = engine.maintenance_snapshot();
-        assert!(snap.major_swaps >= 1);
-        assert_eq!(snap.epoch, engine.epoch());
-        assert!((snap.mu_total - engine.total_weight()).abs() < 1e-9);
     }
 
     /// A cell at `l = 4` and a sibling at `l = 5` over one fresh store of
@@ -1256,6 +1199,47 @@ mod tests {
         let before = rungs(&shared);
         drop(b);
         assert_eq!(rungs(&shared), before);
+    }
+
+    /// What cells publish is what a fresh walk of them finds, after
+    /// their construction and after every rung; a clean cell's engine is
+    /// its published bytes and the store's two sets; and dropped cells
+    /// leave nothing behind.
+    #[test]
+    fn cells_publish_what_they_hold_and_withdraw_it_on_drop() {
+        let check = |counters: &MaintenanceCounters, cells: &[&EpochEngine]| {
+            let bytes = counters.index_bytes.each_ref().map(|g| g.get() as usize);
+            let walked = cells
+                .iter()
+                .fold(IndexBytes::default(), |sum, c| sum + c.memory_breakdown());
+            assert_eq!(bytes, walked.parts().map(|(_, b)| b));
+            let rows: usize = cells.iter().map(|c| c.engine().row_count()).sum();
+            let published = counters.index_rows.iter().map(|g| g.get() as usize);
+            assert_eq!(published.sum::<usize>(), rows);
+            let mu: f64 = cells.iter().map(|c| c.total_weight()).sum();
+            assert_eq!(counters.mu_total.get(), mu);
+        };
+        let counters = MaintenanceCounters::default();
+        let (a, b) = siblings(counters.clone(), counters.clone());
+        check(&counters, &[&a, &b]);
+        for algorithm in [Algorithm::Bbst, Algorithm::Kds, Algorithm::KdsRejection] {
+            let cfg = EpochConfig::default().with_algorithm(algorithm);
+            let clean =
+                EpochEngine::with_store(Arc::clone(a.store()), &SampleConfig::new(3.0), cfg);
+            let whole = clean.memory_breakdown() + a.store().set_bytes();
+            assert_eq!(whole, clean.engine().memory_breakdown(), "{algorithm}");
+        }
+        // A minor swap, a cell patch, a full rebuild, an `R`-only rebuild.
+        climb(&a, &b);
+        check(&counters, &[&a, &b]);
+        a.insert_r(Point::new(10.0, 10.0));
+        b.refresh();
+        assert_eq!(counters.full_rebuild.get(), 2, "an R-only rebuild");
+        check(&counters, &[&a, &b]);
+        drop(a);
+        check(&counters, &[&b]);
+        drop(b);
+        check(&counters, &[]);
     }
 
     /// A delete-only cell patch keeps the `S` allocation and only grows
@@ -1540,7 +1524,7 @@ mod tests {
         let counters = MaintenanceCounters::default();
         let step = EpochEngine::for_step(store, &SampleConfig::new(4.0), bbst(), counters)
             .expect("clustered rows serve the step");
-        let before = step.memory_breakdown().0;
+        let before = step.memory_breakdown();
         for i in 0..10_000 {
             let l = 3.2 + 0.8 * f64::from(i) / 10_000.0;
             let mut h = step.handle_at(l, Some(1)).expect("the rows serve l");
@@ -1552,7 +1536,7 @@ mod tests {
             "the narrowest passed first"
         );
         assert!(
-            step.memory_breakdown().0 == before,
+            step.memory_breakdown() == before,
             "a window left bytes behind"
         );
         assert_eq!(

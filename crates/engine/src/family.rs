@@ -572,6 +572,8 @@ pub(crate) trait EngineIndex: Send + Sync {
     fn cursor(&self) -> Box<dyn ServingCursor>;
     fn build_report(&self) -> PhaseReport;
     fn index_bytes(&self) -> IndexBytes;
+    /// What an overlay adds to its full build's bytes (zero without).
+    fn overlay_bytes(&self) -> IndexBytes;
     fn total_weight(&self) -> f64;
     /// Cells of the full build's grid of `S`, whatever stands on it.
     fn cell_count(&self) -> usize;
@@ -693,6 +695,12 @@ impl<F: Family> EngineIndex for Built<F> {
 
     fn index_bytes(&self) -> IndexBytes {
         serving!(self, index => index.index_bytes())
+    }
+
+    fn overlay_bytes(&self) -> IndexBytes {
+        self.overlay
+            .as_ref()
+            .map_or_else(IndexBytes::default, |overlay| overlay.own_bytes())
     }
 
     fn total_weight(&self) -> f64 {

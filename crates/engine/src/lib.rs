@@ -70,7 +70,7 @@ mod stats;
 
 pub use dataset::{BatchApplied, DatasetSnapshot, DatasetStore, SPatchDelta};
 pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
-pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot, SharedParts};
+pub use epoch::{EpochConfig, EpochEngine};
 pub use family::RowGranularity;
 /// The ladder step a window stands on: what keys a step's engine.
 pub use srj_grid::ladder_side;

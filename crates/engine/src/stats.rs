@@ -13,11 +13,16 @@
 
 use std::time::Duration;
 
-use srj_obs::{Counter, Histogram};
+use srj_obs::{Counter, Gauge, Histogram};
+
+use crate::RowGranularity;
 
 /// The counts of an epoch cell's history, recorded where each event
-/// happens: a swap counts its rung where it commits.
-/// `Clone` shares the cells, so a server hands in its registry's
+/// happens: a swap counts its rung where it commits. And the index
+/// gauges, levels of what the cells hold: a cell publishes the change
+/// of its share at every commit and withdraws the rest when it drops,
+/// so a read is a relaxed load and they return to zero once the cells
+/// are gone. `Clone` shares the cells, so a server hands in its registry's
 /// series; cells sharing a set add up.
 #[derive(Clone, Debug, Default)]
 pub struct MaintenanceCounters {
@@ -29,6 +34,16 @@ pub struct MaintenanceCounters {
     pub full_rebuild: Counter,
     /// `S`-cells rebuilt by patch swaps.
     pub cells_patched: Counter,
+    /// Heap bytes in [`srj_core::IndexBytes::parts`] order, without the
+    /// store's two base sets: a reader adds the store's own
+    /// ([`crate::DatasetStore::set_bytes`]).
+    pub index_bytes: [Gauge; 7],
+    /// Rows of the full builds, in [`RowGranularity::ALL`] order.
+    pub index_rows: [Gauge; RowGranularity::ALL.len()],
+    /// `Σµ` of the engines served.
+    pub mu_total: Gauge,
+    /// The latest swap's duration, nanoseconds.
+    pub last_swap_ns: Gauge,
 }
 
 /// Shared, lock-free statistics aggregated across every handle of an

@@ -8,6 +8,26 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
+/// Heap bytes of a hash table that reports `capacity` and holds
+/// `entry`-byte entries — an [`FxHashMap`], an [`FxHashSet`] or std's
+/// own: std's table allocates a power-of-two number of buckets, one more
+/// than the capacity below 8 and 8 for every 7 of capacity above, each
+/// an entry and a control byte, and a group of 16 control bytes more.
+pub fn table_bytes(capacity: usize, entry: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        1..=7 => capacity + 1,
+        _ => capacity / 7 * 8,
+    };
+    buckets * (entry + 1) + 16
+}
+
+/// Heap bytes of an `Arc<T>`'s allocation: its two counts and the
+/// value.
+pub const fn arc_bytes<T>() -> usize {
+    2 * std::mem::size_of::<usize>() + std::mem::size_of::<T>()
+}
+
 /// Multiplicative constant (from FxHash / Firefox; a 64-bit odd constant
 /// close to 2^64 / φ).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;

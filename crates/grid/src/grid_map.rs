@@ -4,7 +4,7 @@ use std::sync::Arc;
 use srj_geom::{Point, PointId, Rect};
 
 use crate::cell::Cell;
-use crate::fx::FxHashMap;
+use crate::fx::{self, FxHashMap};
 use crate::offsets::NEIGHBOR_OFFSETS;
 use crate::point_set::{IntoPointSet, PointSet};
 
@@ -437,14 +437,14 @@ impl Grid {
     /// of several cell sides on one set each report that share; whoever
     /// adds grids up counts it once per [`Grid::point_set`].
     pub fn memory_bytes(&self) -> usize {
-        let map_entry = std::mem::size_of::<((i32, i32), u32)>() + 1;
+        let map_entry = std::mem::size_of::<((i32, i32), u32)>();
         self.set.memory_bytes()
-            + self.lookup.capacity() * map_entry
+            + fx::table_bytes(self.lookup.capacity(), map_entry)
             + self.cells.capacity() * std::mem::size_of::<Arc<Cell>>()
             + self
                 .cells
                 .iter()
-                .map(|c| std::mem::size_of::<Cell>() + c.memory_bytes())
+                .map(|c| fx::arc_bytes::<Cell>() + c.memory_bytes())
                 .sum::<usize>()
     }
 }

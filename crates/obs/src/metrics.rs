@@ -85,6 +85,15 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Adds `delta`: for a level moved where it changes. Whole numbers
+    /// below 2⁵³ add exactly.
+    pub fn add(&self, delta: f64) {
+        let add = |bits| Some((f64::from_bits(bits) + delta).to_bits());
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -238,7 +247,19 @@ impl Kind {
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
+    /// A gauge read at render ([`Registry::gauge_fn`]).
+    Read(ReadGauge),
     Histogram(Histogram),
+}
+
+/// The reader behind a [`Registry::gauge_fn`] series.
+#[derive(Clone)]
+struct ReadGauge(Arc<dyn Fn() -> f64 + Send + Sync>);
+
+impl std::fmt::Debug for ReadGauge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ReadGauge")
+    }
 }
 
 #[derive(Debug)]
@@ -272,8 +293,12 @@ impl Registry {
         Self::default()
     }
 
-    fn get_or_create(&self, name: &str, labels: &[(&str, &str)], kind: Kind) -> Metric {
-        let mut families = self.families.lock().unwrap();
+    /// The entries of family `name`, created as `kind` if new.
+    fn entries<'a>(
+        families: &'a mut BTreeMap<String, Family>,
+        name: &str,
+        kind: Kind,
+    ) -> &'a mut BTreeMap<String, Metric> {
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             kind,
             entries: BTreeMap::new(),
@@ -284,8 +309,12 @@ impl Registry {
             family.kind.as_str(),
             kind.as_str()
         );
-        family
-            .entries
+        &mut family.entries
+    }
+
+    fn get_or_create(&self, name: &str, labels: &[(&str, &str)], kind: Kind) -> Metric {
+        let mut families = self.families.lock().unwrap();
+        Self::entries(&mut families, name, kind)
             .entry(label_key(labels))
             .or_insert_with(|| match kind {
                 Kind::Counter => Metric::Counter(Counter::new()),
@@ -311,6 +340,22 @@ impl Registry {
         }
     }
 
+    /// Registers a gauge for `(name, labels)` whose value is `read()` at
+    /// every render and snapshot: the exposition of a level that is
+    /// kept, and changed, where it is held, so that a scrape sets
+    /// nothing. Replaces what `(name, labels)` held. `read` runs under
+    /// the registry's lock, so it must not register metrics.
+    pub fn gauge_fn(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        read: impl Fn() -> f64 + Send + Sync + 'static,
+    ) {
+        let mut families = self.families.lock().unwrap();
+        Self::entries(&mut families, name, Kind::Gauge)
+            .insert(label_key(labels), Metric::Read(ReadGauge(Arc::new(read))));
+    }
+
     /// Get-or-create a histogram for `(name, labels)`.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         match self.get_or_create(name, labels, Kind::Histogram) {
@@ -330,6 +375,7 @@ impl Registry {
                 let value = match metric {
                     Metric::Counter(c) => ValueSnapshot::Counter(c.get()),
                     Metric::Gauge(g) => ValueSnapshot::Gauge(g.get()),
+                    Metric::Read(read) => ValueSnapshot::Gauge(read.0()),
                     Metric::Histogram(h) => ValueSnapshot::Histogram {
                         count: h.count(),
                         sum: h.sum(),
@@ -365,6 +411,9 @@ impl Registry {
                     }
                     Metric::Gauge(g) => {
                         sample_line(&mut out, name, "", labels, None, &format!("{}", g.get()));
+                    }
+                    Metric::Read(read) => {
+                        sample_line(&mut out, name, "", labels, None, &format!("{}", read.0()));
                     }
                     Metric::Histogram(h) => {
                         let buckets = h.bucket_counts();
@@ -467,6 +516,27 @@ mod tests {
         let g = reg.gauge("srj_mu_total", &[]);
         g.set(1234.5);
         assert_eq!(g.get(), 1234.5);
+        g.add(-1234.5);
+        g.add(7.0);
+        assert_eq!(g.get(), 7.0);
+    }
+
+    /// A read gauge renders, and snapshots, whatever its reader says at
+    /// that moment; nothing sets it.
+    #[test]
+    fn a_read_gauge_is_read_at_every_render() {
+        let reg = Registry::new();
+        let level = Arc::new(AtomicU64::new(3));
+        let cell = Arc::clone(&level);
+        reg.gauge_fn("srj_index_rows", &[("dataset", "1")], move || {
+            cell.load(Ordering::Relaxed) as f64
+        });
+        assert!(reg.render().contains("srj_index_rows{dataset=\"1\"} 3\n"));
+        level.store(40, Ordering::Relaxed);
+        assert!(reg
+            .render()
+            .contains("# TYPE srj_index_rows gauge\nsrj_index_rows{dataset=\"1\"} 40\n"));
+        assert_eq!(reg.snapshot()[0].value, ValueSnapshot::Gauge(40.0));
     }
 
     #[test]

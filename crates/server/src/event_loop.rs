@@ -901,7 +901,9 @@ impl EventLoop {
                     return false;
                 }
                 // Observability answers are pure snapshot work, no
-                // engine/handle involvement: rendered on the loop.
+                // engine/handle involvement: rendered on the loop. They
+                // read only what the engines published, so they never
+                // wait for an engine map, as the inline peek may.
                 Request::Stats => Response::ServerStats(shared.stats_frame()),
                 Request::Metrics => Response::Metrics {
                     text: shared.metrics_text(),

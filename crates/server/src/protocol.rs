@@ -219,8 +219,8 @@ pub struct ServerStatsFrame {
     /// `Arc`-shared across the swap and cost nothing), summed over
     /// every serving engine.
     pub cells_patched: u64,
-    /// Duration of the most recent epoch swap, nanoseconds (maximum
-    /// across all serving engines) — the epoch-swap-cost signal.
+    /// Duration of each dataset's most recent epoch swap, nanoseconds
+    /// (maximum across datasets) — the epoch-swap-cost signal.
     pub last_swap_ns: u64,
     /// `Σµ` summed over every serving engine — the quantity a
     /// delete-heavy workload must see shrink across an epoch swap.
@@ -256,8 +256,8 @@ pub struct EpochInfo {
     pub live_s: u64,
     /// Mutations pending since the last rebuild.
     pub pending_ops: u64,
-    /// Duration of the most recent engine swap for this dataset
-    /// (maximum across its serving engines), nanoseconds.
+    /// Duration of the most recent engine swap for this dataset, of
+    /// any of its engines, nanoseconds.
     pub last_swap_ns: u64,
 }
 

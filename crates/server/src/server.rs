@@ -51,7 +51,7 @@
 //!    is known (the loop never builds or probes);
 //! 2. that engine has no maintenance due — the store has not drifted
 //!    — so no swap can run on the loop
-//!    (`EpochEngine::try_handle_seeded`);
+//!    (`EpochEngine::try_handle_at`);
 //! 3. `t ×` the engine's observed ns/sample fits
 //!    `exec::INLINE_BUDGET_NS` (no observation yet ⇒ not eligible),
 //!    and the answer fits the connection's response queue;
@@ -95,8 +95,10 @@
 //! **Metrics.** Every `_total` series is a registry counter incremented
 //! where its event happens. A dataset's maintenance series are handed
 //! to each engine built for it ([`EpochEngine::with_counters`]), which
-//! counts into them itself, so an evicted engine's share stays counted.
-//! A scrape only copies the profiler's state counts and sets the gauges.
+//! counts into them itself, so an evicted engine's share stays counted,
+//! and publishes what it holds into the dataset's index gauges. A scrape
+//! copies the profiler's state counts and the open connections, and
+//! renders: it takes no engine lock and walks no index.
 //!
 //! **Shutdown.** [`Server::shutdown`] (or a client `SHUTDOWN` frame)
 //! wakes the event loop (which tears down every connection) and the
@@ -106,8 +108,9 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -324,6 +327,26 @@ impl EngineKey {
 /// own engines rebuild and re-probe on their own.
 type Entry = Option<Arc<EpochEngine>>;
 
+/// A dataset's engines: the entries in recency order, least recently
+/// used first, and the keys whose first build is in flight.
+#[derive(Default)]
+struct EngineMap {
+    entries: Vec<(EngineKey, Entry)>,
+    building: Vec<EngineKey>,
+}
+
+impl EngineMap {
+    /// Moves `key`'s entry to the most-recently-used end and returns
+    /// it.
+    fn touch(&mut self, key: EngineKey) -> Option<Entry> {
+        let i = self.entries.iter().position(|(k, _)| *k == key)?;
+        let entry = self.entries.remove(i);
+        let engine = entry.1.clone();
+        self.entries.push(entry);
+        Some(engine)
+    }
+}
+
 /// One registered workload: the mutable point store plus its serving
 /// engines, one [`EpochEngine`] per [`EngineKey`] (or a failed step's
 /// verdict, [`Entry`]).
@@ -332,17 +355,29 @@ type Entry = Option<Arc<EpochEngine>>;
 /// answered from a stale index.
 pub(crate) struct ServedDataset {
     store: Arc<DatasetStore>,
-    engines: Mutex<Vec<(EngineKey, Entry)>>,
+    engines: Mutex<EngineMap>,
+    /// Rung whenever a build in flight leaves [`EngineMap::building`].
+    built: Condvar,
+    /// Engines the map holds (verdicts are not engines), set under the
+    /// map lock wherever the entries change and read without it.
+    engines_cached: AtomicU64,
     metrics: DatasetMetrics,
 }
 
 impl ServedDataset {
-    fn new(store: Arc<DatasetStore>, metrics: DatasetMetrics) -> Self {
+    /// Serves `store` as dataset `id`, its series registered in `reg`.
+    fn register(reg: &Registry, id: u64, store: Arc<DatasetStore>) -> Self {
         ServedDataset {
+            metrics: DatasetMetrics::register(reg, id, &store),
             store,
-            engines: Mutex::new(Vec::new()),
-            metrics,
+            engines: Mutex::default(),
+            built: Condvar::new(),
+            engines_cached: AtomicU64::new(0),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, EngineMap> {
+        self.engines.lock().expect("engine map poisoned")
     }
 
     /// Applies an `INSERT` or `DELETE` to the store as one atomic batch,
@@ -384,14 +419,17 @@ impl ServedDataset {
             live_r: store.live_r_len() as u64,
             live_s: store.live_s_len() as u64,
             pending_ops: store.pending_ops() as u64,
-            last_swap_ns: self.maintenance_stats(false).last_swap_ns,
+            last_swap_ns: self.metrics.maintenance.last_swap_ns.get() as u64,
         }
     }
 
-    /// The entry for `key`, building it on a miss (outside the map
-    /// lock: concurrent misses on different shapes must not serialise
-    /// on one mutex for a whole build, and a memory walk or a lookup
-    /// never waits on one), and whether this call built. The vector is
+    /// The entry for `key`, building it on a miss, and whether this
+    /// call built. Each key builds once: a miss on a key whose build is
+    /// in flight waits for that build and takes its entry, as a hit. The
+    /// build runs outside the map lock — concurrent misses on different
+    /// shapes must not serialise on one mutex for a whole build, and a
+    /// lookup never waits on one — and a build that panics wakes its
+    /// waiters, the first of which builds in its place. The entries are
     /// kept in recency order — a hit moves its entry to the back — so
     /// eviction at capacity drops the least-recently-used shape, never
     /// a hot one; in-flight handles of an evicted engine keep serving
@@ -402,11 +440,30 @@ impl ServedDataset {
         capacity: usize,
         build: impl FnOnce() -> Option<EpochEngine>,
     ) -> (Entry, bool) {
-        if let Some(entry) = self.cached_engine(key) {
-            return (entry, false);
+        let mut map = self.lock();
+        loop {
+            if let Some(entry) = map.touch(key) {
+                return (entry, false);
+            }
+            if !map.building.contains(&key) {
+                break;
+            }
+            map = self.built.wait(map).expect("engine map poisoned");
         }
-        let (entry, _unmapped) = self.admit(key, build().map(Arc::new), capacity);
-        (entry, true)
+        map.building.push(key);
+        drop(map);
+        let built = panic::catch_unwind(AssertUnwindSafe(|| build().map(Arc::new)));
+        let mut map = self.lock();
+        map.building.retain(|k| *k != key);
+        let evicted = built
+            .as_ref()
+            .ok()
+            .and_then(|e| self.admit(&mut map, key, e.clone(), capacity));
+        drop(map);
+        self.built.notify_all();
+        drop(evicted); // outside the lock, after the waiters are woken
+        let engine = built.unwrap_or_else(|panic| panic::resume_unwind(panic));
+        (engine, true)
     }
 
     /// A worker's acquisition of `req`'s handle, building what is
@@ -466,106 +523,34 @@ impl ServedDataset {
         }
     }
 
-    /// Enters a freshly built `engine` under `key` as the most recently
-    /// used entry. Returns the engine to serve with and, second, the one
-    /// the map let go of: the least recently used entry when the map was
-    /// at `capacity`, or `engine` itself when another thread built the
-    /// same shape first — then its engine (and swap cell) is shared so
-    /// epochs stay consistent.
-    ///
-    /// The map lock is released before this returns, so whoever drops
-    /// the second engine does so outside it: an index is hundreds of
-    /// allocations to free (tens of ms on a large dataset), and the event
-    /// loop takes this lock on every request it considers serving itself
-    /// ([`ServedDataset::cached_engine`]). What an engine counted is in
-    /// the dataset's series already, so letting it go takes nothing back.
-    fn admit(&self, key: EngineKey, engine: Entry, capacity: usize) -> (Entry, Option<Entry>) {
-        let mut engines = self.engines.lock().expect("engine map poisoned");
-        if let Some(shared) = Self::touch(&mut engines, key) {
-            return (shared, Some(engine));
-        }
-        let evicted = (engines.len() >= capacity.max(1)).then(|| engines.remove(0).1);
-        engines.push((key, engine.clone()));
-        (engine, evicted)
+    /// Enters the freshly built `engine` under `key` into the locked
+    /// `map` as the most recently used entry, and returns the entry let
+    /// go of to make room: the least recently used one when the map was
+    /// at `capacity`. Whoever drops it does so after releasing the lock:
+    /// an index is hundreds of allocations to free (tens of ms on a large
+    /// dataset), and the event loop takes this lock on every request it
+    /// considers serving itself ([`ServedDataset::cached_engine`]).
+    fn admit(
+        &self,
+        map: &mut EngineMap,
+        key: EngineKey,
+        engine: Entry,
+        capacity: usize,
+    ) -> Option<Entry> {
+        let evicted = (map.entries.len() >= capacity.max(1)).then(|| map.entries.remove(0).1);
+        map.entries.push((key, engine));
+        let cached = map.entries.iter().filter(|(_, e)| e.is_some()).count();
+        self.engines_cached.store(cached as u64, Ordering::Relaxed);
+        evicted
     }
 
     /// The entry for `key` if one is cached — the peek that never
-    /// builds, which is all the event loop may do. A hit counts as a
-    /// use for eviction, like any other.
+    /// builds or waits, which is all the event loop may do: a key whose
+    /// build is in flight is a miss here. A hit counts as a use for
+    /// eviction, like any other.
     fn cached_engine(&self, key: EngineKey) -> Option<Entry> {
-        Self::touch(&mut self.engines.lock().expect("engine map poisoned"), key)
+        self.lock().touch(key)
     }
-
-    /// Moves `key`'s entry to the most-recently-used end and returns
-    /// it.
-    fn touch(engines: &mut Vec<(EngineKey, Entry)>, key: EngineKey) -> Option<Entry> {
-        let i = engines.iter().position(|(k, _)| *k == key)?;
-        let entry = engines.remove(i);
-        let engine = entry.1.clone();
-        engines.push(entry);
-        Some(engine)
-    }
-
-    /// What `STATS`, `EPOCH` and the `METRICS` gauges read off this
-    /// dataset's cached engines, in one pass under the map lock. Each
-    /// engine is read as one consistent
-    /// [`srj_engine::MaintenanceSnapshot`]: a request racing a compaction
-    /// never pairs the post-swap Σµ with the pre-swap epoch.
-    /// `with_memory` adds the index-memory walk, which only the
-    /// exposition shows.
-    fn maintenance_stats(&self, with_memory: bool) -> MaintenanceStats {
-        let engines = self.engines.lock().expect("engine map poisoned");
-        let engines = || engines.iter().filter_map(|(_, e)| e.as_ref());
-        let mut out = MaintenanceStats {
-            engines: engines().count(),
-            ..MaintenanceStats::default()
-        };
-        // Every part counted so far, and what holds it for the walk.
-        let (mut seen, mut held) = (Vec::new(), Vec::new());
-        for e in engines() {
-            if with_memory {
-                let (bytes, shared) = e.memory_breakdown();
-                out.index_bytes = out.index_bytes + bytes;
-                let engine = e.engine();
-                out.index_rows[engine.row_granularity() as usize] += engine.row_count();
-                // Window sizes over one base stand on one `R` set and one
-                // `S` set: a part an earlier engine counted comes off.
-                for (part, bytes) in shared.parts() {
-                    if seen.contains(&part) {
-                        out.index_bytes = out.index_bytes - bytes;
-                    } else {
-                        seen.push(part);
-                    }
-                }
-                held.push(shared);
-            }
-            let s = e.maintenance_snapshot();
-            out.last_swap_ns = out.last_swap_ns.max(s.last_swap_ns);
-            out.mu_total += s.mu_total;
-            out.epoch = out.epoch.max(s.epoch);
-        }
-        out
-    }
-}
-
-/// The cached engines' current state, aggregated per dataset.
-#[derive(Default)]
-struct MaintenanceStats {
-    /// Longest most-recent swap across the engines.
-    last_swap_ns: u64,
-    mu_total: f64,
-    /// Serving epoch (max across engines), consistent with `mu_total`.
-    epoch: u64,
-    /// How many engines were aggregated (0 ⇒ fall back to the store's
-    /// epoch for the `srj_epoch` gauge).
-    engines: usize,
-    /// Heap bytes of the serving indexes by structure, a point set
-    /// several engines share — of `R` or of `S` — counted once (memory
-    /// walk only).
-    index_bytes: IndexBytes,
-    /// Rows of the serving indexes' full builds, in
-    /// [`RowGranularity::ALL`] order (memory walk only).
-    index_rows: [usize; RowGranularity::ALL.len()],
 }
 
 /// The datasets a server answers for, keyed by the `u64` ids clients
@@ -622,7 +607,9 @@ const RUNGS: [&str; 3] = ["minor_swap", "cell_patch", "full_rebuild"];
 
 /// Typed handles into the server's [`Registry`] for one dataset,
 /// registered once at startup so recording is lock-free `fetch_add`s
-/// where each event happens; only the gauges are set at scrape.
+/// where each event happens. Nothing is set at scrape: the engines
+/// publish their gauges themselves, and the rest are read at render
+/// ([`Registry::gauge_fn`]) from where they are held.
 struct DatasetMetrics {
     /// `srj_requests_total` — finished `SAMPLE` requests (hot path).
     requests: Counter,
@@ -635,23 +622,12 @@ struct DatasetMetrics {
     /// `srj_rejection_iterations_total` — rejection-loop iterations of
     /// finished requests (hot path).
     rejection_iterations: Counter,
-    /// `srj_rejection_rate` — the two counters' iterations/samples at
-    /// scrape.
-    rejection_rate: Gauge,
-    /// `srj_mu_total` — Σµ across serving engines at scrape.
-    mu_total: Gauge,
-    /// `srj_index_bytes{structure=...}` in [`IndexBytes::parts`] order —
-    /// heap bytes of the serving indexes at scrape.
-    index_bytes: [Gauge; 7],
-    /// `srj_index_rows{granularity=...}` in [`RowGranularity::ALL`]
-    /// order — rows the serving indexes keep, at scrape.
-    index_rows: [Gauge; RowGranularity::ALL.len()],
-    /// `srj_epoch` — store epoch at scrape.
-    epoch: Gauge,
     /// `srj_maintenance_total{rung=...}` (one series per [`RUNGS`]
-    /// entry) and `srj_cells_patched_total`, handed to every engine of
-    /// the dataset
-    /// ([`EpochEngine::with_counters`]), which counts into them itself.
+    /// entry), `srj_cells_patched_total`, `srj_mu_total`,
+    /// `srj_index_rows` and the engines' part of `srj_index_bytes`,
+    /// handed to every engine of the dataset
+    /// ([`EpochEngine::with_counters`]), which counts and publishes into
+    /// them itself.
     maintenance: MaintenanceCounters,
     /// `srj_engine_cache_hits_total` / `srj_engine_cache_misses_total`
     /// — the server-wide series (no `dataset` label: every dataset's
@@ -661,30 +637,36 @@ struct DatasetMetrics {
 }
 
 impl DatasetMetrics {
-    fn register(reg: &Registry, dataset: u64) -> Self {
+    fn register(reg: &Registry, dataset: u64, store: &Arc<DatasetStore>) -> Self {
         let id = dataset.to_string();
         let labels: [(&str, &str); 1] = [("dataset", &id)];
+        let samples = reg.counter("srj_samples_total", &labels);
+        let rejection_iterations = reg.counter("srj_rejection_iterations_total", &labels);
+        let (iterations, delivered) = (rejection_iterations.clone(), samples.clone());
+        reg.gauge_fn("srj_rejection_rate", &labels, move || {
+            let samples = delivered.get();
+            if samples == 0 {
+                0.0
+            } else {
+                iterations.get() as f64 / samples as f64
+            }
+        });
+        let index_bytes: [Gauge; 7] = Default::default();
+        for (i, (structure, _)) in IndexBytes::default().parts().into_iter().enumerate() {
+            let (engines, store) = (index_bytes[i].clone(), Arc::clone(store));
+            let labels = [("dataset", id.as_str()), ("structure", structure)];
+            reg.gauge_fn("srj_index_bytes", &labels, move || {
+                engines.get() + store.set_bytes().parts()[i].1 as f64
+            });
+        }
+        let epoch = Arc::clone(store);
+        reg.gauge_fn("srj_epoch", &labels, move || epoch.epoch() as f64);
         DatasetMetrics {
             requests: reg.counter("srj_requests_total", &labels),
-            samples: reg.counter("srj_samples_total", &labels),
+            samples,
             errors: reg.counter("srj_request_errors_total", &labels),
             latency: reg.histogram("srj_request_latency_ns", &labels),
-            rejection_iterations: reg.counter("srj_rejection_iterations_total", &labels),
-            rejection_rate: reg.gauge("srj_rejection_rate", &labels),
-            mu_total: reg.gauge("srj_mu_total", &labels),
-            index_bytes: IndexBytes::default().parts().map(|(structure, _)| {
-                reg.gauge(
-                    "srj_index_bytes",
-                    &[("dataset", &id), ("structure", structure)],
-                )
-            }),
-            index_rows: RowGranularity::ALL.map(|granularity| {
-                reg.gauge(
-                    "srj_index_rows",
-                    &[("dataset", &id), ("granularity", granularity.label())],
-                )
-            }),
-            epoch: reg.gauge("srj_epoch", &labels),
+            rejection_iterations,
             maintenance: {
                 let [minor_swap, cell_patch, full_rebuild] = RUNGS.map(|rung| {
                     reg.counter("srj_maintenance_total", &[("dataset", &id), ("rung", rung)])
@@ -694,6 +676,13 @@ impl DatasetMetrics {
                     cell_patch,
                     full_rebuild,
                     cells_patched: reg.counter("srj_cells_patched_total", &labels),
+                    index_bytes,
+                    index_rows: RowGranularity::ALL.map(|granularity| {
+                        let label = ("granularity", granularity.label());
+                        reg.gauge("srj_index_rows", &[("dataset", &id), label])
+                    }),
+                    mu_total: reg.gauge("srj_mu_total", &labels),
+                    last_swap_ns: Gauge::new(),
                 }
             },
             cache_hits: reg.counter("srj_engine_cache_hits_total", &[]),
@@ -708,7 +697,7 @@ pub(crate) struct ServerMetrics {
     /// accepted (counted at accept).
     pub(crate) connections_accepted: Counter,
     /// `srj_conn_open` gauge — connections registered on the event
-    /// loop (`Shared::active`), set at scrape.
+    /// loop (`Shared::active`), copied at scrape.
     conn_open: Gauge,
     /// `srj_engine_cache_hits_total` / `srj_engine_cache_misses_total`
     /// — counted by each dataset's engine map (see [`DatasetMetrics`]).
@@ -867,61 +856,41 @@ impl Shared {
             last_swap_ns: 0,
             mu_total: 0.0,
         };
+        // The values the dataset gauges read: the two agree by
+        // construction, and neither takes an engine lock.
         for d in self.registry.values() {
-            let agg = d.maintenance_stats(false);
-            frame.engines_cached += agg.engines as u64;
-            frame.patch_swaps += d.metrics.maintenance.cell_patch.get();
-            frame.cells_patched += d.metrics.maintenance.cells_patched.get();
-            frame.last_swap_ns = frame.last_swap_ns.max(agg.last_swap_ns);
-            frame.mu_total += agg.mu_total;
+            let maintenance = &d.metrics.maintenance;
+            frame.engines_cached += d.engines_cached.load(Ordering::Relaxed);
+            frame.patch_swaps += maintenance.cell_patch.get();
+            frame.cells_patched += maintenance.cells_patched.get();
+            frame.last_swap_ns = frame
+                .last_swap_ns
+                .max(maintenance.last_swap_ns.get() as u64);
+            frame.mu_total += maintenance.mu_total.get();
         }
         frame
     }
 
     /// The Prometheus text exposition behind the `METRICS` frame and
-    /// `/metrics`: the scrape-time gauges, then a render.
+    /// `/metrics`: the two scrape-time copies, then a render.
     pub(crate) fn metrics_text(&self) -> String {
         self.refresh_gauges();
         self.metrics.render()
     }
 
-    /// Copies the profiler's state counts and sets the gauges that
-    /// describe the cached engines (Σµ, epoch, index bytes and rows, the
-    /// rejection rate) and the open connections, so a render observes
-    /// current values. Every `_total` counter but the profiler's is
-    /// already current: each is counted where its event happens.
+    /// Copies the two values kept outside the registry — the profiler's
+    /// state counts and the open connections — so a render observes
+    /// current values. Everything else is current already: every other
+    /// `_total` counter is counted where its event happens, and every
+    /// dataset gauge is read where its value is held
+    /// ([`DatasetMetrics`]).
     fn refresh_gauges(&self) {
         let sm = &self.server_metrics;
         let counts = self.profiler.counts();
-        for (i, c) in sm.worker_states.iter().enumerate() {
-            c.store(counts[i]);
+        for (c, &count) in sm.worker_states.iter().zip(&counts) {
+            c.store(count);
         }
         sm.conn_open.set(self.active.load(Ordering::Relaxed) as f64);
-        for served in self.registry.values() {
-            let m = &served.metrics;
-            let agg = served.maintenance_stats(true);
-            let (iterations, samples) = (m.rejection_iterations.get(), m.samples.get());
-            m.rejection_rate.set(if samples == 0 {
-                0.0
-            } else {
-                iterations as f64 / samples as f64
-            });
-            m.mu_total.set(agg.mu_total);
-            for (gauge, (_, bytes)) in m.index_bytes.iter().zip(agg.index_bytes.parts()) {
-                gauge.set(bytes as f64);
-            }
-            for (gauge, rows) in m.index_rows.iter().zip(agg.index_rows) {
-                gauge.set(rows as f64);
-            }
-            // Prefer the engine-consistent epoch (taken under the same
-            // snapshot as mu_total); a dataset no engine serves yet has
-            // only the store's epoch to report.
-            m.epoch.set(if agg.engines > 0 {
-                agg.epoch as f64
-            } else {
-                served.store.epoch() as f64
-            });
-        }
     }
 
     /// Engine acquisition via the per-dataset epoch-engine map: the
@@ -1162,8 +1131,7 @@ impl Server {
                 // lifecycle events (swaps, patches, compactions) carry
                 // the dataset id clients know.
                 store.set_obs_label(id);
-                let served = ServedDataset::new(store, DatasetMetrics::register(&metrics, id));
-                (id, served)
+                (id, ServedDataset::register(&metrics, id, store))
             })
             .collect();
         let notify = Arc::new(LoopNotify::new()?);
@@ -1321,9 +1289,9 @@ const TOKEN_HTTP: u64 = 1;
 const SWEEP: Duration = Duration::from_millis(50);
 
 /// The server's one housekeeping thread, kept off the event loop so the
-/// profiler can observe the loop's own tag and a scrape's engine walk
-/// never delays a request. It waits on its own poller with the next
-/// sweep as timeout and
+/// profiler can observe the loop's own tag and an HTTP probe never
+/// delays a request. It waits on its own poller with the next sweep as
+/// timeout and
 ///
 /// * every [`SWEEP`] takes one profiler sample;
 /// * answers each HTTP probe as it arrives ([`crate::http::accept_one`]).
@@ -1365,7 +1333,11 @@ fn maintainer_loop(shared: &Shared, mut poller: Poller, http: Option<TcpListener
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+    use std::sync::Barrier;
+
     use super::*;
+    use crate::client::Client;
 
     fn key(l: f64) -> EngineKey {
         EngineKey {
@@ -1375,19 +1347,38 @@ mod tests {
         }
     }
 
-    /// The engine the map lets go of — evicted at capacity, or beaten to
-    /// its key — is handed out alive, with the map lock already free:
-    /// freeing an index is never done inside the critical section the
-    /// event loop's `cached_engine` peek waits on.
+    /// An 8 × 8 lattice of points, for `R` and `S` alike.
+    fn lattice() -> Vec<Point> {
+        (0..64)
+            .map(|i| Point::new((i % 8) as f64, (i / 8) as f64))
+            .collect()
+    }
+
+    /// Dataset 1 over a fresh store of `(r, s)`, its series in `reg`.
+    fn served(reg: &Registry, r: Vec<Point>, s: Vec<Point>) -> ServedDataset {
+        ServedDataset::register(reg, 1, Arc::new(DatasetStore::new(r, s)))
+    }
+
+    /// A forced-BBST request for the window `l`.
+    fn bbst(l: f64) -> SampleRequest {
+        SampleRequest {
+            req_id: 0,
+            dataset: 1,
+            l,
+            algorithm: Some(Algorithm::Bbst),
+            shards: 1,
+            t: 16,
+            seed: 1,
+        }
+    }
+
+    /// The engine the map lets go of at capacity is handed out alive,
+    /// with the map lock already free: freeing an index is never done
+    /// inside the critical section the event loop's `cached_engine` peek
+    /// waits on.
     #[test]
     fn an_unmapped_engine_outlives_the_engine_map_lock() {
-        let points: Vec<Point> = (0..64)
-            .map(|i| Point::new((i % 8) as f64, (i / 8) as f64))
-            .collect();
-        let dataset = ServedDataset::new(
-            Arc::new(DatasetStore::new(points.clone(), points)),
-            DatasetMetrics::register(&Registry::new(), 1),
-        );
+        let dataset = served(&Registry::new(), lattice(), lattice());
         let build = |l: f64| {
             Arc::new(EpochEngine::with_store(
                 Arc::clone(&dataset.store),
@@ -1398,13 +1389,12 @@ mod tests {
 
         let first = build(1.0);
         let first_alive = Arc::downgrade(&first);
-        let (served, unmapped) = dataset.admit(key(1.0), Some(first), 1);
-        assert!(unmapped.is_none(), "room for one");
-        drop(served);
+        let admit = |key, engine| dataset.admit(&mut dataset.lock(), key, Some(engine), 1);
+        assert!(admit(key(1.0), first).is_none(), "room for one");
         assert_eq!(first_alive.strong_count(), 1, "held by the map alone");
 
         // At capacity: the least recently used engine leaves the map.
-        let (served, unmapped) = dataset.admit(key(2.0), Some(build(2.0)), 1);
+        let unmapped = admit(key(2.0), build(2.0));
         assert!(dataset.engines.try_lock().is_ok(), "map lock released");
         assert_eq!(first_alive.strong_count(), 1, "evicted, not yet dropped");
         assert!(Arc::ptr_eq(
@@ -1413,39 +1403,254 @@ mod tests {
         ));
         assert_eq!(first_alive.strong_count(), 0);
         assert!(dataset.cached_engine(key(1.0)).is_none());
-
-        // Beaten to the key: the cached engine serves, the late one leaves.
-        let late = build(2.0);
-        let (shared, unmapped) = dataset.admit(key(2.0), Some(Arc::clone(&late)), 1);
-        assert!(dataset.engines.try_lock().is_ok(), "map lock released");
-        assert!(Arc::ptr_eq(&shared.unwrap(), &served.unwrap()));
-        assert!(Arc::ptr_eq(&unmapped.flatten().unwrap(), &late));
-        assert_eq!(dataset.engines.lock().unwrap().len(), 1);
+        assert_eq!(dataset.engines_cached.load(Ordering::Relaxed), 1);
     }
 
-    /// A build runs with the engine map free: a lookup, and the memory
-    /// walk a scrape makes, go on beside it and never wait for it.
+    /// A build runs with the engine map free: a lookup and a scrape go
+    /// on beside it and never wait for it, and the peek takes the key in
+    /// flight for a miss.
     #[test]
     fn a_build_holds_no_lock_a_scrape_or_a_lookup_takes() {
-        let points: Vec<Point> = (0..64)
-            .map(|i| Point::new((i % 8) as f64, (i / 8) as f64))
-            .collect();
-        let dataset = ServedDataset::new(
-            Arc::new(DatasetStore::new(points.clone(), points)),
-            DatasetMetrics::register(&Registry::new(), 1),
-        );
+        let reg = Registry::new();
+        let dataset = served(&reg, lattice(), lattice());
         let (entry, built) = dataset.entry(key(1.0), 4, || {
             assert!(dataset.engines.try_lock().is_ok(), "map lock held");
             assert!(dataset.cached_engine(key(2.0)).is_none());
-            assert_eq!(dataset.maintenance_stats(true).engines, 0);
+            assert!(dataset.cached_engine(key(1.0)).is_none(), "in flight");
+            assert!(reg.render().contains("srj_mu_total{dataset=\"1\"} 0\n"));
             let (store, config) = (Arc::clone(&dataset.store), SampleConfig::new(1.0));
-            Some(EpochEngine::with_store(
+            let counters = dataset.metrics.maintenance.clone();
+            Some(EpochEngine::with_counters(
                 store,
                 &config,
                 EpochConfig::default(),
+                counters,
             ))
         });
         assert!(built && entry.is_some());
-        assert_eq!(dataset.maintenance_stats(true).engines, 1);
+        assert_eq!(dataset.engines_cached.load(Ordering::Relaxed), 1);
+        assert!(!reg.render().contains("srj_mu_total{dataset=\"1\"} 0\n"));
+    }
+
+    /// `METRICS` and `STATS` are reads: both answer, over the wire, while
+    /// another thread holds the dataset's engine map.
+    #[test]
+    fn metrics_and_stats_answer_while_an_engine_map_is_held() {
+        let mut registry = DatasetRegistry::new();
+        registry.register(1, lattice(), lattice());
+        let server = Server::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut client = Client::connect(addr).unwrap();
+        let outcome = client.sample(SampleRequest {
+            l: 1.0,
+            ..bbst(1.0)
+        });
+        assert_eq!(outcome.unwrap().status, RequestStatus::Ok);
+
+        let held = server.shared.registry[&1].lock();
+        let (answered, answers) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let text = client.metrics().unwrap();
+            let _ = answered.send((text, client.server_stats().unwrap()));
+        });
+        let (text, stats) = answers
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a scrape waited for the engine map");
+        drop(held);
+        assert!(text.contains("srj_index_rows{dataset=\"1\""), "{text}");
+        assert_eq!(stats.engines_cached, 1);
+        assert_eq!(stats.cache_misses, 1);
+    }
+
+    /// What `dataset`'s gauges show: bytes in [`IndexBytes::parts`]
+    /// order, rows in [`RowGranularity::ALL`] order, and `Σµ`.
+    type Gauges = ([usize; 7], [usize; 2], f64);
+
+    /// The gauges as the registry renders them.
+    fn published(reg: &Registry) -> Gauges {
+        let snapshot = reg.snapshot();
+        let value = |name: &str, label: &str| {
+            let found = snapshot
+                .iter()
+                .find(|m| m.name == name && m.labels.contains(label));
+            match found.map(|m| m.value) {
+                Some(srj_obs::ValueSnapshot::Gauge(v)) => v,
+                other => panic!("{name} {{{label}}}: {other:?}"),
+            }
+        };
+        let bytes = IndexBytes::default()
+            .parts()
+            .map(|(s, _)| value("srj_index_bytes", &format!("structure=\"{s}\"")) as usize);
+        let rows = RowGranularity::ALL
+            .map(|g| value("srj_index_rows", &format!("granularity=\"{}\"", g.label())) as usize);
+        (bytes, rows, value("srj_mu_total", "dataset=\"1\""))
+    }
+
+    /// A fresh walk of what `dataset` holds: every engine its map
+    /// caches and every one of `pinned`, and the store's two sets.
+    fn walked(dataset: &ServedDataset, pinned: &[&Arc<EpochEngine>]) -> Gauges {
+        let map = dataset.lock();
+        let cached = map.entries.iter().filter_map(|(_, e)| e.as_ref());
+        let (mut bytes, mut rows, mut mu) = (dataset.store.set_bytes(), [0; 2], 0.0);
+        for e in cached.chain(pinned.iter().copied()) {
+            bytes = bytes + e.memory_breakdown();
+            let engine = e.engine();
+            rows[engine.row_granularity() as usize] += engine.row_count();
+            mu += e.total_weight();
+        }
+        (bytes.parts().map(|(_, b)| b), rows, mu)
+    }
+
+    /// Points on a half-unit lattice: the ladder step 4's group rows
+    /// serve the window 4 and fail the window 3.7.
+    fn half_lattice(n: usize, seed: u64) -> Vec<Point> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 11) % 41) as f64
+        };
+        (0..n)
+            .map(|_| Point::new(next() * 0.5 - 10.0, next() * 0.5 - 10.0))
+            .collect()
+    }
+
+    /// The published gauges equal a fresh walk of the engine map and the
+    /// store's sets after every step of a script that takes each engine
+    /// constructor and each rung, evicts past the capacity, and pins an
+    /// engine across its eviction.
+    #[test]
+    fn the_published_gauges_are_a_fresh_walk_after_every_step() {
+        let reg = Registry::new();
+        let dataset = served(&reg, half_lattice(400, 11), half_lattice(2_000, 12));
+        let config = ServerConfig {
+            cache_capacity: 3,
+            epoch: EpochConfig::default().with_rebuild_fraction(0.01),
+            ..ServerConfig::default()
+        };
+        let counters = &dataset.metrics.maintenance;
+        let rungs = || {
+            [
+                counters.minor_swap.get(),
+                counters.cell_patch.get(),
+                counters.full_rebuild.get(),
+            ]
+        };
+        let check = |step: &str, pinned: &[&Arc<EpochEngine>]| {
+            assert_eq!(published(&reg), walked(&dataset, pinned), "after {step}");
+        };
+        let acquire = |l| drop(dataset.acquire(&bbst(l), &config));
+        let insert_s = |points: Vec<Point>| {
+            let store = &dataset.store;
+            store.insert_s_batch(&points);
+        };
+        check("nothing", &[]);
+
+        acquire(4.0);
+        acquire(2.0);
+        check("two ladder steps", &[]);
+        acquire(3.7);
+        assert!(dataset.cached_engine(EngineKey::off_step(3.7)).is_some());
+        check("an off-step window", &[]);
+
+        insert_s(vec![Point::new(0.25, 0.25); 5]);
+        acquire(4.0);
+        assert_eq!(rungs(), [1, 0, 0]);
+        check("a minor swap", &[]);
+        insert_s(vec![Point::new(0.25, 0.25); 30]);
+        acquire(4.0);
+        assert_eq!(rungs(), [1, 1, 0]);
+        check("a patch swap", &[]);
+        insert_s(half_lattice(2_000, 13));
+        acquire(4.0);
+        assert_eq!(rungs(), [1, 1, 1]);
+        check("a full rebuild", &[]);
+
+        let pinned = dataset.cached_engine(EngineKey::of(&bbst(4.0))).flatten();
+        let pinned = pinned.expect("the step 4 serves");
+        let mut handle = pinned.handle_at(4.0, Some(1)).unwrap();
+        acquire(1.0);
+        acquire(5.0);
+        acquire(8.0);
+        assert!(dataset.cached_engine(EngineKey::of(&bbst(4.0))).is_none());
+        check("evictions past the capacity", &[&pinned]);
+        drop(pinned);
+        check("the pinned engine's drop", &[]);
+        assert_eq!(
+            handle.sample_batch(8).unwrap().len(),
+            8,
+            "the handle serves on"
+        );
+        let store = Arc::clone(&dataset.store);
+        drop(dataset);
+        let sets = store.set_bytes().parts().map(|(_, b)| b);
+        assert_eq!(published(&reg), (sets, [0; 2], 0.0));
+    }
+
+    /// Threads that make the first acquisition of one key at once build
+    /// it once: one miss, and a hit for every other.
+    #[test]
+    fn concurrent_first_acquisitions_build_once() {
+        const THREADS: usize = 4;
+        let points: Vec<Point> = (0..20_000)
+            .map(|i| Point::new(f64::from(i % 140), f64::from(i / 140)))
+            .collect();
+        let dataset = served(&Registry::new(), points.clone(), points);
+        let config = ServerConfig::default();
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    dataset.acquire(
+                        &SampleRequest {
+                            l: 3.0,
+                            ..bbst(3.0)
+                        },
+                        &config,
+                    )
+                });
+            }
+        });
+        let metrics = &dataset.metrics;
+        assert_eq!(metrics.cache_misses.get(), 1);
+        assert_eq!(metrics.cache_hits.get(), THREADS as u64 - 1);
+        assert_eq!(dataset.engines_cached.load(Ordering::Relaxed), 1);
+    }
+
+    /// A build that panics wakes whoever waits for it, and the waiter
+    /// builds in its place.
+    #[test]
+    fn a_build_that_panics_strands_no_waiter() {
+        let dataset = &served(&Registry::new(), lattice(), lattice());
+        let build = || {
+            let store = Arc::clone(&dataset.store);
+            Some(EpochEngine::with_store(
+                store,
+                &SampleConfig::new(1.0),
+                EpochConfig::default(),
+            ))
+        };
+        let (started, has_started) = mpsc::channel();
+        let (fail, must_fail) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let failing = scope.spawn(move || {
+                dataset.entry(key(1.0), 4, || {
+                    started.send(()).unwrap();
+                    must_fail.recv().unwrap();
+                    panic!("the build fails");
+                })
+            });
+            has_started.recv().unwrap();
+            let waiter = scope.spawn(|| dataset.entry(key(1.0), 4, build));
+            std::thread::sleep(Duration::from_millis(50));
+            fail.send(()).unwrap();
+            assert!(failing.join().is_err());
+            let (entry, built) = waiter.join().unwrap();
+            assert!(built && entry.is_some());
+        });
+        assert!(dataset.lock().building.is_empty());
     }
 }

@@ -35,7 +35,8 @@ fn main() {
     // 3. Concurrent clients: each opens one connection and draws a
     //    sample stream. The first request pays the index build (no
     //    algorithm forced: the engine picks); the rest hit the engine
-    //    cache.
+    //    cache — a request that arrives while the build is in flight
+    //    waits for it rather than building a second engine.
     let start = Instant::now();
     let total: u64 = std::thread::scope(|scope| {
         (0..4u64)
@@ -85,6 +86,11 @@ fn main() {
         stats.cache_hits,
         stats.cache_misses,
         stats.p99_ns as f64 / 1e6
+    );
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (3, 1),
+        "one window, one build"
     );
     server.shutdown();
     println!("server shut down cleanly");

@@ -126,7 +126,7 @@ fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
         // each beside a point of the other, and one more live S point
         // deleted. Its rows of inserted R rank into the base's grid of
         // S, where the dead ids are in no cell.
-        let base_bytes = engine.memory_breakdown().0;
+        let base_bytes = engine.engine().memory_breakdown();
         engine.insert_r(Point::new(s[10].x + 0.1, s[10].y));
         engine.insert_r(Point::new(s[20].x, s[20].y + 0.1));
         engine.insert_s(Point::new(snap.base_r[1].x + 0.1, snap.base_r[1].y));
@@ -147,7 +147,7 @@ fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
         // S. That grid stands on the epoch's R set, not a copy: the set's
         // two orders, computed for it and kept in the set, are all it
         // adds to what the base counts as `R`.
-        let overlay_bytes = engine.memory_breakdown().0;
+        let overlay_bytes = engine.engine().memory_breakdown();
         assert_eq!(
             overlay_bytes.point_set, base_bytes.point_set,
             "{what}: the overlay counts a point set of its own"
