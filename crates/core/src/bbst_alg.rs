@@ -139,16 +139,29 @@ impl BbstSStructures {
     }
 
     /// Rebuilds only the cells touched by `inserted`/`deleted`,
-    /// structurally sharing every clean cell with this `S`-side (see
-    /// [`CellStore::patch`]). The patch cost is charged to the returned
-    /// structure's `grid_mapping`.
+    /// structurally sharing every clean cell with this `S`-side, on a
+    /// copy of its set extended by `inserted`
+    /// ([`BbstSStructures::patch_onto`]).
     pub fn patch(
         &self,
         inserted: &[Point],
         deleted: &HashSet<PointId>,
     ) -> (BbstSStructures, PatchReport) {
+        let set = self.store.grid().point_set().extended(inserted);
+        self.patch_onto(Arc::new(set), deleted)
+    }
+
+    /// [`BbstSStructures::patch`] onto `set`, the set extended by the
+    /// inserted points, which it holds (see [`CellStore::patch_onto`]).
+    /// The patch cost is charged to the returned structure's
+    /// `grid_mapping`.
+    pub fn patch_onto(
+        &self,
+        set: Arc<PointSet>,
+        deleted: &HashSet<PointId>,
+    ) -> (BbstSStructures, PatchReport) {
         let t0 = Instant::now();
-        let (store, report) = self.store.patch(inserted, deleted);
+        let (store, report) = self.store.patch_onto(set, deleted);
         (
             BbstSStructures {
                 store: Arc::new(store),

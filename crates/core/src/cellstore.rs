@@ -5,10 +5,11 @@
 //! per-cell kd-trees (the KDS family; a cell no larger than a kd leaf
 //! keeps no tree and is scanned). A [`CellStore`] holds them as an
 //! immutable, `Arc`-shared collection — one [`Grid`] plus one unit per
-//! non-empty cell — and supports [`CellStore::patch`]: given the points
-//! inserted and deleted since the store was built, produce a **new**
-//! store that rebuilds only the cells those mutations touch and carries
-//! every clean cell (and its unit) over by `Arc` clone.
+//! non-empty cell — and supports [`CellStore::patch_onto`]: given the
+//! store's set with the points inserted since appended, and the ids
+//! deleted since, produce a **new** store that rebuilds only the cells
+//! those mutations touch and carries every clean cell (and its unit)
+//! over by `Arc` clone.
 //!
 //! Patching never renumbers ids: inserted points are appended to the
 //! point array, deleted points stay resolvable but leave their cells
@@ -26,7 +27,7 @@ use rand::Rng;
 use srj_bbst::CellBbsts;
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::fx::arc_bytes;
-use srj_grid::{Cell, Grid, IntoPointSet};
+use srj_grid::{Cell, Grid, IntoPointSet, PointSet};
 use srj_kdtree::{CanonicalScratch, KdTree, DEFAULT_LEAF_SIZE};
 
 use crate::cursor::IndexBytes;
@@ -102,7 +103,7 @@ impl CellUnit for KdCellUnit {
     }
 }
 
-/// What a [`CellStore::patch`] did, surfaced all the way to the serving
+/// What a [`CellStore::patch_onto`] did, surfaced all the way to the serving
 /// stats (`cells-patched` counters).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PatchReport {
@@ -178,13 +179,19 @@ impl<U: CellUnit> CellStore<U> {
             .collect()
     }
 
-    /// Rebuilds only the cells touched by `inserted`/`deleted`,
-    /// `Arc`-sharing every clean cell's grid entry **and** unit with
-    /// this store. Ids are stable: inserted points get
-    /// `grid.num_points()..`, deleted ids become dead (resolvable, but
-    /// indexed by no cell). The original [`CellStore::ctx`] is reused.
-    pub fn patch(&self, inserted: &[Point], deleted: &HashSet<PointId>) -> (Self, PatchReport) {
-        let (grid, gp) = self.grid.patch(inserted, deleted);
+    /// Rebuilds only the cells touched by the points `set` appends to
+    /// the grid's set and by `deleted`, standing on `set`
+    /// ([`Grid::patch_onto`]) and `Arc`-sharing every clean cell's grid
+    /// entry **and** unit with this store. Ids are stable: inserted
+    /// points get `grid.num_points()..`, deleted ids become dead
+    /// (resolvable, but indexed by no cell). The original
+    /// [`CellStore::ctx`] is reused.
+    pub fn patch_onto(
+        &self,
+        set: Arc<PointSet>,
+        deleted: &HashSet<PointId>,
+    ) -> (Self, PatchReport) {
+        let (grid, gp) = self.grid.patch_onto(set, deleted);
         let grid = Arc::new(grid);
         let units: Vec<Arc<U>> = gp
             .shared_from
@@ -282,9 +289,13 @@ impl KdCellStore {
         self.store.grid().live_points()
     }
 
-    /// Cell-granular patch; see [`CellStore::patch`].
-    pub fn patch(&self, inserted: &[Point], deleted: &HashSet<PointId>) -> (Self, PatchReport) {
-        let (store, report) = self.store.patch(inserted, deleted);
+    /// Cell-granular patch onto `set`; see [`CellStore::patch_onto`].
+    pub fn patch_onto(
+        &self,
+        set: Arc<PointSet>,
+        deleted: &HashSet<PointId>,
+    ) -> (Self, PatchReport) {
+        let (store, report) = self.store.patch_onto(set, deleted);
         (KdCellStore { store }, report)
     }
 
@@ -524,7 +535,8 @@ mod tests {
         let store = KdCellStore::build(&s, 6.0, 1);
         let inserted = vec![Point::new(3.0, 3.0), Point::new(3.5, 3.2)];
         let deleted: HashSet<PointId> = [7u32, 200].into_iter().collect();
-        let (patched, rep) = store.patch(&inserted, &deleted);
+        let set = Arc::new(store.grid().point_set().extended(&inserted));
+        let (patched, rep) = store.patch_onto(set, &deleted);
 
         assert_eq!(rep.cells_total, patched.store().num_cells());
         assert!(rep.cells_rebuilt >= 1 && rep.cells_rebuilt <= 4);

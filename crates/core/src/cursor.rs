@@ -303,7 +303,7 @@ impl std::ops::Sub for IndexBytes {
 }
 
 /// What [`Cursor::drain_buffer_stats`] returns: `hits` is always 0.
-/// Reserved for `benchmark/src/layers.rs`; ROADMAP 2(d) deletes it.
+/// Reserved for `benchmark/src/layers.rs`; ROADMAP item 5 (d) deletes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// Always 0.
@@ -340,15 +340,15 @@ impl<I: SamplerIndex> Cursor<I> {
     }
 
     /// Does nothing: there is no buffered draw. Reserved for
-    /// `benchmark/src/layers.rs`; ROADMAP 2(d) deletes it.
+    /// `benchmark/src/layers.rs`; ROADMAP item 5 (d) deletes it.
     pub fn set_buffers(&mut self, _enabled: bool) {}
 
     /// Does nothing: there is no buffered draw. Reserved for
-    /// `benchmark/src/layers.rs`; ROADMAP 2(d) deletes it.
+    /// `benchmark/src/layers.rs`; ROADMAP item 5 (d) deletes it.
     pub fn seed_buffers(&mut self, _seed: u64) {}
 
     /// Always [`BufferStats`] with no hits: there is no buffered draw.
-    /// Reserved for `benchmark/src/layers.rs`; ROADMAP 2(d) deletes it.
+    /// Reserved for `benchmark/src/layers.rs`; ROADMAP item 5 (d) deletes it.
     pub fn drain_buffer_stats(&mut self) -> BufferStats {
         BufferStats::default()
     }

@@ -115,7 +115,7 @@ impl KdsIndex {
 
     /// Like [`KdsIndex::build`], but over an already-built `S`-side
     /// (from [`KdsIndex::build_s_structure`], or a
-    /// [`KdCellStore::patch`] of one). Its build time is charged to
+    /// [`KdCellStore::patch_onto`] of one). Its build time is charged to
     /// whoever built it, so this index's report records zero
     /// preprocessing. `r`, like `s` in [`KdsIndex::build`], is a slice,
     /// copied, or an `Arc<PointSet>`, which the index shares.
@@ -196,7 +196,7 @@ impl KdsIndex {
     /// The `Arc`-shared `S`-side over `S`, for rebuilding an index over
     /// a mutated `R` without re-paying the `S`-side build, or for
     /// patching cell by cell when `S` mutated (epoch-based rebuilds
-    /// hand this — or its [`KdCellStore::patch`] — straight back to
+    /// hand this — or its [`KdCellStore::patch_onto`] — straight back to
     /// [`KdsIndex::build_shared`]).
     pub fn s_cells(&self) -> Arc<KdCellStore> {
         Arc::clone(&self.s_cells)

@@ -74,7 +74,7 @@ impl KdsRejectionIndex {
 
     /// Like [`KdsRejectionIndex::build`], but over an already-built
     /// `S`-side (e.g. [`KdCellStore::from_grid`], or a
-    /// [`KdCellStore::patch`] of one) that several indexes may share.
+    /// [`KdCellStore::patch_onto`] of one) that several indexes may share.
     /// Its build time is charged to whoever built it, so this index's
     /// report records zero preprocessing / grid-mapping.
     ///
@@ -146,7 +146,7 @@ impl KdsRejectionIndex {
     /// The `Arc`-shared `S`-side (grid + per-cell kd-trees), for
     /// rebuilding an index over a mutated `R` without re-paying the
     /// `S`-side build, or for patching cell by cell when `S` mutated
-    /// (epoch-based rebuilds hand this — or its [`KdCellStore::patch`]
+    /// (epoch-based rebuilds hand this — or its [`KdCellStore::patch_onto`]
     /// — straight back to [`KdsRejectionIndex::build_shared`]).
     pub fn s_structures(&self) -> Arc<KdCellStore> {
         Arc::clone(&self.s_cells)

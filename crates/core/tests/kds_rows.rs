@@ -399,7 +399,8 @@ fn a_patch_across_the_leaf_size_stays_exact() {
     let inserted = [Point::new(0.5, 0.5)];
     let victim: PointId = 20;
     let deleted: HashSet<PointId> = [victim].into_iter().collect();
-    let (patched, report) = store.patch(&inserted, &deleted);
+    let set = Arc::new(store.grid().point_set().extended(&inserted));
+    let (patched, report) = store.patch_onto(set, &deleted);
     assert_eq!((report.cells_rebuilt, report.cells_shared), (2, 3));
     assert!(has_tree(&patched, (0, 0)) && !has_tree(&patched, (1, 0)));
     assert_eq!(patched.grid().cell(slot_of(&patched, (0, 0))).len(), 17);

@@ -10,7 +10,6 @@ use srj_core::{
     CellPatchReport, DeltaSet, GroupCore, IndexBytes, JoinPair, OverlaySupport, PhaseReport,
     SampleConfig, SampleError,
 };
-use srj_geom::Point;
 use srj_grid::{Grid, IntoPointSet, PointSet};
 
 use crate::family::{self, EngineIndex, RowGranularity, ServingCursor};
@@ -170,13 +169,15 @@ impl Engine {
     }
 
     /// Rebuilds this engine over a new `R` while **patching** its
-    /// `S`-side cell by cell for the given `S` mutations: only the
-    /// cells touched by `inserted_s`/`deleted_s` are rebuilt; every
-    /// clean cell's structure is `Arc`-shared with this engine's
-    /// (asserted by [`Engine::s_cell_tokens`] in the tests). Inserted
-    /// points get appended ids, deleted ids become dead — id-stable,
-    /// which is what makes the sharing sound. The algorithm and row
-    /// granularity are preserved.
+    /// `S`-side cell by cell for the given `S` mutations: `s` is this
+    /// engine's set of `S` with the inserted points appended (a slice,
+    /// or a shared set that the patched grid then holds, not copies);
+    /// only the cells touched by those points and `deleted_s` are
+    /// rebuilt; every clean cell's structure is `Arc`-shared with this
+    /// engine's (asserted by [`Engine::s_cell_tokens`] in the tests).
+    /// Inserted points get appended ids, deleted ids become dead —
+    /// id-stable, which is what makes the sharing sound. The algorithm
+    /// and row granularity are preserved.
     ///
     /// Returns `None` for overlay engines (patch from the epoch base
     /// instead). This is the cell-granular major-epoch swap: `O(dirty
@@ -185,14 +186,14 @@ impl Engine {
         &self,
         r: impl IntoPointSet,
         config: &SampleConfig,
-        inserted_s: &[Point],
+        s: impl IntoPointSet,
         deleted_s: &std::collections::HashSet<srj_geom::PointId>,
     ) -> Option<(Engine, CellPatchReport)> {
-        let r = r.into_point_set();
+        let (r, s) = (r.into_point_set(), s.into_point_set());
         let (index, report) = self
             .shared
             .index
-            .rebuild_with_s_patch(&r, config, inserted_s, deleted_s)?;
+            .rebuild_with_s_patch(&r, config, s, deleted_s)?;
         Some((Engine::from_index(index), report))
     }
 

@@ -251,17 +251,16 @@ impl EpochState {
 }
 
 /// The bytes of `engine` — `base`, or an overlay on it — without the
-/// store's two sets `base` stands on: its `R` set, and its grid's set
-/// of `S` where that is the store's `base_s` (a cell patch grids a copy
-/// of its own). A set's orders may appear during the walk (a grid built
-/// on it elsewhere), so the sets are read on both sides of it.
-fn own_bytes(engine: &Engine, base: &Engine, base_s: &Arc<PointSet>) -> IndexBytes {
+/// store's two sets `base` stands on: its `R` set and its grid's set of
+/// `S` (a cell patch's grid stands on the store's extended set too). A
+/// set's orders may appear during the walk (a grid built on it
+/// elsewhere), so the sets are read on both sides of it.
+fn own_bytes(engine: &Engine, base: &Engine) -> IndexBytes {
     let grid = base.s_grid().expect("a full build has a grid of S");
     let (r, s) = (base.r_set(), grid.point_set());
-    let theirs = Arc::ptr_eq(s, base_s);
     let sets = || IndexBytes {
         r_points: r.memory_bytes(),
-        point_set: if theirs { s.memory_bytes() } else { 0 },
+        point_set: s.memory_bytes(),
         ..IndexBytes::default()
     };
     loop {
@@ -418,7 +417,7 @@ impl EpochEngine {
         let (fails_up_to, serves_from) = EpochState::verdicts(&base, config.half_extent);
         let mut state = EpochState {
             current: base.clone(),
-            base_bytes: own_bytes(&base, &base, &snap.base_s),
+            base_bytes: own_bytes(&base, &base),
             published: [0; MU + 1],
             base,
             base_s: Arc::clone(&snap.base_s),
@@ -682,7 +681,7 @@ impl EpochEngine {
     }
 
     /// Does nothing: there is no buffered draw to switch. Reserved for
-    /// `benchmark/src/layers.rs`; ROADMAP 2(d) deletes it.
+    /// `benchmark/src/layers.rs`; ROADMAP item 5 (d) deletes it.
     pub fn set_buffers_enabled(&self, _on: bool) {}
 
     /// `Σµ` of the engine currently serving.
@@ -704,11 +703,11 @@ impl EpochEngine {
     /// nothing of their own beyond a few `Arc`s. Walks the index outside
     /// the state lock.
     pub fn memory_breakdown(&self) -> IndexBytes {
-        let (current, base, base_s) = {
+        let (current, base) = {
             let st = self.state.read().expect("epoch state poisoned");
-            (st.current.clone(), st.base.clone(), Arc::clone(&st.base_s))
+            (st.current.clone(), st.base.clone())
         };
-        own_bytes(&current, &base, &base_s)
+        own_bytes(&current, &base)
     }
 
     /// Minor swaps so far (overlay snapshot replaced). This and the
@@ -783,7 +782,7 @@ impl EpochEngine {
         engine: Engine,
         snap: &DatasetSnapshot,
     ) -> std::sync::RwLockWriteGuard<'_, EpochState> {
-        let base_bytes = own_bytes(&engine, &engine, &snap.base_s);
+        let base_bytes = own_bytes(&engine, &engine);
         let share = share(&engine, base_bytes, &engine);
         let mut st = self.state.write().expect("epoch state poisoned");
         st.base = engine.clone();
@@ -892,13 +891,9 @@ impl EpochEngine {
                 .rebuild_r_only(&snap.base_r, &self.config)
                 .map(|e| (e, None))
         } else {
+            // The grid of the patched `S` stands on the store's set.
             prev_base
-                .rebuild_with_s_patch(
-                    &snap.base_r,
-                    &self.config,
-                    &spatch.inserted,
-                    &spatch.deleted,
-                )
+                .rebuild_with_s_patch(&snap.base_r, &self.config, &snap.base_s, &spatch.deleted)
                 .map(|(e, rep)| (e, Some(rep)))
         };
         let Some((engine, patch_report)) = built else {

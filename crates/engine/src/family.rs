@@ -46,7 +46,7 @@ use srj_core::{
     IndexBytes, JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex,
     OverlaySupport, PhaseReport, SampleConfig, SampleError, SamplerIndex,
 };
-use srj_geom::{Point, PointId};
+use srj_geom::PointId;
 use srj_grid::{ladder_side, Grid, PointSet};
 
 use crate::engine::Algorithm;
@@ -101,10 +101,11 @@ trait Family: SamplerIndex + Sized + 'static {
     /// The `S`-side this index stands on.
     fn s_side(&self) -> Self::SSide;
 
-    /// `s_side` with only the cells touched by the mutations rebuilt.
+    /// `s_side` with only the cells touched by the mutations rebuilt,
+    /// standing on `set`: its set with the inserted points appended.
     fn patch(
         s_side: &Self::SSide,
-        inserted: &[Point],
+        set: Arc<PointSet>,
         deleted: &HashSet<PointId>,
     ) -> (Self::SSide, CellPatchReport);
 
@@ -154,10 +155,10 @@ impl Family for KdsIndex {
 
     fn patch(
         s_side: &Self::SSide,
-        inserted: &[Point],
+        set: Arc<PointSet>,
         deleted: &HashSet<PointId>,
     ) -> (Self::SSide, CellPatchReport) {
-        let (s_cells, report) = s_side.as_ref().patch(inserted, deleted);
+        let (s_cells, report) = s_side.patch_onto(set, deleted);
         (Arc::new(s_cells), report)
     }
 
@@ -192,10 +193,10 @@ impl Family for KdsRejectionIndex {
 
     fn patch(
         s_side: &Self::SSide,
-        inserted: &[Point],
+        set: Arc<PointSet>,
         deleted: &HashSet<PointId>,
     ) -> (Self::SSide, CellPatchReport) {
-        <KdsIndex as Family>::patch(s_side, inserted, deleted)
+        <KdsIndex as Family>::patch(s_side, set, deleted)
     }
 
     fn cell_tokens(s_side: &Self::SSide) -> CellTokens {
@@ -236,10 +237,10 @@ impl Family for BbstIndex {
 
     fn patch(
         s_side: &Self::SSide,
-        inserted: &[Point],
+        set: Arc<PointSet>,
         deleted: &HashSet<PointId>,
     ) -> (Self::SSide, CellPatchReport) {
-        s_side.patch(inserted, deleted)
+        s_side.patch_onto(set, deleted)
     }
 
     fn cell_tokens(s_side: &Self::SSide) -> CellTokens {
@@ -275,10 +276,10 @@ impl Family for GroupIndex {
 
     fn patch(
         s_side: &Self::SSide,
-        inserted: &[Point],
+        set: Arc<PointSet>,
         deleted: &HashSet<PointId>,
     ) -> (Self::SSide, CellPatchReport) {
-        let (grid, patched) = s_side.patch(inserted, deleted);
+        let (grid, patched) = s_side.patch_onto(set, deleted);
         let report = CellPatchReport {
             cells_total: grid.num_cells(),
             cells_rebuilt: patched.cells_rebuilt,
@@ -597,7 +598,7 @@ pub(crate) trait EngineIndex: Send + Sync {
         &self,
         r: &Arc<PointSet>,
         config: &SampleConfig,
-        inserted_s: &[Point],
+        s: Arc<PointSet>,
         deleted_s: &HashSet<PointId>,
     ) -> Option<(Box<dyn EngineIndex>, CellPatchReport)>;
     fn s_cell_tokens(&self) -> Option<CellTokens>;
@@ -761,11 +762,11 @@ impl<F: Family> EngineIndex for Built<F> {
         &self,
         r: &Arc<PointSet>,
         config: &SampleConfig,
-        inserted_s: &[Point],
+        s: Arc<PointSet>,
         deleted_s: &HashSet<PointId>,
     ) -> Option<(Box<dyn EngineIndex>, CellPatchReport)> {
         let full = self.structure()?;
-        let (s_side, patched) = F::patch(&full.s_side(), inserted_s, deleted_s);
+        let (s_side, patched) = F::patch(&full.s_side(), s, deleted_s);
         Some((Self::rebuilt(r, &s_side, config), patched))
     }
 

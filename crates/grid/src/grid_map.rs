@@ -189,10 +189,22 @@ impl Grid {
     /// grid's own) plus `O(|c| log |c|)` per dirty cell, whose arrays
     /// come out in the same `(coord, id)` order a full build gives them.
     pub fn patch(&self, inserted: &[Point], deleted: &HashSet<PointId>) -> (Grid, GridPatch) {
-        let dirty = self.dirty_cells(inserted, deleted);
+        self.patch_onto(Arc::new(self.set.extended(inserted)), deleted)
+    }
+
+    /// [`Grid::patch`] onto `set`, this grid's set with the inserted
+    /// points appended — held, not copied, so a caller that keeps the
+    /// extended set anyway (a store's next `S`) shares it with the
+    /// patched grid. Costs only the dirty cells.
+    ///
+    /// # Panics
+    /// Panics if `set` is shorter than this grid's set.
+    pub fn patch_onto(&self, set: Arc<PointSet>, deleted: &HashSet<PointId>) -> (Grid, GridPatch) {
         let base_len = self.set.len();
-        let set = Arc::new(self.set.extended(inserted));
         let points = set.points();
+        let inserted = &points[base_len..];
+        debug_assert!(points[..base_len] == *self.set.points(), "not an extension");
+        let dirty = self.dirty_cells(inserted, deleted);
 
         // Live inserted ids grouped by destination cell coordinate.
         let mut added: FxHashMap<(i32, i32), Vec<PointId>> = FxHashMap::default();
@@ -281,9 +293,9 @@ impl Grid {
         self.set.points()
     }
 
-    /// The set the grid was built on — the one it was given, unless it
-    /// was given a slice or came out of [`Grid::patch`], which make
-    /// their own.
+    /// The set the grid was built on — the one it was given
+    /// ([`Grid::patch_onto`] too), unless it was given a slice or came
+    /// out of [`Grid::patch`], which make their own.
     #[inline]
     pub fn point_set(&self) -> &Arc<PointSet> {
         &self.set

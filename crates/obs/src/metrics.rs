@@ -55,15 +55,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrites the value — for copying a monotone count kept outside
-    /// the registry into it at scrape time. Its one caller is the
-    /// server's copy of the profiler's per-state counts; every other
-    /// counter is incremented where its event happens. Not for hot-path
-    /// use.
-    pub fn store(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -166,6 +157,14 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
+    }
+
+    /// Adds the bucket counts into `sums`, allocating nothing: the
+    /// buckets of several series summed for one [`quantile_of`].
+    pub fn add_bucket_counts(&self, sums: &mut [u64; BUCKETS]) {
+        for (sum, bucket) in sums.iter_mut().zip(&self.0.buckets) {
+            *sum += bucket.load(Ordering::Relaxed);
+        }
     }
 
     /// Bucket-resolution quantile: the geometric midpoint of the
@@ -554,6 +553,26 @@ mod tests {
         assert!(h.quantile(0.99) > 50 * h.quantile(0.50));
         // empty histogram answers zero
         assert_eq!(Histogram::new().quantile(0.99), 0);
+    }
+
+    /// Summed buckets answer the quantile of every observation of the
+    /// series they sum.
+    #[test]
+    fn summed_buckets_are_the_buckets_of_every_observation() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [3, 70, 900, 5_000] {
+            a.observe(v);
+            both.observe(v);
+        }
+        for v in [1 << 20, 12] {
+            b.observe(v);
+            both.observe(v);
+        }
+        let mut sums = [0; BUCKETS];
+        a.add_bucket_counts(&mut sums);
+        b.add_bucket_counts(&mut sums);
+        assert_eq!(sums.to_vec(), both.bucket_counts());
+        assert_eq!(quantile_of(&sums, 0.99), both.quantile(0.99));
     }
 
     #[test]

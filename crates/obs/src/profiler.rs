@@ -5,7 +5,8 @@
 //! relaxed store at each stage transition — the publishing side never
 //! blocks and never allocates. A sampler thread (the server's
 //! maintainer) calls [`Profiler::sample`] on every sweep: each
-//! live tag contributes one observation to the per-state counters,
+//! live tag contributes one observation to its state's counter — the
+//! counters it was handed at construction, a server's registry series —
 //! yielding a statistical "where does worker time go" breakdown
 //! without per-stage timers on the hot path.
 //!
@@ -16,8 +17,10 @@
 //! alias with periodic work. The breakdown is for *ratios between
 //! states over time*, not absolute microsecond accounting.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+
+use crate::Counter;
 
 /// What a serving thread is doing right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,19 +91,20 @@ impl StateTag {
     }
 }
 
-/// The registry of live tags plus the accumulated per-state sample
-/// counters.
-#[derive(Debug, Default)]
+/// The registry of live tags plus the per-state sample counters it
+/// counts into.
+#[derive(Debug)]
 pub struct Profiler {
     tags: Mutex<Vec<Weak<StateTag>>>,
-    counts: [AtomicU64; 6],
-    samples: AtomicU64,
+    counts: [Counter; 6],
 }
 
 impl Profiler {
-    /// A fresh profiler.
-    pub fn new() -> Self {
-        Self::default()
+    /// A profiler counting each state's observations into its counter
+    /// of `counts`, in [`ALL_STATES`] order.
+    pub fn new(counts: [Counter; 6]) -> Self {
+        let tags = Mutex::default();
+        Profiler { tags, counts }
     }
 
     /// Registers a new participating thread, initially `Idle`.
@@ -118,26 +122,13 @@ impl Profiler {
         let mut live = 0;
         tags.retain(|weak| match weak.upgrade() {
             Some(tag) => {
-                self.counts[tag.get() as u8 as usize].fetch_add(1, Ordering::Relaxed);
+                self.counts[tag.get() as u8 as usize].inc();
                 live += 1;
                 true
             }
             None => false,
         });
-        if live > 0 {
-            self.samples.fetch_add(1, Ordering::Relaxed);
-        }
         live
-    }
-
-    /// Accumulated observations per state, in [`ALL_STATES`] order.
-    pub fn counts(&self) -> [u64; 6] {
-        std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
-    }
-
-    /// Sampling sweeps taken so far (those that saw ≥ 1 live tag).
-    pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
     }
 
     /// Currently registered live tags.
@@ -157,7 +148,8 @@ mod tests {
 
     #[test]
     fn samples_accumulate_into_state_counters() {
-        let p = Profiler::new();
+        let counts: [Counter; 6] = Default::default();
+        let p = Profiler::new(counts.clone());
         let a = p.register();
         let b = p.register();
         a.set(WorkerState::Draw);
@@ -165,16 +157,15 @@ mod tests {
         assert_eq!(p.sample(), 2);
         a.set(WorkerState::Write);
         assert_eq!(p.sample(), 2);
-        let counts = p.counts();
-        assert_eq!(counts[WorkerState::Draw as usize], 1);
-        assert_eq!(counts[WorkerState::Write as usize], 1);
-        assert_eq!(counts[WorkerState::Idle as usize], 2);
-        assert_eq!(p.samples(), 2);
+        assert_eq!(counts[WorkerState::Draw as usize].get(), 1);
+        assert_eq!(counts[WorkerState::Write as usize].get(), 1);
+        assert_eq!(counts[WorkerState::Idle as usize].get(), 2);
     }
 
     #[test]
     fn dropped_tags_leave_the_sample_set() {
-        let p = Profiler::new();
+        let counts: [Counter; 6] = Default::default();
+        let p = Profiler::new(counts.clone());
         let a = p.register();
         let b = p.register();
         b.set(WorkerState::Park);
@@ -184,9 +175,9 @@ mod tests {
         assert_eq!(p.live_tags(), 1);
         a.set(WorkerState::Idle);
         // Only `a` contributes now.
-        let before = p.counts()[WorkerState::Park as usize];
+        let before = counts[WorkerState::Park as usize].get();
         p.sample();
-        assert_eq!(p.counts()[WorkerState::Park as usize], before);
+        assert_eq!(counts[WorkerState::Park as usize].get(), before);
     }
 
     #[test]

@@ -19,16 +19,18 @@
 //! verbatim (what `tests/serve_binary.rs` greps).
 //!
 //! **Quantile error bound.** The histogram buckets are log₂-spaced,
-//! so a quantile is only known to lie inside one bucket `(le/2, le]`.
-//! The dashboard reports the bucket's *geometric midpoint* `le/√2`,
-//! which is at most a factor √2 ≈ 1.41 away from the true quantile in
-//! either direction (the bucket upper bound, reported previously, was
-//! biased up to 2× high). The mean column has no such error: it is
-//! computed exactly from the histogram's `_sum` and `_count` series.
+//! so a quantile is only known to lie inside one bucket `[le/2, le)`.
+//! The dashboard takes the buckets apart from the cumulative lines and
+//! reports [`quantile_of`] of them — the bucket's *geometric midpoint*
+//! `le/√2`, at most a factor √2 ≈ 1.41 away from the true quantile in
+//! either direction, and the number `STATS` reports for the same
+//! buckets. The mean column has no such error: it is computed exactly
+//! from the histogram's `_sum` and `_count` series.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use srj_obs::metrics::{quantile_of, BUCKETS};
 use srj_server::{Client, ClientConfig, SlowLogEntry};
 
 const USAGE: &str = "usage: srj-top [--addr HOST:PORT] [--interval-ms N]
@@ -100,46 +102,6 @@ fn parse_exposition(text: &str) -> Vec<Sample> {
     out
 }
 
-/// Quantile estimate from cumulative `_bucket{le=...}` samples of one
-/// series: find the first bucket whose cumulative count reaches the
-/// q-th rank, then report the bucket's **geometric midpoint** `le/√2`
-/// (the buckets are log₂-spaced, so the true quantile lies in
-/// `(le/2, le]` and the midpoint is within a factor √2 of it; the
-/// upper bound would be biased up to 2× high). The first bucket
-/// (`le ≤ 1` ns) and an overflow into `+Inf` fall back to the bound
-/// itself (resp. the largest finite bound) — there is no midpoint to
-/// take.
-fn bucket_quantile(buckets: &[(f64, f64)], q: f64) -> f64 {
-    let total = buckets
-        .iter()
-        .filter(|(le, _)| le.is_infinite())
-        .map(|(_, c)| *c)
-        .next()
-        .unwrap_or(0.0);
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let rank = (total * q).floor() + 1.0;
-    let mut sorted: Vec<(f64, f64)> = buckets.to_vec();
-    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut last_finite = 0.0;
-    for (le, cumulative) in sorted {
-        if le.is_finite() {
-            last_finite = le;
-        }
-        if cumulative >= rank.min(total) {
-            return if le.is_infinite() {
-                last_finite
-            } else if le <= 1.0 {
-                le
-            } else {
-                le / std::f64::consts::SQRT_2
-            };
-        }
-    }
-    last_finite
-}
-
 fn fmt_ns(ns: f64) -> String {
     if !ns.is_finite() {
         "inf".to_string()
@@ -165,7 +127,10 @@ struct DatasetRow {
     mu_total: f64,
     epoch: f64,
     rungs: BTreeMap<String, f64>,
-    latency_buckets: Vec<(f64, f64)>,
+    /// Per-bucket counts, taken apart from the cumulative `_bucket`
+    /// lines (in `le` order, `+Inf` last), and the count below the next.
+    latency_buckets: Vec<u64>,
+    latency_below: u64,
     latency_sum: f64,
     latency_count: f64,
 }
@@ -190,12 +155,16 @@ fn snapshot_rows(samples: &[Sample]) -> BTreeMap<u64, DatasetRow> {
                 }
             }
             "srj_request_latency_ns_bucket" => {
-                let le = match s.label("le") {
-                    Some("+Inf") => f64::INFINITY,
-                    Some(le) => le.parse().unwrap_or(f64::INFINITY),
-                    None => continue,
+                // `le="2^(i+1)"` closes bucket i; the overflow bucket
+                // shows only in `+Inf`.
+                let i = match s.label("le").map(str::parse::<u64>) {
+                    Some(Ok(le)) => le.trailing_zeros() as usize - 1,
+                    _ => BUCKETS - 1,
                 };
-                row.latency_buckets.push((le, s.value));
+                let cumulative = s.value as u64;
+                row.latency_buckets.resize(BUCKETS, 0);
+                row.latency_buckets[i] += cumulative - row.latency_below;
+                row.latency_below = cumulative;
             }
             "srj_request_latency_ns_sum" => row.latency_sum = s.value,
             "srj_request_latency_ns_count" => row.latency_count = s.value,
@@ -339,8 +308,8 @@ fn render(
         } else {
             0.0
         };
-        let p50 = bucket_quantile(&row.latency_buckets, 0.50);
-        let p99 = bucket_quantile(&row.latency_buckets, 0.99);
+        let p50 = quantile_of(&row.latency_buckets, 0.50) as f64;
+        let p99 = quantile_of(&row.latency_buckets, 0.99) as f64;
         let rung = |name: &str| row.rungs.get(name).copied().unwrap_or(0.0) as u64;
         println!(
             "{:>8} {:>9.1} {:>11.0} {:>7.0} {:>9} {:>9} {:>9} {:>7.2} {:>14}",

@@ -14,7 +14,8 @@
 //!   acquisition declines ([`Progress::Declined`]), in which case the
 //!   untouched run goes to the workers.
 //!
-//! Statistics, per-dataset metrics, slow-log capture, trace spans and
+//! The request's one record (its dataset's request series, which
+//! `STATS` and `METRICS` both read), slow-log capture, trace spans and
 //! the `DONE` frame are produced here and nowhere else, so the two
 //! paths cannot drift: same seed, same pairs, same counters, on either
 //! thread.
@@ -142,8 +143,8 @@ impl SampleRun {
         self.handle.as_ref().map_or(0, |h| h.report().iterations)
     }
 
-    /// Charges the request to the server statistics and its dataset's
-    /// exposition counters — once, however many ways it could end.
+    /// Charges the request to its dataset's request series — once,
+    /// however many ways it could end.
     fn settle(&mut self, shared: &Shared, ok: bool, iterations: u64, elapsed: Duration) {
         if !std::mem::replace(&mut self.recorded, true) {
             shared.record_request(self.req.dataset, ok, self.sent, iterations, elapsed);

@@ -92,13 +92,17 @@
 //! TCP window; a flush that frees room with frames still buffered
 //! brings the loop back to decode them.
 //!
-//! **Metrics.** Every `_total` series is a registry counter incremented
-//! where its event happens. A dataset's maintenance series are handed
-//! to each engine built for it ([`EpochEngine::with_counters`]), which
-//! counts into them itself, so an evicted engine's share stays counted,
-//! and publishes what it holds into the dataset's index gauges. A scrape
-//! copies the profiler's state counts and the open connections, and
-//! renders: it takes no engine lock and walks no index.
+//! **Metrics.** Every number the server publishes has one cell, in its
+//! [`Registry`]. Every `_total` series is a counter incremented where
+//! its event happens — a finished `SAMPLE` into its dataset's
+//! [`RequestSeries`], the profiler's sweep into the worker-state
+//! series. A dataset's maintenance series are handed to each engine
+//! built for it ([`EpochEngine::with_counters`]), which counts into
+//! them itself, so an evicted engine's share stays counted, and
+//! publishes what it holds into the dataset's index gauges; every other
+//! level is read at render ([`Registry::gauge_fn`]) where it is held.
+//! `METRICS` only renders, and `STATS` sums the same cells: neither
+//! takes an engine lock or walks an index.
 //!
 //! **Shutdown.** [`Server::shutdown`] (or a client `SHUTDOWN` frame)
 //! wakes the event loop (which tears down every connection) and the
@@ -116,11 +120,12 @@ use std::time::{Duration, Instant};
 
 use srj_core::{IndexBytes, SampleConfig};
 use srj_engine::{
-    ladder_side, Algorithm, DatasetStore, EngineStats, EpochConfig, EpochEngine,
-    MaintenanceCounters, RowGranularity, SamplerHandle,
+    ladder_side, Algorithm, DatasetStore, EpochConfig, EpochEngine, MaintenanceCounters,
+    RowGranularity, SamplerHandle,
 };
 use srj_geom::Point;
 use srj_net::{Interest, Poller, Waker};
+use srj_obs::metrics::{quantile_of, BUCKETS};
 use srj_obs::profiler::ALL_STATES;
 use srj_obs::{trace, Counter, Gauge, Histogram, Profiler, Registry, SlowLog};
 
@@ -226,8 +231,8 @@ pub struct ServerConfig {
     pub health_degraded_window_ms: u64,
     /// Ignored: every `SAMPLE` batch is one
     /// [`SamplerHandle::sample_batch`], and there is no buffered draw to
-    /// arm. Reserved for `benchmark/src/layers.rs`; ROADMAP 2(d) deletes
-    /// it.
+    /// arm. Reserved for `benchmark/src/layers.rs`; ROADMAP item 5 (d)
+    /// deletes it.
     pub buffers: bool,
 }
 
@@ -258,7 +263,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Requests the latency histogram must have seen before the automatic
+/// Requests the latency histograms must have seen before the automatic
 /// (`slow_threshold_ns == 0`) p99-derived slow threshold engages — a
 /// p99 of three requests is noise, not a baseline.
 pub const SLOW_AUTO_MIN_REQUESTS: u64 = 32;
@@ -470,8 +475,13 @@ impl ServedDataset {
     /// missing: the engine of [`EngineKey::of`], and where that is a
     /// ladder step's whose rows fail the window, the window's own
     /// ([`EngineKey::off_step`]). Counts one cache hit, or one miss if
-    /// anything was built.
-    fn acquire(&self, req: &SampleRequest, config: &ServerConfig) -> SamplerHandle {
+    /// anything was built, into `sm`'s cache series.
+    fn acquire(
+        &self,
+        req: &SampleRequest,
+        config: &ServerConfig,
+        sm: &ServerMetrics,
+    ) -> SamplerHandle {
         let seed = (req.seed != 0).then_some(req.seed);
         let capacity = config.cache_capacity;
         let epoch_cfg = EpochConfig {
@@ -505,9 +515,9 @@ impl ServedDataset {
             own.handle_at(req.l, seed).expect("its own window")
         });
         if built {
-            self.metrics.cache_misses.inc();
+            sm.cache_misses.inc();
         } else {
-            self.metrics.cache_hits.inc();
+            sm.cache_hits.inc();
         }
         handle
     }
@@ -605,23 +615,64 @@ impl DatasetRegistry {
 /// values of `srj_maintenance_total`.
 const RUNGS: [&str; 3] = ["minor_swap", "cell_patch", "full_rebuild"];
 
+/// The cells of the finished `SAMPLE`s of one dataset — or, under
+/// `dataset="unregistered"`, of those naming no registered dataset —
+/// counted once per request where it finishes. `STATS`, `METRICS` and
+/// the automatic slow-log threshold all read these cells.
+struct RequestSeries {
+    /// `srj_requests_total` — finished `SAMPLE` requests.
+    requests: Counter,
+    /// `srj_samples_total` — join samples delivered, by a request that
+    /// ended in an error too.
+    samples: Counter,
+    /// `srj_rejection_iterations_total` — rejection-loop iterations.
+    iterations: Counter,
+    /// `srj_request_errors_total` — non-`Ok` finishes.
+    errors: Counter,
+    /// `srj_request_latency_ns` — per-request wall time.
+    latency: Histogram,
+}
+
+impl RequestSeries {
+    /// The series under `dataset`, with the `srj_rejection_rate` gauge
+    /// read off two of them.
+    fn register(reg: &Registry, dataset: &str) -> Self {
+        let labels = [("dataset", dataset)];
+        let series = RequestSeries {
+            requests: reg.counter("srj_requests_total", &labels),
+            samples: reg.counter("srj_samples_total", &labels),
+            iterations: reg.counter("srj_rejection_iterations_total", &labels),
+            errors: reg.counter("srj_request_errors_total", &labels),
+            latency: reg.histogram("srj_request_latency_ns", &labels),
+        };
+        let (iterations, samples) = (series.iterations.clone(), series.samples.clone());
+        reg.gauge_fn("srj_rejection_rate", &labels, move || match samples.get() {
+            0 => 0.0,
+            delivered => iterations.get() as f64 / delivered as f64,
+        });
+        series
+    }
+
+    /// Counts one finished request (a few relaxed `fetch_add`s).
+    fn record(&self, ok: bool, samples: u64, iterations: u64, elapsed: Duration) {
+        self.requests.inc();
+        self.samples.add(samples);
+        self.iterations.add(iterations);
+        if !ok {
+            self.errors.inc();
+        }
+        self.latency.observe_duration(elapsed);
+    }
+}
+
 /// Typed handles into the server's [`Registry`] for one dataset,
 /// registered once at startup so recording is lock-free `fetch_add`s
 /// where each event happens. Nothing is set at scrape: the engines
 /// publish their gauges themselves, and the rest are read at render
 /// ([`Registry::gauge_fn`]) from where they are held.
 struct DatasetMetrics {
-    /// `srj_requests_total` — finished `SAMPLE` requests (hot path).
-    requests: Counter,
-    /// `srj_samples_total` — join samples delivered (hot path).
-    samples: Counter,
-    /// `srj_request_errors_total` — non-`Ok` finishes (hot path).
-    errors: Counter,
-    /// `srj_request_latency_ns` — per-request wall time (hot path).
-    latency: Histogram,
-    /// `srj_rejection_iterations_total` — rejection-loop iterations of
-    /// finished requests (hot path).
-    rejection_iterations: Counter,
+    /// The dataset's finished `SAMPLE`s.
+    requests: RequestSeries,
     /// `srj_maintenance_total{rung=...}` (one series per [`RUNGS`]
     /// entry), `srj_cells_patched_total`, `srj_mu_total`,
     /// `srj_index_rows` and the engines' part of `srj_index_bytes`,
@@ -629,28 +680,12 @@ struct DatasetMetrics {
     /// ([`EpochEngine::with_counters`]), which counts and publishes into
     /// them itself.
     maintenance: MaintenanceCounters,
-    /// `srj_engine_cache_hits_total` / `srj_engine_cache_misses_total`
-    /// — the server-wide series (no `dataset` label: every dataset's
-    /// handle shares one cell), counted by the engine map.
-    cache_hits: Counter,
-    cache_misses: Counter,
 }
 
 impl DatasetMetrics {
     fn register(reg: &Registry, dataset: u64, store: &Arc<DatasetStore>) -> Self {
         let id = dataset.to_string();
         let labels: [(&str, &str); 1] = [("dataset", &id)];
-        let samples = reg.counter("srj_samples_total", &labels);
-        let rejection_iterations = reg.counter("srj_rejection_iterations_total", &labels);
-        let (iterations, delivered) = (rejection_iterations.clone(), samples.clone());
-        reg.gauge_fn("srj_rejection_rate", &labels, move || {
-            let samples = delivered.get();
-            if samples == 0 {
-                0.0
-            } else {
-                iterations.get() as f64 / samples as f64
-            }
-        });
         let index_bytes: [Gauge; 7] = Default::default();
         for (i, (structure, _)) in IndexBytes::default().parts().into_iter().enumerate() {
             let (engines, store) = (index_bytes[i].clone(), Arc::clone(store));
@@ -661,32 +696,23 @@ impl DatasetMetrics {
         }
         let epoch = Arc::clone(store);
         reg.gauge_fn("srj_epoch", &labels, move || epoch.epoch() as f64);
+        let [minor_swap, cell_patch, full_rebuild] = RUNGS
+            .map(|rung| reg.counter("srj_maintenance_total", &[("dataset", &id), ("rung", rung)]));
         DatasetMetrics {
-            requests: reg.counter("srj_requests_total", &labels),
-            samples,
-            errors: reg.counter("srj_request_errors_total", &labels),
-            latency: reg.histogram("srj_request_latency_ns", &labels),
-            rejection_iterations,
-            maintenance: {
-                let [minor_swap, cell_patch, full_rebuild] = RUNGS.map(|rung| {
-                    reg.counter("srj_maintenance_total", &[("dataset", &id), ("rung", rung)])
-                });
-                MaintenanceCounters {
-                    minor_swap,
-                    cell_patch,
-                    full_rebuild,
-                    cells_patched: reg.counter("srj_cells_patched_total", &labels),
-                    index_bytes,
-                    index_rows: RowGranularity::ALL.map(|granularity| {
-                        let label = ("granularity", granularity.label());
-                        reg.gauge("srj_index_rows", &[("dataset", &id), label])
-                    }),
-                    mu_total: reg.gauge("srj_mu_total", &labels),
-                    last_swap_ns: Gauge::new(),
-                }
+            requests: RequestSeries::register(reg, &id),
+            maintenance: MaintenanceCounters {
+                minor_swap,
+                cell_patch,
+                full_rebuild,
+                cells_patched: reg.counter("srj_cells_patched_total", &labels),
+                index_bytes,
+                index_rows: RowGranularity::ALL.map(|granularity| {
+                    let label = ("granularity", granularity.label());
+                    reg.gauge("srj_index_rows", &[("dataset", &id), label])
+                }),
+                mu_total: reg.gauge("srj_mu_total", &labels),
+                last_swap_ns: Gauge::new(),
             },
-            cache_hits: reg.counter("srj_engine_cache_hits_total", &[]),
-            cache_misses: reg.counter("srj_engine_cache_misses_total", &[]),
         }
     }
 }
@@ -696,11 +722,9 @@ pub(crate) struct ServerMetrics {
     /// `srj_connections_accepted_total` — connections the event loop
     /// accepted (counted at accept).
     pub(crate) connections_accepted: Counter,
-    /// `srj_conn_open` gauge — connections registered on the event
-    /// loop (`Shared::active`), copied at scrape.
-    conn_open: Gauge,
     /// `srj_engine_cache_hits_total` / `srj_engine_cache_misses_total`
-    /// — counted by each dataset's engine map (see [`DatasetMetrics`]).
+    /// — counted by every dataset's engine acquisitions
+    /// ([`ServedDataset::acquire`], [`Shared::acquire_handle`]).
     cache_hits: Counter,
     cache_misses: Counter,
     /// `srj_backpressure_parks_total` — jobs parked on a full
@@ -734,16 +758,12 @@ pub(crate) struct ServerMetrics {
     /// `srj_accept_backoff_total` — accept(2) pauses after
     /// EMFILE/ENFILE fd exhaustion.
     pub(crate) accept_backoffs: Counter,
-    /// `srj_worker_state_samples_total{state=...}` in
-    /// [`ALL_STATES`] order — the profiler's counts, copied at scrape.
-    worker_states: [Counter; 6],
 }
 
 impl ServerMetrics {
     fn register(reg: &Registry) -> Self {
         ServerMetrics {
             connections_accepted: reg.counter("srj_connections_accepted_total", &[]),
-            conn_open: reg.gauge("srj_conn_open", &[]),
             cache_hits: reg.counter("srj_engine_cache_hits_total", &[]),
             cache_misses: reg.counter("srj_engine_cache_misses_total", &[]),
             backpressure_parks: reg.counter("srj_backpressure_parks_total", &[]),
@@ -756,12 +776,6 @@ impl ServerMetrics {
             loop_wakeups: reg.counter("srj_event_loop_wakeups_total", &[]),
             loop_dispatch: reg.histogram("srj_event_loop_dispatch_ns", &[]),
             accept_backoffs: reg.counter("srj_accept_backoff_total", &[]),
-            worker_states: std::array::from_fn(|i| {
-                reg.counter(
-                    "srj_worker_state_samples_total",
-                    &[("state", ALL_STATES[i].as_str())],
-                )
-            }),
         }
     }
 }
@@ -781,15 +795,19 @@ pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     registry: HashMap<u64, ServedDataset>,
     pub(crate) queue: JobQueue,
-    /// Per-request serving statistics (latency histogram reused from
-    /// the engine crate — one `record_query` per finished request).
-    request_stats: EngineStats,
     /// This server's metrics registry (a value, not a global — tests
     /// and embedded servers never share exposition state) plus the
     /// cached typed handles.
     metrics: Registry,
     pub(crate) server_metrics: ServerMetrics,
-    pub(crate) active: AtomicU64,
+    /// The finished `SAMPLE`s naming no registered dataset.
+    unregistered: RequestSeries,
+    /// The automatic slow-request threshold, nanoseconds: the p99 of
+    /// every request series, refreshed by the maintainer's sweep; `0`
+    /// while warming up ([`Shared::refresh_slow_threshold`]).
+    slow_p99_ns: AtomicU64,
+    /// Connections registered on the event loop — `srj_conn_open`.
+    pub(crate) active: Arc<AtomicU64>,
     pub(crate) conns: Mutex<Vec<Arc<ConnShared>>>,
     shutdown_flag: Mutex<bool>,
     shutdown_cv: Condvar,
@@ -835,29 +853,37 @@ impl Shared {
         self.maintainer_waker.wake();
     }
 
+    /// Every request series: each dataset's, then the unregistered
+    /// one.
+    fn request_series(&self) -> impl Iterator<Item = &RequestSeries> {
+        let datasets = self.registry.values().map(|d| &d.metrics.requests);
+        datasets.chain([&self.unregistered])
+    }
+
+    /// The `STATS` answer: sums of the cells `METRICS` renders, so the
+    /// two agree by construction, and neither takes an engine lock.
     pub(crate) fn stats_frame(&self) -> ServerStatsFrame {
-        let snap = self.request_stats.snapshot();
         let sm = &self.server_metrics;
         let mut frame = ServerStatsFrame {
-            queries: snap.queries,
-            samples: snap.samples,
-            iterations: snap.iterations,
-            errors: snap.errors,
-            mean_ns: snap.mean_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
-            p50_ns: snap.p50_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
-            p99_ns: snap.p99_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
-            engines_cached: 0,
             cache_hits: sm.cache_hits.get(),
             cache_misses: sm.cache_misses.get(),
             connections_accepted: sm.connections_accepted.get(),
             active_connections: self.active.load(Ordering::Relaxed),
-            patch_swaps: 0,
-            cells_patched: 0,
-            last_swap_ns: 0,
-            mu_total: 0.0,
+            ..ServerStatsFrame::default()
         };
-        // The values the dataset gauges read: the two agree by
-        // construction, and neither takes an engine lock.
+        let (mut buckets, mut latency_sum, mut latency_count) = ([0; BUCKETS], 0, 0);
+        for series in self.request_series() {
+            frame.queries += series.requests.get();
+            frame.samples += series.samples.get();
+            frame.iterations += series.iterations.get();
+            frame.errors += series.errors.get();
+            series.latency.add_bucket_counts(&mut buckets);
+            latency_sum += series.latency.sum();
+            latency_count += series.latency.count();
+        }
+        frame.mean_ns = latency_sum.checked_div(latency_count).unwrap_or(0);
+        frame.p50_ns = quantile_of(&buckets, 0.50);
+        frame.p99_ns = quantile_of(&buckets, 0.99);
         for d in self.registry.values() {
             let maintenance = &d.metrics.maintenance;
             frame.engines_cached += d.engines_cached.load(Ordering::Relaxed);
@@ -872,25 +898,9 @@ impl Shared {
     }
 
     /// The Prometheus text exposition behind the `METRICS` frame and
-    /// `/metrics`: the two scrape-time copies, then a render.
+    /// `/metrics`.
     pub(crate) fn metrics_text(&self) -> String {
-        self.refresh_gauges();
         self.metrics.render()
-    }
-
-    /// Copies the two values kept outside the registry — the profiler's
-    /// state counts and the open connections — so a render observes
-    /// current values. Everything else is current already: every other
-    /// `_total` counter is counted where its event happens, and every
-    /// dataset gauge is read where its value is held
-    /// ([`DatasetMetrics`]).
-    fn refresh_gauges(&self) {
-        let sm = &self.server_metrics;
-        let counts = self.profiler.counts();
-        for (c, &count) in sm.worker_states.iter().zip(&counts) {
-            c.store(count);
-        }
-        sm.conn_open.set(self.active.load(Ordering::Relaxed) as f64);
     }
 
     /// Engine acquisition via the per-dataset epoch-engine map: the
@@ -919,7 +929,7 @@ impl Shared {
         let config = &self.config;
         let served = self.dataset(req.dataset);
         match how {
-            Acquire::Blocking => Ok(Some(served?.acquire(req, config))),
+            Acquire::Blocking => Ok(Some(served?.acquire(req, config, &self.server_metrics))),
             Acquire::Cheap { budget_ns } => {
                 // Cheapest refusal first: no lock is taken for a request
                 // whose answer could not fit the response queue anyway.
@@ -944,7 +954,7 @@ impl Shared {
                 // stays the number of acquisitions whichever thread
                 // made them.
                 if handle.is_some() {
-                    served.metrics.cache_hits.inc();
+                    self.server_metrics.cache_hits.inc();
                 }
                 Ok(handle)
             }
@@ -952,9 +962,8 @@ impl Shared {
     }
 
     /// Charges one finished `SAMPLE` — `ok`, or ended by an error
-    /// status or by its client's departure — to the server-wide serving
-    /// statistics and its dataset's exposition counters (cached typed
-    /// handles: a few relaxed `fetch_add`s).
+    /// status or by its client's departure — to its dataset's request
+    /// series, or the unregistered one.
     pub(crate) fn record_request(
         &self,
         dataset: u64,
@@ -963,22 +972,10 @@ impl Shared {
         iterations: u64,
         elapsed: Duration,
     ) {
-        if ok {
-            self.request_stats
-                .record_query(samples, iterations, elapsed);
-        } else {
-            self.request_stats.record_error(iterations, elapsed);
-        }
-        if let Ok(served) = self.dataset(dataset) {
-            let m = &served.metrics;
-            m.requests.inc();
-            m.samples.add(samples);
-            m.rejection_iterations.add(iterations);
-            if !ok {
-                m.errors.inc();
-            }
-            m.latency.observe_duration(elapsed);
-        }
+        let series = self
+            .dataset(dataset)
+            .map_or(&self.unregistered, |d| &d.metrics.requests);
+        series.record(ok, samples, iterations, elapsed);
     }
 
     /// The registered dataset `id`, or the status refusing a request
@@ -993,16 +990,29 @@ impl Shared {
     }
 
     /// The latency threshold slow-request capture compares against
-    /// right now — the configured absolute value, or the live p99 once
-    /// enough requests have been observed. `None` = capture nothing
-    /// (auto mode still warming up).
+    /// right now — the configured absolute value, or the p99 of every
+    /// request series as of the maintainer's last sweep, once enough
+    /// requests have been observed. `None` = capture nothing (auto mode
+    /// still warming up). Two relaxed loads: a finished request pays no
+    /// bucket walk.
     pub(crate) fn slow_threshold_ns(&self) -> Option<u64> {
         if self.config.slow_threshold_ns > 0 {
             return Some(self.config.slow_threshold_ns);
         }
-        let snap = self.request_stats.snapshot();
-        (snap.queries + snap.errors >= SLOW_AUTO_MIN_REQUESTS)
-            .then(|| snap.p99_latency.as_nanos().min(u128::from(u64::MAX)) as u64)
+        Some(self.slow_p99_ns.load(Ordering::Relaxed)).filter(|&p99| p99 > 0)
+    }
+
+    /// Re-reads the automatic slow threshold off the summed
+    /// `srj_request_latency_ns` buckets: their p99 once they hold
+    /// [`SLOW_AUTO_MIN_REQUESTS`] requests (a p99 is never 0).
+    fn refresh_slow_threshold(&self) {
+        let mut buckets = [0; BUCKETS];
+        for series in self.request_series() {
+            series.latency.add_bucket_counts(&mut buckets);
+        }
+        let warm = buckets.iter().sum::<u64>() >= SLOW_AUTO_MIN_REQUESTS;
+        let p99 = if warm { quantile_of(&buckets, 0.99) } else { 0 };
+        self.slow_p99_ns.store(p99, Ordering::Relaxed);
     }
 
     /// Evaluates `/healthz`: `(ready, body)`. The aggregate distress
@@ -1047,7 +1057,6 @@ impl Shared {
     pub(crate) fn vars_json(&self) -> String {
         use srj_obs::json::escape;
         use srj_obs::ValueSnapshot;
-        self.refresh_gauges();
         let mut out = String::with_capacity(4096);
         out.push_str("{\"metrics\":[");
         for (i, m) in self.metrics.snapshot().iter().enumerate() {
@@ -1123,6 +1132,16 @@ impl Server {
         trace::set_always_record(config.slow_log_capacity > 0);
         let metrics = Registry::new();
         let server_metrics = ServerMetrics::register(&metrics);
+        let unregistered = RequestSeries::register(&metrics, "unregistered");
+        let profiler = Profiler::new(ALL_STATES.map(|state| {
+            let labels = [("state", state.as_str())];
+            metrics.counter("srj_worker_state_samples_total", &labels)
+        }));
+        let active = Arc::new(AtomicU64::new(0));
+        let open = Arc::clone(&active);
+        metrics.gauge_fn("srj_conn_open", &[], move || {
+            open.load(Ordering::Relaxed) as f64
+        });
         let served = registry
             .map
             .into_iter()
@@ -1154,16 +1173,17 @@ impl Server {
             config,
             registry: served,
             queue: JobQueue::new(),
-            request_stats: EngineStats::new(),
             metrics,
             server_metrics,
-            active: AtomicU64::new(0),
+            unregistered,
+            slow_p99_ns: AtomicU64::new(0),
+            active,
             conns: Mutex::new(Vec::new()),
             shutdown_flag: Mutex::new(false),
             shutdown_cv: Condvar::new(),
             addr: listener.local_addr()?,
             slow_log: SlowLog::new(config.slow_log_capacity),
-            profiler: Profiler::new(),
+            profiler,
             notify,
             maintainer_waker,
             health: Mutex::new(HealthState::default()),
@@ -1293,7 +1313,8 @@ const SWEEP: Duration = Duration::from_millis(50);
 /// delays a request. It waits on its own poller with the next sweep as
 /// timeout and
 ///
-/// * every [`SWEEP`] takes one profiler sample;
+/// * every [`SWEEP`] takes one profiler sample and refreshes the
+///   automatic slow threshold ([`Shared::refresh_slow_threshold`]);
 /// * answers each HTTP probe as it arrives ([`crate::http::accept_one`]).
 ///   An accept failure other than `WouldBlock` — `EMFILE` with a probe
 ///   still queued — takes the listener out of the poller until the next
@@ -1308,6 +1329,7 @@ fn maintainer_loop(shared: &Shared, mut poller: Poller, http: Option<TcpListener
         let now = Instant::now();
         if now >= next_sweep {
             shared.profiler.sample();
+            shared.refresh_slow_threshold();
             next_sweep = now + SWEEP;
             if let (true, Some(listener)) = (http_paused, &http) {
                 http_paused = poller
@@ -1463,6 +1485,126 @@ mod tests {
         assert_eq!(stats.cache_misses, 1);
     }
 
+    /// The sum of every series of the counter family `name` in `text`.
+    fn family_sum(text: &str, name: &str) -> u64 {
+        let of_family = |head: &str| {
+            head.strip_prefix(name)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('{'))
+        };
+        let values = text.lines().filter_map(|line| {
+            let (head, value) = line.rsplit_once(' ')?;
+            of_family(head).then(|| value.parse::<u64>().unwrap())
+        });
+        values.sum()
+    }
+
+    /// Every `srj_request_latency_ns` series in `text`, summed: the
+    /// per-bucket counts (taken apart from the cumulative `le` lines),
+    /// the `_sum` and the `_count`.
+    fn latency_of(text: &str) -> ([u64; BUCKETS], u64, u64) {
+        let (mut buckets, mut sum, mut count) = ([0; BUCKETS], 0, 0);
+        let mut below = (String::new(), 0); // a series, its count so far
+        for line in text.lines() {
+            let Some((head, value)) = line.rsplit_once(' ') else {
+                continue;
+            };
+            let Ok(value) = value.parse::<u64>() else {
+                continue;
+            };
+            if let Some(rest) = head.strip_prefix("srj_request_latency_ns_bucket{") {
+                let (series, le) = rest.trim_end_matches("\"}").rsplit_once(",le=\"").unwrap();
+                let Ok(le) = le.parse::<u64>() else {
+                    continue; // +Inf: the count, read below
+                };
+                if below.0 != series {
+                    below = (series.to_string(), 0);
+                }
+                buckets[le.trailing_zeros() as usize - 1] += value - below.1;
+                below.1 = value;
+            } else if head.starts_with("srj_request_latency_ns_sum{") {
+                sum += value;
+            } else if head.starts_with("srj_request_latency_ns_count{") {
+                count += value;
+            }
+        }
+        (buckets, sum, count)
+    }
+
+    /// `STATS` sums the cells `METRICS` renders — through requests that
+    /// succeed, one that names no registered dataset and one whose
+    /// client leaves after its first `BATCH` — and the automatic
+    /// slow-log threshold is the p99 of the same buckets.
+    #[test]
+    fn stats_and_metrics_read_one_record() {
+        use crate::protocol::{
+            decode_response, encode_request, read_frame, write_frame, Response, PROTOCOL_VERSION,
+        };
+        const OK_REQUESTS: u64 = 40;
+        let mut registry = DatasetRegistry::new();
+        registry.register(1, lattice(), lattice());
+        let server = Server::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut client = Client::connect(addr).unwrap();
+        for _ in 0..OK_REQUESTS {
+            let outcome = client.sample(bbst(1.0)).unwrap();
+            assert_eq!(outcome.status, RequestStatus::Ok);
+        }
+        let unknown = client.sample(SampleRequest {
+            dataset: 99,
+            ..bbst(1.0)
+        });
+        assert_eq!(unknown.unwrap().status, RequestStatus::UnknownDataset);
+
+        let mut leaving = std::net::TcpStream::connect(addr).unwrap();
+        let mut send = |req: &Request| write_frame(&mut leaving, &encode_request(req)).unwrap();
+        send(&Request::Hello {
+            version: PROTOCOL_VERSION,
+            features: 0,
+        });
+        send(&Request::Sample(SampleRequest {
+            t: 1 << 30,
+            ..bbst(1.0)
+        }));
+        loop {
+            let frame = read_frame(&mut leaving).unwrap().expect("a BATCH");
+            if let Response::Batch { .. } = decode_response(&frame).unwrap() {
+                break;
+            }
+        }
+        drop(leaving);
+
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let stats = loop {
+            let stats = client.server_stats().unwrap();
+            if stats.queries == OK_REQUESTS + 2 {
+                break stats;
+            }
+            assert!(Instant::now() < deadline, "{stats:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let text = client.metrics().unwrap();
+        assert_eq!(stats.queries, family_sum(&text, "srj_requests_total"));
+        assert_eq!(stats.samples, family_sum(&text, "srj_samples_total"));
+        assert_eq!(
+            stats.iterations,
+            family_sum(&text, "srj_rejection_iterations_total")
+        );
+        assert_eq!(stats.errors, family_sum(&text, "srj_request_errors_total"));
+        assert_eq!(stats.errors, 2);
+        assert!(stats.samples > OK_REQUESTS * 16, "the departed pairs count");
+        assert!(text.contains("srj_requests_total{dataset=\"unregistered\"} 1\n"));
+
+        let (buckets, sum, count) = latency_of(&text);
+        assert_eq!(count, stats.queries);
+        assert_eq!(stats.p50_ns, quantile_of(&buckets, 0.50));
+        assert_eq!(stats.p99_ns, quantile_of(&buckets, 0.99));
+        assert_eq!(stats.mean_ns, sum / count);
+        while server.shared.slow_threshold_ns() != Some(stats.p99_ns) {
+            assert!(Instant::now() < deadline, "no sweep took the p99");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     /// What `dataset`'s gauges show: bytes in [`IndexBytes::parts`]
     /// order, rows in [`RowGranularity::ALL`] order, and `Σµ`.
     type Gauges = ([usize; 7], [usize; 2], f64);
@@ -1541,7 +1683,8 @@ mod tests {
         let check = |step: &str, pinned: &[&Arc<EpochEngine>]| {
             assert_eq!(published(&reg), walked(&dataset, pinned), "after {step}");
         };
-        let acquire = |l| drop(dataset.acquire(&bbst(l), &config));
+        let sm = ServerMetrics::register(&reg);
+        let acquire = |l| drop(dataset.acquire(&bbst(l), &config, &sm));
         let insert_s = |points: Vec<Point>| {
             let store = &dataset.store;
             store.insert_s_batch(&points);
@@ -1589,6 +1732,41 @@ mod tests {
         assert_eq!(published(&reg), (sets, [0; 2], 0.0));
     }
 
+    /// A patch swap's grid stands on the store's extended set of `S`:
+    /// the set is held once, and the published point-set bytes are the
+    /// store's alone.
+    #[test]
+    fn a_patch_swap_holds_s_once() {
+        let reg = Registry::new();
+        let dataset = served(&reg, half_lattice(400, 11), half_lattice(2_000, 12));
+        let config = ServerConfig {
+            epoch: EpochConfig::default().with_rebuild_fraction(0.01),
+            ..ServerConfig::default()
+        };
+        let sm = ServerMetrics::register(&reg);
+        drop(dataset.acquire(&bbst(4.0), &config, &sm));
+        dataset
+            .store
+            .insert_s_batch(&[Point::new(0.25, 0.25), Point::new(0.75, 0.25)].repeat(15));
+        drop(dataset.acquire(&bbst(4.0), &config, &sm));
+        assert_eq!(dataset.metrics.maintenance.cell_patch.get(), 1);
+
+        let engine = dataset.cached_engine(EngineKey::of(&bbst(4.0))).flatten();
+        let grid = engine
+            .expect("the step 4 serves")
+            .engine()
+            .s_grid()
+            .unwrap();
+        assert!(Arc::ptr_eq(
+            grid.point_set(),
+            &dataset.store.snapshot().base_s
+        ));
+        let parts = IndexBytes::default().parts();
+        let point_set = parts.iter().position(|&(s, _)| s == "point_set").unwrap();
+        let store_bytes = dataset.store.set_bytes().point_set;
+        assert_eq!(published(&reg).0[point_set], store_bytes);
+    }
+
     /// Threads that make the first acquisition of one key at once build
     /// it once: one miss, and a hit for every other.
     #[test]
@@ -1597,8 +1775,9 @@ mod tests {
         let points: Vec<Point> = (0..20_000)
             .map(|i| Point::new(f64::from(i % 140), f64::from(i / 140)))
             .collect();
-        let dataset = served(&Registry::new(), points.clone(), points);
-        let config = ServerConfig::default();
+        let reg = Registry::new();
+        let dataset = served(&reg, points.clone(), points);
+        let (config, sm) = (ServerConfig::default(), ServerMetrics::register(&reg));
         let start = Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
@@ -1610,13 +1789,13 @@ mod tests {
                             ..bbst(3.0)
                         },
                         &config,
+                        &sm,
                     )
                 });
             }
         });
-        let metrics = &dataset.metrics;
-        assert_eq!(metrics.cache_misses.get(), 1);
-        assert_eq!(metrics.cache_hits.get(), THREADS as u64 - 1);
+        assert_eq!(sm.cache_misses.get(), 1);
+        assert_eq!(sm.cache_hits.get(), THREADS as u64 - 1);
         assert_eq!(dataset.engines_cached.load(Ordering::Relaxed), 1);
     }
 

@@ -1,7 +1,7 @@
 //! `srj-serve` and `srj-top` as processes: the command line, the
-//! `listening on` line scripts parse, serving over a real socket, and a
-//! clean exit on a `SHUTDOWN` frame — the path nothing in-process
-//! covers.
+//! `listening on` line scripts parse, serving over a real socket, the
+//! dashboard and raw dump of `srj-top`, and a clean exit on a
+//! `SHUTDOWN` frame — the path nothing in-process covers.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -106,6 +106,34 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
         String::from_utf8_lossy(&top.stdout).contains("srj_requests_total"),
         "srj-top --raw printed no exposition: {top:?}"
     );
+    // The dashboard parses what the raw dump shows: a row for the
+    // dataset served, and the worker-utilisation line once a profiler
+    // sweep (every 50 ms) has counted a state.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let top = Command::new(TOP)
+            .args(["--addr", addr, "--once"])
+            .output()
+            .expect("run srj-top");
+        assert!(top.status.success(), "srj-top: {top:?}");
+        let dashboard = String::from_utf8_lossy(&top.stdout);
+        let row = |first: &str| {
+            let mut lines = dashboard.lines();
+            lines.any(|line| line.split_whitespace().next() == Some(first))
+        };
+        assert!(
+            row("dataset") && row("1"),
+            "no row for dataset 1:\n{dashboard}"
+        );
+        if dashboard.lines().any(|line| line.starts_with("util [")) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no worker-utilisation line:\n{dashboard}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
 
     let mut probe = TcpStream::connect(&http_addr).expect("connect to the HTTP listener");
     probe

@@ -646,6 +646,8 @@ fn every_family_and_overlay_is_one_index_shape() {
         };
 
         let base = Engine::build(r, s, &cfg, algo);
+        let s_patched = base.s_grid().unwrap().point_set().extended(&inserted_s);
+        let s_patched = Arc::new(s_patched);
         let overlay = base.with_overlay(delta.clone(), &support, &cfg);
         for (engine, is_overlay) in [(&base, false), (&overlay, true)] {
             let what = format!("{algo} {rows:?} × overlay {is_overlay}");
@@ -712,7 +714,7 @@ fn every_family_and_overlay_is_one_index_shape() {
                 assert!(engine.rebuild_r_only(r2, &cfg).is_none(), "{what}");
                 assert!(
                     engine
-                        .rebuild_with_s_patch(r2, &cfg, &inserted_s, &deleted_s)
+                        .rebuild_with_s_patch(r2, &cfg, &s_patched, &deleted_s)
                         .is_none(),
                     "{what}"
                 );
@@ -742,7 +744,7 @@ fn every_family_and_overlay_is_one_index_shape() {
             // An `S` patch: clean cells keep their token, dirty ones
             // do not.
             let (patched, report) = engine
-                .rebuild_with_s_patch(r2, &cfg, &inserted_s, &deleted_s)
+                .rebuild_with_s_patch(r2, &cfg, &s_patched, &deleted_s)
                 .expect("a full build");
             assert_eq!(patched.algorithm(), algo, "{what}");
             assert_eq!(patched.row_granularity(), rows, "{what}");
