@@ -636,8 +636,8 @@ const ROW_DATASETS: [(&str, DatasetKind, f64, f64); 6] = [
 ///
 /// One `#` line per index (median build ms, iterations per sample, ns
 /// per iteration, index bytes per point) and per dataset the group /
-/// per-`r` ratio of ns per iteration, which `srj-engine`'s
-/// row-granularity threshold (`family::MIN_PROBE_ACCEPTANCE`) rests on.
+/// per-`r` ratio of ns per iteration, which the row-granularity
+/// threshold (`srj-core`'s `group::MIN_PROBE_ACCEPTED`) rests on.
 /// At scale 1 (up to 500 k × 500 k points) a run takes a few seconds.
 pub fn row_granularity(cfg: &ExpConfig) -> String {
     let mut out = String::new();

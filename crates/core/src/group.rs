@@ -4,12 +4,15 @@
 //! populations and its nine cells' grid slots — and a draw reads both
 //! off the group's rows: the grid's hash is read only at build. The
 //! rows ([`GroupCore`]) do not depend on the window, only on the cell
-//! side, so any window up to that side can stand on them.
+//! side, so any window up to that side can stand on them — and which
+//! windows they serve is one number the rows hold
+//! ([`GroupCore::serves`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use srj_alias::{AliasTable, BlockRow, NUM_CELLS};
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{CellGroups, Grid, IntoPointSet, PointSet};
@@ -20,6 +23,30 @@ use crate::cursor::{Cursor, IndexBytes, SamplerIndex, BLOCK};
 /// A block cell that holds no point of `S`: the slot a group row stores
 /// for it.
 pub const NO_CELL: u32 = u32::MAX;
+
+/// Iterations of the probe that admits group rows for a window
+/// ([`GroupCore::serves`]), and the generator seed it always starts
+/// from.
+const PROBE_ITERATIONS: usize = 4096;
+const PROBE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Group rows serve a window when the probe accepts at least this many
+/// of its iterations, i.e. needs ≤ 2 iterations a sample. Two is the
+/// ratio of what an iteration costs at the two row granularities:
+///
+/// * A group iteration (three words, no tree descent, no hash probe)
+///   costs at most 0.48 of a per-`r` one. That worst case is
+///   `bulk_draw`'s data, where both draws are cache-bound; the other
+///   benchmark datasets measure 0.29–0.34.
+/// * Per-`r` rows ([`crate::BbstIndex`]) need at least one iteration a
+///   sample.
+///
+/// So admitted group rows never draw slower than per-`r` rows could,
+/// and they build 6–8× faster and keep under half the bytes.
+/// `experiments row-granularity` (`srj-bench`) prints each dataset's ns
+/// per iteration at both granularities and their ratio; re-price this
+/// constant from one run of it.
+const MIN_PROBE_ACCEPTED: usize = PROBE_ITERATIONS / 2;
 
 /// The group pass: `R` is grouped by grid cell ([`Grid::group_by_cell`]),
 /// and every member of a group sees the same 3×3 block, so the §III-B
@@ -80,9 +107,9 @@ pub(crate) fn block_rows<'a>(
 /// sample. That ratio has no guarantee: it is ≈ 9/4 on locally uniform
 /// data at a cell side of `l` and close to 1 where `S` is clustered
 /// below the window size — which is when this index beats per-`r` rows
-/// ([`crate::BbstIndex`]) outright; `srj-engine` measures it at build
-/// time and picks. A wider cell loosens the bound by the blocks' extra
-/// area.
+/// ([`crate::BbstIndex`]) outright; the rows measure it for any window
+/// themselves ([`GroupCore::serves`]), and `srj-engine` picks by that. A
+/// wider cell loosens the bound by the blocks' extra area.
 ///
 /// `Send + Sync`, never mutated after build.
 pub struct GroupIndex {
@@ -117,6 +144,9 @@ pub struct GroupCore {
     alias: Option<AliasTable>,
     /// The group pass, as upper bounding.
     build_report: PhaseReport,
+    /// The narrowest window these rows serve ([`GroupCore::serves`]),
+    /// computed on first use.
+    narrowest_served: OnceLock<f64>,
 }
 
 const _: () = {
@@ -171,6 +201,7 @@ impl GroupCore {
                 upper_bounding_cpu: upper_bounding,
                 ..PhaseReport::default()
             },
+            narrowest_served: OnceLock::new(),
         }
     }
 
@@ -192,6 +223,62 @@ impl GroupCore {
     /// What the group pass cost, as upper bounding.
     pub fn build_report(&self) -> PhaseReport {
         self.build_report
+    }
+
+    /// Whether these rows serve the window of half-extent `l`: a probe
+    /// of 4096 iterations of their own kernel, from a fixed seed,
+    /// accepts at least half of them — at most two iterations a sample
+    /// (`MIN_PROBE_ACCEPTED` says why two).
+    ///
+    /// The probe's words pick a group, a member and a position whatever
+    /// the window is, and only the window test reads `l`, so the verdict
+    /// of every window is one number: the narrowest window served,
+    /// computed the first time any window is asked for and kept.
+    ///
+    /// # Panics
+    /// Panics if `l` exceeds the cell side.
+    pub fn serves(&self, l: f64) -> bool {
+        assert!(
+            l <= self.grid.cell_side(),
+            "window {l} exceeds the rows' cell side {}",
+            self.grid.cell_side()
+        );
+        let narrowest = self.narrowest_served.get_or_init(|| {
+            // The window that reaches `MIN_PROBE_ACCEPTED` candidates.
+            let mut least = self.probe_windows();
+            *least
+                .select_nth_unstable_by(MIN_PROBE_ACCEPTED - 1, f64::total_cmp)
+                .1
+        });
+        l >= *narrowest
+    }
+
+    /// [`GroupCore::serves`] where the rows have computed their verdict,
+    /// `None` before: never probes.
+    pub fn verdict(&self, l: f64) -> Option<bool> {
+        self.narrowest_served.get().map(|&narrowest| l >= narrowest)
+    }
+
+    /// The probe of [`GroupCore::serves`], run at the cell side: for each
+    /// of its 4096 candidates in order, the least half-extent whose
+    /// window test accepts it, `∞` where the side's rejects it (every
+    /// one, on an empty join). A window up to the side accepts exactly
+    /// the candidates whose least half-extent it reaches.
+    pub fn probe_windows(&self) -> Vec<f64> {
+        let side = self.grid.cell_side();
+        let mut rng = SmallRng::seed_from_u64(PROBE_SEED);
+        let (mut outcomes, mut stats) = (Vec::new(), PhaseReport::default());
+        let probed = self.try_many(side, PROBE_ITERATIONS, &mut rng, &mut stats, &mut outcomes);
+        let mut least = vec![f64::INFINITY; PROBE_ITERATIONS];
+        if probed.is_ok() {
+            for (least, pair) in least.iter_mut().zip(outcomes) {
+                if let Some(pair) = pair {
+                    let (r, s) = (self.r[pair.r as usize], self.grid.point(pair.s));
+                    *least = least_half_extent(r, s, side);
+                }
+            }
+        }
+        least
     }
 
     /// Heap bytes of the core beyond the two point sets it stands on —
@@ -233,6 +320,104 @@ impl GroupCore {
         );
         (slot, pick.rank)
     }
+
+    /// The window test of an iteration at half-extent `l`: `r` (its
+    /// index and point) against the candidate `s`. Owns the
+    /// per-iteration accounting, so [`SamplerIndex::try_draw`], the block
+    /// kernel and the probe cannot disagree on it.
+    #[inline]
+    fn accept(
+        l: f64,
+        (ridx, rp): (u32, Point),
+        (sid, sp): (PointId, Point),
+        stats: &mut PhaseReport,
+    ) -> Option<JoinPair> {
+        stats.iterations += 1;
+        Rect::window(rp, l).contains(sp).then(|| {
+            stats.samples += 1;
+            JoinPair::new(ridx, sid)
+        })
+    }
+
+    /// The block kernel at half-extent `l`: see
+    /// [`GroupIndex`]'s [`SamplerIndex::try_many`].
+    #[inline]
+    fn try_many<R: Rng + ?Sized>(
+        &self,
+        l: f64,
+        n: usize,
+        rng: &mut R,
+        stats: &mut PhaseReport,
+        out: &mut Vec<Option<JoinPair>>,
+    ) -> Result<(), SampleError> {
+        let mut group = [0usize; BLOCK];
+        let mut ridx = [0u32; BLOCK];
+        let mut rp = [Point::default(); BLOCK];
+        let mut picked = [(0u32, 0u32); BLOCK];
+        let mut by_x: [&[PointId]; BLOCK] = [&[]; BLOCK];
+        let mut sid = [0 as PointId; BLOCK];
+        let mut sp = [Point::default(); BLOCK];
+        // The core's arrays as locals: they stay in registers across
+        // the stages instead of being read back off the shared self.
+        let (ids, r, grid) = (&self.ids[..], self.r.points(), &*self.grid);
+        let mut left = n;
+        while left > 0 {
+            // Asked only while an iteration is wanted: `n = 0` is `Ok`
+            // even on an empty join.
+            let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
+            let b = left.min(BLOCK);
+            alias.sample_many(rng, &mut group[..b]);
+            for (i, &g) in ridx[..b].iter_mut().zip(&group[..b]) {
+                *i = self.member_at(g, rng.next_u64()) as u32;
+            }
+            for i in &mut ridx[..b] {
+                *i = ids[*i as usize];
+            }
+            for (p, &i) in rp[..b].iter_mut().zip(&ridx[..b]) {
+                *p = r[i as usize];
+            }
+            for (p, &g) in picked[..b].iter_mut().zip(&group[..b]) {
+                *p = self.pick(g, rng.next_u64());
+            }
+            for (members, &(slot, _)) in by_x[..b].iter_mut().zip(&picked[..b]) {
+                *members = &grid.cell(slot).by_x;
+            }
+            for ((s, members), &(_, rank)) in sid[..b].iter_mut().zip(&by_x[..b]).zip(&picked[..b])
+            {
+                *s = members[rank as usize];
+            }
+            for (p, &s) in sp[..b].iter_mut().zip(&sid[..b]) {
+                *p = grid.point(s);
+            }
+            out.extend((0..b).map(|k| Self::accept(l, (ridx[k], rp[k]), (sid[k], sp[k]), stats)));
+            left -= b;
+        }
+        Ok(())
+    }
+}
+
+/// The least half-extent `l` whose window around `r` contains `s`,
+/// given that `side` is one: exact, as the window test rounds. The test
+/// is monotone in `l` — both edges of the window move outward as `l`
+/// grows, rounding included — so a walk by ulps from any start ends
+/// there. The start is each axis' distance less half an ulp of `s`'s
+/// coordinate on the side of `r` — where `r ± l` starts to round onto
+/// `s` — so the walk is an ulp or two even where the coordinates'
+/// ulps dwarf the window's.
+fn least_half_extent(r: Point, s: Point, side: f64) -> f64 {
+    let fits = |l: f64| Rect::window(r, l).contains(s);
+    let reach = |r: f64, s: f64| {
+        let toward = if s > r { s.next_down() } else { s.next_up() };
+        (s - r).abs() - (s - toward).abs() / 2.0
+    };
+    let mut l = reach(r.x, s.x).max(reach(r.y, s.y)).clamp(0.0, side);
+    while l > 0.0 && fits(l.next_down()) {
+        l = l.next_down();
+    }
+    while !fits(l) {
+        l = l.next_up();
+    }
+    l
 }
 
 impl GroupIndex {
@@ -349,25 +534,6 @@ impl GroupIndex {
             .as_ref()
             .map_or(0.0, AliasTable::total_weight)
     }
-
-    /// The window test of an iteration: `r` (its index and point)
-    /// against the candidate `s`. Owns the per-iteration accounting, so
-    /// [`SamplerIndex::try_draw`] and the block kernel cannot disagree
-    /// on it.
-    #[inline]
-    fn accept(
-        &self,
-        (ridx, rp): (u32, Point),
-        (sid, sp): (PointId, Point),
-        stats: &mut PhaseReport,
-    ) -> Option<JoinPair> {
-        stats.iterations += 1;
-        let w = Rect::window(rp, self.config.half_extent);
-        w.contains(sp).then(|| {
-            stats.samples += 1;
-            JoinPair::new(ridx, sid)
-        })
-    }
 }
 
 impl SamplerIndex for GroupIndex {
@@ -390,8 +556,8 @@ impl SamplerIndex for GroupIndex {
         let ridx = core.ids[core.member_at(g, rng.next_u64())];
         let (slot, rank) = core.pick(g, rng.next_u64());
         let sid = core.grid.cell(slot).by_x[rank as usize];
-        let r = (ridx, core.r[ridx as usize]);
-        Ok(self.accept(r, (sid, core.grid.point(sid)), stats))
+        let (r, s) = ((ridx, core.r[ridx as usize]), (sid, core.grid.point(sid)));
+        Ok(GroupCore::accept(self.config.half_extent, r, s, stats))
     }
 
     /// The block kernel: the iterations of [`Self::try_draw`], up to
@@ -418,50 +584,8 @@ impl SamplerIndex for GroupIndex {
         stats: &mut PhaseReport,
         out: &mut Vec<Option<JoinPair>>,
     ) -> Result<(), SampleError> {
-        let mut group = [0usize; BLOCK];
-        let mut ridx = [0u32; BLOCK];
-        let mut rp = [Point::default(); BLOCK];
-        let mut picked = [(0u32, 0u32); BLOCK];
-        let mut by_x: [&[PointId]; BLOCK] = [&[]; BLOCK];
-        let mut sid = [0 as PointId; BLOCK];
-        let mut sp = [Point::default(); BLOCK];
-        // The core's arrays as locals: they stay in registers across
-        // the stages instead of being read back off the shared core.
-        let core = &*self.core;
-        let (ids, r, grid) = (&core.ids[..], core.r.points(), &*core.grid);
-        let mut left = n;
-        while left > 0 {
-            // Asked only while an iteration is wanted: `n = 0` is `Ok`
-            // even on an empty join.
-            let alias = core.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
-            let b = left.min(BLOCK);
-            alias.sample_many(rng, &mut group[..b]);
-            for (i, &g) in ridx[..b].iter_mut().zip(&group[..b]) {
-                *i = core.member_at(g, rng.next_u64()) as u32;
-            }
-            for i in &mut ridx[..b] {
-                *i = ids[*i as usize];
-            }
-            for (p, &i) in rp[..b].iter_mut().zip(&ridx[..b]) {
-                *p = r[i as usize];
-            }
-            for (p, &g) in picked[..b].iter_mut().zip(&group[..b]) {
-                *p = core.pick(g, rng.next_u64());
-            }
-            for (members, &(slot, _)) in by_x[..b].iter_mut().zip(&picked[..b]) {
-                *members = &grid.cell(slot).by_x;
-            }
-            for ((s, members), &(_, rank)) in sid[..b].iter_mut().zip(&by_x[..b]).zip(&picked[..b])
-            {
-                *s = members[rank as usize];
-            }
-            for (p, &s) in sp[..b].iter_mut().zip(&sid[..b]) {
-                *p = grid.point(s);
-            }
-            out.extend((0..b).map(|k| self.accept((ridx[k], rp[k]), (sid[k], sp[k]), stats)));
-            left -= b;
-        }
-        Ok(())
+        self.core
+            .try_many(self.config.half_extent, n, rng, stats, out)
     }
 
     fn rejection_limit(&self) -> u64 {

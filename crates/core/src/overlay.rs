@@ -39,10 +39,12 @@
 //! base index; a corner cell is bounded by its population and a cross
 //! candidate by its cell, and both are tested against the window when
 //! drawn. There is no `|R⁺|·|S⁺|` term anywhere: an inserted point only
-//! ever ranks into its own block. Where the base grid's cell side
-//! exceeds `l` (an epoch whose group rows stand on `l`'s ladder step),
-//! no case is exact: a row's base part is the nine cell populations, as
-//! a group row's is, and every candidate is tested against the window.
+//! ever ranks into its own block. The runs are always those of the
+//! grid's cell side: where it exceeds `l` (an epoch whose group rows
+//! stand on `l`'s ladder step), a run holds its side's window, which
+//! holds `l`'s, and every candidate is tested against the window. An
+//! exact run is a subset of its cell, so such a row never weighs more
+//! than the block's nine cell populations would.
 //!
 //! One iteration of a chunk is two random words — a member
 //! `∝ row total` from the chunk's alias, then a uniform position in the
@@ -303,21 +305,6 @@ fn block_coords(center: (i32, i32)) -> impl Iterator<Item = (i32, i32)> {
         .map(move |&(dx, dy)| (center.0.saturating_add(dx), center.1.saturating_add(dy)))
 }
 
-/// How the base part of a chunk row counts its member's block.
-#[derive(Clone, Copy)]
-enum RowBound {
-    /// The grid's cell side is the window half-extent: cases 1 and 2
-    /// are the exact runs of half-extent `.0` (the window's, or a few
-    /// ulps more; see [`OverlaySupport::extended`]), a corner cell its
-    /// population.
-    Exact(f64),
-    /// The cell side exceeds the window's: a window need not cover its
-    /// centre cell nor span its edge cells, so the row is the nine cell
-    /// populations of the block, as a group row is, and every candidate
-    /// is tested against the window.
-    Populations,
-}
-
 /// The inserts one swap added to one side, as a sampling source: see
 /// the module docs. Immutable; shared by every later snapshot of the
 /// epoch.
@@ -343,9 +330,10 @@ struct Chunk {
 impl Chunk {
     /// Rows and alias for `points[start..]` against the opposite side:
     /// its base grid and its insert grid below `watermark`. `dead(j)`
-    /// says whether insert `j` of this side is tombstoned. `bound` is
-    /// how the base part of a row is counted ([`RowBound`]). `None`
-    /// when no live member has a candidate.
+    /// says whether insert `j` of this side is tombstoned. Cases 1 and 2
+    /// are the exact runs of half-extent `l` (the grid's cell side, or a
+    /// few ulps more; see [`OverlaySupport::extended`]), a corner cell
+    /// its population. `None` when no live member has a candidate.
     fn build(
         points: &[Point],
         start: usize,
@@ -353,34 +341,14 @@ impl Chunk {
         opposite: &Grid,
         opposite_inserts: &InsertGrid,
         watermark: u32,
-        bound: RowBound,
+        l: f64,
     ) -> Option<Chunk> {
         let tail = &points[start..];
-        let population = |slot: u32| opposite.cell(slot).len() as u64;
-        let mut rows = match bound {
-            // Cases 1 and 2 exactly, a corner cell by its population:
-            // the base index's cell-major sweep with a trivial corner
-            // bound, straight into the chunk's rows.
-            RowBound::Exact(l) => {
-                let mut rows = vec![BlockRow::default(); tail.len()];
-                sweep_rows(
-                    opposite,
-                    tail,
-                    l,
-                    &|slot, _: &_| population(slot),
-                    &mut rows,
-                );
-                rows
-            }
-            // The nine cell populations, as a group row has them.
-            RowBound::Populations => tail
-                .iter()
-                .map(|&p| {
-                    let slots = opposite.neighborhood_slots(p);
-                    BlockRow::new(slots.map(|slot| slot.map_or(0, population)), 0)
-                })
-                .collect(),
-        };
+        // The base index's cell-major sweep with a trivial corner bound,
+        // straight into the chunk's rows.
+        let mut rows = vec![BlockRow::default(); tail.len()];
+        let population = |slot: u32, _: &_| opposite.cell(slot).len() as u64;
+        sweep_rows(opposite, tail, l, &population, &mut rows);
         // Then the cross part in place.
         for (row, &p) in rows.iter_mut().zip(tail) {
             let cross = opposite_inserts.seen_in_block(opposite.coord_of(p), watermark);
@@ -391,7 +359,7 @@ impl Chunk {
         debug_assert!(
             rows.iter().zip(tail).step_by(64).all(|(row, &p)| {
                 row.total() as usize
-                    == brute_force_candidates(p, opposite, opposite_inserts, watermark, bound)
+                    == brute_force_candidates(p, opposite, opposite_inserts, watermark, l)
             }),
             "an insert row disagrees with the brute-force count over its block"
         );
@@ -441,28 +409,28 @@ impl Chunk {
 }
 
 /// What a row of `p` must total, member by member over the block: the
-/// in-window members of the centre and edge cells under an exact bound,
-/// every member of every other cell, every opposite insert below the
+/// members of the centre and edge cells in `p`'s window of half-extent
+/// `l`, every member of a corner cell, every opposite insert below the
 /// watermark.
 fn brute_force_candidates(
     p: Point,
     opposite: &Grid,
     opposite_inserts: &InsertGrid,
     watermark: u32,
-    bound: RowBound,
+    l: f64,
 ) -> usize {
     let base: usize = opposite
         .neighborhood(p)
         .iter()
         .enumerate()
         .filter_map(|(i, cell)| cell.map(|cell| (case_of(i), cell)))
-        .map(|(case, cell)| match bound {
-            RowBound::Exact(l) if !matches!(case, CellCase::Quadrant { .. }) => cell
+        .map(|(case, cell)| match case {
+            CellCase::Quadrant { .. } => cell.len(),
+            _ => cell
                 .by_x
                 .iter()
                 .filter(|&&id| Rect::window(p, l).contains(opposite.point(id)))
                 .count(),
-            _ => cell.len(),
         })
         .sum();
     let cross: usize = block_coords(opposite.coord_of(p))
@@ -544,20 +512,17 @@ impl InsertSide {
 }
 
 /// Per-epoch support structures for [`OverlayIndex`]: a hash grid over
-/// base `S` and one over base `R` (cell side `≥ l`, so a window's 3×3
-/// block covers it), plus the insert sources of the epoch's swaps so
-/// far. The grid of `S` is normally the epoch's own, and the grid of `R`
-/// stands on the epoch's `R` set ([`OverlaySupport::on_grid`]): only the
-/// cells of the grid of `R` are built here. Where the cell side is `l`
-/// itself, a chunk row counts cases 1 and 2 exactly; where it is wider
-/// (the epoch's base stands on a ladder step above `l`), a chunk row is
-/// its block's nine cell populations.
+/// base `S` and one over base `R` of one cell side — every window up to
+/// it stays in its 3×3 block — plus the insert sources of the epoch's
+/// swaps so far. The grid of `S` is normally the epoch's own, and the
+/// grid of `R` stands on the epoch's `R` set
+/// ([`OverlaySupport::on_grid`]): only the cells of the grid of `R` are
+/// built here. A chunk row counts cases 1 and 2 exactly at the cell
+/// side, whatever window later draws from it.
 /// [`OverlaySupport::extended`] is the `O(batch)` step from one snapshot
 /// of the epoch's delta to the next; everything it returns is
 /// `Arc`-shared with what it was called on.
 pub struct OverlaySupport {
-    /// The window half-extent the rows are for.
-    half_extent: f64,
     s_grid: Arc<Grid>,
     r_grid: Arc<Grid>,
     /// What of the two base grids this support counts as its own,
@@ -570,14 +535,13 @@ pub struct OverlaySupport {
 }
 
 impl OverlaySupport {
-    /// Builds both grids over copies of a base snapshot; `O(n + m)`.
-    /// [`OverlaySupport::build_time`] covers both.
-    pub fn build(base_r: &[Point], base_s: &[Point], half_extent: f64) -> Self {
+    /// Builds both grids, of cell side `side`, over copies of a base
+    /// snapshot; `O(n + m)`. [`OverlaySupport::build_time`] covers both.
+    pub fn build(base_r: &[Point], base_s: &[Point], side: f64) -> Self {
         let t0 = Instant::now();
-        let s_grid = Arc::new(Grid::build(base_s, half_extent));
-        let r_grid = Arc::new(Grid::build(base_r, half_extent));
+        let s_grid = Arc::new(Grid::build(base_s, side));
+        let r_grid = Arc::new(Grid::build(base_r, side));
         OverlaySupport {
-            half_extent,
             base_bytes: IndexBytes::of_grid(&s_grid) + IndexBytes::of_grid(&r_grid),
             s_grid,
             r_grid,
@@ -587,26 +551,16 @@ impl OverlaySupport {
         }
     }
 
-    /// A support for windows of `half_extent` over `s_grid` — the base
-    /// build's own grid of `S`, held, not copied, whose cell side is at
-    /// least `half_extent` — and a grid of the same cell side on
-    /// `base_r`: the base build's own `R` set, whose two orders it
-    /// computes once and keeps for every later grid of it. Neither set
-    /// is this support's to count. Ids the grid's cells leave out (the
-    /// dead ids a cell patch left behind) are never a candidate.
-    ///
-    /// # Panics
-    /// Panics if the grid's cell side is below `half_extent`.
-    pub fn on_grid(base_r: &Arc<PointSet>, s_grid: Arc<Grid>, half_extent: f64) -> Self {
-        assert!(
-            s_grid.cell_side() >= half_extent,
-            "overlay grid cell side ({}) is below the window half-extent ({half_extent})",
-            s_grid.cell_side()
-        );
+    /// A support over `s_grid` — the base build's own grid of `S`, held,
+    /// not copied — and a grid of the same cell side on `base_r`: the
+    /// base build's own `R` set, whose two orders it computes once and
+    /// keeps for every later grid of it. Neither set is this support's
+    /// to count. Ids the grid's cells leave out (the dead ids a cell
+    /// patch left behind) are never a candidate.
+    pub fn on_grid(base_r: &Arc<PointSet>, s_grid: Arc<Grid>) -> Self {
         let t0 = Instant::now();
         let r_grid = Arc::new(Grid::build(base_r, s_grid.cell_side()));
         OverlaySupport {
-            half_extent,
             base_bytes: IndexBytes {
                 point_set: 0,
                 ..IndexBytes::of_grid(&r_grid)
@@ -649,15 +603,7 @@ impl OverlaySupport {
                 && self.s_side.seen <= delta.s_inserted.len(),
             "overlay support has seen inserts this delta does not hold"
         );
-        let l = self.half_extent;
-        let exact = self.exact_rows();
-        let bound = |l| {
-            if exact {
-                RowBound::Exact(l)
-            } else {
-                RowBound::Populations
-            }
-        };
+        let l = self.side();
         let (mut r_side, mut s_side) = (self.r_side.clone(), self.s_side.clone());
         r_side.drop_tombstoned(&delta.r_deleted, delta.base_r_len);
         s_side.drop_tombstoned(&delta.s_deleted, delta.base_s_len);
@@ -685,7 +631,7 @@ impl OverlaySupport {
                     &self.r_grid,
                     &r_side.grid,
                     r_side.seen as u32,
-                    bound(wide),
+                    wide,
                 )
                 .map(Arc::new),
             );
@@ -707,7 +653,7 @@ impl OverlaySupport {
                     &self.s_grid,
                     &s_side.grid,
                     s_side.seen as u32,
-                    bound(l),
+                    l,
                 )
                 .map(Arc::new),
             );
@@ -716,7 +662,6 @@ impl OverlaySupport {
             r_side.seen = delta.r_inserted.len();
         }
         OverlaySupport {
-            half_extent: self.half_extent,
             s_grid: Arc::clone(&self.s_grid),
             r_grid: Arc::clone(&self.r_grid),
             base_bytes: self.base_bytes,
@@ -726,10 +671,10 @@ impl OverlaySupport {
         }
     }
 
-    /// Whether the grids' cell side is the window half-extent, so chunk
-    /// rows count cases 1 and 2 exactly ([`RowBound::Exact`]).
-    fn exact_rows(&self) -> bool {
-        self.s_grid.cell_side().to_bits() == self.half_extent.to_bits()
+    /// The grids' cell side: the widest window the support serves, and
+    /// the half-extent its chunk rows count cases 1 and 2 at.
+    fn side(&self) -> f64 {
+        self.s_grid.cell_side()
     }
 
     /// Wall-clock the grid builds took.
@@ -778,8 +723,8 @@ impl OverlaySupport {
 /// while in-flight cursors finish against the old one.
 pub struct OverlayIndex<I: SamplerIndex> {
     base: Arc<I>,
-    /// The half-extent of the window a draw tests: the support's, or a
-    /// narrower one ([`OverlayIndex::at`]).
+    /// The half-extent of the window a draw tests: at most the
+    /// support's cell side.
     window: f64,
     /// This snapshot's own delta: the inserted points a chunk's members
     /// and cross candidates index into, and the tombstones. It, the
@@ -813,21 +758,21 @@ impl<I: SamplerIndex> OverlayIndex<I> {
     /// itself and keeps it, and each batch of inserts is chunked once.
     ///
     /// # Panics
-    /// Panics if `support` was built for a different base snapshot or
-    /// half-extent than `delta`/`config` describe, or has seen inserts
-    /// `delta` does not hold — mismatched sources would silently bias
-    /// the overlay.
+    /// Panics if `support` was built for a different base snapshot than
+    /// `delta` describes, or has seen inserts `delta` does not hold —
+    /// mismatched sources would silently bias the overlay — or if its
+    /// cell side is below `config.half_extent`.
     pub fn new(
         base: Arc<I>,
         delta: DeltaSet,
         support: &OverlaySupport,
         config: &SampleConfig,
     ) -> Self {
-        let l = support.half_extent;
+        let l = config.half_extent;
         assert!(
-            l.to_bits() == config.half_extent.to_bits(),
-            "overlay support was built for l = {l}, config says {}",
-            config.half_extent
+            l <= support.side(),
+            "overlay grid cell side ({}) is below the window half-extent ({l})",
+            support.side()
         );
         let support = support.extended(&delta);
 
@@ -858,14 +803,14 @@ impl<I: SamplerIndex> OverlayIndex<I> {
     /// still one position of one row, and the draws stay uniform.
     ///
     /// # Panics
-    /// Panics if `l` exceeds the support's half-extent, or if `base`
+    /// Panics if `l` exceeds the support's cell side, or if `base`
     /// weighs other than this snapshot's base (it must be the same rows
     /// at another window).
     pub fn at(&self, base: Arc<I>, l: f64) -> Self {
         assert!(
-            l <= self.support.half_extent,
-            "window {l} exceeds the overlay's half-extent {}",
-            self.support.half_extent
+            l <= self.support.side(),
+            "window {l} exceeds the overlay's cell side {}",
+            self.support.side()
         );
         assert_eq!(
             base.total_weight().to_bits(),
@@ -880,13 +825,6 @@ impl<I: SamplerIndex> OverlayIndex<I> {
             source_alias: self.source_alias.clone(),
             ..*self
         }
-    }
-
-    /// Whether an inserted `r`'s exact run is its window's own, so its
-    /// candidates need no test: the rows are exact and were counted for
-    /// this very window.
-    fn runs_are_the_window(&self) -> bool {
-        self.support.exact_rows() && self.window.to_bits() == self.support.half_extent.to_bits()
     }
 
     /// The unchanged base index underneath.
@@ -1008,9 +946,8 @@ impl<I: SamplerIndex> OverlayIndex<I> {
                 .expect("positive row weight for an empty cell");
             let cell = grid.cell(slot);
             match case_of(pick.part) {
-                // A part counted as its whole cell: a corner, or any part
-                // of a block wider than the window.
-                case if matches!(case, CellCase::Quadrant { .. }) || !sup.exact_rows() => {
+                // A corner, counted as its whole cell.
+                CellCase::Quadrant { .. } => {
                     let id = cell.by_x[rank];
                     in_window(grid.point(id)).then(|| pair(id as usize))
                 }
@@ -1019,10 +956,10 @@ impl<I: SamplerIndex> OverlayIndex<I> {
                         .expect("non-corner case must yield a run");
                     let id = run[rank];
                     // The run is exactly the window's for an inserted
-                    // `r` (no coordinate is read); for an inserted `s`
-                    // it was bounded a few ulps wide, and for a window
-                    // narrower than the rows' it holds more, so test.
-                    let exact = from_r && self.runs_are_the_window();
+                    // `r` at the cell side (no coordinate is read); for
+                    // an inserted `s` it was bounded a few ulps wide,
+                    // and for a narrower window it holds more, so test.
+                    let exact = from_r && self.window.to_bits() == sup.side().to_bits();
                     debug_assert!(!exact || in_window(grid.point(id)));
                     (exact || in_window(grid.point(id))).then(|| pair(id as usize))
                 }
@@ -1284,7 +1221,7 @@ mod tests {
         let base = Arc::new(BbstIndex::build(&base_r, &base_s, &cfg));
         let s_grid = Arc::clone(base.s_structures().store().grid_arc());
         let own = OverlaySupport::build(&base_r, &base_s, l);
-        let shared = OverlaySupport::on_grid(base.r_set(), Arc::clone(&s_grid), l);
+        let shared = OverlaySupport::on_grid(base.r_set(), Arc::clone(&s_grid));
         // The one a support builds itself holds both base sets; a copy
         // of `R` made for one grid keeps no orders.
         let own_sets = s_grid.memory_bytes() + 16 * base_r.len();

@@ -6,7 +6,9 @@
 //! `Cursor::sample_batch` and the staged block kernel — is uniform over
 //! the materialised join on clustered and on locally uniform data,
 //! spends three words an iteration, is the sequential draw on the same
-//! words, and is reproducible from a seed.
+//! words, and is reproducible from a seed. The rows' one admission
+//! threshold (`GroupCore::serves`) gives every window the verdict, and
+//! the accepted count, of the probe that used to run per window.
 //!
 //! Deterministic: fixed seeds, chi-squared threshold `df + 6·√(2·df)`
 //! (the margin `block_kernel.rs` states), so a failure is a bias, not
@@ -293,6 +295,96 @@ fn same_seed_and_batch_sizes_give_identical_pairs() {
     assert_eq!(a.len(), total);
     assert_eq!(a, b);
     assert_ne!(a, run(&[total]));
+}
+
+/// The admission probe as it ran once per window before the rows held
+/// their verdict: 4096 iterations of the index's own block kernel at
+/// the window, from a fixed seed. The accepted count, and whether it is
+/// at least half.
+fn probe_at(core: &Arc<GroupCore>, l: f64) -> (usize, bool) {
+    let index = GroupIndex::on_core(Arc::clone(core), &SampleConfig::new(l));
+    let mut rng = SmallRng::seed_from_u64(0x9E37_79B9_7F4A_7C15);
+    let (mut stats, mut out) = (PhaseReport::default(), Vec::new());
+    let accepted = match index.try_many(4096, &mut rng, &mut (), &mut stats, &mut out) {
+        Ok(()) => stats.samples as usize,
+        Err(_) => 0,
+    };
+    (accepted, accepted as f64 / 4096.0 >= 0.5)
+}
+
+/// On uniform, clustered (near and far from the origin) and lattice
+/// data and on an empty join, at a
+/// sweep of windows up to the cell side and at every candidate's least
+/// window and its ulp neighbours: the candidates whose least window is
+/// reached are as many as the per-window probe accepts, and the core's
+/// one threshold gives the probe's verdict. On the 0.1 lattice the
+/// narrowest window served is an ulp-level 0.09999999999999994, so the
+/// least windows must be exact as the window test rounds.
+#[test]
+fn one_threshold_per_core_gives_every_windows_probe_verdict() {
+    let lattice = |n, seed| -> Vec<Point> {
+        pseudo_points(n, seed, 30.0)
+            .into_iter()
+            .map(|p| Point::new(p.x.floor() * 0.1, p.y.floor() * 0.1))
+            .collect()
+    };
+    let (uniform_r, uniform_s, l) = uniform_sets();
+    let (clustered_r, clustered_s, _) = clustered_sets();
+    // The clustered sets where an ulp of a coordinate is 2¹³ ulps of
+    // the window: the rounding of `r ± l` moves a least window far from
+    // the distance.
+    let shifted = |points: &[Point]| -> Vec<Point> {
+        let by = |x: f64| x + 65_536.3;
+        points
+            .iter()
+            .map(|p| Point::new(by(p.x), by(p.y)))
+            .collect()
+    };
+    let (far_r, far_s) = (shifted(&clustered_r), shifted(&clustered_s));
+    let (lattice_r, lattice_s) = (lattice(200, 105), lattice(300, 106));
+    let empty = vec![Point::new(500.0, 500.0)];
+    // Each with its cell side and whether its verdict flips inside the
+    // sweep; the uniform rows need about 2.2 iterations a sample even
+    // at their side.
+    let cases = [
+        ("uniform", uniform_r, uniform_s, l, false),
+        (
+            "clustered, a side above l",
+            clustered_r,
+            clustered_s,
+            8.0,
+            true,
+        ),
+        ("clustered, far from the origin", far_r, far_s, 8.0, true),
+        ("0.1 lattice", lattice_r, lattice_s, 0.1, true),
+        ("empty join", uniform_sets().0, empty, l, false),
+    ];
+    for (name, r, s, side, flips) in cases {
+        let core = Arc::new(GroupCore::build(&r, Arc::new(Grid::build(&s, side))));
+        let least = core.probe_windows();
+        assert_eq!(least.len(), 4096, "{name}");
+        let mut windows: Vec<f64> = (1..=64).map(|k| side * f64::from(k) / 64.0).collect();
+        for &t in least.iter().filter(|t| t.is_finite()) {
+            windows.extend([t.next_down(), t, t.next_up()]);
+        }
+        windows.retain(|&l| l > 0.0 && l <= side);
+        windows.sort_by(f64::total_cmp);
+        windows.dedup();
+        let mut served = 0;
+        for &l in &windows {
+            let (accepted, serves) = probe_at(&core, l);
+            let reached = least.iter().filter(|&&t| t <= l).count();
+            assert_eq!(reached, accepted, "{name}: l = {l}");
+            assert_eq!(core.serves(l), serves, "{name}: l = {l}");
+            assert_eq!(core.verdict(l), Some(serves), "{name}: l = {l}");
+            served += usize::from(serves);
+        }
+        if flips {
+            assert!(0 < served && served < windows.len(), "{name}: no flip");
+        } else {
+            assert_eq!(served, 0, "{name}");
+        }
+    }
 }
 
 proptest! {

@@ -52,21 +52,22 @@
 //! ([`srj_grid::Grid::dirty_cells`]). Under group rows its cell side is
 //! the window's ladder step ([`srj_grid::ladder_side`]).
 //!
-//! **Windows.** An engine serves its own window `l` and, from group
-//! rows of `l`'s ladder step, every narrower window on the step that
-//! the rows pass the probe for ([`EpochEngine::handle_at`]); built at a
-//! step ([`EpochEngine::for_step`]), it serves the whole step. A
-//! narrower window's handle draws from a view of the serving engine at
-//! the window's half-extent — the same rows, the same overlay, its own
+//! **Windows.** An engine serves its own window `l` and, from the group
+//! rows of its full build, every narrower window on `l`'s ladder step
+//! that the rows serve ([`EpochEngine::handle_at`]); built at a step
+//! ([`EpochEngine::for_step`]), it serves the whole step. A narrower
+//! window's handle draws from a view of the serving engine at the
+//! window's half-extent — the same rows, the same overlay, its own
 //! window test — derived per handle in `O(1)`, so one swap cell serves
 //! the step: a mutation batch is folded, and a patch counted, once per
-//! step, not once per window. The verdicts are the full build's: the
-//! probe is monotone in the window, so the engine keeps the widest
-//! window that failed and the narrowest that passed, and probes only
-//! between them — two numbers, however many windows ask. A window the
-//! rows fail is not this engine's to serve ([`EpochEngine::handle_at`]
-//! says `None`); it is served by an engine of its own, built at its
-//! half-extent ([`EpochEngine::off_step`]).
+//! step, not once per window. The verdicts are the rows' own: a
+//! [`srj_core::GroupCore`] holds one number, the narrowest window it
+//! serves, computed the first time any window asks — however many
+//! windows ask, and whichever rung (full build, cell patch, `R`-only
+//! rebuild) made the rows. A window the rows fail is not this engine's
+//! to serve ([`EpochEngine::handle_at`] says `None`); it is served by an
+//! engine of its own, built at its half-extent
+//! ([`EpochEngine::off_step`]).
 //!
 //! **Counts.** A swap counts its rung into the cell's
 //! [`MaintenanceCounters`] where it commits, under the state write lock,
@@ -196,33 +197,9 @@ struct EpochState {
     support: Option<Arc<OverlaySupport>>,
     built_epoch: u64,
     built_version: u64,
-    /// Full builds so far: the verdicts below are the last one's.
-    full_builds: u64,
-    /// The full build's rows fail every window up to this half-extent…
-    fails_up_to: f64,
-    /// …and serve every window from this one up to the engine's own.
-    serves_from: f64,
-    /// Probes run, for the tests.
-    #[cfg(test)]
-    probes: usize,
 }
 
 impl EpochState {
-    /// The verdicts of a full build `base` for an engine of window
-    /// `home`: its rows serve `home` (and nothing narrower is known) if
-    /// they are group rows of `home`'s ladder step — they were probed
-    /// for it and passed — and fail every narrower window otherwise.
-    fn verdicts(base: &Engine, home: f64) -> (f64, f64) {
-        let on_step = base
-            .group_core()
-            .is_some_and(|core| core.grid().cell_side().to_bits() == ladder_side(home).to_bits());
-        if on_step {
-            (f64::NEG_INFINITY, home)
-        } else {
-            (home, f64::INFINITY)
-        }
-    }
-
     /// Publishes the change from what this state published last to its
     /// `share` ([`share`]) into `c`'s index gauges. Whole numbers add
     /// exactly, so the gauges go back to exactly zero.
@@ -234,19 +211,6 @@ impl EpochState {
             }
         }
         self.published = share;
-    }
-
-    /// What is known of the window `l`: `Some(true)` where the rows
-    /// serve it, `Some(false)` where they fail it, `None` before a
-    /// probe.
-    fn verdict(&self, l: f64) -> Option<bool> {
-        if l <= self.fails_up_to {
-            Some(false)
-        } else if l >= self.serves_from {
-            Some(true)
-        } else {
-            None
-        }
     }
 }
 
@@ -414,7 +378,6 @@ impl EpochEngine {
         }
         let snap = store.snapshot();
         let base = first(&snap)?;
-        let (fails_up_to, serves_from) = EpochState::verdicts(&base, config.half_extent);
         let mut state = EpochState {
             current: base.clone(),
             base_bytes: own_bytes(&base, &base),
@@ -425,16 +388,11 @@ impl EpochEngine {
             support: None,
             built_epoch: snap.epoch,
             built_version: snap.version,
-            full_builds: 0,
-            fails_up_to,
-            serves_from,
-            #[cfg(test)]
-            probes: 0,
         };
         if !snap.delta.is_empty() {
             // The store already carried mutations: serve them through
             // an overlay from the start.
-            let support = Self::support_on(&state.base, config).extended(&snap.delta);
+            let support = Self::support_on(&state.base).extended(&snap.delta);
             state.current = state.base.with_overlay(snap.delta, &support, config);
             state.support = Some(Arc::new(support));
         }
@@ -472,9 +430,9 @@ impl EpochEngine {
     /// `base` stands on — dead ids already out of every cell; its cell
     /// side may exceed the window's — and a grid on the `R` set it
     /// stands on, the epoch's.
-    fn support_on(base: &Engine, config: &SampleConfig) -> OverlaySupport {
+    fn support_on(base: &Engine) -> OverlaySupport {
         let s_grid = base.s_grid().expect("an epoch's base is a full build");
-        OverlaySupport::on_grid(&base.r_set(), s_grid, config.half_extent)
+        OverlaySupport::on_grid(&base.r_set(), s_grid)
     }
 
     /// The shared mutable dataset.
@@ -521,10 +479,11 @@ impl EpochEngine {
     /// `seed`, or from the serving engine's handle sequence. Refreshes
     /// the swap cell first, like [`EpochEngine::handle`]. A narrower
     /// window draws from the serving engine's rows where they serve it
-    /// (probed here the first time the full build is asked for it) and
-    /// its seeded stream is the one an engine built for `l` alone
-    /// draws; where the rows fail it, `None`: the window is served by
-    /// an engine of its own ([`EpochEngine::off_step`]).
+    /// ([`srj_core::GroupCore::serves`], computed here the first time
+    /// any window asks the rows) and its seeded stream is the one an
+    /// engine built for `l` alone draws; where the rows fail it, `None`:
+    /// the window is served by an engine of its own
+    /// ([`EpochEngine::off_step`]).
     ///
     /// # Panics
     /// Panics if `l` exceeds this engine's window or maps to another
@@ -540,12 +499,12 @@ impl EpochEngine {
     /// [`EpochEngine::handle_at`] for a caller that must never wait:
     /// `None` when maintenance is due (the store drifted), or when a swap
     /// holds the state lock or a writer the store this instant — instead
-    /// of running or waiting for it — and for a window whose verdict is
-    /// not known yet ([`EpochEngine::verdict_at`]): nothing is probed
-    /// here. Otherwise the very handle [`EpochEngine::handle_at`] would
-    /// have issued. The server's event loop acquires through this and
-    /// leaves every `None` to a worker, so no swap ever runs on the
-    /// thread that owns the sockets.
+    /// of running or waiting for it — and for a window whose verdict the
+    /// rows have not computed yet ([`EpochEngine::verdict_at`]): nothing
+    /// is probed here. Otherwise the very handle
+    /// [`EpochEngine::handle_at`] would have issued. The server's event
+    /// loop acquires through this and leaves every `None` to a worker,
+    /// so no swap ever runs on the thread that owns the sockets.
     pub fn try_handle_at(&self, l: f64, seed: Option<u64>) -> Option<SamplerHandle> {
         let current = self.settled()?;
         if self.is_home(l) {
@@ -557,54 +516,33 @@ impl EpochEngine {
     /// What this engine knows of the window `l` — its own or a narrower
     /// one on its ladder step, as [`EpochEngine::handle_at`] takes —
     /// without probing or waiting: `Some(true)` for its own window and
-    /// one its rows serve, `Some(false)` for one they fail, `None` before
-    /// the window's probe, or while a swap holds the state lock.
+    /// one its rows serve, `Some(false)` for one they fail (every one,
+    /// where the full build has no group rows), `None` before the rows
+    /// have computed their verdict, or while a swap holds the state lock.
     pub fn verdict_at(&self, l: f64) -> Option<bool> {
         if self.is_home(l) {
             return Some(true);
         }
-        self.state.try_read().ok()?.verdict(l)
+        let core = self.state.try_read().ok()?.base.group_core();
+        core.map_or(Some(false), |core| core.verdict(l))
     }
 
-    /// Whether the full build's rows serve the window `l`, probing them
-    /// if no verdict covers it yet. The probe runs outside every lock;
-    /// a full build that lands meanwhile makes its verdict moot, so it
-    /// is recorded only against the build it probed.
+    /// Whether the full build's rows serve the window `l`: its group
+    /// core is taken under the read lock and asked outside it, which
+    /// computes the core's verdict if no window has yet.
     fn serves(&self, l: f64) -> bool {
         let home = self.config.half_extent;
         assert!(
             l < home && ladder_side(l).to_bits() == ladder_side(home).to_bits(),
             "window {l} is not on the step of the engine's window {home}"
         );
-        let (core, full_builds) = {
-            let st = self.state.read().expect("epoch state poisoned");
-            if let Some(known) = st.verdict(l) {
-                return known;
-            }
-            let core = st
-                .base
-                .group_core()
-                .expect("between the verdicts: group rows");
-            (core, st.full_builds)
-        };
-        let config = SampleConfig {
-            half_extent: l,
-            ..self.config
-        };
-        let serves = family::rows_serve(&core, &config);
-        let mut st = self.state.write().expect("epoch state poisoned");
-        if st.full_builds == full_builds {
-            if serves {
-                st.serves_from = st.serves_from.min(l);
-            } else {
-                st.fails_up_to = st.fails_up_to.max(l);
-            }
-            #[cfg(test)]
-            {
-                st.probes += 1;
-            }
-        }
-        serves
+        let core = self
+            .state
+            .read()
+            .expect("epoch state poisoned")
+            .base
+            .group_core();
+        core.is_some_and(|core| core.serves(l))
     }
 
     /// Whether `l` is this engine's own window.
@@ -775,8 +713,8 @@ impl EpochEngine {
 
     /// Installs a freshly built epoch: base == current, no overlay
     /// support yet, and publishes its share (its bytes walked here,
-    /// before the lock). Returns the still-held write guard, so a full
-    /// build's verdicts replace the last one's with its base.
+    /// before the lock). Returns the still-held write guard, so the
+    /// caller counts the rung where it commits.
     fn commit_epoch(
         &self,
         engine: Engine,
@@ -819,10 +757,7 @@ impl EpochEngine {
         let (snap, _) = self.store.compact();
         let engine = Self::build_base(&snap, &self.config, &self.cfg, self.on_step);
         let mu_after = engine.total_weight();
-        let mut st = self.commit_epoch(engine, &snap);
-        // The verdicts were the last full build's.
-        st.full_builds += 1;
-        (st.fails_up_to, st.serves_from) = EpochState::verdicts(&st.base, self.config.half_extent);
+        let st = self.commit_epoch(engine, &snap);
         self.counters.full_rebuild.inc();
         drop(st);
         event(EventKind::FullRebuild)
@@ -947,7 +882,7 @@ impl EpochEngine {
             return self.major_swap();
         }
         let support = support
-            .unwrap_or_else(|| Arc::new(Self::support_on(&base, &self.config)))
+            .unwrap_or_else(|| Arc::new(Self::support_on(&base)))
             .extended(&snap.delta);
         let (epoch, version) = (snap.epoch, snap.version);
         let pending_ops = snap.delta.pending_ops();
@@ -1440,12 +1375,12 @@ mod tests {
     }
 
     /// Two windows on the step 4 whose rows serve the step itself but
-    /// fail both windows: the step is built once and probed once — the
-    /// narrower window inherits the wider one's verdict, and asking
-    /// again probes nothing — and declines both. Each window is then
-    /// served from rows at its own half-extent by an engine of its own,
-    /// whose stream is the one an engine built for the window alone
-    /// draws.
+    /// fail both windows: the step is built once, and its core computed
+    /// its threshold once, at the build, for the step's own window — read
+    /// through the core, both windows' verdicts are known before either
+    /// is asked — and declines both. Each window is then served from
+    /// rows at its own half-extent by an engine of its own, whose stream
+    /// is the one an engine built for the window alone draws.
     #[test]
     fn a_failed_step_is_probed_once_and_its_windows_get_rows_at_l() {
         let (r, s) = (lattice_points(400, 11), lattice_points(2_000, 12));
@@ -1459,6 +1394,9 @@ mod tests {
         )
         .expect("the rows serve the step itself");
         let core = step.engine().group_core().unwrap();
+        for l in [3.7, 3.5] {
+            assert_eq!(core.verdict(l), Some(false), "l = {l}: known at build");
+        }
         for l in [3.7, 3.5, 3.7, 3.5] {
             assert!(step.handle_at(l, Some(5)).is_none(), "l = {l}");
             assert_eq!(step.verdict_at(l), Some(false), "l = {l}");
@@ -1480,11 +1418,6 @@ mod tests {
                 .unwrap();
             assert!(got == want, "l = {l}: not the window's own stream");
         }
-        assert_eq!(
-            step.state.read().unwrap().probes,
-            1,
-            "3.5 inherits 3.7's verdict"
-        );
         let now = step.engine().group_core().unwrap();
         assert!(Arc::ptr_eq(&now, &core), "the step was built once");
     }
@@ -1503,8 +1436,9 @@ mod tests {
     }
 
     /// Ten thousand windows on one step, each served from the step's
-    /// rows: one probe settles them all, and the engine keeps nothing
-    /// per window — its bytes are what they were before the first.
+    /// rows: the core's one threshold, computed at the step's build,
+    /// settles them all, and the engine keeps nothing per window — its
+    /// bytes are what they were before the first.
     #[test]
     fn ten_thousand_windows_on_one_step_keep_nothing_per_window() {
         let centres = pseudo_points(12, 77, 58.0);
@@ -1519,17 +1453,16 @@ mod tests {
         let counters = MaintenanceCounters::default();
         let step = EpochEngine::for_step(store, &SampleConfig::new(4.0), bbst(), counters)
             .expect("clustered rows serve the step");
+        let core = step.engine().group_core().unwrap();
+        assert_eq!(core.verdict(3.2), Some(true), "known at build");
         let before = step.memory_breakdown();
         for i in 0..10_000 {
             let l = 3.2 + 0.8 * f64::from(i) / 10_000.0;
             let mut h = step.handle_at(l, Some(1)).expect("the rows serve l");
             assert_eq!(h.sample_batch(4).unwrap().len(), 4);
         }
-        assert_eq!(
-            step.state.read().unwrap().probes,
-            1,
-            "the narrowest passed first"
-        );
+        let now = step.engine().group_core().unwrap();
+        assert!(Arc::ptr_eq(&now, &core), "the windows share one core");
         assert!(
             step.memory_breakdown() == before,
             "a window left bytes behind"
@@ -1538,6 +1471,71 @@ mod tests {
             step.stats().samples,
             40_000,
             "every window counts in the step's stats"
+        );
+    }
+
+    /// A step's engine serves a narrower window, then a local batch of
+    /// `S` in one cluster's block, but outside its windows at `l`, is
+    /// folded by a cell patch: the patched rows need more than two
+    /// iterations a sample at `l`, and the verdict follows them — it is
+    /// the patched core's own, not the one the rows before the patch
+    /// gave.
+    #[test]
+    fn a_patched_core_decides_its_windows_afresh() {
+        use rand::{rngs::SmallRng, SeedableRng};
+        use srj_core::{Cursor, GroupIndex};
+
+        let centres = pseudo_points(12, 77, 58.0);
+        let clustered = |n, seed| -> Vec<Point> {
+            pseudo_points(n, seed, 0.8)
+                .into_iter()
+                .zip(centres.iter().cycle())
+                .map(|(p, c)| Point::new(c.x + p.x, c.y + p.y))
+                .collect()
+        };
+        let store = Arc::new(DatasetStore::new(clustered(120, 31), clustered(180, 32)));
+        let counters = MaintenanceCounters::default();
+        let step = EpochEngine::for_step(store, &SampleConfig::new(4.0), bbst(), counters)
+            .expect("clustered rows serve the step");
+        let l = 3.2;
+        assert!(step.handle_at(l, Some(1)).is_some(), "the rows serve l");
+        assert_eq!(step.verdict_at(l), Some(true));
+        let before = step.engine().group_core().unwrap();
+
+        // 400 points a column to the right of one cluster: in the block
+        // of its cell of `R` (its centre lies well inside a cell), at
+        // least 3.4 from each of its `r` along x.
+        let c = *centres.iter().find(|c| c.x % 4.0 < 3.0).unwrap();
+        for p in pseudo_points(400, 33, 1.0) {
+            step.insert_s(Point::new(c.x + 4.2 + 0.2 * p.x, c.y + 0.8 * p.y));
+        }
+        step.refresh();
+        assert_eq!(step.patch_swaps(), 1, "a local S batch is a cell patch");
+        let core = step.engine().group_core().unwrap();
+        assert!(!Arc::ptr_eq(&core, &before), "the patch built new rows");
+        let view = GroupIndex::on_core(Arc::clone(&core), &SampleConfig::new(l));
+        let mut cursor = Cursor::new(Arc::new(view));
+        let mut rng = SmallRng::seed_from_u64(2);
+        cursor
+            .sample_batch(2_000, &mut rng, &mut Vec::new())
+            .unwrap();
+        let stats = cursor.sampling_stats();
+        assert!(
+            stats.iterations > 2 * stats.samples,
+            "the patched rows need {} iterations for {} samples",
+            stats.iterations,
+            stats.samples
+        );
+
+        assert_ne!(step.verdict_at(l), Some(true), "the old rows' verdict");
+        assert!(
+            step.handle_at(l, Some(1)).is_none(),
+            "the patched rows fail l"
+        );
+        assert_eq!(step.verdict_at(l), Some(false));
+        assert!(
+            step.handle_at(4.0, Some(1)).is_some(),
+            "the step's own window"
         );
     }
 }

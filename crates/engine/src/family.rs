@@ -21,11 +21,12 @@
 //! The grid's cell side is the window half-extent `l`, except under
 //! group rows: those stand on the grid of `l`'s ladder step
 //! ([`srj_grid::ladder_side`]), and the rows built on it
-//! ([`GroupCore`]) serve every window up to the step. A full build's
-//! rows serve such a window through [`EngineIndex::at`] — the same
-//! rows, the same overlay, the window's own test — once
-//! [`rows_serve`] has admitted them for it; the epoch engine of the
-//! step keeps the verdicts and derives a window's view on each handle.
+//! ([`GroupCore`]) serve every window up to the step that they admit
+//! themselves ([`GroupCore::serves`]: one threshold per core, computed
+//! once). A full build's rows serve such a window through
+//! [`EngineIndex::at`] — the same rows, the same overlay, the window's
+//! own test — and the epoch engine of the step asks its full build's
+//! core for each window and derives the window's view on each handle.
 //! Built for a window below the step, that engine is the step's rows
 //! or nothing ([`build_step`]); a window the rows fail is built at its
 //! own side (`on_step: false`).
@@ -40,7 +41,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use srj_core::{
     BbstIndex, BbstSStructures, CellPatchReport, Cursor, DeltaSet, GroupCore, GroupIndex,
     IndexBytes, JoinPair, JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex,
@@ -374,36 +374,14 @@ fn unforced(n: usize, m: usize) -> Algorithm {
     }
 }
 
-/// Iterations of the probe that decides [`Algorithm::Bbst`]'s row
-/// granularity, and the generator seed it always starts from.
-const PROBE_ITERATIONS: usize = 4096;
-const PROBE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Group rows serve when the probe accepts at least this share of its
-/// iterations, i.e. needs ≤ 2 iterations a sample. The threshold is the
-/// ratio of what an iteration costs at the two granularities:
-///
-/// * A group iteration (three words, no tree descent, no hash probe)
-///   costs at most 0.48 of a per-`r` one. That worst case is
-///   `bulk_draw`'s data, where both draws are cache-bound; the other
-///   benchmark datasets measure 0.29–0.34.
-/// * Per-`r` rows need at least one iteration a sample.
-///
-/// So admitted group rows never draw slower than per-`r` rows could,
-/// and they build 6–8× faster and keep under half the bytes.
-/// `experiments row-granularity` (`srj-bench`) prints each dataset's ns
-/// per iteration at both granularities and their ratio; re-price this
-/// constant from one run of it.
-const MIN_PROBE_ACCEPTANCE: f64 = 1.0 / 2.0;
-
 /// [`Algorithm::Bbst`] at the row granularity the data calls for.
 ///
 /// Group rows cost one `O(n)` pass over a grid, so they come first and
-/// are probed ([`rows_serve`]). They stand on the grid of `l`'s ladder
-/// step ([`ladder_side`]), whose rows serve every window up to the step
-/// exactly. If the §III-B bound is tight enough — at most two
-/// iterations a sample ([`MIN_PROBE_ACCEPTANCE`]); data clustered below
-/// the window size — the group rows *are* the index.
+/// are probed ([`GroupCore::serves`]). They stand on the grid of `l`'s
+/// ladder step ([`ladder_side`]), whose rows serve every window up to
+/// the step exactly. If the §III-B bound is tight enough — at most two
+/// iterations a sample; data clustered below the window size — the
+/// group rows *are* the index.
 ///
 /// Otherwise the build runs at `l` itself as a ladder window's does
 /// ([`build_bbst_on`]): group rows over a grid of side `l`, probed, and
@@ -428,9 +406,8 @@ fn build_bbst(
     let step = ladder_side(l);
     let (core, spent) = group_core(r, s, step, preprocessing);
     let t0 = Instant::now();
-    let core = Arc::new(core);
-    if rows_serve(&core, config) {
-        return Built::full(GroupIndex::on_core(core, config), spent).boxed();
+    if core.serves(l) {
+        return Built::full(GroupIndex::on_core(Arc::new(core), config), spent).boxed();
     }
     let (step_grid, probed) = (Arc::clone(core.grid()), t0.elapsed());
     drop(core);
@@ -455,8 +432,8 @@ fn build_bbst(
 /// The group rows of the ladder step `config.half_extent`, built for
 /// the windows below it, where they serve the step's own window;
 /// `None` where they fail it, and so every window on the step
-/// ([`rows_serve`]): the build stops at the verdict, and no per-`r`
-/// rows are built for a window nobody asked for.
+/// ([`GroupCore::serves`]): the build stops at the verdict, and no
+/// per-`r` rows are built for a window nobody asked for.
 pub(crate) fn build_step(
     r: &Arc<PointSet>,
     s: Arc<PointSet>,
@@ -466,9 +443,8 @@ pub(crate) fn build_step(
     debug_assert_eq!(ladder_side(step).to_bits(), step.to_bits(), "not a step");
     let preprocessing = s.ensure_orders();
     let (core, spent) = group_core(r, s, step, preprocessing);
-    let core = Arc::new(core);
-    let served = rows_serve(&core, config);
-    served.then(|| Built::full(GroupIndex::on_core(core, config), spent).boxed())
+    let served = core.serves(step);
+    served.then(|| Built::full(GroupIndex::on_core(Arc::new(core), config), spent).boxed())
 }
 
 /// [`build_bbst`] over a grid at `l` itself: group rows, probed, and
@@ -481,7 +457,7 @@ fn build_bbst_on(
 ) -> Box<dyn EngineIndex> {
     let t0 = Instant::now();
     let groups = build_family::<GroupIndex>(r, Arc::clone(&grid), config, base);
-    if probe_acceptance(&groups.full) >= MIN_PROBE_ACCEPTANCE {
+    if groups.full.core().serves(config.half_extent) {
         return groups.boxed();
     }
     drop(groups);
@@ -511,39 +487,6 @@ fn group_core(
         ..base
     };
     (core, spent)
-}
-
-/// Whether the group rows `core` serve the window of `config`: a probe
-/// of [`PROBE_ITERATIONS`] iterations of their own kernel, from a fixed
-/// seed, accepts at least [`MIN_PROBE_ACCEPTANCE`] of them.
-///
-/// The probe's random words pick a group, a member and a position
-/// whatever the window is; only the window test reads `l`, and a
-/// narrower window accepts a subset of what a wider one does. So on one
-/// core the verdict is monotone in `l`: rows that fail a window fail
-/// every narrower one, rows that serve a window serve every wider one
-/// up to their side.
-pub(crate) fn rows_serve(core: &Arc<GroupCore>, config: &SampleConfig) -> bool {
-    probe_acceptance(&GroupIndex::on_core(Arc::clone(core), config)) >= MIN_PROBE_ACCEPTANCE
-}
-
-/// Share of [`PROBE_ITERATIONS`] fixed-seed iterations `index` accepts;
-/// zero for an empty join.
-fn probe_acceptance(index: &GroupIndex) -> f64 {
-    let mut rng = SmallRng::seed_from_u64(PROBE_SEED);
-    let mut stats = PhaseReport::default();
-    let mut outcomes = Vec::with_capacity(PROBE_ITERATIONS);
-    let probed = index.try_many(
-        PROBE_ITERATIONS,
-        &mut rng,
-        &mut (),
-        &mut stats,
-        &mut outcomes,
-    );
-    match probed {
-        Ok(()) => stats.samples as f64 / PROBE_ITERATIONS as f64,
-        Err(_) => 0.0,
-    }
 }
 
 /// Family `F` over `grid`; `base` is what this build spent before the

@@ -135,10 +135,36 @@ struct DatasetRow {
     latency_count: f64,
 }
 
-fn snapshot_rows(samples: &[Sample]) -> BTreeMap<u64, DatasetRow> {
-    let mut rows: BTreeMap<u64, DatasetRow> = BTreeMap::new();
+/// What a dataset row is keyed by: a registered id, in numeric order,
+/// then any other `dataset` label value — `unregistered`, the series of
+/// the requests that named no registered dataset.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum DatasetKey {
+    Id(u64),
+    Named(String),
+}
+
+impl DatasetKey {
+    fn of(label: &str) -> Self {
+        label
+            .parse()
+            .map_or_else(|_| DatasetKey::Named(label.to_string()), DatasetKey::Id)
+    }
+}
+
+impl std::fmt::Display for DatasetKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DatasetKey::Id(id) => id.fmt(f),
+            DatasetKey::Named(name) => name.fmt(f),
+        }
+    }
+}
+
+fn snapshot_rows(samples: &[Sample]) -> BTreeMap<DatasetKey, DatasetRow> {
+    let mut rows: BTreeMap<DatasetKey, DatasetRow> = BTreeMap::new();
     for s in samples {
-        let Some(dataset) = s.label("dataset").and_then(|d| d.parse::<u64>().ok()) else {
+        let Some(dataset) = s.label("dataset").map(DatasetKey::of) else {
             continue;
         };
         let row = rows.entry(dataset).or_default();
@@ -261,8 +287,8 @@ fn render_util(current: &HealthRow, prev: &HealthRow) -> String {
 }
 
 fn render(
-    rows: &BTreeMap<u64, DatasetRow>,
-    prev: &BTreeMap<u64, DatasetRow>,
+    rows: &BTreeMap<DatasetKey, DatasetRow>,
+    prev: &BTreeMap<DatasetKey, DatasetRow>,
     health: HealthRow,
     prev_health: &HealthRow,
     slow: &[SlowLogEntry],
@@ -421,7 +447,7 @@ fn main() {
         }
     };
 
-    let mut prev: BTreeMap<u64, DatasetRow> = BTreeMap::new();
+    let mut prev: BTreeMap<DatasetKey, DatasetRow> = BTreeMap::new();
     let mut prev_health = HealthRow::default();
     let mut last_poll = Instant::now();
     loop {

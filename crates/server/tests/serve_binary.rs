@@ -88,6 +88,20 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
         .unwrap();
     assert_eq!(outcome.status, RequestStatus::Ok);
     assert_eq!(outcome.pairs.len(), 1_000);
+    // One request naming no registered dataset: counted under
+    // `dataset="unregistered"`, which the dashboard shows as a row too.
+    let unknown = client
+        .sample(SampleRequest {
+            req_id: 1,
+            dataset: 99,
+            l: 100.0,
+            algorithm: None,
+            shards: 1,
+            t: 10,
+            seed: 7,
+        })
+        .unwrap();
+    assert_eq!(unknown.status, RequestStatus::UnknownDataset);
     let metrics = client.metrics().unwrap();
     assert!(
         metrics.contains("srj_requests_total{dataset=\"1\"} 1"),
@@ -107,8 +121,9 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
         "srj-top --raw printed no exposition: {top:?}"
     );
     // The dashboard parses what the raw dump shows: a row for the
-    // dataset served, and the worker-utilisation line once a profiler
-    // sweep (every 50 ms) has counted a state.
+    // dataset served and one for the unregistered requests, and the
+    // worker-utilisation line once a profiler sweep (every 50 ms) has
+    // counted a state.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let top = Command::new(TOP)
@@ -122,8 +137,8 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
             lines.any(|line| line.split_whitespace().next() == Some(first))
         };
         assert!(
-            row("dataset") && row("1"),
-            "no row for dataset 1:\n{dashboard}"
+            row("dataset") && row("1") && row("unregistered"),
+            "no row for dataset 1 or the unregistered requests:\n{dashboard}"
         );
         if dashboard.lines().any(|line| line.starts_with("util [")) {
             break;

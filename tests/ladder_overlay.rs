@@ -1,8 +1,8 @@
 //! An epoch whose full build stands on a ladder step above its window
 //! (`srj_grid::ladder_side`): the overlay stands on the epoch's grid,
-//! whose cell side exceeds `l`, so a chunk row is its member's block of
-//! nine cell populations and every candidate is tested against the
-//! window. Drawn uniformly through every rung of the maintenance ladder.
+//! whose cell side exceeds `l`, so a chunk row counts the exact runs of
+//! the step's window and every candidate is tested against `l`. Drawn
+//! uniformly through every rung of the maintenance ladder.
 
 use std::sync::Arc;
 
@@ -14,8 +14,8 @@ use common::{draw_and_check, draw_batches_and_check, pseudo_points};
 
 /// Clusters of the shape of `tests/golden_streams.rs`' clustered data,
 /// but 2 units across instead of 0.8: wider than the window of 1.3 used
-/// here, so a block of the step's grid holds points outside the window
-/// — the points a row counted as exact would wrongly take — while the
+/// here, so a run of the step's window holds points outside `l`'s — the
+/// points a draw that skipped the test would wrongly take — while the
 /// rows still need under two iterations a sample, and group rows serve.
 fn clustered_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
     let centres = pseudo_points(12, 77, extent - 2.0);
@@ -33,10 +33,9 @@ fn clustered_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
 /// (cross parts live both ways), a base and an insert tombstone, then a
 /// patch swap of a local batch of `S`, then an `R`-only rebuild: each
 /// stage draws uniformly over the live join, one draw at a time and in
-/// batches — from an engine built for the window, whose chunk rows are
-/// their blocks' populations, and from the step's engine, whose chunk
-/// rows are exact for the step's window and whose draws test the
-/// narrower one.
+/// batches — from an engine built for the window and from the step's
+/// engine: both draw from chunk rows exact for the step's window, and
+/// test the narrower one.
 #[test]
 fn an_off_ladder_group_epoch_draws_uniformly_through_every_rung() {
     let l = 1.3;
