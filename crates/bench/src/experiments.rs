@@ -630,9 +630,9 @@ const ROW_DATASETS: [(&str, DatasetKind, f64, f64); 6] = [
 /// The BBST family's two row granularities on the benchmark's datasets
 /// (their sizes × `cfg.scale`): per-`r` rows (`BbstIndex`, Algorithm 1)
 /// against one row per cell of `R` (`GroupIndex`, the §III-B bound
-/// alone), both over the point sets of a `DatasetStore` whose sorts are
-/// already paid — a warm-base cold build, what a serving cache miss
-/// pays.
+/// alone), both over the point sets of a `DatasetStore` — a cold build,
+/// what a serving cache miss pays: per-`r` rows sort every cell of
+/// their grid, group rows none.
 ///
 /// One `#` line per index (median build ms, iterations per sample, ns
 /// per iteration, index bytes per point) and per dataset the group /
@@ -651,7 +651,6 @@ pub fn row_granularity(cfg: &ExpConfig) -> String {
         let d = scaled_spec(kind, scale * cfg.scale, 0.5, 1);
         let points = d.total();
         let base = DatasetStore::new(d.r, d.s).snapshot();
-        base.base_s.ensure_orders();
         let sc = SampleConfig::new(l);
         let (r, s) = (&base.base_r, &base.base_s);
         let per_r = granularity_line(&mut out, name, "per_r", points, || {

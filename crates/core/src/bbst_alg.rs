@@ -12,16 +12,16 @@ use crate::cellstore::{BbstCellCtx, CellStore, PatchReport};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, IndexBytes, SamplerIndex, BLOCK};
 use crate::decompose::{case12_draw, quadrant_query, upper_bounding};
+use crate::parallel::effective_threads;
 
 /// Immutable build product of the paper's proposed algorithm
 /// (Section IV, Algorithm 1): `Õ(n + m + t)` expected time,
 /// `O(n + m)` space.
 ///
 /// **Phase 1 — online data-structure building** (`GRID-MAPPING` +
-/// `BBST-BUILDING`): map `S` onto a grid of cell side `l`, keep each
-/// cell's ids in x order and in y order — both inherited from the
-/// offline pre-sort, which a [`srj_grid::PointSet`] does once for every
-/// `l` — and build the two per-cell BBSTs. `O(m log m)` (Lemma 3).
+/// `BBST-BUILDING`): map `S` onto a grid of cell side `l`, sort each
+/// cell's ids in x order and in y order ([`Grid::sort_views`]) and build
+/// the two per-cell BBSTs. `O(m log m)` (Lemma 3).
 ///
 /// **Phase 2 — approximate range counting** (`UPPER-BOUNDING` +
 /// `ALIAS-BUILDING`): for every `r`, decompose `w(r)` over the 3×3 cell
@@ -120,8 +120,8 @@ const _: () = {
 /// [`BbstIndex::build_shared`].
 pub struct BbstSStructures {
     store: Arc<CellStore<CellBbsts>>,
-    /// Wall-clock of the offline sorts of `S`: zero unless this build
-    /// was the one that computed the point set's orders.
+    /// Wall-clock of the per-cell sorts of `S` the build forced
+    /// ([`Grid::sort_views`]): zero for cells already sorted.
     pub preprocessing: std::time::Duration,
     /// Wall-clock of grid construction + per-cell BBST builds.
     pub grid_mapping: std::time::Duration,
@@ -190,9 +190,12 @@ impl BbstIndex {
 
     /// The per-cell BBSTs over a grid the caller already built with cell
     /// side `config.half_extent` — and may go on sharing: the structures
-    /// hold the `Arc`, not a copy. `grid_mapping` is what the trees
-    /// cost; the grid's own build is the caller's to charge.
+    /// hold the `Arc`, not a copy. The grid's cells are sorted first
+    /// ([`Grid::sort_views`]), which is `preprocessing`; `grid_mapping`
+    /// is what the trees cost; the grid's own build is the caller's to
+    /// charge.
     pub fn s_structures_on_grid(grid: Arc<Grid>, config: &SampleConfig) -> BbstSStructures {
+        let preprocessing = grid.sort_views(effective_threads(config.build_threads));
         let t1 = Instant::now();
         let ctx = BbstCellCtx {
             cap: bucket_capacity(grid.num_points()),
@@ -201,7 +204,7 @@ impl BbstIndex {
         let store = CellStore::from_grid(grid, ctx, config.build_threads);
         BbstSStructures {
             store: Arc::new(store),
-            preprocessing: std::time::Duration::ZERO,
+            preprocessing,
             grid_mapping: t1.elapsed(),
         }
     }
@@ -213,27 +216,21 @@ impl BbstIndex {
     /// epoch engine patches it cell by cell instead of rebuilding.
     ///
     /// `s` is a slice, copied, or an `Arc<PointSet>`, which the grid
-    /// shares. Only what depends on `l` is paid here: the sorts of `S`
-    /// belong to the point set ([`srj_grid::PointSet::ensure_orders`])
-    /// and are charged, as `preprocessing`, to the one build that finds
-    /// them missing — every build over a slice, the first over a shared
-    /// set. The grid then scatters the two orders into its cells without
-    /// sorting ([`Grid::build`]), and each cell's BBST pair is built with
-    /// one allocation per array.
+    /// shares. The grid buckets `S` by cell ([`Grid::build`]); the sorts
+    /// of every cell's members by x and by y are `preprocessing`
+    /// ([`Grid::sort_views`]), and each cell's BBST pair is then built
+    /// with one allocation per array.
     ///
-    /// The per-cell BBSTs build on `config.build_threads` threads; each
-    /// cell depends only on its own x-sorted ids and the immutable
-    /// point slice, so the parallel build is bit-identical to serial.
+    /// The per-cell sorts and BBSTs build on `config.build_threads`
+    /// threads; each cell depends only on its own members and the
+    /// immutable point slice, so the parallel build is bit-identical to
+    /// serial.
     pub fn build_s_structures(s: impl IntoPointSet, config: &SampleConfig) -> BbstSStructures {
-        let s = s.into_point_set();
-        let preprocessing = s.ensure_orders();
-
         let t1 = Instant::now();
         let grid = Arc::new(Grid::build(s, config.half_extent));
         let grid_time = t1.elapsed();
         let trees = Self::s_structures_on_grid(grid, config);
         BbstSStructures {
-            preprocessing,
             grid_mapping: grid_time + trees.grid_mapping,
             ..trees
         }
@@ -424,7 +421,7 @@ impl BbstIndex {
                 self.store
                     .unit(p.slot)
                     .sample_quadrant_at(&q, self.config.mass_mode, u64::from(p.row.rank))
-                    .map(|pos| cell.by_x[pos as usize])
+                    .map(|pos| cell.by_x(grid.points())[pos as usize])
                     // Line 15: accept iff w(r) ∩ s.
                     .filter(|&sid| w.contains(grid.point(sid)))
             }
@@ -881,7 +878,7 @@ mod tests {
                             );
                         }
                         case => {
-                            let stored = case12_stored_run(cell, case, row.weight(i) as usize);
+                            let stored = case12_stored_run(cell, grid.points(), case, row.weight(i) as usize);
                             let searched = case12_run(cell, grid.points(), case, &w);
                             prop_assert_eq!(stored, searched, "r {:?} neighbour {} {:?}", rp, i, case);
                         }

@@ -31,7 +31,7 @@ use srj_grid::{Cell, Grid, IntoPointSet, PointSet};
 use srj_kdtree::{CanonicalScratch, KdTree, DEFAULT_LEAF_SIZE};
 
 use crate::cursor::IndexBytes;
-use crate::parallel::par_map;
+use crate::parallel::{effective_threads, par_map};
 
 /// A per-cell payload a [`CellStore`] can carry: built from one cell's
 /// member list, never mutated afterwards.
@@ -54,9 +54,9 @@ impl CellUnit for CellBbsts {
 
     fn build_unit(points: &[Point], cell: &Cell, ctx: &BbstCellCtx) -> Self {
         if ctx.cascading {
-            CellBbsts::build_cascading(points, &cell.by_x, ctx.cap)
+            CellBbsts::build_cascading(points, cell.by_x(points), ctx.cap)
         } else {
-            CellBbsts::build(points, &cell.by_x, ctx.cap)
+            CellBbsts::build(points, cell.by_x(points), ctx.cap)
         }
     }
 
@@ -78,7 +78,7 @@ pub struct BbstCellCtx {
 /// The KDS family's per-cell unit: a kd-tree over the cell's members, or
 /// nothing for a cell of at most [`DEFAULT_LEAF_SIZE`] members. Such a
 /// cell's tree would be one leaf — a scan behind four allocations — so
-/// [`KdCellStore`] scans `cell.by_x` against the grid's point array
+/// [`KdCellStore`] scans the cell's `by_x` against the grid's point array
 /// instead, and the unit is 8 bytes in its `Arc`. (Every cell keeps its
 /// own `Arc` either way: that pointer is the cell's sharing token, so a
 /// rebuilt cell must not share one with its predecessor.)
@@ -87,11 +87,13 @@ pub type KdCellUnit = Option<Box<KdTree>>;
 impl CellUnit for KdCellUnit {
     type Ctx = ();
 
-    /// The tree's point ids are **local** (positions in `cell.by_x`), so
-    /// callers map a local id through `cell.by_x` back to the global id.
+    /// The tree's point ids are **local** (positions in the cell's
+    /// `by_x`), so callers map a local id through `by_x` back to the
+    /// global id.
     fn build_unit(points: &[Point], cell: &Cell, _ctx: &()) -> Self {
         (cell.len() > DEFAULT_LEAF_SIZE).then(|| {
-            let pts: Vec<Point> = cell.by_x.iter().map(|&id| points[id as usize]).collect();
+            let by_x = cell.by_x(points);
+            let pts: Vec<Point> = by_x.iter().map(|&id| points[id as usize]).collect();
             Box::new(KdTree::build(&pts))
         })
     }
@@ -266,9 +268,11 @@ impl KdCellStore {
         Self::from_grid(Arc::new(Grid::build(s, cell_side)), threads)
     }
 
-    /// Builds the per-cell kd-trees over an already-built grid, which
-    /// the store holds, not copies.
+    /// Sorts the views of every cell of an already-built grid, which
+    /// the store holds, not copies ([`Grid::sort_views`]), and builds
+    /// the per-cell kd-trees over them.
     pub fn from_grid(grid: Arc<Grid>, threads: usize) -> Self {
+        grid.sort_views(effective_threads(threads));
         KdCellStore {
             store: CellStore::from_grid(grid, (), threads),
         }
@@ -342,7 +346,7 @@ impl KdCellStore {
     fn scan<'a>(&'a self, cell: &'a Cell, w: &'a Rect) -> impl Iterator<Item = PointId> + 'a {
         let grid = self.store.grid();
         let inside = move |id: &PointId| w.contains(grid.point(*id));
-        cell.by_x.iter().copied().filter(inside)
+        cell.by_x(grid.points()).iter().copied().filter(inside)
     }
 
     /// Exact count of the members of the cell at `slot` inside the
@@ -368,7 +372,7 @@ impl KdCellStore {
             self.scan(cell, w).nth(rank)
         } else {
             let local = self.tree(slot).nth_in_range(w, rank)?;
-            Some(cell.by_x[local as usize])
+            Some(cell.by_x(self.store.grid().points())[local as usize])
         }
     }
 

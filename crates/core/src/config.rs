@@ -126,10 +126,10 @@ impl std::error::Error for SampleError {}
 /// Wall-clock decomposition of a sampler's work, following the paper's
 /// reporting (Tables II–IV):
 ///
-/// * `preprocessing` — offline work (kd-tree build for the baselines,
-///   the sorts of `S` for BBST; Table II). The sorts belong to the
-///   point set, not to a window size: a build over a set that already
-///   holds them reports none,
+/// * `preprocessing` — offline work (Table II): the per-cell sorts of
+///   `S` a build forces ([`srj_grid::Grid::sort_views`]) — every cell
+///   for per-`r` BBST rows, KDS and KDS-rejection, none for group rows,
+///   which read no sorted run — and the kd-trees of the KDS family,
 /// * `grid_mapping` — "GM": grid construction, for BBST including the
 ///   per-cell structures (online data-structure building phase),
 /// * `upper_bounding` — "UB": per-`r` range counts / upper bounds plus

@@ -212,9 +212,9 @@ pub trait SamplerIndex: Send + Sync {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexBytes {
     /// The `R` set the index stands on — shared by every index built on
-    /// it, so whoever sums indexes over one set counts it once — with
-    /// its two orders once a grid of it was built, plus a group index's
-    /// members in group order (4 B per `r`) and their group bounds.
+    /// it, so whoever sums indexes over one set counts it once — plus a
+    /// group index's members in group order (4 B per `r`) and their
+    /// group bounds.
     pub r_points: usize,
     /// The per-`r` rows (`40 × |R|` for the families that keep
     /// [`srj_alias::BlockRow`]s, the `f64` bounds of KDS-rejection), a
@@ -224,13 +224,14 @@ pub struct IndexBytes {
     /// Every alias table: over `µ(r)` (or a group index's rows), over
     /// an overlay's sources and chunk members.
     pub alias: usize,
-    /// Grid cells and their lookup, without the point set under them;
-    /// an overlay's two support grids and insert grids too.
+    /// Grid cells and their lookup, without the point set under them:
+    /// each cell's members and, once sorted, its two views (8 B a
+    /// member); an overlay's two support grids and insert grids too.
     pub grid: usize,
     /// The per-cell structures (BBST pairs, kd-trees).
     pub units: usize,
-    /// `S` itself with its two sorted orders (for an overlay also the
-    /// support grids' copies of the base sets).
+    /// `S` itself, 16 B a point (for an overlay also the support grids'
+    /// copies of the base sets).
     pub point_set: usize,
     /// An overlay's pending mutations: insert buffers, tombstone sets
     /// and chunk bookkeeping. Zero for a clean index.

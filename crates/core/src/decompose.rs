@@ -41,12 +41,13 @@ pub(crate) fn case12_run<'a>(
     case: CellCase,
     w: &Rect,
 ) -> Option<&'a [PointId]> {
+    let (by_x, by_y) = (cell.by_x(points), cell.by_y(points));
     let run = match case {
-        CellCase::Full => &cell.by_x[..],
-        CellCase::XMinSided => cell.run_x_at_least(points, w.min_x),
-        CellCase::XMaxSided => cell.run_x_at_most(points, w.max_x),
-        CellCase::YMinSided => cell.run_y_at_least(points, w.min_y),
-        CellCase::YMaxSided => cell.run_y_at_most(points, w.max_y),
+        CellCase::Full => by_x,
+        CellCase::XMinSided => &by_x[cell.lower_bound_x(points, w.min_x)..],
+        CellCase::XMaxSided => &by_x[..cell.upper_bound_x(points, w.max_x)],
+        CellCase::YMinSided => &by_y[cell.lower_bound_y(points, w.min_y)..],
+        CellCase::YMaxSided => &by_y[..cell.upper_bound_y(points, w.max_y)],
         CellCase::Quadrant { .. } => return None,
     };
     Some(run)
@@ -55,19 +56,26 @@ pub(crate) fn case12_run<'a>(
 /// The same run as [`case12_run`], recovered from the `count` the
 /// upper-bounding phase stored as the cell's row weight
 /// ([`case12_count`]): a 1-sided run is a prefix or a suffix of one of
-/// the cell's sorted arrays, so its length alone locates it — no binary
-/// search, no read of the point coordinates. `None` for corner cells.
+/// the cell's sorted views, so its length alone locates it — no binary
+/// search, no read of the point coordinates (`points`, the array the
+/// cell indexes, is read only if the views are not sorted yet). `None`
+/// for corner cells.
 ///
 /// # Panics
 /// Panics if `count` exceeds the cell's population.
 #[inline]
-pub(crate) fn case12_stored_run(cell: &Cell, case: CellCase, count: usize) -> Option<&[PointId]> {
+pub(crate) fn case12_stored_run<'a>(
+    cell: &'a Cell,
+    points: &[Point],
+    case: CellCase,
+    count: usize,
+) -> Option<&'a [PointId]> {
     let n = cell.len();
     let run = match case {
-        CellCase::Full | CellCase::XMaxSided => &cell.by_x[..count],
-        CellCase::XMinSided => &cell.by_x[n - count..],
-        CellCase::YMaxSided => &cell.by_y[..count],
-        CellCase::YMinSided => &cell.by_y[n - count..],
+        CellCase::Full | CellCase::XMaxSided => &cell.by_x(points)[..count],
+        CellCase::XMinSided => &cell.by_x(points)[n - count..],
+        CellCase::YMaxSided => &cell.by_y(points)[..count],
+        CellCase::YMinSided => &cell.by_y(points)[n - count..],
         CellCase::Quadrant { .. } => return None,
     };
     Some(run)
@@ -110,7 +118,7 @@ pub(crate) fn case12_draw<U: CellUnit>(
 ) -> PointId {
     let grid = store.grid();
     let cell = grid.cell(slot);
-    let run = case12_stored_run(cell, case, pick.weight as usize)
+    let run = case12_stored_run(cell, grid.points(), case, pick.weight as usize)
         .expect("non-corner case must yield a run");
     debug_assert_eq!(
         Some(run),
@@ -287,19 +295,19 @@ fn sweep_group<C>(
             CellCase::Full => (0..members.len() as u32).for_each(|j| set(j, cell.len() as u64)),
             CellCase::XMinSided => {
                 let edge = |j| window(j).min_x;
-                monotone_counts(&cell.by_x, |id| s[id as usize].x, by_x, edge, true, set)
+                monotone_counts(cell.by_x(s), |id| s[id as usize].x, by_x, edge, true, set)
             }
             CellCase::XMaxSided => {
                 let edge = |j| window(j).max_x;
-                monotone_counts(&cell.by_x, |id| s[id as usize].x, by_x, edge, false, set)
+                monotone_counts(cell.by_x(s), |id| s[id as usize].x, by_x, edge, false, set)
             }
             CellCase::YMinSided => {
                 let edge = |j| window(j).min_y;
-                monotone_counts(&cell.by_y, |id| s[id as usize].y, by_y, edge, true, set)
+                monotone_counts(cell.by_y(s), |id| s[id as usize].y, by_y, edge, true, set)
             }
             CellCase::YMaxSided => {
                 let edge = |j| window(j).max_y;
-                monotone_counts(&cell.by_y, |id| s[id as usize].y, by_y, edge, false, set)
+                monotone_counts(cell.by_y(s), |id| s[id as usize].y, by_y, edge, false, set)
             }
             CellCase::Quadrant { x_is_min, y_is_min } => {
                 for &(_, j) in by_x.iter() {
@@ -416,7 +424,7 @@ mod tests {
                     continue; // corner cell
                 };
                 let brute = cell
-                    .by_x
+                    .members()
                     .iter()
                     .filter(|&&id| w.contains(grid.point(id)))
                     .count() as u64;

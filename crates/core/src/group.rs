@@ -99,7 +99,7 @@ pub(crate) fn block_rows<'a>(
 /// One iteration spends three words — alias → group, uniform member →
 /// `r`, uniform position in the row → part and rank — then reads the
 /// part's slot off the group's slot row (no grid probe),
-/// `s = cell.by_x[rank]`, and tests `s ∈ w(r)`. Every
+/// `s = cell.members()[rank]`, and tests `s ∈ w(r)`. Every
 /// `(r, position)` has probability
 /// `(|R_g| µ_g / W) · (1 / |R_g|) · (1 / µ_g) = 1 / W`, and each pair of
 /// `J` is exactly one such position, so accepted pairs are uniform and
@@ -354,7 +354,7 @@ impl GroupCore {
         let mut ridx = [0u32; BLOCK];
         let mut rp = [Point::default(); BLOCK];
         let mut picked = [(0u32, 0u32); BLOCK];
-        let mut by_x: [&[PointId]; BLOCK] = [&[]; BLOCK];
+        let mut members: [&[PointId]; BLOCK] = [&[]; BLOCK];
         let mut sid = [0 as PointId; BLOCK];
         let mut sp = [Point::default(); BLOCK];
         // The core's arrays as locals: they stay in registers across
@@ -379,12 +379,11 @@ impl GroupCore {
             for (p, &g) in picked[..b].iter_mut().zip(&group[..b]) {
                 *p = self.pick(g, rng.next_u64());
             }
-            for (members, &(slot, _)) in by_x[..b].iter_mut().zip(&picked[..b]) {
-                *members = &grid.cell(slot).by_x;
+            for (m, &(slot, _)) in members[..b].iter_mut().zip(&picked[..b]) {
+                *m = grid.cell(slot).members();
             }
-            for ((s, members), &(_, rank)) in sid[..b].iter_mut().zip(&by_x[..b]).zip(&picked[..b])
-            {
-                *s = members[rank as usize];
+            for ((s, m), &(_, rank)) in sid[..b].iter_mut().zip(&members[..b]).zip(&picked[..b]) {
+                *s = m[rank as usize];
             }
             for (p, &s) in sp[..b].iter_mut().zip(&sid[..b]) {
                 *p = grid.point(s);
@@ -425,13 +424,10 @@ impl GroupIndex {
     /// shared) at cell side `config.half_extent` and the group rows of
     /// `r` (the same) over it.
     pub fn build(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Self {
-        let s = s.into_point_set();
-        let preprocessing = s.ensure_orders();
         let t0 = Instant::now();
         let grid = Arc::new(Grid::build(s, config.half_extent));
         let grid_mapping = t0.elapsed();
         let mut index = Self::build_on_grid(r, grid, config);
-        index.build_report.preprocessing = preprocessing;
         index.build_report.grid_mapping = grid_mapping;
         index
     }
@@ -555,7 +551,7 @@ impl SamplerIndex for GroupIndex {
         let g = alias.sample_word(rng.next_u64());
         let ridx = core.ids[core.member_at(g, rng.next_u64())];
         let (slot, rank) = core.pick(g, rng.next_u64());
-        let sid = core.grid.cell(slot).by_x[rank as usize];
+        let sid = core.grid.cell(slot).members()[rank as usize];
         let (r, s) = ((ridx, core.r[ridx as usize]), (sid, core.grid.point(sid)));
         Ok(GroupCore::accept(self.config.half_extent, r, s, stats))
     }
@@ -563,7 +559,7 @@ impl SamplerIndex for GroupIndex {
     /// The block kernel: the iterations of [`Self::try_draw`], up to
     /// `BLOCK` (64) at a time and one dependent load per stage — every
     /// group; every member position; its index into `R`, then its point;
-    /// every pick off its group's rows; the picked cell's `by_x`, then
+    /// every pick off its group's rows; the picked cell's members, then
     /// the candidate's id, then its point; then every window test — so
     /// the cache misses of one stage (alias column, `ids` entry, `R`
     /// point, group rows, cell, cell array, `S` point) are those of up

@@ -99,7 +99,7 @@ impl KdsIndex {
     /// [`KdsIndex::build_shared`] to build indexes over several `R`s
     /// that hold one copy of the structure.
     /// `s` is a slice, copied, or an `Arc<PointSet>`, shared; the time
-    /// includes the sorts of `S` only when this build ran them.
+    /// includes the grid and its per-cell sorts.
     pub fn build_s_structure(
         s: impl IntoPointSet,
         config: &SampleConfig,

@@ -427,7 +427,7 @@ fn brute_force_candidates(
         .map(|(case, cell)| match case {
             CellCase::Quadrant { .. } => cell.len(),
             _ => cell
-                .by_x
+                .members()
                 .iter()
                 .filter(|&&id| Rect::window(p, l).contains(opposite.point(id)))
                 .count(),
@@ -526,9 +526,13 @@ pub struct OverlaySupport {
     s_grid: Arc<Grid>,
     r_grid: Arc<Grid>,
     /// What of the two base grids this support counts as its own,
-    /// taken once where they are built: both with their sets where the
-    /// sets were copied for it, else the cells of `r_grid` alone.
+    /// taken once where they are built — both with their sets where the
+    /// sets were copied for it, else the cells of `r_grid` alone — plus
+    /// the views its chunks sorted on them since.
     base_bytes: IndexBytes,
+    /// The views the chunks sorted on a grid of `S` handed in, which its
+    /// owner counts; `None` for a grid of the support's own.
+    lent_views: Option<usize>,
     build_time: Duration,
     r_side: InsertSide,
     s_side: InsertSide,
@@ -543,6 +547,7 @@ impl OverlaySupport {
         let r_grid = Arc::new(Grid::build(base_r, side));
         OverlaySupport {
             base_bytes: IndexBytes::of_grid(&s_grid) + IndexBytes::of_grid(&r_grid),
+            lent_views: None,
             s_grid,
             r_grid,
             build_time: t0.elapsed(),
@@ -552,11 +557,11 @@ impl OverlaySupport {
     }
 
     /// A support over `s_grid` — the base build's own grid of `S`, held,
-    /// not copied — and a grid of the same cell side on `base_r`: the
-    /// base build's own `R` set, whose two orders it computes once and
-    /// keeps for every later grid of it. Neither set is this support's
-    /// to count. Ids the grid's cells leave out (the dead ids a cell
-    /// patch left behind) are never a candidate.
+    /// not copied — and a grid of the same cell side on `base_r`, the
+    /// base build's own `R` set. Neither set is this support's to count,
+    /// nor are the views its chunks sort on `s_grid`
+    /// ([`OverlaySupport::lent_views`]). Ids the grid's cells leave out
+    /// (the dead ids a cell patch left behind) are never a candidate.
     pub fn on_grid(base_r: &Arc<PointSet>, s_grid: Arc<Grid>) -> Self {
         let t0 = Instant::now();
         let r_grid = Arc::new(Grid::build(base_r, s_grid.cell_side()));
@@ -565,6 +570,7 @@ impl OverlaySupport {
                 point_set: 0,
                 ..IndexBytes::of_grid(&r_grid)
             },
+            lent_views: Some(0),
             s_grid,
             r_grid,
             build_time: t0.elapsed(),
@@ -605,6 +611,7 @@ impl OverlaySupport {
         );
         let l = self.side();
         let (mut r_side, mut s_side) = (self.r_side.clone(), self.s_side.clone());
+        let (mut base_bytes, mut lent_views) = (self.base_bytes, self.lent_views);
         r_side.drop_tombstoned(&delta.r_deleted, delta.base_r_len);
         s_side.drop_tombstoned(&delta.s_deleted, delta.base_s_len);
         if s_side.seen < delta.s_inserted.len() {
@@ -623,6 +630,11 @@ impl OverlaySupport {
                     .s_deleted
                     .contains(&((delta.base_s_len + j) as PointId))
             };
+            // Every cell the chunk's rows count and its draws read has
+            // its views sorted here, and counted: a draw never sorts.
+            base_bytes.grid += self
+                .r_grid
+                .sort_views_around(&delta.s_inserted[s_side.seen..]);
             s_side.chunks.extend(
                 Chunk::build(
                     &delta.s_inserted,
@@ -645,6 +657,10 @@ impl OverlaySupport {
                     .r_deleted
                     .contains(&((delta.base_r_len + i) as PointId))
             };
+            let made = self
+                .s_grid
+                .sort_views_around(&delta.r_inserted[r_side.seen..]);
+            *lent_views.as_mut().unwrap_or(&mut base_bytes.grid) += made;
             r_side.chunks.extend(
                 Chunk::build(
                     &delta.r_inserted,
@@ -664,7 +680,8 @@ impl OverlaySupport {
         OverlaySupport {
             s_grid: Arc::clone(&self.s_grid),
             r_grid: Arc::clone(&self.r_grid),
-            base_bytes: self.base_bytes,
+            base_bytes,
+            lent_views,
             build_time: self.build_time,
             r_side,
             s_side,
@@ -688,6 +705,13 @@ impl OverlaySupport {
         1 + self.r_side.chunks.len() + self.s_side.chunks.len()
     }
 
+    /// Heap bytes of the views this support's chunks sorted on the grid
+    /// of `S` it was handed ([`OverlaySupport::on_grid`]): its owner's to
+    /// count, though a walk of the owner made before misses them.
+    pub fn lent_views(&self) -> usize {
+        self.lent_views.unwrap_or(0)
+    }
+
     /// Heap bytes of the base grids this support built, both insert
     /// grids and every chunk's rows and alias.
     pub fn memory_bytes(&self) -> usize {
@@ -696,7 +720,8 @@ impl OverlaySupport {
 
     /// [`OverlaySupport::memory_bytes`] by structure. A grid of `S` and
     /// an `R` set handed in are their base build's to count. The base
-    /// grids are not walked again: `O(inserts)`, not `O(cells)`.
+    /// grids are not walked again, `O(inserts)`, not `O(cells)`: what
+    /// the chunks added to them is counted where they sorted it.
     fn index_bytes(&self) -> IndexBytes {
         self.base_bytes + self.r_side.index_bytes() + self.s_side.index_bytes()
     }
@@ -948,11 +973,11 @@ impl<I: SamplerIndex> OverlayIndex<I> {
             match case_of(pick.part) {
                 // A corner, counted as its whole cell.
                 CellCase::Quadrant { .. } => {
-                    let id = cell.by_x[rank];
+                    let id = cell.by_x(grid.points())[rank];
                     in_window(grid.point(id)).then(|| pair(id as usize))
                 }
                 case => {
-                    let run = case12_stored_run(cell, case, weight)
+                    let run = case12_stored_run(cell, grid.points(), case, weight)
                         .expect("non-corner case must yield a run");
                     let id = run[rank];
                     // The run is exactly the window's for an inserted
@@ -1222,10 +1247,11 @@ mod tests {
         let s_grid = Arc::clone(base.s_structures().store().grid_arc());
         let own = OverlaySupport::build(&base_r, &base_s, l);
         let shared = OverlaySupport::on_grid(base.r_set(), Arc::clone(&s_grid));
-        // The one a support builds itself holds both base sets; a copy
-        // of `R` made for one grid keeps no orders.
-        let own_sets = s_grid.memory_bytes() + 16 * base_r.len();
-        assert_eq!(own.memory_bytes() - shared.memory_bytes(), own_sets);
+        // The one a support builds itself holds both base sets and its
+        // own grid of `S`, with the views its chunks sort on it.
+        let own_s = Grid::build(&base_s, l);
+        let own_sets = |own_s: &Grid| own_s.memory_bytes() + 16 * base_r.len();
+        assert_eq!(own.memory_bytes() - shared.memory_bytes(), own_sets(&own_s));
         let overlay = |support| {
             Arc::new(OverlayIndex::new(
                 Arc::clone(&base),
@@ -1236,7 +1262,11 @@ mod tests {
         };
         let (a, b) = (overlay(&own), overlay(&shared));
         assert_eq!(a.total_weight(), b.total_weight());
-        assert_eq!(a.index_bytes().total() - b.index_bytes().total(), own_sets);
+        own_s.sort_views_around(&delta.r_inserted);
+        assert_eq!(
+            a.index_bytes().total() - b.index_bytes().total(),
+            own_sets(&own_s)
+        );
         let stream = |o: &Arc<OverlayIndex<BbstIndex>>| {
             let mut rng = SmallRng::seed_from_u64(64);
             Cursor::new(Arc::clone(o)).sample(2_000, &mut rng).unwrap()

@@ -50,19 +50,16 @@ const _: () = {
 };
 
 impl KdsRejectionIndex {
-    /// Runs the build phases: the sorts of `S` when this build ran them
-    /// and the per-cell kd-trees (pre-processing), the grid (GM), the
-    /// bounds and the alias (UB). `s` is a slice, copied, or an
-    /// `Arc<PointSet>`, shared; so is `r`.
+    /// Runs the build phases: the per-cell sorts and kd-trees
+    /// (pre-processing), the grid (GM), the bounds and the alias (UB).
+    /// `s` is a slice, copied, or an `Arc<PointSet>`, shared; so is `r`.
     pub fn build(r: impl IntoPointSet, s: impl IntoPointSet, config: &SampleConfig) -> Self {
-        let s = s.into_point_set();
-        let sorts = s.ensure_orders();
         let t1 = Instant::now();
         let grid = Arc::new(Grid::build(s, config.half_extent));
         let grid_mapping = t1.elapsed();
         let t0 = Instant::now();
         let s_cells = Arc::new(KdCellStore::from_grid(grid, config.build_threads));
-        let preprocessing = sorts + t0.elapsed();
+        let preprocessing = t0.elapsed();
         Self::build_inner(
             r.into_point_set(),
             s_cells,

@@ -421,7 +421,7 @@ proptest! {
                 prop_assert!(!std::mem::replace(&mut seen[ridx as usize], true));
                 let w = Rect::window(rp, l);
                 for (i, slot) in grid.neighborhood_slots(rp).into_iter().enumerate() {
-                    let cell = slot.map_or(&[][..], |slot| &grid.cell(slot).by_x[..]);
+                    let cell = slot.map_or(&[][..], |slot| grid.cell(slot).members());
                     prop_assert_eq!(row.weight(i) as usize, cell.len(), "r {:?} part {}", rp, i);
                     let inside = cell.iter().filter(|&&sid| w.contains(grid.point(sid)));
                     reached.extend(inside.map(|&sid| JoinPair::new(ridx, sid)));
@@ -460,7 +460,7 @@ proptest! {
                     let w = Rect::window(r[ridx as usize], l);
                     let block = grid.neighborhood_slots(r[ridx as usize]);
                     for cell in block.into_iter().flatten().map(|slot| grid.cell(slot)) {
-                        let inside = cell.by_x.iter().filter(|&&sid| w.contains(grid.point(sid)));
+                        let inside = cell.members().iter().filter(|&&sid| w.contains(grid.point(sid)));
                         reached.extend(inside.map(|&sid| JoinPair::new(ridx, sid)));
                     }
                 }

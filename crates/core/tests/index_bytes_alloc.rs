@@ -1,8 +1,9 @@
 //! [`IndexBytes`] against the allocator. A counting global allocator
 //! over `System` keeps the live heap bytes; what building an index
 //! leaves allocated must be its [`IndexBytes::total`] within ±2 %. The
-//! cases are group rows, per-`r` rows and KDS, each a full build and an
-//! overlay over it, on clustered and on uniform points.
+//! cases are group rows on a grid without sorted views and on one with
+//! them, per-`r` rows and KDS, each a full build and an overlay over it,
+//! on clustered and on uniform points.
 //!
 //! The allocator counts every thread's bytes, so this binary holds one
 //! test, and the builds run on the calling thread.
@@ -129,6 +130,16 @@ fn index_bytes_are_the_allocators_live_bytes() {
         check(&format!("group rows, {data}"), sets, &config, || {
             GroupIndex::build(&r[..], &s[..], &config)
         });
+        check(
+            &format!("group rows, sorted views, {data}"),
+            sets,
+            &config,
+            || {
+                let index = GroupIndex::build(&r[..], &s[..], &config);
+                index.grid().sort_views(1);
+                index
+            },
+        );
         check(&format!("per-r rows, {data}"), sets, &config, || {
             BbstIndex::build(&r[..], &s[..], &config)
         });

@@ -80,7 +80,7 @@ fn assert_rows_are_brute_force(index: &KdsIndex, r: &[Point], l: f64) {
         let w = Rect::window(rp, l);
         let brute: [u64; 9] = grid.neighborhood_slots(rp).map(|slot| {
             slot.map_or(0, |slot| {
-                let members = &grid.cell(slot).by_x;
+                let members = grid.cell(slot).members();
                 members
                     .iter()
                     .filter(|&&id| w.contains(grid.point(id)))
@@ -356,7 +356,7 @@ fn nth_in_cell_enumerates_the_cell_once() {
             let inside = |id: &PointId| w.contains(s[*id as usize]);
             let mut brute: Vec<PointId> = grid
                 .cell(slot)
-                .by_x
+                .by_x(grid.points())
                 .iter()
                 .copied()
                 .filter(inside)

@@ -236,7 +236,7 @@ fn chunk_rows_are_the_rows_built_in_two_steps() {
                     cells[i] = match case_of(i) {
                         CellCase::Quadrant { .. } => cell.len(),
                         _ => cell
-                            .by_x
+                            .members()
                             .iter()
                             .filter(|&&id| w.contains(grid.point(id)))
                             .count(),

@@ -41,7 +41,7 @@ pub struct DatasetSnapshot {
     pub base_r: Arc<PointSet>,
     /// Base `S` points of the epoch, as the [`PointSet`] every index of
     /// the epoch — whatever its window size — is built on: they share
-    /// the array and its sorted orders, which the first build computes.
+    /// the array, and each grid of it sorts its own cells.
     /// A compaction that changes `S` makes a new set.
     pub base_s: Arc<PointSet>,
     /// **Dead** base `S` ids: tombstones folded by an incremental

@@ -94,7 +94,7 @@ impl Engine {
     /// Here and in the other build entry points `r` and `s` are each a
     /// slice, which the index copies once, or an `Arc<PointSet>`, which
     /// it shares — with every other engine built on that set, whatever
-    /// its window size: one point array, sorted once.
+    /// its window size: one point array.
     pub fn build(
         r: impl IntoPointSet,
         s: impl IntoPointSet,
@@ -284,9 +284,10 @@ impl Engine {
     }
 
     /// Build-phase timing of the full build this engine serves, the
-    /// work done before the per-`r` pass included: the sorts of `S`
-    /// charged to pre-processing, the grid and the family's `S`-side to
-    /// grid mapping. An overlay engine reports its base's; a rebuild
+    /// work done before the per-`r` pass included: the per-cell sorts a
+    /// family that reads sorted runs forces (none under group rows) and
+    /// the KDS family's kd-trees charged to pre-processing, the grid and
+    /// the BBST family's `S`-side to grid mapping. An overlay engine reports its base's; a rebuild
     /// over a kept or patched `S`-side reports only its own pass.
     pub fn build_report(&self) -> PhaseReport {
         self.shared.index.build_report()
@@ -354,9 +355,9 @@ impl Engine {
     /// The grid of `S` the `S`-side stands on: of cell side `l`, or
     /// under group rows of `l`'s ladder step. Engines built over one
     /// base — one per window size — stand on the same point set
-    /// ([`Grid::point_set`]): one array and one pair of sorted orders,
-    /// which [`Engine::memory_bytes`] of each includes, so a sum over
-    /// engines counts them once per set. `None` for overlay engines.
+    /// ([`Grid::point_set`]): one array, which [`Engine::memory_bytes`]
+    /// of each includes, so a sum over engines counts it once per set.
+    /// `None` for overlay engines.
     pub fn s_grid(&self) -> Option<Arc<Grid>> {
         self.shared.index.s_grid()
     }

@@ -216,24 +216,15 @@ impl EpochState {
 
 /// The bytes of `engine` — `base`, or an overlay on it — without the
 /// store's two sets `base` stands on: its `R` set and its grid's set of
-/// `S` (a cell patch's grid stands on the store's extended set too). A
-/// set's orders may appear during the walk (a grid built on it
-/// elsewhere), so the sets are read on both sides of it.
+/// `S` (a cell patch's grid stands on the store's extended set too).
 fn own_bytes(engine: &Engine, base: &Engine) -> IndexBytes {
     let grid = base.s_grid().expect("a full build has a grid of S");
-    let (r, s) = (base.r_set(), grid.point_set());
-    let sets = || IndexBytes {
-        r_points: r.memory_bytes(),
-        point_set: s.memory_bytes(),
+    let sets = IndexBytes {
+        r_points: base.r_set().memory_bytes(),
+        point_set: grid.point_set().memory_bytes(),
         ..IndexBytes::default()
     };
-    loop {
-        let before = sets();
-        let bytes = engine.memory_breakdown();
-        if sets() == before {
-            return bytes - before;
-        }
-    }
+    engine.memory_breakdown() - sets
 }
 
 /// A cell's share of its index gauges, in their order: bytes, rows from
@@ -243,10 +234,21 @@ const ROWS: usize = 7;
 const MU: usize = ROWS + RowGranularity::ALL.len();
 
 /// The [`Share`] of a cell serving `current` over the full build `base`,
-/// `base_bytes` being [`own_bytes`] of `base`: an overlay adds what it
-/// holds beside the base, not walking the base.
-fn share(base: &Engine, base_bytes: IndexBytes, current: &Engine) -> Share {
-    let bytes = (base_bytes + current.overlay_bytes()).parts();
+/// `base_bytes` being [`own_bytes`] of `base` at its commit and `support`
+/// the epoch's overlay support: an overlay adds what it holds beside the
+/// base, and the views its chunks sorted on the base's grid of `S` since
+/// ([`OverlaySupport::lent_views`]), not walking the base.
+fn share(
+    base: &Engine,
+    base_bytes: IndexBytes,
+    current: &Engine,
+    support: Option<&OverlaySupport>,
+) -> Share {
+    let sorted = IndexBytes {
+        grid: support.map_or(0, OverlaySupport::lent_views),
+        ..IndexBytes::default()
+    };
+    let bytes = (base_bytes + sorted + current.overlay_bytes()).parts();
     let mut share: Share = std::array::from_fn(|i| bytes.get(i).map_or(0, |&(_, b)| b as u64));
     share[ROWS + base.row_granularity() as usize] = base.row_count() as u64;
     let mu = current.total_weight();
@@ -396,7 +398,8 @@ impl EpochEngine {
             state.current = state.base.with_overlay(snap.delta, &support, config);
             state.support = Some(Arc::new(support));
         }
-        let share = share(&state.base, state.base_bytes, &state.current);
+        let support = state.support.as_deref();
+        let share = share(&state.base, state.base_bytes, &state.current, support);
         state.publish(share, &counters);
         Some(EpochEngine {
             store,
@@ -721,7 +724,7 @@ impl EpochEngine {
         snap: &DatasetSnapshot,
     ) -> std::sync::RwLockWriteGuard<'_, EpochState> {
         let base_bytes = own_bytes(&engine, &engine);
-        let share = share(&engine, base_bytes, &engine);
+        let share = share(&engine, base_bytes, &engine, None);
         let mut st = self.state.write().expect("epoch state poisoned");
         st.base = engine.clone();
         st.base_bytes = base_bytes;
@@ -892,7 +895,7 @@ impl EpochEngine {
             base.with_overlay(snap.delta, &support, &self.config)
         };
         let sources = support.source_count();
-        let share = share(&base, base_bytes, &engine);
+        let share = share(&base, base_bytes, &engine, Some(&support));
         let mut st = self.state.write().expect("epoch state poisoned");
         let mu_before = st.current.total_weight();
         let mu_after = engine.total_weight();

@@ -38,7 +38,7 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use srj_core::{
@@ -130,7 +130,7 @@ impl Family for KdsIndex {
     const ALGORITHM: Algorithm = Algorithm::Kds;
     type SSide = Arc<KdCellStore>;
 
-    /// The per-cell kd-trees, charged to pre-processing.
+    /// The per-cell sorts and kd-trees, charged to pre-processing.
     fn build_s(grid: Arc<Grid>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
         let t0 = Instant::now();
         let s_cells = Arc::new(KdCellStore::from_grid(grid, config.build_threads));
@@ -212,11 +212,13 @@ impl Family for BbstIndex {
     const ALGORITHM: Algorithm = Algorithm::Bbst;
     type SSide = BbstSStructures;
 
-    /// The per-cell BBSTs, charged to grid mapping (Algorithm 1's
-    /// online data-structure phase).
+    /// The per-cell sorts, charged to pre-processing, and the per-cell
+    /// BBSTs, charged to grid mapping (Algorithm 1's online
+    /// data-structure phase).
     fn build_s(grid: Arc<Grid>, config: &SampleConfig) -> (Self::SSide, PhaseReport) {
         let s_side = BbstIndex::s_structures_on_grid(grid, config);
         let report = PhaseReport {
+            preprocessing: s_side.preprocessing,
             grid_mapping: s_side.grid_mapping,
             ..PhaseReport::default()
         };
@@ -308,9 +310,11 @@ impl Family for GroupIndex {
 }
 
 /// Builds an engine's index over `r`, which it keeps, and is the one
-/// place its grid of `S` is built: the sorts of `S` (none if the set
-/// already holds them) are charged to pre-processing, the grid to grid
-/// mapping. With no `algorithm` the data picks one ([`unforced`]).
+/// place its grid of `S` is built, charged to grid mapping. Only a
+/// family that reads the cells' sorted runs sorts them (per-`r` rows,
+/// KDS, KDS-rejection: [`Family::build_s`]), charged to pre-processing;
+/// group rows sort nothing. With no `algorithm` the data picks one
+/// ([`unforced`]).
 /// The grid's cell side is `l`, or — where group rows serve — `l`'s
 /// ladder step, which is `≥ l`. `on_step: false` skips the step: the
 /// build of a window whose step's rows are known to fail it
@@ -322,33 +326,29 @@ pub(crate) fn build(
     algorithm: Option<Algorithm>,
     on_step: bool,
 ) -> Box<dyn EngineIndex> {
-    let preprocessing = s.ensure_orders();
     let l = config.half_extent;
     match algorithm.unwrap_or_else(|| unforced(r.len(), s.len())) {
         Algorithm::Kds => {
-            let (grid, base) = map_s(s, l, preprocessing);
+            let (grid, base) = map_s(s, l);
             build_family::<KdsIndex>(r, grid, config, base).boxed()
         }
         Algorithm::KdsRejection => {
-            let (grid, base) = map_s(s, l, preprocessing);
+            let (grid, base) = map_s(s, l);
             build_family::<KdsRejectionIndex>(r, grid, config, base).boxed()
         }
-        Algorithm::Bbst if on_step => build_bbst(r, s, config, preprocessing),
+        Algorithm::Bbst if on_step => build_bbst(r, s, config),
         Algorithm::Bbst => {
-            let (grid, base) = map_s(s, l, preprocessing);
+            let (grid, base) = map_s(s, l);
             build_bbst_on(r, grid, config, base)
         }
     }
 }
 
-/// The grid of `s` at cell side `side`, and what a build has spent once
-/// it is mapped: `preprocessing`, then the grid. A set nobody else holds
-/// gives its orders up to the grid ([`Grid::build`]).
-fn map_s(s: Arc<PointSet>, side: f64, preprocessing: Duration) -> (Arc<Grid>, PhaseReport) {
+/// The grid of `s` at cell side `side`, and what mapping it cost.
+fn map_s(s: Arc<PointSet>, side: f64) -> (Arc<Grid>, PhaseReport) {
     let t0 = Instant::now();
     let grid = Arc::new(Grid::build(s, side));
     let report = PhaseReport {
-        preprocessing,
         grid_mapping: t0.elapsed(),
         ..PhaseReport::default()
     };
@@ -396,15 +396,10 @@ fn unforced(n: usize, m: usize) -> Algorithm {
 /// and the step — so a forced and an unforced build take it
 /// identically. Rebuilds over a new `R` or a patched `S` keep the
 /// granularity, and the grid, of the full build they derive from.
-fn build_bbst(
-    r: &Arc<PointSet>,
-    s: Arc<PointSet>,
-    config: &SampleConfig,
-    preprocessing: Duration,
-) -> Box<dyn EngineIndex> {
+fn build_bbst(r: &Arc<PointSet>, s: Arc<PointSet>, config: &SampleConfig) -> Box<dyn EngineIndex> {
     let l = config.half_extent;
     let step = ladder_side(l);
-    let (core, spent) = group_core(r, s, step, preprocessing);
+    let (core, spent) = group_core(r, s, step);
     let t0 = Instant::now();
     if core.serves(l) {
         return Built::full(GroupIndex::on_core(Arc::new(core), config), spent).boxed();
@@ -421,7 +416,7 @@ fn build_bbst(
     }
     let s = Arc::clone(step_grid.point_set());
     drop(step_grid);
-    let (grid, at_l) = map_s(s, l, Duration::ZERO);
+    let (grid, at_l) = map_s(s, l);
     let base = PhaseReport {
         grid_mapping: tried.grid_mapping + at_l.grid_mapping,
         ..tried
@@ -441,8 +436,7 @@ pub(crate) fn build_step(
 ) -> Option<Box<dyn EngineIndex>> {
     let step = config.half_extent;
     debug_assert_eq!(ladder_side(step).to_bits(), step.to_bits(), "not a step");
-    let preprocessing = s.ensure_orders();
-    let (core, spent) = group_core(r, s, step, preprocessing);
+    let (core, spent) = group_core(r, s, step);
     let served = core.serves(step);
     served.then(|| Built::full(GroupIndex::on_core(Arc::new(core), config), spent).boxed())
 }
@@ -471,14 +465,9 @@ fn build_bbst_on(
 }
 
 /// Group rows of `(r, s)` at cell side `step`, built here, and what they
-/// cost beyond `preprocessing`: the grid and the group pass.
-fn group_core(
-    r: &Arc<PointSet>,
-    s: Arc<PointSet>,
-    step: f64,
-    preprocessing: Duration,
-) -> (GroupCore, PhaseReport) {
-    let (grid, base) = map_s(s, step, preprocessing);
+/// cost: the grid and the group pass.
+fn group_core(r: &Arc<PointSet>, s: Arc<PointSet>, step: f64) -> (GroupCore, PhaseReport) {
+    let (grid, base) = map_s(s, step);
     let core = GroupCore::build(r, grid);
     let own = core.build_report();
     let spent = PhaseReport {
@@ -559,8 +548,8 @@ pub(crate) trait EngineIndex: Send + Sync {
 struct Built<F: Family> {
     full: Arc<F>,
     /// The full build's phases, with what the caller spent on it before
-    /// the per-`r` pass folded in: the sorts of `S`, the grid and the
-    /// family's `S`-side. An overlay reports its base's.
+    /// the per-`r` pass folded in: the grid and the family's `S`-side,
+    /// its per-cell sorts included. An overlay reports its base's.
     report: PhaseReport,
     /// Pending mutations over `full`, when this is an overlay snapshot.
     overlay: Option<Arc<OverlayIndex<F>>>,

@@ -1,5 +1,7 @@
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use srj_geom::{Point, PointId, Rect};
 
@@ -28,12 +30,13 @@ pub struct GridPatch {
 ///
 /// The grid is built **on** an `Arc<`[`PointSet`]`>` and keeps it (the
 /// algorithms index by [`PointId`]): any number of grids — one per
-/// window size — share one point array and its two sorted orders. Its
-/// own state is a hash map from discrete cell coordinates to cell slots
-/// and one [`Cell`] per non-empty cell with x- and y-sorted id arrays.
+/// window size — share one point array. Its own state is a hash map
+/// from discrete cell coordinates to cell slots and one [`Cell`] per
+/// non-empty cell: its members, and the x- and y-sorted views of them
+/// once something reads a run ([`Grid::sort_views`] sorts them all).
 ///
 /// Total space is `O(m)`: each point id appears in exactly one cell's
-/// `by_x` and `by_y`.
+/// members, and in its two views once they are sorted.
 ///
 /// ```
 /// use srj_geom::{Point, Rect};
@@ -60,15 +63,12 @@ impl Grid {
     /// = window half-extent `l`, i.e. half the window side) on `points`:
     /// a slice, copied, or an `Arc<PointSet>`, shared ([`IntoPointSet`]).
     ///
-    /// `O(m)` time and space **given the set's two sorted orders**, which
-    /// do not depend on `cell_side` and are computed once per
-    /// [`PointSet`] (`O(m log m)`, on the spot for a slice): one hash
-    /// probe per point finds its cell slot and counts the cell, then one
-    /// pass over each order appends every id to its cell's `by_x` /
-    /// `by_y`. A pass over a sorted order leaves every cell sorted, so no
-    /// cell is sorted on its own. A set that nobody but the grid holds
-    /// when the build ends — a slice's — then gives its orders up; a
-    /// shared set keeps them for the next grid.
+    /// `O(m)` time and space: one hash probe per point finds its cell
+    /// slot and counts the cell, then one pass over the ids appends each
+    /// to its cell's members, which therefore come in ascending id
+    /// order. No cell is sorted: the first read of a cell's views sorts
+    /// that cell ([`Cell::by_x`]), and a builder that reads them all
+    /// sorts them up front ([`Grid::sort_views`]).
     ///
     /// # Panics
     ///
@@ -79,7 +79,7 @@ impl Grid {
         Self::build_on(points.into_point_set(), cell_side)
     }
 
-    fn build_on(mut set: Arc<PointSet>, cell_side: f64) -> Self {
+    fn build_on(set: Arc<PointSet>, cell_side: f64) -> Self {
         assert!(
             cell_side.is_finite() && cell_side > 0.0,
             "cell_side must be positive and finite, got {cell_side}"
@@ -104,45 +104,76 @@ impl Grid {
             })
             .collect();
 
-        // Stable scatter of a sorted order: each cell receives its
-        // members in that order.
-        let scatter = |order: &[PointId]| -> Vec<Vec<PointId>> {
-            let mut members: Vec<Vec<PointId>> = sizes
-                .iter()
-                .map(|&n| Vec::with_capacity(n as usize))
-                .collect();
-            for &id in order {
-                members[slot_of[id as usize] as usize].push(id);
-            }
-            members
-        };
-        let by_x = scatter(set.x_order());
-        let by_y = scatter(set.y_order());
-
+        let mut members: Vec<Vec<PointId>> = sizes
+            .iter()
+            .map(|&n| Vec::with_capacity(n as usize))
+            .collect();
+        for (id, &slot) in (0..).zip(&slot_of) {
+            members[slot as usize].push(id);
+        }
         let cells: Vec<Arc<Cell>> = coords
             .into_iter()
-            .zip(by_x.into_iter().zip(by_y))
-            .map(|(coord, (by_x, by_y))| {
-                Arc::new(Cell {
-                    coord,
-                    rect: cell_rect(coord, cell_side),
-                    by_x,
-                    by_y,
-                })
-            })
+            .zip(members)
+            .map(|(coord, members)| Arc::new(Cell::new(coord, cell_side, members)))
             .collect();
-
-        // A set no one else holds was made for this grid (a slice came
-        // in): its orders have done their work and would only be carried.
-        if let Some(own) = Arc::get_mut(&mut set) {
-            own.forget_orders();
-        }
         Grid {
             cell_side,
             set,
             lookup,
             cells,
         }
+    }
+
+    /// Sorts the views of every cell ([`Cell::sort_views`]) on up to
+    /// `threads` threads (at least one), and returns the wall time the
+    /// call took: what a build that reads every cell's runs — per-`r`
+    /// rows, KDS, KDS-rejection — charges to pre-processing. Cells whose
+    /// views exist cost nothing; threads that reach one cell at once
+    /// sort it once.
+    pub fn sort_views(&self, threads: usize) -> Duration {
+        /// Cells a thread claims at a time.
+        const BATCH: usize = 64;
+        let t0 = Instant::now();
+        // Hands out batches only: each `fetch_add` claims its own, and
+        // the views themselves are published by their `OnceLock`.
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let start = next.fetch_add(BATCH, Ordering::Relaxed);
+            let Some(batch) = self.cells.get(start..(start + BATCH).min(self.cells.len())) else {
+                break;
+            };
+            for cell in batch {
+                cell.sort_views(self.points());
+            }
+        };
+        let helpers = threads
+            .min(self.cells.len().div_ceil(BATCH))
+            .saturating_sub(1);
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(work);
+            }
+            work();
+        });
+        t0.elapsed()
+    }
+
+    /// Sorts the views of every cell in the 3×3 block around each of
+    /// `around`, and returns the heap bytes this call made doing so.
+    pub fn sort_views_around(&self, around: &[Point]) -> usize {
+        let mut centres: Vec<(i32, i32)> = around.iter().map(|&p| self.coord_of(p)).collect();
+        centres.sort_unstable();
+        centres.dedup();
+        let mut made = 0;
+        for (cx, cy) in centres {
+            for (dx, dy) in NEIGHBOR_OFFSETS {
+                let coord = (cx.saturating_add(dx), cy.saturating_add(dy));
+                if let Some(cell) = self.cell_at(coord) {
+                    made += cell.sort_views(self.points());
+                }
+            }
+        }
+        made
     }
 
     /// The coordinates of the cells a [`Grid::patch`] with these
@@ -184,10 +215,11 @@ impl Grid {
     /// `self.points().len()..`; `deleted` ids (base or just-inserted)
     /// are removed from their cells but stay resolvable through
     /// [`Grid::point`] — ids are **stable** across a patch, which is
-    /// exactly what lets clean cells be shared verbatim. Cost: one flat
-    /// copy of the point array (into a [`PointSet`] of the patched
-    /// grid's own) plus `O(|c| log |c|)` per dirty cell, whose arrays
-    /// come out in the same `(coord, id)` order a full build gives them.
+    /// exactly what lets clean cells be shared verbatim, views and all.
+    /// Cost: one flat copy of the point array (into a [`PointSet`] of the
+    /// patched grid's own) plus `O(|c|)` per dirty cell, whose members
+    /// come out in ascending id order as a full build gives them, with no
+    /// view sorted.
     pub fn patch(&self, inserted: &[Point], deleted: &HashSet<PointId>) -> (Grid, GridPatch) {
         self.patch_onto(Arc::new(self.set.extended(inserted)), deleted)
     }
@@ -228,7 +260,7 @@ impl Grid {
             }
             cells_rebuilt += 1;
             let mut ids: Vec<PointId> = cell
-                .by_x
+                .members()
                 .iter()
                 .copied()
                 .filter(|id| !deleted.contains(id))
@@ -241,7 +273,7 @@ impl Grid {
             }
             lookup.insert(coord, cells.len() as u32);
             shared_from.push(None);
-            cells.push(Arc::new(make_cell(points, coord, ids, self.cell_side)));
+            cells.push(Arc::new(Cell::new(coord, self.cell_side, ids)));
         }
         // Brand-new cells: inserts into previously empty coordinates
         // (sorted for a deterministic slot order).
@@ -251,7 +283,7 @@ impl Grid {
             cells_rebuilt += 1;
             lookup.insert(coord, cells.len() as u32);
             shared_from.push(None);
-            cells.push(Arc::new(make_cell(points, coord, ids, self.cell_side)));
+            cells.push(Arc::new(Cell::new(coord, self.cell_side, ids)));
         }
         let cells_shared = shared_from.iter().filter(|s| s.is_some()).count();
         (
@@ -461,30 +493,6 @@ impl Grid {
     }
 }
 
-/// Assembles one cell of a [`Grid::patch`] from its member ids in any
-/// order, sorting them into the `(coord, id)` order of [`Cell`].
-fn make_cell(points: &[Point], coord: (i32, i32), mut by_x: Vec<PointId>, cell_side: f64) -> Cell {
-    let at = |id: PointId| points[id as usize];
-    by_x.sort_unstable_by(|&a, &b| at(a).x.total_cmp(&at(b).x).then(a.cmp(&b)));
-    let mut by_y = by_x.clone();
-    by_y.sort_unstable_by(|&a, &b| at(a).y.total_cmp(&at(b).y).then(a.cmp(&b)));
-    Cell {
-        coord,
-        rect: cell_rect(coord, cell_side),
-        by_x,
-        by_y,
-    }
-}
-
-fn cell_rect(coord: (i32, i32), cell_side: f64) -> Rect {
-    Rect::new(
-        coord.0 as f64 * cell_side,
-        coord.1 as f64 * cell_side,
-        (coord.0 as f64 + 1.0) * cell_side,
-        (coord.1 as f64 + 1.0) * cell_side,
-    )
-}
-
 #[inline]
 fn coord_of_raw(p: Point, cell_side: f64) -> (i32, i32) {
     let (qx, qy) = (p.x / cell_side, p.y / cell_side);
@@ -599,8 +607,8 @@ mod tests {
         let mut seen = vec![0u32; pts.len()];
         for c in g.cells() {
             assert!(!c.is_empty(), "empty cell materialised");
-            assert_eq!(c.by_x.len(), c.by_y.len());
-            for &id in &c.by_x {
+            assert!(c.members().windows(2).all(|w| w[0] < w[1]));
+            for &id in c.members() {
                 seen[id as usize] += 1;
                 assert_eq!(g.coord_of(pts[id as usize]), c.coord);
             }
@@ -613,13 +621,16 @@ mod tests {
     fn cell_arrays_are_sorted() {
         let pts = cluster(300, 11);
         let g = Grid::build(&pts, 10.0);
+        assert!(g.cells().iter().all(|c| !c.has_views()));
+        g.sort_views(3);
         for c in g.cells() {
+            assert!(c.has_views());
             assert!(c
-                .by_x
+                .by_x(&pts)
                 .windows(2)
                 .all(|w| pts[w[0] as usize].x <= pts[w[1] as usize].x));
             assert!(c
-                .by_y
+                .by_y(&pts)
                 .windows(2)
                 .all(|w| pts[w[0] as usize].y <= pts[w[1] as usize].y));
         }
@@ -787,9 +798,9 @@ mod tests {
 
         // Deleted id is out of every cell; membership is otherwise intact.
         for c in p.cells() {
-            assert!(!c.by_x.contains(&del_id));
+            assert!(!c.members().contains(&del_id));
             assert!(c
-                .by_x
+                .by_x(p.points())
                 .windows(2)
                 .all(|w| p.points()[w[0] as usize].x <= p.points()[w[1] as usize].x));
         }

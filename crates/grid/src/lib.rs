@@ -14,12 +14,13 @@
 //!
 //! Only non-empty cells are materialised (`GRID-MAPPING(S, l)` in
 //! Algorithm 1, `O(m)` time and space). Every cell keeps its member point
-//! ids sorted by x (`S(c)`) and by y (`S_y(c)`), which is precisely the
-//! state Algorithm 1 lines 2–4 build.
+//! ids in id order, and — sorted the first time a run is read — by x
+//! (`S(c)`) and by y (`S_y(c)`), the state Algorithm 1 lines 2–4 build.
+//! A structure that draws a member at a uniform rank (group rows) never
+//! reads a run, so a grid built for it sorts nothing.
 //!
-//! The paper pre-sorts `S` offline, before `l` is known. [`PointSet`] is
-//! that step: the point array with its ids in x and in y order, computed
-//! once and shared by every grid built on it, whatever its cell side.
+//! [`PointSet`] is the point array, checked once and shared by every
+//! grid built on it, whatever its cell side.
 //!
 //! The outer set `R` is not indexed, but every `r` of one cell sees the
 //! same 3×3 block: [`Grid::group_by_cell`] counting-sorts a point set by

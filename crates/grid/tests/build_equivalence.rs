@@ -1,5 +1,6 @@
 //! The scatter-built grid against the definition: bucket every indexed
-//! point by its cell coordinate, sort each bucket by `(coord, id)`.
+//! point by its cell coordinate in id order; a bucket's views are its
+//! members sorted by `(x, id)` and by `(y, id)`.
 //!
 //! Inputs live on a half-unit lattice around the origin, so they are full
 //! of duplicate coordinates (the tie order is what is being pinned),
@@ -7,15 +8,16 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{Grid, PointSet};
 
-type Members = (Vec<PointId>, Vec<PointId>);
+/// Members in id order, `by_x`, `by_y`.
+type Members = (Vec<PointId>, Vec<PointId>, Vec<PointId>);
 
-/// Cell coordinate → (`by_x`, `by_y`) of the indexed points, by definition.
+/// Cell coordinate → (members, `by_x`, `by_y`) of the indexed points, by
+/// definition.
 fn reference(points: &[Point], skip: &HashSet<PointId>, l: f64) -> BTreeMap<(i32, i32), Members> {
     let mut cells: BTreeMap<(i32, i32), Members> = BTreeMap::new();
     for (id, p) in (0..).zip(points) {
@@ -25,9 +27,10 @@ fn reference(points: &[Point], skip: &HashSet<PointId>, l: f64) -> BTreeMap<(i32
         }
     }
     let at = |id: PointId| points[id as usize];
-    for (by_x, by_y) in cells.values_mut() {
+    for (members, by_x, by_y) in cells.values_mut() {
+        by_x.clone_from(members);
         by_x.sort_by(|&a, &b| at(a).x.total_cmp(&at(b).x).then(a.cmp(&b)));
-        by_y.clone_from(by_x);
+        by_y.clone_from(members);
         by_y.sort_by(|&a, &b| at(a).y.total_cmp(&at(b).y).then(a.cmp(&b)));
     }
     cells
@@ -39,21 +42,22 @@ fn assert_is(grid: &Grid, points: &[Point], skip: &HashSet<PointId>) {
     assert_eq!(grid.points(), points);
     assert_eq!(grid.num_cells(), want.len());
     assert_eq!(grid.live_points(), points.len() - skip.len());
-    for (&coord, (by_x, by_y)) in &want {
+    for (&coord, (members, by_x, by_y)) in &want {
         let slot = grid
             .cell_slot_at(coord)
             .expect("a non-empty cell has a slot");
         let cell = grid.cell(slot);
         assert!(std::ptr::eq(cell, grid.cell_at(coord).unwrap()));
         assert_eq!(cell.coord, coord);
-        assert_eq!(&cell.by_x, by_x, "by_x of {coord:?}");
-        assert_eq!(&cell.by_y, by_y, "by_y of {coord:?}");
+        assert_eq!(cell.members(), members, "members of {coord:?}");
+        assert_eq!(cell.by_x(points), by_x, "by_x of {coord:?}");
+        assert_eq!(cell.by_y(points), by_y, "by_y of {coord:?}");
         let (cx, cy) = (coord.0 as f64, coord.1 as f64);
         assert_eq!(
             cell.rect,
             Rect::new(cx * l, cy * l, (cx + 1.0) * l, (cy + 1.0) * l)
         );
-        for p in by_x.iter().map(|&id| points[id as usize]) {
+        for p in members.iter().map(|&id| points[id as usize]) {
             assert_eq!(grid.coord_of(p), coord);
         }
         // The lookup holds nothing but the non-empty cells.
@@ -86,26 +90,25 @@ proptest! {
     }
 
     #[test]
-    fn grids_of_two_cell_sides_share_one_set_and_its_orders(
+    fn grids_of_two_cell_sides_share_one_set(
         points in prop::collection::vec(lattice_point(), 1..300),
         l1 in cell_side(),
         l2 in cell_side(),
     ) {
         let set = Arc::new(PointSet::new(points.clone()));
         let first = Grid::build(&set, l1);
-        let x_order = set.x_order().as_ptr();
-        prop_assert_eq!(set.ensure_orders(), Duration::ZERO);
         let second = Grid::build(&set, l2);
         prop_assert!(Arc::ptr_eq(first.point_set(), &set));
         prop_assert!(Arc::ptr_eq(second.point_set(), &set));
-        prop_assert_eq!(set.x_order().as_ptr(), x_order);
+        prop_assert_eq!(set.memory_bytes(), points.len() * 16);
         assert_is(&first, &points, &HashSet::new());
         assert_is(&second, &points, &HashSet::new());
     }
 
     /// A cell `patch` rebuilt and the same cell built from scratch are
     /// equal arrays, ties included, and the cells it rebuilt are the
-    /// ones `dirty_cells` names.
+    /// ones `dirty_cells` names. A clean cell is carried over with the
+    /// views it had; a rebuilt one has none until read.
     #[test]
     fn a_patched_grid_is_the_grid_of_the_patched_points(
         base in prop::collection::vec(lattice_point(), 0..200),
@@ -123,7 +126,22 @@ proptest! {
             .map(|id| id as PointId)
             .collect();
         let grid = Grid::build(&base, l);
+        // Views on every other cell before the patch.
+        for cell in grid.cells().iter().step_by(2) {
+            cell.sort_views(grid.points());
+        }
         let (patched, report) = grid.patch(&inserted, &deleted);
+        for (slot, from) in report.shared_from.iter().enumerate() {
+            let cell = patched.cell_arc(slot as u32);
+            match from {
+                Some(old) => {
+                    let old = grid.cell_arc(*old);
+                    prop_assert!(Arc::ptr_eq(cell, old));
+                    prop_assert_eq!(cell.has_views(), old.has_views());
+                }
+                None => prop_assert!(!cell.has_views()),
+            }
+        }
         assert_is(&patched, &all, &deleted);
         prop_assert_eq!(report.cells_rebuilt, grid.dirty_cells(&inserted, &deleted).len());
     }
@@ -146,7 +164,10 @@ fn one_cell_of_two_thousand_members() {
     let grid = Grid::build(&points, 4.0);
     assert_eq!(grid.num_cells(), 1);
     assert_eq!(grid.cell_at((2, -1)).unwrap().len(), 2000);
-    assert_is(&grid, &points, &HashSet::new());
-    // A slice's set is the grid's alone: its orders went with the build.
     assert_eq!(grid.point_set().memory_bytes(), 2000 * 16);
+    let unsorted = grid.memory_bytes();
+    assert_is(&grid, &points, &HashSet::new());
+    // The views `assert_is` read are counted with the grid: two more ids
+    // a member.
+    assert_eq!(grid.memory_bytes(), unsorted + 2000 * 2 * 4);
 }

@@ -19,14 +19,14 @@ pub fn grid_join(r: &[Point], s: &[Point], half_extent: f64) -> Vec<IdPair> {
         for cell in grid.neighborhood(rp).into_iter().flatten() {
             if w.contains_rect(&cell.rect) {
                 // case-1 style: the whole cell qualifies
-                for &sid in &cell.by_x {
+                for &sid in cell.members() {
                     out.push((i as u32, sid));
                 }
             } else {
                 // boundary cell: x-binary search then y filter
                 let lo = cell.lower_bound_x(grid.points(), w.min_x);
                 let hi = cell.upper_bound_x(grid.points(), w.max_x);
-                for &sid in &cell.by_x[lo..hi] {
+                for &sid in &cell.by_x(grid.points())[lo..hi] {
                     let y = grid.point(sid).y;
                     if w.min_y <= y && y <= w.max_y {
                         out.push((i as u32, sid));

@@ -254,7 +254,7 @@ mod tests {
         // A second window size is a second engine over the same base:
         // its rows add up, the sets they share count once — `R`, 200
         // points of 16 B (KDS keeps no permutation of it), and `S`,
-        // 300 points, 16 B each and two `u32` orders.
+        // 300 points of 16 B.
         let second = SampleRequest {
             req_id: 1,
             dataset: 9,
@@ -268,7 +268,7 @@ mod tests {
         let text = client.metrics().unwrap();
         for series in [
             "structure=\"r_points\"} 3200\n",
-            "structure=\"point_set\"} 7200\n",
+            "structure=\"point_set\"} 4800\n",
             "granularity=\"per_r\"} 400\n",
         ] {
             assert!(text.contains(series), "missing {series:?} in:\n{text}");

@@ -1698,10 +1698,19 @@ mod tests {
         assert!(dataset.cached_engine(EngineKey::off_step(3.7)).is_some());
         check("an off-step window", &[]);
 
+        // Group rows leave the step's grid of `S` unsorted; the minor
+        // swap's chunk of inserted `R` sorts the cells of its blocks,
+        // after the base's bytes were published.
+        let step = dataset.cached_engine(EngineKey::of(&bbst(4.0))).flatten();
+        let s_grid = step.expect("the step 4 serves").engine().s_grid().unwrap();
+        assert!(s_grid.cells().iter().all(|c| !c.has_views()));
         insert_s(vec![Point::new(0.25, 0.25); 5]);
+        dataset.store.insert_r_batch(&[Point::new(0.25, 0.25); 3]);
         acquire(4.0);
         assert_eq!(rungs(), [1, 0, 0]);
-        check("a minor swap", &[]);
+        assert!(s_grid.cells().iter().any(|c| c.has_views()));
+        check("a minor swap that sorts base cells", &[]);
+        drop(s_grid);
         insert_s(vec![Point::new(0.25, 0.25); 30]);
         acquire(4.0);
         assert_eq!(rungs(), [1, 1, 0]);

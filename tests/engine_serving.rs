@@ -223,21 +223,36 @@ fn assert_membership(engine: &EpochEngine, l: f64) {
     }
 }
 
-/// The per-dataset sort cache, through the engine: engines of different
-/// window sizes over one store stand on one `PointSet` and sort it once;
-/// a compaction that changes `S` gives the next build a fresh set; and
-/// what is built on the shared set is what is built from a slice.
+/// A full build's grid of `S` has every cell sorted, and pre-processing
+/// to show for it, where its rows read runs; under group rows, neither.
+fn assert_sorts_what_it_reads(engine: &srj::Engine, l: f64) {
+    let grid = engine.s_grid().unwrap();
+    let sorted = grid.cells().iter().filter(|c| c.has_views()).count();
+    let preprocessing = engine.build_report().preprocessing;
+    if engine.row_granularity() == RowGranularity::Group {
+        assert_eq!((sorted, preprocessing), (0, Duration::ZERO), "l = {l}");
+    } else {
+        assert_eq!(sorted, grid.num_cells(), "l = {l}");
+        assert!(preprocessing > Duration::ZERO, "l = {l}");
+    }
+}
+
+/// Engines of different window sizes over one store stand on one
+/// `PointSet`, which holds the points and nothing else; a build sorts
+/// the cells of its own grid exactly when its family reads their runs —
+/// every cell for per-`r` rows, KDS and KDS-rejection, none for group
+/// rows — and charges that to pre-processing; and what is built on the
+/// shared set is what is built from a slice.
 #[test]
-fn window_sizes_over_one_store_share_one_sorted_point_set() {
+fn window_sizes_over_one_store_share_one_point_set() {
     let r = lattice_points(400, 11);
     let s = lattice_points(2_000, 12);
     let store = Arc::new(DatasetStore::new(r.clone(), s.clone()));
     let base = store.snapshot().base_s;
 
     let first = epoch_engine(&store, 1.5, Algorithm::Bbst);
-    let x_order = base.x_order().as_ptr();
-    assert!(first.engine().build_report().preprocessing > Duration::ZERO);
     for (l, algorithm) in [
+        (1.5, Algorithm::Bbst),
         (0.5, Algorithm::Bbst),
         (2.0, Algorithm::Kds),
         (3.7, Algorithm::KdsRejection),
@@ -248,21 +263,11 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
             Arc::ptr_eq(engine.s_grid().unwrap().point_set(), &base),
             "l = {l}"
         );
-        if algorithm == Algorithm::Bbst {
-            // BBST's pre-processing phase is the sorts and nothing else.
-            assert_eq!(engine.build_report().preprocessing, Duration::ZERO);
-        }
-        // Counted with the engine that holds it, orders included.
+        assert_sorts_what_it_reads(&engine, l);
         assert!(engine.memory_bytes() > base.memory_bytes());
-        assert_eq!(base.memory_bytes(), s.len() * (16 + 2 * 4));
+        assert_eq!(base.memory_bytes(), s.len() * 16);
         assert_membership(&next, l);
     }
-    assert!(Arc::ptr_eq(
-        first.engine().s_grid().unwrap().point_set(),
-        &base
-    ));
-    assert_eq!(base.ensure_orders(), Duration::ZERO);
-    assert_eq!(base.x_order().as_ptr(), x_order, "sorted once");
 
     // Shared set or slice, the index is the same index.
     for l in [0.5, 1.5, 3.7] {
@@ -304,7 +309,7 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
             .all(|(a, b)| a.total() == b.total()));
     }
 
-    // An incremental compaction appends to `S`: a new set, sorted anew.
+    // An incremental compaction appends to `S`: a new set.
     store.insert_s(Point::new(0.25, -0.75));
     let (snap, _) = store.compact_incremental();
     assert!(!Arc::ptr_eq(&snap.base_s, &base));
@@ -314,7 +319,7 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
         engine.s_grid().unwrap().point_set(),
         &snap.base_s
     ));
-    assert!(engine.build_report().preprocessing > Duration::ZERO);
+    assert_sorts_what_it_reads(&engine, 1.5);
     assert_membership(&after_incremental, 1.5);
 
     // A full compaction renumbers `S`: again a new set.
@@ -327,7 +332,7 @@ fn window_sizes_over_one_store_share_one_sorted_point_set() {
         engine.s_grid().unwrap().point_set(),
         &renumbered.base_s
     ));
-    assert!(engine.build_report().preprocessing > Duration::ZERO);
+    assert_sorts_what_it_reads(&engine, 0.5);
     // Half-unit cells over the half-unit lattice: a window covers its
     // whole block, the grid bound is exact and group rows serve.
     assert_eq!(engine.row_granularity(), RowGranularity::Group);
@@ -414,31 +419,29 @@ fn window_sizes_over_one_store_share_one_r_set() {
     }
 }
 
-/// Two cache misses on two window sizes at the same moment: one of the
-/// two builds sorts the base, the other waits for it and sorts nothing.
+/// Two cache misses on two window sizes at the same moment: both stand
+/// on the store's one set, each sorts the cells of its own grid, and the
+/// set is left as it was.
 #[test]
-fn concurrent_misses_on_two_window_sizes_sort_the_base_once() {
+fn concurrent_misses_on_two_window_sizes_share_the_base() {
     let r = lattice_points(200, 21);
     let store = Arc::new(DatasetStore::new(r, lattice_points(20_000, 22)));
+    let base = store.snapshot().base_s;
     let start = std::sync::Barrier::new(2);
-    let sort_times: Vec<Duration> = thread::scope(|scope| {
-        let builds: Vec<_> = [1.0, 2.5]
-            .into_iter()
-            .map(|l| {
-                let (store, start) = (&store, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    let engine = epoch_engine(store, l, Algorithm::Bbst);
-                    assert_membership(&engine, l);
-                    engine.engine().build_report().preprocessing
-                })
-            })
-            .collect();
-        builds.into_iter().map(|b| b.join().unwrap()).collect()
+    thread::scope(|scope| {
+        for l in [1.0, 2.5] {
+            let (store, start, base) = (&store, &start, &base);
+            scope.spawn(move || {
+                start.wait();
+                let engine = epoch_engine(store, l, Algorithm::Kds);
+                assert_membership(&engine, l);
+                let grid = engine.engine().s_grid().unwrap();
+                assert!(Arc::ptr_eq(grid.point_set(), base));
+                assert!(grid.cells().iter().all(|c| c.has_views()));
+            });
+        }
     });
-    let sorted = sort_times.iter().filter(|t| **t > Duration::ZERO).count();
-    assert_eq!(sorted, 1, "sort times {sort_times:?}");
-    assert_eq!(store.snapshot().base_s.ensure_orders(), Duration::ZERO);
+    assert_eq!(base.memory_bytes(), 20_000 * 16);
 }
 
 /// Every rung of the maintenance ladder is a function of the data, never
@@ -662,7 +665,7 @@ fn every_family_and_overlay_is_one_index_shape() {
             // Memory by structure: the parts are the whole; a clean
             // index keeps one forty-byte row per `r` (KDS-rejection
             // one `f64`) and stands on the `R` set, 16 B a point (a
-            // slice came in: a set of its own, no orders) — or per group
+            // slice came in: a set of its own) — or per group
             // of `R` one forty-byte row and its nine four-byte cell
             // slots, beside the set `R`'s indices in group order, and no
             // per-cell units; pending mutations add to the overlay's own
@@ -776,6 +779,31 @@ fn clustered_store() -> Arc<DatasetStore> {
         clustered_points(120, 31, 60.0),
         clustered_points(180, 32, 60.0),
     ))
+}
+
+/// A group-row build sorts nothing: `S` is its points, 16 B each, and
+/// no cell of the grid has a view. A KDS build over the same store sorts
+/// every cell of its own grid, and counts the views with the grid.
+#[test]
+fn a_group_row_build_sorts_nothing() {
+    let store = clustered_store();
+    let m = store.snapshot().base_s.len();
+    let group = epoch_engine(&store, 1.0, Algorithm::Bbst);
+    let engine = group.engine();
+    assert_eq!(engine.row_granularity(), RowGranularity::Group);
+    assert_eq!(engine.memory_breakdown().point_set, 16 * m);
+    let grid = engine.s_grid().unwrap();
+    assert!(grid.cells().iter().all(|c| !c.has_views()));
+
+    let kds = epoch_engine(&store, 1.0, Algorithm::Kds);
+    let engine = kds.engine();
+    assert_eq!(engine.memory_breakdown().point_set, 16 * m);
+    let grid = engine.s_grid().unwrap();
+    assert!(grid.cells().iter().all(|c| c.has_views()));
+    // Members and both views: three ids a point, within the grid's bytes.
+    let cells: usize = grid.cells().iter().map(|c| c.memory_bytes()).sum();
+    assert_eq!(cells, 3 * 4 * m);
+    assert!(engine.memory_breakdown().grid > cells);
 }
 
 /// One engine per ladder step: it serves its own window and every

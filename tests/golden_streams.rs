@@ -16,10 +16,11 @@
 //! inserts over three minor swaps and a tombstone on each side must draw
 //! what the overlay's own row and pick drew.
 //!
-//! The `clustered` lines were recorded at the commit before a group row
-//! stored its block's nine cell slots: a BBST engine over clustered data
+//! The `clustered` lines pin a BBST engine over clustered data, which
 //! serves group rows (`srj_core::GroupIndex`), base and under an
-//! overlay, and must draw what the per-iteration grid probe drew.
+//! overlay. They were re-recorded when a group row's draw began to rank
+//! a cell's members in id order (`Cell::members`) instead of `(x, id)`
+//! order: the same alias and row picks, another member at the rank.
 
 use srj::{
     Algorithm, Engine, EpochConfig, EpochEngine, JoinPair, Point, PointId, RowGranularity,

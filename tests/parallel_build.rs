@@ -169,3 +169,24 @@ fn parallel_build_reports_wall_and_cpu() {
     let srep = serial.report();
     assert_eq!(srep.upper_bounding, srep.upper_bounding_cpu);
 }
+
+/// The per-cell sorts a build forces are raced by its threads, each
+/// cell sorted once by whichever reaches it: the views come out as one
+/// thread sorts them, and a second call finds nothing left to sort.
+#[test]
+fn raced_cell_views_are_the_serial_views() {
+    let (_, s) = dataset();
+    let serial = srj::grid::Grid::build(&s, 20.0);
+    serial.sort_views(1);
+    for threads in THREAD_SWEEP {
+        let raced = srj::grid::Grid::build(&s, 20.0);
+        raced.sort_views(threads);
+        assert_eq!(raced.memory_bytes(), serial.memory_bytes());
+        for (a, b) in raced.cells().iter().zip(serial.cells()) {
+            assert_eq!(a.by_x(&s), b.by_x(&s), "threads = {threads}");
+            assert_eq!(a.by_y(&s), b.by_y(&s), "threads = {threads}");
+        }
+        let again: usize = raced.cells().iter().map(|c| c.sort_views(&s)).sum();
+        assert_eq!(again, 0, "threads = {threads}");
+    }
+}
