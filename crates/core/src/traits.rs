@@ -20,22 +20,12 @@ pub trait JoinSampler {
     /// Draws `t` uniform join samples with replacement (Definition 2).
     ///
     /// The default implementation loops [`JoinSampler::sample_one`];
-    /// implementations may override for batching. The loop is
-    /// bracketed by trace span hooks ([`srj_obs::trace::event`]) that
-    /// cost one relaxed load when tracing is disabled.
+    /// implementations may override for batching.
     fn sample(&mut self, t: usize, rng: &mut dyn RngCore) -> Result<Vec<JoinPair>, SampleError> {
-        srj_obs::trace::event("draw_loop", "begin");
         let mut out = Vec::with_capacity(t);
         for _ in 0..t {
-            match self.sample_one(rng) {
-                Ok(pair) => out.push(pair),
-                Err(e) => {
-                    srj_obs::trace::event("draw_loop", "error");
-                    return Err(e);
-                }
-            }
+            out.push(self.sample_one(rng)?);
         }
-        srj_obs::trace::event("draw_loop", "end");
         Ok(out)
     }
 

@@ -404,7 +404,6 @@ const _: () = {
 impl SamplerHandle {
     /// Draws one uniform join sample.
     pub fn sample_one(&mut self) -> Result<JoinPair, SampleError> {
-        srj_obs::trace::event("engine_query", "sample_one");
         let before = self.cursor.report().iterations;
         let t = Instant::now();
         let out = self.cursor.sample_one(&mut self.rng);
@@ -424,7 +423,6 @@ impl SamplerHandle {
     /// engine query (a per-item `Instant` pair would cost more than a
     /// draw).
     pub fn sample_batch(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
-        srj_obs::trace::event("engine_query", "sample_batch");
         let before = self.cursor.report().iterations;
         let start = Instant::now();
         let mut out = Vec::new();
@@ -511,7 +509,6 @@ impl HandleStream<'_> {
     }
 
     fn flush_stats(&mut self) {
-        srj_obs::trace::event("draw_loop", "stats_flush");
         if self.batch_samples > 0 {
             self.handle.shared.stats.record_query(
                 self.batch_samples,

@@ -1,6 +1,6 @@
 //! A process-monotone nanosecond clock.
 //!
-//! Trace records and journal events carry timestamps from one shared
+//! Journal events and slow-log entries carry timestamps from one shared
 //! origin (the first call in the process), so nanosecond deltas
 //! between any two records are meaningful and `u64` never overflows
 //! in practice (585 years of uptime).

@@ -1,109 +1,106 @@
 //! Tail-based slow-request capture.
 //!
-//! The cheap half is in [`crate::trace`]: with always-on recording
-//! ([`crate::trace::set_always_record`]) every request gets a forced
-//! trace id and leaves its span records in the lock-free rings — a
-//! few relaxed atomics per stage, paid unconditionally. The rings
-//! wrap, so fast requests evaporate on their own.
+//! Every request carries one [`Stages`] record, stamped at its stage
+//! boundaries — one clock read each, charging the time since the
+//! previous one — so the stages sum to its wall time exactly. Nothing
+//! else is recorded while it runs.
 //!
-//! The expensive half happens only for requests that *finish slow*:
-//! the server compares the request's wall time against a threshold
-//! (absolute, or derived from the live latency histogram's p99) and,
-//! on breach, snapshots the full span tree plus request context into
-//! this bounded [`SlowLog`]. Retention is newest-first FIFO: the log
-//! keeps the most recent `capacity` slow requests and drops the
-//! oldest. Entries are fetched over the wire (`SLOWLOG` frame) or
-//! rendered into `/vars`.
+//! Only a request that *finishes slow* costs more: the server compares
+//! its wall time against a threshold (absolute, or derived from the
+//! live latency histogram's p99) and, on breach, copies the record
+//! plus the request context into this bounded [`SlowLog`]. Retention
+//! is newest-first FIFO: the log keeps the most recent `capacity` slow
+//! requests and drops the oldest. Entries are fetched over the wire
+//! (`SLOWLOG` frame) or rendered into `/vars`.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::json;
-use crate::trace;
 
-/// One captured span, owned (the ring records resolve to
-/// `&'static str`, but an entry must outlive ring wraparound).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SlowSpan {
-    /// [`crate::clock::now_ns`] at record time.
-    pub ns: u64,
-    /// Instrumented stage (e.g. `draw_loop`).
-    pub span: String,
-    /// What happened in the stage (e.g. `begin`).
-    pub event: String,
+/// Where one request's server-side time went, nanoseconds. The five
+/// telescope on one clock, so they sum to the request's `elapsed_ns`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Stages {
+    /// Decode to the first worker step; 0 for a request served inline.
+    pub queued_ns: u64,
+    /// Obtaining the serving handle (a build on a cache miss, a due
+    /// swap).
+    pub acquire_ns: u64,
+    /// Drawing the samples, summed over batches.
+    pub draw_ns: u64,
+    /// Encoding the `BATCH` frames, summed.
+    pub encode_ns: u64,
+    /// A worker's gaps between steps, and an inline request's gap from
+    /// decode to its first step.
+    pub waiting_ns: u64,
 }
 
-/// One retained slow request: full request context plus the span tree
-/// snapshotted at completion.
+impl Stages {
+    /// The sum of the five stages: the request's wall time.
+    pub fn total(&self) -> u64 {
+        self.queued_ns + self.acquire_ns + self.draw_ns + self.encode_ns + self.waiting_ns
+    }
+}
+
+/// One retained slow request: its context and stage record.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SlowEntry {
-    /// The request's (forced or sampled) trace id.
-    pub trace_id: u64,
+    /// Assigned by [`SlowLog::record`], counting from 1; the request's
+    /// `DONE` frame carries it.
+    pub id: u64,
     /// [`crate::clock::now_ns`] when the request finished.
     pub finished_ns: u64,
     /// Served dataset id.
     pub dataset: u64,
     /// Requested sample count.
     pub t: u64,
-    /// Serving algorithm name (`auto` when none was forced).
+    /// The algorithm the request forced (`auto` when none was).
     pub algorithm: String,
+    /// The algorithm that served it (empty when no handle was
+    /// acquired).
+    pub served: String,
     /// Dataset epoch the request was served against.
     pub epoch: u64,
     /// Rejection-loop iterations the request burned.
     pub iterations: u64,
-    /// Time between frame decode and the first worker step.
-    pub queue_wait_ns: u64,
-    /// End-to-end wall time.
+    /// Batches drawn.
+    pub batches: u64,
+    /// Whether the event loop served it; otherwise a worker did.
+    pub inline: bool,
+    /// End-to-end wall time, decode to the last stamp.
     pub elapsed_ns: u64,
-    /// The span tree, oldest first (what the rings still held).
-    pub spans: Vec<SlowSpan>,
+    /// Where `elapsed_ns` went.
+    pub stages: Stages,
 }
 
 impl SlowEntry {
-    /// Snapshots whatever the rings still hold for `trace_id` into an
-    /// owned span list, oldest first.
-    pub fn capture_spans(trace_id: u64) -> Vec<SlowSpan> {
-        trace::spans_for(trace_id)
-            .into_iter()
-            .map(|r| SlowSpan {
-                ns: r.ns,
-                span: r.span.to_string(),
-                event: r.event.to_string(),
-            })
-            .collect()
-    }
-
-    /// One-line JSON rendering for `/vars` (algorithm is the only
-    /// string field; it is fixed-vocabulary today but escaped anyway).
+    /// One-line JSON rendering for `/vars` (the algorithm names are
+    /// fixed-vocabulary today but escaped anyway).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160 + self.spans.len() * 48);
-        out.push_str(&format!(
-            "{{\"trace_id\":{},\"finished_ns\":{},\"dataset\":{},\"t\":{},\
-             \"algorithm\":{},\"epoch\":{},\"iterations\":{},\
-             \"queue_wait_ns\":{},\"elapsed_ns\":{},\"spans\":[",
-            self.trace_id,
+        let s = &self.stages;
+        format!(
+            "{{\"id\":{},\"finished_ns\":{},\"dataset\":{},\"t\":{},\
+             \"algorithm\":{},\"served\":{},\"epoch\":{},\"iterations\":{},\
+             \"batches\":{},\"inline\":{},\"elapsed_ns\":{},\"queued_ns\":{},\
+             \"acquire_ns\":{},\"draw_ns\":{},\"encode_ns\":{},\"waiting_ns\":{}}}",
+            self.id,
             self.finished_ns,
             self.dataset,
             self.t,
             json::escape(&self.algorithm),
+            json::escape(&self.served),
             self.epoch,
             self.iterations,
-            self.queue_wait_ns,
+            self.batches,
+            self.inline,
             self.elapsed_ns,
-        ));
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"ns\":{},\"span\":{},\"event\":{}}}",
-                s.ns,
-                json::escape(&s.span),
-                json::escape(&s.event)
-            ));
-        }
-        out.push_str("]}");
-        out
+            s.queued_ns,
+            s.acquire_ns,
+            s.draw_ns,
+            s.encode_ns,
+            s.waiting_ns,
+        )
     }
 }
 
@@ -111,7 +108,14 @@ impl SlowEntry {
 /// disables retention entirely (`record` is a no-op).
 pub struct SlowLog {
     capacity: usize,
-    inner: Mutex<VecDeque<SlowEntry>>,
+    inner: Mutex<Retained>,
+}
+
+#[derive(Default)]
+struct Retained {
+    /// Entries recorded so far: the last id assigned.
+    recorded: u64,
+    entries: VecDeque<SlowEntry>,
 }
 
 impl SlowLog {
@@ -119,7 +123,7 @@ impl SlowLog {
     pub fn new(capacity: usize) -> Self {
         SlowLog {
             capacity,
-            inner: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(Retained::default()),
         }
     }
 
@@ -128,27 +132,31 @@ impl SlowLog {
         self.capacity > 0
     }
 
-    /// Retains `entry`, dropping the oldest past capacity.
-    pub fn record(&self, entry: SlowEntry) {
+    /// Retains `entry` under the next id, dropping the oldest entry
+    /// past capacity, and returns the id (0 when the log is disabled).
+    pub fn record(&self, mut entry: SlowEntry) -> u64 {
         if self.capacity == 0 {
-            return;
+            return 0;
         }
         let mut inner = self.inner.lock().unwrap();
-        if inner.len() >= self.capacity {
-            inner.pop_front();
+        inner.recorded += 1;
+        entry.id = inner.recorded;
+        if inner.entries.len() >= self.capacity {
+            inner.entries.pop_front();
         }
-        inner.push_back(entry);
+        inner.entries.push_back(entry);
+        inner.recorded
     }
 
     /// The most recent `n` entries, newest first (a tail view).
     pub fn recent(&self, n: usize) -> Vec<SlowEntry> {
         let inner = self.inner.lock().unwrap();
-        inner.iter().rev().take(n).cloned().collect()
+        inner.entries.iter().rev().take(n).cloned().collect()
     }
 
     /// Entries currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        self.inner.lock().unwrap().entries.len()
     }
 
     /// Whether the log holds nothing.
@@ -161,22 +169,23 @@ impl SlowLog {
 mod tests {
     use super::*;
 
-    fn entry(trace_id: u64, elapsed_ns: u64) -> SlowEntry {
+    fn entry(elapsed_ns: u64) -> SlowEntry {
         SlowEntry {
-            trace_id,
-            finished_ns: trace_id * 10,
+            finished_ns: elapsed_ns * 10,
             dataset: 1,
             t: 1000,
-            algorithm: "bbst".to_string(),
+            algorithm: "auto".to_string(),
+            served: "bbst".to_string(),
             epoch: 2,
             iterations: 5,
-            queue_wait_ns: 100,
+            batches: 1,
             elapsed_ns,
-            spans: vec![SlowSpan {
-                ns: 1,
-                span: "draw_loop".into(),
-                event: "begin".into(),
-            }],
+            stages: Stages {
+                queued_ns: 100,
+                draw_ns: elapsed_ns - 100,
+                ..Stages::default()
+            },
+            ..SlowEntry::default()
         }
     }
 
@@ -184,13 +193,14 @@ mod tests {
     fn retention_is_bounded_and_newest_first() {
         let log = SlowLog::new(3);
         for i in 1..=5 {
-            log.record(entry(i, i * 1000));
+            assert_eq!(log.record(entry(i * 1000)), i, "ids count from 1");
         }
         assert_eq!(log.len(), 3);
         let recent = log.recent(10);
         assert_eq!(recent.len(), 3);
-        assert_eq!(recent[0].trace_id, 5); // newest first
-        assert_eq!(recent[2].trace_id, 3); // 1 and 2 dropped
+        assert_eq!(recent[0].id, 5); // newest first
+        assert_eq!(recent[0].elapsed_ns, 5000);
+        assert_eq!(recent[2].id, 3); // 1 and 2 dropped
         assert_eq!(log.recent(1).len(), 1);
     }
 
@@ -198,33 +208,23 @@ mod tests {
     fn zero_capacity_disables_recording() {
         let log = SlowLog::new(0);
         assert!(!log.enabled());
-        log.record(entry(1, 1));
+        assert_eq!(log.record(entry(1000)), 0);
         assert!(log.is_empty());
     }
 
     #[test]
-    fn capture_spans_snapshots_the_rings() {
-        // event_for bypasses the sampling switch, so this test does
-        // not toggle process-global trace state.
-        let id = trace::start_trace_forced();
-        trace::event_for(id, "acquire", "begin");
-        trace::event_for(id, "draw_loop", "begin");
-        let spans = SlowEntry::capture_spans(id);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].span, "acquire");
-        assert_eq!(spans[1].span, "draw_loop");
-        assert!(spans[0].ns <= spans[1].ns);
-        assert!(SlowEntry::capture_spans(0).is_empty());
-    }
-
-    #[test]
     fn json_rendering_is_wellformed() {
-        let e = entry(7, 9000);
-        let json = e.to_json();
-        assert!(json.starts_with("{\"trace_id\":7,"), "{json}");
-        assert!(json.contains("\"algorithm\":\"bbst\""), "{json}");
+        let log = SlowLog::new(1);
+        log.record(entry(9000));
+        let json = log.recent(1)[0].to_json();
+        assert!(json.starts_with("{\"id\":1,"), "{json}");
         assert!(
-            json.contains("\"spans\":[{\"ns\":1,\"span\":\"draw_loop\",\"event\":\"begin\"}]"),
+            json.contains("\"algorithm\":\"auto\",\"served\":\"bbst\""),
+            "{json}"
+        );
+        assert!(json.contains("\"inline\":false"), "{json}");
+        assert!(
+            json.ends_with("\"queued_ns\":100,\"acquire_ns\":0,\"draw_ns\":8900,\"encode_ns\":0,\"waiting_ns\":0}"),
             "{json}"
         );
     }

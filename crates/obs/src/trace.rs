@@ -1,415 +1,11 @@
-//! Sampled span tracing over per-thread lock-free ring buffers.
+//! The retired span-tracing hook.
 //!
-//! A request that wins the sampling coin-flip ([`try_start_trace`])
-//! gets a nonzero process-unique trace id, which travels with the
-//! request (explicitly, and via a thread-local "current trace" set by
-//! [`set_current`] around each processing stage). Instrumented code
-//! calls [`event`]`("span", "what")`; if a trace is current, a
-//! `(trace_id, span, event, ns)` record lands in the calling thread's
-//! ring.
-//!
-//! Storage is a fixed global pool of rings of seqlock-protected slots:
-//! writers claim a slot with one `fetch_add` and publish with a
-//! sequence-number protocol, readers ([`spans_for`]) validate the
-//! sequence number around the field reads and drop torn records. No
-//! locks anywhere on the write path; old records are overwritten
-//! ring-buffer style.
-//!
-//! When tracing is disabled — `trace_sample_rate` 0, the default —
-//! the cost of an [`event`] call site is one relaxed load and one
-//! branch, so instrumentation can live inside the engine's draw loop.
-//!
-//! Span/event names are `&'static str` interned into a global table;
-//! records store the two small indices packed into one `u64`, which
-//! keeps slot publication tear-free without storing fat pointers.
+//! A request's server-side time is one stage record carried by the
+//! request itself ([`crate::Stages`]), which [`crate::SlowLog`] keeps
+//! when the request finishes slow; no span is recorded anywhere.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::RwLock;
-
-use crate::clock;
-
-/// Rings in the global pool; threads are assigned rings round-robin.
-const POOL: usize = 16;
-/// Slots per ring; the pool retains the last `POOL × SLOTS` records.
-const SLOTS: usize = 512;
-
-/// `f64` bits of the sample rate; bits 0 ⇔ rate 0.0 ⇔ disabled.
-static SAMPLE_RATE_BITS: AtomicU64 = AtomicU64::new(0);
-/// Nonzero ⇔ record spans for every request with a current trace id,
-/// regardless of the sampling rate (the slow-log's always-on rings).
-static ALWAYS_RECORD: AtomicU64 = AtomicU64::new(0);
-/// Trace-id allocator (ids only; see `ARRIVALS` for sampling).
-static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
-/// Sampled-request arrival counter — drives deterministic 1-in-N
-/// sampling. Separate from the id allocator so forced (slow-log) id
-/// allocation cannot phase-shift the sampling pattern.
-static ARRIVALS: AtomicU64 = AtomicU64::new(1);
-/// Round-robin ring assignment for threads.
-static NEXT_RING: AtomicUsize = AtomicUsize::new(0);
-
-/// Interned span/event names. Insertion takes the write lock (rare —
-/// a handful of static names per process); lookup takes the read lock
-/// only on the traced (sampled) path.
-static NAMES: RwLock<Vec<&'static str>> = RwLock::new(Vec::new());
-
-fn intern(s: &'static str) -> u32 {
-    let find = |t: &[&'static str]| {
-        t.iter()
-            .position(|&n| std::ptr::eq(n.as_ptr(), s.as_ptr()) && n.len() == s.len())
-    };
-    if let Some(i) = find(&NAMES.read().unwrap()) {
-        return i as u32 + 1;
-    }
-    let mut t = NAMES.write().unwrap();
-    if let Some(i) = find(&t) {
-        return i as u32 + 1;
-    }
-    t.push(s);
-    t.len() as u32 // index + 1; 0 means "unknown"
-}
-
-fn resolve(i: u32) -> &'static str {
-    if i == 0 {
-        return "?";
-    }
-    NAMES
-        .read()
-        .unwrap()
-        .get(i as usize - 1)
-        .copied()
-        .unwrap_or("?")
-}
-
-struct Slot {
-    /// Seqlock word: 0 = never written, odd = write in progress,
-    /// even = record `seq/2 − 1` published.
-    seq: AtomicU64,
-    trace: AtomicU64,
-    /// `span_name_idx << 32 | event_name_idx`.
-    ids: AtomicU64,
-    ns: AtomicU64,
-}
-
-struct Ring {
-    head: AtomicU64,
-    slots: [Slot; SLOTS],
-}
-
-impl Ring {
-    const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const SLOT: Slot = Slot {
-            seq: AtomicU64::new(0),
-            trace: AtomicU64::new(0),
-            ids: AtomicU64::new(0),
-            ns: AtomicU64::new(0),
-        };
-        Ring {
-            head: AtomicU64::new(0),
-            slots: [SLOT; SLOTS],
-        }
-    }
-
-    fn record(&self, trace_id: u64, span: &'static str, event: &'static str) {
-        let ids = (u64::from(intern(span)) << 32) | u64::from(intern(event));
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket as usize) % SLOTS];
-        // Seqlock publish: odd marks the write in progress, the final
-        // even value is unique to this ticket so a reader that raced a
-        // lapping writer sees a seq mismatch and drops the record.
-        slot.seq.store(ticket * 2 + 1, Ordering::Release);
-        slot.trace.store(trace_id, Ordering::Relaxed);
-        slot.ids.store(ids, Ordering::Relaxed);
-        slot.ns.store(clock::now_ns(), Ordering::Relaxed);
-        slot.seq.store(ticket * 2 + 2, Ordering::Release);
-    }
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const RING: Ring = Ring::new();
-static RINGS: [Ring; POOL] = [RING; POOL];
-
-thread_local! {
-    /// The trace id of the request this thread is currently serving
-    /// (0 = none).
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
-    /// This thread's ring in the global pool (lazily assigned).
-    static MY_RING: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Sets the global trace sampling rate in `[0.0, 1.0]`. `0.0`
-/// (default) disables tracing entirely; `1.0` traces every request.
-pub fn set_sample_rate(rate: f64) {
-    let rate = if rate.is_finite() {
-        rate.clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    SAMPLE_RATE_BITS.store(rate.to_bits(), Ordering::Relaxed);
-}
-
-/// The current global trace sampling rate.
-pub fn sample_rate() -> f64 {
-    f64::from_bits(SAMPLE_RATE_BITS.load(Ordering::Relaxed))
-}
-
-/// Whether tracing is enabled at all (one relaxed load per switch).
+/// Does nothing. Kept because `benchmark/src/layers.rs` still times a
+/// call to it (`obs.trace_event_off_ns`); ROADMAP item 5 (d) deletes it.
+#[doc(hidden)]
 #[inline]
-pub fn enabled() -> bool {
-    SAMPLE_RATE_BITS.load(Ordering::Relaxed) != 0 || ALWAYS_RECORD.load(Ordering::Relaxed) != 0
-}
-
-/// Turns always-on recording on or off. With it on, [`event`] records
-/// for any thread with a current trace id even when the sampling rate
-/// is 0 — the slow-log sets a forced id per request so every request
-/// leaves spans in the rings, and only the ones that turn out slow are
-/// retained anywhere beyond ring wraparound.
-pub fn set_always_record(on: bool) {
-    ALWAYS_RECORD.store(u64::from(on), Ordering::Relaxed);
-}
-
-/// Whether always-on recording is active.
-pub fn always_record() -> bool {
-    ALWAYS_RECORD.load(Ordering::Relaxed) != 0
-}
-
-/// Allocates a process-unique nonzero trace id unconditionally — the
-/// slow-log path tags every request so its spans are addressable if
-/// the request turns out slow. Does not consume a sampling slot.
-pub fn start_trace_forced() -> u64 {
-    NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Rolls the sampling dice for a new request: a nonzero
-/// process-unique trace id if the request should be traced, else 0.
-/// Sampling is deterministic 1-in-`round(1/rate)` by arrival order.
-pub fn try_start_trace() -> u64 {
-    let rate = sample_rate();
-    if rate <= 0.0 {
-        return 0;
-    }
-    let n = ARRIVALS.fetch_add(1, Ordering::Relaxed);
-    if rate >= 1.0 {
-        return NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
-    }
-    let period = (1.0 / rate).round().max(1.0) as u64;
-    if n.is_multiple_of(period) {
-        NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
-    } else {
-        0
-    }
-}
-
-/// Marks `trace_id` as the thread's current trace for the guard's
-/// lifetime (0 clears it). Nests: dropping restores the previous id.
-#[must_use = "the trace is only current while the guard lives"]
-pub fn set_current(trace_id: u64) -> TraceGuard {
-    let prev = CURRENT.with(|c| c.replace(trace_id));
-    TraceGuard { prev }
-}
-
-/// Restores the previously current trace id on drop (see
-/// [`set_current`]).
-pub struct TraceGuard {
-    prev: u64,
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
-    }
-}
-
-fn my_ring() -> &'static Ring {
-    let idx = MY_RING.with(|r| {
-        let mut idx = r.get();
-        if idx == usize::MAX {
-            idx = NEXT_RING.fetch_add(1, Ordering::Relaxed) % POOL;
-            r.set(idx);
-        }
-        idx
-    });
-    &RINGS[idx]
-}
-
-/// Records `(current_trace, span, event, now)` if tracing is enabled
-/// and a trace is current on this thread; otherwise one relaxed load
-/// and out. This is the hook instrumented code calls.
-#[inline]
-pub fn event(span: &'static str, what: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let id = CURRENT.with(|c| c.get());
-    if id != 0 {
-        my_ring().record(id, span, what);
-    }
-}
-
-/// Records an event for an explicit trace id (0 is a no-op) — for
-/// stages that hold the id in hand rather than on the thread.
-pub fn event_for(trace_id: u64, span: &'static str, what: &'static str) {
-    if trace_id != 0 {
-        my_ring().record(trace_id, span, what);
-    }
-}
-
-/// One published trace record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// The trace this record belongs to.
-    pub trace_id: u64,
-    /// Instrumented stage (e.g. `draw_loop`).
-    pub span: &'static str,
-    /// What happened in the stage (e.g. `begin`).
-    pub event: &'static str,
-    /// [`clock::now_ns`] at record time.
-    pub ns: u64,
-}
-
-/// Collects every still-buffered record for `trace_id`, oldest first.
-/// Records overwritten by ring wraparound (or torn by a concurrent
-/// writer) are silently absent.
-pub fn spans_for(trace_id: u64) -> Vec<SpanRecord> {
-    let mut out = Vec::new();
-    if trace_id == 0 {
-        return out;
-    }
-    for ring in &RINGS {
-        for slot in &ring.slots {
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 == 0 || seq1 % 2 == 1 {
-                continue;
-            }
-            let trace = slot.trace.load(Ordering::Relaxed);
-            let ids = slot.ids.load(Ordering::Relaxed);
-            let ns = slot.ns.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq1 || trace != trace_id {
-                continue;
-            }
-            out.push(SpanRecord {
-                trace_id,
-                span: resolve((ids >> 32) as u32),
-                event: resolve(ids as u32),
-                ns,
-            });
-        }
-    }
-    out.sort_by_key(|r| r.ns);
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The sample-rate switch and the trace-id allocator are process
-    // globals, so these tests serialize on one lock, only assert on
-    // their own trace ids, and restore the disabled default before
-    // returning.
-    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn disabled_tracing_records_nothing() {
-        let _serial = serial();
-        set_sample_rate(0.0);
-        assert!(!enabled());
-        assert_eq!(try_start_trace(), 0);
-        let _guard = set_current(u64::MAX); // even with a current id...
-        event("span", "event"); // ...disabled means no record
-        assert!(spans_for(u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn traced_events_come_back_in_time_order() {
-        let _serial = serial();
-        set_sample_rate(1.0);
-        let id = try_start_trace();
-        assert_ne!(id, 0);
-        {
-            let _guard = set_current(id);
-            event("frame_decode", "begin");
-            event("draw_loop", "begin");
-            event("draw_loop", "end");
-        }
-        event("draw_loop", "after-guard"); // not current any more
-        let spans = spans_for(id);
-        set_sample_rate(0.0);
-        assert_eq!(spans.len(), 3);
-        assert_eq!(spans[0].span, "frame_decode");
-        assert_eq!(spans[1].event, "begin");
-        assert_eq!(spans[2].event, "end");
-        assert!(spans.windows(2).all(|w| w[0].ns <= w[1].ns));
-    }
-
-    #[test]
-    fn event_for_records_without_thread_current() {
-        let _serial = serial();
-        set_sample_rate(1.0);
-        let id = try_start_trace();
-        event_for(id, "reader", "frame_decode");
-        event_for(0, "reader", "dropped"); // id 0 is a no-op
-        let spans = spans_for(id);
-        set_sample_rate(0.0);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].event, "frame_decode");
-    }
-
-    #[test]
-    fn guards_nest_and_restore() {
-        let _serial = serial();
-        set_sample_rate(1.0);
-        let a = try_start_trace();
-        let b = try_start_trace();
-        let outer = set_current(a);
-        {
-            let _inner = set_current(b);
-            event("inner", "x");
-        }
-        event("outer", "y");
-        drop(outer);
-        let spans_a = spans_for(a);
-        let spans_b = spans_for(b);
-        set_sample_rate(0.0);
-        assert_eq!(spans_a.len(), 1);
-        assert_eq!(spans_a[0].span, "outer");
-        assert_eq!(spans_b.len(), 1);
-        assert_eq!(spans_b[0].span, "inner");
-    }
-
-    #[test]
-    fn fractional_rate_samples_a_subset() {
-        let _serial = serial();
-        set_sample_rate(0.25);
-        let ids: Vec<u64> = (0..100).map(|_| try_start_trace()).collect();
-        set_sample_rate(0.0);
-        let sampled = ids.iter().filter(|&&id| id != 0).count();
-        // Deterministic 1-in-4 by arrival order: 25 ± 1 of 100 (the
-        // allocator is shared with other tests, so the phase varies).
-        assert!((24..=26).contains(&sampled), "sampled = {sampled}");
-    }
-
-    #[test]
-    fn ring_wraparound_drops_old_records_not_correctness() {
-        let _serial = serial();
-        set_sample_rate(1.0);
-        let id = try_start_trace();
-        {
-            let _guard = set_current(id);
-            // Overfill this thread's ring several times over.
-            for _ in 0..(SLOTS * 3) {
-                event("wrap", "tick");
-            }
-        }
-        let spans = spans_for(id);
-        set_sample_rate(0.0);
-        assert!(!spans.is_empty());
-        assert!(spans.len() <= SLOTS);
-        assert!(spans.iter().all(|s| s.span == "wrap" && s.event == "tick"));
-    }
-}
+pub fn event(_span: &'static str, _what: &'static str) {}

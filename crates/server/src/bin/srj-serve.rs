@@ -28,7 +28,7 @@ use srj_server::{DatasetRegistry, Server, ServerConfig};
 const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-frames N]
                  [--batch-pairs N] [--cache N]
                  [--rebuild-fraction F] [--tombstone-rebuild-fraction F]
-                 [--max-patch-fraction F] [--trace-sample-rate F] [--log-json]
+                 [--max-patch-fraction F] [--log-json]
                  [--handshake-timeout-ms N] [--read-timeout-ms N]
                  [--write-timeout-ms N] [--idle-timeout-ms N]
                  [--rate-limit-rps N] [--mutation-rate-limit-rps N]
@@ -37,11 +37,10 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
                  [--health-window-ms N]
                  [--dataset ID=KIND:SCALE[:SEED]]... [--dataset-file ID=R_PATH[,S_PATH]]...
   KIND: uniform | road | poi | trajectory | taxi
-  --trace-sample-rate: fraction of SAMPLE requests recording trace
-                       spans (0 disables tracing; fetch with TRACE)
   --http-port: also serve GET /metrics, /healthz, /vars over HTTP/1.1
                on 127.0.0.1:N (0 picks a free port; off by default)
-  --slow-log: slow-request log capacity (0 disables capture; default 64)
+  --slow-log: slow-request log capacity: requests over the threshold
+              keep their stage times (0 disables capture; default 64)
   --slow-threshold-ms: absolute slow threshold; 0 = auto (live p99,
                after a warm-up of 32 requests; default 0)
   --health-window-ms: how long /healthz stays degraded after the last
@@ -183,7 +182,6 @@ fn main() {
                 let f = number(&flag, &value(), 0.0..=1.0);
                 config.epoch = config.epoch.with_max_patch_fraction(f);
             }
-            "--trace-sample-rate" => config.trace_sample_rate = number(&flag, &value(), 0.0..=1.0),
             "--handshake-timeout-ms" => config.handshake_timeout = ms(value()),
             "--read-timeout-ms" => config.read_timeout = ms(value()),
             "--write-timeout-ms" => config.write_timeout = ms(value()),

@@ -358,17 +358,23 @@ fn render(
     if !slow.is_empty() {
         println!("slow requests (newest first):");
         for e in slow {
+            let s = &e.stages;
             println!(
-                "  trace {:>#18x}  ds {:>3}  t {:>8}  {:<13}  \
-                 elapsed {:>9}  wait {:>9}  iters {:>8}  spans {:>3}",
-                e.trace_id,
+                "  #{:<5} ds {:>3}  t {:>8}  {:<13}  {:<6}  elapsed {:>9} = \
+                 queued {:>9}  acquire {:>9}  draw {:>9}  encode {:>9}  \
+                 waiting {:>9}  iters {:>8}",
+                e.id,
                 e.dataset,
                 e.t,
-                e.algorithm,
+                e.served,
+                if e.inline { "inline" } else { "worker" },
                 fmt_ns(e.elapsed_ns as f64),
-                fmt_ns(e.queue_wait_ns as f64),
+                fmt_ns(s.queued_ns as f64),
+                fmt_ns(s.acquire_ns as f64),
+                fmt_ns(s.draw_ns as f64),
+                fmt_ns(s.encode_ns as f64),
+                fmt_ns(s.waiting_ns as f64),
                 e.iterations,
-                e.spans.len(),
             );
         }
     }

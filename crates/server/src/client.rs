@@ -17,7 +17,7 @@
 //! [`ClientConfig::retries`]. What a transport failure may resend
 //! differs by request:
 //!
-//! * reads (`SAMPLE`, `STATS`, `METRICS`, `EPOCH`, `TRACE`, `SLOWLOG`,
+//! * reads (`SAMPLE`, `STATS`, `METRICS`, `EPOCH`, `SLOWLOG`,
 //!   `PING`)
 //!   are idempotent — transport failures reconnect and resend freely
 //!   ([`Client::sample`] restarts with a fresh buffer;
@@ -46,7 +46,7 @@ use crate::fault::FaultRng;
 use crate::protocol::{
     decode_response, encode_request, payload_len, write_frame, EpochInfo, ErrorCode, ProtocolError,
     Request, RequestStats, RequestStatus, Response, SampleRequest, ServerStatsFrame, Side,
-    TraceSpan, FEAT_BUSY, FEAT_KEEPALIVE, FEAT_MUTATIONS, PROTOCOL_VERSION,
+    FEAT_BUSY, FEAT_KEEPALIVE, FEAT_MUTATIONS, PROTOCOL_VERSION,
 };
 use crate::server::timeout_opt;
 
@@ -537,25 +537,11 @@ impl Client {
         }
     }
 
-    /// Fetches the still-buffered spans of a trace, oldest first. Feed
-    /// it the nonzero [`RequestStats::trace_id`] a traced `SAMPLE`'s
-    /// `DONE` frame carried; an untraced or already-overwritten trace
-    /// comes back empty.
-    pub fn trace(&mut self, trace_id: u64) -> Result<Vec<TraceSpan>, ClientError> {
-        match self.exchange(&Request::Trace { trace_id })? {
-            Response::Trace {
-                trace_id: tid,
-                spans,
-            } if tid == trace_id => Ok(spans),
-            Response::Trace { .. } => Err(ClientError::Unexpected("trace for a different id")),
-            _ => Err(ClientError::Unexpected("expected a trace frame")),
-        }
-    }
-
     /// Fetches the server's slow-request log: up to `max` of the most
     /// recent over-threshold requests, newest first, each with its
-    /// request context and captured span tree. The server additionally
-    /// caps the answer at its own retention/frame limit.
+    /// request context and stage record. A captured request's `DONE`
+    /// carries its entry's id ([`RequestStats::trace_id`]). The server
+    /// additionally caps the answer at its own retention/frame limit.
     pub fn slow_log(
         &mut self,
         max: u32,

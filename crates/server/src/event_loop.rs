@@ -29,7 +29,7 @@
 //! `BUSY` for whatever it declines. What passes is answered where that
 //! is cheapest: one `match` builds the answer to every kind but
 //! `SAMPLE` — mutations applied, control answers (`UPDATE`, `EPOCH`,
-//! `STATS`, `METRICS`, `TRACE`, `SLOWLOG`) built — and one [`answer`]
+//! `STATS`, `METRICS`, `SLOWLOG`) built — and one [`answer`]
 //! delivers it, written by the loop itself unless the connection has
 //! work with the workers, in which case it queues behind it as a job.
 //! A `SAMPLE` is served here too — [`crate::exec::advance`], the same
@@ -74,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use srj_net::{Event, Interest, Poller, TimerWheel, Waker};
 use srj_obs::journal::EventKind;
-use srj_obs::{trace, SlowEntry, StateTag, WorkerState};
+use srj_obs::{StateTag, WorkerState};
 
 use crate::exec::{advance, Acquire, Progress, SampleRun, INLINE_BUDGET_NS};
 use crate::fault::FaultRng;
@@ -360,9 +360,7 @@ const SHED_RETRY_MS: u32 = 50;
 fn admission(req: &Request) -> Option<(u32, bool, bool, Option<u64>)> {
     Some(match *req {
         Request::Hello { .. } | Request::Ping { .. } | Request::Shutdown => return None,
-        Request::Stats | Request::Metrics | Request::Trace { .. } | Request::SlowLog { .. } => {
-            (0, false, false, None)
-        }
+        Request::Stats | Request::Metrics | Request::SlowLog { .. } => (0, false, false, None),
         Request::Epoch { req_id, .. } => (req_id, false, false, None),
         Request::Insert { req_id, .. } | Request::Delete { req_id, .. } => {
             (req_id, true, true, None)
@@ -908,10 +906,6 @@ impl EventLoop {
                 Request::Metrics => Response::Metrics {
                     text: shared.metrics_text(),
                 },
-                Request::Trace { trace_id } => Response::Trace {
-                    trace_id,
-                    spans: SlowEntry::capture_spans(trace_id),
-                },
                 Request::SlowLog { max } => Response::SlowLog {
                     entries: shared
                         .slow_log
@@ -958,22 +952,7 @@ impl EventLoop {
     /// chaos write gate.
     fn sample(&mut self, cs: Arc<ConnShared>, req: SampleRequest, flushed: bool) {
         let shared = &self.shared;
-        // The sampling decision is made here, at frame decode, so the
-        // trace covers the request's whole server-side life; the id
-        // rides on the run and comes back to the client in the DONE
-        // frame. With slow-log capture on, an unsampled request still
-        // gets a forced span id — never echoed, but snapshotted if it
-        // finishes slow.
-        let trace_id = trace::try_start_trace();
-        let span_id = if trace_id != 0 {
-            trace_id
-        } else if shared.slow_log.enabled() {
-            trace::start_trace_forced()
-        } else {
-            0
-        };
-        trace::event_for(span_id, "frame_decode", "sample_request");
-        let mut run = SampleRun::new(req, trace_id, span_id);
+        let mut run = SampleRun::new(req);
         // Which thread runs it is decided from what the loop can see for
         // free: a quiet connection (no job alive, nothing queued or
         // half-written — nothing the pool holds is overtaken, and a peer
@@ -982,7 +961,6 @@ impl EventLoop {
         // long draw.
         let quiet = cs.no_jobs() && cs.out_len() == 0 && flushed;
         if quiet && self.inline_spent_ns < INLINE_BUDGET_NS {
-            let _trace = run.trace_scope();
             let how = Acquire::Cheap {
                 budget_ns: INLINE_BUDGET_NS - self.inline_spent_ns,
             };
@@ -1000,7 +978,7 @@ impl EventLoop {
                     cs.push_direct(frame);
                 }
                 shared.server_metrics.requests_inline.inc();
-                self.inline_spent_ns += run.age_ns();
+                self.inline_spent_ns += run.elapsed().as_nanos() as u64;
                 return;
             }
         }

@@ -15,21 +15,28 @@
 //!   untouched run goes to the workers.
 //!
 //! The request's one record (its dataset's request series, which
-//! `STATS` and `METRICS` both read), slow-log capture, trace spans and
-//! the `DONE` frame are produced here and nowhere else, so the two
-//! paths cannot drift: same seed, same pairs, same counters, on either
-//! thread.
+//! `STATS` and `METRICS` both read), slow-log capture and the `DONE`
+//! frame are produced here and nowhere else, so the two paths cannot
+//! drift: same seed, same pairs, same counters, on either thread.
+//!
+//! A run also carries its stage record ([`Stages`]). Each stage
+//! boundary is one clock read that charges the time since the previous
+//! read to the stage just ended: the gap before a step (`queued` on a
+//! worker's first step, `waiting` otherwise), `acquire`, `draw`, and
+//! `encode` for the `BATCH` frame. The reads telescope from the decode
+//! stamp, so the stages sum to the request's `elapsed_ns` exactly — the
+//! one elapsed time that `DONE`, the latency histogram and the slow log
+//! all carry. A one-batch request reads the clock five times.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use srj_core::SampleError;
 use srj_engine::SamplerHandle;
-use srj_obs::trace::{self, TraceGuard};
-use srj_obs::{SlowEntry, StateTag, WorkerState};
+use srj_obs::{SlowEntry, Stages, StateTag, WorkerState};
 
 use crate::protocol::{encode_response, RequestStats, RequestStatus, Response, SampleRequest};
-use crate::server::{Shared, SLOWLOG_MAX_SPANS};
+use crate::server::Shared;
 
 /// The loop-thread time one wake-up may spend drawing, nanoseconds —
 /// at once the most a single request may be *predicted* to cost
@@ -80,63 +87,86 @@ pub(crate) enum Progress {
 /// execution path needs, and nothing about which thread runs it.
 pub(crate) struct SampleRun {
     pub(crate) req: SampleRequest,
-    /// Nonzero when this request won the trace-sampling coin flip; the
-    /// id is echoed in the `DONE` frame so the client can fetch the
-    /// spans.
-    trace_id: u64,
-    /// The id spans are recorded under on whichever thread runs the
-    /// request: equal to `trace_id` for sampled requests, a forced id
-    /// when slow-log capture is on (every request must leave a span
-    /// trail the capture can snapshot), `0` otherwise. Never echoed —
-    /// `DONE` semantics ride on `trace_id` alone.
-    span_id: u64,
+    /// The decode stamp: the request's clock starts here.
     started: Instant,
-    /// Decode-to-first-worker-step delay — the queue-wait component of
-    /// a slow-log capture. Stays unset (zero) for a request served
-    /// inline: it never waited in a queue.
-    queue_wait: Option<Duration>,
+    /// The last stage boundary's clock read.
+    last: Instant,
+    /// Where the time from `started` to `last` went.
+    stages: Stages,
     /// The serving handle, held from acquisition to the end of the
     /// request: engine and handle are paid for once, not per batch.
     handle: Option<SamplerHandle>,
+    /// Whether the handle was acquired on the event loop.
+    inline: bool,
+    /// Batches drawn so far.
+    batches: u64,
     /// Samples encoded into `BATCH` frames so far.
     sent: u64,
     /// Whether the request has been charged to the statistics.
     recorded: bool,
 }
 
+/// A field of [`Stages`], named where a clock read charges it.
+#[derive(Clone, Copy)]
+pub(crate) enum Stage {
+    Queued,
+    Acquire,
+    Draw,
+    Encode,
+    Waiting,
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
 impl SampleRun {
     /// Starts the clock: call at frame decode, once admission passed.
-    pub(crate) fn new(req: SampleRequest, trace_id: u64, span_id: u64) -> Self {
+    pub(crate) fn new(req: SampleRequest) -> Self {
+        let started = Instant::now();
         SampleRun {
             req,
-            trace_id,
-            span_id,
-            started: Instant::now(),
-            queue_wait: None,
+            started,
+            last: started,
+            stages: Stages::default(),
             handle: None,
+            inline: false,
+            batches: 0,
             sent: 0,
             recorded: false,
         }
     }
 
-    /// Makes the request's span id current on this thread while the
-    /// guard lives — everything a scheduler does for the request,
-    /// including the engine-internal draw-loop events that only see the
-    /// thread-local id, must happen inside it.
-    pub(crate) fn trace_scope(&self) -> TraceGuard {
-        trace::set_current(self.span_id)
+    /// One stage boundary: a clock read that charges the time since the
+    /// previous one to `stage`.
+    fn lap(&mut self, stage: Stage) {
+        let now = Instant::now();
+        let ns = nanos(now - self.last);
+        self.last = now;
+        let s = &mut self.stages;
+        *match stage {
+            Stage::Queued => &mut s.queued_ns,
+            Stage::Acquire => &mut s.acquire_ns,
+            Stage::Draw => &mut s.draw_ns,
+            Stage::Encode => &mut s.encode_ns,
+            Stage::Waiting => &mut s.waiting_ns,
+        } += ns;
     }
 
-    /// A worker picked the request up: the first call fixes its queue
-    /// wait.
-    pub(crate) fn mark_scheduled(&mut self) {
-        let started = self.started;
-        self.queue_wait.get_or_insert_with(|| started.elapsed());
+    /// The stage the time before a step belongs to: a request's queueing
+    /// ends at its first worker step (`worker`, no handle yet); any
+    /// other gap is waiting.
+    pub(crate) fn gap(&self, worker: bool) -> Stage {
+        if worker && self.handle.is_none() {
+            Stage::Queued
+        } else {
+            Stage::Waiting
+        }
     }
 
-    /// Nanoseconds since the request was decoded.
-    pub(crate) fn age_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+    /// Wall time from decode to the last stage boundary.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.last - self.started
     }
 
     fn iterations(&self) -> u64 {
@@ -151,25 +181,30 @@ impl SampleRun {
         }
     }
 
-    /// Ends the request with `status`: slow-log capture, statistics,
-    /// and the `DONE` frame, which the caller delivers. Recording
-    /// happens here, not at delivery: the `DONE` reaches the client
-    /// strictly after this, so a follow-up `STATS` request can never
-    /// miss the request it chases.
-    pub(crate) fn conclude(&mut self, shared: &Shared, status: RequestStatus) -> Vec<u8> {
+    /// Ends the request with `status`, charging the time since the last
+    /// boundary to `stage`: slow-log capture, statistics, and the `DONE`
+    /// frame, which the caller delivers. Recording happens here, not at
+    /// delivery: the `DONE` reaches the client strictly after this, so a
+    /// follow-up `STATS` request can never miss the request it chases.
+    pub(crate) fn conclude(
+        &mut self,
+        shared: &Shared,
+        status: RequestStatus,
+        stage: Stage,
+    ) -> Vec<u8> {
+        self.lap(stage);
         let iterations = self.iterations();
-        let elapsed = self.started.elapsed();
-        self.maybe_capture_slow(shared, iterations, elapsed);
+        let elapsed = self.elapsed();
+        let slow_id = self.maybe_capture_slow(shared, iterations, elapsed);
         self.settle(shared, status == RequestStatus::Ok, iterations, elapsed);
-        trace::event("batch_write", "done_enqueued");
         encode_response(&Response::Done {
             req_id: self.req.req_id,
             status,
             stats: RequestStats {
                 samples: self.sent,
                 iterations,
-                elapsed_ns: elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-                trace_id: self.trace_id,
+                elapsed_ns: nanos(elapsed),
+                trace_id: slow_id,
             },
         })
     }
@@ -182,40 +217,36 @@ impl SampleRun {
     }
 
     /// Tail-based slow-request capture: when a finished request
-    /// breached the latency threshold, snapshot its span tree (still in
-    /// the rings — the capture races only ring wraparound, not a
-    /// sampling decision) plus the request context into the bounded
-    /// slow log.
-    fn maybe_capture_slow(&self, shared: &Shared, iterations: u64, elapsed: Duration) {
-        if !shared.slow_log.enabled() || self.span_id == 0 {
-            return;
+    /// breached the latency threshold, its stage record and context go
+    /// into the bounded slow log. Returns the entry's id, 0 when the
+    /// request was not captured.
+    fn maybe_capture_slow(&self, shared: &Shared, iterations: u64, elapsed: Duration) -> u64 {
+        let elapsed_ns = nanos(elapsed);
+        let slow = shared
+            .slow_threshold_ns()
+            .is_some_and(|threshold| elapsed_ns >= threshold);
+        if !shared.slow_log.enabled() || !slow {
+            return 0;
         }
-        let elapsed_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let Some(threshold) = shared.slow_threshold_ns() else {
-            return;
-        };
-        if elapsed_ns < threshold {
-            return;
-        }
-        let mut spans = SlowEntry::capture_spans(self.span_id);
-        spans.truncate(SLOWLOG_MAX_SPANS);
         shared.server_metrics.slow_captures.inc();
         shared.slow_log.record(SlowEntry {
-            trace_id: self.span_id,
+            id: 0,
             finished_ns: srj_obs::clock::now_ns(),
             dataset: self.req.dataset,
             t: self.req.t,
             algorithm: algorithm_name(self.req.algorithm).to_string(),
+            served: self
+                .handle
+                .as_ref()
+                .map_or("", |h| algorithm_name(Some(h.algorithm())))
+                .to_string(),
             epoch: shared.dataset_epoch(self.req.dataset),
             iterations,
-            queue_wait_ns: self
-                .queue_wait
-                .unwrap_or_default()
-                .as_nanos()
-                .min(u128::from(u64::MAX)) as u64,
+            batches: self.batches,
+            inline: self.inline,
             elapsed_ns,
-            spans,
-        });
+            stages: self.stages,
+        })
     }
 }
 
@@ -244,21 +275,24 @@ pub(crate) fn advance(
     tag: &StateTag,
     outbox: &mut VecDeque<Vec<u8>>,
 ) -> Progress {
+    run.lap(run.gap(matches!(how, Acquire::Blocking)));
     if run.handle.is_none() {
         tag.set(WorkerState::Acquire);
-        trace::event("acquire", "begin");
         match shared.acquire_handle(&run.req, how) {
             Ok(Some(handle)) => {
-                trace::event("acquire", "handle_ready");
                 run.handle = Some(handle);
+                run.inline = matches!(how, Acquire::Cheap { .. });
+                run.lap(Stage::Acquire);
             }
             Ok(None) => {
-                trace::event("acquire", "handed_off");
+                // Untouched, as the workers must find it: its clock
+                // still reads from decode.
+                run.stages = Stages::default();
+                run.last = run.started;
                 return Progress::Declined;
             }
             Err(status) => {
-                trace::event("acquire", "failed");
-                outbox.push_back(run.conclude(shared, status));
+                outbox.push_back(run.conclude(shared, status, Stage::Acquire));
                 return Progress::Done;
             }
         }
@@ -267,7 +301,6 @@ pub(crate) fn advance(
     let handle = run.handle.as_mut().expect("handle acquired above");
     let remaining = run.req.t.saturating_sub(run.sent);
     let batch = remaining.min(shared.config.batch_pairs as u64) as usize;
-    trace::event("draw_loop", "batch_begin");
     // One query per batch, drawn with the handle's concrete RNG. An
     // error forfeits the batch's partial draws — the DONE status
     // carries the error either way.
@@ -275,21 +308,24 @@ pub(crate) fn advance(
         Ok(pairs) => (pairs, None),
         Err(e) => (Vec::new(), Some(e)),
     };
-    trace::event("draw_loop", "batch_end");
+    run.batches += 1;
+    run.lap(Stage::Draw);
     run.sent += pairs.len() as u64;
     if !pairs.is_empty() {
         outbox.push_back(encode_response(&Response::Batch {
             req_id: run.req.req_id,
             pairs,
         }));
-        trace::event("batch_write", "batch_enqueued");
     }
     let status = match error {
         Some(SampleError::EmptyJoin) => RequestStatus::EmptyJoin,
         Some(SampleError::RejectionLimit) => RequestStatus::RejectionLimit,
         None if run.sent >= run.req.t => RequestStatus::Ok,
-        None => return Progress::Pending,
+        None => {
+            run.lap(Stage::Encode);
+            return Progress::Pending;
+        }
     };
-    outbox.push_back(run.conclude(shared, status));
+    outbox.push_back(run.conclude(shared, status, Stage::Encode));
     Progress::Done
 }

@@ -14,7 +14,7 @@
 //!   ns/sample within a fixed 50 µs budget, quiet connection, budget
 //!   left in this loop pass — is drawn and answered on the loop thread
 //!   in one `write`; everything else goes to the worker pool. Both run
-//!   the same function, so the pairs, counters and spans are the same
+//!   the same function, so the pairs, counters and stage records are the same
 //!   on either thread (see the `server` module docs);
 //! * **backpressure**: a bounded per-connection response queue; a
 //!   client that stops reading parks *its own* request and frees the
@@ -69,7 +69,7 @@ pub use client::{Client, ClientConfig, ClientError, SampleOutcome, UpdateOutcome
 pub use fault::{FaultPlan, FaultRng};
 pub use protocol::{
     EpochInfo, ErrorCode, ProtocolError, Request, RequestStats, RequestStatus, Response,
-    SampleRequest, ServerStatsFrame, Side, SlowLogEntry, TraceSpan, UpdateStats,
+    SampleRequest, ServerStatsFrame, Side, SlowLogEntry, Stages, UpdateStats,
 };
 pub use server::{DatasetRegistry, Server, ServerConfig, SLOW_AUTO_MIN_REQUESTS};
 /// Re-exported so protocol users don't need a direct `srj-engine` dep.
@@ -79,14 +79,6 @@ pub use srj_engine::Algorithm;
 mod tests {
     use super::*;
     use srj_geom::Point;
-
-    /// `Server::start` applies its `trace_sample_rate` process-wide,
-    /// so tests that start servers must not interleave.
-    static LOOPBACK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        LOOPBACK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -103,7 +95,6 @@ mod tests {
 
     #[test]
     fn end_to_end_sample_over_loopback() {
-        let _serial = serial();
         let r = pseudo_points(200, 1, 50.0);
         let s = pseudo_points(300, 2, 50.0);
         let mut registry = DatasetRegistry::new();
@@ -155,17 +146,18 @@ mod tests {
 
     /// The PR6 acceptance loop: a live server's `METRICS` exposition
     /// carries the per-dataset request, latency, rejection, and all
-    /// five maintenance-rung series, and a traced `SAMPLE` yields at
-    /// least four distinct spans through the `TRACE` frame.
+    /// five maintenance-rung series, and a captured `SAMPLE`'s `DONE`
+    /// names its slow-log entry, whose stage times sum to its latency.
     #[test]
     fn metrics_and_trace_over_loopback() {
-        let _serial = serial();
         let r = pseudo_points(200, 3, 50.0);
         let s = pseudo_points(300, 4, 50.0);
         let mut registry = DatasetRegistry::new();
         registry.register(9, r, s);
+        // Threshold 1 ns: every request is captured.
         let config = ServerConfig {
-            trace_sample_rate: 1.0,
+            slow_log_capacity: 8,
+            slow_threshold_ns: 1,
             ..ServerConfig::default()
         };
         let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
@@ -183,10 +175,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(outcome.status, RequestStatus::Ok);
-        assert_ne!(
-            outcome.stats.trace_id, 0,
-            "rate 1.0 must trace every request"
-        );
+        assert_eq!(outcome.stats.trace_id, 1, "the first capture is entry 1");
 
         let text = client.metrics().unwrap();
         for required in [
@@ -230,26 +219,14 @@ mod tests {
             assert!(!text.contains(gone), "{gone:?} in:\n{text}");
         }
 
-        let spans = client.trace(outcome.stats.trace_id).unwrap();
-        let distinct: std::collections::HashSet<&str> =
-            spans.iter().map(|s| s.span.as_str()).collect();
-        assert!(
-            distinct.len() >= 4,
-            "expected >= 4 distinct spans, got {distinct:?}"
-        );
-        for span in ["frame_decode", "acquire", "draw_loop", "batch_write"] {
-            assert!(
-                distinct.contains(span),
-                "missing span {span:?}: {distinct:?}"
-            );
-        }
-        assert!(
-            spans.windows(2).all(|w| w[0].ns <= w[1].ns),
-            "spans must come back oldest first"
-        );
-
-        // An untraced id answers an empty span list, not an error.
-        assert!(client.trace(u64::MAX - 1).unwrap().is_empty());
+        let log = client.slow_log(8).unwrap();
+        let entry = &log[0];
+        assert_eq!(entry.id, outcome.stats.trace_id);
+        assert_eq!((entry.t, entry.batches), (500, 1));
+        assert_eq!(entry.iterations, outcome.stats.iterations);
+        assert_eq!(entry.elapsed_ns, outcome.stats.elapsed_ns);
+        assert_eq!(entry.stages.total(), entry.elapsed_ns);
+        assert!(entry.stages.acquire_ns > 0 && entry.stages.draw_ns > 0);
 
         // A second window size is a second engine over the same base:
         // its rows add up, the sets they share count once — `R`, 200
@@ -283,7 +260,6 @@ mod tests {
     /// twice.
     #[test]
     fn group_rows_of_one_ladder_step_are_counted_once() {
-        let _serial = serial();
         // Tight clusters, narrower than any window here: group rows serve.
         let centres = pseudo_points(12, 77, 58.0);
         let clustered = |n, seed| -> Vec<Point> {
@@ -351,25 +327,24 @@ mod tests {
         server.shutdown();
     }
 
-    /// The PR8 forensics loop: with sampling *off* but the slow log
-    /// armed with an absolute threshold, a slow request is retained
-    /// with its complete span tree and request context, fast requests
-    /// are not, and the capture never leaks into the `DONE` frame's
-    /// sampled-trace contract.
+    /// The forensics loop: with the slow log armed with an absolute
+    /// threshold, a slow request is retained with its stage record and
+    /// request context, fast requests are not, and `DONE` names the
+    /// entry exactly when one was captured.
     #[test]
     fn slow_requests_are_captured_with_span_forensics() {
-        let _serial = serial();
         let r = pseudo_points(200, 5, 50.0);
         let s = pseudo_points(300, 6, 50.0);
         let mut registry = DatasetRegistry::new();
         registry.register(3, r, s);
         let threshold = std::time::Duration::from_millis(40);
+        let threshold_ns = threshold.as_nanos() as u64;
         let config = ServerConfig {
-            trace_sample_rate: 0.0,
             slow_log_capacity: 8,
-            slow_threshold_ns: threshold.as_nanos() as u64,
+            slow_threshold_ns: threshold_ns,
             ..ServerConfig::default()
         };
+        let batch_pairs = config.batch_pairs as u64;
         let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
 
@@ -387,6 +362,7 @@ mod tests {
         client.sample(req(1)).unwrap();
         let fast = client.sample(req(5)).unwrap();
         assert_eq!(fast.status, RequestStatus::Ok);
+        assert_eq!(fast.stats.trace_id, 0, "a fast request is not captured");
 
         // Grow t until a request breaches the threshold for real —
         // self-calibrating, so the test holds on any build profile.
@@ -395,8 +371,9 @@ mod tests {
             let outcome = client.sample(req(t)).unwrap();
             assert_eq!(outcome.status, RequestStatus::Ok);
             assert_eq!(
-                outcome.stats.trace_id, 0,
-                "sampling is off; forced slow-log ids must not leak into DONE"
+                outcome.stats.trace_id != 0,
+                outcome.stats.elapsed_ns >= threshold_ns,
+                "DONE names an entry exactly when the request was captured"
             );
             if std::time::Duration::from_nanos(outcome.stats.elapsed_ns) > 2 * threshold {
                 break outcome;
@@ -412,28 +389,72 @@ mod tests {
                 "fast requests must not be captured (found t = {})",
                 e.t
             );
-            assert!(e.elapsed_ns >= threshold.as_nanos() as u64);
+            assert!(e.elapsed_ns >= threshold_ns);
+            assert_eq!(e.stages.total(), e.elapsed_ns);
         }
         let newest = &entries[0];
+        assert_eq!(newest.id, slow.stats.trace_id);
         assert_eq!(newest.dataset, 3);
         assert_eq!(newest.t, t);
         assert_eq!(newest.algorithm, "auto");
-        assert_ne!(newest.trace_id, 0, "capture runs under a forced trace id");
-        assert!(newest.queue_wait_ns <= newest.elapsed_ns);
+        assert!(["kds", "bbst"].contains(&newest.served.as_str()));
         assert!(newest.iterations >= slow.stats.samples);
-        let distinct: std::collections::HashSet<&str> =
-            newest.spans.iter().map(|s| s.span.as_str()).collect();
-        for span in ["frame_decode", "acquire", "draw_loop", "batch_write"] {
-            assert!(
-                distinct.contains(span),
-                "missing span {span:?} in {distinct:?}"
-            );
+        // Many batches on a worker: every stage took time, and they
+        // add up to the latency `DONE` reported.
+        assert!(t > batch_pairs);
+        assert_eq!(newest.batches, t.div_ceil(batch_pairs));
+        assert!(!newest.inline);
+        assert_eq!(newest.elapsed_ns, slow.stats.elapsed_ns);
+        assert_eq!(newest.stages.total(), newest.elapsed_ns);
+        let s = newest.stages;
+        for (stage, ns) in [
+            ("queued", s.queued_ns),
+            ("acquire", s.acquire_ns),
+            ("draw", s.draw_ns),
+            ("encode", s.encode_ns),
+            ("waiting", s.waiting_ns),
+        ] {
+            assert!(ns > 0, "{stage} is 0 in {s:?}");
         }
-        assert!(
-            newest.spans.windows(2).all(|w| w[0].ns <= w[1].ns),
-            "spans must be oldest first"
-        );
         server.shutdown();
+    }
+
+    /// A server's capture is its own: starting a second server with
+    /// the slow log off leaves the first one's entries whole.
+    #[test]
+    fn a_second_server_leaves_the_first_servers_capture_alone() {
+        let start = |slow_log_capacity| {
+            let mut registry = DatasetRegistry::new();
+            registry.register(1, pseudo_points(200, 9, 50.0), pseudo_points(300, 10, 50.0));
+            let config = ServerConfig {
+                slow_log_capacity,
+                slow_threshold_ns: 1,
+                ..ServerConfig::default()
+            };
+            Server::start("127.0.0.1:0", registry, config).unwrap()
+        };
+        let req = SampleRequest {
+            req_id: 0,
+            dataset: 1,
+            l: 5.0,
+            algorithm: None,
+            shards: 1,
+            t: 100,
+            seed: 5,
+        };
+        let mut a = start(8);
+        let mut client = Client::connect(a.local_addr()).unwrap();
+        assert_eq!(client.sample(req).unwrap().stats.trace_id, 1);
+        let mut b = start(0);
+        let after = client.sample(req).unwrap();
+        assert_eq!(after.stats.trace_id, 2);
+        let entry = &client.slow_log(1).unwrap()[0];
+        assert_eq!(entry.id, 2);
+        assert!(entry.stages.draw_ns > 0, "{entry:?}");
+        assert_eq!(entry.stages.total(), entry.elapsed_ns);
+        assert_eq!(entry.elapsed_ns, after.stats.elapsed_ns);
+        b.shutdown();
+        a.shutdown();
     }
 
     fn http_get(addr: std::net::SocketAddr, head: &str) -> String {
@@ -479,7 +500,6 @@ mod tests {
     /// out.
     #[test]
     fn http_endpoints_and_health_transitions() {
-        let _serial = serial();
         let r = pseudo_points(200, 7, 50.0);
         let s = pseudo_points(300, 8, 50.0);
         let mut registry = DatasetRegistry::new();

@@ -54,8 +54,9 @@ pub const MAX_FRAME_LEN: usize = 1 << 22; // 4 MiB
 /// The protocol version this build speaks, carried in `HELLO` and
 /// `WELCOME`. A server rejects any other version with a clean `ERROR`
 /// frame — never a hang or a silently-garbled stream. Bumped whenever
-/// a frame's layout changes (2: `STATS` is sixteen words).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// a frame's layout changes (2: `STATS` is sixteen words; 3: `TRACE` is
+/// gone and a `SLOWLOG` entry carries a stage record, not spans).
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Feature bit: the peer answers `PING` with `PONG`.
 pub const FEAT_KEEPALIVE: u32 = 1 << 0;
@@ -176,9 +177,8 @@ pub struct RequestStats {
     pub iterations: u64,
     /// Server-side wall time from dequeue to `DONE`, in nanoseconds.
     pub elapsed_ns: u64,
-    /// Server-assigned trace id when the request was sampled for
-    /// tracing (`0` = untraced); feed it to a `TRACE` request to pull
-    /// the request's span records.
+    /// The id of this request's slow-log entry ([`SlowLogEntry::id`],
+    /// fetched with `SLOWLOG`), `0` when it was not captured.
     pub trace_id: u64,
 }
 
@@ -314,12 +314,6 @@ pub enum Request {
     /// Fetch the server's metrics registry as Prometheus text
     /// exposition.
     Metrics,
-    /// Fetch the buffered trace spans for a trace id (as returned in
-    /// [`RequestStats::trace_id`]).
-    Trace {
-        /// The trace to dump.
-        trace_id: u64,
-    },
     /// Fetch the most recent slow-request captures (tail-based
     /// forensics), newest first.
     SlowLog {
@@ -405,14 +399,6 @@ pub enum Response {
         /// Prometheus text exposition of the server's registry.
         text: String,
     },
-    /// Answer to a `TRACE` request.
-    Trace {
-        /// Echo of the requested trace id.
-        trace_id: u64,
-        /// Buffered span records, oldest first (empty for an unknown
-        /// or already-overwritten trace).
-        spans: Vec<TraceSpan>,
-    },
     /// Answer to a `SLOWLOG` request.
     SlowLog {
         /// Retained slow-request captures, newest first.
@@ -421,14 +407,12 @@ pub enum Response {
 }
 
 /// One retained slow request as the `SLOWLOG` response carries it: the
-/// full request context plus the span tree snapshotted when the request
-/// breached the latency threshold — the slow log's own entry, sent as
-/// is.
+/// request context plus its stage record — the slow log's own entry,
+/// sent as is.
 pub type SlowLogEntry = srj_obs::SlowEntry;
 
-/// One span record of a traced request, as the `TRACE` and `SLOWLOG`
-/// responses carry it.
-pub type TraceSpan = srj_obs::SlowSpan;
+/// A slow-log entry's stage record.
+pub type Stages = srj_obs::Stages;
 
 /// Why a frame could not be decoded.
 #[derive(Debug)]
@@ -720,6 +704,11 @@ impl<T: ByteCoded> Wire for T {
     }
 }
 
+impl ByteCoded for bool {
+    const BYTES: &'static [(bool, u8)] = &[(false, 0), (true, 1)];
+    const UNKNOWN: &'static str = "unknown bool byte";
+}
+
 impl ByteCoded for Side {
     const BYTES: &'static [(Side, u8)] = &[(Side::R, 0), (Side::S, 1)];
     const UNKNOWN: &'static str = "unknown side byte";
@@ -794,11 +783,11 @@ wire_structs! {
         epoch: u64, version: u64, live_r: u64, live_s: u64,
         pending_ops: u64, last_swap_ns: u64,
     }
-    TraceSpan { ns: u64, span: String, event: String }
+    Stages { queued_ns: u64, acquire_ns: u64, draw_ns: u64, encode_ns: u64, waiting_ns: u64 }
     SlowLogEntry {
-        trace_id: u64, finished_ns: u64, dataset: u64, t: u64, epoch: u64,
-        iterations: u64, queue_wait_ns: u64, elapsed_ns: u64,
-        algorithm: String, spans: Vec<TraceSpan>,
+        id: u64, finished_ns: u64, dataset: u64, t: u64, epoch: u64,
+        iterations: u64, batches: u64, elapsed_ns: u64, stages: Stages,
+        inline: bool, algorithm: String, served: String,
     }
 }
 
@@ -868,7 +857,6 @@ frames! {
         0x05 Delete { req_id: u32, dataset: u64, side: Side, ids: Vec<u32> },
         0x06 Epoch { req_id: u32, dataset: u64 },
         0x07 Metrics,
-        0x08 Trace { trace_id: u64 },
         0x09 Hello { version: u16, features: u32 },
         0x0A Ping { token: u64 },
         0x0B SlowLog { max: u32 },
@@ -880,7 +868,6 @@ frames! {
         0x84 Update { req_id: u32, status: RequestStatus, stats: UpdateStats },
         0x85 Epoch { req_id: u32, status: RequestStatus, info: EpochInfo },
         0x86 Metrics { text: LongText },
-        0x87 Trace { trace_id: u64, spans: Vec<TraceSpan> },
         0x88 Welcome { version: u16, features: u32 },
         0x89 Pong { token: u64 },
         0x8A Busy { req_id: u32, retry_after_ms: u32 },
@@ -1009,29 +996,26 @@ impl FrameAccumulator {
 mod tests {
     use super::*;
 
-    fn span(ns: u64, span: &str, event: &str) -> TraceSpan {
-        TraceSpan {
-            ns,
-            span: span.to_string(),
-            event: event.to_string(),
-        }
-    }
-
-    fn slow_entry(trace_id: u64) -> SlowLogEntry {
+    fn slow_entry(id: u64) -> SlowLogEntry {
         SlowLogEntry {
-            trace_id,
+            id,
             finished_ns: 1_000_000,
             dataset: 3,
             t: 50_000,
             algorithm: "auto".to_string(),
+            served: "bbst".to_string(),
             epoch: 2,
             iterations: 123_456,
-            queue_wait_ns: 7_890,
+            batches: 7,
+            inline: false,
             elapsed_ns: 42_000_000,
-            spans: vec![
-                span(10, "frame_decode", "sample_request"),
-                span(20, "draw_loop", "begin"),
-            ],
+            stages: Stages {
+                queued_ns: 7_890,
+                acquire_ns: 110,
+                draw_ns: 40_000_000,
+                encode_ns: 1_900_000,
+                waiting_ns: 92_000,
+            },
         }
     }
 
@@ -1045,28 +1029,16 @@ mod tests {
         let mut payload = frame[4..].to_vec();
         payload[1..5].copy_from_slice(&60_000u32.to_le_bytes());
         assert!(decode_response(&payload).is_err());
-        // Claim a huge span count inside the single entry: the nested
-        // span guard must reject it. The span count sits after the
-        // opcode, entry count, eight u64 fields, and "auto".
+        // The `inline` byte (after the opcode, the entry count and
+        // thirteen u64 words) is a bool: any other value is refused.
         let mut payload = frame[4..].to_vec();
-        let off = 1 + 4 + 64 + 2 + 4;
-        payload[off..off + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        let off = 1 + 4 + 13 * 8;
+        assert_eq!(payload[off], 0);
+        payload[off] = 2;
         assert!(decode_response(&payload).is_err());
-        // Truncating the final span mid-string is a malformed frame.
+        // Truncating the final string mid-way is a malformed frame.
         let short = &frame[4..frame.len() - 3];
         assert!(decode_response(short).is_err());
-    }
-
-    #[test]
-    fn trace_span_count_mismatch_is_rejected() {
-        let frame = encode_response(&Response::Trace {
-            trace_id: 1,
-            spans: vec![span(5, "a", "b")],
-        });
-        let mut payload = frame[4..].to_vec();
-        // claim 1000 spans: must fail the pre-allocation bound check
-        payload[9..13].copy_from_slice(&1000u32.to_le_bytes());
-        assert!(decode_response(&payload).is_err());
     }
 
     #[test]

@@ -66,8 +66,7 @@
 //! Everything else becomes a job, exactly as before. In front of both,
 //! the loop runs one admission step over one table keyed by request
 //! kind (`crate::event_loop`: request bucket → mutation bucket →
-//! forced `BUSY` → load shedding) and then the trace decision,
-//! identically either way.
+//! forced `BUSY` → load shedding), identically either way.
 //!
 //! **Batching.** A `SAMPLE` holds one [`SamplerHandle`] for its whole
 //! lifetime — the engine/handle acquisition is paid once per request,
@@ -127,7 +126,7 @@ use srj_geom::Point;
 use srj_net::{Interest, Poller, Waker};
 use srj_obs::metrics::{quantile_of, BUCKETS};
 use srj_obs::profiler::ALL_STATES;
-use srj_obs::{trace, Counter, Gauge, Histogram, Profiler, Registry, SlowLog};
+use srj_obs::{Counter, Gauge, Histogram, Profiler, Registry, SlowLog};
 
 use crate::event_loop::{EventLoop, LoopNotify};
 use crate::exec::Acquire;
@@ -169,11 +168,6 @@ pub struct ServerConfig {
     /// and the patch budget; a request's forced algorithm overrides
     /// the `algorithm` field).
     pub epoch: EpochConfig,
-    /// Fraction of `SAMPLE` requests that get a trace id and record
-    /// spans ([`srj_obs::trace`]). `0.0` (default) disables tracing —
-    /// the instrumented call sites cost one relaxed load each.
-    /// Applied process-wide by [`Server::start`].
-    pub trace_sample_rate: f64,
     /// Deadline for the mandatory `HELLO` to arrive on a fresh
     /// connection; a peer that sends nothing inside it is dropped
     /// without a handshake answer. Default 10 s. Zero disables.
@@ -215,10 +209,9 @@ pub struct ServerConfig {
     /// [`Server::http_addr`]). `None` (default) disables the listener.
     pub http_port: Option<u16>,
     /// Slow requests retained for forensics (`SLOWLOG` frame,
-    /// `/vars`). Nonzero turns on always-record span rings
-    /// ([`srj_obs::trace::set_always_record`]) so every request leaves
-    /// a span trail the capture can snapshot. `0` disables tail-based
-    /// capture entirely. Default 64.
+    /// `/vars`): each with its context and stage record
+    /// ([`srj_obs::Stages`]), which every request carries anyway. `0`
+    /// disables tail-based capture entirely. Default 64.
     pub slow_log_capacity: usize,
     /// Latency threshold for slow-request capture, nanoseconds. `0`
     /// (default) derives the threshold from the live request-latency
@@ -245,7 +238,6 @@ impl Default for ServerConfig {
             cache_capacity: 16,
             build_threads: 0,
             epoch: EpochConfig::default(),
-            trace_sample_rate: 0.0,
             handshake_timeout: Duration::from_secs(10),
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
@@ -268,11 +260,9 @@ impl Default for ServerConfig {
 /// p99 of three requests is noise, not a baseline.
 pub const SLOW_AUTO_MIN_REQUESTS: u64 = 32;
 
-/// Most entries a `SLOWLOG` answer carries, and most spans one entry
-/// retains — together they bound the response frame well under
-/// [`MAX_FRAME_LEN`].
+/// Most entries a `SLOWLOG` answer carries, which bounds the response
+/// frame well under [`MAX_FRAME_LEN`].
 pub(crate) const SLOWLOG_MAX_ENTRIES: usize = 32;
-pub(crate) const SLOWLOG_MAX_SPANS: usize = 512;
 
 /// Zero means "no deadline" throughout the server and client configs;
 /// the event loop arms a timer-wheel entry only for `Some` deadlines,
@@ -1123,13 +1113,6 @@ impl Server {
             ..config
         };
         let listener = TcpListener::bind(addr)?;
-        // Tracing is a process-wide switch (the engine's instrumented
-        // call sites have no server reference); the last-started
-        // server's rate wins, which in practice is one server per
-        // process. Slow-log capture needs every request to leave span
-        // records, so it flips the always-record half of the switch.
-        trace::set_sample_rate(config.trace_sample_rate);
-        trace::set_always_record(config.slow_log_capacity > 0);
         let metrics = Registry::new();
         let server_metrics = ServerMetrics::register(&metrics);
         let unregistered = RequestSeries::register(&metrics, "unregistered");

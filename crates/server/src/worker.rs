@@ -24,7 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use srj_obs::journal::EventKind;
-use srj_obs::{trace, StateTag, WorkerState};
+use srj_obs::{StateTag, WorkerState};
 
 use crate::event_loop::LoopNotify;
 use crate::exec::{advance, Acquire, Progress, SampleRun};
@@ -363,9 +363,10 @@ pub(crate) fn enqueue(shared: &Shared, job: Job) {
     };
     if !job.done {
         if let Some(run) = &mut job.run {
+            let stage = run.gap(true);
             let _ = job
                 .conn
-                .try_send(run.conclude(shared, RequestStatus::ShuttingDown));
+                .try_send(run.conclude(shared, RequestStatus::ShuttingDown, stage));
         }
     }
 }
@@ -401,7 +402,7 @@ fn flush_outbox(shared: &Shared, mut job: Job, tag: &StateTag) -> Option<Job> {
                 // The client stopped reading and its window filled:
                 // the request parks on its connection. A rare
                 // control-plane condition, so it goes to the journal
-                // (and the park counter) rather than the trace ring.
+                // (and the park counter).
                 tag.set(WorkerState::Park);
                 let peer = job.conn.peer.clone();
                 shared.server_metrics.backpressure_parks.inc();
@@ -409,7 +410,6 @@ fn flush_outbox(shared: &Shared, mut job: Job, tag: &StateTag) -> Option<Job> {
                     .dataset(job.run.as_ref().map(|run| run.req.dataset))
                     .label(peer)
                     .emit();
-                trace::event("batch_write", "park");
                 let conn = Arc::clone(&job.conn);
                 conn.parked.lock().expect("parked list poisoned").push(job);
                 // The park happens-before this kick; the event loop
@@ -452,9 +452,6 @@ fn flush_outbox(shared: &Shared, mut job: Job, tag: &StateTag) -> Option<Job> {
 
 /// One worker step: flush, produce at most one batch, flush, requeue.
 fn step(shared: &Shared, job: Job, tag: &StateTag) {
-    // The request's span id is current for everything this step does,
-    // the park event of a flush included.
-    let _trace = job.run.as_ref().map(SampleRun::trace_scope);
     tag.set(WorkerState::Write);
     let Some(mut job) = flush_outbox(shared, job, tag) else {
         return;
@@ -462,7 +459,6 @@ fn step(shared: &Shared, job: Job, tag: &StateTag) {
     // Respond jobs carry only a pre-encoded frame; with the outbox
     // clear they are finished by flush_outbox, never reach here.
     if let Some(run) = &mut job.run {
-        run.mark_scheduled();
         let progress = advance(shared, run, Acquire::Blocking, tag, &mut job.outbox);
         job.done = matches!(progress, Progress::Done);
     }

@@ -434,7 +434,7 @@ fn admission_answers_each_request_kind_by_its_table_row() {
     let start = |config| Server::start("127.0.0.1:0", registry_with(DATASET, 100), config).unwrap();
 
     // A spent request bucket: HELLO and PING pass, every other request
-    // is declined, with its own id or 0 for the four id-less reads.
+    // is declined, with its own id or 0 for the three id-less reads.
     let mut server = start(ServerConfig {
         rate_limit_rps: 1,
         ..ServerConfig::default()
@@ -451,7 +451,6 @@ fn admission_answers_each_request_kind_by_its_table_row() {
             },
             Request::Stats,
             Request::Metrics,
-            Request::Trace { trace_id: 1 },
             Request::SlowLog { max: 4 },
             epoch(11),
             insert(12),
@@ -478,10 +477,10 @@ fn admission_answers_each_request_kind_by_its_table_row() {
             other => panic!("expected BUSY, got {other:?}"),
         })
         .collect();
-    assert_eq!(busy_ids, [0, 0, 0, 0, 11, 12, 13, 14]);
+    assert_eq!(busy_ids, [0, 0, 0, 11, 12, 13, 14]);
     assert_eq!(
         metric_value(&server.metrics_text(), "srj_rate_limited"),
-        8.0
+        7.0
     );
     server.shutdown();
 

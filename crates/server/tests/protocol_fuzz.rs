@@ -10,7 +10,7 @@ use srj_geom::Point;
 use srj_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, EpochInfo,
     ErrorCode, FrameAccumulator, ProtocolError, Request, RequestStats, RequestStatus, Response,
-    SampleRequest, ServerStatsFrame, Side, SlowLogEntry, TraceSpan, UpdateStats, MAX_ERROR_MSG_LEN,
+    SampleRequest, ServerStatsFrame, Side, SlowLogEntry, Stages, UpdateStats, MAX_ERROR_MSG_LEN,
     MAX_FRAME_LEN, PROTOCOL_VERSION, SERVER_FEATURES,
 };
 use srj_server::Algorithm;
@@ -148,10 +148,15 @@ proptest! {
         });
     }
 
+    /// `EPOCH`, and a `DONE` naming slow-log entry `id`.
     #[test]
     fn epoch_and_trace_roundtrip(req_id in any::<u32>(), id in any::<u64>()) {
         roundtrip_request(Request::Epoch { req_id, dataset: id });
-        roundtrip_request(Request::Trace { trace_id: id });
+        roundtrip_response(Response::Done {
+            req_id,
+            status: RequestStatus::Ok,
+            stats: RequestStats { trace_id: id, ..RequestStats::default() },
+        });
     }
 
     #[test]
@@ -261,25 +266,31 @@ proptest! {
         }));
     }
 
+    /// `METRICS`, and the `SLOWLOG` answer for one traced request: an
+    /// entry whose stage times sum to its latency.
     #[test]
     fn metrics_and_trace_responses_roundtrip(
         text_len in 0usize..512,
         trace_id in any::<u64>(),
-        spans in prop::collection::vec((any::<u64>(), 0usize..24, 0usize..24), 0..16),
+        ns in (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
     ) {
         roundtrip_response(Response::Metrics {
             text: "m".repeat(text_len),
         });
-        roundtrip_response(Response::Trace {
-            trace_id,
-            spans: spans
-                .into_iter()
-                .map(|(ns, a, b)| TraceSpan {
-                    ns,
-                    span: "s".repeat(a),
-                    event: "v".repeat(b),
-                })
-                .collect(),
+        let stages = Stages {
+            queued_ns: ns.0,
+            acquire_ns: ns.1,
+            draw_ns: ns.2,
+            encode_ns: ns.3,
+            waiting_ns: ns.4,
+        };
+        roundtrip_response(Response::SlowLog {
+            entries: vec![SlowLogEntry {
+                id: trace_id,
+                elapsed_ns: stages.total(),
+                stages,
+                ..SlowLogEntry::default()
+            }],
         });
     }
 
@@ -289,9 +300,9 @@ proptest! {
         entries in prop::collection::vec(
             (
                 (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-                (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-                0usize..12,
-                prop::collection::vec((any::<u64>(), 0usize..16, 0usize..16), 0..6),
+                (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
+                (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+                (0usize..12, 0usize..12),
             ),
             0..4,
         ),
@@ -300,24 +311,25 @@ proptest! {
         roundtrip_response(Response::SlowLog {
             entries: entries
                 .into_iter()
-                .map(|(a, b, algo_len, spans)| SlowLogEntry {
-                    trace_id: a.0,
+                .map(|(a, b, c, names)| SlowLogEntry {
+                    id: a.0,
                     finished_ns: a.1,
                     dataset: a.2,
                     t: a.3,
-                    algorithm: "a".repeat(algo_len),
+                    algorithm: "a".repeat(names.0),
+                    served: "s".repeat(names.1),
                     epoch: b.0,
                     iterations: b.1,
-                    queue_wait_ns: b.2,
+                    batches: b.2,
                     elapsed_ns: b.3,
-                    spans: spans
-                        .into_iter()
-                        .map(|(ns, s, v)| TraceSpan {
-                            ns,
-                            span: "s".repeat(s),
-                            event: "v".repeat(v),
-                        })
-                        .collect(),
+                    inline: b.4,
+                    stages: Stages {
+                        queued_ns: c.0,
+                        acquire_ns: c.1,
+                        draw_ns: c.2,
+                        encode_ns: c.3,
+                        waiting_ns: c.4,
+                    },
                 })
                 .collect(),
         });
@@ -481,7 +493,6 @@ fn request_corpus() -> Vec<Request> {
             dataset: 4,
         },
         Request::Metrics,
-        Request::Trace { trace_id: 0x1234 },
         Request::SlowLog { max: 5 },
     ]
 }
@@ -621,17 +632,9 @@ fn done_with(status: RequestStatus) -> Frame {
     })
 }
 
-fn span(ns: u64, span: &str, event: &str) -> TraceSpan {
-    TraceSpan {
-        ns,
-        span: span.to_string(),
-        event: event.to_string(),
-    }
-}
-
-/// Every frame type at least once, with empty vectors, a multi-span
+/// Every frame type at least once, with empty vectors, a filled
 /// `SLOWLOG` entry and every byte of every byte-coded enum (side,
-/// algorithm, status, error code).
+/// algorithm, status, error code, bool).
 fn wire_corpus() -> Vec<(&'static str, Frame)> {
     vec![
         (
@@ -700,7 +703,6 @@ fn wire_corpus() -> Vec<(&'static str, Frame)> {
             }),
         ),
         ("metrics", Frame::Request(Request::Metrics)),
-        ("trace", Frame::Request(Request::Trace { trace_id: 0xF00D })),
         ("slowlog", Frame::Request(Request::SlowLog { max: 32 })),
         (
             "welcome",
@@ -835,41 +837,28 @@ fn wire_corpus() -> Vec<(&'static str, Frame)> {
             }),
         ),
         (
-            "trace_spans",
-            Frame::Response(Response::Trace {
-                trace_id: 20,
-                spans: vec![
-                    span(1_000, "frame_decode", "begin"),
-                    span(2_000, "draw_loop", "end"),
-                ],
-            }),
-        ),
-        (
-            "trace_empty",
-            Frame::Response(Response::Trace {
-                trace_id: 21,
-                spans: Vec::new(),
-            }),
-        ),
-        (
             "slowlog_entries",
             Frame::Response(Response::SlowLog {
                 entries: vec![
                     SlowLogEntry {
-                        trace_id: 22,
+                        id: 22,
                         finished_ns: 1_000_000,
                         dataset: 3,
                         t: 50_000,
                         algorithm: "auto".to_string(),
+                        served: "bbst".to_string(),
                         epoch: 2,
                         iterations: 123_456,
-                        queue_wait_ns: 7_890,
+                        batches: 7,
+                        inline: true,
                         elapsed_ns: 42_000_000,
-                        spans: vec![
-                            span(10, "frame_decode", "sample_request"),
-                            span(20, "draw_loop", "begin"),
-                            span(30, "", ""),
-                        ],
+                        stages: Stages {
+                            queued_ns: 7_890,
+                            acquire_ns: 110,
+                            draw_ns: 40_000_000,
+                            encode_ns: 1_900_000,
+                            waiting_ns: 92_000,
+                        },
                     },
                     SlowLogEntry::default(),
                 ],
@@ -925,7 +914,7 @@ fn wire_frames_match_the_recorded_fixture() {
             }
         }
     }
-    assert_eq!(opcodes.len(), 23, "every frame type is pinned");
+    assert_eq!(opcodes.len(), 21, "every frame type is pinned");
 }
 
 #[test]

@@ -181,6 +181,7 @@ fn unusable_dataset_scales_are_usage_errors() {
         ("--replan-factor", "2"),
         ("--buffers", "on"),
         ("--timeseries-cadence-ms", "1000"),
+        ("--trace-sample-rate", "0.5"),
     ]
     .map(|(f, v)| [f.into(), v.into()]);
     let below_minimum = ["--cache", "--queue-frames"].map(|f| [f.into(), "0".into()]);

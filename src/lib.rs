@@ -57,12 +57,13 @@
 //!
 //! ## Observability
 //!
-//! The [`obs`] crate threads a metrics registry, sampled span tracing,
-//! and a lifecycle event journal through every layer: the server
-//! exposes Prometheus text over the `METRICS` frame (live dashboard:
-//! `srj-top`), traced `SAMPLE` requests return their spans via the
-//! `TRACE` frame, and every epoch swap / cell patch / compaction /
-//! backpressure park lands in the journal
+//! The [`obs`] crate threads a metrics registry, a slow-request log and
+//! a lifecycle event journal through every layer: the server exposes
+//! Prometheus text over the `METRICS` frame (live dashboard:
+//! `srj-top`), a `SAMPLE` that finishes slow keeps its stage times
+//! (queued, acquire, draw, encode, waiting — they sum to its latency)
+//! for the `SLOWLOG` frame, and every epoch swap / cell patch /
+//! compaction / backpressure park lands in the journal
 //! (`srj-serve --log-json`). See the README's "Observability" section.
 //!
 //! The workspace crates are re-exported under their own names
@@ -101,5 +102,5 @@ pub use srj_geom::{Point, PointId, Rect};
 pub use srj_obs::{EventKind, LifecycleEvent, Registry};
 pub use srj_server::{
     Client, DatasetRegistry, RequestStatus, SampleOutcome, SampleRequest, Server, ServerConfig,
-    Side, TraceSpan, UpdateOutcome,
+    Side, UpdateOutcome,
 };
