@@ -39,12 +39,14 @@ impl ScaledDataset {
 }
 
 /// Generates `kind` at `scale × base_size(kind)` points and splits with
-/// `r_fraction` (paper default 0.5).
+/// `r_fraction` (paper default 0.5). The generated points are handed to
+/// the split, which deals `R` into their buffer ([`split_rs`]): the
+/// peak is the points and `S`, 24 B a point at `r_fraction` 0.5.
 pub fn scaled_spec(kind: DatasetKind, scale: f64, r_fraction: f64, seed: u64) -> ScaledDataset {
     assert!(scale > 0.0, "scale must be positive");
     let n = ((base_size(kind) as f64 * scale) as usize).max(16);
     let points = generate(&DatasetSpec::new(kind, n, seed));
-    let (r, s) = split_rs(&points, r_fraction, seed ^ 0xDEAD_BEEF);
+    let (r, s) = split_rs(points, r_fraction, seed ^ 0xDEAD_BEEF);
     ScaledDataset { kind, r, s }
 }
 

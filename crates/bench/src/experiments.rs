@@ -98,6 +98,8 @@ pub const GROUP_ROWS: usize = 3;
 pub struct DatasetRun {
     /// Which dataset.
     pub kind: DatasetKind,
+    /// Its cardinality `n + m`.
+    pub points: usize,
     /// Outcomes, indexed by [`KDS`], [`KDS_REJECTION`], [`BBST`] and
     /// [`GROUP_ROWS`]; none when the join is empty.
     pub outcomes: Vec<RunOutcome>,
@@ -125,12 +127,14 @@ pub fn default_runs(cfg: &ExpConfig) -> Vec<DatasetRun> {
         .iter()
         .map(|&kind| {
             let d = scaled_spec(kind, cfg.scale, 0.5, cfg.seed);
+            let points = d.total();
             let kds = KdsIndex::build(&d.r, &d.s, &sc);
             let join_size = kds.join_size();
             if join_size == 0 {
                 let (outcomes, mu_totals) = (Vec::new(), Vec::new());
                 return DatasetRun {
                     kind,
+                    points,
                     outcomes,
                     mu_totals,
                     join_size,
@@ -146,6 +150,7 @@ pub fn default_runs(cfg: &ExpConfig) -> Vec<DatasetRun> {
             .unzip();
             DatasetRun {
                 kind,
+                points,
                 outcomes,
                 mu_totals,
                 join_size,
@@ -154,7 +159,10 @@ pub fn default_runs(cfg: &ExpConfig) -> Vec<DatasetRun> {
         .collect()
 }
 
-/// Table II — pre-processing time per algorithm and dataset.
+/// Table II — pre-processing time per algorithm and dataset, then one
+/// `# peak: X bytes/point (VmHWM)` line: the process's peak resident
+/// bytes so far over the points of the largest dataset, `n/a` where the
+/// kernel reports no `VmHWM`.
 ///
 /// Paper: KDS builds a kd-tree, BBST only sorts; BBST is ~2× faster.
 pub fn table2(runs: &[DatasetRun]) -> String {
@@ -174,7 +182,29 @@ pub fn table2(runs: &[DatasetRun]) -> String {
         }
         writeln!(out).unwrap();
     }
+    out.push_str(&peak_line(runs.iter().map(|run| run.points).max()));
     out
+}
+
+/// The process's peak resident bytes so far (`VmHWM` of
+/// `/proc/self/status`) over the points of the largest dataset it held,
+/// as one `# peak: X bytes/point (VmHWM)` line — `n/a` where the kernel
+/// reports no `VmHWM`. Beside the index bytes a point of
+/// [`row_granularity`], it shows what a build holds beyond the index.
+fn peak_line(points: Option<usize>) -> String {
+    let hwm_kib = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            line.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+        });
+    match (hwm_kib, points) {
+        (Some(kib), Some(points)) if points > 0 => format!(
+            "# peak: {:.1} bytes/point (VmHWM)\n",
+            (kib * 1024) as f64 / points as f64
+        ),
+        _ => "# peak: n/a bytes/point (VmHWM)\n".to_string(),
+    }
 }
 
 /// Table III — total and decomposed times (GM = grid mapping /
@@ -637,7 +667,9 @@ const ROW_DATASETS: [(&str, DatasetKind, f64, f64); 6] = [
 /// One `#` line per index (median build ms, iterations per sample, ns
 /// per iteration, index bytes per point) and per dataset the group /
 /// per-`r` ratio of ns per iteration, which the row-granularity
-/// threshold (`srj-core`'s `group::MIN_PROBE_ACCEPTED`) rests on.
+/// threshold (`srj-core`'s `group::MIN_PROBE_ACCEPTED`) rests on; last,
+/// one `# peak: X bytes/point (VmHWM)` line, the process's peak resident
+/// bytes over the points of the largest dataset (as [`table2`]'s).
 /// At scale 1 (up to 500 k × 500 k points) a run takes a few seconds.
 pub fn row_granularity(cfg: &ExpConfig) -> String {
     let mut out = String::new();
@@ -647,9 +679,11 @@ pub fn row_granularity(cfg: &ExpConfig) -> String {
         cfg.scale
     )
     .unwrap();
+    let mut largest = None;
     for (name, kind, scale, l) in ROW_DATASETS {
         let d = scaled_spec(kind, scale * cfg.scale, 0.5, 1);
         let points = d.total();
+        largest = largest.max(Some(points));
         let base = DatasetStore::new(d.r, d.s).snapshot();
         let sc = SampleConfig::new(l);
         let (r, s) = (&base.base_r, &base.base_s);
@@ -668,6 +702,7 @@ pub fn row_granularity(cfg: &ExpConfig) -> String {
             .unwrap();
         }
     }
+    out.push_str(&peak_line(largest));
     out
 }
 
@@ -684,6 +719,10 @@ fn granularity_line<I: SamplerIndex>(
     let mut build_ms = Vec::with_capacity(ROW_BUILDS);
     let mut index = None;
     for _ in 0..ROW_BUILDS {
+        // One index held at a time, so the `# peak:` line reads one
+        // build's bytes, not two (each timed build after the first may
+        // reuse the pages the previous one freed).
+        drop(index.take());
         let t0 = Instant::now();
         let built = build();
         build_ms.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -757,6 +796,7 @@ mod tests {
         assert_eq!(runs.len(), 4);
         let t2 = table2(&runs);
         assert!(t2.contains("KDS") && t2.contains("BBST"));
+        assert_peak_line(&t2);
         let t3 = table3(&runs);
         assert!(t3.contains("KDS-rejection") && t3.contains("GM"));
         let t4 = table4(&runs, cfg.t);
@@ -816,6 +856,23 @@ mod tests {
                 s.contains(&format!("# {name}: a group iteration costs")),
                 "{s}"
             );
+        }
+        assert_peak_line(&s);
+    }
+
+    /// One `# peak:` line, a number where the kernel reports `VmHWM`.
+    fn assert_peak_line(s: &str) {
+        let peaks: Vec<&str> = s.lines().filter(|l| l.starts_with("# peak: ")).collect();
+        assert_eq!(peaks.len(), 1, "{s}");
+        let value = peaks[0]
+            .strip_prefix("# peak: ")
+            .and_then(|l| l.strip_suffix(" bytes/point (VmHWM)"))
+            .unwrap_or_else(|| panic!("{s}"));
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        if status.contains("VmHWM:") {
+            assert!(value.parse::<f64>().is_ok_and(|b| b > 0.0), "{s}");
+        } else {
+            assert_eq!(value, "n/a", "{s}");
         }
     }
 

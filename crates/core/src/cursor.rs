@@ -213,8 +213,9 @@ pub trait SamplerIndex: Send + Sync {
 pub struct IndexBytes {
     /// The `R` set the index stands on — shared by every index built on
     /// it, so whoever sums indexes over one set counts it once — plus a
-    /// group index's members in group order (4 B per `r`) and their
-    /// group bounds.
+    /// group index's grouping of `R`, kept as its member ids: the
+    /// members in group order (4 B per `r`) and their group bounds (4 B
+    /// per group), the buffers `srj_grid::Grid::group_by_cell` filled.
     pub r_points: usize,
     /// The per-`r` rows (`40 × |R|` for the families that keep
     /// [`srj_alias::BlockRow`]s, the `f64` bounds of KDS-rejection), a

@@ -1,6 +1,6 @@
 //! BBST rows at group granularity: one row per cell of `R`
 //! ([`GroupIndex`]). Every `r` of a cell sees the same 3×3 block, so the
-//! group pass ([`block_rows`]) resolves each block once — its nine cell
+//! group pass ([`block_row`]) resolves each block once — its nine cell
 //! populations and its nine cells' grid slots — and a draw reads both
 //! off the group's rows: the grid's hash is read only at build. The
 //! rows ([`GroupCore`]) do not depend on the window, only on the cell
@@ -48,13 +48,14 @@ const PROBE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// constant from one run of it.
 const MIN_PROBE_ACCEPTED: usize = PROBE_ITERATIONS / 2;
 
-/// The group pass: `R` is grouped by grid cell ([`Grid::group_by_cell`]),
-/// and every member of a group sees the same 3×3 block, so the §III-B
-/// bound — `µ(r)` = the population of `r`'s block — is taken once per
-/// group. Yields each group's members (indices into `r`) with the row of
-/// its block's nine cell populations, extra part empty, and the nine
-/// cells' grid slots ([`NO_CELL`] where a cell is empty): one
-/// [`Grid::neighborhood_slots`] per group resolves the block for good.
+/// The group pass, one group at a time: `R` is grouped by grid cell
+/// ([`Grid::group_by_cell`]), and every member of a group sees the same
+/// 3×3 block, so the §III-B bound — `µ(r)` = the population of `r`'s
+/// block — is taken once per group. Returns the row of the block of a
+/// group's `members` (indices into `r`) — its nine cell populations,
+/// extra part empty — and the nine cells' grid slots ([`NO_CELL`] where
+/// a cell is empty): one [`Grid::neighborhood_slots`] per group resolves
+/// the block for good.
 ///
 /// `Σ |members| · row.total()` over the groups is `Σ_r µ(r)`; both are
 /// sums of integers, so below 2⁵³ they are the same `f64` in any order.
@@ -62,20 +63,13 @@ const MIN_PROBE_ACCEPTED: usize = PROBE_ITERATIONS / 2;
 /// # Panics
 /// Panics if a block holds more than `u32::MAX` points
 /// ([`BlockRow::new`]).
-pub(crate) fn block_rows<'a>(
-    grid: &'a Grid,
-    r: &'a [Point],
-    groups: &'a CellGroups,
-) -> impl Iterator<Item = (&'a [u32], BlockRow, [u32; NUM_CELLS])> + 'a {
-    groups.iter().map(move |members| {
-        let slots = grid.neighborhood_slots(r[members[0] as usize]);
-        let cells = slots.map(|slot| slot.map_or(0, |slot| grid.cell(slot).len() as u64));
-        (
-            members,
-            BlockRow::new(cells, 0),
-            slots.map(|slot| slot.unwrap_or(NO_CELL)),
-        )
-    })
+fn block_row(grid: &Grid, r: &[Point], members: &[u32]) -> (BlockRow, [u32; NUM_CELLS]) {
+    let slots = grid.neighborhood_slots(r[members[0] as usize]);
+    let cells = slots.map(|slot| slot.map_or(0, |slot| grid.cell(slot).len() as u64));
+    (
+        BlockRow::new(cells, 0),
+        slots.map(|slot| slot.unwrap_or(NO_CELL)),
+    )
 }
 
 /// The BBST family at **group granularity**: one row and one alias
@@ -87,8 +81,9 @@ pub(crate) fn block_rows<'a>(
 /// one [`BlockRow`] (the block's nine cell populations) and one slot row
 /// (the block's nine cells' grid slots). The rows are a [`GroupCore`]:
 /// the shared [`PointSet`]s of `S` and of `R`, a scatter-built [`Grid`]
-/// on the first, the members of each group as indices into the second
-/// (4 B per `r`: `R` itself is not copied), the rows, and one alias over
+/// on the first, the grouping of the second — the members of each group
+/// as indices into it, 4 B per `r`: `R` itself is not copied — the rows,
+/// and one alias over
 /// `|R_g| · µ_g` — an `O(n + m)` build with a hash probe per point as its
 /// most expensive step, the only hash probes the index ever makes. The
 /// window half-extent `l` enters at the window test of a draw and
@@ -129,11 +124,11 @@ pub struct GroupCore {
     grid: Arc<Grid>,
     /// `R`, shared with every other index built on the same set.
     r: Arc<PointSet>,
-    /// The members of every group as indices into `r`, group after
-    /// group: group `g` is `ids[starts[g]..starts[g + 1]]`. Groups whose
-    /// block is empty are not kept.
-    ids: Vec<u32>,
-    starts: Vec<u32>,
+    /// The grouping of `r` by grid cell, as the group pass left it:
+    /// the members of group `g`, as indices into `r`, are
+    /// `groups.members(g)`. Groups whose block is empty are dropped
+    /// ([`CellGroups::retain`]), so group `g` is row `g`.
+    groups: CellGroups,
     /// Per group: the nine cell populations of its block.
     rows: Vec<BlockRow>,
     /// Per group: the grid slots of its block's nine cells, [`NO_CELL`]
@@ -160,30 +155,32 @@ impl GroupCore {
     /// shared) over a ready grid, whose build is charged to whoever
     /// built it.
     ///
+    /// The grouping of `r` is kept as the members' ids, its empty-block
+    /// groups dropped in place, so the pass peaks at the grouping's own
+    /// 8 B a point ([`Grid::group_by_cell`]), 4 B a point over what it
+    /// keeps.
+    ///
     /// # Panics
     /// Panics if `r` has more than `u32::MAX` points.
     pub fn build(r: impl IntoPointSet, grid: Arc<Grid>) -> Self {
         let r = r.into_point_set();
         let t0 = Instant::now();
-        let groups = grid.group_by_cell(&r);
-        let mut ids = Vec::with_capacity(r.len());
-        let mut starts = vec![0u32];
-        let mut rows = Vec::new();
-        let mut blocks = Vec::new();
-        let mut weights = Vec::new();
-        for (members, row, slots) in block_rows(&grid, &r, &groups) {
+        let mut groups = grid.group_by_cell(&r);
+        // At most one row a group, allocated once: exact capacities
+        // once shrunk, as `own_bytes` counts what is allocated.
+        let mut rows = Vec::with_capacity(groups.len());
+        let mut blocks = Vec::with_capacity(groups.len());
+        let mut weights = Vec::with_capacity(groups.len());
+        groups.retain(|members| {
+            let (row, slots) = block_row(&grid, &r, members);
             if row.total() == 0 {
-                continue;
+                return false;
             }
-            ids.extend_from_slice(members);
-            starts.push(ids.len() as u32);
             weights.push(members.len() as f64 * f64::from(row.total()));
             rows.push(row);
             blocks.push(slots);
-        }
-        // Exact capacities: `own_bytes` counts what is allocated.
-        ids.shrink_to_fit();
-        starts.shrink_to_fit();
+            true
+        });
         rows.shrink_to_fit();
         blocks.shrink_to_fit();
         let alias = AliasTable::new(&weights);
@@ -191,8 +188,7 @@ impl GroupCore {
         GroupCore {
             grid,
             r,
-            ids,
-            starts,
+            groups,
             rows,
             blocks,
             alias,
@@ -282,13 +278,13 @@ impl GroupCore {
     }
 
     /// Heap bytes of the core beyond the two point sets it stands on —
-    /// the grid's cells and map, the permutation of `R` (as
-    /// `r_points`), the rows and the alias: what a second index on the
-    /// same core adds nothing to.
+    /// the grid's cells and map, the grouping of `R` (as `r_points`),
+    /// the rows and the alias: what a second index on the same core adds
+    /// nothing to.
     pub fn own_bytes(&self) -> IndexBytes {
         let grid = IndexBytes::of_grid(&self.grid);
         IndexBytes {
-            r_points: (self.ids.capacity() + self.starts.capacity()) * std::mem::size_of::<u32>(),
+            r_points: self.groups.memory_bytes(),
             rows: self.rows.capacity() * std::mem::size_of::<BlockRow>()
                 + self.blocks.capacity() * std::mem::size_of::<[u32; NUM_CELLS]>(),
             alias: self.alias.as_ref().map_or(0, AliasTable::memory_bytes),
@@ -297,11 +293,13 @@ impl GroupCore {
         }
     }
 
-    /// Position in `ids` of a uniform member of group `g`.
+    /// Position in the grouping's order of a uniform member of group
+    /// `g`.
     #[inline]
     fn member_at(&self, g: usize, word: u64) -> usize {
-        let (lo, hi) = (self.starts[g], self.starts[g + 1]);
-        lo as usize + ((u128::from(word) * u128::from(hi - lo)) >> 64) as usize
+        let members = self.groups.range(g);
+        let len = members.end - members.start;
+        members.start + ((u128::from(word) * len as u128) >> 64) as usize
     }
 
     /// A uniform position of group `g`'s row as the grid slot of its
@@ -359,7 +357,7 @@ impl GroupCore {
         let mut sp = [Point::default(); BLOCK];
         // The core's arrays as locals: they stay in registers across
         // the stages instead of being read back off the shared self.
-        let (ids, r, grid) = (&self.ids[..], self.r.points(), &*self.grid);
+        let (ids, r, grid) = (self.groups.order(), self.r.points(), &*self.grid);
         let mut left = n;
         while left > 0 {
             // Asked only while an iteration is wanted: `n = 0` is `Ok`
@@ -519,8 +517,7 @@ impl GroupIndex {
 
     /// Group `g`'s members, as indices into [`GroupIndex::r_set`].
     pub fn group_members(&self, g: usize) -> &[u32] {
-        let core = &self.core;
-        &core.ids[core.starts[g] as usize..core.starts[g + 1] as usize]
+        self.core.groups.members(g)
     }
 
     /// `W = Σ_g |R_g| · µ_g = Σ_r µ(r)` under the §III-B bound.
@@ -549,7 +546,7 @@ impl SamplerIndex for GroupIndex {
         let core = &*self.core;
         let alias = core.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         let g = alias.sample_word(rng.next_u64());
-        let ridx = core.ids[core.member_at(g, rng.next_u64())];
+        let ridx = core.groups.order()[core.member_at(g, rng.next_u64())];
         let (slot, rank) = core.pick(g, rng.next_u64());
         let sid = core.grid.cell(slot).members()[rank as usize];
         let (r, s) = ((ridx, core.r[ridx as usize]), (sid, core.grid.point(sid)));
@@ -561,7 +558,7 @@ impl SamplerIndex for GroupIndex {
     /// group; every member position; its index into `R`, then its point;
     /// every pick off its group's rows; the picked cell's members, then
     /// the candidate's id, then its point; then every window test — so
-    /// the cache misses of one stage (alias column, `ids` entry, `R`
+    /// the cache misses of one stage (alias column, member id, `R`
     /// point, group rows, cell, cell array, `S` point) are those of up
     /// to 64 independent iterations in flight together.
     ///

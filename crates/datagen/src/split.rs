@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srj_geom::Point;
@@ -7,30 +9,46 @@ use srj_geom::Point;
 /// assigned each point to R or S. By default, |R| ≈ |S|" (§V-A), and the
 /// Fig. 8 sweep over `n / (n + m)`.
 ///
-/// Deterministic for a given seed. Each side is allocated at exactly its
-/// length — a served base set keeps the `Vec` it is given — by tossing
-/// the seeded coins once to count and once more to deal.
-pub fn split_rs(points: &[Point], r_fraction: f64, seed: u64) -> (Vec<Point>, Vec<Point>) {
+/// Deterministic for a given seed, and the same split whether `points`
+/// is borrowed or handed over. The seeded coins are tossed once to count
+/// `R` and once more to deal, and both sides come out at exactly their
+/// length — a served base set keeps the `Vec` it is given. `R` is dealt
+/// forward into the points' own buffer (a copy of them when borrowed):
+/// the write position never passes the read one, so the order is kept,
+/// and the buffer is then truncated and shrunk. Only `S` is allocated
+/// beside it, so a handed-over split holds `n + |S|` points at its peak
+/// instead of `2n`.
+pub fn split_rs<'a>(
+    points: impl Into<Cow<'a, [Point]>>,
+    r_fraction: f64,
+    seed: u64,
+) -> (Vec<Point>, Vec<Point>) {
     assert!(
         (0.0..=1.0).contains(&r_fraction),
         "r_fraction must be within [0, 1], got {r_fraction}"
     );
+    let mut r = points.into().into_owned();
+    let n = r.len();
     let coins = || {
         let mut rng = SmallRng::seed_from_u64(seed);
-        points
-            .iter()
-            .map(move |&p| (rng.gen::<f64>() < r_fraction, p))
+        move || rng.gen::<f64>() < r_fraction
     };
-    let r_len = coins().filter(|&(to_r, _)| to_r).count();
-    let mut r = Vec::with_capacity(r_len);
-    let mut s = Vec::with_capacity(points.len() - r_len);
-    for (to_r, p) in coins() {
-        if to_r {
-            r.push(p);
+    let mut to_r = coins();
+    let r_len = (0..n).filter(|_| to_r()).count();
+    let mut s = Vec::with_capacity(n - r_len);
+    let mut to_r = coins();
+    let mut dealt = 0;
+    for i in 0..n {
+        let p = r[i];
+        if to_r() {
+            r[dealt] = p;
+            dealt += 1;
         } else {
             s.push(p);
         }
     }
+    r.truncate(r_len);
+    r.shrink_to_fit();
     (r, s)
 }
 
@@ -94,6 +112,37 @@ mod tests {
                         .collect()
                 };
                 assert_eq!((r, s), (dealt(true), dealt(false)));
+            }
+        }
+    }
+
+    /// Handing the points over deals the same two sides as lending
+    /// them, byte for byte and at exact capacity, on every generator
+    /// and at fractions that leave either side empty.
+    #[test]
+    fn owned_and_borrowed_split_alike() {
+        use crate::{generate, DatasetKind, DatasetSpec};
+        let bits = |side: &[Point]| -> Vec<(u64, u64)> {
+            side.iter()
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                .collect()
+        };
+        let kinds = [DatasetKind::Uniform]
+            .into_iter()
+            .chain(DatasetKind::PAPER_ORDER);
+        for kind in kinds {
+            let points = generate(&DatasetSpec::new(kind, 3_001, 5));
+            for frac in [0.0, 0.3, 0.5, 1.0] {
+                let lent = split_rs(&points, frac, 17);
+                // With growth slack, as a parsed file comes.
+                let mut given = Vec::with_capacity(2 * points.len());
+                given.extend_from_slice(&points);
+                let handed = split_rs(given, frac, 17);
+                for (side, lent, handed) in [("r", &lent.0, &handed.0), ("s", &lent.1, &handed.1)] {
+                    assert_eq!(bits(lent), bits(handed), "{kind:?}, {frac}, {side}");
+                    assert_eq!(lent.capacity(), lent.len(), "{kind:?}, {frac}, {side}");
+                    assert_eq!(handed.capacity(), handed.len(), "{kind:?}, {frac}, {side}");
+                }
             }
         }
     }

@@ -641,6 +641,19 @@ mod tests {
         assert_eq!(snap.live_r().len(), 3);
     }
 
+    /// A parsed file's points come in a pushed `Vec` (600 points, room
+    /// for 1024); the store's sets hold the points and nothing more.
+    #[test]
+    fn file_loaded_sets_keep_no_growth_slack() {
+        let text: String = (0..600).map(|i| format!("{i},{}\n", i % 7)).collect();
+        let points = srj_datagen::read_points(text.as_bytes()).unwrap();
+        assert!(points.capacity() > points.len());
+        let store = DatasetStore::new(points.clone(), points);
+        let snap = store.snapshot();
+        assert_eq!(snap.base_r.memory_bytes(), 9_600);
+        assert_eq!(snap.base_s.memory_bytes(), 9_600);
+    }
+
     #[test]
     fn compact_folds_deltas_and_renumbers() {
         let store = DatasetStore::new(vec![p(0.0, 0.0), p(1.0, 1.0), p(2.0, 2.0)], vec![]);

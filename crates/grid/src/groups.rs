@@ -14,7 +14,10 @@ use crate::grid_map::Grid;
 /// [`Grid::neighborhood_slots`] once per group, with any member.
 ///
 /// Groups come in order of first appearance and members in input order;
-/// both are functions of the input alone.
+/// both are functions of the input alone. [`CellGroups::retain`] drops
+/// groups in place and keeps that order, so a structure that keeps some
+/// of the groups can keep the grouping itself as its member ids: 4 B a
+/// member and 4 B a group.
 #[derive(Clone, Debug)]
 pub struct CellGroups {
     /// `order[starts[g]..starts[g + 1]]` are the members of group `g`.
@@ -30,6 +33,67 @@ impl CellGroups {
         self.starts
             .windows(2)
             .map(|w| &self.order[w[0] as usize..w[1] as usize])
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Whether there are no groups.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every member, group after group: group `g` is
+    /// `order()[range(g)]`.
+    #[inline]
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Where group `g`'s members sit in [`CellGroups::order`].
+    #[inline]
+    pub fn range(&self, g: usize) -> std::ops::Range<usize> {
+        self.starts[g] as usize..self.starts[g + 1] as usize
+    }
+
+    /// Group `g`'s members.
+    #[inline]
+    pub fn members(&self, g: usize) -> &[u32] {
+        &self.order[self.range(g)]
+    }
+
+    /// Keeps the groups `keep` accepts, called once per group in order
+    /// with its members, and drops the rest: the kept members move down
+    /// over the dropped ones, in place, and both buffers are shrunk to
+    /// what is kept — nothing is allocated.
+    pub fn retain(&mut self, mut keep: impl FnMut(&[u32]) -> bool) {
+        let (mut groups, mut members) = (0, 0);
+        let mut lo = 0;
+        for g in 0..self.len() {
+            // `starts[g]` may be overwritten by now; `starts[g + 1]` is not.
+            let hi = self.starts[g + 1] as usize;
+            if keep(&self.order[lo..hi]) {
+                // Until a group is dropped, every member is in place.
+                if members < lo {
+                    self.order.copy_within(lo..hi, members);
+                }
+                members += hi - lo;
+                groups += 1;
+                self.starts[groups] = members as u32;
+            }
+            lo = hi;
+        }
+        self.starts.truncate(groups + 1);
+        self.order.truncate(members);
+        self.starts.shrink_to_fit();
+        self.order.shrink_to_fit();
+    }
+
+    /// Heap bytes of the two buffers, as allocated.
+    pub fn memory_bytes(&self) -> usize {
+        (self.starts.capacity() + self.order.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -134,8 +198,39 @@ mod tests {
     }
 
     #[test]
+    fn retain_drops_groups_in_place_and_keeps_the_order() {
+        let grid = Grid::build(&lattice(50, 1), 2.0);
+        let probes = lattice(700, 2);
+        let all = grid.group_by_cell(&probes);
+        let listed: Vec<Vec<u32>> = all.iter().map(<[u32]>::to_vec).collect();
+        for drop_every in [1, 2, 3, 7, usize::MAX] {
+            let mut groups = all.clone();
+            let mut g = 0;
+            groups.retain(|members| {
+                assert_eq!(members, &listed[g][..]);
+                g += 1;
+                drop_every == usize::MAX || g % drop_every != 0
+            });
+            let kept: Vec<&Vec<u32>> = listed
+                .iter()
+                .enumerate()
+                .filter(|&(g, _)| drop_every == usize::MAX || (g + 1) % drop_every != 0)
+                .map(|(_, members)| members)
+                .collect();
+            assert_eq!(groups.len(), kept.len());
+            for (g, members) in kept.iter().enumerate() {
+                assert_eq!(groups.members(g), &members[..]);
+                assert_eq!(&groups.order()[groups.range(g)], &members[..]);
+            }
+            let len: usize = kept.iter().map(|m| m.len()).sum();
+            assert_eq!(groups.memory_bytes(), 4 * (len + kept.len() + 1));
+        }
+    }
+
+    #[test]
     fn empty_input_has_no_groups() {
         let groups = Grid::build(&lattice(10, 3), 1.0).group_by_cell(&[]);
         assert_eq!(groups.iter().count(), 0);
+        assert!(groups.is_empty());
     }
 }

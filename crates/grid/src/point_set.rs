@@ -18,15 +18,18 @@ pub struct PointSet {
 }
 
 impl PointSet {
-    /// Takes ownership of `points`. This is the one place the builders'
-    /// preconditions on a point array are checked.
+    /// Takes ownership of `points`, shrunk to their length: a `Vec`
+    /// grown by pushes (a parsed file) keeps no slack in a served set,
+    /// and [`PointSet::memory_bytes`] counts the points. This is the one
+    /// place the builders' preconditions on a point array are checked.
     ///
     /// # Panics
     /// Panics if a coordinate is not finite, or if there are more than
     /// `u32::MAX` points.
-    pub fn new(points: Vec<Point>) -> Self {
+    pub fn new(mut points: Vec<Point>) -> Self {
         assert!(points.len() <= u32::MAX as usize, "too many points");
         assert_finite(&points);
+        points.shrink_to_fit();
         PointSet { points }
     }
 
@@ -126,6 +129,19 @@ mod tests {
         assert_eq!(&more[..2], set.points());
         assert_eq!(more.len(), 3);
         assert_eq!(more.memory_bytes(), 3 * 16);
+    }
+
+    /// Pushed one by one, 600 points sit in a 1024-point buffer; the
+    /// set keeps 600.
+    #[test]
+    fn a_set_keeps_no_growth_slack() {
+        let mut points = Vec::new();
+        for i in 0..600 {
+            points.push(Point::new(f64::from(i), 0.0));
+        }
+        assert!(points.capacity() > 600);
+        let set = PointSet::new(points);
+        assert_eq!(set.memory_bytes(), 600 * 16);
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn register_file(registry: &mut DatasetRegistry, spec: &str) {
         }
         None => {
             let all = read_points_file(paths).unwrap_or_else(|e| fail(&format!("{paths}: {e}")));
-            split_rs(&all, 0.5, id ^ 0xD15C)
+            split_rs(all, 0.5, id ^ 0xD15C)
         }
     };
     eprintln!(

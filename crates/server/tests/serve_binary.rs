@@ -8,7 +8,10 @@ use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use srj_server::{Client, ClientConfig, RequestStatus, SampleRequest};
+use srj_datagen::{generate, split_rs, write_points_file, DatasetKind, DatasetSpec};
+use srj_server::{
+    Client, ClientConfig, DatasetRegistry, RequestStatus, SampleRequest, Server, ServerConfig,
+};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_srj-serve");
 const TOP: &str = env!("CARGO_BIN_EXE_srj-top");
@@ -164,6 +167,71 @@ fn serves_over_tcp_and_exits_cleanly_on_a_shutdown_frame() {
     client.shutdown_server().expect("send SHUTDOWN");
     let status = serve.exit_status("SHUTDOWN");
     assert!(status.success(), "srj-serve exited with {status}");
+}
+
+/// `--dataset-file ID=PATH` (one file) serves the 50/50 split of the
+/// file's points that `split_rs` deals from a borrowed copy, seeded by
+/// the id: the same `|R|` and `|S|`, and the same stream for one seed as
+/// an in-process server over that split.
+#[test]
+fn a_single_point_file_serves_the_split_of_its_points() {
+    let points = generate(&DatasetSpec::new(DatasetKind::Uniform, 2_000, 3));
+    let path = std::env::temp_dir().join(format!("srj-serve-split-{}.txt", std::process::id()));
+    write_points_file(&path, &points).expect("write the point file");
+    let spec = format!("5={}", path.display());
+    let mut serve = KillOnDrop(
+        Command::new(SERVE)
+            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+            .args(["--dataset-file", &spec])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn srj-serve"),
+    );
+    let mut stdout = BufReader::new(serve.0.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout
+        .read_line(&mut line)
+        .expect("read srj-serve's stdout");
+    let _ = std::fs::remove_file(&path);
+    let addr = line
+        .trim_end()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("expected `listening on ADDR`, got {line:?}"))
+        .to_string();
+
+    let (r, s) = split_rs(&points, 0.5, 5 ^ 0xD15C);
+    let mut registry = DatasetRegistry::new();
+    registry.register(5, r.clone(), s.clone());
+    let local = Server::start("127.0.0.1:0", registry, ServerConfig::default())
+        .expect("start the in-process server");
+    let request = SampleRequest {
+        req_id: 0,
+        dataset: 5,
+        l: 300.0,
+        algorithm: None,
+        shards: 1,
+        t: 500,
+        seed: 11,
+    };
+    let mut draws = Vec::new();
+    for addr in [addr, local.local_addr().to_string()] {
+        let mut client = Client::connect(addr.as_str()).expect("connect");
+        let (status, epoch) = client.epoch(5).unwrap();
+        assert_eq!(status, RequestStatus::Ok);
+        assert_eq!(
+            (epoch.live_r, epoch.live_s),
+            (r.len() as u64, s.len() as u64)
+        );
+        let outcome = client.sample(request).unwrap();
+        assert_eq!(outcome.status, RequestStatus::Ok);
+        draws.push(outcome.pairs);
+    }
+    assert_eq!(draws[0], draws[1]);
+    for pair in &draws[0] {
+        let (p, q) = (r[pair.r as usize], s[pair.s as usize]);
+        assert!((p.x - q.x).abs() <= 300.0 && (p.y - q.y).abs() <= 300.0);
+    }
 }
 
 /// A scale of zero, a non-number or a dataset beyond `u32` point ids is
